@@ -8,7 +8,6 @@ Subpackage map:
 - ``coefficients`` quasi-periodic coefficient sets with certified bounds
 - ``solver``       mild-solution simulation, the bounded-solution operator,
                    Picard iteration, rational existence conditions
-- ``simplex``      deterministic dense-tableau LP solver
 - ``apdist``       bounded-Lipschitz distance and almost-periodicity scans
 - ``config``       run configuration, presets, JSON round-trip
 - ``cli``          command line entry points

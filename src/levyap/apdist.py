@@ -8,22 +8,19 @@ The distance between probability measures mu and nu is
 
 a metric bounded by 2 that metrizes weak convergence.  For empirical
 measures the supremum is a finite linear program over the values of f on
-the union of supports.  It is solved exactly in-repo by the dense
-simplex solver with deterministic (Bland) pivoting; an outer
-cutting-plane loop activates only the Lipschitz constraints that bind,
-and the returned value is certified by checking the witness against
-every pair constraint.
+the union of supports.  Its Kantorovich-Rubinstein dual is a small
+transport program with flows between the points of positive and of
+negative signed mass, solved by scipy's HiGHS in one call.  The dual of
+that solve, after one c-transform, is a feasible test function, and the
+gap between the two bounds is checked on every call.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-
-from .simplex import SimplexError, simplex_maximize
 
 __all__ = [
     "EmpiricalLawError",
@@ -31,7 +28,7 @@ __all__ = [
     "LawTrajectory",
     "bl_distance",
     "law_trajectory",
-    "square_mean_shift_distance",
+    "scan_times",
     "APScanReport",
     "ap_distribution_scan",
 ]
@@ -89,188 +86,106 @@ class EmpiricalLaw:
 
 def _signed_support(mu: EmpiricalLaw, nu: EmpiricalLaw):
     """Merge the two supports; return unique points with the signed
-    weight difference, zero-difference points dropped."""
+    weight difference, zero-difference points dropped.  The masses of mu
+    and nu are accumulated separately and then subtracted, so swapping
+    the arguments negates the difference bit for bit."""
     if mu.dim != nu.dim:
         raise EmpiricalLawError("laws must share a dimension")
     pts = np.concatenate([mu.points, nu.points], axis=0)
-    signed = np.concatenate([mu.weights, -nu.weights])
     uniq, inverse = np.unique(pts, axis=0, return_inverse=True)
-    delta = np.zeros(len(uniq))
-    np.add.at(delta, inverse, signed)
+    m = len(mu.points)
+    mass_mu = np.zeros(len(uniq))
+    mass_nu = np.zeros(len(uniq))
+    np.add.at(mass_mu, inverse[:m], mu.weights)
+    np.add.at(mass_nu, inverse[m:], nu.weights)
+    delta = mass_mu - mass_nu
     keep = delta != 0.0
     return uniq[keep], delta[keep]
-
-
-def _seed_pairs(pts: np.ndarray) -> list[tuple[int, int]]:
-    """Initial working constraints, one row per ordered pair (i, j)
-    standing for f_i - f_j <= c * d_ij.
-
-    In dimension one the sorted adjacency pairs, both directions, imply
-    every pair constraint by telescoping, so the first LP relaxation is
-    already exact.  In higher dimension, adjacency along coordinate and
-    diagonal projections is complemented by a nearest-neighbor graph,
-    one direction per edge; the cutting rounds supply whichever
-    directions turn out to bind."""
-    n, d = pts.shape
-    pair_set = set()
-    if d == 1:
-        order = np.argsort(pts[:, 0], kind="stable")
-        for a, b in zip(order[:-1], order[1:]):
-            pair_set.add((int(a), int(b)))
-            pair_set.add((int(b), int(a)))
-        return sorted(pair_set)
-    dirs = [np.eye(d)[i] for i in range(d)]
-    dirs.append(np.full(d, 1.0 / math.sqrt(d)))
-    for direction in dirs:
-        order = np.argsort(pts @ direction, kind="stable")
-        for a, b in zip(order[:-1], order[1:]):
-            i, j = (int(a), int(b)) if a < b else (int(b), int(a))
-            pair_set.add((i, j))
-    if n > 2:
-        k = min(4, n - 1)
-        chunk = max(1, int(2_000_000 // max(n, 1)))
-        for start in range(0, n, chunk):
-            stop = min(start + chunk, n)
-            diff = pts[start:stop, None, :] - pts[None, :, :]
-            dist = np.sum(diff**2, axis=2)
-            for local, row in enumerate(dist):
-                i = start + local
-                row[i] = np.inf
-                for j in np.argpartition(row, k)[:k]:
-                    a, b = (i, int(j)) if i < int(j) else (int(j), i)
-                    pair_set.add((a, b))
-    return sorted(pair_set)
-
-
-def _solve_working(delta, pts, pairs, pricing):
-    """LP over the working set of ordered pairs, reduced to (f, s).
-
-    Two exact reductions of the stated program keep the tableau small
-    and non-degenerate.  The signed weights sum to zero, so the
-    objective ignores constant shifts of f and the box |f| <= s becomes
-    0 <= f <= 2s.  Enlarging s or c never shrinks the feasible set, so
-    some optimum has s + c = 1 and c is substituted away, which gives the
-    pair rows a positive right-hand side d_ij (Bland pivoting stalls for
-    thousands of degenerate pivots without this).  Each ordered pair
-    (i, j) contributes the single row f_i - f_j + s d_ij <= d_ij.  The
-    optimal value is that of the original program.
-    """
-    n = len(delta)
-    k = len(pairs)
-    nvar = n + 1  # f values, then s; c = 1 - s
-    rows = np.zeros((n + k + 1, nvar))
-    rhs = np.zeros(n + k + 1)
-    rows[:n, :n] = np.eye(n)
-    rows[:n, n] = -2.0
-    for r, (i, j) in enumerate(pairs):
-        dij = float(np.linalg.norm(pts[i] - pts[j]))
-        rows[n + r, i] = 1.0
-        rows[n + r, j] = -1.0
-        rows[n + r, n] = dij
-        rhs[n + r] = dij
-    rows[-1, n] = 1.0
-    rhs[-1] = 1.0
-    obj = np.concatenate([delta, [0.0]])
-    res = simplex_maximize(obj, rows, rhs, pricing=pricing)
-    f = res.x[:n]
-    s = float(res.x[n])
-    return res.value, f, s, 1.0 - s, res.iterations
-
-
-def _violated_pairs(pts, f, c, limit):
-    """All-pairs feasibility check of a witness, done in row chunks.
-    Returns the most violated ordered pairs (i, j), f_i - f_j > c d_ij,
-    deterministically ordered."""
-    n = len(pts)
-    found = []
-    chunk = max(1, int(2_000_000 // max(n, 1)))
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        diff = pts[start:stop, None, :] - pts[None, :, :]
-        dist = np.sqrt(np.sum(diff**2, axis=2))
-        gap = f[start:stop, None] - f[None, :] - c * dist
-        tol = 1e-9 * (1.0 + c * dist)
-        ii, jj = np.nonzero(gap > tol)
-        for a, b in zip(ii, jj):
-            i = int(a) + start
-            j = int(b)
-            if i != j:
-                found.append((float(gap[a, b]), i, j))
-    found.sort(key=lambda rec: (-rec[0], rec[1], rec[2]))
-    return [(i, j) for _, i, j in found[:limit]]
 
 
 def bl_distance(
     mu: EmpiricalLaw,
     nu: EmpiricalLaw,
     support_cap: int = 4096,
-    pricing: str = "bland",
     return_witness: bool = False,
 ):
     """Bounded-Lipschitz distance between two empirical laws, exact up to
-    LP round-off.
+    LP round-off, with a checked certificate.
 
-    The cutting-plane loop solves a relaxation with a working subset of
-    pair constraints and terminates only when the witness satisfies every
-    pair constraint, so the relaxed optimum equals the full optimum.
+    By Kantorovich-Rubinstein duality beta is the transport program
+
+        min lambda  over  pi >= 0 (flows from P to Q),  alpha >= 0,
+        sum_j pi_ij + alpha_i = |delta_i|  on P and on Q,
+        sum alpha <= lambda,  sum pi_ij d_ij <= lambda,
+
+    where P and Q hold the points of positive and negative signed mass
+    delta = mu - nu.  Flows between P and Q suffice because d is a metric.
+    HiGHS solves it; lambda is the upper bound.  The row duals give a
+    test function f with box s and Lipschitz constant c, and one
+    c-transform makes f feasible on every pair, so delta . f is a lower
+    bound.  A gap above 1e-9 or a failed solve raises EmpiricalLawError.
     Supports larger than ``support_cap`` raise; subsample the laws first.
-    The two laws are put in a canonical order before solving, which makes
-    the call exactly symmetric in its arguments.
+    beta(delta) = beta(-delta), and the LP is always solved with the
+    first signed mass positive, which makes the call exactly symmetric
+    in its arguments.
     """
-    flip = (nu.points.tobytes(), nu.weights.tobytes()) < (
-        mu.points.tobytes(),
-        mu.weights.tobytes(),
-    )
-    if flip:
-        mu, nu = nu, mu
     pts, delta = _signed_support(mu, nu)
     n = len(pts)
     if n == 0:
         if return_witness:
-            return 0.0, {"f": np.zeros(0), "s": 0.0, "c": 0.0, "rounds": 0}
+            return 0.0, {"f": np.zeros(0), "s": 0.0, "c": 0.0}
         return 0.0
     if n > support_cap:
         raise EmpiricalLawError(
             f"merged support {n} exceeds cap {support_cap}; "
             "subsample the laws first"
         )
-    pairs = _seed_pairs(pts)
-    add_cap = max(64, 2 * n)
-    total_iters = 0
-    for round_idx in range(64):
-        value, f, s, c, iters = _solve_working(delta, pts, pairs, pricing)
-        total_iters += iters
-        violated = _violated_pairs(pts, f, c, add_cap)
-        if not violated:
-            if return_witness:
-                f_sym = f - s  # back to the symmetric box |f| <= s
-                if flip:
-                    f_sym = -f_sym  # undo the canonical argument swap
-                witness = {
-                    "f": f_sym,
-                    "s": s,
-                    "c": c,
-                    "rounds": round_idx + 1,
-                    "iterations": total_iters,
-                }
-                return float(value), witness
-            return float(value)
-        if round_idx < 8:
-            # shed rows that are far from binding at the witness; the
-            # certificate at exit re-checks every pair, so dropping is
-            # safe, and after eight rounds the working set accumulates
-            # to force progress
-            kept = []
-            for i, j in pairs:
-                dij = float(np.linalg.norm(pts[i] - pts[j]))
-                slack = c * dij - (f[i] - f[j])
-                if slack <= 0.1 * (1.0 + c * dij):
-                    kept.append((i, j))
-            pairs = kept
-        existing = set(pairs)
-        pairs.extend(p for p in violated if p not in existing)
-        pairs.sort()
-    raise SimplexError("cutting-plane loop failed to converge in 64 rounds")
+    # imported here: `check` and `picard` never reach this, and scipy.optimize
+    # adds about 0.3 s to start-up on top of numpy and scipy.linalg
+    from scipy.optimize import linprog
+    from scipy.sparse import csc_array
+
+    sign = 1.0 if delta[0] > 0 else -1.0
+    delta = sign * delta
+    p = np.flatnonzero(delta > 0)
+    q = np.flatnonzero(delta < 0)
+    dist_q = np.linalg.norm(pts[:, None, :] - pts[None, q, :], axis=2)  # (n, |Q|)
+    n_flow = len(p) * len(q)
+    # columns: flows pi_ij (row-major over P x Q), then alpha, then lambda
+    flow_i = np.repeat(p, len(q))
+    flow_j = np.tile(q, len(p))
+    rows = np.concatenate([flow_i, flow_j, np.arange(n)])
+    cols = np.concatenate([np.arange(n_flow), np.arange(n_flow), n_flow + np.arange(n)])
+    a_eq = csc_array((np.ones(len(rows)), (rows, cols)), shape=(n, n_flow + n + 1))
+    a_ub = np.zeros((2, n_flow + n + 1))
+    a_ub[0, n_flow:-1] = 1.0
+    a_ub[1, :n_flow] = dist_q[p].ravel()
+    a_ub[:, -1] = -1.0
+    cost = np.zeros(n_flow + n + 1)
+    cost[-1] = 1.0
+    res = linprog(
+        cost, A_ub=a_ub, b_ub=np.zeros(2), A_eq=a_eq, b_eq=np.abs(delta), method="highs"
+    )
+    if res.status != 0:
+        raise EmpiricalLawError(f"beta LP failed (HiGHS status {res.status}): {res.message}")
+    upper = float(res.fun)
+    s, c = (max(-float(u), 0.0) for u in res.ineqlin.marginals)
+    scale = max(1.0, s + c)
+    s, c = s / scale, c / scale
+    # dual on Q with its sign put back, clipped into the box, then the
+    # c-transform: min(s, min_j f_j + c d(x, x_j)) is c-Lipschitz and in
+    # [-s, s], and it only raises f on P and lowers it on Q
+    f_q = np.maximum(-res.eqlin.marginals[q] / scale, -s)
+    f = np.min(f_q[None, :] + c * dist_q, axis=1, initial=s)
+    lower = float(delta @ f)
+    if not abs(upper - lower) <= 1e-9:
+        raise EmpiricalLawError(
+            f"beta certificate gap {upper - lower:.3g} between the bounds "
+            f"{lower!r} and {upper!r} exceeds 1e-9"
+        )
+    if return_witness:
+        return upper, {"f": sign * f, "s": s, "c": c}
+    return upper
 
 
 # ---------------------------------------------------------------------------
@@ -331,29 +246,17 @@ def law_trajectory(
     return LawTrajectory(np.asarray(out_times), tuple(laws))
 
 
-def square_mean_shift_distance(ensemble, s: float) -> float:
-    """Largest mean squared displacement between the ensemble and its
-    time shift: sup over t of the path average of |Y(t+s) - Y(t)|^2,
-    taken over the overlap of the grid with its shifted copy."""
-    grid = np.asarray(ensemble.grid, dtype=float)
-    values = np.asarray(ensemble.values)
-    if len(grid) < 2:
-        raise EmpiricalLawError("ensemble grid too short")
-    h = grid[1] - grid[0]
-    m = round(s / h)
-    if abs(s - m * h) > _TIME_TOL * max(1.0, abs(s)):
-        raise EmpiricalLawError(f"shift {s} is not a multiple of the grid step {h}")
-    n = values.shape[1]
-    if abs(m) >= n:
-        raise EmpiricalLawError("shift leaves no grid overlap")
-    if m == 0:
-        return 0.0
-    if m > 0:
-        diff = values[:, m:, :] - values[:, : n - m, :]
-    else:
-        diff = values[:, :m, :] - values[:, -m:, :]
-    msq = np.mean(np.sum(diff**2, axis=2), axis=0)
-    return float(msq.max())
+def scan_times(
+    grid: np.ndarray, times: Sequence[float], shifts: Sequence[float]
+) -> list[float]:
+    """Grid times at which a shift scan needs laws: every base time t and
+    every shifted time t + s, each snapped to its nearest grid point,
+    sorted and without repeats."""
+    h = float(grid[1] - grid[0])
+    lo = float(grid[0])
+    idx = {int(round((t - lo) / h)) for t in times}
+    idx |= {int(round((t + s - lo) / h)) for t in times for s in shifts}
+    return [float(grid[i]) for i in sorted(idx)]
 
 
 @dataclass(frozen=True)
@@ -386,7 +289,6 @@ def ap_distribution_scan(
     shifts: Sequence[float],
     eps: float,
     support_cap: int = 4096,
-    pricing: str = "bland",
 ) -> APScanReport:
     """Test each candidate shift s: compare the law at t + s with the law
     at t over every t in the trajectory for which both are available, and
@@ -408,10 +310,7 @@ def ap_distribution_scan(
                 continue
             pairs += 1
             d = bl_distance(
-                trajectory.laws[tj],
-                trajectory.laws[ti],
-                support_cap=support_cap,
-                pricing=pricing,
+                trajectory.laws[tj], trajectory.laws[ti], support_cap=support_cap
             )
             worst = max(worst, d)
         if pairs == 0:

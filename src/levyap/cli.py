@@ -22,7 +22,12 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .apdist import EmpiricalLawError, ap_distribution_scan, law_trajectory
+from .apdist import (
+    EmpiricalLawError,
+    ap_distribution_scan,
+    law_trajectory,
+    scan_times,
+)
 from .coefficients import CoefficientError, SignalParseError, UnboundedSignalError
 from .config import (
     ConfigError,
@@ -278,16 +283,9 @@ def cmd_apscan(cfg: RunConfig, out: Path) -> int:
     ana = cfg.analysis
     base = [float(t) for t in ana.times]
     shifts = [float(s) for s in ana.shifts]
-    # laws are needed at every base time and every shifted time
-    grid = res.ensemble.grid
-    h = float(grid[1] - grid[0])
-    lo = float(grid[0])
-    idx = {int(round((t - lo) / h)) for t in base}
-    idx |= {int(round((t + s - lo) / h)) for t in base for s in shifts}
-    eval_times = [float(grid[i]) for i in sorted(idx)]
     traj = law_trajectory(
         res.ensemble,
-        eval_times,
+        scan_times(res.ensemble.grid, base, shifts),
         n_support=ana.law_support,
         seed=cfg.seed,
     )

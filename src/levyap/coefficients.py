@@ -43,8 +43,6 @@ __all__ = [
     "small_jump_compensator",
     "verify_lipschitz",
     "LipschitzReport",
-    "scan_almost_periods",
-    "AlmostPeriodScan",
     "example41_coefficients",
     "ou_forced_coefficients",
     "galerkin_heat_coefficients",
@@ -633,90 +631,6 @@ def verify_lipschitz(
         slack=slack,
         passed=passed,
         n_samples=int(np.sum(keep)),
-    )
-
-
-# ---------------------------------------------------------------------------
-# almost periods of signals
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AlmostPeriodScan:
-    """Result of a deterministic almost-period scan of a signal."""
-
-    taus: np.ndarray
-    deviations: np.ndarray
-    eps: float
-    grid_step: float
-    max_gap: float
-    message: str
-
-    def as_dict(self) -> dict:
-        return {
-            "taus": self.taus.tolist(),
-            "deviations": self.deviations.tolist(),
-            "eps": self.eps,
-            "grid_step": self.grid_step,
-            "max_gap": self.max_gap,
-            "message": self.message,
-        }
-
-
-def scan_almost_periods(
-    signal: QuasiPeriodicSignal,
-    eps: float,
-    horizon: float,
-    grid_step: float,
-    t_span: Optional[float] = None,
-) -> AlmostPeriodScan:
-    """Find all shifts tau in (0, horizon] with
-    sup over the t-grid of |signal(t + tau) - signal(t)| <= eps.
-
-    The supremum runs over a grid of span ``t_span`` (default: four
-    periods of the slowest oscillator, at least 20).  Reports the largest
-    gap between consecutive accepted shifts, with the origin counted as
-    an accepted shift; an empty result carries an explanatory message and
-    an infinite gap instead of raising.
-    """
-    if eps <= 0 or horizon <= 0 or grid_step <= 0:
-        raise ValueError("eps, horizon and grid_step must be positive")
-    if t_span is None:
-        if signal.frequencies:
-            t_span = max(20.0, 4.0 * _TWO_PI / min(signal.frequencies))
-        else:
-            t_span = 20.0
-    n_t = int(round(t_span / grid_step)) + 1
-    n_tau = int(round(horizon / grid_step))
-    master = signal(np.arange(n_t + n_tau) * grid_step)
-    base = master[:n_t]
-    taus = np.arange(1, n_tau + 1) * grid_step
-    deviations = np.empty(n_tau)
-    chunk = max(1, int(2_000_000 / max(n_t, 1)))
-    for start in range(0, n_tau, chunk):
-        stop = min(start + chunk, n_tau)
-        idx = np.arange(start + 1, stop + 1)
-        windows = master[idx[:, None] + np.arange(n_t)[None, :]]
-        deviations[start:stop] = np.abs(windows - base[None, :]).max(axis=1)
-    accepted = deviations <= eps
-    taus_ok = taus[accepted]
-    if len(taus_ok) == 0:
-        return AlmostPeriodScan(
-            taus=taus_ok,
-            deviations=deviations[accepted],
-            eps=eps,
-            grid_step=grid_step,
-            max_gap=float("inf"),
-            message="not almost periodic at this resolution and epsilon",
-        )
-    gaps = np.diff(np.concatenate([[0.0], taus_ok]))
-    return AlmostPeriodScan(
-        taus=taus_ok,
-        deviations=deviations[accepted],
-        eps=eps,
-        grid_step=grid_step,
-        max_gap=float(gaps.max()),
-        message="",
     )
 
 

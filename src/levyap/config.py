@@ -35,6 +35,7 @@ from .noise import (
     point_mark,
     uniform_annulus_mark,
     uniform_interval_mark,
+    validate_spec,
 )
 
 __all__ = [
@@ -746,6 +747,7 @@ def validate_config(cfg: RunConfig) -> None:
 
     sysd = build_system(cfg.system)
     spec = build_spec(cfg.levy)
+    validate_spec(spec)
     cs = build_coefficients(cfg.coefficients)
     if cs.dim_state != sysd.dim:
         raise ConfigError(

@@ -25,6 +25,7 @@ from levyap.apdist import (
     ap_distribution_scan,
     bl_distance,
     law_trajectory,
+    scan_times,
 )
 from levyap.coefficients import (
     CoefficientSet,
@@ -120,12 +121,7 @@ def scan_preset(cfg, res, eps, n_support):
     base and shifted time."""
     times = [float(t) for t in cfg.analysis.times]
     shifts = [float(s) for s in cfg.analysis.shifts]
-    grid = res.ensemble.grid
-    h = float(grid[1] - grid[0])
-    lo = float(grid[0])
-    idx = {int(round((t - lo) / h)) for t in times}
-    idx |= {int(round((t + s - lo) / h)) for t in times for s in shifts}
-    eval_times = [float(grid[i]) for i in sorted(idx)]
+    eval_times = scan_times(res.ensemble.grid, times, shifts)
     traj = law_trajectory(res.ensemble, eval_times, n_support=n_support, seed=cfg.seed)
     return ap_distribution_scan(traj, shifts, eps)
 

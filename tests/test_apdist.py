@@ -17,7 +17,6 @@ from levyap.apdist import (
     ap_distribution_scan,
     bl_distance,
     law_trajectory,
-    square_mean_shift_distance,
 )
 
 
@@ -214,17 +213,44 @@ def _reference_full_lp(mu, nu):
     return -res.fun
 
 
+def _cloud_pairs_2d(gen, n=64):
+    """2-d clouds of n points each: one pair close (a jittered copy),
+    one pair independent."""
+    a = gen.normal(size=(n, 2))
+    yield EmpiricalLaw.from_samples(a), EmpiricalLaw.from_samples(
+        a + 0.01 * gen.normal(size=(n, 2))
+    )
+    yield EmpiricalLaw.from_samples(a), EmpiricalLaw.from_samples(
+        gen.normal(size=(n, 2))
+    )
+
+
 def test_matches_reference_solver_on_moderate_instances():
     gen = np.random.default_rng(14)
-    for _ in range(10):
-        mu, nu = _random_pair(gen, max_pts=25)
+    pairs = [_random_pair(gen, max_pts=25) for _ in range(10)]
+    pairs += list(_cloud_pairs_2d(gen))
+    for mu, nu in pairs:
         assert abs(bl_distance(mu, nu) - _reference_full_lp(mu, nu)) < 1e-7
+
+
+def _weighted_coincident_pair(gen):
+    """Weighted laws whose atoms repeat within each law and are shared
+    between the two laws."""
+    shared = gen.normal(size=(3, 2))
+    laws = []
+    for _ in range(2):
+        own = gen.normal(size=(int(gen.integers(1, 6)), 2))
+        pts = np.concatenate([shared, shared[:2], own])
+        w = gen.uniform(0.1, 1.0, size=len(pts))
+        laws.append(EmpiricalLaw(pts, w / w.sum()))
+    return laws
 
 
 def test_witness_certifies_the_value():
     gen = np.random.default_rng(21)
-    for _ in range(5):
-        mu, nu = _random_pair(gen, max_pts=20, dim=2)
+    pairs = [_random_pair(gen, max_pts=20, dim=2) for _ in range(5)]
+    pairs += [_weighted_coincident_pair(gen) for _ in range(5)]
+    for mu, nu in pairs:
         value, wit = bl_distance(mu, nu, return_witness=True)
         pts, delta = _signed_support(mu, nu)
         f, s, c = wit["f"], wit["s"], wit["c"]
@@ -233,7 +259,35 @@ def test_witness_certifies_the_value():
         diff = np.abs(f[:, None] - f[None, :])
         dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
         assert np.all(diff <= c * dist + 1e-8 * (1.0 + dist))
-        assert abs(float(delta @ f) - value) < 1e-9
+        # the feasible witness bounds beta from below, the LP value from
+        # above: the pair brackets the value to within 1e-9
+        lower = float(delta @ f)
+        assert -1e-12 <= value - lower <= 1e-9
+
+
+def test_failed_solve_or_open_gap_raises(monkeypatch):
+    import scipy.optimize
+
+    real = scipy.optimize.linprog
+    mu, nu = _random_pair(np.random.default_rng(22), dim=2)
+
+    def failing(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.status, res.message = 4, "numerical difficulties"
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "linprog", failing)
+    with pytest.raises(EmpiricalLawError, match="numerical difficulties"):
+        bl_distance(mu, nu)
+
+    def loose(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.fun += 1e-6
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "linprog", loose)
+    with pytest.raises(EmpiricalLawError, match="gap"):
+        bl_distance(mu, nu)
 
 
 def test_support_cap_enforced():
@@ -293,27 +347,6 @@ def test_trajectory_validation():
         LawTrajectory(np.array([0.0, 0.0]), (law, law))
     with pytest.raises(EmpiricalLawError):
         LawTrajectory(np.array([0.0, 1.0]), (law,))
-
-
-def test_square_mean_shift_distance_linear_paths():
-    # Y_p(t) = (p + 1) t, so the mean square of Y(t+s) - Y(t) is
-    # s^2 * mean((p+1)^2), independent of t
-    grid = np.linspace(0.0, 2.0, 21)
-    values = np.stack([(p + 1) * grid[:, None] for p in range(2)])
-    ens = _FakeEnsemble(grid, values)
-    s = 0.5
-    want = s**2 * (1 + 4) / 2
-    assert abs(square_mean_shift_distance(ens, s) - want) < 1e-12
-    assert square_mean_shift_distance(ens, 0.0) == 0.0
-    assert abs(square_mean_shift_distance(ens, -s) - want) < 1e-12
-
-
-def test_square_mean_shift_distance_validation():
-    ens = _FakeEnsemble(np.linspace(0.0, 1.0, 11), np.zeros((2, 11, 1)))
-    with pytest.raises(EmpiricalLawError, match="multiple"):
-        square_mean_shift_distance(ens, 0.17)
-    with pytest.raises(EmpiricalLawError, match="overlap"):
-        square_mean_shift_distance(ens, 2.0)
 
 
 def _circle_trajectory():

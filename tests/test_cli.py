@@ -391,6 +391,18 @@ class TestCliExitCodes:
         assert code == 2
         assert "omega" in capsys.readouterr().err
 
+    def test_noise_drift_must_be_zero(self, tmp_path, capsys):
+        d = tiny_benchmark_dict()
+        dim = d["levy"]["dim"]
+        d["levy"]["drift"] = [5] * dim
+        cfg = write_cfg(tmp_path, d)
+        code = main(["check", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "levy.drift" in capsys.readouterr().err
+        d["levy"]["drift"] = [0] * dim
+        cfg = write_cfg(tmp_path, d)
+        assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
     def test_galerkin_without_spectral_gap(self, tmp_path, capsys):
         d = tiny_galerkin_dict()
         d["system"]["galerkin"]["a0"] = 1

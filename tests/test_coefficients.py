@@ -35,7 +35,6 @@ from levyap.coefficients import (
     example41_coefficients,
     galerkin_heat_coefficients,
     ou_forced_coefficients,
-    scan_almost_periods,
     small_jump_compensator,
     verify_lipschitz,
 )
@@ -311,58 +310,6 @@ def test_verify_lipschitz_detects_violation():
 def test_verify_lipschitz_needs_samples():
     with pytest.raises(CoefficientError, match="100"):
         verify_lipschitz(example41_coefficients(), benchmark_noise(), n_samples=10)
-
-
-# ---------------------------------------------------------------------------
-# almost-period scan
-# ---------------------------------------------------------------------------
-
-
-def test_scan_finds_fundamental_periods():
-    sig = QuasiPeriodicSignal.parse("s1", (math.sqrt(2.0),))
-    period = 2 * math.pi / math.sqrt(2.0)
-    scan = scan_almost_periods(sig, eps=0.05, horizon=15.0, grid_step=0.01)
-    for k in (1, 2, 3):
-        assert np.min(np.abs(scan.taus - k * period)) <= 0.01 + 1e-9
-    assert np.isfinite(scan.max_gap)
-    assert scan.max_gap <= period + 0.5
-    assert scan.message == ""
-    # all reported deviations honor the bound 2|sin(w tau / 2)|
-    for tau, dev in zip(scan.taus, scan.deviations):
-        assert dev <= 2 * abs(math.sin(math.sqrt(2.0) * tau / 2.0)) + 1e-9
-
-
-def test_scan_reports_empty_result():
-    sig = QuasiPeriodicSignal.parse("s1", (math.sqrt(2.0),))
-    scan = scan_almost_periods(sig, eps=1e-9, horizon=5.0, grid_step=0.01)
-    assert len(scan.taus) == 0
-    assert math.isinf(scan.max_gap)
-    assert "not almost periodic" in scan.message
-
-
-def test_scan_two_frequency_signal():
-    sig = QuasiPeriodicSignal.parse("s1 + c2", (math.sqrt(2.0), math.sqrt(3.0)))
-    scan = scan_almost_periods(sig, eps=0.25, horizon=60.0, grid_step=0.01)
-    assert len(scan.taus) > 0
-    assert np.isfinite(scan.max_gap)
-    # verify each accepted shift against a direct dense check
-    t = np.linspace(0.0, 30.0, 4000)
-    for tau in scan.taus[:3]:
-        assert np.max(np.abs(sig(t + tau) - sig(t))) <= 0.25 + 0.05
-
-
-def test_scan_is_deterministic():
-    sig = QuasiPeriodicSignal.parse("s1", (math.sqrt(2.0),))
-    a = scan_almost_periods(sig, eps=0.05, horizon=10.0, grid_step=0.01)
-    b = scan_almost_periods(sig, eps=0.05, horizon=10.0, grid_step=0.01)
-    assert np.array_equal(a.taus, b.taus)
-    assert np.array_equal(a.deviations, b.deviations)
-
-
-def test_scan_input_validation():
-    sig = QuasiPeriodicSignal.parse("s1", (1.0,))
-    with pytest.raises(ValueError, match="positive"):
-        scan_almost_periods(sig, eps=-1.0, horizon=5.0, grid_step=0.01)
 
 
 # ---------------------------------------------------------------------------
