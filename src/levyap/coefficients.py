@@ -458,7 +458,7 @@ def eval_drift(cs: CoefficientSet, ts, y) -> np.ndarray:
     (n, m, d).  Returns matching (m, d) or (n, m, d).
     """
     ts_arr, y_arr, scalar = _normalize_grid_args(ts, y)
-    out = np.zeros(y_arr.shape[:2] + (cs.dim_state,))
+    out = _grid_zeros(y_arr, (cs.dim_state,))
     for i, terms in enumerate(cs.drift):
         _eval_terms_grid(terms, ts_arr, y_arr, out[:, :, i])
     return out[0] if scalar else out
@@ -467,7 +467,7 @@ def eval_drift(cs: CoefficientSet, ts, y) -> np.ndarray:
 def eval_diffusion(cs: CoefficientSet, ts, y) -> np.ndarray:
     """Diffusion map g(t, y), shape (..., dim_state, dim_noise)."""
     ts_arr, y_arr, scalar = _normalize_grid_args(ts, y)
-    out = np.zeros(y_arr.shape[:2] + (cs.dim_state, cs.dim_noise))
+    out = _grid_zeros(y_arr, (cs.dim_state, cs.dim_noise))
     for i, row in enumerate(cs.diffusion):
         for j, terms in enumerate(row):
             _eval_terms_grid(terms, ts_arr, y_arr, out[:, :, i, j])
@@ -505,7 +505,7 @@ def small_jump_compensator(
     contribute rate * (w . mean mark) * term.
     """
     ts_arr, y_arr, scalar = _normalize_grid_args(ts, y)
-    out = np.zeros(y_arr.shape[:2] + (cs.dim_state,))
+    out = _grid_zeros(y_arr, (cs.dim_state,))
     smalls = [c for c in spec.jumps if c.region == "small"]
     if smalls:
         total_rate = sum(c.rate for c in smalls)
@@ -527,6 +527,16 @@ def small_jump_compensator(
                 )
                 _eval_terms_grid((scaled,), ts_arr, y_arr, out[:, :, i])
     return out[0] if scalar else out
+
+
+def _grid_zeros(y: np.ndarray, tail: tuple[int, ...]) -> np.ndarray:
+    """Zeros of shape y.shape[:2] + tail laid out in memory like ``y``:
+    path-major when ``y`` is a time-major view of path-major states, so
+    the term updates run along memory rather than across it."""
+    n, m = y.shape[:2]
+    if n > 1 and m > 1 and y.strides[0] < y.strides[1]:
+        return np.zeros((m, n) + tail).swapaxes(0, 1)
+    return np.zeros((n, m) + tail)
 
 
 def _normalize_grid_args(ts, y):

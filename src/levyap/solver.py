@@ -20,10 +20,20 @@ forward exponential-Euler integrator used for benchmark oracles.
 Truncated integrals are clipped at the sample window edges, so iterates
 live on one fixed grid; points further than T_c from the edges carry
 the full two-sided window.
+
+Each truncated convolution is the difference of two accumulations w =
+T_c / h steps apart, and an accumulation is a first-order linear
+recurrence in time.  ``apply_S`` runs it without a Python time loop: in
+the Schur coordinates of the reduced one-step propagator the recurrence
+is triangular, and every mode is a scalar scan z_{k+1} = lam z_k + b_k
+computed by block-scaled cumulative sums (Blelloch, "Prefix sums and
+their applications", 1990).  Path chunks are independent and run on
+worker threads with bitwise identical results for any thread count.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +41,7 @@ from numbers import Rational
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import rsf2csf, schur
 
 from .coefficients import (
     CoefficientSet,
@@ -65,8 +76,12 @@ __all__ = [
 
 _BLOWUP_GUARD = 1e8
 _GRID_TOL = 1e-9
-# element budget for per-chunk temporaries in apply_S
-_CHUNK_BUDGET = 4_000_000
+# path steps per apply_S chunk: its temporaries stay a few MB each
+_CHUNK_BUDGET = 262_144
+# paths per block of the second-moment reductions
+_MOMENT_BLOCK = 64
+# largest |log|lam|| * block of one scan block: lam^{-i} stays below e^600
+_SCAN_NATS = 600.0
 
 
 class SolverError(RuntimeError):
@@ -288,10 +303,23 @@ class PathEnsemble:
         return int(k)
 
 
+def _sup_mean_square(values: np.ndarray, minus: Optional[np.ndarray] = None) -> float:
+    """Largest value over the grid of the path-average of ||v(t)||^2,
+    v = values - minus, for arrays of shape (paths, times, dim).  Summed
+    over fixed blocks of paths, so no full-size temporary is built."""
+    m, n, d = values.shape
+    total = np.zeros(n * d)
+    for lo in range(0, m, _MOMENT_BLOCK):
+        v = values[lo : lo + _MOMENT_BLOCK]
+        if minus is not None:
+            v = v - minus[lo : lo + _MOMENT_BLOCK]
+        total += (v * v).reshape(len(v), -1).sum(axis=0)
+    return float(total.reshape(n, d).sum(axis=1).max()) / m
+
+
 def sup_second_moment(ens: PathEnsemble) -> float:
     """Largest value over the grid of the path-average of ||Y(t)||^2."""
-    msq = np.mean(np.sum(ens.values**2, axis=2), axis=0)
-    return float(msq.max())
+    return _sup_mean_square(ens.values)
 
 
 def l2_increment(ens: PathEnsemble, t: float, r: float) -> float:
@@ -441,6 +469,189 @@ def _truncation_steps(truncation: float, h: float, n_steps: int) -> int:
     return int(w)
 
 
+@dataclass(frozen=True)
+class _ModalHalf:
+    """One half of S in the Schur coordinates of its one-step propagator.
+
+    The accumulation R_{k+1} = prop R_k + ker f_k + stoch stoch_k of the
+    old per-step loop stays in range(U), where U is the orthonormal basis
+    of the half's invariant range.  With the reduced propagator
+    U^T prop U = Z T Z^H (T upper triangular) it becomes the triangular
+    recurrence z_{k+1} = T z_k + b_k, b_k = drift_map f_k + stoch_map
+    stoch_k, and R_k = back z_k.  The window is R_k - win R_{k-w} =
+    back z_k - back_win z_{k-w}.  T and Z are real unless the propagator
+    has complex eigenvalues.  The unstable half runs backward in time
+    (``reverse``) and stores z time-reversed.
+    """
+
+    tri: np.ndarray
+    drift_map: np.ndarray
+    stoch_map: np.ndarray
+    back: np.ndarray
+    back_win: np.ndarray
+    reverse: bool
+
+    @classmethod
+    def build(cls, basis, prop, ker, stoch, win, reverse) -> "_ModalHalf":
+        tri, z = schur(basis.T @ prop @ basis)
+        if np.any(np.diag(tri, -1) != 0.0):  # 2x2 blocks: complex eigenvalues
+            tri, z = rsf2csf(tri, z)
+        to_modal = z.conj().T @ basis.T
+        back = basis @ z
+        return cls(
+            tri=np.triu(tri),
+            drift_map=to_modal @ ker,
+            stoch_map=to_modal @ stoch,
+            back=back,
+            back_win=win @ back,
+            reverse=reverse,
+        )
+
+
+def _modal_halves(sys: DichotomousSystem, h: float, w: int) -> list[_ModalHalf]:
+    """The stable and the unstable half of S; empty ranges are left out.
+    Stochastic increments enter the stable half through the one-step
+    propagator and the unstable half directly."""
+    halves = []
+    if sys.rank_stable:
+        prop = sys.stable_matrix(h)
+        halves.append(_ModalHalf.build(
+            sys.basis_stable, prop, sys.stable_kernel_matrix(h), prop,
+            sys.stable_matrix(w * h), reverse=False,
+        ))
+    if sys.rank_unstable:
+        halves.append(_ModalHalf.build(
+            sys.basis_unstable, sys.unstable_matrix(-h), sys.unstable_kernel_matrix(-h),
+            sys.j, sys.unstable_matrix(-w * h), reverse=True,
+        ))
+    return halves
+
+
+def _scan_block(lam, n: int) -> int:
+    """Steps per block of a length-n scan with multiplier lam."""
+    mag = abs(math.log(abs(lam))) if lam != 0 else math.inf
+    return n if mag * n <= _SCAN_NATS else max(1, int(_SCAN_NATS / mag))
+
+
+def _scan(lam, x: np.ndarray) -> None:
+    """In place along the last axis: x_k <- sum_{i <= k} lam^{k-i} x_i.
+
+    Each block of L steps is scaled by lam^{-i}, summed by ``cumsum`` and
+    rescaled by lam^i; the value entering the block is carried in with
+    lam^{i+1}.  L keeps |log|lam|| L within ``_SCAN_NATS`` so neither
+    scale factor leaves double range, whatever the stiffness.
+    """
+    n = x.shape[-1]
+    block = _scan_block(lam, n)
+    i = np.arange(block)
+    down, up, carry = lam ** -i, lam**i, lam ** (i + 1)
+    for s in range(0, n, block):
+        seg = x[..., s : s + block]
+        size = seg.shape[-1]
+        seg *= down[:size]
+        np.cumsum(seg, axis=-1, out=seg)
+        seg *= up[:size]
+        if s:
+            seg += carry[:size] * x[..., s - 1 : s]
+
+
+def _modal_scan(half: _ModalHalf, f: np.ndarray, stoch: np.ndarray) -> np.ndarray:
+    """Modal accumulations z, shape (r, q, n + 1), for forcing built from
+    the time-major (n, q, d) drift and stochastic increments; z[:, :, 0]
+    is zero.  A reverse half runs from the window end and stores z
+    time-reversed."""
+    n, q, d = f.shape
+    r = half.tri.shape[0]
+    z = np.zeros((r, q, n + 1), dtype=half.tri.dtype)
+    f_pm = np.swapaxes(f, 0, 1)  # (q, n, d) views
+    s_pm = np.swapaxes(stoch, 0, 1)
+    if half.reverse:
+        f_pm, s_pm = f_pm[:, ::-1], s_pm[:, ::-1]
+    for m in range(r):
+        b = z[m, :, 1:]
+        for i in range(d):
+            if half.drift_map[m, i] != 0:
+                b += half.drift_map[m, i] * f_pm[..., i]
+            if half.stoch_map[m, i] != 0:
+                b += half.stoch_map[m, i] * s_pm[..., i]
+    # back-substitution: mode m is driven by the modes after it
+    for m in range(r - 1, -1, -1):
+        for j in range(m + 1, r):
+            if half.tri[m, j] != 0:
+                z[m, :, 1:] += half.tri[m, j] * z[j, :, :-1]
+        _scan(half.tri[m, m], z[m, :, 1:])
+    return z
+
+
+def _add_real(out: np.ndarray, coef: complex, z: np.ndarray, sign: float) -> None:
+    """out += sign * Re(coef z); zero coefficients are skipped."""
+    if coef == 0:
+        return
+    term = sign * coef * z
+    out += term.real if np.iscomplexobj(term) else term
+
+
+def _apply_chunk(sys, cs, noise, ens, halves, w, events, out, lo, hi) -> None:
+    """S applied to paths [lo, hi), written into out[lo:hi]."""
+    h = noise.h
+    grid = noise.grid
+    ts = grid[:-1]
+    n = len(ts)
+    y = np.swapaxes(ens.values[lo:hi, :-1, :], 0, 1)  # (n, q, d)
+
+    f = eval_drift(cs, ts, y)
+    g = eval_diffusion(cs, ts, y)
+    dw = np.swapaxes(np.stack([noise.paths[p].dW for p in range(lo, hi)]), 0, 1)  # (n, q, dim W)
+    stoch = np.einsum("nqdw,nqw->nqd", g, dw)
+    del g, dw
+    stoch -= h * small_jump_compensator(cs, noise.spec, ts, y)
+
+    ev_path, ev_step, ev_region, ev_marks = events
+    sel = (ev_path >= lo) & (ev_path < hi)
+    if np.any(sel):
+        pk = ev_path[sel] - lo
+        sk = ev_step[sel]
+        xk = ev_marks[sel]
+        small = ev_region[sel] == 0
+        tk = grid[sk]
+        ystate = y[sk, pk]
+        if np.any(small):
+            vals = eval_jump_small(cs, tk[small], ystate[small], xk[small])
+            np.add.at(stoch, (sk[small], pk[small]), vals)
+        if np.any(~small):
+            vals = eval_jump_large(cs, tk[~small], ystate[~small], xk[~small])
+            np.add.at(stoch, (sk[~small], pk[~small]), vals)
+
+    scans = [(half, _modal_scan(half, f, stoch)) for half in halves]
+    del f, stoch
+    res = out[lo:hi]
+    res[...] = 0.0
+    for i in range(res.shape[2]):
+        o = res[:, :, i]
+        for half, z in scans:
+            # S adds the stable window [t - T_c, t] and subtracts the
+            # unstable one [t, t + T_c]
+            for m in range(z.shape[0]):
+                if half.reverse:
+                    zm = z[m, :, ::-1]
+                    _add_real(o, half.back[i, m], zm, -1.0)
+                    _add_real(o[:, : n + 1 - w], half.back_win[i, m], zm[:, w:], 1.0)
+                else:
+                    _add_real(o, half.back[i, m], z[m], 1.0)
+                    _add_real(o[:, w:], half.back_win[i, m], z[m, :, :-w], -1.0)
+
+
+def _chunk_bounds(m: int, n: int, threads: int, chunk_paths: Optional[int]):
+    """Path ranges of the chunks.  By default a chunk holds about
+    ``_CHUNK_BUDGET`` path steps, and the chunk count is a multiple of
+    the worker count."""
+    if chunk_paths is None:
+        count = -(-m // max(1, _CHUNK_BUDGET // max(n, 1)))
+        count = -(-count // threads) * threads
+        chunk_paths = -(-m // count)
+    return [(lo, min(lo + chunk_paths, m)) for lo in range(0, m, chunk_paths)]
+
+
 def apply_S(
     sys: DichotomousSystem,
     cs: CoefficientSet,
@@ -448,90 +659,67 @@ def apply_S(
     ens: PathEnsemble,
     truncation: float,
     chunk_paths: Optional[int] = None,
+    threads: int = 1,
 ) -> tuple[PathEnsemble, dict]:
     """One application of the integral operator to an ensemble.
 
     Per output time t the stable part accumulates increments over
     [t - T_c, t] (clipped at the window start) and the unstable part
-    over [t, t + T_c] (clipped at the window end), both by exact sliding
-    windows of one-step convolution increments.  Drift uses the exact
+    over [t, t + T_c] (clipped at the window end).  Drift uses the exact
     one-step kernel (zero quadrature error for constant drift);
     stochastic increments are carried by the one-step propagator.
+
+    Both accumulations are first-order linear recurrences in time.  They
+    run in the Schur coordinates of the reduced one-step propagators,
+    e^{Bh} on range(P) and e^{-Bh} on range(I - P), where they are
+    triangular: each mode is a scalar scan (block-scaled ``cumsum``, see
+    ``_scan``) driven by the modes after it.  A window is the difference
+    of two accumulations w = T_c / h steps apart.  This one code path
+    covers diagonal, rotating and defective generators.
+
+    Paths are processed in chunks of ``chunk_paths`` on ``threads``
+    worker threads; every path is computed by the same operations in
+    any chunk, so the output is bitwise identical for any chunking and
+    thread count.
 
     Returns the new ensemble and a tail report; the truncation error of
     the full two-sided window is bounded by ``tail_factor`` times the
     sup of the integrand's mean-square magnitudes.
     """
-    r0 = noise.paths[0]
-    h, k_lo, n = r0.h, r0.k_lo, r0.n_steps
+    h, k_lo, n = noise.h, noise.paths[0].k_lo, noise.n_steps
     _check_grid_match(noise, ens.h, ens.k_lo, ens.n_steps)
     if ens.n_paths != noise.n_paths:
         raise SolverError("ensemble and noise path counts differ")
     d = cs.dim_state
     if sys.dim != d or ens.dim != d:
         raise SolverError("system, coefficients and ensemble dimensions differ")
+    if threads < 1:
+        raise SolverError("threads must be at least 1")
     w = _truncation_steps(truncation, h, n)
-    m = ens.n_paths
 
-    prop_p = sys.stable_matrix(h)
-    ker_p = sys.stable_kernel_matrix(h)
-    win_p = sys.stable_matrix(w * h)
-    prop_j = sys.unstable_matrix(-h)
-    ker_j = sys.unstable_kernel_matrix(-h)
-    win_j = sys.unstable_matrix(-w * h)
-    j_mat = sys.j
-
-    grid = r0.grid
-    ts = grid[:-1]
-    ev_path, ev_step, ev_region, ev_marks = _flatten_events(noise)
-
-    if chunk_paths is None:
-        chunk_paths = max(1, int(_CHUNK_BUDGET // max(n, 1)))
+    halves = _modal_halves(sys, h, w)
+    events = _flatten_events(noise)
     out = np.empty_like(ens.values)
-    for lo in range(0, m, chunk_paths):
-        hi = min(lo + chunk_paths, m)
-        y = np.swapaxes(ens.values[lo:hi, :-1, :], 0, 1)  # (n, q, d)
-        q = hi - lo
+    chunks = _chunk_bounds(ens.n_paths, n, threads, chunk_paths)
 
-        f = eval_drift(cs, ts, y)
-        g = eval_diffusion(cs, ts, y)
-        dw = np.stack([noise.paths[p].dW for p in range(lo, hi)], axis=1)  # (n,q,w)
-        stoch = np.einsum("nqdw,nqw->nqd", g, dw)
-        stoch -= h * small_jump_compensator(cs, noise.spec, ts, y)
+    def run(share):
+        for lo, hi in share:
+            _apply_chunk(sys, cs, noise, ens, halves, w, events, out, lo, hi)
 
-        sel = (ev_path >= lo) & (ev_path < hi)
-        if np.any(sel):
-            pk = ev_path[sel] - lo
-            sk = ev_step[sel]
-            xk = ev_marks[sel]
-            small = ev_region[sel] == 0
-            tk = grid[sk]
-            ystate = y[sk, pk]
-            if np.any(small):
-                vals = eval_jump_small(cs, tk[small], ystate[small], xk[small])
-                np.add.at(stoch, (sk[small], pk[small]), vals)
-            if np.any(~small):
-                vals = eval_jump_large(cs, tk[~small], ystate[~small], xk[~small])
-                np.add.at(stoch, (sk[~small], pk[~small]), vals)
+    # worker i takes chunks i, i + workers, ...; the calling thread is
+    # worker 0, so only workers - 1 threads are started
+    workers = min(threads, len(chunks))
+    if workers == 1:
+        run(chunks)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
 
-        inc_p = f @ ker_p.T + stoch @ prop_p.T
-        inc_j = f @ ker_j.T + stoch @ j_mat.T
-
-        # forward sliding window: R_k = sum_{i<k} prop_p^{k-1-i} inc_p[i]
-        r_acc = np.zeros((n + 1, q, d))
-        for k in range(n):
-            r_acc[k + 1] = r_acc[k] @ prop_p.T + inc_p[k]
-        fwd = r_acc.copy()
-        fwd[w:] -= r_acc[:-w] @ win_p.T
-
-        # backward sliding window: U_k = sum_{i>=k} prop_j^{k-i} inc_j[i]
-        u_acc = np.zeros((n + 1, q, d))
-        for k in range(n - 1, -1, -1):
-            u_acc[k] = u_acc[k + 1] @ prop_j.T + inc_j[k]
-        bwd = u_acc.copy()
-        bwd[: n + 1 - w] -= u_acc[w:] @ win_j.T
-
-        out[lo:hi] = np.swapaxes(fwd - bwd, 0, 1)
+        shares = [chunks[i::workers] for i in range(workers)]
+        with ThreadPoolExecutor(workers - 1) as pool:
+            futures = [pool.submit(run, share) for share in shares[1:]]
+            run(shares[0])
+            for fut in futures:
+                fut.result()
 
     k_f = sys.k
     omega = sys.omega
@@ -574,6 +762,7 @@ def picard_solve(
     max_iter: int = 60,
     truncation: Optional[float] = None,
     chunk_paths: Optional[int] = None,
+    threads: int = 1,
 ) -> PicardResult:
     """Iterate the integral operator from the zero ensemble on a frozen
     noise sample until the sup-over-grid mean-square gap between
@@ -583,7 +772,9 @@ def picard_solve(
     geometric contraction is visible directly in the gap trace.  When
     ``max_iter`` is hit the best iterate is returned with
     ``converged=False``.  Default truncation is 12/omega, tail factor
-    about 6e-6 of the integrand magnitude.
+    about 6e-6 of the integrand magnitude.  ``chunk_paths`` and
+    ``threads`` are passed to :func:`apply_S` and do not change the
+    result.
     """
     if tol <= 0:
         raise SolverError("tol must be positive")
@@ -604,9 +795,8 @@ def picard_solve(
     report: dict = {}
     for it in range(1, max_iter + 1):
         t0 = time.perf_counter()
-        nxt, report = apply_S(sys, cs, noise, current, truncation, chunk_paths)
-        diff = nxt.values - current.values
-        gap = float(np.mean(np.sum(diff**2, axis=2), axis=0).max())
+        nxt, report = apply_S(sys, cs, noise, current, truncation, chunk_paths, threads)
+        gap = _sup_mean_square(nxt.values, current.values)
         wall_ms = (time.perf_counter() - t0) * 1000.0
         trace.append(
             {

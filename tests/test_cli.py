@@ -8,11 +8,17 @@ artifact schemas, and byte-level determinism of the written outputs.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from levyap.cli import main
+import levyap
+from levyap.cli import _write_ensemble_csv, main
 from levyap.config import (
     ConfigError,
     condition_inputs,
@@ -28,6 +34,7 @@ from levyap.config import (
     validate_config,
 )
 from levyap.dichotomy import NoDichotomyError
+from levyap.solver import PathEnsemble
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +594,39 @@ class TestCliDeterminism:
             assert stripped_trace(base / "gap_trace.jsonl") == stripped_trace(
                 out / "gap_trace.jsonl"
             )
+
+    def test_ensemble_csv_rows_are_float_reprs(self, tmp_path):
+        gen = np.random.default_rng(3)
+        values = gen.normal(size=(3, 7, 2)) * 10.0 ** gen.integers(-20, 20, size=(3, 7, 2))
+        values[0, 0, 0] = -0.0
+        ens = PathEnsemble(h=0.25, k_lo=-3, values=values)
+        path = tmp_path / "ens.csv"
+        _write_ensemble_csv(path, ens, 2)
+        expected = ["t,path,y0,y1"] + [
+            f"{float(ens.grid[k])!r},{p},"
+            + ",".join(repr(float(v)) for v in values[p, k])
+            for k in range(0, 7, 2)
+            for p in range(3)
+        ]
+        assert path.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
+
+    def test_check_loads_no_heavy_scipy_modules(self, tmp_path):
+        """``check`` is the start-up path: it must not import the scipy
+        subpackages that only the scans or nothing at all need."""
+        code = (
+            "import sys\n"
+            "from levyap.cli import main\n"
+            f"rc = main(['check', '--preset', 'example41', '--out', {str(tmp_path)!r}])\n"
+            "heavy = {'scipy.signal', 'scipy.stats', 'scipy.optimize'}\n"
+            "print(sorted(heavy & set(sys.modules)))\n"
+            "sys.exit(rc)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(levyap.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "[]"
 
     def test_seed_changes_results(self, tmp_path, capsys):
         base = self.run_picard(tmp_path, "s0")

@@ -3,6 +3,7 @@ against closed forms, and the integral operator against telescoping /
 contraction / equivariance oracles."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -31,6 +32,8 @@ from levyap.solver import (
     NoiseSample,
     PathEnsemble,
     SolverError,
+    _flatten_events,
+    _scan_block,
     apply_S,
     check_conditions,
     l2_increment,
@@ -510,6 +513,26 @@ class TestApplyS:
         with pytest.raises(SolverError, match="path counts"):
             apply_S(sysd, cs, three, ens, truncation=0.5)
 
+    @pytest.mark.parametrize("case", ["rotation", "jordan", "stiff"])
+    def test_matches_recursion_oracle(self, case):
+        """The modal block scans against the per-step recursions on a
+        rotating, a defective and a stiff generator."""
+        sysd, h, window = _ORACLE_SYSTEMS[case]()
+        d = sysd.dim
+        noise = NoiseSample.sample(_jump_diffusion_spec(), window, h, 3, seed=23)
+        ens = _random_ensemble(noise, d, seed=4)
+        cs = _mixed_coefficients(d)
+        out, _ = apply_S(sysd, cs, noise, ens, truncation=1.0)
+        ref = _recursion_oracle(sysd, cs, noise, ens, truncation=1.0)
+        assert np.abs(out.values - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_stiff_mode_runs_several_scan_blocks(self):
+        sysd, h, window = _ORACLE_SYSTEMS["stiff"]()
+        lam = math.exp(-300.0 * h)
+        n = round((window[1] - window[0]) / h)
+        assert lam**n == 0.0
+        assert 1 < _scan_block(lam, n) < n / 2
+
     def test_multidimensional_noise_runs(self):
         n_modes = 4
         sysd = DichotomousSystem.create(
@@ -626,6 +649,26 @@ class TestPicard:
         np.testing.assert_array_equal(full.ensemble.values, part.ensemble.values)
         assert [r["gap"] for r in full.gap_trace] == [r["gap"] for r in part.gap_trace]
 
+    def test_threads_and_chunks_are_bit_identical(self):
+        """Workers write disjoint path chunks of one output array; more
+        workers than cores and frequent thread switches must not change
+        a bit."""
+        sysd = benchmark_system()
+        noise = NoiseSample.sample(benchmark_spec(), (-1.0, 2.0), 1.0 / 64, 11, seed=19)
+        cs = example41_coefficients()
+        full = picard_solve(sysd, cs, noise, tol=1e-18, truncation=1.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for chunk, threads in ((None, 2), (None, 3), (4, 2), (3, 3), (5, 1), (1, 8)):
+                part = picard_solve(
+                    sysd, cs, noise, tol=1e-18, truncation=1.0, chunk_paths=chunk, threads=threads
+                )
+                np.testing.assert_array_equal(full.ensemble.values, part.ensemble.values)
+                assert _strip_wall(full.gap_trace) == _strip_wall(part.gap_trace)
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_invalid_arguments(self):
         sysd = benchmark_system()
         noise = NoiseSample.sample(benchmark_spec(), (-1.0, 1.0), 1.0 / 32, 2, seed=1)
@@ -658,3 +701,120 @@ class TestPicard:
             for lag in lags
         ]
         assert all(a <= b * (1 + 0.25) for a, b in zip(avg[:-1], avg[1:]))
+
+
+# ---------------------------------------------------------------------------
+# recursion oracle for the integral operator
+# ---------------------------------------------------------------------------
+
+
+def _strip_wall(trace):
+    return [{k: v for k, v in rec.items() if k != "wall_ms"} for rec in trace]
+
+
+def _jump_diffusion_spec() -> LevyProcessSpec:
+    return LevyProcessSpec(
+        dim=1,
+        wiener=WienerSpec(1, np.eye(1)),
+        jumps=(
+            JumpComponent(rate=6.0, region="small", marks=uniform_interval_mark(-0.5, 0.5)),
+            JumpComponent(rate=3.0, region="large", marks=uniform_interval_mark(1.0, 2.0)),
+        ),
+    )
+
+
+def _mixed_coefficients(d: int) -> CoefficientSet:
+    """Every state coordinate gets drift, diffusion and both jump terms,
+    each reading the next coordinate, so all modes are forced."""
+    nxt = [(i + 1) % d for i in range(d)]
+    return CoefficientSet(
+        dim_state=d,
+        dim_noise=1,
+        drift=tuple(
+            (CoefficientTerm(0.3 + 0.1 * i, "bounded_ratio", coord=nxt[i]),
+             CoefficientTerm(0.2, "const"))
+            for i in range(d)
+        ),
+        diffusion=tuple(((CoefficientTerm(0.1, "linear", coord=nxt[i]),),) for i in range(d)),
+        jump_small=tuple(
+            (CoefficientTerm(0.1, "linear", coord=i, mark_weights=(1.0,)),) for i in range(d)
+        ),
+        jump_large=tuple((CoefficientTerm(0.05, "const", mark_weights=(1.0,)),) for i in range(d)),
+        lipschitz=Fraction(1, 2),
+    )
+
+
+def _rotation_system():
+    """Stable rotation (eigenvalues -1 +- 3i) next to an unstable mode."""
+    a = np.array([[-1.0, 3.0, 0.0], [-3.0, -1.0, 0.0], [0.0, 0.0, 2.0]])
+    sysd = DichotomousSystem.create(a, np.diag([1.0, 1.0, 0.0]), k=1.0, omega=1.0)
+    return sysd, 1 / 32, (-2.0, 2.0)
+
+
+def _jordan_system():
+    """Defective stable Jordan block next to an unstable mode."""
+    a = np.array([[-2.0, 1.0, 0.0], [0.0, -2.0, 0.0], [0.0, 0.0, 3.0]])
+    sysd = DichotomousSystem.create(a, np.diag([1.0, 1.0, 0.0]), k=1.5, omega=1.0)
+    return sysd, 1 / 32, (-2.0, 2.0)
+
+
+def _stiff_system():
+    """A stable mode with e^{-300 h} per step, so lambda^n underflows."""
+    a = np.diag([-300.0, -2.0, 3.0])
+    sysd = DichotomousSystem.create(a, np.diag([1.0, 1.0, 0.0]), k=1.0, omega=2.0)
+    return sysd, 1 / 64, (-2.0, 4.0)
+
+
+_ORACLE_SYSTEMS = {"rotation": _rotation_system, "jordan": _jordan_system, "stiff": _stiff_system}
+
+
+def _recursion_oracle(sysd, cs, noise, ens, truncation):
+    """S by per-step recursions on the full state: the forward
+    accumulation R_{k+1} = e^{Ah}P R_k + inc_P[k] and the backward one
+    U_k = e^{-Ah}(I-P) U_{k+1} + inc_J[k], each windowed by subtracting
+    the accumulation w steps away."""
+    from levyap.coefficients import (
+        eval_diffusion,
+        eval_drift,
+        eval_jump_large,
+        eval_jump_small,
+        small_jump_compensator,
+    )
+
+    h, n = noise.h, noise.n_steps
+    w = round(truncation / h)
+    prop_p = sysd.stable_matrix(h)
+    ker_p = sysd.stable_kernel_matrix(h)
+    win_p = sysd.stable_matrix(w * h)
+    prop_j = sysd.unstable_matrix(-h)
+    ker_j = sysd.unstable_kernel_matrix(-h)
+    win_j = sysd.unstable_matrix(-w * h)
+
+    grid = noise.grid
+    ts = grid[:-1]
+    y = np.ascontiguousarray(np.swapaxes(ens.values[:, :-1, :], 0, 1))  # (n, q, d)
+    f = eval_drift(cs, ts, y)
+    g = eval_diffusion(cs, ts, y)
+    dw = np.stack([r.dW for r in noise.paths], axis=1)
+    stoch = np.einsum("nqdw,nqw->nqd", g, dw)
+    stoch -= h * small_jump_compensator(cs, noise.spec, ts, y)
+    ev_path, ev_step, ev_region, ev_marks = _flatten_events(noise)
+    for e in range(len(ev_path)):
+        p, k = ev_path[e], ev_step[e]
+        jump = eval_jump_small if ev_region[e] == 0 else eval_jump_large
+        stoch[k, p] += jump(cs, grid[k : k + 1], y[k, p][None], ev_marks[e : e + 1])[0]
+
+    inc_p = f @ ker_p.T + stoch @ prop_p.T
+    inc_j = f @ ker_j.T + stoch @ sysd.j.T
+    q, d = y.shape[1:]
+    r_acc = np.zeros((n + 1, q, d))
+    for k in range(n):
+        r_acc[k + 1] = r_acc[k] @ prop_p.T + inc_p[k]
+    fwd = r_acc.copy()
+    fwd[w:] -= r_acc[:-w] @ win_p.T
+    u_acc = np.zeros((n + 1, q, d))
+    for k in range(n - 1, -1, -1):
+        u_acc[k] = u_acc[k + 1] @ prop_j.T + inc_j[k]
+    bwd = u_acc.copy()
+    bwd[: n + 1 - w] -= u_acc[w:] @ win_j.T
+    return np.swapaxes(fwd - bwd, 0, 1)
