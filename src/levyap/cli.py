@@ -248,19 +248,20 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     ens = simulate_mild(sysd, cs, noise, np.zeros(sysd.dim))
     stride = _csv_stride(ens.n_steps, ens.n_paths, cfg.numerics.csv_stride)
     _write_ensemble_csv(out / "ensemble.csv", ens, stride)
+    moment = sup_second_moment(ens)
     _write_json(
         out / "run_meta.json",
         {
             "schema_version": SCHEMA_VERSION,
             "package_version": __version__,
             "config": config_to_dict(cfg),
-            "sup_second_moment": _json_scalar(sup_second_moment(ens)),
+            "sup_second_moment": _json_scalar(moment),
             "csv_stride": stride,
         },
     )
     print(
         f"simulated {ens.n_paths} paths on [{ens.t_lo}, {ens.t_hi}], "
-        f"sup second moment {sup_second_moment(ens):.6g}"
+        f"sup second moment {moment:.6g}"
     )
     print(f"artifacts written to {out}")
     return 0

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -308,20 +308,27 @@ class QuasiPeriodicSignal:
 # ---------------------------------------------------------------------------
 
 
-def _k_const(y, aux):
-    return np.ones_like(y)
+# Kernel values k(y, aux).  With ``out`` given, a kernel that computes
+# writes its value there with in-place ufuncs; "linear" returns ``y``
+# itself and "const" the scalar 1.0, so neither costs a pass over memory.
 
 
-def _k_linear(y, aux):
+def _k_const(y, aux, out=None):
+    return 1.0
+
+
+def _k_linear(y, aux, out=None):
     return y
 
 
-def _k_bounded_ratio(y, aux):
-    return y / (1.0 + y * y)
+def _k_bounded_ratio(y, aux, out=None):
+    den = np.multiply(y, y, out=out)
+    den += 1.0
+    return np.divide(y, den, out=out)
 
 
-def _k_sin_shift(y, aux):
-    return np.sin(y + aux)
+def _k_sin_shift(y, aux, out=None):
+    return np.sin(np.add(y, aux, out=out), out=out)
 
 
 @dataclass(frozen=True)
@@ -410,45 +417,105 @@ class CoefficientSet:
                 yield from terms
 
 
-def _eval_terms_grid(
-    terms: tuple[CoefficientTerm, ...],
-    ts: np.ndarray,
-    y: np.ndarray,
-    out: np.ndarray,
-) -> None:
-    """Accumulate term values into ``out``.
+@dataclass(frozen=True)
+class PreparedTerm:
+    """A term made ready for one set of evaluation points.
 
-    ``ts`` has shape (n,); ``y`` has shape (n, m, d) (d = state dim) and
-    ``out`` shape (n, m).  Mark factors are not allowed here.
+    ``scale`` has any compensator weight folded in; ``inner`` and
+    ``outer`` are the term's signals evaluated at the points' times and
+    ``mark`` its factor w . x at jump events, each shaped to broadcast
+    against the output.  Absent factors are None.
     """
-    for term in terms:
-        if term.mark_weights is not None:
-            raise CoefficientError("mark-dependent term evaluated without marks")
-        kern = KERNELS[term.kernel]
-        aux = term.inner(ts)[:, None] if term.inner is not None else 0.0
-        val = kern.func(y[:, :, term.coord], aux)
-        if term.outer is not None:
-            val = val * term.outer(ts)[:, None]
-        out += term.scale * val
+
+    scale: float
+    kernel: str
+    coord: int
+    inner: Optional[np.ndarray] = None
+    outer: Optional[np.ndarray] = None
+    mark: Optional[np.ndarray] = None
 
 
-def _eval_terms_events(
-    terms: tuple[CoefficientTerm, ...],
-    ts: np.ndarray,
-    y: np.ndarray,
-    x: np.ndarray,
-    out: np.ndarray,
-) -> None:
-    """Accumulate term values at jump events: all arguments per event."""
+def _prepare(term: CoefficientTerm, ts, x=None, scale=None) -> PreparedTerm:
+    if term.mark_weights is not None and x is None:
+        raise CoefficientError("mark-dependent term evaluated without marks")
+    return PreparedTerm(
+        scale=term.scale if scale is None else scale,
+        kernel=term.kernel,
+        coord=term.coord,
+        inner=None if term.inner is None else term.inner(ts),
+        outer=None if term.outer is None else term.outer(ts),
+        mark=None if term.mark_weights is None else x @ np.asarray(term.mark_weights),
+    )
+
+
+def drift_terms(cs: CoefficientSet, ts) -> tuple[tuple[PreparedTerm, ...], ...]:
+    """The drift terms of each state coordinate, prepared at times ``ts``."""
+    return tuple(tuple(_prepare(t, ts) for t in terms) for terms in cs.drift)
+
+
+def diffusion_terms(cs: CoefficientSet, ts):
+    """The diffusion terms of each (state, noise) entry, prepared at ``ts``."""
+    return tuple(
+        tuple(tuple(_prepare(t, ts) for t in terms) for terms in row) for row in cs.diffusion
+    )
+
+
+def compensator_terms(
+    cs: CoefficientSet, spec: LevyProcessSpec, ts
+) -> tuple[tuple[PreparedTerm, ...], ...]:
+    """The small-jump compensator of each state coordinate as drift terms
+    prepared at ``ts``: the integral of F(t, y, x) against the small-jump
+    intensity.
+
+    Exact for the kernel catalog because mark dependence is affine: terms
+    without mark weights get weight rate, mark-linear terms rate * (w .
+    mean mark).  The weight is folded into the scale; terms of weight
+    zero are left out.
+    """
+    smalls = [c for c in spec.jumps if c.region == "small"]
+    if not smalls:
+        return tuple(() for _ in cs.jump_small)
+    total_rate = sum(c.rate for c in smalls)
+    rows = []
+    for terms in cs.jump_small:
+        row = []
+        for term in terms:
+            if term.mark_weights is None:
+                weight = total_rate
+            else:
+                w = np.asarray(term.mark_weights)
+                weight = sum(c.rate * float(c.marks.mean() @ w) for c in smalls)
+            if weight != 0.0:
+                plain = replace(term, mark_weights=None)
+                row.append(_prepare(plain, ts, scale=term.scale * weight))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def term_value(term: PreparedTerm, columns, out: np.ndarray) -> np.ndarray:
+    """Write scale * outer * kernel(y, inner) * mark into ``out`` with
+    in-place ufuncs, in that order of operations, and return it.
+
+    ``y = columns[term.coord]`` is the state coordinate laid out like
+    ``out``.  This is the one place where term values are computed: the
+    ``eval_*`` maps below and the solver's path-major kernel both use it.
+    """
+    y = None if term.kernel == "const" else columns[term.coord]
+    val = KERNELS[term.kernel].func(y, 0.0 if term.inner is None else term.inner, out)
+    for factor in (term.outer, term.mark):
+        if factor is not None:
+            val = np.multiply(val, factor, out=out)
+    return np.multiply(val, term.scale, out=out)
+
+
+def add_terms(out: np.ndarray, terms, columns) -> None:
+    """Add the value of each prepared term in turn to ``out``; the values
+    are computed in one scratch array laid out like ``out``."""
+    if not terms:
+        return
+    buf = np.empty_like(out)
     for term in terms:
-        kern = KERNELS[term.kernel]
-        aux = term.inner(ts) if term.inner is not None else 0.0
-        val = kern.func(y[:, term.coord], aux)
-        if term.outer is not None:
-            val = val * term.outer(ts)
-        if term.mark_weights is not None:
-            val = val * (x @ np.asarray(term.mark_weights))
-        out += term.scale * val
+        out += term_value(term, columns, buf)
 
 
 def eval_drift(cs: CoefficientSet, ts, y) -> np.ndarray:
@@ -457,20 +524,17 @@ def eval_drift(cs: CoefficientSet, ts, y) -> np.ndarray:
     ``ts`` is a scalar or (n,) array; ``y`` is (m, d) for scalar time or
     (n, m, d).  Returns matching (m, d) or (n, m, d).
     """
-    ts_arr, y_arr, scalar = _normalize_grid_args(ts, y)
-    out = _grid_zeros(y_arr, (cs.dim_state,))
-    for i, terms in enumerate(cs.drift):
-        _eval_terms_grid(terms, ts_arr, y_arr, out[:, :, i])
-    return out[0] if scalar else out
+    return _eval_grid(drift_terms, cs, ts, y)
 
 
 def eval_diffusion(cs: CoefficientSet, ts, y) -> np.ndarray:
     """Diffusion map g(t, y), shape (..., dim_state, dim_noise)."""
     ts_arr, y_arr, scalar = _normalize_grid_args(ts, y)
     out = _grid_zeros(y_arr, (cs.dim_state, cs.dim_noise))
-    for i, row in enumerate(cs.diffusion):
+    columns = np.moveaxis(y_arr, -1, 0)
+    for i, row in enumerate(diffusion_terms(cs, ts_arr[:, None])):
         for j, terms in enumerate(row):
-            _eval_terms_grid(terms, ts_arr, y_arr, out[:, :, i, j])
+            add_terms(out[:, :, i, j], terms, columns)
     return out[0] if scalar else out
 
 
@@ -490,42 +554,26 @@ def _eval_jump(tmap: VectorTerms, d: int, ts, y, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     out = np.zeros((len(ts), d))
     for i, terms in enumerate(tmap):
-        _eval_terms_events(terms, ts, y, x, out[:, i])
+        add_terms(out[:, i], tuple(_prepare(t, ts, x) for t in terms), y.T)
     return out
 
 
 def small_jump_compensator(
     cs: CoefficientSet, spec: LevyProcessSpec, ts, y
 ) -> np.ndarray:
-    """The compensator drift of the small-jump integral:
-    the integral of F(t, y, x) against the small-jump intensity.
+    """The compensator drift of the small-jump integral (see
+    ``compensator_terms``), with the shapes of ``eval_drift``."""
+    return _eval_grid(lambda c, t: compensator_terms(c, spec, t), cs, ts, y)
 
-    Exact for the kernel catalog because mark dependence is affine: terms
-    without mark weights contribute rate * term, mark-linear terms
-    contribute rate * (w . mean mark) * term.
-    """
+
+def _eval_grid(rows_at, cs: CoefficientSet, ts, y) -> np.ndarray:
+    """A vector map on a grid: rows_at(cs, times) gives its prepared
+    terms per state coordinate."""
     ts_arr, y_arr, scalar = _normalize_grid_args(ts, y)
     out = _grid_zeros(y_arr, (cs.dim_state,))
-    smalls = [c for c in spec.jumps if c.region == "small"]
-    if smalls:
-        total_rate = sum(c.rate for c in smalls)
-        for i, terms in enumerate(cs.jump_small):
-            for term in terms:
-                if term.mark_weights is None:
-                    weight = total_rate
-                else:
-                    w = np.asarray(term.mark_weights)
-                    weight = sum(c.rate * float(c.marks.mean() @ w) for c in smalls)
-                if weight == 0.0:
-                    continue
-                scaled = CoefficientTerm(
-                    scale=term.scale * weight,
-                    kernel=term.kernel,
-                    coord=term.coord,
-                    outer=term.outer,
-                    inner=term.inner,
-                )
-                _eval_terms_grid((scaled,), ts_arr, y_arr, out[:, :, i])
+    columns = np.moveaxis(y_arr, -1, 0)
+    for i, terms in enumerate(rows_at(cs, ts_arr[:, None])):
+        add_terms(out[:, :, i], terms, columns)
     return out[0] if scalar else out
 
 

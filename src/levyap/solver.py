@@ -27,8 +27,16 @@ recurrence in time.  ``apply_S`` runs it without a Python time loop: in
 the Schur coordinates of the reduced one-step propagator the recurrence
 is triangular, and every mode is a scalar scan z_{k+1} = lam z_k + b_k
 computed by block-scaled cumulative sums (Blelloch, "Prefix sums and
-their applications", 1990).  Path chunks are independent and run on
-worker threads with bitwise identical results for any thread count.
+their applications", 1990).
+
+What does not depend on the iterate (the modal halves, the jump events
+ordered by path, the non-empty coefficient entries with their time-only
+signals on the grid) is planned once per Picard solve.  Each chunk of
+paths then runs a path-major kernel: (paths, time) rows with time
+contiguous, only the non-empty coefficient entries evaluated, forcing
+added straight into the modal accumulations.  Path chunks are
+independent and run on worker threads with bitwise identical results
+for any thread count.
 """
 
 from __future__ import annotations
@@ -45,11 +53,17 @@ from scipy.linalg import rsf2csf, schur
 
 from .coefficients import (
     CoefficientSet,
+    PreparedTerm,
+    add_terms,
+    compensator_terms,
+    diffusion_terms,
+    drift_terms,
     eval_diffusion,
     eval_drift,
     eval_jump_large,
     eval_jump_small,
     small_jump_compensator,
+    term_value,
 )
 from .dichotomy import DichotomousSystem, matrix_exp
 from .noise import (
@@ -76,8 +90,11 @@ __all__ = [
 
 _BLOWUP_GUARD = 1e8
 _GRID_TOL = 1e-9
-# path steps per apply_S chunk: its temporaries stay a few MB each
-_CHUNK_BUDGET = 262_144
+# path steps per apply_S chunk: each (paths, time) temporary of a chunk
+# is 1 MB.  Freed temporaries below the allocator's trim threshold stay
+# resident, so smaller chunks keep the peak RSS down; halving this again
+# costs time in per-chunk overhead.
+_CHUNK_BUDGET = 131_072
 # paths per block of the second-moment reductions
 _MOMENT_BLOCK = 64
 # largest |log|lam|| * block of one scan block: lam^{-i} stays below e^600
@@ -303,23 +320,34 @@ class PathEnsemble:
         return int(k)
 
 
-def _sup_mean_square(values: np.ndarray, minus: Optional[np.ndarray] = None) -> float:
-    """Largest value over the grid of the path-average of ||v(t)||^2,
-    v = values - minus, for arrays of shape (paths, times, dim).  Summed
-    over fixed blocks of paths, so no full-size temporary is built."""
+def _sup_mean_squares(values: np.ndarray, prev: Optional[np.ndarray] = None):
+    """Largest values over the grid of the path-averages of ||v(t)||^2
+    and, when ``prev`` is given, of ||v(t) - prev(t)||^2, for arrays of
+    shape (paths, times, dim); the second is None without ``prev``.
+
+    One pass over fixed blocks of paths: each block is squared in one
+    block-sized buffer and summed over its paths, so no full-size
+    temporary is built.
+    """
     m, n, d = values.shape
-    total = np.zeros(n * d)
+    sums = [np.zeros(n * d) for _ in range(1 if prev is None else 2)]
+    buf = np.empty((min(m, _MOMENT_BLOCK), n, d))
     for lo in range(0, m, _MOMENT_BLOCK):
         v = values[lo : lo + _MOMENT_BLOCK]
-        if minus is not None:
-            v = v - minus[lo : lo + _MOMENT_BLOCK]
-        total += (v * v).reshape(len(v), -1).sum(axis=0)
-    return float(total.reshape(n, d).sum(axis=1).max()) / m
+        b = buf[: len(v)]
+        np.multiply(v, v, out=b)
+        sums[0] += b.reshape(len(v), -1).sum(axis=0)
+        if prev is not None:
+            np.subtract(v, prev[lo : lo + _MOMENT_BLOCK], out=b)
+            b *= b
+            sums[1] += b.reshape(len(v), -1).sum(axis=0)
+    sups = [float(s.reshape(n, d).sum(axis=1).max()) / m for s in sums]
+    return sups[0], (sups[1] if prev is not None else None)
 
 
 def sup_second_moment(ens: PathEnsemble) -> float:
     """Largest value over the grid of the path-average of ||Y(t)||^2."""
-    return _sup_mean_square(ens.values)
+    return _sup_mean_squares(ens.values)[0]
 
 
 def l2_increment(ens: PathEnsemble, t: float, r: float) -> float:
@@ -337,7 +365,8 @@ def l2_increment(ens: PathEnsemble, t: float, r: float) -> float:
 
 def _flatten_events(noise: NoiseSample):
     """All jump events of the sample as flat arrays: path index, step
-    index, small/large flag and mark vectors."""
+    index, small/large flag and mark vectors.  Events are ordered by
+    path, and each path's events keep their sample order."""
     paths = []
     steps = []
     regions = []
@@ -555,90 +584,217 @@ def _scan(lam, x: np.ndarray) -> None:
             seg += carry[:size] * x[..., s - 1 : s]
 
 
-def _modal_scan(half: _ModalHalf, f: np.ndarray, stoch: np.ndarray) -> np.ndarray:
-    """Modal accumulations z, shape (r, q, n + 1), for forcing built from
-    the time-major (n, q, d) drift and stochastic increments; z[:, :, 0]
-    is zero.  A reverse half runs from the window end and stores z
-    time-reversed."""
-    n, q, d = f.shape
-    r = half.tri.shape[0]
-    z = np.zeros((r, q, n + 1), dtype=half.tri.dtype)
-    f_pm = np.swapaxes(f, 0, 1)  # (q, n, d) views
-    s_pm = np.swapaxes(stoch, 0, 1)
-    if half.reverse:
-        f_pm, s_pm = f_pm[:, ::-1], s_pm[:, ::-1]
+def _axpy(y: np.ndarray, a, x: np.ndarray, buf: np.ndarray) -> None:
+    """y += a * x; a real product is formed in ``buf``."""
+    if np.iscomplexobj(a):
+        y += a * x
+    else:
+        y += np.multiply(x, a, out=buf[:, : x.shape[1]])
+
+
+def _modal_scan(half: _ModalHalf, drift: dict, stoch: dict, shape, buf: np.ndarray):
+    """Modal accumulations z, shape (r, q, n + 1), driven by the forcing
+    rows (q, n) of each state coordinate, with z[:, :, 0] zero; and the
+    modes that are live.  A mode that no forcing row reaches stays zero
+    and is neither scanned nor returned live; z is None when no mode is
+    live.  A reverse half runs from the window end and stores z
+    time-reversed: its forcing is added through a reversed view."""
+    r, d = half.drift_map.shape
+    forcing = [
+        [
+            (rows[i], coef)
+            for i in range(d)
+            for rows, coef in ((drift, half.drift_map[m, i]), (stoch, half.stoch_map[m, i]))
+            if coef != 0 and i in rows
+        ]
+        for m in range(r)
+    ]
+    live = [bool(f) for f in forcing]
+    if not any(live):  # so no mode is reached through tri either
+        return None, live
+    z = np.zeros((r, shape[0], shape[1] + 1), dtype=half.tri.dtype)
     for m in range(r):
-        b = z[m, :, 1:]
-        for i in range(d):
-            if half.drift_map[m, i] != 0:
-                b += half.drift_map[m, i] * f_pm[..., i]
-            if half.stoch_map[m, i] != 0:
-                b += half.stoch_map[m, i] * s_pm[..., i]
+        b = z[m, :, :0:-1] if half.reverse else z[m, :, 1:]
+        for row, coef in forcing[m]:
+            _axpy(b, coef, row, buf)
     # back-substitution: mode m is driven by the modes after it
     for m in range(r - 1, -1, -1):
         for j in range(m + 1, r):
-            if half.tri[m, j] != 0:
-                z[m, :, 1:] += half.tri[m, j] * z[j, :, :-1]
-        _scan(half.tri[m, m], z[m, :, 1:])
-    return z
+            if half.tri[m, j] != 0 and live[j]:
+                _axpy(z[m, :, 1:], half.tri[m, j], z[j, :, :-1], buf)
+                live[m] = True
+        if live[m]:
+            _scan(half.tri[m, m], z[m, :, 1:])
+    return z, live
 
 
-def _add_real(out: np.ndarray, coef: complex, z: np.ndarray, sign: float) -> None:
+def _add_real(out: np.ndarray, coef: complex, z: np.ndarray, sign: float, buf) -> None:
     """out += sign * Re(coef z); zero coefficients are skipped."""
     if coef == 0:
         return
-    term = sign * coef * z
-    out += term.real if np.iscomplexobj(term) else term
+    if np.iscomplexobj(coef) or np.iscomplexobj(z):
+        out += (sign * coef * z).real
+    else:
+        out += np.multiply(z, sign * coef, out=buf[:, : z.shape[1]])
 
 
-def _apply_chunk(sys, cs, noise, ens, halves, w, events, out, lo, hi) -> None:
-    """S applied to paths [lo, hi), written into out[lo:hi]."""
-    h = noise.h
-    grid = noise.grid
-    ts = grid[:-1]
-    n = len(ts)
-    y = np.swapaxes(ens.values[lo:hi, :-1, :], 0, 1)  # (n, q, d)
+@dataclass(frozen=True)
+class _Forcing:
+    """The non-empty coefficient entries of one state coordinate: drift
+    terms, (noise index, terms) of each non-empty diffusion entry, and the
+    small-jump compensator terms with their weights folded in."""
 
-    f = eval_drift(cs, ts, y)
-    g = eval_diffusion(cs, ts, y)
-    dw = np.swapaxes(np.stack([noise.paths[p].dW for p in range(lo, hi)]), 0, 1)  # (n, q, dim W)
-    stoch = np.einsum("nqdw,nqw->nqd", g, dw)
-    del g, dw
-    stoch -= h * small_jump_compensator(cs, noise.spec, ts, y)
+    drift: tuple[PreparedTerm, ...]
+    diffusion: tuple[tuple[int, tuple[PreparedTerm, ...]], ...]
+    compensator: tuple[PreparedTerm, ...]
 
-    ev_path, ev_step, ev_region, ev_marks = events
-    sel = (ev_path >= lo) & (ev_path < hi)
-    if np.any(sel):
-        pk = ev_path[sel] - lo
-        sk = ev_step[sel]
-        xk = ev_marks[sel]
-        small = ev_region[sel] == 0
-        tk = grid[sk]
-        ystate = y[sk, pk]
-        if np.any(small):
-            vals = eval_jump_small(cs, tk[small], ystate[small], xk[small])
-            np.add.at(stoch, (sk[small], pk[small]), vals)
-        if np.any(~small):
-            vals = eval_jump_large(cs, tk[~small], ystate[~small], xk[~small])
-            np.add.at(stoch, (sk[~small], pk[~small]), vals)
 
-    scans = [(half, _modal_scan(half, f, stoch)) for half in halves]
-    del f, stoch
-    res = out[lo:hi]
-    res[...] = 0.0
-    for i in range(res.shape[2]):
-        o = res[:, :, i]
-        for half, z in scans:
-            # S adds the stable window [t - T_c, t] and subtracts the
-            # unstable one [t, t + T_c]
-            for m in range(z.shape[0]):
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """What ``apply_S`` needs that does not depend on the iterate, built
+    once per Picard solve.
+
+    ``w`` is the window in steps and ``halves`` the modal halves of S.
+    ``events`` are the jump events as flat (path, step, region, mark)
+    arrays ordered by path; the events of paths [lo, hi) are the slice
+    ``path_events[lo]:path_events[hi]``.  ``rows`` hold each state
+    coordinate's forcing entries with their time-only signals evaluated
+    on the grid, ``small_rows``/``large_rows`` the coordinates that small
+    and large jumps act on, and ``coords`` the state coordinates some
+    grid term reads.
+    """
+
+    sys: DichotomousSystem
+    cs: CoefficientSet
+    noise: NoiseSample
+    truncation: float
+    w: int
+    halves: tuple[_ModalHalf, ...]
+    events: tuple[np.ndarray, ...]
+    path_events: np.ndarray
+    rows: tuple[_Forcing, ...]
+    small_rows: tuple[int, ...]
+    large_rows: tuple[int, ...]
+    coords: tuple[int, ...]
+
+    @classmethod
+    def build(cls, sys, cs, noise, truncation) -> "_Plan":
+        if sys.dim != cs.dim_state:
+            raise SolverError("system, coefficients and ensemble dimensions differ")
+        h, n = noise.h, noise.n_steps
+        w = _truncation_steps(truncation, h, n)
+        ts = noise.grid[:-1]
+        rows = tuple(
+            _Forcing(drift, tuple((j, t) for j, t in enumerate(diff) if t), comp)
+            for drift, diff, comp in zip(
+                drift_terms(cs, ts), diffusion_terms(cs, ts), compensator_terms(cs, noise.spec, ts)
+            )
+        )
+        grid_terms = [t for r in rows for t in r.drift + r.compensator]
+        grid_terms += [t for r in rows for _, entry in r.diffusion for t in entry]
+        events = _flatten_events(noise)
+        return cls(
+            sys=sys,
+            cs=cs,
+            noise=noise,
+            truncation=truncation,
+            w=w,
+            halves=tuple(_modal_halves(sys, h, w)),
+            events=events,
+            path_events=np.searchsorted(events[0], np.arange(noise.n_paths + 1)),
+            rows=rows,
+            small_rows=tuple(i for i, terms in enumerate(cs.jump_small) if terms),
+            large_rows=tuple(i for i, terms in enumerate(cs.jump_large) if terms),
+            coords=tuple(sorted({t.coord for t in grid_terms if t.kernel != "const"})),
+        )
+
+
+def _term_sum(terms, columns, shape) -> np.ndarray:
+    """The summed values of prepared terms in a new array of ``shape``;
+    the first term is written there directly."""
+    out = term_value(terms[0], columns, np.empty(shape))
+    add_terms(out, terms[1:], columns)
+    return out
+
+
+def _add_jumps(plan: _Plan, values: np.ndarray, stoch: dict, lo: int, hi: int, shape):
+    """Add the jumps of paths [lo, hi) to the stochastic rows, small
+    jumps first, each event in sample order."""
+    e_lo, e_hi = plan.path_events[lo], plan.path_events[hi]
+    if e_hi == e_lo:
+        return
+    path, step, region, marks = (a[e_lo:e_hi] for a in plan.events)
+    state = values[path, step]
+    times = plan.noise.grid[step]
+    small = region == 0
+    for sel, rows, evaluate in (
+        (small, plan.small_rows, eval_jump_small),
+        (~small, plan.large_rows, eval_jump_large),
+    ):
+        if not rows or not np.any(sel):
+            continue
+        vals = evaluate(plan.cs, times[sel], state[sel], marks[sel])
+        at = (path[sel] - lo, step[sel])
+        for i in rows:
+            if i not in stoch:
+                stoch[i] = np.zeros(shape)
+            np.add.at(stoch[i], at, vals[:, i])
+
+
+def _apply_chunk(plan: _Plan, values: np.ndarray, out: np.ndarray, lo: int, hi: int) -> None:
+    """S applied to paths [lo, hi) of ``values``, written into out[lo:hi].
+
+    Path-major: every array is (paths, time) with time contiguous.  Each
+    state coordinate some term reads is copied once; only non-empty
+    coefficient entries are evaluated, into one drift row and one
+    stochastic row per state coordinate; each output coordinate is
+    assembled in a contiguous row and written once.
+    """
+    noise = plan.noise
+    shape = (hi - lo, noise.n_steps)
+    columns = {c: np.ascontiguousarray(values[lo:hi, :-1, c]) for c in plan.coords}
+    dw = np.stack([noise.paths[p].dW for p in range(lo, hi)])  # (q, n, dim W)
+    drift, stoch = {}, {}
+    for i, row in enumerate(plan.rows):
+        if row.drift:
+            drift[i] = _term_sum(row.drift, columns, shape)
+        s = None
+        for j, terms in row.diffusion:
+            g = _term_sum(terms, columns, shape)
+            g *= dw[:, :, j]
+            s = g if s is None else np.add(s, g, out=s)
+        if row.compensator:
+            comp = _term_sum(row.compensator, columns, shape)
+            comp *= noise.h
+            s = np.negative(comp, out=comp) if s is None else np.subtract(s, comp, out=s)
+        if s is not None:
+            stoch[i] = s
+    del columns, dw
+    _add_jumps(plan, values, stoch, lo, hi, shape)
+
+    buf = np.empty((shape[0], shape[1] + 1))
+    scans = [(half, *_modal_scan(half, drift, stoch, shape, buf)) for half in plan.halves]
+    del drift, stoch
+    n, w = shape[1], plan.w
+    for i in range(out.shape[2]):
+        res = None  # stays None, and the coordinate zero, if no mode reaches it
+        for half, z, live in scans:
+            for m in np.flatnonzero(live):
+                back, back_win = half.back[i, m], half.back_win[i, m]
+                if back == 0 and back_win == 0:
+                    continue
+                if res is None:
+                    res = np.zeros_like(buf)
+                # S adds the stable window [t - T_c, t] and subtracts the
+                # unstable one [t, t + T_c]
                 if half.reverse:
                     zm = z[m, :, ::-1]
-                    _add_real(o, half.back[i, m], zm, -1.0)
-                    _add_real(o[:, : n + 1 - w], half.back_win[i, m], zm[:, w:], 1.0)
+                    _add_real(res, back, zm, -1.0, buf)
+                    _add_real(res[:, : n + 1 - w], back_win, zm[:, w:], 1.0, buf)
                 else:
-                    _add_real(o, half.back[i, m], z[m], 1.0)
-                    _add_real(o[:, w:], half.back_win[i, m], z[m, :, :-w], -1.0)
+                    _add_real(res, back, z[m], 1.0, buf)
+                    _add_real(res[:, w:], back_win, z[m, :, :-w], -1.0, buf)
+        out[lo:hi, :, i] = 0.0 if res is None else res
 
 
 def _chunk_bounds(m: int, n: int, threads: int, chunk_paths: Optional[int]):
@@ -660,6 +816,7 @@ def apply_S(
     truncation: float,
     chunk_paths: Optional[int] = None,
     threads: int = 1,
+    plan: Optional[_Plan] = None,
 ) -> tuple[PathEnsemble, dict]:
     """One application of the integral operator to an ensemble.
 
@@ -676,6 +833,17 @@ def apply_S(
     ``_scan``) driven by the modes after it.  A window is the difference
     of two accumulations w = T_c / h steps apart.  This one code path
     covers diagonal, rotating and defective generators.
+
+    The work splits into a plan and a kernel.  The plan (``_Plan``) holds
+    what does not depend on ``ens``: the window steps, the modal halves,
+    the jump events ordered by path, and the non-empty coefficient
+    entries with their time-only signals on the grid and the compensator
+    weights folded in.  ``picard_solve`` builds it once and passes it as
+    ``plan``; without one, ``apply_S`` builds its own.  The kernel
+    (``_apply_chunk``) runs path-major on one chunk of paths: it
+    evaluates only the non-empty entries, adds the resulting forcing rows
+    straight into the modal accumulations and assembles each output
+    coordinate in one contiguous row.
 
     Paths are processed in chunks of ``chunk_paths`` on ``threads``
     worker threads; every path is computed by the same operations in
@@ -695,16 +863,21 @@ def apply_S(
         raise SolverError("system, coefficients and ensemble dimensions differ")
     if threads < 1:
         raise SolverError("threads must be at least 1")
-    w = _truncation_steps(truncation, h, n)
+    if plan is None:
+        plan = _Plan.build(sys, cs, noise, truncation)
+    elif not (
+        plan.sys is sys and plan.cs is cs and plan.noise is noise
+        and plan.truncation == truncation
+    ):
+        raise SolverError("the plan was built for other arguments")
+    w = plan.w
 
-    halves = _modal_halves(sys, h, w)
-    events = _flatten_events(noise)
     out = np.empty_like(ens.values)
     chunks = _chunk_bounds(ens.n_paths, n, threads, chunk_paths)
 
     def run(share):
         for lo, hi in share:
-            _apply_chunk(sys, cs, noise, ens, halves, w, events, out, lo, hi)
+            _apply_chunk(plan, ens.values, out, lo, hi)
 
     # worker i takes chunks i, i + workers, ...; the calling thread is
     # worker 0, so only workers - 1 threads are started
@@ -770,11 +943,13 @@ def picard_solve(
 
     Common random numbers: every iterate reuses the same noise, so the
     geometric contraction is visible directly in the gap trace.  When
-    ``max_iter`` is hit the best iterate is returned with
+    ``max_iter`` is hit the last iterate is returned with
     ``converged=False``.  Default truncation is 12/omega, tail factor
-    about 6e-6 of the integrand magnitude.  ``chunk_paths`` and
-    ``threads`` are passed to :func:`apply_S` and do not change the
-    result.
+    about 6e-6 of the integrand magnitude.
+
+    The plan of :func:`apply_S` (modal halves, events, coefficient
+    entries) is built once per solve.  ``chunk_paths`` and ``threads``
+    are passed to :func:`apply_S` and do not change the result.
     """
     if tol <= 0:
         raise SolverError("tol must be positive")
@@ -790,19 +965,22 @@ def picard_solve(
         values=np.zeros((noise.n_paths, noise.n_steps + 1, sys.dim)),
         noise=noise,
     )
+    plan = _Plan.build(sys, cs, noise, truncation)
     trace = []
     converged = False
     report: dict = {}
     for it in range(1, max_iter + 1):
         t0 = time.perf_counter()
-        nxt, report = apply_S(sys, cs, noise, current, truncation, chunk_paths, threads)
-        gap = _sup_mean_square(nxt.values, current.values)
+        nxt, report = apply_S(
+            sys, cs, noise, current, truncation, chunk_paths, threads, plan=plan
+        )
+        moment, gap = _sup_mean_squares(nxt.values, current.values)
         wall_ms = (time.perf_counter() - t0) * 1000.0
         trace.append(
             {
                 "k": it,
                 "gap": gap,
-                "sup_second_moment": sup_second_moment(nxt),
+                "sup_second_moment": moment,
                 "wall_ms": wall_ms,
             }
         )

@@ -471,6 +471,8 @@ class TestCliArtifacts:
         assert meta["schema_version"] == 1
         assert meta["csv_stride"] == 1
         assert meta["config"]["numerics"]["h"] == "1/32"
+        moment = meta["sup_second_moment"]
+        assert f"sup second moment {moment:.6g}" in capsys.readouterr().out
 
     def test_csv_stride_respected(self, tmp_path, capsys):
         d = tiny_benchmark_dict()

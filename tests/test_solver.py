@@ -25,6 +25,8 @@ from levyap.noise import (
     LevyProcessSpec,
     WienerSpec,
     events_in_steps,
+    point_mark,
+    uniform_annulus_mark,
     uniform_interval_mark,
 )
 from levyap.solver import (
@@ -33,6 +35,7 @@ from levyap.solver import (
     PathEnsemble,
     SolverError,
     _flatten_events,
+    _Plan,
     _scan_block,
     apply_S,
     check_conditions,
@@ -512,22 +515,27 @@ class TestApplyS:
         three = NoiseSample.sample(benchmark_spec(), (-1.0, 1.0), 1.0 / 32, 3, seed=0)
         with pytest.raises(SolverError, match="path counts"):
             apply_S(sysd, cs, three, ens, truncation=0.5)
+        plan = _Plan.build(sysd, cs, noise, 0.5)
+        with pytest.raises(SolverError, match="plan was built for other arguments"):
+            apply_S(sysd, cs, noise, ens, truncation=0.25, plan=plan)
 
-    @pytest.mark.parametrize("case", ["rotation", "jordan", "stiff"])
+    @pytest.mark.parametrize("case", ["rotation", "jordan", "stiff", "sparse"])
     def test_matches_recursion_oracle(self, case):
         """The modal block scans against the per-step recursions on a
-        rotating, a defective and a stiff generator."""
-        sysd, h, window = _ORACLE_SYSTEMS[case]()
+        rotating, a defective and a stiff generator, and with sparse
+        coefficients on two-dimensional noise."""
+        system, coefficients, spec = _ORACLE_CASES[case]
+        sysd, h, window = system()
         d = sysd.dim
-        noise = NoiseSample.sample(_jump_diffusion_spec(), window, h, 3, seed=23)
+        noise = NoiseSample.sample(spec(), window, h, 3, seed=23)
         ens = _random_ensemble(noise, d, seed=4)
-        cs = _mixed_coefficients(d)
+        cs = coefficients(d)
         out, _ = apply_S(sysd, cs, noise, ens, truncation=1.0)
         ref = _recursion_oracle(sysd, cs, noise, ens, truncation=1.0)
         assert np.abs(out.values - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_stiff_mode_runs_several_scan_blocks(self):
-        sysd, h, window = _ORACLE_SYSTEMS["stiff"]()
+        sysd, h, window = _stiff_system()
         lam = math.exp(-300.0 * h)
         n = round((window[1] - window[0]) / h)
         assert lam**n == 0.0
@@ -599,13 +607,46 @@ class TestPicard:
                 assert b / a <= eta + 0.1
 
     def test_max_iter_returns_unconverged(self):
+        """At max_iter the last iterate is returned: S applied twice to
+        the zero ensemble."""
         sysd = benchmark_system()
+        cs = example41_coefficients()
         noise = NoiseSample.sample(benchmark_spec(), (-1.0, 2.0), 1.0 / 64, 4, seed=3)
-        res = picard_solve(
-            sysd, example41_coefficients(), noise, tol=1e-30, max_iter=2, truncation=1.0
-        )
+        res = picard_solve(sysd, cs, noise, tol=1e-30, max_iter=2, truncation=1.0)
         assert not res.converged
         assert res.iterations == 2
+        zero = np.zeros((4, noise.n_steps + 1, 2))
+        ens = PathEnsemble(h=noise.h, k_lo=noise.paths[0].k_lo, values=zero)
+        for _ in range(2):
+            ens, _ = apply_S(sysd, cs, noise, ens, truncation=1.0)
+        np.testing.assert_array_equal(res.ensemble.values, ens.values)
+
+    def test_plan_is_built_once_per_solve(self, monkeypatch):
+        """The modal halves (one Schur form each) and the event arrays
+        are built once per solve, not once per iteration."""
+        import levyap.solver as solver_module
+
+        calls = {"schur": 0, "events": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(solver_module, "schur", counted("schur", solver_module.schur))
+        monkeypatch.setattr(
+            solver_module, "_flatten_events", counted("events", solver_module._flatten_events)
+        )
+        sysd = benchmark_system()  # one stable and one unstable half
+        noise = NoiseSample.sample(benchmark_spec(), (-1.0, 2.0), 1.0 / 64, 5, seed=3)
+        res = picard_solve(
+            sysd, example41_coefficients(), noise, tol=1e-30, max_iter=4, truncation=1.0,
+            chunk_paths=2, threads=2,
+        )
+        assert res.iterations == 4
+        assert calls == {"schur": 2, "events": 1}
 
     def test_fixed_point_self_consistency(self):
         sysd = benchmark_system()
@@ -744,6 +785,59 @@ def _mixed_coefficients(d: int) -> CoefficientSet:
     )
 
 
+def _two_dim_spec() -> LevyProcessSpec:
+    """Correlated two-dimensional Wiener part; small jumps from an annulus
+    (mean mark zero) and at a fixed point (mean mark nonzero); large jumps."""
+    return LevyProcessSpec(
+        dim=2,
+        wiener=WienerSpec(2, np.array([[1.0, 0.3], [0.3, 0.5]])),
+        jumps=(
+            JumpComponent(rate=5.0, region="small", marks=uniform_annulus_mark(0.1, 0.6, 2)),
+            JumpComponent(rate=2.0, region="small", marks=point_mark([0.4, -0.2])),
+            JumpComponent(rate=3.0, region="large", marks=uniform_annulus_mark(1.0, 1.5, 2)),
+        ),
+    )
+
+
+def _sparse_coefficients(d: int) -> CoefficientSet:
+    """Three state coordinates on two-dimensional noise with empty
+    entries: no drift on coordinate 1, diffusion only in entries (0, 0)
+    and (1, 1), large jumps only on coordinate 2.  Signals enter as an
+    outer factor and as the inner shift of ``sin_shift``; the small-jump
+    term of coordinate 1 has no mark weights, so its compensator is
+    rate * term, and coordinate 2's compensator has no diffusion to
+    subtract from."""
+    assert d == 3
+    freqs = (math.sqrt(2.0), math.sqrt(3.0))
+    inner = QuasiPeriodicSignal.parse("c1 + s2", freqs)
+    outer = QuasiPeriodicSignal.parse("(1 + c2) / (3 + s1)", freqs)
+    return CoefficientSet(
+        dim_state=3,
+        dim_noise=2,
+        drift=(
+            (CoefficientTerm(0.3, "bounded_ratio", coord=2, outer=outer),),
+            (),
+            (CoefficientTerm(0.2, "const"), CoefficientTerm(-0.1, "linear", coord=1)),
+        ),
+        diffusion=(
+            ((CoefficientTerm(0.1, "linear", coord=1),), ()),
+            ((), (CoefficientTerm(0.15, "sin_shift", coord=0, inner=inner),)),
+            ((), ()),
+        ),
+        jump_small=(
+            (),
+            (CoefficientTerm(0.1, "linear", coord=2),),
+            (CoefficientTerm(0.05, "const", outer=outer, mark_weights=(1.0, -0.5)),),
+        ),
+        jump_large=(
+            (),
+            (),
+            (CoefficientTerm(0.05, "linear", coord=0, mark_weights=(0.5, 1.0)),),
+        ),
+        lipschitz=Fraction(1, 2),
+    )
+
+
 def _rotation_system():
     """Stable rotation (eigenvalues -1 +- 3i) next to an unstable mode."""
     a = np.array([[-1.0, 3.0, 0.0], [-3.0, -1.0, 0.0], [0.0, 0.0, 2.0]])
@@ -765,7 +859,13 @@ def _stiff_system():
     return sysd, 1 / 64, (-2.0, 4.0)
 
 
-_ORACLE_SYSTEMS = {"rotation": _rotation_system, "jordan": _jordan_system, "stiff": _stiff_system}
+# system, coefficients and noise spec of each recursion-oracle case
+_ORACLE_CASES = {
+    "rotation": (_rotation_system, _mixed_coefficients, _jump_diffusion_spec),
+    "jordan": (_jordan_system, _mixed_coefficients, _jump_diffusion_spec),
+    "stiff": (_stiff_system, _mixed_coefficients, _jump_diffusion_spec),
+    "sparse": (_rotation_system, _sparse_coefficients, _two_dim_spec),
+}
 
 
 def _recursion_oracle(sysd, cs, noise, ens, truncation):
