@@ -43,9 +43,8 @@ from .config import (
     validate_config,
 )
 from .dichotomy import DichotomyError, MatrixExpOverflowError, estimate_constants
-from .noise import NoiseShiftError, NoiseSpecError
+from .noise import NoiseSample, NoiseShiftError, NoiseSpecError, sample_noise
 from .solver import (
-    NoiseSample,
     PathEnsemble,
     SolverError,
     check_conditions,
@@ -139,7 +138,7 @@ def _strip_wall(records):
 
 def _sample(cfg: RunConfig, spec) -> NoiseSample:
     num = cfg.numerics
-    return NoiseSample.sample(
+    return sample_noise(
         spec,
         (float(num.window[0]), float(num.window[1])),
         float(num.h),

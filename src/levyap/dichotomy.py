@@ -27,8 +27,6 @@ __all__ = [
     "DichotomyEstimate",
     "matrix_exp",
     "integrated_exp",
-    "evolve_stable",
-    "evolve_unstable",
     "estimate_constants",
     "spot_check_dichotomy",
 ]
@@ -204,16 +202,6 @@ class DichotomousSystem:
             return np.zeros((self.dim, self.dim))
         u = self.basis_unstable
         return u @ (-integrated_exp(self.gen_unstable, t)) @ (u.T @ self.j)
-
-
-def evolve_stable(sys: DichotomousSystem, t: float, v: np.ndarray) -> np.ndarray:
-    """Propagate the stable component forward: e^{At} P v for t >= 0."""
-    return sys.stable_matrix(t) @ np.asarray(v, dtype=float)
-
-
-def evolve_unstable(sys: DichotomousSystem, t: float, v: np.ndarray) -> np.ndarray:
-    """Propagate the unstable component backward: e^{At} (I-P) v for t <= 0."""
-    return sys.unstable_matrix(t) @ np.asarray(v, dtype=float)
 
 
 def spot_check_dichotomy(

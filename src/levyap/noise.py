@@ -17,11 +17,15 @@ opened from a ``(seed, path_index, tag)`` key, so any path of any batch
 can be regenerated bit-for-bit without storing it.  ``sample_noise``
 accepts a ``path_offset`` so chunked pipelines produce the same paths as
 a single monolithic call.
+
+A sample is columnar: one ``NoiseSample`` holds the Wiener increments of
+all paths in one array and the jump events of all paths as flat columns,
+which is the form the solver reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,16 +37,12 @@ __all__ = [
     "point_mark",
     "uniform_interval_mark",
     "uniform_annulus_mark",
-    "mixture_mark",
     "WienerSpec",
     "JumpComponent",
     "LevyProcessSpec",
-    "NoiseRealization",
+    "NoiseSample",
     "validate_spec",
     "sample_noise",
-    "shift_noise",
-    "noise_equal",
-    "events_in_steps",
     "stream",
 ]
 
@@ -96,8 +96,6 @@ class MarkSampler:
             return 1
         if self.kind == "uniform_annulus":
             return int(self.params["dim"])
-        if self.kind == "mixture":
-            return self.params["components"][0][1].dim()
         raise NoiseSpecError(f"unknown mark sampler kind {self.kind!r}")
 
     def draw(self, gen: np.random.Generator, n: int) -> np.ndarray:
@@ -116,17 +114,6 @@ class MarkSampler:
             z = gen.standard_normal(size=(n, d))
             z /= np.linalg.norm(z, axis=1, keepdims=True)
             return z * radii[:, None]
-        if self.kind == "mixture":
-            comps = self.params["components"]
-            probs = np.array([w for w, _ in comps], dtype=float)
-            idx = gen.choice(len(comps), size=n, p=probs)
-            out = np.empty((n, self.dim()), dtype=float)
-            for i, (_, sub) in enumerate(comps):
-                mask = idx == i
-                k = int(mask.sum())
-                if k:
-                    out[mask] = sub.draw(gen, k)
-            return out
         raise NoiseSpecError(f"unknown mark sampler kind {self.kind!r}")
 
     def mean(self) -> np.ndarray:
@@ -136,8 +123,6 @@ class MarkSampler:
             return np.array([(self.params["a"] + self.params["b"]) / 2.0])
         if self.kind == "uniform_annulus":
             return np.zeros(int(self.params["dim"]))
-        if self.kind == "mixture":
-            return sum(w * sub.mean() for w, sub in self.params["components"])
         raise NoiseSpecError(f"unknown mark sampler kind {self.kind!r}")
 
     def norm_bounds(self) -> tuple[float, float]:
@@ -151,9 +136,6 @@ class MarkSampler:
             return lo, max(abs(a), abs(b))
         if self.kind == "uniform_annulus":
             return float(self.params["r0"]), float(self.params["r1"])
-        if self.kind == "mixture":
-            bounds = [sub.norm_bounds() for _, sub in self.params["components"]]
-            return min(b[0] for b in bounds), max(b[1] for b in bounds)
         raise NoiseSpecError(f"unknown mark sampler kind {self.kind!r}")
 
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -187,13 +169,6 @@ class MarkSampler:
                 wts = np.outer(w / 2.0, np.full(24, 1.0 / 24)).ravel()
                 return pts, wts
             raise NoiseSpecError("annulus quadrature supports dim 1 or 2 only")
-        if self.kind == "mixture":
-            pts, wts = [], []
-            for wgt, sub in self.params["components"]:
-                p, w = sub.nodes()
-                pts.append(p)
-                wts.append(wgt * w)
-            return np.concatenate(pts, axis=0), np.concatenate(wts)
         raise NoiseSpecError(f"unknown mark sampler kind {self.kind!r}")
 
     def validate(self) -> None:
@@ -212,18 +187,6 @@ class MarkSampler:
                 raise NoiseSpecError("uniform_annulus mark needs 0 < r0 <= r1")
             if d < 1:
                 raise NoiseSpecError("uniform_annulus mark needs dim >= 1")
-        elif self.kind == "mixture":
-            comps = self.params["components"]
-            if not comps:
-                raise NoiseSpecError("mixture mark needs at least one component")
-            total = sum(w for w, _ in comps)
-            if abs(total - 1.0) > 1e-12 or any(w < 0 for w, _ in comps):
-                raise NoiseSpecError("mixture weights must be nonnegative, sum to 1")
-            dims = {sub.dim() for _, sub in comps}
-            if len(dims) != 1:
-                raise NoiseSpecError("mixture components must share a dimension")
-            for _, sub in comps:
-                sub.validate()
         else:
             raise NoiseSpecError(f"unknown mark sampler kind {self.kind!r}")
 
@@ -238,10 +201,6 @@ def uniform_interval_mark(a: float, b: float) -> MarkSampler:
 
 def uniform_annulus_mark(r0: float, r1: float, dim: int = 1) -> MarkSampler:
     return MarkSampler("uniform_annulus", {"r0": float(r0), "r1": float(r1), "dim": int(dim)})
-
-
-def mixture_mark(components: Sequence[tuple[float, MarkSampler]]) -> MarkSampler:
-    return MarkSampler("mixture", {"components": tuple((float(w), s) for w, s in components)})
 
 
 # ---------------------------------------------------------------------------
@@ -356,53 +315,91 @@ def validate_spec(spec: LevyProcessSpec) -> None:
 
 
 # ---------------------------------------------------------------------------
-# realizations
+# samples
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
-class NoiseRealization:
-    """One sampled noise path on a uniform grid.
+class NoiseSample:
+    """A frozen multi-path noise sample on one uniform grid, as arrays.
 
     The grid is stored by integer index (``k_lo`` .. ``k_lo + n_steps``)
-    times the step ``h``, so shifted views reproduce grid values exactly.
-    ``dW[k]`` is the Wiener increment over ``[t_k, t_{k+1}]``.  Jump events
-    carry their time, mark vector, region flag (0 small, 1 large) and the
-    index of the component that produced them.  Event times are kept in
-    the coordinates of the original sample (``jump_times_base``) and
-    re-based on access, so shifting by ``s`` and then ``-s`` is exact.
-    ``seed_key`` regenerates the path bit-for-bit via ``sample_noise``.
+    times the step ``h``, so shifted samples reproduce grid values
+    exactly.  ``dW[p, k]`` is the Wiener increment of path p over
+    ``[t_k, t_{k+1}]``; ``dW`` has shape (paths, n_steps, dim).
+
+    The jump events of all paths are flat columns, ordered by path and,
+    within a path, by time (ties by component): ``event_path``,
+    ``event_step`` (the step k with the event in [t_k, t_{k+1}), counted
+    from the grid start), ``event_region`` (0 small, 1 large) and
+    ``event_marks`` (events, dim).  Event times are kept as drawn
+    (``event_times_base``) and re-based on access by ``shift_steps``
+    steps, so shifting by ``s`` and then ``-s`` is exact.
     """
 
+    spec: LevyProcessSpec
     h: float
     k_lo: int
     n_steps: int
-    dim: int
     dW: np.ndarray
-    jump_times_base: np.ndarray
-    jump_marks: np.ndarray
-    jump_regions: np.ndarray
-    jump_comp: np.ndarray
-    seed_key: tuple[int, int]
+    event_path: np.ndarray
+    event_step: np.ndarray
+    event_region: np.ndarray
+    event_marks: np.ndarray
+    event_times_base: np.ndarray
     shift_steps: int = 0
+
+    @property
+    def n_paths(self) -> int:
+        return self.dW.shape[0]
 
     @property
     def grid(self) -> np.ndarray:
         return (self.k_lo + np.arange(self.n_steps + 1)) * self.h
 
     @property
-    def jump_times(self) -> np.ndarray:
+    def event_times(self) -> np.ndarray:
         if self.shift_steps == 0:
-            return self.jump_times_base
-        return self.jump_times_base - self.shift_steps * self.h
+            return self.event_times_base
+        return self.event_times_base - self.shift_steps * self.h
 
-    @property
-    def t_lo(self) -> float:
-        return self.k_lo * self.h
+    def shifted(self, s: float, window: Optional[tuple[float, float]] = None) -> "NoiseSample":
+        """The sample re-based by time shift ``s`` (a multiple of the step).
 
-    @property
-    def t_hi(self) -> float:
-        return (self.k_lo + self.n_steps) * self.h
+        The result represents the increments of ``t -> L(t + s) - L(s)``:
+        grid values drop by ``s``, Wiener increments keep their order,
+        jump events are re-timed by ``-s``.  With ``window`` given, the
+        result is cropped to it; the requested window must lie inside the
+        shifted one.  Crops are decided on integer steps, so shift 0 is
+        the identity and shifting by ``s`` then ``-s`` restores the input.
+        """
+        h = self.h
+        m = round(s / h)
+        if abs(s - m * h) > _GRID_ALIGN_TOL * max(1.0, abs(s)):
+            raise NoiseShiftError(f"shift {s} is not a multiple of the step {h}")
+        k_lo = self.k_lo - m
+        a, b = 0, self.n_steps
+        if window is not None:
+            a = _steps_for(window[0], h, "window start") - k_lo
+            b = _steps_for(window[1], h, "window end") - k_lo
+            if a < 0 or b > self.n_steps or a >= b:
+                raise NoiseShiftError(
+                    f"window {window} not contained in shifted span "
+                    f"[{k_lo * h}, {(k_lo + self.n_steps) * h}]"
+                )
+        keep = (self.event_step >= a) & (self.event_step < b)
+        return replace(
+            self,
+            k_lo=k_lo + a,
+            n_steps=b - a,
+            dW=self.dW[:, a:b],
+            event_path=self.event_path[keep],
+            event_step=self.event_step[keep] - a,
+            event_region=self.event_region[keep],
+            event_marks=self.event_marks[keep],
+            event_times_base=self.event_times_base[keep],
+            shift_steps=self.shift_steps + m,
+        )
 
 
 def _steps_for(value: float, h: float, what: str) -> int:
@@ -419,7 +416,7 @@ def sample_noise(
     n_paths: int,
     seed: int,
     path_offset: int = 0,
-) -> list[NoiseRealization]:
+) -> NoiseSample:
     """Sample two-sided noise paths on the grid covering ``window``.
 
     The window must satisfy t_lo <= 0 <= t_hi and both endpoints must sit
@@ -436,6 +433,8 @@ def sample_noise(
         raise NoiseSpecError("window must contain 0 with t_lo < t_hi")
     if not (np.isfinite(h) and h > 0):
         raise NoiseSpecError("step h must be finite and > 0")
+    if n_paths < 1:
+        raise NoiseSpecError("a noise sample needs at least one path")
     n_neg = _steps_for(-t_lo, h, "window start")
     n_pos = _steps_for(t_hi, h, "window end")
     n = n_neg + n_pos
@@ -447,157 +446,54 @@ def sample_noise(
         eigs = np.clip(eigs, 0.0, None)
         chol = vecs * np.sqrt(eigs)  # q = chol @ chol.T
 
-    out = []
+    dW = np.zeros((n_paths, n, spec.dim))
     sqrt_h = np.sqrt(h)
-    len_pos = n_pos * h
-    len_neg = n_neg * h
+    # jump stream tag, step count and length of each half line
+    half_lines = ((_TAG_J_POS, n_pos, n_pos * h), (_TAG_J_NEG, n_neg, n_neg * h))
+    batches = []  # (path, component, count) of each drawn batch of events
+    # empty first entries, so a sample without events still concatenates
+    times = [np.zeros(0)]
+    marks = [np.zeros((0, spec.dim))]
     for j in range(n_paths):
         path = path_offset + j
-        dW = np.zeros((n, spec.dim))
         if chol is not None:
             if n_pos:
                 z = stream(seed, path, _TAG_W_POS).standard_normal((n_pos, spec.dim))
-                dW[n_neg:] = sqrt_h * z @ chol.T
+                dW[j, n_neg:] = sqrt_h * z @ chol.T
             if n_neg:
                 z = stream(seed, path, _TAG_W_NEG).standard_normal((n_neg, spec.dim))
                 # mirrored order: increment over [t_k, t_k + h] for t_k < 0
                 # is the (|t_k|/h - 1)-th increment of the mirrored copy
-                dW[:n_neg] = sqrt_h * (z @ chol.T)[::-1]
-
-        times_all, marks_all, regions_all, comp_all = [], [], [], []
+                dW[j, :n_neg] = sqrt_h * (z @ chol.T)[::-1]
         for ci, comp in enumerate(spec.jumps):
-            if n_pos:
-                gen = stream(seed, path, _TAG_J_POS, ci)
-                count = int(gen.poisson(comp.rate * len_pos))
+            for tag, steps, length in half_lines:
+                if not steps:
+                    continue
+                gen = stream(seed, path, tag, ci)
+                count = int(gen.poisson(comp.rate * length))
                 if count:
-                    times = np.sort(gen.uniform(0.0, len_pos, size=count))
-                    marks = comp.marks.draw(gen, count)
-                    times_all.append(times)
-                    marks_all.append(marks)
-                    regions_all.append(
-                        np.full(count, 0 if comp.region == "small" else 1, dtype=np.uint8)
-                    )
-                    comp_all.append(np.full(count, ci, dtype=np.int16))
-            if n_neg:
-                gen = stream(seed, path, _TAG_J_NEG, ci)
-                count = int(gen.poisson(comp.rate * len_neg))
-                if count:
-                    times = -np.sort(gen.uniform(0.0, len_neg, size=count))[::-1]
-                    marks = comp.marks.draw(gen, count)
-                    times_all.append(times)
-                    marks_all.append(marks)
-                    regions_all.append(
-                        np.full(count, 0 if comp.region == "small" else 1, dtype=np.uint8)
-                    )
-                    comp_all.append(np.full(count, ci, dtype=np.int16))
-        if times_all:
-            times = np.concatenate(times_all)
-            marks = np.concatenate(marks_all, axis=0)
-            regions = np.concatenate(regions_all)
-            comps = np.concatenate(comp_all)
-            order = np.lexsort((comps, times))
-            times, marks, regions, comps = (
-                times[order],
-                marks[order],
-                regions[order],
-                comps[order],
-            )
-        else:
-            times = np.zeros(0)
-            marks = np.zeros((0, spec.dim))
-            regions = np.zeros(0, dtype=np.uint8)
-            comps = np.zeros(0, dtype=np.int16)
+                    u = np.sort(gen.uniform(0.0, length, size=count))
+                    times.append(u if tag == _TAG_J_POS else -u[::-1])
+                    marks.append(comp.marks.draw(gen, count))
+                    batches.append((j, ci, count))
 
-        out.append(
-            NoiseRealization(
-                h=h,
-                k_lo=-n_neg,
-                n_steps=n,
-                dim=spec.dim,
-                dW=dW,
-                jump_times_base=times,
-                jump_marks=marks,
-                jump_regions=regions,
-                jump_comp=comps,
-                seed_key=(int(seed), int(path)),
-            )
-        )
-    return out
-
-
-def shift_noise(
-    r: NoiseRealization,
-    s: float,
-    window: Optional[tuple[float, float]] = None,
-) -> NoiseRealization:
-    """Re-base a realization by time shift ``s`` (a multiple of the step).
-
-    The result represents the increments of ``t -> L(t + s) - L(s)``: grid
-    values drop by ``s``, Wiener increments keep their order, jump events
-    are re-timed by ``-s``.  With ``window`` given, the result is cropped
-    to it; the requested window must lie inside the shifted one.  Shift 0
-    is the identity and shifting by ``s`` then ``-s`` restores the input.
-    """
-    m = round(s / r.h)
-    if abs(s - m * r.h) > _GRID_ALIGN_TOL * max(1.0, abs(s)):
-        raise NoiseShiftError(f"shift {s} is not a multiple of the step {r.h}")
-    k_lo = r.k_lo - m
-    k_hi = k_lo + r.n_steps
-    if window is None:
-        lo, hi = k_lo, k_hi
-    else:
-        lo = _steps_for(window[0], r.h, "window start")
-        hi = _steps_for(window[1], r.h, "window end")
-        if lo < k_lo or hi > k_hi or lo >= hi:
-            raise NoiseShiftError(
-                f"window {window} not contained in shifted span "
-                f"[{k_lo * r.h}, {k_hi * r.h}]"
-            )
-    a = lo - k_lo
-    b = hi - k_lo
-    shift_total = r.shift_steps + m
-    # event step indices in the shifted coordinates; integer arithmetic
-    # keeps crop decisions independent of how the shift was reached
-    ev_k = np.floor(r.jump_times_base / r.h).astype(np.int64) - shift_total
-    keep = (ev_k >= lo) & (ev_k < hi)
-    return NoiseRealization(
-        h=r.h,
-        k_lo=lo,
-        n_steps=b - a,
-        dim=r.dim,
-        dW=r.dW[a:b].copy(),
-        jump_times_base=r.jump_times_base[keep].copy(),
-        jump_marks=r.jump_marks[keep].copy(),
-        jump_regions=r.jump_regions[keep].copy(),
-        jump_comp=r.jump_comp[keep].copy(),
-        seed_key=r.seed_key,
-        shift_steps=shift_total,
+    batch = np.array(batches, dtype=np.int64).reshape(-1, 3)
+    ev_path = np.repeat(batch[:, 0], batch[:, 2])
+    ev_comp = np.repeat(batch[:, 1], batch[:, 2])
+    ev_times = np.concatenate(times)
+    order = np.lexsort((ev_comp, ev_times, ev_path))
+    ev_times = ev_times[order]
+    region = np.array([0 if c.region == "small" else 1 for c in spec.jumps], dtype=np.int64)
+    return NoiseSample(
+        spec=spec,
+        h=h,
+        k_lo=-n_neg,
+        n_steps=n,
+        dW=dW,
+        event_path=ev_path[order],
+        # the clip keeps an event whose time rounds onto a window edge
+        event_step=np.clip(np.floor(ev_times / h).astype(np.int64) + n_neg, 0, n - 1),
+        event_region=region[ev_comp[order]],
+        event_marks=np.concatenate(marks, axis=0)[order],
+        event_times_base=ev_times,
     )
-
-
-def noise_equal(a: NoiseRealization, b: NoiseRealization) -> bool:
-    """Exact equality of two realizations (grids, increments, events)."""
-    return (
-        a.h == b.h
-        and a.k_lo == b.k_lo
-        and a.n_steps == b.n_steps
-        and a.dim == b.dim
-        and np.array_equal(a.dW, b.dW)
-        and np.array_equal(a.jump_times, b.jump_times)
-        and np.array_equal(a.jump_marks, b.jump_marks)
-        and np.array_equal(a.jump_regions, b.jump_regions)
-        and np.array_equal(a.jump_comp, b.jump_comp)
-    )
-
-
-def events_in_steps(r: NoiseRealization) -> np.ndarray:
-    """Step index of every jump event: event at time tau in [t_k, t_{k+1})
-    maps to k, counted from the start of the realization's grid."""
-    if len(r.jump_times_base) == 0:
-        return np.zeros(0, dtype=np.int64)
-    idx = (
-        np.floor(r.jump_times_base / r.h).astype(np.int64)
-        - r.shift_steps
-        - r.k_lo
-    )
-    return np.clip(idx, 0, r.n_steps - 1)

@@ -29,14 +29,16 @@ is triangular, and every mode is a scalar scan z_{k+1} = lam z_k + b_k
 computed by block-scaled cumulative sums (Blelloch, "Prefix sums and
 their applications", 1990).
 
-What does not depend on the iterate (the modal halves, the jump events
-ordered by path, the non-empty coefficient entries with their time-only
-signals on the grid) is planned once per Picard solve.  Each chunk of
-paths then runs a path-major kernel: (paths, time) rows with time
-contiguous, only the non-empty coefficient entries evaluated, forcing
-added straight into the modal accumulations.  Path chunks are
-independent and run on worker threads with bitwise identical results
-for any thread count.
+The noise is read as sampled: a chunk of paths takes slices of the
+Wiener increments and of the path-ordered jump event columns of the one
+``NoiseSample``.  What does not depend on the iterate (the modal
+halves, where each path's events start, the non-empty coefficient
+entries with their time-only signals on the grid) is planned once per
+Picard solve.  Each chunk of paths then runs a path-major kernel:
+(paths, time) rows with time contiguous, only the non-empty coefficient
+entries evaluated, forcing added straight into the modal accumulations.
+Path chunks are independent and run on worker threads with bitwise
+identical results for any thread count.
 """
 
 from __future__ import annotations
@@ -66,19 +68,12 @@ from .coefficients import (
     term_value,
 )
 from .dichotomy import DichotomousSystem, matrix_exp
-from .noise import (
-    LevyProcessSpec,
-    NoiseRealization,
-    events_in_steps,
-    sample_noise,
-    shift_noise,
-)
+from .noise import NoiseSample
 
 __all__ = [
     "SolverError",
     "ConditionReport",
     "check_conditions",
-    "NoiseSample",
     "PathEnsemble",
     "PicardResult",
     "simulate_mild",
@@ -212,56 +207,8 @@ def check_conditions(k, omega, lipschitz, jump_bound) -> ConditionReport:
 
 
 # ---------------------------------------------------------------------------
-# sampled noise bundles and path ensembles
+# path ensembles
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NoiseSample:
-    """A frozen multi-path noise sample plus the spec that produced it."""
-
-    spec: LevyProcessSpec
-    paths: tuple[NoiseRealization, ...]
-
-    def __post_init__(self):
-        if len(self.paths) == 0:
-            raise SolverError("a noise sample needs at least one path")
-        first = self.paths[0]
-        for r in self.paths:
-            if r.h != first.h or r.k_lo != first.k_lo or r.n_steps != first.n_steps:
-                raise SolverError("noise paths must share one grid")
-        object.__setattr__(self, "paths", tuple(self.paths))
-
-    @classmethod
-    def sample(
-        cls,
-        spec: LevyProcessSpec,
-        window: tuple[float, float],
-        h: float,
-        n_paths: int,
-        seed: int,
-        path_offset: int = 0,
-    ) -> "NoiseSample":
-        return cls(spec, tuple(sample_noise(spec, window, h, n_paths, seed, path_offset)))
-
-    @property
-    def h(self) -> float:
-        return self.paths[0].h
-
-    @property
-    def grid(self) -> np.ndarray:
-        return self.paths[0].grid
-
-    @property
-    def n_paths(self) -> int:
-        return len(self.paths)
-
-    @property
-    def n_steps(self) -> int:
-        return self.paths[0].n_steps
-
-    def shifted(self, s: float, window: Optional[tuple[float, float]] = None):
-        return NoiseSample(self.spec, tuple(shift_noise(r, s, window) for r in self.paths))
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,8 +223,6 @@ class PathEnsemble:
     h: float
     k_lo: int
     values: np.ndarray
-    noise: Optional[NoiseSample] = None
-    seed: Optional[int] = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -359,49 +304,6 @@ def l2_increment(ens: PathEnsemble, t: float, r: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# event flattening shared by the integrators
-# ---------------------------------------------------------------------------
-
-
-def _flatten_events(noise: NoiseSample):
-    """All jump events of the sample as flat arrays: path index, step
-    index, small/large flag and mark vectors.  Events are ordered by
-    path, and each path's events keep their sample order."""
-    paths = []
-    steps = []
-    regions = []
-    marks = []
-    for p, r in enumerate(noise.paths):
-        if len(r.jump_times_base) == 0:
-            continue
-        k = events_in_steps(r)
-        paths.append(np.full(len(k), p, dtype=np.int64))
-        steps.append(k)
-        regions.append(np.asarray(r.jump_regions, dtype=np.int64))
-        marks.append(np.asarray(r.jump_marks, dtype=float))
-    if not paths:
-        dim = noise.spec.dim
-        return (
-            np.zeros(0, dtype=np.int64),
-            np.zeros(0, dtype=np.int64),
-            np.zeros(0, dtype=np.int64),
-            np.zeros((0, dim)),
-        )
-    return (
-        np.concatenate(paths),
-        np.concatenate(steps),
-        np.concatenate(regions),
-        np.concatenate(marks, axis=0),
-    )
-
-
-def _check_grid_match(noise: NoiseSample, h: float, k_lo: int, n_steps: int):
-    r = noise.paths[0]
-    if r.h != h or r.k_lo != k_lo or r.n_steps != n_steps:
-        raise SolverError("noise and ensemble grids do not match")
-
-
-# ---------------------------------------------------------------------------
 # forward integrator
 # ---------------------------------------------------------------------------
 
@@ -421,8 +323,7 @@ def simulate_mild(
     with coefficients always evaluated at the pre-jump grid state.
     Aborts with the offending path and time on blow-up.
     """
-    r0 = noise.paths[0]
-    h, k_lo, n = r0.h, r0.k_lo, r0.n_steps
+    h, k_lo, n = noise.h, noise.k_lo, noise.n_steps
     m = noise.n_paths
     d = cs.dim_state
     if sys.dim != d:
@@ -434,15 +335,13 @@ def simulate_mild(
         raise SolverError(f"y0 must have shape ({d},) or ({m}, {d})")
 
     exp_ah = matrix_exp(sys.a, h)
-    grid = r0.grid
-    dw = np.stack([r.dW for r in noise.paths])  # (m, n, q)
-    ev_path, ev_step, ev_region, ev_marks = _flatten_events(noise)
-    order = np.lexsort((ev_path, ev_step))
+    grid = noise.grid
+    order = np.lexsort((noise.event_path, noise.event_step))
     ev_path, ev_step, ev_region, ev_marks = (
-        ev_path[order],
-        ev_step[order],
-        ev_region[order],
-        ev_marks[order],
+        noise.event_path[order],
+        noise.event_step[order],
+        noise.event_region[order],
+        noise.event_marks[order],
     )
     starts = np.searchsorted(ev_step, np.arange(n + 1))
 
@@ -453,7 +352,7 @@ def simulate_mild(
         t = grid[k]
         f = eval_drift(cs, t, y)
         g = eval_diffusion(cs, t, y)
-        inc = f * h + np.einsum("mdq,mq->md", g, dw[:, k, :])
+        inc = f * h + np.einsum("mdq,mq->md", g, noise.dW[:, k, :])
         inc -= h * small_jump_compensator(cs, noise.spec, t, y)
         lo, hi = starts[k], starts[k + 1]
         if hi > lo:
@@ -476,7 +375,7 @@ def simulate_mild(
                 "reduce the step or check the coefficients"
             )
         out[:, k + 1, :] = y
-    return PathEnsemble(h=h, k_lo=k_lo, values=out, noise=noise)
+    return PathEnsemble(h=h, k_lo=k_lo, values=out)
 
 
 # ---------------------------------------------------------------------------
@@ -655,8 +554,8 @@ class _Plan:
     once per Picard solve.
 
     ``w`` is the window in steps and ``halves`` the modal halves of S.
-    ``events`` are the jump events as flat (path, step, region, mark)
-    arrays ordered by path; the events of paths [lo, hi) are the slice
+    The jump events are the sample's event columns as they are, ordered
+    by path: the events of paths [lo, hi) are the slice
     ``path_events[lo]:path_events[hi]``.  ``rows`` hold each state
     coordinate's forcing entries with their time-only signals evaluated
     on the grid, ``small_rows``/``large_rows`` the coordinates that small
@@ -670,7 +569,6 @@ class _Plan:
     truncation: float
     w: int
     halves: tuple[_ModalHalf, ...]
-    events: tuple[np.ndarray, ...]
     path_events: np.ndarray
     rows: tuple[_Forcing, ...]
     small_rows: tuple[int, ...]
@@ -692,7 +590,6 @@ class _Plan:
         )
         grid_terms = [t for r in rows for t in r.drift + r.compensator]
         grid_terms += [t for r in rows for _, entry in r.diffusion for t in entry]
-        events = _flatten_events(noise)
         return cls(
             sys=sys,
             cs=cs,
@@ -700,8 +597,7 @@ class _Plan:
             truncation=truncation,
             w=w,
             halves=tuple(_modal_halves(sys, h, w)),
-            events=events,
-            path_events=np.searchsorted(events[0], np.arange(noise.n_paths + 1)),
+            path_events=np.searchsorted(noise.event_path, np.arange(noise.n_paths + 1)),
             rows=rows,
             small_rows=tuple(i for i, terms in enumerate(cs.jump_small) if terms),
             large_rows=tuple(i for i, terms in enumerate(cs.jump_large) if terms),
@@ -723,9 +619,13 @@ def _add_jumps(plan: _Plan, values: np.ndarray, stoch: dict, lo: int, hi: int, s
     e_lo, e_hi = plan.path_events[lo], plan.path_events[hi]
     if e_hi == e_lo:
         return
-    path, step, region, marks = (a[e_lo:e_hi] for a in plan.events)
+    noise = plan.noise
+    path, step, region, marks = (
+        a[e_lo:e_hi]
+        for a in (noise.event_path, noise.event_step, noise.event_region, noise.event_marks)
+    )
     state = values[path, step]
-    times = plan.noise.grid[step]
+    times = noise.grid[step]
     small = region == 0
     for sel, rows, evaluate in (
         (small, plan.small_rows, eval_jump_small),
@@ -753,7 +653,6 @@ def _apply_chunk(plan: _Plan, values: np.ndarray, out: np.ndarray, lo: int, hi: 
     noise = plan.noise
     shape = (hi - lo, noise.n_steps)
     columns = {c: np.ascontiguousarray(values[lo:hi, :-1, c]) for c in plan.coords}
-    dw = np.stack([noise.paths[p].dW for p in range(lo, hi)])  # (q, n, dim W)
     drift, stoch = {}, {}
     for i, row in enumerate(plan.rows):
         if row.drift:
@@ -761,7 +660,7 @@ def _apply_chunk(plan: _Plan, values: np.ndarray, out: np.ndarray, lo: int, hi: 
         s = None
         for j, terms in row.diffusion:
             g = _term_sum(terms, columns, shape)
-            g *= dw[:, :, j]
+            g *= noise.dW[lo:hi, :, j]
             s = g if s is None else np.add(s, g, out=s)
         if row.compensator:
             comp = _term_sum(row.compensator, columns, shape)
@@ -769,7 +668,7 @@ def _apply_chunk(plan: _Plan, values: np.ndarray, out: np.ndarray, lo: int, hi: 
             s = np.negative(comp, out=comp) if s is None else np.subtract(s, comp, out=s)
         if s is not None:
             stoch[i] = s
-    del columns, dw
+    del columns
     _add_jumps(plan, values, stoch, lo, hi, shape)
 
     buf = np.empty((shape[0], shape[1] + 1))
@@ -836,7 +735,7 @@ def apply_S(
 
     The work splits into a plan and a kernel.  The plan (``_Plan``) holds
     what does not depend on ``ens``: the window steps, the modal halves,
-    the jump events ordered by path, and the non-empty coefficient
+    where each path's jump events start, and the non-empty coefficient
     entries with their time-only signals on the grid and the compensator
     weights folded in.  ``picard_solve`` builds it once and passes it as
     ``plan``; without one, ``apply_S`` builds its own.  The kernel
@@ -854,8 +753,9 @@ def apply_S(
     the full two-sided window is bounded by ``tail_factor`` times the
     sup of the integrand's mean-square magnitudes.
     """
-    h, k_lo, n = noise.h, noise.paths[0].k_lo, noise.n_steps
-    _check_grid_match(noise, ens.h, ens.k_lo, ens.n_steps)
+    h, k_lo, n = noise.h, noise.k_lo, noise.n_steps
+    if (ens.h, ens.k_lo, ens.n_steps) != (h, k_lo, n):
+        raise SolverError("noise and ensemble grids do not match")
     if ens.n_paths != noise.n_paths:
         raise SolverError("ensemble and noise path counts differ")
     d = cs.dim_state
@@ -903,7 +803,7 @@ def apply_S(
         "k": float(k_f),
         "tail_factor": float(k_f * np.exp(-omega * w * h) / omega),
     }
-    return PathEnsemble(h=h, k_lo=k_lo, values=out, noise=noise), report
+    return PathEnsemble(h=h, k_lo=k_lo, values=out), report
 
 
 # ---------------------------------------------------------------------------
@@ -958,12 +858,10 @@ def picard_solve(
     h = noise.h
     if truncation is None:
         truncation = max(1, round(12.0 / sys.omega / h)) * h
-    r0 = noise.paths[0]
     current = PathEnsemble(
         h=h,
-        k_lo=r0.k_lo,
+        k_lo=noise.k_lo,
         values=np.zeros((noise.n_paths, noise.n_steps + 1, sys.dim)),
-        noise=noise,
     )
     plan = _Plan.build(sys, cs, noise, truncation)
     trace = []

@@ -43,10 +43,10 @@ from levyap.noise import (
     JumpComponent,
     LevyProcessSpec,
     WienerSpec,
+    sample_noise,
     uniform_interval_mark,
 )
 from levyap.solver import (
-    NoiseSample,
     check_conditions,
     l2_increment,
     picard_solve,
@@ -85,7 +85,7 @@ def solve_preset(name: str, seed_offset: int = 0):
     spec = build_spec(cfg.levy)
     cs = build_coefficients(cfg.coefficients)
     num = cfg.numerics
-    noise = NoiseSample.sample(
+    noise = sample_noise(
         spec,
         (float(num.window[0]), float(num.window[1])),
         float(num.h),
@@ -192,7 +192,7 @@ def test_constant_drift_fixed_point_within_reported_tail():
     c1, c2 = 0.7, -1.3
     sysd = benchmark_system()
     spec = LevyProcessSpec(dim=1, wiener=WienerSpec(1, np.eye(1)))
-    noise = NoiseSample.sample(spec, (-2.0, 4.0), 1.0 / 64, 3, seed=4)
+    noise = sample_noise(spec, (-2.0, 4.0), 1.0 / 64, 3, seed=4)
     t_c = 1.5
     res = picard_solve(
         sysd, constant_drift_coefficients(c1, c2), noise, tol=1e-26, truncation=t_c
@@ -216,7 +216,7 @@ def test_picard_gap_ratios_at_full_scale():
     sysd = build_system(cfg.system)
     spec = build_spec(cfg.levy)
     cs = build_coefficients(cfg.coefficients)
-    noise = NoiseSample.sample(spec, (-2.0, 4.0), 1.0e-3, 2000, seed=cfg.seed)
+    noise = sample_noise(spec, (-2.0, 4.0), 1.0e-3, 2000, seed=cfg.seed)
     res = picard_solve(sysd, cs, noise, tol=1e-9, max_iter=40, truncation=2.0)
     assert res.converged
     gaps = res.gaps()
@@ -241,7 +241,7 @@ def test_forced_ou_matches_closed_form():
     # mean curve: fine step so the quadrature bias sits well under the
     # Monte-Carlo allowance 3 (sigma / sqrt(2a)) / sqrt(M)
     m_paths = 512
-    noise = NoiseSample.sample(spec, (-8.0, 8.0), 1.0 / 512, m_paths, seed=cfg.seed)
+    noise = sample_noise(spec, (-8.0, 8.0), 1.0 / 512, m_paths, seed=cfg.seed)
     res = picard_solve(sysd, cs, noise, tol=1e-10, max_iter=20, truncation=6.0)
     assert res.converged
     grid = res.ensemble.grid
@@ -253,7 +253,7 @@ def test_forced_ou_matches_closed_form():
     assert np.abs((m_hat - m_exact)[core]).max() <= allowance
 
     # stationary variance at M = 1e4
-    noise_v = NoiseSample.sample(spec, (-8.0, 8.0), 1.0 / 64, 10_000, seed=cfg.seed + 1)
+    noise_v = sample_noise(spec, (-8.0, 8.0), 1.0 / 64, 10_000, seed=cfg.seed + 1)
     res_v = picard_solve(sysd, cs, noise_v, tol=1e-10, max_iter=20, truncation=6.0)
     grid_v = res_v.ensemble.grid
     core_v = (grid_v >= -2.0) & (grid_v <= 2.0)
@@ -355,11 +355,10 @@ def test_noise_statistics_and_thread_determinism():
     # Ito isometry for a deterministic integrand at 1e4 paths
     spec = LevyProcessSpec(dim=1, wiener=WienerSpec(1, np.eye(1)))
     h = 1.0 / 32
-    noise = NoiseSample.sample(spec, (0.0, 4.0), h, 10_000, seed=77)
+    noise = sample_noise(spec, (0.0, 4.0), h, 10_000, seed=77)
     grid = noise.grid
     g = np.sin(grid[:-1])
-    dw = np.stack([r.dW[:, 0] for r in noise.paths])
-    integrals = dw @ g
+    integrals = noise.dW[:, :, 0] @ g
     lhs = float(np.mean(integrals**2))
     rhs = float(np.sum(g**2) * h)
     assert abs(lhs / rhs - 1.0) <= 0.05
@@ -373,11 +372,12 @@ def test_noise_statistics_and_thread_determinism():
             ),
         ),
     )
-    jnoise = NoiseSample.sample(jump_spec, (0.0, 4.0), h, 10_000, seed=78)
+    jnoise = sample_noise(jump_spec, (0.0, 4.0), h, 10_000, seed=78)
     span = 4.0
     compensator = span * 2.0 * float(jump_spec.jumps[0].marks.mean()[0])
-    sums = np.array(
-        [r.jump_marks[:, 0].sum() - compensator for r in jnoise.paths]
+    sums = (
+        np.bincount(jnoise.event_path, jnoise.event_marks[:, 0], minlength=jnoise.n_paths)
+        - compensator
     )
     se = sums.std(ddof=1) / math.sqrt(len(sums))
     assert abs(sums.mean()) <= 4.0 * se
@@ -387,7 +387,7 @@ def test_noise_statistics_and_thread_determinism():
     cfg = preset_config("example41")
     spec41 = build_spec(cfg.levy)
     cs = example41_coefficients()
-    small = NoiseSample.sample(spec41, (-1.0, 2.0), 1.0 / 64, 32, seed=9)
+    small = sample_noise(spec41, (-1.0, 2.0), 1.0 / 64, 32, seed=9)
     results = [
         picard_solve(
             sysd, cs, small, tol=1e-10, max_iter=30, truncation=0.5,

@@ -12,6 +12,8 @@ Statistical oracles used here and fixed ahead of the assertions:
 All randomized checks run on fixed seeds.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,12 +25,8 @@ from levyap.noise import (
     NoiseShiftError,
     NoiseSpecError,
     WienerSpec,
-    events_in_steps,
-    mixture_mark,
-    noise_equal,
     point_mark,
     sample_noise,
-    shift_noise,
     uniform_annulus_mark,
     uniform_interval_mark,
     validate_spec,
@@ -48,6 +46,22 @@ def make_spec(dim=1, with_jumps=True):
                 JumpComponent(0.5, "large", point_mark([1.5] + [0.0] * (dim - 1))),
             )
     return LevyProcessSpec(dim=dim, wiener=WienerSpec(dim, np.eye(dim)), jumps=jumps)
+
+
+_COLUMNS = ("dW", "event_path", "event_step", "event_region", "event_marks", "event_times")
+
+
+def same_sample(a, b) -> bool:
+    """Exact equality of two samples: grids, increments and events."""
+    return (a.h, a.k_lo, a.n_steps) == (b.h, b.k_lo, b.n_steps) and all(
+        np.array_equal(getattr(a, c), getattr(b, c)) for c in _COLUMNS
+    )
+
+
+def path_events(sample, p: int) -> dict:
+    """The event columns of path ``p``."""
+    sel = sample.event_path == p
+    return {c: getattr(sample, c)[sel] for c in _COLUMNS[2:]}
 
 
 # ---------------------------------------------------------------------------
@@ -107,17 +121,58 @@ def test_chunked_sampling_matches_monolithic():
     whole = sample_noise(spec, (-1.0, 2.0), 0.01, 6, seed=123)
     first = sample_noise(spec, (-1.0, 2.0), 0.01, 2, seed=123, path_offset=0)
     rest = sample_noise(spec, (-1.0, 2.0), 0.01, 4, seed=123, path_offset=2)
-    for a, b in zip(whole, first + rest):
-        assert noise_equal(a, b)
-        assert a.seed_key == b.seed_key
+    np.testing.assert_array_equal(whole.dW, np.concatenate([first.dW, rest.dW]))
+    for p in range(6):
+        part, q = (first, p) if p < 2 else (rest, p - 2)
+        mine, theirs = path_events(whole, p), path_events(part, q)
+        assert len(mine["event_step"]) > 0
+        for c in mine:
+            np.testing.assert_array_equal(mine[c], theirs[c])
+
+
+def test_events_are_ordered_by_path_then_time():
+    sample = sample_noise(make_spec(dim=2), (-1.0, 2.0), 0.01, 5, seed=4)
+    order = np.lexsort((sample.event_times, sample.event_path))
+    np.testing.assert_array_equal(order, np.arange(len(order)))
+
+
+def test_stream_layout_is_pinned():
+    """A sha256 of dW and the event columns (path, step, region, marks)
+    of a small sample, taken from the per-path sampler these arrays
+    replaced: correlated 2-d Wiener part, small annulus and large point
+    jumps on both half lines, paths addressed from offset 3.  Any change
+    to the counter-based stream layout changes it."""
+    spec = LevyProcessSpec(
+        dim=2,
+        wiener=WienerSpec(2, np.array([[1.0, 0.3], [0.3, 0.5]])),
+        jumps=(
+            JumpComponent(4.0, "small", uniform_annulus_mark(0.1, 0.6, dim=2)),
+            JumpComponent(1.5, "large", point_mark([1.2, -0.9])),
+        ),
+    )
+    sample = sample_noise(spec, (-1.0, 1.5), 1.0 / 16, 4, seed=2024, path_offset=3)
+    assert sample.dW.shape == (4, 40, 2)
+    assert np.array_equal(np.bincount(sample.event_region), [45, 17])
+    digest = hashlib.sha256()
+    for name, dtype in (
+        ("dW", np.float64),
+        ("event_path", np.int64),
+        ("event_step", np.int64),
+        ("event_region", np.int64),
+        ("event_marks", np.float64),
+    ):
+        digest.update(np.ascontiguousarray(getattr(sample, name), dtype=dtype).tobytes())
+    assert digest.hexdigest() == (
+        "10c230d535387c9657b59fae2edf714c058939d499de752380a28a3ccdfa1f6f"
+    )
 
 
 def test_different_paths_and_seeds_differ():
     spec = make_spec()
-    a, b = sample_noise(spec, (-1.0, 1.0), 0.01, 2, seed=5)
-    assert not np.array_equal(a.dW, b.dW)
-    c = sample_noise(spec, (-1.0, 1.0), 0.01, 1, seed=6)[0]
-    assert not np.array_equal(a.dW, c.dW)
+    ab = sample_noise(spec, (-1.0, 1.0), 0.01, 2, seed=5)
+    assert not np.array_equal(ab.dW[0], ab.dW[1])
+    c = sample_noise(spec, (-1.0, 1.0), 0.01, 1, seed=6)
+    assert not np.array_equal(ab.dW[0], c.dW[0])
 
 
 # ---------------------------------------------------------------------------
@@ -126,35 +181,50 @@ def test_different_paths_and_seeds_differ():
 
 
 def test_shift_zero_is_identity():
-    r = sample_noise(make_spec(), (-1.0, 2.0), 0.01, 1, seed=3)[0]
-    assert noise_equal(r, shift_noise(r, 0.0))
+    r = sample_noise(make_spec(), (-1.0, 2.0), 0.01, 1, seed=3)
+    assert same_sample(r, r.shifted(0.0))
 
 
 @given(m=st.integers(min_value=-150, max_value=150))
 @settings(max_examples=30, deadline=None)
 def test_shift_involution(m):
-    r = sample_noise(make_spec(), (-2.0, 2.0), 0.01, 1, seed=11)[0]
+    r = sample_noise(make_spec(), (-2.0, 2.0), 0.01, 1, seed=11)
     s = m * 0.01
-    assert noise_equal(r, shift_noise(shift_noise(r, s), -s))
+    assert same_sample(r, r.shifted(s).shifted(-s))
 
 
 def test_shift_rebases_grid_and_events():
-    r = sample_noise(make_spec(), (-2.0, 3.0), 0.01, 1, seed=8)[0]
+    r = sample_noise(make_spec(), (-2.0, 3.0), 0.01, 1, seed=8)
     s = 1.0
-    sh = shift_noise(r, s)
-    assert sh.t_lo == pytest.approx(-3.0)
-    assert sh.t_hi == pytest.approx(2.0)
+    sh = r.shifted(s)
+    assert sh.grid[0] == pytest.approx(-3.0)
+    assert sh.grid[-1] == pytest.approx(2.0)
     assert np.array_equal(sh.dW, r.dW)
-    assert np.allclose(sh.jump_times, r.jump_times - s)
-    assert np.array_equal(events_in_steps(sh), events_in_steps(r))
+    assert np.allclose(sh.event_times, r.event_times - s)
+    assert np.array_equal(sh.event_step, r.event_step)
+
+
+def test_shift_crops_to_window_on_integer_steps():
+    r = sample_noise(make_spec(), (-2.0, 3.0), 0.25, 3, seed=8)
+    sh = r.shifted(1.0, window=(-2.0, 1.0))
+    assert (sh.k_lo, sh.n_steps) == (-8, 12)
+    np.testing.assert_array_equal(sh.dW, r.dW[:, 4:16])
+    keep = (r.event_step >= 4) & (r.event_step < 16)
+    assert 0 < keep.sum() < len(keep)
+    np.testing.assert_array_equal(sh.event_step, r.event_step[keep] - 4)
+    np.testing.assert_array_equal(sh.event_path, r.event_path[keep])
+    np.testing.assert_array_equal(sh.event_marks, r.event_marks[keep])
+    grid = sh.grid
+    assert np.all(grid[sh.event_step] <= sh.event_times)
+    assert np.all(sh.event_times < grid[sh.event_step + 1])
 
 
 def test_shift_rejects_off_grid_and_escaping_window():
-    r = sample_noise(make_spec(), (-1.0, 1.0), 0.01, 1, seed=8)[0]
+    r = sample_noise(make_spec(), (-1.0, 1.0), 0.01, 1, seed=8)
     with pytest.raises(NoiseShiftError, match="multiple"):
-        shift_noise(r, 0.005)
+        r.shifted(0.005)
     with pytest.raises(NoiseShiftError, match="not contained"):
-        shift_noise(r, 0.5, window=(-1.0, 1.0))
+        r.shifted(0.5, window=(-1.0, 1.0))
 
 
 def test_shifted_brownian_increments_same_law():
@@ -162,11 +232,11 @@ def test_shifted_brownian_increments_same_law():
     # increments of an independent path, 1% level
     spec = LevyProcessSpec(dim=1, wiener=WienerSpec(1, np.eye(1)))
     h = 1e-3
-    a = sample_noise(spec, (-1.0, 9.0), h, 1, seed=21)[0]
-    b = sample_noise(spec, (-5.0, 5.0), h, 1, seed=22)[0]
-    bs = shift_noise(b, -4.0, window=(-1.0, 9.0))
-    x = np.sort(a.dW[:, 0])
-    y = np.sort(bs.dW[:, 0])
+    a = sample_noise(spec, (-1.0, 9.0), h, 1, seed=21)
+    b = sample_noise(spec, (-5.0, 5.0), h, 1, seed=22)
+    bs = b.shifted(-4.0, window=(-1.0, 9.0))
+    x = np.sort(a.dW[0, :, 0])
+    y = np.sort(bs.dW[0, :, 0])
     n, m = len(x), len(y)
     grid = np.concatenate([x, y])
     cdf_x = np.searchsorted(x, grid, side="right") / n
@@ -185,7 +255,7 @@ def test_wiener_increment_covariance():
     spec = LevyProcessSpec(dim=2, wiener=WienerSpec(2, q))
     h = 0.01
     rs = sample_noise(spec, (-1.0, 1.0), h, 50, seed=99)
-    incs = np.concatenate([r.dW for r in rs], axis=0)
+    incs = rs.dW.reshape(-1, 2)
     emp = incs.T @ incs / len(incs)
     assert np.allclose(emp, q * h, atol=4 * h / np.sqrt(len(incs)))
 
@@ -193,10 +263,10 @@ def test_wiener_increment_covariance():
 def test_two_sided_halves_independent():
     spec = LevyProcessSpec(dim=1, wiener=WienerSpec(1, np.eye(1)))
     rs = sample_noise(spec, (-1.0, 1.0), 0.01, 4000, seed=17)
-    neg = np.array([r.dW[:100, 0].sum() for r in rs])
-    pos = np.array([r.dW[100:, 0].sum() for r in rs])
+    neg = rs.dW[:, :100, 0].sum(axis=1)
+    pos = rs.dW[:, 100:, 0].sum(axis=1)
     rho = np.corrcoef(neg, pos)[0, 1]
-    assert abs(rho) < 4 / np.sqrt(len(rs))
+    assert abs(rho) < 4 / np.sqrt(rs.n_paths)
 
 
 def test_poisson_counts_both_halves():
@@ -204,10 +274,11 @@ def test_poisson_counts_both_halves():
         dim=1, jumps=(JumpComponent(3.0, "small", uniform_interval_mark(0.1, 0.6)),)
     )
     rs = sample_noise(spec, (-2.0, 4.0), 0.01, 2000, seed=31)
-    neg_counts = np.array([(r.jump_times < 0).sum() for r in rs])
-    pos_counts = np.array([(r.jump_times >= 0).sum() for r in rs])
+    neg = rs.event_times < 0
+    neg_counts = np.bincount(rs.event_path[neg], minlength=rs.n_paths)
+    pos_counts = np.bincount(rs.event_path[~neg], minlength=rs.n_paths)
     for counts, lam in ((neg_counts, 6.0), (pos_counts, 12.0)):
-        se = np.sqrt(lam / len(rs))
+        se = np.sqrt(lam / rs.n_paths)
         assert abs(counts.mean() - lam) < 4 * se
         assert abs(counts.var() / lam - 1.0) < 0.2
 
@@ -217,7 +288,7 @@ def test_jump_times_uniform_given_count():
         dim=1, jumps=(JumpComponent(5.0, "small", point_mark([0.3])),)
     )
     rs = sample_noise(spec, (0.0, 2.0), 0.01, 500, seed=41)
-    times = np.concatenate([r.jump_times for r in rs])
+    times = rs.event_times
     # mean of U(0, 2) is 1, sd is 2/sqrt(12)
     assert abs(times.mean() - 1.0) < 4 * (2 / np.sqrt(12)) / np.sqrt(len(times))
     assert times.min() >= 0.0 and times.max() < 2.0
@@ -234,12 +305,6 @@ def test_mark_sampler_moments_match_oracles():
     d2 = ann.draw(gen, 20000)
     assert np.linalg.norm(d2.mean(axis=0)) < 0.02
     assert abs((d2**2).sum(axis=1).mean() - 0.5033333333) < 0.01
-
-    mix = mixture_mark([(0.25, point_mark([0.1])), (0.75, point_mark([0.4]))])
-    dm = mix.draw(gen, 20000)[:, 0]
-    frac = (dm == 0.1).mean()
-    assert abs(frac - 0.25) < 4 * np.sqrt(0.25 * 0.75 / len(dm))
-    assert np.allclose(mix.mean(), [0.325])
 
 
 def test_quadrature_nodes_integrate_second_moment():
@@ -282,9 +347,9 @@ def test_draws_respect_norm_bounds(a, width):
     assert norms.min() >= rmin - 1e-12
 
 
-def test_events_in_steps_bins_correctly():
-    r = sample_noise(make_spec(), (-1.0, 1.0), 0.25, 1, seed=55)[0]
-    ks = events_in_steps(r)
+def test_event_steps_bin_correctly():
+    r = sample_noise(make_spec(), (-1.0, 1.0), 0.25, 1, seed=55)
     grid = r.grid
-    for k, tau in zip(ks, r.jump_times):
+    assert len(r.event_step) > 0
+    for k, tau in zip(r.event_step, r.event_times):
         assert grid[k] <= tau < grid[k + 1]

@@ -23,18 +23,17 @@ from levyap.dichotomy import DichotomousSystem
 from levyap.noise import (
     JumpComponent,
     LevyProcessSpec,
+    NoiseSpecError,
     WienerSpec,
-    events_in_steps,
     point_mark,
+    sample_noise,
     uniform_annulus_mark,
     uniform_interval_mark,
 )
 from levyap.solver import (
     ConditionReport,
-    NoiseSample,
     PathEnsemble,
     SolverError,
-    _flatten_events,
     _Plan,
     _scan_block,
     apply_S,
@@ -227,24 +226,17 @@ class TestPathEnsemble:
 
 class TestNoiseSample:
     def test_requires_paths(self):
-        with pytest.raises(SolverError):
-            NoiseSample(benchmark_spec(), ())
-
-    def test_requires_shared_grid(self):
-        spec = wiener_only_spec()
-        a = NoiseSample.sample(spec, (0.0, 1.0), 0.25, 1, seed=1).paths[0]
-        b = NoiseSample.sample(spec, (0.0, 2.0), 0.25, 1, seed=1).paths[0]
-        with pytest.raises(SolverError):
-            NoiseSample(spec, (a, b))
+        with pytest.raises(NoiseSpecError, match="at least one path"):
+            sample_noise(benchmark_spec(), (-1.0, 1.0), 0.25, 0, seed=1)
 
     def test_shifted_all_paths(self):
         spec = benchmark_spec()
-        sample = NoiseSample.sample(spec, (-1.0, 2.0), 0.25, 3, seed=9)
+        sample = sample_noise(spec, (-1.0, 2.0), 0.25, 3, seed=9)
         shifted = sample.shifted(1.0)
         assert shifted.n_paths == 3
-        assert shifted.paths[0].t_lo == -2.0
-        assert shifted.paths[0].t_hi == 1.0
-        np.testing.assert_array_equal(shifted.paths[1].dW, sample.paths[1].dW)
+        assert shifted.grid[0] == -2.0
+        assert shifted.grid[-1] == 1.0
+        np.testing.assert_array_equal(shifted.dW, sample.dW)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +247,7 @@ class TestNoiseSample:
 class TestSimulateMild:
     def test_zero_coefficients_reproduce_linear_flow(self):
         sysd = scalar_system(1.0)
-        noise = NoiseSample.sample(wiener_only_spec(), (0.0, 2.0), 1.0 / 64, 3, seed=5)
+        noise = sample_noise(wiener_only_spec(), (0.0, 2.0), 1.0 / 64, 3, seed=5)
         ens = simulate_mild(sysd, zero_coefficients(1, 1), noise, np.array([2.0]))
         expected = 2.0 * np.exp(-noise.grid)
         assert np.abs(ens.values[:, :, 0] - expected).max() < 1e-12
@@ -287,21 +279,24 @@ class TestSimulateMild:
             lipschitz=Fraction(1, 2),
         )
         h = 1.0 / 16
-        noise = NoiseSample.sample(spec, (0.0, 0.5), h, 2, seed=3)
+        noise = sample_noise(spec, (0.0, 0.5), h, 2, seed=3)
         ens = simulate_mild(sysd, cs, noise, np.array([0.7]))
 
         exp_ah = matrix_exp(sysd.a, h)
-        for p, r in enumerate(noise.paths):
+        for p in range(noise.n_paths):
             y = np.array([[0.7]])
-            steps = events_in_steps(r)
-            for k in range(r.n_steps):
-                t = r.grid[k]
+            mine = noise.event_path == p
+            steps = noise.event_step[mine]
+            marks = noise.event_marks[mine]
+            regions = noise.event_region[mine]
+            for k in range(noise.n_steps):
+                t = noise.grid[k]
                 inc = eval_drift(cs, t, y) * h
-                inc += eval_diffusion(cs, t, y)[:, :, 0] * r.dW[k]
+                inc += eval_diffusion(cs, t, y)[:, :, 0] * noise.dW[p, k]
                 inc -= h * small_jump_compensator(cs, spec, t, y)
                 for e in np.nonzero(steps == k)[0]:
-                    x = r.jump_marks[e : e + 1]
-                    if r.jump_regions[e] == 0:
+                    x = marks[e : e + 1]
+                    if regions[e] == 0:
                         inc += eval_jump_small(cs, np.array([t]), y, x)
                     else:
                         inc += eval_jump_large(cs, np.array([t]), y, x)
@@ -310,7 +305,7 @@ class TestSimulateMild:
 
     def test_blow_up_reports_path_and_time(self):
         sysd = scalar_system(1.0)
-        noise = NoiseSample.sample(wiener_only_spec(), (0.0, 1.0), 0.25, 2, seed=1)
+        noise = sample_noise(wiener_only_spec(), (0.0, 1.0), 0.25, 2, seed=1)
         cs = constant_drift_coefficients(0.0, 0.0)
         huge = CoefficientSet(
             dim_state=1,
@@ -326,7 +321,7 @@ class TestSimulateMild:
 
     def test_shape_validation(self):
         sysd = scalar_system(1.0)
-        noise = NoiseSample.sample(wiener_only_spec(), (0.0, 1.0), 0.25, 2, seed=1)
+        noise = sample_noise(wiener_only_spec(), (0.0, 1.0), 0.25, 2, seed=1)
         with pytest.raises(SolverError):
             simulate_mild(sysd, zero_coefficients(1, 1), noise, np.zeros(3))
         with pytest.raises(SolverError):
@@ -340,7 +335,7 @@ class TestSimulateMild:
         h = 1.0 / 64
         sysd = scalar_system(a)
         cs = ou_forced_coefficients(amplitude=1.0, sigma=sigma)
-        noise = NoiseSample.sample(wiener_only_spec(), (0.0, 16.0), h, m_paths, seed=21)
+        noise = sample_noise(wiener_only_spec(), (0.0, 16.0), h, m_paths, seed=21)
         ens = simulate_mild(sysd, cs, noise, np.zeros(1))
 
         grid = ens.grid
@@ -366,17 +361,16 @@ class TestSimulateMild:
 # ---------------------------------------------------------------------------
 
 
-def _random_ensemble(noise: NoiseSample, dim: int, seed: int, scale=1.0) -> PathEnsemble:
+def _random_ensemble(noise, dim: int, seed: int, scale=1.0) -> PathEnsemble:
     gen = np.random.default_rng(seed)
-    r = noise.paths[0]
-    vals = scale * gen.normal(size=(noise.n_paths, r.n_steps + 1, dim))
-    return PathEnsemble(h=r.h, k_lo=r.k_lo, values=vals)
+    vals = scale * gen.normal(size=(noise.n_paths, noise.n_steps + 1, dim))
+    return PathEnsemble(h=noise.h, k_lo=noise.k_lo, values=vals)
 
 
 class TestApplyS:
     def test_zero_coefficients_map_to_zero(self):
         sysd = benchmark_system()
-        noise = NoiseSample.sample(benchmark_spec(), (-2.0, 2.0), 1.0 / 64, 4, seed=2)
+        noise = sample_noise(benchmark_spec(), (-2.0, 2.0), 1.0 / 64, 4, seed=2)
         ens = _random_ensemble(noise, 2, seed=0)
         out, report = apply_S(sysd, zero_coefficients(2, 1), noise, ens, truncation=1.0)
         assert np.abs(out.values).max() == 0.0
@@ -391,7 +385,7 @@ class TestApplyS:
         c1, c2 = 0.7, -1.3
         sysd = benchmark_system()
         t_c = 1.5
-        noise = NoiseSample.sample(benchmark_spec(), (-2.0, 4.0), 1.0 / 64, 3, seed=4)
+        noise = sample_noise(benchmark_spec(), (-2.0, 4.0), 1.0 / 64, 3, seed=4)
         res = picard_solve(
             sysd, constant_drift_coefficients(c1, c2), noise, tol=1e-26, truncation=t_c
         )
@@ -406,7 +400,7 @@ class TestApplyS:
     def test_larger_truncation_tightens_constant_drift_error(self):
         c1, c2 = 1.0, 1.0
         sysd = benchmark_system()
-        noise = NoiseSample.sample(benchmark_spec(), (-4.0, 4.0), 1.0 / 32, 2, seed=4)
+        noise = sample_noise(benchmark_spec(), (-4.0, 4.0), 1.0 / 32, 2, seed=4)
         errs = []
         for t_c in (0.5, 1.0, 2.0):
             res = picard_solve(
@@ -424,7 +418,7 @@ class TestApplyS:
         """The mean-square contraction factor of the benchmark preset is
         eta = 5/48; the discrete operator must respect it."""
         sysd = benchmark_system()
-        noise = NoiseSample.sample(benchmark_spec(), (-2.0, 2.0), 1.0 / 128, 32, seed=8)
+        noise = sample_noise(benchmark_spec(), (-2.0, 2.0), 1.0 / 128, 32, seed=8)
         eta = float(check_conditions(1, 6, Fraction(1, 64), 1).eta)
         for seed in (1, 2):
             y1 = _random_ensemble(noise, 2, seed=10 + seed)
@@ -449,7 +443,7 @@ class TestApplyS:
             jump_large=((CoefficientTerm(0.05, "const", mark_weights=(1.0,)),), ()),
             lipschitz=Fraction(1, 2),
         )
-        noise = NoiseSample.sample(benchmark_spec(), (-2.0, 4.0), 1.0 / 32, 5, seed=14)
+        noise = sample_noise(benchmark_spec(), (-2.0, 4.0), 1.0 / 32, 5, seed=14)
         ens = _random_ensemble(noise, 2, seed=3)
         out, _ = apply_S(sysd, cs, noise, ens, truncation=1.0)
 
@@ -481,7 +475,7 @@ class TestApplyS:
             jump_large=((),),
             lipschitz=base.lipschitz,
         )
-        noise = NoiseSample.sample(wiener_only_spec(), (-4.0, 4.0), 1.0 / 32, 4, seed=6)
+        noise = sample_noise(wiener_only_spec(), (-4.0, 4.0), 1.0 / 32, 4, seed=6)
         ens = _random_ensemble(noise, 1, seed=5)
         out, _ = apply_S(sysd, base, noise, ens, truncation=2.0)
 
@@ -492,7 +486,7 @@ class TestApplyS:
 
     def test_chunking_is_bit_identical(self):
         sysd = benchmark_system()
-        noise = NoiseSample.sample(benchmark_spec(), (-1.0, 2.0), 1.0 / 64, 7, seed=11)
+        noise = sample_noise(benchmark_spec(), (-1.0, 2.0), 1.0 / 64, 7, seed=11)
         ens = _random_ensemble(noise, 2, seed=1)
         cs = example41_coefficients()
         full, _ = apply_S(sysd, cs, noise, ens, truncation=0.5)
@@ -502,17 +496,17 @@ class TestApplyS:
 
     def test_validation_errors(self):
         sysd = benchmark_system()
-        noise = NoiseSample.sample(benchmark_spec(), (-1.0, 1.0), 1.0 / 32, 2, seed=0)
+        noise = sample_noise(benchmark_spec(), (-1.0, 1.0), 1.0 / 32, 2, seed=0)
         ens = _random_ensemble(noise, 2, seed=0)
         cs = example41_coefficients()
         with pytest.raises(SolverError, match="too narrow"):
             apply_S(sysd, cs, noise, ens, truncation=1.5)
         with pytest.raises(SolverError, match="multiple of the step"):
             apply_S(sysd, cs, noise, ens, truncation=0.52)
-        other = NoiseSample.sample(benchmark_spec(), (-1.0, 2.0), 1.0 / 32, 2, seed=0)
+        other = sample_noise(benchmark_spec(), (-1.0, 2.0), 1.0 / 32, 2, seed=0)
         with pytest.raises(SolverError, match="grids do not match"):
             apply_S(sysd, cs, other, ens, truncation=0.5)
-        three = NoiseSample.sample(benchmark_spec(), (-1.0, 1.0), 1.0 / 32, 3, seed=0)
+        three = sample_noise(benchmark_spec(), (-1.0, 1.0), 1.0 / 32, 3, seed=0)
         with pytest.raises(SolverError, match="path counts"):
             apply_S(sysd, cs, three, ens, truncation=0.5)
         plan = _Plan.build(sysd, cs, noise, 0.5)
@@ -527,7 +521,7 @@ class TestApplyS:
         system, coefficients, spec = _ORACLE_CASES[case]
         sysd, h, window = system()
         d = sysd.dim
-        noise = NoiseSample.sample(spec(), window, h, 3, seed=23)
+        noise = sample_noise(spec(), window, h, 3, seed=23)
         ens = _random_ensemble(noise, d, seed=4)
         cs = coefficients(d)
         out, _ = apply_S(sysd, cs, noise, ens, truncation=1.0)
@@ -558,7 +552,7 @@ class TestApplyS:
                 ),
             ),
         )
-        noise = NoiseSample.sample(spec, (-2.0, 2.0), 1.0 / 32, 3, seed=17)
+        noise = sample_noise(spec, (-2.0, 2.0), 1.0 / 32, 3, seed=17)
         res = picard_solve(sysd, cs, noise, tol=1e-18, truncation=1.0)
         assert res.converged
         assert res.ensemble.values.shape == (3, 129, n_modes)
@@ -573,7 +567,7 @@ class TestApplyS:
 class TestPicard:
     def test_zero_coefficients_converge_immediately(self):
         sysd = benchmark_system()
-        noise = NoiseSample.sample(benchmark_spec(), (-1.0, 1.0), 1.0 / 32, 3, seed=1)
+        noise = sample_noise(benchmark_spec(), (-1.0, 1.0), 1.0 / 32, 3, seed=1)
         res = picard_solve(sysd, zero_coefficients(2, 1), noise, truncation=0.5)
         assert res.converged and res.iterations == 1
         assert res.gap_trace[0]["gap"] == 0.0
@@ -581,7 +575,7 @@ class TestPicard:
 
     def test_trace_record_shape(self):
         sysd = benchmark_system()
-        noise = NoiseSample.sample(benchmark_spec(), (-1.0, 2.0), 1.0 / 64, 8, seed=3)
+        noise = sample_noise(benchmark_spec(), (-1.0, 2.0), 1.0 / 64, 8, seed=3)
         res = picard_solve(
             sysd, example41_coefficients(), noise, tol=1e-20, truncation=1.0
         )
@@ -595,7 +589,7 @@ class TestPicard:
 
     def test_gap_ratios_below_contraction_factor(self):
         sysd = benchmark_system()
-        noise = NoiseSample.sample(benchmark_spec(), (-2.0, 3.0), 1.0 / 128, 48, seed=7)
+        noise = sample_noise(benchmark_spec(), (-2.0, 3.0), 1.0 / 128, 48, seed=7)
         res = picard_solve(
             sysd, example41_coefficients(), noise, tol=1e-24, truncation=1.5
         )
@@ -611,22 +605,22 @@ class TestPicard:
         the zero ensemble."""
         sysd = benchmark_system()
         cs = example41_coefficients()
-        noise = NoiseSample.sample(benchmark_spec(), (-1.0, 2.0), 1.0 / 64, 4, seed=3)
+        noise = sample_noise(benchmark_spec(), (-1.0, 2.0), 1.0 / 64, 4, seed=3)
         res = picard_solve(sysd, cs, noise, tol=1e-30, max_iter=2, truncation=1.0)
         assert not res.converged
         assert res.iterations == 2
         zero = np.zeros((4, noise.n_steps + 1, 2))
-        ens = PathEnsemble(h=noise.h, k_lo=noise.paths[0].k_lo, values=zero)
+        ens = PathEnsemble(h=noise.h, k_lo=noise.k_lo, values=zero)
         for _ in range(2):
             ens, _ = apply_S(sysd, cs, noise, ens, truncation=1.0)
         np.testing.assert_array_equal(res.ensemble.values, ens.values)
 
     def test_plan_is_built_once_per_solve(self, monkeypatch):
-        """The modal halves (one Schur form each) and the event arrays
-        are built once per solve, not once per iteration."""
+        """The plan and its modal halves (one Schur form each) are built
+        once per solve, not once per iteration."""
         import levyap.solver as solver_module
 
-        calls = {"schur": 0, "events": 0}
+        calls = {"schur": 0, "plan": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -637,20 +631,20 @@ class TestPicard:
 
         monkeypatch.setattr(solver_module, "schur", counted("schur", solver_module.schur))
         monkeypatch.setattr(
-            solver_module, "_flatten_events", counted("events", solver_module._flatten_events)
+            solver_module._Plan, "build", counted("plan", solver_module._Plan.build)
         )
         sysd = benchmark_system()  # one stable and one unstable half
-        noise = NoiseSample.sample(benchmark_spec(), (-1.0, 2.0), 1.0 / 64, 5, seed=3)
+        noise = sample_noise(benchmark_spec(), (-1.0, 2.0), 1.0 / 64, 5, seed=3)
         res = picard_solve(
             sysd, example41_coefficients(), noise, tol=1e-30, max_iter=4, truncation=1.0,
             chunk_paths=2, threads=2,
         )
         assert res.iterations == 4
-        assert calls == {"schur": 2, "events": 1}
+        assert calls == {"schur": 2, "plan": 1}
 
     def test_fixed_point_self_consistency(self):
         sysd = benchmark_system()
-        noise = NoiseSample.sample(benchmark_spec(), (-2.0, 2.0), 1.0 / 64, 16, seed=9)
+        noise = sample_noise(benchmark_spec(), (-2.0, 2.0), 1.0 / 64, 16, seed=9)
         res = picard_solve(
             sysd, example41_coefficients(), noise, tol=1e-24, truncation=1.0
         )
@@ -662,19 +656,19 @@ class TestPicard:
 
     def test_default_truncation_is_twelve_over_omega(self):
         sysd = benchmark_system()
-        noise = NoiseSample.sample(benchmark_spec(), (-2.0, 3.0), 1.0 / 32, 2, seed=2)
+        noise = sample_noise(benchmark_spec(), (-2.0, 3.0), 1.0 / 32, 2, seed=2)
         res = picard_solve(sysd, example41_coefficients(), noise, tol=1e-12)
         assert res.tail_report["truncation"] == pytest.approx(2.0)
-        narrow = NoiseSample.sample(benchmark_spec(), (-1.0, 1.0), 1.0 / 32, 2, seed=2)
+        narrow = sample_noise(benchmark_spec(), (-1.0, 1.0), 1.0 / 32, 2, seed=2)
         with pytest.raises(SolverError, match="too narrow"):
             picard_solve(sysd, example41_coefficients(), narrow, tol=1e-12)
 
     def test_noise_determinism_and_sensitivity(self):
         sysd = benchmark_system()
         cs = example41_coefficients()
-        a = NoiseSample.sample(benchmark_spec(), (-1.0, 2.0), 1.0 / 64, 6, seed=5)
-        b = NoiseSample.sample(benchmark_spec(), (-1.0, 2.0), 1.0 / 64, 6, seed=5)
-        c = NoiseSample.sample(benchmark_spec(), (-1.0, 2.0), 1.0 / 64, 6, seed=6)
+        a = sample_noise(benchmark_spec(), (-1.0, 2.0), 1.0 / 64, 6, seed=5)
+        b = sample_noise(benchmark_spec(), (-1.0, 2.0), 1.0 / 64, 6, seed=5)
+        c = sample_noise(benchmark_spec(), (-1.0, 2.0), 1.0 / 64, 6, seed=6)
         ra = picard_solve(sysd, cs, a, tol=1e-18, truncation=1.0)
         rb = picard_solve(sysd, cs, b, tol=1e-18, truncation=1.0)
         rc = picard_solve(sysd, cs, c, tol=1e-18, truncation=1.0)
@@ -683,7 +677,7 @@ class TestPicard:
 
     def test_chunked_solve_is_bit_identical(self):
         sysd = benchmark_system()
-        noise = NoiseSample.sample(benchmark_spec(), (-1.0, 2.0), 1.0 / 64, 5, seed=13)
+        noise = sample_noise(benchmark_spec(), (-1.0, 2.0), 1.0 / 64, 5, seed=13)
         cs = example41_coefficients()
         full = picard_solve(sysd, cs, noise, tol=1e-18, truncation=1.0)
         part = picard_solve(sysd, cs, noise, tol=1e-18, truncation=1.0, chunk_paths=2)
@@ -695,7 +689,7 @@ class TestPicard:
         workers than cores and frequent thread switches must not change
         a bit."""
         sysd = benchmark_system()
-        noise = NoiseSample.sample(benchmark_spec(), (-1.0, 2.0), 1.0 / 64, 11, seed=19)
+        noise = sample_noise(benchmark_spec(), (-1.0, 2.0), 1.0 / 64, 11, seed=19)
         cs = example41_coefficients()
         full = picard_solve(sysd, cs, noise, tol=1e-18, truncation=1.0)
         interval = sys.getswitchinterval()
@@ -712,7 +706,7 @@ class TestPicard:
 
     def test_invalid_arguments(self):
         sysd = benchmark_system()
-        noise = NoiseSample.sample(benchmark_spec(), (-1.0, 1.0), 1.0 / 32, 2, seed=1)
+        noise = sample_noise(benchmark_spec(), (-1.0, 1.0), 1.0 / 32, 2, seed=1)
         with pytest.raises(SolverError):
             picard_solve(sysd, example41_coefficients(), noise, tol=0.0, truncation=0.5)
         with pytest.raises(SolverError):
@@ -724,7 +718,7 @@ class TestPicard:
         """Mean-square continuity of the fixed point: increments over lag
         delta are bounded by C * delta and trend monotonically."""
         sysd = benchmark_system()
-        noise = NoiseSample.sample(benchmark_spec(), (-2.0, 2.0), 1.0 / 128, 64, seed=15)
+        noise = sample_noise(benchmark_spec(), (-2.0, 2.0), 1.0 / 128, 64, seed=15)
         res = picard_solve(
             sysd, example41_coefficients(), noise, tol=1e-20, truncation=1.0
         )
@@ -895,14 +889,13 @@ def _recursion_oracle(sysd, cs, noise, ens, truncation):
     y = np.ascontiguousarray(np.swapaxes(ens.values[:, :-1, :], 0, 1))  # (n, q, d)
     f = eval_drift(cs, ts, y)
     g = eval_diffusion(cs, ts, y)
-    dw = np.stack([r.dW for r in noise.paths], axis=1)
+    dw = np.swapaxes(noise.dW, 0, 1)  # (n, q, dim W)
     stoch = np.einsum("nqdw,nqw->nqd", g, dw)
     stoch -= h * small_jump_compensator(cs, noise.spec, ts, y)
-    ev_path, ev_step, ev_region, ev_marks = _flatten_events(noise)
-    for e in range(len(ev_path)):
-        p, k = ev_path[e], ev_step[e]
-        jump = eval_jump_small if ev_region[e] == 0 else eval_jump_large
-        stoch[k, p] += jump(cs, grid[k : k + 1], y[k, p][None], ev_marks[e : e + 1])[0]
+    for e in range(len(noise.event_path)):
+        p, k = noise.event_path[e], noise.event_step[e]
+        jump = eval_jump_small if noise.event_region[e] == 0 else eval_jump_large
+        stoch[k, p] += jump(cs, grid[k : k + 1], y[k, p][None], noise.event_marks[e : e + 1])[0]
 
     inc_p = f @ ker_p.T + stoch @ prop_p.T
     inc_j = f @ ker_j.T + stoch @ sysd.j.T
