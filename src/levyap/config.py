@@ -1,6 +1,8 @@
-"""Run configuration: typed config dataclasses, exact-rational JSON
-round-trip, named presets and builders that turn a config into the
-systems, noise specs and coefficient sets the solver consumes.
+"""Run configuration: typed config dataclasses, one field table per
+config section that drives the JSON parse, the JSON echo and the
+rejection of unknown keys, named presets and builders that turn a
+config into the systems, noise specs and coefficient sets the solver
+consumes.
 
 Numbers anywhere in a config may be written as JSON numbers or as exact
 rational strings "p/q"; rationals survive serialize/parse round trips
@@ -9,12 +11,13 @@ unchanged, so condition checks stay exact end to end.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
-from typing import Optional, Union
+from typing import Any, Callable, Optional, Union
 
 import numpy as np
 
@@ -45,18 +48,20 @@ __all__ = [
     "JumpConfig",
     "LevyConfig",
     "SystemConfig",
+    "GalerkinConfig",
     "TermConfig",
     "CustomCoefficients",
     "CoefficientConfig",
     "NumericsConfig",
     "AnalysisConfig",
     "RunConfig",
+    "Field",
+    "FIELD_TABLES",
     "parse_number",
     "number_to_json",
     "config_from_dict",
     "config_to_dict",
     "load_config",
-    "save_config",
     "preset_names",
     "preset_config",
     "build_system",
@@ -111,18 +116,6 @@ def number_to_json(x: Number):
     return float(x)
 
 
-def _num_list(obj, name: str) -> tuple[Number, ...]:
-    if not isinstance(obj, (list, tuple)):
-        raise ConfigError(f"{name}: expected a list of numbers")
-    return tuple(parse_number(v, f"{name}[{i}]") for i, v in enumerate(obj))
-
-
-def _num_matrix(obj, name: str) -> tuple[tuple[Number, ...], ...]:
-    if not isinstance(obj, (list, tuple)) or not obj:
-        raise ConfigError(f"{name}: expected a matrix as a list of rows")
-    return tuple(_num_list(row, f"{name}[{i}]") for i, row in enumerate(obj))
-
-
 def _as_float_matrix(m: tuple[tuple[Number, ...], ...]) -> np.ndarray:
     return np.array([[float(v) for v in row] for row in m], dtype=float)
 
@@ -171,20 +164,25 @@ class LevyConfig:
 
 
 @dataclass(frozen=True)
-class SystemConfig:
-    """Either explicit (A, P, K, omega) or a derived spectral form.
+class GalerkinConfig:
+    """Spectral form of the system: the generator is the diagonal of
+    shifted square eigenvalues a0 - k^2 (k = 0..n_modes-1), the projection
+    splits by sign, and (K, omega) are fitted from sampled propagator
+    norms."""
 
-    ``galerkin`` holds {"n_modes": m, "a0": shift}: the generator is the
-    diagonal of shifted square eigenvalues a0 - k^2 (k = 0..m-1), the
-    projection splits by sign, and (K, omega) are fitted from sampled
-    propagator norms.
-    """
+    n_modes: int
+    a0: Number
+
+
+@dataclass(frozen=True)
+class SystemConfig:
+    """Either explicit (A, P, K, omega) or a derived spectral form."""
 
     a: Optional[tuple[tuple[Number, ...], ...]] = None
     p: Optional[tuple[tuple[Number, ...], ...]] = None
     k: Optional[Number] = None
     omega: Optional[Number] = None
-    galerkin: Optional[dict] = None
+    galerkin: Optional[GalerkinConfig] = None
 
 
 @dataclass(frozen=True)
@@ -247,280 +245,251 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# dict <-> dataclass
+# field tables: one row per key drives parse, echo and unknown-key rejection
 # ---------------------------------------------------------------------------
 
-
-def _mark_from(d: dict) -> MarkConfig:
-    if not isinstance(d, dict) or "kind" not in d:
-        raise ConfigError("marks: expected an object with a 'kind'")
-    kind = d["kind"]
-    return MarkConfig(
-        kind=kind,
-        x=_num_list(d["x"], "marks.x") if "x" in d else None,
-        a=parse_number(d["a"], "marks.a") if "a" in d else None,
-        b=parse_number(d["b"], "marks.b") if "b" in d else None,
-        r0=parse_number(d["r0"], "marks.r0") if "r0" in d else None,
-        r1=parse_number(d["r1"], "marks.r1") if "r1" in d else None,
-        dim=int(d["dim"]) if "dim" in d else None,
-    )
+_REQUIRED = object()
 
 
-def _mark_to(m: MarkConfig) -> dict:
-    out: dict = {"kind": m.kind}
-    if m.x is not None:
-        out["x"] = [number_to_json(v) for v in m.x]
-    for key in ("a", "b", "r0", "r1"):
-        v = getattr(m, key)
-        if v is not None:
-            out[key] = number_to_json(v)
-    if m.dim is not None:
-        out["dim"] = m.dim
+@dataclass(frozen=True)
+class Codec:
+    """Reads one JSON value (``parse(obj, path)``) and writes it back."""
+
+    parse: Callable[[Any, str], Any]
+    write: Callable[[Any], Any]
+
+
+@dataclass(frozen=True)
+class Field:
+    """One key of a config section.
+
+    ``default`` is ``_REQUIRED`` for a required key.  A JSON null on a
+    key whose default is None reads as absent.  The echo leaves out an
+    optional key holding its default unless ``echo_default`` is set.
+    """
+
+    key: str
+    codec: Codec
+    default: Any = _REQUIRED
+    echo_default: bool = False
+
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _as_object(obj, path: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path or 'config'}: expected a JSON object, got {obj!r}")
+    return obj
+
+
+def _as_list(obj, path: str):
+    if not isinstance(obj, (list, tuple)):
+        raise ConfigError(f"{path}: expected a list, got {obj!r}")
+    return obj
+
+
+def _parse_int(obj, path: str) -> int:
+    if isinstance(obj, bool) or not isinstance(obj, int):
+        raise ConfigError(f"{path}: expected an integer, got {obj!r}")
+    return obj
+
+
+def _parse_str(obj, path: str) -> str:
+    if not isinstance(obj, str):
+        raise ConfigError(f"{path}: expected a string, got {obj!r}")
+    return obj
+
+
+def _parse_fields(obj, path: str, fields: tuple[Field, ...]) -> dict:
+    obj = _as_object(obj, path)
+    known = [f.key for f in fields]
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise ConfigError(
+            f"{', '.join(_join(path, k) for k in unknown)}: unknown "
+            f"key{'s' if len(unknown) > 1 else ''}; known keys: {', '.join(known)}"
+        )
+    out = {}
+    for f in fields:
+        value = obj.get(f.key)
+        if value is None and (f.key not in obj or f.default is None):
+            if f.default is _REQUIRED:
+                raise ConfigError(f"{_join(path, f.key)}: required key is missing")
+            out[f.key] = copy.copy(f.default)
+        else:
+            out[f.key] = f.codec.parse(value, _join(path, f.key))
     return out
 
 
-def _term_from(d: dict, name: str) -> TermConfig:
-    if not isinstance(d, dict) or "scale" not in d or "kernel" not in d:
-        raise ConfigError(f"{name}: term needs 'scale' and 'kernel'")
-    return TermConfig(
-        scale=parse_number(d["scale"], f"{name}.scale"),
-        kernel=str(d["kernel"]),
-        coord=int(d.get("coord", 0)),
-        outer=d.get("outer"),
-        inner=d.get("inner"),
-        mark_weights=(
-            _num_list(d["mark_weights"], f"{name}.mark_weights")
-            if d.get("mark_weights") is not None
-            else None
-        ),
-    )
-
-
-def _term_to(t: TermConfig) -> dict:
-    out: dict = {"scale": number_to_json(t.scale), "kernel": t.kernel}
-    if t.coord:
-        out["coord"] = t.coord
-    if t.outer is not None:
-        out["outer"] = t.outer
-    if t.inner is not None:
-        out["inner"] = t.inner
-    if t.mark_weights is not None:
-        out["mark_weights"] = [number_to_json(v) for v in t.mark_weights]
+def _write_fields(value, fields: tuple[Field, ...]) -> dict:
+    out = {}
+    for f in fields:
+        v = getattr(value, f.key)
+        if f.default is _REQUIRED or f.echo_default or v != f.default:
+            out[f.key] = f.codec.write(v)
     return out
 
 
-def _terms_vector_from(obj, name: str) -> tuple[tuple[TermConfig, ...], ...]:
-    if not isinstance(obj, (list, tuple)):
-        raise ConfigError(f"{name}: expected a list (one term list per coordinate)")
-    return tuple(
-        tuple(_term_from(t, f"{name}[{i}]") for t in row) for i, row in enumerate(obj)
+def _section(cls, fields: tuple[Field, ...]) -> Codec:
+    return Codec(
+        lambda obj, path: cls(**_parse_fields(obj, path, fields)),
+        lambda value: _write_fields(value, fields),
     )
 
 
-def _terms_matrix_from(obj, name: str):
-    if not isinstance(obj, (list, tuple)):
-        raise ConfigError(f"{name}: expected a list of rows")
-    return tuple(_terms_vector_from(row, f"{name}[{i}]") for i, row in enumerate(obj))
+def _list_of(item: Codec, nonempty: bool = False) -> Codec:
+    def parse(obj, path):
+        items = _as_list(obj, path)
+        if nonempty and not items:
+            raise ConfigError(f"{path}: expected a non-empty list")
+        return tuple(item.parse(v, f"{path}[{i}]") for i, v in enumerate(items))
+
+    return Codec(parse, lambda values: [item.write(v) for v in values])
+
+
+def _parse_window(obj, path: str) -> tuple[Number, Number]:
+    pair = _NUMBERS.parse(obj, path)
+    if len(pair) != 2:
+        raise ConfigError(f"{path}: expected [t_lo, t_hi]")
+    return pair
+
+
+def _parse_params(obj, path: str) -> dict:
+    return {k: parse_number(v, _join(path, k)) for k, v in _as_object(obj, path).items()}
+
+
+def _parse_marks(obj, path: str) -> MarkConfig:
+    kind = _as_object(obj, path).get("kind")
+    if kind is None:
+        raise ConfigError(f"{path}.kind: required key is missing")
+    if _parse_str(kind, f"{path}.kind") not in _MARK_FIELDS:
+        raise ConfigError(
+            f"{path}.kind: unknown mark kind {kind!r}; known: {', '.join(_MARK_FIELDS)}"
+        )
+    return MarkConfig(**_parse_fields(obj, path, _MARK_FIELDS[kind]))
+
+
+_NUMBER = Codec(parse_number, number_to_json)
+_INT = Codec(_parse_int, lambda v: v)
+_STR = Codec(_parse_str, lambda v: v)
+_NUMBERS = _list_of(_NUMBER)
+_MATRIX = _list_of(_NUMBERS, nonempty=True)
+_WINDOW = Codec(_parse_window, _NUMBERS.write)
+_PARAMS = Codec(_parse_params, lambda d: {k: number_to_json(v) for k, v in d.items()})
+
+_GALERKIN_FIELDS = (Field("n_modes", _INT), Field("a0", _NUMBER))
+_SYSTEM_FIELDS = (
+    Field("a", _MATRIX, None),
+    Field("p", _MATRIX, None),
+    Field("k", _NUMBER, None),
+    Field("omega", _NUMBER, None),
+    Field("galerkin", _section(GalerkinConfig, _GALERKIN_FIELDS), None),
+)
+_MARK_KIND = Field("kind", _STR)
+_MARK_FIELDS = {
+    "point": (_MARK_KIND, Field("x", _NUMBERS)),
+    "uniform_interval": (_MARK_KIND, Field("a", _NUMBER), Field("b", _NUMBER)),
+    "uniform_annulus": (
+        _MARK_KIND,
+        Field("r0", _NUMBER),
+        Field("r1", _NUMBER),
+        Field("dim", _INT, None),
+    ),
+}
+_MARKS = Codec(_parse_marks, lambda m: _write_fields(m, _MARK_FIELDS[m.kind]))
+_JUMP_FIELDS = (Field("rate", _NUMBER), Field("region", _STR), Field("marks", _MARKS))
+_LEVY_FIELDS = (
+    Field("dim", _INT),
+    Field("drift", _NUMBERS, ()),
+    Field("covariance", _MATRIX, None),
+    Field("jumps", _list_of(_section(JumpConfig, _JUMP_FIELDS)), ()),
+)
+_TERM_FIELDS = (
+    Field("scale", _NUMBER),
+    Field("kernel", _STR),
+    Field("coord", _INT, 0),
+    Field("outer", _STR, None),
+    Field("inner", _STR, None),
+    Field("mark_weights", _NUMBERS, None),
+)
+# one term list per state coordinate
+_TERM_LISTS = _list_of(_list_of(_section(TermConfig, _TERM_FIELDS)))
+_CUSTOM_FIELDS = (
+    Field("dim_state", _INT),
+    Field("dim_noise", _INT),
+    Field("freqs", _NUMBERS),
+    Field("drift", _TERM_LISTS, (), echo_default=True),
+    Field("diffusion", _list_of(_TERM_LISTS), (), echo_default=True),
+    Field("jump_small", _TERM_LISTS, (), echo_default=True),
+    Field("jump_large", _TERM_LISTS, (), echo_default=True),
+    Field("lipschitz", _NUMBER),
+)
+_COEFFICIENT_FIELDS = (
+    Field("preset", _STR, None),
+    Field("params", _PARAMS, {}),
+    Field("custom", _section(CustomCoefficients, _CUSTOM_FIELDS), None),
+)
+_NUMERICS_FIELDS = (
+    Field("h", _NUMBER),
+    Field("window", _WINDOW),
+    Field("n_paths", _INT),
+    Field("truncation", _NUMBER, None),
+    Field("tol", _NUMBER, 1e-10, echo_default=True),
+    Field("max_iter", _INT, 60, echo_default=True),
+    Field("csv_stride", _INT, None),
+)
+_ANALYSIS_FIELDS = (
+    Field("epsilon", _NUMBER, 0.1, echo_default=True),
+    Field("shifts", _NUMBERS, ()),
+    Field("times", _NUMBERS, ()),
+    Field("law_support", _INT, None),
+)
+_RUN_FIELDS = (
+    Field("system", _section(SystemConfig, _SYSTEM_FIELDS)),
+    Field("levy", _section(LevyConfig, _LEVY_FIELDS)),
+    Field("coefficients", _section(CoefficientConfig, _COEFFICIENT_FIELDS)),
+    Field("numerics", _section(NumericsConfig, _NUMERICS_FIELDS)),
+    Field(
+        "analysis",
+        _section(AnalysisConfig, _ANALYSIS_FIELDS),
+        AnalysisConfig(),
+        echo_default=True,
+    ),
+    Field("seed", _INT, 0, echo_default=True),
+    Field("threads", _INT, 1, echo_default=True),
+)
+_RUN = _section(RunConfig, _RUN_FIELDS)
+
+# every table by the key path of its section ([] marks a list item)
+FIELD_TABLES: dict[str, tuple[Field, ...]] = {
+    "": _RUN_FIELDS,
+    "system": _SYSTEM_FIELDS,
+    "system.galerkin": _GALERKIN_FIELDS,
+    "levy": _LEVY_FIELDS,
+    "levy.jumps[]": _JUMP_FIELDS,
+    **{f"levy.jumps[].marks (kind {k})": t for k, t in _MARK_FIELDS.items()},
+    "coefficients": _COEFFICIENT_FIELDS,
+    "coefficients.custom": _CUSTOM_FIELDS,
+    "coefficients.custom terms": _TERM_FIELDS,
+    "numerics": _NUMERICS_FIELDS,
+    "analysis": _ANALYSIS_FIELDS,
+}
 
 
 def config_from_dict(d: dict) -> RunConfig:
     """Parse a config mapping; a "preset" key loads that preset and any
     further top-level sections replace the preset's."""
-    if not isinstance(d, dict):
-        raise ConfigError("config must be a JSON object")
-    d = dict(d)
+    d = dict(_as_object(d, ""))
     if "preset" in d:
-        base = preset_config(str(d.pop("preset")))
-        if not d:
-            return base
-        merged = config_to_dict(base)
-        merged.update(d)
-        d = merged
-
-    try:
-        sys_d = d["system"]
-        levy_d = d["levy"]
-        coeff_d = d["coefficients"]
-        num_d = d["numerics"]
-    except KeyError as exc:
-        raise ConfigError(f"config is missing section {exc.args[0]!r}") from None
-    ana_d = d.get("analysis", {})
-
-    system = SystemConfig(
-        a=_num_matrix(sys_d["a"], "system.a") if "a" in sys_d else None,
-        p=_num_matrix(sys_d["p"], "system.p") if "p" in sys_d else None,
-        k=parse_number(sys_d["k"], "system.k") if "k" in sys_d else None,
-        omega=parse_number(sys_d["omega"], "system.omega") if "omega" in sys_d else None,
-        galerkin=(
-            {
-                "n_modes": int(sys_d["galerkin"]["n_modes"]),
-                "a0": parse_number(sys_d["galerkin"]["a0"], "system.galerkin.a0"),
-            }
-            if "galerkin" in sys_d and sys_d["galerkin"] is not None
-            else None
-        ),
-    )
-    jumps = []
-    for i, j in enumerate(levy_d.get("jumps", [])):
-        jumps.append(
-            JumpConfig(
-                rate=parse_number(j["rate"], f"levy.jumps[{i}].rate"),
-                region=str(j["region"]),
-                marks=_mark_from(j["marks"]),
-            )
-        )
-    levy = LevyConfig(
-        dim=int(levy_d["dim"]),
-        drift=_num_list(levy_d["drift"], "levy.drift") if "drift" in levy_d else (),
-        covariance=(
-            _num_matrix(levy_d["covariance"], "levy.covariance")
-            if levy_d.get("covariance") is not None
-            else None
-        ),
-        jumps=tuple(jumps),
-    )
-    custom = None
-    if coeff_d.get("custom") is not None:
-        c = coeff_d["custom"]
-        custom = CustomCoefficients(
-            dim_state=int(c["dim_state"]),
-            dim_noise=int(c["dim_noise"]),
-            freqs=_num_list(c["freqs"], "coefficients.custom.freqs"),
-            drift=_terms_vector_from(c.get("drift", []), "custom.drift"),
-            diffusion=_terms_matrix_from(c.get("diffusion", []), "custom.diffusion"),
-            jump_small=_terms_vector_from(c.get("jump_small", []), "custom.jump_small"),
-            jump_large=_terms_vector_from(c.get("jump_large", []), "custom.jump_large"),
-            lipschitz=parse_number(c["lipschitz"], "custom.lipschitz"),
-        )
-    coefficients = CoefficientConfig(
-        preset=coeff_d.get("preset"),
-        params={
-            k: parse_number(v, f"coefficients.params.{k}")
-            for k, v in coeff_d.get("params", {}).items()
-        },
-        custom=custom,
-    )
-    window = num_d.get("window")
-    if not isinstance(window, (list, tuple)) or len(window) != 2:
-        raise ConfigError("numerics.window must be [t_lo, t_hi]")
-    numerics = NumericsConfig(
-        h=parse_number(num_d["h"], "numerics.h"),
-        window=(
-            parse_number(window[0], "numerics.window[0]"),
-            parse_number(window[1], "numerics.window[1]"),
-        ),
-        n_paths=int(num_d["n_paths"]),
-        truncation=(
-            parse_number(num_d["truncation"], "numerics.truncation")
-            if num_d.get("truncation") is not None
-            else None
-        ),
-        tol=parse_number(num_d.get("tol", 1e-10), "numerics.tol"),
-        max_iter=int(num_d.get("max_iter", 60)),
-        csv_stride=(
-            int(num_d["csv_stride"]) if num_d.get("csv_stride") is not None else None
-        ),
-    )
-    analysis = AnalysisConfig(
-        epsilon=parse_number(ana_d.get("epsilon", 0.1), "analysis.epsilon"),
-        shifts=_num_list(ana_d.get("shifts", []), "analysis.shifts"),
-        times=_num_list(ana_d.get("times", []), "analysis.times"),
-        law_support=(
-            int(ana_d["law_support"]) if ana_d.get("law_support") is not None else None
-        ),
-    )
-    return RunConfig(
-        system=system,
-        levy=levy,
-        coefficients=coefficients,
-        numerics=numerics,
-        analysis=analysis,
-        seed=int(d.get("seed", 0)),
-        threads=int(d.get("threads", 1)),
-    )
+        base = preset_config(_parse_str(d.pop("preset"), "preset"))
+        d = {**config_to_dict(base), **d}
+    return _RUN.parse(d, "")
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    sys_d: dict = {}
-    if cfg.system.a is not None:
-        sys_d["a"] = [[number_to_json(v) for v in row] for row in cfg.system.a]
-    if cfg.system.p is not None:
-        sys_d["p"] = [[number_to_json(v) for v in row] for row in cfg.system.p]
-    if cfg.system.k is not None:
-        sys_d["k"] = number_to_json(cfg.system.k)
-    if cfg.system.omega is not None:
-        sys_d["omega"] = number_to_json(cfg.system.omega)
-    if cfg.system.galerkin is not None:
-        sys_d["galerkin"] = {
-            "n_modes": int(cfg.system.galerkin["n_modes"]),
-            "a0": number_to_json(cfg.system.galerkin["a0"]),
-        }
-    levy_d: dict = {"dim": cfg.levy.dim}
-    if cfg.levy.drift:
-        levy_d["drift"] = [number_to_json(v) for v in cfg.levy.drift]
-    if cfg.levy.covariance is not None:
-        levy_d["covariance"] = [
-            [number_to_json(v) for v in row] for row in cfg.levy.covariance
-        ]
-    if cfg.levy.jumps:
-        levy_d["jumps"] = [
-            {
-                "rate": number_to_json(j.rate),
-                "region": j.region,
-                "marks": _mark_to(j.marks),
-            }
-            for j in cfg.levy.jumps
-        ]
-    coeff_d: dict = {}
-    if cfg.coefficients.preset is not None:
-        coeff_d["preset"] = cfg.coefficients.preset
-    if cfg.coefficients.params:
-        coeff_d["params"] = {
-            k: number_to_json(v) for k, v in cfg.coefficients.params.items()
-        }
-    if cfg.coefficients.custom is not None:
-        c = cfg.coefficients.custom
-        coeff_d["custom"] = {
-            "dim_state": c.dim_state,
-            "dim_noise": c.dim_noise,
-            "freqs": [number_to_json(v) for v in c.freqs],
-            "drift": [[_term_to(t) for t in row] for row in c.drift],
-            "diffusion": [
-                [[_term_to(t) for t in cell] for cell in row] for row in c.diffusion
-            ],
-            "jump_small": [[_term_to(t) for t in row] for row in c.jump_small],
-            "jump_large": [[_term_to(t) for t in row] for row in c.jump_large],
-            "lipschitz": number_to_json(c.lipschitz),
-        }
-    num = cfg.numerics
-    num_d: dict = {
-        "h": number_to_json(num.h),
-        "window": [number_to_json(num.window[0]), number_to_json(num.window[1])],
-        "n_paths": num.n_paths,
-        "tol": number_to_json(num.tol),
-        "max_iter": num.max_iter,
-    }
-    if num.truncation is not None:
-        num_d["truncation"] = number_to_json(num.truncation)
-    if num.csv_stride is not None:
-        num_d["csv_stride"] = num.csv_stride
-    ana = cfg.analysis
-    ana_d: dict = {"epsilon": number_to_json(ana.epsilon)}
-    if ana.shifts:
-        ana_d["shifts"] = [number_to_json(v) for v in ana.shifts]
-    if ana.times:
-        ana_d["times"] = [number_to_json(v) for v in ana.times]
-    if ana.law_support is not None:
-        ana_d["law_support"] = ana.law_support
-    return {
-        "system": sys_d,
-        "levy": levy_d,
-        "coefficients": coeff_d,
-        "numerics": num_d,
-        "analysis": ana_d,
-        "seed": cfg.seed,
-        "threads": cfg.threads,
-    }
+    return _RUN.write(cfg)
 
 
 def load_config(path) -> RunConfig:
@@ -530,13 +499,6 @@ def load_config(path) -> RunConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path}: invalid JSON ({exc})") from exc
     return config_from_dict(data)
-
-
-def save_config(cfg: RunConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
 
 # ---------------------------------------------------------------------------
 # builders
@@ -567,7 +529,7 @@ def galerkin_system(n_modes: int, a0: Number) -> DichotomousSystem:
 
 def build_system(cfg: SystemConfig) -> DichotomousSystem:
     if cfg.galerkin is not None:
-        return galerkin_system(cfg.galerkin["n_modes"], cfg.galerkin["a0"])
+        return galerkin_system(cfg.galerkin.n_modes, cfg.galerkin.a0)
     if cfg.a is None or cfg.p is None or cfg.k is None or cfg.omega is None:
         raise ConfigError("system needs a, p, k and omega (or a galerkin block)")
     if not (float(cfg.omega) > 0):
@@ -584,16 +546,10 @@ def build_system(cfg: SystemConfig) -> DichotomousSystem:
 
 def _build_marks(m: MarkConfig, dim: int) -> MarkSampler:
     if m.kind == "point":
-        if m.x is None:
-            raise ConfigError("point marks need 'x'")
         return point_mark([float(v) for v in m.x])
     if m.kind == "uniform_interval":
-        if m.a is None or m.b is None:
-            raise ConfigError("uniform_interval marks need 'a' and 'b'")
         return uniform_interval_mark(float(m.a), float(m.b))
     if m.kind == "uniform_annulus":
-        if m.r0 is None or m.r1 is None:
-            raise ConfigError("uniform_annulus marks need 'r0' and 'r1'")
         return uniform_annulus_mark(float(m.r0), float(m.r1), m.dim or dim)
     raise ConfigError(f"unknown mark kind {m.kind!r}")
 
@@ -871,7 +827,7 @@ def _ou_forced_config() -> RunConfig:
 
 def _galerkin_heat_config() -> RunConfig:
     return RunConfig(
-        system=SystemConfig(galerkin={"n_modes": 8, "a0": Fraction(5, 2)}),
+        system=SystemConfig(galerkin=GalerkinConfig(n_modes=8, a0=Fraction(5, 2))),
         levy=LevyConfig(
             dim=8,
             covariance=tuple(

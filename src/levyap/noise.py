@@ -246,16 +246,6 @@ class LevyProcessSpec:
         if not self.drift:
             object.__setattr__(self, "drift", tuple(0.0 for _ in range(self.dim)))
 
-    @property
-    def large_jump_rate(self) -> float:
-        """Total intensity mass outside the unit ball."""
-        return float(sum(c.rate for c in self.jumps if c.region == "large"))
-
-    @property
-    def small_jump_rate(self) -> float:
-        """Total intensity mass inside the unit ball."""
-        return float(sum(c.rate for c in self.jumps if c.region == "small"))
-
     def small_second_moment(self) -> float:
         """Integral of |x|^2 against the intensity restricted to |x| < 1."""
         total = 0.0

@@ -20,6 +20,7 @@ import pytest
 import levyap
 from levyap.cli import _write_ensemble_csv, main
 from levyap.config import (
+    FIELD_TABLES,
     ConfigError,
     condition_inputs,
     config_from_dict,
@@ -30,7 +31,6 @@ from levyap.config import (
     parse_number,
     preset_config,
     preset_names,
-    save_config,
     validate_config,
 )
 from levyap.dichotomy import NoDichotomyError
@@ -155,14 +155,12 @@ class TestConfigRoundTrip:
 
     def test_file_round_trip_identity(self, tmp_path):
         cfg = preset_config("example41")
-        path = tmp_path / "cfg.json"
-        save_config(cfg, path)
+        path = write_cfg(tmp_path, config_to_dict(cfg))
         assert load_config(path) == cfg
 
     def test_rationals_serialized_exactly(self, tmp_path):
         cfg = preset_config("example41")
-        path = tmp_path / "cfg.json"
-        save_config(cfg, path)
+        path = write_cfg(tmp_path, config_to_dict(cfg))
         data = json.loads(path.read_text(encoding="utf-8"))
         assert data["numerics"]["h"] == "1/256"
         assert load_config(path).numerics.h == Fraction(1, 256)
@@ -191,6 +189,35 @@ class TestConfigRoundTrip:
     @pytest.mark.parametrize("name", preset_names())
     def test_presets_validate(self, name):
         validate_config(preset_config(name))
+
+
+class TestConfigSchema:
+    @staticmethod
+    def doc_sections(name):
+        """Text of each '## ' section of a doc ('' for the text above the first)."""
+        sections, heading = {}, ""
+        text = (Path(__file__).parents[1] / "docs" / name).read_text(encoding="utf-8")
+        for line in text.splitlines():
+            if line.startswith("## "):
+                heading = line[3:].strip()
+            sections[heading] = sections.get(heading, "") + line + "\n"
+        return sections
+
+    def test_every_table_key_is_documented(self):
+        configuration = self.doc_sections("configuration.md")
+        signals = self.doc_sections("signals.md")
+        missing = []
+        for table, fields in FIELD_TABLES.items():
+            if table.startswith("coefficients.custom"):
+                text = signals["Custom coefficient JSON"]
+            else:
+                text = configuration[table.split(".")[0]]
+            missing += [
+                f"{table}: {f.key}"
+                for f in fields
+                if f"`{f.key}`" not in text and f'"{f.key}"' not in text
+            ]
+        assert not missing
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +436,92 @@ class TestCliExitCodes:
         d["levy"]["drift"] = [0] * dim
         cfg = write_cfg(tmp_path, d)
         assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize(
+        "data, key_path",
+        [
+            (
+                {
+                    "preset": "example41",
+                    "analysis": {"epsilon": 0.25, "law_suport": 8, "epsilom": 9},
+                    "sed": 5,
+                },
+                "sed",
+            ),
+            (
+                {"preset": "example41", "analysis": {"epsilon": 0.25, "law_suport": 8}},
+                "analysis.law_suport",
+            ),
+            (
+                {
+                    "preset": "example41",
+                    "numerics": {"h": "1/32", "window": [-1, 2], "n_paths": 8, "trunction": 1},
+                },
+                "numerics.trunction",
+            ),
+            ({"preset": "example41", "levy": {"covariance": [[1]]}}, "levy.dim"),
+            (
+                {"preset": "example41", "levy": {"dim": 1, "jumps": [{"rate": 1, "region": "large"}]}},
+                "levy.jumps[0].marks",
+            ),
+            (
+                {
+                    "preset": "example41",
+                    "levy": {
+                        "dim": 1,
+                        "jumps": [
+                            {"rate": 1, "region": "large",
+                             "marks": {"kind": "uniform_annulus", "r0": 1, "rr": 2}}
+                        ],
+                    },
+                },
+                "levy.jumps[0].marks.rr",
+            ),
+            (
+                {"preset": "galerkin_heat", "system": {"galerkin": {"n_modes": 8}}},
+                "system.galerkin.a0",
+            ),
+            (
+                {"preset": "galerkin_heat", "system": {"galerkin": {"n_mode": 8, "a0": 2}}},
+                "system.galerkin.n_mode",
+            ),
+            (
+                {
+                    "preset": "example41",
+                    "numerics": {"h": "1/32", "window": [-1, 2], "n_paths": "abc"},
+                },
+                "numerics.n_paths",
+            ),
+            ({"preset": "example41", "seed": "x"}, "seed"),
+            ({"preset": "example41", "seed": 1.7}, "seed"),
+            ({"preset": "example41", "threads": True}, "threads"),
+            ({"preset": "example41", "coefficients": {"params": []}}, "coefficients.params"),
+            ({"preset": "example41", "numerics": 5}, "numerics"),
+            ({"preset": "example41", "levy": {"dim": 1, "jumps": 5}}, "levy.jumps"),
+            (
+                {
+                    "preset": "example41",
+                    "coefficients": {
+                        "custom": {
+                            "dim_state": 2,
+                            "dim_noise": 1,
+                            "freqs": [],
+                            "drift": [[{"scale": 1, "kernal": "linear"}], []],
+                            "lipschitz": 1,
+                        }
+                    },
+                },
+                "coefficients.custom.drift[0][0].kernal",
+            ),
+        ],
+    )
+    def test_malformed_config_names_key_path(self, tmp_path, capsys, data, key_path):
+        cfg = write_cfg(tmp_path, data)
+        code = main(["check", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert key_path in err
+        assert "Traceback" not in err
 
     def test_galerkin_without_spectral_gap(self, tmp_path, capsys):
         d = tiny_galerkin_dict()

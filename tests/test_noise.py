@@ -329,8 +329,6 @@ def test_small_second_moment_closed_form():
         ),
     )
     assert spec.small_second_moment() == pytest.approx(2.0 * 0.28)
-    assert spec.large_jump_rate == pytest.approx(7.0)
-    assert spec.small_jump_rate == pytest.approx(2.0)
 
 
 @given(
