@@ -16,6 +16,7 @@ import dataclasses
 import math
 import sys
 from fractions import Fraction
+from itertools import chain, cycle, repeat
 from pathlib import Path
 from typing import Optional
 
@@ -57,6 +58,7 @@ __all__ = ["main"]
 
 SCHEMA_VERSION = 1
 _CSV_ROW_TARGET = 500_000
+_CSV_BLOCK_ROWS = 65_536
 
 _USER_ERRORS = (
     ConfigError,
@@ -113,18 +115,33 @@ def _csv_stride(n_steps: int, n_paths: int, configured: Optional[int]) -> int:
 
 def _write_ensemble_csv(path: Path, ens: PathEnsemble, stride: int) -> None:
     """Rows (t, path, y0..y{d-1}) in time-major order, every ``stride``-th
-    grid point; floats via repr for exact reproducibility."""
-    grid = ens.grid
-    d = ens.dim
-    header = "t,path," + ",".join(f"y{i}" for i in range(d))
+    grid point; floats via repr for exact reproducibility.
+
+    Works on blocks of grid points of at most ``_CSV_BLOCK_ROWS`` rows
+    (one grid point at least): each state coordinate of a block becomes
+    one column of floats and the rows are joined in C, so no Python code
+    runs per row and the path-index strings are built once.  A column
+    that is +0.0 throughout (bit pattern all zero) repeats the one string
+    ``repr(0.0)`` instead of formatting every value; example41's first
+    coordinate is one.
+    """
+    m, d = ens.n_paths, ens.dim
+    t_reprs = list(map(repr, ens.grid[::stride].tolist()))
+    path_strs = list(map(str, range(m)))
+    per_block = max(1, _CSV_BLOCK_ROWS // m)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for k in range(0, ens.n_steps + 1, stride):
-            t_repr = repr(float(grid[k]))
-            fh.write("".join(
-                f"{t_repr},{p},{','.join(map(repr, row))}\n"
-                for p, row in enumerate(ens.values[:, k, :].tolist())
-            ))
+        fh.write("t,path," + ",".join(f"y{i}" for i in range(d)) + "\n")
+        for b in range(0, len(t_reprs), per_block):
+            block = ens.values[:, b * stride:(b + per_block) * stride:stride, :]
+            t_col = chain.from_iterable(
+                map(repeat, t_reprs[b:b + per_block], repeat(m))
+            )
+            cols = [
+                map(repr, col.tolist()) if col.view(np.uint64).any() else repeat("0.0")
+                for col in (block[:, :, i].T.ravel() for i in range(d))
+            ]
+            fh.write("\n".join(map(",".join, zip(t_col, cycle(path_strs), *cols))))
+            fh.write("\n")
 
 
 def _strip_wall(records):
@@ -339,7 +356,14 @@ _COMMANDS = {
 
 
 def _num_arg(text: str):
-    return Fraction(text) if "/" in text else float(text)
+    try:
+        return Fraction(text) if "/" in text else float(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number or a 'p/q' rational, got {text!r}"
+        ) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:

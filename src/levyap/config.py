@@ -100,9 +100,14 @@ def parse_number(obj, name: str) -> Number:
         return obj
     if isinstance(obj, str):
         try:
-            return Fraction(obj)
+            value = Fraction(obj)
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"{name}: bad rational literal {obj!r}") from exc
+        try:
+            float(value)
+        except OverflowError:
+            raise ConfigError(f"{name}: {obj!r} is too large for a float") from None
+        return value
     raise ConfigError(f"{name}: expected a number or 'p/q' string, got {obj!r}")
 
 
@@ -595,7 +600,11 @@ def build_coefficients(cfg: CoefficientConfig) -> CoefficientSet:
             )
         kwargs = {}
         for key, value in cfg.params.items():
-            kwargs[key] = int(value) if key == "n_modes" else float(value)
+            kwargs[key] = (
+                _parse_int(value, f"coefficients.params.{key}")
+                if key == "n_modes"
+                else float(value)
+            )
         return fn(**kwargs)
 
     c = cfg.custom
@@ -664,9 +673,24 @@ def condition_inputs(cfg: RunConfig) -> tuple[Fraction, Fraction, Fraction, Frac
 
 
 def _on_grid(value: float, h: float, what: str) -> None:
-    k = round(value / h)
+    steps = value / h
+    if not math.isfinite(steps):
+        raise ConfigError(f"{what} = {value} is too far from 0 in steps of h = {h}")
+    k = round(steps)
     if abs(value - k * h) > _GRID_TOL * max(1.0, abs(value)):
         raise ConfigError(f"{what} = {value} is not a multiple of the step h = {h}")
+
+
+def _finite(x: Number, name: str) -> float:
+    """``float(x)``; a ConfigError naming ``name`` if that is an infinity
+    or a NaN, or if ``x`` is a rational too large for a float."""
+    try:
+        value = float(x)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number")
+    return value
 
 
 def validate_config(cfg: RunConfig) -> None:
@@ -678,8 +702,8 @@ def validate_config(cfg: RunConfig) -> None:
     window edges.
     """
     num = cfg.numerics
-    h = float(num.h)
-    if not (h > 0 and math.isfinite(h)):
+    h = _finite(num.h, "numerics.h")
+    if not h > 0:
         raise ConfigError("numerics.h must be positive")
     t_lo, t_hi = float(num.window[0]), float(num.window[1])
     if not (t_lo < t_hi):
@@ -690,7 +714,7 @@ def validate_config(cfg: RunConfig) -> None:
     _on_grid(t_hi, h, "window end")
     if num.n_paths < 2:
         raise ConfigError("numerics.n_paths must be at least 2")
-    if not (float(num.tol) > 0):
+    if not _finite(num.tol, "numerics.tol") > 0:
         raise ConfigError("numerics.tol must be positive")
     if num.max_iter < 1:
         raise ConfigError("numerics.max_iter must be at least 1")
@@ -715,8 +739,8 @@ def validate_config(cfg: RunConfig) -> None:
         )
 
     if num.truncation is not None:
-        t_c = float(num.truncation)
-        if not (t_c > 0):
+        t_c = _finite(num.truncation, "numerics.truncation")
+        if not t_c > 0:
             raise ConfigError("numerics.truncation must be positive")
         _on_grid(t_c, h, "truncation")
     else:

@@ -218,6 +218,11 @@ class PathEnsemble:
     The grid is integer-indexed (``k_lo`` .. ``k_lo + n_steps`` times
     ``h``) like the noise grid, so ensembles and noise windows align
     exactly.  ``values`` has shape (paths, n_steps + 1, dim).
+
+    Every state must be finite.  The check is one sum: a NaN or an
+    infinity makes it non-finite, so a finite sum proves every state
+    finite.  Only a non-finite sum, which finite states can also give by
+    overflowing, pays for the exact element-wise ``isfinite`` pass.
     """
 
     h: float
@@ -228,7 +233,9 @@ class PathEnsemble:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 3 or v.shape[0] == 0 or v.shape[1] < 2:
             raise SolverError("values must be (paths, n_steps + 1, dim)")
-        if not np.all(np.isfinite(v)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = v.sum()
+        if not np.isfinite(total) and not np.all(np.isfinite(v)):
             raise SolverError("ensemble contains non-finite states")
         object.__setattr__(self, "values", v)
 

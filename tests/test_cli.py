@@ -91,6 +91,27 @@ def tiny_galerkin_dict():
     }
 
 
+# floats that repr prints in scientific notation, both signed zeros,
+# subnormals and the largest double
+CSV_SPECIAL_FLOATS = [1e-5, 1e16, 5e-324, -0.0, 0.0, -2.5e-310, 1.7976931348623157e308, -1e-7]
+CSV_SPECIAL_REPRS = ("1e-05", "1e+16", "5e-324", "-0.0", "-2.5e-310", "1.7976931348623157e+308")
+
+
+def per_row_ensemble_csv(ens, stride):
+    """The byte oracle for ``ensemble.csv``: a writer that formats every
+    row with its own f-string."""
+    grid = ens.grid
+    d = ens.dim
+    lines = ["t,path," + ",".join(f"y{i}" for i in range(d)) + "\n"]
+    for k in range(0, ens.n_steps + 1, stride):
+        t_repr = repr(float(grid[k]))
+        lines.extend(
+            f"{t_repr},{p},{','.join(map(repr, row))}\n"
+            for p, row in enumerate(ens.values[:, k, :].tolist())
+        )
+    return "".join(lines)
+
+
 def read_lines(path):
     return path.read_text(encoding="utf-8").splitlines()
 
@@ -126,6 +147,11 @@ class TestNumberParsing:
     def test_non_finite_rejected(self):
         with pytest.raises(ConfigError):
             parse_number(float("nan"), "x")
+
+    @pytest.mark.parametrize("text", ["1e400", "-1e400", "10" * 200 + "/3"])
+    def test_rational_too_large_for_float_rejected(self, text):
+        with pytest.raises(ConfigError, match="too large for a float"):
+            parse_number(text, "x")
 
     def test_bad_string_rejected(self):
         with pytest.raises(ConfigError):
@@ -513,6 +539,37 @@ class TestCliExitCodes:
                 },
                 "coefficients.custom.drift[0][0].kernal",
             ),
+            (
+                {
+                    "preset": "galerkin_heat",
+                    "coefficients": {"preset": "galerkin_heat", "params": {"n_modes": 8.7}},
+                },
+                "coefficients.params.n_modes",
+            ),
+            (
+                {
+                    "preset": "galerkin_heat",
+                    "coefficients": {"preset": "galerkin_heat", "params": {"n_modes": True}},
+                },
+                "coefficients.params.n_modes",
+            ),
+            (
+                {
+                    "preset": "galerkin_heat",
+                    "coefficients": {"preset": "galerkin_heat", "params": {"jump_scale": "1e400"}},
+                },
+                "coefficients.params.jump_scale",
+            ),
+            (
+                {
+                    "preset": "example41",
+                    "numerics": {"h": "1/32", "window": ["-1e400", 2], "n_paths": 8},
+                },
+                "numerics.window",
+            ),
+            ({"preset": "example41", "analysis": {"epsilon": "1e400"}}, "analysis.epsilon"),
+            ({"preset": "example41", "system": {"galerkin": {"n_modes": 2, "a0": "-1e400"}}},
+             "system.galerkin.a0"),
         ],
     )
     def test_malformed_config_names_key_path(self, tmp_path, capsys, data, key_path):
@@ -522,6 +579,48 @@ class TestCliExitCodes:
         assert code == 2
         assert key_path in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--dt", "1/0", "zero denominator in '1/0'"),
+            ("--truncation", "1/0", "zero denominator in '1/0'"),
+            ("--dt", "1e400/1", "expected a number or a 'p/q' rational, got '1e400/1'"),
+            ("--truncation", "abc", "expected a number or a 'p/q' rational, got 'abc'"),
+        ],
+    )
+    def test_malformed_numeric_override_is_usage_error(
+        self, tmp_path, capsys, flag, value, message
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--preset", "example41", flag, value,
+                  "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert f"argument {flag}: {message}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--dt", "inf", "numerics.h must be a finite number"),
+            ("--dt", "nan", "numerics.h must be a finite number"),
+            ("--truncation", "inf", "numerics.truncation must be a finite number"),
+            ("--truncation", "1e400", "numerics.truncation must be a finite number"),
+            ("--tol", "inf", "numerics.tol must be a finite number"),
+            ("--dt", "1e-310", "window start = -1.0 is too far from 0 in steps"),
+        ],
+    )
+    def test_numeric_override_rejected_before_artifacts(
+        self, tmp_path, capsys, flag, value, message
+    ):
+        cfg = write_cfg(tmp_path, tiny_benchmark_dict())
+        out = tmp_path / "o"
+        code = main(["picard", "--config", str(cfg), flag, value, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert message in err
+        assert not out.exists()
 
     def test_galerkin_without_spectral_gap(self, tmp_path, capsys):
         d = tiny_galerkin_dict()
@@ -665,6 +764,27 @@ class TestCliArtifacts:
         assert code == 2
         assert "apscan needs" in capsys.readouterr().err
 
+    def test_ou_benchmark_script_reads_ensemble_csv(self, tmp_path):
+        """``scripts/run_ou_benchmark.py`` reshapes ``ensemble.csv`` by
+        position (time-major rows), so it checks the row order end to end."""
+        script = Path(__file__).resolve().parents[1] / "scripts" / "run_ou_benchmark.py"
+        out = tmp_path / "ou"
+        env = dict(os.environ, PYTHONPATH=str(Path(levyap.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, str(script), "--paths", "16", "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert read_lines(out / "mean_curve.csv")[0] == "t,empirical_mean,closed_form"
+        curve = np.loadtxt(out / "mean_curve.csv", delimiter=",", skiprows=1)
+        data = np.loadtxt(out / "ensemble.csv", delimiter=",", skiprows=1)
+        times, which = np.unique(data[:, 0], return_inverse=True)
+        assert curve.shape[0] == len(times)
+        # the per-time means agree with a grouping that ignores row order
+        means = np.bincount(which, weights=data[:, 2]) / np.bincount(which)
+        np.testing.assert_allclose(curve[:, 0], times, rtol=0, atol=0)
+        np.testing.assert_allclose(curve[:, 1], means, rtol=1e-12, atol=1e-15)
+
     def test_galerkin_artifacts(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, tiny_galerkin_dict())
         out = tmp_path / "out"
@@ -710,20 +830,39 @@ class TestCliDeterminism:
                 out / "gap_trace.jsonl"
             )
 
-    def test_ensemble_csv_rows_are_float_reprs(self, tmp_path):
-        gen = np.random.default_rng(3)
-        values = gen.normal(size=(3, 7, 2)) * 10.0 ** gen.integers(-20, 20, size=(3, 7, 2))
-        values[0, 0, 0] = -0.0
-        ens = PathEnsemble(h=0.25, k_lo=-3, values=values)
-        path = tmp_path / "ens.csv"
-        _write_ensemble_csv(path, ens, 2)
-        expected = ["t,path,y0,y1"] + [
-            f"{float(ens.grid[k])!r},{p},"
-            + ",".join(repr(float(v)) for v in values[p, k])
-            for k in range(0, 7, 2)
-            for p in range(3)
-        ]
-        assert path.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
+    def test_ensemble_csv_rows_are_float_reprs(self, tmp_path, monkeypatch):
+        default_block = levyap.cli._CSV_BLOCK_ROWS
+        for m, n_steps, d, stride, block_rows, zero_last in [
+            (3, 6, 2, 2, default_block, False),
+            # 90000 rows: one full block of 65535 rows (3 does not divide
+            # 65536), then 24465
+            (3, 29_999, 1, 1, default_block, False),
+            # stride 3 does not divide n_steps = 10; two grid points a block
+            (3, 10, 3, 3, 7, False),
+            # the last coordinate is +0.0 throughout the first block and
+            # holds one -0.0 in the second
+            (3, 10, 3, 3, 7, True),
+            (1, 12, 3, 5, 4, False),
+            # fewer block rows than paths: one grid point a block
+            (5, 9, 1, 2, 2, False),
+        ]:
+            monkeypatch.setattr("levyap.cli._CSV_BLOCK_ROWS", block_rows)
+            gen = np.random.default_rng(3)
+            shape = (m, n_steps + 1, d)
+            values = gen.normal(size=shape) * 10.0 ** gen.integers(-20, 20, size=shape)
+            written = values[:, ::stride, :]
+            written.flat[: len(CSV_SPECIAL_FLOATS)] = CSV_SPECIAL_FLOATS
+            if zero_last:
+                values[:, :, -1] = 0.0
+                written[-1, -1, -1] = -0.0
+            ens = PathEnsemble(h=0.25, k_lo=-3, values=values)
+            path = tmp_path / "ens.csv"
+            _write_ensemble_csv(path, ens, stride)
+            text = path.read_text(encoding="utf-8")
+            assert text == per_row_ensemble_csv(ens, stride)
+            assert text.count("\n") == 1 + m * len(range(0, n_steps + 1, stride))
+            for v in ("1e-05", "1e+16", "-0.0") if zero_last else CSV_SPECIAL_REPRS:
+                assert f",{v}," in text or f",{v}\n" in text
 
     def test_check_loads_no_heavy_scipy_modules(self, tmp_path):
         """``check`` is the start-up path: it must not import the scipy

@@ -4,6 +4,7 @@ contraction / equivariance oracles."""
 
 import math
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -211,6 +212,31 @@ class TestPathEnsemble:
         v[0, 1, 0] = np.inf
         with pytest.raises(SolverError):
             PathEnsemble(h=0.1, k_lo=0, values=v)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_any_non_finite_state_raises(self, bad):
+        shape = (3, 4, 2)
+        for pos in range(math.prod(shape)):
+            v = np.ones(shape)
+            v.flat[pos] = bad
+            with pytest.raises(SolverError):
+                PathEnsemble(h=0.1, k_lo=0, values=v)
+
+    def test_opposite_infinities_raise(self):
+        v = np.zeros((2, 3, 1))
+        v[0, 1, 0], v[1, 2, 0] = np.inf, -np.inf
+        with pytest.raises(SolverError):
+            PathEnsemble(h=0.1, k_lo=0, values=v)
+
+    @pytest.mark.parametrize("big", [1e308, -1e308])
+    def test_finite_states_whose_sum_overflows_construct(self, big):
+        v = np.zeros((2, 3, 1))
+        v[:, 1, 0] = big
+        assert math.isinf(big + big)  # so the sum check alone cannot pass
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ens = PathEnsemble(h=0.1, k_lo=0, values=v)
+        assert ens.values[1, 1, 0] == big
 
     def test_moments_by_hand(self):
         v = np.zeros((2, 3, 2))
