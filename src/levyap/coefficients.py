@@ -508,12 +508,14 @@ def term_value(term: PreparedTerm, columns, out: np.ndarray) -> np.ndarray:
     return np.multiply(val, term.scale, out=out)
 
 
-def add_terms(out: np.ndarray, terms, columns) -> None:
+def add_terms(out: np.ndarray, terms, columns, buf: Optional[np.ndarray] = None) -> None:
     """Add the value of each prepared term in turn to ``out``; the values
-    are computed in one scratch array laid out like ``out``."""
+    are computed in one scratch array laid out like ``out``, ``buf`` when
+    given."""
     if not terms:
         return
-    buf = np.empty_like(out)
+    if buf is None:
+        buf = np.empty_like(out)
     for term in terms:
         out += term_value(term, columns, buf)
 

@@ -246,16 +246,6 @@ class LevyProcessSpec:
         if not self.drift:
             object.__setattr__(self, "drift", tuple(0.0 for _ in range(self.dim)))
 
-    def small_second_moment(self) -> float:
-        """Integral of |x|^2 against the intensity restricted to |x| < 1."""
-        total = 0.0
-        for comp in self.jumps:
-            if comp.region != "small":
-                continue
-            pts, wts = comp.marks.nodes()
-            total += comp.rate * float(np.sum(wts * np.sum(pts**2, axis=1)))
-        return total
-
 
 def validate_spec(spec: LevyProcessSpec) -> None:
     """Check a noise spec for internal consistency.

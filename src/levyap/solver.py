@@ -37,14 +37,17 @@ entries with their time-only signals on the grid) is planned once per
 Picard solve.  Each chunk of paths then runs a path-major kernel:
 (paths, time) rows with time contiguous, only the non-empty coefficient
 entries evaluated, forcing added straight into the modal accumulations.
-Path chunks are independent and run on worker threads with bitwise
-identical results for any thread count.
+S maps each path to itself, so the Picard solve overwrites one ensemble
+in place, block by block of paths on worker threads, and takes the
+moment and gap sums in the same sweep; results are bitwise identical
+for any chunking and thread count.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -85,12 +88,12 @@ __all__ = [
 
 _BLOWUP_GUARD = 1e8
 _GRID_TOL = 1e-9
-# path steps per apply_S chunk: each (paths, time) temporary of a chunk
-# is 1 MB.  Freed temporaries below the allocator's trim threshold stay
-# resident, so smaller chunks keep the peak RSS down; halving this again
-# costs time in per-chunk overhead.
+# path steps per chunk by default: each (paths, time) scratch array of a
+# worker is then 1 MB.  A chunk's working set stays cache-sized and the
+# scratch small; halving this again costs time in per-chunk overhead.
 _CHUNK_BUDGET = 131_072
-# paths per block of the second-moment reductions
+# paths per block: a worker's unit of work, and the unit of the
+# second-moment sums, whose rounding depends on it
 _MOMENT_BLOCK = 64
 # largest |log|lam|| * block of one scan block: lam^{-i} stays below e^600
 _SCAN_NATS = 600.0
@@ -272,34 +275,30 @@ class PathEnsemble:
         return int(k)
 
 
-def _sup_mean_squares(values: np.ndarray, prev: Optional[np.ndarray] = None):
-    """Largest values over the grid of the path-averages of ||v(t)||^2
-    and, when ``prev`` is given, of ||v(t) - prev(t)||^2, for arrays of
-    shape (paths, times, dim); the second is None without ``prev``.
+def _sup_mean(sums: np.ndarray, n_times: int, m: int) -> float:
+    """Largest value over the grid of the path-average whose sums over
+    the m paths are ``sums``, one per (time, coordinate), added up over
+    the coordinates.  A NaN or an infinite sum makes it non-finite."""
+    return float(sums.reshape(n_times, -1).sum(axis=1).max()) / m
 
-    One pass over fixed blocks of paths: each block is squared in one
-    block-sized buffer and summed over its paths, so no full-size
-    temporary is built.
+
+def sup_second_moment(ens: PathEnsemble) -> float:
+    """Largest value over the grid of the path-average of ||Y(t)||^2.
+
+    The squares of each block of ``_MOMENT_BLOCK`` paths are summed over
+    its paths in one block-sized buffer, and the block sums are added in
+    block order: the rounding of the moment in the Picard gap trace.
     """
+    values = ens.values
     m, n, d = values.shape
-    sums = [np.zeros(n * d) for _ in range(1 if prev is None else 2)]
+    total = np.zeros(n * d)
     buf = np.empty((min(m, _MOMENT_BLOCK), n, d))
     for lo in range(0, m, _MOMENT_BLOCK):
         v = values[lo : lo + _MOMENT_BLOCK]
         b = buf[: len(v)]
         np.multiply(v, v, out=b)
-        sums[0] += b.reshape(len(v), -1).sum(axis=0)
-        if prev is not None:
-            np.subtract(v, prev[lo : lo + _MOMENT_BLOCK], out=b)
-            b *= b
-            sums[1] += b.reshape(len(v), -1).sum(axis=0)
-    sups = [float(s.reshape(n, d).sum(axis=1).max()) / m for s in sums]
-    return sups[0], (sups[1] if prev is not None else None)
-
-
-def sup_second_moment(ens: PathEnsemble) -> float:
-    """Largest value over the grid of the path-average of ||Y(t)||^2."""
-    return _sup_mean_squares(ens.values)[0]
+        total += b.reshape(len(v), -1).sum(axis=0)
+    return _sup_mean(total, n, m)
 
 
 def l2_increment(ens: PathEnsemble, t: float, r: float) -> float:
@@ -468,13 +467,15 @@ def _scan_block(lam, n: int) -> int:
     return n if mag * n <= _SCAN_NATS else max(1, int(_SCAN_NATS / mag))
 
 
-def _scan(lam, x: np.ndarray) -> None:
-    """In place along the last axis: x_k <- sum_{i <= k} lam^{k-i} x_i.
+def _scan(lam, x: np.ndarray, buf: np.ndarray) -> None:
+    """In place along the last axis of the (paths, n) array x:
+    x_k <- sum_{i <= k} lam^{k-i} x_i.
 
     Each block of L steps is scaled by lam^{-i}, summed by ``cumsum`` and
     rescaled by lam^i; the value entering the block is carried in with
-    lam^{i+1}.  L keeps |log|lam|| L within ``_SCAN_NATS`` so neither
-    scale factor leaves double range, whatever the stiffness.
+    lam^{i+1}, formed in ``buf``, which has x's dtype and at least its
+    width.  L keeps |log|lam|| L within ``_SCAN_NATS`` so neither scale
+    factor leaves double range, whatever the stiffness.
     """
     n = x.shape[-1]
     block = _scan_block(lam, n)
@@ -487,23 +488,25 @@ def _scan(lam, x: np.ndarray) -> None:
         np.cumsum(seg, axis=-1, out=seg)
         seg *= up[:size]
         if s:
-            seg += carry[:size] * x[..., s - 1 : s]
+            seg += np.multiply(carry[:size], x[..., s - 1 : s], out=buf[:, :size])
 
 
-def _axpy(y: np.ndarray, a, x: np.ndarray, buf: np.ndarray) -> None:
-    """y += a * x; a real product is formed in ``buf``."""
+def _axpy(y: np.ndarray, a, x: np.ndarray, buf: np.ndarray, cbuf) -> None:
+    """y += a * x; the product is formed in ``buf``, or in the complex
+    ``cbuf`` for a complex ``a``."""
     if np.iscomplexobj(a):
-        y += a * x
+        y += np.multiply(a, x, out=cbuf[:, : x.shape[1]])
     else:
         y += np.multiply(x, a, out=buf[:, : x.shape[1]])
 
 
-def _modal_scan(half: _ModalHalf, drift: dict, stoch: dict, shape, buf: np.ndarray):
+def _modal_scan(half: _ModalHalf, drift: dict, stoch: dict, z: np.ndarray, buf, cbuf):
     """Modal accumulations z, shape (r, q, n + 1), driven by the forcing
     rows (q, n) of each state coordinate, with z[:, :, 0] zero; and the
-    modes that are live.  A mode that no forcing row reaches stays zero
-    and is neither scanned nor returned live; z is None when no mode is
-    live.  A reverse half runs from the window end and stores z
+    modes that are live.  ``z`` is the scratch the accumulations are
+    written to.  A mode that no forcing row reaches stays zero and is
+    neither scanned nor returned live; None is returned for z when no
+    mode is live.  A reverse half runs from the window end and stores z
     time-reversed: its forcing is added through a reversed view."""
     r, d = half.drift_map.shape
     forcing = [
@@ -518,28 +521,29 @@ def _modal_scan(half: _ModalHalf, drift: dict, stoch: dict, shape, buf: np.ndarr
     live = [bool(f) for f in forcing]
     if not any(live):  # so no mode is reached through tri either
         return None, live
-    z = np.zeros((r, shape[0], shape[1] + 1), dtype=half.tri.dtype)
+    z.fill(0.0)
     for m in range(r):
         b = z[m, :, :0:-1] if half.reverse else z[m, :, 1:]
         for row, coef in forcing[m]:
-            _axpy(b, coef, row, buf)
+            _axpy(b, coef, row, buf, cbuf)
     # back-substitution: mode m is driven by the modes after it
     for m in range(r - 1, -1, -1):
         for j in range(m + 1, r):
             if half.tri[m, j] != 0 and live[j]:
-                _axpy(z[m, :, 1:], half.tri[m, j], z[j, :, :-1], buf)
+                _axpy(z[m, :, 1:], half.tri[m, j], z[j, :, :-1], buf, cbuf)
                 live[m] = True
         if live[m]:
-            _scan(half.tri[m, m], z[m, :, 1:])
+            _scan(half.tri[m, m], z[m, :, 1:], cbuf if np.iscomplexobj(z) else buf)
     return z, live
 
 
-def _add_real(out: np.ndarray, coef: complex, z: np.ndarray, sign: float, buf) -> None:
-    """out += sign * Re(coef z); zero coefficients are skipped."""
+def _add_real(out: np.ndarray, coef: complex, z: np.ndarray, sign: float, buf, cbuf) -> None:
+    """out += sign * Re(coef z); zero coefficients are skipped.  The
+    product is formed in ``buf``, or in ``cbuf`` when it is complex."""
     if coef == 0:
         return
     if np.iscomplexobj(coef) or np.iscomplexobj(z):
-        out += (sign * coef * z).real
+        out += np.multiply(sign * coef, z, out=cbuf[:, : z.shape[1]]).real
     else:
         out += np.multiply(z, sign * coef, out=buf[:, : z.shape[1]])
 
@@ -612,17 +616,49 @@ class _Plan:
         )
 
 
-def _term_sum(terms, columns, shape) -> np.ndarray:
-    """The summed values of prepared terms in a new array of ``shape``;
-    the first term is written there directly."""
-    out = term_value(terms[0], columns, np.empty(shape))
-    add_terms(out, terms[1:], columns)
+class _Scratch:
+    """One worker's (paths, time) arrays for chunks of up to ``paths``
+    paths, allocated once per solve.  The kernel works in views of them,
+    so a chunk allocates no array of its size: the state columns, the
+    drift and stochastic rows, ``later`` for the stochastic terms after
+    a row's first, ``sum_buf`` for ``add_terms``, ``buf`` and the
+    complex ``cbuf`` for products, the
+    modal accumulations ``z`` of each half, the output row ``res`` and
+    the squares ``sq`` of the moment sums.
+    """
+
+    def __init__(self, plan: _Plan, paths: int):
+        n = plan.noise.n_steps
+        stoch_rows = {i for i, row in enumerate(plan.rows) if row.diffusion or row.compensator}
+        stoch_rows.update(plan.small_rows, plan.large_rows)
+        self.columns = {c: np.empty((paths, n)) for c in plan.coords}
+        self.drift = {i: np.empty((paths, n)) for i, row in enumerate(plan.rows) if row.drift}
+        self.stoch = {i: np.empty((paths, n)) for i in sorted(stoch_rows)}
+        self.later = np.empty((paths, n))
+        self.sum_buf = np.empty((paths, n))
+        self.buf = np.empty((paths, n + 1))
+        complex_halves = any(np.iscomplexobj(half.tri) for half in plan.halves)
+        self.cbuf = np.empty((paths, n + 1), dtype=complex) if complex_halves else None
+        self.z = [
+            np.empty((half.tri.shape[0], paths, n + 1), dtype=half.tri.dtype)
+            for half in plan.halves
+        ]
+        self.res = np.empty((paths, n + 1))
+        self.sq = np.empty((paths, n + 1))
+
+
+def _term_sum(terms, columns, out: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """The summed values of prepared terms, written into ``out``: the
+    first term directly, the others through ``buf``."""
+    out = term_value(terms[0], columns, out)
+    add_terms(out, terms[1:], columns, buf)
     return out
 
 
-def _add_jumps(plan: _Plan, values: np.ndarray, stoch: dict, lo: int, hi: int, shape):
+def _add_jumps(plan: _Plan, values: np.ndarray, stoch: dict, lo: int, hi: int, scratch):
     """Add the jumps of paths [lo, hi) to the stochastic rows, small
-    jumps first, each event in sample order."""
+    jumps first, each event in sample order.  A row the chunk has not
+    filled yet is zeroed in ``scratch`` first."""
     e_lo, e_hi = plan.path_events[lo], plan.path_events[hi]
     if e_hi == e_lo:
         return
@@ -644,45 +680,59 @@ def _add_jumps(plan: _Plan, values: np.ndarray, stoch: dict, lo: int, hi: int, s
         at = (path[sel] - lo, step[sel])
         for i in rows:
             if i not in stoch:
-                stoch[i] = np.zeros(shape)
+                stoch[i] = scratch.stoch[i][: hi - lo]
+                stoch[i].fill(0.0)
             np.add.at(stoch[i], at, vals[:, i])
 
 
-def _apply_chunk(plan: _Plan, values: np.ndarray, out: np.ndarray, lo: int, hi: int) -> None:
-    """S applied to paths [lo, hi) of ``values``, written into out[lo:hi].
+def _apply_chunk(plan: _Plan, values: np.ndarray, lo: int, hi: int, scratch: _Scratch):
+    """S applied to paths [lo, hi) of ``values``.  Yields each output
+    coordinate i in turn with its (paths, n + 1) row of values, a view
+    of ``scratch.res``, or None where S is zero in that coordinate.
+    ``values`` is only read, in rows [lo, hi) and before the first
+    yield, so the caller may write each coordinate back as it comes.
 
     Path-major: every array is (paths, time) with time contiguous.  Each
     state coordinate some term reads is copied once; only non-empty
     coefficient entries are evaluated, into one drift row and one
     stochastic row per state coordinate; each output coordinate is
-    assembled in a contiguous row and written once.
+    assembled in one contiguous row.
     """
     noise = plan.noise
-    shape = (hi - lo, noise.n_steps)
-    columns = {c: np.ascontiguousarray(values[lo:hi, :-1, c]) for c in plan.coords}
+    p = hi - lo
+    columns = {c: col[:p] for c, col in scratch.columns.items()}
+    for c, col in columns.items():
+        np.copyto(col, values[lo:hi, :-1, c])
+    later, sum_buf = scratch.later[:p], scratch.sum_buf[:p]
     drift, stoch = {}, {}
     for i, row in enumerate(plan.rows):
         if row.drift:
-            drift[i] = _term_sum(row.drift, columns, shape)
+            drift[i] = _term_sum(row.drift, columns, scratch.drift[i][:p], sum_buf)
+        # the first stochastic term goes to the row itself, later ones
+        # through ``later``
         s = None
-        for j, terms in row.diffusion:
-            g = _term_sum(terms, columns, shape)
+        for j, entry in row.diffusion:
+            g = _term_sum(entry, columns, scratch.stoch[i][:p] if s is None else later, sum_buf)
             g *= noise.dW[lo:hi, :, j]
             s = g if s is None else np.add(s, g, out=s)
         if row.compensator:
-            comp = _term_sum(row.compensator, columns, shape)
+            comp = _term_sum(
+                row.compensator, columns, scratch.stoch[i][:p] if s is None else later, sum_buf
+            )
             comp *= noise.h
             s = np.negative(comp, out=comp) if s is None else np.subtract(s, comp, out=s)
         if s is not None:
             stoch[i] = s
-    del columns
-    _add_jumps(plan, values, stoch, lo, hi, shape)
+    _add_jumps(plan, values, stoch, lo, hi, scratch)
 
-    buf = np.empty((shape[0], shape[1] + 1))
-    scans = [(half, *_modal_scan(half, drift, stoch, shape, buf)) for half in plan.halves]
-    del drift, stoch
-    n, w = shape[1], plan.w
-    for i in range(out.shape[2]):
+    buf = scratch.buf[:p]
+    cbuf = None if scratch.cbuf is None else scratch.cbuf[:p]
+    scans = [
+        (half, *_modal_scan(half, drift, stoch, z[:, :p], buf, cbuf))
+        for half, z in zip(plan.halves, scratch.z)
+    ]
+    n, w = noise.n_steps, plan.w
+    for i in range(values.shape[2]):
         res = None  # stays None, and the coordinate zero, if no mode reaches it
         for half, z, live in scans:
             for m in np.flatnonzero(live):
@@ -690,28 +740,125 @@ def _apply_chunk(plan: _Plan, values: np.ndarray, out: np.ndarray, lo: int, hi: 
                 if back == 0 and back_win == 0:
                     continue
                 if res is None:
-                    res = np.zeros_like(buf)
+                    res = scratch.res[:p]
+                    res.fill(0.0)
                 # S adds the stable window [t - T_c, t] and subtracts the
                 # unstable one [t, t + T_c]
                 if half.reverse:
                     zm = z[m, :, ::-1]
-                    _add_real(res, back, zm, -1.0, buf)
-                    _add_real(res[:, : n + 1 - w], back_win, zm[:, w:], 1.0, buf)
+                    _add_real(res, back, zm, -1.0, buf, cbuf)
+                    _add_real(res[:, : n + 1 - w], back_win, zm[:, w:], 1.0, buf, cbuf)
                 else:
-                    _add_real(res, back, z[m], 1.0, buf)
-                    _add_real(res[:, w:], back_win, z[m, :, :-w], -1.0, buf)
-        out[lo:hi, :, i] = 0.0 if res is None else res
+                    _add_real(res, back, z[m], 1.0, buf, cbuf)
+                    _add_real(res[:, w:], back_win, z[m, :, :-w], -1.0, buf, cbuf)
+        yield i, res
 
 
-def _chunk_bounds(m: int, n: int, threads: int, chunk_paths: Optional[int]):
-    """Path ranges of the chunks.  By default a chunk holds about
-    ``_CHUNK_BUDGET`` path steps, and the chunk count is a multiple of
-    the worker count."""
+def _sweep_block(plan: _Plan, values: np.ndarray, chunks, scratch: _Scratch):
+    """Apply S in place to the paths of one block, chunk by chunk.
+
+    Returns the block's sums over its paths of new^2 and of (new - old)^2,
+    shape (times, dim).  Every sum is accumulated one path at a time in
+    path order, which is the order in which numpy sums a C-contiguous
+    (paths, times * dim) block over its first axis.  Each coordinate of
+    a chunk is summed in the scratch before it is written back.
+    """
+    moment, gap = np.zeros(values.shape[1:]), np.zeros(values.shape[1:])
+    # squares of overflowing or non-finite states are left to the
+    # finiteness check of the caller
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi in chunks:
+            sq = scratch.sq[: hi - lo]
+            for i, new in _apply_chunk(plan, values, lo, hi, scratch):
+                old = values[lo:hi, :, i]
+                if new is None:  # new^2 adds +0.0, which changes no sum
+                    np.subtract(0.0, old, out=sq)
+                else:
+                    np.multiply(new, new, out=sq)
+                    for row in sq:
+                        moment[:, i] += row
+                    np.subtract(new, old, out=sq)
+                sq *= sq
+                for row in sq:
+                    gap[:, i] += row
+                values[lo:hi, :, i] = 0.0 if new is None else new
+    return moment, gap
+
+
+def _blocks(m: int, n: int, chunk_paths: Optional[int]) -> list[list[tuple[int, int]]]:
+    """Path ranges of the chunks of each block of ``_MOMENT_BLOCK`` paths.
+    A block of b paths is split into ceil(b / chunk_paths) chunks of
+    near-equal size, so no chunk straddles a block.  By default a chunk
+    holds at most about ``_CHUNK_BUDGET`` path steps."""
     if chunk_paths is None:
-        count = -(-m // max(1, _CHUNK_BUDGET // max(n, 1)))
-        count = -(-count // threads) * threads
-        chunk_paths = -(-m // count)
-    return [(lo, min(lo + chunk_paths, m)) for lo in range(0, m, chunk_paths)]
+        chunk_paths = max(1, _CHUNK_BUDGET // max(n, 1))
+    elif chunk_paths < 1:
+        raise SolverError("chunk_paths must be at least 1")
+    blocks = []
+    for lo in range(0, m, _MOMENT_BLOCK):
+        size = min(_MOMENT_BLOCK, m - lo)
+        count = -(-size // chunk_paths)
+        edges = [lo + size * k // count for k in range(count + 1)]
+        blocks.append(list(zip(edges[:-1], edges[1:])))
+    return blocks
+
+
+@contextmanager
+def _in_place_sweeps(plan: _Plan, chunk_paths: Optional[int], threads: int):
+    """Yield ``sweep(values)``, which applies S in place to a (paths,
+    n + 1, dim) array and returns its sums over all paths of new^2 and
+    of (new - old)^2, one per (time, coordinate).
+
+    Worker i takes blocks i, i + workers, ...; the calling thread is
+    worker 0.  The other workers' threads are started once and serve
+    every sweep; each worker has one scratch.  Block sums are added in
+    block order, so the sums are bitwise the same for any chunking and
+    worker count.
+    """
+    if threads < 1:
+        raise SolverError("threads must be at least 1")
+    noise = plan.noise
+    blocks = _blocks(noise.n_paths, noise.n_steps, chunk_paths)
+    workers = min(threads, len(blocks))
+    largest = max(hi - lo for chunks in blocks for lo, hi in chunks)
+    scratch = [_Scratch(plan, largest) for _ in range(workers)]
+
+    def run(worker, values):
+        return [
+            _sweep_block(plan, values, chunks, scratch[worker])
+            for chunks in blocks[worker::workers]
+        ]
+
+    def sweep(values):
+        futures = [pool.submit(run, i, values) for i in range(1, workers)]
+        done = [run(0, values)] + [fut.result() for fut in futures]
+        moment, gap = np.zeros(values.shape[1:]), np.zeros(values.shape[1:])
+        for b in range(len(blocks)):
+            block_moment, block_gap = done[b % workers][b // workers]
+            moment += block_moment
+            gap += block_gap
+        return moment, gap
+
+    if workers == 1:
+        pool = None
+        yield sweep
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers - 1) as pool:
+            yield sweep
+
+
+def _tail_report(sys: DichotomousSystem, plan: _Plan) -> dict:
+    """The truncation report of S: window, steps and tail factor."""
+    w, h = plan.w, plan.noise.h
+    return {
+        "truncation": w * h,
+        "truncation_steps": w,
+        "omega": float(sys.omega),
+        "k": float(sys.k),
+        "tail_factor": float(sys.k * np.exp(-sys.omega * w * h) / sys.omega),
+    }
 
 
 def apply_S(
@@ -751,10 +898,13 @@ def apply_S(
     straight into the modal accumulations and assembles each output
     coordinate in one contiguous row.
 
-    Paths are processed in chunks of ``chunk_paths`` on ``threads``
-    worker threads; every path is computed by the same operations in
-    any chunk, so the output is bitwise identical for any chunking and
-    thread count.
+    S maps each path to itself, so it runs in place: the input is copied
+    once and the copy is overwritten chunk by chunk, by the same in-place
+    sweep that ``picard_solve`` runs on its one ensemble.  Paths are
+    processed in blocks of ``_MOMENT_BLOCK``, each split into chunks of
+    at most ``chunk_paths`` paths, on ``threads`` worker threads; every
+    path is computed by the same operations in any chunk, so the output
+    is bitwise identical for any chunking and thread count.
 
     Returns the new ensemble and a tail report; the truncation error of
     the full two-sided window is bounded by ``tail_factor`` times the
@@ -768,8 +918,6 @@ def apply_S(
     d = cs.dim_state
     if sys.dim != d or ens.dim != d:
         raise SolverError("system, coefficients and ensemble dimensions differ")
-    if threads < 1:
-        raise SolverError("threads must be at least 1")
     if plan is None:
         plan = _Plan.build(sys, cs, noise, truncation)
     elif not (
@@ -777,40 +925,10 @@ def apply_S(
         and plan.truncation == truncation
     ):
         raise SolverError("the plan was built for other arguments")
-    w = plan.w
-
-    out = np.empty_like(ens.values)
-    chunks = _chunk_bounds(ens.n_paths, n, threads, chunk_paths)
-
-    def run(share):
-        for lo, hi in share:
-            _apply_chunk(plan, ens.values, out, lo, hi)
-
-    # worker i takes chunks i, i + workers, ...; the calling thread is
-    # worker 0, so only workers - 1 threads are started
-    workers = min(threads, len(chunks))
-    if workers == 1:
-        run(chunks)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        shares = [chunks[i::workers] for i in range(workers)]
-        with ThreadPoolExecutor(workers - 1) as pool:
-            futures = [pool.submit(run, share) for share in shares[1:]]
-            run(shares[0])
-            for fut in futures:
-                fut.result()
-
-    k_f = sys.k
-    omega = sys.omega
-    report = {
-        "truncation": w * h,
-        "truncation_steps": w,
-        "omega": float(omega),
-        "k": float(k_f),
-        "tail_factor": float(k_f * np.exp(-omega * w * h) / omega),
-    }
-    return PathEnsemble(h=h, k_lo=k_lo, values=out), report
+    values = ens.values.copy()
+    with _in_place_sweeps(plan, chunk_paths, threads) as sweep:
+        sweep(values)
+    return PathEnsemble(h=h, k_lo=k_lo, values=values), _tail_report(sys, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -855,8 +973,14 @@ def picard_solve(
     about 6e-6 of the integrand magnitude.
 
     The plan of :func:`apply_S` (modal halves, events, coefficient
-    entries) is built once per solve.  ``chunk_paths`` and ``threads``
-    are passed to :func:`apply_S` and do not change the result.
+    entries) is built once per solve, and so are the worker threads and
+    each worker's scratch.  The solve holds one ensemble and overwrites
+    it in place: S maps each path to itself, so each chunk of paths is
+    computed in scratch, its sums of new^2 and (new - old)^2 are taken
+    there, and only then is it written back.  The gap and the moment
+    come from those sums, with no further pass over the ensemble.  A
+    non-finite moment triggers the exact check that every state is
+    finite.  ``chunk_paths`` and ``threads`` do not change the result.
     """
     if tol <= 0:
         raise SolverError("tol must be positive")
@@ -865,38 +989,36 @@ def picard_solve(
     h = noise.h
     if truncation is None:
         truncation = max(1, round(12.0 / sys.omega / h)) * h
-    current = PathEnsemble(
-        h=h,
-        k_lo=noise.k_lo,
-        values=np.zeros((noise.n_paths, noise.n_steps + 1, sys.dim)),
-    )
     plan = _Plan.build(sys, cs, noise, truncation)
+    m, n_times = noise.n_paths, noise.n_steps + 1
+    values = np.zeros((m, n_times, sys.dim))
     trace = []
     converged = False
-    report: dict = {}
-    for it in range(1, max_iter + 1):
-        t0 = time.perf_counter()
-        nxt, report = apply_S(
-            sys, cs, noise, current, truncation, chunk_paths, threads, plan=plan
-        )
-        moment, gap = _sup_mean_squares(nxt.values, current.values)
-        wall_ms = (time.perf_counter() - t0) * 1000.0
-        trace.append(
-            {
-                "k": it,
-                "gap": gap,
-                "sup_second_moment": moment,
-                "wall_ms": wall_ms,
-            }
-        )
-        current = nxt
-        if gap <= tol:
-            converged = True
-            break
+    with _in_place_sweeps(plan, chunk_paths, threads) as sweep:
+        for it in range(1, max_iter + 1):
+            t0 = time.perf_counter()
+            moment_sums, gap_sums = sweep(values)
+            moment = _sup_mean(moment_sums, n_times, m)
+            # a finite moment proves every state finite
+            if not math.isfinite(moment) and not np.all(np.isfinite(values)):
+                raise SolverError("ensemble contains non-finite states")
+            gap = _sup_mean(gap_sums, n_times, m)
+            wall_ms = (time.perf_counter() - t0) * 1000.0
+            trace.append(
+                {
+                    "k": it,
+                    "gap": gap,
+                    "sup_second_moment": moment,
+                    "wall_ms": wall_ms,
+                }
+            )
+            if gap <= tol:
+                converged = True
+                break
     return PicardResult(
-        ensemble=current,
+        ensemble=PathEnsemble(h=h, k_lo=noise.k_lo, values=values),
         gap_trace=tuple(trace),
         converged=converged,
         iterations=len(trace),
-        tail_report=report,
+        tail_report=_tail_report(sys, plan),
     )

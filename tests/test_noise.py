@@ -320,17 +320,6 @@ def test_quadrature_nodes_integrate_second_moment():
     assert np.allclose(np.sum(wts[:, None] * pts, axis=0), 0.0, atol=1e-15)
 
 
-def test_small_second_moment_closed_form():
-    spec = LevyProcessSpec(
-        dim=1,
-        jumps=(
-            JumpComponent(2.0, "small", uniform_interval_mark(0.2, 0.8)),
-            JumpComponent(7.0, "large", point_mark([2.0])),
-        ),
-    )
-    assert spec.small_second_moment() == pytest.approx(2.0 * 0.28)
-
-
 @given(
     a=st.floats(min_value=-0.9, max_value=0.5),
     width=st.floats(min_value=0.01, max_value=0.4),

@@ -4,6 +4,7 @@ contraction / equivariance oracles."""
 
 import math
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -35,7 +36,9 @@ from levyap.solver import (
     ConditionReport,
     PathEnsemble,
     SolverError,
+    _MOMENT_BLOCK,
     _Plan,
+    _blocks,
     _scan_block,
     apply_S,
     check_conditions,
@@ -538,6 +541,9 @@ class TestApplyS:
         plan = _Plan.build(sysd, cs, noise, 0.5)
         with pytest.raises(SolverError, match="plan was built for other arguments"):
             apply_S(sysd, cs, noise, ens, truncation=0.25, plan=plan)
+        for chunk in (0, -1):
+            with pytest.raises(SolverError, match="chunk_paths must be at least 1"):
+                apply_S(sysd, cs, noise, ens, truncation=0.5, chunk_paths=chunk)
 
     @pytest.mark.parametrize("case", ["rotation", "jordan", "stiff", "sparse"])
     def test_matches_recursion_oracle(self, case):
@@ -730,6 +736,89 @@ class TestPicard:
         finally:
             sys.setswitchinterval(interval)
 
+    def test_bitwise_across_moment_blocks(self):
+        """150 paths are three moment blocks, the last one partial.  The
+        in-place sweep must give the values and the gap trace of the
+        out-of-place oracle bit for bit, for any chunking and worker
+        count."""
+        sysd = benchmark_system()
+        noise = sample_noise(benchmark_spec(), (-1.0, 2.0), 1.0 / 64, 150, seed=29)
+        cs = example41_coefficients()
+        ref_values, ref_trace = _out_of_place_picard(sysd, cs, noise, tol=1e-18, truncation=1.0)
+        assert len(ref_trace) > 3
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for chunk in (None, 7, 64, 100):
+                for threads in (1, 2, 3):
+                    res = picard_solve(
+                        sysd, cs, noise, tol=1e-18, truncation=1.0,
+                        chunk_paths=chunk, threads=threads,
+                    )
+                    np.testing.assert_array_equal(res.ensemble.values, ref_values)
+                    assert _strip_wall(res.gap_trace) == ref_trace
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_chunks_split_blocks_evenly(self):
+        assert _blocks(64, 6144, None) == [[(0, 16), (16, 32), (32, 48), (48, 64)]]
+        blocks = _blocks(150, 192, 7)
+        assert [b[0][0] for b in blocks] == [0, 64, 128]
+        for block in blocks:
+            sizes = [hi - lo for lo, hi in block]
+            assert max(sizes) <= 7 and max(sizes) - min(sizes) <= 1
+            assert all(a[1] == b[0] for a, b in zip(block[:-1], block[1:]))
+        assert blocks[-1][-1][1] == 150
+
+    def test_overflowing_iterate_raises(self, monkeypatch):
+        """A huge linear drift makes the second iterate finite but too
+        large to square, and the third one non-finite: the solve stops
+        there, not at ``max_iter``."""
+        import levyap.solver as solver_module
+
+        blocks = []
+        sweep_block = solver_module._sweep_block
+        monkeypatch.setattr(
+            solver_module, "_sweep_block", lambda *a: blocks.append(1) or sweep_block(*a)
+        )
+        sysd = scalar_system(2.0)
+        cs = CoefficientSet(
+            dim_state=1,
+            dim_noise=1,
+            drift=((CoefficientTerm(1.0, "const"), CoefficientTerm(1e300, "linear")),),
+            diffusion=(((),),),
+            jump_small=((),),
+            jump_large=((),),
+            lipschitz=Fraction(1, 64),
+        )
+        noise = sample_noise(wiener_only_spec(), (-1.0, 1.0), 1.0 / 32, 70, seed=3)
+        with np.errstate(all="ignore"):
+            two = picard_solve(sysd, cs, noise, tol=1e-12, max_iter=2, truncation=0.5)
+            assert np.all(np.isfinite(two.ensemble.values))
+            assert math.isinf(two.gap_trace[-1]["sup_second_moment"])
+            blocks.clear()
+            with pytest.raises(SolverError, match="non-finite states"):
+                picard_solve(sysd, cs, noise, tol=1e-12, max_iter=60, truncation=0.5)
+        assert len(blocks) == 3 * 2  # 70 paths are two blocks
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_solve_holds_one_ensemble(self, threads):
+        """The solve overwrites one ensemble in place: its traced peak
+        stays well below the two ensembles an out-of-place iteration
+        holds."""
+        sysd = benchmark_system()
+        noise = sample_noise(benchmark_spec(), (-2.0, 4.0), 1.0 / 256, 512, seed=31)
+        tracemalloc.start()
+        try:
+            res = picard_solve(
+                sysd, example41_coefficients(), noise, tol=1e-12, max_iter=3,
+                chunk_paths=8, threads=threads,
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * res.ensemble.values.nbytes
+
     def test_invalid_arguments(self):
         sysd = benchmark_system()
         noise = sample_noise(benchmark_spec(), (-1.0, 1.0), 1.0 / 32, 2, seed=1)
@@ -739,6 +828,11 @@ class TestPicard:
             picard_solve(
                 sysd, example41_coefficients(), noise, max_iter=0, truncation=0.5
             )
+        for chunk in (0, -1):
+            with pytest.raises(SolverError, match="chunk_paths must be at least 1"):
+                picard_solve(
+                    sysd, example41_coefficients(), noise, truncation=0.5, chunk_paths=chunk
+                )
 
     def test_l2_increments_shrink_linearly_near_zero_lag(self):
         """Mean-square continuity of the fixed point: increments over lag
@@ -771,6 +865,43 @@ class TestPicard:
 
 def _strip_wall(trace):
     return [{k: v for k, v in rec.items() if k != "wall_ms"} for rec in trace]
+
+
+def _sup_mean_squares(values: np.ndarray, prev: np.ndarray):
+    """Oracle of the Picard moment and gap from two whole ensembles: the
+    largest values over the grid of the path-averages of ||v(t)||^2 and
+    of ||v(t) - prev(t)||^2.  Each block of paths is squared in one
+    buffer and summed over its paths by numpy; the block sums are added
+    in block order."""
+    m, n, d = values.shape
+    sums = [np.zeros(n * d), np.zeros(n * d)]
+    buf = np.empty((min(m, _MOMENT_BLOCK), n, d))
+    for lo in range(0, m, _MOMENT_BLOCK):
+        v = values[lo : lo + _MOMENT_BLOCK]
+        b = buf[: len(v)]
+        np.multiply(v, v, out=b)
+        sums[0] += b.reshape(len(v), -1).sum(axis=0)
+        np.subtract(v, prev[lo : lo + _MOMENT_BLOCK], out=b)
+        b *= b
+        sums[1] += b.reshape(len(v), -1).sum(axis=0)
+    return tuple(float(s.reshape(n, d).sum(axis=1).max()) / m for s in sums)
+
+
+def _out_of_place_picard(sysd, cs, noise, tol, truncation):
+    """Picard iteration by repeated ``apply_S`` with both iterates kept:
+    the final values and the gap trace without wall times."""
+    current = PathEnsemble(
+        h=noise.h, k_lo=noise.k_lo, values=np.zeros((noise.n_paths, noise.n_steps + 1, sysd.dim))
+    )
+    trace = []
+    for it in range(1, 61):
+        nxt, _ = apply_S(sysd, cs, noise, current, truncation)
+        moment, gap = _sup_mean_squares(nxt.values, current.values)
+        trace.append({"k": it, "gap": gap, "sup_second_moment": moment})
+        current = nxt
+        if gap <= tol:
+            break
+    return current.values, trace
 
 
 def _jump_diffusion_spec() -> LevyProcessSpec:
