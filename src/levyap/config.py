@@ -737,6 +737,14 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(
             f"coefficient noise dimension {cs.dim_noise} != levy dimension {spec.dim}"
         )
+    # the noise sample and the ensemble must fit numpy's array size
+    steps = round(-t_lo / h) + round(t_hi / h)
+    for what, dim in (("noise", spec.dim), ("state", sysd.dim)):
+        if num.n_paths * steps * dim > np.iinfo(np.intp).max:
+            raise ConfigError(
+                f"numerics.h = {h} gives {float(steps):.3g} steps; n_paths x steps x {what} "
+                "dimension exceeds the largest array numpy can allocate"
+            )
 
     if num.truncation is not None:
         t_c = _finite(num.truncation, "numerics.truncation")

@@ -41,6 +41,13 @@ S maps each path to itself, so the Picard solve overwrites one ensemble
 in place, block by block of paths on worker threads, and takes the
 moment and gap sums in the same sweep; results are bitwise identical
 for any chunking and thread count.
+
+The ensemble is stored coordinate-major, one contiguous (paths, n + 1)
+slab per state coordinate; ``PathEnsemble.values`` is then a (paths,
+n + 1, dim) view of that storage.  The plan finds the output
+coordinates S can reach at all (some forcing row that can exist drives
+a mode that maps back to them); the sweep reads, sums and writes only
+those, so a coordinate S cannot reach is never touched.
 """
 
 from __future__ import annotations
@@ -220,7 +227,9 @@ class PathEnsemble:
 
     The grid is integer-indexed (``k_lo`` .. ``k_lo + n_steps`` times
     ``h``) like the noise grid, so ensembles and noise windows align
-    exactly.  ``values`` has shape (paths, n_steps + 1, dim).
+    exactly.  ``values`` has shape (paths, n_steps + 1, dim); it may be
+    a view of coordinate-major (dim, paths, n_steps + 1) storage, as the
+    results of ``apply_S`` and ``picard_solve`` are.
 
     Every state must be finite.  The check is one sum: a NaN or an
     infinity makes it non-finite, so a finite sum proves every state
@@ -278,8 +287,11 @@ class PathEnsemble:
 def _sup_mean(sums: np.ndarray, n_times: int, m: int) -> float:
     """Largest value over the grid of the path-average whose sums over
     the m paths are ``sums``, one per (time, coordinate), added up over
-    the coordinates.  A NaN or an infinite sum makes it non-finite."""
-    return float(sums.reshape(n_times, -1).sum(axis=1).max()) / m
+    the coordinates.  The coordinates are added as one C-contiguous row
+    per time, so a transposed view rounds as its copy does.  A NaN or an
+    infinite sum makes it non-finite."""
+    rows = np.ascontiguousarray(sums).reshape(n_times, -1)
+    return float(rows.sum(axis=1).max()) / m
 
 
 def sup_second_moment(ens: PathEnsemble) -> float:
@@ -500,38 +512,50 @@ def _axpy(y: np.ndarray, a, x: np.ndarray, buf: np.ndarray, cbuf) -> None:
         y += np.multiply(x, a, out=buf[:, : x.shape[1]])
 
 
+def _live_modes(half: _ModalHalf, drift_rows, stoch_rows) -> list[bool]:
+    """The modes of ``half`` that forcing can reach, given the state
+    coordinates with a drift row and with a stochastic row: a mode is
+    live if a nonzero ``drift_map``/``stoch_map`` entry of such a row
+    forces it, or a nonzero ``tri`` entry couples it to a later live
+    mode."""
+    r, d = half.drift_map.shape
+    live = [
+        any(
+            (i in drift_rows and half.drift_map[m, i] != 0)
+            or (i in stoch_rows and half.stoch_map[m, i] != 0)
+            for i in range(d)
+        )
+        for m in range(r)
+    ]
+    for m in range(r - 1, -1, -1):
+        live[m] = live[m] or any(half.tri[m, j] != 0 and live[j] for j in range(m + 1, r))
+    return live
+
+
 def _modal_scan(half: _ModalHalf, drift: dict, stoch: dict, z: np.ndarray, buf, cbuf):
     """Modal accumulations z, shape (r, q, n + 1), driven by the forcing
     rows (q, n) of each state coordinate, with z[:, :, 0] zero; and the
-    modes that are live.  ``z`` is the scratch the accumulations are
-    written to.  A mode that no forcing row reaches stays zero and is
-    neither scanned nor returned live; None is returned for z when no
-    mode is live.  A reverse half runs from the window end and stores z
-    time-reversed: its forcing is added through a reversed view."""
-    r, d = half.drift_map.shape
-    forcing = [
-        [
-            (rows[i], coef)
-            for i in range(d)
-            for rows, coef in ((drift, half.drift_map[m, i]), (stoch, half.stoch_map[m, i]))
-            if coef != 0 and i in rows
-        ]
-        for m in range(r)
-    ]
-    live = [bool(f) for f in forcing]
-    if not any(live):  # so no mode is reached through tri either
+    modes that are live (``_live_modes``).  ``z`` is the scratch the
+    accumulations are written to.  A mode that is not live stays zero and
+    is not scanned; None is returned for z when no mode is live.  A
+    reverse half runs from the window end and stores z time-reversed:
+    its forcing is added through a reversed view."""
+    live = _live_modes(half, drift, stoch)
+    if not any(live):
         return None, live
+    r, d = half.drift_map.shape
     z.fill(0.0)
     for m in range(r):
         b = z[m, :, :0:-1] if half.reverse else z[m, :, 1:]
-        for row, coef in forcing[m]:
-            _axpy(b, coef, row, buf, cbuf)
-    # back-substitution: mode m is driven by the modes after it
+        for i in range(d):
+            for rows, coef in ((drift, half.drift_map[m, i]), (stoch, half.stoch_map[m, i])):
+                if coef != 0 and i in rows:
+                    _axpy(b, coef, rows[i], buf, cbuf)
+    # back-substitution: mode m is driven by the live modes after it
     for m in range(r - 1, -1, -1):
         for j in range(m + 1, r):
             if half.tri[m, j] != 0 and live[j]:
                 _axpy(z[m, :, 1:], half.tri[m, j], z[j, :, :-1], buf, cbuf)
-                live[m] = True
         if live[m]:
             _scan(half.tri[m, m], z[m, :, 1:], cbuf if np.iscomplexobj(z) else buf)
     return z, live
@@ -570,8 +594,14 @@ class _Plan:
     ``path_events[lo]:path_events[hi]``.  ``rows`` hold each state
     coordinate's forcing entries with their time-only signals evaluated
     on the grid, ``small_rows``/``large_rows`` the coordinates that small
-    and large jumps act on, and ``coords`` the state coordinates some
-    grid term reads.
+    and large jumps act on, ``drift_rows``/``stoch_rows`` the coordinates
+    that can have a drift and a stochastic row, and ``coords`` the state
+    coordinates some grid term reads.
+
+    ``live`` holds, per half, the modes that some row that can exist
+    reaches (``_live_modes``), and ``reach`` the output coordinates those
+    modes map back to: S is zero in every other coordinate, whatever the
+    iterate.
     """
 
     sys: DichotomousSystem
@@ -584,7 +614,11 @@ class _Plan:
     rows: tuple[_Forcing, ...]
     small_rows: tuple[int, ...]
     large_rows: tuple[int, ...]
+    drift_rows: tuple[int, ...]
+    stoch_rows: tuple[int, ...]
     coords: tuple[int, ...]
+    live: tuple[tuple[bool, ...], ...]
+    reach: tuple[int, ...]
 
     @classmethod
     def build(cls, sys, cs, noise, truncation) -> "_Plan":
@@ -601,18 +635,38 @@ class _Plan:
         )
         grid_terms = [t for r in rows for t in r.drift + r.compensator]
         grid_terms += [t for r in rows for _, entry in r.diffusion for t in entry]
+        small_rows = tuple(i for i, terms in enumerate(cs.jump_small) if terms)
+        large_rows = tuple(i for i, terms in enumerate(cs.jump_large) if terms)
+        drift_rows = tuple(i for i, row in enumerate(rows) if row.drift)
+        noise_rows = {i for i, row in enumerate(rows) if row.diffusion or row.compensator}
+        stoch_rows = tuple(sorted(noise_rows.union(small_rows, large_rows)))
+        halves = tuple(_modal_halves(sys, h, w))
+        live = tuple(tuple(_live_modes(half, drift_rows, stoch_rows)) for half in halves)
+        reach = tuple(
+            i
+            for i in range(sys.dim)
+            if any(
+                is_live and (half.back[i, m] != 0 or half.back_win[i, m] != 0)
+                for half, modes in zip(halves, live)
+                for m, is_live in enumerate(modes)
+            )
+        )
         return cls(
             sys=sys,
             cs=cs,
             noise=noise,
             truncation=truncation,
             w=w,
-            halves=tuple(_modal_halves(sys, h, w)),
+            halves=halves,
             path_events=np.searchsorted(noise.event_path, np.arange(noise.n_paths + 1)),
             rows=rows,
-            small_rows=tuple(i for i, terms in enumerate(cs.jump_small) if terms),
-            large_rows=tuple(i for i, terms in enumerate(cs.jump_large) if terms),
+            small_rows=small_rows,
+            large_rows=large_rows,
+            drift_rows=drift_rows,
+            stoch_rows=stoch_rows,
             coords=tuple(sorted({t.coord for t in grid_terms if t.kernel != "const"})),
+            live=live,
+            reach=reach,
         )
 
 
@@ -622,29 +676,28 @@ class _Scratch:
     so a chunk allocates no array of its size: the state columns, the
     drift and stochastic rows, ``later`` for the stochastic terms after
     a row's first, ``sum_buf`` for ``add_terms``, ``buf`` and the
-    complex ``cbuf`` for products, the
-    modal accumulations ``z`` of each half, the output row ``res`` and
-    the squares ``sq`` of the moment sums.
+    complex ``cbuf`` for products, the modal accumulations ``z`` of each
+    half (None for a half with no live mode) and the output row ``res``.
+    The squares of the moment and gap sums go to ``buf``: they are taken
+    once a coordinate's ``res`` is complete, when ``buf`` is free.
     """
 
     def __init__(self, plan: _Plan, paths: int):
         n = plan.noise.n_steps
-        stoch_rows = {i for i, row in enumerate(plan.rows) if row.diffusion or row.compensator}
-        stoch_rows.update(plan.small_rows, plan.large_rows)
         self.columns = {c: np.empty((paths, n)) for c in plan.coords}
-        self.drift = {i: np.empty((paths, n)) for i, row in enumerate(plan.rows) if row.drift}
-        self.stoch = {i: np.empty((paths, n)) for i in sorted(stoch_rows)}
+        self.drift = {i: np.empty((paths, n)) for i in plan.drift_rows}
+        self.stoch = {i: np.empty((paths, n)) for i in plan.stoch_rows}
         self.later = np.empty((paths, n))
         self.sum_buf = np.empty((paths, n))
         self.buf = np.empty((paths, n + 1))
-        complex_halves = any(np.iscomplexobj(half.tri) for half in plan.halves)
-        self.cbuf = np.empty((paths, n + 1), dtype=complex) if complex_halves else None
         self.z = [
             np.empty((half.tri.shape[0], paths, n + 1), dtype=half.tri.dtype)
-            for half in plan.halves
+            if any(live) else None
+            for half, live in zip(plan.halves, plan.live)
         ]
+        complex_z = any(z is not None and np.iscomplexobj(z) for z in self.z)
+        self.cbuf = np.empty((paths, n + 1), dtype=complex) if complex_z else None
         self.res = np.empty((paths, n + 1))
-        self.sq = np.empty((paths, n + 1))
 
 
 def _term_sum(terms, columns, out: np.ndarray, buf: np.ndarray) -> np.ndarray:
@@ -667,7 +720,7 @@ def _add_jumps(plan: _Plan, values: np.ndarray, stoch: dict, lo: int, hi: int, s
         a[e_lo:e_hi]
         for a in (noise.event_path, noise.event_step, noise.event_region, noise.event_marks)
     )
-    state = values[path, step]
+    state = np.ascontiguousarray(values[:, path, step].T)
     times = noise.grid[step]
     small = region == 0
     for sel, rows, evaluate in (
@@ -686,10 +739,12 @@ def _add_jumps(plan: _Plan, values: np.ndarray, stoch: dict, lo: int, hi: int, s
 
 
 def _apply_chunk(plan: _Plan, values: np.ndarray, lo: int, hi: int, scratch: _Scratch):
-    """S applied to paths [lo, hi) of ``values``.  Yields each output
-    coordinate i in turn with its (paths, n + 1) row of values, a view
-    of ``scratch.res``, or None where S is zero in that coordinate.
-    ``values`` is only read, in rows [lo, hi) and before the first
+    """S applied to paths [lo, hi) of the coordinate-major (dim, paths,
+    n + 1) array ``values``.  Yields each output coordinate i of
+    ``plan.reach`` in turn with its (paths, n + 1) row of values, a view
+    of ``scratch.res``, or None where S is zero in that coordinate for
+    this chunk.  S is zero in the other coordinates for every chunk.
+    ``values`` is only read, in paths [lo, hi) and before the first
     yield, so the caller may write each coordinate back as it comes.
 
     Path-major: every array is (paths, time) with time contiguous.  Each
@@ -702,7 +757,7 @@ def _apply_chunk(plan: _Plan, values: np.ndarray, lo: int, hi: int, scratch: _Sc
     p = hi - lo
     columns = {c: col[:p] for c, col in scratch.columns.items()}
     for c, col in columns.items():
-        np.copyto(col, values[lo:hi, :-1, c])
+        np.copyto(col, values[c, lo:hi, :-1])
     later, sum_buf = scratch.later[:p], scratch.sum_buf[:p]
     drift, stoch = {}, {}
     for i, row in enumerate(plan.rows):
@@ -730,9 +785,10 @@ def _apply_chunk(plan: _Plan, values: np.ndarray, lo: int, hi: int, scratch: _Sc
     scans = [
         (half, *_modal_scan(half, drift, stoch, z[:, :p], buf, cbuf))
         for half, z in zip(plan.halves, scratch.z)
+        if z is not None
     ]
     n, w = noise.n_steps, plan.w
-    for i in range(values.shape[2]):
+    for i in plan.reach:
         res = None  # stays None, and the coordinate zero, if no mode reaches it
         for half, z, live in scans:
             for m in np.flatnonzero(live):
@@ -755,33 +811,37 @@ def _apply_chunk(plan: _Plan, values: np.ndarray, lo: int, hi: int, scratch: _Sc
 
 
 def _sweep_block(plan: _Plan, values: np.ndarray, chunks, scratch: _Scratch):
-    """Apply S in place to the paths of one block, chunk by chunk.
+    """Apply S in place to the paths of one block of the coordinate-major
+    (dim, paths, n + 1) array ``values``, chunk by chunk.
 
     Returns the block's sums over its paths of new^2 and of (new - old)^2,
-    shape (times, dim).  Every sum is accumulated one path at a time in
+    shape (dim, times).  Every sum is accumulated one path at a time in
     path order, which is the order in which numpy sums a C-contiguous
     (paths, times * dim) block over its first axis.  Each coordinate of
-    a chunk is summed in the scratch before it is written back.
+    a chunk is summed in the scratch before it is written back.  Only
+    the coordinates S can reach are read back, summed and written: the
+    others are left as they are, and their sums as zero.
     """
-    moment, gap = np.zeros(values.shape[1:]), np.zeros(values.shape[1:])
+    shape = (values.shape[0], values.shape[2])
+    moment, gap = np.zeros(shape), np.zeros(shape)
     # squares of overflowing or non-finite states are left to the
     # finiteness check of the caller
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi in chunks:
-            sq = scratch.sq[: hi - lo]
+            sq = scratch.buf[: hi - lo]
             for i, new in _apply_chunk(plan, values, lo, hi, scratch):
-                old = values[lo:hi, :, i]
+                old = values[i, lo:hi]
                 if new is None:  # new^2 adds +0.0, which changes no sum
                     np.subtract(0.0, old, out=sq)
                 else:
                     np.multiply(new, new, out=sq)
                     for row in sq:
-                        moment[:, i] += row
+                        moment[i] += row
                     np.subtract(new, old, out=sq)
                 sq *= sq
                 for row in sq:
-                    gap[:, i] += row
-                values[lo:hi, :, i] = 0.0 if new is None else new
+                    gap[i] += row
+                values[i, lo:hi] = 0.0 if new is None else new
     return moment, gap
 
 
@@ -805,9 +865,9 @@ def _blocks(m: int, n: int, chunk_paths: Optional[int]) -> list[list[tuple[int, 
 
 @contextmanager
 def _in_place_sweeps(plan: _Plan, chunk_paths: Optional[int], threads: int):
-    """Yield ``sweep(values)``, which applies S in place to a (paths,
-    n + 1, dim) array and returns its sums over all paths of new^2 and
-    of (new - old)^2, one per (time, coordinate).
+    """Yield ``sweep(values)``, which applies S in place to a
+    coordinate-major (dim, paths, n + 1) array and returns its sums over
+    all paths of new^2 and of (new - old)^2, one per (coordinate, time).
 
     Worker i takes blocks i, i + workers, ...; the calling thread is
     worker 0.  The other workers' threads are started once and serve
@@ -832,7 +892,8 @@ def _in_place_sweeps(plan: _Plan, chunk_paths: Optional[int], threads: int):
     def sweep(values):
         futures = [pool.submit(run, i, values) for i in range(1, workers)]
         done = [run(0, values)] + [fut.result() for fut in futures]
-        moment, gap = np.zeros(values.shape[1:]), np.zeros(values.shape[1:])
+        shape = (values.shape[0], values.shape[2])
+        moment, gap = np.zeros(shape), np.zeros(shape)
         for b in range(len(blocks)):
             block_moment, block_gap = done[b % workers][b // workers]
             moment += block_moment
@@ -899,12 +960,15 @@ def apply_S(
     coordinate in one contiguous row.
 
     S maps each path to itself, so it runs in place: the input is copied
-    once and the copy is overwritten chunk by chunk, by the same in-place
-    sweep that ``picard_solve`` runs on its one ensemble.  Paths are
-    processed in blocks of ``_MOMENT_BLOCK``, each split into chunks of
-    at most ``chunk_paths`` paths, on ``threads`` worker threads; every
-    path is computed by the same operations in any chunk, so the output
-    is bitwise identical for any chunking and thread count.
+    once, coordinate-major, and the copy is overwritten chunk by chunk,
+    by the same in-place sweep that ``picard_solve`` runs on its one
+    ensemble.  The sweep reads every coordinate of the input that a term
+    uses but writes only the coordinates S can reach (``_Plan.reach``);
+    the others are then set to zero.  Paths are processed in blocks of
+    ``_MOMENT_BLOCK``, each split into chunks of at most ``chunk_paths``
+    paths, on ``threads`` worker threads; every path is computed by the
+    same operations in any chunk, so the output is bitwise identical for
+    any chunking and thread count.
 
     Returns the new ensemble and a tail report; the truncation error of
     the full two-sided window is bounded by ``tail_factor`` times the
@@ -925,10 +989,12 @@ def apply_S(
         and plan.truncation == truncation
     ):
         raise SolverError("the plan was built for other arguments")
-    values = ens.values.copy()
+    values = np.moveaxis(ens.values, -1, 0).copy()
     with _in_place_sweeps(plan, chunk_paths, threads) as sweep:
         sweep(values)
-    return PathEnsemble(h=h, k_lo=k_lo, values=values), _tail_report(sys, plan)
+    values[[i for i in range(d) if i not in plan.reach]] = 0.0
+    out = PathEnsemble(h=h, k_lo=k_lo, values=np.moveaxis(values, 0, -1))
+    return out, _tail_report(sys, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -978,9 +1044,12 @@ def picard_solve(
     it in place: S maps each path to itself, so each chunk of paths is
     computed in scratch, its sums of new^2 and (new - old)^2 are taken
     there, and only then is it written back.  The gap and the moment
-    come from those sums, with no further pass over the ensemble.  A
-    non-finite moment triggers the exact check that every state is
-    finite.  ``chunk_paths`` and ``threads`` do not change the result.
+    come from those sums, with no further pass over the ensemble.  The
+    ensemble is stored coordinate-major and starts at zero; a coordinate
+    S cannot reach is never touched, so it stays zero without taking
+    memory or time.  A non-finite moment triggers the exact check that
+    every state is finite.  ``chunk_paths`` and ``threads`` do not
+    change the result.
     """
     if tol <= 0:
         raise SolverError("tol must be positive")
@@ -991,18 +1060,20 @@ def picard_solve(
         truncation = max(1, round(12.0 / sys.omega / h)) * h
     plan = _Plan.build(sys, cs, noise, truncation)
     m, n_times = noise.n_paths, noise.n_steps + 1
-    values = np.zeros((m, n_times, sys.dim))
+    # coordinate-major: a coordinate S cannot reach is never touched and
+    # stays untouched zero pages
+    values = np.zeros((sys.dim, m, n_times))
     trace = []
     converged = False
     with _in_place_sweeps(plan, chunk_paths, threads) as sweep:
         for it in range(1, max_iter + 1):
             t0 = time.perf_counter()
             moment_sums, gap_sums = sweep(values)
-            moment = _sup_mean(moment_sums, n_times, m)
+            moment = _sup_mean(moment_sums.T, n_times, m)
             # a finite moment proves every state finite
             if not math.isfinite(moment) and not np.all(np.isfinite(values)):
                 raise SolverError("ensemble contains non-finite states")
-            gap = _sup_mean(gap_sums, n_times, m)
+            gap = _sup_mean(gap_sums.T, n_times, m)
             wall_ms = (time.perf_counter() - t0) * 1000.0
             trace.append(
                 {
@@ -1016,7 +1087,7 @@ def picard_solve(
                 converged = True
                 break
     return PicardResult(
-        ensemble=PathEnsemble(h=h, k_lo=noise.k_lo, values=values),
+        ensemble=PathEnsemble(h=h, k_lo=noise.k_lo, values=np.moveaxis(values, 0, -1)),
         gap_trace=tuple(trace),
         converged=converged,
         iterations=len(trace),

@@ -451,6 +451,18 @@ class TestCliExitCodes:
         assert code == 2
         assert "omega" in capsys.readouterr().err
 
+    def test_tiny_step_rejected_before_sampling(self, tmp_path, capsys):
+        """A step so small that the noise sample cannot be allocated is a
+        config error naming the step, not a traceback from the sampler."""
+        code = main(
+            ["picard", "--preset", "example41", "--paths", "3", "--dt", "1e-300",
+             "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "numerics.h" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_noise_drift_must_be_zero(self, tmp_path, capsys):
         d = tiny_benchmark_dict()
         dim = d["levy"]["dim"]

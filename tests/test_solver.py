@@ -2,6 +2,7 @@
 against closed forms, and the integral operator against telescoping /
 contraction / equivariance oracles."""
 
+import hashlib
 import math
 import sys
 import tracemalloc
@@ -21,6 +22,7 @@ from levyap.coefficients import (
     galerkin_heat_coefficients,
     ou_forced_coefficients,
 )
+from levyap.config import build_coefficients, build_spec, build_system, preset_config
 from levyap.dichotomy import DichotomousSystem
 from levyap.noise import (
     JumpComponent,
@@ -545,11 +547,16 @@ class TestApplyS:
             with pytest.raises(SolverError, match="chunk_paths must be at least 1"):
                 apply_S(sysd, cs, noise, ens, truncation=0.5, chunk_paths=chunk)
 
-    @pytest.mark.parametrize("case", ["rotation", "jordan", "stiff", "sparse"])
+    @pytest.mark.parametrize(
+        "case", ["rotation", "jordan", "stiff", "sparse", "unreachable", "coupled"]
+    )
     def test_matches_recursion_oracle(self, case):
         """The modal block scans against the per-step recursions on a
-        rotating, a defective and a stiff generator, and with sparse
-        coefficients on two-dimensional noise."""
+        rotating, a defective and a stiff generator, with sparse
+        coefficients on two-dimensional noise, with terms that read a
+        coordinate S cannot reach, and with a mode that only its
+        triangular coupling forces.  S is exactly zero in the
+        coordinates outside the plan's ``reach``."""
         system, coefficients, spec = _ORACLE_CASES[case]
         sysd, h, window = system()
         d = sysd.dim
@@ -559,6 +566,20 @@ class TestApplyS:
         out, _ = apply_S(sysd, cs, noise, ens, truncation=1.0)
         ref = _recursion_oracle(sysd, cs, noise, ens, truncation=1.0)
         assert np.abs(out.values - ref).max() <= 1e-12 * np.abs(ref).max()
+        reach = _Plan.build(sysd, cs, noise, 1.0).reach
+        assert reach == ((0, 1) if case in ("unreachable", "coupled") else (0, 1, 2))
+        unreachable = [i for i in range(d) if i not in reach]
+        assert np.all(out.values[:, :, unreachable] == 0.0)
+
+    @pytest.mark.parametrize("preset, reach", [("example41", (1,)), ("galerkin_heat", None)])
+    def test_reach_of_presets(self, preset, reach):
+        """No forcing of example41 reaches its unstable first coordinate;
+        every galerkin_heat mode is reached (``None``: all of them)."""
+        cfg = preset_config(preset)
+        sysd = build_system(cfg.system)
+        noise = sample_noise(build_spec(cfg.levy), (-1.0, 1.0), 1.0 / 16, 2, seed=0)
+        plan = _Plan.build(sysd, build_coefficients(cfg.coefficients), noise, 0.5)
+        assert plan.reach == (tuple(range(sysd.dim)) if reach is None else reach)
 
     def test_stiff_mode_runs_several_scan_blocks(self):
         sysd, h, window = _stiff_system()
@@ -819,6 +840,24 @@ class TestPicard:
             tracemalloc.stop()
         assert peak <= 1.5 * res.ensemble.values.nbytes
 
+    def test_example41_result_is_pinned(self):
+        """A sha256 of the values and of the gaps and moments of a small
+        example41 solve, taken before the ensemble was stored coordinate
+        by coordinate; any change to the rounding of the sweep or of the
+        moment sums changes it, at any thread count."""
+        noise = sample_noise(benchmark_spec(), (-2.0, 2.0), 1.0 / 32, 96, seed=41)
+        for threads in (1, 2):
+            res = picard_solve(
+                benchmark_system(), example41_coefficients(), noise, tol=1e-18, threads=threads
+            )
+            assert res.converged and res.iterations == 7
+            digest = hashlib.sha256(np.ascontiguousarray(res.ensemble.values).tobytes())
+            trace = [[rec["gap"], rec["sup_second_moment"]] for rec in res.gap_trace]
+            digest.update(np.array(trace).tobytes())
+            assert digest.hexdigest() == (
+                "8de7f866a39f1b4ce6ae5ad02dd9bf9e5653ef8a8a41ffbf1e4cf793d2ee44a9"
+            )
+
     def test_invalid_arguments(self):
         sysd = benchmark_system()
         noise = sample_noise(benchmark_spec(), (-1.0, 1.0), 1.0 / 32, 2, seed=1)
@@ -989,6 +1028,48 @@ def _sparse_coefficients(d: int) -> CoefficientSet:
     )
 
 
+def _unreachable_coefficients(d: int) -> CoefficientSet:
+    """Drift, diffusion and both jump terms on the stable coordinates 0
+    and 1 of ``_rotation_system``, every one reading its unstable
+    coordinate 2, which no term acts on: S cannot reach coordinate 2,
+    but its values enter the other two."""
+    assert d == 3
+    return CoefficientSet(
+        dim_state=3,
+        dim_noise=1,
+        drift=(
+            (CoefficientTerm(0.4, "bounded_ratio", coord=2),),
+            (CoefficientTerm(0.2, "const"), CoefficientTerm(-0.3, "linear", coord=2)),
+            (),
+        ),
+        diffusion=(((CoefficientTerm(0.1, "linear", coord=2),),), ((),), ((),)),
+        jump_small=(
+            (),
+            (CoefficientTerm(0.1, "linear", coord=2, mark_weights=(1.0,)),),
+            (),
+        ),
+        jump_large=((CoefficientTerm(0.05, "linear", coord=2, mark_weights=(1.0,)),), (), ()),
+        lipschitz=Fraction(1, 2),
+    )
+
+
+def _coupled_coefficients(d: int) -> CoefficientSet:
+    """Diffusion on coordinate 1 of ``_unstable_jordan_system`` only,
+    reading its stable coordinate 2, which nothing forces: the Jordan
+    block's first mode is reached only through its coupling to the
+    second."""
+    assert d == 3
+    return CoefficientSet(
+        dim_state=3,
+        dim_noise=1,
+        drift=((), (), ()),
+        diffusion=(((),), ((CoefficientTerm(0.2, "linear", coord=2),),), ((),)),
+        jump_small=((), (), ()),
+        jump_large=((), (), ()),
+        lipschitz=Fraction(1, 2),
+    )
+
+
 def _rotation_system():
     """Stable rotation (eigenvalues -1 +- 3i) next to an unstable mode."""
     a = np.array([[-1.0, 3.0, 0.0], [-3.0, -1.0, 0.0], [0.0, 0.0, 2.0]])
@@ -1000,6 +1081,13 @@ def _jordan_system():
     """Defective stable Jordan block next to an unstable mode."""
     a = np.array([[-2.0, 1.0, 0.0], [0.0, -2.0, 0.0], [0.0, 0.0, 3.0]])
     sysd = DichotomousSystem.create(a, np.diag([1.0, 1.0, 0.0]), k=1.5, omega=1.0)
+    return sysd, 1 / 32, (-2.0, 2.0)
+
+
+def _unstable_jordan_system():
+    """Defective unstable Jordan block next to a stable mode."""
+    a = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, -1.0]])
+    sysd = DichotomousSystem.create(a, np.diag([0.0, 0.0, 1.0]), k=1.5, omega=1.0)
     return sysd, 1 / 32, (-2.0, 2.0)
 
 
@@ -1016,6 +1104,8 @@ _ORACLE_CASES = {
     "jordan": (_jordan_system, _mixed_coefficients, _jump_diffusion_spec),
     "stiff": (_stiff_system, _mixed_coefficients, _jump_diffusion_spec),
     "sparse": (_rotation_system, _sparse_coefficients, _two_dim_spec),
+    "unreachable": (_rotation_system, _unreachable_coefficients, _jump_diffusion_spec),
+    "coupled": (_unstable_jordan_system, _coupled_coefficients, _jump_diffusion_spec),
 }
 
 
