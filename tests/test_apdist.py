@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from _lp_oracles import enumerate_bl_value, rational_bl_value
+import levyap.apdist
 from levyap.apdist import (
     APScanReport,
     EmpiricalLaw,
     EmpiricalLawError,
     LawTrajectory,
     _signed_support,
+    _transport_bl,
     ap_distribution_scan,
     bl_distance,
     law_trajectory,
@@ -81,6 +83,15 @@ def test_subsample_follows_weights():
     )
     sub = law.subsample(1, seed=0)
     assert sub.points[0, 0] == 0.0
+
+
+def test_tiny_negative_weights_are_stored_as_zero():
+    # accepted as rounding, and resampling must not see them
+    law = EmpiricalLaw(np.array([[0.0], [1.0], [2.0]]), np.array([0.5, 0.5 + 1e-13, -1e-13]))
+    assert law.weights[2] == 0.0
+    sub = law.subsample(2, seed=1)
+    assert len(sub.points) == 2
+    assert 2.0 not in sub.points
 
 
 def test_signed_support_cancels_shared_atoms():
@@ -187,6 +198,101 @@ def test_matches_brute_force_enumeration():
         assert abs(ours - exact) < 1e-10
 
 
+def _line_oracle_cases():
+    """1-d laws for the exact oracles: ties within a law, atoms shared
+    between the laws, weighted coincident atoms, one and two points, and
+    total masses that differ by rounding."""
+    col = lambda *v: np.array(v, dtype=float)[:, None]
+    yield EmpiricalLaw.from_samples(col(0.0, 0.0, 1.0)), EmpiricalLaw.from_samples(col(0.5, 2.0))
+    yield EmpiricalLaw.from_samples(col(0.0, 1.0, 3.0)), EmpiricalLaw.from_samples(
+        col(1.0, 3.0, 4.0)
+    )
+    yield (
+        EmpiricalLaw(col(0.0, 0.0, 1.5, 1.5), np.array([0.1, 0.2, 0.3, 0.4])),
+        EmpiricalLaw(col(1.5, 0.0, 2.5), np.array([0.5, 0.25, 0.25])),
+    )
+    # one point: the masses differ by rounding only
+    yield EmpiricalLaw(col(0.7), np.array([1.0])), EmpiricalLaw(
+        col(0.7, 0.7), np.array([0.5, 0.5 - 4e-10])
+    )
+    # two points, and the same with a mass imbalance
+    yield EmpiricalLaw.from_samples(col(-0.3)), EmpiricalLaw.from_samples(col(0.9))
+    yield EmpiricalLaw(col(0.0, 1.0), np.array([0.6, 0.4 + 5e-10])), EmpiricalLaw(
+        col(2.0), np.array([1.0])
+    )
+    gen = np.random.default_rng(6)
+    for _ in range(4):
+        mu = EmpiricalLaw.from_samples(np.round(gen.normal(size=(3, 1)), 1))
+        nu = EmpiricalLaw.from_samples(np.round(gen.normal(size=(3, 1)), 1) + 0.3)
+        yield mu, nu
+
+
+def test_line_matches_exact_oracles():
+    for mu, nu in _line_oracle_cases():
+        pts, delta = _signed_support(mu, nu)
+        assert pts.shape[1] == 1 and len(pts) <= 6
+        ours = bl_distance(mu, nu)
+        exact = float(rational_bl_value(pts, delta))
+        assert abs(ours - exact) < 1e-10
+        if len(pts) <= 3:
+            assert abs(ours - float(enumerate_bl_value(pts, delta))) < 1e-10
+        assert ours == bl_distance(nu, mu)
+
+
+def test_line_single_point_gives_the_mass_difference():
+    # two points are test_two_point_closed_form, which is on the line too
+    mu = EmpiricalLaw(np.array([[2.0], [2.0]]), np.array([0.5, 0.5 + 3e-10]))
+    nu = EmpiricalLaw.from_samples(np.array([[2.0]]))
+    value, wit = bl_distance(mu, nu, return_witness=True)
+    pts, delta = _signed_support(mu, nu)
+    assert len(pts) == 1
+    assert value == abs(delta[0])
+    assert float(delta @ wit["f"]) == value
+
+
+def _cloud_pairs(gen, n, d):
+    """Clouds of n points in dimension d: one pair close (a jittered
+    copy), one pair independent."""
+    a = gen.normal(size=(n, d))
+    yield EmpiricalLaw.from_samples(a), EmpiricalLaw.from_samples(
+        a + 0.01 * gen.normal(size=(n, d))
+    )
+    yield EmpiricalLaw.from_samples(a), EmpiricalLaw.from_samples(gen.normal(size=(n, d)))
+
+
+def _transport_value(mu, nu):
+    pts, delta = _signed_support(mu, nu)
+    return _transport_bl(pts, delta if delta[0] > 0 else -delta)[0]
+
+
+def test_line_matches_transport_lp_on_clouds():
+    gen = np.random.default_rng(15)
+    for n in (16, 96, 512):
+        for mu, nu in _cloud_pairs(gen, n, 1):
+            assert abs(bl_distance(mu, nu) - _transport_value(mu, nu)) < 1e-9
+
+
+def test_constant_coordinates_are_dropped_exactly():
+    gen = np.random.default_rng(16)
+    for n in (8, 40):
+        for mu, nu in _cloud_pairs(gen, n, 1):
+            lift = [
+                EmpiricalLaw(np.insert(law.points, 0, -1.25, axis=1), law.weights)
+                for law in (mu, nu)
+            ]
+            value = bl_distance(*lift)
+            # the constant coordinate changes no distance: the same value
+            # as the 1-d laws, and as the transport LP on the full points
+            assert value == bl_distance(mu, nu)
+            assert abs(value - _transport_value(*lift)) < 1e-9
+    # a 3-d law with two varying coordinates goes to the transport LP on them
+    a = gen.normal(size=(10, 3))
+    b = gen.normal(size=(10, 3))
+    a[:, 1] = b[:, 1] = 4.0
+    mu, nu = EmpiricalLaw.from_samples(a), EmpiricalLaw.from_samples(b)
+    assert abs(bl_distance(mu, nu) - _transport_value(mu, nu)) < 1e-9
+
+
 def _reference_full_lp(mu, nu):
     """Full constraint set, reduced variables, solved by scipy."""
     pts, delta = _signed_support(mu, nu)
@@ -213,33 +319,21 @@ def _reference_full_lp(mu, nu):
     return -res.fun
 
 
-def _cloud_pairs_2d(gen, n=64):
-    """2-d clouds of n points each: one pair close (a jittered copy),
-    one pair independent."""
-    a = gen.normal(size=(n, 2))
-    yield EmpiricalLaw.from_samples(a), EmpiricalLaw.from_samples(
-        a + 0.01 * gen.normal(size=(n, 2))
-    )
-    yield EmpiricalLaw.from_samples(a), EmpiricalLaw.from_samples(
-        gen.normal(size=(n, 2))
-    )
-
-
 def test_matches_reference_solver_on_moderate_instances():
     gen = np.random.default_rng(14)
     pairs = [_random_pair(gen, max_pts=25) for _ in range(10)]
-    pairs += list(_cloud_pairs_2d(gen))
+    pairs += list(_cloud_pairs(gen, 64, 2))
     for mu, nu in pairs:
         assert abs(bl_distance(mu, nu) - _reference_full_lp(mu, nu)) < 1e-7
 
 
-def _weighted_coincident_pair(gen):
+def _weighted_coincident_pair(gen, dim=2):
     """Weighted laws whose atoms repeat within each law and are shared
     between the two laws."""
-    shared = gen.normal(size=(3, 2))
+    shared = gen.normal(size=(3, dim))
     laws = []
     for _ in range(2):
-        own = gen.normal(size=(int(gen.integers(1, 6)), 2))
+        own = gen.normal(size=(int(gen.integers(1, 6)), dim))
         pts = np.concatenate([shared, shared[:2], own])
         w = gen.uniform(0.1, 1.0, size=len(pts))
         laws.append(EmpiricalLaw(pts, w / w.sum()))
@@ -248,8 +342,9 @@ def _weighted_coincident_pair(gen):
 
 def test_witness_certifies_the_value():
     gen = np.random.default_rng(21)
-    pairs = [_random_pair(gen, max_pts=20, dim=2) for _ in range(5)]
-    pairs += [_weighted_coincident_pair(gen) for _ in range(5)]
+    pairs = [_random_pair(gen, max_pts=20, dim=dim) for dim in (1, 2) for _ in range(5)]
+    pairs += [_weighted_coincident_pair(gen, dim) for dim in (1, 2) for _ in range(5)]
+    pairs += list(_cloud_pairs(gen, 128, 1))
     for mu, nu in pairs:
         value, wit = bl_distance(mu, nu, return_witness=True)
         pts, delta = _signed_support(mu, nu)
@@ -287,6 +382,21 @@ def test_failed_solve_or_open_gap_raises(monkeypatch):
 
     monkeypatch.setattr(scipy.optimize, "linprog", loose)
     with pytest.raises(EmpiricalLawError, match="gap"):
+        bl_distance(mu, nu)
+
+
+def test_line_open_gap_or_round_cap_raises(monkeypatch):
+    mu, nu = _random_pair(np.random.default_rng(23), dim=1)
+    real_primal = levyap.apdist._line_primal
+    monkeypatch.setattr(
+        levyap.apdist, "_line_primal", lambda *args: 0.999 * real_primal(*args)
+    )
+    with pytest.raises(EmpiricalLawError, match="gap"):
+        bl_distance(mu, nu)
+    monkeypatch.undo()
+    # this pair needs more than one cutting-plane round
+    monkeypatch.setattr(levyap.apdist, "_LINE_ROUNDS", 1)
+    with pytest.raises(EmpiricalLawError, match="did not converge in 1 "):
         bl_distance(mu, nu)
 
 

@@ -91,6 +91,21 @@ def tiny_galerkin_dict():
     }
 
 
+def tiny_ou_dict():
+    """Shrunken copy of the ou_forced preset, with a one-shift scan."""
+    d = config_to_dict(preset_config("ou_forced"))
+    d["numerics"] = {
+        "h": "1/16",
+        "window": [-3, 4],
+        "n_paths": 16,
+        "truncation": 2,
+        "tol": 1e-9,
+        "max_iter": 25,
+    }
+    d["analysis"] = {"epsilon": 0.5, "shifts": [1], "times": [0, "1/2"], "law_support": 12}
+    return d
+
+
 # floats that repr prints in scientific notation, both signed zeros,
 # subnormals and the largest double
 CSV_SPECIAL_FLOATS = [1e-5, 1e16, 5e-324, -0.0, 0.0, -2.5e-310, 1.7976931348623157e308, -1e-7]
@@ -893,6 +908,41 @@ class TestCliDeterminism:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+    def test_line_scans_do_not_import_scipy_optimize(self, tmp_path):
+        """example41's laws vary in one coordinate and ou_forced's are 1-d,
+        so the line solver compares them and their scans never import
+        ``scipy.optimize``; a galerkin_heat scan still gets its certified
+        values from HiGHS."""
+        galerkin = tiny_galerkin_dict()
+        galerkin["analysis"] = {"epsilon": 0.5, "shifts": [1], "times": [0, 1], "law_support": 12}
+        cfgs = [
+            write_cfg(tmp_path, data, name=f"{name}.json")
+            for name, data in (
+                ("ex41", tiny_benchmark_dict()),
+                ("ou", tiny_ou_dict()),
+                ("gal", galerkin),
+            )
+        ]
+        code = (
+            "import io, json, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "from levyap.cli import main\n"
+            f"for cfg in {[str(c) for c in cfgs]!r}:\n"
+            "    out = cfg[:-5]\n"
+            "    with redirect_stdout(io.StringIO()):\n"
+            "        assert main(['apscan', '--config', cfg, '--out', out]) == 0\n"
+            "    rep = json.load(open(out + '/apscan_report.json'))\n"
+            "    print(rep['shifts'][0]['sup_beta'], 'scipy.optimize' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(levyap.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = [line.split() for line in proc.stdout.strip().splitlines()]
+        assert [loaded for _, loaded in lines] == ["False", "False", "True"]
+        assert all(0.0 < float(value) <= 2.0 for value, _ in lines)
 
     def test_seed_changes_results(self, tmp_path, capsys):
         base = self.run_picard(tmp_path, "s0")
