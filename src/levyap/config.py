@@ -29,7 +29,7 @@ from .coefficients import (
     galerkin_heat_coefficients,
     ou_forced_coefficients,
 )
-from .dichotomy import DichotomousSystem, NoDichotomyError, estimate_constants
+from .dichotomy import DichotomousSystem, diagonal_constants
 from .noise import (
     JumpComponent,
     LevyProcessSpec,
@@ -133,6 +133,13 @@ def _exact(x: Number, name: str) -> Fraction:
     raise ConfigError(f"{name}: not a number")
 
 
+def _exact_matrix(m: tuple[tuple[Number, ...], ...], name: str) -> list[list[Fraction]]:
+    return [
+        [_exact(v, f"{name}[{i}][{j}]") for j, v in enumerate(row)]
+        for i, row in enumerate(m)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # config dataclasses
 # ---------------------------------------------------------------------------
@@ -172,8 +179,8 @@ class LevyConfig:
 class GalerkinConfig:
     """Spectral form of the system: the generator is the diagonal of
     shifted square eigenvalues a0 - k^2 (k = 0..n_modes-1), the projection
-    splits by sign, and (K, omega) are fitted from sampled propagator
-    norms."""
+    splits by sign, and (K, omega) are the exact constants of that
+    diagonal system."""
 
     n_modes: int
     a0: Number
@@ -510,29 +517,44 @@ def load_config(path) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
+def _galerkin_exact(n_modes: int, a0: Number):
+    """Exact generator, projection and constants (K, omega) of the
+    spectral system: diagonal matrices of Fractions and the
+    ``diagonal_constants`` certificate."""
+    if n_modes < 1:
+        raise ConfigError("galerkin system needs at least one mode")
+    a0 = _exact(a0, "system.galerkin.a0")
+    eigs = [a0 - j * j for j in range(n_modes)]
+    a = [[e if i == j else 0 for j in range(n_modes)] for i, e in enumerate(eigs)]
+    p = [[int(e < 0) if i == j else 0 for j in range(n_modes)] for i, e in enumerate(eigs)]
+    k, omega = diagonal_constants(a, p)
+    return a, p, k, omega
+
+
 def galerkin_system(n_modes: int, a0: Number) -> DichotomousSystem:
     """Diagonal spectral system with eigenvalues a0 - k^2, k = 0..m-1.
 
-    The projection separates negative from positive eigenvalues and the
-    dichotomy constants are fitted from sampled propagator norms, which
-    raises ``NoDichotomyError`` when the shifted spectrum touches 0.
+    The projection separates negative from positive eigenvalues.  The
+    dichotomy constants are exact: K = 1 and omega the smallest |a0 -
+    k^2| (``diagonal_constants``), which raises ``NoDichotomyError``
+    when the shifted spectrum touches 0.
     """
-    if n_modes < 1:
-        raise ConfigError("galerkin system needs at least one mode")
-    a0f = float(a0)
-    eigs = a0f - np.arange(n_modes, dtype=float) ** 2
-    a = np.diag(eigs)
-    p = np.diag((eigs < 0).astype(float))
-    provisional = DichotomousSystem.create(a, p, k=1.0, omega=1e-12, check=False)
-    gap = float(np.abs(eigs).min()) if len(eigs) else 0.0
-    horizon = 4.0 / gap if gap > 0 else 4.0
-    est = estimate_constants(provisional, np.linspace(0.0, min(horizon, 50.0), 33))
+    a, p, k, omega = _galerkin_exact(n_modes, a0)
     return DichotomousSystem.create(
-        a, p, k=est.k_hat * (1.0 + 1e-9), omega=est.omega_hat * (1.0 - 1e-9)
+        _as_float_matrix(a), _as_float_matrix(p), k=float(k), omega=float(omega), check=False
     )
 
 
 def build_system(cfg: SystemConfig) -> DichotomousSystem:
+    """The configured system.
+
+    A diagonal explicit system (A diagonal, P a diagonal of 0s and 1s) is
+    held to its exact constants: a declared K below 1 or omega above the
+    certified rate is a ConfigError naming ``system.k`` or
+    ``system.omega``, and a rate that is not positive raises
+    ``NoDichotomyError``.  Any other explicit system gets the sampled
+    ``spot_check_dichotomy`` of ``DichotomousSystem.create``.
+    """
     if cfg.galerkin is not None:
         return galerkin_system(cfg.galerkin.n_modes, cfg.galerkin.a0)
     if cfg.a is None or cfg.p is None or cfg.k is None or cfg.omega is None:
@@ -541,11 +563,24 @@ def build_system(cfg: SystemConfig) -> DichotomousSystem:
         raise ConfigError("system.omega must be positive")
     if not (float(cfg.k) > 0):
         raise ConfigError("system.k must be positive")
+    exact = diagonal_constants(_exact_matrix(cfg.a, "system.a"), _exact_matrix(cfg.p, "system.p"))
+    if exact is not None:
+        k, omega = exact
+        if _exact(cfg.k, "system.k") < k:
+            raise ConfigError(
+                f"system.k = {cfg.k} is below the certified K = {k} of this diagonal system"
+            )
+        if _exact(cfg.omega, "system.omega") > omega:
+            raise ConfigError(
+                f"system.omega = {cfg.omega} is above the certified omega = {omega} "
+                "of this diagonal system"
+            )
     return DichotomousSystem.create(
         _as_float_matrix(cfg.a),
         _as_float_matrix(cfg.p),
         k=float(cfg.k),
         omega=float(cfg.omega),
+        check=exact is None,
     )
 
 
@@ -645,14 +680,13 @@ def build_coefficients(cfg: CoefficientConfig) -> CoefficientSet:
 def condition_inputs(cfg: RunConfig) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """Exact (K, omega, L, b) for the contraction conditions.
 
-    K and omega come from the system config (or the fitted galerkin
+    K and omega come from the system config (or the exact galerkin
     constants), L from the coefficient set's declared constant, b from
     the summed large-jump rates.  Rational inputs stay exact; floats
     convert exactly.
     """
     if cfg.system.galerkin is not None:
-        sysd = build_system(cfg.system)
-        k, omega = Fraction(sysd.k), Fraction(sysd.omega)
+        _, _, k, omega = _galerkin_exact(cfg.system.galerkin.n_modes, cfg.system.galerkin.a0)
     else:
         if cfg.system.k is None or cfg.system.omega is None:
             raise ConfigError("system needs k and omega for condition checks")

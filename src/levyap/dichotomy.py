@@ -10,14 +10,21 @@ round-off from the complementary subspace cannot contaminate the result:
 both projected propagators are computed as U e^{Bt} U^T Proj where U is
 an orthonormal basis of the invariant range and B the compression of A
 to it.
+
+The constants of a diagonal system with a 0/1 diagonal projection are
+exact (``diagonal_constants``: K = 1 and omega the slowest decay rate,
+in Fractions).  Other systems are only spot-checked at sampled times and
+probe vectors (``spot_check_dichotomy``).  scipy is imported on the
+first matrix exponential, so the exact path loads none of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import Optional
 
 import numpy as np
-from scipy.linalg import expm
 
 __all__ = [
     "DichotomyError",
@@ -27,6 +34,7 @@ __all__ = [
     "DichotomyEstimate",
     "matrix_exp",
     "integrated_exp",
+    "diagonal_constants",
     "estimate_constants",
     "spot_check_dichotomy",
 ]
@@ -58,6 +66,8 @@ def matrix_exp(a: np.ndarray, t: float) -> np.ndarray:
         raise MatrixExpOverflowError(
             f"matrix exponential overflow risk: ||A||*|t| = {scale:.3g} > {_EXP_NORM_LIMIT}"
         )
+    from scipy.linalg import expm
+
     return expm(a * t)
 
 
@@ -202,6 +212,38 @@ class DichotomousSystem:
             return np.zeros((self.dim, self.dim))
         u = self.basis_unstable
         return u @ (-integrated_exp(self.gen_unstable, t)) @ (u.T @ self.j)
+
+
+def diagonal_constants(a, p) -> Optional[tuple[Fraction, Fraction]]:
+    """Exact dichotomy constants (K, omega) of a diagonal system, or None
+    when the system is not one.
+
+    ``a`` and ``p`` are square matrices (sequences of rows) of exact
+    rationals.  When A is diagonal and P is a diagonal of 0s and 1s,
+    e^{At} P is diagonal with entries e^{a_ii t} over the stable indices
+    (p_ii = 1), and e^{At} (I - P) likewise over the unstable ones.  So
+    K = 1 and omega = min(-a_ii over stable i, a_ii over unstable i)
+    bound both, and are the tightest constants that do: at t = 0 whichever
+    of P and I - P is nonzero has norm 1, and the slowest mode decays at
+    exactly omega.
+
+    Raises NoDichotomyError when that omega is not positive.
+    """
+    d = len(a)
+    if d == 0 or len(p) != d or any(len(row) != d for row in (*a, *p)):
+        return None
+    for i in range(d):
+        if p[i][i] not in (0, 1):
+            return None
+        for j in range(d):
+            if i != j and (a[i][j] != 0 or p[i][j] != 0):
+                return None
+    omega = min(-a[i][i] if p[i][i] == 1 else a[i][i] for i in range(d))
+    if omega <= 0:
+        raise NoDichotomyError(
+            f"no dichotomy at this projection: the slowest mode decays at rate {omega} <= 0"
+        )
+    return Fraction(1), Fraction(omega)
 
 
 def spot_check_dichotomy(

@@ -61,7 +61,6 @@ from numbers import Rational
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import rsf2csf, schur
 
 from .coefficients import (
     CoefficientSet,
@@ -90,7 +89,6 @@ __all__ = [
     "apply_S",
     "picard_solve",
     "sup_second_moment",
-    "l2_increment",
 ]
 
 _BLOWUP_GUARD = 1e8
@@ -313,14 +311,6 @@ def sup_second_moment(ens: PathEnsemble) -> float:
     return _sup_mean(total, n, m)
 
 
-def l2_increment(ens: PathEnsemble, t: float, r: float) -> float:
-    """Path-average of ||Y(t) - Y(r)||^2 for two grid times."""
-    i = ens.index_of(t)
-    j = ens.index_of(r)
-    diff = ens.values[:, i, :] - ens.values[:, j, :]
-    return float(np.mean(np.sum(diff**2, axis=1)))
-
-
 # ---------------------------------------------------------------------------
 # forward integrator
 # ---------------------------------------------------------------------------
@@ -439,6 +429,10 @@ class _ModalHalf:
 
     @classmethod
     def build(cls, basis, prop, ker, stoch, win, reverse) -> "_ModalHalf":
+        # imported here, not at module level, so that importing the CLI
+        # (and ``levyap check``) loads no scipy module
+        from scipy.linalg import rsf2csf, schur
+
         tri, z = schur(basis.T @ prop @ basis)
         if np.any(np.diag(tri, -1) != 0.0):  # 2x2 blocks: complex eigenvalues
             tri, z = rsf2csf(tri, z)

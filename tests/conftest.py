@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-# make tests/_lp_oracles.py importable regardless of invocation directory
+# make the tests' helper modules (_lp_oracles.py, _ensemble_oracles.py)
+# importable regardless of invocation directory
 sys.path.insert(0, str(Path(__file__).parent))
 
 _acceptance_results: dict[str, bool] = {}

@@ -18,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from _ensemble_oracles import l2_increment
 from _lp_oracles import rational_bl_value
 from levyap.apdist import (
     EmpiricalLaw,
@@ -48,7 +49,6 @@ from levyap.noise import (
 )
 from levyap.solver import (
     check_conditions,
-    l2_increment,
     picard_solve,
 )
 

@@ -466,6 +466,38 @@ class TestCliExitCodes:
         assert code == 2
         assert "omega" in capsys.readouterr().err
 
+    def check_system(self, tmp_path, capsys, **system):
+        d = tiny_benchmark_dict()
+        d["system"].update(system)
+        cfg = write_cfg(tmp_path, d)
+        code = main(["check", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        return code, capsys.readouterr().err
+
+    def test_k_below_one_rejected_on_diagonal_system(self, tmp_path, capsys):
+        """||P|| = 1 at t = 0, so no K below 1 bounds example41's stable
+        half; random probe vectors rarely line up with range(P), so only
+        the exact certificate catches a K this close to 1."""
+        code, err = self.check_system(tmp_path, capsys, k="99999999/100000000")
+        assert code == 2
+        assert "system.k" in err and "Traceback" not in err
+
+    def test_omega_above_certified_rate_rejected(self, tmp_path, capsys):
+        code, err = self.check_system(tmp_path, capsys, omega="6000001/1000000")
+        assert code == 2
+        assert "system.omega" in err and "Traceback" not in err
+
+    def test_certified_boundary_constants_accepted(self, tmp_path, capsys):
+        code, err = self.check_system(tmp_path, capsys, k="1/1", omega="6/1")
+        assert code == 0, err
+        code, err = self.check_system(tmp_path, capsys, k="101/100", omega=5)
+        assert code == 0, err
+
+    def test_diagonal_system_without_decay_rejected(self, tmp_path, capsys):
+        # the stable coordinate has eigenvalue 0: no rate is certified
+        code, err = self.check_system(tmp_path, capsys, a=[[8, 0], [0, 0]])
+        assert code == 2
+        assert "no dichotomy" in err and "Traceback" not in err
+
     def test_tiny_step_rejected_before_sampling(self, tmp_path, capsys):
         """A step so small that the noise sample cannot be allocated is a
         config error naming the step, not a traceback from the sampler."""
@@ -892,22 +924,32 @@ class TestCliDeterminism:
                 assert f",{v}," in text or f",{v}\n" in text
 
     def test_check_loads_no_heavy_scipy_modules(self, tmp_path):
-        """``check`` is the start-up path: it must not import the scipy
-        subpackages that only the scans or nothing at all need."""
+        """``check`` is the start-up path: importing the CLI and checking
+        any shipped preset loads no scipy module at all.  The presets'
+        systems are diagonal, so their constants are certified exactly
+        and no matrix exponential is taken."""
+        presets = ("example41", "ou_forced", "galerkin_heat")
         code = (
-            "import sys\n"
+            "import io, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
             "from levyap.cli import main\n"
-            f"rc = main(['check', '--preset', 'example41', '--out', {str(tmp_path)!r}])\n"
-            "heavy = {'scipy.signal', 'scipy.stats', 'scipy.optimize'}\n"
-            "print(sorted(heavy & set(sys.modules)))\n"
-            "sys.exit(rc)\n"
+            "print('import', scipy_modules())\n"
+            f"for name in {list(presets)!r}:\n"
+            f"    out = {str(tmp_path)!r} + '/' + name\n"
+            "    with redirect_stdout(io.StringIO()):\n"
+            "        rc = main(['check', '--preset', name, '--out', out])\n"
+            "    print(name, rc, scipy_modules())\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(levyap.__file__).parents[1]))
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip().splitlines()[-1] == "[]"
+        assert proc.stdout.strip().splitlines() == ["import []"] + [
+            f"{name} 0 []" for name in presets
+        ]
 
     def test_line_scans_do_not_import_scipy_optimize(self, tmp_path):
         """example41's laws vary in one coordinate and ou_forced's are 1-d,

@@ -10,19 +10,26 @@ Closed-form oracles:
   and like e^{-8t} backward on range(I - P);
 - an oblique projection built from eigenvectors V = [[1, 1], [0, 1]] with
   eigenvalues (-1, 2) satisfies e^{At}P = e^{-t} P, so the tight envelope
-  constants are K = sqrt(2), omega = 1.
+  constants are K = sqrt(2), omega = 1;
+- a diagonal A with a 0/1 diagonal P has the exact constants K = 1 and
+  omega = the slowest |a_ii| (``diagonal_constants``); the sampled spot
+  check and the fitted estimate are the oracles it must agree with.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levyap.config import build_system, preset_config, preset_names
 from levyap.dichotomy import (
     DichotomousSystem,
     DichotomyError,
     MatrixExpOverflowError,
     NoDichotomyError,
+    diagonal_constants,
     estimate_constants,
     integrated_exp,
     matrix_exp,
@@ -279,3 +286,95 @@ def test_estimate_with_trial_vectors():
     probes = np.eye(2)
     est = estimate_constants(sys, np.linspace(0.0, 1.0, 20), trial_vectors=probes)
     assert est.omega_hat == pytest.approx(6.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# exact constants of diagonal systems
+# ---------------------------------------------------------------------------
+
+
+def diag(*entries):
+    return [[e if i == j else 0 for j in range(len(entries))] for i, e in enumerate(entries)]
+
+
+def certified_system(a, p):
+    """The float system of exact diagonal (a, p) under its certified
+    constants, without the spot check, so the tests can run it."""
+    k, omega = diagonal_constants(a, p)
+    return DichotomousSystem.create(
+        np.array(a, dtype=float), np.array(p, dtype=float), float(k), float(omega), check=False
+    )
+
+
+def test_diagonal_constants_of_example():
+    assert diagonal_constants(diag(8, -6), diag(0, 1)) == (1, 6)
+    sys = certified_system(diag(8, -6), diag(0, 1))
+    assert spot_check_dichotomy(sys) <= 1.0 + 1e-9
+    # tight: the slowest stable and unstable modes meet the bound exactly
+    for t in (0.0, 0.3, 1.1):
+        assert np.linalg.norm(sys.stable_matrix(t) @ [0.0, 1.0]) == pytest.approx(
+            np.exp(-6.0 * t), rel=1e-13
+        )
+        assert np.linalg.norm(sys.unstable_matrix(-t) @ [1.0, 0.0]) <= np.exp(-6.0 * t)
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_spot_check_holds_under_certified_constants_on_presets(name):
+    cfg = preset_config(name).system
+    sysd = build_system(cfg)
+    if cfg.galerkin is None:
+        k, omega = diagonal_constants(cfg.a, cfg.p)
+        assert (sysd.k, sysd.omega) == (float(k), float(omega))  # declared = certified
+    assert spot_check_dichotomy(sysd) <= 1.0 + 1e-9
+    # the sampled probes may miss the slowest mode; the basis vectors do not
+    grid = np.linspace(0.0, 4.0 / sysd.omega, 9)
+    est = estimate_constants(sysd, grid, trial_vectors=np.eye(sysd.dim))
+    assert est.k_hat <= sysd.k * (1 + 1e-12)
+    assert est.omega_hat == pytest.approx(sysd.omega, rel=1e-12)
+
+
+def test_galerkin_fit_agrees_with_exact_constants():
+    sysd = build_system(preset_config("galerkin_heat").system)
+    assert (sysd.k, sysd.omega) == (1.0, 1.5)
+    grid = np.linspace(0.0, 4.0 / 1.5, 33)
+    est = estimate_constants(sysd, grid)
+    assert est.max_residual < 1e-9
+    # the fitted envelope log K - omega t against the exact -3t/2; the
+    # 1e-12 covers the round-off in the sampled log norms the fit sees
+    gap = np.abs(np.log(est.k_hat) - est.omega_hat * grid + 1.5 * grid)
+    assert gap.max() <= est.max_residual + 1e-12
+
+
+def test_diagonal_constants_degenerate_projections():
+    # P = I: only stable modes, omega the slowest of them
+    assert diagonal_constants(diag(-2, -3), diag(1, 1)) == (1, 2)
+    sys = certified_system(diag(-2, -3), diag(1, 1))
+    assert sys.rank_unstable == 0 and spot_check_dichotomy(sys) <= 1.0 + 1e-9
+    # P = 0: only unstable modes
+    assert diagonal_constants(diag(2, 3), diag(0, 0)) == (1, 2)
+    sys0 = certified_system(diag(2, 3), diag(0, 0))
+    assert sys0.rank_stable == 0 and spot_check_dichotomy(sys0) <= 1.0 + 1e-9
+
+
+def test_diagonal_constants_reject_missing_decay():
+    with pytest.raises(NoDichotomyError, match="no dichotomy"):
+        diagonal_constants(diag(0, -1), diag(1, 1))  # zero eigenvalue
+    with pytest.raises(NoDichotomyError, match="no dichotomy"):
+        diagonal_constants(diag(8, -6), diag(1, 0))  # projection on the wrong side
+
+
+def test_diagonal_constants_are_exact_for_inexact_floats():
+    third = Fraction(1, 3)
+    assert float(third) != third
+    k, omega = diagonal_constants(diag(-third, 2), diag(1, 0))
+    assert (k, omega) == (1, third) and isinstance(omega, Fraction)
+    sys = certified_system(diag(-third, 2), diag(1, 0))
+    assert spot_check_dichotomy(sys) <= 1.0 + 1e-9
+
+
+def test_diagonal_constants_decline_other_systems():
+    assert diagonal_constants([[1, 1], [0, -1]], diag(0, 1)) is None  # A not diagonal
+    assert diagonal_constants(diag(1, -1), [[0, 1], [0, 1]]) is None  # P not diagonal
+    assert diagonal_constants(diag(-1, -1), diag(1, Fraction(1, 2))) is None  # P not 0/1
+    assert diagonal_constants(diag(-1, -1), diag(1)) is None  # shapes differ
+    assert diagonal_constants([[-1, 0]], [[1, 0]]) is None  # not square
