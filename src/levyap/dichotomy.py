@@ -14,8 +14,12 @@ to it.
 The constants of a diagonal system with a 0/1 diagonal projection are
 exact (``diagonal_constants``: K = 1 and omega the slowest decay rate,
 in Fractions).  Other systems are only spot-checked at sampled times and
-probe vectors (``spot_check_dichotomy``).  scipy is imported on the
-first matrix exponential, so the exact path loads none of it.
+probe vectors (``spot_check_dichotomy``).
+
+The exponential and its integral of a diagonal generator are taken
+entrywise in closed form (``matrix_exp``, ``integrated_exp``), so a
+diagonal system loads no scipy module; scipy is imported on the first
+exponential of a matrix that is not diagonal.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ __all__ = [
     "spot_check_dichotomy",
 ]
 
-_EXP_NORM_LIMIT = 700.0  # e^700 is the edge of double range
+_EXP_GROWTH_LIMIT = 700.0  # e^700 is the edge of double range
 
 
 class DichotomyError(ValueError):
@@ -54,33 +58,69 @@ class MatrixExpOverflowError(ArithmeticError):
     """Raised when a matrix exponential would overflow double range."""
 
 
-def matrix_exp(a: np.ndarray, t: float) -> np.ndarray:
-    """e^{A t} with an overflow guard on the scaled spectral norm."""
-    a = np.asarray(a, dtype=float)
+def _is_diagonal(m: np.ndarray) -> bool:
+    return np.count_nonzero(m) == np.count_nonzero(np.diagonal(m))
+
+
+def _guard_growth(growth: float) -> None:
+    """Raise when the growth exponent of e^{At} leaves double range."""
+    if growth > _EXP_GROWTH_LIMIT:
+        raise MatrixExpOverflowError(
+            f"matrix exponential overflow risk: growth bound mu(At) = {growth:.3g} "
+            f"> {_EXP_GROWTH_LIMIT}"
+        )
+
+
+def _check_finite(a: np.ndarray, t: float) -> None:
     if not np.all(np.isfinite(a)) or not np.isfinite(t):
         raise MatrixExpOverflowError("matrix exponential of non-finite input")
+
+
+def matrix_exp(a: np.ndarray, t: float) -> np.ndarray:
+    """e^{A t}, guarded against overflow by a bound on its growth, so a
+    decaying exponential never raises.
+
+    A diagonal At is exponentiated entrywise, the float operation
+    ``scipy.linalg.expm`` applies to diagonal input, with no scipy
+    import, and its growth max_i a_ii t is exact.  Any other At goes to
+    ``expm``.
+    """
+    a = np.asarray(a, dtype=float)
+    _check_finite(a, t)
     if a.size == 0:
         return np.zeros_like(a)
-    scale = float(np.linalg.norm(a, 2)) * abs(t)
-    if scale > _EXP_NORM_LIMIT:
-        raise MatrixExpOverflowError(
-            f"matrix exponential overflow risk: ||A||*|t| = {scale:.3g} > {_EXP_NORM_LIMIT}"
-        )
+    at = a * t
+    if _is_diagonal(at):
+        _guard_growth(float(np.max(np.diagonal(at))))
+        return np.diag(np.exp(np.diagonal(at)))
+    # the logarithmic norm mu_2(At) = lambda_max((At + (At)^T) / 2)
+    # bounds the growth: ||e^{At}||_2 <= e^{mu_2(At)}
+    _guard_growth(float(np.linalg.eigvalsh((at + at.T) / 2)[-1]))
     from scipy.linalg import expm
 
-    return expm(a * t)
+    return expm(at)
 
 
 def integrated_exp(a: np.ndarray, t: float) -> np.ndarray:
     """The integral of e^{A s} ds over [0, t].
 
-    Computed from one exponential of the augmented block matrix
-    [[A, I], [0, 0]]; exact also when A is singular.
+    For a diagonal A it is diag(expm1(a_ii t) / a_ii), and t where
+    a_ii = 0.  Otherwise it comes from one exponential of the augmented
+    block matrix [[A, I], [0, 0]]; exact also when A is singular.  Both
+    ways carry the overflow guard of ``matrix_exp``.
     """
     a = np.asarray(a, dtype=float)
     d = a.shape[0]
     if d == 0:
         return np.zeros((0, 0))
+    if _is_diagonal(a):
+        _check_finite(a, t)
+        rates = np.diagonal(a)
+        at = rates * t
+        _guard_growth(float(np.max(at)))
+        out = np.full(d, float(t))
+        np.divide(np.expm1(at), rates, out=out, where=rates != 0)
+        return np.diag(out)
     aug = np.zeros((2 * d, 2 * d))
     aug[:d, :d] = a
     aug[:d, d:] = np.eye(d)

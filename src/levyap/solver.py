@@ -429,13 +429,18 @@ class _ModalHalf:
 
     @classmethod
     def build(cls, basis, prop, ker, stoch, win, reverse) -> "_ModalHalf":
-        # imported here, not at module level, so that importing the CLI
-        # (and ``levyap check``) loads no scipy module
-        from scipy.linalg import rsf2csf, schur
+        tri = basis.T @ prop @ basis
+        if np.any(np.tril(tri, -1)):
+            # imported here, not at module level, so that the CLI, and any
+            # command on a system whose reduced propagators are already
+            # triangular (every diagonal one), loads no scipy module
+            from scipy.linalg import rsf2csf, schur
 
-        tri, z = schur(basis.T @ prop @ basis)
-        if np.any(np.diag(tri, -1) != 0.0):  # 2x2 blocks: complex eigenvalues
-            tri, z = rsf2csf(tri, z)
+            tri, z = schur(tri)
+            if np.any(np.diag(tri, -1) != 0.0):  # 2x2 blocks: complex eigenvalues
+                tri, z = rsf2csf(tri, z)
+        else:  # upper triangular already: its own Schur form
+            z = np.eye(len(tri))
         to_modal = z.conj().T @ basis.T
         back = basis @ z
         return cls(

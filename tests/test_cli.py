@@ -492,6 +492,29 @@ class TestCliExitCodes:
         code, err = self.check_system(tmp_path, capsys, k="101/100", omega=5)
         assert code == 0, err
 
+    def test_decaying_exponential_passes_the_overflow_guard(self, tmp_path, capsys):
+        """galerkin_heat's fastest mode decays at 46.5, so over a truncation
+        of 16 its propagator is e^{-744}: ||A|| |t| > 700, but nothing
+        grows, and the guard lets it through."""
+        d = config_to_dict(preset_config("galerkin_heat"))
+        d["numerics"].update(window=[-20, 40], truncation=16)
+        cfg = write_cfg(tmp_path, d)
+        for command in ("check", "picard"):
+            out = tmp_path / command
+            code = main([command, "--config", str(cfg), "--paths", "2", "--out", str(out)])
+            assert code == 0, capsys.readouterr().err
+
+    def test_overflowing_exponential_exits_2(self, tmp_path, capsys):
+        """``simulate`` steps the full flow forward, where an unstable rate
+        of 25600 over h = 1/32 grows by e^800: the guard stops it."""
+        d = tiny_benchmark_dict()
+        d["system"]["a"] = [[25600, 0], [0, -6]]
+        cfg = write_cfg(tmp_path, d)
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "overflow" in err and "800 > 700" in err and "Traceback" not in err
+
     def test_diagonal_system_without_decay_rejected(self, tmp_path, capsys):
         # the stable coordinate has eigenvalue 0: no rate is certified
         code, err = self.check_system(tmp_path, capsys, a=[[8, 0], [0, 0]])
@@ -927,8 +950,17 @@ class TestCliDeterminism:
         """``check`` is the start-up path: importing the CLI and checking
         any shipped preset loads no scipy module at all.  The presets'
         systems are diagonal, so their constants are certified exactly
-        and no matrix exponential is taken."""
+        and no matrix exponential is taken.  ``picard``, ``apscan`` and
+        ``simulate`` of example41 and ou_forced load none either: their
+        propagators and kernels are closed forms, their reduced
+        propagators their own Schur forms, and their laws vary in one
+        coordinate."""
         presets = ("example41", "ou_forced", "galerkin_heat")
+        cfgs = [
+            str(write_cfg(tmp_path, data, name=f"{name}.json"))
+            for name, data in (("ex41", tiny_benchmark_dict()), ("ou", tiny_ou_dict()))
+        ]
+        runs = ("picard", "apscan", "simulate")
         code = (
             "import io, sys\n"
             "from contextlib import redirect_stdout\n"
@@ -941,15 +973,23 @@ class TestCliDeterminism:
             "    with redirect_stdout(io.StringIO()):\n"
             "        rc = main(['check', '--preset', name, '--out', out])\n"
             "    print(name, rc, scipy_modules())\n"
+            f"for cfg in {cfgs!r}:\n"
+            f"    for command in {list(runs)!r}:\n"
+            "        out = cfg[:-5] + '-' + command\n"
+            "        with redirect_stdout(io.StringIO()):\n"
+            "            rc = main([command, '--config', cfg, '--out', out, '--threads', '2'])\n"
+            "        print(cfg.rsplit('/', 1)[1], command, rc, scipy_modules())\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(levyap.__file__).parents[1]))
         proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip().splitlines() == ["import []"] + [
-            f"{name} 0 []" for name in presets
-        ]
+        assert proc.stdout.strip().splitlines() == (
+            ["import []"]
+            + [f"{name} 0 []" for name in presets]
+            + [f"{cfg} {command} 0 []" for cfg in ("ex41.json", "ou.json") for command in runs]
+        )
 
     def test_line_scans_do_not_import_scipy_optimize(self, tmp_path):
         """example41's laws vary in one coordinate and ou_forced's are 1-d,

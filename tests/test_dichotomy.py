@@ -98,6 +98,91 @@ def test_matrix_exp_overflow_guard():
         matrix_exp(np.array([[np.nan]]), 1.0)
 
 
+def test_overflow_guard_bounds_growth_not_norm():
+    """The guard raises on growth beyond e^700, never on decay: a diagonal
+    At by its largest entry, any other by its logarithmic norm."""
+    from scipy.linalg import expm
+
+    with pytest.raises(MatrixExpOverflowError, match="overflow"):
+        matrix_exp(np.diag([800.0]), 1.0)
+    with pytest.raises(MatrixExpOverflowError, match="overflow"):
+        integrated_exp(np.diag([800.0, -1.0]), 1.0)
+    assert matrix_exp(np.diag([-800.0]), 1.0)[0, 0] == pytest.approx(0.0, abs=1e-300)
+    assert integrated_exp(np.diag([-800.0]), 1.0)[0, 0] == pytest.approx(1 / 800, rel=1e-15)
+    assert matrix_exp(np.diag([800.0]), -1.0)[0, 0] == pytest.approx(0.0, abs=1e-300)
+    # ||A|| = 1000, but mu_2(A) = 499: e^{At} = e^{-t} [[1, 1000 t], [0, 1]]
+    a = np.array([[-1.0, 1000.0], [0.0, -1.0]])
+    np.testing.assert_array_equal(matrix_exp(a, 1.0), expm(a))
+    np.testing.assert_allclose(
+        matrix_exp(a, 1.0), np.exp(-1.0) * np.array([[1.0, 1000.0], [0.0, 1.0]]), rtol=1e-12
+    )
+    assert np.isfinite(integrated_exp(a, 1.0)).all()
+    with pytest.raises(MatrixExpOverflowError, match="overflow"):
+        matrix_exp(np.array([[-1.0, 2000.0], [0.0, -1.0]]), 1.0)  # mu_2 = 999
+
+
+# every diagonal entry of A in the shipped presets' systems
+PRESET_RATES = (8.0, -6.0, -1.0, 2.5, 1.5, -1.5, -6.5, -13.5, -22.5, -33.5, -46.5)
+
+
+def test_matrix_exp_of_diagonal_input_is_scipys_expm():
+    """Entrywise e^{a_ii t} is the float operation scipy's expm applies
+    to diagonal input, so the bits agree."""
+    from scipy.linalg import expm
+
+    cases = [np.diag(PRESET_RATES), np.diag([0.0, -3.0, 0.0]), np.array([[-46.5]])]
+    for a in cases:
+        for t in (0.0, 2.0**-11, 1 / 32, 0.25, 1.0, 16.0, -2.0**-8, -0.25):
+            if np.max(a) * t > 700:
+                continue
+            got = matrix_exp(a, t)
+            ref = expm(a * t)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+def exact_integrated_exp(rate: float, t: float) -> Fraction:
+    """(e^{a t} - 1) / a, or t at a = 0, to 2^-120 relative, from the
+    exponential series in exact rationals."""
+    a, t = Fraction(rate), Fraction(t)
+    if a == 0:
+        return t
+    x = abs(a * t)
+    total, term, k = Fraction(0), Fraction(1), 0
+    while term > Fraction(1, 2**120):
+        total += term
+        k += 1
+        term = term * x / k
+    e_at = total if a * t >= 0 else 1 / total
+    return (e_at - 1) / a
+
+
+def test_integrated_exp_of_diagonal_input_matches_exact_kernel():
+    """The closed form expm1(a t) / a is within 2 ulp of the exact kernel
+    (the error of expm1 plus the rounding of the division) at every
+    preset rate and step, in the decaying direction S uses
+    (t = h on a stable rate, t = -h on an unstable one) and the other.
+    In the decaying direction it is within 2 ulp of the augmented-matrix
+    expm wherever |a h| <= 2, which covers every preset at its own step
+    (galerkin_heat's fastest mode, 46.5 at h = 1/32, has |a h| = 1.45).
+    Beyond that the augmented expm drifts from the exact value by up to
+    ~100 ulp, and in the growing direction by up to ~7000."""
+    from scipy.linalg import expm
+
+    for rate in PRESET_RATES:
+        for k in range(2, 12):
+            h = 2.0**-k
+            for t in (h, -h):
+                got = integrated_exp(np.array([[rate]]), t)[0, 0]
+                exact = exact_integrated_exp(rate, t)
+                ulp = np.spacing(abs(float(exact)))
+                assert abs(Fraction(got) - exact) <= 2 * ulp
+                aug = expm(np.array([[rate, 1.0], [0.0, 0.0]]) * t)[0, 1]
+                if rate * t <= 0 and abs(rate * h) <= 2:
+                    assert abs(got - aug) <= 2 * ulp
+    got = integrated_exp(np.diag([0.0, -6.0]), 0.375)
+    assert got[0, 0] == 0.375 and got[0, 1] == 0.0 and got[1, 0] == 0.0
+
+
 @given(t=st.floats(min_value=-3.0, max_value=3.0))
 @settings(max_examples=25, deadline=None)
 def test_matrix_exp_group_inverse(t):
@@ -225,6 +310,29 @@ def test_kernel_matrices_match_closed_forms():
     assert km[0, 0] == 0.0
     ku = sys.unstable_kernel_matrix(-h)
     assert ku[0, 0] == pytest.approx((1 - np.exp(-8 * h)) / 8, rel=1e-12)
+
+
+def test_oblique_propagators_are_pinned():
+    """The oblique system's halves are 1x1 compressions, so they take the
+    closed forms: the propagators keep their values bit for bit, and the
+    kernels, once an augmented-matrix expm, stay within 2 ulp of it."""
+    sys = oblique_system()
+    np.testing.assert_array_equal(
+        sys.stable_matrix(0.25), [[0.7788007830714047, -0.7788007830714047], [0.0, 0.0]]
+    )
+    np.testing.assert_array_equal(
+        sys.unstable_matrix(-0.25), [[0.0, 0.6065306597126333], [0.0, 0.6065306597126333]]
+    )
+    for got, pinned in (
+        (sys.stable_kernel_matrix(0.25), [[0.2211992169285951, -0.2211992169285951], [0.0, 0.0]]),
+        (sys.unstable_kernel_matrix(-0.25), [[0.0, 0.1967346701436833], [0.0, 0.1967346701436833]]),
+        (
+            sys.stable_kernel_matrix(1 / 32),
+            [[0.030766765523655915, -0.030766765523655915], [0.0, 0.0]],
+        ),
+    ):
+        pinned = np.array(pinned)
+        assert np.all(np.abs(got - pinned) <= 2 * np.spacing(np.abs(pinned)))
 
 
 def test_degenerate_projections():

@@ -581,6 +581,78 @@ class TestApplyS:
         plan = _Plan.build(sysd, build_coefficients(cfg.coefficients), noise, 0.5)
         assert plan.reach == (tuple(range(sysd.dim)) if reach is None else reach)
 
+    @staticmethod
+    def built_halves(monkeypatch, sysd, h, w):
+        """The modal halves of S, each with the fields it would have if
+        built through ``scipy.linalg.schur`` from the same arguments."""
+        from scipy.linalg import rsf2csf, schur
+
+        import levyap.solver as solver_module
+
+        pairs = []
+        real = solver_module._ModalHalf.build
+
+        def recording(basis, prop, ker, stoch, win, reverse):
+            tri, z = schur(basis.T @ prop @ basis)
+            if np.any(np.diag(tri, -1) != 0.0):
+                tri, z = rsf2csf(tri, z)
+            to_modal = z.conj().T @ basis.T
+            back = basis @ z
+            ref = {
+                "tri": np.triu(tri),
+                "drift_map": to_modal @ ker,
+                "stoch_map": to_modal @ stoch,
+                "back": back,
+                "back_win": win @ back,
+            }
+            half = real(basis, prop, ker, stoch, win, reverse)
+            pairs.append((half, ref))
+            return half
+
+        monkeypatch.setattr(solver_module._ModalHalf, "build", recording)
+        solver_module._modal_halves(sysd, h, w)
+        return pairs
+
+    @pytest.mark.parametrize("preset", ["example41", "ou_forced", "galerkin_heat"])
+    def test_preset_halves_are_bit_equal_to_schur_built(self, monkeypatch, preset):
+        """Every preset's reduced propagators are diagonal, their own Schur
+        form: each field of each half is bit for bit the one built through
+        ``scipy.linalg.schur``."""
+        cfg = preset_config(preset)
+        sysd = build_system(cfg.system)
+        h = float(cfg.numerics.h)
+        pairs = self.built_halves(monkeypatch, sysd, h, round(float(cfg.numerics.truncation) / h))
+        assert len(pairs) == (sysd.rank_stable > 0) + (sysd.rank_unstable > 0)
+        for half, ref in pairs:
+            for name, value in ref.items():
+                got = getattr(half, name)
+                assert got.dtype == value.dtype and got.shape == value.shape, name
+                assert got.tobytes() == value.tobytes(), name
+
+    def test_rotation_halves_are_pinned(self, monkeypatch):
+        """The rotation half keeps its complex Schur form; the 1x1 unstable
+        half matches the Schur-built one exactly.  Its kernel, once an
+        augmented-matrix expm, stays within 2 ulp of that value, and the
+        rotation kernel, still one, is unchanged."""
+        sysd, h, _ = _rotation_system()
+        pairs = self.built_halves(monkeypatch, sysd, h, 32)
+        (rot, rot_ref), (uns, uns_ref) = pairs
+        assert np.iscomplexobj(rot.tri) and rot.tri.shape == (2, 2)
+        for half, ref in pairs:
+            for name, value in ref.items():
+                np.testing.assert_array_equal(getattr(half, name), value)
+        np.testing.assert_array_equal(
+            sysd.stable_kernel_matrix(h),
+            [
+                [0.030722068340224923, 0.0014336347371139127, 0.0],
+                [-0.0014336347371139125, 0.03072206834022492, 0.0],
+                [0.0, 0.0, 0.0],
+            ],
+        )
+        pinned = 0.030293468593262107
+        assert abs(sysd.unstable_kernel_matrix(-h)[2, 2] - pinned) <= 2 * np.spacing(pinned)
+        assert sysd.unstable_matrix(-h)[2, 2] == 0.9394130628134758
+
     def test_stiff_mode_runs_several_scan_blocks(self):
         sysd, h, window = _stiff_system()
         lam = math.exp(-300.0 * h)
@@ -668,14 +740,15 @@ class TestPicard:
             ens, _ = apply_S(sysd, cs, noise, ens, truncation=1.0)
         np.testing.assert_array_equal(res.ensemble.values, ens.values)
 
-    def test_plan_is_built_once_per_solve(self, monkeypatch):
-        """The plan and its modal halves (one Schur form each) are built
-        once per solve, not once per iteration."""
+    @staticmethod
+    def count_builds(monkeypatch):
+        """Count the plan builds, the modal half builds and the Schur
+        decompositions of a solve."""
         import scipy.linalg
 
         import levyap.solver as solver_module
 
-        calls = {"schur": 0, "plan": 0}
+        calls = {"plan": 0, "half": 0, "schur": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -688,6 +761,16 @@ class TestPicard:
         monkeypatch.setattr(
             solver_module._Plan, "build", counted("plan", solver_module._Plan.build)
         )
+        monkeypatch.setattr(
+            solver_module._ModalHalf, "build", counted("half", solver_module._ModalHalf.build)
+        )
+        return calls
+
+    def test_plan_is_built_once_per_solve(self, monkeypatch):
+        """The plan and its two modal halves are built once per solve, not
+        once per iteration.  The halves of a diagonal system are already
+        triangular, so no Schur form is computed."""
+        calls = self.count_builds(monkeypatch)
         sysd = benchmark_system()  # one stable and one unstable half
         noise = sample_noise(benchmark_spec(), (-1.0, 2.0), 1.0 / 64, 5, seed=3)
         res = picard_solve(
@@ -695,7 +778,21 @@ class TestPicard:
             chunk_paths=2, threads=2,
         )
         assert res.iterations == 4
-        assert calls == {"schur": 2, "plan": 1}
+        assert calls == {"plan": 1, "half": 2, "schur": 0}
+
+    def test_rotation_half_takes_one_schur_form_per_solve(self, monkeypatch):
+        """The 2x2 rotation half of ``_rotation_system`` is not triangular:
+        it takes exactly one Schur form per solve; its 1x1 unstable half
+        takes none."""
+        calls = self.count_builds(monkeypatch)
+        sysd, h, window = _rotation_system()
+        noise = sample_noise(_jump_diffusion_spec(), window, h, 5, seed=3)
+        res = picard_solve(
+            sysd, _mixed_coefficients(3), noise, tol=1e-30, max_iter=3, truncation=1.0,
+            chunk_paths=2, threads=2,
+        )
+        assert res.iterations == 3
+        assert calls == {"plan": 1, "half": 2, "schur": 1}
 
     def test_fixed_point_self_consistency(self):
         sysd = benchmark_system()
