@@ -6,7 +6,7 @@ identical config and seed give byte-identical CSV and JSON files across
 runs and thread counts (the gap-trace JSONL additionally carries wall
 times, the one intentionally non-reproducible field).  Exit codes:
 0 = success / verdict true, 1 = verdict false or not converged,
-2 = invalid input.
+2 = invalid input or an allocation that ran out of memory.
 """
 
 from __future__ import annotations
@@ -58,7 +58,11 @@ __all__ = ["main"]
 
 SCHEMA_VERSION = 1
 _CSV_ROW_TARGET = 500_000
-_CSV_BLOCK_ROWS = 65_536
+# fields (time, path and state values) per block of ensemble.csv rows.
+# While a block is built a field holds 57-66 bytes of floats and strings
+# (tracemalloc, 2 and 8 coordinates), so a block takes about 4 MB:
+# 16384 rows of example41
+_CSV_BLOCK_FIELDS = 65_536
 
 _USER_ERRORS = (
     ConfigError,
@@ -117,25 +121,27 @@ def _write_ensemble_csv(path: Path, ens: PathEnsemble, stride: int) -> None:
     """Rows (t, path, y0..y{d-1}) in time-major order, every ``stride``-th
     grid point; floats via repr for exact reproducibility.
 
-    Works on blocks of grid points of at most ``_CSV_BLOCK_ROWS`` rows
-    (one grid point at least): each state coordinate of a block becomes
-    one column of floats and the rows are joined in C, so no Python code
-    runs per row and the path-index strings are built once.  A column
-    that is +0.0 throughout (bit pattern all zero) repeats the one string
-    ``repr(0.0)`` instead of formatting every value; example41's first
-    coordinate is one.
+    Works on blocks of grid points of at most ``_CSV_BLOCK_FIELDS``
+    fields (one grid point at least), so the strings of one block are
+    all that is held at a time, whatever the ensemble's size: each state
+    coordinate of a block becomes one column of floats, the block's times
+    are formed and formatted with it, and the rows are joined in C, so no
+    Python code runs per row and the path-index strings are built once.
+    A column that is +0.0 throughout (bit pattern all zero) repeats the
+    one string ``repr(0.0)`` instead of formatting every value;
+    example41's first coordinate is one.
     """
     m, d = ens.n_paths, ens.dim
-    t_reprs = list(map(repr, ens.grid[::stride].tolist()))
     path_strs = list(map(str, range(m)))
-    per_block = max(1, _CSV_BLOCK_ROWS // m)
+    per_block = max(1, _CSV_BLOCK_FIELDS // (m * (d + 2)))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,path," + ",".join(f"y{i}" for i in range(d)) + "\n")
-        for b in range(0, len(t_reprs), per_block):
-            block = ens.values[:, b * stride:(b + per_block) * stride:stride, :]
-            t_col = chain.from_iterable(
-                map(repeat, t_reprs[b:b + per_block], repeat(m))
-            )
+        for lo in range(0, ens.n_steps + 1, per_block * stride):
+            hi = min(lo + per_block * stride, ens.n_steps + 1)
+            # the grid's own expression, so each time rounds as in ``grid``
+            times = (ens.k_lo + np.arange(lo, hi, stride)) * ens.h
+            block = ens.values[:, lo:hi:stride, :]
+            t_col = chain.from_iterable(map(repeat, map(repr, times.tolist()), repeat(m)))
             cols = [
                 map(repr, col.tolist()) if col.view(np.uint64).any() else repeat("0.0")
                 for col in (block[:, :, i].T.ravel() for i in range(d))
@@ -204,12 +210,13 @@ def _run_picard(cfg: RunConfig, out: Path):
     sysd = build_system(cfg.system)
     spec = build_spec(cfg.levy)
     cs = build_coefficients(cfg.coefficients)
-    noise = _sample(cfg, spec)
     num = cfg.numerics
+    # the noise sample is held by the solve alone, so it is freed when
+    # the solve returns, before the ensemble is written
     res = picard_solve(
         sysd,
         cs,
-        noise,
+        _sample(cfg, spec),
         tol=float(num.tol),
         max_iter=num.max_iter,
         truncation=float(num.truncation) if num.truncation is not None else None,
@@ -260,8 +267,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     sysd = build_system(cfg.system)
     spec = build_spec(cfg.levy)
     cs = build_coefficients(cfg.coefficients)
-    noise = _sample(cfg, spec)
-    ens = simulate_mild(sysd, cs, noise, np.zeros(sysd.dim))
+    ens = simulate_mild(sysd, cs, _sample(cfg, spec), np.zeros(sysd.dim))
     stride = _csv_stride(ens.n_steps, ens.n_paths, cfg.numerics.csv_stride)
     _write_ensemble_csv(out / "ensemble.csv", ens, stride)
     moment = sup_second_moment(ens)
@@ -452,6 +458,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy names the allocation: its size, shape and data type
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 2
 
 

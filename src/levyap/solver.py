@@ -93,9 +93,12 @@ __all__ = [
 
 _BLOWUP_GUARD = 1e8
 _GRID_TOL = 1e-9
-# path steps per chunk by default: each (paths, time) scratch array of a
-# worker is then 1 MB.  A chunk's working set stays cache-sized and the
-# scratch small; halving this again costs time in per-chunk overhead.
+# path steps per chunk by default: each (paths, time) scratch row of a
+# worker, and each temporary numpy makes for a chunk, is then at most
+# 1 MB.  glibc keeps freed blocks below its dynamic mmap/trim threshold
+# resident, so smaller temporaries keep the peak RSS down and a chunk's
+# working set cache-sized; halving this again costs time in per-chunk
+# overhead.
 _CHUNK_BUDGET = 131_072
 # paths per block: a worker's unit of work, and the unit of the
 # second-moment sums, whose rounding depends on it
@@ -671,32 +674,77 @@ class _Plan:
 
 class _Scratch:
     """One worker's (paths, time) arrays for chunks of up to ``paths``
-    paths, allocated once per solve.  The kernel works in views of them,
-    so a chunk allocates no array of its size: the state columns, the
-    drift and stochastic rows, ``later`` for the stochastic terms after
-    a row's first, ``sum_buf`` for ``add_terms``, ``buf`` and the
-    complex ``cbuf`` for products, the modal accumulations ``z`` of each
-    half (None for a half with no live mode) and the output row ``res``.
+    paths, allocated once per solve as the rows of one array.  The kernel
+    works in views of them, so a chunk allocates no array of its size.
+
+    ``_apply_chunk`` runs in three phases, and arrays whose phases do not
+    overlap share rows:
+
+    - forcing: the state columns, ``later`` for the stochastic terms
+      after a row's first and ``sum_buf`` for ``add_terms`` build the
+      drift and stochastic rows.  ``later`` exists only when some
+      coordinate has two or more stochastic entries, ``sum_buf`` only
+      when some entry has two or more terms (None otherwise);
+    - scan: the modal accumulations ``z`` of each half (None for a half
+      with no live mode) are driven by those rows, the products formed in
+      ``buf`` or, when a half is complex, in the complex ``cbuf`` (None
+      otherwise).  These take the rows of the columns, ``later`` and
+      ``sum_buf``, which are dead once the forcing rows are built;
+    - assembly: each output coordinate is summed from ``z`` into ``res``,
+      which takes the first drift row (the first stochastic row if there
+      is none): the scans have read them by then.
+
     The squares of the moment and gap sums go to ``buf``: they are taken
-    once a coordinate's ``res`` is complete, when ``buf`` is free.
+    once a coordinate's ``res`` is complete, when ``buf`` is free.  A row
+    holds an even number of doubles, so a complex view of rows stays
+    aligned; ``n_rows`` is the number of rows.
     """
 
     def __init__(self, plan: _Plan, paths: int):
         n = plan.noise.n_steps
-        self.columns = {c: np.empty((paths, n)) for c in plan.coords}
-        self.drift = {i: np.empty((paths, n)) for i in plan.drift_rows}
-        self.stoch = {i: np.empty((paths, n)) for i in plan.stoch_rows}
-        self.later = np.empty((paths, n))
-        self.sum_buf = np.empty((paths, n))
-        self.buf = np.empty((paths, n + 1))
-        self.z = [
-            np.empty((half.tri.shape[0], paths, n + 1), dtype=half.tri.dtype)
-            if any(live) else None
+        size = paths * (n + 1)
+        row = size + size % 2
+        has_later = any(len(r.diffusion) + bool(r.compensator) > 1 for r in plan.rows)
+        has_sum_buf = any(
+            len(terms) > 1
+            for r in plan.rows
+            for terms in (r.drift, r.compensator, *(t for _, t in r.diffusion))
+        )
+        # a half's z takes a row per mode, two per complex mode
+        z_rows = [
+            half.tri.shape[0] * half.tri.itemsize // 8 if any(live) else 0
             for half, live in zip(plan.halves, plan.live)
         ]
-        complex_z = any(z is not None and np.iscomplexobj(z) for z in self.z)
-        self.cbuf = np.empty((paths, n + 1), dtype=complex) if complex_z else None
-        self.res = np.empty((paths, n + 1))
+        complex_z = any(c and np.iscomplexobj(h.tri) for h, c in zip(plan.halves, z_rows))
+        n_forcing = len(plan.drift_rows) + len(plan.stoch_rows)
+        forcing_only = len(plan.coords) + has_later + has_sum_buf
+        scan = sum(z_rows) + 1 + 2 * complex_z
+        base = max(n_forcing, 1)
+        self.n_rows = base + max(forcing_only, scan)
+        arena = np.empty(self.n_rows * row)
+
+        def rows(first: int, shape: tuple, dtype=np.float64) -> np.ndarray:
+            """An array over the rows from ``first`` on: its last two axes
+            fill one row (a complex one two), a leading axis steps rows."""
+            item = np.dtype(dtype).itemsize
+            strides = (row * item, shape[-1] * item, item)[-len(shape) :]
+            return np.ndarray(shape, dtype, arena, first * row * 8, strides)
+
+        forcing = iter(range(n_forcing))
+        self.drift = {i: rows(next(forcing), (paths, n)) for i in plan.drift_rows}
+        self.stoch = {i: rows(next(forcing), (paths, n)) for i in plan.stoch_rows}
+        built = iter(range(base, self.n_rows))
+        self.columns = {c: rows(next(built), (paths, n)) for c in plan.coords}
+        self.later = rows(next(built), (paths, n)) if has_later else None
+        self.sum_buf = rows(next(built), (paths, n)) if has_sum_buf else None
+        self.z, first = [], base
+        for half, count in zip(plan.halves, z_rows):
+            modes = (half.tri.shape[0], paths, n + 1)
+            self.z.append(rows(first, modes, half.tri.dtype) if count else None)
+            first += count
+        self.buf = rows(first, (paths, n + 1))
+        self.cbuf = rows(first + 1, (paths, n + 1), complex) if complex_z else None
+        self.res = rows(0, (paths, n + 1))
 
 
 def _term_sum(terms, columns, out: np.ndarray, buf: np.ndarray) -> np.ndarray:
@@ -757,7 +805,7 @@ def _apply_chunk(plan: _Plan, values: np.ndarray, lo: int, hi: int, scratch: _Sc
     columns = {c: col[:p] for c, col in scratch.columns.items()}
     for c, col in columns.items():
         np.copyto(col, values[c, lo:hi, :-1])
-    later, sum_buf = scratch.later[:p], scratch.sum_buf[:p]
+    later, sum_buf = (None if a is None else a[:p] for a in (scratch.later, scratch.sum_buf))
     drift, stoch = {}, {}
     for i, row in enumerate(plan.rows):
         if row.drift:
@@ -848,9 +896,10 @@ def _blocks(m: int, n: int, chunk_paths: Optional[int]) -> list[list[tuple[int, 
     """Path ranges of the chunks of each block of ``_MOMENT_BLOCK`` paths.
     A block of b paths is split into ceil(b / chunk_paths) chunks of
     near-equal size, so no chunk straddles a block.  By default a chunk
-    holds at most about ``_CHUNK_BUDGET`` path steps."""
+    holds at most about ``_CHUNK_BUDGET`` path steps and at most half a
+    block, so on a short grid a worker's scratch is half a block's size."""
     if chunk_paths is None:
-        chunk_paths = max(1, _CHUNK_BUDGET // max(n, 1))
+        chunk_paths = max(1, min(_MOMENT_BLOCK // 2, _CHUNK_BUDGET // max(n, 1)))
     elif chunk_paths < 1:
         raise SolverError("chunk_paths must be at least 1")
     blocks = []

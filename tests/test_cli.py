@@ -533,6 +533,32 @@ class TestCliExitCodes:
         assert "numerics.h" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "message, shown",
+        [
+            (
+                "Unable to allocate 458. GiB for an array with shape "
+                "(10000000, 6144, 1) and data type float64",
+                "Unable to allocate 458. GiB for an array with shape "
+                "(10000000, 6144, 1) and data type float64",
+            ),
+            ("", "an allocation failed"),
+        ],
+    )
+    def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch, message, shown):
+        """An allocation that fails ends the run with exit 2 and one line
+        naming it, not a traceback.  The sampler is patched to fail, so no
+        huge array is allocated (an overcommitting host could grant it)."""
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message) if message else MemoryError()
+
+        monkeypatch.setattr("levyap.cli.sample_noise", exhausted)
+        code = main(["picard", "--preset", "example41", "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: out of memory: {shown}\n"
+
     def test_noise_drift_must_be_zero(self, tmp_path, capsys):
         d = tiny_benchmark_dict()
         dim = d["levy"]["dim"]
@@ -913,22 +939,23 @@ class TestCliDeterminism:
             )
 
     def test_ensemble_csv_rows_are_float_reprs(self, tmp_path, monkeypatch):
-        default_block = levyap.cli._CSV_BLOCK_ROWS
-        for m, n_steps, d, stride, block_rows, zero_last in [
+        default_block = levyap.cli._CSV_BLOCK_FIELDS
+        for m, n_steps, d, stride, block_fields, zero_last in [
             (3, 6, 2, 2, default_block, False),
-            # 90000 rows: one full block of 65535 rows (3 does not divide
-            # 65536), then 24465
+            # 90000 rows of 3 fields: blocks of 7281 grid points (21843
+            # rows), the last one 2628 rows, ending mid-grid
             (3, 29_999, 1, 1, default_block, False),
             # stride 3 does not divide n_steps = 10; two grid points a block
-            (3, 10, 3, 3, 7, False),
+            (3, 10, 3, 3, 35, False),
             # the last coordinate is +0.0 throughout the first block and
             # holds one -0.0 in the second
-            (3, 10, 3, 3, 7, True),
-            (1, 12, 3, 5, 4, False),
-            # fewer block rows than paths: one grid point a block
-            (5, 9, 1, 2, 2, False),
+            (3, 10, 3, 3, 35, True),
+            (1, 12, 3, 5, 20, False),
+            # fewer block fields than one grid point has: one grid point a
+            # block
+            (5, 9, 1, 2, 6, False),
         ]:
-            monkeypatch.setattr("levyap.cli._CSV_BLOCK_ROWS", block_rows)
+            monkeypatch.setattr("levyap.cli._CSV_BLOCK_FIELDS", block_fields)
             gen = np.random.default_rng(3)
             shape = (m, n_steps + 1, d)
             values = gen.normal(size=shape) * 10.0 ** gen.integers(-20, 20, size=shape)
@@ -945,6 +972,49 @@ class TestCliDeterminism:
             assert text.count("\n") == 1 + m * len(range(0, n_steps + 1, stride))
             for v in ("1e-05", "1e+16", "-0.0") if zero_last else CSV_SPECIAL_REPRS:
                 assert f",{v}," in text or f",{v}\n" in text
+
+    @pytest.mark.parametrize("stride, block_fields", [(1, 4096), (3, 4096), (2, 600), (1, 10**9)])
+    def test_ensemble_csv_signed_zero_columns(self, tmp_path, monkeypatch, stride, block_fields):
+        """Columns of +0.0 and of -0.0 throughout, next to columns whose
+        values repr in exponent form, byte for byte against the per-row
+        oracle: in one block, and in blocks that end mid-grid, every
+        grid point or every stride-th."""
+        monkeypatch.setattr("levyap.cli._CSV_BLOCK_FIELDS", block_fields)
+        m, n_steps = 7, 401
+        gen = np.random.default_rng(11)
+        values = np.empty((m, n_steps + 1, 4))
+        values[:, :, 0] = gen.normal(size=(m, n_steps + 1))
+        values[:, :, 1] = 0.0
+        values[:, :, 2] = -0.0
+        values[:, :, 3] = gen.choice([1e-05, 1e16, -2.5e-310, 1e22], size=(m, n_steps + 1))
+        ens = PathEnsemble(h=1 / 64, k_lo=-128, values=values)
+        path = tmp_path / "ens.csv"
+        _write_ensemble_csv(path, ens, stride)
+        text = path.read_text(encoding="utf-8")
+        assert text == per_row_ensemble_csv(ens, stride)
+        rows = text.splitlines()[1:]
+        assert len(rows) == m * len(range(0, n_steps + 1, stride))
+        assert all(row.split(",")[3:5] == ["0.0", "-0.0"] for row in rows)
+        assert {"1e-05", "1e+16", "1e+22"} <= {row.split(",")[5] for row in rows}
+
+    def test_ensemble_csv_working_set_is_bounded(self, tmp_path, monkeypatch):
+        """The writer holds one block's strings at a time: four times the
+        grid points, and so four times the rows and blocks, raise its
+        traced peak by less than a fixed 32 KiB."""
+        import tracemalloc
+
+        monkeypatch.setattr("levyap.cli._CSV_BLOCK_FIELDS", 8192)
+        gen = np.random.default_rng(5)
+        peaks = []
+        for n_points in (2_000, 8_000):
+            ens = PathEnsemble(h=1 / 256, k_lo=0, values=gen.normal(size=(16, n_points, 2)))
+            tracemalloc.start()
+            try:
+                _write_ensemble_csv(tmp_path / "ens.csv", ens, 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 32 * 1024, peaks
 
     def test_check_loads_no_heavy_scipy_modules(self, tmp_path):
         """``check`` is the start-up path: importing the CLI and checking
