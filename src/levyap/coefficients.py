@@ -36,11 +36,15 @@ __all__ = [
     "CoefficientTerm",
     "CoefficientSet",
     "KERNELS",
-    "eval_drift",
-    "eval_diffusion",
+    "PreparedTerm",
+    "drift_terms",
+    "diffusion_terms",
+    "compensator_terms",
+    "term_value",
+    "add_terms",
+    "point_values",
     "eval_jump_small",
     "eval_jump_large",
-    "small_jump_compensator",
     "verify_lipschitz",
     "LipschitzReport",
     "example41_coefficients",
@@ -497,8 +501,8 @@ def term_value(term: PreparedTerm, columns, out: np.ndarray) -> np.ndarray:
     in-place ufuncs, in that order of operations, and return it.
 
     ``y = columns[term.coord]`` is the state coordinate laid out like
-    ``out``.  This is the one place where term values are computed: the
-    ``eval_*`` maps below and the solver's path-major kernel both use it.
+    ``out``.  This is the one place where term values are computed:
+    ``point_values`` and the solver's path-major kernel both use it.
     """
     y = None if term.kernel == "const" else columns[term.coord]
     val = KERNELS[term.kernel].func(y, 0.0 if term.inner is None else term.inner, out)
@@ -520,87 +524,33 @@ def add_terms(out: np.ndarray, terms, columns, buf: Optional[np.ndarray] = None)
         out += term_value(term, columns, buf)
 
 
-def eval_drift(cs: CoefficientSet, ts, y) -> np.ndarray:
-    """Drift map f(t, y).
-
-    ``ts`` is a scalar or (n,) array; ``y`` is (m, d) for scalar time or
-    (n, m, d).  Returns matching (m, d) or (n, m, d).
-    """
-    return _eval_grid(drift_terms, cs, ts, y)
-
-
-def eval_diffusion(cs: CoefficientSet, ts, y) -> np.ndarray:
-    """Diffusion map g(t, y), shape (..., dim_state, dim_noise)."""
-    ts_arr, y_arr, scalar = _normalize_grid_args(ts, y)
-    out = _grid_zeros(y_arr, (cs.dim_state, cs.dim_noise))
-    columns = np.moveaxis(y_arr, -1, 0)
-    for i, row in enumerate(diffusion_terms(cs, ts_arr[:, None])):
-        for j, terms in enumerate(row):
-            add_terms(out[:, :, i, j], terms, columns)
-    return out[0] if scalar else out
+def point_values(rows, y: np.ndarray) -> np.ndarray:
+    """The values, shape (points, len(rows)), of a vector map at points
+    with states ``y`` (points, dim_state): ``rows[i]`` are the terms of
+    output coordinate i, prepared at the points' times, as
+    ``drift_terms`` and ``compensator_terms`` give them.  A diffusion
+    column ``[row[j] for row in diffusion_terms(...)]`` is one such map."""
+    out = np.zeros((len(y), len(rows)))
+    for i, terms in enumerate(rows):
+        add_terms(out[:, i], terms, y.T)
+    return out
 
 
 def eval_jump_small(cs: CoefficientSet, ts, y, x) -> np.ndarray:
     """Small-jump integrand F(t, y, x) evaluated per event."""
-    return _eval_jump(cs.jump_small, cs.dim_state, ts, y, x)
+    return _eval_jump(cs.jump_small, ts, y, x)
 
 
 def eval_jump_large(cs: CoefficientSet, ts, y, x) -> np.ndarray:
     """Large-jump integrand G(t, y, x) evaluated per event."""
-    return _eval_jump(cs.jump_large, cs.dim_state, ts, y, x)
+    return _eval_jump(cs.jump_large, ts, y, x)
 
 
-def _eval_jump(tmap: VectorTerms, d: int, ts, y, x) -> np.ndarray:
+def _eval_jump(tmap: VectorTerms, ts, y, x) -> np.ndarray:
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
-    out = np.zeros((len(ts), d))
-    for i, terms in enumerate(tmap):
-        add_terms(out[:, i], tuple(_prepare(t, ts, x) for t in terms), y.T)
-    return out
-
-
-def small_jump_compensator(
-    cs: CoefficientSet, spec: LevyProcessSpec, ts, y
-) -> np.ndarray:
-    """The compensator drift of the small-jump integral (see
-    ``compensator_terms``), with the shapes of ``eval_drift``."""
-    return _eval_grid(lambda c, t: compensator_terms(c, spec, t), cs, ts, y)
-
-
-def _eval_grid(rows_at, cs: CoefficientSet, ts, y) -> np.ndarray:
-    """A vector map on a grid: rows_at(cs, times) gives its prepared
-    terms per state coordinate."""
-    ts_arr, y_arr, scalar = _normalize_grid_args(ts, y)
-    out = _grid_zeros(y_arr, (cs.dim_state,))
-    columns = np.moveaxis(y_arr, -1, 0)
-    for i, terms in enumerate(rows_at(cs, ts_arr[:, None])):
-        add_terms(out[:, :, i], terms, columns)
-    return out[0] if scalar else out
-
-
-def _grid_zeros(y: np.ndarray, tail: tuple[int, ...]) -> np.ndarray:
-    """Zeros of shape y.shape[:2] + tail laid out in memory like ``y``:
-    path-major when ``y`` is a time-major view of path-major states, so
-    the term updates run along memory rather than across it."""
-    n, m = y.shape[:2]
-    if n > 1 and m > 1 and y.strides[0] < y.strides[1]:
-        return np.zeros((m, n) + tail).swapaxes(0, 1)
-    return np.zeros((n, m) + tail)
-
-
-def _normalize_grid_args(ts, y):
-    ts_arr = np.asarray(ts, dtype=float)
-    y_arr = np.asarray(y, dtype=float)
-    scalar = ts_arr.ndim == 0
-    if scalar:
-        ts_arr = ts_arr[None]
-        y_arr = y_arr[None]
-    if y_arr.ndim != 3 or len(y_arr) != len(ts_arr):
-        raise CoefficientError(
-            f"expected y with shape (n_times, n_paths, dim), got {y_arr.shape}"
-        )
-    return ts_arr, y_arr, scalar
+    rows = tuple(tuple(_prepare(t, ts, x) for t in terms) for terms in tmap)
+    return point_values(rows, np.asarray(y, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -656,10 +606,11 @@ def verify_lipschitz(
     keep = dy2 > 1e-12
     ts, ya, yb, dy2 = ts[keep], ya[keep], yb[keep], dy2[keep]
 
-    ya3, yb3 = ya[:, None, :], yb[:, None, :]
-    df = eval_drift(cs, ts, ya3)[:, 0, :] - eval_drift(cs, ts, yb3)[:, 0, :]
+    drift = drift_terms(cs, ts)
+    df = point_values(drift, ya) - point_values(drift, yb)
     ratio_f = float(np.max(np.sum(df**2, axis=1) / dy2))
-    dg = eval_diffusion(cs, ts, ya3)[:, 0] - eval_diffusion(cs, ts, yb3)[:, 0]
+    columns = zip(*diffusion_terms(cs, ts))
+    dg = np.stack([point_values(c, ya) - point_values(c, yb) for c in columns], axis=-1)
     ratio_g = float(np.max(np.sum(dg**2, axis=(1, 2)) / dy2))
 
     def jump_ratio(tmap: VectorTerms, region: str) -> float:
@@ -671,9 +622,7 @@ def verify_lipschitz(
             pts, wts = comp.marks.nodes()
             for xi, wi in zip(pts, wts):
                 x_rep = np.tile(xi, (len(ts), 1))
-                d = _eval_jump(tmap, cs.dim_state, ts, ya, x_rep) - _eval_jump(
-                    tmap, cs.dim_state, ts, yb, x_rep
-                )
+                d = _eval_jump(tmap, ts, ya, x_rep) - _eval_jump(tmap, ts, yb, x_rep)
                 acc += comp.rate * wi * np.sum(d**2, axis=1)
         return float(np.max(acc / dy2))
 

@@ -15,7 +15,7 @@ with ratio eta in mean square.  ``apply_S`` discretizes the operator
 with windowed convolutions truncated at a horizon T_c (reported tail
 factor K e^{-omega T_c} / omega); ``picard_solve`` iterates it on a
 frozen noise sample (common random numbers); ``simulate_mild`` is the
-forward exponential-Euler integrator used for benchmark oracles.
+forward exponential-Euler integrator behind the ``simulate`` command.
 
 Truncated integrals are clipped at the sample window edges, so iterates
 live on one fixed grid; points further than T_c from the edges carry
@@ -69,11 +69,9 @@ from .coefficients import (
     compensator_terms,
     diffusion_terms,
     drift_terms,
-    eval_diffusion,
-    eval_drift,
     eval_jump_large,
     eval_jump_small,
-    small_jump_compensator,
+    point_values,
     term_value,
 )
 from .dichotomy import DichotomousSystem, matrix_exp
@@ -332,7 +330,8 @@ def simulate_mild(
         Y_{k+1} = e^{Ah} [Y_k + f h + g dW + sum F - h comp_F + sum G],
 
     with coefficients always evaluated at the pre-jump grid state.
-    Aborts with the offending path and time on blow-up.
+    Aborts with the offending path and time on blow-up, naming the
+    forced coordinates that reach the unstable range, if any.
     """
     h, k_lo, n = noise.h, noise.k_lo, noise.n_steps
     m = noise.n_paths
@@ -361,10 +360,11 @@ def simulate_mild(
     y = y0
     for k in range(n):
         t = grid[k]
-        f = eval_drift(cs, t, y)
-        g = eval_diffusion(cs, t, y)
+        at = grid[k : k + 1]  # the step's time, shared by every path
+        f = point_values(drift_terms(cs, at), y)
+        g = np.stack([point_values(c, y) for c in zip(*diffusion_terms(cs, at))], axis=-1)
         inc = f * h + np.einsum("mdq,mq->md", g, noise.dW[:, k, :])
-        inc -= h * small_jump_compensator(cs, noise.spec, t, y)
+        inc -= h * point_values(compensator_terms(cs, noise.spec, at), y)
         lo, hi = starts[k], starts[k + 1]
         if hi > lo:
             pk = ev_path[lo:hi]
@@ -382,11 +382,29 @@ def simulate_mild(
         if np.any(bad):
             p = int(np.nonzero(np.any(bad, axis=1))[0][0])
             raise SolverError(
-                f"state blew up at t = {grid[k + 1]:.6g} on path {p}; "
-                "reduce the step or check the coefficients"
+                f"state blew up at t = {grid[k + 1]:.6g} on path {p}; {_blowup_cause(sys, cs)}"
             )
         out[:, k + 1, :] = y
     return PathEnsemble(h=h, k_lo=k_lo, values=out)
+
+
+def _blowup_cause(sys: DichotomousSystem, cs: CoefficientSet) -> str:
+    """Why a forward run can blow up.  A forced coordinate that J = I - P
+    maps into the unstable range grows under e^{Ah} whatever the step;
+    only the bounded solution of the Picard solve stays finite."""
+    forced = [
+        i
+        for i in range(cs.dim_state)
+        if cs.drift[i] or any(cs.diffusion[i]) or cs.jump_small[i] or cs.jump_large[i]
+    ]
+    unstable = [i for i in forced if np.any(sys.j[:, i] != 0)]
+    if not unstable:
+        return "reduce the step or check the coefficients"
+    return (
+        f"forced coordinates {', '.join(map(str, unstable))} reach the unstable range, "
+        "which forward integration amplifies at any step; the picard command gives the "
+        "bounded solution"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -606,10 +624,8 @@ class _Plan:
     iterate.
     """
 
-    sys: DichotomousSystem
     cs: CoefficientSet
     noise: NoiseSample
-    truncation: float
     w: int
     halves: tuple[_ModalHalf, ...]
     path_events: np.ndarray
@@ -654,10 +670,8 @@ class _Plan:
             )
         )
         return cls(
-            sys=sys,
             cs=cs,
             noise=noise,
-            truncation=truncation,
             w=w,
             halves=halves,
             path_events=np.searchsorted(noise.event_path, np.arange(noise.n_paths + 1)),
@@ -978,7 +992,6 @@ def apply_S(
     truncation: float,
     chunk_paths: Optional[int] = None,
     threads: int = 1,
-    plan: Optional[_Plan] = None,
 ) -> tuple[PathEnsemble, dict]:
     """One application of the integral operator to an ensemble.
 
@@ -1000,8 +1013,9 @@ def apply_S(
     what does not depend on ``ens``: the window steps, the modal halves,
     where each path's jump events start, and the non-empty coefficient
     entries with their time-only signals on the grid and the compensator
-    weights folded in.  ``picard_solve`` builds it once and passes it as
-    ``plan``; without one, ``apply_S`` builds its own.  The kernel
+    weights folded in.  ``apply_S`` builds it on each call;
+    ``picard_solve`` does not call ``apply_S``, it builds one plan per
+    solve and runs the same sweep on every iterate.  The kernel
     (``_apply_chunk``) runs path-major on one chunk of paths: it
     evaluates only the non-empty entries, adds the resulting forcing rows
     straight into the modal accumulations and assembles each output
@@ -1030,13 +1044,7 @@ def apply_S(
     d = cs.dim_state
     if sys.dim != d or ens.dim != d:
         raise SolverError("system, coefficients and ensemble dimensions differ")
-    if plan is None:
-        plan = _Plan.build(sys, cs, noise, truncation)
-    elif not (
-        plan.sys is sys and plan.cs is cs and plan.noise is noise
-        and plan.truncation == truncation
-    ):
-        raise SolverError("the plan was built for other arguments")
+    plan = _Plan.build(sys, cs, noise, truncation)
     values = np.moveaxis(ens.values, -1, 0).copy()
     with _in_place_sweeps(plan, chunk_paths, threads) as sweep:
         sweep(values)

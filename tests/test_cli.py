@@ -515,6 +515,17 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert "overflow" in err and "800 > 700" in err and "Traceback" not in err
 
+    def test_simulate_names_forced_unstable_modes(self, tmp_path, capsys):
+        """galerkin_heat forces its two unstable modes, which a forward run
+        amplifies at any step: ``simulate`` exits 2 naming them and
+        pointing to ``picard``."""
+        code = main(["simulate", "--preset", "galerkin_heat", "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "blew up at t = " in err and "Traceback" not in err
+        assert "forced coordinates 0, 1 reach the unstable range" in err
+        assert "picard" in err
+
     def test_diagonal_system_without_decay_rejected(self, tmp_path, capsys):
         # the stable coordinate has eigenvalue 0: no rate is certified
         code, err = self.check_system(tmp_path, capsys, a=[[8, 0], [0, 0]])

@@ -28,14 +28,15 @@ from levyap.coefficients import (
     QuasiPeriodicSignal,
     SignalParseError,
     UnboundedSignalError,
-    eval_diffusion,
-    eval_drift,
+    compensator_terms,
+    diffusion_terms,
+    drift_terms,
     eval_jump_large,
     eval_jump_small,
     example41_coefficients,
     galerkin_heat_coefficients,
     ou_forced_coefficients,
-    small_jump_compensator,
+    point_values,
     verify_lipschitz,
 )
 from levyap.noise import (
@@ -165,17 +166,18 @@ def test_kernel_lipschitz_constants(y, z, aux):
 def test_benchmark_drift_point_value():
     cs = example41_coefficients()
     y = np.array([[0.0, 1.0]])
-    f = eval_drift(cs, 0.0, y)
+    f = point_values(drift_terms(cs, np.array([0.0])), y)
     assert f[0, 0] == 0.0
     assert f[0, 1] == pytest.approx(1.0 / 36.0, rel=1e-12)
 
 
 def test_benchmark_diffusion_point_value():
     cs = example41_coefficients()
-    g = eval_diffusion(cs, 0.0, np.array([[0.0, 1.0]]))
-    assert g.shape == (1, 2, 1)
-    assert g[0, 0, 0] == 0.0
-    assert g[0, 1, 0] == pytest.approx(math.sin(3.0) / 12.0, rel=1e-12)
+    column = [row[0] for row in diffusion_terms(cs, np.array([0.0]))]
+    g = point_values(column, np.array([[0.0, 1.0]]))
+    assert g.shape == (1, 2)
+    assert g[0, 0] == 0.0
+    assert g[0, 1] == pytest.approx(math.sin(3.0) / 12.0, rel=1e-12)
 
 
 def test_benchmark_jump_point_values():
@@ -191,23 +193,6 @@ def test_benchmark_jump_point_values():
     )
 
 
-def test_batched_time_evaluation_matches_scalar():
-    cs = example41_coefficients()
-    gen = np.random.default_rng(3)
-    ts = gen.uniform(-5, 5, size=7)
-    y = gen.standard_normal((7, 4, 2))
-    batch = eval_drift(cs, ts, y)
-    for i, t in enumerate(ts):
-        single = eval_drift(cs, float(t), y[i])
-        assert np.allclose(batch[i], single, atol=1e-14)
-
-
-def test_eval_shape_validation():
-    cs = example41_coefficients()
-    with pytest.raises(CoefficientError, match="shape"):
-        eval_drift(cs, np.array([0.0, 1.0]), np.zeros((3, 4, 2)))
-
-
 # ---------------------------------------------------------------------------
 # compensator
 # ---------------------------------------------------------------------------
@@ -217,7 +202,7 @@ def test_compensator_x_independent_map():
     cs = example41_coefficients()
     spec = benchmark_noise()
     y = np.array([[0.0, 2.0]])
-    comp = small_jump_compensator(cs, spec, 0.0, y)
+    comp = point_values(compensator_terms(cs, spec, np.array([0.0])), y)
     # rate 1.0 times F = y2/10
     assert comp[0, 1] == pytest.approx(0.2)
     assert comp[0, 0] == 0.0
@@ -240,7 +225,7 @@ def test_compensator_mark_linear_matches_quadrature():
         jumps=(JumpComponent(2.0, "small", uniform_interval_mark(0.2, 0.8)),),
     )
     y = np.array([[3.0]])
-    comp = small_jump_compensator(cs, spec, 0.0, y)
+    comp = point_values(compensator_terms(cs, spec, np.array([0.0])), y)
     # closed form: rate * (w . mean mark) * y = 2 * (2 * 0.5) * 3
     assert comp[0, 0] == pytest.approx(6.0)
     # quadrature oracle over the mark law
@@ -329,10 +314,11 @@ def test_preset_dimensions():
 def test_ou_preset_values():
     ou = ou_forced_coefficients(amplitude=2.0, sigma=0.5)
     t = 0.81
-    f = eval_drift(ou, t, np.array([[7.0]]))  # state must not matter
+    y = np.array([[7.0]])  # state must not matter
+    f = point_values(drift_terms(ou, np.array([t])), y)
     assert f[0, 0] == pytest.approx(2.0 * math.sin(math.sqrt(2.0) * t))
-    g = eval_diffusion(ou, t, np.array([[7.0]]))
-    assert g[0, 0, 0] == pytest.approx(0.5)
+    g = point_values([row[0] for row in diffusion_terms(ou, np.array([t]))], y)
+    assert g[0, 0] == pytest.approx(0.5)
 
 
 def test_galerkin_preset_guards():

@@ -288,8 +288,8 @@ class TestSimulateMild:
         """Lock the update rule: full linear flow applied to state plus
         drift, Wiener, compensated-small-jump and large-jump increments,
         with coefficients at the pre-jump grid state."""
-        from levyap.coefficients import eval_drift, eval_diffusion, eval_jump_small
-        from levyap.coefficients import eval_jump_large, small_jump_compensator
+        from levyap.coefficients import compensator_terms, diffusion_terms, drift_terms
+        from levyap.coefficients import eval_jump_large, eval_jump_small, point_values
         from levyap.dichotomy import matrix_exp
 
         sysd = scalar_system(2.0)
@@ -323,9 +323,11 @@ class TestSimulateMild:
             regions = noise.event_region[mine]
             for k in range(noise.n_steps):
                 t = noise.grid[k]
-                inc = eval_drift(cs, t, y) * h
-                inc += eval_diffusion(cs, t, y)[:, :, 0] * noise.dW[p, k]
-                inc -= h * small_jump_compensator(cs, spec, t, y)
+                ts = np.array([t])
+                inc = point_values(drift_terms(cs, ts), y) * h
+                g = point_values([row[0] for row in diffusion_terms(cs, ts)], y)
+                inc += g * noise.dW[p, k]
+                inc -= h * point_values(compensator_terms(cs, spec, ts), y)
                 for e in np.nonzero(steps == k)[0]:
                     x = marks[e : e + 1]
                     if regions[e] == 0:
@@ -334,6 +336,54 @@ class TestSimulateMild:
                         inc += eval_jump_large(cs, np.array([t]), y, x)
                 y = (y + inc) @ exp_ah.T
                 np.testing.assert_array_equal(ens.values[p, k + 1], y[0])
+
+    def test_result_is_pinned(self):
+        """A sha256 of the values of two small forward runs, taken while
+        the step evaluated its coefficients with the grid evaluators that
+        the prepared terms replaced: example41 on the benchmark system,
+        and a set on two-dimensional noise whose diffusion row 0 has both
+        noise columns, with both jump regions and mark-weighted jump
+        terms.  Any change to the rounding of the step changes them."""
+        noise = sample_noise(benchmark_spec(), (-2.0, 2.0), 1.0 / 32, 24, seed=41)
+        ens = simulate_mild(benchmark_system(), example41_coefficients(), noise, np.zeros(2))
+        assert hashlib.sha256(ens.values.tobytes()).hexdigest() == (
+            "4af3b28443f14c9996d34050d5ff3ac3c4b40cfb22cc12daef61d9b18e1afa00"
+        )
+
+        freqs = (math.sqrt(2.0), math.sqrt(3.0))
+        inner = QuasiPeriodicSignal.parse("c1 + s2", freqs)
+        outer = QuasiPeriodicSignal.parse("(1 + c2) / (3 + s1)", freqs)
+        cs = CoefficientSet(
+            dim_state=2,
+            dim_noise=2,
+            drift=(
+                (CoefficientTerm(0.3, "bounded_ratio", coord=1, outer=outer),),
+                (CoefficientTerm(0.2, "const"), CoefficientTerm(-0.1, "linear", coord=0)),
+            ),
+            diffusion=(
+                (
+                    (CoefficientTerm(0.1, "linear", coord=1),),
+                    (CoefficientTerm(0.15, "sin_shift", coord=0, inner=inner),),
+                ),
+                ((CoefficientTerm(0.05, "const", outer=outer),), ()),
+            ),
+            jump_small=(
+                (CoefficientTerm(0.1, "linear", coord=0, mark_weights=(1.0, -0.5)),),
+                (CoefficientTerm(0.05, "const"),),
+            ),
+            jump_large=(
+                (),
+                (CoefficientTerm(0.05, "bounded_ratio", coord=1, mark_weights=(0.5, 1.0)),),
+            ),
+            lipschitz=Fraction(1, 2),
+        )
+        sysd = DichotomousSystem.create(np.diag([-1.0, -3.0]), np.eye(2), k=1.0, omega=1.0)
+        noise = sample_noise(_two_dim_spec(), (-1.0, 1.0), 1.0 / 32, 24, seed=1041)
+        assert set(noise.event_region) == {0, 1}
+        ens = simulate_mild(sysd, cs, noise, np.array([0.5, -0.25]))
+        assert hashlib.sha256(ens.values.tobytes()).hexdigest() == (
+            "1db3b0032dde01fd5d5a315246726371c56b6533f3838d99e21a27b9fdbd9c0f"
+        )
 
     def test_blow_up_reports_path_and_time(self):
         sysd = scalar_system(1.0)
@@ -348,8 +398,21 @@ class TestSimulateMild:
             jump_large=((),),
             lipschitz=Fraction(1, 64),
         )
-        with pytest.raises(SolverError, match="blew up at t = 0.25 on path 0"):
+        with pytest.raises(SolverError, match="blew up at t = 0.25 on path 0") as exc:
             simulate_mild(sysd, huge, noise, np.zeros(1))
+        assert "reduce the step" in str(exc.value)
+
+    def test_blow_up_names_forced_unstable_coordinates(self):
+        """A forced coordinate in the unstable range grows at any step;
+        the message names it and points to the bounded solution."""
+        noise = sample_noise(wiener_only_spec(), (0.0, 4.0), 1.0 / 8, 2, seed=1)
+        with pytest.raises(SolverError, match="blew up at t = .* on path 0") as exc:
+            simulate_mild(
+                benchmark_system(), constant_drift_coefficients(1.0, 0.0), noise, np.zeros(2)
+            )
+        message = str(exc.value)
+        assert "forced coordinates 0 reach the unstable range" in message
+        assert "picard" in message and "reduce the step" not in message
 
     def test_shape_validation(self):
         sysd = scalar_system(1.0)
@@ -541,9 +604,6 @@ class TestApplyS:
         three = sample_noise(benchmark_spec(), (-1.0, 1.0), 1.0 / 32, 3, seed=0)
         with pytest.raises(SolverError, match="path counts"):
             apply_S(sysd, cs, three, ens, truncation=0.5)
-        plan = _Plan.build(sysd, cs, noise, 0.5)
-        with pytest.raises(SolverError, match="plan was built for other arguments"):
-            apply_S(sysd, cs, noise, ens, truncation=0.25, plan=plan)
         for chunk in (0, -1):
             with pytest.raises(SolverError, match="chunk_paths must be at least 1"):
                 apply_S(sysd, cs, noise, ens, truncation=0.5, chunk_paths=chunk)
@@ -1292,11 +1352,12 @@ def _recursion_oracle(sysd, cs, noise, ens, truncation):
     U_k = e^{-Ah}(I-P) U_{k+1} + inc_J[k], each windowed by subtracting
     the accumulation w steps away."""
     from levyap.coefficients import (
-        eval_diffusion,
-        eval_drift,
+        compensator_terms,
+        diffusion_terms,
+        drift_terms,
         eval_jump_large,
         eval_jump_small,
-        small_jump_compensator,
+        point_values,
     )
 
     h, n = noise.h, noise.n_steps
@@ -1309,13 +1370,18 @@ def _recursion_oracle(sysd, cs, noise, ens, truncation):
     win_j = sysd.unstable_matrix(-w * h)
 
     grid = noise.grid
-    ts = grid[:-1]
     y = np.ascontiguousarray(np.swapaxes(ens.values[:, :-1, :], 0, 1))  # (n, q, d)
-    f = eval_drift(cs, ts, y)
-    g = eval_diffusion(cs, ts, y)
+    q, d = y.shape[1:]
+    # one point per (step, path), with the step's time
+    ts = np.repeat(grid[:-1], q)
+    points = y.reshape(n * q, d)
+    f = point_values(drift_terms(cs, ts), points).reshape(n, q, d)
+    columns = zip(*diffusion_terms(cs, ts))
+    g = np.stack([point_values(c, points) for c in columns], axis=-1).reshape(n, q, d, -1)
     dw = np.swapaxes(noise.dW, 0, 1)  # (n, q, dim W)
     stoch = np.einsum("nqdw,nqw->nqd", g, dw)
-    stoch -= h * small_jump_compensator(cs, noise.spec, ts, y)
+    comp = point_values(compensator_terms(cs, noise.spec, ts), points)
+    stoch -= h * comp.reshape(n, q, d)
     for e in range(len(noise.event_path)):
         p, k = noise.event_path[e], noise.event_step[e]
         jump = eval_jump_small if noise.event_region[e] == 0 else eval_jump_large
@@ -1323,7 +1389,6 @@ def _recursion_oracle(sysd, cs, noise, ens, truncation):
 
     inc_p = f @ ker_p.T + stoch @ prop_p.T
     inc_j = f @ ker_j.T + stoch @ sysd.j.T
-    q, d = y.shape[1:]
     r_acc = np.zeros((n + 1, q, d))
     for k in range(n):
         r_acc[k + 1] = r_acc[k] @ prop_p.T + inc_p[k]
