@@ -16,7 +16,6 @@ import dataclasses
 import math
 import sys
 from fractions import Fraction
-from itertools import chain, cycle, repeat
 from pathlib import Path
 from typing import Optional
 
@@ -59,10 +58,12 @@ __all__ = ["main"]
 SCHEMA_VERSION = 1
 _CSV_ROW_TARGET = 500_000
 # fields (time, path and state values) per block of ensemble.csv rows.
-# While a block is built a field holds 57-66 bytes of floats and strings
-# (tracemalloc, 2 and 8 coordinates), so a block takes about 4 MB:
-# 16384 rows of example41
-_CSV_BLOCK_FIELDS = 65_536
+# While a block is written a field takes 46-75 bytes: its share of the
+# row matrix, of the NUL mask and of the text (tracemalloc, 1, 2 and 8
+# coordinates).  So a block takes 1.5-2.5 MB, 8192 rows of example41,
+# beside the formatter's 1.7 MB of work arrays.
+_CSV_BLOCK_FIELDS = 32_768
+_TIME_BYTES = 24  # the longest repr of a double
 
 _USER_ERRORS = (
     ConfigError,
@@ -119,35 +120,69 @@ def _csv_stride(n_steps: int, n_paths: int, configured: Optional[int]) -> int:
 
 def _write_ensemble_csv(path: Path, ens: PathEnsemble, stride: int) -> None:
     """Rows (t, path, y0..y{d-1}) in time-major order, every ``stride``-th
-    grid point; floats via repr for exact reproducibility.
+    grid point; every float is written as its ``repr``.
 
     Works on blocks of grid points of at most ``_CSV_BLOCK_FIELDS``
-    fields (one grid point at least), so the strings of one block are
-    all that is held at a time, whatever the ensemble's size: each state
-    coordinate of a block becomes one column of floats, the block's times
-    are formed and formatted with it, and the rows are joined in C, so no
-    Python code runs per row and the path-index strings are built once.
-    A column that is +0.0 throughout (bit pattern all zero) repeats the
-    one string ``repr(0.0)`` instead of formatting every value;
-    example41's first coordinate is one.
+    fields (one grid point at least) in one matrix of 64-bit words, a row
+    per (grid point, path), reused from block to block.  A row holds the
+    time's repr (one ``repr`` per grid point), the path index (built
+    once) and, per state coordinate, the 32-byte field that
+    ``_floatfmt.ReprFormatter`` fills with the value's repr and its
+    separator, formatting a whole column with numpy integer arithmetic
+    and no Python code per value.  Every byte that is not text is NUL, so
+    a block is written as its matrix with the NUL bytes removed.  A
+    coordinate that is +0.0 throughout (bit pattern all zero) takes one
+    word, ``0.0`` and its separator, written once; example41's first
+    coordinate is one.
     """
+    from ._floatfmt import ReprFormatter
+
     m, d = ens.n_paths, ens.dim
-    path_strs = list(map(str, range(m)))
-    per_block = max(1, _CSV_BLOCK_FIELDS // (m * (d + 2)))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,path," + ",".join(f"y{i}" for i in range(d)) + "\n")
-        for lo in range(0, ens.n_steps + 1, per_block * stride):
-            hi = min(lo + per_block * stride, ens.n_steps + 1)
+    written = ens.values[:, ::stride, :]
+    n_points = written.shape[1]
+    per_block = min(max(1, _CSV_BLOCK_FIELDS // (m * (d + 2))), n_points)
+    ends = b"," * (d - 1) + b"\n"
+    zero = [not written[:, :, i].view(np.uint64).any() for i in range(d)]
+    runs = []  # [first, stop) of each run of adjacent formatted coordinates
+    for i in range(d):
+        if zero[i]:
+            continue
+        if runs and runs[-1][1] == i:
+            runs[-1][1] = i + 1
+        else:
+            runs.append([i, i + 1])
+    # a row starts with the time and a comma, ending at byte 24, then the
+    # path and a comma, with no NUL between: the mask removes a run of NUL
+    # bytes at a time, so the fewer runs the faster
+    width = len(str(m - 1)) + 1
+    lead = -(-(_TIME_BYTES + 1 + width) // 8)  # words of time, path and commas
+    offsets = np.cumsum([lead] + [1 if z else 4 for z in zero]).tolist()
+    rows = np.zeros((per_block * m, offsets[-1]), dtype="<u8")
+    text = rows.view(np.uint8).reshape(per_block, m, -1)
+    paths = np.array([f"{p}," for p in range(m)], dtype=f"S{width}")
+    text[:, :, _TIME_BYTES + 1 : _TIME_BYTES + 1 + width] = paths.view(np.uint8).reshape(m, width)
+    for i in np.flatnonzero(zero).tolist():
+        rows[:, offsets[i]] = np.frombuffer((b"0.0" + ends[i : i + 1]).ljust(8, b"\0"), dtype="<u8")
+    fmt = ReprFormatter()
+    with open(path, "wb") as fh:
+        fh.write(("t,path," + ",".join(f"y{i}" for i in range(d)) + "\n").encode())
+        for lo in range(0, n_points, per_block):
+            block = written[:, lo : lo + per_block]
+            k = block.shape[1]
+            n = k * m
             # the grid's own expression, so each time rounds as in ``grid``
-            times = (ens.k_lo + np.arange(lo, hi, stride)) * ens.h
-            block = ens.values[:, lo:hi:stride, :]
-            t_col = chain.from_iterable(map(repeat, map(repr, times.tolist()), repeat(m)))
-            cols = [
-                map(repr, col.tolist()) if col.view(np.uint64).any() else repeat("0.0")
-                for col in (block[:, :, i].T.ravel() for i in range(d))
-            ]
-            fh.write("\n".join(map(",".join, zip(t_col, cycle(path_strs), *cols))))
-            fh.write("\n")
+            times = (ens.k_lo + stride * np.arange(lo, lo + k)) * ens.h
+            t_text = [f"{t!r},".rjust(_TIME_BYTES + 1, "\0") for t in times.tolist()]
+            t_bytes = np.array(t_text, dtype=f"S{_TIME_BYTES + 1}").view(np.uint8)
+            text[:k, :, : _TIME_BYTES + 1] = t_bytes.reshape(k, 1, _TIME_BYTES + 1)
+            for a, b in runs:
+                fmt(
+                    block[:, :, a:b].transpose(1, 0, 2).reshape(n, b - a),
+                    out=rows[:n, offsets[a] : offsets[b]].reshape(n, b - a, 4),
+                    ends=ends[a:b],
+                )
+            flat = rows[:n].view(np.uint8).reshape(-1)
+            fh.write(flat[flat != 0])
 
 
 def _strip_wall(records):

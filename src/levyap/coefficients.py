@@ -594,7 +594,8 @@ def verify_lipschitz(
     Drift and diffusion are checked as ||map(t,y)-map(t,z)||^2 / ||y-z||^2
     (Frobenius norm for the diffusion).  Jump maps are checked in the
     intensity-weighted form sum_c rate_c E_c ||F(t,y,X)-F(t,z,X)||^2 with
-    mark expectations by quadrature.  Requires n_samples >= 100.
+    mark expectations by quadrature, needed only when some term of the map
+    carries mark weights.  Requires n_samples >= 100.
     """
     if n_samples < 100:
         raise CoefficientError("need at least 100 samples for a meaningful check")
@@ -618,8 +619,11 @@ def verify_lipschitz(
         if not comps or all(len(t) == 0 for t in tmap):
             return 0.0
         acc = np.zeros(len(ts))
+        marked = any(t.mark_weights is not None for terms in tmap for t in terms)
         for comp in comps:
-            pts, wts = comp.marks.nodes()
+            # without mark weights the map does not depend on the mark, so
+            # its expectation is its value at any one mark
+            pts, wts = comp.marks.nodes() if marked else (np.zeros((1, spec.dim)), (1.0,))
             for xi, wi in zip(pts, wts):
                 x_rep = np.tile(xi, (len(ts), 1))
                 d = _eval_jump(tmap, ts, ya, x_rep) - _eval_jump(tmap, ts, yb, x_rep)

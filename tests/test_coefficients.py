@@ -39,6 +39,7 @@ from levyap.coefficients import (
     point_values,
     verify_lipschitz,
 )
+from levyap.config import build_coefficients, build_spec, preset_config, preset_names
 from levyap.noise import (
     JumpComponent,
     LevyProcessSpec,
@@ -290,6 +291,20 @@ def test_verify_lipschitz_detects_violation():
     )
     rep = verify_lipschitz(bad, benchmark_noise(), n_samples=500)
     assert not rep.passed
+
+
+def test_verify_lipschitz_reports_on_every_preset():
+    """Jump maps without mark weights need no mark quadrature, so the
+    check runs on galerkin_heat's 8-d annulus marks too; its small-jump
+    map (rate 2, scale 1/8 on mode 0) stays within the intensity-weighted
+    bound 2 * (1/8)^2 = 1/32."""
+    for name in preset_names():
+        cfg = preset_config(name)
+        rep = verify_lipschitz(build_coefficients(cfg.coefficients), build_spec(cfg.levy))
+        assert set(rep.observed) == {"drift", "diffusion", "jump_small", "jump_large"}
+        assert all(math.isfinite(v) and v >= 0.0 for v in rep.observed.values())
+        if name == "galerkin_heat":
+            assert 0.0 < rep.observed["jump_small"] <= 1.0 / 32.0
 
 
 def test_verify_lipschitz_needs_samples():
