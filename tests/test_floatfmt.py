@@ -95,7 +95,8 @@ def test_powers_of_ten_one_ulp_off():
 
 def test_every_subnormal_below_2_to_16():
     """Covers 5e-324 and 1e-323 (below Schubfach's range, taken from a
-    table) and 8e-323 (where Java keeps 7.9e-323)."""
+    table) and 8e-323, which comes out as 7.9e-323 when the candidate one
+    digit shorter is tried only from three digits on, as Java does."""
     x = np.arange(1, 1 << 16, dtype=np.uint64).view(np.float64)
     text = formatted(x)
     assert text[:3] == ["5e-324", "1e-323", "1.5e-323"]
