@@ -57,6 +57,10 @@ _K_MIN, _K_MAX = -324, 292  # decimal exponents of the 126-bit table
 _DECPT_OFF = 324  # a double's decpt lies in [-323, 309]
 _DECPT_SIZE = 634
 _FIELD_WORDS = 4
+# values formatted at a time: the work arrays take 212 bytes a value, 1.7
+# MB, small enough for a core's cache and large enough to spread numpy's
+# cost per call
+_CHUNK = 8192
 _DIGITS_AT = 7
 _EXP_AT = 25
 
@@ -167,21 +171,18 @@ def _layout_tables():
 
 class ReprFormatter:
     """Formats float64 arrays into repr fields (see the module docstring),
-    ``capacity`` values at a time.  Its work arrays take 212 bytes a value
-    of capacity, 1.7 MB at the default 8192: small enough for a core's
-    cache, large enough to spread numpy's cost per call."""
+    ``_CHUNK`` values at a time."""
 
-    def __init__(self, capacity: int = 8192):
-        self.capacity = capacity
+    def __init__(self):
         self._digits, self._kp = _digit_tables()
         self._layout = _layout_tables()
-        self._u = np.empty((24, capacity), dtype=np.uint64)
-        self._b = np.empty((4, capacity), dtype=bool)
-        self._i = np.empty((2, capacity), dtype=np.intp)
+        self._u = np.empty((24, _CHUNK), dtype=np.uint64)
+        self._b = np.empty((4, _CHUNK), dtype=bool)
+        self._i = np.empty((2, _CHUNK), dtype=np.intp)
 
     def __call__(self, x: np.ndarray, out: np.ndarray | None = None, ends: bytes = b"") -> np.ndarray:
         """The fields of the float64 values ``x`` (all finite), a vector or
-        a matrix of up to ``capacity`` columns, as an array of shape
+        a matrix of up to ``_CHUNK`` columns, as an array of shape
         x.shape + (4,) and dtype ``'<u8'``: ``out`` when given, whatever its
         strides.  Without its NUL bytes, a value's field is its ``repr``,
         followed by ``ends[j]`` in column j (byte 31) when ``ends`` is given
@@ -192,11 +193,11 @@ class ReprFormatter:
         values = x if x.ndim == 2 else x.reshape(-1, 1)
         fields = out.reshape(values.shape + (_FIELD_WORDS,))
         width = values.shape[1]
-        if width > self.capacity or len(ends) not in (0, width):
-            raise ValueError("need at most capacity columns and one end byte a column")
+        if width > _CHUNK or len(ends) not in (0, width):
+            raise ValueError(f"need at most {_CHUNK} columns and one end byte a column")
         end_words = np.frombuffer(ends.rjust(width, b"\0"), dtype=np.uint8).astype(np.uint64)
         end_words <<= _U(56)
-        step = self.capacity // width
+        step = _CHUNK // width
         for lo in range(0, len(values), step):
             bits = values[lo : lo + step].reshape(-1).view(np.uint64)
             sub = self._shortest(bits)

@@ -22,22 +22,22 @@ from levyap._floatfmt import (
 )
 
 
-def formatted_text(x, capacity=8192):
+def formatted_text(x):
     """The formatter's text of the values, each ended by a newline."""
-    fields = ReprFormatter(capacity)(np.asarray(x, dtype=np.float64), ends=b"\n")
+    fields = ReprFormatter()(np.asarray(x, dtype=np.float64), ends=b"\n")
     assert np.all(fields[:, 3] >> np.uint64(48) == ord("\n") << 8)
     flat = fields.view(np.uint8).reshape(-1)
     return flat[flat != 0].tobytes().decode("ascii")
 
 
-def formatted(x, capacity=8192):
-    return formatted_text(x, capacity).split("\n")[:-1]
+def formatted(x):
+    return formatted_text(x).split("\n")[:-1]
 
 
-def assert_reprs(x, capacity=8192):
+def assert_reprs(x):
     x = np.asarray(x, dtype=np.float64)
     want = "".join(f"{v!r}\n" for v in x.tolist())
-    got = formatted_text(x, capacity)
+    got = formatted_text(x)
     if got != want:
         pairs = zip(want.split("\n"), got.split("\n"))
         bad = [(w, g) for w, g in pairs if w != g]
@@ -126,25 +126,24 @@ def test_signed_zeros_and_extremes():
     assert ReprFormatter()(np.array([1.5])).tobytes().replace(b"\0", b"") == b"1.5"
 
 
-def test_chunks_matrices_and_strided_output():
-    """Inputs longer than the capacity go through in chunks; a matrix
-    gets one end byte a column; ``out`` may be a strided view, as the CSV
-    writer passes one."""
+def test_matrices_in_chunks_and_strided_output():
+    """A matrix gets one end byte a column and goes through in chunks of
+    whole rows; ``out`` may be a strided view, as the CSV writer passes
+    one."""
     gen = np.random.default_rng(7)
-    x = gen.normal(size=1000) * 10.0 ** gen.integers(-30, 30, size=1000)
-    x[::7] = 0.0
-    x[::11] = -0.0
-    assert_reprs(x, capacity=97)
-    fmt = ReprFormatter(128)
-    rows = np.zeros((250, 14), dtype="<u8")
-    fmt(x.reshape(250, 4)[:, 1:], out=rows[:, 1:13].reshape(250, 3, 4), ends=b",;\n")
+    x = gen.normal(size=(5000, 4)) * 10.0 ** gen.integers(-30, 30, size=(5000, 4))
+    x.flat[::7] = 0.0
+    x.flat[::11] = -0.0
+    fmt = ReprFormatter()
+    rows = np.zeros((5000, 14), dtype="<u8")
+    fmt(x[:, 1:], out=rows[:, 1:13].reshape(5000, 3, 4), ends=b",;\n")
     assert not rows[:, [0, 13]].any()
     text = rows.view(np.uint8).reshape(-1)
-    want = "".join(f"{a!r},{b!r};{c!r}\n" for a, b, c in x.reshape(250, 4)[:, 1:].tolist())
+    want = "".join(f"{a!r},{b!r};{c!r}\n" for a, b, c in x[:, 1:].tolist())
     assert text[text != 0].tobytes().decode() == want
-    assert np.array_equal(rows[:, 1:13].reshape(250, 3, 4)[:, 2], fmt(x.reshape(250, 4)[:, 3], ends=b"\n"))
+    assert np.array_equal(rows[:, 1:13].reshape(5000, 3, 4)[:, 2], fmt(x[:, 3], ends=b"\n"))
     with pytest.raises(ValueError):
-        fmt(x.reshape(250, 4), ends=b",")
+        fmt(x, ends=b",")
 
 
 def test_seeded_sweep_of_random_bit_patterns():
