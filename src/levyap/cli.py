@@ -202,6 +202,7 @@ def _sample(cfg: RunConfig, spec) -> NoiseSample:
         float(num.h),
         num.n_paths,
         cfg.seed,
+        threads=cfg.threads,
     )
 
 
@@ -441,8 +442,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, help="override the Picard tolerance")
         p.add_argument("--max-iter", type=int, help="override the iteration cap")
         p.add_argument("--threads", type=int,
-                       help="worker threads over path chunks in the Picard "
-                            "solve; results are identical for any value")
+                       help="worker threads over path chunks in noise sampling "
+                            "and the Picard solve; results are identical for "
+                            "any value")
     return parser
 
 

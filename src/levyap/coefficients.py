@@ -43,6 +43,7 @@ __all__ = [
     "term_value",
     "add_terms",
     "point_values",
+    "jump_terms",
     "eval_jump_small",
     "eval_jump_large",
     "verify_lipschitz",
@@ -498,7 +499,8 @@ def compensator_terms(
 
 def term_value(term: PreparedTerm, columns, out: np.ndarray) -> np.ndarray:
     """Write scale * outer * kernel(y, inner) * mark into ``out`` with
-    in-place ufuncs, in that order of operations, and return it.
+    in-place ufuncs, in that order of operations, and return it.  A scale
+    of 1.0 is exact, so it is not multiplied once the value is in ``out``.
 
     ``y = columns[term.coord]`` is the state coordinate laid out like
     ``out``.  This is the one place where term values are computed:
@@ -509,7 +511,7 @@ def term_value(term: PreparedTerm, columns, out: np.ndarray) -> np.ndarray:
     for factor in (term.outer, term.mark):
         if factor is not None:
             val = np.multiply(val, factor, out=out)
-    return np.multiply(val, term.scale, out=out)
+    return out if val is out and term.scale == 1.0 else np.multiply(val, term.scale, out=out)
 
 
 def add_terms(out: np.ndarray, terms, columns, buf: Optional[np.ndarray] = None) -> None:
@@ -536,6 +538,15 @@ def point_values(rows, y: np.ndarray) -> np.ndarray:
     return out
 
 
+def jump_terms(tmap: VectorTerms, ts, x) -> tuple[tuple[PreparedTerm, ...], ...]:
+    """The terms of each state coordinate of a jump map (``cs.jump_small``
+    or ``cs.jump_large``), prepared at events with times ``ts`` and marks
+    ``x`` (events, dim_noise)."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    x = np.asarray(x, dtype=float)
+    return tuple(tuple(_prepare(t, ts, x) for t in terms) for terms in tmap)
+
+
 def eval_jump_small(cs: CoefficientSet, ts, y, x) -> np.ndarray:
     """Small-jump integrand F(t, y, x) evaluated per event."""
     return _eval_jump(cs.jump_small, ts, y, x)
@@ -547,10 +558,7 @@ def eval_jump_large(cs: CoefficientSet, ts, y, x) -> np.ndarray:
 
 
 def _eval_jump(tmap: VectorTerms, ts, y, x) -> np.ndarray:
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    x = np.asarray(x, dtype=float)
-    rows = tuple(tuple(_prepare(t, ts, x) for t in terms) for terms in tmap)
-    return point_values(rows, np.asarray(y, dtype=float))
+    return point_values(jump_terms(tmap, ts, x), np.asarray(y, dtype=float))
 
 
 # ---------------------------------------------------------------------------

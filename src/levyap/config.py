@@ -857,8 +857,9 @@ def _example41_config() -> RunConfig:
             epsilon=0.25,
             shifts=(Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1),
             times=(0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1),
-            # cap the law supports: 2-d distance LPs between independent
-            # close point clouds grow expensive past ~100 support points
+            # cap the law supports.  example41's laws vary in one
+            # coordinate, so every distance is a 1-d line solve; the
+            # shipped apscan report depends on this cap
             law_support=64,
         ),
         seed=41,

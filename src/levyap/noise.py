@@ -14,9 +14,13 @@ of streams.
 
 Sampling is counter-based: every path and every stream within a path is
 opened from a ``(seed, path_index, tag)`` key, so any path of any batch
-can be regenerated bit-for-bit without storing it.  ``sample_noise``
-accepts a ``path_offset`` so chunked pipelines produce the same paths as
-a single monolithic call.
+can be regenerated bit-for-bit without storing it.  ``stream`` opens one
+address through numpy's SeedSequence; ``sample_noise`` derives the
+Philox keys of all its streams in one vectorised pass of the same hash
+(``_stream_keys``) and opens each stream by re-keying one generator per
+worker thread (``_KeyedStream``), so the draws are those of ``stream``
+for any number of workers.  ``sample_noise`` accepts a ``path_offset``
+so chunked pipelines produce the same paths as a single monolithic call.
 
 A sample is columnar: one ``NoiseSample`` holds the Wiener increments of
 all paths in one array and the jump events of all paths as flat columns,
@@ -25,6 +29,7 @@ which is the form the solver reads.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -63,12 +68,109 @@ _TAG_J_POS = 2
 _TAG_J_NEG = 3
 
 _GRID_ALIGN_TOL = 1e-9
+# paths a sampling worker draws and scales as one unit
+_GROUP = 16
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
     """Open the counter-based generator for a (seed, key...) address."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.Philox(ss))
+
+
+# the hash constants of numpy's SeedSequence
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _stream_keys(seed: int, *key) -> np.ndarray:
+    """The Philox keys of many (seed, key...) addresses in one pass.
+
+    ``key`` holds ints or integer arrays, broadcast together; entry
+    ``[i...]`` of the (..., 2) uint64 result is the key ``stream(seed,
+    *(k[i...] for k in key))`` opens with, which is
+    ``SeedSequence(seed, spawn_key=...).generate_state(2, np.uint64)``.
+    This is SeedSequence's mixing on uint32 arrays, one lane per address.
+    The seed's words are shared by every lane, so a seed of any size
+    works; each key element must be one 32-bit word.
+    """
+    seed = int(seed)
+    if seed < 0:
+        raise NoiseSpecError("seed must be nonnegative")
+    parts = np.broadcast_arrays(*(np.asarray(k, dtype=np.int64) for k in key))
+    shape = parts[0].shape
+    for k in parts:
+        if k.size and (k.min() < 0 or k.max() > _MASK32):
+            bad = int(k.min()) if k.min() < 0 else int(k.max())
+            raise NoiseSpecError(
+                f"stream key word {bad} is outside [0, 2**32): path indices must stay below 2**32"
+            )
+    words = [(seed >> s) & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    # with a spawn key the seed's words are padded to the pool size
+    words += [0] * (4 - len(words))
+    lanes = int(np.prod(shape))
+    entropy = [np.full(lanes, w, np.uint32) for w in words]
+    entropy += [k.astype(np.uint32).reshape(-1) for k in parts]
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        value = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return value ^ (value >> np.uint32(16))
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state(2, np.uint64): four words from the pool, paired low-high
+    hash_const, out = _INIT_B, []
+    for word in pool:
+        word = word ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        word = word * np.uint32(hash_const)
+        out.append((word ^ (word >> np.uint32(16))).astype(np.uint64))
+    keys = np.stack([out[0] | out[1] << np.uint64(32), out[2] | out[3] << np.uint64(32)], axis=-1)
+    return keys.reshape(shape + (2,))
+
+
+class _KeyedStream:
+    """One Philox generator that opens any stream by re-keying in place.
+
+    ``open(key)`` sets the whole Philox state (counter, key, output
+    buffer, buffered 32-bit half) to that of a fresh generator with the
+    Philox key ``key`` and returns the one ``Generator`` over it, so its
+    draws are those of ``stream(...)`` at that address.  That costs a
+    state assignment instead of a SeedSequence, a Philox and a Generator.
+    """
+
+    def __init__(self):
+        self._bits = np.random.Philox(0)
+        self._gen = np.random.Generator(self._bits)
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": (0, 0)},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+    def open(self, key) -> np.random.Generator:
+        self._state["state"]["key"] = key
+        self._bits.state = self._state
+        return self._gen
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +498,7 @@ def sample_noise(
     n_paths: int,
     seed: int,
     path_offset: int = 0,
+    threads: int = 1,
 ) -> NoiseSample:
     """Sample two-sided noise paths on the grid covering ``window``.
 
@@ -406,6 +509,18 @@ def sample_noise(
     of increments and jump events.  Path ``j`` of this call is addressed
     by ``path_index = path_offset + j``: a chunked caller that splits
     ``n_paths`` across several calls gets bit-identical paths.
+
+    The keys of every stream are derived in one pass (``_stream_keys``),
+    and each worker opens its streams by re-keying one generator.  Up to
+    ``threads`` workers, the calling thread among them, take groups of
+    ``_GROUP`` paths in turn and draw their Wiener normals straight into
+    ``dW``, then scale the group in a group-sized buffer of their own;
+    numpy releases the interpreter lock for both.  The calling thread
+    first draws every path's jump events, in path order: a Poisson count
+    and a few uniforms per stream, Python-bound work that more threads
+    would only serialise on the interpreter lock.  Every stream is a
+    function of its address alone, so the sample is bitwise the same for
+    any thread count.
     """
     validate_spec(spec)
     t_lo, t_hi = float(window[0]), float(window[1])
@@ -415,6 +530,8 @@ def sample_noise(
         raise NoiseSpecError("step h must be finite and > 0")
     if n_paths < 1:
         raise NoiseSpecError("a noise sample needs at least one path")
+    if threads < 1:
+        raise NoiseSpecError("threads must be at least 1")
     n_neg = _steps_for(-t_lo, h, "window start")
     n_pos = _steps_for(t_hi, h, "window end")
     n = n_neg + n_pos
@@ -426,36 +543,83 @@ def sample_noise(
         eigs = np.clip(eigs, 0.0, None)
         chol = vecs * np.sqrt(eigs)  # q = chol @ chol.T
 
+    paths = path_offset + np.arange(n_paths)
+    # keys of the (path, half line) Wiener streams and the (path, half
+    # line, component) jump streams, the positive half line first
+    w_keys = _stream_keys(seed, paths[:, None], [_TAG_W_POS, _TAG_W_NEG])
+    j_keys = _stream_keys(
+        seed, paths[:, None, None], [[_TAG_J_POS], [_TAG_J_NEG]], np.arange(len(spec.jumps))
+    )
     dW = np.zeros((n_paths, n, spec.dim))
     sqrt_h = np.sqrt(h)
-    # jump stream tag, step count and length of each half line
-    half_lines = ((_TAG_J_POS, n_pos, n_pos * h), (_TAG_J_NEG, n_neg, n_neg * h))
-    batches = []  # (path, component, count) of each drawn batch of events
-    # empty first entries, so a sample without events still concatenates
-    times = [np.zeros(0)]
-    marks = [np.zeros((0, spec.dim))]
-    for j in range(n_paths):
-        path = path_offset + j
-        if chol is not None:
+    # step count and length of each half line
+    half_lines = ((n_pos, n_pos * h), (n_neg, n_neg * h))
+    # groups of paths whose Wiener increments are still to be drawn,
+    # handed out one at a time to whichever worker asks first
+    groups = iter([(lo, min(lo + _GROUP, n_paths)) for lo in range(0, n_paths, _GROUP)])
+    groups_lock = threading.Lock()
+
+    def draw_wiener() -> None:
+        """Draw and scale the Wiener increments of groups of paths until
+        none is left."""
+        keyed = _KeyedStream()
+        scaled = np.empty((_GROUP, max(n_pos, n_neg), spec.dim))
+        while True:
+            with groups_lock:
+                group = next(groups, None)
+            if group is None:
+                return
+            lo, hi = group
+            for j in range(lo, hi):
+                if n_pos:
+                    keyed.open(w_keys[j, 0]).standard_normal(out=dW[j, n_neg:])
+                if n_neg:
+                    keyed.open(w_keys[j, 1]).standard_normal(out=dW[j, :n_neg])
+            tmp = scaled[: hi - lo]
             if n_pos:
-                z = stream(seed, path, _TAG_W_POS).standard_normal((n_pos, spec.dim))
-                dW[j, n_neg:] = sqrt_h * z @ chol.T
+                pos = dW[lo:hi, n_neg:]
+                np.matmul(np.multiply(pos, sqrt_h, out=tmp[:, :n_pos]), chol.T, out=pos)
             if n_neg:
-                z = stream(seed, path, _TAG_W_NEG).standard_normal((n_neg, spec.dim))
                 # mirrored order: increment over [t_k, t_k + h] for t_k < 0
                 # is the (|t_k|/h - 1)-th increment of the mirrored copy
-                dW[j, :n_neg] = sqrt_h * (z @ chol.T)[::-1]
-        for ci, comp in enumerate(spec.jumps):
-            for tag, steps, length in half_lines:
-                if not steps:
-                    continue
-                gen = stream(seed, path, tag, ci)
-                count = int(gen.poisson(comp.rate * length))
-                if count:
-                    u = np.sort(gen.uniform(0.0, length, size=count))
-                    times.append(u if tag == _TAG_J_POS else -u[::-1])
-                    marks.append(comp.marks.draw(gen, count))
-                    batches.append((j, ci, count))
+                neg = dW[lo:hi, :n_neg]
+                z = np.matmul(neg, chol.T, out=tmp[:, :n_neg])
+                np.multiply(z[:, ::-1], sqrt_h, out=neg)
+
+    # empty first entries, so a sample without events still concatenates
+    times, marks = [np.zeros(0)], [np.zeros((0, spec.dim))]
+    batches = []  # (path, component, count) of each drawn batch of events
+
+    def draw_jumps() -> None:
+        """Draw the jump events of every path, in path order."""
+        keyed = _KeyedStream()
+        for j in range(n_paths):
+            for ci, comp in enumerate(spec.jumps):
+                for half, (steps, length) in enumerate(half_lines):
+                    if not steps:
+                        continue
+                    gen = keyed.open(j_keys[j, half, ci])
+                    count = int(gen.poisson(comp.rate * length))
+                    if count:
+                        u = np.sort(gen.uniform(0.0, length, size=count))
+                        times.append(-u[::-1] if half else u)
+                        marks.append(comp.marks.draw(gen, count))
+                        batches.append((j, ci, count))
+
+    workers = 1 if chol is None else min(threads, -(-n_paths // _GROUP))
+    if workers == 1:
+        if chol is not None:
+            draw_wiener()
+        draw_jumps()
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers - 1) as pool:
+            futures = [pool.submit(draw_wiener) for _ in range(workers - 1)]
+            draw_jumps()
+            draw_wiener()
+            for fut in futures:
+                fut.result()
 
     batch = np.array(batches, dtype=np.int64).reshape(-1, 3)
     ev_path = np.repeat(batch[:, 0], batch[:, 2])

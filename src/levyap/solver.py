@@ -32,9 +32,10 @@ their applications", 1990).
 The noise is read as sampled: a chunk of paths takes slices of the
 Wiener increments and of the path-ordered jump event columns of the one
 ``NoiseSample``.  What does not depend on the iterate (the modal
-halves, where each path's events start, the non-empty coefficient
-entries with their time-only signals on the grid) is planned once per
-Picard solve.  Each chunk of paths then runs a path-major kernel:
+halves and each mode's scan powers, the jump terms prepared at every
+event, the non-empty coefficient entries with their time-only signals on
+the grid) is planned once per Picard solve.  Each chunk of paths then
+runs a path-major kernel:
 (paths, time) rows with time contiguous, only the non-empty coefficient
 entries evaluated, forcing added straight into the modal accumulations.
 S maps each path to itself, so the Picard solve overwrites one ensemble
@@ -55,7 +56,7 @@ from __future__ import annotations
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from numbers import Rational
 from typing import Optional
@@ -71,6 +72,7 @@ from .coefficients import (
     drift_terms,
     eval_jump_large,
     eval_jump_small,
+    jump_terms,
     point_values,
     term_value,
 )
@@ -499,9 +501,19 @@ def _scan_block(lam, n: int) -> int:
     return n if mag * n <= _SCAN_NATS else max(1, int(_SCAN_NATS / mag))
 
 
-def _scan(lam, x: np.ndarray, buf: np.ndarray) -> None:
+def _scan_powers(lam, n: int) -> tuple:
+    """The block length L of a length-n scan with multiplier lam, and the
+    powers lam^{-i}, lam^i and lam^{i+1}, i < L, that ``_scan`` scales
+    by."""
+    block = _scan_block(lam, n)
+    i = np.arange(block)
+    return block, lam ** -i, lam**i, lam ** (i + 1)
+
+
+def _scan(powers: tuple, x: np.ndarray, buf: np.ndarray) -> None:
     """In place along the last axis of the (paths, n) array x:
-    x_k <- sum_{i <= k} lam^{k-i} x_i.
+    x_k <- sum_{i <= k} lam^{k-i} x_i, with ``powers`` from
+    ``_scan_powers(lam, n)``.
 
     Each block of L steps is scaled by lam^{-i}, summed by ``cumsum`` and
     rescaled by lam^i; the value entering the block is carried in with
@@ -510,9 +522,7 @@ def _scan(lam, x: np.ndarray, buf: np.ndarray) -> None:
     factor leaves double range, whatever the stiffness.
     """
     n = x.shape[-1]
-    block = _scan_block(lam, n)
-    i = np.arange(block)
-    down, up, carry = lam ** -i, lam**i, lam ** (i + 1)
+    block, down, up, carry = powers
     for s in range(0, n, block):
         seg = x[..., s : s + block]
         size = seg.shape[-1]
@@ -552,13 +562,14 @@ def _live_modes(half: _ModalHalf, drift_rows, stoch_rows) -> list[bool]:
     return live
 
 
-def _modal_scan(half: _ModalHalf, drift: dict, stoch: dict, z: np.ndarray, buf, cbuf):
+def _modal_scan(half: _ModalHalf, powers, drift: dict, stoch: dict, z: np.ndarray, buf, cbuf):
     """Modal accumulations z, shape (r, q, n + 1), driven by the forcing
     rows (q, n) of each state coordinate, with z[:, :, 0] zero; and the
     modes that are live (``_live_modes``).  ``z`` is the scratch the
-    accumulations are written to.  A mode that is not live stays zero and
-    is not scanned; None is returned for z when no mode is live.  A
-    reverse half runs from the window end and stores z time-reversed:
+    accumulations are written to, ``powers`` the scan powers of each mode
+    that can be live (``_Plan.powers``).  A mode that is not live stays
+    zero and is not scanned; None is returned for z when no mode is live.
+    A reverse half runs from the window end and stores z time-reversed:
     its forcing is added through a reversed view."""
     live = _live_modes(half, drift, stoch)
     if not any(live):
@@ -577,7 +588,7 @@ def _modal_scan(half: _ModalHalf, drift: dict, stoch: dict, z: np.ndarray, buf, 
             if half.tri[m, j] != 0 and live[j]:
                 _axpy(z[m, :, 1:], half.tri[m, j], z[j, :, :-1], buf, cbuf)
         if live[m]:
-            _scan(half.tri[m, m], z[m, :, 1:], cbuf if np.iscomplexobj(z) else buf)
+            _scan(powers[m], z[m, :, 1:], cbuf if np.iscomplexobj(z) else buf)
     return z, live
 
 
@@ -604,38 +615,79 @@ class _Forcing:
 
 
 @dataclass(frozen=True, eq=False)
+class _Jumps:
+    """The jump events of one region (small or large) with the region's
+    terms prepared at them: ``rows`` are the state coordinates it acts
+    on, ``terms`` the prepared terms of each state coordinate
+    (``jump_terms`` at the events' grid times and marks), ``path`` and
+    ``step`` the events' paths and steps, all in sample order, so by
+    path: the events of paths [lo, hi) are ``starts[lo]:starts[hi]``."""
+
+    rows: tuple[int, ...]
+    terms: tuple[tuple[PreparedTerm, ...], ...]
+    path: np.ndarray
+    step: np.ndarray
+    starts: np.ndarray
+
+    @classmethod
+    def build(cls, tmap, region: int, noise: NoiseSample, grid: np.ndarray) -> "_Jumps":
+        mask = noise.event_region == region
+        path, step = noise.event_path[mask], noise.event_step[mask]
+        return cls(
+            rows=tuple(i for i, terms in enumerate(tmap) if terms),
+            terms=jump_terms(tmap, grid[step], noise.event_marks[mask]),
+            path=path,
+            step=step,
+            starts=np.searchsorted(path, np.arange(noise.n_paths + 1)),
+        )
+
+    def terms_of(self, a: int, b: int) -> tuple[tuple[PreparedTerm, ...], ...]:
+        """The prepared terms of region events [a, b)."""
+
+        def cut(factor):
+            return None if factor is None else factor[a:b]
+
+        return tuple(
+            tuple(
+                replace(t, inner=cut(t.inner), outer=cut(t.outer), mark=cut(t.mark))
+                for t in terms
+            )
+            for terms in self.terms
+        )
+
+
+@dataclass(frozen=True, eq=False)
 class _Plan:
     """What ``apply_S`` needs that does not depend on the iterate, built
     once per Picard solve.
 
     ``w`` is the window in steps and ``halves`` the modal halves of S.
-    The jump events are the sample's event columns as they are, ordered
-    by path: the events of paths [lo, hi) are the slice
-    ``path_events[lo]:path_events[hi]``.  ``rows`` hold each state
-    coordinate's forcing entries with their time-only signals evaluated
-    on the grid, ``small_rows``/``large_rows`` the coordinates that small
-    and large jumps act on, ``drift_rows``/``stoch_rows`` the coordinates
-    that can have a drift and a stochastic row, and ``coords`` the state
-    coordinates some grid term reads.
+    ``jumps`` holds the small and then the large jump events, ordered by
+    path, with the region's terms prepared at them (``_Jumps``), for each
+    region that acts on some coordinate; a chunk of paths takes a slice
+    of them.  ``rows`` hold each state coordinate's forcing entries with
+    their time-only signals evaluated on the grid,
+    ``drift_rows``/``stoch_rows`` the coordinates that can have a drift
+    and a stochastic row, and ``coords`` the state coordinates some grid
+    term reads.
 
     ``live`` holds, per half, the modes that some row that can exist
-    reaches (``_live_modes``), and ``reach`` the output coordinates those
-    modes map back to: S is zero in every other coordinate, whatever the
-    iterate.
+    reaches (``_live_modes``), ``powers`` the scan powers of each such
+    mode (``_scan_powers``; None for the others), and ``reach`` the
+    output coordinates those modes map back to: S is zero in every other
+    coordinate, whatever the iterate.
     """
 
-    cs: CoefficientSet
     noise: NoiseSample
     w: int
     halves: tuple[_ModalHalf, ...]
-    path_events: np.ndarray
+    jumps: tuple[_Jumps, ...]
     rows: tuple[_Forcing, ...]
-    small_rows: tuple[int, ...]
-    large_rows: tuple[int, ...]
     drift_rows: tuple[int, ...]
     stoch_rows: tuple[int, ...]
     coords: tuple[int, ...]
     live: tuple[tuple[bool, ...], ...]
+    powers: tuple[tuple[Optional[tuple], ...], ...]
     reach: tuple[int, ...]
 
     @classmethod
@@ -644,7 +696,8 @@ class _Plan:
             raise SolverError("system, coefficients and ensemble dimensions differ")
         h, n = noise.h, noise.n_steps
         w = _truncation_steps(truncation, h, n)
-        ts = noise.grid[:-1]
+        grid = noise.grid
+        ts = grid[:-1]
         rows = tuple(
             _Forcing(drift, tuple((j, t) for j, t in enumerate(diff) if t), comp)
             for drift, diff, comp in zip(
@@ -653,11 +706,14 @@ class _Plan:
         )
         grid_terms = [t for r in rows for t in r.drift + r.compensator]
         grid_terms += [t for r in rows for _, entry in r.diffusion for t in entry]
-        small_rows = tuple(i for i, terms in enumerate(cs.jump_small) if terms)
-        large_rows = tuple(i for i, terms in enumerate(cs.jump_large) if terms)
+        jumps = tuple(
+            _Jumps.build(tmap, region, noise, grid)
+            for region, tmap in enumerate((cs.jump_small, cs.jump_large))
+            if any(tmap)
+        )
         drift_rows = tuple(i for i, row in enumerate(rows) if row.drift)
         noise_rows = {i for i, row in enumerate(rows) if row.diffusion or row.compensator}
-        stoch_rows = tuple(sorted(noise_rows.union(small_rows, large_rows)))
+        stoch_rows = tuple(sorted(noise_rows.union(*(j.rows for j in jumps))))
         halves = tuple(_modal_halves(sys, h, w))
         live = tuple(tuple(_live_modes(half, drift_rows, stoch_rows)) for half in halves)
         reach = tuple(
@@ -670,18 +726,22 @@ class _Plan:
             )
         )
         return cls(
-            cs=cs,
             noise=noise,
             w=w,
             halves=halves,
-            path_events=np.searchsorted(noise.event_path, np.arange(noise.n_paths + 1)),
+            jumps=jumps,
             rows=rows,
-            small_rows=small_rows,
-            large_rows=large_rows,
             drift_rows=drift_rows,
             stoch_rows=stoch_rows,
             coords=tuple(sorted({t.coord for t in grid_terms if t.kernel != "const"})),
             live=live,
+            powers=tuple(
+                tuple(
+                    _scan_powers(half.tri[m, m], n) if is_live else None
+                    for m, is_live in enumerate(modes)
+                )
+                for half, modes in zip(halves, live)
+            ),
             reach=reach,
         )
 
@@ -694,16 +754,17 @@ class _Scratch:
     ``_apply_chunk`` runs in three phases, and arrays whose phases do not
     overlap share rows:
 
-    - forcing: the state columns, ``later`` for the stochastic terms
-      after a row's first and ``sum_buf`` for ``add_terms`` build the
-      drift and stochastic rows.  ``later`` exists only when some
-      coordinate has two or more stochastic entries, ``sum_buf`` only
-      when some entry has two or more terms (None otherwise);
+    - forcing: ``later`` for the stochastic terms after a row's first
+      and ``sum_buf`` for ``add_terms`` build the drift and stochastic
+      rows from the state columns, which are views of the ensemble.
+      ``later`` exists only when some coordinate has two or more
+      stochastic entries, ``sum_buf`` only when some entry has two or
+      more terms (None otherwise);
     - scan: the modal accumulations ``z`` of each half (None for a half
       with no live mode) are driven by those rows, the products formed in
       ``buf`` or, when a half is complex, in the complex ``cbuf`` (None
-      otherwise).  These take the rows of the columns, ``later`` and
-      ``sum_buf``, which are dead once the forcing rows are built;
+      otherwise).  These take the rows of ``later`` and ``sum_buf``,
+      which are dead once the forcing rows are built;
     - assembly: each output coordinate is summed from ``z`` into ``res``,
       which takes the first drift row (the first stochastic row if there
       is none): the scans have read them by then.
@@ -731,7 +792,7 @@ class _Scratch:
         ]
         complex_z = any(c and np.iscomplexobj(h.tri) for h, c in zip(plan.halves, z_rows))
         n_forcing = len(plan.drift_rows) + len(plan.stoch_rows)
-        forcing_only = len(plan.coords) + has_later + has_sum_buf
+        forcing_only = has_later + has_sum_buf
         scan = sum(z_rows) + 1 + 2 * complex_z
         base = max(n_forcing, 1)
         self.n_rows = base + max(forcing_only, scan)
@@ -748,7 +809,6 @@ class _Scratch:
         self.drift = {i: rows(next(forcing), (paths, n)) for i in plan.drift_rows}
         self.stoch = {i: rows(next(forcing), (paths, n)) for i in plan.stoch_rows}
         built = iter(range(base, self.n_rows))
-        self.columns = {c: rows(next(built), (paths, n)) for c in plan.coords}
         self.later = rows(next(built), (paths, n)) if has_later else None
         self.sum_buf = rows(next(built), (paths, n)) if has_sum_buf else None
         self.z, first = [], base
@@ -771,28 +831,18 @@ def _term_sum(terms, columns, out: np.ndarray, buf: np.ndarray) -> np.ndarray:
 
 def _add_jumps(plan: _Plan, values: np.ndarray, stoch: dict, lo: int, hi: int, scratch):
     """Add the jumps of paths [lo, hi) to the stochastic rows, small
-    jumps first, each event in sample order.  A row the chunk has not
-    filled yet is zeroed in ``scratch`` first."""
-    e_lo, e_hi = plan.path_events[lo], plan.path_events[hi]
-    if e_hi == e_lo:
-        return
-    noise = plan.noise
-    path, step, region, marks = (
-        a[e_lo:e_hi]
-        for a in (noise.event_path, noise.event_step, noise.event_region, noise.event_marks)
-    )
-    state = np.ascontiguousarray(values[:, path, step].T)
-    times = noise.grid[step]
-    small = region == 0
-    for sel, rows, evaluate in (
-        (small, plan.small_rows, eval_jump_small),
-        (~small, plan.large_rows, eval_jump_large),
-    ):
-        if not rows or not np.any(sel):
+    jumps first, each event in sample order, from the slices of the
+    planned jump terms that hold the chunk's events.  A row the chunk has
+    not filled yet is zeroed in ``scratch`` first."""
+    for jumps in plan.jumps:
+        a, b = jumps.starts[lo], jumps.starts[hi]
+        if a == b:
             continue
-        vals = evaluate(plan.cs, times[sel], state[sel], marks[sel])
-        at = (path[sel] - lo, step[sel])
-        for i in rows:
+        path, step = jumps.path[a:b], jumps.step[a:b]
+        state = np.ascontiguousarray(values[:, path, step].T)
+        vals = point_values(jumps.terms_of(a, b), state)
+        at = (path - lo, step)
+        for i in jumps.rows:
             if i not in stoch:
                 stoch[i] = scratch.stoch[i][: hi - lo]
                 stoch[i].fill(0.0)
@@ -808,17 +858,15 @@ def _apply_chunk(plan: _Plan, values: np.ndarray, lo: int, hi: int, scratch: _Sc
     ``values`` is only read, in paths [lo, hi) and before the first
     yield, so the caller may write each coordinate back as it comes.
 
-    Path-major: every array is (paths, time) with time contiguous.  Each
-    state coordinate some term reads is copied once; only non-empty
-    coefficient entries are evaluated, into one drift row and one
-    stochastic row per state coordinate; each output coordinate is
+    Path-major: every array is (paths, time) with time contiguous.  The
+    terms read the state coordinates as views of ``values``; only
+    non-empty coefficient entries are evaluated, into one drift row and
+    one stochastic row per state coordinate; each output coordinate is
     assembled in one contiguous row.
     """
     noise = plan.noise
     p = hi - lo
-    columns = {c: col[:p] for c, col in scratch.columns.items()}
-    for c, col in columns.items():
-        np.copyto(col, values[c, lo:hi, :-1])
+    columns = {c: values[c, lo:hi, :-1] for c in plan.coords}
     later, sum_buf = (None if a is None else a[:p] for a in (scratch.later, scratch.sum_buf))
     drift, stoch = {}, {}
     for i, row in enumerate(plan.rows):
@@ -844,8 +892,8 @@ def _apply_chunk(plan: _Plan, values: np.ndarray, lo: int, hi: int, scratch: _Sc
     buf = scratch.buf[:p]
     cbuf = None if scratch.cbuf is None else scratch.cbuf[:p]
     scans = [
-        (half, *_modal_scan(half, drift, stoch, z[:, :p], buf, cbuf))
-        for half, z in zip(plan.halves, scratch.z)
+        (half, *_modal_scan(half, powers, drift, stoch, z[:, :p], buf, cbuf))
+        for half, powers, z in zip(plan.halves, plan.powers, scratch.z)
         if z is not None
     ]
     n, w = noise.n_steps, plan.w
@@ -1010,10 +1058,11 @@ def apply_S(
     covers diagonal, rotating and defective generators.
 
     The work splits into a plan and a kernel.  The plan (``_Plan``) holds
-    what does not depend on ``ens``: the window steps, the modal halves,
-    where each path's jump events start, and the non-empty coefficient
-    entries with their time-only signals on the grid and the compensator
-    weights folded in.  ``apply_S`` builds it on each call;
+    what does not depend on ``ens``: the window steps, the modal halves
+    with each mode's scan powers, the jump terms of each region prepared
+    at all its events, and the non-empty coefficient entries with their
+    time-only signals on the grid and the compensator weights folded
+    in.  ``apply_S`` builds it on each call;
     ``picard_solve`` does not call ``apply_S``, it builds one plan per
     solve and runs the same sweep on every iterate.  The kernel
     (``_apply_chunk``) runs path-major on one chunk of paths: it

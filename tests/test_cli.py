@@ -1101,6 +1101,37 @@ class TestCliDeterminism:
             ["import False"] + [f"{name} 0 False" for name in preset_names()] + ["picard 0 True"]
         )
 
+    def test_check_does_not_load_the_thread_pool(self, tmp_path):
+        """Noise sampling and the Picard solve import ``concurrent.futures``
+        only when they start worker threads: importing the CLI and checking
+        every shipped preset leave it unloaded, so the start-up time does
+        not pay for it, and a ``picard`` at ``--threads 2`` loads it (its
+        40 paths are three sampling groups)."""
+        cfg = str(write_cfg(tmp_path, tiny_benchmark_dict(), name="ex41.json"))
+        code = (
+            "import io, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "from levyap.cli import main\n"
+            "print('import', 'concurrent.futures' in sys.modules)\n"
+            f"for name in {list(preset_names())!r}:\n"
+            f"    out = {str(tmp_path)!r} + '/' + name\n"
+            "    with redirect_stdout(io.StringIO()):\n"
+            "        rc = main(['check', '--preset', name, '--out', out, '--threads', '2'])\n"
+            "    print(name, rc, 'concurrent.futures' in sys.modules)\n"
+            "with redirect_stdout(io.StringIO()):\n"
+            f"    rc = main(['picard', '--config', {cfg!r}, '--out', {cfg[:-5]!r},"
+            " '--threads', '2', '--paths', '40'])\n"
+            "print('picard', rc, 'concurrent.futures' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(levyap.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines() == (
+            ["import False"] + [f"{name} 0 False" for name in preset_names()] + ["picard 0 True"]
+        )
+
     def test_line_scans_do_not_import_scipy_optimize(self, tmp_path):
         """example41's laws vary in one coordinate and ou_forced's are 1-d,
         so the line solver compares them and their scans never import

@@ -13,6 +13,8 @@ All randomized checks run on fixed seeds.
 """
 
 import hashlib
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,8 +27,11 @@ from levyap.noise import (
     NoiseShiftError,
     NoiseSpecError,
     WienerSpec,
+    _KeyedStream,
+    _stream_keys,
     point_mark,
     sample_noise,
+    stream,
     uniform_annulus_mark,
     uniform_interval_mark,
     validate_spec,
@@ -165,6 +170,196 @@ def test_stream_layout_is_pinned():
     assert digest.hexdigest() == (
         "10c230d535387c9657b59fae2edf714c058939d499de752380a28a3ccdfa1f6f"
     )
+
+
+# ---------------------------------------------------------------------------
+# stream keys, re-keyed streams and the threaded sampler
+# ---------------------------------------------------------------------------
+
+
+def seed_sequence_key(seed: int, key: tuple) -> np.ndarray:
+    """The Philox key ``stream(seed, *key)`` opens with, from numpy."""
+    return np.random.SeedSequence(seed, spawn_key=key).generate_state(2, np.uint64)
+
+
+@given(
+    seed=st.one_of(
+        st.sampled_from([0, 2**32 - 1, 2**32, 2**70 + 3]), st.integers(0, 2**100)
+    ),
+    key=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=3),
+)
+@settings(max_examples=80, deadline=None)
+def test_stream_keys_match_seed_sequence(seed, key):
+    """One address at a time and in bulk: every lane of a broadcast key
+    array gets the key numpy's SeedSequence generates for it."""
+    np.testing.assert_array_equal(_stream_keys(seed, *key), seed_sequence_key(seed, tuple(key)))
+    paths = np.array([0, 1, key[0], 2**32 - 1])
+    bulk = _stream_keys(seed, paths[:, None], [key[1], 0], *key[2:])
+    for lane, path in enumerate(paths):
+        for col, tag in enumerate((key[1], 0)):
+            ref = seed_sequence_key(seed, (int(path), tag, *key[2:]))
+            np.testing.assert_array_equal(bulk[lane, col], ref)
+
+
+def test_stream_keys_reject_words_beyond_32_bits():
+    with pytest.raises(NoiseSpecError, match=r"2\*\*32"):
+        _stream_keys(1, 2**32, 0)
+    with pytest.raises(NoiseSpecError, match=r"2\*\*32"):
+        _stream_keys(1, np.array([3, -1]), 0)
+    with pytest.raises(NoiseSpecError, match="path indices"):
+        sample_noise(make_spec(), (-0.5, 0.5), 0.25, 2, seed=1, path_offset=2**32 - 1)
+
+
+def test_rekeyed_stream_draws_equal_fresh_streams():
+    """Streams opened back to back on one re-keyed generator draw what
+    fresh ``stream`` generators draw: normals, Poisson counts, uniforms
+    and the 1-d annulus sign draw ``integers(0, 2)``, which leaves a
+    buffered 32-bit half that the next stream must not see."""
+
+    def draws(gen, n):
+        return [
+            gen.integers(0, 2, size=n),
+            gen.standard_normal(n),
+            np.atleast_1d(gen.poisson(2.5)),
+            gen.uniform(0.0, 3.0, size=n),
+            gen.integers(0, 2, size=1),
+        ]
+
+    keyed = _KeyedStream()
+    addresses = [(7, 0), (7, 2, 1), (8, 3, 0), (7, 0), (2**32 - 1, 1)]
+    for n, key in enumerate(addresses, start=1):
+        for seed in (0, 2**70 + 3):
+            mine = draws(keyed.open(_stream_keys(seed, *key).tolist()), n)
+            theirs = draws(stream(seed, *key), n)
+            for a, b in zip(mine, theirs):
+                np.testing.assert_array_equal(a, b)
+
+
+def reference_sample(spec, window, h, n_paths, seed, path_offset=0):
+    """The per-path sampler: every stream opened by ``stream`` and drawn,
+    scaled and laid out path by path.  The columns it returns are the
+    arrays ``sample_noise`` must reproduce bit for bit."""
+    n_neg, n_pos = round(-window[0] / h), round(window[1] / h)
+    chol = None
+    if spec.wiener is not None:
+        eigs, vecs = np.linalg.eigh((spec.wiener.covariance + spec.wiener.covariance.T) / 2)
+        chol = vecs * np.sqrt(np.clip(eigs, 0.0, None))
+    dW = np.zeros((n_paths, n_neg + n_pos, spec.dim))
+    events = []  # (path, time, component, mark)
+    for j in range(n_paths):
+        path = path_offset + j
+        if chol is not None:
+            if n_pos:
+                z = stream(seed, path, 0).standard_normal((n_pos, spec.dim))
+                dW[j, n_neg:] = np.sqrt(h) * z @ chol.T
+            if n_neg:
+                z = stream(seed, path, 1).standard_normal((n_neg, spec.dim))
+                dW[j, :n_neg] = np.sqrt(h) * (z @ chol.T)[::-1]
+        for ci, comp in enumerate(spec.jumps):
+            for tag, length in ((2, n_pos * h), (3, n_neg * h)):
+                if length:
+                    gen = stream(seed, path, tag, ci)
+                    count = int(gen.poisson(comp.rate * length))
+                    times = np.sort(gen.uniform(0.0, length, size=count))
+                    # the negative half line's times are mirrored, its
+                    # marks kept in draw order
+                    times = times if tag == 2 else -times[::-1]
+                    marks = comp.marks.draw(gen, count)
+                    events += [(j, t, ci, x) for t, x in zip(times, marks)]
+    events.sort(key=lambda e: e[:3])
+    return {
+        "dW": dW,
+        "event_path": np.array([e[0] for e in events], dtype=np.int64),
+        "event_times": np.array([e[1] for e in events]),
+        "event_marks": np.array([e[3] for e in events]).reshape(-1, spec.dim),
+    }
+
+
+def correlated_3d_spec():
+    q = np.array([[1.0, 0.3, -0.2], [0.3, 0.5, 0.1], [-0.2, 0.1, 0.8]])
+    return LevyProcessSpec(
+        dim=3,
+        wiener=WienerSpec(3, q),
+        jumps=(
+            JumpComponent(4.0, "small", uniform_annulus_mark(0.1, 0.6, dim=3)),
+            JumpComponent(1.5, "large", point_mark([1.2, -0.9, 0.3])),
+        ),
+    )
+
+
+def annulus_1d_spec():
+    return LevyProcessSpec(
+        dim=1,
+        wiener=WienerSpec(1, np.array([[0.7]])),
+        jumps=(
+            JumpComponent(5.0, "small", uniform_annulus_mark(0.1, 0.6, dim=1)),
+            JumpComponent(2.0, "large", uniform_annulus_mark(1.0, 1.5, dim=1)),
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "spec, window",
+    [
+        (correlated_3d_spec(), (-1.0, 1.5)),
+        (annulus_1d_spec(), (-1.0, 1.5)),
+        (make_spec(), (0.0, 2.0)),  # no negative half line
+        (make_spec(dim=2), (-2.0, 0.0)),  # no positive half line
+    ],
+)
+def test_sampler_matches_per_path_reference_for_any_threads(spec, window):
+    """70 paths are three groups of ``_GROUP``, the last one partial.
+    The sample is bitwise the per-path reference's for 1, 2 and 3
+    workers and for more workers than paths, and under ``path_offset``
+    chunking, with frequent thread switches."""
+    ref = reference_sample(spec, window, 1.0 / 16, 70, seed=2**40 + 9, path_offset=5)
+    assert len(ref["event_path"]) > 70
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in (1, 2, 3, 71):
+            sample = sample_noise(spec, window, 1.0 / 16, 70, 2**40 + 9, 5, threads=threads)
+            for name, want in ref.items():
+                np.testing.assert_array_equal(getattr(sample, name), want)
+        parts = [
+            sample_noise(spec, window, 1.0 / 16, hi - lo, 2**40 + 9, 5 + lo, threads=2)
+            for lo, hi in ((0, 33), (33, 34), (34, 70))
+        ]
+    finally:
+        sys.setswitchinterval(interval)
+    np.testing.assert_array_equal(np.concatenate([p.dW for p in parts]), ref["dW"])
+    offsets = np.repeat([0, 33, 34], [len(p.event_path) for p in parts])
+    np.testing.assert_array_equal(
+        np.concatenate([p.event_path for p in parts]) + offsets, ref["event_path"]
+    )
+    for name in ("event_times", "event_marks"):
+        np.testing.assert_array_equal(
+            np.concatenate([getattr(p, name) for p in parts]), ref[name]
+        )
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sampler_temporaries_are_bounded(threads):
+    """At 256 paths x 6144 steps the sampler holds, on top of ``dW``, at
+    most 2 MB: one group-sized scaling buffer per worker, the keys and
+    the events.  Scaling a worker's whole share at once would take
+    several times that."""
+    spec = LevyProcessSpec(
+        dim=1,
+        wiener=WienerSpec(1, np.eye(1)),
+        jumps=(
+            JumpComponent(1.5, "small", uniform_interval_mark(-0.9, 0.9)),
+            JumpComponent(1.0, "large", uniform_interval_mark(1.0, 1.5)),
+        ),
+    )
+    tracemalloc.start()
+    try:
+        sample = sample_noise(spec, (-2.0, 4.0), 1.0 / 1024, 256, seed=41, threads=threads)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sample.dW.shape == (256, 6144, 1)
+    assert peak <= sample.dW.nbytes + 2 * 2**20
 
 
 def test_different_paths_and_seeds_differ():

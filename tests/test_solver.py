@@ -350,33 +350,7 @@ class TestSimulateMild:
             "4af3b28443f14c9996d34050d5ff3ac3c4b40cfb22cc12daef61d9b18e1afa00"
         )
 
-        freqs = (math.sqrt(2.0), math.sqrt(3.0))
-        inner = QuasiPeriodicSignal.parse("c1 + s2", freqs)
-        outer = QuasiPeriodicSignal.parse("(1 + c2) / (3 + s1)", freqs)
-        cs = CoefficientSet(
-            dim_state=2,
-            dim_noise=2,
-            drift=(
-                (CoefficientTerm(0.3, "bounded_ratio", coord=1, outer=outer),),
-                (CoefficientTerm(0.2, "const"), CoefficientTerm(-0.1, "linear", coord=0)),
-            ),
-            diffusion=(
-                (
-                    (CoefficientTerm(0.1, "linear", coord=1),),
-                    (CoefficientTerm(0.15, "sin_shift", coord=0, inner=inner),),
-                ),
-                ((CoefficientTerm(0.05, "const", outer=outer),), ()),
-            ),
-            jump_small=(
-                (CoefficientTerm(0.1, "linear", coord=0, mark_weights=(1.0, -0.5)),),
-                (CoefficientTerm(0.05, "const"),),
-            ),
-            jump_large=(
-                (),
-                (CoefficientTerm(0.05, "bounded_ratio", coord=1, mark_weights=(0.5, 1.0)),),
-            ),
-            lipschitz=Fraction(1, 2),
-        )
+        cs = _signal_jump_coefficients()
         sysd = DichotomousSystem.create(np.diag([-1.0, -3.0]), np.eye(2), k=1.0, omega=1.0)
         noise = sample_noise(_two_dim_spec(), (-1.0, 1.0), 1.0 / 32, 24, seed=1041)
         assert set(noise.event_region) == {0, 1}
@@ -651,7 +625,7 @@ class TestApplyS:
         forcing_rows = [*scratch.drift.values(), *scratch.stoch.values()]
         work = [scratch.buf, scratch.cbuf, *scratch.z]
         phases = [
-            [*scratch.columns.values(), scratch.later, scratch.sum_buf, *forcing_rows],
+            [scratch.later, scratch.sum_buf, *forcing_rows],
             forcing_rows + work,
             [scratch.res] + work,
         ]
@@ -668,12 +642,13 @@ class TestApplyS:
     )
     def test_scratch_rows_of_presets(self, preset, rows):
         """A worker's scratch holds as many rows as one phase of the chunk
-        kernel uses: example41 the column of y1 then z, ``later`` then
-        ``buf``, the drift row then ``res``, and the stochastic row;
-        ou_forced reads no state, so its drift and stochastic rows, z and
-        ``buf``; galerkin_heat its 8 drift and 8 stochastic rows, next to
-        8 columns and ``later`` that give way to 6 + 2 modes and ``buf``.
-        No preset has an entry of two terms, so none has ``sum_buf``."""
+        kernel uses: example41 z then ``buf`` (``later`` before them), the
+        drift row then ``res``, and the stochastic row; ou_forced its drift
+        and stochastic rows, z and ``buf``; galerkin_heat its 8 drift and
+        8 stochastic rows, next to ``later`` that gives way to 6 + 2 modes
+        and ``buf``.  The state columns are views of the ensemble and take
+        no rows.  No preset has an entry of two terms, so none has
+        ``sum_buf``."""
         cfg = preset_config(preset)
         sysd = build_system(cfg.system)
         noise = sample_noise(build_spec(cfg.levy), (-1.0, 1.0), 1.0 / 16, 2, seed=0)
@@ -983,6 +958,110 @@ class TestPicard:
         finally:
             sys.setswitchinterval(interval)
 
+    def test_solve_is_pinned(self):
+        """A sha256 of the values and the gap trace of two short solves,
+        taken while the chunk kernel evaluated the jump terms and the scan
+        powers anew in every chunk and copied the state columns: example41
+        on the benchmark system, and the signal and jump set on
+        two-dimensional noise.  Planning them once changes no bit."""
+        cases = (
+            (benchmark_spec(), (-2.0, 2.0), 1.0 / 64, 41, example41_coefficients(), 1.0,
+             "2c3eff8a0481d1595253e018c5506bd0db1665eceeb2d5063c4644ada238315c"),
+            (_two_dim_spec(), (-1.0, 2.0), 1.0 / 32, 1041, _signal_jump_coefficients(), 0.5,
+             "62cc13e3625681aee4fd32fca066e510379e4412438cfb0f466598b46c70214d"),
+        )
+        for spec, window, h, seed, cs, truncation, expected in cases:
+            noise = sample_noise(spec, window, h, 70, seed=seed)
+            res = picard_solve(
+                benchmark_system(), cs, noise, tol=1e-30, max_iter=6, truncation=truncation
+            )
+            digest = hashlib.sha256(np.ascontiguousarray(res.ensemble.values).tobytes())
+            for rec in res.gap_trace:
+                digest.update(np.array([rec["gap"], rec["sup_second_moment"]]).tobytes())
+            assert digest.hexdigest() == expected
+
+    def test_planned_jump_terms_follow_the_chunks(self):
+        """The jump terms are prepared once per solve for all events of a
+        region, and a chunk of paths takes the slice that holds its
+        events.  On a set with small and large jumps, outer signals and
+        mark weights, every chunk's slice equals the terms prepared from
+        that chunk's own events, and the solve is bitwise the same for
+        threads 1 and 2 and chunk_paths 1, 7 and the default (70 paths
+        are two blocks)."""
+        from levyap.coefficients import jump_terms
+
+        sysd = benchmark_system()
+        cs = _signal_jump_coefficients()
+        noise = sample_noise(_two_dim_spec(), (-1.0, 2.0), 1.0 / 32, 70, seed=1041)
+        plan = _Plan.build(sysd, cs, noise, 0.5)
+        assert len(plan.jumps) == 2
+        for jumps, region, tmap in zip(plan.jumps, (0, 1), (cs.jump_small, cs.jump_large)):
+            for lo, hi in [chunk for block in _blocks(70, noise.n_steps, 7) for chunk in block]:
+                own = (noise.event_region == region) & (noise.event_path >= lo)
+                own &= noise.event_path < hi
+                assert own.any()
+                a, b = jumps.starts[lo], jumps.starts[hi]
+                np.testing.assert_array_equal(jumps.path[a:b], noise.event_path[own])
+                np.testing.assert_array_equal(jumps.step[a:b], noise.event_step[own])
+                times = noise.grid[noise.event_step[own]]
+                expected = jump_terms(tmap, times, noise.event_marks[own])
+                for got_row, want_row in zip(jumps.terms_of(a, b), expected):
+                    assert len(got_row) == len(want_row)
+                    for got, want in zip(got_row, want_row):
+                        assert (got.scale, got.kernel, got.coord) == (
+                            want.scale, want.kernel, want.coord
+                        )
+                        for name in ("inner", "outer", "mark"):
+                            got_f, want_f = getattr(got, name), getattr(want, name)
+                            assert (got_f is None) == (want_f is None)
+                            if got_f is not None:
+                                np.testing.assert_array_equal(got_f, want_f)
+        ref = picard_solve(sysd, cs, noise, tol=1e-30, max_iter=6, truncation=0.5)
+        for chunk in (1, 7, None):
+            for threads in (1, 2):
+                res = picard_solve(
+                    sysd, cs, noise, tol=1e-30, max_iter=6, truncation=0.5,
+                    chunk_paths=chunk, threads=threads,
+                )
+                np.testing.assert_array_equal(res.ensemble.values, ref.ensemble.values)
+                assert _strip_wall(res.gap_trace) == _strip_wall(ref.gap_trace)
+
+    def test_wide_mark_weights_are_chunk_invariant(self):
+        """Mark weights on 8-d noise: the mark factor w . x of a jump term
+        is a BLAS product whose rounding can depend on how many events it
+        is taken over.  Taken once over all events of a region, it gives a
+        solve that is bitwise the same for any chunking; taken per chunk,
+        the solves differed in the last bits."""
+        d = 8
+        spec = LevyProcessSpec(
+            dim=d,
+            wiener=WienerSpec(d, np.eye(d)),
+            jumps=(
+                JumpComponent(6.0, "small", uniform_annulus_mark(0.1, 0.6, dim=d)),
+                JumpComponent(3.0, "large", uniform_annulus_mark(1.0, 1.5, dim=d)),
+            ),
+        )
+        weights = tuple(np.linspace(-1.0, 1.0, d))
+        cs = CoefficientSet(
+            dim_state=1,
+            dim_noise=d,
+            drift=((CoefficientTerm(0.3, "bounded_ratio"),),),
+            diffusion=(tuple((CoefficientTerm(0.05, "const"),) for _ in range(d)),),
+            jump_small=((CoefficientTerm(0.1, "linear", mark_weights=weights),),),
+            jump_large=((CoefficientTerm(0.05, "const", mark_weights=weights),),),
+            lipschitz=Fraction(1, 2),
+        )
+        noise = sample_noise(spec, (-1.0, 2.0), 1.0 / 32, 70, seed=5)
+        runs = [
+            picard_solve(
+                scalar_system(), cs, noise, tol=1e-30, max_iter=5, truncation=0.5,
+                chunk_paths=chunk,
+            )
+            for chunk in (None, 1, 7)
+        ]
+        for res in runs[1:]:
+            np.testing.assert_array_equal(res.ensemble.values, runs[0].ensemble.values)
+
     def test_bitwise_across_moment_blocks(self):
         """150 paths are three moment blocks, the last one partial.  The
         in-place sweep must give the values and the gap trace of the
@@ -1208,6 +1287,39 @@ def _mixed_coefficients(d: int) -> CoefficientSet:
             (CoefficientTerm(0.1, "linear", coord=i, mark_weights=(1.0,)),) for i in range(d)
         ),
         jump_large=tuple((CoefficientTerm(0.05, "const", mark_weights=(1.0,)),) for i in range(d)),
+        lipschitz=Fraction(1, 2),
+    )
+
+
+def _signal_jump_coefficients() -> CoefficientSet:
+    """Two state coordinates on two-dimensional noise: a diffusion row
+    with both noise columns, outer and inner signals, small and large
+    jump terms with mark weights, a small jump term without them."""
+    freqs = (math.sqrt(2.0), math.sqrt(3.0))
+    inner = QuasiPeriodicSignal.parse("c1 + s2", freqs)
+    outer = QuasiPeriodicSignal.parse("(1 + c2) / (3 + s1)", freqs)
+    return CoefficientSet(
+        dim_state=2,
+        dim_noise=2,
+        drift=(
+            (CoefficientTerm(0.3, "bounded_ratio", coord=1, outer=outer),),
+            (CoefficientTerm(0.2, "const"), CoefficientTerm(-0.1, "linear", coord=0)),
+        ),
+        diffusion=(
+            (
+                (CoefficientTerm(0.1, "linear", coord=1),),
+                (CoefficientTerm(0.15, "sin_shift", coord=0, inner=inner),),
+            ),
+            ((CoefficientTerm(0.05, "const", outer=outer),), ()),
+        ),
+        jump_small=(
+            (CoefficientTerm(0.1, "linear", coord=0, mark_weights=(1.0, -0.5)),),
+            (CoefficientTerm(0.05, "const"),),
+        ),
+        jump_large=(
+            (),
+            (CoefficientTerm(0.05, "bounded_ratio", coord=1, mark_weights=(0.5, 1.0)),),
+        ),
         lipschitz=Fraction(1, 2),
     )
 
