@@ -31,10 +31,7 @@ import numpy as np
 __all__ = [
     "EmpiricalLawError",
     "EmpiricalLaw",
-    "LawTrajectory",
     "bl_distance",
-    "law_trajectory",
-    "scan_times",
     "APScanReport",
     "ap_distribution_scan",
 ]
@@ -70,7 +67,7 @@ class EmpiricalLaw:
             raise EmpiricalLawError(f"weights sum to {w.sum()}, expected 1")
         object.__setattr__(self, "points", pts)
         # weights down to -1e-12 are accepted as rounding; store them as 0
-        # so that resampling sees a probability vector
+        # so that the weights are a probability vector
         object.__setattr__(self, "weights", np.maximum(w, 0.0))
 
     @classmethod
@@ -83,15 +80,6 @@ class EmpiricalLaw:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
-
-    def subsample(self, k: int, seed: int = 0) -> "EmpiricalLaw":
-        """Weight-proportional resample down to k equally weighted points.
-        Identity when the support is already no larger than k."""
-        if len(self.points) <= k:
-            return self
-        gen = np.random.default_rng(seed)
-        idx = gen.choice(len(self.points), size=k, replace=True, p=self.weights)
-        return EmpiricalLaw(self.points[idx], np.full(k, 1.0 / k))
 
 
 def _signed_support(mu: EmpiricalLaw, nu: EmpiricalLaw):
@@ -359,82 +347,28 @@ def _line_primal(D: np.ndarray, w: np.ndarray, s: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# trajectories of laws and the distribution scan
+# the distribution scan
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class LawTrajectory:
-    """Empirical laws of a process at a finite set of times."""
-
-    times: np.ndarray
-    laws: tuple[EmpiricalLaw, ...]
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        if times.ndim != 1 or len(times) != len(self.laws):
-            raise EmpiricalLawError("one law per time is required")
-        if np.any(np.diff(times) <= 0):
-            raise EmpiricalLawError("times must be strictly increasing")
-        object.__setattr__(self, "times", times)
-
-    def index_of(self, t: float) -> Optional[int]:
-        i = int(np.searchsorted(self.times, t))
-        for j in (i - 1, i, i + 1):
-            if 0 <= j < len(self.times) and abs(self.times[j] - t) <= _TIME_TOL * max(
-                1.0, abs(t)
-            ):
-                return j
-        return None
-
-
-def law_trajectory(
-    ensemble,
-    times: Sequence[float],
-    n_support: Optional[int] = None,
-    seed: int = 0,
-) -> LawTrajectory:
-    """Empirical laws of an ensemble at the requested grid times.
-
-    ``ensemble`` needs ``grid`` (n+1,) and ``values`` (paths, n+1, d)
-    attributes.  Laws are optionally subsampled to ``n_support`` points
-    for tractable distance computations.
-    """
-    grid = np.asarray(ensemble.grid, dtype=float)
-    values = np.asarray(ensemble.values)
-    laws = []
-    out_times = []
-    for t in times:
-        idx = int(np.argmin(np.abs(grid - t)))
-        if abs(grid[idx] - t) > _TIME_TOL * max(1.0, abs(t)):
-            raise EmpiricalLawError(f"time {t} is not on the ensemble grid")
-        law = EmpiricalLaw.from_samples(values[:, idx, :])
-        if n_support is not None:
-            law = law.subsample(n_support, seed=seed)
-        laws.append(law)
-        out_times.append(grid[idx])
-    return LawTrajectory(np.asarray(out_times), tuple(laws))
-
-
-def scan_times(
-    grid: np.ndarray, times: Sequence[float], shifts: Sequence[float]
-) -> list[float]:
-    """Grid times at which a shift scan needs laws: every base time t and
-    every shifted time t + s, each snapped to its nearest grid point,
-    sorted and without repeats."""
-    h = float(grid[1] - grid[0])
-    lo = float(grid[0])
-    idx = {int(round((t - lo) / h)) for t in times}
-    idx |= {int(round((t + s - lo) / h)) for t in times for s in shifts}
-    return [float(grid[i]) for i in sorted(idx)]
+def _law_paths(n_paths: int, n_support: Optional[int], seed: int) -> np.ndarray:
+    """The paths whose states make up every law of a scan: all of them,
+    or, when ``n_support`` is below their number, one draw of
+    ``n_support`` paths with replacement, shared by every time."""
+    if n_support is None or n_paths <= n_support:
+        return np.arange(n_paths)
+    gen = np.random.default_rng(seed)
+    return gen.choice(n_paths, size=n_support, replace=True, p=np.full(n_paths, 1.0 / n_paths))
 
 
 @dataclass(frozen=True)
 class APScanReport:
     """Result of scanning candidate shifts for almost periodicity in
-    distribution: per-shift sup of the distances beta(law(t+s), law(t)),
-    the accepted set at the given threshold, and the largest gap between
-    consecutive accepted shifts (with 0 counted as accepted)."""
+    distribution: per-shift sup of the distances beta(law(t+s), law(t))
+    and the number of pairs it was taken over, the mask of shifts
+    accepted at the threshold eps, and the largest gap between
+    consecutive accepted shifts (with 0 counted as accepted; infinite
+    when no shift is accepted)."""
 
     shifts: np.ndarray
     sup_beta: np.ndarray
@@ -444,62 +378,78 @@ class APScanReport:
     pairs_per_shift: np.ndarray
 
     def as_dict(self) -> dict:
+        """The body of ``apscan_report.json``; an infinite gap is None."""
+        entries = zip(self.shifts.tolist(), self.sup_beta.tolist(), self.accepted.tolist())
         return {
-            "shifts": self.shifts.tolist(),
-            "sup_beta": self.sup_beta.tolist(),
-            "eps": self.eps,
-            "accepted": self.accepted.tolist(),
-            "max_gap": self.max_gap,
-            "pairs_per_shift": self.pairs_per_shift.tolist(),
+            "epsilon": self.eps,
+            "shifts": [{"s": s, "sup_beta": b, "accepted": a} for s, b, a in entries],
+            "accepted_count": int(self.accepted.sum()),
+            "max_gap": self.max_gap if np.isfinite(self.max_gap) else None,
         }
 
 
 def ap_distribution_scan(
-    trajectory: LawTrajectory,
+    ensemble,
+    times: Sequence[float],
     shifts: Sequence[float],
     eps: float,
-    support_cap: int = 4096,
+    n_support: Optional[int] = None,
+    seed: int = 0,
 ) -> APScanReport:
-    """Test each candidate shift s: compare the law at t + s with the law
-    at t over every t in the trajectory for which both are available, and
-    accept s when the largest distance stays within eps.
+    """Scan the shifts of a solved ensemble for almost periodicity in
+    distribution.
 
-    Raises when some shift has no overlapping time pairs at all.
+    ``ensemble`` needs ``grid`` (n+1,) uniform and ``values`` (paths,
+    n+1, d).  The scan times T are the base ``times`` and every t + s.
+    Each shift, and each time's distance from ``grid[0]``, is taken as a
+    whole number of grid steps, within a relative tolerance of 1e-9; one
+    that is not, or a scan time beyond the grid's ends, raises.  The law
+    at a time is the empirical law of the states of the paths drawn by
+    ``_law_paths(paths, n_support, seed)``, one draw for every time.
+    Shift s is compared on every pair (t, t + s) with both ends in T, not
+    only at the base times, and is accepted when the largest distance
+    stays within ``eps``.
+
+    Raises when some shift has no pair at all.
     """
     if eps <= 0:
         raise EmpiricalLawError("eps must be positive")
+    grid = np.asarray(ensemble.grid, dtype=float)
+    values = np.asarray(ensemble.values)
+    h = float(grid[1] - grid[0])
+
+    def steps(x: float) -> int:
+        k = round(x / h)
+        if abs(x - k * h) > _TIME_TOL * max(1.0, abs(x)):
+            raise EmpiricalLawError(f"{x} is not a multiple of the grid step {h}")
+        return k
+
     shifts = np.asarray(list(shifts), dtype=float)
+    offsets = [steps(s) for s in shifts.tolist()]
+    base = {steps(float(t) - grid[0]) for t in times}
+    scan = sorted(base.union(*({i + k for i in base} for k in offsets)))
+    outside = [i for i in scan if not 0 <= i < len(grid)]
+    if outside:
+        raise EmpiricalLawError(
+            f"scan time {grid[0] + outside[0] * h:g} is outside the ensemble grid"
+        )
+    paths = _law_paths(len(values), n_support, seed)
+    laws = {i: EmpiricalLaw.from_samples(values[paths, i, :]) for i in scan}
     sups = np.zeros(len(shifts))
     counts = np.zeros(len(shifts), dtype=int)
-    for si, s in enumerate(shifts):
-        worst = 0.0
-        pairs = 0
-        for ti, t in enumerate(trajectory.times):
-            tj = trajectory.index_of(t + s)
-            if tj is None:
-                continue
-            pairs += 1
-            d = bl_distance(
-                trajectory.laws[tj], trajectory.laws[ti], support_cap=support_cap
-            )
-            worst = max(worst, d)
-        if pairs == 0:
-            raise EmpiricalLawError(
-                f"shift {s} has no overlap with the trajectory time grid"
-            )
-        sups[si] = worst
-        counts[si] = pairs
-    accepted = shifts[sups <= eps]
-    if len(accepted):
-        gaps = np.diff(np.concatenate([[0.0], np.sort(accepted)]))
-        max_gap = float(gaps.max())
-    else:
-        max_gap = float("inf")
+    for si, k in enumerate(offsets):
+        dists = [bl_distance(laws[i + k], laws[i]) for i in scan if i + k in laws]
+        if not dists:
+            raise EmpiricalLawError(f"shift {shifts[si]} has no overlap with the scan times")
+        sups[si] = max(0.0, *dists)
+        counts[si] = len(dists)
+    accepted = sups <= eps
+    gaps = np.diff(np.concatenate([[0.0], np.sort(shifts[accepted])]))
     return APScanReport(
         shifts=shifts,
         sup_beta=sups,
-        eps=eps,
+        eps=float(eps),
         accepted=accepted,
-        max_gap=max_gap,
+        max_gap=float(gaps.max()) if len(gaps) else float("inf"),
         pairs_per_shift=counts,
     )

@@ -22,12 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .apdist import (
-    EmpiricalLawError,
-    ap_distribution_scan,
-    law_trajectory,
-    scan_times,
-)
+from .apdist import EmpiricalLawError, ap_distribution_scan
 from .coefficients import CoefficientError, SignalParseError, UnboundedSignalError
 from .config import (
     ConfigError,
@@ -331,39 +326,24 @@ def cmd_picard(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_apscan(cfg: RunConfig, out: Path) -> int:
-    if not cfg.analysis.times or not cfg.analysis.shifts:
-        raise ConfigError("apscan needs analysis.times and analysis.shifts")
-    rep, res, code = _run_picard(cfg, out)
     ana = cfg.analysis
-    base = [float(t) for t in ana.times]
-    shifts = [float(s) for s in ana.shifts]
-    traj = law_trajectory(
+    if not ana.times or not ana.shifts:
+        raise ConfigError("apscan needs analysis.times and analysis.shifts")
+    _, res, code = _run_picard(cfg, out)
+    scan = ap_distribution_scan(
         res.ensemble,
-        scan_times(res.ensemble.grid, base, shifts),
+        [float(t) for t in ana.times],
+        [float(s) for s in ana.shifts],
+        float(ana.epsilon),
         n_support=ana.law_support,
         seed=cfg.seed,
     )
-    scan = ap_distribution_scan(traj, shifts, float(ana.epsilon))
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "epsilon": _json_scalar(scan.eps),
-        "shifts": [
-            {
-                "s": _json_scalar(float(s)),
-                "sup_beta": _json_scalar(float(sb)),
-                "accepted": bool(sb <= scan.eps),
-            }
-            for s, sb in zip(scan.shifts, scan.sup_beta)
-        ],
-        "accepted_count": int(np.sum(scan.sup_beta <= scan.eps)),
-        "max_gap": _json_scalar(scan.max_gap),
-    }
+    report = {"schema_version": SCHEMA_VERSION, **scan.as_dict()}
     _write_json(out / "apscan_report.json", report)
     for entry in report["shifts"]:
         mark = "ACCEPT" if entry["accepted"] else "reject"
         print(f"shift {entry['s']:>12.6g}  sup beta {entry['sup_beta']:.6g}  {mark}")
-    gap = "inf" if report["max_gap"] is None else f"{report['max_gap']:.6g}"
-    print(f"accepted {report['accepted_count']}/{len(report['shifts'])}, max gap {gap}")
+    print(f"accepted {report['accepted_count']}/{len(scan.shifts)}, max gap {scan.max_gap:.6g}")
     return code
 
 

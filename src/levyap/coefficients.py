@@ -44,8 +44,6 @@ __all__ = [
     "add_terms",
     "point_values",
     "jump_terms",
-    "eval_jump_small",
-    "eval_jump_large",
     "verify_lipschitz",
     "LipschitzReport",
     "example41_coefficients",
@@ -547,20 +545,6 @@ def jump_terms(tmap: VectorTerms, ts, x) -> tuple[tuple[PreparedTerm, ...], ...]
     return tuple(tuple(_prepare(t, ts, x) for t in terms) for terms in tmap)
 
 
-def eval_jump_small(cs: CoefficientSet, ts, y, x) -> np.ndarray:
-    """Small-jump integrand F(t, y, x) evaluated per event."""
-    return _eval_jump(cs.jump_small, ts, y, x)
-
-
-def eval_jump_large(cs: CoefficientSet, ts, y, x) -> np.ndarray:
-    """Large-jump integrand G(t, y, x) evaluated per event."""
-    return _eval_jump(cs.jump_large, ts, y, x)
-
-
-def _eval_jump(tmap: VectorTerms, ts, y, x) -> np.ndarray:
-    return point_values(jump_terms(tmap, ts, x), np.asarray(y, dtype=float))
-
-
 # ---------------------------------------------------------------------------
 # Lipschitz verification
 # ---------------------------------------------------------------------------
@@ -633,8 +617,8 @@ def verify_lipschitz(
             # its expectation is its value at any one mark
             pts, wts = comp.marks.nodes() if marked else (np.zeros((1, spec.dim)), (1.0,))
             for xi, wi in zip(pts, wts):
-                x_rep = np.tile(xi, (len(ts), 1))
-                d = _eval_jump(tmap, ts, ya, x_rep) - _eval_jump(tmap, ts, yb, x_rep)
+                terms = jump_terms(tmap, ts, np.tile(xi, (len(ts), 1)))
+                d = point_values(terms, ya) - point_values(terms, yb)
                 acc += comp.rate * wi * np.sum(d**2, axis=1)
         return float(np.max(acc / dy2))
 

@@ -170,7 +170,6 @@ class JumpConfig:
 @dataclass(frozen=True)
 class LevyConfig:
     dim: int
-    drift: tuple[Number, ...] = ()
     covariance: Optional[tuple[tuple[Number, ...], ...]] = None
     jumps: tuple[JumpConfig, ...] = ()
 
@@ -414,7 +413,6 @@ _MARKS = Codec(_parse_marks, lambda m: _write_fields(m, _MARK_FIELDS[m.kind]))
 _JUMP_FIELDS = (Field("rate", _NUMBER), Field("region", _STR), Field("marks", _MARKS))
 _LEVY_FIELDS = (
     Field("dim", _INT),
-    Field("drift", _NUMBERS, ()),
     Field("covariance", _MATRIX, None),
     Field("jumps", _list_of(_section(JumpConfig, _JUMP_FIELDS)), ()),
 )
@@ -604,8 +602,7 @@ def build_spec(cfg: LevyConfig) -> LevyProcessSpec:
         )
         for j in cfg.jumps
     )
-    drift = tuple(float(v) for v in cfg.drift) if cfg.drift else ()
-    return LevyProcessSpec(dim=cfg.dim, drift=drift, wiener=wiener, jumps=jumps)
+    return LevyProcessSpec(dim=cfg.dim, wiener=wiener, jumps=jumps)
 
 
 _COEFF_PRESETS = {
@@ -786,7 +783,7 @@ def validate_config(cfg: RunConfig) -> None:
             raise ConfigError("numerics.truncation must be positive")
         _on_grid(t_c, h, "truncation")
     else:
-        t_c = max(1, round(12.0 / sysd.omega / h)) * h
+        t_c = sysd.default_truncation(h)
     if t_hi - t_lo < 2 * t_c:
         raise ConfigError(
             f"window [{t_lo}, {t_hi}] is narrower than twice the truncation {t_c}"

@@ -340,30 +340,19 @@ class LevyProcessSpec:
     """Full two-sided Levy noise specification."""
 
     dim: int
-    drift: tuple[float, ...] = ()
     wiener: Optional[WienerSpec] = None
     jumps: tuple[JumpComponent, ...] = ()
-
-    def __post_init__(self):
-        if not self.drift:
-            object.__setattr__(self, "drift", tuple(0.0 for _ in range(self.dim)))
 
 
 def validate_spec(spec: LevyProcessSpec) -> None:
     """Check a noise spec for internal consistency.
 
-    Raises NoiseSpecError on: a nonzero drift, non-symmetric or
-    indefinite Wiener covariance, dimension mismatches, nonpositive or infinite rates, and
+    Raises NoiseSpecError on: non-symmetric or indefinite Wiener
+    covariance, dimension mismatches, nonpositive or infinite rates, and
     mark supports that contradict the declared small/large region.
     """
     if spec.dim < 1:
         raise NoiseSpecError("noise dimension must be >= 1")
-    drift = np.asarray(spec.drift, dtype=float)
-    if drift.shape != (spec.dim,) or not np.all(np.isfinite(drift)):
-        raise NoiseSpecError("drift must be a finite vector of the noise dimension")
-    if np.any(drift != 0.0):
-        # the equation's noise has no drift term, and no solver reads one
-        raise NoiseSpecError("levy.drift must be zero: a noise drift is not supported")
     if spec.wiener is not None:
         q = spec.wiener.covariance
         if spec.wiener.dim != spec.dim:

@@ -70,8 +70,6 @@ from .coefficients import (
     compensator_terms,
     diffusion_terms,
     drift_terms,
-    eval_jump_large,
-    eval_jump_small,
     jump_terms,
     point_values,
     term_value,
@@ -373,12 +371,10 @@ def simulate_mild(
             xk = ev_marks[lo:hi]
             small = ev_region[lo:hi] == 0
             ts = np.full(hi - lo, t)
-            if np.any(small):
-                vals = eval_jump_small(cs, ts[small], y[pk[small]], xk[small])
-                np.add.at(inc, pk[small], vals)
-            if np.any(~small):
-                vals = eval_jump_large(cs, ts[~small], y[pk[~small]], xk[~small])
-                np.add.at(inc, pk[~small], vals)
+            for tmap, region in ((cs.jump_small, small), (cs.jump_large, ~small)):
+                if np.any(region):
+                    terms = jump_terms(tmap, ts[region], xk[region])
+                    np.add.at(inc, pk[region], point_values(terms, y[pk[region]]))
         y = (y + inc) @ exp_ah.T
         bad = ~np.isfinite(y) | (np.abs(y) > _BLOWUP_GUARD)
         if np.any(bad):
@@ -1162,7 +1158,7 @@ def picard_solve(
         raise SolverError("max_iter must be at least 1")
     h = noise.h
     if truncation is None:
-        truncation = max(1, round(12.0 / sys.omega / h)) * h
+        truncation = sys.default_truncation(h)
     plan = _Plan.build(sys, cs, noise, truncation)
     m, n_times = noise.n_paths, noise.n_steps + 1
     # coordinate-major: a coordinate S cannot reach is never touched and

@@ -13,12 +13,11 @@ from levyap.apdist import (
     APScanReport,
     EmpiricalLaw,
     EmpiricalLawError,
-    LawTrajectory,
+    _law_paths,
     _signed_support,
     _transport_bl,
     ap_distribution_scan,
     bl_distance,
-    law_trajectory,
 )
 
 
@@ -61,37 +60,27 @@ def test_from_samples_reshapes_vectors():
 
 
 def test_subsample_identity_below_cap():
-    law = EmpiricalLaw.from_samples(np.arange(5.0))
-    assert law.subsample(5) is law
-    assert law.subsample(10) is law
+    # a scan's laws take every path when law_support does not cut them
+    for n_support in (None, 5, 10):
+        np.testing.assert_array_equal(_law_paths(5, n_support, seed=3), np.arange(5))
 
 
 def test_subsample_size_and_determinism():
-    gen = np.random.default_rng(0)
-    law = EmpiricalLaw.from_samples(gen.normal(size=(40, 2)))
-    sub1 = law.subsample(15, seed=3)
-    sub2 = law.subsample(15, seed=3)
-    assert len(sub1.points) == 15
-    np.testing.assert_allclose(sub1.weights, 1 / 15)
-    assert sub1.points.tobytes() == sub2.points.tobytes()
-
-
-def test_subsample_follows_weights():
-    # a point with weight 0.99 dominates any resample
-    law = EmpiricalLaw(
-        np.array([[0.0], [1.0]]), np.array([0.99, 0.01])
-    )
-    sub = law.subsample(1, seed=0)
-    assert sub.points[0, 0] == 0.0
+    paths = _law_paths(40, 15, seed=3)
+    assert len(paths) == 15
+    assert paths.tobytes() == _law_paths(40, 15, seed=3).tobytes()
+    assert paths.tobytes() != _law_paths(40, 15, seed=4).tobytes()
+    # the draw passes the uniform weights explicitly: numpy draws other
+    # indices without them, and the shipped apscan reports rest on these
+    expected = np.random.default_rng(3).choice(40, size=15, replace=True, p=np.full(40, 1 / 40))
+    np.testing.assert_array_equal(paths, expected)
 
 
 def test_tiny_negative_weights_are_stored_as_zero():
-    # accepted as rounding, and resampling must not see them
+    # accepted as rounding, and stored as a probability vector
     law = EmpiricalLaw(np.array([[0.0], [1.0], [2.0]]), np.array([0.5, 0.5 + 1e-13, -1e-13]))
     assert law.weights[2] == 0.0
-    sub = law.subsample(2, seed=1)
-    assert len(sub.points) == 2
-    assert 2.0 not in sub.points
+    assert law.weights.min() >= 0.0
 
 
 def test_signed_support_cancels_shared_atoms():
@@ -416,104 +405,114 @@ def test_dimension_mismatch_rejected():
 
 
 # ---------------------------------------------------------------------------
-# trajectories and the scan
+# the scan
 # ---------------------------------------------------------------------------
 
 
-def test_law_trajectory_extracts_grid_laws():
+def _recording_scan(monkeypatch, ens, times, shifts, **kw):
+    """Run the scan with bl_distance replaced by a recorder; returns the
+    (later, earlier) law pairs it compared."""
+    pairs = []
+
+    def record(mu, nu):
+        pairs.append((mu, nu))
+        return 0.0
+
+    monkeypatch.setattr(levyap.apdist, "bl_distance", record)
+    ap_distribution_scan(ens, times, shifts, eps=0.1, **kw)
+    return pairs
+
+
+def test_scan_reads_laws_at_grid_times(monkeypatch):
     gen = np.random.default_rng(8)
     grid = np.linspace(0.0, 1.0, 11)
     values = gen.normal(size=(30, 11, 2))
     ens = _FakeEnsemble(grid, values)
-    traj = law_trajectory(ens, [0.0, 0.5, 1.0])
-    assert len(traj.laws) == 3
-    np.testing.assert_allclose(traj.times, [0.0, 0.5, 1.0])
-    np.testing.assert_allclose(traj.laws[1].points, values[:, 5, :])
-    sub = law_trajectory(ens, [0.0], n_support=12)
-    assert len(sub.laws[0].points) == 12
+    pairs = _recording_scan(monkeypatch, ens, [0.0, 0.5], [0.5])
+    assert len(pairs) == 2  # (0.5, 0.0) and (1.0, 0.5): 1.0 is a scan time
+    for (mu, nu), (i, j) in zip(pairs, [(5, 0), (10, 5)]):
+        np.testing.assert_array_equal(mu.points, values[:, i, :])
+        np.testing.assert_array_equal(nu.points, values[:, j, :])
+    # law_support draws one set of paths and reads it at every time
+    pairs = _recording_scan(monkeypatch, ens, [0.0, 0.5], [0.5], n_support=12, seed=4)
+    paths = _law_paths(30, 12, seed=4)
+    for (mu, nu), (i, j) in zip(pairs, [(5, 0), (10, 5)]):
+        np.testing.assert_array_equal(mu.points, values[paths, i, :])
+        np.testing.assert_array_equal(nu.points, values[paths, j, :])
+        np.testing.assert_array_equal(mu.weights, np.full(12, 1 / 12))
 
 
-def test_law_trajectory_rejects_off_grid_times():
+def test_scan_rejects_off_grid_times():
     ens = _FakeEnsemble(np.linspace(0.0, 1.0, 11), np.zeros((4, 11, 1)))
     with pytest.raises(EmpiricalLawError, match="grid"):
-        law_trajectory(ens, [0.31])
+        ap_distribution_scan(ens, [0.31], [0.2], eps=0.1)
+    with pytest.raises(EmpiricalLawError, match="grid"):
+        ap_distribution_scan(ens, [0.3], [0.25], eps=0.1)
+    with pytest.raises(EmpiricalLawError, match="outside"):
+        ap_distribution_scan(ens, [0.8], [0.5], eps=0.1)
 
 
-def test_trajectory_index_tolerance():
-    traj = LawTrajectory(
-        np.array([0.0, 0.5]),
-        (
-            EmpiricalLaw.from_samples(np.zeros((1, 1))),
-            EmpiricalLaw.from_samples(np.ones((1, 1))),
-        ),
-    )
-    assert traj.index_of(0.5 + 1e-12) == 1
-    assert traj.index_of(0.3) is None
+def test_scan_time_index_tolerance(monkeypatch):
+    values = np.arange(6.0).reshape(1, 3, 2)
+    ens = _FakeEnsemble(np.array([0.0, 0.5, 1.0]), values)
+    pairs = _recording_scan(monkeypatch, ens, [0.5 + 1e-12], [0.5 - 1e-12])
+    np.testing.assert_array_equal(pairs[0][0].points, values[:, 2, :])
+    np.testing.assert_array_equal(pairs[0][1].points, values[:, 1, :])
+    with pytest.raises(EmpiricalLawError, match="grid"):
+        ap_distribution_scan(ens, [0.5 + 1e-6], [0.5], eps=0.1)
 
 
-def test_trajectory_validation():
-    law = EmpiricalLaw.from_samples(np.zeros((1, 1)))
-    with pytest.raises(EmpiricalLawError):
-        LawTrajectory(np.array([0.0, 0.0]), (law, law))
-    with pytest.raises(EmpiricalLawError):
-        LawTrajectory(np.array([0.0, 1.0]), (law,))
-
-
-def _circle_trajectory():
+def _circle_ensemble():
     # deterministic point mass moving on a circle with period 2
-    times = np.arange(0.0, 6.01, 0.5)
-    laws = tuple(
-        EmpiricalLaw.from_samples(
-            np.array([[np.cos(np.pi * t), np.sin(np.pi * t)]])
-        )
-        for t in times
-    )
-    return LawTrajectory(times, laws)
+    grid = np.arange(0.0, 6.01, 0.5)
+    values = np.stack([np.cos(np.pi * grid), np.sin(np.pi * grid)], axis=-1)[None]
+    return _FakeEnsemble(grid, values)
+
+
+# with shifts 1, 2 and 4 these base times make every grid time a scan time
+_CIRCLE_TIMES = [0.0, 0.5, 1.0, 1.5, 2.0]
 
 
 def test_scan_accepts_exact_periods():
-    traj = _circle_trajectory()
-    report = ap_distribution_scan(traj, [1.0, 2.0, 4.0], eps=1e-6)
-    np.testing.assert_allclose(sorted(report.accepted), [2.0, 4.0])
+    report = ap_distribution_scan(_circle_ensemble(), _CIRCLE_TIMES, [1.0, 2.0, 4.0], eps=1e-6)
+    np.testing.assert_array_equal(report.accepted, [False, True, True])
     # a half period moves the mass to the antipode, distance 2 on the
     # circle, so beta = 2 d / (2 + d) = 1
     assert abs(report.sup_beta[0] - 1.0) < 1e-9
     assert report.max_gap == 2.0
-    assert report.pairs_per_shift[0] == 11
-    assert report.pairs_per_shift[1] == 9
-    assert report.pairs_per_shift[2] == 5
+    # every pair of scan times, not only those from a base time
+    assert report.pairs_per_shift.tolist() == [11, 9, 5]
     d = report.as_dict()
-    assert set(d) == {
-        "shifts",
-        "sup_beta",
-        "eps",
-        "accepted",
-        "max_gap",
-        "pairs_per_shift",
-    }
+    assert set(d) == {"epsilon", "shifts", "accepted_count", "max_gap"}
+    assert d["epsilon"] == 1e-6 and d["accepted_count"] == 2 and d["max_gap"] == 2.0
+    assert [(e["s"], e["accepted"]) for e in d["shifts"]] == [(1.0, False), (2.0, True), (4.0, True)]
+    assert d["shifts"][0]["sup_beta"] == report.sup_beta[0]
 
 
 def test_scan_with_no_accepted_shift_reports_infinite_gap():
-    traj = _circle_trajectory()
-    report = ap_distribution_scan(traj, [1.0, 3.0], eps=1e-6)
-    assert len(report.accepted) == 0
+    report = ap_distribution_scan(_circle_ensemble(), _CIRCLE_TIMES, [1.0, 3.0], eps=1e-6)
+    assert not report.accepted.any()
     assert report.max_gap == float("inf")
+    assert report.as_dict()["max_gap"] is None
+    assert report.as_dict()["accepted_count"] == 0
 
 
 def test_scan_rejects_unusable_inputs():
-    traj = _circle_trajectory()
+    ens = _circle_ensemble()
     with pytest.raises(EmpiricalLawError, match="overlap"):
-        ap_distribution_scan(traj, [100.0], eps=0.1)
+        ap_distribution_scan(ens, [], [1.0], eps=0.1)
+    with pytest.raises(EmpiricalLawError, match="outside"):
+        ap_distribution_scan(ens, _CIRCLE_TIMES, [100.0], eps=0.1)
     with pytest.raises(EmpiricalLawError, match="eps"):
-        ap_distribution_scan(traj, [2.0], eps=0.0)
+        ap_distribution_scan(ens, _CIRCLE_TIMES, [2.0], eps=0.0)
 
 
 def test_scan_is_deterministic():
     gen = np.random.default_rng(17)
     grid = np.linspace(0.0, 3.0, 31)
     values = gen.normal(size=(40, 31, 1)).cumsum(axis=1) * 0.1
-    traj = law_trajectory(_FakeEnsemble(grid, values), grid[::5], n_support=20)
-    r1 = ap_distribution_scan(traj, [0.5, 1.0], eps=0.5)
-    r2 = ap_distribution_scan(traj, [0.5, 1.0], eps=0.5)
+    ens = _FakeEnsemble(grid, values)
+    r1 = ap_distribution_scan(ens, grid[:16:5], [0.5, 1.0], eps=0.5, n_support=20)
+    r2 = ap_distribution_scan(ens, grid[:16:5], [0.5, 1.0], eps=0.5, n_support=20)
     assert r1.sup_beta.tobytes() == r2.sup_beta.tobytes()
     np.testing.assert_array_equal(r1.accepted, r2.accepted)

@@ -571,16 +571,16 @@ class TestCliExitCodes:
         assert err == f"error: out of memory: {shown}\n"
 
     def test_noise_drift_must_be_zero(self, tmp_path, capsys):
+        # the equation's noise has no drift: levy.drift is not a field, so
+        # any value, zero included, is an unknown key
         d = tiny_benchmark_dict()
         dim = d["levy"]["dim"]
-        d["levy"]["drift"] = [5] * dim
-        cfg = write_cfg(tmp_path, d)
-        code = main(["check", "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert code == 2
-        assert "levy.drift" in capsys.readouterr().err
-        d["levy"]["drift"] = [0] * dim
-        cfg = write_cfg(tmp_path, d)
-        assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        for drift in ([5] * dim, [0] * dim):
+            d["levy"]["drift"] = drift
+            cfg = write_cfg(tmp_path, d)
+            code = main(["check", "--config", str(cfg), "--out", str(tmp_path / "o")])
+            assert code == 2
+            assert "levy.drift: unknown key" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "data, key_path",

@@ -31,10 +31,9 @@ from levyap.coefficients import (
     compensator_terms,
     diffusion_terms,
     drift_terms,
-    eval_jump_large,
-    eval_jump_small,
     example41_coefficients,
     galerkin_heat_coefficients,
+    jump_terms,
     ou_forced_coefficients,
     point_values,
     verify_lipschitz,
@@ -185,13 +184,13 @@ def test_benchmark_jump_point_values():
     cs = example41_coefficients()
     y = np.array([[0.0, 1.0]])
     x = np.array([[1.5]])
-    assert eval_jump_small(cs, np.array([0.0]), y, x)[0, 1] == pytest.approx(0.1)
+    small = point_values(jump_terms(cs.jump_small, np.array([0.0]), x), y)
+    assert small[0, 1] == pytest.approx(0.1)
     oracle = math.sin(math.sqrt(3.0)) ** 2 / (
         3.0 + math.cos(math.sqrt(2.0)) + math.cos(math.sqrt(5.0))
     )
-    assert eval_jump_large(cs, np.array([1.0]), y, x)[0, 1] == pytest.approx(
-        oracle / 9.0, rel=1e-12
-    )
+    large = point_values(jump_terms(cs.jump_large, np.array([1.0]), x), y)
+    assert large[0, 1] == pytest.approx(oracle / 9.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +231,7 @@ def test_compensator_mark_linear_matches_quadrature():
     # quadrature oracle over the mark law
     pts, wts = spec.jumps[0].marks.nodes()
     acc = sum(
-        2.0 * wi * eval_jump_small(cs, np.array([0.0]), y, xi[None, :])[0, 0]
+        2.0 * wi * point_values(jump_terms(cs.jump_small, np.array([0.0]), xi[None, :]), y)[0, 0]
         for xi, wi in zip(pts, wts)
     )
     assert comp[0, 0] == pytest.approx(acc, rel=1e-12)

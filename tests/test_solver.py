@@ -289,7 +289,7 @@ class TestSimulateMild:
         drift, Wiener, compensated-small-jump and large-jump increments,
         with coefficients at the pre-jump grid state."""
         from levyap.coefficients import compensator_terms, diffusion_terms, drift_terms
-        from levyap.coefficients import eval_jump_large, eval_jump_small, point_values
+        from levyap.coefficients import jump_terms, point_values
         from levyap.dichotomy import matrix_exp
 
         sysd = scalar_system(2.0)
@@ -330,10 +330,8 @@ class TestSimulateMild:
                 inc -= h * point_values(compensator_terms(cs, spec, ts), y)
                 for e in np.nonzero(steps == k)[0]:
                     x = marks[e : e + 1]
-                    if regions[e] == 0:
-                        inc += eval_jump_small(cs, np.array([t]), y, x)
-                    else:
-                        inc += eval_jump_large(cs, np.array([t]), y, x)
+                    tmap = cs.jump_small if regions[e] == 0 else cs.jump_large
+                    inc += point_values(jump_terms(tmap, np.array([t]), x), y)
                 y = (y + inc) @ exp_ah.T
                 np.testing.assert_array_equal(ens.values[p, k + 1], y[0])
 
@@ -1467,8 +1465,7 @@ def _recursion_oracle(sysd, cs, noise, ens, truncation):
         compensator_terms,
         diffusion_terms,
         drift_terms,
-        eval_jump_large,
-        eval_jump_small,
+        jump_terms,
         point_values,
     )
 
@@ -1496,8 +1493,9 @@ def _recursion_oracle(sysd, cs, noise, ens, truncation):
     stoch -= h * comp.reshape(n, q, d)
     for e in range(len(noise.event_path)):
         p, k = noise.event_path[e], noise.event_step[e]
-        jump = eval_jump_small if noise.event_region[e] == 0 else eval_jump_large
-        stoch[k, p] += jump(cs, grid[k : k + 1], y[k, p][None], noise.event_marks[e : e + 1])[0]
+        tmap = cs.jump_small if noise.event_region[e] == 0 else cs.jump_large
+        terms = jump_terms(tmap, grid[k : k + 1], noise.event_marks[e : e + 1])
+        stoch[k, p] += point_values(terms, y[k, p][None])[0]
 
     inc_p = f @ ker_p.T + stoch @ prop_p.T
     inc_j = f @ ker_j.T + stoch @ sysd.j.T
