@@ -7,10 +7,16 @@ Subpackage map:
 - ``dichotomy``    linear systems with an exponential dichotomy
 - ``coefficients`` quasi-periodic coefficient sets with certified bounds
 - ``solver``       mild-solution simulation, the bounded-solution operator,
-                   Picard iteration, rational existence conditions
+                   Picard iteration
 - ``apdist``       bounded-Lipschitz distance and almost-periodicity scans
-- ``config``       run configuration, presets, JSON round-trip
+- ``config``       run configuration, presets, JSON round-trip, the exact
+                   rational existence conditions
 - ``cli``          command line entry points
 """
 
 __version__ = "0.1.0"
+
+
+class LevyapError(Exception):
+    """Base of every error that bad input or a failed solve raises; the
+    command line reports it as ``error: <message>`` with exit code 2."""

@@ -28,20 +28,24 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import LevyapError
+
 __all__ = [
     "EmpiricalLawError",
     "EmpiricalLaw",
+    "SUPPORT_CAP",
     "bl_distance",
     "APScanReport",
     "ap_distribution_scan",
 ]
 
 _TIME_TOL = 1e-9
+SUPPORT_CAP = 4096  # largest merged support bl_distance takes by default
 _CERT_GAP = 1e-9  # largest accepted gap between the bounds on beta
 _LINE_ROUNDS = 100  # cutting-plane rounds before beta on the line gives up
 
 
-class EmpiricalLawError(ValueError):
+class EmpiricalLawError(ValueError, LevyapError):
     """Raised on malformed empirical laws or scan inputs."""
 
 
@@ -104,7 +108,7 @@ def _signed_support(mu: EmpiricalLaw, nu: EmpiricalLaw):
 def bl_distance(
     mu: EmpiricalLaw,
     nu: EmpiricalLaw,
-    support_cap: int = 4096,
+    support_cap: int = SUPPORT_CAP,
     return_witness: bool = False,
 ):
     """Bounded-Lipschitz distance between two empirical laws, exact up to

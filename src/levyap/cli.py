@@ -17,19 +17,18 @@ import math
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from . import __version__
-from .apdist import EmpiricalLawError, ap_distribution_scan
-from .coefficients import CoefficientError, SignalParseError, UnboundedSignalError
+from . import LevyapError, __version__
 from .config import (
     ConfigError,
     RunConfig,
     build_coefficients,
     build_spec,
     build_system,
+    check_conditions,
     condition_inputs,
     config_to_dict,
     load_config,
@@ -37,16 +36,13 @@ from .config import (
     preset_names,
     validate_config,
 )
-from .dichotomy import DichotomyError, MatrixExpOverflowError, estimate_constants
-from .noise import NoiseSample, NoiseShiftError, NoiseSpecError, sample_noise
-from .solver import (
-    PathEnsemble,
-    SolverError,
-    check_conditions,
-    picard_solve,
-    simulate_mild,
-    sup_second_moment,
-)
+from .dichotomy import estimate_constants
+from .noise import NoiseSample, sample_noise
+
+# levyap.solver and levyap.apdist are imported by the commands that run
+# them, so that ``check``, the start-up of every run, loads neither
+if TYPE_CHECKING:
+    from .solver import PathEnsemble
 
 __all__ = ["main"]
 
@@ -59,19 +55,6 @@ _CSV_ROW_TARGET = 500_000
 # beside the formatter's 1.7 MB of work arrays.
 _CSV_BLOCK_FIELDS = 32_768
 _TIME_BYTES = 24  # the longest repr of a double
-
-_USER_ERRORS = (
-    ConfigError,
-    NoiseSpecError,
-    NoiseShiftError,
-    DichotomyError,
-    MatrixExpOverflowError,
-    CoefficientError,
-    SignalParseError,
-    UnboundedSignalError,
-    SolverError,
-    EmpiricalLawError,
-)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +210,8 @@ def _condition_json(rep) -> dict:
 def _run_picard(cfg: RunConfig, out: Path):
     """Condition check + solve; writes the shared picard artifacts and
     returns (report, result, exit_code)."""
+    from .solver import picard_solve
+
     rep = _condition_report(cfg)
     _write_json(out / "condition_report.json", _condition_json(rep))
     for line in _report_lines(rep):
@@ -295,6 +280,8 @@ def cmd_check(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_simulate(cfg: RunConfig, out: Path) -> int:
+    from .solver import simulate_mild, sup_second_moment
+
     sysd = build_system(cfg.system)
     spec = build_spec(cfg.levy)
     cs = build_coefficients(cfg.coefficients)
@@ -326,9 +313,19 @@ def cmd_picard(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_apscan(cfg: RunConfig, out: Path) -> int:
+    from .apdist import SUPPORT_CAP, ap_distribution_scan
+
     ana = cfg.analysis
     if not ana.times or not ana.shifts:
         raise ConfigError("apscan needs analysis.times and analysis.shifts")
+    n = cfg.numerics.n_paths
+    size = n if ana.law_support is None else min(ana.law_support, n)
+    if 2 * size > SUPPORT_CAP:
+        raise ConfigError(
+            f"apscan compares laws of {size} points, so their merged support "
+            f"can reach {2 * size}, above the cap {SUPPORT_CAP}; set "
+            f"analysis.law_support to at most {SUPPORT_CAP // 2}"
+        )
     _, res, code = _run_picard(cfg, out)
     scan = ap_distribution_scan(
         res.ensemble,
@@ -470,7 +467,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         out: Path = args.out
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out)
-    except _USER_ERRORS as exc:
+    except LevyapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -26,6 +26,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from . import LevyapError
 from .noise import LevyProcessSpec
 
 __all__ = [
@@ -54,15 +55,15 @@ __all__ = [
 Number = Union[int, float, Fraction]
 
 
-class SignalParseError(ValueError):
+class SignalParseError(ValueError, LevyapError):
     """Raised on malformed signal expressions."""
 
 
-class UnboundedSignalError(ValueError):
+class UnboundedSignalError(ValueError, LevyapError):
     """Raised when the interval certificate cannot bound a signal."""
 
 
-class CoefficientError(ValueError):
+class CoefficientError(ValueError, LevyapError):
     """Raised when a coefficient set is inconsistent."""
 
 

@@ -2,7 +2,8 @@
 config section that drives the JSON parse, the JSON echo and the
 rejection of unknown keys, named presets and builders that turn a
 config into the systems, noise specs and coefficient sets the solver
-consumes.
+consumes, and the exact contraction conditions of the paper that
+``levyap check`` evaluates.
 
 Numbers anywhere in a config may be written as JSON numbers or as exact
 rational strings "p/q"; rationals survive serialize/parse round trips
@@ -21,6 +22,7 @@ from typing import Any, Callable, Optional, Union
 
 import numpy as np
 
+from . import LevyapError
 from .coefficients import (
     CoefficientSet,
     CoefficientTerm,
@@ -68,6 +70,8 @@ __all__ = [
     "build_spec",
     "build_coefficients",
     "condition_inputs",
+    "ConditionReport",
+    "check_conditions",
     "validate_config",
     "galerkin_system",
 ]
@@ -77,7 +81,7 @@ Number = Union[int, float, Fraction]
 _GRID_TOL = 1e-9
 
 
-class ConfigError(ValueError):
+class ConfigError(ValueError, LevyapError):
     """Raised on malformed or inconsistent run configurations."""
 
 
@@ -125,17 +129,24 @@ def _as_float_matrix(m: tuple[tuple[Number, ...], ...]) -> np.ndarray:
     return np.array([[float(v) for v in row] for row in m], dtype=float)
 
 
-def _exact(x: Number, name: str) -> Fraction:
-    if isinstance(x, Rational):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)
-    raise ConfigError(f"{name}: not a number")
+def _as_fraction(value, name: str) -> Fraction:
+    """Exact rational view of the input; floats convert exactly."""
+    if isinstance(value, Rational):
+        return Fraction(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite")
+        return Fraction(value)
+    raise ConfigError(f"{name} must be a rational number or float, got {value!r}")
+
+
+def _frac_str(x: Fraction) -> str:
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def _exact_matrix(m: tuple[tuple[Number, ...], ...], name: str) -> list[list[Fraction]]:
     return [
-        [_exact(v, f"{name}[{i}][{j}]") for j, v in enumerate(row)]
+        [_as_fraction(v, f"{name}[{i}][{j}]") for j, v in enumerate(row)]
         for i, row in enumerate(m)
     ]
 
@@ -521,7 +532,7 @@ def _galerkin_exact(n_modes: int, a0: Number):
     ``diagonal_constants`` certificate."""
     if n_modes < 1:
         raise ConfigError("galerkin system needs at least one mode")
-    a0 = _exact(a0, "system.galerkin.a0")
+    a0 = _as_fraction(a0, "system.galerkin.a0")
     eigs = [a0 - j * j for j in range(n_modes)]
     a = [[e if i == j else 0 for j in range(n_modes)] for i, e in enumerate(eigs)]
     p = [[int(e < 0) if i == j else 0 for j in range(n_modes)] for i, e in enumerate(eigs)]
@@ -564,11 +575,11 @@ def build_system(cfg: SystemConfig) -> DichotomousSystem:
     exact = diagonal_constants(_exact_matrix(cfg.a, "system.a"), _exact_matrix(cfg.p, "system.p"))
     if exact is not None:
         k, omega = exact
-        if _exact(cfg.k, "system.k") < k:
+        if _as_fraction(cfg.k, "system.k") < k:
             raise ConfigError(
                 f"system.k = {cfg.k} is below the certified K = {k} of this diagonal system"
             )
-        if _exact(cfg.omega, "system.omega") > omega:
+        if _as_fraction(cfg.omega, "system.omega") > omega:
             raise ConfigError(
                 f"system.omega = {cfg.omega} is above the certified omega = {omega} "
                 "of this diagonal system"
@@ -687,15 +698,106 @@ def condition_inputs(cfg: RunConfig) -> tuple[Fraction, Fraction, Fraction, Frac
     else:
         if cfg.system.k is None or cfg.system.omega is None:
             raise ConfigError("system needs k and omega for condition checks")
-        k = _exact(cfg.system.k, "system.k")
-        omega = _exact(cfg.system.omega, "system.omega")
+        k = _as_fraction(cfg.system.k, "system.k")
+        omega = _as_fraction(cfg.system.omega, "system.omega")
     cs = build_coefficients(cfg.coefficients)
     lip = Fraction(cs.lipschitz) if isinstance(cs.lipschitz, Rational) else Fraction(float(cs.lipschitz))
     b = sum(
-        (_exact(j.rate, "jump rate") for j in cfg.levy.jumps if j.region == "large"),
+        (_as_fraction(j.rate, "jump rate") for j in cfg.levy.jumps if j.region == "large"),
         Fraction(0),
     )
     return k, omega, lip, b
+
+
+# ---------------------------------------------------------------------------
+# contraction conditions, exact arithmetic
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ConditionReport:
+    """Exact feasibility report for the mean-square contraction conditions.
+
+    ``lhs = (1+2b)/omega^2 + 2/omega`` is compared against the weak
+    threshold ``1/(16 K^2 L)`` (the operator is a mean-square contraction,
+    ``eta < 1``) and the strong threshold ``1/(32 K^2 L)`` (the solution
+    is almost periodic in distribution).  The existence verdict reported
+    by the pipeline requires both inequalities, i.e. the full reduction
+    used by the benchmark presets (b < 59/2 at K=1, omega=6, L=1/64);
+    the weak inequality alone is exposed as ``eta_below_one``.
+
+    ``eta = 16 K^2 L (1+2b)/omega^2 + 32 K^2 L / omega`` is the geometric
+    rate of the Picard iteration in mean square.  All fields are exact
+    rationals.
+    """
+
+    k: Fraction
+    omega: Fraction
+    lipschitz: Fraction
+    jump_bound: Fraction
+    lhs: Fraction
+    threshold_existence: Fraction
+    threshold_distribution: Fraction
+    eta: Fraction
+    verdict_existence: bool
+    verdict_distribution: bool
+
+    @property
+    def eta_below_one(self) -> bool:
+        return self.eta < 1
+
+    def as_dict(self) -> dict:
+        return {
+            "k": _frac_str(self.k),
+            "omega": _frac_str(self.omega),
+            "lipschitz": _frac_str(self.lipschitz),
+            "jump_bound": _frac_str(self.jump_bound),
+            "lhs": _frac_str(self.lhs),
+            "threshold_existence": _frac_str(self.threshold_existence),
+            "threshold_distribution": _frac_str(self.threshold_distribution),
+            "eta": _frac_str(self.eta),
+            "eta_float": float(self.eta),
+            "eta_below_one": self.eta_below_one,
+            "verdict_existence": self.verdict_existence,
+            "verdict_distribution": self.verdict_distribution,
+        }
+
+
+def check_conditions(k, omega, lipschitz, jump_bound) -> ConditionReport:
+    """Evaluate the contraction conditions exactly.
+
+    ``k`` and ``omega`` are the dichotomy constants, ``lipschitz`` the
+    squared-Lipschitz bound L shared by the coefficients, ``jump_bound``
+    the total large-jump intensity b.  Rational in, rational out.
+    """
+    k = _as_fraction(k, "k")
+    omega = _as_fraction(omega, "omega")
+    lip = _as_fraction(lipschitz, "lipschitz")
+    b = _as_fraction(jump_bound, "jump_bound")
+    if k <= 0 or omega <= 0 or lip <= 0:
+        raise ConfigError("k, omega and lipschitz must be positive")
+    if b < 0:
+        raise ConfigError("jump_bound must be nonnegative")
+    lhs = (1 + 2 * b) / omega**2 + 2 / omega
+    thr_e = 1 / (16 * k**2 * lip)
+    thr_d = 1 / (32 * k**2 * lip)
+    eta = 16 * k**2 * lip * (1 + 2 * b) / omega**2 + 32 * k**2 * lip / omega
+    verdict_distribution = lhs < thr_d
+    # the pipeline only certifies existence under the joint reduction:
+    # both inequalities, not the weak one alone (see class docstring)
+    verdict_existence = lhs < thr_e and verdict_distribution
+    return ConditionReport(
+        k=k,
+        omega=omega,
+        lipschitz=lip,
+        jump_bound=b,
+        lhs=lhs,
+        threshold_existence=thr_e,
+        threshold_distribution=thr_d,
+        eta=eta,
+        verdict_existence=verdict_existence,
+        verdict_distribution=verdict_distribution,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,8 @@ from typing import Optional
 
 import numpy as np
 
+from . import LevyapError
+
 __all__ = [
     "DichotomyError",
     "NoDichotomyError",
@@ -46,7 +48,7 @@ __all__ = [
 _EXP_GROWTH_LIMIT = 700.0  # e^700 is the edge of double range
 
 
-class DichotomyError(ValueError):
+class DichotomyError(ValueError, LevyapError):
     """Raised when a declared dichotomous system is inconsistent."""
 
 
@@ -54,7 +56,7 @@ class NoDichotomyError(DichotomyError):
     """Raised when no exponential decay is detectable for a projection."""
 
 
-class MatrixExpOverflowError(ArithmeticError):
+class MatrixExpOverflowError(ArithmeticError, LevyapError):
     """Raised when a matrix exponential would overflow double range."""
 
 

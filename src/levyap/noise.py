@@ -35,6 +35,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import LevyapError
+
 __all__ = [
     "NoiseSpecError",
     "NoiseShiftError",
@@ -52,11 +54,11 @@ __all__ = [
 ]
 
 
-class NoiseSpecError(ValueError):
+class NoiseSpecError(ValueError, LevyapError):
     """Raised when a noise specification is inconsistent."""
 
 
-class NoiseShiftError(ValueError):
+class NoiseShiftError(ValueError, LevyapError):
     """Raised when a requested noise shift leaves the sampled window."""
 
 

@@ -9,9 +9,9 @@ process Y to
 
 where dF collects the drift, the Wiener term, the compensated small
 jumps and the large jumps.  Under the contraction conditions checked by
-``check_conditions`` the operator has a unique fixed point, the unique
-L2-bounded mild solution, and Picard iteration converges geometrically
-with ratio eta in mean square.  ``apply_S`` discretizes the operator
+``config.check_conditions`` the operator has a unique fixed point, the
+unique L2-bounded mild solution, and Picard iteration converges
+geometrically with ratio eta in mean square.  ``apply_S`` discretizes the operator
 with windowed convolutions truncated at a horizon T_c (reported tail
 factor K e^{-omega T_c} / omega); ``picard_solve`` iterates it on a
 frozen noise sample (common random numbers); ``simulate_mild`` is the
@@ -57,12 +57,11 @@ import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from fractions import Fraction
-from numbers import Rational
 from typing import Optional
 
 import numpy as np
 
+from . import LevyapError
 from .coefficients import (
     CoefficientSet,
     PreparedTerm,
@@ -79,8 +78,6 @@ from .noise import NoiseSample
 
 __all__ = [
     "SolverError",
-    "ConditionReport",
-    "check_conditions",
     "PathEnsemble",
     "PicardResult",
     "simulate_mild",
@@ -105,114 +102,8 @@ _MOMENT_BLOCK = 64
 _SCAN_NATS = 600.0
 
 
-class SolverError(RuntimeError):
+class SolverError(RuntimeError, LevyapError):
     """Raised on bad solver inputs, blow-up or windowing violations."""
-
-
-# ---------------------------------------------------------------------------
-# contraction conditions, exact arithmetic
-# ---------------------------------------------------------------------------
-
-
-def _as_fraction(value, name: str) -> Fraction:
-    """Exact rational view of the input; floats convert exactly."""
-    if isinstance(value, Rational):
-        return Fraction(value)
-    if isinstance(value, float):
-        if not np.isfinite(value):
-            raise SolverError(f"{name} must be finite")
-        return Fraction(value)
-    raise SolverError(f"{name} must be a rational number or float, got {value!r}")
-
-
-def _frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    """Exact feasibility report for the mean-square contraction conditions.
-
-    ``lhs = (1+2b)/omega^2 + 2/omega`` is compared against the weak
-    threshold ``1/(16 K^2 L)`` (the operator is a mean-square contraction,
-    ``eta < 1``) and the strong threshold ``1/(32 K^2 L)`` (the solution
-    is almost periodic in distribution).  The existence verdict reported
-    by the pipeline requires both inequalities, i.e. the full reduction
-    used by the benchmark presets (b < 59/2 at K=1, omega=6, L=1/64);
-    the weak inequality alone is exposed as ``eta_below_one``.
-
-    ``eta = 16 K^2 L (1+2b)/omega^2 + 32 K^2 L / omega`` is the geometric
-    rate of the Picard iteration in mean square.  All fields are exact
-    rationals.
-    """
-
-    k: Fraction
-    omega: Fraction
-    lipschitz: Fraction
-    jump_bound: Fraction
-    lhs: Fraction
-    threshold_existence: Fraction
-    threshold_distribution: Fraction
-    eta: Fraction
-    verdict_existence: bool
-    verdict_distribution: bool
-
-    @property
-    def eta_below_one(self) -> bool:
-        return self.eta < 1
-
-    def as_dict(self) -> dict:
-        return {
-            "k": _frac_str(self.k),
-            "omega": _frac_str(self.omega),
-            "lipschitz": _frac_str(self.lipschitz),
-            "jump_bound": _frac_str(self.jump_bound),
-            "lhs": _frac_str(self.lhs),
-            "threshold_existence": _frac_str(self.threshold_existence),
-            "threshold_distribution": _frac_str(self.threshold_distribution),
-            "eta": _frac_str(self.eta),
-            "eta_float": float(self.eta),
-            "eta_below_one": self.eta_below_one,
-            "verdict_existence": self.verdict_existence,
-            "verdict_distribution": self.verdict_distribution,
-        }
-
-
-def check_conditions(k, omega, lipschitz, jump_bound) -> ConditionReport:
-    """Evaluate the contraction conditions exactly.
-
-    ``k`` and ``omega`` are the dichotomy constants, ``lipschitz`` the
-    squared-Lipschitz bound L shared by the coefficients, ``jump_bound``
-    the total large-jump intensity b.  Rational in, rational out.
-    """
-    k = _as_fraction(k, "k")
-    omega = _as_fraction(omega, "omega")
-    lip = _as_fraction(lipschitz, "lipschitz")
-    b = _as_fraction(jump_bound, "jump_bound")
-    if k <= 0 or omega <= 0 or lip <= 0:
-        raise SolverError("k, omega and lipschitz must be positive")
-    if b < 0:
-        raise SolverError("jump_bound must be nonnegative")
-    lhs = (1 + 2 * b) / omega**2 + 2 / omega
-    thr_e = 1 / (16 * k**2 * lip)
-    thr_d = 1 / (32 * k**2 * lip)
-    eta = 16 * k**2 * lip * (1 + 2 * b) / omega**2 + 32 * k**2 * lip / omega
-    verdict_distribution = lhs < thr_d
-    # the pipeline only certifies existence under the joint reduction:
-    # both inequalities, not the weak one alone (see class docstring)
-    verdict_existence = lhs < thr_e and verdict_distribution
-    return ConditionReport(
-        k=k,
-        omega=omega,
-        lipschitz=lip,
-        jump_bound=b,
-        lhs=lhs,
-        threshold_existence=thr_e,
-        threshold_distribution=thr_d,
-        eta=eta,
-        verdict_existence=verdict_existence,
-        verdict_distribution=verdict_distribution,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -273,14 +164,6 @@ class PathEnsemble:
     @property
     def t_hi(self) -> float:
         return (self.k_lo + self.n_steps) * self.h
-
-    def index_of(self, t: float) -> int:
-        k = round(t / self.h) - self.k_lo
-        if abs(t - (k + self.k_lo) * self.h) > _GRID_TOL * max(1.0, abs(t)):
-            raise SolverError(f"time {t} is not on the ensemble grid")
-        if not 0 <= k <= self.n_steps:
-            raise SolverError(f"time {t} is outside the ensemble window")
-        return int(k)
 
 
 def _sup_mean(sums: np.ndarray, n_times: int, m: int) -> float:

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from _ensemble_oracles import l2_increment
+from _ensemble_oracles import grid_index, l2_increment
 from _lp_oracles import rational_bl_value
 from levyap.apdist import (
     EmpiricalLaw,
@@ -37,6 +37,7 @@ from levyap.config import (
     build_coefficients,
     build_spec,
     build_system,
+    check_conditions,
     preset_config,
 )
 from levyap.dichotomy import DichotomousSystem, estimate_constants
@@ -47,10 +48,7 @@ from levyap.noise import (
     sample_noise,
     uniform_interval_mark,
 )
-from levyap.solver import (
-    check_conditions,
-    picard_solve,
-)
+from levyap.solver import picard_solve
 
 BENCH_OMEGA = 6.0
 ETA_BENCH = Fraction(5, 48)
@@ -116,8 +114,8 @@ def three_sigma_floor_policy(cfg, res_a, res_b, n_support):
     paths_b = _law_paths(ens_b.n_paths, n_support, seed=2000)
     floor = 0.0
     for t in cfg.analysis.times:
-        a = EmpiricalLaw.from_samples(ens_a.values[paths_a, ens_a.index_of(float(t))])
-        b = EmpiricalLaw.from_samples(ens_b.values[paths_b, ens_b.index_of(float(t))])
+        a = EmpiricalLaw.from_samples(ens_a.values[paths_a, grid_index(ens_a, float(t))])
+        b = EmpiricalLaw.from_samples(ens_b.values[paths_b, grid_index(ens_b, float(t))])
         floor = max(floor, bl_distance(a, b))
     assert floor > 0.0
     return 3.0 * floor

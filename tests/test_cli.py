@@ -18,7 +18,11 @@ import numpy as np
 import pytest
 
 import levyap
-from levyap.cli import _write_ensemble_csv, main
+import levyap.apdist
+from levyap import LevyapError
+from levyap.apdist import EmpiricalLawError
+from levyap.cli import _write_ensemble_csv, cmd_apscan, cmd_simulate, main
+from levyap.coefficients import CoefficientError, SignalParseError, UnboundedSignalError
 from levyap.config import (
     FIELD_TABLES,
     ConfigError,
@@ -33,8 +37,9 @@ from levyap.config import (
     preset_names,
     validate_config,
 )
-from levyap.dichotomy import NoDichotomyError
-from levyap.solver import PathEnsemble
+from levyap.dichotomy import DichotomyError, MatrixExpOverflowError, NoDichotomyError
+from levyap.noise import NoiseShiftError, NoiseSpecError
+from levyap.solver import PathEnsemble, SolverError
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +134,44 @@ def per_row_ensemble_csv(ens, stride):
 
 def read_lines(path):
     return path.read_text(encoding="utf-8").splitlines()
+
+
+def modules_after(commands, names):
+    """Import ``levyap.cli`` in a fresh interpreter, then run ``main`` on
+    each argv of ``commands`` in turn.  Returns one (exit code, loaded)
+    pair per step, the import first with exit code None: ``loaded`` is
+    the sorted list of the modules in ``names`` that are loaded after
+    the step.  A name ``pkg.*`` stands for ``pkg`` and every module
+    under it."""
+    code = (
+        "import io, json, sys\n"
+        "from contextlib import redirect_stdout\n"
+        f"names = {list(names)!r}\n"
+        "def matches(m, n):\n"
+        "    return m == n or n.endswith('.*') and (m == n[:-2] or m.startswith(n[:-1]))\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if any(matches(m, n) for n in names))\n"
+        "from levyap.cli import main\n"
+        "print(json.dumps([None, loaded()]))\n"
+        f"for argv in {[list(c) for c in commands]!r}:\n"
+        "    with redirect_stdout(io.StringIO()):\n"
+        "        rc = main(argv)\n"
+        "    print(json.dumps([rc, loaded()]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(levyap.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    return [tuple(json.loads(line)) for line in proc.stdout.splitlines()]
+
+
+def check_every_preset(tmp_path, extra=()):
+    """``check`` argv for each shipped preset."""
+    return [
+        ["check", "--preset", name, "--out", str(tmp_path / name), *extra]
+        for name in preset_names()
+    ]
 
 
 def stripped_trace(path):
@@ -774,6 +817,85 @@ class TestCliExitCodes:
 # ---------------------------------------------------------------------------
 
 
+class TestCliErrorMapping:
+    """Bad input and failed solves raise subclasses of one base,
+    ``levyap.LevyapError``, which ``main`` reports as ``error: <message>``
+    with exit code 2 without importing the modules that define them."""
+
+    def test_user_errors_share_one_base(self):
+        bases = {
+            ConfigError: ValueError,
+            NoiseSpecError: ValueError,
+            NoiseShiftError: ValueError,
+            DichotomyError: ValueError,
+            MatrixExpOverflowError: ArithmeticError,
+            CoefficientError: ValueError,
+            SignalParseError: ValueError,
+            UnboundedSignalError: ValueError,
+            SolverError: RuntimeError,
+            EmpiricalLawError: ValueError,
+        }
+        for cls, base in bases.items():
+            assert issubclass(cls, LevyapError) and issubclass(cls, base), cls
+
+    def test_solver_error_exits_2(self, tmp_path, capsys):
+        """A forward run of a system with forced unstable modes blows up."""
+        path = write_cfg(tmp_path, tiny_galerkin_dict())
+        (tmp_path / "direct").mkdir()
+        with pytest.raises(SolverError) as exc:
+            cmd_simulate(load_config(path), tmp_path / "direct")
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+    def test_empirical_law_error_exits_2(self, tmp_path, capsys, monkeypatch):
+        """A line solver allowed no cutting-plane round fails the scan's
+        first distance."""
+        monkeypatch.setattr(levyap.apdist, "_LINE_ROUNDS", 0)
+        path = write_cfg(tmp_path, tiny_benchmark_dict())
+        (tmp_path / "direct").mkdir()
+        with pytest.raises(EmpiricalLawError, match="did not converge") as exc:
+            cmd_apscan(load_config(path), tmp_path / "direct")
+        assert main(["apscan", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+    @pytest.mark.parametrize(
+        "law_support, paths, size",
+        [(None, 2100, 2100), (2049, 2100, 2049), (5000, 4000, 4000)],
+    )
+    def test_apscan_support_cap_rejected_before_the_solve(
+        self, tmp_path, capsys, law_support, paths, size
+    ):
+        """Two laws of n points merge to up to 2n; beyond the cap of
+        ``bl_distance`` the run stops before it solves anything."""
+        d = tiny_benchmark_dict()
+        if law_support is None:
+            del d["analysis"]["law_support"]
+        else:
+            d["analysis"]["law_support"] = law_support
+        cfg = write_cfg(tmp_path, d)
+        out = tmp_path / "o"
+        code = main(["apscan", "--config", str(cfg), "--paths", str(paths), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == (
+            f"error: apscan compares laws of {size} points, so their merged support "
+            f"can reach {2 * size}, above the cap 4096; set analysis.law_support "
+            "to at most 2048\n"
+        )
+        assert captured.out == ""
+        assert list(out.iterdir()) == []
+
+    def test_apscan_support_cap_counts_the_drawn_paths(self, tmp_path, capsys):
+        """``law_support`` below the path count sets the law size."""
+        d = tiny_benchmark_dict()
+        d["analysis"]["law_support"] = 2048
+        cfg = write_cfg(tmp_path, d)
+        out = tmp_path / "o"
+        code = main(["apscan", "--config", str(cfg), "--paths", "2100", "--out", str(out)])
+        assert code == 0
+        assert (out / "apscan_report.json").exists()
+
+
 class TestCliArtifacts:
     def test_check_report_exact_values(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -1036,41 +1158,17 @@ class TestCliDeterminism:
         propagators and kernels are closed forms, their reduced
         propagators their own Schur forms, and their laws vary in one
         coordinate."""
-        presets = ("example41", "ou_forced", "galerkin_heat")
         cfgs = [
             str(write_cfg(tmp_path, data, name=f"{name}.json"))
             for name, data in (("ex41", tiny_benchmark_dict()), ("ou", tiny_ou_dict()))
         ]
-        runs = ("picard", "apscan", "simulate")
-        code = (
-            "import io, sys\n"
-            "from contextlib import redirect_stdout\n"
-            "def scipy_modules():\n"
-            "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
-            "from levyap.cli import main\n"
-            "print('import', scipy_modules())\n"
-            f"for name in {list(presets)!r}:\n"
-            f"    out = {str(tmp_path)!r} + '/' + name\n"
-            "    with redirect_stdout(io.StringIO()):\n"
-            "        rc = main(['check', '--preset', name, '--out', out])\n"
-            "    print(name, rc, scipy_modules())\n"
-            f"for cfg in {cfgs!r}:\n"
-            f"    for command in {list(runs)!r}:\n"
-            "        out = cfg[:-5] + '-' + command\n"
-            "        with redirect_stdout(io.StringIO()):\n"
-            "            rc = main([command, '--config', cfg, '--out', out, '--threads', '2'])\n"
-            "        print(cfg.rsplit('/', 1)[1], command, rc, scipy_modules())\n"
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(levyap.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip().splitlines() == (
-            ["import []"]
-            + [f"{name} 0 []" for name in presets]
-            + [f"{cfg} {command} 0 []" for cfg in ("ex41.json", "ou.json") for command in runs]
-        )
+        runs = [
+            [command, "--config", cfg, "--out", f"{cfg[:-5]}-{command}", "--threads", "2"]
+            for cfg in cfgs
+            for command in ("picard", "apscan", "simulate")
+        ]
+        steps = modules_after(check_every_preset(tmp_path) + runs, ["scipy.*"])
+        assert steps == [(None, [])] + [(0, [])] * (len(preset_names()) + len(runs))
 
     def test_check_does_not_load_the_csv_formatter(self, tmp_path):
         """The CSV writer imports its float formatter, and builds its
@@ -1078,27 +1176,10 @@ class TestCliDeterminism:
         shipped preset leaves ``levyap._floatfmt`` unloaded, and the first
         ``picard`` loads it."""
         cfg = str(write_cfg(tmp_path, tiny_benchmark_dict(), name="ex41.json"))
-        code = (
-            "import io, sys\n"
-            "from contextlib import redirect_stdout\n"
-            "from levyap.cli import main\n"
-            "print('import', 'levyap._floatfmt' in sys.modules)\n"
-            f"for name in {list(preset_names())!r}:\n"
-            f"    out = {str(tmp_path)!r} + '/' + name\n"
-            "    with redirect_stdout(io.StringIO()):\n"
-            "        rc = main(['check', '--preset', name, '--out', out])\n"
-            "    print(name, rc, 'levyap._floatfmt' in sys.modules)\n"
-            "with redirect_stdout(io.StringIO()):\n"
-            f"    rc = main(['picard', '--config', {cfg!r}, '--out', {cfg[:-5]!r}])\n"
-            "print('picard', rc, 'levyap._floatfmt' in sys.modules)\n"
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(levyap.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip().splitlines() == (
-            ["import False"] + [f"{name} 0 False" for name in preset_names()] + ["picard 0 True"]
+        picard = ["picard", "--config", cfg, "--out", cfg[:-5]]
+        steps = modules_after(check_every_preset(tmp_path) + [picard], ["levyap._floatfmt"])
+        assert steps == (
+            [(None, [])] + [(0, [])] * len(preset_names()) + [(0, ["levyap._floatfmt"])]
         )
 
     def test_check_does_not_load_the_thread_pool(self, tmp_path):
@@ -1108,28 +1189,29 @@ class TestCliDeterminism:
         not pay for it, and a ``picard`` at ``--threads 2`` loads it (its
         40 paths are three sampling groups)."""
         cfg = str(write_cfg(tmp_path, tiny_benchmark_dict(), name="ex41.json"))
-        code = (
-            "import io, sys\n"
-            "from contextlib import redirect_stdout\n"
-            "from levyap.cli import main\n"
-            "print('import', 'concurrent.futures' in sys.modules)\n"
-            f"for name in {list(preset_names())!r}:\n"
-            f"    out = {str(tmp_path)!r} + '/' + name\n"
-            "    with redirect_stdout(io.StringIO()):\n"
-            "        rc = main(['check', '--preset', name, '--out', out, '--threads', '2'])\n"
-            "    print(name, rc, 'concurrent.futures' in sys.modules)\n"
-            "with redirect_stdout(io.StringIO()):\n"
-            f"    rc = main(['picard', '--config', {cfg!r}, '--out', {cfg[:-5]!r},"
-            " '--threads', '2', '--paths', '40'])\n"
-            "print('picard', rc, 'concurrent.futures' in sys.modules)\n"
+        picard = ["picard", "--config", cfg, "--out", cfg[:-5], "--threads", "2", "--paths", "40"]
+        checks = check_every_preset(tmp_path, extra=("--threads", "2"))
+        steps = modules_after(checks + [picard], ["concurrent.futures"])
+        assert steps == (
+            [(None, [])] + [(0, [])] * len(preset_names()) + [(0, ["concurrent.futures"])]
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(levyap.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip().splitlines() == (
-            ["import False"] + [f"{name} 0 False" for name in preset_names()] + ["picard 0 True"]
+
+    def test_check_loads_neither_the_solver_nor_the_scan(self, tmp_path):
+        """``check`` evaluates the conditions without the solver or the
+        scan: importing the CLI and checking every shipped preset loads
+        neither ``levyap.solver`` nor ``levyap.apdist``.  ``picard`` and
+        ``simulate`` load the solver but not the scan, and ``apscan``
+        loads both."""
+        cfg = str(write_cfg(tmp_path, tiny_benchmark_dict(), name="ex41.json"))
+        runs = [
+            [command, "--config", cfg, "--out", f"{cfg[:-5]}-{command}"]
+            for command in ("picard", "simulate", "apscan")
+        ]
+        names = ["levyap.apdist", "levyap.solver"]
+        steps = modules_after(check_every_preset(tmp_path) + runs, names)
+        solver = (0, ["levyap.solver"])
+        assert steps == (
+            [(None, [])] + [(0, [])] * len(preset_names()) + [solver, solver, (0, names)]
         )
 
     def test_line_scans_do_not_import_scipy_optimize(self, tmp_path):

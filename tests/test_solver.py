@@ -1,6 +1,6 @@
-"""Solver tests: exact condition arithmetic, the forward integrator
-against closed forms, and the integral operator against telescoping /
-contraction / equivariance oracles."""
+"""Solver tests: the exact condition arithmetic (``config.check_conditions``),
+the forward integrator against closed forms, and the integral operator
+against telescoping / contraction / equivariance oracles."""
 
 import hashlib
 import math
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _ensemble_oracles import l2_increment
+from _ensemble_oracles import grid_index, l2_increment
 from levyap.coefficients import (
     CoefficientSet,
     CoefficientTerm,
@@ -23,7 +23,15 @@ from levyap.coefficients import (
     galerkin_heat_coefficients,
     ou_forced_coefficients,
 )
-from levyap.config import build_coefficients, build_spec, build_system, preset_config
+from levyap.config import (
+    ConditionReport,
+    ConfigError,
+    build_coefficients,
+    build_spec,
+    build_system,
+    check_conditions,
+    preset_config,
+)
 from levyap.dichotomy import DichotomousSystem
 from levyap.noise import (
     JumpComponent,
@@ -36,7 +44,6 @@ from levyap.noise import (
     uniform_interval_mark,
 )
 from levyap.solver import (
-    ConditionReport,
     PathEnsemble,
     SolverError,
     _MOMENT_BLOCK,
@@ -45,7 +52,6 @@ from levyap.solver import (
     _blocks,
     _scan_block,
     apply_S,
-    check_conditions,
     picard_solve,
     simulate_mild,
     sup_second_moment,
@@ -119,6 +125,7 @@ def wiener_only_spec(dim: int = 1) -> LevyProcessSpec:
 class TestCheckConditions:
     def test_benchmark_constants_exact(self):
         rep = check_conditions(1, 6, Fraction(1, 64), 1)
+        assert isinstance(rep, ConditionReport)
         assert rep.lhs == Fraction(5, 12)
         assert rep.threshold_existence == 4
         assert rep.threshold_distribution == 2
@@ -163,8 +170,13 @@ class TestCheckConditions:
         ],
     )
     def test_rejects_bad_inputs(self, args):
-        with pytest.raises(SolverError):
+        with pytest.raises(ConfigError) as exc:
             check_conditions(*args)
+        assert str(exc.value) in (
+            "k, omega and lipschitz must be positive",
+            "jump_bound must be nonnegative",
+            "k must be finite",
+        )
 
     @given(
         k=st.fractions(Fraction(1, 100), Fraction(10)),
@@ -195,15 +207,8 @@ class TestPathEnsemble:
         assert ens.n_paths == 3 and ens.n_steps == 4 and ens.dim == 2
         assert ens.t_lo == -0.5 and ens.t_hi == 0.5
         np.testing.assert_allclose(ens.grid, [-0.5, -0.25, 0.0, 0.25, 0.5])
-        assert ens.index_of(0.25) == 3
-        assert ens.index_of(-0.5) == 0
-
-    def test_index_off_grid_raises(self):
-        ens = PathEnsemble(h=0.25, k_lo=0, values=np.zeros((1, 3, 1)))
-        with pytest.raises(SolverError):
-            ens.index_of(0.1)
-        with pytest.raises(SolverError):
-            ens.index_of(2.0)
+        assert grid_index(ens, 0.25) == 3
+        assert grid_index(ens, -0.5) == 0
 
     @pytest.mark.parametrize(
         "values",
