@@ -29,6 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import LevyapError
+from .noise import grid_steps
 
 __all__ = [
     "EmpiricalLawError",
@@ -39,7 +40,6 @@ __all__ = [
     "ap_distribution_scan",
 ]
 
-_TIME_TOL = 1e-9
 SUPPORT_CAP = 4096  # largest merged support bl_distance takes by default
 _CERT_GAP = 1e-9  # largest accepted gap between the bounds on beta
 _LINE_ROUNDS = 100  # cutting-plane rounds before beta on the line gives up
@@ -405,9 +405,10 @@ def ap_distribution_scan(
 
     ``ensemble`` needs ``grid`` (n+1,) uniform and ``values`` (paths,
     n+1, d).  The scan times T are the base ``times`` and every t + s.
-    Each shift, and each time's distance from ``grid[0]``, is taken as a
-    whole number of grid steps, within a relative tolerance of 1e-9; one
-    that is not, or a scan time beyond the grid's ends, raises.  The law
+    Each shift, each time and ``grid[0]`` is taken as a whole number of
+    grid steps from 0 (``noise.grid_steps``, the solver's own rule), and
+    a time's index is its steps less those of ``grid[0]``; a value off
+    the grid, or a scan time beyond the grid's ends, raises.  The law
     at a time is the empirical law of the states of the paths drawn by
     ``_law_paths(paths, n_support, seed)``, one draw for every time.
     Shift s is compared on every pair (t, t + s) with both ends in T, not
@@ -423,14 +424,15 @@ def ap_distribution_scan(
     h = float(grid[1] - grid[0])
 
     def steps(x: float) -> int:
-        k = round(x / h)
-        if abs(x - k * h) > _TIME_TOL * max(1.0, abs(x)):
+        k = grid_steps(x, h)
+        if k is None:
             raise EmpiricalLawError(f"{x} is not a multiple of the grid step {h}")
         return k
 
     shifts = np.asarray(list(shifts), dtype=float)
     offsets = [steps(s) for s in shifts.tolist()]
-    base = {steps(float(t) - grid[0]) for t in times}
+    start = steps(float(grid[0]))
+    base = {steps(float(t)) - start for t in times}
     scan = sorted(base.union(*({i + k for i in base} for k in offsets)))
     outside = [i for i in scan if not 0 <= i < len(grid)]
     if outside:

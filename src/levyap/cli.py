@@ -12,7 +12,6 @@ times, the one intentionally non-reproducible field).  Exit codes:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 from fractions import Fraction
@@ -24,12 +23,9 @@ import numpy as np
 from . import LevyapError, __version__
 from .config import (
     ConfigError,
+    Run,
     RunConfig,
-    build_coefficients,
-    build_spec,
-    build_system,
     check_conditions,
-    condition_inputs,
     config_to_dict,
     load_config,
     preset_config,
@@ -172,21 +168,17 @@ def _strip_wall(records):
 # ---------------------------------------------------------------------------
 
 
-def _sample(cfg: RunConfig, spec) -> NoiseSample:
+def _sample(run: Run) -> NoiseSample:
+    cfg = run.config
     num = cfg.numerics
     return sample_noise(
-        spec,
+        run.spec,
         (float(num.window[0]), float(num.window[1])),
         float(num.h),
         num.n_paths,
         cfg.seed,
         threads=cfg.threads,
     )
-
-
-def _condition_report(cfg: RunConfig):
-    k, omega, lip, b = condition_inputs(cfg)
-    return check_conditions(k, omega, lip, b)
 
 
 def _report_lines(rep) -> list[str]:
@@ -207,12 +199,12 @@ def _condition_json(rep) -> dict:
     return {"schema_version": SCHEMA_VERSION, **rep.as_dict()}
 
 
-def _run_picard(cfg: RunConfig, out: Path):
+def _run_picard(run: Run, out: Path):
     """Condition check + solve; writes the shared picard artifacts and
     returns (report, result, exit_code)."""
     from .solver import picard_solve
 
-    rep = _condition_report(cfg)
+    rep = check_conditions(*run.conditions)
     _write_json(out / "condition_report.json", _condition_json(rep))
     for line in _report_lines(rep):
         print(line)
@@ -223,19 +215,17 @@ def _run_picard(cfg: RunConfig, out: Path):
             file=sys.stderr,
         )
 
-    sysd = build_system(cfg.system)
-    spec = build_spec(cfg.levy)
-    cs = build_coefficients(cfg.coefficients)
+    cfg = run.config
     num = cfg.numerics
     # the noise sample is held by the solve alone, so it is freed when
     # the solve returns, before the ensemble is written
     res = picard_solve(
-        sysd,
-        cs,
-        _sample(cfg, spec),
+        run.system,
+        run.coefficients,
+        _sample(run),
         tol=float(num.tol),
         max_iter=num.max_iter,
-        truncation=float(num.truncation) if num.truncation is not None else None,
+        truncation=run.truncation,
         threads=cfg.threads,
     )
     _write_jsonl(out / "gap_trace.jsonl", res.gap_trace)
@@ -271,22 +261,20 @@ def _run_picard(cfg: RunConfig, out: Path):
 # ---------------------------------------------------------------------------
 
 
-def cmd_check(cfg: RunConfig, out: Path) -> int:
-    rep = _condition_report(cfg)
+def cmd_check(run: Run, out: Path) -> int:
+    rep = check_conditions(*run.conditions)
     for line in _report_lines(rep):
         print(line)
     _write_json(out / "condition_report.json", _condition_json(rep))
     return 0 if rep.verdict_existence else 1
 
 
-def cmd_simulate(cfg: RunConfig, out: Path) -> int:
+def cmd_simulate(run: Run, out: Path) -> int:
     from .solver import simulate_mild, sup_second_moment
 
-    sysd = build_system(cfg.system)
-    spec = build_spec(cfg.levy)
-    cs = build_coefficients(cfg.coefficients)
-    ens = simulate_mild(sysd, cs, _sample(cfg, spec), np.zeros(sysd.dim))
-    stride = _csv_stride(ens.n_steps, ens.n_paths, cfg.numerics.csv_stride)
+    sysd = run.system
+    ens = simulate_mild(sysd, run.coefficients, _sample(run), np.zeros(sysd.dim))
+    stride = _csv_stride(ens.n_steps, ens.n_paths, run.config.numerics.csv_stride)
     _write_ensemble_csv(out / "ensemble.csv", ens, stride)
     moment = sup_second_moment(ens)
     _write_json(
@@ -294,7 +282,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
         {
             "schema_version": SCHEMA_VERSION,
             "package_version": __version__,
-            "config": config_to_dict(cfg),
+            "config": config_to_dict(run.config),
             "sup_second_moment": _json_scalar(moment),
             "csv_stride": stride,
         },
@@ -307,14 +295,15 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def cmd_picard(cfg: RunConfig, out: Path) -> int:
-    _, _, code = _run_picard(cfg, out)
+def cmd_picard(run: Run, out: Path) -> int:
+    _, _, code = _run_picard(run, out)
     return code
 
 
-def cmd_apscan(cfg: RunConfig, out: Path) -> int:
+def cmd_apscan(run: Run, out: Path) -> int:
     from .apdist import SUPPORT_CAP, ap_distribution_scan
 
+    cfg = run.config
     ana = cfg.analysis
     if not ana.times or not ana.shifts:
         raise ConfigError("apscan needs analysis.times and analysis.shifts")
@@ -326,7 +315,7 @@ def cmd_apscan(cfg: RunConfig, out: Path) -> int:
             f"can reach {2 * size}, above the cap {SUPPORT_CAP}; set "
             f"analysis.law_support to at most {SUPPORT_CAP // 2}"
         )
-    _, res, code = _run_picard(cfg, out)
+    _, res, code = _run_picard(run, out)
     scan = ap_distribution_scan(
         res.ensemble,
         [float(t) for t in ana.times],
@@ -344,15 +333,15 @@ def cmd_apscan(cfg: RunConfig, out: Path) -> int:
     return code
 
 
-def cmd_galerkin(cfg: RunConfig, out: Path) -> int:
-    sysd = build_system(cfg.system)
+def cmd_galerkin(run: Run, out: Path) -> int:
+    sysd = run.system
     est = estimate_constants(sysd, np.linspace(0.0, 4.0 / sysd.omega, 33))
     print(
         f"spectral demo: dim {sysd.dim}, stable rank {sysd.rank_stable}, "
         f"unstable rank {sysd.rank_unstable}, fitted K = {est.k_hat:.6g}, "
         f"omega = {est.omega_hat:.6g}"
     )
-    _, _, code = _run_picard(cfg, out)
+    _, _, code = _run_picard(run, out)
     _write_json(
         out / "dichotomy_estimate.json",
         {"schema_version": SCHEMA_VERSION, **est.as_dict()},
@@ -450,11 +439,11 @@ def _resolve_config(args) -> RunConfig:
     if args.max_iter is not None:
         num_updates["max_iter"] = args.max_iter
     if num_updates:
-        cfg = dataclasses.replace(cfg, numerics=dataclasses.replace(num, **num_updates))
+        cfg = cfg._replace(numerics=num._replace(**num_updates))
     if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+        cfg = cfg._replace(seed=args.seed)
     if args.threads is not None:
-        cfg = dataclasses.replace(cfg, threads=args.threads)
+        cfg = cfg._replace(threads=args.threads)
     return cfg
 
 
@@ -462,11 +451,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _resolve_config(args)
-        validate_config(cfg)
+        run = validate_config(_resolve_config(args))
         out: Path = args.out
         out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, out)
+        return _COMMANDS[args.command](run, out)
     except LevyapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,7 +3,7 @@
 Time dependence enters the model only through *signals*: arithmetic
 expressions over oscillators ``cos(w_i t)`` and ``sin(w_i t)`` with a
 finite frequency basis.  Signals are parsed from a small expression
-language (see ``docs/grammar.md``), evaluated vectorized, and bounded by
+language (see ``docs/signals.md``), evaluated vectorized, and bounded by
 interval arithmetic over the expression tree, which certifies in
 particular that denominators stay away from zero, hence that every
 coefficient is bounded uniformly in time.

@@ -1,9 +1,11 @@
-"""Run configuration: typed config dataclasses, one field table per
-config section that drives the JSON parse, the JSON echo and the
-rejection of unknown keys, named presets and builders that turn a
-config into the systems, noise specs and coefficient sets the solver
-consumes, and the exact contraction conditions of the paper that
-``levyap check`` evaluates.
+"""Run configuration: one field table per config section, which states
+each key, codec and default once and from which the section's record
+type (a namedtuple over its keys) is generated; the tables drive the
+JSON parse, the JSON echo and the rejection of unknown keys.  Also named
+presets, the builders that turn a config into the systems, noise specs
+and coefficient sets the solver consumes, the validation that builds
+them once for a run (``validate_config``), and the exact contraction
+conditions of the paper that ``levyap check`` evaluates.
 
 Numbers anywhere in a config may be written as JSON numbers or as exact
 rational strings "p/q"; rationals survive serialize/parse round trips
@@ -15,10 +17,11 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Any, Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -37,6 +40,7 @@ from .noise import (
     LevyProcessSpec,
     MarkSampler,
     WienerSpec,
+    grid_steps,
     point_mark,
     uniform_annulus_mark,
     uniform_interval_mark,
@@ -57,6 +61,7 @@ __all__ = [
     "NumericsConfig",
     "AnalysisConfig",
     "RunConfig",
+    "Codec",
     "Field",
     "FIELD_TABLES",
     "parse_number",
@@ -70,6 +75,7 @@ __all__ = [
     "build_spec",
     "build_coefficients",
     "condition_inputs",
+    "Run",
     "ConditionReport",
     "check_conditions",
     "validate_config",
@@ -78,7 +84,7 @@ __all__ = [
 
 Number = Union[int, float, Fraction]
 
-_GRID_TOL = 1e-9
+_GRID_TOL = 1e-9  # slack of the window-interior check on analysis times
 
 
 class ConfigError(ValueError, LevyapError):
@@ -152,148 +158,33 @@ def _exact_matrix(m: tuple[tuple[Number, ...], ...], name: str) -> list[list[Fra
 
 
 # ---------------------------------------------------------------------------
-# config dataclasses
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MarkConfig:
-    """Jump mark distribution: ``point`` (atom at x), ``uniform_interval``
-    (scalar marks on [a, b]) or ``uniform_annulus`` (radially uniform
-    between r0 and r1 in the given dimension)."""
-
-    kind: str
-    x: Optional[tuple[Number, ...]] = None
-    a: Optional[Number] = None
-    b: Optional[Number] = None
-    r0: Optional[Number] = None
-    r1: Optional[Number] = None
-    dim: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class JumpConfig:
-    rate: Number
-    region: str
-    marks: MarkConfig
-
-
-@dataclass(frozen=True)
-class LevyConfig:
-    dim: int
-    covariance: Optional[tuple[tuple[Number, ...], ...]] = None
-    jumps: tuple[JumpConfig, ...] = ()
-
-
-@dataclass(frozen=True)
-class GalerkinConfig:
-    """Spectral form of the system: the generator is the diagonal of
-    shifted square eigenvalues a0 - k^2 (k = 0..n_modes-1), the projection
-    splits by sign, and (K, omega) are the exact constants of that
-    diagonal system."""
-
-    n_modes: int
-    a0: Number
-
-
-@dataclass(frozen=True)
-class SystemConfig:
-    """Either explicit (A, P, K, omega) or a derived spectral form."""
-
-    a: Optional[tuple[tuple[Number, ...], ...]] = None
-    p: Optional[tuple[tuple[Number, ...], ...]] = None
-    k: Optional[Number] = None
-    omega: Optional[Number] = None
-    galerkin: Optional[GalerkinConfig] = None
-
-
-@dataclass(frozen=True)
-class TermConfig:
-    scale: Number
-    kernel: str
-    coord: int = 0
-    outer: Optional[str] = None
-    inner: Optional[str] = None
-    mark_weights: Optional[tuple[Number, ...]] = None
-
-
-@dataclass(frozen=True)
-class CustomCoefficients:
-    dim_state: int
-    dim_noise: int
-    freqs: tuple[Number, ...]
-    drift: tuple[tuple[TermConfig, ...], ...]
-    diffusion: tuple[tuple[tuple[TermConfig, ...], ...], ...]
-    jump_small: tuple[tuple[TermConfig, ...], ...]
-    jump_large: tuple[tuple[TermConfig, ...], ...]
-    lipschitz: Number
-
-
-@dataclass(frozen=True)
-class CoefficientConfig:
-    preset: Optional[str] = None
-    params: dict = field(default_factory=dict)
-    custom: Optional[CustomCoefficients] = None
-
-
-@dataclass(frozen=True)
-class NumericsConfig:
-    h: Number
-    window: tuple[Number, Number]
-    n_paths: int
-    truncation: Optional[Number] = None
-    tol: Number = 1e-10
-    max_iter: int = 60
-    csv_stride: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class AnalysisConfig:
-    epsilon: Number = 0.1
-    shifts: tuple[Number, ...] = ()
-    times: tuple[Number, ...] = ()
-    law_support: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    system: SystemConfig
-    levy: LevyConfig
-    coefficients: CoefficientConfig
-    numerics: NumericsConfig
-    analysis: AnalysisConfig
-    seed: int = 0
-    threads: int = 1
-
-
-# ---------------------------------------------------------------------------
-# field tables: one row per key drives parse, echo and unknown-key rejection
+# field tables: one row per key drives the section's record type, the
+# parse, the echo and unknown-key rejection
 # ---------------------------------------------------------------------------
 
 _REQUIRED = object()
 
+Codec = namedtuple("Codec", "parse write")
+Codec.__doc__ = """Reads one JSON value (``parse(obj, path)``) and writes it back."""
 
-@dataclass(frozen=True)
-class Codec:
-    """Reads one JSON value (``parse(obj, path)``) and writes it back."""
+Field = namedtuple("Field", "key codec default echo_default", defaults=(_REQUIRED, False))
+Field.__doc__ = """One key of a config section.
 
-    parse: Callable[[Any, str], Any]
-    write: Callable[[Any], Any]
+``default`` is ``_REQUIRED`` for a required key.  A JSON null on a key
+whose default is None reads as absent.  The echo leaves out an optional
+key holding its default unless ``echo_default`` is set.
+"""
 
 
-@dataclass(frozen=True)
-class Field:
-    """One key of a config section.
-
-    ``default`` is ``_REQUIRED`` for a required key.  A JSON null on a
-    key whose default is None reads as absent.  The echo leaves out an
-    optional key holding its default unless ``echo_default`` is set.
-    """
-
-    key: str
-    codec: Codec
-    default: Any = _REQUIRED
-    echo_default: bool = False
+def _record(name: str, fields: tuple[Field, ...]) -> type:
+    """The record type of a section: a namedtuple over the table's keys in
+    table order, whose trailing optional keys take their defaults."""
+    defaults = []
+    for f in reversed(fields):
+        if f.default is _REQUIRED:
+            break
+        defaults.insert(0, f.default)
+    return namedtuple(name, [f.key for f in fields], defaults=defaults)
 
 
 def _join(path: str, key: str) -> str:
@@ -401,7 +292,10 @@ _MATRIX = _list_of(_NUMBERS, nonempty=True)
 _WINDOW = Codec(_parse_window, _NUMBERS.write)
 _PARAMS = Codec(_parse_params, lambda d: {k: number_to_json(v) for k, v in d.items()})
 
+# the spectral system: generator diag(a0 - k^2), k = 0..n_modes-1
 _GALERKIN_FIELDS = (Field("n_modes", _INT), Field("a0", _NUMBER))
+GalerkinConfig = _record("GalerkinConfig", _GALERKIN_FIELDS)
+# either explicit (a, p, k, omega) or a galerkin block
 _SYSTEM_FIELDS = (
     Field("a", _MATRIX, None),
     Field("p", _MATRIX, None),
@@ -409,6 +303,7 @@ _SYSTEM_FIELDS = (
     Field("omega", _NUMBER, None),
     Field("galerkin", _section(GalerkinConfig, _GALERKIN_FIELDS), None),
 )
+SystemConfig = _record("SystemConfig", _SYSTEM_FIELDS)
 _MARK_KIND = Field("kind", _STR)
 _MARK_FIELDS = {
     "point": (_MARK_KIND, Field("x", _NUMBERS)),
@@ -420,13 +315,19 @@ _MARK_FIELDS = {
         Field("dim", _INT, None),
     ),
 }
+# one record for every kind: the keys of all kinds, each but kind None
+# when its kind lacks it
+_MARK_KEYS = tuple(dict.fromkeys(f.key for t in _MARK_FIELDS.values() for f in t))
+MarkConfig = namedtuple("MarkConfig", _MARK_KEYS, defaults=(None,) * (len(_MARK_KEYS) - 1))
 _MARKS = Codec(_parse_marks, lambda m: _write_fields(m, _MARK_FIELDS[m.kind]))
 _JUMP_FIELDS = (Field("rate", _NUMBER), Field("region", _STR), Field("marks", _MARKS))
+JumpConfig = _record("JumpConfig", _JUMP_FIELDS)
 _LEVY_FIELDS = (
     Field("dim", _INT),
     Field("covariance", _MATRIX, None),
     Field("jumps", _list_of(_section(JumpConfig, _JUMP_FIELDS)), ()),
 )
+LevyConfig = _record("LevyConfig", _LEVY_FIELDS)
 _TERM_FIELDS = (
     Field("scale", _NUMBER),
     Field("kernel", _STR),
@@ -435,6 +336,7 @@ _TERM_FIELDS = (
     Field("inner", _STR, None),
     Field("mark_weights", _NUMBERS, None),
 )
+TermConfig = _record("TermConfig", _TERM_FIELDS)
 # one term list per state coordinate
 _TERM_LISTS = _list_of(_list_of(_section(TermConfig, _TERM_FIELDS)))
 _CUSTOM_FIELDS = (
@@ -447,11 +349,13 @@ _CUSTOM_FIELDS = (
     Field("jump_large", _TERM_LISTS, (), echo_default=True),
     Field("lipschitz", _NUMBER),
 )
+CustomCoefficients = _record("CustomCoefficients", _CUSTOM_FIELDS)
 _COEFFICIENT_FIELDS = (
     Field("preset", _STR, None),
     Field("params", _PARAMS, {}),
     Field("custom", _section(CustomCoefficients, _CUSTOM_FIELDS), None),
 )
+CoefficientConfig = _record("CoefficientConfig", _COEFFICIENT_FIELDS)
 _NUMERICS_FIELDS = (
     Field("h", _NUMBER),
     Field("window", _WINDOW),
@@ -461,26 +365,24 @@ _NUMERICS_FIELDS = (
     Field("max_iter", _INT, 60, echo_default=True),
     Field("csv_stride", _INT, None),
 )
+NumericsConfig = _record("NumericsConfig", _NUMERICS_FIELDS)
 _ANALYSIS_FIELDS = (
     Field("epsilon", _NUMBER, 0.1, echo_default=True),
     Field("shifts", _NUMBERS, ()),
     Field("times", _NUMBERS, ()),
     Field("law_support", _INT, None),
 )
+AnalysisConfig = _record("AnalysisConfig", _ANALYSIS_FIELDS)
 _RUN_FIELDS = (
     Field("system", _section(SystemConfig, _SYSTEM_FIELDS)),
     Field("levy", _section(LevyConfig, _LEVY_FIELDS)),
     Field("coefficients", _section(CoefficientConfig, _COEFFICIENT_FIELDS)),
     Field("numerics", _section(NumericsConfig, _NUMERICS_FIELDS)),
-    Field(
-        "analysis",
-        _section(AnalysisConfig, _ANALYSIS_FIELDS),
-        AnalysisConfig(),
-        echo_default=True,
-    ),
+    Field("analysis", _section(AnalysisConfig, _ANALYSIS_FIELDS), AnalysisConfig(), echo_default=True),
     Field("seed", _INT, 0, echo_default=True),
     Field("threads", _INT, 1, echo_default=True),
 )
+RunConfig = _record("RunConfig", _RUN_FIELDS)
 _RUN = _section(RunConfig, _RUN_FIELDS)
 
 # every table by the key path of its section ([] marks a list item)
@@ -562,9 +464,19 @@ def build_system(cfg: SystemConfig) -> DichotomousSystem:
     certified rate is a ConfigError naming ``system.k`` or
     ``system.omega``, and a rate that is not positive raises
     ``NoDichotomyError``.  Any other explicit system gets the sampled
-    ``spot_check_dichotomy`` of ``DichotomousSystem.create``.
+    ``spot_check_dichotomy`` of ``DichotomousSystem.create``.  A galerkin
+    block sets the whole system, so an explicit field beside it is a
+    ConfigError naming that field.
     """
     if cfg.galerkin is not None:
+        beside = [
+            f"system.{k}" for k, v in cfg._asdict().items() if k != "galerkin" and v is not None
+        ]
+        if beside:
+            raise ConfigError(
+                f"{', '.join(beside)}: not allowed beside system.galerkin, "
+                "which sets the whole system"
+            )
         return galerkin_system(cfg.galerkin.n_modes, cfg.galerkin.a0)
     if cfg.a is None or cfg.p is None or cfg.k is None or cfg.omega is None:
         raise ConfigError("system needs a, p, k and omega (or a galerkin block)")
@@ -629,6 +541,11 @@ _COEFF_PRESETS = {
 def build_coefficients(cfg: CoefficientConfig) -> CoefficientSet:
     if (cfg.preset is None) == (cfg.custom is None):
         raise ConfigError("coefficients need exactly one of 'preset' or 'custom'")
+    if cfg.custom is not None and cfg.params:
+        raise ConfigError(
+            "coefficients.params: parameters of a coefficient preset, "
+            "not allowed beside coefficients.custom"
+        )
     if cfg.preset is not None:
         if cfg.preset not in _COEFF_PRESETS:
             raise ConfigError(
@@ -686,27 +603,9 @@ def build_coefficients(cfg: CoefficientConfig) -> CoefficientSet:
 
 
 def condition_inputs(cfg: RunConfig) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """Exact (K, omega, L, b) for the contraction conditions.
-
-    K and omega come from the system config (or the exact galerkin
-    constants), L from the coefficient set's declared constant, b from
-    the summed large-jump rates.  Rational inputs stay exact; floats
-    convert exactly.
-    """
-    if cfg.system.galerkin is not None:
-        _, _, k, omega = _galerkin_exact(cfg.system.galerkin.n_modes, cfg.system.galerkin.a0)
-    else:
-        if cfg.system.k is None or cfg.system.omega is None:
-            raise ConfigError("system needs k and omega for condition checks")
-        k = _as_fraction(cfg.system.k, "system.k")
-        omega = _as_fraction(cfg.system.omega, "system.omega")
-    cs = build_coefficients(cfg.coefficients)
-    lip = Fraction(cs.lipschitz) if isinstance(cs.lipschitz, Rational) else Fraction(float(cs.lipschitz))
-    b = sum(
-        (_as_fraction(j.rate, "jump rate") for j in cfg.levy.jumps if j.region == "large"),
-        Fraction(0),
-    )
-    return k, omega, lip, b
+    """Exact (K, omega, L, b) for the contraction conditions of a valid
+    config: ``validate_config(cfg).conditions``."""
+    return validate_config(cfg).conditions
 
 
 # ---------------------------------------------------------------------------
@@ -806,11 +705,9 @@ def check_conditions(k, omega, lipschitz, jump_bound) -> ConditionReport:
 
 
 def _on_grid(value: float, h: float, what: str) -> None:
-    steps = value / h
-    if not math.isfinite(steps):
+    if not math.isfinite(value / h):
         raise ConfigError(f"{what} = {value} is too far from 0 in steps of h = {h}")
-    k = round(steps)
-    if abs(value - k * h) > _GRID_TOL * max(1.0, abs(value)):
+    if grid_steps(value, h) is None:
         raise ConfigError(f"{what} = {value} is not a multiple of the step h = {h}")
 
 
@@ -826,13 +723,25 @@ def _finite(x: Number, name: str) -> float:
     return value
 
 
-def validate_config(cfg: RunConfig) -> None:
+Run = namedtuple("Run", "config system spec coefficients truncation conditions")
+Run.__doc__ = """A validated run: its config and what ``validate_config`` built from
+it, the system, the noise spec, the coefficient set, the truncation
+horizon (the configured one, or the system's default at the step) and the
+exact condition inputs (K, omega, L, b)."""
+
+
+def validate_config(cfg: RunConfig) -> Run:
     """Full static validation; raises ConfigError on the first problem.
 
-    Builds the system, noise spec and coefficient set (their own
+    Builds the system, noise spec and coefficient set once (their own
     validators run), then checks numerics and that every analysis time
     and shifted time stays at least one truncation horizon away from the
-    window edges.
+    window edges.  Returns the ``Run`` every command runs on.
+
+    The condition inputs are exact: K and omega come from the system
+    config (or the exact galerkin constants), L from the coefficient
+    set's declared constant, b from the summed large-jump rates.
+    Rational inputs stay exact; floats convert exactly.
     """
     num = cfg.numerics
     h = _finite(num.h, "numerics.h")
@@ -910,6 +819,18 @@ def validate_config(cfg: RunConfig) -> None:
                 f"analysis time {value} leaves the window interior "
                 f"[{margin_lo}, {margin_hi}] (window shrunk by the truncation)"
             )
+
+    if cfg.system.galerkin is not None:
+        _, _, k, omega = _galerkin_exact(cfg.system.galerkin.n_modes, cfg.system.galerkin.a0)
+    else:
+        k = _as_fraction(cfg.system.k, "system.k")
+        omega = _as_fraction(cfg.system.omega, "system.omega")
+    b = sum(
+        (_as_fraction(j.rate, "jump rate") for j in cfg.levy.jumps if j.region == "large"),
+        Fraction(0),
+    )
+    conditions = (k, omega, _as_fraction(cs.lipschitz, "lipschitz"), b)
+    return Run(cfg, sysd, spec, cs, t_c, conditions)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ which is the form the solver reads.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -51,6 +52,7 @@ __all__ = [
     "validate_spec",
     "sample_noise",
     "stream",
+    "grid_steps",
 ]
 
 
@@ -69,7 +71,7 @@ _TAG_W_NEG = 1
 _TAG_J_POS = 2
 _TAG_J_NEG = 3
 
-_GRID_ALIGN_TOL = 1e-9
+_GRID_TOL = 1e-9
 # paths a sampling worker draws and scales as one unit
 _GROUP = 16
 
@@ -447,8 +449,8 @@ class NoiseSample:
         the identity and shifting by ``s`` then ``-s`` restores the input.
         """
         h = self.h
-        m = round(s / h)
-        if abs(s - m * h) > _GRID_ALIGN_TOL * max(1.0, abs(s)):
+        m = grid_steps(s, h)
+        if m is None:
             raise NoiseShiftError(f"shift {s} is not a multiple of the step {h}")
         k_lo = self.k_lo - m
         a, b = 0, self.n_steps
@@ -475,11 +477,25 @@ class NoiseSample:
         )
 
 
+def grid_steps(x: float, h: float) -> Optional[int]:
+    """The whole number of steps ``h`` from 0 to ``x``: ``round(x / h)``
+    when ``x`` lies within 1e-9 max(1, |x|) of that many steps, else None.
+
+    The one on-grid rule of the config, the noise sample, the solver and
+    the shift scan, which all index times on the integer grid it gives.
+    """
+    steps = x / h
+    if not math.isfinite(steps):
+        return None
+    k = round(steps)
+    return None if abs(x - k * h) > _GRID_TOL * max(1.0, abs(x)) else k
+
+
 def _steps_for(value: float, h: float, what: str) -> int:
-    k = round(value / h)
-    if abs(value - k * h) > _GRID_ALIGN_TOL * max(1.0, abs(value)):
+    k = grid_steps(value, h)
+    if k is None:
         raise NoiseSpecError(f"{what} = {value} is not a multiple of the step {h}")
-    return int(k)
+    return k
 
 
 def sample_noise(

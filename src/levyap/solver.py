@@ -74,7 +74,7 @@ from .coefficients import (
     term_value,
 )
 from .dichotomy import DichotomousSystem, matrix_exp
-from .noise import NoiseSample
+from .noise import NoiseSample, grid_steps
 
 __all__ = [
     "SolverError",
@@ -87,7 +87,6 @@ __all__ = [
 ]
 
 _BLOWUP_GUARD = 1e8
-_GRID_TOL = 1e-9
 # path steps per chunk by default: each (paths, time) scratch row of a
 # worker, and each temporary numpy makes for a chunk, is then at most
 # 1 MB.  glibc keeps freed blocks below its dynamic mmap/trim threshold
@@ -294,8 +293,8 @@ def _blowup_cause(sys: DichotomousSystem, cs: CoefficientSet) -> str:
 
 
 def _truncation_steps(truncation: float, h: float, n_steps: int) -> int:
-    w = round(truncation / h)
-    if w < 1 or abs(truncation - w * h) > _GRID_TOL * max(1.0, truncation):
+    w = grid_steps(truncation, h)
+    if w is None or w < 1:
         raise SolverError(
             f"truncation {truncation} must be a positive multiple of the step {h}"
         )

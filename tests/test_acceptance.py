@@ -11,7 +11,6 @@ one PASS/FAIL line per criterion (see conftest.py).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
 from fractions import Fraction
@@ -33,13 +32,7 @@ from levyap.coefficients import (
     CoefficientTerm,
     example41_coefficients,
 )
-from levyap.config import (
-    build_coefficients,
-    build_spec,
-    build_system,
-    check_conditions,
-    preset_config,
-)
+from levyap.config import build_spec, check_conditions, preset_config, validate_config
 from levyap.dichotomy import DichotomousSystem, estimate_constants
 from levyap.noise import (
     JumpComponent,
@@ -81,25 +74,23 @@ def solve_preset(name: str, seed=None):
     seed or at ``seed``."""
     cfg = preset_config(name)
     if seed is not None:
-        cfg = dataclasses.replace(cfg, seed=seed)
-    sysd = build_system(cfg.system)
-    spec = build_spec(cfg.levy)
-    cs = build_coefficients(cfg.coefficients)
+        cfg = cfg._replace(seed=seed)
+    run = validate_config(cfg)
     num = cfg.numerics
     noise = sample_noise(
-        spec,
+        run.spec,
         (float(num.window[0]), float(num.window[1])),
         float(num.h),
         num.n_paths,
         cfg.seed,
     )
     res = picard_solve(
-        sysd,
-        cs,
+        run.system,
+        run.coefficients,
         noise,
         tol=float(num.tol),
         max_iter=num.max_iter,
-        truncation=float(num.truncation),
+        truncation=run.truncation,
     )
     assert res.converged
     return cfg, res
@@ -214,12 +205,11 @@ def test_constant_drift_fixed_point_within_reported_tail():
 @pytest.mark.acceptance("05 picard contraction at Monte-Carlo scale")
 def test_picard_gap_ratios_at_full_scale():
     start = time.perf_counter()
-    cfg = preset_config("example41")
-    sysd = build_system(cfg.system)
-    spec = build_spec(cfg.levy)
-    cs = build_coefficients(cfg.coefficients)
-    noise = sample_noise(spec, (-2.0, 4.0), 1.0e-3, 2000, seed=cfg.seed)
-    res = picard_solve(sysd, cs, noise, tol=1e-9, max_iter=40, truncation=2.0)
+    run = validate_config(preset_config("example41"))
+    noise = sample_noise(run.spec, (-2.0, 4.0), 1.0e-3, 2000, seed=run.config.seed)
+    res = picard_solve(
+        run.system, run.coefficients, noise, tol=1e-9, max_iter=40, truncation=2.0
+    )
     assert res.converged
     gaps = res.gaps()
     floor = min(gaps)
@@ -234,16 +224,14 @@ def test_picard_gap_ratios_at_full_scale():
 
 @pytest.mark.acceptance("06 forced-OU mean curve and stationary variance")
 def test_forced_ou_matches_closed_form():
-    cfg = preset_config("ou_forced")
-    sysd = build_system(cfg.system)
-    spec = build_spec(cfg.levy)
-    cs = build_coefficients(cfg.coefficients)
+    run = validate_config(preset_config("ou_forced"))
+    sysd, spec, cs = run.system, run.spec, run.coefficients
     sigma, a = 0.3, 1.0
 
     # mean curve: fine step so the quadrature bias sits well under the
     # Monte-Carlo allowance 3 (sigma / sqrt(2a)) / sqrt(M)
     m_paths = 512
-    noise = sample_noise(spec, (-8.0, 8.0), 1.0 / 512, m_paths, seed=cfg.seed)
+    noise = sample_noise(spec, (-8.0, 8.0), 1.0 / 512, m_paths, seed=run.config.seed)
     res = picard_solve(sysd, cs, noise, tol=1e-10, max_iter=20, truncation=6.0)
     assert res.converged
     grid = res.ensemble.grid
@@ -255,7 +243,7 @@ def test_forced_ou_matches_closed_form():
     assert np.abs((m_hat - m_exact)[core]).max() <= allowance
 
     # stationary variance at M = 1e4
-    noise_v = sample_noise(spec, (-8.0, 8.0), 1.0 / 64, 10_000, seed=cfg.seed + 1)
+    noise_v = sample_noise(spec, (-8.0, 8.0), 1.0 / 64, 10_000, seed=run.config.seed + 1)
     res_v = picard_solve(sysd, cs, noise_v, tol=1e-10, max_iter=20, truncation=6.0)
     grid_v = res_v.ensemble.grid
     core_v = (grid_v >= -2.0) & (grid_v <= 2.0)

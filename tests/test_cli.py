@@ -19,6 +19,8 @@ import pytest
 
 import levyap
 import levyap.apdist
+import levyap.cli
+import levyap.config
 from levyap import LevyapError
 from levyap.apdist import EmpiricalLawError
 from levyap.cli import _write_ensemble_csv, cmd_apscan, cmd_simulate, main
@@ -179,6 +181,49 @@ def stripped_trace(path):
     return [{k: v for k, v in rec.items() if k != "wall_ms"} for rec in records]
 
 
+# ``json.dumps(config_to_dict(preset_config(name)), sort_keys=True)`` of each
+# preset: rationals echo as "p/q" strings, so a change of format shows here
+# even where the round trip compares equal (Fraction(1, 256) == 0.00390625)
+PRESET_ECHOES = {
+    "example41": (
+        '{"analysis": {"epsilon": 0.25, "law_support": 64, "shifts": ["1/4", "1/2", '
+        '"3/4", 1], "times": [0, "1/4", "1/2", "3/4", 1]}, '
+        '"coefficients": {"preset": "example41"}, "levy": {"covariance": [[1]], '
+        '"dim": 1, "jumps": [{"marks": {"a": "-9/10", "b": "9/10", '
+        '"kind": "uniform_interval"}, "rate": "3/2", "region": "small"}, '
+        '{"marks": {"a": 1, "b": "3/2", "kind": "uniform_interval"}, "rate": 1, '
+        '"region": "large"}]}, "numerics": {"h": "1/256", "max_iter": 40, '
+        '"n_paths": 256, "tol": 1e-12, "truncation": 2, "window": [-2, 4]}, "seed": 41, '
+        '"system": {"a": [[8, 0], [0, -6]], "k": 1, "omega": 6, "p": [[0, 0], [0, 1]]}, '
+        '"threads": 1}'
+    ),
+    "galerkin_heat": (
+        '{"analysis": {"epsilon": 0.3, "law_support": 64, "shifts": [1, 2], "times": [0, '
+        '1, 2, 3]}, "coefficients": {"params": {"n_modes": 8}, '
+        '"preset": "galerkin_heat"}, "levy": {"covariance": [[1, 0, 0, 0, 0, 0, 0, 0], '
+        "[0, 1, 0, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0, 0, 0], "
+        "[0, 0, 0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 0, 1, 0], "
+        '[0, 0, 0, 0, 0, 0, 0, 1]], "dim": 8, "jumps": [{"marks": {"dim": 8, '
+        '"kind": "uniform_annulus", "r0": "1/10", "r1": "1/2"}, "rate": 2, '
+        '"region": "small"}]}, "numerics": {"h": "1/32", "max_iter": 40, "n_paths": 128, '
+        '"tol": 1e-10, "truncation": 8, "window": [-8, 16]}, "seed": 2, '
+        '"system": {"galerkin": {"a0": "5/2", "n_modes": 8}}, "threads": 1}'
+    ),
+    "ou_forced": (
+        '{"analysis": {"epsilon": 0.2, "law_support": 96, "shifts": ["71/16", "569/64", '
+        '"853/64", "1137/64", "711/32"], "times": ["6/1", "97/16", "49/8", "99/16", '
+        '"25/4", "101/16", "51/8", "103/16", "13/2", "105/16", "53/8", "107/16", "27/4", '
+        '"109/16", "55/8", "111/16", "7/1", "113/16", "57/8", "115/16", "29/4", '
+        '"117/16", "59/8", "119/16", "15/2"]}, '
+        '"coefficients": {"params": {"amplitude": 1.0, "sigma": 0.3}, '
+        '"preset": "ou_forced"}, "levy": {"covariance": [[1]], "dim": 1}, '
+        '"numerics": {"h": "1/64", "max_iter": 40, "n_paths": 512, "tol": 1e-12, '
+        '"truncation": 6, "window": [-6, 36]}, "seed": 7, "system": {"a": [[-1]], '
+        '"k": 1, "omega": 1, "p": [[1]]}, "threads": 1}'
+    ),
+}
+
+
 # ---------------------------------------------------------------------------
 # number parsing
 # ---------------------------------------------------------------------------
@@ -236,6 +281,11 @@ class TestConfigRoundTrip:
     def test_dict_round_trip_identity(self, name):
         cfg = preset_config(name)
         assert config_from_dict(config_to_dict(cfg)) == cfg
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_preset_echo_is_pinned(self, name):
+        echo = json.dumps(config_to_dict(preset_config(name)), sort_keys=True)
+        assert echo == PRESET_ECHOES[name]
 
     def test_file_round_trip_identity(self, tmp_path):
         cfg = preset_config("example41")
@@ -732,6 +782,38 @@ class TestCliExitCodes:
             ({"preset": "example41", "analysis": {"epsilon": "1e400"}}, "analysis.epsilon"),
             ({"preset": "example41", "system": {"galerkin": {"n_modes": 2, "a0": "-1e400"}}},
              "system.galerkin.a0"),
+            (
+                {
+                    "preset": "galerkin_heat",
+                    "system": {
+                        "galerkin": {"n_modes": 8, "a0": "5/2"},
+                        "k": 7,
+                        "omega": "1/1000",
+                        "a": [[1]],
+                        "p": [[1]],
+                    },
+                },
+                "system.omega",
+            ),
+            (
+                {
+                    "preset": "example41",
+                    "coefficients": {
+                        "params": {"amplitude": 1},
+                        "custom": {
+                            "dim_state": 2,
+                            "dim_noise": 1,
+                            "freqs": [],
+                            "drift": [[], []],
+                            "diffusion": [[[]], [[]]],
+                            "jump_small": [[], []],
+                            "jump_large": [[], []],
+                            "lipschitz": "1/64",
+                        },
+                    },
+                },
+                "coefficients.params",
+            ),
         ],
     )
     def test_malformed_config_names_key_path(self, tmp_path, capsys, data, key_path):
@@ -843,7 +925,7 @@ class TestCliErrorMapping:
         path = write_cfg(tmp_path, tiny_galerkin_dict())
         (tmp_path / "direct").mkdir()
         with pytest.raises(SolverError) as exc:
-            cmd_simulate(load_config(path), tmp_path / "direct")
+            cmd_simulate(validate_config(load_config(path)), tmp_path / "direct")
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"error: {exc.value}\n"
 
@@ -854,7 +936,7 @@ class TestCliErrorMapping:
         path = write_cfg(tmp_path, tiny_benchmark_dict())
         (tmp_path / "direct").mkdir()
         with pytest.raises(EmpiricalLawError, match="did not converge") as exc:
-            cmd_apscan(load_config(path), tmp_path / "direct")
+            cmd_apscan(validate_config(load_config(path)), tmp_path / "direct")
         assert main(["apscan", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"error: {exc.value}\n"
 
@@ -997,6 +1079,22 @@ class TestCliArtifacts:
         text = capsys.readouterr().out
         assert ("ACCEPT" in text) or ("reject" in text)
 
+    def test_apscan_time_near_a_grid_point(self, tmp_path, capsys):
+        """A time 1.2e-9 off step -48 is on the grid for validation
+        (within 1e-9 max(1, |t|)), so the scan takes it as that step too,
+        although it is more than 1e-9 off the step 16 from the window
+        start."""
+        d = {
+            "preset": "example41",
+            "numerics": {"h": "1/32", "window": [-2, 2], "n_paths": 4, "truncation": "1/2"},
+            "analysis": {"epsilon": 0.25, "shifts": ["1/4"], "times": [-1.4999999988]},
+        }
+        out = tmp_path / "o"
+        code = main(["apscan", "--config", str(write_cfg(tmp_path, d)), "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        report = json.loads((out / "apscan_report.json").read_text(encoding="utf-8"))
+        assert [entry["s"] for entry in report["shifts"]] == [0.25]
+
     def test_apscan_requires_analysis(self, tmp_path, capsys):
         d = tiny_benchmark_dict()
         d["analysis"]["times"] = []
@@ -1041,6 +1139,38 @@ class TestCliArtifacts:
 # ---------------------------------------------------------------------------
 # CLI: determinism
 # ---------------------------------------------------------------------------
+
+
+class TestOneBuildPerRun:
+    """``validate_config`` builds the system, the noise spec and the
+    coefficient set, and every command runs on what it built."""
+
+    BUILDERS = ("build_system", "build_spec", "build_coefficients")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--preset", "example41"],
+            ["simulate", "--preset", "example41", "--paths", "4"],
+            ["picard", "--preset", "example41", "--paths", "4"],
+            ["apscan", "--preset", "example41", "--paths", "4"],
+            ["galerkin", "--paths", "4"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_each_builder_runs_once(self, tmp_path, capsys, monkeypatch, argv):
+        calls = dict.fromkeys(self.BUILDERS, 0)
+        for name in self.BUILDERS:
+            def counted(*args, _name=name, _fn=getattr(levyap.config, name)):
+                calls[_name] += 1
+                return _fn(*args)
+
+            # wherever a builder is looked up, so that no call goes uncounted
+            for module in (levyap.config, levyap.cli):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
+        assert main([*argv, "--out", str(tmp_path / "o")]) in (0, 1)
+        assert calls == dict.fromkeys(self.BUILDERS, 1)
 
 
 class TestCliDeterminism:

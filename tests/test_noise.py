@@ -29,6 +29,7 @@ from levyap.noise import (
     WienerSpec,
     _KeyedStream,
     _stream_keys,
+    grid_steps,
     point_mark,
     sample_noise,
     stream,
@@ -114,6 +115,24 @@ def test_window_must_be_grid_aligned_and_contain_zero():
         sample_noise(spec, (-1.0005, 1.0), 0.01, 1, seed=0)
     with pytest.raises(NoiseSpecError, match="contain 0"):
         sample_noise(spec, (0.5, 1.0), 0.01, 1, seed=0)
+
+
+@pytest.mark.parametrize(
+    "x, h, steps",
+    [
+        (0.5, 1 / 32, 16),
+        (-2.0, 1 / 32, -64),
+        (0.0, 0.1, 0),
+        (0.3, 0.1, 3),  # 0.3 / 0.1 is 2.9999999999999996
+        # 1.2e-9 off: within 1e-9 |x| of step -48, beyond 1e-9 of step 16
+        (-1.4999999988, 1 / 32, -48),
+        (0.5000000012, 1 / 32, None),
+        (1 / 3, 1 / 32, None),
+        (1.0, 1e-310, None),  # x / h overflows
+    ],
+)
+def test_grid_steps(x, h, steps):
+    assert grid_steps(x, h) == steps
 
 
 # ---------------------------------------------------------------------------
