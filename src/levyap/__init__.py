@@ -14,9 +14,29 @@ Subpackage map:
 - ``cli``          command line entry points
 """
 
+import importlib.util
+import sys
+
 __version__ = "0.1.0"
 
 
 class LevyapError(Exception):
     """Base of every error that bad input or a failed solve raises; the
     command line reports it as ``error: <message>`` with exit code 2."""
+
+
+def _lazy_import(name: str):
+    """The module ``name``: the loaded module when it is loaded, else a
+    stand-in (``importlib.util.LazyLoader``) that runs the module's code
+    on its first attribute access.  ``levyap.cli`` and the modules that
+    ``levyap check`` loads take numpy this way, so a command that builds
+    no array never loads it."""
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module

@@ -18,9 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
-from . import LevyapError, __version__
+from . import LevyapError, __version__, _lazy_import
 from .config import (
     ConfigError,
     Run,
@@ -34,6 +32,8 @@ from .config import (
 )
 from .dichotomy import estimate_constants
 from .noise import NoiseSample, sample_noise
+
+np = _lazy_import("numpy")
 
 # levyap.solver and levyap.apdist are imported by the commands that run
 # them, so that ``check``, the start-up of every run, loads neither

@@ -24,10 +24,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-import numpy as np
-
-from . import LevyapError
+from . import LevyapError, _lazy_import
 from .noise import LevyProcessSpec
+
+np = _lazy_import("numpy")
 
 __all__ = [
     "SignalParseError",

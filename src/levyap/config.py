@@ -17,13 +17,12 @@ from __future__ import annotations
 import copy
 import json
 import math
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from typing import Optional, Union
-
-import numpy as np
 
 from . import LevyapError
 from .coefficients import (
@@ -74,7 +73,6 @@ __all__ = [
     "build_system",
     "build_spec",
     "build_coefficients",
-    "condition_inputs",
     "Run",
     "ConditionReport",
     "check_conditions",
@@ -83,8 +81,6 @@ __all__ = [
 ]
 
 Number = Union[int, float, Fraction]
-
-_GRID_TOL = 1e-9  # slack of the window-interior check on analysis times
 
 
 class ConfigError(ValueError, LevyapError):
@@ -129,10 +125,6 @@ def number_to_json(x: Number):
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
     return float(x)
-
-
-def _as_float_matrix(m: tuple[tuple[Number, ...], ...]) -> np.ndarray:
-    return np.array([[float(v) for v in row] for row in m], dtype=float)
 
 
 def _as_fraction(value, name: str) -> Fraction:
@@ -428,32 +420,22 @@ def load_config(path) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _galerkin_exact(n_modes: int, a0: Number):
-    """Exact generator, projection and constants (K, omega) of the
-    spectral system: diagonal matrices of Fractions and the
-    ``diagonal_constants`` certificate."""
-    if n_modes < 1:
-        raise ConfigError("galerkin system needs at least one mode")
-    a0 = _as_fraction(a0, "system.galerkin.a0")
-    eigs = [a0 - j * j for j in range(n_modes)]
-    a = [[e if i == j else 0 for j in range(n_modes)] for i, e in enumerate(eigs)]
-    p = [[int(e < 0) if i == j else 0 for j in range(n_modes)] for i, e in enumerate(eigs)]
-    k, omega = diagonal_constants(a, p)
-    return a, p, k, omega
-
-
 def galerkin_system(n_modes: int, a0: Number) -> DichotomousSystem:
     """Diagonal spectral system with eigenvalues a0 - k^2, k = 0..m-1.
 
     The projection separates negative from positive eigenvalues.  The
     dichotomy constants are exact: K = 1 and omega the smallest |a0 -
     k^2| (``diagonal_constants``), which raises ``NoDichotomyError``
-    when the shifted spectrum touches 0.
+    when the shifted spectrum touches 0.  They are the system's
+    ``constants``, as Fractions.
     """
-    a, p, k, omega = _galerkin_exact(n_modes, a0)
-    return DichotomousSystem.create(
-        _as_float_matrix(a), _as_float_matrix(p), k=float(k), omega=float(omega), check=False
-    )
+    if n_modes < 1:
+        raise ConfigError("galerkin system needs at least one mode")
+    a0 = _as_fraction(a0, "system.galerkin.a0")
+    eigs = [a0 - j * j for j in range(n_modes)]
+    a = [[e if i == j else 0 for j in range(n_modes)] for i, e in enumerate(eigs)]
+    p = [[int(e < 0) if i == j else 0 for j in range(n_modes)] for i, e in enumerate(eigs)]
+    return DichotomousSystem(a, p, *diagonal_constants(a, p))
 
 
 def build_system(cfg: SystemConfig) -> DichotomousSystem:
@@ -463,7 +445,10 @@ def build_system(cfg: SystemConfig) -> DichotomousSystem:
     held to its exact constants: a declared K below 1 or omega above the
     certified rate is a ConfigError naming ``system.k`` or
     ``system.omega``, and a rate that is not positive raises
-    ``NoDichotomyError``.  Any other explicit system gets the sampled
+    ``NoDichotomyError``.  That certificate implies every floating-point
+    check of ``DichotomousSystem.create``, so the system is built
+    unchecked and builds its arrays on first use.  Any other explicit
+    system gets the float checks and the sampled
     ``spot_check_dichotomy`` of ``DichotomousSystem.create``.  A galerkin
     block sets the whole system, so an explicit field beside it is a
     ConfigError naming that field.
@@ -485,24 +470,19 @@ def build_system(cfg: SystemConfig) -> DichotomousSystem:
     if not (float(cfg.k) > 0):
         raise ConfigError("system.k must be positive")
     exact = diagonal_constants(_exact_matrix(cfg.a, "system.a"), _exact_matrix(cfg.p, "system.p"))
-    if exact is not None:
-        k, omega = exact
-        if _as_fraction(cfg.k, "system.k") < k:
-            raise ConfigError(
-                f"system.k = {cfg.k} is below the certified K = {k} of this diagonal system"
-            )
-        if _as_fraction(cfg.omega, "system.omega") > omega:
-            raise ConfigError(
-                f"system.omega = {cfg.omega} is above the certified omega = {omega} "
-                "of this diagonal system"
-            )
-    return DichotomousSystem.create(
-        _as_float_matrix(cfg.a),
-        _as_float_matrix(cfg.p),
-        k=float(cfg.k),
-        omega=float(cfg.omega),
-        check=exact is None,
-    )
+    if exact is None:
+        return DichotomousSystem.create(cfg.a, cfg.p, k=float(cfg.k), omega=float(cfg.omega))
+    k, omega = exact
+    if _as_fraction(cfg.k, "system.k") < k:
+        raise ConfigError(
+            f"system.k = {cfg.k} is below the certified K = {k} of this diagonal system"
+        )
+    if _as_fraction(cfg.omega, "system.omega") > omega:
+        raise ConfigError(
+            f"system.omega = {cfg.omega} is above the certified omega = {omega} "
+            "of this diagonal system"
+        )
+    return DichotomousSystem(cfg.a, cfg.p, cfg.k, cfg.omega)
 
 
 def _build_marks(m: MarkConfig, dim: int) -> MarkSampler:
@@ -518,7 +498,7 @@ def _build_marks(m: MarkConfig, dim: int) -> MarkSampler:
 def build_spec(cfg: LevyConfig) -> LevyProcessSpec:
     wiener = None
     if cfg.covariance is not None:
-        wiener = WienerSpec(cfg.dim, _as_float_matrix(cfg.covariance))
+        wiener = WienerSpec(cfg.dim, cfg.covariance)
     jumps = tuple(
         JumpComponent(
             rate=float(j.rate), region=j.region, marks=_build_marks(j.marks, cfg.dim)
@@ -600,12 +580,6 @@ def build_coefficients(cfg: CoefficientConfig) -> CoefficientSet:
         jump_large=_vec(c.jump_large),
         lipschitz=lip,
     )
-
-
-def condition_inputs(cfg: RunConfig) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """Exact (K, omega, L, b) for the contraction conditions of a valid
-    config: ``validate_config(cfg).conditions``."""
-    return validate_config(cfg).conditions
 
 
 # ---------------------------------------------------------------------------
@@ -704,11 +678,15 @@ def check_conditions(k, omega, lipschitz, jump_bound) -> ConditionReport:
 # ---------------------------------------------------------------------------
 
 
-def _on_grid(value: float, h: float, what: str) -> None:
+def _on_grid(value: float, h: float, what: str) -> int:
+    """The whole number of steps h from 0 to ``value`` (``grid_steps``);
+    a ConfigError naming ``what`` if ``value`` is off the grid."""
     if not math.isfinite(value / h):
         raise ConfigError(f"{what} = {value} is too far from 0 in steps of h = {h}")
-    if grid_steps(value, h) is None:
+    steps = grid_steps(value, h)
+    if steps is None:
         raise ConfigError(f"{what} = {value} is not a multiple of the step h = {h}")
+    return steps
 
 
 def _finite(x: Number, name: str) -> float:
@@ -752,8 +730,8 @@ def validate_config(cfg: RunConfig) -> Run:
         raise ConfigError("numerics.window must have t_lo < t_hi")
     if not (t_lo <= 0.0 <= t_hi):
         raise ConfigError("numerics.window must contain 0 (two-sided noise)")
-    _on_grid(t_lo, h, "window start")
-    _on_grid(t_hi, h, "window end")
+    k_lo = _on_grid(t_lo, h, "window start")
+    k_hi = _on_grid(t_hi, h, "window end")
     if num.n_paths < 2:
         raise ConfigError("numerics.n_paths must be at least 2")
     if not _finite(num.tol, "numerics.tol") > 0:
@@ -779,10 +757,11 @@ def validate_config(cfg: RunConfig) -> Run:
         raise ConfigError(
             f"coefficient noise dimension {cs.dim_noise} != levy dimension {spec.dim}"
         )
-    # the noise sample and the ensemble must fit numpy's array size
-    steps = round(-t_lo / h) + round(t_hi / h)
+    # the noise sample and the ensemble must fit numpy's array size, whose
+    # bound is its largest index, sys.maxsize
+    steps = k_hi - k_lo
     for what, dim in (("noise", spec.dim), ("state", sysd.dim)):
-        if num.n_paths * steps * dim > np.iinfo(np.intp).max:
+        if num.n_paths * steps * dim > sys.maxsize:
             raise ConfigError(
                 f"numerics.h = {h} gives {float(steps):.3g} steps; n_paths x steps x {what} "
                 "dimension exceeds the largest array numpy can allocate"
@@ -792,9 +771,10 @@ def validate_config(cfg: RunConfig) -> Run:
         t_c = _finite(num.truncation, "numerics.truncation")
         if not t_c > 0:
             raise ConfigError("numerics.truncation must be positive")
-        _on_grid(t_c, h, "truncation")
+        k_c = _on_grid(t_c, h, "truncation")
     else:
         t_c = sysd.default_truncation(h)
+        k_c = grid_steps(t_c, h)
     if t_hi - t_lo < 2 * t_c:
         raise ConfigError(
             f"window [{t_lo}, {t_hi}] is narrower than twice the truncation {t_c}"
@@ -805,23 +785,20 @@ def validate_config(cfg: RunConfig) -> Run:
         raise ConfigError("analysis.epsilon must be positive")
     if ana.law_support is not None and ana.law_support < 1:
         raise ConfigError("analysis.law_support must be positive")
-    times = [float(t) for t in ana.times]
-    shifts = [float(s) for s in ana.shifts]
-    for t in times:
-        _on_grid(t, h, "analysis time")
-    for s in shifts:
-        _on_grid(s, h, "analysis shift")
-    margin_lo, margin_hi = t_lo + t_c, t_hi - t_c
-    probe = list(times) + [t + s for t in times for s in shifts]
-    for value in probe:
-        if not (margin_lo - _GRID_TOL <= value <= margin_hi + _GRID_TOL):
+    times = [(float(t), _on_grid(float(t), h, "analysis time")) for t in ana.times]
+    shifts = [(float(s), _on_grid(float(s), h, "analysis shift")) for s in ana.shifts]
+    # every analysis time and shifted time, with its grid step, must lie in
+    # the window shrunk by the truncation: compared in whole steps
+    probe = times + [(t + s, m + n) for t, m in times for s, n in shifts]
+    for value, step in probe:
+        if not (k_lo + k_c <= step <= k_hi - k_c):
             raise ConfigError(
                 f"analysis time {value} leaves the window interior "
-                f"[{margin_lo}, {margin_hi}] (window shrunk by the truncation)"
+                f"[{t_lo + t_c}, {t_hi - t_c}] (window shrunk by the truncation)"
             )
 
     if cfg.system.galerkin is not None:
-        _, _, k, omega = _galerkin_exact(cfg.system.galerkin.n_modes, cfg.system.galerkin.a0)
+        k, omega = sysd.constants
     else:
         k = _as_fraction(cfg.system.k, "system.k")
         omega = _as_fraction(cfg.system.omega, "system.omega")

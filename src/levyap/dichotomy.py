@@ -19,18 +19,21 @@ probe vectors (``spot_check_dichotomy``).
 The exponential and its integral of a diagonal generator are taken
 entrywise in closed form (``matrix_exp``, ``integrated_exp``), so a
 diagonal system loads no scipy module; scipy is imported on the first
-exponential of a matrix that is not diagonal.
+exponential of a matrix that is not diagonal.  numpy itself is loaded on
+the first array a system builds, so a system certified by
+``diagonal_constants`` that only reports its constants loads neither.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
-import numpy as np
+from . import LevyapError, _lazy_import
 
-from . import LevyapError
+np = _lazy_import("numpy")
 
 __all__ = [
     "DichotomyError",
@@ -136,24 +139,63 @@ def _orthonormal_range(m: np.ndarray) -> np.ndarray:
     return u[:, :rank]
 
 
-@dataclass(frozen=True, eq=False)
 class DichotomousSystem:
     """Generator, projection and dichotomy constants, with derived bases.
 
-    Use :meth:`create` to construct; it validates the projection algebra
-    and optionally spot-checks the declared decay bounds.
+    The constructor trusts its input: it is for a system whose constants
+    ``diagonal_constants`` certified exactly, which implies everything
+    :meth:`create` checks.  Use :meth:`create` for any other system; it
+    validates the projection algebra in floating point and optionally
+    spot-checks the declared decay bounds.
+
+    ``a`` and ``p`` are arrays or rows of numbers; their float arrays,
+    ``j = I - P``, the orthonormal bases of range(P) and range(I - P) and
+    the compressions of A to them are built on first use and kept, so a
+    system that only reports its constants builds no array.
+    ``constants`` holds K and omega as given (exact rationals from a
+    config), ``k`` and ``omega`` their float values.
     """
 
-    dim: int
-    a: np.ndarray
-    p: np.ndarray
-    k: float
-    omega: float
-    j: np.ndarray
-    basis_stable: np.ndarray      # orthonormal basis of range(P)
-    gen_stable: np.ndarray        # A compressed to range(P)
-    basis_unstable: np.ndarray    # orthonormal basis of range(I - P)
-    gen_unstable: np.ndarray      # A compressed to range(I - P)
+    def __init__(self, a, p, k, omega):
+        self.dim = len(a)
+        self.constants = (k, omega)
+        self.k = float(k)
+        self.omega = float(omega)
+        self._given = (a, p)
+
+    @cached_property
+    def a(self) -> np.ndarray:
+        return np.asarray(self._given[0], dtype=float)
+
+    @cached_property
+    def p(self) -> np.ndarray:
+        return np.asarray(self._given[1], dtype=float)
+
+    @cached_property
+    def j(self) -> np.ndarray:
+        return np.eye(self.dim) - self.p
+
+    @cached_property
+    def basis_stable(self) -> np.ndarray:
+        """Orthonormal basis of range(P)."""
+        return _orthonormal_range(self.p)
+
+    @cached_property
+    def gen_stable(self) -> np.ndarray:
+        """A compressed to range(P)."""
+        u = self.basis_stable
+        return u.T @ self.a @ u
+
+    @cached_property
+    def basis_unstable(self) -> np.ndarray:
+        """Orthonormal basis of range(I - P)."""
+        return _orthonormal_range(self.j)
+
+    @cached_property
+    def gen_unstable(self) -> np.ndarray:
+        """A compressed to range(I - P)."""
+        u = self.basis_unstable
+        return u.T @ self.a @ u
 
     @classmethod
     def create(
@@ -182,23 +224,9 @@ class DichotomousSystem:
             raise DichotomyError("constant K must be positive and finite")
         if not (omega > 0 and np.isfinite(omega)):
             raise DichotomyError("constant omega must be positive and finite")
-        j = np.eye(d) - p
-        u_p = _orthonormal_range(p)
-        u_j = _orthonormal_range(j)
-        if u_p.shape[1] + u_j.shape[1] != d:
+        sys = cls(a, p, k, omega)
+        if sys.rank_stable + sys.rank_unstable != d:
             raise DichotomyError("ranges of P and I - P do not span the space")
-        sys = cls(
-            dim=d,
-            a=a,
-            p=p,
-            k=float(k),
-            omega=float(omega),
-            j=j,
-            basis_stable=u_p,
-            gen_stable=u_p.T @ a @ u_p,
-            basis_unstable=u_j,
-            gen_unstable=u_j.T @ a @ u_j,
-        )
         if check:
             worst = spot_check_dichotomy(sys)
             if worst > 1.0 + 1e-9:

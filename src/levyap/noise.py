@@ -32,11 +32,13 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, replace
+from functools import cached_property
+from numbers import Real
 from typing import Optional, Sequence
 
-import numpy as np
+from . import LevyapError, _lazy_import
 
-from . import LevyapError
+np = _lazy_import("numpy")
 
 __all__ = [
     "NoiseSpecError",
@@ -234,7 +236,7 @@ class MarkSampler:
     def norm_bounds(self) -> tuple[float, float]:
         """Return (min, max) of the mark norm over the support."""
         if self.kind == "point":
-            r = float(np.linalg.norm(self.params["x"]))
+            r = math.hypot(*self.params["x"])
             return r, r
         if self.kind == "uniform_interval":
             a, b = self.params["a"], self.params["b"]
@@ -279,17 +281,18 @@ class MarkSampler:
 
     def validate(self) -> None:
         if self.kind == "point":
-            x = np.asarray(self.params["x"], dtype=float)
-            if x.ndim != 1 or not np.all(np.isfinite(x)):
+            x = self.params["x"]
+            vector = isinstance(x, (list, tuple)) and all(isinstance(v, Real) for v in x)
+            if not (vector and all(map(math.isfinite, x))):
                 raise NoiseSpecError("point mark must be a finite vector")
         elif self.kind == "uniform_interval":
             a, b = self.params["a"], self.params["b"]
-            if not (np.isfinite(a) and np.isfinite(b) and a < b):
+            if not (math.isfinite(a) and math.isfinite(b) and a < b):
                 raise NoiseSpecError("uniform_interval mark needs a < b, finite")
         elif self.kind == "uniform_annulus":
             r0, r1 = self.params["r0"], self.params["r1"]
             d = int(self.params["dim"])
-            if not (0.0 < r0 <= r1 and np.isfinite(r1)):
+            if not (0.0 < r0 <= r1 and math.isfinite(r1)):
                 raise NoiseSpecError("uniform_annulus mark needs 0 < r0 <= r1")
             if d < 1:
                 raise NoiseSpecError("uniform_annulus mark needs dim >= 1")
@@ -314,15 +317,20 @@ def uniform_annulus_mark(r0: float, r1: float, dim: int = 1) -> MarkSampler:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class WienerSpec:
-    """Wiener part: dimension and covariance matrix Q (per unit time)."""
+    """Wiener part: dimension and covariance matrix Q (per unit time).
 
-    dim: int
-    covariance: np.ndarray
+    Q is given (``rows``) as an array or as rows of numbers;
+    ``covariance``, its float array, is built on first use and kept.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "covariance", np.asarray(self.covariance, dtype=float))
+    def __init__(self, dim: int, covariance):
+        self.dim = dim
+        self.rows = covariance
+
+    @cached_property
+    def covariance(self) -> np.ndarray:
+        return np.asarray(self.rows, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -354,24 +362,36 @@ def validate_spec(spec: LevyProcessSpec) -> None:
     Raises NoiseSpecError on: non-symmetric or indefinite Wiener
     covariance, dimension mismatches, nonpositive or infinite rates, and
     mark supports that contradict the declared small/large region.
+
+    A covariance given as rows of numbers with only zeros off the
+    diagonal is symmetric, and its diagonal holds its eigenvalues, so it
+    is checked on its diagonal by the same rules, with no array built.
+    Any other covariance is checked on its float array, with
+    ``eigvalsh``.
     """
     if spec.dim < 1:
         raise NoiseSpecError("noise dimension must be >= 1")
     if spec.wiener is not None:
-        q = spec.wiener.covariance
         if spec.wiener.dim != spec.dim:
             raise NoiseSpecError("wiener dimension must match the noise dimension")
-        if q.shape != (spec.dim, spec.dim):
+        eigs = _diagonal(spec.wiener.rows)
+        if eigs is None:
+            q = spec.wiener.covariance
+            if q.shape != (spec.dim, spec.dim):
+                raise NoiseSpecError("wiener covariance must be dim x dim")
+            if not np.all(np.isfinite(q)):
+                raise NoiseSpecError("wiener covariance must be finite")
+            if not np.allclose(q, q.T, atol=1e-12 * max(1.0, float(np.abs(q).max()))):
+                raise NoiseSpecError("wiener covariance must be symmetric")
+            eigs = np.linalg.eigvalsh((q + q.T) / 2.0)
+        elif len(eigs) != spec.dim:
             raise NoiseSpecError("wiener covariance must be dim x dim")
-        if not np.all(np.isfinite(q)):
+        elif not all(map(math.isfinite, eigs)):
             raise NoiseSpecError("wiener covariance must be finite")
-        if not np.allclose(q, q.T, atol=1e-12 * max(1.0, float(np.abs(q).max()))):
-            raise NoiseSpecError("wiener covariance must be symmetric")
-        eigs = np.linalg.eigvalsh((q + q.T) / 2.0)
-        if eigs.min() < -1e-12 * max(1.0, eigs.max()):
+        if min(eigs) < -1e-12 * max(1.0, max(eigs)):
             raise NoiseSpecError("wiener covariance must be positive semidefinite")
     for i, comp in enumerate(spec.jumps):
-        if not (np.isfinite(comp.rate) and comp.rate > 0):
+        if not (math.isfinite(comp.rate) and comp.rate > 0):
             raise NoiseSpecError(f"jump component {i}: rate must be finite and > 0")
         if comp.region not in ("small", "large"):
             raise NoiseSpecError(f"jump component {i}: region must be 'small' or 'large'")
@@ -387,6 +407,19 @@ def validate_spec(spec: LevyProcessSpec) -> None:
             raise NoiseSpecError(
                 f"jump component {i}: declared large but marks reach norm {rmin}"
             )
+
+
+def _diagonal(rows) -> Optional[list[float]]:
+    """The diagonal, as floats, of a square matrix given as a list or
+    tuple of rows with only zeros off the diagonal; else None."""
+    if not isinstance(rows, (list, tuple)):
+        return None
+    n = len(rows)
+    if any(not isinstance(row, (list, tuple)) or len(row) != n for row in rows):
+        return None
+    if any(float(v) != 0 for i, row in enumerate(rows) for j, v in enumerate(row) if j != i):
+        return None
+    return [float(row[i]) for i, row in enumerate(rows)]
 
 
 # ---------------------------------------------------------------------------

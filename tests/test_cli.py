@@ -28,7 +28,6 @@ from levyap.coefficients import CoefficientError, SignalParseError, UnboundedSig
 from levyap.config import (
     FIELD_TABLES,
     ConfigError,
-    condition_inputs,
     config_from_dict,
     config_to_dict,
     galerkin_system,
@@ -409,6 +408,32 @@ class TestValidation:
         # truncation 1/2 on window [-1, 2] leaves usable times [-1/2, 3/2]
         self.check_rejects(lambda d: d["analysis"].update(shifts=["3/2"]))
 
+    def test_times_within_grid_tolerance_of_the_interior_edge(self, tmp_path, capsys):
+        """The window-interior check counts whole steps, so a time that the
+        grid rule places on the interior's edge passes although it lies a
+        few 1e-9 past it: 7.000000006 is step 224 of h = 1/32 and, shifted
+        by 1, step 256, the edge of galerkin_heat's interior [0, 8].  The
+        scan reads the same steps and runs to its report."""
+        data = {
+            "preset": "galerkin_heat",
+            "analysis": {"epsilon": 0.3, "shifts": [1], "times": [0, 7.000000006]},
+        }
+        cfg = write_cfg(tmp_path, data)
+        assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
+        out = tmp_path / "a"
+        assert main(["apscan", "--config", str(cfg), "--out", str(out), "--paths", "4"]) in (0, 1)
+        report = json.loads((out / "apscan_report.json").read_text(encoding="utf-8"))
+        assert [entry["s"] for entry in report["shifts"]] == [1.0]
+        assert "leaves the window interior" not in capsys.readouterr().err
+
+    def test_time_one_step_past_the_interior_edge(self):
+        d = {
+            "preset": "galerkin_heat",
+            "analysis": {"epsilon": 0.3, "shifts": [1], "times": [0, "225/32"]},
+        }
+        with pytest.raises(ConfigError, match="analysis time 8.03125 leaves the window interior"):
+            validate_config(config_from_dict(d))
+
     def test_window_too_narrow_for_truncation(self):
         self.check_rejects(lambda d: d["numerics"].update(truncation=2))
 
@@ -454,7 +479,7 @@ class TestValidation:
 class TestConditionInputs:
     def test_benchmark_inputs_exact(self):
         cfg = preset_config("example41")
-        k, omega, lip, b = condition_inputs(cfg)
+        k, omega, lip, b = validate_config(cfg).conditions
         assert (k, omega, lip, b) == (
             Fraction(1),
             Fraction(6),
@@ -472,8 +497,22 @@ class TestConditionInputs:
                 "marks": {"kind": "uniform_interval", "a": 2, "b": 3},
             }
         ]
-        _, _, _, b = condition_inputs(config_from_dict(d))
+        _, _, _, b = validate_config(config_from_dict(d)).conditions
         assert b == Fraction(3, 2)
+
+    def test_galerkin_constants_derived_once(self, monkeypatch):
+        """A galerkin run certifies its exact (K, omega) once, in the
+        system build, and the condition inputs read them from the system."""
+        calls = []
+
+        def counted(a, p, _fn=levyap.config.diagonal_constants):
+            calls.append(len(a))
+            return _fn(a, p)
+
+        monkeypatch.setattr(levyap.config, "diagonal_constants", counted)
+        run = validate_config(preset_config("galerkin_heat"))
+        assert calls == [8]
+        assert run.conditions[:2] == (Fraction(1), Fraction(3, 2)) == run.system.constants
 
 
 class TestGalerkinSystem:
@@ -1299,6 +1338,43 @@ class TestCliDeterminism:
         ]
         steps = modules_after(check_every_preset(tmp_path) + runs, ["scipy.*"])
         assert steps == [(None, [])] + [(0, [])] * (len(preset_names()) + len(runs))
+
+    def test_check_runs_no_numpy_code(self, tmp_path):
+        """``check`` is the set-up run the benchmark times: importing the
+        CLI and checking, at ``--seed 41 --threads 2``, every shipped
+        preset, the ``apscan-ex41`` scan config and example41 at the fine
+        step run no numpy code.  Their systems and covariances are
+        diagonal, so they are certified exactly and no array is built;
+        ``numpy`` may stand in ``sys.modules`` as a lazy module, but none
+        of its submodules is loaded.  A system that is not diagonal gets
+        the floating-point checks, and loads numpy."""
+        scan = {
+            "preset": "example41",
+            "analysis": {
+                "epsilon": 0.25,
+                "shifts": ["1/4", "1/2", "3/4", 1],
+                "times": [0, "1/4", "1/2", "3/4", 1],
+                "law_support": 24,
+            },
+        }
+        coupled = {
+            "preset": "example41",
+            "system": {"a": [[-6, 1], [0, -6]], "p": [[1, 0], [0, 1]], "k": 1, "omega": 5},
+        }
+        extra = ("--seed", "41", "--threads", "2")
+        runs = [
+            ["check", "--config", str(write_cfg(tmp_path, scan, name="scan.json")), "--out",
+             str(tmp_path / "scan"), *extra],
+            ["check", "--preset", "example41", "--dt", "1/1024", "--paths", "1024", "--out",
+             str(tmp_path / "fine"), *extra],
+            ["check", "--config", str(write_cfg(tmp_path, coupled, name="coupled.json")), "--out",
+             str(tmp_path / "coupled"), *extra],
+        ]
+        steps = modules_after(check_every_preset(tmp_path, extra) + runs, ["numpy.*"])
+        submodules = [(code, [m for m in loaded if m != "numpy"]) for code, loaded in steps]
+        assert submodules[:-1] == [(None, [])] + [(0, [])] * (len(preset_names()) + 2)
+        code, loaded = submodules[-1]
+        assert code == 0 and "numpy.linalg" in loaded
 
     def test_check_does_not_load_the_csv_formatter(self, tmp_path):
         """The CSV writer imports its float formatter, and builds its

@@ -441,6 +441,20 @@ def test_spot_check_holds_under_certified_constants_on_presets(name):
     assert est.omega_hat == pytest.approx(sysd.omega, rel=1e-12)
 
 
+@pytest.mark.parametrize("name", preset_names())
+def test_certified_system_builds_the_arrays_create_checks(name):
+    """A diagonal system built from its exact entries runs no float check
+    and builds its arrays on first use.  They are bit for bit those of
+    ``create`` on the same entries as floats, whose checks it passes."""
+    sysd = build_system(preset_config(name).system)
+    lazy = ("a", "p", "j", "basis_stable", "gen_stable", "basis_unstable", "gen_unstable")
+    assert not set(lazy) & set(vars(sysd))
+    ref = DichotomousSystem.create(sysd.a, sysd.p, sysd.k, sysd.omega)
+    for attr in lazy:
+        got, want = getattr(sysd, attr), getattr(ref, attr)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), attr
+
+
 def test_galerkin_fit_agrees_with_exact_constants():
     sysd = build_system(preset_config("galerkin_heat").system)
     assert (sysd.k, sysd.omega) == (1.0, 1.5)

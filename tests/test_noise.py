@@ -87,6 +87,32 @@ def test_validate_rejects_indefinite_covariance():
         validate_spec(spec)
 
 
+@pytest.mark.parametrize(
+    "diagonal",
+    [(1, 0.5), (1, -0.5), (0.0, -1e-13), (1, -2e-12), (2e12, -1.9), (2e12, -2.1),
+     (float("nan"), 1.0), (float("inf"), 1.0), (1.0,), (1.0, 2.0, 3.0)],
+)
+def test_diagonal_covariance_rows_checked_like_arrays(diagonal):
+    """A diagonal covariance given as rows is checked on its diagonal, its
+    eigenvalues, and builds no array: it passes, or fails with the same
+    message, exactly where the same matrix as an array does under the
+    symmetric test and ``eigvalsh``."""
+    n = len(diagonal)
+    rows = tuple(tuple(v if i == j else 0 for j in range(n)) for i, v in enumerate(diagonal))
+
+    def outcome(q):
+        wiener = WienerSpec(2, q)
+        try:
+            validate_spec(LevyProcessSpec(dim=2, wiener=wiener))
+        except NoiseSpecError as exc:
+            return str(exc), wiener
+        return None, wiener
+
+    message, wiener = outcome(rows)
+    assert "covariance" not in vars(wiener)
+    assert message == outcome(np.array(rows, dtype=float))[0]
+
+
 def test_validate_rejects_region_mismatch():
     spec = LevyProcessSpec(
         dim=1, jumps=(JumpComponent(1.0, "small", uniform_interval_mark(0.5, 1.5)),)
