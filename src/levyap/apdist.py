@@ -23,7 +23,7 @@ every call.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Optional, Sequence
 
 import numpy as np
@@ -49,16 +49,12 @@ class EmpiricalLawError(ValueError, LevyapError):
     """Raised on malformed empirical laws or scan inputs."""
 
 
-@dataclass(frozen=True, eq=False)
 class EmpiricalLaw:
     """A finitely supported probability measure: points and weights."""
 
-    points: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
+    def __init__(self, points: np.ndarray, weights: np.ndarray):
+        pts = np.asarray(points, dtype=float)
+        w = np.asarray(weights, dtype=float)
         if pts.ndim != 2 or len(pts) == 0:
             raise EmpiricalLawError("points must be a nonempty (n, d) array")
         if w.shape != (len(pts),):
@@ -69,10 +65,10 @@ class EmpiricalLaw:
             raise EmpiricalLawError("weights must be nonnegative")
         if abs(w.sum() - 1.0) > 1e-9:
             raise EmpiricalLawError(f"weights sum to {w.sum()}, expected 1")
-        object.__setattr__(self, "points", pts)
+        self.points = pts
         # weights down to -1e-12 are accepted as rounding; store them as 0
         # so that the weights are a probability vector
-        object.__setattr__(self, "weights", np.maximum(w, 0.0))
+        self.weights = np.maximum(w, 0.0)
 
     @classmethod
     def from_samples(cls, points: np.ndarray) -> "EmpiricalLaw":
@@ -365,21 +361,18 @@ def _law_paths(n_paths: int, n_support: Optional[int], seed: int) -> np.ndarray:
     return gen.choice(n_paths, size=n_support, replace=True, p=np.full(n_paths, 1.0 / n_paths))
 
 
-@dataclass(frozen=True)
-class APScanReport:
+class APScanReport(
+    namedtuple("APScanReport", "shifts sup_beta eps accepted max_gap pairs_per_shift")
+):
     """Result of scanning candidate shifts for almost periodicity in
-    distribution: per-shift sup of the distances beta(law(t+s), law(t))
-    and the number of pairs it was taken over, the mask of shifts
-    accepted at the threshold eps, and the largest gap between
-    consecutive accepted shifts (with 0 counted as accepted; infinite
-    when no shift is accepted)."""
+    distribution: the shifts, per shift the sup of the distances
+    beta(law(t+s), law(t)), the threshold eps, the mask of shifts
+    accepted at it, the largest gap between consecutive accepted shifts
+    (with 0 counted as accepted; infinite when no shift is accepted) and
+    per shift the number of pairs the sup was taken over.  All but eps
+    and the gap are arrays."""
 
-    shifts: np.ndarray
-    sup_beta: np.ndarray
-    eps: float
-    accepted: np.ndarray
-    max_gap: float
-    pairs_per_shift: np.ndarray
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         """The body of ``apscan_report.json``; an infinite gap is None."""

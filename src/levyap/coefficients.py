@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -74,33 +74,14 @@ class CoefficientError(ValueError, LevyapError):
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class _Num:
-    value: float
-
-
-@dataclass(frozen=True)
-class _Osc:
-    fn: str  # "cos" | "sin"
-    slot: int  # 0-based frequency index
-
-
-@dataclass(frozen=True)
-class _Neg:
-    arg: object
-
-
-@dataclass(frozen=True)
-class _Fun:
-    fn: str  # "cos" | "sin"
-    arg: object
-
-
-@dataclass(frozen=True)
-class _Bin:
-    op: str  # + - * /
-    lhs: object
-    rhs: object
+# expression nodes: ``fn`` is "cos" or "sin", ``slot`` a 0-based
+# frequency index, ``op`` one of + - * /.  No two node types can hold
+# equal items, so trees compare equal only when they are the same tree.
+_Num = namedtuple("_Num", "value")
+_Osc = namedtuple("_Osc", "fn slot")
+_Neg = namedtuple("_Neg", "arg")
+_Fun = namedtuple("_Fun", "fn arg")
+_Bin = namedtuple("_Bin", "op lhs rhs")
 
 
 def _eval_expr(node, t: np.ndarray, freqs: tuple[float, ...]) -> np.ndarray:
@@ -266,8 +247,7 @@ class _Parser:
             raise SignalParseError(f"unexpected token {tok!r}") from None
 
 
-@dataclass(frozen=True)
-class QuasiPeriodicSignal:
+class QuasiPeriodicSignal(namedtuple("QuasiPeriodicSignal", "frequencies expr source")):
     """A bounded quasi-periodic scalar signal of time.
 
     ``frequencies`` lists the base frequencies; the expression refers to
@@ -276,9 +256,7 @@ class QuasiPeriodicSignal:
     UnboundedSignalError otherwise.
     """
 
-    frequencies: tuple[float, ...]
-    expr: object
-    source: str
+    __slots__ = ()
 
     @classmethod
     def parse(cls, text: str, frequencies: Sequence[float] = ()) -> "QuasiPeriodicSignal":
@@ -335,11 +313,9 @@ def _k_sin_shift(y, aux, out=None):
     return np.sin(np.add(y, aux, out=out), out=out)
 
 
-@dataclass(frozen=True)
-class _Kernel:
-    func: object
-    lipschitz: float  # in y, uniform over aux
-    needs_inner: bool
+# a kernel's function, its Lipschitz constant in y (uniform over aux),
+# and whether it reads an inner signal
+_Kernel = namedtuple("_Kernel", "func lipschitz needs_inner")
 
 
 KERNELS: dict[str, _Kernel] = {
@@ -350,21 +326,22 @@ KERNELS: dict[str, _Kernel] = {
 }
 
 
-@dataclass(frozen=True)
-class CoefficientTerm:
+class CoefficientTerm(
+    namedtuple(
+        "CoefficientTerm",
+        "scale kernel coord outer inner mark_weights",
+        defaults=(0, None, None, None),
+    )
+):
     """One additive term of a coefficient map.
 
     Value at (t, y, x):
         scale * outer(t) * kernel(y[coord], inner(t)) * (w . x if given).
-    ``mark_weights`` is only meaningful for jump maps.
+    ``outer`` and ``inner`` are QuasiPeriodicSignals or None,
+    ``mark_weights`` a tuple of floats, only meaningful for jump maps.
     """
 
-    scale: float
-    kernel: str
-    coord: int = 0
-    outer: Optional[QuasiPeriodicSignal] = None
-    inner: Optional[QuasiPeriodicSignal] = None
-    mark_weights: Optional[tuple[float, ...]] = None
+    __slots__ = ()
 
     def sup_time_factor(self) -> float:
         return 1.0 if self.outer is None else self.outer.sup_abs()
@@ -374,25 +351,36 @@ VectorTerms = tuple[tuple[CoefficientTerm, ...], ...]  # indexed by output coord
 MatrixTerms = tuple[tuple[tuple[CoefficientTerm, ...], ...], ...]  # row, column
 
 
-@dataclass(frozen=True)
 class CoefficientSet:
     """The four coefficient maps of the semilinear equation.
 
+    ``drift``, ``jump_small`` and ``jump_large`` hold one term tuple per
+    state coordinate, ``diffusion`` one per (state, noise) entry.
     ``lipschitz`` is the declared constant L entering the contraction
     conditions: an upper bound for the squared Lipschitz constants of the
     drift and diffusion and for the jump ones weighted by their intensity
     mass.  It may be a Fraction to keep condition checks exact.
+    Construction checks that the maps fit the dimensions and that every
+    term names a known kernel and a state coordinate.
     """
 
-    dim_state: int
-    dim_noise: int
-    drift: VectorTerms
-    diffusion: MatrixTerms
-    jump_small: VectorTerms
-    jump_large: VectorTerms
-    lipschitz: Number
-
-    def __post_init__(self):
+    def __init__(
+        self,
+        dim_state: int,
+        dim_noise: int,
+        drift: VectorTerms,
+        diffusion: MatrixTerms,
+        jump_small: VectorTerms,
+        jump_large: VectorTerms,
+        lipschitz: Number,
+    ):
+        self.dim_state = dim_state
+        self.dim_noise = dim_noise
+        self.drift = drift
+        self.diffusion = diffusion
+        self.jump_small = jump_small
+        self.jump_large = jump_large
+        self.lipschitz = lipschitz
         if len(self.drift) != self.dim_state:
             raise CoefficientError("drift needs one term tuple per state coordinate")
         if len(self.jump_small) != self.dim_state or len(self.jump_large) != self.dim_state:
@@ -421,22 +409,16 @@ class CoefficientSet:
                 yield from terms
 
 
-@dataclass(frozen=True)
-class PreparedTerm:
-    """A term made ready for one set of evaluation points.
+PreparedTerm = namedtuple(
+    "PreparedTerm", "scale kernel coord inner outer mark", defaults=(None, None, None)
+)
+PreparedTerm.__doc__ = """A term made ready for one set of evaluation points.
 
-    ``scale`` has any compensator weight folded in; ``inner`` and
-    ``outer`` are the term's signals evaluated at the points' times and
-    ``mark`` its factor w . x at jump events, each shaped to broadcast
-    against the output.  Absent factors are None.
-    """
-
-    scale: float
-    kernel: str
-    coord: int
-    inner: Optional[np.ndarray] = None
-    outer: Optional[np.ndarray] = None
-    mark: Optional[np.ndarray] = None
+``scale`` has any compensator weight folded in; ``inner`` and ``outer``
+are the term's signals evaluated at the points' times and ``mark`` its
+factor w . x at jump events, each an array shaped to broadcast against
+the output.  Absent factors are None.
+"""
 
 
 def _prepare(term: CoefficientTerm, ts, x=None, scale=None) -> PreparedTerm:
@@ -490,7 +472,7 @@ def compensator_terms(
                 w = np.asarray(term.mark_weights)
                 weight = sum(c.rate * float(c.marks.mean() @ w) for c in smalls)
             if weight != 0.0:
-                plain = replace(term, mark_weights=None)
+                plain = term._replace(mark_weights=None)
                 row.append(_prepare(plain, ts, scale=term.scale * weight))
         rows.append(tuple(row))
     return tuple(rows)
@@ -551,17 +533,16 @@ def jump_terms(tmap: VectorTerms, ts, x) -> tuple[tuple[PreparedTerm, ...], ...]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LipschitzReport:
+class LipschitzReport(
+    namedtuple("LipschitzReport", "declared observed slack passed n_samples")
+):
     """Empirical Lipschitz check of a coefficient set against its
-    declared constant.  Jump maps are weighted by their intensity mass,
-    matching how the constant enters the contraction conditions."""
+    declared constant: the declared constant, the observed ratio of each
+    map (a dict), the slack allowed, the verdict and the sample count.
+    Jump maps are weighted by their intensity mass, matching how the
+    constant enters the contraction conditions."""
 
-    declared: float
-    observed: dict
-    slack: float
-    passed: bool
-    n_samples: int
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {

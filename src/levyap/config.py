@@ -19,7 +19,6 @@ import json
 import math
 import sys
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from typing import Optional, Union
@@ -261,6 +260,17 @@ def _parse_window(obj, path: str) -> tuple[Number, Number]:
     return pair
 
 
+def _parse_matrix(obj, path: str) -> tuple[tuple[Number, ...], ...]:
+    rows = _ROWS.parse(obj, path)
+    for i, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            raise ConfigError(
+                f"{path}[{i}]: {len(row)} entries where {path}[0] has "
+                f"{len(rows[0])}; the rows of a matrix must have equal length"
+            )
+    return rows
+
+
 def _parse_params(obj, path: str) -> dict:
     return {k: parse_number(v, _join(path, k)) for k, v in _as_object(obj, path).items()}
 
@@ -280,7 +290,8 @@ _NUMBER = Codec(parse_number, number_to_json)
 _INT = Codec(_parse_int, lambda v: v)
 _STR = Codec(_parse_str, lambda v: v)
 _NUMBERS = _list_of(_NUMBER)
-_MATRIX = _list_of(_NUMBERS, nonempty=True)
+_ROWS = _list_of(_NUMBERS, nonempty=True)
+_MATRIX = Codec(_parse_matrix, _ROWS.write)
 _WINDOW = Codec(_parse_window, _NUMBERS.write)
 _PARAMS = Codec(_parse_params, lambda d: {k: number_to_json(v) for k, v in d.items()})
 
@@ -587,8 +598,13 @@ def build_coefficients(cfg: CoefficientConfig) -> CoefficientSet:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(
+    namedtuple(
+        "ConditionReport",
+        "k omega lipschitz jump_bound lhs threshold_existence threshold_distribution eta "
+        "verdict_existence verdict_distribution",
+    )
+):
     """Exact feasibility report for the mean-square contraction conditions.
 
     ``lhs = (1+2b)/omega^2 + 2/omega`` is compared against the weak
@@ -600,20 +616,11 @@ class ConditionReport:
     the weak inequality alone is exposed as ``eta_below_one``.
 
     ``eta = 16 K^2 L (1+2b)/omega^2 + 32 K^2 L / omega`` is the geometric
-    rate of the Picard iteration in mean square.  All fields are exact
-    rationals.
+    rate of the Picard iteration in mean square.  All fields but the two
+    verdicts are exact rationals.
     """
 
-    k: Fraction
-    omega: Fraction
-    lipschitz: Fraction
-    jump_bound: Fraction
-    lhs: Fraction
-    threshold_existence: Fraction
-    threshold_distribution: Fraction
-    eta: Fraction
-    verdict_existence: bool
-    verdict_distribution: bool
+    __slots__ = ()
 
     @property
     def eta_below_one(self) -> bool:

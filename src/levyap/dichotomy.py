@@ -26,7 +26,7 @@ the first array a system builds, so a system certified by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
@@ -349,13 +349,10 @@ def spot_check_dichotomy(
     return worst
 
 
-@dataclass(frozen=True)
-class DichotomyEstimate:
+class DichotomyEstimate(namedtuple("DichotomyEstimate", "k_hat omega_hat max_residual")):
     """Envelope fit of dichotomy constants from sampled propagator norms."""
 
-    k_hat: float
-    omega_hat: float
-    max_residual: float
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {

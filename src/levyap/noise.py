@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from functools import cached_property
 from numbers import Real
 from typing import Optional, Sequence
@@ -184,18 +184,17 @@ class _KeyedStream:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MarkSampler:
+class MarkSampler(namedtuple("MarkSampler", "kind params")):
     """Mark distribution of one jump component.
 
-    ``kind`` selects the family; ``params`` holds the family parameters.
-    Every family knows how to draw marks, report its exact mean, bound the
-    mark norm (used to check the small/large region split) and provide
-    quadrature nodes for expectations of mark-dependent integrands.
+    ``kind`` selects the family; ``params`` (a dict) holds the family
+    parameters.  Every family knows how to draw marks, report its exact
+    mean, bound the mark norm (used to check the small/large region
+    split) and provide quadrature nodes for expectations of
+    mark-dependent integrands.
     """
 
-    kind: str
-    params: dict
+    __slots__ = ()
 
     def dim(self) -> int:
         if self.kind == "point":
@@ -333,27 +332,19 @@ class WienerSpec:
         return np.asarray(self.rows, dtype=float)
 
 
-@dataclass(frozen=True)
-class JumpComponent:
-    """One finite-activity jump stream.
+JumpComponent = namedtuple("JumpComponent", "rate region marks")
+JumpComponent.__doc__ = """One finite-activity jump stream: its rate, its region and its
+``MarkSampler``.
 
-    ``region`` declares where the marks live relative to the unit ball:
-    ``"small"`` streams are compensated (martingale part), ``"large"``
-    streams are not.
-    """
+``region`` declares where the marks live relative to the unit ball:
+``"small"`` streams are compensated (martingale part), ``"large"``
+streams are not.
+"""
 
-    rate: float
-    region: str
-    marks: MarkSampler
-
-
-@dataclass(frozen=True)
-class LevyProcessSpec:
-    """Full two-sided Levy noise specification."""
-
-    dim: int
-    wiener: Optional[WienerSpec] = None
-    jumps: tuple[JumpComponent, ...] = ()
+LevyProcessSpec = namedtuple("LevyProcessSpec", "dim wiener jumps", defaults=(None, ()))
+LevyProcessSpec.__doc__ = """Full two-sided Levy noise specification: the dimension, the
+``WienerSpec`` (None for no Wiener part) and a tuple of
+``JumpComponent``."""
 
 
 def validate_spec(spec: LevyProcessSpec) -> None:
@@ -427,7 +418,6 @@ def _diagonal(rows) -> Optional[list[float]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class NoiseSample:
     """A frozen multi-path noise sample on one uniform grid, as arrays.
 
@@ -445,17 +435,31 @@ class NoiseSample:
     steps, so shifting by ``s`` and then ``-s`` is exact.
     """
 
-    spec: LevyProcessSpec
-    h: float
-    k_lo: int
-    n_steps: int
-    dW: np.ndarray
-    event_path: np.ndarray
-    event_step: np.ndarray
-    event_region: np.ndarray
-    event_marks: np.ndarray
-    event_times_base: np.ndarray
-    shift_steps: int = 0
+    def __init__(
+        self,
+        spec: LevyProcessSpec,
+        h: float,
+        k_lo: int,
+        n_steps: int,
+        dW: np.ndarray,
+        event_path: np.ndarray,
+        event_step: np.ndarray,
+        event_region: np.ndarray,
+        event_marks: np.ndarray,
+        event_times_base: np.ndarray,
+        shift_steps: int = 0,
+    ):
+        self.spec = spec
+        self.h = h
+        self.k_lo = k_lo
+        self.n_steps = n_steps
+        self.dW = dW
+        self.event_path = event_path
+        self.event_step = event_step
+        self.event_region = event_region
+        self.event_marks = event_marks
+        self.event_times_base = event_times_base
+        self.shift_steps = shift_steps
 
     @property
     def n_paths(self) -> int:
@@ -496,8 +500,9 @@ class NoiseSample:
                     f"[{k_lo * h}, {(k_lo + self.n_steps) * h}]"
                 )
         keep = (self.event_step >= a) & (self.event_step < b)
-        return replace(
-            self,
+        return NoiseSample(
+            spec=self.spec,
+            h=h,
             k_lo=k_lo + a,
             n_steps=b - a,
             dW=self.dW[:, a:b],

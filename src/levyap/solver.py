@@ -11,11 +11,12 @@ where dF collects the drift, the Wiener term, the compensated small
 jumps and the large jumps.  Under the contraction conditions checked by
 ``config.check_conditions`` the operator has a unique fixed point, the
 unique L2-bounded mild solution, and Picard iteration converges
-geometrically with ratio eta in mean square.  ``apply_S`` discretizes the operator
-with windowed convolutions truncated at a horizon T_c (reported tail
-factor K e^{-omega T_c} / omega); ``picard_solve`` iterates it on a
-frozen noise sample (common random numbers); ``simulate_mild`` is the
-forward exponential-Euler integrator behind the ``simulate`` command.
+geometrically with ratio eta in mean square.  ``picard_solve``
+discretizes the operator with windowed convolutions truncated at a
+horizon T_c (reported tail factor K e^{-omega T_c} / omega) and iterates
+it on a frozen noise sample (common random numbers); ``simulate_mild``
+is the forward exponential-Euler integrator behind the ``simulate``
+command.
 
 Truncated integrals are clipped at the sample window edges, so iterates
 live on one fixed grid; points further than T_c from the edges carry
@@ -23,7 +24,7 @@ the full two-sided window.
 
 Each truncated convolution is the difference of two accumulations w =
 T_c / h steps apart, and an accumulation is a first-order linear
-recurrence in time.  ``apply_S`` runs it without a Python time loop: in
+recurrence in time.  The solver runs it without a Python time loop: in
 the Schur coordinates of the reduced one-step propagator the recurrence
 is triangular, and every mode is a scalar scan z_{k+1} = lam z_k + b_k
 computed by block-scaled cumulative sums (Blelloch, "Prefix sums and
@@ -55,8 +56,8 @@ from __future__ import annotations
 
 import math
 import time
+from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -81,7 +82,6 @@ __all__ = [
     "PathEnsemble",
     "PicardResult",
     "simulate_mild",
-    "apply_S",
     "picard_solve",
     "sup_second_moment",
 ]
@@ -110,7 +110,6 @@ class SolverError(RuntimeError, LevyapError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class PathEnsemble:
     """States of M paths on a shared uniform grid.
 
@@ -118,7 +117,7 @@ class PathEnsemble:
     ``h``) like the noise grid, so ensembles and noise windows align
     exactly.  ``values`` has shape (paths, n_steps + 1, dim); it may be
     a view of coordinate-major (dim, paths, n_steps + 1) storage, as the
-    results of ``apply_S`` and ``picard_solve`` are.
+    result of ``picard_solve`` is.
 
     Every state must be finite.  The check is one sum: a NaN or an
     infinity makes it non-finite, so a finite sum proves every state
@@ -126,19 +125,17 @@ class PathEnsemble:
     overflowing, pays for the exact element-wise ``isfinite`` pass.
     """
 
-    h: float
-    k_lo: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+    def __init__(self, h: float, k_lo: int, values: np.ndarray):
+        v = np.asarray(values, dtype=float)
         if v.ndim != 3 or v.shape[0] == 0 or v.shape[1] < 2:
             raise SolverError("values must be (paths, n_steps + 1, dim)")
         with np.errstate(over="ignore", invalid="ignore"):
             total = v.sum()
         if not np.isfinite(total) and not np.all(np.isfinite(v)):
             raise SolverError("ensemble contains non-finite states")
-        object.__setattr__(self, "values", v)
+        self.h = h
+        self.k_lo = k_lo
+        self.values = v
 
     @property
     def n_paths(self) -> int:
@@ -306,8 +303,9 @@ def _truncation_steps(truncation: float, h: float, n_steps: int) -> int:
     return int(w)
 
 
-@dataclass(frozen=True)
-class _ModalHalf:
+class _ModalHalf(
+    namedtuple("_ModalHalf", "tri drift_map stoch_map back back_win reverse")
+):
     """One half of S in the Schur coordinates of its one-step propagator.
 
     The accumulation R_{k+1} = prop R_k + ker f_k + stoch stoch_k of the
@@ -318,15 +316,11 @@ class _ModalHalf:
     stoch_k, and R_k = back z_k.  The window is R_k - win R_{k-w} =
     back z_k - back_win z_{k-w}.  T and Z are real unless the propagator
     has complex eigenvalues.  The unstable half runs backward in time
-    (``reverse``) and stores z time-reversed.
+    (``reverse``) and stores z time-reversed.  All fields but
+    ``reverse`` are arrays.
     """
 
-    tri: np.ndarray
-    drift_map: np.ndarray
-    stoch_map: np.ndarray
-    back: np.ndarray
-    back_win: np.ndarray
-    reverse: bool
+    __slots__ = ()
 
     @classmethod
     def build(cls, basis, prop, ker, stoch, win, reverse) -> "_ModalHalf":
@@ -481,43 +475,28 @@ def _add_real(out: np.ndarray, coef: complex, z: np.ndarray, sign: float, buf, c
         out += np.multiply(z, sign * coef, out=buf[:, : z.shape[1]])
 
 
-@dataclass(frozen=True)
-class _Forcing:
-    """The non-empty coefficient entries of one state coordinate: drift
-    terms, (noise index, terms) of each non-empty diffusion entry, and the
-    small-jump compensator terms with their weights folded in."""
-
-    drift: tuple[PreparedTerm, ...]
-    diffusion: tuple[tuple[int, tuple[PreparedTerm, ...]], ...]
-    compensator: tuple[PreparedTerm, ...]
+_Forcing = namedtuple("_Forcing", "drift diffusion compensator")
+_Forcing.__doc__ = """The non-empty coefficient entries of one state coordinate: drift
+terms, (noise index, terms) of each non-empty diffusion entry, and the
+small-jump compensator terms with their weights folded in, each a tuple
+of ``PreparedTerm``."""
 
 
-@dataclass(frozen=True, eq=False)
 class _Jumps:
-    """The jump events of one region (small or large) with the region's
-    terms prepared at them: ``rows`` are the state coordinates it acts
-    on, ``terms`` the prepared terms of each state coordinate
-    (``jump_terms`` at the events' grid times and marks), ``path`` and
+    """The jump events of one region (``region`` 0 small, 1 large) of
+    ``noise`` with the terms of the region's map ``tmap`` prepared at
+    them: ``rows`` are the state coordinates it acts on, ``terms`` the
+    prepared terms of each state coordinate (``jump_terms`` at the
+    events' times on ``grid`` and their marks), ``path`` and
     ``step`` the events' paths and steps, all in sample order, so by
     path: the events of paths [lo, hi) are ``starts[lo]:starts[hi]``."""
 
-    rows: tuple[int, ...]
-    terms: tuple[tuple[PreparedTerm, ...], ...]
-    path: np.ndarray
-    step: np.ndarray
-    starts: np.ndarray
-
-    @classmethod
-    def build(cls, tmap, region: int, noise: NoiseSample, grid: np.ndarray) -> "_Jumps":
+    def __init__(self, tmap, region: int, noise: NoiseSample, grid: np.ndarray):
         mask = noise.event_region == region
-        path, step = noise.event_path[mask], noise.event_step[mask]
-        return cls(
-            rows=tuple(i for i, terms in enumerate(tmap) if terms),
-            terms=jump_terms(tmap, grid[step], noise.event_marks[mask]),
-            path=path,
-            step=step,
-            starts=np.searchsorted(path, np.arange(noise.n_paths + 1)),
-        )
+        self.path, self.step = noise.event_path[mask], noise.event_step[mask]
+        self.rows = tuple(i for i, terms in enumerate(tmap) if terms)
+        self.terms = jump_terms(tmap, grid[self.step], noise.event_marks[mask])
+        self.starts = np.searchsorted(self.path, np.arange(noise.n_paths + 1))
 
     def terms_of(self, a: int, b: int) -> tuple[tuple[PreparedTerm, ...], ...]:
         """The prepared terms of region events [a, b)."""
@@ -527,17 +506,16 @@ class _Jumps:
 
         return tuple(
             tuple(
-                replace(t, inner=cut(t.inner), outer=cut(t.outer), mark=cut(t.mark))
+                t._replace(inner=cut(t.inner), outer=cut(t.outer), mark=cut(t.mark))
                 for t in terms
             )
             for terms in self.terms
         )
 
 
-@dataclass(frozen=True, eq=False)
 class _Plan:
-    """What ``apply_S`` needs that does not depend on the iterate, built
-    once per Picard solve.
+    """What one application of S needs that does not depend on the
+    iterate, built once per Picard solve.
 
     ``w`` is the window in steps and ``halves`` the modal halves of S.
     ``jumps`` holds the small and then the large jump events, ordered by
@@ -556,17 +534,31 @@ class _Plan:
     coordinate, whatever the iterate.
     """
 
-    noise: NoiseSample
-    w: int
-    halves: tuple[_ModalHalf, ...]
-    jumps: tuple[_Jumps, ...]
-    rows: tuple[_Forcing, ...]
-    drift_rows: tuple[int, ...]
-    stoch_rows: tuple[int, ...]
-    coords: tuple[int, ...]
-    live: tuple[tuple[bool, ...], ...]
-    powers: tuple[tuple[Optional[tuple], ...], ...]
-    reach: tuple[int, ...]
+    def __init__(
+        self,
+        noise: NoiseSample,
+        w: int,
+        halves: tuple[_ModalHalf, ...],
+        jumps: tuple[_Jumps, ...],
+        rows: tuple[_Forcing, ...],
+        drift_rows: tuple[int, ...],
+        stoch_rows: tuple[int, ...],
+        coords: tuple[int, ...],
+        live: tuple[tuple[bool, ...], ...],
+        powers: tuple[tuple[Optional[tuple], ...], ...],
+        reach: tuple[int, ...],
+    ):
+        self.noise = noise
+        self.w = w
+        self.halves = halves
+        self.jumps = jumps
+        self.rows = rows
+        self.drift_rows = drift_rows
+        self.stoch_rows = stoch_rows
+        self.coords = coords
+        self.live = live
+        self.powers = powers
+        self.reach = reach
 
     @classmethod
     def build(cls, sys, cs, noise, truncation) -> "_Plan":
@@ -585,7 +577,7 @@ class _Plan:
         grid_terms = [t for r in rows for t in r.drift + r.compensator]
         grid_terms += [t for r in rows for _, entry in r.diffusion for t in entry]
         jumps = tuple(
-            _Jumps.build(tmap, region, noise, grid)
+            _Jumps(tmap, region, noise, grid)
             for region, tmap in enumerate((cs.jump_small, cs.jump_large))
             if any(tmap)
         )
@@ -910,92 +902,20 @@ def _tail_report(sys: DichotomousSystem, plan: _Plan) -> dict:
     }
 
 
-def apply_S(
-    sys: DichotomousSystem,
-    cs: CoefficientSet,
-    noise: NoiseSample,
-    ens: PathEnsemble,
-    truncation: float,
-    chunk_paths: Optional[int] = None,
-    threads: int = 1,
-) -> tuple[PathEnsemble, dict]:
-    """One application of the integral operator to an ensemble.
-
-    Per output time t the stable part accumulates increments over
-    [t - T_c, t] (clipped at the window start) and the unstable part
-    over [t, t + T_c] (clipped at the window end).  Drift uses the exact
-    one-step kernel (zero quadrature error for constant drift);
-    stochastic increments are carried by the one-step propagator.
-
-    Both accumulations are first-order linear recurrences in time.  They
-    run in the Schur coordinates of the reduced one-step propagators,
-    e^{Bh} on range(P) and e^{-Bh} on range(I - P), where they are
-    triangular: each mode is a scalar scan (block-scaled ``cumsum``, see
-    ``_scan``) driven by the modes after it.  A window is the difference
-    of two accumulations w = T_c / h steps apart.  This one code path
-    covers diagonal, rotating and defective generators.
-
-    The work splits into a plan and a kernel.  The plan (``_Plan``) holds
-    what does not depend on ``ens``: the window steps, the modal halves
-    with each mode's scan powers, the jump terms of each region prepared
-    at all its events, and the non-empty coefficient entries with their
-    time-only signals on the grid and the compensator weights folded
-    in.  ``apply_S`` builds it on each call;
-    ``picard_solve`` does not call ``apply_S``, it builds one plan per
-    solve and runs the same sweep on every iterate.  The kernel
-    (``_apply_chunk``) runs path-major on one chunk of paths: it
-    evaluates only the non-empty entries, adds the resulting forcing rows
-    straight into the modal accumulations and assembles each output
-    coordinate in one contiguous row.
-
-    S maps each path to itself, so it runs in place: the input is copied
-    once, coordinate-major, and the copy is overwritten chunk by chunk,
-    by the same in-place sweep that ``picard_solve`` runs on its one
-    ensemble.  The sweep reads every coordinate of the input that a term
-    uses but writes only the coordinates S can reach (``_Plan.reach``);
-    the others are then set to zero.  Paths are processed in blocks of
-    ``_MOMENT_BLOCK``, each split into chunks of at most ``chunk_paths``
-    paths, on ``threads`` worker threads; every path is computed by the
-    same operations in any chunk, so the output is bitwise identical for
-    any chunking and thread count.
-
-    Returns the new ensemble and a tail report; the truncation error of
-    the full two-sided window is bounded by ``tail_factor`` times the
-    sup of the integrand's mean-square magnitudes.
-    """
-    h, k_lo, n = noise.h, noise.k_lo, noise.n_steps
-    if (ens.h, ens.k_lo, ens.n_steps) != (h, k_lo, n):
-        raise SolverError("noise and ensemble grids do not match")
-    if ens.n_paths != noise.n_paths:
-        raise SolverError("ensemble and noise path counts differ")
-    d = cs.dim_state
-    if sys.dim != d or ens.dim != d:
-        raise SolverError("system, coefficients and ensemble dimensions differ")
-    plan = _Plan.build(sys, cs, noise, truncation)
-    values = np.moveaxis(ens.values, -1, 0).copy()
-    with _in_place_sweeps(plan, chunk_paths, threads) as sweep:
-        sweep(values)
-    values[[i for i in range(d) if i not in plan.reach]] = 0.0
-    out = PathEnsemble(h=h, k_lo=k_lo, values=np.moveaxis(values, 0, -1))
-    return out, _tail_report(sys, plan)
-
-
 # ---------------------------------------------------------------------------
 # Picard iteration
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PicardResult:
+class PicardResult(
+    namedtuple("PicardResult", "ensemble gap_trace converged iterations tail_report")
+):
     """Fixed-point iteration outcome: final ensemble, per-iteration gap
-    trace (mean-square sup-over-grid distance between iterates), the
-    truncation tail report and a convergence flag."""
+    trace (a tuple of dicts: mean-square sup-over-grid distance between
+    iterates), a convergence flag, the iteration count and the truncation
+    tail report (a dict)."""
 
-    ensemble: PathEnsemble
-    gap_trace: tuple[dict, ...]
-    converged: bool
-    iterations: int
-    tail_report: dict
+    __slots__ = ()
 
     def gaps(self) -> np.ndarray:
         return np.array([rec["gap"] for rec in self.gap_trace])
@@ -1019,20 +939,47 @@ def picard_solve(
     geometric contraction is visible directly in the gap trace.  When
     ``max_iter`` is hit the last iterate is returned with
     ``converged=False``.  Default truncation is 12/omega, tail factor
-    about 6e-6 of the integrand magnitude.
+    about 6e-6 of the integrand magnitude: the truncation error of the
+    full two-sided window is bounded by ``tail_factor`` times the sup of
+    the integrand's mean-square magnitudes.
 
-    The plan of :func:`apply_S` (modal halves, events, coefficient
-    entries) is built once per solve, and so are the worker threads and
-    each worker's scratch.  The solve holds one ensemble and overwrites
-    it in place: S maps each path to itself, so each chunk of paths is
-    computed in scratch, its sums of new^2 and (new - old)^2 are taken
-    there, and only then is it written back.  The gap and the moment
-    come from those sums, with no further pass over the ensemble.  The
-    ensemble is stored coordinate-major and starts at zero; a coordinate
-    S cannot reach is never touched, so it stays zero without taking
+    One application of S: per output time t the stable part accumulates
+    increments over [t - T_c, t] (clipped at the window start) and the
+    unstable part over [t, t + T_c] (clipped at the window end).  Drift
+    uses the exact one-step kernel (zero quadrature error for constant
+    drift); stochastic increments are carried by the one-step propagator.
+    Both accumulations are first-order linear recurrences in time.  They
+    run in the Schur coordinates of the reduced one-step propagators,
+    e^{Bh} on range(P) and e^{-Bh} on range(I - P), where they are
+    triangular: each mode is a scalar scan (block-scaled ``cumsum``, see
+    ``_scan``) driven by the modes after it.  A window is the difference
+    of two accumulations w = T_c / h steps apart.  This one code path
+    covers diagonal, rotating and defective generators.
+
+    The work splits into a plan and a kernel.  The plan (``_Plan``: the
+    window steps, the modal halves with each mode's scan powers, the jump
+    terms of each region prepared at all its events, and the non-empty
+    coefficient entries with their time-only signals on the grid and the
+    compensator weights folded in) is built once per solve, and so are
+    the worker threads and each worker's scratch.  The kernel
+    (``_apply_chunk``) runs path-major on one chunk of paths: it
+    evaluates only the non-empty entries, adds the resulting forcing rows
+    straight into the modal accumulations and assembles each output
+    coordinate in one contiguous row.
+
+    The solve holds one ensemble and overwrites it in place: S maps each
+    path to itself, so each chunk of paths is computed in scratch, its
+    sums of new^2 and (new - old)^2 are taken there, and only then is it
+    written back.  The gap and the moment come from those sums, with no
+    further pass over the ensemble.  The ensemble is stored
+    coordinate-major and starts at zero; a coordinate S cannot reach
+    (``_Plan.reach``) is never touched, so it stays zero without taking
     memory or time.  A non-finite moment triggers the exact check that
-    every state is finite.  ``chunk_paths`` and ``threads`` do not
-    change the result.
+    every state is finite.  Paths are processed in blocks of
+    ``_MOMENT_BLOCK``, each split into chunks of at most ``chunk_paths``
+    paths, on ``threads`` worker threads; every path is computed by the
+    same operations in any chunk, so ``chunk_paths`` and ``threads`` do
+    not change the result.
     """
     if tol <= 0:
         raise SolverError("tol must be positive")

@@ -853,6 +853,22 @@ class TestCliExitCodes:
                 },
                 "coefficients.params",
             ),
+            (
+                {
+                    "preset": "example41",
+                    "system": {"a": [[8, 0], [0]], "p": [[0, 0], [0, 1]], "k": 1, "omega": 6},
+                },
+                "system.a",
+            ),
+            (
+                {
+                    "preset": "galerkin_heat",
+                    "system": {"galerkin": {"n_modes": 2, "a0": "5/2"}},
+                    "levy": {"dim": 2, "covariance": [[1, 0], [0]]},
+                    "coefficients": {"preset": "galerkin_heat", "params": {"n_modes": 2}},
+                },
+                "levy.covariance",
+            ),
         ],
     )
     def test_malformed_config_names_key_path(self, tmp_path, capsys, data, key_path):
@@ -1339,15 +1355,12 @@ class TestCliDeterminism:
         steps = modules_after(check_every_preset(tmp_path) + runs, ["scipy.*"])
         assert steps == [(None, [])] + [(0, [])] * (len(preset_names()) + len(runs))
 
-    def test_check_runs_no_numpy_code(self, tmp_path):
-        """``check`` is the set-up run the benchmark times: importing the
-        CLI and checking, at ``--seed 41 --threads 2``, every shipped
-        preset, the ``apscan-ex41`` scan config and example41 at the fine
-        step run no numpy code.  Their systems and covariances are
-        diagonal, so they are certified exactly and no array is built;
-        ``numpy`` may stand in ``sys.modules`` as a lazy module, but none
-        of its submodules is loaded.  A system that is not diagonal gets
-        the floating-point checks, and loads numpy."""
+    BENCHMARK_ARGS = ("--seed", "41", "--threads", "2")
+
+    def benchmark_checks(self, tmp_path):
+        """The ``check`` argv, at ``BENCHMARK_ARGS``, of every shipped
+        preset, of the ``apscan-ex41`` scan config and of example41 at
+        the fine step: the set-up runs the benchmark times."""
         scan = {
             "preset": "example41",
             "analysis": {
@@ -1357,20 +1370,39 @@ class TestCliDeterminism:
                 "law_support": 24,
             },
         }
+        return check_every_preset(tmp_path, self.BENCHMARK_ARGS) + [
+            ["check", "--config", str(write_cfg(tmp_path, scan, name="scan.json")), "--out",
+             str(tmp_path / "scan"), *self.BENCHMARK_ARGS],
+            ["check", "--preset", "example41", "--dt", "1/1024", "--paths", "1024", "--out",
+             str(tmp_path / "fine"), *self.BENCHMARK_ARGS],
+        ]
+
+    def test_check_loads_neither_dataclasses_nor_inspect(self, tmp_path):
+        """No levyap record is a dataclass, so neither importing the CLI
+        nor any set-up run the benchmark times loads ``dataclasses`` or
+        the ``inspect`` module it imports."""
+        runs = self.benchmark_checks(tmp_path)
+        steps = modules_after(runs, ["dataclasses", "inspect"])
+        assert steps == [(None, [])] + [(0, [])] * len(runs)
+
+    def test_check_runs_no_numpy_code(self, tmp_path):
+        """``check`` is the set-up run the benchmark times: importing the
+        CLI and checking, at ``--seed 41 --threads 2``, every shipped
+        preset, the ``apscan-ex41`` scan config and example41 at the fine
+        step run no numpy code.  Their systems and covariances are
+        diagonal, so they are certified exactly and no array is built;
+        ``numpy`` may stand in ``sys.modules`` as a lazy module, but none
+        of its submodules is loaded.  A system that is not diagonal gets
+        the floating-point checks, and loads numpy."""
         coupled = {
             "preset": "example41",
             "system": {"a": [[-6, 1], [0, -6]], "p": [[1, 0], [0, 1]], "k": 1, "omega": 5},
         }
-        extra = ("--seed", "41", "--threads", "2")
-        runs = [
-            ["check", "--config", str(write_cfg(tmp_path, scan, name="scan.json")), "--out",
-             str(tmp_path / "scan"), *extra],
-            ["check", "--preset", "example41", "--dt", "1/1024", "--paths", "1024", "--out",
-             str(tmp_path / "fine"), *extra],
+        runs = self.benchmark_checks(tmp_path) + [
             ["check", "--config", str(write_cfg(tmp_path, coupled, name="coupled.json")), "--out",
-             str(tmp_path / "coupled"), *extra],
+             str(tmp_path / "coupled"), *self.BENCHMARK_ARGS],
         ]
-        steps = modules_after(check_every_preset(tmp_path, extra) + runs, ["numpy.*"])
+        steps = modules_after(runs, ["numpy.*"])
         submodules = [(code, [m for m in loaded if m != "numpy"]) for code, loaded in steps]
         assert submodules[:-1] == [(None, [])] + [(0, [])] * (len(preset_names()) + 2)
         code, loaded = submodules[-1]

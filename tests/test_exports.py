@@ -1,7 +1,10 @@
-"""Every name a levyap module exports in ``__all__`` resolves."""
+"""Every name a levyap module exports in ``__all__`` resolves, and no
+levyap module imports ``dataclasses``."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -22,3 +25,31 @@ def test_export_list_resolves(name):
     assert len(set(exported)) == len(exported), f"levyap.{name}.__all__ repeats a name"
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert not missing, f"levyap.{name}.__all__ names what it lacks: {missing}"
+
+
+def imported_modules(source: str) -> set[str]:
+    """The modules that the import statements of ``source`` name."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    return names
+
+
+def test_no_module_imports_dataclasses():
+    """Records are namedtuples or plain classes: ``import dataclasses``
+    loads ``inspect`` and its helpers, and its class builds cost start-up
+    time on every run."""
+    sources = sorted(Path(levyap.__file__).parent.glob("*.py"))
+    assert len(sources) == len(MODULES) + 1  # and __init__.py
+    importers = [
+        path.name
+        for path in sources
+        if any(
+            name == "dataclasses" or name.startswith("dataclasses.")
+            for name in imported_modules(path.read_text(encoding="utf-8"))
+        )
+    ]
+    assert importers == []

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _ensemble_oracles import grid_index, l2_increment
+from _ensemble_oracles import apply_S, grid_index, l2_increment
 from levyap.coefficients import (
     CoefficientSet,
     CoefficientTerm,
@@ -51,7 +51,6 @@ from levyap.solver import (
     _Scratch,
     _blocks,
     _scan_block,
-    apply_S,
     picard_solve,
     simulate_mild,
     sup_second_moment,
@@ -911,6 +910,28 @@ class TestPicard:
         gap = np.mean(np.sum((again.values - res.ensemble.values) ** 2, axis=2), axis=0).max()
         assert gap <= 1e-23
 
+    def test_fixed_point_is_reached_from_a_random_start(self):
+        """The bounded solution is unique: Picard from a random bounded
+        ensemble reaches the fixed point of the zero-start solve.  In the
+        largest path-average over the grid of the squared distance, S
+        contracts by eta, so an iterate whose gap is at most tol lies
+        within tol eta / (1 - sqrt(eta))^2 of the fixed point, and two
+        such iterates differ by at most four times that: 0.91 tol at eta
+        = 5/48, below tol / (1 - eta)."""
+        sysd = benchmark_system()
+        cs = example41_coefficients()
+        noise = sample_noise(benchmark_spec(), (-1.0, 2.0), 1.0 / 64, 32, seed=41)
+        tol = 1e-14
+        ref = picard_solve(sysd, cs, noise, tol=tol, truncation=1.0)
+        assert ref.converged
+        start = _random_ensemble(noise, 2, seed=7, scale=2.0)
+        values, trace = _out_of_place_picard(sysd, cs, noise, tol, 1.0, initial=start)
+        assert trace[0]["gap"] > 1.0 and trace[-1]["gap"] <= tol
+        eta = check_conditions(sysd.k, sysd.omega, cs.lipschitz, 1).eta
+        assert eta == Fraction(5, 48)
+        dist = np.mean(np.sum((values - ref.ensemble.values) ** 2, axis=2), axis=0).max()
+        assert dist <= tol / (1 - eta)
+
     def test_default_truncation_is_twelve_over_omega(self):
         sysd = benchmark_system()
         noise = sample_noise(benchmark_spec(), (-2.0, 3.0), 1.0 / 32, 2, seed=2)
@@ -1245,12 +1266,14 @@ def _sup_mean_squares(values: np.ndarray, prev: np.ndarray):
     return tuple(float(s.reshape(n, d).sum(axis=1).max()) / m for s in sums)
 
 
-def _out_of_place_picard(sysd, cs, noise, tol, truncation):
-    """Picard iteration by repeated ``apply_S`` with both iterates kept:
-    the final values and the gap trace without wall times."""
-    current = PathEnsemble(
-        h=noise.h, k_lo=noise.k_lo, values=np.zeros((noise.n_paths, noise.n_steps + 1, sysd.dim))
-    )
+def _out_of_place_picard(sysd, cs, noise, tol, truncation, initial=None):
+    """Picard iteration by repeated ``apply_S`` with both iterates kept,
+    from the ensemble ``initial`` (zero by default): the final values and
+    the gap trace without wall times."""
+    current = initial
+    if current is None:
+        zero = np.zeros((noise.n_paths, noise.n_steps + 1, sysd.dim))
+        current = PathEnsemble(h=noise.h, k_lo=noise.k_lo, values=zero)
     trace = []
     for it in range(1, 61):
         nxt, _ = apply_S(sysd, cs, noise, current, truncation)
