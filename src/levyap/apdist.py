@@ -24,12 +24,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
+from numbers import Integral
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import LevyapError
-from .noise import grid_steps
 
 __all__ = [
     "EmpiricalLawError",
@@ -387,7 +387,8 @@ class APScanReport(
 
 def ap_distribution_scan(
     ensemble,
-    times: Sequence[float],
+    times: Sequence[int],
+    offsets: Sequence[int],
     shifts: Sequence[float],
     eps: float,
     n_support: Optional[int] = None,
@@ -396,13 +397,13 @@ def ap_distribution_scan(
     """Scan the shifts of a solved ensemble for almost periodicity in
     distribution.
 
-    ``ensemble`` needs ``grid`` (n+1,) uniform and ``values`` (paths,
-    n+1, d).  The scan times T are the base ``times`` and every t + s.
-    Each shift, each time and ``grid[0]`` is taken as a whole number of
-    grid steps from 0 (``noise.grid_steps``, the solver's own rule), and
-    a time's index is its steps less those of ``grid[0]``; a value off
-    the grid, or a scan time beyond the grid's ends, raises.  The law
-    at a time is the empirical law of the states of the paths drawn by
+    ``ensemble`` needs ``values`` (paths, n+1, d) on a uniform grid.
+    The scan works in whole grid steps: ``times`` are the base times as
+    grid indices and ``offsets`` the shifts' steps, both as
+    ``validate_config`` decided them; ``shifts`` are the same shifts as
+    the report states them.  The scan times T are the base times and
+    every t + s; a scan time beyond the grid's ends raises.  The law at
+    a time is the empirical law of the states of the paths drawn by
     ``_law_paths(paths, n_support, seed)``, one draw for every time.
     Shift s is compared on every pair (t, t + s) with both ends in T, not
     only at the base times, and is accepted when the largest distance
@@ -412,25 +413,21 @@ def ap_distribution_scan(
     """
     if eps <= 0:
         raise EmpiricalLawError("eps must be positive")
-    grid = np.asarray(ensemble.grid, dtype=float)
     values = np.asarray(ensemble.values)
-    h = float(grid[1] - grid[0])
-
-    def steps(x: float) -> int:
-        k = grid_steps(x, h)
-        if k is None:
-            raise EmpiricalLawError(f"{x} is not a multiple of the grid step {h}")
-        return k
-
+    times, offsets = list(times), list(offsets)
     shifts = np.asarray(list(shifts), dtype=float)
-    offsets = [steps(s) for s in shifts.tolist()]
-    start = steps(float(grid[0]))
-    base = {steps(float(t)) - start for t in times}
+    if len(offsets) != len(shifts):
+        raise EmpiricalLawError("each shift needs its grid steps")
+    bad = [k for k in times + offsets if not isinstance(k, Integral)]
+    if bad:
+        raise EmpiricalLawError(f"{bad[0]} is not a whole number of grid steps")
+    base = set(times)
     scan = sorted(base.union(*({i + k for i in base} for k in offsets)))
-    outside = [i for i in scan if not 0 <= i < len(grid)]
+    outside = [i for i in scan if not 0 <= i < values.shape[1]]
     if outside:
         raise EmpiricalLawError(
-            f"scan time {grid[0] + outside[0] * h:g} is outside the ensemble grid"
+            f"scan time index {outside[0]} is outside the ensemble grid "
+            f"of {values.shape[1]} points"
         )
     paths = _law_paths(len(values), n_support, seed)
     laws = {i: EmpiricalLaw.from_samples(values[paths, i, :]) for i in scan}

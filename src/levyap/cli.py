@@ -173,7 +173,8 @@ def _sample(run: Run) -> NoiseSample:
     num = cfg.numerics
     return sample_noise(
         run.spec,
-        (float(num.window[0]), float(num.window[1])),
+        run.k_lo,
+        run.n,
         float(num.h),
         num.n_paths,
         cfg.seed,
@@ -225,7 +226,7 @@ def _run_picard(run: Run, out: Path):
         _sample(run),
         tol=float(num.tol),
         max_iter=num.max_iter,
-        truncation=run.truncation,
+        w=run.w,
         threads=cfg.threads,
     )
     _write_jsonl(out / "gap_trace.jsonl", res.gap_trace)
@@ -318,7 +319,8 @@ def cmd_apscan(run: Run, out: Path) -> int:
     _, res, code = _run_picard(run, out)
     scan = ap_distribution_scan(
         res.ensemble,
-        [float(t) for t in ana.times],
+        [i - run.k_lo for i in run.times],
+        run.shifts,
         [float(s) for s in ana.shifts],
         float(ana.epsilon),
         n_support=ana.law_support,

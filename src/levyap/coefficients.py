@@ -343,9 +343,6 @@ class CoefficientTerm(
 
     __slots__ = ()
 
-    def sup_time_factor(self) -> float:
-        return 1.0 if self.outer is None else self.outer.sup_abs()
-
 
 VectorTerms = tuple[tuple[CoefficientTerm, ...], ...]  # indexed by output coord
 MatrixTerms = tuple[tuple[tuple[CoefficientTerm, ...], ...], ...]  # row, column

@@ -38,7 +38,6 @@ from .noise import (
     LevyProcessSpec,
     MarkSampler,
     WienerSpec,
-    grid_steps,
     point_mark,
     uniform_annulus_mark,
     uniform_interval_mark,
@@ -685,6 +684,24 @@ def check_conditions(k, omega, lipschitz, jump_bound) -> ConditionReport:
 # ---------------------------------------------------------------------------
 
 
+_GRID_TOL = 1e-9
+
+
+def grid_steps(x: float, h: float) -> Optional[int]:
+    """The whole number of steps ``h`` from 0 to ``x``: ``round(x / h)``
+    when ``x`` lies within 1e-9 max(1, |x|) of that many steps, else None.
+
+    The engine's one on-grid rule.  ``validate_config`` reads every time
+    of a run with it once (``_on_grid``); the noise sampler, the solver
+    and the shift scan take the steps it gives.
+    """
+    steps = x / h
+    if not math.isfinite(steps):
+        return None
+    k = round(steps)
+    return None if abs(x - k * h) > _GRID_TOL * max(1.0, abs(x)) else k
+
+
 def _on_grid(value: float, h: float, what: str) -> int:
     """The whole number of steps h from 0 to ``value`` (``grid_steps``);
     a ConfigError naming ``what`` if ``value`` is off the grid."""
@@ -708,20 +725,26 @@ def _finite(x: Number, name: str) -> float:
     return value
 
 
-Run = namedtuple("Run", "config system spec coefficients truncation conditions")
+Run = namedtuple("Run", "config system spec coefficients k_lo n w times shifts conditions")
 Run.__doc__ = """A validated run: its config and what ``validate_config`` built from
-it, the system, the noise spec, the coefficient set, the truncation
-horizon (the configured one, or the system's default at the step) and the
-exact condition inputs (K, omega, L, b)."""
+it, the system, the noise spec and the coefficient set; the run's times
+as whole steps h from 0, decided once: the window start ``k_lo``, the
+window's step count ``n``, the truncation horizon ``w`` (the configured
+one, or the system's default at the step), the base analysis times and
+the shifts (tuples in config order); and the exact condition inputs
+(K, omega, L, b)."""
 
 
 def validate_config(cfg: RunConfig) -> Run:
     """Full static validation; raises ConfigError on the first problem.
 
     Builds the system, noise spec and coefficient set once (their own
-    validators run), then checks numerics and that every analysis time
-    and shifted time stays at least one truncation horizon away from the
-    window edges.  Returns the ``Run`` every command runs on.
+    validators run), then checks numerics and reads the window, the
+    truncation horizon, every analysis time and every shift as whole
+    steps h (``_on_grid``); every analysis time and shifted time must
+    stay at least one truncation horizon away from the window edges,
+    compared in steps.  Returns the ``Run`` every command runs on, which
+    carries those steps.
 
     The condition inputs are exact: K and omega come from the system
     config (or the exact galerkin constants), L from the coefficient
@@ -766,11 +789,11 @@ def validate_config(cfg: RunConfig) -> Run:
         )
     # the noise sample and the ensemble must fit numpy's array size, whose
     # bound is its largest index, sys.maxsize
-    steps = k_hi - k_lo
+    n = k_hi - k_lo
     for what, dim in (("noise", spec.dim), ("state", sysd.dim)):
-        if num.n_paths * steps * dim > sys.maxsize:
+        if num.n_paths * n * dim > sys.maxsize:
             raise ConfigError(
-                f"numerics.h = {h} gives {float(steps):.3g} steps; n_paths x steps x {what} "
+                f"numerics.h = {h} gives {float(n):.3g} steps; n_paths x steps x {what} "
                 "dimension exceeds the largest array numpy can allocate"
             )
 
@@ -778,11 +801,11 @@ def validate_config(cfg: RunConfig) -> Run:
         t_c = _finite(num.truncation, "numerics.truncation")
         if not t_c > 0:
             raise ConfigError("numerics.truncation must be positive")
-        k_c = _on_grid(t_c, h, "truncation")
+        w = _on_grid(t_c, h, "truncation")
     else:
-        t_c = sysd.default_truncation(h)
-        k_c = grid_steps(t_c, h)
-    if t_hi - t_lo < 2 * t_c:
+        w = sysd.default_truncation(h)
+        t_c = w * h
+    if n < 2 * w:
         raise ConfigError(
             f"window [{t_lo}, {t_hi}] is narrower than twice the truncation {t_c}"
         )
@@ -796,9 +819,9 @@ def validate_config(cfg: RunConfig) -> Run:
     shifts = [(float(s), _on_grid(float(s), h, "analysis shift")) for s in ana.shifts]
     # every analysis time and shifted time, with its grid step, must lie in
     # the window shrunk by the truncation: compared in whole steps
-    probe = times + [(t + s, m + n) for t, m in times for s, n in shifts]
+    probe = times + [(t + s, i + j) for t, i in times for s, j in shifts]
     for value, step in probe:
-        if not (k_lo + k_c <= step <= k_hi - k_c):
+        if not (k_lo + w <= step <= k_hi - w):
             raise ConfigError(
                 f"analysis time {value} leaves the window interior "
                 f"[{t_lo + t_c}, {t_hi - t_c}] (window shrunk by the truncation)"
@@ -814,7 +837,18 @@ def validate_config(cfg: RunConfig) -> Run:
         Fraction(0),
     )
     conditions = (k, omega, _as_fraction(cs.lipschitz, "lipschitz"), b)
-    return Run(cfg, sysd, spec, cs, t_c, conditions)
+    return Run(
+        cfg,
+        sysd,
+        spec,
+        cs,
+        k_lo,
+        n,
+        w,
+        tuple(i for _, i in times),
+        tuple(j for _, j in shifts),
+        conditions,
+    )
 
 
 # ---------------------------------------------------------------------------

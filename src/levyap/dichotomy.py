@@ -42,7 +42,6 @@ __all__ = [
     "DichotomousSystem",
     "DichotomyEstimate",
     "matrix_exp",
-    "integrated_exp",
     "diagonal_constants",
     "estimate_constants",
     "spot_check_dichotomy",
@@ -243,11 +242,11 @@ class DichotomousSystem:
     def rank_unstable(self) -> int:
         return self.basis_unstable.shape[1]
 
-    def default_truncation(self, h: float) -> float:
-        """Convolution horizon 12/omega rounded to a whole number of
-        steps h, at least one: the kernel bound K e^{-omega t} has fallen
-        by e^{-12}, about 6e-6, at the cut."""
-        return max(1, round(12.0 / self.omega / h)) * h
+    def default_truncation(self, h: float) -> int:
+        """Convolution horizon 12/omega in whole steps h, at least one:
+        the kernel bound K e^{-omega t} has fallen by e^{-12}, about
+        6e-6, at the cut."""
+        return max(1, round(12.0 / self.omega / h))
 
     def stable_matrix(self, t: float) -> np.ndarray:
         """e^{At} P as a matrix, for t >= 0."""

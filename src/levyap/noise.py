@@ -1,4 +1,4 @@
-"""Two-sided Levy noise: specifications, path sampling, time shifts.
+"""Two-sided Levy noise: specifications and path sampling.
 
 The driving noise is a Levy process on the whole real line, decomposed as
 
@@ -33,7 +33,7 @@ import math
 import threading
 from collections import namedtuple
 from functools import cached_property
-from numbers import Real
+from numbers import Integral, Real
 from typing import Optional, Sequence
 
 from . import LevyapError, _lazy_import
@@ -42,7 +42,6 @@ np = _lazy_import("numpy")
 
 __all__ = [
     "NoiseSpecError",
-    "NoiseShiftError",
     "MarkSampler",
     "point_mark",
     "uniform_interval_mark",
@@ -54,16 +53,11 @@ __all__ = [
     "validate_spec",
     "sample_noise",
     "stream",
-    "grid_steps",
 ]
 
 
 class NoiseSpecError(ValueError, LevyapError):
     """Raised when a noise specification is inconsistent."""
-
-
-class NoiseShiftError(ValueError, LevyapError):
-    """Raised when a requested noise shift leaves the sampled window."""
 
 
 # Stream tags.  Positive/negative halves of the two-sided process use
@@ -73,7 +67,6 @@ _TAG_W_NEG = 1
 _TAG_J_POS = 2
 _TAG_J_NEG = 3
 
-_GRID_TOL = 1e-9
 # paths a sampling worker draws and scales as one unit
 _GROUP = 16
 
@@ -422,17 +415,14 @@ class NoiseSample:
     """A frozen multi-path noise sample on one uniform grid, as arrays.
 
     The grid is stored by integer index (``k_lo`` .. ``k_lo + n_steps``)
-    times the step ``h``, so shifted samples reproduce grid values
-    exactly.  ``dW[p, k]`` is the Wiener increment of path p over
-    ``[t_k, t_{k+1}]``; ``dW`` has shape (paths, n_steps, dim).
+    times the step ``h``.  ``dW[p, k]`` is the Wiener increment of path p
+    over ``[t_k, t_{k+1}]``; ``dW`` has shape (paths, n_steps, dim).
 
     The jump events of all paths are flat columns, ordered by path and,
     within a path, by time (ties by component): ``event_path``,
     ``event_step`` (the step k with the event in [t_k, t_{k+1}), counted
-    from the grid start), ``event_region`` (0 small, 1 large) and
-    ``event_marks`` (events, dim).  Event times are kept as drawn
-    (``event_times_base``) and re-based on access by ``shift_steps``
-    steps, so shifting by ``s`` and then ``-s`` is exact.
+    from the grid start), ``event_region`` (0 small, 1 large),
+    ``event_marks`` (events, dim) and ``event_times``.
     """
 
     def __init__(
@@ -446,8 +436,7 @@ class NoiseSample:
         event_step: np.ndarray,
         event_region: np.ndarray,
         event_marks: np.ndarray,
-        event_times_base: np.ndarray,
-        shift_steps: int = 0,
+        event_times: np.ndarray,
     ):
         self.spec = spec
         self.h = h
@@ -458,8 +447,7 @@ class NoiseSample:
         self.event_step = event_step
         self.event_region = event_region
         self.event_marks = event_marks
-        self.event_times_base = event_times_base
-        self.shift_steps = shift_steps
+        self.event_times = event_times
 
     @property
     def n_paths(self) -> int:
@@ -469,90 +457,25 @@ class NoiseSample:
     def grid(self) -> np.ndarray:
         return (self.k_lo + np.arange(self.n_steps + 1)) * self.h
 
-    @property
-    def event_times(self) -> np.ndarray:
-        if self.shift_steps == 0:
-            return self.event_times_base
-        return self.event_times_base - self.shift_steps * self.h
-
-    def shifted(self, s: float, window: Optional[tuple[float, float]] = None) -> "NoiseSample":
-        """The sample re-based by time shift ``s`` (a multiple of the step).
-
-        The result represents the increments of ``t -> L(t + s) - L(s)``:
-        grid values drop by ``s``, Wiener increments keep their order,
-        jump events are re-timed by ``-s``.  With ``window`` given, the
-        result is cropped to it; the requested window must lie inside the
-        shifted one.  Crops are decided on integer steps, so shift 0 is
-        the identity and shifting by ``s`` then ``-s`` restores the input.
-        """
-        h = self.h
-        m = grid_steps(s, h)
-        if m is None:
-            raise NoiseShiftError(f"shift {s} is not a multiple of the step {h}")
-        k_lo = self.k_lo - m
-        a, b = 0, self.n_steps
-        if window is not None:
-            a = _steps_for(window[0], h, "window start") - k_lo
-            b = _steps_for(window[1], h, "window end") - k_lo
-            if a < 0 or b > self.n_steps or a >= b:
-                raise NoiseShiftError(
-                    f"window {window} not contained in shifted span "
-                    f"[{k_lo * h}, {(k_lo + self.n_steps) * h}]"
-                )
-        keep = (self.event_step >= a) & (self.event_step < b)
-        return NoiseSample(
-            spec=self.spec,
-            h=h,
-            k_lo=k_lo + a,
-            n_steps=b - a,
-            dW=self.dW[:, a:b],
-            event_path=self.event_path[keep],
-            event_step=self.event_step[keep] - a,
-            event_region=self.event_region[keep],
-            event_marks=self.event_marks[keep],
-            event_times_base=self.event_times_base[keep],
-            shift_steps=self.shift_steps + m,
-        )
-
-
-def grid_steps(x: float, h: float) -> Optional[int]:
-    """The whole number of steps ``h`` from 0 to ``x``: ``round(x / h)``
-    when ``x`` lies within 1e-9 max(1, |x|) of that many steps, else None.
-
-    The one on-grid rule of the config, the noise sample, the solver and
-    the shift scan, which all index times on the integer grid it gives.
-    """
-    steps = x / h
-    if not math.isfinite(steps):
-        return None
-    k = round(steps)
-    return None if abs(x - k * h) > _GRID_TOL * max(1.0, abs(x)) else k
-
-
-def _steps_for(value: float, h: float, what: str) -> int:
-    k = grid_steps(value, h)
-    if k is None:
-        raise NoiseSpecError(f"{what} = {value} is not a multiple of the step {h}")
-    return k
-
 
 def sample_noise(
     spec: LevyProcessSpec,
-    window: tuple[float, float],
+    k_lo: int,
+    n: int,
     h: float,
     n_paths: int,
     seed: int,
     path_offset: int = 0,
     threads: int = 1,
 ) -> NoiseSample:
-    """Sample two-sided noise paths on the grid covering ``window``.
+    """Sample two-sided noise paths on the ``n`` steps h from step
+    ``k_lo``, a window of whole steps that contains 0.
 
-    The window must satisfy t_lo <= 0 <= t_hi and both endpoints must sit
-    on the step grid.  Positive and negative half lines use independent
-    stream tags; the negative half is an independent copy laid out in
-    mirrored order, which realizes the two-sided construction at the level
-    of increments and jump events.  Path ``j`` of this call is addressed
-    by ``path_index = path_offset + j``: a chunked caller that splits
+    Positive and negative half lines use independent stream tags; the
+    negative half is an independent copy laid out in mirrored order,
+    which realizes the two-sided construction at the level of increments
+    and jump events.  Path ``j`` of this call is addressed by
+    ``path_index = path_offset + j``: a chunked caller that splits
     ``n_paths`` across several calls gets bit-identical paths.
 
     The keys of every stream are derived in one pass (``_stream_keys``),
@@ -568,18 +491,19 @@ def sample_noise(
     any thread count.
     """
     validate_spec(spec)
-    t_lo, t_hi = float(window[0]), float(window[1])
-    if not (t_lo <= 0.0 <= t_hi) or t_lo == t_hi:
-        raise NoiseSpecError("window must contain 0 with t_lo < t_hi")
+    if not (isinstance(k_lo, Integral) and isinstance(n, Integral)):
+        raise NoiseSpecError(
+            f"window start {k_lo} and length {n} must be whole multiples of the step {h}"
+        )
+    if not (k_lo <= 0 <= k_lo + n) or n < 1:
+        raise NoiseSpecError("window must contain 0 and at least one step")
     if not (np.isfinite(h) and h > 0):
         raise NoiseSpecError("step h must be finite and > 0")
     if n_paths < 1:
         raise NoiseSpecError("a noise sample needs at least one path")
     if threads < 1:
         raise NoiseSpecError("threads must be at least 1")
-    n_neg = _steps_for(-t_lo, h, "window start")
-    n_pos = _steps_for(t_hi, h, "window end")
-    n = n_neg + n_pos
+    n_neg, n_pos = -k_lo, k_lo + n
 
     chol = None
     if spec.wiener is not None:
@@ -684,5 +608,5 @@ def sample_noise(
         event_step=np.clip(np.floor(ev_times / h).astype(np.int64) + n_neg, 0, n - 1),
         event_region=region[ev_comp[order]],
         event_marks=np.concatenate(marks, axis=0)[order],
-        event_times_base=ev_times,
+        event_times=ev_times,
     )

@@ -58,6 +58,7 @@ import math
 import time
 from collections import namedtuple
 from contextlib import contextmanager
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -75,7 +76,7 @@ from .coefficients import (
     term_value,
 )
 from .dichotomy import DichotomousSystem, matrix_exp
-from .noise import NoiseSample, grid_steps
+from .noise import NoiseSample
 
 __all__ = [
     "SolverError",
@@ -287,20 +288,6 @@ def _blowup_cause(sys: DichotomousSystem, cs: CoefficientSet) -> str:
 # ---------------------------------------------------------------------------
 # the integral operator
 # ---------------------------------------------------------------------------
-
-
-def _truncation_steps(truncation: float, h: float, n_steps: int) -> int:
-    w = grid_steps(truncation, h)
-    if w is None or w < 1:
-        raise SolverError(
-            f"truncation {truncation} must be a positive multiple of the step {h}"
-        )
-    if n_steps < 2 * w:
-        raise SolverError(
-            f"window of {n_steps} steps is too narrow for truncation "
-            f"{truncation}; need at least {2 * w} steps"
-        )
-    return int(w)
 
 
 class _ModalHalf(
@@ -561,11 +548,19 @@ class _Plan:
         self.reach = reach
 
     @classmethod
-    def build(cls, sys, cs, noise, truncation) -> "_Plan":
+    def build(cls, sys, cs, noise, w) -> "_Plan":
         if sys.dim != cs.dim_state:
             raise SolverError("system, coefficients and ensemble dimensions differ")
         h, n = noise.h, noise.n_steps
-        w = _truncation_steps(truncation, h, n)
+        if not (isinstance(w, Integral) and w >= 1):
+            raise SolverError(
+                f"truncation of {w} steps is not a positive multiple of the step {h}"
+            )
+        if n < 2 * w:
+            raise SolverError(
+                f"window of {n} steps is too narrow for a truncation of {w} steps; "
+                f"need at least {2 * w} steps"
+            )
         grid = noise.grid
         ts = grid[:-1]
         rows = tuple(
@@ -927,7 +922,7 @@ def picard_solve(
     noise: NoiseSample,
     tol: float = 1e-10,
     max_iter: int = 60,
-    truncation: Optional[float] = None,
+    w: Optional[int] = None,
     chunk_paths: Optional[int] = None,
     threads: int = 1,
 ) -> PicardResult:
@@ -938,10 +933,11 @@ def picard_solve(
     Common random numbers: every iterate reuses the same noise, so the
     geometric contraction is visible directly in the gap trace.  When
     ``max_iter`` is hit the last iterate is returned with
-    ``converged=False``.  Default truncation is 12/omega, tail factor
-    about 6e-6 of the integrand magnitude: the truncation error of the
-    full two-sided window is bounded by ``tail_factor`` times the sup of
-    the integrand's mean-square magnitudes.
+    ``converged=False``.  The truncation horizon is ``w`` whole steps,
+    by default 12/omega rounded to the grid, tail factor about 6e-6 of
+    the integrand magnitude: the truncation error of the full two-sided
+    window is bounded by ``tail_factor`` times the sup of the
+    integrand's mean-square magnitudes.
 
     One application of S: per output time t the stable part accumulates
     increments over [t - T_c, t] (clipped at the window start) and the
@@ -986,9 +982,9 @@ def picard_solve(
     if max_iter < 1:
         raise SolverError("max_iter must be at least 1")
     h = noise.h
-    if truncation is None:
-        truncation = sys.default_truncation(h)
-    plan = _Plan.build(sys, cs, noise, truncation)
+    if w is None:
+        w = sys.default_truncation(h)
+    plan = _Plan.build(sys, cs, noise, w)
     m, n_times = noise.n_paths, noise.n_steps + 1
     # coordinate-major: a coordinate S cannot reach is never touched and
     # stays untouched zero pages

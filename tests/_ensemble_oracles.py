@@ -29,15 +29,15 @@ def apply_S(
     cs,
     noise,
     ens: PathEnsemble,
-    truncation: float,
+    w: int,
     chunk_paths: Optional[int] = None,
     threads: int = 1,
 ) -> tuple[PathEnsemble, dict]:
     """One application of the integral operator S of ``picard_solve`` to
     an ensemble, by the same plan and in-place sweep: the input is copied
     once, coordinate-major, and swept; the coordinates S cannot reach
-    (``_Plan.reach``) are then set to zero.  Returns the new ensemble and
-    the tail report."""
+    (``_Plan.reach``) are then set to zero.  The truncation horizon is
+    ``w`` whole steps.  Returns the new ensemble and the tail report."""
     h, k_lo, n = noise.h, noise.k_lo, noise.n_steps
     if (ens.h, ens.k_lo, ens.n_steps) != (h, k_lo, n):
         raise SolverError("noise and ensemble grids do not match")
@@ -46,7 +46,7 @@ def apply_S(
     d = cs.dim_state
     if sys.dim != d or ens.dim != d:
         raise SolverError("system, coefficients and ensemble dimensions differ")
-    plan = _Plan.build(sys, cs, noise, truncation)
+    plan = _Plan.build(sys, cs, noise, w)
     values = np.moveaxis(ens.values, -1, 0).copy()
     with _in_place_sweeps(plan, chunk_paths, threads) as sweep:
         sweep(values)

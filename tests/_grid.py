@@ -1,0 +1,18 @@
+"""Float times of the tests as whole grid steps, the form the sampler,
+the Picard solve and the shift scan take."""
+
+from levyap.config import grid_steps
+
+
+def steps(x: float, h: float):
+    """The whole number of steps ``h`` in the time ``x``, by the config's
+    grid rule (``grid_steps``).  Off the grid it is the fraction ``x / h``
+    itself, which every function that takes steps rejects."""
+    k = grid_steps(float(x), h)
+    return x / h if k is None else k
+
+
+def window_steps(t_lo: float, t_hi: float, h: float) -> tuple:
+    """The window [t_lo, t_hi] as its start step and its step count."""
+    k_lo = steps(t_lo, h)
+    return k_lo, steps(t_hi, h) - k_lo

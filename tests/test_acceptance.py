@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from _ensemble_oracles import grid_index, l2_increment
+from _grid import steps, window_steps
 from _lp_oracles import rational_bl_value
 from levyap.apdist import (
     EmpiricalLaw,
@@ -77,20 +78,14 @@ def solve_preset(name: str, seed=None):
         cfg = cfg._replace(seed=seed)
     run = validate_config(cfg)
     num = cfg.numerics
-    noise = sample_noise(
-        run.spec,
-        (float(num.window[0]), float(num.window[1])),
-        float(num.h),
-        num.n_paths,
-        cfg.seed,
-    )
+    noise = sample_noise(run.spec, run.k_lo, run.n, float(num.h), num.n_paths, cfg.seed)
     res = picard_solve(
         run.system,
         run.coefficients,
         noise,
         tol=float(num.tol),
         max_iter=num.max_iter,
-        truncation=run.truncation,
+        w=run.w,
     )
     assert res.converged
     return cfg, res
@@ -114,9 +109,11 @@ def three_sigma_floor_policy(cfg, res_a, res_b, n_support):
 
 def scan_preset(cfg, res, eps, n_support):
     """Shift scan over the configured times and shifts, as apscan runs it."""
-    times = [float(t) for t in cfg.analysis.times]
+    ens = res.ensemble
+    times = [steps(float(t), ens.h) - ens.k_lo for t in cfg.analysis.times]
     shifts = [float(s) for s in cfg.analysis.shifts]
-    return ap_distribution_scan(res.ensemble, times, shifts, eps, n_support, seed=cfg.seed)
+    offsets = [steps(s, ens.h) for s in shifts]
+    return ap_distribution_scan(ens, times, offsets, shifts, eps, n_support, seed=cfg.seed)
 
 
 @pytest.fixture(scope="module")
@@ -185,10 +182,10 @@ def test_constant_drift_fixed_point_within_reported_tail():
     c1, c2 = 0.7, -1.3
     sysd = benchmark_system()
     spec = LevyProcessSpec(dim=1, wiener=WienerSpec(1, np.eye(1)))
-    noise = sample_noise(spec, (-2.0, 4.0), 1.0 / 64, 3, seed=4)
+    noise = sample_noise(spec, *window_steps(-2.0, 4.0, 1.0 / 64), 1.0 / 64, 3, seed=4)
     t_c = 1.5
     res = picard_solve(
-        sysd, constant_drift_coefficients(c1, c2), noise, tol=1e-26, truncation=t_c
+        sysd, constant_drift_coefficients(c1, c2), noise, tol=1e-26, w=steps(t_c, noise.h)
     )
     assert res.converged
     grid = res.ensemble.grid
@@ -206,9 +203,11 @@ def test_constant_drift_fixed_point_within_reported_tail():
 def test_picard_gap_ratios_at_full_scale():
     start = time.perf_counter()
     run = validate_config(preset_config("example41"))
-    noise = sample_noise(run.spec, (-2.0, 4.0), 1.0e-3, 2000, seed=run.config.seed)
+    noise = sample_noise(
+        run.spec, *window_steps(-2.0, 4.0, 1.0e-3), 1.0e-3, 2000, seed=run.config.seed
+    )
     res = picard_solve(
-        run.system, run.coefficients, noise, tol=1e-9, max_iter=40, truncation=2.0
+        run.system, run.coefficients, noise, tol=1e-9, max_iter=40, w=steps(2.0, noise.h)
     )
     assert res.converged
     gaps = res.gaps()
@@ -231,8 +230,10 @@ def test_forced_ou_matches_closed_form():
     # mean curve: fine step so the quadrature bias sits well under the
     # Monte-Carlo allowance 3 (sigma / sqrt(2a)) / sqrt(M)
     m_paths = 512
-    noise = sample_noise(spec, (-8.0, 8.0), 1.0 / 512, m_paths, seed=run.config.seed)
-    res = picard_solve(sysd, cs, noise, tol=1e-10, max_iter=20, truncation=6.0)
+    noise = sample_noise(
+        spec, *window_steps(-8.0, 8.0, 1.0 / 512), 1.0 / 512, m_paths, seed=run.config.seed
+    )
+    res = picard_solve(sysd, cs, noise, tol=1e-10, max_iter=20, w=steps(6.0, noise.h))
     assert res.converged
     grid = res.ensemble.grid
     core = (grid >= -2.0) & (grid <= 2.0)
@@ -243,8 +244,10 @@ def test_forced_ou_matches_closed_form():
     assert np.abs((m_hat - m_exact)[core]).max() <= allowance
 
     # stationary variance at M = 1e4
-    noise_v = sample_noise(spec, (-8.0, 8.0), 1.0 / 64, 10_000, seed=run.config.seed + 1)
-    res_v = picard_solve(sysd, cs, noise_v, tol=1e-10, max_iter=20, truncation=6.0)
+    noise_v = sample_noise(
+        spec, *window_steps(-8.0, 8.0, 1.0 / 64), 1.0 / 64, 10_000, seed=run.config.seed + 1
+    )
+    res_v = picard_solve(sysd, cs, noise_v, tol=1e-10, max_iter=20, w=steps(6.0, noise_v.h))
     grid_v = res_v.ensemble.grid
     core_v = (grid_v >= -2.0) & (grid_v <= 2.0)
     var_hat = res_v.ensemble.values[:, core_v, 0].var(axis=0).mean()
@@ -382,7 +385,7 @@ def test_noise_statistics_and_thread_determinism():
     # Ito isometry for a deterministic integrand at 1e4 paths
     spec = LevyProcessSpec(dim=1, wiener=WienerSpec(1, np.eye(1)))
     h = 1.0 / 32
-    noise = sample_noise(spec, (0.0, 4.0), h, 10_000, seed=77)
+    noise = sample_noise(spec, *window_steps(0.0, 4.0, h), h, 10_000, seed=77)
     grid = noise.grid
     g = np.sin(grid[:-1])
     integrals = noise.dW[:, :, 0] @ g
@@ -399,7 +402,7 @@ def test_noise_statistics_and_thread_determinism():
             ),
         ),
     )
-    jnoise = sample_noise(jump_spec, (0.0, 4.0), h, 10_000, seed=78)
+    jnoise = sample_noise(jump_spec, *window_steps(0.0, 4.0, h), h, 10_000, seed=78)
     span = 4.0
     compensator = span * 2.0 * float(jump_spec.jumps[0].marks.mean()[0])
     sums = (
@@ -414,10 +417,10 @@ def test_noise_statistics_and_thread_determinism():
     cfg = preset_config("example41")
     spec41 = build_spec(cfg.levy)
     cs = example41_coefficients()
-    small = sample_noise(spec41, (-1.0, 2.0), 1.0 / 64, 32, seed=9)
+    small = sample_noise(spec41, *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 32, seed=9)
     results = [
         picard_solve(
-            sysd, cs, small, tol=1e-10, max_iter=30, truncation=0.5,
+            sysd, cs, small, tol=1e-10, max_iter=30, w=steps(0.5, small.h),
             chunk_paths=chunk,
         )
         for chunk in (None, 8, 4)

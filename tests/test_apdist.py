@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from _grid import steps
 from _lp_oracles import enumerate_bl_value, rational_bl_value
 import levyap.apdist
 from levyap.apdist import (
@@ -25,6 +26,12 @@ class _FakeEnsemble:
     def __init__(self, grid, values):
         self.grid = grid
         self.values = values
+
+
+def _on_grid(ens, times):
+    """Float times as whole steps of the ensemble's grid, which starts at 0."""
+    h = float(ens.grid[1] - ens.grid[0])
+    return [steps(t, h) for t in times]
 
 
 def _random_pair(gen, max_pts=12, dim=None):
@@ -419,7 +426,9 @@ def _recording_scan(monkeypatch, ens, times, shifts, **kw):
         return 0.0
 
     monkeypatch.setattr(levyap.apdist, "bl_distance", record)
-    ap_distribution_scan(ens, times, shifts, eps=0.1, **kw)
+    ap_distribution_scan(
+        ens, _on_grid(ens, times), _on_grid(ens, shifts), shifts, eps=0.1, **kw
+    )
     return pairs
 
 
@@ -445,11 +454,11 @@ def test_scan_reads_laws_at_grid_times(monkeypatch):
 def test_scan_rejects_off_grid_times():
     ens = _FakeEnsemble(np.linspace(0.0, 1.0, 11), np.zeros((4, 11, 1)))
     with pytest.raises(EmpiricalLawError, match="grid"):
-        ap_distribution_scan(ens, [0.31], [0.2], eps=0.1)
+        ap_distribution_scan(ens, _on_grid(ens, [0.31]), _on_grid(ens, [0.2]), [0.2], eps=0.1)
     with pytest.raises(EmpiricalLawError, match="grid"):
-        ap_distribution_scan(ens, [0.3], [0.25], eps=0.1)
+        ap_distribution_scan(ens, _on_grid(ens, [0.3]), _on_grid(ens, [0.25]), [0.25], eps=0.1)
     with pytest.raises(EmpiricalLawError, match="outside"):
-        ap_distribution_scan(ens, [0.8], [0.5], eps=0.1)
+        ap_distribution_scan(ens, _on_grid(ens, [0.8]), _on_grid(ens, [0.5]), [0.5], eps=0.1)
 
 
 def test_scan_time_index_tolerance(monkeypatch):
@@ -459,7 +468,9 @@ def test_scan_time_index_tolerance(monkeypatch):
     np.testing.assert_array_equal(pairs[0][0].points, values[:, 2, :])
     np.testing.assert_array_equal(pairs[0][1].points, values[:, 1, :])
     with pytest.raises(EmpiricalLawError, match="grid"):
-        ap_distribution_scan(ens, [0.5 + 1e-6], [0.5], eps=0.1)
+        ap_distribution_scan(
+            ens, _on_grid(ens, [0.5 + 1e-6]), _on_grid(ens, [0.5]), [0.5], eps=0.1
+        )
 
 
 def _circle_ensemble():
@@ -474,7 +485,10 @@ _CIRCLE_TIMES = [0.0, 0.5, 1.0, 1.5, 2.0]
 
 
 def test_scan_accepts_exact_periods():
-    report = ap_distribution_scan(_circle_ensemble(), _CIRCLE_TIMES, [1.0, 2.0, 4.0], eps=1e-6)
+    ens, shifts = _circle_ensemble(), [1.0, 2.0, 4.0]
+    report = ap_distribution_scan(
+        ens, _on_grid(ens, _CIRCLE_TIMES), _on_grid(ens, shifts), shifts, eps=1e-6
+    )
     np.testing.assert_array_equal(report.accepted, [False, True, True])
     # a half period moves the mass to the antipode, distance 2 on the
     # circle, so beta = 2 d / (2 + d) = 1
@@ -490,7 +504,10 @@ def test_scan_accepts_exact_periods():
 
 
 def test_scan_with_no_accepted_shift_reports_infinite_gap():
-    report = ap_distribution_scan(_circle_ensemble(), _CIRCLE_TIMES, [1.0, 3.0], eps=1e-6)
+    ens, shifts = _circle_ensemble(), [1.0, 3.0]
+    report = ap_distribution_scan(
+        ens, _on_grid(ens, _CIRCLE_TIMES), _on_grid(ens, shifts), shifts, eps=1e-6
+    )
     assert not report.accepted.any()
     assert report.max_gap == float("inf")
     assert report.as_dict()["max_gap"] is None
@@ -500,11 +517,15 @@ def test_scan_with_no_accepted_shift_reports_infinite_gap():
 def test_scan_rejects_unusable_inputs():
     ens = _circle_ensemble()
     with pytest.raises(EmpiricalLawError, match="overlap"):
-        ap_distribution_scan(ens, [], [1.0], eps=0.1)
+        ap_distribution_scan(ens, _on_grid(ens, []), _on_grid(ens, [1.0]), [1.0], eps=0.1)
     with pytest.raises(EmpiricalLawError, match="outside"):
-        ap_distribution_scan(ens, _CIRCLE_TIMES, [100.0], eps=0.1)
+        ap_distribution_scan(
+            ens, _on_grid(ens, _CIRCLE_TIMES), _on_grid(ens, [100.0]), [100.0], eps=0.1
+        )
     with pytest.raises(EmpiricalLawError, match="eps"):
-        ap_distribution_scan(ens, _CIRCLE_TIMES, [2.0], eps=0.0)
+        ap_distribution_scan(
+            ens, _on_grid(ens, _CIRCLE_TIMES), _on_grid(ens, [2.0]), [2.0], eps=0.0
+        )
 
 
 def test_scan_is_deterministic():
@@ -512,7 +533,8 @@ def test_scan_is_deterministic():
     grid = np.linspace(0.0, 3.0, 31)
     values = gen.normal(size=(40, 31, 1)).cumsum(axis=1) * 0.1
     ens = _FakeEnsemble(grid, values)
-    r1 = ap_distribution_scan(ens, grid[:16:5], [0.5, 1.0], eps=0.5, n_support=20)
-    r2 = ap_distribution_scan(ens, grid[:16:5], [0.5, 1.0], eps=0.5, n_support=20)
+    times, offsets = _on_grid(ens, grid[:16:5]), _on_grid(ens, [0.5, 1.0])
+    r1 = ap_distribution_scan(ens, times, offsets, [0.5, 1.0], eps=0.5, n_support=20)
+    r2 = ap_distribution_scan(ens, times, offsets, [0.5, 1.0], eps=0.5, n_support=20)
     assert r1.sup_beta.tobytes() == r2.sup_beta.tobytes()
     np.testing.assert_array_equal(r1.accepted, r2.accepted)

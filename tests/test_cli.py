@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import levyap
 import levyap.apdist
@@ -39,7 +42,7 @@ from levyap.config import (
     validate_config,
 )
 from levyap.dichotomy import DichotomyError, MatrixExpOverflowError, NoDichotomyError
-from levyap.noise import NoiseShiftError, NoiseSpecError
+from levyap.noise import NoiseSpecError
 from levyap.solver import PathEnsemble, SolverError
 
 
@@ -425,6 +428,72 @@ class TestValidation:
         report = json.loads((out / "apscan_report.json").read_text(encoding="utf-8"))
         assert [entry["s"] for entry in report["shifts"]] == [1.0]
         assert "leaves the window interior" not in capsys.readouterr().err
+
+    @given(data=st.data(), as_string=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_run_steps_equal_fraction_arithmetic(self, data, as_string):
+        """The window, the truncation, every analysis time and every shift
+        of a run are rationals on the grid of a rational h.  Written as
+        floats or as "p/q" strings, the ``Run`` carries them as the steps
+        that exact arithmetic gives, and the same value half a step off
+        the grid is rejected with the message naming it."""
+        h = Fraction(data.draw(st.integers(1, 3)), data.draw(st.integers(1, 64)))
+        w = data.draw(st.integers(1, 4))
+        k_lo = data.draw(st.integers(-2 * w - 12, 0))
+        k_hi = data.draw(st.integers(max(0, k_lo + 2 * w), k_lo + 2 * w + 24))
+        span = k_hi - k_lo - 2 * w
+        shifts = data.draw(st.lists(st.integers(-span, span), min_size=1, max_size=3))
+        lo, hi = k_lo + w + max(0, -min(shifts)), k_hi - w - max(0, max(shifts))
+        assume(lo <= hi)
+        times = data.draw(st.lists(st.integers(lo, hi), min_size=1, max_size=3))
+
+        def write(x: Fraction):
+            return f"{x.numerator}/{x.denominator}" if as_string else float(x)
+
+        def configured(values):
+            d = tiny_benchmark_dict()
+            d["numerics"].update(
+                h=write(h),
+                window=[write(values["window start"]), write(values["window end"])],
+                truncation=write(values["truncation"]),
+            )
+            d["analysis"].update(
+                times=[write(x) for x in values["analysis time"]],
+                shifts=[write(x) for x in values["analysis shift"]],
+            )
+            return config_from_dict(d)
+
+        def exact(x: Fraction) -> int:
+            assert (x / h).denominator == 1
+            return (x / h).numerator
+
+        values = {
+            "window start": k_lo * h,
+            "window end": k_hi * h,
+            "truncation": w * h,
+            "analysis time": [k * h for k in times],
+            "analysis shift": [k * h for k in shifts],
+        }
+        run = validate_config(configured(values))
+        assert run.k_lo == exact(values["window start"])
+        assert run.n == exact(values["window end"] - values["window start"])
+        assert run.w == exact(values["truncation"])
+        assert run.times == tuple(map(exact, values["analysis time"]))
+        assert run.shifts == tuple(map(exact, values["analysis shift"]))
+        assert all(type(k) is int for k in (run.k_lo, run.n, run.w, *run.times, *run.shifts))
+
+        for what, value in values.items():
+            off = dict(values)
+            # half a step outwards, so the window still contains 0
+            nudge = -h / 2 if what == "window start" else h / 2
+            if isinstance(value, list):
+                bad = value[0] + nudge
+                off[what] = [bad, *value[1:]]
+            else:
+                bad = off[what] = value + nudge
+            message = f"{what} = {float(bad)} is not a multiple of the step h = {float(h)}"
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                validate_config(configured(off))
 
     def test_time_one_step_past_the_interior_edge(self):
         d = {
@@ -963,7 +1032,6 @@ class TestCliErrorMapping:
         bases = {
             ConfigError: ValueError,
             NoiseSpecError: ValueError,
-            NoiseShiftError: ValueError,
             DichotomyError: ValueError,
             MatrixExpOverflowError: ArithmeticError,
             CoefficientError: ValueError,

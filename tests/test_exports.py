@@ -1,5 +1,6 @@
-"""Every name a levyap module exports in ``__all__`` resolves, and no
-levyap module imports ``dataclasses``."""
+"""Every name a levyap module exports in ``__all__`` resolves, no levyap
+module imports ``dataclasses``, and only ``levyap.config`` names the grid
+rule ``grid_steps``."""
 
 import ast
 import importlib
@@ -53,3 +54,27 @@ def test_no_module_imports_dataclasses():
         )
     ]
     assert importers == []
+
+
+def named(source: str) -> set[str]:
+    """Every identifier ``source`` names: variables, attributes, imports
+    and definitions."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update({node.name, node.asname})
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return names
+
+
+def test_only_config_reads_times_as_grid_steps():
+    """Times become whole grid steps once, in ``validate_config``; the
+    sampler, the solver and the scan take the steps the run carries."""
+    sources = sorted(Path(levyap.__file__).parent.glob("*.py"))
+    users = [path.stem for path in sources if "grid_steps" in named(path.read_text("utf-8"))]
+    assert users == ["config"]

@@ -21,15 +21,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _grid import steps, window_steps
+from _noise_oracles import NoiseShiftError, shifted
+from levyap.config import grid_steps
 from levyap.noise import (
     JumpComponent,
     LevyProcessSpec,
-    NoiseShiftError,
     NoiseSpecError,
     WienerSpec,
     _KeyedStream,
     _stream_keys,
-    grid_steps,
     point_mark,
     sample_noise,
     stream,
@@ -138,9 +139,9 @@ def test_validate_rejects_bad_rate_and_dim():
 def test_window_must_be_grid_aligned_and_contain_zero():
     spec = make_spec(with_jumps=False)
     with pytest.raises(NoiseSpecError, match="multiple"):
-        sample_noise(spec, (-1.0005, 1.0), 0.01, 1, seed=0)
+        sample_noise(spec, *window_steps(-1.0005, 1.0, 0.01), 0.01, 1, seed=0)
     with pytest.raises(NoiseSpecError, match="contain 0"):
-        sample_noise(spec, (0.5, 1.0), 0.01, 1, seed=0)
+        sample_noise(spec, *window_steps(0.5, 1.0, 0.01), 0.01, 1, seed=0)
 
 
 @pytest.mark.parametrize(
@@ -168,9 +169,9 @@ def test_grid_steps(x, h, steps):
 
 def test_chunked_sampling_matches_monolithic():
     spec = make_spec()
-    whole = sample_noise(spec, (-1.0, 2.0), 0.01, 6, seed=123)
-    first = sample_noise(spec, (-1.0, 2.0), 0.01, 2, seed=123, path_offset=0)
-    rest = sample_noise(spec, (-1.0, 2.0), 0.01, 4, seed=123, path_offset=2)
+    whole = sample_noise(spec, *window_steps(-1.0, 2.0, 0.01), 0.01, 6, seed=123)
+    first = sample_noise(spec, *window_steps(-1.0, 2.0, 0.01), 0.01, 2, seed=123, path_offset=0)
+    rest = sample_noise(spec, *window_steps(-1.0, 2.0, 0.01), 0.01, 4, seed=123, path_offset=2)
     np.testing.assert_array_equal(whole.dW, np.concatenate([first.dW, rest.dW]))
     for p in range(6):
         part, q = (first, p) if p < 2 else (rest, p - 2)
@@ -181,7 +182,7 @@ def test_chunked_sampling_matches_monolithic():
 
 
 def test_events_are_ordered_by_path_then_time():
-    sample = sample_noise(make_spec(dim=2), (-1.0, 2.0), 0.01, 5, seed=4)
+    sample = sample_noise(make_spec(dim=2), *window_steps(-1.0, 2.0, 0.01), 0.01, 5, seed=4)
     order = np.lexsort((sample.event_times, sample.event_path))
     np.testing.assert_array_equal(order, np.arange(len(order)))
 
@@ -200,7 +201,9 @@ def test_stream_layout_is_pinned():
             JumpComponent(1.5, "large", point_mark([1.2, -0.9])),
         ),
     )
-    sample = sample_noise(spec, (-1.0, 1.5), 1.0 / 16, 4, seed=2024, path_offset=3)
+    sample = sample_noise(
+        spec, *window_steps(-1.0, 1.5, 1.0 / 16), 1.0 / 16, 4, seed=2024, path_offset=3
+    )
     assert sample.dW.shape == (4, 40, 2)
     assert np.array_equal(np.bincount(sample.event_region), [45, 17])
     digest = hashlib.sha256()
@@ -252,7 +255,9 @@ def test_stream_keys_reject_words_beyond_32_bits():
     with pytest.raises(NoiseSpecError, match=r"2\*\*32"):
         _stream_keys(1, np.array([3, -1]), 0)
     with pytest.raises(NoiseSpecError, match="path indices"):
-        sample_noise(make_spec(), (-0.5, 0.5), 0.25, 2, seed=1, path_offset=2**32 - 1)
+        sample_noise(
+            make_spec(), *window_steps(-0.5, 0.5, 0.25), 0.25, 2, seed=1, path_offset=2**32 - 1
+        )
 
 
 def test_rekeyed_stream_draws_equal_fresh_streams():
@@ -363,11 +368,21 @@ def test_sampler_matches_per_path_reference_for_any_threads(spec, window):
     sys.setswitchinterval(1e-6)
     try:
         for threads in (1, 2, 3, 71):
-            sample = sample_noise(spec, window, 1.0 / 16, 70, 2**40 + 9, 5, threads=threads)
+            sample = sample_noise(
+                spec, *window_steps(*window, 1.0 / 16), 1.0 / 16, 70, 2**40 + 9, 5, threads=threads
+            )
             for name, want in ref.items():
                 np.testing.assert_array_equal(getattr(sample, name), want)
         parts = [
-            sample_noise(spec, window, 1.0 / 16, hi - lo, 2**40 + 9, 5 + lo, threads=2)
+            sample_noise(
+                spec,
+                *window_steps(*window, 1.0 / 16),
+                1.0 / 16,
+                hi - lo,
+                2**40 + 9,
+                5 + lo,
+                threads=2,
+            )
             for lo, hi in ((0, 33), (33, 34), (34, 70))
         ]
     finally:
@@ -399,7 +414,9 @@ def test_sampler_temporaries_are_bounded(threads):
     )
     tracemalloc.start()
     try:
-        sample = sample_noise(spec, (-2.0, 4.0), 1.0 / 1024, 256, seed=41, threads=threads)
+        sample = sample_noise(
+            spec, *window_steps(-2.0, 4.0, 1.0 / 1024), 1.0 / 1024, 256, seed=41, threads=threads
+        )
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -409,9 +426,9 @@ def test_sampler_temporaries_are_bounded(threads):
 
 def test_different_paths_and_seeds_differ():
     spec = make_spec()
-    ab = sample_noise(spec, (-1.0, 1.0), 0.01, 2, seed=5)
+    ab = sample_noise(spec, *window_steps(-1.0, 1.0, 0.01), 0.01, 2, seed=5)
     assert not np.array_equal(ab.dW[0], ab.dW[1])
-    c = sample_noise(spec, (-1.0, 1.0), 0.01, 1, seed=6)
+    c = sample_noise(spec, *window_steps(-1.0, 1.0, 0.01), 0.01, 1, seed=6)
     assert not np.array_equal(ab.dW[0], c.dW[0])
 
 
@@ -421,22 +438,21 @@ def test_different_paths_and_seeds_differ():
 
 
 def test_shift_zero_is_identity():
-    r = sample_noise(make_spec(), (-1.0, 2.0), 0.01, 1, seed=3)
-    assert same_sample(r, r.shifted(0.0))
+    r = sample_noise(make_spec(), *window_steps(-1.0, 2.0, 0.01), 0.01, 1, seed=3)
+    assert same_sample(r, shifted(r, steps(0.0, r.h)))
 
 
 @given(m=st.integers(min_value=-150, max_value=150))
 @settings(max_examples=30, deadline=None)
 def test_shift_involution(m):
-    r = sample_noise(make_spec(), (-2.0, 2.0), 0.01, 1, seed=11)
-    s = m * 0.01
-    assert same_sample(r, r.shifted(s).shifted(-s))
+    r = sample_noise(make_spec(), *window_steps(-2.0, 2.0, 0.01), 0.01, 1, seed=11)
+    assert same_sample(r, shifted(shifted(r, m), -m))
 
 
 def test_shift_rebases_grid_and_events():
-    r = sample_noise(make_spec(), (-2.0, 3.0), 0.01, 1, seed=8)
+    r = sample_noise(make_spec(), *window_steps(-2.0, 3.0, 0.01), 0.01, 1, seed=8)
     s = 1.0
-    sh = r.shifted(s)
+    sh = shifted(r, steps(s, r.h))
     assert sh.grid[0] == pytest.approx(-3.0)
     assert sh.grid[-1] == pytest.approx(2.0)
     assert np.array_equal(sh.dW, r.dW)
@@ -445,8 +461,8 @@ def test_shift_rebases_grid_and_events():
 
 
 def test_shift_crops_to_window_on_integer_steps():
-    r = sample_noise(make_spec(), (-2.0, 3.0), 0.25, 3, seed=8)
-    sh = r.shifted(1.0, window=(-2.0, 1.0))
+    r = sample_noise(make_spec(), *window_steps(-2.0, 3.0, 0.25), 0.25, 3, seed=8)
+    sh = shifted(r, steps(1.0, r.h), window=window_steps(-2.0, 1.0, r.h))
     assert (sh.k_lo, sh.n_steps) == (-8, 12)
     np.testing.assert_array_equal(sh.dW, r.dW[:, 4:16])
     keep = (r.event_step >= 4) & (r.event_step < 16)
@@ -460,11 +476,11 @@ def test_shift_crops_to_window_on_integer_steps():
 
 
 def test_shift_rejects_off_grid_and_escaping_window():
-    r = sample_noise(make_spec(), (-1.0, 1.0), 0.01, 1, seed=8)
+    r = sample_noise(make_spec(), *window_steps(-1.0, 1.0, 0.01), 0.01, 1, seed=8)
     with pytest.raises(NoiseShiftError, match="multiple"):
-        r.shifted(0.005)
+        shifted(r, steps(0.005, r.h))
     with pytest.raises(NoiseShiftError, match="not contained"):
-        r.shifted(0.5, window=(-1.0, 1.0))
+        shifted(r, steps(0.5, r.h), window=window_steps(-1.0, 1.0, r.h))
 
 
 def test_shifted_brownian_increments_same_law():
@@ -472,9 +488,9 @@ def test_shifted_brownian_increments_same_law():
     # increments of an independent path, 1% level
     spec = LevyProcessSpec(dim=1, wiener=WienerSpec(1, np.eye(1)))
     h = 1e-3
-    a = sample_noise(spec, (-1.0, 9.0), h, 1, seed=21)
-    b = sample_noise(spec, (-5.0, 5.0), h, 1, seed=22)
-    bs = b.shifted(-4.0, window=(-1.0, 9.0))
+    a = sample_noise(spec, *window_steps(-1.0, 9.0, h), h, 1, seed=21)
+    b = sample_noise(spec, *window_steps(-5.0, 5.0, h), h, 1, seed=22)
+    bs = shifted(b, steps(-4.0, h), window=window_steps(-1.0, 9.0, h))
     x = np.sort(a.dW[0, :, 0])
     y = np.sort(bs.dW[0, :, 0])
     n, m = len(x), len(y)
@@ -494,7 +510,7 @@ def test_wiener_increment_covariance():
     q = np.array([[1.0, 0.3], [0.3, 0.5]])
     spec = LevyProcessSpec(dim=2, wiener=WienerSpec(2, q))
     h = 0.01
-    rs = sample_noise(spec, (-1.0, 1.0), h, 50, seed=99)
+    rs = sample_noise(spec, *window_steps(-1.0, 1.0, h), h, 50, seed=99)
     incs = rs.dW.reshape(-1, 2)
     emp = incs.T @ incs / len(incs)
     assert np.allclose(emp, q * h, atol=4 * h / np.sqrt(len(incs)))
@@ -502,7 +518,7 @@ def test_wiener_increment_covariance():
 
 def test_two_sided_halves_independent():
     spec = LevyProcessSpec(dim=1, wiener=WienerSpec(1, np.eye(1)))
-    rs = sample_noise(spec, (-1.0, 1.0), 0.01, 4000, seed=17)
+    rs = sample_noise(spec, *window_steps(-1.0, 1.0, 0.01), 0.01, 4000, seed=17)
     neg = rs.dW[:, :100, 0].sum(axis=1)
     pos = rs.dW[:, 100:, 0].sum(axis=1)
     rho = np.corrcoef(neg, pos)[0, 1]
@@ -513,7 +529,7 @@ def test_poisson_counts_both_halves():
     spec = LevyProcessSpec(
         dim=1, jumps=(JumpComponent(3.0, "small", uniform_interval_mark(0.1, 0.6)),)
     )
-    rs = sample_noise(spec, (-2.0, 4.0), 0.01, 2000, seed=31)
+    rs = sample_noise(spec, *window_steps(-2.0, 4.0, 0.01), 0.01, 2000, seed=31)
     neg = rs.event_times < 0
     neg_counts = np.bincount(rs.event_path[neg], minlength=rs.n_paths)
     pos_counts = np.bincount(rs.event_path[~neg], minlength=rs.n_paths)
@@ -527,7 +543,7 @@ def test_jump_times_uniform_given_count():
     spec = LevyProcessSpec(
         dim=1, jumps=(JumpComponent(5.0, "small", point_mark([0.3])),)
     )
-    rs = sample_noise(spec, (0.0, 2.0), 0.01, 500, seed=41)
+    rs = sample_noise(spec, *window_steps(0.0, 2.0, 0.01), 0.01, 500, seed=41)
     times = rs.event_times
     # mean of U(0, 2) is 1, sd is 2/sqrt(12)
     assert abs(times.mean() - 1.0) < 4 * (2 / np.sqrt(12)) / np.sqrt(len(times))
@@ -575,7 +591,7 @@ def test_draws_respect_norm_bounds(a, width):
 
 
 def test_event_steps_bin_correctly():
-    r = sample_noise(make_spec(), (-1.0, 1.0), 0.25, 1, seed=55)
+    r = sample_noise(make_spec(), *window_steps(-1.0, 1.0, 0.25), 0.25, 1, seed=55)
     grid = r.grid
     assert len(r.event_step) > 0
     for k, tau in zip(r.event_step, r.event_times):

@@ -15,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _ensemble_oracles import apply_S, grid_index, l2_increment
+from _grid import steps, window_steps
+from _noise_oracles import shifted
 from levyap.coefficients import (
     CoefficientSet,
     CoefficientTerm,
@@ -263,16 +265,16 @@ class TestPathEnsemble:
 class TestNoiseSample:
     def test_requires_paths(self):
         with pytest.raises(NoiseSpecError, match="at least one path"):
-            sample_noise(benchmark_spec(), (-1.0, 1.0), 0.25, 0, seed=1)
+            sample_noise(benchmark_spec(), *window_steps(-1.0, 1.0, 0.25), 0.25, 0, seed=1)
 
     def test_shifted_all_paths(self):
         spec = benchmark_spec()
-        sample = sample_noise(spec, (-1.0, 2.0), 0.25, 3, seed=9)
-        shifted = sample.shifted(1.0)
-        assert shifted.n_paths == 3
-        assert shifted.grid[0] == -2.0
-        assert shifted.grid[-1] == 1.0
-        np.testing.assert_array_equal(shifted.dW, sample.dW)
+        sample = sample_noise(spec, *window_steps(-1.0, 2.0, 0.25), 0.25, 3, seed=9)
+        moved = shifted(sample, steps(1.0, sample.h))
+        assert moved.n_paths == 3
+        assert moved.grid[0] == -2.0
+        assert moved.grid[-1] == 1.0
+        np.testing.assert_array_equal(moved.dW, sample.dW)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +285,9 @@ class TestNoiseSample:
 class TestSimulateMild:
     def test_zero_coefficients_reproduce_linear_flow(self):
         sysd = scalar_system(1.0)
-        noise = sample_noise(wiener_only_spec(), (0.0, 2.0), 1.0 / 64, 3, seed=5)
+        noise = sample_noise(
+            wiener_only_spec(), *window_steps(0.0, 2.0, 1.0 / 64), 1.0 / 64, 3, seed=5
+        )
         ens = simulate_mild(sysd, zero_coefficients(1, 1), noise, np.array([2.0]))
         expected = 2.0 * np.exp(-noise.grid)
         assert np.abs(ens.values[:, :, 0] - expected).max() < 1e-12
@@ -315,7 +319,7 @@ class TestSimulateMild:
             lipschitz=Fraction(1, 2),
         )
         h = 1.0 / 16
-        noise = sample_noise(spec, (0.0, 0.5), h, 2, seed=3)
+        noise = sample_noise(spec, *window_steps(0.0, 0.5, h), h, 2, seed=3)
         ens = simulate_mild(sysd, cs, noise, np.array([0.7]))
 
         exp_ah = matrix_exp(sysd.a, h)
@@ -346,7 +350,9 @@ class TestSimulateMild:
         and a set on two-dimensional noise whose diffusion row 0 has both
         noise columns, with both jump regions and mark-weighted jump
         terms.  Any change to the rounding of the step changes them."""
-        noise = sample_noise(benchmark_spec(), (-2.0, 2.0), 1.0 / 32, 24, seed=41)
+        noise = sample_noise(
+            benchmark_spec(), *window_steps(-2.0, 2.0, 1.0 / 32), 1.0 / 32, 24, seed=41
+        )
         ens = simulate_mild(benchmark_system(), example41_coefficients(), noise, np.zeros(2))
         assert hashlib.sha256(ens.values.tobytes()).hexdigest() == (
             "4af3b28443f14c9996d34050d5ff3ac3c4b40cfb22cc12daef61d9b18e1afa00"
@@ -354,7 +360,9 @@ class TestSimulateMild:
 
         cs = _signal_jump_coefficients()
         sysd = DichotomousSystem.create(np.diag([-1.0, -3.0]), np.eye(2), k=1.0, omega=1.0)
-        noise = sample_noise(_two_dim_spec(), (-1.0, 1.0), 1.0 / 32, 24, seed=1041)
+        noise = sample_noise(
+            _two_dim_spec(), *window_steps(-1.0, 1.0, 1.0 / 32), 1.0 / 32, 24, seed=1041
+        )
         assert set(noise.event_region) == {0, 1}
         ens = simulate_mild(sysd, cs, noise, np.array([0.5, -0.25]))
         assert hashlib.sha256(ens.values.tobytes()).hexdigest() == (
@@ -363,7 +371,7 @@ class TestSimulateMild:
 
     def test_blow_up_reports_path_and_time(self):
         sysd = scalar_system(1.0)
-        noise = sample_noise(wiener_only_spec(), (0.0, 1.0), 0.25, 2, seed=1)
+        noise = sample_noise(wiener_only_spec(), *window_steps(0.0, 1.0, 0.25), 0.25, 2, seed=1)
         cs = constant_drift_coefficients(0.0, 0.0)
         huge = CoefficientSet(
             dim_state=1,
@@ -381,7 +389,9 @@ class TestSimulateMild:
     def test_blow_up_names_forced_unstable_coordinates(self):
         """A forced coordinate in the unstable range grows at any step;
         the message names it and points to the bounded solution."""
-        noise = sample_noise(wiener_only_spec(), (0.0, 4.0), 1.0 / 8, 2, seed=1)
+        noise = sample_noise(
+            wiener_only_spec(), *window_steps(0.0, 4.0, 1.0 / 8), 1.0 / 8, 2, seed=1
+        )
         with pytest.raises(SolverError, match="blew up at t = .* on path 0") as exc:
             simulate_mild(
                 benchmark_system(), constant_drift_coefficients(1.0, 0.0), noise, np.zeros(2)
@@ -392,7 +402,7 @@ class TestSimulateMild:
 
     def test_shape_validation(self):
         sysd = scalar_system(1.0)
-        noise = sample_noise(wiener_only_spec(), (0.0, 1.0), 0.25, 2, seed=1)
+        noise = sample_noise(wiener_only_spec(), *window_steps(0.0, 1.0, 0.25), 0.25, 2, seed=1)
         with pytest.raises(SolverError):
             simulate_mild(sysd, zero_coefficients(1, 1), noise, np.zeros(3))
         with pytest.raises(SolverError):
@@ -406,7 +416,7 @@ class TestSimulateMild:
         h = 1.0 / 64
         sysd = scalar_system(a)
         cs = ou_forced_coefficients(amplitude=1.0, sigma=sigma)
-        noise = sample_noise(wiener_only_spec(), (0.0, 16.0), h, m_paths, seed=21)
+        noise = sample_noise(wiener_only_spec(), *window_steps(0.0, 16.0, h), h, m_paths, seed=21)
         ens = simulate_mild(sysd, cs, noise, np.zeros(1))
 
         grid = ens.grid
@@ -441,9 +451,11 @@ def _random_ensemble(noise, dim: int, seed: int, scale=1.0) -> PathEnsemble:
 class TestApplyS:
     def test_zero_coefficients_map_to_zero(self):
         sysd = benchmark_system()
-        noise = sample_noise(benchmark_spec(), (-2.0, 2.0), 1.0 / 64, 4, seed=2)
+        noise = sample_noise(
+            benchmark_spec(), *window_steps(-2.0, 2.0, 1.0 / 64), 1.0 / 64, 4, seed=2
+        )
         ens = _random_ensemble(noise, 2, seed=0)
-        out, report = apply_S(sysd, zero_coefficients(2, 1), noise, ens, truncation=1.0)
+        out, report = apply_S(sysd, zero_coefficients(2, 1), noise, ens, w=steps(1.0, noise.h))
         assert np.abs(out.values).max() == 0.0
         assert report["truncation"] == 1.0
         assert report["tail_factor"] == pytest.approx(np.exp(-6.0) / 6.0)
@@ -456,9 +468,11 @@ class TestApplyS:
         c1, c2 = 0.7, -1.3
         sysd = benchmark_system()
         t_c = 1.5
-        noise = sample_noise(benchmark_spec(), (-2.0, 4.0), 1.0 / 64, 3, seed=4)
+        noise = sample_noise(
+            benchmark_spec(), *window_steps(-2.0, 4.0, 1.0 / 64), 1.0 / 64, 3, seed=4
+        )
         res = picard_solve(
-            sysd, constant_drift_coefficients(c1, c2), noise, tol=1e-26, truncation=t_c
+            sysd, constant_drift_coefficients(c1, c2), noise, tol=1e-26, w=steps(t_c, noise.h)
         )
         assert res.converged
         grid = res.ensemble.grid
@@ -471,11 +485,13 @@ class TestApplyS:
     def test_larger_truncation_tightens_constant_drift_error(self):
         c1, c2 = 1.0, 1.0
         sysd = benchmark_system()
-        noise = sample_noise(benchmark_spec(), (-4.0, 4.0), 1.0 / 32, 2, seed=4)
+        noise = sample_noise(
+            benchmark_spec(), *window_steps(-4.0, 4.0, 1.0 / 32), 1.0 / 32, 2, seed=4
+        )
         errs = []
         for t_c in (0.5, 1.0, 2.0):
             res = picard_solve(
-                sysd, constant_drift_coefficients(c1, c2), noise, tol=1e-26, truncation=t_c
+                sysd, constant_drift_coefficients(c1, c2), noise, tol=1e-26, w=steps(t_c, noise.h)
             )
             grid = res.ensemble.grid
             interior = (grid >= grid[0] + 2.0) & (grid <= grid[-1] - 2.0)
@@ -489,13 +505,15 @@ class TestApplyS:
         """The mean-square contraction factor of the benchmark preset is
         eta = 5/48; the discrete operator must respect it."""
         sysd = benchmark_system()
-        noise = sample_noise(benchmark_spec(), (-2.0, 2.0), 1.0 / 128, 32, seed=8)
+        noise = sample_noise(
+            benchmark_spec(), *window_steps(-2.0, 2.0, 1.0 / 128), 1.0 / 128, 32, seed=8
+        )
         eta = float(check_conditions(1, 6, Fraction(1, 64), 1).eta)
         for seed in (1, 2):
             y1 = _random_ensemble(noise, 2, seed=10 + seed)
             y2 = _random_ensemble(noise, 2, seed=20 + seed, scale=0.5)
-            s1, _ = apply_S(sysd, example41_coefficients(), noise, y1, truncation=1.0)
-            s2, _ = apply_S(sysd, example41_coefficients(), noise, y2, truncation=1.0)
+            s1, _ = apply_S(sysd, example41_coefficients(), noise, y1, w=steps(1.0, noise.h))
+            s2, _ = apply_S(sysd, example41_coefficients(), noise, y2, w=steps(1.0, noise.h))
             num = np.mean(np.sum((s1.values - s2.values) ** 2, axis=2), axis=0).max()
             den = np.mean(np.sum((y1.values - y2.values) ** 2, axis=2), axis=0).max()
             assert num <= eta * den
@@ -514,15 +532,17 @@ class TestApplyS:
             jump_large=((CoefficientTerm(0.05, "const", mark_weights=(1.0,)),), ()),
             lipschitz=Fraction(1, 2),
         )
-        noise = sample_noise(benchmark_spec(), (-2.0, 4.0), 1.0 / 32, 5, seed=14)
+        noise = sample_noise(
+            benchmark_spec(), *window_steps(-2.0, 4.0, 1.0 / 32), 1.0 / 32, 5, seed=14
+        )
         ens = _random_ensemble(noise, 2, seed=3)
-        out, _ = apply_S(sysd, cs, noise, ens, truncation=1.0)
+        out, _ = apply_S(sysd, cs, noise, ens, w=steps(1.0, noise.h))
 
-        shifted_noise = noise.shifted(1.0)
+        shifted_noise = shifted(noise, steps(1.0, noise.h))
         shifted_ens = PathEnsemble(
             h=ens.h, k_lo=ens.k_lo - 32, values=ens.values
         )
-        out_shift, _ = apply_S(sysd, cs, shifted_noise, shifted_ens, truncation=1.0)
+        out_shift, _ = apply_S(sysd, cs, shifted_noise, shifted_ens, w=steps(1.0, shifted_noise.h))
         np.testing.assert_array_equal(out_shift.values, out.values)
         assert out_shift.t_lo == out.t_lo - 1.0
 
@@ -546,43 +566,55 @@ class TestApplyS:
             jump_large=((),),
             lipschitz=base.lipschitz,
         )
-        noise = sample_noise(wiener_only_spec(), (-4.0, 4.0), 1.0 / 32, 4, seed=6)
+        noise = sample_noise(
+            wiener_only_spec(), *window_steps(-4.0, 4.0, 1.0 / 32), 1.0 / 32, 4, seed=6
+        )
         ens = _random_ensemble(noise, 1, seed=5)
-        out, _ = apply_S(sysd, base, noise, ens, truncation=2.0)
+        out, _ = apply_S(sysd, base, noise, ens, w=steps(2.0, noise.h))
 
-        shifted_noise = noise.shifted(s)
+        shifted_noise = shifted(noise, steps(s, noise.h))
         shifted_ens = PathEnsemble(h=ens.h, k_lo=ens.k_lo - 16, values=ens.values)
-        out_shift, _ = apply_S(sysd, shifted_cs, shifted_noise, shifted_ens, truncation=2.0)
+        out_shift, _ = apply_S(
+            sysd, shifted_cs, shifted_noise, shifted_ens, w=steps(2.0, shifted_noise.h)
+        )
         assert np.abs(out_shift.values - out.values).max() < 1e-12
 
     def test_chunking_is_bit_identical(self):
         sysd = benchmark_system()
-        noise = sample_noise(benchmark_spec(), (-1.0, 2.0), 1.0 / 64, 7, seed=11)
+        noise = sample_noise(
+            benchmark_spec(), *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 7, seed=11
+        )
         ens = _random_ensemble(noise, 2, seed=1)
         cs = example41_coefficients()
-        full, _ = apply_S(sysd, cs, noise, ens, truncation=0.5)
+        full, _ = apply_S(sysd, cs, noise, ens, w=steps(0.5, noise.h))
         for chunk in (1, 2, 3, 7):
-            part, _ = apply_S(sysd, cs, noise, ens, truncation=0.5, chunk_paths=chunk)
+            part, _ = apply_S(sysd, cs, noise, ens, w=steps(0.5, noise.h), chunk_paths=chunk)
             np.testing.assert_array_equal(part.values, full.values)
 
     def test_validation_errors(self):
         sysd = benchmark_system()
-        noise = sample_noise(benchmark_spec(), (-1.0, 1.0), 1.0 / 32, 2, seed=0)
+        noise = sample_noise(
+            benchmark_spec(), *window_steps(-1.0, 1.0, 1.0 / 32), 1.0 / 32, 2, seed=0
+        )
         ens = _random_ensemble(noise, 2, seed=0)
         cs = example41_coefficients()
         with pytest.raises(SolverError, match="too narrow"):
-            apply_S(sysd, cs, noise, ens, truncation=1.5)
+            apply_S(sysd, cs, noise, ens, w=steps(1.5, noise.h))
         with pytest.raises(SolverError, match="multiple of the step"):
-            apply_S(sysd, cs, noise, ens, truncation=0.52)
-        other = sample_noise(benchmark_spec(), (-1.0, 2.0), 1.0 / 32, 2, seed=0)
+            apply_S(sysd, cs, noise, ens, w=steps(0.52, noise.h))
+        other = sample_noise(
+            benchmark_spec(), *window_steps(-1.0, 2.0, 1.0 / 32), 1.0 / 32, 2, seed=0
+        )
         with pytest.raises(SolverError, match="grids do not match"):
-            apply_S(sysd, cs, other, ens, truncation=0.5)
-        three = sample_noise(benchmark_spec(), (-1.0, 1.0), 1.0 / 32, 3, seed=0)
+            apply_S(sysd, cs, other, ens, w=steps(0.5, other.h))
+        three = sample_noise(
+            benchmark_spec(), *window_steps(-1.0, 1.0, 1.0 / 32), 1.0 / 32, 3, seed=0
+        )
         with pytest.raises(SolverError, match="path counts"):
-            apply_S(sysd, cs, three, ens, truncation=0.5)
+            apply_S(sysd, cs, three, ens, w=steps(0.5, three.h))
         for chunk in (0, -1):
             with pytest.raises(SolverError, match="chunk_paths must be at least 1"):
-                apply_S(sysd, cs, noise, ens, truncation=0.5, chunk_paths=chunk)
+                apply_S(sysd, cs, noise, ens, w=steps(0.5, noise.h), chunk_paths=chunk)
 
     @pytest.mark.parametrize(
         "case", ["rotation", "jordan", "stiff", "sparse", "unreachable", "coupled"]
@@ -601,17 +633,17 @@ class TestApplyS:
         system, coefficients, spec = _ORACLE_CASES[case]
         sysd, h, window = system()
         d = sysd.dim
-        noise = sample_noise(spec(), window, h, 70, seed=23)
+        noise = sample_noise(spec(), *window_steps(*window, h), h, 70, seed=23)
         ens = _random_ensemble(noise, d, seed=4)
         cs = coefficients(d)
         ref = _recursion_oracle(sysd, cs, noise, ens, truncation=1.0)
         for chunk in (1, 7, None):
             for threads in (1, 2):
                 out, _ = apply_S(
-                    sysd, cs, noise, ens, truncation=1.0, chunk_paths=chunk, threads=threads
+                    sysd, cs, noise, ens, w=steps(1.0, noise.h), chunk_paths=chunk, threads=threads
                 )
                 assert np.abs(out.values - ref).max() <= 1e-12 * np.abs(ref).max()
-        reach = _Plan.build(sysd, cs, noise, 1.0).reach
+        reach = _Plan.build(sysd, cs, noise, steps(1.0, noise.h)).reach
         assert reach == ((0, 1) if case in ("unreachable", "coupled") else (0, 1, 2))
         unreachable = [i for i in range(d) if i not in reach]
         assert np.all(out.values[:, :, unreachable] == 0.0)
@@ -653,8 +685,10 @@ class TestApplyS:
         ``sum_buf``."""
         cfg = preset_config(preset)
         sysd = build_system(cfg.system)
-        noise = sample_noise(build_spec(cfg.levy), (-1.0, 1.0), 1.0 / 16, 2, seed=0)
-        plan = _Plan.build(sysd, build_coefficients(cfg.coefficients), noise, 0.5)
+        noise = sample_noise(
+            build_spec(cfg.levy), *window_steps(-1.0, 1.0, 1.0 / 16), 1.0 / 16, 2, seed=0
+        )
+        plan = _Plan.build(sysd, build_coefficients(cfg.coefficients), noise, steps(0.5, noise.h))
         scratch = _Scratch(plan, 5)
         assert scratch.n_rows == rows
         assert scratch.sum_buf is None and (scratch.later is None) == (preset == "ou_forced")
@@ -666,8 +700,8 @@ class TestApplyS:
     def test_scratch_of_oracle_cases_is_shared_by_phase(self, case):
         system, coefficients, spec = _ORACLE_CASES[case]
         sysd, h, window = system()
-        noise = sample_noise(spec(), window, h, 3, seed=23)
-        plan = _Plan.build(sysd, coefficients(sysd.dim), noise, 1.0)
+        noise = sample_noise(spec(), *window_steps(*window, h), h, 3, seed=23)
+        plan = _Plan.build(sysd, coefficients(sysd.dim), noise, steps(1.0, noise.h))
         scratch = _Scratch(plan, 3)
         self.check_scratch_phases(scratch, 3, noise.n_steps)
         # res takes the first drift row, the first stochastic row if none
@@ -681,8 +715,10 @@ class TestApplyS:
         every galerkin_heat mode is reached (``None``: all of them)."""
         cfg = preset_config(preset)
         sysd = build_system(cfg.system)
-        noise = sample_noise(build_spec(cfg.levy), (-1.0, 1.0), 1.0 / 16, 2, seed=0)
-        plan = _Plan.build(sysd, build_coefficients(cfg.coefficients), noise, 0.5)
+        noise = sample_noise(
+            build_spec(cfg.levy), *window_steps(-1.0, 1.0, 1.0 / 16), 1.0 / 16, 2, seed=0
+        )
+        plan = _Plan.build(sysd, build_coefficients(cfg.coefficients), noise, steps(0.5, noise.h))
         assert plan.reach == (tuple(range(sysd.dim)) if reach is None else reach)
 
     @staticmethod
@@ -781,8 +817,8 @@ class TestApplyS:
                 ),
             ),
         )
-        noise = sample_noise(spec, (-2.0, 2.0), 1.0 / 32, 3, seed=17)
-        res = picard_solve(sysd, cs, noise, tol=1e-18, truncation=1.0)
+        noise = sample_noise(spec, *window_steps(-2.0, 2.0, 1.0 / 32), 1.0 / 32, 3, seed=17)
+        res = picard_solve(sysd, cs, noise, tol=1e-18, w=steps(1.0, noise.h))
         assert res.converged
         assert res.ensemble.values.shape == (3, 129, n_modes)
         assert np.all(np.isfinite(res.ensemble.values))
@@ -796,17 +832,21 @@ class TestApplyS:
 class TestPicard:
     def test_zero_coefficients_converge_immediately(self):
         sysd = benchmark_system()
-        noise = sample_noise(benchmark_spec(), (-1.0, 1.0), 1.0 / 32, 3, seed=1)
-        res = picard_solve(sysd, zero_coefficients(2, 1), noise, truncation=0.5)
+        noise = sample_noise(
+            benchmark_spec(), *window_steps(-1.0, 1.0, 1.0 / 32), 1.0 / 32, 3, seed=1
+        )
+        res = picard_solve(sysd, zero_coefficients(2, 1), noise, w=steps(0.5, noise.h))
         assert res.converged and res.iterations == 1
         assert res.gap_trace[0]["gap"] == 0.0
         assert np.abs(res.ensemble.values).max() == 0.0
 
     def test_trace_record_shape(self):
         sysd = benchmark_system()
-        noise = sample_noise(benchmark_spec(), (-1.0, 2.0), 1.0 / 64, 8, seed=3)
+        noise = sample_noise(
+            benchmark_spec(), *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 8, seed=3
+        )
         res = picard_solve(
-            sysd, example41_coefficients(), noise, tol=1e-20, truncation=1.0
+            sysd, example41_coefficients(), noise, tol=1e-20, w=steps(1.0, noise.h)
         )
         assert res.converged
         assert res.iterations == len(res.gap_trace)
@@ -818,9 +858,11 @@ class TestPicard:
 
     def test_gap_ratios_below_contraction_factor(self):
         sysd = benchmark_system()
-        noise = sample_noise(benchmark_spec(), (-2.0, 3.0), 1.0 / 128, 48, seed=7)
+        noise = sample_noise(
+            benchmark_spec(), *window_steps(-2.0, 3.0, 1.0 / 128), 1.0 / 128, 48, seed=7
+        )
         res = picard_solve(
-            sysd, example41_coefficients(), noise, tol=1e-24, truncation=1.5
+            sysd, example41_coefficients(), noise, tol=1e-24, w=steps(1.5, noise.h)
         )
         gaps = res.gaps()
         eta = 5.0 / 48.0
@@ -834,14 +876,16 @@ class TestPicard:
         the zero ensemble."""
         sysd = benchmark_system()
         cs = example41_coefficients()
-        noise = sample_noise(benchmark_spec(), (-1.0, 2.0), 1.0 / 64, 4, seed=3)
-        res = picard_solve(sysd, cs, noise, tol=1e-30, max_iter=2, truncation=1.0)
+        noise = sample_noise(
+            benchmark_spec(), *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 4, seed=3
+        )
+        res = picard_solve(sysd, cs, noise, tol=1e-30, max_iter=2, w=steps(1.0, noise.h))
         assert not res.converged
         assert res.iterations == 2
         zero = np.zeros((4, noise.n_steps + 1, 2))
         ens = PathEnsemble(h=noise.h, k_lo=noise.k_lo, values=zero)
         for _ in range(2):
-            ens, _ = apply_S(sysd, cs, noise, ens, truncation=1.0)
+            ens, _ = apply_S(sysd, cs, noise, ens, w=steps(1.0, noise.h))
         np.testing.assert_array_equal(res.ensemble.values, ens.values)
 
     @staticmethod
@@ -876,9 +920,11 @@ class TestPicard:
         triangular, so no Schur form is computed."""
         calls = self.count_builds(monkeypatch)
         sysd = benchmark_system()  # one stable and one unstable half
-        noise = sample_noise(benchmark_spec(), (-1.0, 2.0), 1.0 / 64, 5, seed=3)
+        noise = sample_noise(
+            benchmark_spec(), *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 5, seed=3
+        )
         res = picard_solve(
-            sysd, example41_coefficients(), noise, tol=1e-30, max_iter=4, truncation=1.0,
+            sysd, example41_coefficients(), noise, tol=1e-30, max_iter=4, w=steps(1.0, noise.h),
             chunk_paths=2, threads=2,
         )
         assert res.iterations == 4
@@ -890,9 +936,9 @@ class TestPicard:
         takes none."""
         calls = self.count_builds(monkeypatch)
         sysd, h, window = _rotation_system()
-        noise = sample_noise(_jump_diffusion_spec(), window, h, 5, seed=3)
+        noise = sample_noise(_jump_diffusion_spec(), *window_steps(*window, h), h, 5, seed=3)
         res = picard_solve(
-            sysd, _mixed_coefficients(3), noise, tol=1e-30, max_iter=3, truncation=1.0,
+            sysd, _mixed_coefficients(3), noise, tol=1e-30, max_iter=3, w=steps(1.0, noise.h),
             chunk_paths=2, threads=2,
         )
         assert res.iterations == 3
@@ -900,12 +946,14 @@ class TestPicard:
 
     def test_fixed_point_self_consistency(self):
         sysd = benchmark_system()
-        noise = sample_noise(benchmark_spec(), (-2.0, 2.0), 1.0 / 64, 16, seed=9)
+        noise = sample_noise(
+            benchmark_spec(), *window_steps(-2.0, 2.0, 1.0 / 64), 1.0 / 64, 16, seed=9
+        )
         res = picard_solve(
-            sysd, example41_coefficients(), noise, tol=1e-24, truncation=1.0
+            sysd, example41_coefficients(), noise, tol=1e-24, w=steps(1.0, noise.h)
         )
         again, _ = apply_S(
-            sysd, example41_coefficients(), noise, res.ensemble, truncation=1.0
+            sysd, example41_coefficients(), noise, res.ensemble, w=steps(1.0, noise.h)
         )
         gap = np.mean(np.sum((again.values - res.ensemble.values) ** 2, axis=2), axis=0).max()
         assert gap <= 1e-23
@@ -920,12 +968,16 @@ class TestPicard:
         = 5/48, below tol / (1 - eta)."""
         sysd = benchmark_system()
         cs = example41_coefficients()
-        noise = sample_noise(benchmark_spec(), (-1.0, 2.0), 1.0 / 64, 32, seed=41)
+        noise = sample_noise(
+            benchmark_spec(), *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 32, seed=41
+        )
         tol = 1e-14
-        ref = picard_solve(sysd, cs, noise, tol=tol, truncation=1.0)
+        ref = picard_solve(sysd, cs, noise, tol=tol, w=steps(1.0, noise.h))
         assert ref.converged
         start = _random_ensemble(noise, 2, seed=7, scale=2.0)
-        values, trace = _out_of_place_picard(sysd, cs, noise, tol, 1.0, initial=start)
+        values, trace = _out_of_place_picard(
+            sysd, cs, noise, tol, steps(1.0, noise.h), initial=start
+        )
         assert trace[0]["gap"] > 1.0 and trace[-1]["gap"] <= tol
         eta = check_conditions(sysd.k, sysd.omega, cs.lipschitz, 1).eta
         assert eta == Fraction(5, 48)
@@ -934,31 +986,37 @@ class TestPicard:
 
     def test_default_truncation_is_twelve_over_omega(self):
         sysd = benchmark_system()
-        noise = sample_noise(benchmark_spec(), (-2.0, 3.0), 1.0 / 32, 2, seed=2)
+        noise = sample_noise(
+            benchmark_spec(), *window_steps(-2.0, 3.0, 1.0 / 32), 1.0 / 32, 2, seed=2
+        )
         res = picard_solve(sysd, example41_coefficients(), noise, tol=1e-12)
         assert res.tail_report["truncation"] == pytest.approx(2.0)
-        narrow = sample_noise(benchmark_spec(), (-1.0, 1.0), 1.0 / 32, 2, seed=2)
+        narrow = sample_noise(
+            benchmark_spec(), *window_steps(-1.0, 1.0, 1.0 / 32), 1.0 / 32, 2, seed=2
+        )
         with pytest.raises(SolverError, match="too narrow"):
             picard_solve(sysd, example41_coefficients(), narrow, tol=1e-12)
 
     def test_noise_determinism_and_sensitivity(self):
         sysd = benchmark_system()
         cs = example41_coefficients()
-        a = sample_noise(benchmark_spec(), (-1.0, 2.0), 1.0 / 64, 6, seed=5)
-        b = sample_noise(benchmark_spec(), (-1.0, 2.0), 1.0 / 64, 6, seed=5)
-        c = sample_noise(benchmark_spec(), (-1.0, 2.0), 1.0 / 64, 6, seed=6)
-        ra = picard_solve(sysd, cs, a, tol=1e-18, truncation=1.0)
-        rb = picard_solve(sysd, cs, b, tol=1e-18, truncation=1.0)
-        rc = picard_solve(sysd, cs, c, tol=1e-18, truncation=1.0)
+        a = sample_noise(benchmark_spec(), *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 6, seed=5)
+        b = sample_noise(benchmark_spec(), *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 6, seed=5)
+        c = sample_noise(benchmark_spec(), *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 6, seed=6)
+        ra = picard_solve(sysd, cs, a, tol=1e-18, w=steps(1.0, a.h))
+        rb = picard_solve(sysd, cs, b, tol=1e-18, w=steps(1.0, b.h))
+        rc = picard_solve(sysd, cs, c, tol=1e-18, w=steps(1.0, c.h))
         np.testing.assert_array_equal(ra.ensemble.values, rb.ensemble.values)
         assert not np.array_equal(ra.ensemble.values, rc.ensemble.values)
 
     def test_chunked_solve_is_bit_identical(self):
         sysd = benchmark_system()
-        noise = sample_noise(benchmark_spec(), (-1.0, 2.0), 1.0 / 64, 5, seed=13)
+        noise = sample_noise(
+            benchmark_spec(), *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 5, seed=13
+        )
         cs = example41_coefficients()
-        full = picard_solve(sysd, cs, noise, tol=1e-18, truncation=1.0)
-        part = picard_solve(sysd, cs, noise, tol=1e-18, truncation=1.0, chunk_paths=2)
+        full = picard_solve(sysd, cs, noise, tol=1e-18, w=steps(1.0, noise.h))
+        part = picard_solve(sysd, cs, noise, tol=1e-18, w=steps(1.0, noise.h), chunk_paths=2)
         np.testing.assert_array_equal(full.ensemble.values, part.ensemble.values)
         assert [r["gap"] for r in full.gap_trace] == [r["gap"] for r in part.gap_trace]
 
@@ -967,15 +1025,23 @@ class TestPicard:
         workers than cores and frequent thread switches must not change
         a bit."""
         sysd = benchmark_system()
-        noise = sample_noise(benchmark_spec(), (-1.0, 2.0), 1.0 / 64, 11, seed=19)
+        noise = sample_noise(
+            benchmark_spec(), *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 11, seed=19
+        )
         cs = example41_coefficients()
-        full = picard_solve(sysd, cs, noise, tol=1e-18, truncation=1.0)
+        full = picard_solve(sysd, cs, noise, tol=1e-18, w=steps(1.0, noise.h))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for chunk, threads in ((None, 2), (None, 3), (4, 2), (3, 3), (5, 1), (1, 8)):
                 part = picard_solve(
-                    sysd, cs, noise, tol=1e-18, truncation=1.0, chunk_paths=chunk, threads=threads
+                    sysd,
+                    cs,
+                    noise,
+                    tol=1e-18,
+                    w=steps(1.0, noise.h),
+                    chunk_paths=chunk,
+                    threads=threads,
                 )
                 np.testing.assert_array_equal(full.ensemble.values, part.ensemble.values)
                 assert _strip_wall(full.gap_trace) == _strip_wall(part.gap_trace)
@@ -995,9 +1061,9 @@ class TestPicard:
              "62cc13e3625681aee4fd32fca066e510379e4412438cfb0f466598b46c70214d"),
         )
         for spec, window, h, seed, cs, truncation, expected in cases:
-            noise = sample_noise(spec, window, h, 70, seed=seed)
+            noise = sample_noise(spec, *window_steps(*window, h), h, 70, seed=seed)
             res = picard_solve(
-                benchmark_system(), cs, noise, tol=1e-30, max_iter=6, truncation=truncation
+                benchmark_system(), cs, noise, tol=1e-30, max_iter=6, w=steps(truncation, noise.h)
             )
             digest = hashlib.sha256(np.ascontiguousarray(res.ensemble.values).tobytes())
             for rec in res.gap_trace:
@@ -1016,8 +1082,10 @@ class TestPicard:
 
         sysd = benchmark_system()
         cs = _signal_jump_coefficients()
-        noise = sample_noise(_two_dim_spec(), (-1.0, 2.0), 1.0 / 32, 70, seed=1041)
-        plan = _Plan.build(sysd, cs, noise, 0.5)
+        noise = sample_noise(
+            _two_dim_spec(), *window_steps(-1.0, 2.0, 1.0 / 32), 1.0 / 32, 70, seed=1041
+        )
+        plan = _Plan.build(sysd, cs, noise, steps(0.5, noise.h))
         assert len(plan.jumps) == 2
         for jumps, region, tmap in zip(plan.jumps, (0, 1), (cs.jump_small, cs.jump_large)):
             for lo, hi in [chunk for block in _blocks(70, noise.n_steps, 7) for chunk in block]:
@@ -1040,11 +1108,11 @@ class TestPicard:
                             assert (got_f is None) == (want_f is None)
                             if got_f is not None:
                                 np.testing.assert_array_equal(got_f, want_f)
-        ref = picard_solve(sysd, cs, noise, tol=1e-30, max_iter=6, truncation=0.5)
+        ref = picard_solve(sysd, cs, noise, tol=1e-30, max_iter=6, w=steps(0.5, noise.h))
         for chunk in (1, 7, None):
             for threads in (1, 2):
                 res = picard_solve(
-                    sysd, cs, noise, tol=1e-30, max_iter=6, truncation=0.5,
+                    sysd, cs, noise, tol=1e-30, max_iter=6, w=steps(0.5, noise.h),
                     chunk_paths=chunk, threads=threads,
                 )
                 np.testing.assert_array_equal(res.ensemble.values, ref.ensemble.values)
@@ -1075,10 +1143,10 @@ class TestPicard:
             jump_large=((CoefficientTerm(0.05, "const", mark_weights=weights),),),
             lipschitz=Fraction(1, 2),
         )
-        noise = sample_noise(spec, (-1.0, 2.0), 1.0 / 32, 70, seed=5)
+        noise = sample_noise(spec, *window_steps(-1.0, 2.0, 1.0 / 32), 1.0 / 32, 70, seed=5)
         runs = [
             picard_solve(
-                scalar_system(), cs, noise, tol=1e-30, max_iter=5, truncation=0.5,
+                scalar_system(), cs, noise, tol=1e-30, max_iter=5, w=steps(0.5, noise.h),
                 chunk_paths=chunk,
             )
             for chunk in (None, 1, 7)
@@ -1092,9 +1160,13 @@ class TestPicard:
         out-of-place oracle bit for bit, for any chunking and worker
         count."""
         sysd = benchmark_system()
-        noise = sample_noise(benchmark_spec(), (-1.0, 2.0), 1.0 / 64, 150, seed=29)
+        noise = sample_noise(
+            benchmark_spec(), *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 150, seed=29
+        )
         cs = example41_coefficients()
-        ref_values, ref_trace = _out_of_place_picard(sysd, cs, noise, tol=1e-18, truncation=1.0)
+        ref_values, ref_trace = _out_of_place_picard(
+            sysd, cs, noise, tol=1e-18, w=steps(1.0, noise.h)
+        )
         assert len(ref_trace) > 3
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -1102,7 +1174,7 @@ class TestPicard:
             for chunk in (None, 7, 64, 100):
                 for threads in (1, 2, 3):
                     res = picard_solve(
-                        sysd, cs, noise, tol=1e-18, truncation=1.0,
+                        sysd, cs, noise, tol=1e-18, w=steps(1.0, noise.h),
                         chunk_paths=chunk, threads=threads,
                     )
                     np.testing.assert_array_equal(res.ensemble.values, ref_values)
@@ -1148,14 +1220,16 @@ class TestPicard:
             jump_large=((),),
             lipschitz=Fraction(1, 64),
         )
-        noise = sample_noise(wiener_only_spec(), (-1.0, 1.0), 1.0 / 32, 70, seed=3)
+        noise = sample_noise(
+            wiener_only_spec(), *window_steps(-1.0, 1.0, 1.0 / 32), 1.0 / 32, 70, seed=3
+        )
         with np.errstate(all="ignore"):
-            two = picard_solve(sysd, cs, noise, tol=1e-12, max_iter=2, truncation=0.5)
+            two = picard_solve(sysd, cs, noise, tol=1e-12, max_iter=2, w=steps(0.5, noise.h))
             assert np.all(np.isfinite(two.ensemble.values))
             assert math.isinf(two.gap_trace[-1]["sup_second_moment"])
             blocks.clear()
             with pytest.raises(SolverError, match="non-finite states"):
-                picard_solve(sysd, cs, noise, tol=1e-12, max_iter=60, truncation=0.5)
+                picard_solve(sysd, cs, noise, tol=1e-12, max_iter=60, w=steps(0.5, noise.h))
         assert len(blocks) == 3 * 2  # 70 paths are two blocks
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -1167,7 +1241,9 @@ class TestPicard:
         1.32-1.33 (2 workers) with the default half-block chunks; the
         bound leaves 0.07 (0.9 MB) above the largest."""
         sysd = benchmark_system()
-        noise = sample_noise(benchmark_spec(), (-2.0, 4.0), 1.0 / 256, 512, seed=31)
+        noise = sample_noise(
+            benchmark_spec(), *window_steps(-2.0, 4.0, 1.0 / 256), 1.0 / 256, 512, seed=31
+        )
         for chunk in (8, None):
             tracemalloc.start()
             try:
@@ -1185,7 +1261,9 @@ class TestPicard:
         example41 solve, taken before the ensemble was stored coordinate
         by coordinate; any change to the rounding of the sweep or of the
         moment sums changes it, at any thread count."""
-        noise = sample_noise(benchmark_spec(), (-2.0, 2.0), 1.0 / 32, 96, seed=41)
+        noise = sample_noise(
+            benchmark_spec(), *window_steps(-2.0, 2.0, 1.0 / 32), 1.0 / 32, 96, seed=41
+        )
         for threads in (1, 2):
             res = picard_solve(
                 benchmark_system(), example41_coefficients(), noise, tol=1e-18, threads=threads
@@ -1200,26 +1278,30 @@ class TestPicard:
 
     def test_invalid_arguments(self):
         sysd = benchmark_system()
-        noise = sample_noise(benchmark_spec(), (-1.0, 1.0), 1.0 / 32, 2, seed=1)
+        noise = sample_noise(
+            benchmark_spec(), *window_steps(-1.0, 1.0, 1.0 / 32), 1.0 / 32, 2, seed=1
+        )
         with pytest.raises(SolverError):
-            picard_solve(sysd, example41_coefficients(), noise, tol=0.0, truncation=0.5)
+            picard_solve(sysd, example41_coefficients(), noise, tol=0.0, w=steps(0.5, noise.h))
         with pytest.raises(SolverError):
             picard_solve(
-                sysd, example41_coefficients(), noise, max_iter=0, truncation=0.5
+                sysd, example41_coefficients(), noise, max_iter=0, w=steps(0.5, noise.h)
             )
         for chunk in (0, -1):
             with pytest.raises(SolverError, match="chunk_paths must be at least 1"):
                 picard_solve(
-                    sysd, example41_coefficients(), noise, truncation=0.5, chunk_paths=chunk
+                    sysd, example41_coefficients(), noise, w=steps(0.5, noise.h), chunk_paths=chunk
                 )
 
     def test_l2_increments_shrink_linearly_near_zero_lag(self):
         """Mean-square continuity of the fixed point: increments over lag
         delta are bounded by C * delta and trend monotonically."""
         sysd = benchmark_system()
-        noise = sample_noise(benchmark_spec(), (-2.0, 2.0), 1.0 / 128, 64, seed=15)
+        noise = sample_noise(
+            benchmark_spec(), *window_steps(-2.0, 2.0, 1.0 / 128), 1.0 / 128, 64, seed=15
+        )
         res = picard_solve(
-            sysd, example41_coefficients(), noise, tol=1e-20, truncation=1.0
+            sysd, example41_coefficients(), noise, tol=1e-20, w=steps(1.0, noise.h)
         )
         ens = res.ensemble
         h = ens.h
@@ -1266,7 +1348,7 @@ def _sup_mean_squares(values: np.ndarray, prev: np.ndarray):
     return tuple(float(s.reshape(n, d).sum(axis=1).max()) / m for s in sums)
 
 
-def _out_of_place_picard(sysd, cs, noise, tol, truncation, initial=None):
+def _out_of_place_picard(sysd, cs, noise, tol, w, initial=None):
     """Picard iteration by repeated ``apply_S`` with both iterates kept,
     from the ensemble ``initial`` (zero by default): the final values and
     the gap trace without wall times."""
@@ -1276,7 +1358,7 @@ def _out_of_place_picard(sysd, cs, noise, tol, truncation, initial=None):
         current = PathEnsemble(h=noise.h, k_lo=noise.k_lo, values=zero)
     trace = []
     for it in range(1, 61):
-        nxt, _ = apply_S(sysd, cs, noise, current, truncation)
+        nxt, _ = apply_S(sysd, cs, noise, current, w)
         moment, gap = _sup_mean_squares(nxt.values, current.values)
         trace.append({"k": it, "gap": gap, "sup_second_moment": moment})
         current = nxt
