@@ -1,5 +1,6 @@
-"""Command line entry points: condition checks, forward simulation,
-Picard solves, almost-periodicity scans and the spectral demo.
+"""Command line entry points for the engine's three parts: the exact
+condition check (``check``), the Picard solve of the bounded solution
+(``picard``) and the almost-periodicity scan (``apscan``).
 
 Artifacts are plain CSV / JSON / JSONL, written deterministically:
 identical config and seed give byte-identical CSV and JSON files across
@@ -30,7 +31,6 @@ from .config import (
     preset_names,
     validate_config,
 )
-from .dichotomy import estimate_constants
 from .noise import NoiseSample, sample_noise
 
 np = _lazy_import("numpy")
@@ -202,7 +202,7 @@ def _condition_json(rep) -> dict:
 
 def _run_picard(run: Run, out: Path):
     """Condition check + solve; writes the shared picard artifacts and
-    returns (report, result, exit_code)."""
+    returns (result, exit_code)."""
     from .solver import picard_solve
 
     rep = check_conditions(*run.conditions)
@@ -254,7 +254,7 @@ def _run_picard(run: Run, out: Path):
     )
     print(f"artifacts written to {out}")
     code = 0 if (res.converged and rep.verdict_existence) else 1
-    return rep, res, code
+    return res, code
 
 
 # ---------------------------------------------------------------------------
@@ -270,34 +270,8 @@ def cmd_check(run: Run, out: Path) -> int:
     return 0 if rep.verdict_existence else 1
 
 
-def cmd_simulate(run: Run, out: Path) -> int:
-    from .solver import simulate_mild, sup_second_moment
-
-    sysd = run.system
-    ens = simulate_mild(sysd, run.coefficients, _sample(run), np.zeros(sysd.dim))
-    stride = _csv_stride(ens.n_steps, ens.n_paths, run.config.numerics.csv_stride)
-    _write_ensemble_csv(out / "ensemble.csv", ens, stride)
-    moment = sup_second_moment(ens)
-    _write_json(
-        out / "run_meta.json",
-        {
-            "schema_version": SCHEMA_VERSION,
-            "package_version": __version__,
-            "config": config_to_dict(run.config),
-            "sup_second_moment": _json_scalar(moment),
-            "csv_stride": stride,
-        },
-    )
-    print(
-        f"simulated {ens.n_paths} paths on [{ens.t_lo}, {ens.t_hi}], "
-        f"sup second moment {moment:.6g}"
-    )
-    print(f"artifacts written to {out}")
-    return 0
-
-
 def cmd_picard(run: Run, out: Path) -> int:
-    _, _, code = _run_picard(run, out)
+    _, code = _run_picard(run, out)
     return code
 
 
@@ -316,7 +290,7 @@ def cmd_apscan(run: Run, out: Path) -> int:
             f"can reach {2 * size}, above the cap {SUPPORT_CAP}; set "
             f"analysis.law_support to at most {SUPPORT_CAP // 2}"
         )
-    _, res, code = _run_picard(run, out)
+    res, code = _run_picard(run, out)
     scan = ap_distribution_scan(
         res.ensemble,
         [i - run.k_lo for i in run.times],
@@ -335,28 +309,10 @@ def cmd_apscan(run: Run, out: Path) -> int:
     return code
 
 
-def cmd_galerkin(run: Run, out: Path) -> int:
-    sysd = run.system
-    est = estimate_constants(sysd, np.linspace(0.0, 4.0 / sysd.omega, 33))
-    print(
-        f"spectral demo: dim {sysd.dim}, stable rank {sysd.rank_stable}, "
-        f"unstable rank {sysd.rank_unstable}, fitted K = {est.k_hat:.6g}, "
-        f"omega = {est.omega_hat:.6g}"
-    )
-    _, _, code = _run_picard(run, out)
-    _write_json(
-        out / "dichotomy_estimate.json",
-        {"schema_version": SCHEMA_VERSION, **est.as_dict()},
-    )
-    return code
-
-
 _COMMANDS = {
     "check": cmd_check,
-    "simulate": cmd_simulate,
     "picard": cmd_picard,
     "apscan": cmd_apscan,
-    "galerkin": cmd_galerkin,
 }
 
 
@@ -388,10 +344,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("check", "evaluate the contraction conditions exactly"),
-        ("simulate", "forward-integrate one ensemble from zero"),
         ("picard", "iterate the bounded-solution operator to its fixed point"),
         ("apscan", "picard + almost-periodicity-in-distribution scan"),
-        ("galerkin", "spectral-truncation demo on the same pipeline"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", type=Path, help="JSON run configuration")
@@ -423,8 +377,6 @@ def _resolve_config(args) -> RunConfig:
         cfg = load_config(args.config)
     elif args.preset is not None:
         cfg = preset_config(args.preset)
-    elif args.command == "galerkin":
-        cfg = preset_config("galerkin_heat")
     else:
         raise ConfigError("a configuration is required: --config PATH or --preset NAME")
 

@@ -280,10 +280,6 @@ class QuasiPeriodicSignal(namedtuple("QuasiPeriodicSignal", "frequencies expr so
     def bounds(self) -> tuple[float, float]:
         return _interval(self.expr)
 
-    def sup_abs(self) -> float:
-        lo, hi = self.bounds()
-        return max(abs(lo), abs(hi))
-
 
 # ---------------------------------------------------------------------------
 # kernels and terms

@@ -14,9 +14,7 @@ unique L2-bounded mild solution, and Picard iteration converges
 geometrically with ratio eta in mean square.  ``picard_solve``
 discretizes the operator with windowed convolutions truncated at a
 horizon T_c (reported tail factor K e^{-omega T_c} / omega) and iterates
-it on a frozen noise sample (common random numbers); ``simulate_mild``
-is the forward exponential-Euler integrator behind the ``simulate``
-command.
+it on a frozen noise sample (common random numbers).
 
 Truncated integrals are clipped at the sample window edges, so iterates
 live on one fixed grid; points further than T_c from the edges carry
@@ -75,19 +73,16 @@ from .coefficients import (
     point_values,
     term_value,
 )
-from .dichotomy import DichotomousSystem, matrix_exp
+from .dichotomy import DichotomousSystem
 from .noise import NoiseSample
 
 __all__ = [
     "SolverError",
     "PathEnsemble",
     "PicardResult",
-    "simulate_mild",
     "picard_solve",
-    "sup_second_moment",
 ]
 
-_BLOWUP_GUARD = 1e8
 # path steps per chunk by default: each (paths, time) scratch row of a
 # worker, and each temporary numpy makes for a chunk, is then at most
 # 1 MB.  glibc keeps freed blocks below its dynamic mmap/trim threshold
@@ -171,118 +166,6 @@ def _sup_mean(sums: np.ndarray, n_times: int, m: int) -> float:
     infinite sum makes it non-finite."""
     rows = np.ascontiguousarray(sums).reshape(n_times, -1)
     return float(rows.sum(axis=1).max()) / m
-
-
-def sup_second_moment(ens: PathEnsemble) -> float:
-    """Largest value over the grid of the path-average of ||Y(t)||^2.
-
-    The squares of each block of ``_MOMENT_BLOCK`` paths are summed over
-    its paths in one block-sized buffer, and the block sums are added in
-    block order: the rounding of the moment in the Picard gap trace.
-    """
-    values = ens.values
-    m, n, d = values.shape
-    total = np.zeros(n * d)
-    buf = np.empty((min(m, _MOMENT_BLOCK), n, d))
-    for lo in range(0, m, _MOMENT_BLOCK):
-        v = values[lo : lo + _MOMENT_BLOCK]
-        b = buf[: len(v)]
-        np.multiply(v, v, out=b)
-        total += b.reshape(len(v), -1).sum(axis=0)
-    return _sup_mean(total, n, m)
-
-
-# ---------------------------------------------------------------------------
-# forward integrator
-# ---------------------------------------------------------------------------
-
-
-def simulate_mild(
-    sys: DichotomousSystem,
-    cs: CoefficientSet,
-    noise: NoiseSample,
-    y0: np.ndarray,
-) -> PathEnsemble:
-    """Integrate forward from the window start with an exponential Euler
-    step: the full linear flow is applied to the state plus all the
-    increments gathered over the step,
-
-        Y_{k+1} = e^{Ah} [Y_k + f h + g dW + sum F - h comp_F + sum G],
-
-    with coefficients always evaluated at the pre-jump grid state.
-    Aborts with the offending path and time on blow-up, naming the
-    forced coordinates that reach the unstable range, if any.
-    """
-    h, k_lo, n = noise.h, noise.k_lo, noise.n_steps
-    m = noise.n_paths
-    d = cs.dim_state
-    if sys.dim != d:
-        raise SolverError("system and coefficient dimensions differ")
-    y0 = np.asarray(y0, dtype=float)
-    if y0.shape == (d,):
-        y0 = np.broadcast_to(y0, (m, d)).copy()
-    if y0.shape != (m, d):
-        raise SolverError(f"y0 must have shape ({d},) or ({m}, {d})")
-
-    exp_ah = matrix_exp(sys.a, h)
-    grid = noise.grid
-    order = np.lexsort((noise.event_path, noise.event_step))
-    ev_path, ev_step, ev_region, ev_marks = (
-        noise.event_path[order],
-        noise.event_step[order],
-        noise.event_region[order],
-        noise.event_marks[order],
-    )
-    starts = np.searchsorted(ev_step, np.arange(n + 1))
-
-    out = np.empty((m, n + 1, d))
-    out[:, 0, :] = y0
-    y = y0
-    for k in range(n):
-        t = grid[k]
-        at = grid[k : k + 1]  # the step's time, shared by every path
-        f = point_values(drift_terms(cs, at), y)
-        g = np.stack([point_values(c, y) for c in zip(*diffusion_terms(cs, at))], axis=-1)
-        inc = f * h + np.einsum("mdq,mq->md", g, noise.dW[:, k, :])
-        inc -= h * point_values(compensator_terms(cs, noise.spec, at), y)
-        lo, hi = starts[k], starts[k + 1]
-        if hi > lo:
-            pk = ev_path[lo:hi]
-            xk = ev_marks[lo:hi]
-            small = ev_region[lo:hi] == 0
-            ts = np.full(hi - lo, t)
-            for tmap, region in ((cs.jump_small, small), (cs.jump_large, ~small)):
-                if np.any(region):
-                    terms = jump_terms(tmap, ts[region], xk[region])
-                    np.add.at(inc, pk[region], point_values(terms, y[pk[region]]))
-        y = (y + inc) @ exp_ah.T
-        bad = ~np.isfinite(y) | (np.abs(y) > _BLOWUP_GUARD)
-        if np.any(bad):
-            p = int(np.nonzero(np.any(bad, axis=1))[0][0])
-            raise SolverError(
-                f"state blew up at t = {grid[k + 1]:.6g} on path {p}; {_blowup_cause(sys, cs)}"
-            )
-        out[:, k + 1, :] = y
-    return PathEnsemble(h=h, k_lo=k_lo, values=out)
-
-
-def _blowup_cause(sys: DichotomousSystem, cs: CoefficientSet) -> str:
-    """Why a forward run can blow up.  A forced coordinate that J = I - P
-    maps into the unstable range grows under e^{Ah} whatever the step;
-    only the bounded solution of the Picard solve stays finite."""
-    forced = [
-        i
-        for i in range(cs.dim_state)
-        if cs.drift[i] or any(cs.diffusion[i]) or cs.jump_small[i] or cs.jump_large[i]
-    ]
-    unstable = [i for i in forced if np.any(sys.j[:, i] != 0)]
-    if not unstable:
-        return "reduce the step or check the coefficients"
-    return (
-        f"forced coordinates {', '.join(map(str, unstable))} reach the unstable range, "
-        "which forward integration amplifies at any step; the picard command gives the "
-        "bounded solution"
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from _dichotomy_oracles import estimate_constants
 from _ensemble_oracles import grid_index, l2_increment
 from _grid import steps, window_steps
 from _lp_oracles import rational_bl_value
@@ -34,7 +35,7 @@ from levyap.coefficients import (
     example41_coefficients,
 )
 from levyap.config import build_spec, check_conditions, preset_config, validate_config
-from levyap.dichotomy import DichotomousSystem, estimate_constants
+from levyap.dichotomy import DichotomousSystem
 from levyap.noise import (
     JumpComponent,
     LevyProcessSpec,

@@ -26,7 +26,7 @@ import levyap.cli
 import levyap.config
 from levyap import LevyapError
 from levyap.apdist import EmpiricalLawError
-from levyap.cli import _write_ensemble_csv, cmd_apscan, cmd_simulate, main
+from levyap.cli import _write_ensemble_csv, cmd_apscan, cmd_picard, main
 from levyap.coefficients import CoefficientError, SignalParseError, UnboundedSignalError
 from levyap.config import (
     FIELD_TABLES,
@@ -97,6 +97,42 @@ def tiny_galerkin_dict():
             "max_iter": 30,
         },
         "seed": 5,
+    }
+
+
+def huge_drift_dict():
+    """A scalar stable system whose drift 1 + 1e150 y makes the Picard
+    iterates overflow; L = 1e300 is the drift's squared Lipschitz
+    constant."""
+    return {
+        "system": {"a": [[-2]], "p": [[1]], "k": 1, "omega": 2},
+        "levy": {"dim": 1, "covariance": [[1]]},
+        "coefficients": {
+            "custom": {
+                "dim_state": 1,
+                "dim_noise": 1,
+                "freqs": [],
+                "drift": [
+                    [
+                        {"scale": 1, "kernel": "const"},
+                        {"scale": "1e150", "kernel": "linear", "coord": 0},
+                    ]
+                ],
+                "diffusion": [[[]]],
+                "jump_small": [[]],
+                "jump_large": [[]],
+                "lipschitz": "1e300",
+            }
+        },
+        "numerics": {
+            "h": "1/32",
+            "window": [-1, 1],
+            "n_paths": 4,
+            "truncation": "1/2",
+            "tol": 1e-9,
+            "max_iter": 10,
+        },
+        "seed": 3,
     }
 
 
@@ -615,6 +651,19 @@ class TestCliExitCodes:
             main(["--version"])
         assert exc.value.code == 0
 
+    @pytest.mark.parametrize("command", ["simulate", "galerkin"])
+    def test_removed_commands_are_invalid_choices(self, tmp_path, capsys, command):
+        """The commands are the engine's three parts; the forward run and
+        the envelope fit of (K, omega) are test oracles."""
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--preset", "galerkin_heat", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"invalid choice: '{command}'" in err
+        choices = err.split("choose from ", 1)[1].split(")", 1)[0]
+        assert choices.replace("'", "").split(", ") == ["check", "picard", "apscan"]
+        assert not (tmp_path / "o").exists()
+
     def test_check_pass(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["check", "--preset", "example41", "--out", str(out)]) == 0
@@ -704,28 +753,6 @@ class TestCliExitCodes:
             out = tmp_path / command
             code = main([command, "--config", str(cfg), "--paths", "2", "--out", str(out)])
             assert code == 0, capsys.readouterr().err
-
-    def test_overflowing_exponential_exits_2(self, tmp_path, capsys):
-        """``simulate`` steps the full flow forward, where an unstable rate
-        of 25600 over h = 1/32 grows by e^800: the guard stops it."""
-        d = tiny_benchmark_dict()
-        d["system"]["a"] = [[25600, 0], [0, -6]]
-        cfg = write_cfg(tmp_path, d)
-        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "overflow" in err and "800 > 700" in err and "Traceback" not in err
-
-    def test_simulate_names_forced_unstable_modes(self, tmp_path, capsys):
-        """galerkin_heat forces its two unstable modes, which a forward run
-        amplifies at any step: ``simulate`` exits 2 naming them and
-        pointing to ``picard``."""
-        code = main(["simulate", "--preset", "galerkin_heat", "--out", str(tmp_path / "o")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "blew up at t = " in err and "Traceback" not in err
-        assert "forced coordinates 0, 1 reach the unstable range" in err
-        assert "picard" in err
 
     def test_diagonal_system_without_decay_rejected(self, tmp_path, capsys):
         # the stable coordinate has eigenvalue 0: no rate is certified
@@ -994,7 +1021,7 @@ class TestCliExitCodes:
         d = tiny_galerkin_dict()
         d["system"]["galerkin"]["a0"] = 1
         cfg = write_cfg(tmp_path, d)
-        code = main(["galerkin", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        code = main(["picard", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
@@ -1044,13 +1071,18 @@ class TestCliErrorMapping:
             assert issubclass(cls, LevyapError) and issubclass(cls, base), cls
 
     def test_solver_error_exits_2(self, tmp_path, capsys):
-        """A forward run of a system with forced unstable modes blows up."""
-        path = write_cfg(tmp_path, tiny_galerkin_dict())
+        """A linear drift of 1e150, with its honest L = 1e300, fails the
+        conditions; ``picard`` iterates anyway, and the fourth iterate
+        overflows."""
+        path = write_cfg(tmp_path, huge_drift_dict())
         (tmp_path / "direct").mkdir()
-        with pytest.raises(SolverError) as exc:
-            cmd_simulate(validate_config(load_config(path)), tmp_path / "direct")
-        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err == f"error: {exc.value}\n"
+        with pytest.raises(SolverError, match="non-finite states") as exc:
+            cmd_picard(validate_config(load_config(path)), tmp_path / "direct")
+        capsys.readouterr()
+        assert main(["picard", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        warning, error = capsys.readouterr().err.splitlines()
+        assert warning.startswith("warning: existence conditions fail")
+        assert error == f"error: {exc.value}"
 
     def test_empirical_law_error_exits_2(self, tmp_path, capsys, monkeypatch):
         """A line solver allowed no cutting-plane round fails the scan's
@@ -1115,29 +1147,12 @@ class TestCliArtifacts:
         assert rep["verdict_distribution"] is True
         assert rep["schema_version"] == 1
 
-    def test_simulate_artifacts(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, tiny_benchmark_dict())
-        out = tmp_path / "out"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-        lines = read_lines(out / "ensemble.csv")
-        assert lines[0] == "t,path,y0,y1"
-        # 97 grid points x 8 paths at stride 1
-        assert len(lines) == 1 + 97 * 8
-        first = lines[1].split(",")
-        assert first[0] == "-1.0" and first[1] == "0"
-        meta = json.loads((out / "run_meta.json").read_text(encoding="utf-8"))
-        assert meta["schema_version"] == 1
-        assert meta["csv_stride"] == 1
-        assert meta["config"]["numerics"]["h"] == "1/32"
-        moment = meta["sup_second_moment"]
-        assert f"sup second moment {moment:.6g}" in capsys.readouterr().out
-
     def test_csv_stride_respected(self, tmp_path, capsys):
         d = tiny_benchmark_dict()
         d["numerics"]["csv_stride"] = 4
         cfg = write_cfg(tmp_path, d)
         out = tmp_path / "out"
-        main(["simulate", "--config", str(cfg), "--out", str(out)])
+        main(["picard", "--config", str(cfg), "--out", str(out)])
         lines = read_lines(out / "ensemble.csv")
         # grid indices 0,4,...,96 -> 25 times x 8 paths
         assert len(lines) == 1 + 25 * 8
@@ -1167,10 +1182,29 @@ class TestCliArtifacts:
             assert "wall_ms" not in rec
         assert meta["gap_trace"] == stripped_trace(out / "gap_trace.jsonl")
 
+    def test_simulate_artifacts(self, tmp_path, capsys):
+        """The simulated path ensemble: ``picard`` writes every path at
+        every grid time, echoes the config and prints the moment."""
+        cfg = write_cfg(tmp_path, tiny_benchmark_dict())
+        out = tmp_path / "out"
+        assert main(["picard", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = read_lines(out / "ensemble.csv")
+        assert lines[0] == "t,path,y0,y1"
+        # 97 grid points x 8 paths at stride 1
+        assert len(lines) == 1 + 97 * 8
+        first = lines[1].split(",")
+        assert first[0] == "-1.0" and first[1] == "0"
+        meta = json.loads((out / "run_meta.json").read_text(encoding="utf-8"))
+        assert meta["schema_version"] == 1
+        assert meta["csv_stride"] == 1
+        assert meta["config"]["numerics"]["h"] == "1/32"
+        moment = meta["sup_second_moment"]
+        assert f"sup second moment {moment:.6g}" in capsys.readouterr().out
+
     def test_dt_override(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, tiny_benchmark_dict())
         out = tmp_path / "out"
-        main(["simulate", "--config", str(cfg), "--dt", "1/16", "--out", str(out)])
+        main(["picard", "--config", str(cfg), "--dt", "1/16", "--out", str(out)])
         meta = json.loads((out / "run_meta.json").read_text(encoding="utf-8"))
         assert meta["config"]["numerics"]["h"] == "1/16"
         lines = read_lines(out / "ensemble.csv")
@@ -1248,15 +1282,22 @@ class TestCliArtifacts:
         np.testing.assert_allclose(curve[:, 1], means, rtol=1e-12, atol=1e-15)
 
     def test_galerkin_artifacts(self, tmp_path, capsys):
+        """``picard`` on a spectral truncation writes the four picard
+        artifacts, with the system's exact constants in the condition
+        report (the fit of them is a test oracle,
+        ``tests/_dichotomy_oracles.py``)."""
         cfg = write_cfg(tmp_path, tiny_galerkin_dict())
         out = tmp_path / "out"
-        assert main(["galerkin", "--config", str(cfg), "--out", str(out)]) == 0
-        est = json.loads((out / "dichotomy_estimate.json").read_text(encoding="utf-8"))
-        assert est["omega_hat"] == pytest.approx(1.5, abs=0.1)
-        assert est["k_hat"] >= 1.0
-        assert (out / "ensemble.csv").exists()
-        text = capsys.readouterr().out
-        assert "stable rank 1" in text or "unstable rank 2" in text
+        assert main(["picard", "--config", str(cfg), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "condition_report.json",
+            "ensemble.csv",
+            "gap_trace.jsonl",
+            "run_meta.json",
+        ]
+        rep = json.loads((out / "condition_report.json").read_text(encoding="utf-8"))
+        assert (rep["k"], rep["omega"]) == ("1", "3/2")
+        assert read_lines(out / "ensemble.csv")[0] == "t,path,y0,y1,y2"
 
 
 # ---------------------------------------------------------------------------
@@ -1274,10 +1315,8 @@ class TestOneBuildPerRun:
         "argv",
         [
             ["check", "--preset", "example41"],
-            ["simulate", "--preset", "example41", "--paths", "4"],
             ["picard", "--preset", "example41", "--paths", "4"],
             ["apscan", "--preset", "example41", "--paths", "4"],
-            ["galerkin", "--paths", "4"],
         ],
         ids=lambda argv: argv[0],
     )
@@ -1406,8 +1445,8 @@ class TestCliDeterminism:
         """``check`` is the start-up path: importing the CLI and checking
         any shipped preset loads no scipy module at all.  The presets'
         systems are diagonal, so their constants are certified exactly
-        and no matrix exponential is taken.  ``picard``, ``apscan`` and
-        ``simulate`` of example41 and ou_forced load none either: their
+        and no matrix exponential is taken.  ``picard`` and ``apscan``
+        of example41 and ou_forced load none either: their
         propagators and kernels are closed forms, their reduced
         propagators their own Schur forms, and their laws vary in one
         coordinate."""
@@ -1418,7 +1457,7 @@ class TestCliDeterminism:
         runs = [
             [command, "--config", cfg, "--out", f"{cfg[:-5]}-{command}", "--threads", "2"]
             for cfg in cfgs
-            for command in ("picard", "apscan", "simulate")
+            for command in ("picard", "apscan")
         ]
         steps = modules_after(check_every_preset(tmp_path) + runs, ["scipy.*"])
         assert steps == [(None, [])] + [(0, [])] * (len(preset_names()) + len(runs))
@@ -1505,19 +1544,17 @@ class TestCliDeterminism:
     def test_check_loads_neither_the_solver_nor_the_scan(self, tmp_path):
         """``check`` evaluates the conditions without the solver or the
         scan: importing the CLI and checking every shipped preset loads
-        neither ``levyap.solver`` nor ``levyap.apdist``.  ``picard`` and
-        ``simulate`` load the solver but not the scan, and ``apscan``
-        loads both."""
+        neither ``levyap.solver`` nor ``levyap.apdist``.  ``picard``
+        loads the solver but not the scan, and ``apscan`` loads both."""
         cfg = str(write_cfg(tmp_path, tiny_benchmark_dict(), name="ex41.json"))
         runs = [
             [command, "--config", cfg, "--out", f"{cfg[:-5]}-{command}"]
-            for command in ("picard", "simulate", "apscan")
+            for command in ("picard", "apscan")
         ]
         names = ["levyap.apdist", "levyap.solver"]
         steps = modules_after(check_every_preset(tmp_path) + runs, names)
-        solver = (0, ["levyap.solver"])
         assert steps == (
-            [(None, [])] + [(0, [])] * len(preset_names()) + [solver, solver, (0, names)]
+            [(None, [])] + [(0, [])] * len(preset_names()) + [(0, ["levyap.solver"]), (0, names)]
         )
 
     def test_line_scans_do_not_import_scipy_optimize(self, tmp_path):

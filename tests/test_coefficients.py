@@ -100,7 +100,6 @@ def test_parser_errors():
 def test_interval_bound_of_benchmark_signal():
     sig = QuasiPeriodicSignal.parse("(c1 + s2) / (17 + c3)", FREQS)
     assert sig.bounds() == (-0.125, 0.125)
-    assert sig.sup_abs() == 0.125
 
 
 def test_interval_certificate_rejects_zero_denominator():

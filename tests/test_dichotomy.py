@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _dichotomy_oracles import estimate_constants
 from levyap.config import build_system, preset_config, preset_names
 from levyap.dichotomy import (
     DichotomousSystem,
@@ -30,7 +31,6 @@ from levyap.dichotomy import (
     MatrixExpOverflowError,
     NoDichotomyError,
     diagonal_constants,
-    estimate_constants,
     integrated_exp,
     matrix_exp,
     spot_check_dichotomy,
