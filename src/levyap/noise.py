@@ -458,6 +458,17 @@ class NoiseSample:
         return (self.k_lo + np.arange(self.n_steps + 1)) * self.h
 
 
+def _mix(x, chol, out):
+    """x @ chol.T into ``out``.  For one noise dimension that is one
+    product: matmul sums it from +0.0, which ``+= 0.0`` does, so the bits
+    are the same, a -0.0 product included, at a fraction of the cost."""
+    if len(chol) > 1:
+        return np.matmul(x, chol.T, out=out)
+    np.multiply(x, chol[0, 0], out=out)
+    out += 0.0
+    return out
+
+
 def sample_noise(
     spec: LevyProcessSpec,
     k_lo: int,
@@ -547,12 +558,12 @@ def sample_noise(
             tmp = scaled[: hi - lo]
             if n_pos:
                 pos = dW[lo:hi, n_neg:]
-                np.matmul(np.multiply(pos, sqrt_h, out=tmp[:, :n_pos]), chol.T, out=pos)
+                _mix(np.multiply(pos, sqrt_h, out=tmp[:, :n_pos]), chol, pos)
             if n_neg:
                 # mirrored order: increment over [t_k, t_k + h] for t_k < 0
                 # is the (|t_k|/h - 1)-th increment of the mirrored copy
                 neg = dW[lo:hi, :n_neg]
-                z = np.matmul(neg, chol.T, out=tmp[:, :n_neg])
+                z = _mix(neg, chol, tmp[:, :n_neg])
                 np.multiply(z[:, ::-1], sqrt_h, out=neg)
 
     # empty first entries, so a sample without events still concatenates

@@ -39,8 +39,12 @@ runs a path-major kernel:
 entries evaluated, forcing added straight into the modal accumulations.
 S maps each path to itself, so the Picard solve overwrites one ensemble
 in place, block by block of paths on worker threads, and takes the
-moment and gap sums in the same sweep; results are bitwise identical
-for any chunking and thread count.
+moment and gap sums in the same sweep, one reduce per chunk and
+coordinate; results are bitwise identical for any chunking and thread
+count.  A block's jump values are computed once, before its first
+chunk.  The first sweep starts from the zero ensemble, where every grid
+term's value depends on the time alone: it evaluates each term once on
+one row and broadcasts it over the paths.
 
 The ensemble is stored coordinate-major, one contiguous (paths, n + 1)
 slab per state coordinate; ``PathEnsemble.values`` is then a (paths,
@@ -86,9 +90,14 @@ __all__ = [
 # path steps per chunk by default: each (paths, time) scratch row of a
 # worker, and each temporary numpy makes for a chunk, is then at most
 # 1 MB.  glibc keeps freed blocks below its dynamic mmap/trim threshold
-# resident, so smaller temporaries keep the peak RSS down and a chunk's
-# working set cache-sized; halving this again costs time in per-chunk
-# overhead.
+# resident, so smaller temporaries keep the peak RSS down.  The rows of
+# a chunk of a 6144-step grid lie past a 2 MiB per-core L2 cache: a
+# multiply over seven (paths, 6145) arrays took 1.7 ns per value at 16
+# and 8 paths, 1.0 ns at 4 (2-core Xeon).  But a chunk also costs about
+# 60-150 us of interpreter work, and on example41 at h = 1/1024 with 1024
+# paths (2 threads) a solve took 0.72-0.73 s with 16-path chunks (the
+# default), 0.71-0.76 s with 8 and 0.85-0.97 s with 4; smaller chunks pay
+# only if the per-chunk cost falls much further.
 _CHUNK_BUDGET = 131_072
 # paths per block: a worker's unit of work, and the unit of the
 # second-moment sums, whose rounding depends on it
@@ -144,18 +153,6 @@ class PathEnsemble:
     @property
     def dim(self) -> int:
         return self.values.shape[2]
-
-    @property
-    def grid(self) -> np.ndarray:
-        return (self.k_lo + np.arange(self.n_steps + 1)) * self.h
-
-    @property
-    def t_lo(self) -> float:
-        return self.k_lo * self.h
-
-    @property
-    def t_hi(self) -> float:
-        return (self.k_lo + self.n_steps) * self.h
 
 
 def _sup_mean(sums: np.ndarray, n_times: int, m: int) -> float:
@@ -275,13 +272,16 @@ def _scan(powers: tuple, x: np.ndarray, buf: np.ndarray) -> None:
             seg += np.multiply(carry[:size], x[..., s - 1 : s], out=buf[:, :size])
 
 
-def _axpy(y: np.ndarray, a, x: np.ndarray, buf: np.ndarray, cbuf) -> None:
-    """y += a * x; the product is formed in ``buf``, or in the complex
-    ``cbuf`` for a complex ``a``."""
-    if np.iscomplexobj(a):
-        y += np.multiply(a, x, out=cbuf[:, : x.shape[1]])
-    else:
-        y += np.multiply(x, a, out=buf[:, : x.shape[1]])
+def _axpy(y: np.ndarray, a, x: np.ndarray, buf: np.ndarray, cbuf, fresh: bool = False) -> None:
+    """y += a * x, or y = a * x when ``fresh``.  The product is formed in
+    ``y`` itself when ``fresh``, else in ``buf``, or in the complex
+    ``cbuf`` for a complex ``a``.  ``x`` may be a (1, n) row that
+    broadcasts against ``y``."""
+    cplx = isinstance(a, complex)  # numpy's complex scalars are Python complex
+    out = y if fresh else (cbuf if cplx else buf)[:, : x.shape[1]]
+    prod = np.multiply(a, x, out=out) if cplx else np.multiply(x, a, out=out)
+    if not fresh:
+        y += prod
 
 
 def _live_modes(half: _ModalHalf, drift_rows, stoch_rows) -> list[bool]:
@@ -304,52 +304,71 @@ def _live_modes(half: _ModalHalf, drift_rows, stoch_rows) -> list[bool]:
     return live
 
 
-def _modal_scan(half: _ModalHalf, powers, drift: dict, stoch: dict, z: np.ndarray, buf, cbuf):
-    """Modal accumulations z, shape (r, q, n + 1), driven by the forcing
-    rows (q, n) of each state coordinate, with z[:, :, 0] zero; and the
-    modes that are live (``_live_modes``).  ``z`` is the scratch the
-    accumulations are written to, ``powers`` the scan powers of each mode
-    that can be live (``_Plan.powers``).  A mode that is not live stays
-    zero and is not scanned; None is returned for z when no mode is live.
-    A reverse half runs from the window end and stores z time-reversed:
-    its forcing is added through a reversed view."""
-    live = _live_modes(half, drift, stoch)
-    if not any(live):
-        return None, live
+def _modal_scan(half: _ModalHalf, live, powers, drift: dict, stoch: dict, z: np.ndarray, buf, cbuf):
+    """Write into ``z``, shape (r, q, n + 1), the accumulations of the
+    ``live`` modes (``_Plan.live``) driven by the forcing rows (q, n), or
+    (1, n) rows that broadcast, of each state coordinate, with z[:, :, 0]
+    zero; ``powers`` are the scan powers of each live mode
+    (``_Plan.powers``).  Other modes are neither written nor read.
+
+    A mode's first forcing term is written into it, not added to zeros;
+    a live mode that this chunk does not force directly (its only rows
+    are jump rows without events here) starts at zero.  The products
+    then differ from a sum from zero at most in the sign of a zero,
+    which the assembly's ``+ 0.0`` (``_add_real``) erases.  A reverse
+    half runs from the window end and stores z time-reversed: its
+    forcing is written through a reversed view."""
     r, d = half.drift_map.shape
-    z.fill(0.0)
     for m in range(r):
+        if not live[m]:
+            continue
         b = z[m, :, :0:-1] if half.reverse else z[m, :, 1:]
+        fresh = True
         for i in range(d):
             for rows, coef in ((drift, half.drift_map[m, i]), (stoch, half.stoch_map[m, i])):
                 if coef != 0 and i in rows:
-                    _axpy(b, coef, rows[i], buf, cbuf)
+                    _axpy(b, coef, rows[i], buf, cbuf, fresh)
+                    fresh = False
+        if fresh:
+            z[m].fill(0.0)
+        else:
+            z[m, :, 0] = 0.0
     # back-substitution: mode m is driven by the live modes after it
+    scan_buf = cbuf if z.dtype.kind == "c" else buf
     for m in range(r - 1, -1, -1):
+        if not live[m]:
+            continue
         for j in range(m + 1, r):
             if half.tri[m, j] != 0 and live[j]:
                 _axpy(z[m, :, 1:], half.tri[m, j], z[j, :, :-1], buf, cbuf)
-        if live[m]:
-            _scan(powers[m], z[m, :, 1:], cbuf if np.iscomplexobj(z) else buf)
-    return z, live
+        _scan(powers[m], z[m, :, 1:], scan_buf)
 
 
-def _add_real(out: np.ndarray, coef: complex, z: np.ndarray, sign: float, buf, cbuf) -> None:
-    """out += sign * Re(coef z); zero coefficients are skipped.  The
-    product is formed in ``buf``, or in ``cbuf`` when it is complex."""
-    if coef == 0:
-        return
-    if np.iscomplexobj(coef) or np.iscomplexobj(z):
-        out += np.multiply(sign * coef, z, out=cbuf[:, : z.shape[1]]).real
+def _add_real(out: np.ndarray, coef, z: np.ndarray, sign: float, buf, cbuf, fresh: bool) -> None:
+    """out += sign * Re(coef z), or out = sign * Re(coef z) + 0.0 when
+    ``fresh``.  The ``+ 0.0`` gives what adding to a zeroed ``out`` gives
+    (a -0.0 product becomes +0.0), so ``out`` never holds -0.0.  A
+    complex product is formed in ``cbuf``, a real one in ``buf``, or in
+    ``out`` itself when ``fresh``, where a factor 1.0 is not applied."""
+    scale = sign * coef
+    if isinstance(scale, complex) or z.dtype.kind == "c":
+        val = np.multiply(scale, z, out=cbuf[:, : z.shape[1]]).real
+    elif fresh:
+        val = z if scale == 1.0 else np.multiply(z, scale, out=out)
     else:
-        out += np.multiply(z, sign * coef, out=buf[:, : z.shape[1]])
+        val = np.multiply(z, scale, out=buf[:, : z.shape[1]])
+    if fresh:
+        np.add(val, 0.0, out=out)
+    else:
+        out += val
 
 
 _Forcing = namedtuple("_Forcing", "drift diffusion compensator")
 _Forcing.__doc__ = """The non-empty coefficient entries of one state coordinate: drift
 terms, (noise index, terms) of each non-empty diffusion entry, and the
 small-jump compensator terms with their weights folded in, each a tuple
-of ``PreparedTerm``."""
+of ``PreparedTerm``.  ``_zero_start`` gives the same entries' values at
+the zero state."""
 
 
 class _Jumps:
@@ -577,19 +596,65 @@ def _term_sum(terms, columns, out: np.ndarray, buf: np.ndarray) -> np.ndarray:
     return out
 
 
-def _add_jumps(plan: _Plan, values: np.ndarray, stoch: dict, lo: int, hi: int, scratch):
-    """Add the jumps of paths [lo, hi) to the stochastic rows, small
-    jumps first, each event in sample order, from the slices of the
-    planned jump terms that hold the chunk's events.  A row the chunk has
-    not filled yet is zeroed in ``scratch`` first."""
+def _zero_start(plan: _Plan) -> tuple[_Forcing, ...]:
+    """Each state coordinate's forcing values at the zero state, as one
+    (1, n) row per non-empty entry: the drift, each diffusion entry
+    before its Wiener increment, and the compensator times h (None where
+    the coordinate has none).  At the zero state a grid term's value
+    depends on the time alone, so every path of a sweep of the zero
+    ensemble shares these rows; each is computed by the operations a
+    path's row is."""
+    n = plan.noise.n_steps
+    zeros = np.zeros((1, n))
+    columns = {c: zeros for c in plan.coords}
+
+    def value(terms):
+        return _term_sum(terms, columns, np.empty((1, n)), np.empty((1, n)))
+
+    def compensator(terms):
+        comp = value(terms)
+        comp *= plan.noise.h
+        return comp
+
+    return tuple(
+        _Forcing(
+            value(row.drift) if row.drift else None,
+            tuple(value(entry) for _, entry in row.diffusion),
+            compensator(row.compensator) if row.compensator else None,
+        )
+        for row in plan.rows
+    )
+
+
+def _block_jumps(plan: _Plan, values: np.ndarray, lo: int, hi: int) -> list:
+    """The jump values of the events of paths [lo, hi), per region of
+    ``plan.jumps``: the index of the first event and the (events, dim)
+    values of the region's map at the events' states in ``values``, or
+    None for a region with no event there.  Each event reads only its
+    own path, so the values of a block are those of its chunks."""
+    out = []
     for jumps in plan.jumps:
         a, b = jumps.starts[lo], jumps.starts[hi]
         if a == b:
+            out.append(None)
             continue
-        path, step = jumps.path[a:b], jumps.step[a:b]
-        state = np.ascontiguousarray(values[:, path, step].T)
-        vals = point_values(jumps.terms_of(a, b), state)
-        at = (path - lo, step)
+        state = np.ascontiguousarray(values[:, jumps.path[a:b], jumps.step[a:b]].T)
+        out.append((a, point_values(jumps.terms_of(a, b), state)))
+    return out
+
+
+def _add_jumps(plan: _Plan, block_jumps: list, stoch: dict, lo: int, hi: int, scratch):
+    """Add the jumps of paths [lo, hi) to the stochastic rows, small
+    jumps first, each event in sample order, from the values that
+    ``_block_jumps`` gave for the block that holds the chunk.  A row the
+    chunk has not filled yet is zeroed in ``scratch`` first."""
+    for jumps, block in zip(plan.jumps, block_jumps):
+        a, b = jumps.starts[lo], jumps.starts[hi]
+        if a == b:
+            continue
+        first, vals = block
+        vals = vals[a - first : b - first]
+        at = (jumps.path[a:b] - lo, jumps.step[a:b])
         for i in jumps.rows:
             if i not in stoch:
                 stoch[i] = scratch.stoch[i][: hi - lo]
@@ -597,14 +662,18 @@ def _add_jumps(plan: _Plan, values: np.ndarray, stoch: dict, lo: int, hi: int, s
             np.add.at(stoch[i], at, vals[:, i])
 
 
-def _apply_chunk(plan: _Plan, values: np.ndarray, lo: int, hi: int, scratch: _Scratch):
+def _apply_chunk(
+    plan: _Plan, values: np.ndarray, lo: int, hi: int, scratch: _Scratch, block_jumps, zero
+):
     """S applied to paths [lo, hi) of the coordinate-major (dim, paths,
     n + 1) array ``values``.  Yields each output coordinate i of
     ``plan.reach`` in turn with its (paths, n + 1) row of values, a view
-    of ``scratch.res``, or None where S is zero in that coordinate for
-    this chunk.  S is zero in the other coordinates for every chunk.
-    ``values`` is only read, in paths [lo, hi) and before the first
-    yield, so the caller may write each coordinate back as it comes.
+    of ``scratch.res``; S is zero in the other coordinates.  ``values``
+    is only read, in paths [lo, hi) and before the first yield, so the
+    caller may write each coordinate back as it comes.  ``block_jumps``
+    are the jump values of the block that holds the chunk
+    (``_block_jumps``); ``zero``, when not None, the forcing rows of the
+    zero state (``_zero_start``), which ``values`` then holds.
 
     Path-major: every array is (paths, time) with time contiguous.  The
     terms read the state coordinates as views of ``values``; only
@@ -619,57 +688,76 @@ def _apply_chunk(plan: _Plan, values: np.ndarray, lo: int, hi: int, scratch: _Sc
     drift, stoch = {}, {}
     for i, row in enumerate(plan.rows):
         if row.drift:
-            drift[i] = _term_sum(row.drift, columns, scratch.drift[i][:p], sum_buf)
+            drift[i] = (
+                _term_sum(row.drift, columns, scratch.drift[i][:p], sum_buf)
+                if zero is None
+                else zero[i].drift
+            )
         # the first stochastic term goes to the row itself, later ones
         # through ``later``
         s = None
-        for j, entry in row.diffusion:
-            g = _term_sum(entry, columns, scratch.stoch[i][:p] if s is None else later, sum_buf)
-            g *= noise.dW[lo:hi, :, j]
+        for k, (j, entry) in enumerate(row.diffusion):
+            out = scratch.stoch[i][:p] if s is None else later
+            g = _term_sum(entry, columns, out, sum_buf) if zero is None else zero[i].diffusion[k]
+            g = np.multiply(g, noise.dW[lo:hi, :, j], out=out)
             s = g if s is None else np.add(s, g, out=s)
         if row.compensator:
-            comp = _term_sum(
-                row.compensator, columns, scratch.stoch[i][:p] if s is None else later, sum_buf
-            )
-            comp *= noise.h
-            s = np.negative(comp, out=comp) if s is None else np.subtract(s, comp, out=s)
+            out = scratch.stoch[i][:p] if s is None else later
+            if zero is None:
+                comp = _term_sum(row.compensator, columns, out, sum_buf)
+                comp *= noise.h
+            else:
+                comp = zero[i].compensator
+            s = np.negative(comp, out=out) if s is None else np.subtract(s, comp, out=s)
         if s is not None:
             stoch[i] = s
-    _add_jumps(plan, values, stoch, lo, hi, scratch)
+    _add_jumps(plan, block_jumps, stoch, lo, hi, scratch)
 
     buf = scratch.buf[:p]
     cbuf = None if scratch.cbuf is None else scratch.cbuf[:p]
-    scans = [
-        (half, *_modal_scan(half, powers, drift, stoch, z[:, :p], buf, cbuf))
-        for half, powers, z in zip(plan.halves, plan.powers, scratch.z)
-        if z is not None
-    ]
+    scans = []
+    for half, live, powers, z in zip(plan.halves, plan.live, plan.powers, scratch.z):
+        if z is not None:
+            _modal_scan(half, live, powers, drift, stoch, z[:, :p], buf, cbuf)
+            scans.append((half, z[:, :p], [m for m, on in enumerate(live) if on]))
     n, w = noise.n_steps, plan.w
     for i in plan.reach:
-        res = None  # stays None, and the coordinate zero, if no mode reaches it
-        for half, z, live in scans:
-            for m in np.flatnonzero(live):
-                back, back_win = half.back[i, m], half.back_win[i, m]
-                if back == 0 and back_win == 0:
-                    continue
-                if res is None:
-                    res = scratch.res[:p]
-                    res.fill(0.0)
+        res = scratch.res[:p]
+        fresh = True  # ``res`` is written by the first term, then added to
+        for half, z, modes in scans:
+            for m in modes:
                 # S adds the stable window [t - T_c, t] and subtracts the
                 # unstable one [t, t + T_c]
                 if half.reverse:
                     zm = z[m, :, ::-1]
-                    _add_real(res, back, zm, -1.0, buf, cbuf)
-                    _add_real(res[:, : n + 1 - w], back_win, zm[:, w:], 1.0, buf, cbuf)
+                    parts = ((res, zm, -1.0), (res[:, : n + 1 - w], zm[:, w:], 1.0))
                 else:
-                    _add_real(res, back, z[m], 1.0, buf, cbuf)
-                    _add_real(res[:, w:], back_win, z[m, :, :-w], -1.0, buf, cbuf)
+                    parts = ((res, z[m], 1.0), (res[:, w:], z[m, :, :-w], -1.0))
+                for (out, zp, sign), coef in zip(parts, (half.back[i, m], half.back_win[i, m])):
+                    if coef == 0:
+                        continue
+                    if fresh and out is not res:  # a window term covers part of res
+                        res.fill(0.0)
+                        fresh = False
+                    _add_real(out, coef, zp, sign, buf, cbuf, fresh)
+                    fresh = False
         yield i, res
 
 
-def _sweep_block(plan: _Plan, values: np.ndarray, chunks, scratch: _Scratch):
+def _add_rows(acc: np.ndarray, rows: np.ndarray) -> None:
+    """acc += rows[0] + rows[1] + ..., added in that order, one row at a
+    time; ``rows`` is overwritten.  numpy reduces a C-contiguous block
+    over its first axis row by row into ``out``, starting from the first
+    row, so the first row takes ``acc`` in first."""
+    rows[0] += acc
+    np.add.reduce(rows, axis=0, out=acc)
+
+
+def _sweep_block(plan: _Plan, values: np.ndarray, chunks, scratch: _Scratch, zero):
     """Apply S in place to the paths of one block of the coordinate-major
-    (dim, paths, n + 1) array ``values``, chunk by chunk.
+    (dim, paths, n + 1) array ``values``, chunk by chunk; ``zero`` as in
+    ``_apply_chunk``.  The block's jump values are computed first, from
+    the states before the sweep.
 
     Returns the block's sums over its paths of new^2 and of (new - old)^2,
     shape (dim, times).  Every sum is accumulated one path at a time in
@@ -681,25 +769,23 @@ def _sweep_block(plan: _Plan, values: np.ndarray, chunks, scratch: _Scratch):
     """
     shape = (values.shape[0], values.shape[2])
     moment, gap = np.zeros(shape), np.zeros(shape)
+    block_jumps = _block_jumps(plan, values, chunks[0][0], chunks[-1][1])
     # squares of overflowing or non-finite states are left to the
     # finiteness check of the caller
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi in chunks:
             sq = scratch.buf[: hi - lo]
-            for i, new in _apply_chunk(plan, values, lo, hi, scratch):
-                old = values[i, lo:hi]
-                if new is None:  # new^2 adds +0.0, which changes no sum
-                    np.subtract(0.0, old, out=sq)
-                else:
-                    np.multiply(new, new, out=sq)
-                    for row in sq:
-                        moment[i] += row
-                    np.subtract(new, old, out=sq)
-                sq *= sq
-                for row in sq:
-                    gap[i] += row
-                values[i, lo:hi] = 0.0 if new is None else new
-    return moment, gap
+            for i, new in _apply_chunk(plan, values, lo, hi, scratch, block_jumps, zero):
+                np.multiply(new, new, out=sq)
+                _add_rows(moment[i], sq)
+                if zero is None:
+                    np.subtract(new, values[i, lo:hi], out=sq)
+                    sq *= sq
+                    _add_rows(gap[i], sq)
+                values[i, lo:hi] = new
+    # from the zero ensemble new - 0 is new, which is never -0.0: the gap
+    # sums are the moment sums
+    return moment, gap if zero is None else moment
 
 
 def _blocks(m: int, n: int, chunk_paths: Optional[int]) -> list[list[tuple[int, int]]]:
@@ -723,9 +809,12 @@ def _blocks(m: int, n: int, chunk_paths: Optional[int]) -> list[list[tuple[int, 
 
 @contextmanager
 def _in_place_sweeps(plan: _Plan, chunk_paths: Optional[int], threads: int):
-    """Yield ``sweep(values)``, which applies S in place to a
-    coordinate-major (dim, paths, n + 1) array and returns its sums over
-    all paths of new^2 and of (new - old)^2, one per (coordinate, time).
+    """Yield ``sweep(values, zero=False)``, which applies S in place to
+    a coordinate-major (dim, paths, n + 1) array and returns its sums
+    over all paths of new^2 and of (new - old)^2, one per (coordinate,
+    time).  ``zero`` says that ``values`` holds +0.0 throughout: the
+    sweep then evaluates the grid terms once, on one row
+    (``_zero_start``), for all paths.
 
     Worker i takes blocks i, i + workers, ...; the calling thread is
     worker 0.  The other workers' threads are started once and serve
@@ -741,15 +830,16 @@ def _in_place_sweeps(plan: _Plan, chunk_paths: Optional[int], threads: int):
     largest = max(hi - lo for chunks in blocks for lo, hi in chunks)
     scratch = [_Scratch(plan, largest) for _ in range(workers)]
 
-    def run(worker, values):
+    def run(worker, values, start):
         return [
-            _sweep_block(plan, values, chunks, scratch[worker])
+            _sweep_block(plan, values, chunks, scratch[worker], start)
             for chunks in blocks[worker::workers]
         ]
 
-    def sweep(values):
-        futures = [pool.submit(run, i, values) for i in range(1, workers)]
-        done = [run(0, values)] + [fut.result() for fut in futures]
+    def sweep(values, zero=False):
+        start = _zero_start(plan) if zero else None
+        futures = [pool.submit(run, i, values, start) for i in range(1, workers)]
+        done = [run(0, values, start)] + [fut.result() for fut in futures]
         shape = (values.shape[0], values.shape[2])
         moment, gap = np.zeros(shape), np.zeros(shape)
         for b in range(len(blocks)):
@@ -842,9 +932,15 @@ def picard_solve(
     compensator weights folded in) is built once per solve, and so are
     the worker threads and each worker's scratch.  The kernel
     (``_apply_chunk``) runs path-major on one chunk of paths: it
-    evaluates only the non-empty entries, adds the resulting forcing rows
-    straight into the modal accumulations and assembles each output
-    coordinate in one contiguous row.
+    evaluates only the non-empty entries, writes the resulting forcing
+    rows straight into the modal accumulations and assembles each output
+    coordinate in one contiguous row.  A block's jump values are
+    evaluated once, at the states before its sweep, and each chunk adds
+    its slice of them.  The first iteration sweeps the zero ensemble:
+    there every drift, diffusion and compensator term's value depends on
+    the time alone, so it is evaluated once, on one row, and broadcast
+    over the paths (``_zero_start``), with the bits of a per-path
+    evaluation.
 
     The solve holds one ensemble and overwrites it in place: S maps each
     path to itself, so each chunk of paths is computed in scratch, its
@@ -877,7 +973,7 @@ def picard_solve(
     with _in_place_sweeps(plan, chunk_paths, threads) as sweep:
         for it in range(1, max_iter + 1):
             t0 = time.perf_counter()
-            moment_sums, gap_sums = sweep(values)
+            moment_sums, gap_sums = sweep(values, zero=it == 1)
             moment = _sup_mean(moment_sums.T, n_times, m)
             # a finite moment proves every state finite
             if not math.isfinite(moment) and not np.all(np.isfinite(values)):

@@ -1,6 +1,8 @@
 """Float times of the tests as whole grid steps, the form the sampler,
 the Picard solve and the shift scan take."""
 
+import numpy as np
+
 from levyap.config import grid_steps
 
 
@@ -16,3 +18,9 @@ def window_steps(t_lo: float, t_hi: float, h: float) -> tuple:
     """The window [t_lo, t_hi] as its start step and its step count."""
     k_lo = steps(t_lo, h)
     return k_lo, steps(t_hi, h) - k_lo
+
+
+def ensemble_grid(ens) -> np.ndarray:
+    """The times of an ensemble's grid, (k_lo + k) h for k = 0 ..
+    n_steps, by the expression the CSV writer uses."""
+    return (ens.k_lo + np.arange(ens.n_steps + 1)) * ens.h

@@ -20,7 +20,7 @@ import pytest
 
 from _dichotomy_oracles import estimate_constants
 from _ensemble_oracles import grid_index, l2_increment
-from _grid import steps, window_steps
+from _grid import ensemble_grid, steps, window_steps
 from _lp_oracles import rational_bl_value
 from levyap.apdist import (
     EmpiricalLaw,
@@ -189,7 +189,7 @@ def test_constant_drift_fixed_point_within_reported_tail():
         sysd, constant_drift_coefficients(c1, c2), noise, tol=1e-26, w=steps(t_c, noise.h)
     )
     assert res.converged
-    grid = res.ensemble.grid
+    grid = ensemble_grid(res.ensemble)
     interior = (grid >= grid[0] + t_c) & (grid <= grid[-1] - t_c)
     target = np.array([-c1 / 8.0, c2 / 6.0])
     err = np.abs(res.ensemble.values[:, interior, :] - target).max()
@@ -236,7 +236,7 @@ def test_forced_ou_matches_closed_form():
     )
     res = picard_solve(sysd, cs, noise, tol=1e-10, max_iter=20, w=steps(6.0, noise.h))
     assert res.converged
-    grid = res.ensemble.grid
+    grid = ensemble_grid(res.ensemble)
     core = (grid >= -2.0) & (grid <= 2.0)
     s2 = math.sqrt(2.0)
     m_exact = (np.sin(s2 * grid) - s2 * np.cos(s2 * grid)) / 3.0
@@ -249,7 +249,7 @@ def test_forced_ou_matches_closed_form():
         spec, *window_steps(-8.0, 8.0, 1.0 / 64), 1.0 / 64, 10_000, seed=run.config.seed + 1
     )
     res_v = picard_solve(sysd, cs, noise_v, tol=1e-10, max_iter=20, w=steps(6.0, noise_v.h))
-    grid_v = res_v.ensemble.grid
+    grid_v = ensemble_grid(res_v.ensemble)
     core_v = (grid_v >= -2.0) & (grid_v <= 2.0)
     var_hat = res_v.ensemble.values[:, core_v, 0].var(axis=0).mean()
     assert var_hat == pytest.approx(sigma**2 / (2.0 * a), rel=0.05)
@@ -363,7 +363,8 @@ def test_shipped_scans_are_pinned(benchmark_pair):
 def test_l2_increments_grow_at_most_linearly(benchmark_pair):
     _, res, _ = benchmark_pair
     ens = res.ensemble
-    h = float(ens.grid[1] - ens.grid[0])
+    grid = ensemble_grid(ens)
+    h = float(grid[1] - grid[0])
     anchors = [0.0, 0.5, 1.0, 1.5]
     steps = [1, 2, 4, 8, 13, 19, 25]
     lags = [k * h for k in steps]

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from _grid import ensemble_grid
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -160,7 +161,7 @@ CSV_SPECIAL_REPRS = ("1e-05", "1e+16", "5e-324", "-0.0", "-2.5e-310", "1.7976931
 def per_row_ensemble_csv(ens, stride):
     """The byte oracle for ``ensemble.csv``: a writer that formats every
     row with its own f-string."""
-    grid = ens.grid
+    grid = ensemble_grid(ens)
     d = ens.dim
     lines = ["t,path," + ",".join(f"y{i}" for i in range(d)) + "\n"]
     for k in range(0, ens.n_steps + 1, stride):
@@ -1259,6 +1260,28 @@ class TestCliArtifacts:
         code = main(["apscan", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "apscan needs" in capsys.readouterr().err
+
+    def test_stage_times_script_times_every_stage(self, tmp_path):
+        """``scripts/stage_times.py`` finds each stage where the commands
+        look it up: an ``apscan`` calls each once per run, and the
+        iteration times are those of the run's gap trace."""
+        script = Path(__file__).resolve().parents[1] / "scripts" / "stage_times.py"
+        cfg = write_cfg(tmp_path, tiny_benchmark_dict())
+        env = dict(os.environ, PYTHONPATH=str(Path(levyap.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, str(script), "--runs", "2", "--", "apscan", "--config", str(cfg)],
+            capture_output=True, text=True, env=env, timeout=300, cwd=tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["exit_codes"] == [0, 0]
+        assert set(report["stages"]) == {
+            "sample_noise", "picard_solve", "_write_ensemble_csv", "ap_distribution_scan"
+        }
+        for stage in report["stages"].values():
+            assert stage["calls"] == 1 and 0 < stage["median_s"] < report["main_s"]
+        assert report["iteration_wall_ms"] and min(report["iteration_wall_ms"]) >= 0
+        assert not any(tmp_path.glob("levyap_out*"))
 
     def test_ou_benchmark_script_reads_ensemble_csv(self, tmp_path):
         """``scripts/run_ou_benchmark.py`` reshapes ``ensemble.csv`` by

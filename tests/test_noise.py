@@ -30,6 +30,7 @@ from levyap.noise import (
     NoiseSpecError,
     WienerSpec,
     _KeyedStream,
+    _mix,
     _stream_keys,
     point_mark,
     sample_noise,
@@ -218,6 +219,27 @@ def test_stream_layout_is_pinned():
     assert digest.hexdigest() == (
         "10c230d535387c9657b59fae2edf714c058939d499de752380a28a3ccdfa1f6f"
     )
+
+
+
+@pytest.mark.parametrize("c", [0.3, -0.7, 1.0, 0.0, -0.0])
+def test_one_dimensional_mixing_is_the_matmul(c):
+    """A 1-d noise is mixed by one product and ``+= 0.0``: bit for bit the
+    (..., 1) @ (1, 1) matmul of a wider noise, whose sum starts at +0.0,
+    so a -0.0 product comes out +0.0.  Contiguous and strided operands,
+    as the two half lines of the sampler pass them."""
+    x = np.random.default_rng(5).standard_normal((3, 40, 1))
+    x[0, :4, 0] = [-0.0, 0.0, -0.0, 5e-324]
+    chol = np.array([[c]])
+    for operand in (x, x[:, 3:30]):
+        out = np.full_like(operand, np.nan)
+        assert _mix(operand, chol, out) is out
+        ref = np.matmul(operand, chol.T)
+        assert out.tobytes() == ref.tobytes()
+        assert not np.signbit(out[out == 0.0]).any()
+    strided = np.full((3, 50, 1), np.nan)[:, 5:45]
+    _mix(x, chol, strided)
+    assert strided.tobytes() == np.matmul(x, chol.T).tobytes()
 
 
 # ---------------------------------------------------------------------------

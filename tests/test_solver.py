@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _ensemble_oracles import apply_S, grid_index, l2_increment, simulate_mild
-from _grid import steps, window_steps
+from _grid import ensemble_grid, steps, window_steps
 from _noise_oracles import shifted
 from levyap.coefficients import (
     CoefficientSet,
@@ -54,6 +54,7 @@ from levyap.solver import (
     _Plan,
     _Scratch,
     _blocks,
+    _in_place_sweeps,
     _scan_block,
     picard_solve,
 )
@@ -206,8 +207,7 @@ class TestPathEnsemble:
     def test_grid_and_index(self):
         ens = PathEnsemble(h=0.25, k_lo=-2, values=np.zeros((3, 5, 2)))
         assert ens.n_paths == 3 and ens.n_steps == 4 and ens.dim == 2
-        assert ens.t_lo == -0.5 and ens.t_hi == 0.5
-        np.testing.assert_allclose(ens.grid, [-0.5, -0.25, 0.0, 0.25, 0.5])
+        np.testing.assert_allclose(ensemble_grid(ens), [-0.5, -0.25, 0.0, 0.25, 0.5])
         assert grid_index(ens, 0.25) == 3
         assert grid_index(ens, -0.5) == 0
 
@@ -415,7 +415,7 @@ class TestSimulateMild:
         noise = sample_noise(wiener_only_spec(), *window_steps(0.0, 16.0, h), h, m_paths, seed=21)
         ens = simulate_mild(sysd, cs, noise, np.zeros(1))
 
-        grid = ens.grid
+        grid = ensemble_grid(ens)
         m_rec = np.zeros(len(grid))
         decay = math.exp(-a * h)
         for k in range(len(grid) - 1):
@@ -491,7 +491,7 @@ class TestApplyS:
             sysd, constant_drift_coefficients(c1, c2), noise, tol=1e-26, w=steps(t_c, noise.h)
         )
         assert res.converged
-        grid = res.ensemble.grid
+        grid = ensemble_grid(res.ensemble)
         interior = (grid >= grid[0] + t_c) & (grid <= grid[-1] - t_c)
         target = np.array([-c1 / 8.0, c2 / 6.0])
         err = np.abs(res.ensemble.values[:, interior, :] - target).max()
@@ -509,7 +509,7 @@ class TestApplyS:
             res = picard_solve(
                 sysd, constant_drift_coefficients(c1, c2), noise, tol=1e-26, w=steps(t_c, noise.h)
             )
-            grid = res.ensemble.grid
+            grid = ensemble_grid(res.ensemble)
             interior = (grid >= grid[0] + 2.0) & (grid <= grid[-1] - 2.0)
             target = np.array([-c1 / 8.0, c2 / 6.0])
             errs.append(np.abs(res.ensemble.values[:, interior, :] - target).max())
@@ -560,7 +560,7 @@ class TestApplyS:
         )
         out_shift, _ = apply_S(sysd, cs, shifted_noise, shifted_ens, w=steps(1.0, shifted_noise.h))
         np.testing.assert_array_equal(out_shift.values, out.values)
-        assert out_shift.t_lo == out.t_lo - 1.0
+        assert ensemble_grid(out_shift)[0] == ensemble_grid(out)[0] - 1.0
 
     def test_shift_equivariance_with_time_dependent_drift(self):
         """Shifting quasi-periodic coefficients by s in time must commute
@@ -1580,6 +1580,136 @@ _ORACLE_CASES = {
     "unreachable": (_rotation_system, _unreachable_coefficients, _jump_diffusion_spec),
     "coupled": (_unstable_jordan_system, _coupled_coefficients, _jump_diffusion_spec),
 }
+
+
+# ---------------------------------------------------------------------------
+# the first sweep from the zero start
+# ---------------------------------------------------------------------------
+
+
+def _oblique_system():
+    """A stable and an unstable mode along the non-orthogonal eigenvectors
+    (1, 0) and (1, 1): P is an oblique projection."""
+    v = np.array([[1.0, 1.0], [0.0, 1.0]])
+    vinv = np.linalg.inv(v)
+    a = v @ np.diag([-1.0, 2.0]) @ vinv
+    p = v @ np.diag([1.0, 0.0]) @ vinv
+    return DichotomousSystem.create(a, p, 2.0, 1.0), 1 / 32, (-2.0, 2.0)
+
+
+# systems of the zero-start pins: real diagonal halves, a complex Schur
+# half (rotation), a reversed Jordan block, an oblique projection
+_ZERO_START_SYSTEMS = {
+    "diagonal": lambda: (benchmark_system(), 1 / 32, (-1.0, 2.0)),
+    "rotation": _rotation_system,
+    "unstable_jordan": _unstable_jordan_system,
+    "oblique": _oblique_system,
+}
+_FREQS = (math.sqrt(2.0), math.sqrt(3.0))
+_SIGNALS = (
+    QuasiPeriodicSignal.parse("c1 + s2", _FREQS),
+    QuasiPeriodicSignal.parse("(1 + c2) / (3 + s1)", _FREQS),
+    QuasiPeriodicSignal.parse("s1 - 0.5", _FREQS),
+)
+
+
+@st.composite
+def _terms(draw, d: int, q: int, most: int, marks: bool = False, least: int = 0):
+    """Random coefficient terms on d state coordinates and q noise
+    dimensions: every kernel, scale 1.0 (not multiplied) among others,
+    with or without an outer signal, mark weights when ``marks``."""
+    terms = []
+    for _ in range(draw(st.integers(least, most))):
+        kernel = draw(st.sampled_from(["const", "linear", "bounded_ratio", "sin_shift"]))
+        weights = (1.0, -0.5)[:q]
+        terms.append(
+            CoefficientTerm(
+                draw(st.sampled_from([1.0, 0.25, -0.3])),
+                kernel,
+                coord=draw(st.integers(0, d - 1)),
+                outer=draw(st.sampled_from((None,) + _SIGNALS)),
+                inner=draw(st.sampled_from(_SIGNALS)) if kernel == "sin_shift" else None,
+                mark_weights=draw(st.sampled_from([None, weights])) if marks else None,
+            )
+        )
+    return tuple(terms)
+
+
+@st.composite
+def _zero_start_case(draw, d: int, q: int, first_row: str):
+    """Coefficients whose first state coordinate has ``first_row``
+    stochastic forcing: the compensator of small jumps whose terms have
+    no mark weights, and no diffusion ("compensator"), or large jumps
+    only ("jumps"); the other rows are drawn."""
+    drift, diffusion, small, large = [], [], [], []
+    for i in range(d):
+        kind = first_row if i == 0 else draw(st.sampled_from(["all", "diffusion", "none"]))
+        drift.append(draw(_terms(d, q, 2)))
+        diffusion.append(
+            tuple(draw(_terms(d, q, 1)) if kind in ("all", "diffusion") else () for _ in range(q))
+        )
+        if kind == "compensator":
+            small.append(draw(_terms(d, q, 1, least=1)))
+        else:
+            small.append(draw(_terms(d, q, 1, marks=True)) if kind == "all" else ())
+        if kind in ("all", "jumps"):
+            large.append(draw(_terms(d, q, 1, marks=True, least=int(kind == "jumps"))))
+        else:
+            large.append(())
+    return CoefficientSet(
+        dim_state=d,
+        dim_noise=q,
+        drift=tuple(drift),
+        diffusion=tuple(diffusion),
+        jump_small=tuple(small),
+        jump_large=tuple(large),
+        lipschitz=Fraction(1, 2),
+    )
+
+
+@pytest.mark.parametrize("first_row", ["compensator", "jumps"])
+@pytest.mark.parametrize("system", sorted(_ZERO_START_SYSTEMS))
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_zero_start_sweep_is_the_general_sweep(system, first_row, data):
+    """The first Picard sweep evaluates each grid term once on a (1, n)
+    row at the zero state and broadcasts it (``_zero_start``); on the
+    zero ensemble that is bit for bit the general sweep, which evaluates
+    every path: the new states, their moment sums and their gap sums."""
+    sysd, h, window = _ZERO_START_SYSTEMS[system]()
+    spec = data.draw(st.sampled_from([_jump_diffusion_spec, _two_dim_spec]))()
+    cs = data.draw(_zero_start_case(sysd.dim, spec.dim, first_row))
+    noise = sample_noise(spec, *window_steps(*window, h), h, 5, seed=data.draw(st.integers(0, 99)))
+    plan = _Plan.build(sysd, cs, noise, steps(0.5, h))
+    chunk = data.draw(st.sampled_from([None, 1, 2, 5]))
+    shape = (sysd.dim, noise.n_paths, noise.n_steps + 1)
+    zero, general = np.zeros(shape), np.zeros(shape)
+    with _in_place_sweeps(plan, chunk, 1) as sweep:
+        sums = sweep(zero, zero=True)
+        ref = sweep(general)
+    assert zero.tobytes() == general.tobytes()
+    for a, b in zip(sums, ref):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("preset", ["example41", "ou_forced", "galerkin_heat"])
+def test_preset_solutions_hold_no_negative_zero(preset):
+    """The assembly writes a coordinate's first term and adds +0.0, as
+    adding it to a zeroed row did, so no state of a preset's solve (the
+    ensemble ``picard`` writes and ``apscan`` scans) is -0.0.  Every
+    preset has exact zeros: a reached coordinate is zero where its
+    accumulations start (the first time of a stable mode, the last of an
+    unstable one), and example41's first coordinate is never reached."""
+    cfg = preset_config(preset)
+    num = cfg.numerics._replace(n_paths=8)
+    run = validate_config(cfg._replace(numerics=num))
+    noise = sample_noise(run.spec, run.k_lo, run.n, float(num.h), num.n_paths, cfg.seed)
+    res = picard_solve(
+        run.system, run.coefficients, noise, tol=float(num.tol), max_iter=num.max_iter, w=run.w
+    )
+    values = res.ensemble.values
+    zeros = values[values == 0.0]
+    assert zeros.size and not np.signbit(zeros).any()
 
 
 def _recursion_oracle(sysd, cs, noise, ens, truncation):
