@@ -3,11 +3,10 @@ two-sided Levy noise whose linear part admits an exponential dichotomy.
 
 Subpackage map:
 
-- ``noise``        two-sided Levy noise specs, path sampling, time shifts
+- ``noise``        two-sided Levy noise specs and path sampling
 - ``dichotomy``    linear systems with an exponential dichotomy
 - ``coefficients`` quasi-periodic coefficient sets with certified bounds
-- ``solver``       mild-solution simulation, the bounded-solution operator,
-                   Picard iteration
+- ``solver``       the bounded-solution operator and its Picard iteration
 - ``apdist``       bounded-Lipschitz distance and almost-periodicity scans
 - ``config``       run configuration, presets, JSON round-trip, the exact
                    rational existence conditions

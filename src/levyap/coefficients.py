@@ -269,10 +269,6 @@ class QuasiPeriodicSignal(namedtuple("QuasiPeriodicSignal", "frequencies expr so
         sig.bounds()  # certify now; raises UnboundedSignalError if not
         return sig
 
-    @classmethod
-    def constant(cls, value: float) -> "QuasiPeriodicSignal":
-        return cls(frequencies=(), expr=_Num(float(value)), source=repr(float(value)))
-
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         return _eval_expr(self.expr, t, self.frequencies)

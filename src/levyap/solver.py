@@ -43,8 +43,8 @@ moment and gap sums in the same sweep, one reduce per chunk and
 coordinate; results are bitwise identical for any chunking and thread
 count.  A block's jump values are computed once, before its first
 chunk.  The first sweep starts from the zero ensemble, where every grid
-term's value depends on the time alone: it evaluates each term once on
-one row and broadcasts it over the paths.
+term's value depends on the time alone: each chunk reads its state
+columns as one row of paths and broadcasts the values over its paths.
 
 The ensemble is stored coordinate-major, one contiguous (paths, n + 1)
 slab per state coordinate; ``PathEnsemble.values`` is then a (paths,
@@ -122,25 +122,14 @@ class PathEnsemble:
     ``h``) like the noise grid, so ensembles and noise windows align
     exactly.  ``values`` has shape (paths, n_steps + 1, dim); it may be
     a view of coordinate-major (dim, paths, n_steps + 1) storage, as the
-    result of ``picard_solve`` is.
-
-    Every state must be finite.  The check is one sum: a NaN or an
-    infinity makes it non-finite, so a finite sum proves every state
-    finite.  Only a non-finite sum, which finite states can also give by
-    overflowing, pays for the exact element-wise ``isfinite`` pass.
+    result of ``picard_solve`` is, whose moment sums prove every state
+    finite.
     """
 
     def __init__(self, h: float, k_lo: int, values: np.ndarray):
-        v = np.asarray(values, dtype=float)
-        if v.ndim != 3 or v.shape[0] == 0 or v.shape[1] < 2:
-            raise SolverError("values must be (paths, n_steps + 1, dim)")
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = v.sum()
-        if not np.isfinite(total) and not np.all(np.isfinite(v)):
-            raise SolverError("ensemble contains non-finite states")
         self.h = h
         self.k_lo = k_lo
-        self.values = v
+        self.values = values
 
     @property
     def n_paths(self) -> int:
@@ -284,12 +273,12 @@ def _axpy(y: np.ndarray, a, x: np.ndarray, buf: np.ndarray, cbuf, fresh: bool = 
         y += prod
 
 
-def _live_modes(half: _ModalHalf, drift_rows, stoch_rows) -> list[bool]:
-    """The modes of ``half`` that forcing can reach, given the state
-    coordinates with a drift row and with a stochastic row: a mode is
-    live if a nonzero ``drift_map``/``stoch_map`` entry of such a row
-    forces it, or a nonzero ``tri`` entry couples it to a later live
-    mode."""
+def _live_modes(half: _ModalHalf, drift_rows, stoch_rows) -> tuple[int, ...]:
+    """The indices, in order, of the modes of ``half`` that forcing can
+    reach, given the state coordinates with a drift row and with a
+    stochastic row: a mode is live if a nonzero ``drift_map``/
+    ``stoch_map`` entry of such a row forces it, or a nonzero ``tri``
+    entry couples it to a later live mode."""
     r, d = half.drift_map.shape
     live = [
         any(
@@ -301,15 +290,16 @@ def _live_modes(half: _ModalHalf, drift_rows, stoch_rows) -> list[bool]:
     ]
     for m in range(r - 1, -1, -1):
         live[m] = live[m] or any(half.tri[m, j] != 0 and live[j] for j in range(m + 1, r))
-    return live
+    return tuple(m for m in range(r) if live[m])
 
 
 def _modal_scan(half: _ModalHalf, live, powers, drift: dict, stoch: dict, z: np.ndarray, buf, cbuf):
     """Write into ``z``, shape (r, q, n + 1), the accumulations of the
-    ``live`` modes (``_Plan.live``) driven by the forcing rows (q, n), or
-    (1, n) rows that broadcast, of each state coordinate, with z[:, :, 0]
-    zero; ``powers`` are the scan powers of each live mode
-    (``_Plan.powers``).  Other modes are neither written nor read.
+    ``live`` modes (``_Plan.live``, their indices in order) driven by the
+    forcing rows (q, n), or (1, n) rows that broadcast, of each state
+    coordinate, with z[:, :, 0] zero; ``powers`` are the scan powers of
+    each live mode (``_Plan.powers``).  Other modes are neither written
+    nor read.
 
     A mode's first forcing term is written into it, not added to zeros;
     a live mode that this chunk does not force directly (its only rows
@@ -318,10 +308,8 @@ def _modal_scan(half: _ModalHalf, live, powers, drift: dict, stoch: dict, z: np.
     which the assembly's ``+ 0.0`` (``_add_real``) erases.  A reverse
     half runs from the window end and stores z time-reversed: its
     forcing is written through a reversed view."""
-    r, d = half.drift_map.shape
-    for m in range(r):
-        if not live[m]:
-            continue
+    d = half.drift_map.shape[1]
+    for m in live:
         b = z[m, :, :0:-1] if half.reverse else z[m, :, 1:]
         fresh = True
         for i in range(d):
@@ -335,13 +323,12 @@ def _modal_scan(half: _ModalHalf, live, powers, drift: dict, stoch: dict, z: np.
             z[m, :, 0] = 0.0
     # back-substitution: mode m is driven by the live modes after it
     scan_buf = cbuf if z.dtype.kind == "c" else buf
-    for m in range(r - 1, -1, -1):
-        if not live[m]:
-            continue
-        for j in range(m + 1, r):
-            if half.tri[m, j] != 0 and live[j]:
+    for k in range(len(live) - 1, -1, -1):
+        m = live[k]
+        for j in live[k + 1 :]:
+            if half.tri[m, j] != 0:
                 _axpy(z[m, :, 1:], half.tri[m, j], z[j, :, :-1], buf, cbuf)
-        _scan(powers[m], z[m, :, 1:], scan_buf)
+        _scan(powers[k], z[m, :, 1:], scan_buf)
 
 
 def _add_real(out: np.ndarray, coef, z: np.ndarray, sign: float, buf, cbuf, fresh: bool) -> None:
@@ -367,8 +354,7 @@ _Forcing = namedtuple("_Forcing", "drift diffusion compensator")
 _Forcing.__doc__ = """The non-empty coefficient entries of one state coordinate: drift
 terms, (noise index, terms) of each non-empty diffusion entry, and the
 small-jump compensator terms with their weights folded in, each a tuple
-of ``PreparedTerm``.  ``_zero_start`` gives the same entries' values at
-the zero state."""
+of ``PreparedTerm``."""
 
 
 class _Jumps:
@@ -416,9 +402,9 @@ class _Plan:
     and a stochastic row, and ``coords`` the state coordinates some grid
     term reads.
 
-    ``live`` holds, per half, the modes that some row that can exist
-    reaches (``_live_modes``), ``powers`` the scan powers of each such
-    mode (``_scan_powers``; None for the others), and ``reach`` the
+    ``live`` holds, per half, the indices of the modes that some row that
+    can exist reaches (``_live_modes``), ``powers`` the scan powers of
+    each such mode in the same order (``_scan_powers``), and ``reach`` the
     output coordinates those modes map back to: S is zero in every other
     coordinate, whatever the iterate.
     """
@@ -433,8 +419,8 @@ class _Plan:
         drift_rows: tuple[int, ...],
         stoch_rows: tuple[int, ...],
         coords: tuple[int, ...],
-        live: tuple[tuple[bool, ...], ...],
-        powers: tuple[tuple[Optional[tuple], ...], ...],
+        live: tuple[tuple[int, ...], ...],
+        powers: tuple[tuple[tuple, ...], ...],
         reach: tuple[int, ...],
     ):
         self.noise = noise
@@ -482,14 +468,14 @@ class _Plan:
         noise_rows = {i for i, row in enumerate(rows) if row.diffusion or row.compensator}
         stoch_rows = tuple(sorted(noise_rows.union(*(j.rows for j in jumps))))
         halves = tuple(_modal_halves(sys, h, w))
-        live = tuple(tuple(_live_modes(half, drift_rows, stoch_rows)) for half in halves)
+        live = tuple(_live_modes(half, drift_rows, stoch_rows) for half in halves)
         reach = tuple(
             i
             for i in range(sys.dim)
             if any(
-                is_live and (half.back[i, m] != 0 or half.back_win[i, m] != 0)
+                half.back[i, m] != 0 or half.back_win[i, m] != 0
                 for half, modes in zip(halves, live)
-                for m, is_live in enumerate(modes)
+                for m in modes
             )
         )
         return cls(
@@ -503,10 +489,7 @@ class _Plan:
             coords=tuple(sorted({t.coord for t in grid_terms if t.kernel != "const"})),
             live=live,
             powers=tuple(
-                tuple(
-                    _scan_powers(half.tri[m, m], n) if is_live else None
-                    for m, is_live in enumerate(modes)
-                )
+                tuple(_scan_powers(half.tri[m, m], n) for m in modes)
                 for half, modes in zip(halves, live)
             ),
             reach=reach,
@@ -523,15 +506,18 @@ class _Scratch:
 
     - forcing: ``later`` for the stochastic terms after a row's first
       and ``sum_buf`` for ``add_terms`` build the drift and stochastic
-      rows from the state columns, which are views of the ensemble.
+      rows from the state columns, which are views of the ensemble; the
+      zero sweep evaluates a stochastic entry into the (1, n) row
+      ``shared``, apart from the rows its noise product fills.
       ``later`` exists only when some coordinate has two or more
       stochastic entries, ``sum_buf`` only when some entry has two or
-      more terms (None otherwise);
+      more terms, ``shared`` only when some coordinate has a diffusion
+      or a compensator entry (None otherwise);
     - scan: the modal accumulations ``z`` of each half (None for a half
       with no live mode) are driven by those rows, the products formed in
       ``buf`` or, when a half is complex, in the complex ``cbuf`` (None
-      otherwise).  These take the rows of ``later`` and ``sum_buf``,
-      which are dead once the forcing rows are built;
+      otherwise).  These take the rows of ``later``, ``sum_buf`` and
+      ``shared``, which are dead once the forcing rows are built;
     - assembly: each output coordinate is summed from ``z`` into ``res``,
       which takes the first drift row (the first stochastic row if there
       is none): the scans have read them by then.
@@ -552,14 +538,15 @@ class _Scratch:
             for r in plan.rows
             for terms in (r.drift, r.compensator, *(t for _, t in r.diffusion))
         )
+        has_shared = any(r.diffusion or r.compensator for r in plan.rows)
         # a half's z takes a row per mode, two per complex mode
         z_rows = [
-            half.tri.shape[0] * half.tri.itemsize // 8 if any(live) else 0
+            half.tri.shape[0] * half.tri.itemsize // 8 if live else 0
             for half, live in zip(plan.halves, plan.live)
         ]
         complex_z = any(c and np.iscomplexobj(h.tri) for h, c in zip(plan.halves, z_rows))
         n_forcing = len(plan.drift_rows) + len(plan.stoch_rows)
-        forcing_only = has_later + has_sum_buf
+        forcing_only = has_later + has_sum_buf + has_shared
         scan = sum(z_rows) + 1 + 2 * complex_z
         base = max(n_forcing, 1)
         self.n_rows = base + max(forcing_only, scan)
@@ -578,6 +565,7 @@ class _Scratch:
         built = iter(range(base, self.n_rows))
         self.later = rows(next(built), (paths, n)) if has_later else None
         self.sum_buf = rows(next(built), (paths, n)) if has_sum_buf else None
+        self.shared = rows(next(built), (1, n)) if has_shared else None
         self.z, first = [], base
         for half, count in zip(plan.halves, z_rows):
             modes = (half.tri.shape[0], paths, n + 1)
@@ -594,36 +582,6 @@ def _term_sum(terms, columns, out: np.ndarray, buf: np.ndarray) -> np.ndarray:
     out = term_value(terms[0], columns, out)
     add_terms(out, terms[1:], columns, buf)
     return out
-
-
-def _zero_start(plan: _Plan) -> tuple[_Forcing, ...]:
-    """Each state coordinate's forcing values at the zero state, as one
-    (1, n) row per non-empty entry: the drift, each diffusion entry
-    before its Wiener increment, and the compensator times h (None where
-    the coordinate has none).  At the zero state a grid term's value
-    depends on the time alone, so every path of a sweep of the zero
-    ensemble shares these rows; each is computed by the operations a
-    path's row is."""
-    n = plan.noise.n_steps
-    zeros = np.zeros((1, n))
-    columns = {c: zeros for c in plan.coords}
-
-    def value(terms):
-        return _term_sum(terms, columns, np.empty((1, n)), np.empty((1, n)))
-
-    def compensator(terms):
-        comp = value(terms)
-        comp *= plan.noise.h
-        return comp
-
-    return tuple(
-        _Forcing(
-            value(row.drift) if row.drift else None,
-            tuple(value(entry) for _, entry in row.diffusion),
-            compensator(row.compensator) if row.compensator else None,
-        )
-        for row in plan.rows
-    )
 
 
 def _block_jumps(plan: _Plan, values: np.ndarray, lo: int, hi: int) -> list:
@@ -663,7 +621,7 @@ def _add_jumps(plan: _Plan, block_jumps: list, stoch: dict, lo: int, hi: int, sc
 
 
 def _apply_chunk(
-    plan: _Plan, values: np.ndarray, lo: int, hi: int, scratch: _Scratch, block_jumps, zero
+    plan: _Plan, values: np.ndarray, lo: int, hi: int, scratch: _Scratch, block_jumps, zero: bool
 ):
     """S applied to paths [lo, hi) of the coordinate-major (dim, paths,
     n + 1) array ``values``.  Yields each output coordinate i of
@@ -672,8 +630,10 @@ def _apply_chunk(
     is only read, in paths [lo, hi) and before the first yield, so the
     caller may write each coordinate back as it comes.  ``block_jumps``
     are the jump values of the block that holds the chunk
-    (``_block_jumps``); ``zero``, when not None, the forcing rows of the
-    zero state (``_zero_start``), which ``values`` then holds.
+    (``_block_jumps``).  ``zero`` says that ``values`` holds +0.0 in
+    these paths: every grid term's value then depends on the time alone,
+    so the terms read the first path's states and their (1, n) values
+    broadcast over the paths, bit for bit what each path's row would be.
 
     Path-major: every array is (paths, time) with time contiguous.  The
     terms read the state coordinates as views of ``values``; only
@@ -683,31 +643,27 @@ def _apply_chunk(
     """
     noise = plan.noise
     p = hi - lo
-    columns = {c: values[c, lo:hi, :-1] for c in plan.coords}
-    later, sum_buf = (None if a is None else a[:p] for a in (scratch.later, scratch.sum_buf))
+    rows = 1 if zero else p  # the rows of the grid terms' values
+    columns = {c: values[c, lo : lo + rows, :-1] for c in plan.coords}
+    later = None if scratch.later is None else scratch.later[:p]
+    sum_buf = None if scratch.sum_buf is None else scratch.sum_buf[:rows]
     drift, stoch = {}, {}
     for i, row in enumerate(plan.rows):
         if row.drift:
-            drift[i] = (
-                _term_sum(row.drift, columns, scratch.drift[i][:p], sum_buf)
-                if zero is None
-                else zero[i].drift
-            )
+            drift[i] = _term_sum(row.drift, columns, scratch.drift[i][:rows], sum_buf)
         # the first stochastic term goes to the row itself, later ones
-        # through ``later``
+        # through ``later``; a one-row value is formed apart from them,
+        # in ``shared``, as a product that overlaps its operand is slow
         s = None
-        for k, (j, entry) in enumerate(row.diffusion):
+        for j, entry in row.diffusion:
             out = scratch.stoch[i][:p] if s is None else later
-            g = _term_sum(entry, columns, out, sum_buf) if zero is None else zero[i].diffusion[k]
+            g = _term_sum(entry, columns, scratch.shared if zero else out, sum_buf)
             g = np.multiply(g, noise.dW[lo:hi, :, j], out=out)
             s = g if s is None else np.add(s, g, out=s)
         if row.compensator:
             out = scratch.stoch[i][:p] if s is None else later
-            if zero is None:
-                comp = _term_sum(row.compensator, columns, out, sum_buf)
-                comp *= noise.h
-            else:
-                comp = zero[i].compensator
+            comp = _term_sum(row.compensator, columns, scratch.shared if zero else out, sum_buf)
+            comp *= noise.h
             s = np.negative(comp, out=out) if s is None else np.subtract(s, comp, out=s)
         if s is not None:
             stoch[i] = s
@@ -719,7 +675,7 @@ def _apply_chunk(
     for half, live, powers, z in zip(plan.halves, plan.live, plan.powers, scratch.z):
         if z is not None:
             _modal_scan(half, live, powers, drift, stoch, z[:, :p], buf, cbuf)
-            scans.append((half, z[:, :p], [m for m, on in enumerate(live) if on]))
+            scans.append((half, z[:, :p], live))
     n, w = noise.n_steps, plan.w
     for i in plan.reach:
         res = scratch.res[:p]
@@ -753,7 +709,7 @@ def _add_rows(acc: np.ndarray, rows: np.ndarray) -> None:
     np.add.reduce(rows, axis=0, out=acc)
 
 
-def _sweep_block(plan: _Plan, values: np.ndarray, chunks, scratch: _Scratch, zero):
+def _sweep_block(plan: _Plan, values: np.ndarray, chunks, scratch: _Scratch, zero: bool):
     """Apply S in place to the paths of one block of the coordinate-major
     (dim, paths, n + 1) array ``values``, chunk by chunk; ``zero`` as in
     ``_apply_chunk``.  The block's jump values are computed first, from
@@ -778,14 +734,14 @@ def _sweep_block(plan: _Plan, values: np.ndarray, chunks, scratch: _Scratch, zer
             for i, new in _apply_chunk(plan, values, lo, hi, scratch, block_jumps, zero):
                 np.multiply(new, new, out=sq)
                 _add_rows(moment[i], sq)
-                if zero is None:
+                if not zero:
                     np.subtract(new, values[i, lo:hi], out=sq)
                     sq *= sq
                     _add_rows(gap[i], sq)
                 values[i, lo:hi] = new
     # from the zero ensemble new - 0 is new, which is never -0.0: the gap
     # sums are the moment sums
-    return moment, gap if zero is None else moment
+    return moment, moment if zero else gap
 
 
 def _blocks(m: int, n: int, chunk_paths: Optional[int]) -> list[list[tuple[int, int]]]:
@@ -812,9 +768,9 @@ def _in_place_sweeps(plan: _Plan, chunk_paths: Optional[int], threads: int):
     """Yield ``sweep(values, zero=False)``, which applies S in place to
     a coordinate-major (dim, paths, n + 1) array and returns its sums
     over all paths of new^2 and of (new - old)^2, one per (coordinate,
-    time).  ``zero`` says that ``values`` holds +0.0 throughout: the
-    sweep then evaluates the grid terms once, on one row
-    (``_zero_start``), for all paths.
+    time).  ``zero`` says that ``values`` holds +0.0 throughout: each
+    chunk then evaluates the grid terms on one row of states and
+    broadcasts them over its paths (``_apply_chunk``).
 
     Worker i takes blocks i, i + workers, ...; the calling thread is
     worker 0.  The other workers' threads are started once and serve
@@ -830,16 +786,15 @@ def _in_place_sweeps(plan: _Plan, chunk_paths: Optional[int], threads: int):
     largest = max(hi - lo for chunks in blocks for lo, hi in chunks)
     scratch = [_Scratch(plan, largest) for _ in range(workers)]
 
-    def run(worker, values, start):
+    def run(worker, values, zero):
         return [
-            _sweep_block(plan, values, chunks, scratch[worker], start)
+            _sweep_block(plan, values, chunks, scratch[worker], zero)
             for chunks in blocks[worker::workers]
         ]
 
     def sweep(values, zero=False):
-        start = _zero_start(plan) if zero else None
-        futures = [pool.submit(run, i, values, start) for i in range(1, workers)]
-        done = [run(0, values, start)] + [fut.result() for fut in futures]
+        futures = [pool.submit(run, i, values, zero) for i in range(1, workers)]
+        done = [run(0, values, zero)] + [fut.result() for fut in futures]
         shape = (values.shape[0], values.shape[2])
         moment, gap = np.zeros(shape), np.zeros(shape)
         for b in range(len(blocks)):
@@ -884,9 +839,6 @@ class PicardResult(
     tail report (a dict)."""
 
     __slots__ = ()
-
-    def gaps(self) -> np.ndarray:
-        return np.array([rec["gap"] for rec in self.gap_trace])
 
 
 def picard_solve(
@@ -938,8 +890,8 @@ def picard_solve(
     evaluated once, at the states before its sweep, and each chunk adds
     its slice of them.  The first iteration sweeps the zero ensemble:
     there every drift, diffusion and compensator term's value depends on
-    the time alone, so it is evaluated once, on one row, and broadcast
-    over the paths (``_zero_start``), with the bits of a per-path
+    the time alone, so each chunk evaluates it on one row of states and
+    broadcasts it over its paths, with the bits of a per-path
     evaluation.
 
     The solve holds one ensemble and overwrites it in place: S maps each

@@ -211,7 +211,7 @@ def test_picard_gap_ratios_at_full_scale():
         run.system, run.coefficients, noise, tol=1e-9, max_iter=40, w=steps(2.0, noise.h)
     )
     assert res.converged
-    gaps = res.gaps()
+    gaps = [rec["gap"] for rec in res.gap_trace]
     floor = min(gaps)
     checked = 0
     for k in range(len(gaps) - 1):
@@ -432,4 +432,4 @@ def test_noise_statistics_and_thread_determinism():
         assert (
             baseline.ensemble.values.tobytes() == other.ensemble.values.tobytes()
         )
-        assert np.array_equal(baseline.gaps(), other.gaps())
+        assert [r["gap"] for r in baseline.gap_trace] == [r["gap"] for r in other.gap_trace]

@@ -133,12 +133,6 @@ def test_samples_stay_inside_certified_bounds(t):
         assert lo - 1e-12 <= v <= hi + 1e-12
 
 
-def test_constant_signal():
-    sig = QuasiPeriodicSignal.constant(-2.5)
-    assert sig(13.0) == pytest.approx(-2.5)
-    assert sig.bounds() == (-2.5, -2.5)
-
-
 # ---------------------------------------------------------------------------
 # kernel catalog
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Every name a levyap module exports in ``__all__`` resolves, every
-exported function or class is used by levyap code but for a listed few,
-no levyap module imports ``dataclasses``, and only ``levyap.config``
-names the grid rule ``grid_steps``."""
+exported function or class, and every public method, property and
+classmethod of an exported class, is used by levyap code but for a
+listed few, no levyap module imports ``dataclasses``, and only
+``levyap.config`` names the grid rule ``grid_steps``."""
 
 import ast
 import importlib
 import pkgutil
+import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -82,7 +85,8 @@ def test_only_config_reads_times_as_grid_steps():
 
 
 # exported functions and classes that no levyap code outside their own
-# definition names, each with the reason it is exported
+# definition names, and methods of exported classes that none accesses
+# (as "Class.method"), each with the reason it is exported
 UNUSED_EXPORTS = {
     # the sampled oracle of the declared Lipschitz constant, to move into
     # the tests once the constant is derived from the coefficients
@@ -93,20 +97,39 @@ UNUSED_EXPORTS = {
 }
 
 
+def accessed(tree) -> Counter:
+    """How often each attribute name is accessed (``x.name``) in ``tree``."""
+    return Counter(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+
+
+def public_members(cls) -> list[str]:
+    """The public methods, properties, classmethods and staticmethods that
+    the body of ``cls`` defines."""
+    kinds = (types.FunctionType, property, classmethod, staticmethod)
+    return [
+        name
+        for name, member in vars(cls).items()
+        if not name.startswith("_") and isinstance(member, kinds)
+    ]
+
+
 def test_every_export_is_used():
     """Each function or class a module exports is named by levyap code
-    outside its own definition: the library is what the commands run."""
+    outside its own definition, and each public method, property and
+    classmethod of an exported class is accessed as an attribute outside
+    its own definition: the library is what the commands run."""
     root = Path(levyap.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text("utf-8")) for path in root.glob("*.py")}
     statements = [
-        (path.stem, node, named(node))
-        for path in root.glob("*.py")
-        for node in ast.parse(path.read_text("utf-8")).body
+        (stem, node, named(node)) for stem, tree in trees.items() for node in tree.body
     ]
+    access = sum((accessed(tree) for tree in trees.values()), Counter())
     unused = set()
     for name in MODULES:
         module = importlib.import_module(f"levyap.{name}")
         for attr in module.__all__:
-            if not callable(getattr(module, attr)):
+            obj = getattr(module, attr)
+            if not callable(obj):
                 continue
             if not any(
                 attr in names
@@ -114,4 +137,12 @@ def test_every_export_is_used():
                 if not (stem == name and getattr(node, "name", None) == attr)
             ):
                 unused.add((name, attr))
+            members = public_members(obj) if isinstance(obj, type) else []
+            if not members:
+                continue
+            body = next(n for n in trees[name].body if getattr(n, "name", None) == attr).body
+            defs = {n.name: n for n in body if isinstance(n, ast.FunctionDef)}
+            for member in members:
+                if access[member] == accessed(defs[member])[member]:
+                    unused.add((name, f"{attr}.{member}"))
     assert unused == UNUSED_EXPORTS

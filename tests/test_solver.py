@@ -7,7 +7,6 @@ import hashlib
 import math
 import sys
 import tracemalloc
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -210,45 +209,6 @@ class TestPathEnsemble:
         np.testing.assert_allclose(ensemble_grid(ens), [-0.5, -0.25, 0.0, 0.25, 0.5])
         assert grid_index(ens, 0.25) == 3
         assert grid_index(ens, -0.5) == 0
-
-    @pytest.mark.parametrize(
-        "values",
-        [np.zeros((2, 3)), np.zeros((0, 3, 1)), np.zeros((2, 1, 1))],
-    )
-    def test_bad_shapes_raise(self, values):
-        with pytest.raises(SolverError):
-            PathEnsemble(h=0.1, k_lo=0, values=values)
-
-    def test_non_finite_raises(self):
-        v = np.zeros((1, 3, 1))
-        v[0, 1, 0] = np.inf
-        with pytest.raises(SolverError):
-            PathEnsemble(h=0.1, k_lo=0, values=v)
-
-    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
-    def test_any_non_finite_state_raises(self, bad):
-        shape = (3, 4, 2)
-        for pos in range(math.prod(shape)):
-            v = np.ones(shape)
-            v.flat[pos] = bad
-            with pytest.raises(SolverError):
-                PathEnsemble(h=0.1, k_lo=0, values=v)
-
-    def test_opposite_infinities_raise(self):
-        v = np.zeros((2, 3, 1))
-        v[0, 1, 0], v[1, 2, 0] = np.inf, -np.inf
-        with pytest.raises(SolverError):
-            PathEnsemble(h=0.1, k_lo=0, values=v)
-
-    @pytest.mark.parametrize("big", [1e308, -1e308])
-    def test_finite_states_whose_sum_overflows_construct(self, big):
-        v = np.zeros((2, 3, 1))
-        v[:, 1, 0] = big
-        assert math.isinf(big + big)  # so the sum check alone cannot pass
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            ens = PathEnsemble(h=0.1, k_lo=0, values=v)
-        assert ens.values[1, 1, 0] == big
 
     def test_moments_by_hand(self):
         v = np.zeros((2, 3, 2))
@@ -675,7 +635,7 @@ class TestApplyS:
         forcing_rows = [*scratch.drift.values(), *scratch.stoch.values()]
         work = [scratch.buf, scratch.cbuf, *scratch.z]
         phases = [
-            [scratch.later, scratch.sum_buf, *forcing_rows],
+            [scratch.later, scratch.sum_buf, scratch.shared, *forcing_rows],
             forcing_rows + work,
             [scratch.res] + work,
         ]
@@ -880,7 +840,7 @@ class TestPicard:
         res = picard_solve(
             sysd, example41_coefficients(), noise, tol=1e-24, w=steps(1.5, noise.h)
         )
-        gaps = res.gaps()
+        gaps = [rec["gap"] for rec in res.gap_trace]
         eta = 5.0 / 48.0
         floor = 1e-26
         for a, b in zip(gaps[:-1], gaps[1:]):
@@ -1247,6 +1207,42 @@ class TestPicard:
             with pytest.raises(SolverError, match="non-finite states"):
                 picard_solve(sysd, cs, noise, tol=1e-12, max_iter=60, w=steps(0.5, noise.h))
         assert len(blocks) == 3 * 2  # 70 paths are two blocks
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_any_non_finite_state_raises(self, monkeypatch, bad):
+        """A NaN or an infinity at any one state of an iterate stops the
+        solve: its square makes that time's moment sum non-finite, and the
+        exact ``isfinite`` check then finds it.  The state is planted in
+        the rows each chunk writes back; 3 paths are two chunks."""
+        import levyap.solver as solver_module
+
+        apply_chunk = solver_module._apply_chunk
+        at = {}
+
+        def planting(plan, values, lo, hi, *rest):
+            for i, new in apply_chunk(plan, values, lo, hi, *rest):
+                if lo <= at["path"] < hi:
+                    new[at["path"] - lo, at["step"]] = bad
+                yield i, new
+
+        monkeypatch.setattr(solver_module, "_apply_chunk", planting)
+        cs = CoefficientSet(
+            dim_state=1,
+            dim_noise=1,
+            drift=((CoefficientTerm(1.0, "const"),),),
+            diffusion=(((CoefficientTerm(0.5, "const"),),),),
+            jump_small=((),),
+            jump_large=((),),
+            lipschitz=Fraction(1, 64),
+        )
+        noise = sample_noise(wiener_only_spec(), *window_steps(-1.0, 1.0, 0.25), 0.25, 3, seed=5)
+        for path in range(noise.n_paths):
+            for step in range(noise.n_steps + 1):
+                at.update(path=path, step=step)
+                with pytest.raises(SolverError, match="non-finite states"):
+                    picard_solve(
+                        scalar_system(), cs, noise, w=steps(0.5, noise.h), chunk_paths=2
+                    )
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_solve_holds_one_ensemble(self, threads):
@@ -1672,8 +1668,8 @@ def _zero_start_case(draw, d: int, q: int, first_row: str):
 @given(data=st.data())
 @settings(max_examples=20, deadline=None)
 def test_zero_start_sweep_is_the_general_sweep(system, first_row, data):
-    """The first Picard sweep evaluates each grid term once on a (1, n)
-    row at the zero state and broadcasts it (``_zero_start``); on the
+    """The first Picard sweep evaluates each grid term on one (1, n) row
+    of states per chunk and broadcasts it over the chunk's paths; on the
     zero ensemble that is bit for bit the general sweep, which evaluates
     every path: the new states, their moment sums and their gap sums."""
     sysd, h, window = _ZERO_START_SYSTEMS[system]()
@@ -1690,6 +1686,36 @@ def test_zero_start_sweep_is_the_general_sweep(system, first_row, data):
     assert zero.tobytes() == general.tobytes()
     for a, b in zip(sums, ref):
         assert a.tobytes() == b.tobytes()
+
+
+def test_zero_sweep_evaluates_one_row(monkeypatch):
+    """Each chunk of the zero sweep evaluates the grid terms on one row of
+    states, a general sweep on every path of the chunk: the rows of each
+    value that ``term_value`` writes, as the solver looks it up (the
+    first term of every drift, diffusion and compensator entry), on the
+    "sparse" oracle case, whose entries are of every kind, in two chunks
+    of 3 paths."""
+    import levyap.solver as solver_module
+
+    rows = []
+    term_value = solver_module.term_value
+
+    def recording(term, columns, out):
+        rows.append(out.shape[0])
+        return term_value(term, columns, out)
+
+    monkeypatch.setattr(solver_module, "term_value", recording)
+    system, coefficients, spec = _ORACLE_CASES["sparse"]
+    sysd, h, window = system()
+    noise = sample_noise(spec(), *window_steps(*window, h), h, 6, seed=23)
+    plan = _Plan.build(sysd, coefficients(sysd.dim), noise, steps(1.0, h))
+    values = np.zeros((sysd.dim, noise.n_paths, noise.n_steps + 1))
+    with _in_place_sweeps(plan, 3, 1) as sweep:
+        sweep(values, zero=True)
+        zero_rows = rows[:]
+        rows.clear()
+        sweep(values)
+    assert zero_rows == [1] * 12 and rows == [3] * 12
 
 
 @pytest.mark.parametrize("preset", ["example41", "ou_forced", "galerkin_heat"])
