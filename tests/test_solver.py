@@ -1718,6 +1718,42 @@ def test_zero_sweep_evaluates_one_row(monkeypatch):
     assert zero_rows == [1] * 12 and rows == [3] * 12
 
 
+# sha256 of the values and the (gap, moment) trace of each pinned solve
+_NONDIAGONAL_PINS = {
+    "rotation": "1e2e2faa58a8e3487031804b5bbc99d3c2c8ebbd0e34682a137af1047db70aff",
+    "jordan": "60c2cc7301091ae78fddb058dcef31ff363c871538e101c12b6c800578f89dea",
+    "stiff": "29c068f1a0e426a30cec96b271702f998af8b94a4100f31f97adcf3c5d1c4447",
+    "sparse": "a5782d8634a5997561565485329d31be470f51f0088d98e2d722c2d8e7606211",
+    "unreachable": "5796233e0205b2f89756e7279c332b13fc04bb11b5cabbf8901a774b390f23a7",
+    "coupled": "c8292e4f92961a600a98a14cf8633e0f0486178f38a685b559e372ccc1e2cb21",
+    "oblique": "83d94915fe2b02d02c27b16f23a733fff47cb616b8aab5477a3d3d8292257b93",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NONDIAGONAL_PINS))
+def test_nondiagonal_solves_are_pinned(case):
+    """A sha256 of the values and of the gaps and moments of a 4-iteration
+    solve of each recursion-oracle case and of the oblique system with
+    mixed coefficients, taken before the chunk kernel's structure was
+    planned once per solve: a reordered sum on a rotating, defective,
+    stiff or oblique system changes it, at any chunking and thread
+    count.  "unreachable" converges in 2 iterations and "coupled",
+    whose only term reads a coordinate nothing forces, in 1."""
+    oblique = (_oblique_system, _mixed_coefficients, _jump_diffusion_spec)
+    system, coefficients, spec = {**_ORACLE_CASES, "oblique": oblique}[case]
+    sysd, h, window = system()
+    noise = sample_noise(spec(), *window_steps(*window, h), h, 9, seed=7)
+    for threads, chunk in ((1, None), (2, 2)):
+        res = picard_solve(
+            sysd, coefficients(sysd.dim), noise, tol=1e-30, max_iter=4, w=steps(0.5, h),
+            chunk_paths=chunk, threads=threads,
+        )
+        digest = hashlib.sha256(np.ascontiguousarray(res.ensemble.values).tobytes())
+        trace = [[rec["gap"], rec["sup_second_moment"]] for rec in res.gap_trace]
+        digest.update(np.array(trace).tobytes())
+        assert digest.hexdigest() == _NONDIAGONAL_PINS[case]
+
+
 @pytest.mark.parametrize("preset", ["example41", "ou_forced", "galerkin_heat"])
 def test_preset_solutions_hold_no_negative_zero(preset):
     """The assembly writes a coordinate's first term and adds +0.0, as
