@@ -30,14 +30,16 @@ their applications", 1990).
 
 The noise is read as sampled: a chunk of paths takes slices of the
 Wiener increments and of the path-ordered jump event columns of the one
-``NoiseSample``.  What does not depend on the iterate (the modal
-halves and each mode's scan powers, the jump terms prepared at every
-event, the non-empty coefficient entries with their time-only signals on
-the grid) is planned once per Picard solve.  Each chunk of paths then
-runs a path-major kernel:
-(paths, time) rows with time contiguous, only the non-empty coefficient
-entries evaluated, forcing added straight into the modal accumulations.
-S maps each path to itself, so the Picard solve overwrites one ensemble
+``NoiseSample``.  Everything that does not depend on the iterate is
+decided once per Picard solve in a plan (``_Plan``): the non-empty
+coefficient entries with their time-only signals on the grid, each
+stochastic entry with its noise factor (the small-jump compensator's is
+-h), the jump terms prepared at every event, each live mode's forcing,
+couplings and scan powers, and each reached coordinate's nonzero
+assembly terms.  Each chunk of paths then runs those lists in a
+path-major kernel that decides nothing: (paths, time) rows with time
+contiguous, forcing added straight into the modal accumulations.  S
+maps each path to itself, so the Picard solve overwrites one ensemble
 in place, block by block of paths on worker threads, and takes the
 moment and gap sums in the same sweep, one reduce per chunk and
 coordinate; results are bitwise identical for any chunking and thread
@@ -273,88 +275,61 @@ def _axpy(y: np.ndarray, a, x: np.ndarray, buf: np.ndarray, cbuf, fresh: bool = 
         y += prod
 
 
-def _live_modes(half: _ModalHalf, drift_rows, stoch_rows) -> tuple[int, ...]:
-    """The indices, in order, of the modes of ``half`` that forcing can
-    reach, given the state coordinates with a drift row and with a
-    stochastic row: a mode is live if a nonzero ``drift_map``/
-    ``stoch_map`` entry of such a row forces it, or a nonzero ``tri``
-    entry couples it to a later live mode."""
-    r, d = half.drift_map.shape
-    live = [
-        any(
-            (i in drift_rows and half.drift_map[m, i] != 0)
-            or (i in stoch_rows and half.stoch_map[m, i] != 0)
-            for i in range(d)
-        )
-        for m in range(r)
-    ]
-    for m in range(r - 1, -1, -1):
-        live[m] = live[m] or any(half.tri[m, j] != 0 and live[j] for j in range(m + 1, r))
-    return tuple(m for m in range(r) if live[m])
-
-
-def _modal_scan(half: _ModalHalf, live, powers, drift: dict, stoch: dict, z: np.ndarray, buf, cbuf):
+def _modal_scan(half: _ModalHalf, modes, rows: tuple, z: np.ndarray, buf, cbuf):
     """Write into ``z``, shape (r, q, n + 1), the accumulations of the
-    ``live`` modes (``_Plan.live``, their indices in order) driven by the
-    forcing rows (q, n), or (1, n) rows that broadcast, of each state
-    coordinate, with z[:, :, 0] zero; ``powers`` are the scan powers of
-    each live mode (``_Plan.powers``).  Other modes are neither written
-    nor read.
+    live ``modes`` of ``half`` (``_Mode`` records, in index order) driven
+    by the drift and stochastic forcing ``rows``, two dicts of (q, n)
+    rows, or (1, n) rows that broadcast, by state coordinate, with
+    z[:, :, 0] zero.  Other modes are neither written nor read.
 
-    A mode's first forcing term is written into it, not added to zeros;
-    a live mode that this chunk does not force directly (its only rows
-    are jump rows without events here) starts at zero.  The products
-    then differ from a sum from zero at most in the sign of a zero,
-    which the assembly's ``+ 0.0`` (``_add_real``) erases.  A reverse
-    half runs from the window end and stores z time-reversed: its
-    forcing is written through a reversed view."""
-    d = half.drift_map.shape[1]
-    for m in live:
-        b = z[m, :, :0:-1] if half.reverse else z[m, :, 1:]
-        fresh = True
-        for i in range(d):
-            for rows, coef in ((drift, half.drift_map[m, i]), (stoch, half.stoch_map[m, i])):
-                if coef != 0 and i in rows:
-                    _axpy(b, coef, rows[i], buf, cbuf, fresh)
-                    fresh = False
-        if fresh:
-            z[m].fill(0.0)
-        else:
-            z[m, :, 0] = 0.0
+    A mode's first forcing term is written into it, not added to zeros,
+    and a mode with no forcing of its own is zeroed.  The products then
+    differ from a sum from zero at most in the sign of a zero, which the
+    assembly's ``+ 0.0`` (``_add_real``) erases.  A reverse half runs
+    from the window end and stores z time-reversed: its forcing is
+    written through a reversed view."""
+    cols = slice(None, 0, -1) if half.reverse else slice(1, None)
+    for mode in modes:
+        zm = z[mode.index]
+        zm[:, mode.blank] = 0.0
+        for k, (kind, i, coef) in enumerate(mode.forcing):
+            _axpy(zm[:, cols], coef, rows[kind][i], buf, cbuf, fresh=not k)
     # back-substitution: mode m is driven by the live modes after it
     scan_buf = cbuf if z.dtype.kind == "c" else buf
-    for k in range(len(live) - 1, -1, -1):
-        m = live[k]
-        for j in live[k + 1 :]:
-            if half.tri[m, j] != 0:
-                _axpy(z[m, :, 1:], half.tri[m, j], z[j, :, :-1], buf, cbuf)
-        _scan(powers[k], z[m, :, 1:], scan_buf)
+    for mode in reversed(modes):
+        zm = z[mode.index, :, 1:]
+        for j, coef in mode.couplings:
+            _axpy(zm, coef, z[j, :, :-1], buf, cbuf)
+        _scan(mode.powers, zm, scan_buf)
 
 
-def _add_real(out: np.ndarray, coef, z: np.ndarray, sign: float, buf, cbuf, fresh: bool) -> None:
-    """out += sign * Re(coef z), or out = sign * Re(coef z) + 0.0 when
-    ``fresh``.  The ``+ 0.0`` gives what adding to a zeroed ``out`` gives
-    (a -0.0 product becomes +0.0), so ``out`` never holds -0.0.  A
-    complex product is formed in ``cbuf``, a real one in ``buf``, or in
-    ``out`` itself when ``fresh``, where a factor 1.0 is not applied."""
-    scale = sign * coef
-    if isinstance(scale, complex) or z.dtype.kind == "c":
-        val = np.multiply(scale, z, out=cbuf[:, : z.shape[1]]).real
+def _add_real(out: np.ndarray, coef, z: np.ndarray, buf, cbuf, fresh: bool) -> None:
+    """out += Re(coef z), or out = Re(coef z) + 0.0 when ``fresh``.  The
+    ``+ 0.0`` gives what adding to a zeroed ``out`` gives (a -0.0 product
+    becomes +0.0), so ``out`` never holds -0.0.  A complex product is
+    formed in ``cbuf``, a real one in ``buf``, or in ``out`` itself when
+    ``fresh``, where a factor 1.0 is not applied."""
+    if isinstance(coef, complex) or z.dtype.kind == "c":
+        val = np.multiply(coef, z, out=cbuf[:, : z.shape[1]]).real
     elif fresh:
-        val = z if scale == 1.0 else np.multiply(z, scale, out=out)
+        val = z if coef == 1.0 else np.multiply(z, coef, out=out)
     else:
-        val = np.multiply(z, scale, out=buf[:, : z.shape[1]])
+        val = np.multiply(z, coef, out=buf[:, : z.shape[1]])
     if fresh:
         np.add(val, 0.0, out=out)
     else:
         out += val
 
 
-_Forcing = namedtuple("_Forcing", "drift diffusion compensator")
-_Forcing.__doc__ = """The non-empty coefficient entries of one state coordinate: drift
-terms, (noise index, terms) of each non-empty diffusion entry, and the
-small-jump compensator terms with their weights folded in, each a tuple
-of ``PreparedTerm``."""
+_Mode = namedtuple("_Mode", "index forcing couplings powers blank")
+_Mode.__doc__ = """One live mode of a modal half, as the chunk kernel runs it: its
+``index`` in the half, its ``forcing`` as (kind, coordinate,
+coefficient) triples in the order they are added (kind 0 a drift row, 1
+a stochastic row), its ``couplings`` as (mode, coefficient) pairs to
+the later live modes, the scan ``powers`` of its multiplier
+(``_scan_powers``), and the columns ``blank`` of its accumulation that
+the forcing does not write, zeroed first: the start, or all of it for a
+mode with no forcing of its own."""
 
 
 class _Jumps:
@@ -388,52 +363,46 @@ class _Jumps:
         )
 
 
-class _Plan:
+class _Plan(
+    namedtuple("_Plan", "noise w halves modes jumps coords drift stoch zeroed assembly")
+):
     """What one application of S needs that does not depend on the
-    iterate, built once per Picard solve.
+    iterate, built once per Picard solve: every decision about the
+    structure of the chunk kernel, so the kernel runs flat lists.
 
-    ``w`` is the window in steps and ``halves`` the modal halves of S.
+    ``w`` is the window in steps.  ``halves`` are the modal halves of S
+    that have a live mode, ``modes`` the live modes of each (``_Mode``):
+    a mode is live if a nonzero entry of a forcing row that can exist
+    drives it, or a nonzero coupling ties it to a later live mode.
     ``jumps`` holds the small and then the large jump events, ordered by
     path, with the region's terms prepared at them (``_Jumps``), for each
     region that acts on some coordinate; a chunk of paths takes a slice
-    of them.  ``rows`` hold each state coordinate's forcing entries with
-    their time-only signals evaluated on the grid,
-    ``drift_rows``/``stoch_rows`` the coordinates that can have a drift
-    and a stochastic row, and ``coords`` the state coordinates some grid
-    term reads.
+    of them.
 
-    ``live`` holds, per half, the indices of the modes that some row that
-    can exist reaches (``_live_modes``), ``powers`` the scan powers of
-    each such mode in the same order (``_scan_powers``), and ``reach`` the
-    output coordinates those modes map back to: S is zero in every other
-    coordinate, whatever the iterate.
+    ``drift`` holds the (coordinate, terms) of each non-empty drift
+    entry and ``stoch`` the (coordinate, entries) of each coordinate with
+    a diffusion or a compensator entry, each entry (terms, factor): a
+    diffusion entry's factor is its (paths, n) column of Wiener
+    increments, the small-jump compensator's (weights folded into its
+    terms) is -h, a (paths, 1) broadcast.  The terms' time-only signals
+    are evaluated on the grid.  ``zeroed`` are the coordinates whose
+    stochastic row only jumps fill, and ``coords`` the state coordinates
+    some grid term reads.
+
+    ``assembly`` holds, for each output coordinate S reaches, the columns
+    ``blank`` that its first term does not cover and its nonzero terms
+    (half, z index, output columns, sign * coefficient): a mode's full
+    accumulation and its accumulation w steps away, the stable half's
+    window added and the unstable one's subtracted.  ``reach`` lists
+    those coordinates: S is zero in every other one, whatever the
+    iterate.
     """
 
-    def __init__(
-        self,
-        noise: NoiseSample,
-        w: int,
-        halves: tuple[_ModalHalf, ...],
-        jumps: tuple[_Jumps, ...],
-        rows: tuple[_Forcing, ...],
-        drift_rows: tuple[int, ...],
-        stoch_rows: tuple[int, ...],
-        coords: tuple[int, ...],
-        live: tuple[tuple[int, ...], ...],
-        powers: tuple[tuple[tuple, ...], ...],
-        reach: tuple[int, ...],
-    ):
-        self.noise = noise
-        self.w = w
-        self.halves = halves
-        self.jumps = jumps
-        self.rows = rows
-        self.drift_rows = drift_rows
-        self.stoch_rows = stoch_rows
-        self.coords = coords
-        self.live = live
-        self.powers = powers
-        self.reach = reach
+    __slots__ = ()
+
+    @property
+    def reach(self) -> tuple[int, ...]:
+        return tuple(i for i, _, _ in self.assembly)
 
     @classmethod
     def build(cls, sys, cs, noise, w) -> "_Plan":
@@ -451,48 +420,85 @@ class _Plan:
             )
         grid = noise.grid
         ts = grid[:-1]
-        rows = tuple(
-            _Forcing(drift, tuple((j, t) for j, t in enumerate(diff) if t), comp)
-            for drift, diff, comp in zip(
-                drift_terms(cs, ts), diffusion_terms(cs, ts), compensator_terms(cs, noise.spec, ts)
-            )
-        )
-        grid_terms = [t for r in rows for t in r.drift + r.compensator]
-        grid_terms += [t for r in rows for _, entry in r.diffusion for t in entry]
+        drift, stoch = [], []
+        minus_h = np.broadcast_to(-h, (noise.n_paths, 1))
+        for i, (f, g, comp) in enumerate(
+            zip(drift_terms(cs, ts), diffusion_terms(cs, ts), compensator_terms(cs, noise.spec, ts))
+        ):
+            entries = [(t, noise.dW[:, :, j]) for j, t in enumerate(g) if t]
+            entries += [(comp, minus_h)] if comp else []
+            drift += [(i, f)] if f else []
+            stoch += [(i, tuple(entries))] if entries else []
+        grid_terms = [t for _, f in drift for t in f]
+        grid_terms += [t for _, entries in stoch for terms, _ in entries for t in terms]
         jumps = tuple(
             _Jumps(tmap, region, noise, grid)
             for region, tmap in enumerate((cs.jump_small, cs.jump_large))
             if any(tmap)
         )
-        drift_rows = tuple(i for i, row in enumerate(rows) if row.drift)
-        noise_rows = {i for i, row in enumerate(rows) if row.diffusion or row.compensator}
-        stoch_rows = tuple(sorted(noise_rows.union(*(j.rows for j in jumps))))
-        halves = tuple(_modal_halves(sys, h, w))
-        live = tuple(_live_modes(half, drift_rows, stoch_rows) for half in halves)
-        reach = tuple(
-            i
-            for i in range(sys.dim)
-            if any(
-                half.back[i, m] != 0 or half.back_win[i, m] != 0
-                for half, modes in zip(halves, live)
-                for m in modes
+        noise_rows = {i for i, _ in stoch}
+        jump_rows = set().union(*(j.rows for j in jumps))
+        forced = ({i for i, _ in drift}, noise_rows | jump_rows)
+
+        halves, modes = [], []
+        for half in _modal_halves(sys, h, w):
+            maps = (half.drift_map, half.stoch_map)
+            live = {}
+            for m in range(len(half.tri) - 1, -1, -1):
+                forcing = tuple(
+                    (kind, i, maps[kind][m, i])
+                    for i in range(sys.dim)
+                    for kind in (0, 1)
+                    if i in forced[kind] and maps[kind][m, i] != 0
+                )
+                couplings = tuple(
+                    (j, half.tri[m, j]) for j in sorted(live) if half.tri[m, j] != 0
+                )
+                if forcing or couplings:
+                    blank = slice(0, 1) if forcing else slice(None)
+                    live[m] = _Mode(m, forcing, couplings, _scan_powers(half.tri[m, m], n), blank)
+            if live:
+                halves.append(half)
+                modes.append(tuple(live[m] for m in sorted(live)))
+
+        def parts(half):
+            """(sign, coefficients, output columns, columns left blank,
+            z columns) of a mode's full accumulation and of its
+            accumulation w steps away; a reverse half's z is time-reversed."""
+            if half.reverse:
+                return (
+                    (-1.0, half.back, slice(None), slice(0, 0), slice(None, None, -1)),
+                    (1.0, half.back_win, slice(None, n + 1 - w), slice(n + 1 - w, None),
+                     slice(n - w, None, -1)),
+                )
+            return (
+                (1.0, half.back, slice(None), slice(0, 0), slice(None)),
+                (-1.0, half.back_win, slice(w, None), slice(None, w), slice(None, -w)),
             )
-        )
+
+        assembly = []
+        for i in range(sys.dim):
+            terms, blanks = [], []
+            for k, (half, live) in enumerate(zip(halves, modes)):
+                for mode in live:
+                    for sign, coefs, out_cols, blank, z_cols in parts(half):
+                        if coefs[i, mode.index] != 0:
+                            blanks.append(blank)
+                            at = (mode.index, slice(None), z_cols)
+                            terms.append((k, at, out_cols, sign * coefs[i, mode.index]))
+            if terms:
+                assembly.append((i, blanks[0], tuple(terms)))
         return cls(
             noise=noise,
             w=w,
-            halves=halves,
+            halves=tuple(halves),
+            modes=tuple(modes),
             jumps=jumps,
-            rows=rows,
-            drift_rows=drift_rows,
-            stoch_rows=stoch_rows,
             coords=tuple(sorted({t.coord for t in grid_terms if t.kernel != "const"})),
-            live=live,
-            powers=tuple(
-                tuple(_scan_powers(half.tri[m, m], n) for m in modes)
-                for half, modes in zip(halves, live)
-            ),
-            reach=reach,
+            drift=tuple(drift),
+            stoch=tuple(stoch),
+            zeroed=tuple(sorted(jump_rows - noise_rows)),
+            assembly=tuple(assembly),
         )
 
 
@@ -513,10 +519,9 @@ class _Scratch:
       stochastic entries, ``sum_buf`` only when some entry has two or
       more terms, ``shared`` only when some coordinate has a diffusion
       or a compensator entry (None otherwise);
-    - scan: the modal accumulations ``z`` of each half (None for a half
-      with no live mode) are driven by those rows, the products formed in
-      ``buf`` or, when a half is complex, in the complex ``cbuf`` (None
-      otherwise).  These take the rows of ``later``, ``sum_buf`` and
+    - scan: the modal accumulations ``z`` of each planned half are
+      driven by those rows, the products formed in ``buf`` or, when a
+      half is complex, in the complex ``cbuf`` (None otherwise).  These take the rows of ``later``, ``sum_buf`` and
       ``shared``, which are dead once the forcing rows are built;
     - assembly: each output coordinate is summed from ``z`` into ``res``,
       which takes the first drift row (the first stochastic row if there
@@ -532,20 +537,20 @@ class _Scratch:
         n = plan.noise.n_steps
         size = paths * (n + 1)
         row = size + size % 2
-        has_later = any(len(r.diffusion) + bool(r.compensator) > 1 for r in plan.rows)
+        has_later = any(len(entries) > 1 for _, entries in plan.stoch)
         has_sum_buf = any(
             len(terms) > 1
-            for r in plan.rows
-            for terms in (r.drift, r.compensator, *(t for _, t in r.diffusion))
+            for terms in (
+                *(f for _, f in plan.drift),
+                *(t for _, entries in plan.stoch for t, _ in entries),
+            )
         )
-        has_shared = any(r.diffusion or r.compensator for r in plan.rows)
+        has_shared = bool(plan.stoch)
         # a half's z takes a row per mode, two per complex mode
-        z_rows = [
-            half.tri.shape[0] * half.tri.itemsize // 8 if live else 0
-            for half, live in zip(plan.halves, plan.live)
-        ]
-        complex_z = any(c and np.iscomplexobj(h.tri) for h, c in zip(plan.halves, z_rows))
-        n_forcing = len(plan.drift_rows) + len(plan.stoch_rows)
+        z_rows = [half.tri.shape[0] * half.tri.itemsize // 8 for half in plan.halves]
+        complex_z = any(np.iscomplexobj(half.tri) for half in plan.halves)
+        stoch_rows = sorted({i for i, _ in plan.stoch}.union(plan.zeroed))
+        n_forcing = len(plan.drift) + len(stoch_rows)
         forcing_only = has_later + has_sum_buf + has_shared
         scan = sum(z_rows) + 1 + 2 * complex_z
         base = max(n_forcing, 1)
@@ -560,16 +565,15 @@ class _Scratch:
             return np.ndarray(shape, dtype, arena, first * row * 8, strides)
 
         forcing = iter(range(n_forcing))
-        self.drift = {i: rows(next(forcing), (paths, n)) for i in plan.drift_rows}
-        self.stoch = {i: rows(next(forcing), (paths, n)) for i in plan.stoch_rows}
+        self.drift = {i: rows(next(forcing), (paths, n)) for i, _ in plan.drift}
+        self.stoch = {i: rows(next(forcing), (paths, n)) for i in stoch_rows}
         built = iter(range(base, self.n_rows))
         self.later = rows(next(built), (paths, n)) if has_later else None
         self.sum_buf = rows(next(built), (paths, n)) if has_sum_buf else None
         self.shared = rows(next(built), (1, n)) if has_shared else None
         self.z, first = [], base
         for half, count in zip(plan.halves, z_rows):
-            modes = (half.tri.shape[0], paths, n + 1)
-            self.z.append(rows(first, modes, half.tri.dtype) if count else None)
+            self.z.append(rows(first, (half.tri.shape[0], paths, n + 1), half.tri.dtype))
             first += count
         self.buf = rows(first, (paths, n + 1))
         self.cbuf = rows(first + 1, (paths, n + 1), complex) if complex_z else None
@@ -601,11 +605,10 @@ def _block_jumps(plan: _Plan, values: np.ndarray, lo: int, hi: int) -> list:
     return out
 
 
-def _add_jumps(plan: _Plan, block_jumps: list, stoch: dict, lo: int, hi: int, scratch):
+def _add_jumps(plan: _Plan, block_jumps: list, stoch: dict, lo: int, hi: int):
     """Add the jumps of paths [lo, hi) to the stochastic rows, small
     jumps first, each event in sample order, from the values that
-    ``_block_jumps`` gave for the block that holds the chunk.  A row the
-    chunk has not filled yet is zeroed in ``scratch`` first."""
+    ``_block_jumps`` gave for the block that holds the chunk."""
     for jumps, block in zip(plan.jumps, block_jumps):
         a, b = jumps.starts[lo], jumps.starts[hi]
         if a == b:
@@ -614,9 +617,6 @@ def _add_jumps(plan: _Plan, block_jumps: list, stoch: dict, lo: int, hi: int, sc
         vals = vals[a - first : b - first]
         at = (jumps.path[a:b] - lo, jumps.step[a:b])
         for i in jumps.rows:
-            if i not in stoch:
-                stoch[i] = scratch.stoch[i][: hi - lo]
-                stoch[i].fill(0.0)
             np.add.at(stoch[i], at, vals[:, i])
 
 
@@ -636,67 +636,46 @@ def _apply_chunk(
     broadcast over the paths, bit for bit what each path's row would be.
 
     Path-major: every array is (paths, time) with time contiguous.  The
-    terms read the state coordinates as views of ``values``; only
-    non-empty coefficient entries are evaluated, into one drift row and
-    one stochastic row per state coordinate; each output coordinate is
-    assembled in one contiguous row.
+    kernel runs the lists of the plan and decides nothing: the terms read
+    the state coordinates as views of ``values`` and fill one drift row
+    and one stochastic row per planned coordinate, each stochastic entry
+    its value times its factor; the live modes of each half scan their
+    planned forcing (``_modal_scan``); and each reached coordinate is
+    summed from its planned assembly terms in one contiguous row.
     """
-    noise = plan.noise
     p = hi - lo
     rows = 1 if zero else p  # the rows of the grid terms' values
     columns = {c: values[c, lo : lo + rows, :-1] for c in plan.coords}
     later = None if scratch.later is None else scratch.later[:p]
     sum_buf = None if scratch.sum_buf is None else scratch.sum_buf[:rows]
-    drift, stoch = {}, {}
-    for i, row in enumerate(plan.rows):
-        if row.drift:
-            drift[i] = _term_sum(row.drift, columns, scratch.drift[i][:rows], sum_buf)
-        # the first stochastic term goes to the row itself, later ones
-        # through ``later``; a one-row value is formed apart from them,
-        # in ``shared``, as a product that overlaps its operand is slow
+    drift = {i: _term_sum(f, columns, scratch.drift[i][:rows], sum_buf) for i, f in plan.drift}
+    stoch = {}
+    for i in plan.zeroed:
+        stoch[i] = scratch.stoch[i][:p]
+        stoch[i].fill(0.0)
+    for i, entries in plan.stoch:
+        # the first entry goes to the row itself, later ones through
+        # ``later``; a one-row value is formed apart from them, in
+        # ``shared``, as a product that overlaps its operand is slow
         s = None
-        for j, entry in row.diffusion:
+        for terms, factor in entries:
             out = scratch.stoch[i][:p] if s is None else later
-            g = _term_sum(entry, columns, scratch.shared if zero else out, sum_buf)
-            g = np.multiply(g, noise.dW[lo:hi, :, j], out=out)
+            g = _term_sum(terms, columns, scratch.shared if zero else out, sum_buf)
+            g = np.multiply(g, factor[lo:hi], out=out)
             s = g if s is None else np.add(s, g, out=s)
-        if row.compensator:
-            out = scratch.stoch[i][:p] if s is None else later
-            comp = _term_sum(row.compensator, columns, scratch.shared if zero else out, sum_buf)
-            comp *= noise.h
-            s = np.negative(comp, out=out) if s is None else np.subtract(s, comp, out=s)
-        if s is not None:
-            stoch[i] = s
-    _add_jumps(plan, block_jumps, stoch, lo, hi, scratch)
+        stoch[i] = s
+    _add_jumps(plan, block_jumps, stoch, lo, hi)
 
     buf = scratch.buf[:p]
     cbuf = None if scratch.cbuf is None else scratch.cbuf[:p]
-    scans = []
-    for half, live, powers, z in zip(plan.halves, plan.live, plan.powers, scratch.z):
-        if z is not None:
-            _modal_scan(half, live, powers, drift, stoch, z[:, :p], buf, cbuf)
-            scans.append((half, z[:, :p], live))
-    n, w = noise.n_steps, plan.w
-    for i in plan.reach:
-        res = scratch.res[:p]
-        fresh = True  # ``res`` is written by the first term, then added to
-        for half, z, modes in scans:
-            for m in modes:
-                # S adds the stable window [t - T_c, t] and subtracts the
-                # unstable one [t, t + T_c]
-                if half.reverse:
-                    zm = z[m, :, ::-1]
-                    parts = ((res, zm, -1.0), (res[:, : n + 1 - w], zm[:, w:], 1.0))
-                else:
-                    parts = ((res, z[m], 1.0), (res[:, w:], z[m, :, :-w], -1.0))
-                for (out, zp, sign), coef in zip(parts, (half.back[i, m], half.back_win[i, m])):
-                    if coef == 0:
-                        continue
-                    if fresh and out is not res:  # a window term covers part of res
-                        res.fill(0.0)
-                        fresh = False
-                    _add_real(out, coef, zp, sign, buf, cbuf, fresh)
-                    fresh = False
+    zs = [z[:, :p] for z in scratch.z]
+    for half, modes, z in zip(plan.halves, plan.modes, zs):
+        _modal_scan(half, modes, (drift, stoch), z, buf, cbuf)
+    res = scratch.res[:p]
+    for i, blank, terms in plan.assembly:
+        res[:, blank] = 0.0
+        for k, (half, at, cols, coef) in enumerate(terms):
+            _add_real(res[:, cols], coef, zs[half][at], buf, cbuf, fresh=not k)
         yield i, res
 
 
@@ -877,22 +856,24 @@ def picard_solve(
     of two accumulations w = T_c / h steps apart.  This one code path
     covers diagonal, rotating and defective generators.
 
-    The work splits into a plan and a kernel.  The plan (``_Plan``: the
-    window steps, the modal halves with each mode's scan powers, the jump
-    terms of each region prepared at all its events, and the non-empty
-    coefficient entries with their time-only signals on the grid and the
-    compensator weights folded in) is built once per solve, and so are
-    the worker threads and each worker's scratch.  The kernel
-    (``_apply_chunk``) runs path-major on one chunk of paths: it
-    evaluates only the non-empty entries, writes the resulting forcing
-    rows straight into the modal accumulations and assembles each output
-    coordinate in one contiguous row.  A block's jump values are
-    evaluated once, at the states before its sweep, and each chunk adds
-    its slice of them.  The first iteration sweeps the zero ensemble:
-    there every drift, diffusion and compensator term's value depends on
-    the time alone, so each chunk evaluates it on one row of states and
-    broadcasts it over its paths, with the bits of a per-path
-    evaluation.
+    The work splits into a plan and a kernel.  The plan (``_Plan``) is
+    built once per solve, and so are the worker threads and each
+    worker's scratch.  It takes every decision about the kernel's
+    structure: the window steps; the non-empty coefficient entries with
+    their time-only signals on the grid, each stochastic one with its
+    noise factor (the small-jump compensator's, weights folded in, is
+    -h); the jump terms of each region prepared at all its events; the
+    live modes of each half with their forcing, couplings and scan
+    powers; and the nonzero assembly terms of each output coordinate S
+    reaches.  The kernel (``_apply_chunk``) runs those lists path-major
+    on one chunk of paths: it fills the forcing rows, scans them into
+    the modal accumulations and assembles each output coordinate in one
+    contiguous row.  A block's jump values are evaluated once, at the
+    states before its sweep, and each chunk adds its slice of them.  The
+    first iteration sweeps the zero ensemble: there every drift,
+    diffusion and compensator term's value depends on the time alone, so
+    each chunk evaluates it on one row of states and broadcasts it over
+    its paths, with the bits of a per-path evaluation.
 
     The solve holds one ensemble and overwrites it in place: S maps each
     path to itself, so each chunk of paths is computed in scratch, its
