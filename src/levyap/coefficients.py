@@ -72,6 +72,14 @@ class CoefficientError(ValueError, LevyapError):
 # ---------------------------------------------------------------------------
 
 _TWO_PI = 2.0 * math.pi
+# how near a critical point of sin or cos may lie outside an interval and
+# still count as inside (``_trig_interval``)
+_ARC_SLACK = 1e-9
+# deepest signal expression: brackets, functions, unary minus and each
+# operator of a chain count one level.  It keeps the recursion of the
+# parser (about four frames a level) and of the tree walks within
+# Python's default limit
+_MAX_DEPTH = 100
 
 
 # expression nodes: ``fn`` is "cos" or "sin", ``slot`` a 0-based
@@ -109,21 +117,43 @@ def _eval_expr(node, t: np.ndarray, freqs: tuple[float, ...]) -> np.ndarray:
 
 
 def _trig_interval(fn: str, lo: float, hi: float) -> tuple[float, float]:
-    """Exact range of sin or cos over the interval [lo, hi]."""
-    if hi - lo >= _TWO_PI:
+    """Range of sin or cos over the finite interval [lo, hi].
+
+    An interval of 2 pi or more takes the whole range [-1, 1].  On a
+    shorter one the extremes are at the ends or at the critical points
+    inside, where the value is exactly 1 or -1.  The phase of ``lo`` is
+    read from its sine and cosine, which libm reduces exactly at any
+    magnitude, so the interval covers the arc [phase, phase + hi - lo]
+    within (-pi, 3 pi), and the same six critical points are tested
+    whatever the size of the endpoints.  A critical point within
+    ``_ARC_SLACK`` of the arc counts as inside, which can only widen the
+    range."""
+    if not hi - lo < _TWO_PI:
         return -1.0, 1.0
     f = math.cos if fn == "cos" else math.sin
     vals = [f(lo), f(hi)]
-    # interior critical points: fn' = 0 at k*pi (cos) or pi/2 + k*pi (sin)
+    phase = math.atan2(math.sin(lo), math.cos(lo))
+    # fn' = 0 at k pi (cos) or pi/2 + k pi (sin), where fn = (-1)^k
     offset = 0.0 if fn == "cos" else math.pi / 2.0
-    k = math.ceil((lo - offset) / math.pi)
-    while offset + k * math.pi <= hi:
-        vals.append(f(offset + k * math.pi))
-        k += 1
+    for k in range(-2, 4):
+        if phase - _ARC_SLACK <= offset + k * math.pi <= phase + (hi - lo) + _ARC_SLACK:
+            vals.append(1.0 if k % 2 == 0 else -1.0)
     return min(vals), max(vals)
 
 
 def _interval(node) -> tuple[float, float]:
+    """The certified interval of a node's values; a non-finite one,
+    from a literal or an operation that overflows a double, raises."""
+    lo, hi = _node_interval(node)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UnboundedSignalError(
+            f"interval [{lo}, {hi}] of a subexpression is not finite: "
+            "a number or an operation overflows a double"
+        )
+    return lo, hi
+
+
+def _node_interval(node) -> tuple[float, float]:
     if isinstance(node, _Num):
         return node.value, node.value
     if isinstance(node, _Osc):
@@ -175,7 +205,13 @@ def _tokenize(text: str) -> list[str]:
 class _Parser:
     """Recursive descent over: expr := term ((+|-) term)*,
     term := unary ((*|/) unary)*, unary := - unary | atom,
-    atom := NUM | c<k> | s<k> | (sin|cos) ( expr ) | ( expr )."""
+    atom := NUM | c<k> | s<k> | (sin|cos) ( expr ) | ( expr ).
+
+    Each rule takes the depth at which it parses and returns its node
+    with the depth of the node's deepest leaf: brackets, functions and
+    unary minus nest their operand one level deeper, and each operator of
+    a chain sits one level above both its operands.  A depth above
+    ``_MAX_DEPTH`` raises, checked as soon as it is reached."""
 
     def __init__(self, tokens: list[str], n_freqs: int):
         self.tokens = tokens
@@ -197,52 +233,63 @@ class _Parser:
         if got != tok:
             raise SignalParseError(f"expected {tok!r}, got {got!r}")
 
+    @staticmethod
+    def deeper(depth: int) -> int:
+        if depth > _MAX_DEPTH:
+            raise SignalParseError(
+                f"expression nests deeper than {_MAX_DEPTH} levels (brackets, "
+                "functions, unary minus and each operator of a chain count one)"
+            )
+        return depth
+
     def parse(self):
-        node = self.expr()
+        node, _ = self.expr(0)
         if self.peek() is not None:
             raise SignalParseError(f"trailing tokens from {self.peek()!r}")
         return node
 
-    def expr(self):
-        node = self.term()
-        while self.peek() in ("+", "-"):
+    def chain(self, operand, ops: tuple, depth: int):
+        """operand ((op) operand)* for the ``ops``, left-associative."""
+        node, deepest = operand(depth)
+        while self.peek() in ops:
             op = self.take()
-            node = _Bin(op, node, self.term())
-        return node
+            rhs, rhs_deepest = operand(depth)
+            node, deepest = _Bin(op, node, rhs), self.deeper(max(deepest, rhs_deepest) + 1)
+        return node, deepest
 
-    def term(self):
-        node = self.unary()
-        while self.peek() in ("*", "/"):
-            op = self.take()
-            node = _Bin(op, node, self.unary())
-        return node
+    def expr(self, depth: int):
+        return self.chain(self.term, ("+", "-"), depth)
 
-    def unary(self):
+    def term(self, depth: int):
+        return self.chain(self.unary, ("*", "/"), depth)
+
+    def unary(self, depth: int):
         if self.peek() == "-":
             self.take()
-            return _Neg(self.unary())
-        return self.atom()
+            node, deepest = self.unary(self.deeper(depth + 1))
+            return _Neg(node), deepest
+        return self.atom(depth)
 
-    def atom(self):
+    def atom(self, depth: int):
         tok = self.take()
         if tok == "(":
-            node = self.expr()
+            node = self.expr(self.deeper(depth + 1))
             self.expect(")")
             return node
         if tok in ("sin", "cos"):
             self.expect("(")
-            node = self.expr()
+            node, deepest = self.expr(self.deeper(depth + 1))
             self.expect(")")
-            return _Fun(tok, node)
+            return _Fun(tok, node), deepest
         if re.fullmatch(r"[cs]\d+", tok):
             slot = int(tok[1:]) - 1
             if not (0 <= slot < self.n_freqs):
                 raise SignalParseError(
                     f"oscillator {tok!r} has no frequency (have {self.n_freqs})"
                 )
-            return _Osc("cos" if tok[0] == "c" else "sin", slot)
+            return _Osc("cos" if tok[0] == "c" else "sin", slot), depth
         try:
-            return _Num(float(tok))
+            return _Num(float(tok)), depth
         except ValueError:
             raise SignalParseError(f"unexpected token {tok!r}") from None
 

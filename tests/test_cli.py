@@ -152,6 +152,38 @@ def tiny_ou_dict():
     return d
 
 
+def signal_dict(outer):
+    """``tiny_ou_dict`` with its forcing as a custom constant drift term
+    whose outer signal is ``outer``."""
+    d = tiny_ou_dict()
+    d["coefficients"] = {
+        "custom": {
+            "dim_state": 1,
+            "dim_noise": 1,
+            "freqs": [1.4142135623730951],
+            "drift": [[{"scale": 1, "kernel": "const", "outer": outer}]],
+            "diffusion": [[[{"scale": "3/10", "kernel": "const"}]]],
+            "jump_small": [[]],
+            "jump_large": [[]],
+            "lipschitz": "1/1000000",
+        }
+    }
+    return d
+
+
+def check_process(tmp_path, data):
+    """``levyap check`` on the config ``data`` as its own process, so with
+    the stack of the command line; a run that hangs fails at the
+    timeout."""
+    cfg = write_cfg(tmp_path, data)
+    env = dict(os.environ, PYTHONPATH=str(Path(levyap.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "levyap.cli", "check", "--config", str(cfg),
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=60, cwd=tmp_path,
+    )
+
+
 # floats that repr prints in scientific notation, both signed zeros,
 # subnormals and the largest double
 CSV_SPECIAL_FLOATS = [1e-5, 1e16, 5e-324, -0.0, 0.0, -2.5e-310, 1.7976931348623157e308, -1e-7]
@@ -681,6 +713,35 @@ class TestCliExitCodes:
         text = capsys.readouterr().out
         assert "existence verdict:    FAIL" in text
         assert "73/36" in text
+
+    @pytest.mark.parametrize(
+        "outer, message",
+        [
+            ("9" * 400, "not finite"),
+            ("0*" + "9" * 400, "not finite"),
+            ("sin(" + "9" * 400 + ")", "not finite"),
+            ("(" + "+".join(["c1"] * 1500) + ")/1500", "deeper than 100 levels"),
+            ("(" * 300 + "c1" + ")" * 300, "deeper than 100 levels"),
+        ],
+        ids=["huge-literal", "zero-times-huge", "sine-of-huge", "long-sum", "deep-brackets"],
+    )
+    def test_unbounded_or_deep_signal_exits_2(self, tmp_path, outer, message):
+        """A literal past the largest double, and a signal deep enough to
+        exhaust the recursion of its parse or of its certificate, end
+        ``check`` with exit code 2 and an error line, not with a PASS
+        for bounds (inf, inf) or (nan, nan) or with a traceback."""
+        proc = check_process(tmp_path, signal_dict(outer))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_sine_of_a_huge_literal_is_certified(self, tmp_path):
+        """sin(1e25) is bounded, and its certificate takes as little work
+        as sin(1); past 2^53 a search over the critical points in steps
+        of pi never ended."""
+        proc = check_process(tmp_path, signal_dict("sin(10000000000000000000000000)"))
+        assert proc.returncode == 0, proc.stderr
+        assert "existence verdict:    PASS" in proc.stdout
 
     def test_check_requires_config(self, capsys):
         assert main(["check"]) == 2

@@ -14,6 +14,7 @@ Point-evaluation oracles (worked by hand):
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from levyap.coefficients import (
     QuasiPeriodicSignal,
     SignalParseError,
     UnboundedSignalError,
+    _trig_interval,
     compensator_terms,
     diffusion_terms,
     drift_terms,
@@ -131,6 +133,68 @@ def test_samples_stay_inside_certified_bounds(t):
         lo, hi = sig.bounds()
         v = float(sig(t))
         assert lo - 1e-12 <= v <= hi + 1e-12
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["9" * 400, "0*" + "9" * 400, "sin(" + "9" * 400 + ")", "9" * 200 + " * " + "9" * 200],
+    ids=["huge-literal", "zero-times-huge", "sine-of-huge", "overflowing-product"],
+)
+def test_non_finite_interval_is_unbounded(text):
+    """A literal past the largest double reads as inf, and a product of
+    finite literals can overflow: the certificate rejects either,
+    instead of bounding the signal by (inf, inf) or (nan, nan)."""
+    with pytest.raises(UnboundedSignalError, match="not finite"):
+        QuasiPeriodicSignal.parse(text, (1.0,))
+
+
+@st.composite
+def _trig_arcs(draw):
+    """An interval [lo, hi] with endpoints up to 1e300: anywhere, or just
+    around a critical point k pi / 2 of sin or cos, of any width."""
+    if draw(st.booleans()):
+        lo = draw(st.floats(-1e300, 1e300))
+    else:
+        lo = draw(st.integers(-(10**12), 10**12)) * math.pi / 2 - draw(st.floats(0.0, 1e-3))
+    width = draw(st.one_of(st.floats(0.0, 7.0), st.floats(0.0, 1e300)))
+    return lo, lo + width
+
+
+@given(fn=st.sampled_from(["sin", "cos"]), arc=_trig_arcs())
+@settings(max_examples=200, deadline=None)
+def test_trig_interval_is_quick_and_holds_every_sample(fn, arc):
+    """The bounds of sin and cos over an interval take a fixed amount of
+    work whatever the size of the endpoints, and hold the function at
+    2001 points spread over the interval, ends included."""
+    lo, hi = arc
+    t0 = time.perf_counter()
+    b_lo, b_hi = _trig_interval(fn, lo, hi)
+    assert time.perf_counter() - t0 < 0.5
+    f = getattr(math, fn)
+    vals = [f(x) for x in np.linspace(lo, hi, 2001)]
+    assert b_lo - 1e-15 <= min(vals) and max(vals) <= b_hi + 1e-15
+    assert -1.0 <= b_lo <= b_hi <= 1.0
+
+
+@pytest.mark.parametrize(
+    "wrap",
+    [
+        lambda k: "(" * k + "c1" + ")" * k,
+        lambda k: "sin(" * k + "c1" + ")" * k,
+        lambda k: "-" * k + "c1",
+        lambda k: " + ".join(["c1"] * (k + 1)),
+        lambda k: "(" * (k // 2) + " * ".join(["c1"] * (k - k // 2 + 1)) + ")" * (k // 2),
+    ],
+    ids=["brackets", "functions", "minus", "sum", "product-in-brackets"],
+)
+def test_depth_limit(wrap):
+    """Brackets, functions, unary minus and each operator of a chain
+    count one level: 100 levels parse and evaluate, 101 raise a parse
+    error that names the limit, before any recursion runs out."""
+    sig = QuasiPeriodicSignal.parse(wrap(100), (1.0,))
+    assert np.all(np.isfinite(sig(np.linspace(0.0, 1.0, 5))))
+    with pytest.raises(SignalParseError, match="deeper than 100 levels"):
+        QuasiPeriodicSignal.parse(wrap(101), (1.0,))
 
 
 # ---------------------------------------------------------------------------
