@@ -1,0 +1,126 @@
+#!/usr/bin/env python3
+"""Check that two levyap source trees write the same artifacts.
+
+    python3 scripts/compare_artifacts.py OLD_SRC NEW_SRC
+
+Each of OLD_SRC and NEW_SRC is a directory that holds the ``levyap``
+package, or a checkout whose ``src`` holds it.  For each tree the script
+runs ``python -m levyap.cli`` on
+
+- ``check``, ``picard`` and ``apscan`` of every preset at ``--threads``
+  1 and 2 and ``--seed`` 41 and 1041, and
+- ``picard --preset example41 --dt 1/1024 --paths 1024`` (the
+  ``picard-ex41-fine`` benchmark point) at ``--threads`` 1 and 2,
+
+each into its own directory under a temporary one, and compares the two
+trees' runs: the exit code, stderr, stdout with the output directory
+replaced by ``OUT``, and every artifact byte for byte, except that the
+records of ``gap_trace.jsonl`` are compared without their ``wall_ms``
+timing field.  It prints one line per run and exits 1 at the first
+difference, 0 when every run matches.
+"""
+
+import argparse
+import filecmp
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+PRESETS = ("example41", "ou_forced", "galerkin_heat")
+FINE = ["picard", "--preset", "example41", "--dt", "1/1024", "--paths", "1024", "--seed", "41"]
+
+
+def runs() -> list[list[str]]:
+    """The argv of every compared run, without ``--out``."""
+    out = []
+    for command in ("check", "picard", "apscan"):
+        for preset in PRESETS:
+            for seed in ("41", "1041"):
+                for threads in ("1", "2"):
+                    out.append([command, "--preset", preset, "--seed", seed, "--threads", threads])
+    out += [FINE + ["--threads", threads] for threads in ("1", "2")]
+    return out
+
+
+def package_root(path: str) -> Path:
+    """The directory that holds the ``levyap`` package of a source tree."""
+    root = Path(path).resolve()
+    for candidate in (root, root / "src"):
+        if (candidate / "levyap" / "__init__.py").is_file():
+            return candidate
+    sys.exit(f"error: no levyap package in {root} or {root / 'src'}")
+
+
+def run(src: Path, argv: list[str], out: Path) -> dict:
+    """Run one command of the tree at ``src``; return what is compared
+    apart from the artifact files."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "levyap.cli", *argv, "--out", str(out)],
+        cwd=out.parent, env=env, capture_output=True, text=True,
+    )
+    return {
+        "exit code": proc.returncode,
+        "stdout": proc.stdout.replace(str(out), "OUT"),
+        "stderr": proc.stderr,
+    }
+
+
+def gap_trace(path: Path) -> list:
+    """The records of a gap trace without their ``wall_ms``."""
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    for rec in records:
+        rec.pop("wall_ms", None)
+    return records
+
+
+def first_difference(old: Path, new: Path):
+    """The first artifact that differs between two output directories,
+    or None."""
+    names = sorted({p.name for d in (old, new) if d.is_dir() for p in d.iterdir()})
+    for name in names:
+        a, b = old / name, new / name
+        if not (a.is_file() and b.is_file()):
+            return f"{name} is written by one tree only"
+        if name == "gap_trace.jsonl":
+            if gap_trace(a) != gap_trace(b):
+                return f"{name} differs outside wall_ms"
+        elif not filecmp.cmp(a, b, shallow=False):
+            return f"{name} differs"
+    return None
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old_src")
+    parser.add_argument("new_src")
+    args = parser.parse_args(argv)
+    trees = (package_root(args.old_src), package_root(args.new_src))
+    with tempfile.TemporaryDirectory(prefix="levyap_compare_") as tmp:
+        for k, argv_k in enumerate(runs()):
+            label = " ".join(argv_k)
+            outs, results = [], []
+            for side, src in zip(("old", "new"), trees):
+                out = Path(tmp) / side / f"run{k}"
+                out.parent.mkdir(exist_ok=True)
+                results.append(run(src, argv_k, out))
+                outs.append(out)
+            for key in results[0]:
+                if results[0][key] != results[1][key]:
+                    print(f"DIFFER  {label}: {key}")
+                    return 1
+            diff = first_difference(*outs)
+            if diff:
+                print(f"DIFFER  {label}: {diff}")
+                return 1
+            files = len(list(outs[0].iterdir())) if outs[0].is_dir() else 0
+            print(f"same    {label}  (exit {results[0]['exit code']}, {files} artifacts)")
+    print(f"all {len(runs())} runs identical")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1344,6 +1344,47 @@ class TestCliArtifacts:
         assert report["iteration_wall_ms"] and min(report["iteration_wall_ms"]) >= 0
         assert not any(tmp_path.glob("levyap_out*"))
 
+    def test_compare_artifacts_script_finds_the_first_difference(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """``scripts/compare_artifacts.py`` passes a tree against itself and
+        stops at a changed stdout line; between output directories it
+        ignores ``wall_ms`` in the gap trace only, and names a changed
+        artifact and one that a single tree writes."""
+        import importlib.util
+        import shutil
+
+        script = Path(__file__).resolve().parents[1] / "scripts" / "compare_artifacts.py"
+        spec = importlib.util.spec_from_file_location("compare_artifacts", script)
+        compare = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(compare)
+        assert len(compare.runs()) == 3 * 3 * 2 * 2 + 2
+
+        src = Path(levyap.__file__).parents[1]
+        changed = tmp_path / "changed"
+        shutil.copytree(src / "levyap", changed / "levyap")
+        cli = changed / "levyap" / "cli.py"
+        cli.write_text(cli.read_text().replace("existence verdict:", "existence  verdict:"))
+        monkeypatch.setattr(compare, "runs", lambda: [["check", "--preset", "example41"]])
+        assert compare.main([str(src), str(src)]) == 0
+        assert compare.main([str(src), str(changed)]) == 1
+        assert "DIFFER  check --preset example41: stdout" in capsys.readouterr().out
+
+        old, new = tmp_path / "old", tmp_path / "new"
+        for out, wall in ((old, 1.5), (new, 2.5)):
+            out.mkdir()
+            (out / "gap_trace.jsonl").write_text(json.dumps({"k": 1, "wall_ms": wall}) + "\n")
+            (out / "ensemble.csv").write_text("t,path,y0\n0.0,0,1.0\n")
+        assert compare.first_difference(old, new) is None
+        (new / "ensemble.csv").write_text("t,path,y0\n0.0,0,1.5\n")
+        assert compare.first_difference(old, new) == "ensemble.csv differs"
+        (old / "run_meta.json").write_text("{}")
+        assert compare.first_difference(old, new) == "ensemble.csv differs"
+        (new / "ensemble.csv").write_text("t,path,y0\n0.0,0,1.0\n")
+        assert compare.first_difference(old, new) == "run_meta.json is written by one tree only"
+        (new / "gap_trace.jsonl").write_text(json.dumps({"k": 2, "wall_ms": 1.5}) + "\n")
+        assert compare.first_difference(old, new) == "gap_trace.jsonl differs outside wall_ms"
+
     def test_ou_benchmark_script_reads_ensemble_csv(self, tmp_path):
         """``scripts/run_ou_benchmark.py`` reshapes ``ensemble.csv`` by
         position (time-major rows), so it checks the row order end to end."""
