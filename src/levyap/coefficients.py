@@ -77,7 +77,7 @@ _TWO_PI = 2.0 * math.pi
 _ARC_SLACK = 1e-9
 # deepest signal expression: brackets, functions, unary minus and each
 # operator of a chain count one level.  It keeps the recursion of the
-# parser (about four frames a level) and of the tree walks within
+# parser (about six frames a level) and of the tree walks within
 # Python's default limit
 _MAX_DEPTH = 100
 

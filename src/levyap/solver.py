@@ -426,9 +426,12 @@ class _Plan(
             zip(drift_terms(cs, ts), diffusion_terms(cs, ts), compensator_terms(cs, noise.spec, ts))
         ):
             entries = [(t, noise.dW[:, :, j]) for j, t in enumerate(g) if t]
-            entries += [(comp, minus_h)] if comp else []
-            drift += [(i, f)] if f else []
-            stoch += [(i, tuple(entries))] if entries else []
+            if comp:
+                entries.append((comp, minus_h))
+            if f:
+                drift.append((i, f))
+            if entries:
+                stoch.append((i, tuple(entries)))
         grid_terms = [t for _, f in drift for t in f]
         grid_terms += [t for _, entries in stoch for terms, _ in entries for t in terms]
         jumps = tuple(

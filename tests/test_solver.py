@@ -1718,6 +1718,38 @@ def test_zero_sweep_evaluates_one_row(monkeypatch):
     assert zero_rows == [1] * 12 and rows == [3] * 12
 
 
+def _rare_jump_coefficients(d: int) -> CoefficientSet:
+    """Coordinates 0 and 1 are forced by jumps alone (the small-jump
+    marks have mean zero, so no compensator), coordinate 2 by diffusion;
+    with ``_rare_jump_spec`` most paths have no jump event, so most
+    chunks of a path or two fill those rows with no event at all."""
+    assert d == 3
+    return CoefficientSet(
+        dim_state=3,
+        dim_noise=1,
+        drift=(
+            (),
+            (CoefficientTerm(0.2, "const"), CoefficientTerm(-0.1, "linear", coord=0)),
+            (CoefficientTerm(0.3, "bounded_ratio", coord=1),),
+        ),
+        diffusion=(((),), ((),), ((CoefficientTerm(0.1, "linear", coord=0),),)),
+        jump_small=((CoefficientTerm(0.1, "linear", coord=2, mark_weights=(1.0,)),), (), ()),
+        jump_large=((), (CoefficientTerm(0.2, "linear", coord=0, mark_weights=(1.0,)),), ()),
+        lipschitz=Fraction(1, 2),
+    )
+
+
+def _rare_jump_spec() -> LevyProcessSpec:
+    return LevyProcessSpec(
+        dim=1,
+        wiener=WienerSpec(1, np.eye(1)),
+        jumps=(
+            JumpComponent(rate=0.1, region="small", marks=uniform_interval_mark(-0.5, 0.5)),
+            JumpComponent(rate=0.1, region="large", marks=uniform_interval_mark(1.0, 2.0)),
+        ),
+    )
+
+
 # sha256 of the values and the (gap, moment) trace of each pinned solve
 _NONDIAGONAL_PINS = {
     "rotation": "1e2e2faa58a8e3487031804b5bbc99d3c2c8ebbd0e34682a137af1047db70aff",
@@ -1727,6 +1759,7 @@ _NONDIAGONAL_PINS = {
     "unreachable": "5796233e0205b2f89756e7279c332b13fc04bb11b5cabbf8901a774b390f23a7",
     "coupled": "c8292e4f92961a600a98a14cf8633e0f0486178f38a685b559e372ccc1e2cb21",
     "oblique": "83d94915fe2b02d02c27b16f23a733fff47cb616b8aab5477a3d3d8292257b93",
+    "rare_jumps": "b6ca1d5ab7389a06137696b131cdb2534c192a4c33c99e812476a9649fe9b16d",
 }
 
 
@@ -1738,9 +1771,15 @@ def test_nondiagonal_solves_are_pinned(case):
     planned once per solve: a reordered sum on a rotating, defective,
     stiff or oblique system changes it, at any chunking and thread
     count.  "unreachable" converges in 2 iterations and "coupled",
-    whose only term reads a coordinate nothing forces, in 1."""
-    oblique = (_oblique_system, _mixed_coefficients, _jump_diffusion_spec)
-    system, coefficients, spec = {**_ORACLE_CASES, "oblique": oblique}[case]
+    whose only term reads a coordinate nothing forces, in 1.
+    "rare_jumps" has rows that only jumps fill, in chunks with and
+    without jump events."""
+    cases = {
+        **_ORACLE_CASES,
+        "oblique": (_oblique_system, _mixed_coefficients, _jump_diffusion_spec),
+        "rare_jumps": (_rotation_system, _rare_jump_coefficients, _rare_jump_spec),
+    }
+    system, coefficients, spec = cases[case]
     sysd, h, window = system()
     noise = sample_noise(spec(), *window_steps(*window, h), h, 9, seed=7)
     for threads, chunk in ((1, None), (2, 2)):
