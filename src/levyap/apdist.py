@@ -409,7 +409,8 @@ def ap_distribution_scan(
     only at the base times, and is accepted when the largest distance
     stays within ``eps``.
 
-    Raises when some shift has no pair at all.
+    Raises when some shift is less than one grid step or has no pair at
+    all.
     """
     if eps <= 0:
         raise EmpiricalLawError("eps must be positive")
@@ -421,6 +422,8 @@ def ap_distribution_scan(
     bad = [k for k in times + offsets if not isinstance(k, Integral)]
     if bad:
         raise EmpiricalLawError(f"{bad[0]} is not a whole number of grid steps")
+    if any(k < 1 for k in offsets):
+        raise EmpiricalLawError("each shift must be at least one grid step")
     base = set(times)
     scan = sorted(base.union(*({i + k for i in base} for k in offsets)))
     outside = [i for i in scan if not 0 <= i < values.shape[1]]

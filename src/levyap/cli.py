@@ -182,9 +182,13 @@ def _sample(run: Run) -> NoiseSample:
     )
 
 
-def _report_lines(rep) -> list[str]:
+def _condition_report(run: Run, out: Path):
+    """Check the run's conditions exactly, write condition_report.json
+    and print the report; return it."""
+    rep = check_conditions(*run.conditions)
     d = rep.as_dict()
-    return [
+    _write_json(out / "condition_report.json", {"schema_version": SCHEMA_VERSION, **d})
+    for line in (
         f"K = {d['k']}, omega = {d['omega']}, L = {d['lipschitz']}, b = {d['jump_bound']}",
         f"lhs (1+2b)/omega^2 + 2/omega          = {d['lhs']}",
         f"threshold existence    1/(16 K^2 L)   = {d['threshold_existence']}",
@@ -193,11 +197,9 @@ def _report_lines(rep) -> list[str]:
         + ("yes" if rep.eta_below_one else "no"),
         "existence verdict:    " + ("PASS" if rep.verdict_existence else "FAIL"),
         "distribution verdict: " + ("PASS" if rep.verdict_distribution else "FAIL"),
-    ]
-
-
-def _condition_json(rep) -> dict:
-    return {"schema_version": SCHEMA_VERSION, **rep.as_dict()}
+    ):
+        print(line)
+    return rep
 
 
 def _run_picard(run: Run, out: Path):
@@ -205,10 +207,7 @@ def _run_picard(run: Run, out: Path):
     returns (result, exit_code)."""
     from .solver import picard_solve
 
-    rep = check_conditions(*run.conditions)
-    _write_json(out / "condition_report.json", _condition_json(rep))
-    for line in _report_lines(rep):
-        print(line)
+    rep = _condition_report(run, out)
     if not rep.verdict_existence:
         print(
             "warning: existence conditions fail; iterating anyway "
@@ -263,11 +262,7 @@ def _run_picard(run: Run, out: Path):
 
 
 def cmd_check(run: Run, out: Path) -> int:
-    rep = check_conditions(*run.conditions)
-    for line in _report_lines(rep):
-        print(line)
-    _write_json(out / "condition_report.json", _condition_json(rep))
-    return 0 if rep.verdict_existence else 1
+    return 0 if _condition_report(run, out).verdict_existence else 1
 
 
 def cmd_picard(run: Run, out: Path) -> int:
@@ -409,10 +404,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         out: Path = args.out
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](run, out)
-    except LevyapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (LevyapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

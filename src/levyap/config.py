@@ -816,6 +816,10 @@ def validate_config(cfg: RunConfig) -> Run:
     if ana.law_support is not None and ana.law_support < 1:
         raise ConfigError("analysis.law_support must be positive")
     times = [(float(t), _on_grid(float(t), h, "analysis time")) for t in ana.times]
+    # the scan counts 0 as an accepted shift, so the gaps need s > 0
+    for s in ana.shifts:
+        if not s > 0:
+            raise ConfigError(f"analysis.shifts must be positive, got {s}")
     shifts = [(float(s), _on_grid(float(s), h, "analysis shift")) for s in ana.shifts]
     # every analysis time and shifted time, with its grid step, must lie in
     # the window shrunk by the truncation: compared in whole steps

@@ -182,9 +182,9 @@ class MarkSampler(namedtuple("MarkSampler", "kind params")):
 
     ``kind`` selects the family; ``params`` (a dict) holds the family
     parameters.  Every family knows how to draw marks, report its exact
-    mean, bound the mark norm (used to check the small/large region
-    split) and provide quadrature nodes for expectations of
-    mark-dependent integrands.
+    mean and second moment (which make expectations of the mark-affine
+    coefficient maps exact) and bound the mark norm (used to check the
+    small/large region split).
     """
 
     __slots__ = ()
@@ -238,37 +238,20 @@ class MarkSampler(namedtuple("MarkSampler", "kind params")):
             return float(self.params["r0"]), float(self.params["r1"])
         raise NoiseSpecError(f"unknown mark sampler kind {self.kind!r}")
 
-    def nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Quadrature nodes/weights for expectations against the mark law.
-
-        Exact for atomic families; Gauss-Legendre (and a uniform angular
-        rule in dimension two) for the continuous ones.
-        """
+    def second_moment(self) -> tuple[tuple[float, ...], ...]:
+        """Return E[X X^T] in closed form, as rows of floats."""
         if self.kind == "point":
-            return np.asarray(self.params["x"], float)[None, :], np.array([1.0])
+            x = self.params["x"]
+            return tuple(tuple(a * b for b in x) for a in x)
         if self.kind == "uniform_interval":
-            x, w = np.polynomial.legendre.leggauss(16)
             a, b = self.params["a"], self.params["b"]
-            pts = (a + b) / 2.0 + (b - a) / 2.0 * x
-            return pts[:, None], w / 2.0
+            return (((a * a + a * b + b * b) / 3.0,),)
         if self.kind == "uniform_annulus":
             r0, r1 = self.params["r0"], self.params["r1"]
             d = int(self.params["dim"])
-            x, w = np.polynomial.legendre.leggauss(12)
-            radii = (r0 + r1) / 2.0 + (r1 - r0) / 2.0 * x
-            if d == 1:
-                pts = np.concatenate([radii, -radii])[:, None]
-                wts = np.concatenate([w, w]) / 4.0
-                return pts, wts
-            if d == 2:
-                ang = (np.arange(24) + 0.5) * (2 * np.pi / 24)
-                ca, sa = np.cos(ang), np.sin(ang)
-                pts = np.stack(
-                    [np.outer(radii, ca).ravel(), np.outer(radii, sa).ravel()], axis=1
-                )
-                wts = np.outer(w / 2.0, np.full(24, 1.0 / 24)).ravel()
-                return pts, wts
-            raise NoiseSpecError("annulus quadrature supports dim 1 or 2 only")
+            # |X| is uniform on [r0, r1] and its direction isotropic
+            diag = (r0 * r0 + r0 * r1 + r1 * r1) / (3.0 * d)
+            return tuple(tuple(diag if i == j else 0.0 for j in range(d)) for i in range(d))
         raise NoiseSpecError(f"unknown mark sampler kind {self.kind!r}")
 
     def validate(self) -> None:

@@ -526,6 +526,12 @@ def test_scan_rejects_unusable_inputs():
         ap_distribution_scan(
             ens, _on_grid(ens, _CIRCLE_TIMES), _on_grid(ens, [2.0]), [2.0], eps=0.0
         )
+    # the gaps count 0 as accepted, so a shift must be at least one step
+    for shifts in ([-0.5], [0.0], [-0.5, 1.0]):
+        with pytest.raises(EmpiricalLawError, match="one grid step"):
+            ap_distribution_scan(
+                ens, _on_grid(ens, _CIRCLE_TIMES), _on_grid(ens, shifts), shifts, eps=0.1
+            )
 
 
 def test_scan_is_deterministic():

@@ -480,6 +480,26 @@ class TestValidation:
         # truncation 1/2 on window [-1, 2] leaves usable times [-1/2, 3/2]
         self.check_rejects(lambda d: d["analysis"].update(shifts=["3/2"]))
 
+    @pytest.mark.parametrize("shifts", [["-1/4"], [0], ["-1/4", "1/2"]])
+    def test_nonpositive_shift(self, shifts):
+        self.check_rejects(
+            lambda d: d["analysis"].update(shifts=shifts), match="analysis.shifts"
+        )
+
+    @pytest.mark.parametrize("shift", ["-1/4", 0])
+    def test_apscan_rejects_a_nonpositive_shift_before_running(self, tmp_path, capsys, shift):
+        """A shift s <= 0 would enter the accepted set beside 0 and give a
+        wrong (even negative) max_gap, so the run stops before it samples
+        or writes anything."""
+        d = config_to_dict(preset_config("example41"))
+        d["analysis"]["shifts"] = [shift]
+        out = tmp_path / "out"
+        argv = ["apscan", "--config", str(write_cfg(tmp_path, d)), "--paths", "8"]
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "analysis.shifts" in err
+        assert not out.exists()
+
     def test_times_within_grid_tolerance_of_the_interior_edge(self, tmp_path, capsys):
         """The window-interior check counts whole steps, so a time that the
         grid rule places on the interior's edge passes although it lies a
@@ -509,10 +529,11 @@ class TestValidation:
         h = Fraction(data.draw(st.integers(1, 3)), data.draw(st.integers(1, 64)))
         w = data.draw(st.integers(1, 4))
         k_lo = data.draw(st.integers(-2 * w - 12, 0))
-        k_hi = data.draw(st.integers(max(0, k_lo + 2 * w), k_lo + 2 * w + 24))
+        k_hi = data.draw(st.integers(max(0, k_lo + 2 * w + 1), k_lo + 2 * w + 24))
         span = k_hi - k_lo - 2 * w
-        shifts = data.draw(st.lists(st.integers(-span, span), min_size=1, max_size=3))
-        lo, hi = k_lo + w + max(0, -min(shifts)), k_hi - w - max(0, max(shifts))
+        # shifts are positive (``test_nonpositive_shift``)
+        shifts = data.draw(st.lists(st.integers(1, span), min_size=1, max_size=3))
+        lo, hi = k_lo + w, k_hi - w - max(shifts)
         assume(lo <= hi)
         times = data.draw(st.lists(st.integers(lo, hi), min_size=1, max_size=3))
 

@@ -285,11 +285,12 @@ def test_compensator_mark_linear_matches_quadrature():
     comp = point_values(compensator_terms(cs, spec, np.array([0.0])), y)
     # closed form: rate * (w . mean mark) * y = 2 * (2 * 0.5) * 3
     assert comp[0, 0] == pytest.approx(6.0)
-    # quadrature oracle over the mark law
-    pts, wts = spec.jumps[0].marks.nodes()
+    # rate 2 times a 16-point Gauss-Legendre rule for the mark law
+    # U(0.2, 0.8): nodes 0.5 + 0.3 u, probabilities g / 2
+    u, g = np.polynomial.legendre.leggauss(16)
     acc = sum(
-        2.0 * wi * point_values(jump_terms(cs.jump_small, np.array([0.0]), xi[None, :]), y)[0, 0]
-        for xi, wi in zip(pts, wts)
+        2.0 * pi * point_values(jump_terms(cs.jump_small, np.array([0.0]), [[xi]]), y)[0, 0]
+        for xi, pi in zip(0.5 + 0.3 * u, g / 2.0)
     )
     assert comp[0, 0] == pytest.approx(acc, rel=1e-12)
 
@@ -363,6 +364,47 @@ def test_verify_lipschitz_reports_on_every_preset():
             assert 0.0 < rep.observed["jump_small"] <= 1.0 / 32.0
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+def test_verify_lipschitz_on_mark_weighted_annulus_jumps(dim):
+    """Maps y -> y (d + c w.x) on one state coordinate, small jumps at
+    rate 2 with annulus marks (0.5, 0.9) and large jumps at rate 1/2 on a
+    point mark p.  Every sampled ratio is then exact:
+    small 2 (d^2 + c^2 |w|^2 E|x|^2 / dim) with E|x|^2 = 0.604/1.2 (the
+    mark mean is 0), large 1/2 (d + c w.p)^2 (the cross term counts)."""
+    w = tuple(0.1 * (i + 1) for i in range(dim))
+    p = tuple(0.3 if i % 2 else -0.2 for i in range(dim))
+    d, c = 0.05, 0.2
+    jump = (
+        (
+            CoefficientTerm(d, "linear"),
+            CoefficientTerm(c, "linear", mark_weights=w),
+        ),
+    )
+    cs = CoefficientSet(
+        dim_state=1,
+        dim_noise=dim,
+        drift=((),),
+        diffusion=(tuple(() for _ in range(dim)),),
+        jump_small=jump,
+        jump_large=jump,
+        lipschitz=1.0,
+    )
+    spec = LevyProcessSpec(
+        dim=dim,
+        jumps=(
+            JumpComponent(2.0, "small", uniform_annulus_mark(0.5, 0.9, dim=dim)),
+            JumpComponent(0.5, "large", point_mark(p)),
+        ),
+    )
+    rep = verify_lipschitz(cs, spec, n_samples=200)
+    ww = sum(v * v for v in w)
+    small = 2.0 * (d * d + c * c * ww * (0.604 / 1.2) / dim)
+    large = 0.5 * (d + c * sum(a * b for a, b in zip(w, p))) ** 2
+    assert rep.observed["jump_small"] == pytest.approx(small, rel=1e-12)
+    assert rep.observed["jump_large"] == pytest.approx(large, rel=1e-12)
+    assert rep.passed
+
+
 def test_verify_lipschitz_needs_samples():
     with pytest.raises(CoefficientError, match="100"):
         verify_lipschitz(example41_coefficients(), benchmark_noise(), n_samples=10)
@@ -397,3 +439,18 @@ def test_galerkin_preset_guards():
         galerkin_heat_coefficients(n_modes=1)
     with pytest.raises(CoefficientError, match="Lipschitz"):
         galerkin_heat_coefficients(forcing_scale=0.5)
+    with pytest.raises(CoefficientError, match="Lipschitz"):
+        galerkin_heat_coefficients(jump_scale=0.25)
+
+
+def test_galerkin_preset_scales():
+    """Mode k gets diffusion diffusion_scale/(k+1)^2 on its own noise
+    coordinate and small jumps jump_scale/(k+1)^2 * y_k."""
+    gal = galerkin_heat_coefficients(n_modes=3, diffusion_scale=0.2, jump_scale=0.1)
+    y = np.array([[1.0, 2.0, 3.0]])
+    g = np.column_stack(
+        [point_values(col, y)[0] for col in zip(*diffusion_terms(gal, np.array([0.5])))]
+    )
+    assert g == pytest.approx(np.diag([0.2, 0.05, 0.2 / 9]))
+    jumps = point_values(jump_terms(gal.jump_small, np.array([0.5]), np.zeros((1, 3))), y)
+    assert jumps[0] == pytest.approx([0.1, 0.1 / 4 * 2, 0.1 / 9 * 3])

@@ -1,14 +1,17 @@
 """Every name a levyap module exports in ``__all__`` resolves, every
 exported function or class, and every public method, property and
 classmethod of an exported class, is used by levyap code but for a
-listed few, no levyap module imports ``dataclasses``, and only
+listed few, every defaulted parameter of those functions and methods is
+passed by some call, no levyap module imports ``dataclasses``, and only
 ``levyap.config`` names the grid rule ``grid_steps``."""
 
 import ast
 import importlib
+import inspect
+import math
 import pkgutil
 import types
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
@@ -146,3 +149,77 @@ def test_every_export_is_used():
                 if access[member] == accessed(defs[member])[member]:
                     unused.add((name, f"{attr}.{member}"))
     assert unused == UNUSED_EXPORTS
+
+
+def passed_arguments(paths):
+    """For each name called in the files ``paths`` (``f(...)`` or
+    ``x.f(...)``), the keywords its calls pass and the most positional
+    arguments one call passes: two dicts.  ``**`` passes every keyword
+    (None) and ``*`` any number of positions."""
+    keywords, positions = defaultdict(set), defaultdict(int)
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            keywords[name].update(k.arg for k in node.keywords)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            positions[name] = max(positions[name], math.inf if starred else len(node.args))
+    return keywords, positions
+
+
+def defaulted_parameters(func, skip: int):
+    """(name, position) of each parameter of ``func`` with a default,
+    the position counted after the first ``skip`` parameters (self or
+    cls) and None for a keyword-only one."""
+    params = list(inspect.signature(func).parameters.values())[skip:]
+    for i, p in enumerate(params):
+        if p.default is not inspect.Parameter.empty:
+            positional = p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+            yield p.name, i if positional else None
+
+
+def exported_callables():
+    """(label, name, function, skip) for each exported function and each
+    public method, classmethod and staticmethod of an exported class;
+    ``skip`` counts the parameter that binding fills (self or cls)."""
+    for name in MODULES:
+        module = importlib.import_module(f"levyap.{name}")
+        for attr in module.__all__:
+            obj = getattr(module, attr)
+            if isinstance(obj, types.FunctionType):
+                yield f"{name}.{attr}", attr, obj, 0
+            elif isinstance(obj, type):
+                for m in public_members(obj):
+                    member, label = vars(obj)[m], f"{name}.{attr}.{m}"
+                    if isinstance(member, staticmethod):
+                        yield label, m, member.__func__, 0
+                    elif isinstance(member, classmethod):
+                        yield label, m, member.__func__, 1
+                    elif isinstance(member, types.FunctionType):
+                        yield label, m, member, 1
+
+
+def test_every_defaulted_parameter_is_passed():
+    """Each parameter with a default of an exported function, or of a
+    public method, classmethod or staticmethod of an exported class, is
+    passed by keyword or by position by some call in levyap, the tests
+    or the scripts: a default that no call overrides is a knob that
+    nothing turns."""
+    here = Path(__file__).parent
+    paths = [
+        *Path(levyap.__file__).parent.glob("*.py"),
+        *here.glob("*.py"),
+        *(here.parent / "scripts").glob("*.py"),
+    ]
+    keywords, positions = passed_arguments(paths)
+    unpassed = []
+    for label, fname, func, skip in exported_callables():
+        for param, position in defaulted_parameters(func, skip):
+            if not (
+                {param, None} & keywords[fname]
+                or (position is not None and positions[fname] > position)
+            ):
+                unpassed.append(f"{label}: {param}")
+    assert unpassed == []

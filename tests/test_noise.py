@@ -6,6 +6,7 @@ Statistical oracles used here and fixed ahead of the assertions:
   for [0.2, 0.8] that is 0.5 and 0.28.
 - annulus radii uniform on [r0, r1]: E[|x|^2] = (r1^3 - r0^3)/(3(r1-r0));
   for [0.5, 0.9] in any dimension that is 0.60333.../1.2 = 0.5033...
+  their direction is isotropic, so E[x x^T] = E[|x|^2]/dim * I.
 - Poisson counts over a window of length T have mean and variance rate*T.
 - two-sample KS critical value at the 1% level: 1.628 * sqrt((n+m)/(n*m)).
 
@@ -585,17 +586,39 @@ def test_mark_sampler_moments_match_oracles():
     assert abs((d2**2).sum(axis=1).mean() - 0.5033333333) < 0.01
 
 
-def test_quadrature_nodes_integrate_second_moment():
-    u = uniform_interval_mark(0.2, 0.8)
-    pts, wts = u.nodes()
-    assert np.sum(wts) == pytest.approx(1.0)
-    assert np.sum(wts * pts[:, 0] ** 2) == pytest.approx(0.28)
+def test_second_moment_closed_forms():
+    ((m,),) = uniform_interval_mark(0.2, 0.8).second_moment()
+    assert m == pytest.approx(0.28)
+    assert point_mark([1.5, -2.0]).second_moment() == ((2.25, -3.0), (-3.0, 4.0))
+    for dim in (1, 2, 3, 8):
+        m = np.array(uniform_annulus_mark(0.5, 0.9, dim=dim).second_moment())
+        assert m.shape == (dim, dim)
+        assert np.trace(m) == pytest.approx(0.604 / 1.2)
+        assert np.array_equal(m, np.diag(np.diag(m)))
+        assert np.all(np.diag(m) == m[0, 0])
 
-    ann = uniform_annulus_mark(0.5, 0.9, dim=2)
-    pts, wts = ann.nodes()
-    assert np.sum(wts) == pytest.approx(1.0)
-    assert np.sum(wts * (pts**2).sum(axis=1)) == pytest.approx(0.604 / 1.2)
-    assert np.allclose(np.sum(wts[:, None] * pts, axis=0), 0.0, atol=1e-15)
+
+@pytest.mark.parametrize(
+    "marks",
+    [
+        point_mark([0.7]),
+        point_mark([1.5, 0.0, -0.4]),
+        uniform_interval_mark(-0.3, 0.8),
+        uniform_annulus_mark(0.5, 0.9, dim=1),
+        uniform_annulus_mark(0.5, 0.9, dim=2),
+        uniform_annulus_mark(0.2, 0.8, dim=3),
+        uniform_annulus_mark(0.5, 0.9, dim=8),
+    ],
+    ids=["point1", "point3", "interval", "annulus1", "annulus2", "annulus3", "annulus8"],
+)
+def test_second_moment_matches_monte_carlo(marks):
+    """The closed form against the mean of x x^T over 200k draws.  The
+    random families have mark norms at most 0.9, so each entry of x x^T
+    lies in [-0.81, 0.81] and its mean has a standard error below
+    0.81 / sqrt(200000) = 0.0018; point marks are exact."""
+    x = marks.draw(np.random.default_rng(11), 200_000)
+    empirical = x.T @ x / len(x)
+    assert np.abs(empirical - np.array(marks.second_moment())).max() < 0.01
 
 
 @given(
