@@ -10,7 +10,12 @@ runs ``python -m levyap.cli`` on
 - ``check``, ``picard`` and ``apscan`` of every preset at ``--threads``
   1 and 2 and ``--seed`` 41 and 1041, and
 - ``picard --preset example41 --dt 1/1024 --paths 1024`` (the
-  ``picard-ex41-fine`` benchmark point) at ``--threads`` 1 and 2,
+  ``picard-ex41-fine`` benchmark point) at ``--threads`` 1 and 2, and
+- ``picard --config custom.json`` at ``--threads`` 1 and 2, on the
+  config ``CUSTOM``, which the script writes next to each tree's output
+  directories: it takes paths no preset reaches (point marks, a jump
+  term with mark weights, a correlated 2-d covariance, small and large
+  jumps, and a non-diagonal generator with an unstable direction),
 
 each into its own directory under a temporary one, and compares the two
 trees' runs: the exit code, stderr, stdout with the output directory
@@ -31,6 +36,46 @@ from pathlib import Path
 
 PRESETS = ("example41", "ou_forced", "galerkin_heat")
 FINE = ["picard", "--preset", "example41", "--dt", "1/1024", "--paths", "1024", "--seed", "41"]
+CUSTOM = {
+    "system": {"a": [[-2, 1], [0, 3]], "p": [[1, "-1/5"], [0, 0]], "k": "11/10", "omega": 2},
+    "levy": {
+        "dim": 2,
+        "covariance": [[1, "1/2"], ["1/2", 1]],
+        "jumps": [
+            {"rate": 2, "region": "small", "marks": {"kind": "point", "x": ["3/10", "-1/5"]}},
+            {
+                "rate": "1/2",
+                "region": "large",
+                "marks": {"kind": "uniform_annulus", "r0": 1, "r1": "3/2", "dim": 2},
+            },
+        ],
+    },
+    "coefficients": {
+        "custom": {
+            "dim_state": 2,
+            "dim_noise": 2,
+            "freqs": [1.4142135623730951, 1.7320508075688772],
+            "drift": [
+                [{"scale": "1/16", "kernel": "bounded_ratio", "coord": 1, "outer": "c1"}],
+                [{"scale": "1/16", "kernel": "sin_shift", "coord": 0, "inner": "s2"}],
+            ],
+            "diffusion": [
+                [[{"scale": "1/10", "kernel": "const", "outer": "c2"}], []],
+                [[], [{"scale": "1/10", "kernel": "linear", "coord": 1}]],
+            ],
+            "jump_small": [
+                [{"scale": "1/8", "kernel": "linear", "coord": 0, "mark_weights": [1, "1/2"]}],
+                [],
+            ],
+            "jump_large": [[], [{"scale": "1/8", "kernel": "const", "outer": "s1"}]],
+            "lipschitz": "1/64",
+        }
+    },
+    "numerics": {
+        "h": "1/32", "window": [-4, 8], "n_paths": 64, "truncation": 4, "tol": 1e-9, "max_iter": 30,
+    },
+    "seed": 7,
+}
 
 
 def runs() -> list[list[str]]:
@@ -42,6 +87,7 @@ def runs() -> list[list[str]]:
                 for threads in ("1", "2"):
                     out.append([command, "--preset", preset, "--seed", seed, "--threads", threads])
     out += [FINE + ["--threads", threads] for threads in ("1", "2")]
+    out += [["picard", "--config", "custom.json", "--threads", threads] for threads in ("1", "2")]
     return out
 
 
@@ -100,12 +146,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     trees = (package_root(args.old_src), package_root(args.new_src))
     with tempfile.TemporaryDirectory(prefix="levyap_compare_") as tmp:
+        for side in ("old", "new"):
+            (Path(tmp) / side).mkdir()
+            (Path(tmp) / side / "custom.json").write_text(json.dumps(CUSTOM))
         for k, argv_k in enumerate(runs()):
             label = " ".join(argv_k)
             outs, results = [], []
             for side, src in zip(("old", "new"), trees):
                 out = Path(tmp) / side / f"run{k}"
-                out.parent.mkdir(exist_ok=True)
                 results.append(run(src, argv_k, out))
                 outs.append(out)
             for key in results[0]:

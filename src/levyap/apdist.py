@@ -40,7 +40,7 @@ __all__ = [
     "ap_distribution_scan",
 ]
 
-SUPPORT_CAP = 4096  # largest merged support bl_distance takes by default
+SUPPORT_CAP = 4096  # largest merged support bl_distance takes
 _CERT_GAP = 1e-9  # largest accepted gap between the bounds on beta
 _LINE_ROUNDS = 100  # cutting-plane rounds before beta on the line gives up
 
@@ -104,7 +104,6 @@ def _signed_support(mu: EmpiricalLaw, nu: EmpiricalLaw):
 def bl_distance(
     mu: EmpiricalLaw,
     nu: EmpiricalLaw,
-    support_cap: int = SUPPORT_CAP,
     return_witness: bool = False,
 ):
     """Bounded-Lipschitz distance between two empirical laws, exact up to
@@ -117,8 +116,8 @@ def bl_distance(
     (``_transport_bl``).  Either solver returns an upper bound and a
     feasible test function f with box s and Lipschitz constant c, so
     delta . f is a lower bound; a gap above 1e-9 between the two raises
-    EmpiricalLawError, as does a failed solve.  Supports larger than
-    ``support_cap`` raise; subsample the laws first.  beta(delta) =
+    EmpiricalLawError, as does a failed solve.  Merged supports larger
+    than ``SUPPORT_CAP`` raise; subsample the laws first.  beta(delta) =
     beta(-delta), and both solvers always run with the first signed mass
     positive, which makes the call exactly symmetric in its arguments.
     """
@@ -128,9 +127,9 @@ def bl_distance(
         if return_witness:
             return 0.0, {"f": np.zeros(0), "s": 0.0, "c": 0.0}
         return 0.0
-    if n > support_cap:
+    if n > SUPPORT_CAP:
         raise EmpiricalLawError(
-            f"merged support {n} exceeds cap {support_cap}; "
+            f"merged support {n} exceeds cap {SUPPORT_CAP}; "
             "subsample the laws first"
         )
     sign = 1.0 if delta[0] > 0 else -1.0

@@ -506,7 +506,7 @@ def compensator_terms(
                 weight = total_rate
             else:
                 w = np.asarray(term.mark_weights)
-                weight = sum(c.rate * float(c.marks.mean() @ w) for c in smalls)
+                weight = sum(c.rate * float(np.asarray(c.marks.mean()) @ w) for c in smalls)
             if weight != 0.0:
                 plain = term._replace(mark_weights=None)
                 row.append(_prepare(plain, ts, scale=term.scale * weight))
@@ -630,7 +630,7 @@ def verify_lipschitz(
         a2 = np.sum(a**2, axis=1)
         acc = np.zeros(len(ts))
         for comp in comps:
-            m, s = comp.marks.mean(), np.array(comp.marks.second_moment())
+            m, s = np.asarray(comp.marks.mean()), np.array(comp.marks.second_moment())
             cross = np.einsum("ni,nij,j->n", a, b, m)
             spread = np.einsum("nij,jk,nik->n", b, s, b)
             acc += comp.rate * (a2 + 2.0 * cross + spread)

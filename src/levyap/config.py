@@ -36,11 +36,9 @@ from .dichotomy import DichotomousSystem, diagonal_constants
 from .noise import (
     JumpComponent,
     LevyProcessSpec,
-    MarkSampler,
-    WienerSpec,
-    point_mark,
-    uniform_annulus_mark,
-    uniform_interval_mark,
+    PointMark,
+    UniformAnnulusMark,
+    UniformIntervalMark,
     validate_spec,
 )
 
@@ -495,27 +493,24 @@ def build_system(cfg: SystemConfig) -> DichotomousSystem:
     return DichotomousSystem(cfg.a, cfg.p, cfg.k, cfg.omega)
 
 
-def _build_marks(m: MarkConfig, dim: int) -> MarkSampler:
+def _build_marks(
+    m: MarkConfig, dim: int
+) -> Union[PointMark, UniformIntervalMark, UniformAnnulusMark]:
     if m.kind == "point":
-        return point_mark([float(v) for v in m.x])
+        return PointMark(tuple(float(v) for v in m.x))
     if m.kind == "uniform_interval":
-        return uniform_interval_mark(float(m.a), float(m.b))
-    if m.kind == "uniform_annulus":
-        return uniform_annulus_mark(float(m.r0), float(m.r1), m.dim or dim)
-    raise ConfigError(f"unknown mark kind {m.kind!r}")
+        return UniformIntervalMark(float(m.a), float(m.b))
+    return UniformAnnulusMark(float(m.r0), float(m.r1), m.dim or dim)
 
 
 def build_spec(cfg: LevyConfig) -> LevyProcessSpec:
-    wiener = None
-    if cfg.covariance is not None:
-        wiener = WienerSpec(cfg.dim, cfg.covariance)
     jumps = tuple(
         JumpComponent(
             rate=float(j.rate), region=j.region, marks=_build_marks(j.marks, cfg.dim)
         )
         for j in cfg.jumps
     )
-    return LevyProcessSpec(dim=cfg.dim, wiener=wiener, jumps=jumps)
+    return LevyProcessSpec(dim=cfg.dim, covariance=cfg.covariance, jumps=jumps)
 
 
 _COEFF_PRESETS = {
@@ -738,7 +733,8 @@ the shifts (tuples in config order); and the exact condition inputs
 def validate_config(cfg: RunConfig) -> Run:
     """Full static validation; raises ConfigError on the first problem.
 
-    Builds the system, noise spec and coefficient set once (their own
+    Checks the declared dimensions against numpy's array bound, then
+    builds the system, noise spec and coefficient set once (their own
     validators run), then checks numerics and reads the window, the
     truncation horizon, every analysis time and every shift as whole
     steps h (``_on_grid``); every analysis time and shifted time must
@@ -775,9 +771,31 @@ def validate_config(cfg: RunConfig) -> Run:
     if cfg.threads < 1:
         raise ConfigError("threads must be at least 1")
 
+    # the noise sample and the ensemble must fit numpy's array size, whose
+    # bound is its largest index, sys.maxsize; checked on the declared
+    # dimensions, before the builders make lists of that length
+    n = k_hi - k_lo
+    galerkin = cfg.system.galerkin
+    if galerkin is not None:
+        state = ("system.galerkin.n_modes", galerkin.n_modes)
+    else:
+        state = ("system.a", len(cfg.system.a or ()))
+    for what, dim in (("levy.dim", cfg.levy.dim), state):
+        if num.n_paths * n * dim > sys.maxsize:
+            raise ConfigError(
+                f"numerics.h = {h} gives {float(n):.3g} steps; numerics.n_paths x steps "
+                f"x {what} ({num.n_paths} x {n} x {dim}) exceeds the largest array "
+                "numpy can allocate"
+            )
+
     sysd = build_system(cfg.system)
     spec = build_spec(cfg.levy)
     validate_spec(spec)
+    modes = cfg.coefficients.params.get("n_modes")
+    if type(modes) is int and modes != sysd.dim:
+        raise ConfigError(
+            f"coefficients.params.n_modes = {modes} != system dimension {sysd.dim}"
+        )
     cs = build_coefficients(cfg.coefficients)
     if cs.dim_state != sysd.dim:
         raise ConfigError(
@@ -787,15 +805,6 @@ def validate_config(cfg: RunConfig) -> Run:
         raise ConfigError(
             f"coefficient noise dimension {cs.dim_noise} != levy dimension {spec.dim}"
         )
-    # the noise sample and the ensemble must fit numpy's array size, whose
-    # bound is its largest index, sys.maxsize
-    n = k_hi - k_lo
-    for what, dim in (("noise", spec.dim), ("state", sysd.dim)):
-        if num.n_paths * n * dim > sys.maxsize:
-            raise ConfigError(
-                f"numerics.h = {h} gives {float(n):.3g} steps; n_paths x steps x {what} "
-                "dimension exceeds the largest array numpy can allocate"
-            )
 
     if num.truncation is not None:
         t_c = _finite(num.truncation, "numerics.truncation")

@@ -141,8 +141,8 @@ class DichotomousSystem:
     The constructor trusts its input: it is for a system whose constants
     ``diagonal_constants`` certified exactly, which implies everything
     :meth:`create` checks.  Use :meth:`create` for any other system; it
-    validates the projection algebra in floating point and optionally
-    spot-checks the declared decay bounds.
+    validates the projection algebra in floating point and spot-checks
+    the declared decay bounds.
 
     ``a`` and ``p`` are arrays or rows of numbers; their float arrays,
     ``j = I - P``, the orthonormal bases of range(P) and range(I - P) and
@@ -200,7 +200,6 @@ class DichotomousSystem:
         p: np.ndarray,
         k: float,
         omega: float,
-        check: bool = True,
     ) -> "DichotomousSystem":
         a = np.asarray(a, dtype=float)
         p = np.asarray(p, dtype=float)
@@ -211,7 +210,12 @@ class DichotomousSystem:
             raise DichotomyError("projection shape must match the generator")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(p))):
             raise DichotomyError("generator and projection must be finite")
-        scale = max(1.0, float(np.abs(a).max()), float(np.abs(p).max()) ** 2)
+        p_max = float(np.abs(p).max())
+        scale = max(1.0, float(np.abs(a).max()), p_max * p_max)
+        if not np.isfinite(scale):
+            raise DichotomyError(
+                f"projection P has an entry {p_max:g} whose square overflows a float"
+            )
         if np.abs(p @ p - p).max() > 1e-10 * scale:
             raise DichotomyError("projection is not idempotent within 1e-10")
         if np.abs(a @ p - p @ a).max() > 1e-10 * scale:
@@ -223,12 +227,11 @@ class DichotomousSystem:
         sys = cls(a, p, k, omega)
         if sys.rank_stable + sys.rank_unstable != d:
             raise DichotomyError("ranges of P and I - P do not span the space")
-        if check:
-            worst = spot_check_dichotomy(sys)
-            if worst > 1.0 + 1e-9:
-                raise DichotomyError(
-                    f"declared bounds K={k}, omega={omega} violated by factor {worst:.6g}"
-                )
+        worst = spot_check_dichotomy(sys)
+        if worst > 1.0 + 1e-9:
+            raise DichotomyError(
+                f"declared bounds K={k}, omega={omega} violated by factor {worst:.6g}"
+            )
         return sys
 
     @property

@@ -22,6 +22,13 @@ worker thread (``_KeyedStream``), so the draws are those of ``stream``
 for any number of workers.  ``sample_noise`` accepts a ``path_offset``
 so chunked pipelines produce the same paths as a single monolithic call.
 
+The spec is plain records: ``LevyProcessSpec`` holds the dimension, the
+covariance Q as given (rows of numbers or an array, or None) and the
+``JumpComponent`` tuple, and each mark law is one record (``PointMark``,
+``UniformIntervalMark``, ``UniformAnnulusMark``) with the same six
+methods.  Their checks and moments are pure Python, so checking a spec
+whose covariance is diagonal runs no numpy code.
+
 A sample is columnar: one ``NoiseSample`` holds the Wiener increments of
 all paths in one array and the jump events of all paths as flat columns,
 which is the form the solver reads.
@@ -32,9 +39,8 @@ from __future__ import annotations
 import math
 import threading
 from collections import namedtuple
-from functools import cached_property
 from numbers import Integral, Real
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import LevyapError, _lazy_import
 
@@ -42,11 +48,9 @@ np = _lazy_import("numpy")
 
 __all__ = [
     "NoiseSpecError",
-    "MarkSampler",
-    "point_mark",
-    "uniform_interval_mark",
-    "uniform_annulus_mark",
-    "WienerSpec",
+    "PointMark",
+    "UniformIntervalMark",
+    "UniformAnnulusMark",
     "JumpComponent",
     "LevyProcessSpec",
     "NoiseSample",
@@ -177,114 +181,105 @@ class _KeyedStream:
 # ---------------------------------------------------------------------------
 
 
-class MarkSampler(namedtuple("MarkSampler", "kind params")):
-    """Mark distribution of one jump component.
+class PointMark(namedtuple("PointMark", "x")):
+    """The mark law concentrated at the point ``x``, a tuple of floats.
 
-    ``kind`` selects the family; ``params`` (a dict) holds the family
-    parameters.  Every family knows how to draw marks, report its exact
-    mean and second moment (which make expectations of the mark-affine
-    coefficient maps exact) and bound the mark norm (used to check the
-    small/large region split).
+    Each mark law is a record with the same six methods: its dimension,
+    ``draw``, its exact mean and second moment as Python floats (which
+    make expectations of the mark-affine coefficient maps exact), and the
+    bounds of the mark norm (which check the small/large region split).
     """
 
     __slots__ = ()
 
     def dim(self) -> int:
-        if self.kind == "point":
-            return len(self.params["x"])
-        if self.kind == "uniform_interval":
-            return 1
-        if self.kind == "uniform_annulus":
-            return int(self.params["dim"])
-        raise NoiseSpecError(f"unknown mark sampler kind {self.kind!r}")
+        return len(self.x)
 
     def draw(self, gen: np.random.Generator, n: int) -> np.ndarray:
-        if self.kind == "point":
-            return np.tile(np.asarray(self.params["x"], dtype=float), (n, 1))
-        if self.kind == "uniform_interval":
-            a, b = self.params["a"], self.params["b"]
-            return gen.uniform(a, b, size=(n, 1))
-        if self.kind == "uniform_annulus":
-            r0, r1 = self.params["r0"], self.params["r1"]
-            d = int(self.params["dim"])
-            radii = gen.uniform(r0, r1, size=n)
-            if d == 1:
-                signs = gen.integers(0, 2, size=n) * 2 - 1
-                return (radii * signs)[:, None]
-            z = gen.standard_normal(size=(n, d))
-            z /= np.linalg.norm(z, axis=1, keepdims=True)
-            return z * radii[:, None]
-        raise NoiseSpecError(f"unknown mark sampler kind {self.kind!r}")
+        return np.tile(np.asarray(self.x, dtype=float), (n, 1))
 
-    def mean(self) -> np.ndarray:
-        if self.kind == "point":
-            return np.asarray(self.params["x"], dtype=float)
-        if self.kind == "uniform_interval":
-            return np.array([(self.params["a"] + self.params["b"]) / 2.0])
-        if self.kind == "uniform_annulus":
-            return np.zeros(int(self.params["dim"]))
-        raise NoiseSpecError(f"unknown mark sampler kind {self.kind!r}")
+    def mean(self) -> tuple[float, ...]:
+        return tuple(map(float, self.x))
 
     def norm_bounds(self) -> tuple[float, float]:
         """Return (min, max) of the mark norm over the support."""
-        if self.kind == "point":
-            r = math.hypot(*self.params["x"])
-            return r, r
-        if self.kind == "uniform_interval":
-            a, b = self.params["a"], self.params["b"]
-            lo = 0.0 if a <= 0.0 <= b else min(abs(a), abs(b))
-            return lo, max(abs(a), abs(b))
-        if self.kind == "uniform_annulus":
-            return float(self.params["r0"]), float(self.params["r1"])
-        raise NoiseSpecError(f"unknown mark sampler kind {self.kind!r}")
+        r = math.hypot(*self.x)
+        return r, r
 
     def second_moment(self) -> tuple[tuple[float, ...], ...]:
         """Return E[X X^T] in closed form, as rows of floats."""
-        if self.kind == "point":
-            x = self.params["x"]
-            return tuple(tuple(a * b for b in x) for a in x)
-        if self.kind == "uniform_interval":
-            a, b = self.params["a"], self.params["b"]
-            return (((a * a + a * b + b * b) / 3.0,),)
-        if self.kind == "uniform_annulus":
-            r0, r1 = self.params["r0"], self.params["r1"]
-            d = int(self.params["dim"])
-            # |X| is uniform on [r0, r1] and its direction isotropic
-            diag = (r0 * r0 + r0 * r1 + r1 * r1) / (3.0 * d)
-            return tuple(tuple(diag if i == j else 0.0 for j in range(d)) for i in range(d))
-        raise NoiseSpecError(f"unknown mark sampler kind {self.kind!r}")
+        return tuple(tuple(a * b for b in self.x) for a in self.x)
 
     def validate(self) -> None:
-        if self.kind == "point":
-            x = self.params["x"]
-            vector = isinstance(x, (list, tuple)) and all(isinstance(v, Real) for v in x)
-            if not (vector and all(map(math.isfinite, x))):
-                raise NoiseSpecError("point mark must be a finite vector")
-        elif self.kind == "uniform_interval":
-            a, b = self.params["a"], self.params["b"]
-            if not (math.isfinite(a) and math.isfinite(b) and a < b):
-                raise NoiseSpecError("uniform_interval mark needs a < b, finite")
-        elif self.kind == "uniform_annulus":
-            r0, r1 = self.params["r0"], self.params["r1"]
-            d = int(self.params["dim"])
-            if not (0.0 < r0 <= r1 and math.isfinite(r1)):
-                raise NoiseSpecError("uniform_annulus mark needs 0 < r0 <= r1")
-            if d < 1:
-                raise NoiseSpecError("uniform_annulus mark needs dim >= 1")
-        else:
-            raise NoiseSpecError(f"unknown mark sampler kind {self.kind!r}")
+        vector = isinstance(self.x, (list, tuple)) and all(isinstance(v, Real) for v in self.x)
+        if not (vector and all(map(math.isfinite, self.x))):
+            raise NoiseSpecError("point mark must be a finite vector")
 
 
-def point_mark(x: Sequence[float]) -> MarkSampler:
-    return MarkSampler("point", {"x": tuple(float(v) for v in x)})
+class UniformIntervalMark(namedtuple("UniformIntervalMark", "a b")):
+    """The uniform mark law on the interval [a, b] of the line."""
+
+    __slots__ = ()
+
+    def dim(self) -> int:
+        return 1
+
+    def draw(self, gen: np.random.Generator, n: int) -> np.ndarray:
+        return gen.uniform(self.a, self.b, size=(n, 1))
+
+    def mean(self) -> tuple[float]:
+        return ((self.a + self.b) / 2.0,)
+
+    def norm_bounds(self) -> tuple[float, float]:
+        a, b = self
+        lo = 0.0 if a <= 0.0 <= b else min(abs(a), abs(b))
+        return lo, max(abs(a), abs(b))
+
+    def second_moment(self) -> tuple[tuple[float]]:
+        a, b = self
+        return (((a * a + a * b + b * b) / 3.0,),)
+
+    def validate(self) -> None:
+        a, b = self
+        if not (math.isfinite(a) and math.isfinite(b) and a < b):
+            raise NoiseSpecError("uniform_interval mark needs a < b, finite")
 
 
-def uniform_interval_mark(a: float, b: float) -> MarkSampler:
-    return MarkSampler("uniform_interval", {"a": float(a), "b": float(b)})
+class UniformAnnulusMark(namedtuple("UniformAnnulusMark", "r0 r1 d")):
+    """The mark law in R^d whose norm is uniform on [r0, r1] and whose
+    direction is uniform on the sphere (a random sign when d = 1)."""
 
+    __slots__ = ()
 
-def uniform_annulus_mark(r0: float, r1: float, dim: int = 1) -> MarkSampler:
-    return MarkSampler("uniform_annulus", {"r0": float(r0), "r1": float(r1), "dim": int(dim)})
+    def dim(self) -> int:
+        return self.d
+
+    def draw(self, gen: np.random.Generator, n: int) -> np.ndarray:
+        radii = gen.uniform(self.r0, self.r1, size=n)
+        if self.d == 1:
+            signs = gen.integers(0, 2, size=n) * 2 - 1
+            return (radii * signs)[:, None]
+        z = gen.standard_normal(size=(n, self.d))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        return z * radii[:, None]
+
+    def mean(self) -> tuple[float, ...]:
+        return (0.0,) * self.d
+
+    def norm_bounds(self) -> tuple[float, float]:
+        return self.r0, self.r1
+
+    def second_moment(self) -> tuple[tuple[float, ...], ...]:
+        r0, r1, d = self
+        # |X| is uniform on [r0, r1] and its direction isotropic
+        diag = (r0 * r0 + r0 * r1 + r1 * r1) / (3.0 * d)
+        return tuple(tuple(diag if i == j else 0.0 for j in range(d)) for i in range(d))
+
+    def validate(self) -> None:
+        if not (0.0 < self.r0 <= self.r1 and math.isfinite(self.r1)):
+            raise NoiseSpecError("uniform_annulus mark needs 0 < r0 <= r1")
+        if self.d < 1:
+            raise NoiseSpecError("uniform_annulus mark needs dim >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -292,43 +287,30 @@ def uniform_annulus_mark(r0: float, r1: float, dim: int = 1) -> MarkSampler:
 # ---------------------------------------------------------------------------
 
 
-class WienerSpec:
-    """Wiener part: dimension and covariance matrix Q (per unit time).
-
-    Q is given (``rows``) as an array or as rows of numbers;
-    ``covariance``, its float array, is built on first use and kept.
-    """
-
-    def __init__(self, dim: int, covariance):
-        self.dim = dim
-        self.rows = covariance
-
-    @cached_property
-    def covariance(self) -> np.ndarray:
-        return np.asarray(self.rows, dtype=float)
-
-
 JumpComponent = namedtuple("JumpComponent", "rate region marks")
 JumpComponent.__doc__ = """One finite-activity jump stream: its rate, its region and its
-``MarkSampler``.
+mark law (a ``PointMark``, ``UniformIntervalMark`` or
+``UniformAnnulusMark``).
 
 ``region`` declares where the marks live relative to the unit ball:
 ``"small"`` streams are compensated (martingale part), ``"large"``
 streams are not.
 """
 
-LevyProcessSpec = namedtuple("LevyProcessSpec", "dim wiener jumps", defaults=(None, ()))
+LevyProcessSpec = namedtuple("LevyProcessSpec", "dim covariance jumps", defaults=(None, ()))
 LevyProcessSpec.__doc__ = """Full two-sided Levy noise specification: the dimension, the
-``WienerSpec`` (None for no Wiener part) and a tuple of
-``JumpComponent``."""
+Wiener covariance Q per unit time (rows of numbers or an array; None for
+no Wiener part) and a tuple of ``JumpComponent``."""
 
 
 def validate_spec(spec: LevyProcessSpec) -> None:
     """Check a noise spec for internal consistency.
 
     Raises NoiseSpecError on: non-symmetric or indefinite Wiener
-    covariance, dimension mismatches, nonpositive or infinite rates, and
-    mark supports that contradict the declared small/large region.
+    covariance, a covariance whose symmetrisation (Q + Q^T)/2, which the
+    sampler factors, overflows, dimension mismatches, nonpositive or
+    infinite rates, and mark supports that contradict the declared
+    small/large region.
 
     A covariance given as rows of numbers with only zeros off the
     diagonal is symmetric, and its diagonal holds its eigenvalues, so it
@@ -338,23 +320,27 @@ def validate_spec(spec: LevyProcessSpec) -> None:
     """
     if spec.dim < 1:
         raise NoiseSpecError("noise dimension must be >= 1")
-    if spec.wiener is not None:
-        if spec.wiener.dim != spec.dim:
-            raise NoiseSpecError("wiener dimension must match the noise dimension")
-        eigs = _diagonal(spec.wiener.rows)
+    if spec.covariance is not None:
+        eigs = _diagonal(spec.covariance)
         if eigs is None:
-            q = spec.wiener.covariance
+            q = np.asarray(spec.covariance, dtype=float)
             if q.shape != (spec.dim, spec.dim):
                 raise NoiseSpecError("wiener covariance must be dim x dim")
             if not np.all(np.isfinite(q)):
                 raise NoiseSpecError("wiener covariance must be finite")
             if not np.allclose(q, q.T, atol=1e-12 * max(1.0, float(np.abs(q).max()))):
                 raise NoiseSpecError("wiener covariance must be symmetric")
-            eigs = np.linalg.eigvalsh((q + q.T) / 2.0)
+            with np.errstate(over="ignore"):
+                q = (q + q.T) / 2.0
+            if not np.all(np.isfinite(q)):
+                raise NoiseSpecError("wiener covariance overflows when symmetrised")
+            eigs = np.linalg.eigvalsh(q)
         elif len(eigs) != spec.dim:
             raise NoiseSpecError("wiener covariance must be dim x dim")
         elif not all(map(math.isfinite, eigs)):
             raise NoiseSpecError("wiener covariance must be finite")
+        elif not all(math.isfinite(v + v) for v in eigs):
+            raise NoiseSpecError("wiener covariance overflows when symmetrised")
         if min(eigs) < -1e-12 * max(1.0, max(eigs)):
             raise NoiseSpecError("wiener covariance must be positive semidefinite")
     for i, comp in enumerate(spec.jumps):
@@ -500,8 +486,9 @@ def sample_noise(
     n_neg, n_pos = -k_lo, k_lo + n
 
     chol = None
-    if spec.wiener is not None:
-        q = (spec.wiener.covariance + spec.wiener.covariance.T) / 2.0
+    if spec.covariance is not None:
+        q = np.asarray(spec.covariance, dtype=float)
+        q = (q + q.T) / 2.0
         eigs, vecs = np.linalg.eigh(q)
         eigs = np.clip(eigs, 0.0, None)
         chol = vecs * np.sqrt(eigs)  # q = chol @ chol.T

@@ -39,9 +39,8 @@ from levyap.dichotomy import DichotomousSystem
 from levyap.noise import (
     JumpComponent,
     LevyProcessSpec,
-    WienerSpec,
+    UniformIntervalMark,
     sample_noise,
-    uniform_interval_mark,
 )
 from levyap.solver import picard_solve
 
@@ -182,7 +181,7 @@ def test_dichotomy_constants_recovered_on_coarse_grid():
 def test_constant_drift_fixed_point_within_reported_tail():
     c1, c2 = 0.7, -1.3
     sysd = benchmark_system()
-    spec = LevyProcessSpec(dim=1, wiener=WienerSpec(1, np.eye(1)))
+    spec = LevyProcessSpec(dim=1, covariance=np.eye(1))
     noise = sample_noise(spec, *window_steps(-2.0, 4.0, 1.0 / 64), 1.0 / 64, 3, seed=4)
     t_c = 1.5
     res = picard_solve(
@@ -385,7 +384,7 @@ def test_l2_increments_grow_at_most_linearly(benchmark_pair):
 @pytest.mark.acceptance("10 noise statistics and bitwise determinism")
 def test_noise_statistics_and_thread_determinism():
     # Ito isometry for a deterministic integrand at 1e4 paths
-    spec = LevyProcessSpec(dim=1, wiener=WienerSpec(1, np.eye(1)))
+    spec = LevyProcessSpec(dim=1, covariance=np.eye(1))
     h = 1.0 / 32
     noise = sample_noise(spec, *window_steps(0.0, 4.0, h), h, 10_000, seed=77)
     grid = noise.grid
@@ -400,7 +399,7 @@ def test_noise_statistics_and_thread_determinism():
         dim=1,
         jumps=(
             JumpComponent(
-                rate=2.0, region="small", marks=uniform_interval_mark(0.1, 0.9)
+                rate=2.0, region="small", marks=UniformIntervalMark(0.1, 0.9)
             ),
         ),
     )

@@ -396,12 +396,13 @@ def test_line_open_gap_or_round_cap_raises(monkeypatch):
         bl_distance(mu, nu)
 
 
-def test_support_cap_enforced():
+def test_support_cap_enforced(monkeypatch):
     gen = np.random.default_rng(30)
     mu = EmpiricalLaw.from_samples(gen.normal(size=(40, 1)))
     nu = EmpiricalLaw.from_samples(gen.normal(size=(40, 1)))
-    with pytest.raises(EmpiricalLawError, match="cap"):
-        bl_distance(mu, nu, support_cap=50)
+    monkeypatch.setattr(levyap.apdist, "SUPPORT_CAP", 50)
+    with pytest.raises(EmpiricalLawError, match="cap 50"):
+        bl_distance(mu, nu)
 
 
 def test_dimension_mismatch_rejected():

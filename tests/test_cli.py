@@ -756,6 +756,71 @@ class TestCliExitCodes:
         assert proc.stderr.startswith("error: ") and message in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "preset, entries, message",
+        [
+            ("ou_forced", {("system", "p", 0, 0): -1e308}, "projection P"),
+            (
+                "galerkin_heat",
+                {("levy", "covariance", 0, 0): -1e308, ("levy", "covariance", 0, 1): 0.5},
+                "wiener covariance",
+            ),
+            (
+                "galerkin_heat",
+                {
+                    ("levy", "covariance", 0, 0): -1e308,
+                    ("levy", "covariance", 1, 1): -1e308,
+                    ("levy", "covariance", 0, 1): 2,
+                },
+                "wiener covariance",
+            ),
+        ],
+        ids=["projection-square", "covariance-indefinite", "covariance-eigvalsh"],
+    )
+    def test_overflowing_matrix_entry_exits_2(self, tmp_path, preset, entries, message):
+        """Entries near the largest double whose square or symmetrised sum
+        overflows: ``P @ P`` against ``|P|^2`` raised OverflowError; a
+        covariance whose (Q + Q^T)/2 overflows passed as semidefinite
+        (eigvalsh gave NaN) or raised LinAlgError.  Each is one error line
+        with exit code 2."""
+        d = config_to_dict(preset_config(preset))
+        for (section, key, i, j), value in entries.items():
+            d[section][key][i][j] = value
+        proc = check_process(tmp_path, d)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and message in proc.stderr
+        assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "section, key", [("system", "galerkin"), ("coefficients", "params")]
+    )
+    def test_huge_mode_count_rejected_before_any_list_is_built(
+        self, tmp_path, capsys, monkeypatch, section, key
+    ):
+        """A mode count of 2^63 would make the galerkin builders loop over
+        range(n_modes) without bound; it is rejected from the declared
+        integers, and no builder ever sees it."""
+
+        def guarded(fn):
+            def call(*args, **kwargs):
+                assert kwargs.get("n_modes", args[0] if args else None) != 2**63
+                return fn(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(
+            levyap.config, "galerkin_system", guarded(levyap.config.galerkin_system)
+        )
+        fn, allowed = levyap.config._COEFF_PRESETS["galerkin_heat"]
+        monkeypatch.setitem(levyap.config._COEFF_PRESETS, "galerkin_heat", (guarded(fn), allowed))
+        d = tiny_galerkin_dict()
+        d[section][key]["n_modes"] = 2**63
+        cfg = write_cfg(tmp_path, d)
+        assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{section}.{key}.n_modes" in err
+
     def test_sine_of_a_huge_literal_is_certified(self, tmp_path):
         """sin(1e25) is bounded, and its certificate takes as little work
         as sin(1); past 2^53 a search over the critical points in steps
@@ -1379,7 +1444,7 @@ class TestCliArtifacts:
         spec = importlib.util.spec_from_file_location("compare_artifacts", script)
         compare = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(compare)
-        assert len(compare.runs()) == 3 * 3 * 2 * 2 + 2
+        assert len(compare.runs()) == 3 * 3 * 2 * 2 + 2 + 2
 
         src = Path(levyap.__file__).parents[1]
         changed = tmp_path / "changed"

@@ -44,10 +44,9 @@ from levyap.config import build_coefficients, build_spec, preset_config, preset_
 from levyap.noise import (
     JumpComponent,
     LevyProcessSpec,
-    WienerSpec,
-    point_mark,
-    uniform_annulus_mark,
-    uniform_interval_mark,
+    PointMark,
+    UniformAnnulusMark,
+    UniformIntervalMark,
 )
 
 FREQS = (math.sqrt(2.0), math.sqrt(3.0), math.sqrt(5.0))
@@ -56,10 +55,10 @@ FREQS = (math.sqrt(2.0), math.sqrt(3.0), math.sqrt(5.0))
 def benchmark_noise():
     return LevyProcessSpec(
         dim=1,
-        wiener=WienerSpec(1, np.eye(1)),
+        covariance=np.eye(1),
         jumps=(
-            JumpComponent(1.0, "small", uniform_annulus_mark(0.2, 0.8, 1)),
-            JumpComponent(1.0, "large", point_mark([1.5])),
+            JumpComponent(1.0, "small", UniformAnnulusMark(0.2, 0.8, 1)),
+            JumpComponent(1.0, "large", PointMark((1.5,))),
         ),
     )
 
@@ -279,7 +278,7 @@ def test_compensator_mark_linear_matches_quadrature():
     )
     spec = LevyProcessSpec(
         dim=1,
-        jumps=(JumpComponent(2.0, "small", uniform_interval_mark(0.2, 0.8)),),
+        jumps=(JumpComponent(2.0, "small", UniformIntervalMark(0.2, 0.8)),),
     )
     y = np.array([[3.0]])
     comp = point_values(compensator_terms(cs, spec, np.array([0.0])), y)
@@ -392,8 +391,8 @@ def test_verify_lipschitz_on_mark_weighted_annulus_jumps(dim):
     spec = LevyProcessSpec(
         dim=dim,
         jumps=(
-            JumpComponent(2.0, "small", uniform_annulus_mark(0.5, 0.9, dim=dim)),
-            JumpComponent(0.5, "large", point_mark(p)),
+            JumpComponent(2.0, "small", UniformAnnulusMark(0.5, 0.9, dim)),
+            JumpComponent(0.5, "large", PointMark(tuple(p))),
         ),
     )
     rep = verify_lipschitz(cs, spec, n_samples=200)

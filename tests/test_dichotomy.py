@@ -384,7 +384,7 @@ def test_estimate_envelope_dominates_samples():
 
 
 def test_estimate_detects_missing_dichotomy():
-    sys = DichotomousSystem.create(np.diag([0.0, -1.0]), np.eye(2), 1.1, 0.1, check=False)
+    sys = DichotomousSystem(np.diag([0.0, -1.0]), np.eye(2), 1.1, 0.1)
     with pytest.raises(NoDichotomyError, match="no dichotomy"):
         estimate_constants(sys, np.linspace(0.0, 5.0, 20))
 
@@ -409,8 +409,8 @@ def certified_system(a, p):
     """The float system of exact diagonal (a, p) under its certified
     constants, without the spot check, so the tests can run it."""
     k, omega = diagonal_constants(a, p)
-    return DichotomousSystem.create(
-        np.array(a, dtype=float), np.array(p, dtype=float), float(k), float(omega), check=False
+    return DichotomousSystem(
+        np.array(a, dtype=float), np.array(p, dtype=float), float(k), float(omega)
     )
 
 

@@ -16,6 +16,7 @@ All randomized checks run on fixed seeds.
 import hashlib
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,20 +25,20 @@ from hypothesis import strategies as st
 
 from _grid import steps, window_steps
 from _noise_oracles import NoiseShiftError, shifted
-from levyap.config import grid_steps
+import levyap.noise as noise_module
+from levyap.config import JumpConfig, LevyConfig, MarkConfig, build_spec, grid_steps
 from levyap.noise import (
     JumpComponent,
     LevyProcessSpec,
     NoiseSpecError,
-    WienerSpec,
+    PointMark,
+    UniformAnnulusMark,
+    UniformIntervalMark,
     _KeyedStream,
     _mix,
     _stream_keys,
-    point_mark,
     sample_noise,
     stream,
-    uniform_annulus_mark,
-    uniform_interval_mark,
     validate_spec,
 )
 
@@ -46,15 +47,15 @@ def make_spec(dim=1, with_jumps=True):
     jumps = ()
     if with_jumps:
         jumps = (
-            JumpComponent(2.0, "small", uniform_interval_mark(0.2, 0.8)),
-            JumpComponent(0.5, "large", point_mark([1.5] + [0.0] * (dim - 1))),
+            JumpComponent(2.0, "small", UniformIntervalMark(0.2, 0.8)),
+            JumpComponent(0.5, "large", PointMark((1.5,) + (0.0,) * (dim - 1))),
         )
         if dim > 1:
             jumps = (
-                JumpComponent(2.0, "small", uniform_annulus_mark(0.2, 0.8, dim=dim)),
-                JumpComponent(0.5, "large", point_mark([1.5] + [0.0] * (dim - 1))),
+                JumpComponent(2.0, "small", UniformAnnulusMark(0.2, 0.8, dim)),
+                JumpComponent(0.5, "large", PointMark((1.5,) + (0.0,) * (dim - 1))),
             )
-    return LevyProcessSpec(dim=dim, wiener=WienerSpec(dim, np.eye(dim)), jumps=jumps)
+    return LevyProcessSpec(dim=dim, covariance=np.eye(dim), jumps=jumps)
 
 
 _COLUMNS = ("dW", "event_path", "event_step", "event_region", "event_marks", "event_times")
@@ -79,13 +80,13 @@ def path_events(sample, p: int) -> dict:
 
 
 def test_validate_rejects_asymmetric_covariance():
-    spec = LevyProcessSpec(dim=2, wiener=WienerSpec(2, np.array([[1.0, 0.5], [0.0, 1.0]])))
+    spec = LevyProcessSpec(dim=2, covariance=np.array([[1.0, 0.5], [0.0, 1.0]]))
     with pytest.raises(NoiseSpecError, match="symmetric"):
         validate_spec(spec)
 
 
 def test_validate_rejects_indefinite_covariance():
-    spec = LevyProcessSpec(dim=2, wiener=WienerSpec(2, np.array([[1.0, 0.0], [0.0, -0.5]])))
+    spec = LevyProcessSpec(dim=2, covariance=np.array([[1.0, 0.0], [0.0, -0.5]]))
     with pytest.raises(NoiseSpecError, match="semidefinite"):
         validate_spec(spec)
 
@@ -93,36 +94,36 @@ def test_validate_rejects_indefinite_covariance():
 @pytest.mark.parametrize(
     "diagonal",
     [(1, 0.5), (1, -0.5), (0.0, -1e-13), (1, -2e-12), (2e12, -1.9), (2e12, -2.1),
-     (float("nan"), 1.0), (float("inf"), 1.0), (1.0,), (1.0, 2.0, 3.0)],
+     (float("nan"), 1.0), (float("inf"), 1.0), (1.0,), (1.0, 2.0, 3.0), (1.7e308, 1.0)],
 )
-def test_diagonal_covariance_rows_checked_like_arrays(diagonal):
+def test_diagonal_covariance_rows_checked_like_arrays(diagonal, monkeypatch):
     """A diagonal covariance given as rows is checked on its diagonal, its
-    eigenvalues, and builds no array: it passes, or fails with the same
+    eigenvalues, and runs no numpy code: it passes, or fails with the same
     message, exactly where the same matrix as an array does under the
     symmetric test and ``eigvalsh``."""
     n = len(diagonal)
     rows = tuple(tuple(v if i == j else 0 for j in range(n)) for i, v in enumerate(diagonal))
 
     def outcome(q):
-        wiener = WienerSpec(2, q)
         try:
-            validate_spec(LevyProcessSpec(dim=2, wiener=wiener))
+            validate_spec(LevyProcessSpec(dim=2, covariance=q))
         except NoiseSpecError as exc:
-            return str(exc), wiener
-        return None, wiener
+            return str(exc)
+        return None
 
-    message, wiener = outcome(rows)
-    assert "covariance" not in vars(wiener)
-    assert message == outcome(np.array(rows, dtype=float))[0]
+    with monkeypatch.context() as patch:
+        patch.setattr(noise_module, "np", None)
+        message = outcome(rows)
+    assert message == outcome(np.array(rows, dtype=float))
 
 
 def test_validate_rejects_region_mismatch():
     spec = LevyProcessSpec(
-        dim=1, jumps=(JumpComponent(1.0, "small", uniform_interval_mark(0.5, 1.5)),)
+        dim=1, jumps=(JumpComponent(1.0, "small", UniformIntervalMark(0.5, 1.5)),)
     )
     with pytest.raises(NoiseSpecError, match="small"):
         validate_spec(spec)
-    spec = LevyProcessSpec(dim=1, jumps=(JumpComponent(1.0, "large", point_mark([0.5])),))
+    spec = LevyProcessSpec(dim=1, jumps=(JumpComponent(1.0, "large", PointMark((0.5,))),))
     with pytest.raises(NoiseSpecError, match="large"):
         validate_spec(spec)
 
@@ -130,11 +131,11 @@ def test_validate_rejects_region_mismatch():
 def test_validate_rejects_bad_rate_and_dim():
     with pytest.raises(NoiseSpecError, match="rate"):
         validate_spec(
-            LevyProcessSpec(dim=1, jumps=(JumpComponent(0.0, "small", point_mark([0.1])),))
+            LevyProcessSpec(dim=1, jumps=(JumpComponent(0.0, "small", PointMark((0.1,))),))
         )
     with pytest.raises(NoiseSpecError, match="dimension"):
         validate_spec(
-            LevyProcessSpec(dim=2, jumps=(JumpComponent(1.0, "small", point_mark([0.1])),))
+            LevyProcessSpec(dim=2, jumps=(JumpComponent(1.0, "small", PointMark((0.1,))),))
         )
 
 
@@ -197,10 +198,10 @@ def test_stream_layout_is_pinned():
     to the counter-based stream layout changes it."""
     spec = LevyProcessSpec(
         dim=2,
-        wiener=WienerSpec(2, np.array([[1.0, 0.3], [0.3, 0.5]])),
+        covariance=np.array([[1.0, 0.3], [0.3, 0.5]]),
         jumps=(
-            JumpComponent(4.0, "small", uniform_annulus_mark(0.1, 0.6, dim=2)),
-            JumpComponent(1.5, "large", point_mark([1.2, -0.9])),
+            JumpComponent(4.0, "small", UniformAnnulusMark(0.1, 0.6, 2)),
+            JumpComponent(1.5, "large", PointMark((1.2, -0.9))),
         ),
     )
     sample = sample_noise(
@@ -314,8 +315,9 @@ def reference_sample(spec, window, h, n_paths, seed, path_offset=0):
     arrays ``sample_noise`` must reproduce bit for bit."""
     n_neg, n_pos = round(-window[0] / h), round(window[1] / h)
     chol = None
-    if spec.wiener is not None:
-        eigs, vecs = np.linalg.eigh((spec.wiener.covariance + spec.wiener.covariance.T) / 2)
+    if spec.covariance is not None:
+        q = np.asarray(spec.covariance, dtype=float)
+        eigs, vecs = np.linalg.eigh((q + q.T) / 2)
         chol = vecs * np.sqrt(np.clip(eigs, 0.0, None))
     dW = np.zeros((n_paths, n_neg + n_pos, spec.dim))
     events = []  # (path, time, component, mark)
@@ -352,10 +354,10 @@ def correlated_3d_spec():
     q = np.array([[1.0, 0.3, -0.2], [0.3, 0.5, 0.1], [-0.2, 0.1, 0.8]])
     return LevyProcessSpec(
         dim=3,
-        wiener=WienerSpec(3, q),
+        covariance=q,
         jumps=(
-            JumpComponent(4.0, "small", uniform_annulus_mark(0.1, 0.6, dim=3)),
-            JumpComponent(1.5, "large", point_mark([1.2, -0.9, 0.3])),
+            JumpComponent(4.0, "small", UniformAnnulusMark(0.1, 0.6, 3)),
+            JumpComponent(1.5, "large", PointMark((1.2, -0.9, 0.3))),
         ),
     )
 
@@ -363,10 +365,10 @@ def correlated_3d_spec():
 def annulus_1d_spec():
     return LevyProcessSpec(
         dim=1,
-        wiener=WienerSpec(1, np.array([[0.7]])),
+        covariance=np.array([[0.7]]),
         jumps=(
-            JumpComponent(5.0, "small", uniform_annulus_mark(0.1, 0.6, dim=1)),
-            JumpComponent(2.0, "large", uniform_annulus_mark(1.0, 1.5, dim=1)),
+            JumpComponent(5.0, "small", UniformAnnulusMark(0.1, 0.6, 1)),
+            JumpComponent(2.0, "large", UniformAnnulusMark(1.0, 1.5, 1)),
         ),
     )
 
@@ -429,10 +431,10 @@ def test_sampler_temporaries_are_bounded(threads):
     several times that."""
     spec = LevyProcessSpec(
         dim=1,
-        wiener=WienerSpec(1, np.eye(1)),
+        covariance=np.eye(1),
         jumps=(
-            JumpComponent(1.5, "small", uniform_interval_mark(-0.9, 0.9)),
-            JumpComponent(1.0, "large", uniform_interval_mark(1.0, 1.5)),
+            JumpComponent(1.5, "small", UniformIntervalMark(-0.9, 0.9)),
+            JumpComponent(1.0, "large", UniformIntervalMark(1.0, 1.5)),
         ),
     )
     tracemalloc.start()
@@ -509,7 +511,7 @@ def test_shift_rejects_off_grid_and_escaping_window():
 def test_shifted_brownian_increments_same_law():
     # KS two-sample test between fresh increments and shifted-view
     # increments of an independent path, 1% level
-    spec = LevyProcessSpec(dim=1, wiener=WienerSpec(1, np.eye(1)))
+    spec = LevyProcessSpec(dim=1, covariance=np.eye(1))
     h = 1e-3
     a = sample_noise(spec, *window_steps(-1.0, 9.0, h), h, 1, seed=21)
     b = sample_noise(spec, *window_steps(-5.0, 5.0, h), h, 1, seed=22)
@@ -531,7 +533,7 @@ def test_shifted_brownian_increments_same_law():
 
 def test_wiener_increment_covariance():
     q = np.array([[1.0, 0.3], [0.3, 0.5]])
-    spec = LevyProcessSpec(dim=2, wiener=WienerSpec(2, q))
+    spec = LevyProcessSpec(dim=2, covariance=q)
     h = 0.01
     rs = sample_noise(spec, *window_steps(-1.0, 1.0, h), h, 50, seed=99)
     incs = rs.dW.reshape(-1, 2)
@@ -540,7 +542,7 @@ def test_wiener_increment_covariance():
 
 
 def test_two_sided_halves_independent():
-    spec = LevyProcessSpec(dim=1, wiener=WienerSpec(1, np.eye(1)))
+    spec = LevyProcessSpec(dim=1, covariance=np.eye(1))
     rs = sample_noise(spec, *window_steps(-1.0, 1.0, 0.01), 0.01, 4000, seed=17)
     neg = rs.dW[:, :100, 0].sum(axis=1)
     pos = rs.dW[:, 100:, 0].sum(axis=1)
@@ -550,7 +552,7 @@ def test_two_sided_halves_independent():
 
 def test_poisson_counts_both_halves():
     spec = LevyProcessSpec(
-        dim=1, jumps=(JumpComponent(3.0, "small", uniform_interval_mark(0.1, 0.6)),)
+        dim=1, jumps=(JumpComponent(3.0, "small", UniformIntervalMark(0.1, 0.6)),)
     )
     rs = sample_noise(spec, *window_steps(-2.0, 4.0, 0.01), 0.01, 2000, seed=31)
     neg = rs.event_times < 0
@@ -564,7 +566,7 @@ def test_poisson_counts_both_halves():
 
 def test_jump_times_uniform_given_count():
     spec = LevyProcessSpec(
-        dim=1, jumps=(JumpComponent(5.0, "small", point_mark([0.3])),)
+        dim=1, jumps=(JumpComponent(5.0, "small", PointMark((0.3,))),)
     )
     rs = sample_noise(spec, *window_steps(0.0, 2.0, 0.01), 0.01, 500, seed=41)
     times = rs.event_times
@@ -575,23 +577,42 @@ def test_jump_times_uniform_given_count():
 
 def test_mark_sampler_moments_match_oracles():
     gen = np.random.default_rng(7)
-    u = uniform_interval_mark(0.2, 0.8)
+    u = UniformIntervalMark(0.2, 0.8)
     draws = u.draw(gen, 20000)[:, 0]
     assert abs(draws.mean() - 0.5) < 4 * draws.std() / np.sqrt(len(draws))
     assert abs((draws**2).mean() - 0.28) < 0.01
 
-    ann = uniform_annulus_mark(0.5, 0.9, dim=2)
+    ann = UniformAnnulusMark(0.5, 0.9, 2)
     d2 = ann.draw(gen, 20000)
     assert np.linalg.norm(d2.mean(axis=0)) < 0.02
     assert abs((d2**2).sum(axis=1).mean() - 0.5033333333) < 0.01
 
 
+def test_mark_moments_are_python_floats():
+    """``levyap check`` runs no numpy code, so the exact condition check
+    can read a mark law's mean, second moment and norm bounds only as
+    Python floats.  The laws are built from config numbers (ints and
+    Fractions), as a run builds them."""
+    marks = [
+        (2, MarkConfig(kind="point", x=(Fraction(3, 10), -1))),
+        (1, MarkConfig(kind="uniform_interval", a=Fraction(-3, 10), b=1)),
+        (3, MarkConfig(kind="uniform_annulus", r0=Fraction(1, 2), r1=1)),
+    ]
+    for dim, mark in marks:
+        jump = JumpConfig(rate=1, region="small", marks=mark)
+        (comp,) = build_spec(LevyConfig(dim=dim, jumps=(jump,))).jumps
+        law = comp.marks
+        values = [*law.mean(), *law.norm_bounds(), *(v for row in law.second_moment() for v in row)]
+        assert len(values) == dim + 2 + dim * dim
+        assert all(type(v) is float for v in values), (mark.kind, values)
+
+
 def test_second_moment_closed_forms():
-    ((m,),) = uniform_interval_mark(0.2, 0.8).second_moment()
+    ((m,),) = UniformIntervalMark(0.2, 0.8).second_moment()
     assert m == pytest.approx(0.28)
-    assert point_mark([1.5, -2.0]).second_moment() == ((2.25, -3.0), (-3.0, 4.0))
+    assert PointMark((1.5, -2.0)).second_moment() == ((2.25, -3.0), (-3.0, 4.0))
     for dim in (1, 2, 3, 8):
-        m = np.array(uniform_annulus_mark(0.5, 0.9, dim=dim).second_moment())
+        m = np.array(UniformAnnulusMark(0.5, 0.9, dim).second_moment())
         assert m.shape == (dim, dim)
         assert np.trace(m) == pytest.approx(0.604 / 1.2)
         assert np.array_equal(m, np.diag(np.diag(m)))
@@ -601,13 +622,13 @@ def test_second_moment_closed_forms():
 @pytest.mark.parametrize(
     "marks",
     [
-        point_mark([0.7]),
-        point_mark([1.5, 0.0, -0.4]),
-        uniform_interval_mark(-0.3, 0.8),
-        uniform_annulus_mark(0.5, 0.9, dim=1),
-        uniform_annulus_mark(0.5, 0.9, dim=2),
-        uniform_annulus_mark(0.2, 0.8, dim=3),
-        uniform_annulus_mark(0.5, 0.9, dim=8),
+        PointMark((0.7,)),
+        PointMark((1.5, 0.0, -0.4)),
+        UniformIntervalMark(-0.3, 0.8),
+        UniformAnnulusMark(0.5, 0.9, 1),
+        UniformAnnulusMark(0.5, 0.9, 2),
+        UniformAnnulusMark(0.2, 0.8, 3),
+        UniformAnnulusMark(0.5, 0.9, 8),
     ],
     ids=["point1", "point3", "interval", "annulus1", "annulus2", "annulus3", "annulus8"],
 )
@@ -627,7 +648,7 @@ def test_second_moment_matches_monte_carlo(marks):
 )
 @settings(max_examples=25, deadline=None)
 def test_draws_respect_norm_bounds(a, width):
-    sampler = uniform_interval_mark(a, a + width)
+    sampler = UniformIntervalMark(a, a + width)
     rmin, rmax = sampler.norm_bounds()
     gen = np.random.default_rng(2)
     norms = np.abs(sampler.draw(gen, 200)[:, 0])

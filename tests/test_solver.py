@@ -40,11 +40,10 @@ from levyap.noise import (
     JumpComponent,
     LevyProcessSpec,
     NoiseSpecError,
-    WienerSpec,
-    point_mark,
+    PointMark,
+    UniformAnnulusMark,
+    UniformIntervalMark,
     sample_noise,
-    uniform_annulus_mark,
-    uniform_interval_mark,
 )
 from levyap.solver import (
     PathEnsemble,
@@ -72,10 +71,10 @@ def benchmark_system() -> DichotomousSystem:
 def benchmark_spec() -> LevyProcessSpec:
     return LevyProcessSpec(
         dim=1,
-        wiener=WienerSpec(1, np.eye(1)),
+        covariance=np.eye(1),
         jumps=(
-            JumpComponent(rate=1.5, region="small", marks=uniform_interval_mark(-0.9, 0.9)),
-            JumpComponent(rate=1.0, region="large", marks=uniform_interval_mark(1.0, 1.5)),
+            JumpComponent(rate=1.5, region="small", marks=UniformIntervalMark(-0.9, 0.9)),
+            JumpComponent(rate=1.0, region="large", marks=UniformIntervalMark(1.0, 1.5)),
         ),
     )
 
@@ -115,7 +114,7 @@ def scalar_system(rate: float = 1.0) -> DichotomousSystem:
 
 
 def wiener_only_spec(dim: int = 1) -> LevyProcessSpec:
-    return LevyProcessSpec(dim=dim, wiener=WienerSpec(dim, np.eye(dim)))
+    return LevyProcessSpec(dim=dim, covariance=np.eye(dim))
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +263,10 @@ class TestSimulateMild:
         sysd = scalar_system(2.0)
         spec = LevyProcessSpec(
             dim=1,
-            wiener=WienerSpec(1, np.eye(1)),
+            covariance=np.eye(1),
             jumps=(
-                JumpComponent(rate=30.0, region="small", marks=uniform_interval_mark(-0.5, 0.5)),
-                JumpComponent(rate=20.0, region="large", marks=uniform_interval_mark(1.0, 2.0)),
+                JumpComponent(rate=30.0, region="small", marks=UniformIntervalMark(-0.5, 0.5)),
+                JumpComponent(rate=20.0, region="large", marks=UniformIntervalMark(1.0, 2.0)),
             ),
         )
         cs = CoefficientSet(
@@ -782,14 +781,13 @@ class TestApplyS:
             np.diag(-np.arange(1.0, n_modes + 1)), np.eye(n_modes), k=1.0, omega=1.0
         )
         cs = galerkin_heat_coefficients(n_modes=n_modes)
-        from levyap.noise import uniform_annulus_mark
 
         spec = LevyProcessSpec(
             dim=n_modes,
-            wiener=WienerSpec(n_modes, np.eye(n_modes)),
+            covariance=np.eye(n_modes),
             jumps=(
                 JumpComponent(
-                    rate=2.0, region="small", marks=uniform_annulus_mark(0.1, 0.5, n_modes)
+                    rate=2.0, region="small", marks=UniformAnnulusMark(0.1, 0.5, n_modes)
                 ),
             ),
         )
@@ -1103,10 +1101,10 @@ class TestPicard:
         d = 8
         spec = LevyProcessSpec(
             dim=d,
-            wiener=WienerSpec(d, np.eye(d)),
+            covariance=np.eye(d),
             jumps=(
-                JumpComponent(6.0, "small", uniform_annulus_mark(0.1, 0.6, dim=d)),
-                JumpComponent(3.0, "large", uniform_annulus_mark(1.0, 1.5, dim=d)),
+                JumpComponent(6.0, "small", UniformAnnulusMark(0.1, 0.6, d)),
+                JumpComponent(3.0, "large", UniformAnnulusMark(1.0, 1.5, d)),
             ),
         )
         weights = tuple(np.linspace(-1.0, 1.0, d))
@@ -1382,10 +1380,10 @@ def _out_of_place_picard(sysd, cs, noise, tol, w, initial=None):
 def _jump_diffusion_spec() -> LevyProcessSpec:
     return LevyProcessSpec(
         dim=1,
-        wiener=WienerSpec(1, np.eye(1)),
+        covariance=np.eye(1),
         jumps=(
-            JumpComponent(rate=6.0, region="small", marks=uniform_interval_mark(-0.5, 0.5)),
-            JumpComponent(rate=3.0, region="large", marks=uniform_interval_mark(1.0, 2.0)),
+            JumpComponent(rate=6.0, region="small", marks=UniformIntervalMark(-0.5, 0.5)),
+            JumpComponent(rate=3.0, region="large", marks=UniformIntervalMark(1.0, 2.0)),
         ),
     )
 
@@ -1449,11 +1447,11 @@ def _two_dim_spec() -> LevyProcessSpec:
     (mean mark zero) and at a fixed point (mean mark nonzero); large jumps."""
     return LevyProcessSpec(
         dim=2,
-        wiener=WienerSpec(2, np.array([[1.0, 0.3], [0.3, 0.5]])),
+        covariance=np.array([[1.0, 0.3], [0.3, 0.5]]),
         jumps=(
-            JumpComponent(rate=5.0, region="small", marks=uniform_annulus_mark(0.1, 0.6, 2)),
-            JumpComponent(rate=2.0, region="small", marks=point_mark([0.4, -0.2])),
-            JumpComponent(rate=3.0, region="large", marks=uniform_annulus_mark(1.0, 1.5, 2)),
+            JumpComponent(rate=5.0, region="small", marks=UniformAnnulusMark(0.1, 0.6, 2)),
+            JumpComponent(rate=2.0, region="small", marks=PointMark((0.4, -0.2))),
+            JumpComponent(rate=3.0, region="large", marks=UniformAnnulusMark(1.0, 1.5, 2)),
         ),
     )
 
@@ -1742,10 +1740,10 @@ def _rare_jump_coefficients(d: int) -> CoefficientSet:
 def _rare_jump_spec() -> LevyProcessSpec:
     return LevyProcessSpec(
         dim=1,
-        wiener=WienerSpec(1, np.eye(1)),
+        covariance=np.eye(1),
         jumps=(
-            JumpComponent(rate=0.1, region="small", marks=uniform_interval_mark(-0.5, 0.5)),
-            JumpComponent(rate=0.1, region="large", marks=uniform_interval_mark(1.0, 2.0)),
+            JumpComponent(rate=0.1, region="small", marks=UniformIntervalMark(-0.5, 0.5)),
+            JumpComponent(rate=0.1, region="large", marks=UniformIntervalMark(1.0, 2.0)),
         ),
     )
 
