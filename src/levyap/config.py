@@ -791,6 +791,8 @@ def validate_config(cfg: RunConfig) -> Run:
     sysd = build_system(cfg.system)
     spec = build_spec(cfg.levy)
     validate_spec(spec)
+    # galerkin_heat builds lists of n_modes entries, so the count is held
+    # to the system before they are built
     modes = cfg.coefficients.params.get("n_modes")
     if type(modes) is int and modes != sysd.dim:
         raise ConfigError(
