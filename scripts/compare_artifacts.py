@@ -21,8 +21,9 @@ each into its own directory under a temporary one, and compares the two
 trees' runs: the exit code, stderr, stdout with the output directory
 replaced by ``OUT``, and every artifact byte for byte, except that the
 records of ``gap_trace.jsonl`` are compared without their ``wall_ms``
-timing field.  It prints one line per run and exits 1 at the first
-difference, 0 when every run matches.
+timing field.  It prints one line per run, which names every
+difference of a run that differs, and exits 1 when any run differs, 0
+when every run matches.
 """
 
 import argparse
@@ -46,14 +47,12 @@ CUSTOM = {
             {
                 "rate": "1/2",
                 "region": "large",
-                "marks": {"kind": "uniform_annulus", "r0": 1, "r1": "3/2", "dim": 2},
+                "marks": {"kind": "uniform_annulus", "r0": 1, "r1": "3/2"},
             },
         ],
     },
     "coefficients": {
         "custom": {
-            "dim_state": 2,
-            "dim_noise": 2,
             "freqs": [1.4142135623730951, 1.7320508075688772],
             "drift": [
                 [{"scale": "1/16", "kernel": "bounded_ratio", "coord": 1, "outer": "c1"}],
@@ -123,20 +122,21 @@ def gap_trace(path: Path) -> list:
     return records
 
 
-def first_difference(old: Path, new: Path):
-    """The first artifact that differs between two output directories,
-    or None."""
+def artifact_differences(old: Path, new: Path) -> list[str]:
+    """Every artifact that differs between two output directories, in
+    name order."""
+    out = []
     names = sorted({p.name for d in (old, new) if d.is_dir() for p in d.iterdir()})
     for name in names:
         a, b = old / name, new / name
         if not (a.is_file() and b.is_file()):
-            return f"{name} is written by one tree only"
-        if name == "gap_trace.jsonl":
+            out.append(f"{name} is written by one tree only")
+        elif name == "gap_trace.jsonl":
             if gap_trace(a) != gap_trace(b):
-                return f"{name} differs outside wall_ms"
+                out.append(f"{name} differs outside wall_ms")
         elif not filecmp.cmp(a, b, shallow=False):
-            return f"{name} differs"
-    return None
+            out.append(f"{name} differs")
+    return out
 
 
 def main(argv=None) -> int:
@@ -149,6 +149,7 @@ def main(argv=None) -> int:
         for side in ("old", "new"):
             (Path(tmp) / side).mkdir()
             (Path(tmp) / side / "custom.json").write_text(json.dumps(CUSTOM))
+        differing = 0
         for k, argv_k in enumerate(runs()):
             label = " ".join(argv_k)
             outs, results = [], []
@@ -156,16 +157,17 @@ def main(argv=None) -> int:
                 out = Path(tmp) / side / f"run{k}"
                 results.append(run(src, argv_k, out))
                 outs.append(out)
-            for key in results[0]:
-                if results[0][key] != results[1][key]:
-                    print(f"DIFFER  {label}: {key}")
-                    return 1
-            diff = first_difference(*outs)
-            if diff:
-                print(f"DIFFER  {label}: {diff}")
-                return 1
+            diffs = [key for key in results[0] if results[0][key] != results[1][key]]
+            diffs += artifact_differences(*outs)
+            if diffs:
+                differing += 1
+                print(f"DIFFER  {label}: {'; '.join(diffs)}")
+                continue
             files = len(list(outs[0].iterdir())) if outs[0].is_dir() else 0
             print(f"same    {label}  (exit {results[0]['exit code']}, {files} artifacts)")
+    if differing:
+        print(f"{differing} of {len(runs())} runs differ")
+        return 1
     print(f"all {len(runs())} runs identical")
     return 0
 

@@ -308,12 +308,8 @@ _MARK_KIND = Field("kind", _STR)
 _MARK_FIELDS = {
     "point": (_MARK_KIND, Field("x", _NUMBERS)),
     "uniform_interval": (_MARK_KIND, Field("a", _NUMBER), Field("b", _NUMBER)),
-    "uniform_annulus": (
-        _MARK_KIND,
-        Field("r0", _NUMBER),
-        Field("r1", _NUMBER),
-        Field("dim", _INT, None),
-    ),
+    # the annulus lies in R^levy.dim
+    "uniform_annulus": (_MARK_KIND, Field("r0", _NUMBER), Field("r1", _NUMBER)),
 }
 # one record for every kind: the keys of all kinds, each but kind None
 # when its kind lacks it
@@ -339,9 +335,9 @@ _TERM_FIELDS = (
 TermConfig = _record("TermConfig", _TERM_FIELDS)
 # one term list per state coordinate
 _TERM_LISTS = _list_of(_list_of(_section(TermConfig, _TERM_FIELDS)))
+# the maps take their state dimension from the system and their noise
+# dimension from levy.dim
 _CUSTOM_FIELDS = (
-    Field("dim_state", _INT),
-    Field("dim_noise", _INT),
     Field("freqs", _NUMBERS),
     Field("drift", _TERM_LISTS, (), echo_default=True),
     Field("diffusion", _list_of(_TERM_LISTS), (), echo_default=True),
@@ -500,7 +496,7 @@ def _build_marks(
         return PointMark(tuple(float(v) for v in m.x))
     if m.kind == "uniform_interval":
         return UniformIntervalMark(float(m.a), float(m.b))
-    return UniformAnnulusMark(float(m.r0), float(m.r1), m.dim or dim)
+    return UniformAnnulusMark(float(m.r0), float(m.r1), dim)
 
 
 def build_spec(cfg: LevyConfig) -> LevyProcessSpec:
@@ -513,17 +509,26 @@ def build_spec(cfg: LevyConfig) -> LevyProcessSpec:
     return LevyProcessSpec(dim=cfg.dim, covariance=cfg.covariance, jumps=jumps)
 
 
+# each preset's builder takes the state dimension, then its parameters;
+# galerkin_heat makes one mode per state coordinate
 _COEFF_PRESETS = {
-    "example41": (example41_coefficients, ()),
-    "ou_forced": (ou_forced_coefficients, ("amplitude", "sigma")),
+    "example41": (lambda dim_state: example41_coefficients(), ()),
+    "ou_forced": (
+        lambda dim_state, **params: ou_forced_coefficients(**params),
+        ("amplitude", "sigma"),
+    ),
     "galerkin_heat": (
         galerkin_heat_coefficients,
-        ("n_modes", "forcing_scale", "diffusion_scale", "jump_scale"),
+        ("forcing_scale", "diffusion_scale", "jump_scale"),
     ),
 }
 
 
-def build_coefficients(cfg: CoefficientConfig) -> CoefficientSet:
+def build_coefficients(cfg: CoefficientConfig, dim_state: int, dim_noise: int) -> CoefficientSet:
+    """The configured coefficient set for a state in R^dim_state and a
+    noise in R^dim_noise, the dimensions of the built system and of
+    ``levy.dim``: custom maps are held to both, and galerkin_heat takes
+    its mode count from the state dimension."""
     if (cfg.preset is None) == (cfg.custom is None):
         raise ConfigError("coefficients need exactly one of 'preset' or 'custom'")
     if cfg.custom is not None and cfg.params:
@@ -538,19 +543,13 @@ def build_coefficients(cfg: CoefficientConfig) -> CoefficientSet:
                 f"known: {sorted(_COEFF_PRESETS)}"
             )
         fn, allowed = _COEFF_PRESETS[cfg.preset]
-        bad = set(cfg.params) - set(allowed)
+        bad = sorted(set(cfg.params) - set(allowed))
         if bad:
             raise ConfigError(
-                f"preset {cfg.preset!r} does not take parameters {sorted(bad)}"
+                f"{', '.join(f'coefficients.params.{k}' for k in bad)}: not a parameter "
+                f"of preset {cfg.preset!r}; known: {', '.join(allowed) or 'none'}"
             )
-        kwargs = {}
-        for key, value in cfg.params.items():
-            kwargs[key] = (
-                _parse_int(value, f"coefficients.params.{key}")
-                if key == "n_modes"
-                else float(value)
-            )
-        return fn(**kwargs)
+        return fn(dim_state, **{key: float(value) for key, value in cfg.params.items()})
 
     c = cfg.custom
     freqs = tuple(float(v) for v in c.freqs)
@@ -577,8 +576,8 @@ def build_coefficients(cfg: CoefficientConfig) -> CoefficientSet:
 
     lip = c.lipschitz if isinstance(c.lipschitz, Rational) else float(c.lipschitz)
     return CoefficientSet(
-        dim_state=c.dim_state,
-        dim_noise=c.dim_noise,
+        dim_state=dim_state,
+        dim_noise=dim_noise,
         drift=_vec(c.drift),
         diffusion=tuple(tuple(tuple(_term(t) for t in cell) for cell in row) for row in c.diffusion),
         jump_small=_vec(c.jump_small),
@@ -734,8 +733,8 @@ def validate_config(cfg: RunConfig) -> Run:
     """Full static validation; raises ConfigError on the first problem.
 
     Checks the declared dimensions against numpy's array bound, then
-    builds the system, noise spec and coefficient set once (their own
-    validators run), then checks numerics and reads the window, the
+    builds the system, the noise spec and, at their dimensions, the
+    coefficient set once (their own validators run), then checks numerics and reads the window, the
     truncation horizon, every analysis time and every shift as whole
     steps h (``_on_grid``); every analysis time and shifted time must
     stay at least one truncation horizon away from the window edges,
@@ -791,14 +790,7 @@ def validate_config(cfg: RunConfig) -> Run:
     sysd = build_system(cfg.system)
     spec = build_spec(cfg.levy)
     validate_spec(spec)
-    # galerkin_heat builds lists of n_modes entries, so the count is held
-    # to the system before they are built
-    modes = cfg.coefficients.params.get("n_modes")
-    if type(modes) is int and modes != sysd.dim:
-        raise ConfigError(
-            f"coefficients.params.n_modes = {modes} != system dimension {sysd.dim}"
-        )
-    cs = build_coefficients(cfg.coefficients)
+    cs = build_coefficients(cfg.coefficients, sysd.dim, spec.dim)
     if cs.dim_state != sysd.dim:
         raise ConfigError(
             f"coefficient state dimension {cs.dim_state} != system dimension {sysd.dim}"
@@ -958,12 +950,12 @@ def _galerkin_heat_config() -> RunConfig:
                     rate=2,
                     region="small",
                     marks=MarkConfig(
-                        kind="uniform_annulus", r0=Fraction(1, 10), r1=Fraction(1, 2), dim=8
+                        kind="uniform_annulus", r0=Fraction(1, 10), r1=Fraction(1, 2)
                     ),
                 ),
             ),
         ),
-        coefficients=CoefficientConfig(preset="galerkin_heat", params={"n_modes": 8}),
+        coefficients=CoefficientConfig(preset="galerkin_heat"),
         numerics=NumericsConfig(
             h=Fraction(1, 32),
             window=(-8, 16),

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from _dichotomy_oracles import estimate_constants
-from _ensemble_oracles import grid_index, l2_increment
+from _ensemble_oracles import l2_increment
 from _grid import ensemble_grid, steps, window_steps
 from _lp_oracles import rational_bl_value
 from levyap.apdist import (
@@ -71,8 +71,8 @@ def constant_drift_coefficients(c1: float, c2: float) -> CoefficientSet:
 
 
 def solve_preset(name: str, seed=None):
-    """Picard solution of a preset at its configured numerics, at its own
-    seed or at ``seed``."""
+    """The validated run of a preset, at its own seed or at ``seed``, and
+    its Picard solution at the run's numerics."""
     cfg = preset_config(name)
     if seed is not None:
         cfg = cfg._replace(seed=seed)
@@ -88,48 +88,53 @@ def solve_preset(name: str, seed=None):
         w=run.w,
     )
     assert res.converged
-    return cfg, res
+    return run, res
 
 
-def three_sigma_floor_policy(cfg, res_a, res_b, n_support):
+def three_sigma_floor_policy(run, res_a, res_b, n_support):
     """Acceptance threshold for the shift scan: three times the distance
     floor measured between two independent-seed solutions compared at
-    equal times, each law drawn from its paths as the scan draws them."""
+    the run's times, each law drawn from its paths as the scan draws
+    them."""
     ens_a, ens_b = res_a.ensemble, res_b.ensemble
     paths_a = _law_paths(ens_a.n_paths, n_support, seed=1000)
     paths_b = _law_paths(ens_b.n_paths, n_support, seed=2000)
     floor = 0.0
-    for t in cfg.analysis.times:
-        a = EmpiricalLaw.from_samples(ens_a.values[paths_a, grid_index(ens_a, float(t))])
-        b = EmpiricalLaw.from_samples(ens_b.values[paths_b, grid_index(ens_b, float(t))])
+    for i in run.times:
+        a = EmpiricalLaw.from_samples(ens_a.values[paths_a, i - run.k_lo])
+        b = EmpiricalLaw.from_samples(ens_b.values[paths_b, i - run.k_lo])
         floor = max(floor, bl_distance(a, b))
     assert floor > 0.0
     return 3.0 * floor
 
 
-def scan_preset(cfg, res, eps, n_support):
-    """Shift scan over the configured times and shifts, as apscan runs it."""
-    ens = res.ensemble
-    times = [steps(float(t), ens.h) - ens.k_lo for t in cfg.analysis.times]
-    shifts = [float(s) for s in cfg.analysis.shifts]
-    offsets = [steps(s, ens.h) for s in shifts]
-    return ap_distribution_scan(ens, times, offsets, shifts, eps, n_support, seed=cfg.seed)
+def scan_preset(run, res, eps, n_support):
+    """Shift scan over the run's times and shifts, as apscan runs it."""
+    return ap_distribution_scan(
+        res.ensemble,
+        [i - run.k_lo for i in run.times],
+        run.shifts,
+        [float(s) for s in run.config.analysis.shifts],
+        eps,
+        n_support,
+        seed=run.config.seed,
+    )
 
 
 @pytest.fixture(scope="module")
 def benchmark_pair():
     """Two independent-seed solutions of the 2-d benchmark preset."""
-    cfg, res_a = solve_preset("example41")
-    _, res_b = solve_preset("example41", seed=cfg.seed + 1)
-    return cfg, res_a, res_b
+    run, res_a = solve_preset("example41")
+    _, res_b = solve_preset("example41", seed=run.config.seed + 1)
+    return run, res_a, res_b
 
 
 @pytest.fixture(scope="module")
 def ou_pair():
     """Two independent-seed solutions of the forced-OU preset."""
-    cfg, res_a = solve_preset("ou_forced")
-    _, res_b = solve_preset("ou_forced", seed=cfg.seed + 1)
-    return cfg, res_a, res_b
+    run, res_a = solve_preset("ou_forced")
+    _, res_b = solve_preset("ou_forced", seed=run.config.seed + 1)
+    return run, res_a, res_b
 
 
 # ---------------------------------------------------------------------------
@@ -300,23 +305,24 @@ def test_metric_formula_axioms_and_oracle():
 @pytest.mark.acceptance("08 almost-periodicity-in-distribution scan")
 def test_shift_scan_accepts_near_periods(ou_pair, benchmark_pair):
     # forced OU: every shift near 2 pi k / sqrt(2), k = 1..5, is accepted
-    cfg, res_a, res_b = ou_pair
-    h = float(cfg.numerics.h)
+    run, res_a, res_b = ou_pair
+    ana = run.config.analysis
+    h = float(run.config.numerics.h)
     base_period = 2.0 * math.pi / math.sqrt(2.0)
-    shifts = [float(s) for s in cfg.analysis.shifts]
+    shifts = [float(s) for s in ana.shifts]
     assert len(shifts) == 5
     for k, s in enumerate(shifts, start=1):
         assert abs(s - k * base_period) <= h
-    eps = three_sigma_floor_policy(cfg, res_a, res_b, cfg.analysis.law_support)
-    report = scan_preset(cfg, res_a, eps, cfg.analysis.law_support)
+    eps = three_sigma_floor_policy(run, res_a, res_b, ana.law_support)
+    report = scan_preset(run, res_a, eps, ana.law_support)
     assert report.accepted.all()
     assert math.isfinite(report.max_gap)
 
     # 2-d benchmark preset: nonempty accepted set at the same policy
-    cfg2, res2_a, res2_b = benchmark_pair
+    run2, res2_a, res2_b = benchmark_pair
     support = 48
-    eps2 = three_sigma_floor_policy(cfg2, res2_a, res2_b, support)
-    report2 = scan_preset(cfg2, res2_a, eps2, support)
+    eps2 = three_sigma_floor_policy(run2, res2_a, res2_b, support)
+    report2 = scan_preset(run2, res2_a, eps2, support)
     assert report2.accepted.any()
     assert math.isfinite(report2.max_gap)
 
@@ -348,12 +354,12 @@ SHIPPED_SCANS = {
 
 def test_shipped_scans_are_pinned(benchmark_pair):
     for (name, seed), (sup_beta, pairs) in SHIPPED_SCANS.items():
-        if (name, seed) == ("example41", benchmark_pair[0].seed):
-            cfg, res, _ = benchmark_pair
+        if (name, seed) == ("example41", benchmark_pair[0].config.seed):
+            run, res, _ = benchmark_pair
         else:
-            cfg, res = solve_preset(name, seed)
-        ana = cfg.analysis
-        report = scan_preset(cfg, res, float(ana.epsilon), ana.law_support)
+            run, res = solve_preset(name, seed)
+        ana = run.config.analysis
+        report = scan_preset(run, res, float(ana.epsilon), ana.law_support)
         assert report.sup_beta.tolist() == sup_beta, (name, seed)
         assert report.pairs_per_shift.tolist() == pairs, (name, seed)
 

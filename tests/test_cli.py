@@ -88,7 +88,7 @@ def tiny_galerkin_dict():
             "dim": 3,
             "covariance": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
         },
-        "coefficients": {"preset": "galerkin_heat", "params": {"n_modes": 3}},
+        "coefficients": {"preset": "galerkin_heat"},
         "numerics": {
             "h": "1/8",
             "window": [-6, 10],
@@ -110,8 +110,6 @@ def huge_drift_dict():
         "levy": {"dim": 1, "covariance": [[1]]},
         "coefficients": {
             "custom": {
-                "dim_state": 1,
-                "dim_noise": 1,
                 "freqs": [],
                 "drift": [
                     [
@@ -158,8 +156,6 @@ def signal_dict(outer):
     d = tiny_ou_dict()
     d["coefficients"] = {
         "custom": {
-            "dim_state": 1,
-            "dim_noise": 1,
             "freqs": [1.4142135623730951],
             "drift": [[{"scale": 1, "kernel": "const", "outer": outer}]],
             "diffusion": [[[{"scale": "3/10", "kernel": "const"}]]],
@@ -270,11 +266,11 @@ PRESET_ECHOES = {
     ),
     "galerkin_heat": (
         '{"analysis": {"epsilon": 0.3, "law_support": 64, "shifts": [1, 2], "times": [0, '
-        '1, 2, 3]}, "coefficients": {"params": {"n_modes": 8}, '
-        '"preset": "galerkin_heat"}, "levy": {"covariance": [[1, 0, 0, 0, 0, 0, 0, 0], '
+        '1, 2, 3]}, "coefficients": {"preset": "galerkin_heat"}, '
+        '"levy": {"covariance": [[1, 0, 0, 0, 0, 0, 0, 0], '
         "[0, 1, 0, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0, 0, 0], "
         "[0, 0, 0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 0, 1, 0], "
-        '[0, 0, 0, 0, 0, 0, 0, 1]], "dim": 8, "jumps": [{"marks": {"dim": 8, '
+        '[0, 0, 0, 0, 0, 0, 0, 1]], "dim": 8, "jumps": [{"marks": {'
         '"kind": "uniform_annulus", "r0": "1/10", "r1": "1/2"}, "rate": 2, '
         '"region": "small"}]}, "numerics": {"h": "1/32", "max_iter": 40, "n_paths": 128, '
         '"tol": 1e-10, "truncation": 8, "window": [-8, 16]}, "seed": 2, '
@@ -761,6 +757,17 @@ class TestCliExitCodes:
         [
             ("ou_forced", {("system", "p", 0, 0): -1e308}, "projection P"),
             (
+                "example41",
+                {
+                    ("system", "a", 0, 0): "-1e200",
+                    ("system", "a", 1, 1): "-2e200",
+                    ("system", "p", 0, 0): 1,
+                    ("system", "p", 0, 1): "1e150",
+                    ("system", "p", 1, 1): 0,
+                },
+                "does not commute",
+            ),
+            (
                 "galerkin_heat",
                 {("levy", "covariance", 0, 0): -1e308, ("levy", "covariance", 0, 1): 0.5},
                 "wiener covariance",
@@ -775,14 +782,22 @@ class TestCliExitCodes:
                 "wiener covariance",
             ),
         ],
-        ids=["projection-square", "covariance-indefinite", "covariance-eigvalsh"],
+        ids=[
+            "projection-square",
+            "projection-commutation",
+            "covariance-indefinite",
+            "covariance-eigvalsh",
+        ],
     )
     def test_overflowing_matrix_entry_exits_2(self, tmp_path, preset, entries, message):
-        """Entries near the largest double whose square or symmetrised sum
-        overflows: ``P @ P`` against ``|P|^2`` raised OverflowError; a
-        covariance whose (Q + Q^T)/2 overflows passed as semidefinite
-        (eigvalsh gave NaN) or raised LinAlgError.  Each is one error line
-        with exit code 2."""
+        """Entries near the largest double whose square, product or
+        symmetrised sum overflows: ``P @ P`` against ``|P|^2`` raised
+        OverflowError; ``A @ P - P @ A`` of inf - inf was NaN, which passed
+        a commutation test written as ``error > tol``, so the run failed
+        later on an overflow that did not name the cause, after two numpy
+        warnings; a covariance whose (Q + Q^T)/2 overflows passed as
+        semidefinite (eigvalsh gave NaN) or raised LinAlgError.  Each is
+        one error line with exit code 2."""
         d = config_to_dict(preset_config(preset))
         for (section, key, i, j), value in entries.items():
             d[section][key][i][j] = value
@@ -792,14 +807,48 @@ class TestCliExitCodes:
         assert proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("coefficients.custom.dim_state", 1),
+            ("coefficients.custom.dim_noise", 1),
+            ("coefficients.params.n_modes", 8),
+            ("levy.jumps[0].marks.dim", 8),
+        ],
+    )
+    def test_dimension_keys_are_rejected(self, tmp_path, capsys, key, value):
+        """The state dimension comes from the system and the noise
+        dimension from levy.dim; a key that repeats one is rejected even
+        at the value it would have to hold, and nothing is written.  The
+        custom keys go into the custom coefficients of ``signal_dict``,
+        the others into the galerkin_heat preset."""
+        d = (
+            signal_dict("s1")
+            if key.startswith("coefficients.custom")
+            else config_to_dict(preset_config("galerkin_heat"))
+        )
+        *path, last = key.replace("[0]", ".0").split(".")
+        node = d
+        for part in path:
+            node = node[int(part)] if part.isdigit() else node.setdefault(part, {})
+        node[last] = value
+        cfg = write_cfg(tmp_path, d)
+        out = tmp_path / "o"
+        assert main(["picard", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "section, key", [("system", "galerkin"), ("coefficients", "params")]
     )
     def test_huge_mode_count_rejected_before_any_list_is_built(
         self, tmp_path, capsys, monkeypatch, section, key
     ):
         """A mode count of 2^63 would make the galerkin builders loop over
-        range(n_modes) without bound; it is rejected from the declared
-        integers, and no builder ever sees it."""
+        range(n_modes) without bound.  As ``system.galerkin.n_modes`` it
+        is rejected from the declared integers; ``coefficients.params``
+        takes no mode count at all.  No builder ever sees it."""
 
         def guarded(fn):
             def call(*args, **kwargs):
@@ -814,7 +863,7 @@ class TestCliExitCodes:
         fn, allowed = levyap.config._COEFF_PRESETS["galerkin_heat"]
         monkeypatch.setitem(levyap.config._COEFF_PRESETS, "galerkin_heat", (guarded(fn), allowed))
         d = tiny_galerkin_dict()
-        d[section][key]["n_modes"] = 2**63
+        d[section].setdefault(key, {})["n_modes"] = 2**63
         cfg = write_cfg(tmp_path, d)
         assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
@@ -1024,8 +1073,6 @@ class TestCliExitCodes:
                     "preset": "example41",
                     "coefficients": {
                         "custom": {
-                            "dim_state": 2,
-                            "dim_noise": 1,
                             "freqs": [],
                             "drift": [[{"scale": 1, "kernal": "linear"}], []],
                             "lipschitz": 1,
@@ -1084,8 +1131,6 @@ class TestCliExitCodes:
                     "coefficients": {
                         "params": {"amplitude": 1},
                         "custom": {
-                            "dim_state": 2,
-                            "dim_noise": 1,
                             "freqs": [],
                             "drift": [[], []],
                             "diffusion": [[[]], [[]]],
@@ -1109,7 +1154,7 @@ class TestCliExitCodes:
                     "preset": "galerkin_heat",
                     "system": {"galerkin": {"n_modes": 2, "a0": "5/2"}},
                     "levy": {"dim": 2, "covariance": [[1, 0], [0]]},
-                    "coefficients": {"preset": "galerkin_heat", "params": {"n_modes": 2}},
+                    "coefficients": {"preset": "galerkin_heat"},
                 },
                 "levy.covariance",
             ),
@@ -1430,13 +1475,14 @@ class TestCliArtifacts:
         assert report["iteration_wall_ms"] and min(report["iteration_wall_ms"]) >= 0
         assert not any(tmp_path.glob("levyap_out*"))
 
-    def test_compare_artifacts_script_finds_the_first_difference(
+    def test_compare_artifacts_script_reports_every_difference(
         self, tmp_path, monkeypatch, capsys
     ):
-        """``scripts/compare_artifacts.py`` passes a tree against itself and
-        stops at a changed stdout line; between output directories it
-        ignores ``wall_ms`` in the gap trace only, and names a changed
-        artifact and one that a single tree writes."""
+        """``scripts/compare_artifacts.py`` passes a tree against itself;
+        against a changed tree it names every run that differs before it
+        exits 1.  Between output directories it ignores ``wall_ms`` in the
+        gap trace only, and names every changed artifact and every one
+        that a single tree writes."""
         import importlib.util
         import shutil
 
@@ -1451,25 +1497,31 @@ class TestCliArtifacts:
         shutil.copytree(src / "levyap", changed / "levyap")
         cli = changed / "levyap" / "cli.py"
         cli.write_text(cli.read_text().replace("existence verdict:", "existence  verdict:"))
-        monkeypatch.setattr(compare, "runs", lambda: [["check", "--preset", "example41"]])
+        argvs = [["check", "--preset", name] for name in ("example41", "ou_forced")]
+        monkeypatch.setattr(compare, "runs", lambda: argvs)
         assert compare.main([str(src), str(src)]) == 0
+        capsys.readouterr()
         assert compare.main([str(src), str(changed)]) == 1
-        assert "DIFFER  check --preset example41: stdout" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        for argv in argvs:
+            assert f"DIFFER  {' '.join(argv)}: stdout\n" in out
+        assert out.endswith("2 of 2 runs differ\n")
 
         old, new = tmp_path / "old", tmp_path / "new"
         for out, wall in ((old, 1.5), (new, 2.5)):
             out.mkdir()
             (out / "gap_trace.jsonl").write_text(json.dumps({"k": 1, "wall_ms": wall}) + "\n")
             (out / "ensemble.csv").write_text("t,path,y0\n0.0,0,1.0\n")
-        assert compare.first_difference(old, new) is None
+        assert compare.artifact_differences(old, new) == []
         (new / "ensemble.csv").write_text("t,path,y0\n0.0,0,1.5\n")
-        assert compare.first_difference(old, new) == "ensemble.csv differs"
+        assert compare.artifact_differences(old, new) == ["ensemble.csv differs"]
         (old / "run_meta.json").write_text("{}")
-        assert compare.first_difference(old, new) == "ensemble.csv differs"
-        (new / "ensemble.csv").write_text("t,path,y0\n0.0,0,1.0\n")
-        assert compare.first_difference(old, new) == "run_meta.json is written by one tree only"
         (new / "gap_trace.jsonl").write_text(json.dumps({"k": 2, "wall_ms": 1.5}) + "\n")
-        assert compare.first_difference(old, new) == "gap_trace.jsonl differs outside wall_ms"
+        assert compare.artifact_differences(old, new) == [
+            "ensemble.csv differs",
+            "gap_trace.jsonl differs outside wall_ms",
+            "run_meta.json is written by one tree only",
+        ]
 
     def test_ou_benchmark_script_reads_ensemble_csv(self, tmp_path):
         """``scripts/run_ou_benchmark.py`` reshapes ``ensemble.csv`` by

@@ -40,7 +40,7 @@ from levyap.coefficients import (
     point_values,
     verify_lipschitz,
 )
-from levyap.config import build_coefficients, build_spec, preset_config, preset_names
+from levyap.config import preset_config, preset_names, validate_config
 from levyap.noise import (
     JumpComponent,
     LevyProcessSpec,
@@ -355,8 +355,8 @@ def test_verify_lipschitz_reports_on_every_preset():
     map (rate 2, scale 1/8 on mode 0) stays within the intensity-weighted
     bound 2 * (1/8)^2 = 1/32."""
     for name in preset_names():
-        cfg = preset_config(name)
-        rep = verify_lipschitz(build_coefficients(cfg.coefficients), build_spec(cfg.levy))
+        run = validate_config(preset_config(name))
+        rep = verify_lipschitz(run.coefficients, run.spec)
         assert set(rep.observed) == {"drift", "diffusion", "jump_small", "jump_large"}
         assert all(math.isfinite(v) and v >= 0.0 for v in rep.observed.values())
         if name == "galerkin_heat":

@@ -28,8 +28,6 @@ from levyap.coefficients import (
 from levyap.config import (
     ConditionReport,
     ConfigError,
-    build_coefficients,
-    build_spec,
     build_system,
     check_conditions,
     preset_config,
@@ -658,12 +656,10 @@ class TestApplyS:
         and ``buf``.  The state columns are views of the ensemble and take
         no rows.  No preset has an entry of two terms, so none has
         ``sum_buf``."""
-        cfg = preset_config(preset)
-        sysd = build_system(cfg.system)
-        noise = sample_noise(
-            build_spec(cfg.levy), *window_steps(-1.0, 1.0, 1.0 / 16), 1.0 / 16, 2, seed=0
-        )
-        plan = _Plan.build(sysd, build_coefficients(cfg.coefficients), noise, steps(0.5, noise.h))
+        run = validate_config(preset_config(preset))
+        sysd = run.system
+        noise = sample_noise(run.spec, *window_steps(-1.0, 1.0, 1.0 / 16), 1.0 / 16, 2, seed=0)
+        plan = _Plan.build(sysd, run.coefficients, noise, steps(0.5, noise.h))
         scratch = _Scratch(plan, 5)
         assert scratch.n_rows == rows
         assert scratch.sum_buf is None and (scratch.later is None) == (preset == "ou_forced")
@@ -688,12 +684,10 @@ class TestApplyS:
     def test_reach_of_presets(self, preset, reach):
         """No forcing of example41 reaches its unstable first coordinate;
         every galerkin_heat mode is reached (``None``: all of them)."""
-        cfg = preset_config(preset)
-        sysd = build_system(cfg.system)
-        noise = sample_noise(
-            build_spec(cfg.levy), *window_steps(-1.0, 1.0, 1.0 / 16), 1.0 / 16, 2, seed=0
-        )
-        plan = _Plan.build(sysd, build_coefficients(cfg.coefficients), noise, steps(0.5, noise.h))
+        run = validate_config(preset_config(preset))
+        sysd = run.system
+        noise = sample_noise(run.spec, *window_steps(-1.0, 1.0, 1.0 / 16), 1.0 / 16, 2, seed=0)
+        plan = _Plan.build(sysd, run.coefficients, noise, steps(0.5, noise.h))
         assert plan.reach == (tuple(range(sysd.dim)) if reach is None else reach)
 
     @staticmethod
