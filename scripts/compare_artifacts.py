@@ -10,15 +10,21 @@ runs ``python -m levyap.cli`` on
 - ``check``, ``picard`` and ``apscan`` of every preset at ``--threads``
   1 and 2 and ``--seed`` 41 and 1041, and
 - ``picard --preset example41 --dt 1/1024 --paths 1024`` (the
-  ``picard-ex41-fine`` benchmark point) at ``--threads`` 1 and 2, and
+  ``picard-ex41-fine`` benchmark point) at ``--threads`` 1 and 2,
 - ``picard --config custom.json`` at ``--threads`` 1 and 2, on the
-  config ``CUSTOM``, which the script writes next to each tree's output
-  directories: it takes paths no preset reaches (point marks, a jump
-  term with mark weights, a correlated 2-d covariance, small and large
-  jumps, and a non-diagonal generator with an unstable direction),
+  config ``CUSTOM``: it takes paths no preset reaches (point marks, a
+  jump term with mark weights, a correlated 2-d covariance, small and
+  large jumps, and a non-diagonal generator with an unstable
+  direction), and
+- ``check --config`` on each config of ``REJECTED``, copies of
+  ``CUSTOM`` that validation rejects (threads 0, one path, a window
+  that misses 0, an off-grid shift, a window narrower than twice the
+  truncation, an unknown key), whose exit code and stderr must not
+  change,
 
 each into its own directory under a temporary one, and compares the two
-trees' runs: the exit code, stderr, stdout with the output directory
+trees' runs (the configs are written next to each tree's output
+directories): the exit code, stderr, stdout with the output directory
 replaced by ``OUT``, and every artifact byte for byte, except that the
 records of ``gap_trace.jsonl`` are compared without their ``wall_ms``
 timing field.  It prints one line per run, which names every
@@ -77,6 +83,21 @@ CUSTOM = {
 }
 
 
+def _custom(**numerics) -> dict:
+    """``CUSTOM`` with its numerics updated."""
+    return {**CUSTOM, "numerics": {**CUSTOM["numerics"], **numerics}}
+
+
+REJECTED = {
+    "threads_0.json": {**CUSTOM, "threads": 0},
+    "one_path.json": _custom(n_paths=1),
+    "window_misses_0.json": _custom(window=[1, 8]),
+    "off_grid_shift.json": {**CUSTOM, "analysis": {"times": [0], "shifts": ["1/3"]}},
+    "narrow_window.json": _custom(window=[-2, 2]),
+    "unknown_key.json": _custom(tolerance=1e-9),
+}
+
+
 def runs() -> list[list[str]]:
     """The argv of every compared run, without ``--out``."""
     out = []
@@ -87,6 +108,7 @@ def runs() -> list[list[str]]:
                     out.append([command, "--preset", preset, "--seed", seed, "--threads", threads])
     out += [FINE + ["--threads", threads] for threads in ("1", "2")]
     out += [["picard", "--config", "custom.json", "--threads", threads] for threads in ("1", "2")]
+    out += [["check", "--config", name] for name in REJECTED]
     return out
 
 
@@ -148,7 +170,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="levyap_compare_") as tmp:
         for side in ("old", "new"):
             (Path(tmp) / side).mkdir()
-            (Path(tmp) / side / "custom.json").write_text(json.dumps(CUSTOM))
+            for name, config in {"custom.json": CUSTOM, **REJECTED}.items():
+                (Path(tmp) / side / name).write_text(json.dumps(config))
         differing = 0
         for k, argv_k in enumerate(runs()):
             label = " ".join(argv_k)

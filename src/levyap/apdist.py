@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from numbers import Integral
 from typing import Optional, Sequence
 
 import numpy as np
@@ -398,47 +397,29 @@ def ap_distribution_scan(
 
     ``ensemble`` needs ``values`` (paths, n+1, d) on a uniform grid.
     The scan works in whole grid steps: ``times`` are the base times as
-    grid indices and ``offsets`` the shifts' steps, both as
-    ``validate_config`` decided them; ``shifts`` are the same shifts as
-    the report states them.  The scan times T are the base times and
-    every t + s; a scan time beyond the grid's ends raises.  The law at
-    a time is the empirical law of the states of the paths drawn by
-    ``_law_paths(paths, n_support, seed)``, one draw for every time.
-    Shift s is compared on every pair (t, t + s) with both ends in T, not
-    only at the base times, and is accepted when the largest distance
-    stays within ``eps``.
+    grid indices and ``offsets`` the shifts' steps; ``shifts`` are the
+    same shifts as the report states them.  The scan times T are the
+    base times and every t + s.  The law at a time is the empirical law
+    of the states of the paths drawn by ``_law_paths(paths, n_support,
+    seed)``, one draw for every time.  Shift s is compared on every pair
+    (t, t + s) with both ends in T, not only at the base times, and is
+    accepted when the largest distance stays within ``eps``.
 
-    Raises when some shift is less than one grid step or has no pair at
-    all.
+    The arguments are those of a validated ``Run`` (``validate_config``),
+    which ``cmd_apscan`` holds to at least one base time: ``eps > 0``,
+    every shift at least one step, one offset per shift, and every scan
+    time on the ensemble's grid.
     """
-    if eps <= 0:
-        raise EmpiricalLawError("eps must be positive")
     values = np.asarray(ensemble.values)
-    times, offsets = list(times), list(offsets)
     shifts = np.asarray(list(shifts), dtype=float)
-    if len(offsets) != len(shifts):
-        raise EmpiricalLawError("each shift needs its grid steps")
-    bad = [k for k in times + offsets if not isinstance(k, Integral)]
-    if bad:
-        raise EmpiricalLawError(f"{bad[0]} is not a whole number of grid steps")
-    if any(k < 1 for k in offsets):
-        raise EmpiricalLawError("each shift must be at least one grid step")
     base = set(times)
     scan = sorted(base.union(*({i + k for i in base} for k in offsets)))
-    outside = [i for i in scan if not 0 <= i < values.shape[1]]
-    if outside:
-        raise EmpiricalLawError(
-            f"scan time index {outside[0]} is outside the ensemble grid "
-            f"of {values.shape[1]} points"
-        )
     paths = _law_paths(len(values), n_support, seed)
     laws = {i: EmpiricalLaw.from_samples(values[paths, i, :]) for i in scan}
     sups = np.zeros(len(shifts))
     counts = np.zeros(len(shifts), dtype=int)
     for si, k in enumerate(offsets):
         dists = [bl_distance(laws[i + k], laws[i]) for i in scan if i + k in laws]
-        if not dists:
-            raise EmpiricalLawError(f"shift {shifts[si]} has no overlap with the scan times")
         sups[si] = max(0.0, *dists)
         counts[si] = len(dists)
     accepted = sups <= eps

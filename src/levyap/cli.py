@@ -354,9 +354,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, default=Path("levyap_out"),
                        help="artifact directory (default: levyap_out)")
         p.add_argument("--dt", type=_num_arg, help="override the step h")
-        p.add_argument("--truncation", type=_num_arg,
-                       help="override the window truncation horizon")
-        p.add_argument("--tol", type=float, help="override the Picard tolerance")
         p.add_argument("--max-iter", type=int, help="override the iteration cap")
         p.add_argument("--threads", type=int,
                        help="worker threads over path chunks in noise sampling "
@@ -381,10 +378,6 @@ def _resolve_config(args) -> RunConfig:
         num_updates["n_paths"] = args.paths
     if args.dt is not None:
         num_updates["h"] = args.dt
-    if args.truncation is not None:
-        num_updates["truncation"] = args.truncation
-    if args.tol is not None:
-        num_updates["tol"] = args.tol
     if args.max_iter is not None:
         num_updates["max_iter"] = args.max_iter
     if num_updates:

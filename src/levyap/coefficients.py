@@ -417,14 +417,19 @@ class CoefficientSet:
         self.jump_small = jump_small
         self.jump_large = jump_large
         self.lipschitz = lipschitz
-        if len(self.drift) != self.dim_state:
-            raise CoefficientError("drift needs one term tuple per state coordinate")
-        if len(self.jump_small) != self.dim_state or len(self.jump_large) != self.dim_state:
-            raise CoefficientError("jump maps need one term tuple per state coordinate")
+        for name in ("drift", "jump_small", "jump_large"):
+            if len(getattr(self, name)) != self.dim_state:
+                raise CoefficientError(
+                    f"{name} has {len(getattr(self, name))} entries, not one per "
+                    f"state coordinate ({self.dim_state})"
+                )
         if len(self.diffusion) != self.dim_state or any(
             len(row) != self.dim_noise for row in self.diffusion
         ):
-            raise CoefficientError("diffusion terms must form a dim_state x dim_noise grid")
+            raise CoefficientError(
+                f"diffusion has rows of lengths {[len(row) for row in self.diffusion]}, "
+                f"not a {self.dim_state} x {self.dim_noise} grid (state x noise coordinates)"
+            )
         for term in self._all_terms():
             if term.kernel not in KERNELS:
                 raise CoefficientError(f"unknown kernel {term.kernel!r}")
@@ -725,7 +730,7 @@ def galerkin_heat_coefficients(
     Lipschitz bound: forcing and jump scales are at most 1/8, so 1/64.
     """
     if n_modes < 2:
-        raise CoefficientError("need at least two modes")
+        raise CoefficientError(f"need at least two modes, one per state coordinate, got {n_modes}")
     if not (0 < forcing_scale <= 0.125 and 0 <= jump_scale <= 0.125):
         raise CoefficientError("scales above 1/8 void the declared Lipschitz bound")
     freqs = (math.sqrt(2.0), math.sqrt(3.0))

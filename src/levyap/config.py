@@ -25,6 +25,7 @@ from typing import Optional, Union
 
 from . import LevyapError
 from .coefficients import (
+    CoefficientError,
     CoefficientSet,
     CoefficientTerm,
     QuasiPeriodicSignal,
@@ -528,7 +529,9 @@ def build_coefficients(cfg: CoefficientConfig, dim_state: int, dim_noise: int) -
     """The configured coefficient set for a state in R^dim_state and a
     noise in R^dim_noise, the dimensions of the built system and of
     ``levy.dim``: custom maps are held to both, and galerkin_heat takes
-    its mode count from the state dimension."""
+    its mode count from the state dimension.  The set's own errors are
+    raised as ConfigErrors that name ``coefficients.custom`` or the
+    preset."""
     if (cfg.preset is None) == (cfg.custom is None):
         raise ConfigError("coefficients need exactly one of 'preset' or 'custom'")
     if cfg.custom is not None and cfg.params:
@@ -549,7 +552,10 @@ def build_coefficients(cfg: CoefficientConfig, dim_state: int, dim_noise: int) -
                 f"{', '.join(f'coefficients.params.{k}' for k in bad)}: not a parameter "
                 f"of preset {cfg.preset!r}; known: {', '.join(allowed) or 'none'}"
             )
-        return fn(dim_state, **{key: float(value) for key, value in cfg.params.items()})
+        try:
+            return fn(dim_state, **{key: float(value) for key, value in cfg.params.items()})
+        except CoefficientError as exc:
+            raise ConfigError(f"coefficients.preset {cfg.preset!r}: {exc}") from None
 
     c = cfg.custom
     freqs = tuple(float(v) for v in c.freqs)
@@ -575,15 +581,20 @@ def build_coefficients(cfg: CoefficientConfig, dim_state: int, dim_noise: int) -
         return tuple(tuple(_term(t) for t in row) for row in rows)
 
     lip = c.lipschitz if isinstance(c.lipschitz, Rational) else float(c.lipschitz)
-    return CoefficientSet(
-        dim_state=dim_state,
-        dim_noise=dim_noise,
-        drift=_vec(c.drift),
-        diffusion=tuple(tuple(tuple(_term(t) for t in cell) for cell in row) for row in c.diffusion),
-        jump_small=_vec(c.jump_small),
-        jump_large=_vec(c.jump_large),
-        lipschitz=lip,
-    )
+    try:
+        return CoefficientSet(
+            dim_state=dim_state,
+            dim_noise=dim_noise,
+            drift=_vec(c.drift),
+            diffusion=tuple(
+                tuple(tuple(_term(t) for t in cell) for cell in row) for row in c.diffusion
+            ),
+            jump_small=_vec(c.jump_small),
+            jump_large=_vec(c.jump_large),
+            lipschitz=lip,
+        )
+    except CoefficientError as exc:
+        raise ConfigError(f"coefficients.custom: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -736,10 +747,12 @@ def validate_config(cfg: RunConfig) -> Run:
     builds the system, the noise spec and, at their dimensions, the
     coefficient set once (their own validators run), then checks numerics and reads the window, the
     truncation horizon, every analysis time and every shift as whole
-    steps h (``_on_grid``); every analysis time and shifted time must
-    stay at least one truncation horizon away from the window edges,
-    compared in steps.  Returns the ``Run`` every command runs on, which
-    carries those steps.
+    steps h (``_on_grid``); the truncation and every shift must be at
+    least one step, and every analysis time and shifted time must stay
+    at least one truncation horizon away from the window edges, compared
+    in steps.  Returns the ``Run`` every command runs on, which carries
+    those steps: the one place a run is checked, so the sampler, the
+    Picard solve and the scan take its integers as they are.
 
     The condition inputs are exact: K and omega come from the system
     config (or the exact galerkin constants), L from the coefficient
@@ -802,9 +815,9 @@ def validate_config(cfg: RunConfig) -> Run:
 
     if num.truncation is not None:
         t_c = _finite(num.truncation, "numerics.truncation")
-        if not t_c > 0:
-            raise ConfigError("numerics.truncation must be positive")
         w = _on_grid(t_c, h, "truncation")
+        if w < 1:
+            raise ConfigError(f"numerics.truncation must be at least one step h = {h}, got {t_c}")
     else:
         w = sysd.default_truncation(h)
         t_c = w * h
@@ -819,11 +832,11 @@ def validate_config(cfg: RunConfig) -> Run:
     if ana.law_support is not None and ana.law_support < 1:
         raise ConfigError("analysis.law_support must be positive")
     times = [(float(t), _on_grid(float(t), h, "analysis time")) for t in ana.times]
-    # the scan counts 0 as an accepted shift, so the gaps need s > 0
-    for s in ana.shifts:
-        if not s > 0:
-            raise ConfigError(f"analysis.shifts must be positive, got {s}")
     shifts = [(float(s), _on_grid(float(s), h, "analysis shift")) for s in ana.shifts]
+    # the scan counts 0 as an accepted shift, so the gaps need s > 0
+    for s, j in shifts:
+        if j < 1:
+            raise ConfigError(f"analysis.shifts must be at least one step h = {h}, got {s}")
     # every analysis time and shifted time, with its grid step, must lie in
     # the window shrunk by the truncation: compared in whole steps
     probe = times + [(t + s, i + j) for t, i in times for s, j in shifts]

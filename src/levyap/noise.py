@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import namedtuple
-from numbers import Integral, Real
+from numbers import Real
 from typing import Optional
 
 from . import LevyapError, _lazy_import
@@ -469,20 +469,11 @@ def sample_noise(
     would only serialise on the interpreter lock.  Every stream is a
     function of its address alone, so the sample is bitwise the same for
     any thread count.
+
+    The spec and the integers are those of a validated ``Run``
+    (``validate_config``): a checked spec, a window of at least one step
+    that contains 0, a finite h > 0, and at least one path and thread.
     """
-    validate_spec(spec)
-    if not (isinstance(k_lo, Integral) and isinstance(n, Integral)):
-        raise NoiseSpecError(
-            f"window start {k_lo} and length {n} must be whole multiples of the step {h}"
-        )
-    if not (k_lo <= 0 <= k_lo + n) or n < 1:
-        raise NoiseSpecError("window must contain 0 and at least one step")
-    if not (np.isfinite(h) and h > 0):
-        raise NoiseSpecError("step h must be finite and > 0")
-    if n_paths < 1:
-        raise NoiseSpecError("a noise sample needs at least one path")
-    if threads < 1:
-        raise NoiseSpecError("threads must be at least 1")
     n_neg, n_pos = -k_lo, k_lo + n
 
     chol = None

@@ -62,7 +62,6 @@ import math
 import time
 from collections import namedtuple
 from contextlib import contextmanager
-from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -370,7 +369,8 @@ class _Plan(
     iterate, built once per Picard solve: every decision about the
     structure of the chunk kernel, so the kernel runs flat lists.
 
-    ``w`` is the window in steps.  ``halves`` are the modal halves of S
+    ``w`` is the truncation horizon in steps, with the preconditions of
+    ``picard_solve``.  ``halves`` are the modal halves of S
     that have a live mode, ``modes`` the live modes of each (``_Mode``):
     a mode is live if a nonzero entry of a forcing row that can exist
     drives it, or a nonzero coupling ties it to a later live mode.
@@ -406,18 +406,7 @@ class _Plan(
 
     @classmethod
     def build(cls, sys, cs, noise, w) -> "_Plan":
-        if sys.dim != cs.dim_state:
-            raise SolverError("system, coefficients and ensemble dimensions differ")
         h, n = noise.h, noise.n_steps
-        if not (isinstance(w, Integral) and w >= 1):
-            raise SolverError(
-                f"truncation of {w} steps is not a positive multiple of the step {h}"
-            )
-        if n < 2 * w:
-            raise SolverError(
-                f"window of {n} steps is too narrow for a truncation of {w} steps; "
-                f"need at least {2 * w} steps"
-            )
         grid = noise.grid
         ts = grid[:-1]
         drift, stoch = [], []
@@ -760,8 +749,6 @@ def _in_place_sweeps(plan: _Plan, chunk_paths: Optional[int], threads: int):
     block order, so the sums are bitwise the same for any chunking and
     worker count.
     """
-    if threads < 1:
-        raise SolverError("threads must be at least 1")
     noise = plan.noise
     blocks = _blocks(noise.n_paths, noise.n_steps, chunk_paths)
     workers = min(threads, len(blocks))
@@ -827,9 +814,9 @@ def picard_solve(
     sys: DichotomousSystem,
     cs: CoefficientSet,
     noise: NoiseSample,
+    w: int,
     tol: float = 1e-10,
     max_iter: int = 60,
-    w: Optional[int] = None,
     chunk_paths: Optional[int] = None,
     threads: int = 1,
 ) -> PicardResult:
@@ -840,11 +827,16 @@ def picard_solve(
     Common random numbers: every iterate reuses the same noise, so the
     geometric contraction is visible directly in the gap trace.  When
     ``max_iter`` is hit the last iterate is returned with
-    ``converged=False``.  The truncation horizon is ``w`` whole steps,
-    by default 12/omega rounded to the grid, tail factor about 6e-6 of
-    the integrand magnitude: the truncation error of the full two-sided
-    window is bounded by ``tail_factor`` times the sup of the
-    integrand's mean-square magnitudes.
+    ``converged=False``.  The truncation horizon is ``w`` whole steps
+    (a run's default, 12/omega rounded to the grid, has tail factor
+    about 6e-6 of the integrand magnitude): the truncation error of the
+    full two-sided window is bounded by ``tail_factor`` times the sup of
+    the integrand's mean-square magnitudes.
+
+    The arguments are those of a validated ``Run`` (``validate_config``):
+    the system, the coefficients and the noise share their dimensions,
+    ``1 <= w`` with ``2 w`` at most the noise window's steps, ``tol > 0``,
+    ``max_iter >= 1`` and ``threads >= 1``.
 
     One application of S: per output time t the stable part accumulates
     increments over [t - T_c, t] (clipped at the window start) and the
@@ -892,13 +884,7 @@ def picard_solve(
     same operations in any chunk, so ``chunk_paths`` and ``threads`` do
     not change the result.
     """
-    if tol <= 0:
-        raise SolverError("tol must be positive")
-    if max_iter < 1:
-        raise SolverError("max_iter must be at least 1")
     h = noise.h
-    if w is None:
-        w = sys.default_truncation(h)
     plan = _Plan.build(sys, cs, noise, w)
     m, n_times = noise.n_paths, noise.n_steps + 1
     # coordinate-major: a coordinate S cannot reach is never touched and

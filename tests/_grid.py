@@ -1,17 +1,19 @@
 """Float times of the tests as whole grid steps, the form the sampler,
-the Picard solve and the shift scan take."""
+the Picard solve and the shift scan take from a validated run."""
 
 import numpy as np
 
 from levyap.config import grid_steps
 
 
-def steps(x: float, h: float):
+def steps(x: float, h: float) -> int:
     """The whole number of steps ``h`` in the time ``x``, by the config's
-    grid rule (``grid_steps``).  Off the grid it is the fraction ``x / h``
-    itself, which every function that takes steps rejects."""
+    grid rule (``grid_steps``); a test time off the grid raises, as
+    ``validate_config`` would reject it."""
     k = grid_steps(float(x), h)
-    return x / h if k is None else k
+    if k is None:
+        raise ValueError(f"{x} is off the grid of step {h}")
+    return k
 
 
 def window_steps(t_lo: float, t_hi: float, h: float) -> tuple:

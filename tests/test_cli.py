@@ -476,17 +476,18 @@ class TestValidation:
         # truncation 1/2 on window [-1, 2] leaves usable times [-1/2, 3/2]
         self.check_rejects(lambda d: d["analysis"].update(shifts=["3/2"]))
 
-    @pytest.mark.parametrize("shifts", [["-1/4"], [0], ["-1/4", "1/2"]])
+    @pytest.mark.parametrize("shifts", [["-1/4"], [0], ["-1/4", "1/2"], ["1/10000000000"]])
     def test_nonpositive_shift(self, shifts):
         self.check_rejects(
             lambda d: d["analysis"].update(shifts=shifts), match="analysis.shifts"
         )
 
-    @pytest.mark.parametrize("shift", ["-1/4", 0])
+    @pytest.mark.parametrize("shift", ["-1/4", 0, "1/10000000000"])
     def test_apscan_rejects_a_nonpositive_shift_before_running(self, tmp_path, capsys, shift):
         """A shift s <= 0 would enter the accepted set beside 0 and give a
         wrong (even negative) max_gap, so the run stops before it samples
-        or writes anything."""
+        or writes anything; so does a shift that the grid rule reads as 0
+        steps."""
         d = config_to_dict(preset_config("example41"))
         d["analysis"]["shifts"] = [shift]
         out = tmp_path / "out"
@@ -521,7 +522,8 @@ class TestValidation:
         of a run are rationals on the grid of a rational h.  Written as
         floats or as "p/q" strings, the ``Run`` carries them as the steps
         that exact arithmetic gives, and the same value half a step off
-        the grid is rejected with the message naming it."""
+        the grid is rejected with the message naming it.  A truncation or
+        a shift of 0 steps is rejected with its key."""
         h = Fraction(data.draw(st.integers(1, 3)), data.draw(st.integers(1, 64)))
         w = data.draw(st.integers(1, 4))
         k_lo = data.draw(st.integers(-2 * w - 12, 0))
@@ -580,6 +582,15 @@ class TestValidation:
             message = f"{what} = {float(bad)} is not a multiple of the step h = {float(h)}"
             with pytest.raises(ConfigError, match=re.escape(message)):
                 validate_config(configured(off))
+
+        # a truncation or a shift within the grid tolerance of 0 is 0 steps
+        tiny = h / 10**12
+        for what, key, value in (
+            ("truncation", "numerics.truncation", tiny),
+            ("analysis shift", "analysis.shifts", [tiny]),
+        ):
+            with pytest.raises(ConfigError, match=re.escape(f"{key} must be at least one step")):
+                validate_config(configured(dict(values, **{what: value})))
 
     def test_time_one_step_past_the_interior_edge(self):
         d = {
@@ -1158,6 +1169,27 @@ class TestCliExitCodes:
                 },
                 "levy.covariance",
             ),
+            (
+                {
+                    "preset": "ou_forced",
+                    "coefficients": {
+                        "custom": {
+                            "freqs": [],
+                            "drift": [[], []],
+                            "diffusion": [[[]]],
+                            "jump_small": [[]],
+                            "jump_large": [[]],
+                            "lipschitz": "1/64",
+                        }
+                    },
+                },
+                "coefficients.custom: drift has 2 entries, not one per state coordinate (1)",
+            ),
+            (
+                {"preset": "ou_forced", "coefficients": {"preset": "galerkin_heat"}},
+                "coefficients.preset 'galerkin_heat': need at least two modes, "
+                "one per state coordinate, got 1",
+            ),
         ],
     )
     def test_malformed_config_names_key_path(self, tmp_path, capsys, data, key_path):
@@ -1172,9 +1204,7 @@ class TestCliExitCodes:
         "flag, value, message",
         [
             ("--dt", "1/0", "zero denominator in '1/0'"),
-            ("--truncation", "1/0", "zero denominator in '1/0'"),
             ("--dt", "1e400/1", "expected a number or a 'p/q' rational, got '1e400/1'"),
-            ("--truncation", "abc", "expected a number or a 'p/q' rational, got 'abc'"),
         ],
     )
     def test_malformed_numeric_override_is_usage_error(
@@ -1193,18 +1223,27 @@ class TestCliExitCodes:
         [
             ("--dt", "inf", "numerics.h must be a finite number"),
             ("--dt", "nan", "numerics.h must be a finite number"),
-            ("--truncation", "inf", "numerics.truncation must be a finite number"),
-            ("--truncation", "1e400", "numerics.truncation must be a finite number"),
-            ("--tol", "inf", "numerics.tol must be a finite number"),
+            # a numerics key of the config: a JSON integer of 400 digits
+            # parses, and overflows a float
+            ("truncation", 10**400, "numerics.truncation must be a finite number"),
+            ("tol", 10**400, "numerics.tol must be a finite number"),
+            ("truncation", "1/10000000000", "numerics.truncation must be at least one step"),
             ("--dt", "1e-310", "window start = -1.0 is too far from 0 in steps"),
         ],
+        ids=lambda v: "10**400" if v == 10**400 else None,
     )
     def test_numeric_override_rejected_before_artifacts(
         self, tmp_path, capsys, flag, value, message
     ):
-        cfg = write_cfg(tmp_path, tiny_benchmark_dict())
+        d = tiny_benchmark_dict()
+        override = []
+        if flag.startswith("--"):
+            override = [flag, value]
+        else:
+            d["numerics"][flag] = value
+        cfg = write_cfg(tmp_path, d)
         out = tmp_path / "o"
-        code = main(["picard", "--config", str(cfg), flag, value, "--out", str(out)])
+        code = main(["picard", "--config", str(cfg), *override, "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 2
         assert message in err
@@ -1482,7 +1521,8 @@ class TestCliArtifacts:
         against a changed tree it names every run that differs before it
         exits 1.  Between output directories it ignores ``wall_ms`` in the
         gap trace only, and names every changed artifact and every one
-        that a single tree writes."""
+        that a single tree writes.  Each of its rejected configs exits 2
+        from ``check`` with one error line."""
         import importlib.util
         import shutil
 
@@ -1490,7 +1530,12 @@ class TestCliArtifacts:
         spec = importlib.util.spec_from_file_location("compare_artifacts", script)
         compare = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(compare)
-        assert len(compare.runs()) == 3 * 3 * 2 * 2 + 2 + 2
+        assert len(compare.runs()) == 3 * 3 * 2 * 2 + 2 + 2 + 6
+        for name, data in compare.REJECTED.items():
+            cfg = write_cfg(tmp_path, data, name)
+            assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "rejected")]) == 2
+            assert capsys.readouterr().err.count("error: ") == 1, name
+        assert not (tmp_path / "rejected").exists()
 
         src = Path(levyap.__file__).parents[1]
         changed = tmp_path / "changed"

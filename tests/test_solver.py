@@ -37,7 +37,6 @@ from levyap.dichotomy import DichotomousSystem
 from levyap.noise import (
     JumpComponent,
     LevyProcessSpec,
-    NoiseSpecError,
     PointMark,
     UniformAnnulusMark,
     UniformIntervalMark,
@@ -221,10 +220,6 @@ class TestPathEnsemble:
 
 
 class TestNoiseSample:
-    def test_requires_paths(self):
-        with pytest.raises(NoiseSpecError, match="at least one path"):
-            sample_noise(benchmark_spec(), *window_steps(-1.0, 1.0, 0.25), 0.25, 0, seed=1)
-
     def test_shifted_all_paths(self):
         spec = benchmark_spec()
         sample = sample_noise(spec, *window_steps(-1.0, 2.0, 0.25), 0.25, 3, seed=9)
@@ -571,10 +566,6 @@ class TestApplyS:
         )
         ens = _random_ensemble(noise, 2, seed=0)
         cs = example41_coefficients()
-        with pytest.raises(SolverError, match="too narrow"):
-            apply_S(sysd, cs, noise, ens, w=steps(1.5, noise.h))
-        with pytest.raises(SolverError, match="multiple of the step"):
-            apply_S(sysd, cs, noise, ens, w=steps(0.52, noise.h))
         other = sample_noise(
             benchmark_spec(), *window_steps(-1.0, 2.0, 1.0 / 32), 1.0 / 32, 2, seed=0
         )
@@ -953,17 +944,21 @@ class TestPicard:
         assert dist <= tol / (1 - eta)
 
     def test_default_truncation_is_twelve_over_omega(self):
-        sysd = benchmark_system()
-        noise = sample_noise(
-            benchmark_spec(), *window_steps(-2.0, 3.0, 1.0 / 32), 1.0 / 32, 2, seed=2
-        )
-        res = picard_solve(sysd, example41_coefficients(), noise, tol=1e-12)
+        """With no configured truncation a run takes the system's horizon,
+        12/omega rounded to the grid: 2 at example41's omega = 6, which the
+        solve's tail report states.  A window narrower than twice that is
+        rejected."""
+        cfg = preset_config("example41")
+        num = cfg.numerics._replace(h=Fraction(1, 32), window=(-2, 3), n_paths=2, truncation=None)
+        cfg = cfg._replace(numerics=num, analysis=cfg.analysis._replace(times=(), shifts=()))
+        run = validate_config(cfg)
+        assert run.w == 64
+        noise = sample_noise(run.spec, run.k_lo, run.n, 1.0 / 32, 2, seed=2)
+        res = picard_solve(run.system, run.coefficients, noise, w=run.w, tol=1e-12)
         assert res.tail_report["truncation"] == pytest.approx(2.0)
-        narrow = sample_noise(
-            benchmark_spec(), *window_steps(-1.0, 1.0, 1.0 / 32), 1.0 / 32, 2, seed=2
-        )
-        with pytest.raises(SolverError, match="too narrow"):
-            picard_solve(sysd, example41_coefficients(), narrow, tol=1e-12)
+        narrow = cfg._replace(numerics=num._replace(window=(-1, 1)))
+        with pytest.raises(ConfigError, match="narrower than twice the truncation 2.0"):
+            validate_config(narrow)
 
     def test_noise_determinism_and_sensitivity(self):
         sysd = benchmark_system()
@@ -1252,8 +1247,8 @@ class TestPicard:
             tracemalloc.start()
             try:
                 res = picard_solve(
-                    sysd, example41_coefficients(), noise, tol=1e-12, max_iter=3,
-                    chunk_paths=chunk, threads=threads,
+                    sysd, example41_coefficients(), noise, w=steps(2.0, noise.h), tol=1e-12,
+                    max_iter=3, chunk_paths=chunk, threads=threads,
                 )
                 _, peak = tracemalloc.get_traced_memory()
             finally:
@@ -1270,7 +1265,8 @@ class TestPicard:
         )
         for threads in (1, 2):
             res = picard_solve(
-                benchmark_system(), example41_coefficients(), noise, tol=1e-18, threads=threads
+                benchmark_system(), example41_coefficients(), noise, w=steps(2.0, noise.h),
+                tol=1e-18, threads=threads,
             )
             assert res.converged and res.iterations == 7
             digest = hashlib.sha256(np.ascontiguousarray(res.ensemble.values).tobytes())
@@ -1285,12 +1281,6 @@ class TestPicard:
         noise = sample_noise(
             benchmark_spec(), *window_steps(-1.0, 1.0, 1.0 / 32), 1.0 / 32, 2, seed=1
         )
-        with pytest.raises(SolverError):
-            picard_solve(sysd, example41_coefficients(), noise, tol=0.0, w=steps(0.5, noise.h))
-        with pytest.raises(SolverError):
-            picard_solve(
-                sysd, example41_coefficients(), noise, max_iter=0, w=steps(0.5, noise.h)
-            )
         for chunk in (0, -1):
             with pytest.raises(SolverError, match="chunk_paths must be at least 1"):
                 picard_solve(
