@@ -28,8 +28,9 @@ directories): the exit code, stderr, stdout with the output directory
 replaced by ``OUT``, and every artifact byte for byte, except that the
 records of ``gap_trace.jsonl`` are compared without their ``wall_ms``
 timing field.  It prints one line per run, which names every
-difference of a run that differs, and exits 1 when any run differs, 0
-when every run matches.
+difference of a run that differs, down to the key paths of a JSON
+artifact (``run_meta.json: config.threads``), and exits 1 when any run
+differs, 0 when every run matches.
 """
 
 import argparse
@@ -144,9 +145,25 @@ def gap_trace(path: Path) -> list:
     return records
 
 
+def key_paths(a, b, path: str = "") -> list[str]:
+    """The key paths at which two JSON values differ, in key order: a
+    key that one object lacks, a list whose length differs, or unequal
+    values.  Whole values that differ give ``[path]``, so ``[""]`` at
+    the top."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        out = []
+        for key in sorted(set(a) | set(b)):
+            sub = f"{path}.{key}" if path else key
+            out += [sub] if (key in a) != (key in b) else key_paths(a[key], b[key], sub)
+        return out
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [p for i, (x, y) in enumerate(zip(a, b)) for p in key_paths(x, y, f"{path}[{i}]")]
+    return [] if a == b else [path]
+
+
 def artifact_differences(old: Path, new: Path) -> list[str]:
     """Every artifact that differs between two output directories, in
-    name order."""
+    name order; a JSON artifact names the key paths that differ."""
     out = []
     names = sorted({p.name for d in (old, new) if d.is_dir() for p in d.iterdir()})
     for name in names:
@@ -157,7 +174,10 @@ def artifact_differences(old: Path, new: Path) -> list[str]:
             if gap_trace(a) != gap_trace(b):
                 out.append(f"{name} differs outside wall_ms")
         elif not filecmp.cmp(a, b, shallow=False):
-            out.append(f"{name} differs")
+            paths = []
+            if name.endswith(".json"):
+                paths = key_paths(json.loads(a.read_text()), json.loads(b.read_text()))
+            out.append(f"{name}: {', '.join(paths)}" if paths and all(paths) else f"{name} differs")
     return out
 
 

@@ -184,9 +184,12 @@ def _sample(run: Run) -> NoiseSample:
 
 def _condition_report(run: Run, out: Path):
     """Check the run's conditions exactly, write condition_report.json
-    and print the report; return it."""
+    and print the report; return it.  The report is every command's
+    first artifact, so this creates ``out``: a run rejected before it
+    leaves no directory behind."""
     rep = check_conditions(*run.conditions)
     d = rep.as_dict()
+    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "condition_report.json", {"schema_version": SCHEMA_VERSION, **d})
     for line in (
         f"K = {d['k']}, omega = {d['omega']}, L = {d['lipschitz']}, b = {d['jump_bound']}",
@@ -235,7 +238,9 @@ def _run_picard(run: Run, out: Path):
     meta = {
         "schema_version": SCHEMA_VERSION,
         "package_version": __version__,
-        "config": config_to_dict(cfg),
+        # threads changes no result, so the echo leaves it out and the
+        # file is the same for every thread count
+        "config": {k: v for k, v in config_to_dict(cfg).items() if k != "threads"},
         "converged": res.converged,
         "iterations": res.iterations,
         "final_gap": _json_scalar(res.gap_trace[-1]["gap"]),
@@ -394,9 +399,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         run = validate_config(_resolve_config(args))
-        out: Path = args.out
-        out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](run, out)
+        return _COMMANDS[args.command](run, args.out)
     except (LevyapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

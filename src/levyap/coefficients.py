@@ -695,9 +695,9 @@ def example41_coefficients() -> CoefficientSet:
     )
 
 
-def ou_forced_coefficients(amplitude: float = 1.0, sigma: float = 0.3) -> CoefficientSet:
+def ou_forced_coefficients() -> CoefficientSet:
     """Scalar Ornstein-Uhlenbeck benchmark: constant-in-state drift
-    amplitude * sin(sqrt(2) t), constant diffusion sigma, no jumps.
+    sin(sqrt(2) t), constant diffusion 0.3, no jumps.
 
     All maps are constant in the state, so any positive constant bounds
     their Lipschitz ratios; a tiny rational is declared to keep condition
@@ -707,32 +707,27 @@ def ou_forced_coefficients(amplitude: float = 1.0, sigma: float = 0.3) -> Coeffi
     return CoefficientSet(
         dim_state=1,
         dim_noise=1,
-        drift=((CoefficientTerm(float(amplitude), "const", outer=forcing),),),
-        diffusion=(((CoefficientTerm(float(sigma), "const"),),),),
+        drift=((CoefficientTerm(1.0, "const", outer=forcing),),),
+        diffusion=(((CoefficientTerm(0.3, "const"),),),),
         jump_small=((),),
         jump_large=((),),
         lipschitz=Fraction(1, 10**6),
     )
 
 
-def galerkin_heat_coefficients(
-    n_modes: int = 8,
-    forcing_scale: float = 0.125,
-    diffusion_scale: float = 0.05,
-    jump_scale: float = 0.125,
-) -> CoefficientSet:
+def galerkin_heat_coefficients(n_modes: int) -> CoefficientSet:
     """Spectral truncation of a forced heat-type equation.
 
-    Mode k gets a quasi-periodic forcing of size forcing_scale/(k+1)^2, a
-    diagonal constant diffusion of size diffusion_scale/(k+1)^2 and a
-    linear small-jump map of size jump_scale/(k+1)^2 on the first mode
-    block.  The decay in k mimics a smooth right-hand side.  Squared
-    Lipschitz bound: forcing and jump scales are at most 1/8, so 1/64.
+    Mode k gets a quasi-periodic forcing of size 1/(8 (k+1)^2), a
+    diagonal constant diffusion of size 1/(20 (k+1)^2) and a linear
+    small-jump map of size 1/(8 (k+1)^2) on the first mode block.  The
+    decay in k mimics a smooth right-hand side.  Declared squared
+    Lipschitz bound: 1/64, stated rather than derived from the terms;
+    ROADMAP item 1 derives L from them and finds the small-jump map
+    above it.
     """
     if n_modes < 2:
         raise CoefficientError(f"need at least two modes, one per state coordinate, got {n_modes}")
-    if not (0 < forcing_scale <= 0.125 and 0 <= jump_scale <= 0.125):
-        raise CoefficientError("scales above 1/8 void the declared Lipschitz bound")
     freqs = (math.sqrt(2.0), math.sqrt(3.0))
     sig_f = QuasiPeriodicSignal.parse("s1", freqs)
     sig_f2 = QuasiPeriodicSignal.parse("c2", freqs)
@@ -743,12 +738,12 @@ def galerkin_heat_coefficients(
         decay = 1.0 / (k + 1) ** 2
         outer = sig_f if k % 2 == 0 else sig_f2
         drift.append(
-            (CoefficientTerm(forcing_scale * decay, "bounded_ratio", coord=k, outer=outer),)
+            (CoefficientTerm(0.125 * decay, "bounded_ratio", coord=k, outer=outer),)
         )
         row = [() for _ in range(n_modes)]
-        row[k] = (CoefficientTerm(diffusion_scale * decay, "const"),)
+        row[k] = (CoefficientTerm(0.05 * decay, "const"),)
         diffusion.append(tuple(row))
-        jump_small.append((CoefficientTerm(jump_scale * decay, "linear", coord=k),))
+        jump_small.append((CoefficientTerm(0.125 * decay, "linear", coord=k),))
     return CoefficientSet(
         dim_state=n_modes,
         dim_noise=n_modes,

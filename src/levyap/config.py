@@ -14,7 +14,6 @@ unchanged, so condition checks stay exact end to end.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import sys
@@ -219,7 +218,7 @@ def _parse_fields(obj, path: str, fields: tuple[Field, ...]) -> dict:
         if value is None and (f.key not in obj or f.default is None):
             if f.default is _REQUIRED:
                 raise ConfigError(f"{_join(path, f.key)}: required key is missing")
-            out[f.key] = copy.copy(f.default)
+            out[f.key] = f.default
         else:
             out[f.key] = f.codec.parse(value, _join(path, f.key))
     return out
@@ -269,10 +268,6 @@ def _parse_matrix(obj, path: str) -> tuple[tuple[Number, ...], ...]:
     return rows
 
 
-def _parse_params(obj, path: str) -> dict:
-    return {k: parse_number(v, _join(path, k)) for k, v in _as_object(obj, path).items()}
-
-
 def _parse_marks(obj, path: str) -> MarkConfig:
     kind = _as_object(obj, path).get("kind")
     if kind is None:
@@ -291,7 +286,6 @@ _NUMBERS = _list_of(_NUMBER)
 _ROWS = _list_of(_NUMBERS, nonempty=True)
 _MATRIX = Codec(_parse_matrix, _ROWS.write)
 _WINDOW = Codec(_parse_window, _NUMBERS.write)
-_PARAMS = Codec(_parse_params, lambda d: {k: number_to_json(v) for k, v in d.items()})
 
 # the spectral system: generator diag(a0 - k^2), k = 0..n_modes-1
 _GALERKIN_FIELDS = (Field("n_modes", _INT), Field("a0", _NUMBER))
@@ -349,7 +343,6 @@ _CUSTOM_FIELDS = (
 CustomCoefficients = _record("CustomCoefficients", _CUSTOM_FIELDS)
 _COEFFICIENT_FIELDS = (
     Field("preset", _STR, None),
-    Field("params", _PARAMS, {}),
     Field("custom", _section(CustomCoefficients, _CUSTOM_FIELDS), None),
 )
 CoefficientConfig = _record("CoefficientConfig", _COEFFICIENT_FIELDS)
@@ -510,18 +503,12 @@ def build_spec(cfg: LevyConfig) -> LevyProcessSpec:
     return LevyProcessSpec(dim=cfg.dim, covariance=cfg.covariance, jumps=jumps)
 
 
-# each preset's builder takes the state dimension, then its parameters;
-# galerkin_heat makes one mode per state coordinate
+# each preset's builder, called with the state dimension; galerkin_heat
+# makes one mode per state coordinate
 _COEFF_PRESETS = {
-    "example41": (lambda dim_state: example41_coefficients(), ()),
-    "ou_forced": (
-        lambda dim_state, **params: ou_forced_coefficients(**params),
-        ("amplitude", "sigma"),
-    ),
-    "galerkin_heat": (
-        galerkin_heat_coefficients,
-        ("forcing_scale", "diffusion_scale", "jump_scale"),
-    ),
+    "example41": lambda dim_state: example41_coefficients(),
+    "ou_forced": lambda dim_state: ou_forced_coefficients(),
+    "galerkin_heat": galerkin_heat_coefficients,
 }
 
 
@@ -534,26 +521,14 @@ def build_coefficients(cfg: CoefficientConfig, dim_state: int, dim_noise: int) -
     preset."""
     if (cfg.preset is None) == (cfg.custom is None):
         raise ConfigError("coefficients need exactly one of 'preset' or 'custom'")
-    if cfg.custom is not None and cfg.params:
-        raise ConfigError(
-            "coefficients.params: parameters of a coefficient preset, "
-            "not allowed beside coefficients.custom"
-        )
     if cfg.preset is not None:
         if cfg.preset not in _COEFF_PRESETS:
             raise ConfigError(
                 f"unknown coefficient preset {cfg.preset!r}; "
                 f"known: {sorted(_COEFF_PRESETS)}"
             )
-        fn, allowed = _COEFF_PRESETS[cfg.preset]
-        bad = sorted(set(cfg.params) - set(allowed))
-        if bad:
-            raise ConfigError(
-                f"{', '.join(f'coefficients.params.{k}' for k in bad)}: not a parameter "
-                f"of preset {cfg.preset!r}; known: {', '.join(allowed) or 'none'}"
-            )
         try:
-            return fn(dim_state, **{key: float(value) for key, value in cfg.params.items()})
+            return _COEFF_PRESETS[cfg.preset](dim_state)
         except CoefficientError as exc:
             raise ConfigError(f"coefficients.preset {cfg.preset!r}: {exc}") from None
 
@@ -580,7 +555,6 @@ def build_coefficients(cfg: CoefficientConfig, dim_state: int, dim_noise: int) -
     def _vec(rows):
         return tuple(tuple(_term(t) for t in row) for row in rows)
 
-    lip = c.lipschitz if isinstance(c.lipschitz, Rational) else float(c.lipschitz)
     try:
         return CoefficientSet(
             dim_state=dim_state,
@@ -591,7 +565,7 @@ def build_coefficients(cfg: CoefficientConfig, dim_state: int, dim_noise: int) -
             ),
             jump_small=_vec(c.jump_small),
             jump_large=_vec(c.jump_large),
-            lipschitz=lip,
+            lipschitz=c.lipschitz,
         )
     except CoefficientError as exc:
         raise ConfigError(f"coefficients.custom: {exc}") from None
@@ -932,9 +906,7 @@ def _ou_forced_config() -> RunConfig:
     return RunConfig(
         system=SystemConfig(a=((-1,),), p=((1,),), k=1, omega=1),
         levy=LevyConfig(dim=1, covariance=((1,),)),
-        coefficients=CoefficientConfig(
-            preset="ou_forced", params={"amplitude": 1.0, "sigma": 0.3}
-        ),
+        coefficients=CoefficientConfig(preset="ou_forced"),
         numerics=NumericsConfig(
             h=Fraction(1, 64),
             window=(-6, 36),

@@ -282,8 +282,7 @@ PRESET_ECHOES = {
         '"25/4", "101/16", "51/8", "103/16", "13/2", "105/16", "53/8", "107/16", "27/4", '
         '"109/16", "55/8", "111/16", "7/1", "113/16", "57/8", "115/16", "29/4", '
         '"117/16", "59/8", "119/16", "15/2"]}, '
-        '"coefficients": {"params": {"amplitude": 1.0, "sigma": 0.3}, '
-        '"preset": "ou_forced"}, "levy": {"covariance": [[1]], "dim": 1}, '
+        '"coefficients": {"preset": "ou_forced"}, "levy": {"covariance": [[1]], "dim": 1}, '
         '"numerics": {"h": "1/64", "max_iter": 40, "n_paths": 512, "tol": 1e-12, '
         '"truncation": 6, "window": [-6, 36]}, "seed": 7, "system": {"a": [[-1]], '
         '"k": 1, "omega": 1, "p": [[1]]}, "threads": 1}'
@@ -619,7 +618,8 @@ class TestValidation:
 
     def test_unknown_coefficient_param(self):
         self.check_rejects(
-            lambda d: d["coefficients"].update(params={"bogus": 1}), match="param"
+            lambda d: d["coefficients"].update(params={"bogus": 1}),
+            match="coefficients.params: unknown key",
         )
 
     def test_coefficients_need_preset_or_custom(self):
@@ -628,12 +628,8 @@ class TestValidation:
     def test_coefficient_dimension_mismatch(self):
         # ou_forced coefficients are one-dimensional; the system is 2-d
         self.check_rejects(
-            lambda d: d.update(
-                coefficients={
-                    "preset": "ou_forced",
-                    "params": {"amplitude": 1.0, "sigma": 0.3},
-                }
-            )
+            lambda d: d.update(coefficients={"preset": "ou_forced"}),
+            match="coefficient state dimension 1 != system dimension 2",
         )
 
 
@@ -831,7 +827,9 @@ class TestCliExitCodes:
         dimension from levy.dim; a key that repeats one is rejected even
         at the value it would have to hold, and nothing is written.  The
         custom keys go into the custom coefficients of ``signal_dict``,
-        the others into the galerkin_heat preset."""
+        the others into the galerkin_heat preset.  Coefficient presets
+        take no parameters, so ``coefficients.params`` itself is the
+        unknown key named."""
         d = (
             signal_dict("s1")
             if key.startswith("coefficients.custom")
@@ -847,7 +845,8 @@ class TestCliExitCodes:
         assert main(["picard", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert key in err
+        named = "coefficients.params" if key.startswith("coefficients.params") else key
+        assert f"{named}: unknown key" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -859,7 +858,7 @@ class TestCliExitCodes:
         """A mode count of 2^63 would make the galerkin builders loop over
         range(n_modes) without bound.  As ``system.galerkin.n_modes`` it
         is rejected from the declared integers; ``coefficients.params``
-        takes no mode count at all.  No builder ever sees it."""
+        is an unknown key.  No builder ever sees it."""
 
         def guarded(fn):
             def call(*args, **kwargs):
@@ -871,15 +870,19 @@ class TestCliExitCodes:
         monkeypatch.setattr(
             levyap.config, "galerkin_system", guarded(levyap.config.galerkin_system)
         )
-        fn, allowed = levyap.config._COEFF_PRESETS["galerkin_heat"]
-        monkeypatch.setitem(levyap.config._COEFF_PRESETS, "galerkin_heat", (guarded(fn), allowed))
+        presets = levyap.config._COEFF_PRESETS
+        monkeypatch.setitem(presets, "galerkin_heat", guarded(presets["galerkin_heat"]))
         d = tiny_galerkin_dict()
         d[section].setdefault(key, {})["n_modes"] = 2**63
         cfg = write_cfg(tmp_path, d)
         assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert f"{section}.{key}.n_modes" in err
+        named = {
+            "system": "system.galerkin.n_modes",
+            "coefficients": "coefficients.params: unknown key",
+        }
+        assert named[section] in err
 
     def test_sine_of_a_huge_literal_is_certified(self, tmp_path):
         """sin(1e25) is bounded, and its certificate takes as little work
@@ -1097,21 +1100,21 @@ class TestCliExitCodes:
                     "preset": "galerkin_heat",
                     "coefficients": {"preset": "galerkin_heat", "params": {"n_modes": 8.7}},
                 },
-                "coefficients.params.n_modes",
+                "coefficients.params: unknown key",
             ),
             (
                 {
                     "preset": "galerkin_heat",
                     "coefficients": {"preset": "galerkin_heat", "params": {"n_modes": True}},
                 },
-                "coefficients.params.n_modes",
+                "coefficients.params: unknown key",
             ),
             (
                 {
                     "preset": "galerkin_heat",
                     "coefficients": {"preset": "galerkin_heat", "params": {"jump_scale": "1e400"}},
                 },
-                "coefficients.params.jump_scale",
+                "coefficients.params: unknown key",
             ),
             (
                 {
@@ -1352,7 +1355,7 @@ class TestCliErrorMapping:
             "to at most 2048\n"
         )
         assert captured.out == ""
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_apscan_support_cap_counts_the_drawn_paths(self, tmp_path, capsys):
         """``law_support`` below the path count sets the law size."""
@@ -1491,6 +1494,7 @@ class TestCliArtifacts:
         code = main(["apscan", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "apscan needs" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_stage_times_script_times_every_stage(self, tmp_path):
         """``scripts/stage_times.py`` finds each stage where the commands
@@ -1520,8 +1524,9 @@ class TestCliArtifacts:
         """``scripts/compare_artifacts.py`` passes a tree against itself;
         against a changed tree it names every run that differs before it
         exits 1.  Between output directories it ignores ``wall_ms`` in the
-        gap trace only, and names every changed artifact and every one
-        that a single tree writes.  Each of its rejected configs exits 2
+        gap trace only, and names every changed artifact, with the key
+        paths at which a JSON artifact differs, and every one that a
+        single tree writes.  Each of its rejected configs exits 2
         from ``check`` with one error line."""
         import importlib.util
         import shutil
@@ -1567,6 +1572,35 @@ class TestCliArtifacts:
             "gap_trace.jsonl differs outside wall_ms",
             "run_meta.json is written by one tree only",
         ]
+        # a JSON artifact names each key path that differs: a key one
+        # tree lacks and a changed value inside a list; equal values in
+        # other bytes name the file alone
+        meta = {"config": {"seed": 1, "threads": 2}, "gap_trace": [{"gap": 1.0}, {"gap": 0.5}]}
+        (old / "run_meta.json").write_text(json.dumps(meta))
+        meta = {"config": {"seed": 1}, "gap_trace": [{"gap": 1.0}, {"gap": 0.25}]}
+        (new / "run_meta.json").write_text(json.dumps(meta))
+        (old / "condition_report.json").write_text('{"k": "1"}')
+        (new / "condition_report.json").write_text('{"k":"1"}')
+        assert compare.artifact_differences(old, new) == [
+            "condition_report.json differs",
+            "ensemble.csv differs",
+            "gap_trace.jsonl differs outside wall_ms",
+            "run_meta.json: config.threads, gap_trace[1].gap",
+        ]
+
+    def test_custom_block_restates_the_ou_preset(self, tmp_path, capsys):
+        """Coefficient presets take no parameters; other coefficients are
+        stated as ``coefficients.custom``.  The ou_forced set written that
+        way (``signal_dict("s1")``, the block docs/configuration.md
+        shows) gives the preset's ensemble and condition report byte for
+        byte."""
+        outs = []
+        for name, data in (("preset", tiny_ou_dict()), ("custom", signal_dict("s1"))):
+            cfg = write_cfg(tmp_path, data, f"{name}.json")
+            outs.append(tmp_path / name)
+            assert main(["picard", "--config", str(cfg), "--out", str(outs[-1])]) == 0
+        for name in ("ensemble.csv", "condition_report.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
     def test_ou_benchmark_script_reads_ensemble_csv(self, tmp_path):
         """``scripts/run_ou_benchmark.py`` reshapes ``ensemble.csv`` by
@@ -1664,9 +1698,8 @@ class TestCliDeterminism:
         base = self.run_picard(tmp_path, "t1")
         for threads in ("4", "8"):
             out = self.run_picard(tmp_path, f"t{threads}", ("--threads", threads))
-            assert (base / "ensemble.csv").read_bytes() == (
-                out / "ensemble.csv"
-            ).read_bytes()
+            for name in ("ensemble.csv", "condition_report.json", "run_meta.json"):
+                assert (base / name).read_bytes() == (out / name).read_bytes(), name
             assert stripped_trace(base / "gap_trace.jsonl") == stripped_trace(
                 out / "gap_trace.jsonl"
             )

@@ -424,32 +424,29 @@ def test_preset_dimensions():
 
 
 def test_ou_preset_values():
-    ou = ou_forced_coefficients(amplitude=2.0, sigma=0.5)
+    """Drift sin(sqrt(2) t) and diffusion 0.3, whatever the state."""
+    ou = ou_forced_coefficients()
     t = 0.81
     y = np.array([[7.0]])  # state must not matter
     f = point_values(drift_terms(ou, np.array([t])), y)
-    assert f[0, 0] == pytest.approx(2.0 * math.sin(math.sqrt(2.0) * t))
+    assert f[0, 0] == pytest.approx(math.sin(math.sqrt(2.0) * t))
     g = point_values([row[0] for row in diffusion_terms(ou, np.array([t]))], y)
-    assert g[0, 0] == pytest.approx(0.5)
+    assert g[0, 0] == pytest.approx(0.3)
 
 
 def test_galerkin_preset_guards():
     with pytest.raises(CoefficientError, match="modes"):
         galerkin_heat_coefficients(n_modes=1)
-    with pytest.raises(CoefficientError, match="Lipschitz"):
-        galerkin_heat_coefficients(forcing_scale=0.5)
-    with pytest.raises(CoefficientError, match="Lipschitz"):
-        galerkin_heat_coefficients(jump_scale=0.25)
 
 
 def test_galerkin_preset_scales():
-    """Mode k gets diffusion diffusion_scale/(k+1)^2 on its own noise
-    coordinate and small jumps jump_scale/(k+1)^2 * y_k."""
-    gal = galerkin_heat_coefficients(n_modes=3, diffusion_scale=0.2, jump_scale=0.1)
+    """Mode k gets diffusion 0.05/(k+1)^2 on its own noise coordinate
+    and small jumps 0.125/(k+1)^2 * y_k."""
+    gal = galerkin_heat_coefficients(n_modes=3)
     y = np.array([[1.0, 2.0, 3.0]])
     g = np.column_stack(
         [point_values(col, y)[0] for col in zip(*diffusion_terms(gal, np.array([0.5])))]
     )
-    assert g == pytest.approx(np.diag([0.2, 0.05, 0.2 / 9]))
+    assert g == pytest.approx(np.diag([0.05, 0.05 / 4, 0.05 / 9]))
     jumps = point_values(jump_terms(gal.jump_small, np.array([0.5]), np.zeros((1, 3))), y)
-    assert jumps[0] == pytest.approx([0.1, 0.1 / 4 * 2, 0.1 / 9 * 3])
+    assert jumps[0] == pytest.approx([0.125, 0.125 / 4 * 2, 0.125 / 9 * 3])

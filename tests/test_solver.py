@@ -363,7 +363,7 @@ class TestSimulateMild:
         a, sigma, m_paths = 1.0, 0.3, 2000
         h = 1.0 / 64
         sysd = scalar_system(a)
-        cs = ou_forced_coefficients(amplitude=1.0, sigma=sigma)
+        cs = ou_forced_coefficients()
         noise = sample_noise(wiener_only_spec(), *window_steps(0.0, 16.0, h), h, m_paths, seed=21)
         ens = simulate_mild(sysd, cs, noise, np.zeros(1))
 
@@ -520,7 +520,7 @@ class TestApplyS:
         s = 0.5
         root2 = math.sqrt(2.0)
         sysd = scalar_system(1.0)
-        base = ou_forced_coefficients(amplitude=1.0, sigma=0.3)
+        base = ou_forced_coefficients()
         cos_s, sin_s = math.cos(root2 * s), math.sin(root2 * s)
         shifted_sig = QuasiPeriodicSignal.parse(
             f"{cos_s!r} * s1 + {sin_s!r} * c1", (root2,)
