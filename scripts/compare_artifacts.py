@@ -16,11 +16,12 @@ runs ``python -m levyap.cli`` on
   jump term with mark weights, a correlated 2-d covariance, small and
   large jumps, and a non-diagonal generator with an unstable
   direction), and
-- ``check --config`` on each config of ``REJECTED``, copies of
-  ``CUSTOM`` that validation rejects (threads 0, one path, a window
-  that misses 0, an off-grid shift, a window narrower than twice the
-  truncation, an unknown key), whose exit code and stderr must not
-  change,
+- ``check --config`` on each config of ``REJECTED``, configs that
+  validation rejects: copies of ``CUSTOM`` (threads 0, one path, a
+  window that misses 0, an off-grid shift, a window narrower than twice
+  the truncation, an unknown key) and example41 with a K or an omega
+  whose contraction rate overflows a float, whose exit code and stderr
+  must not change,
 
 each into its own directory under a temporary one, and compares the two
 trees' runs (the configs are written next to each tree's output
@@ -84,6 +85,9 @@ CUSTOM = {
 }
 
 
+EXAMPLE41_SYSTEM = {"a": [[8, 0], [0, -6]], "p": [[0, 0], [0, 1]], "k": 1, "omega": 6}
+
+
 def _custom(**numerics) -> dict:
     """``CUSTOM`` with its numerics updated."""
     return {**CUSTOM, "numerics": {**CUSTOM["numerics"], **numerics}}
@@ -96,6 +100,8 @@ REJECTED = {
     "off_grid_shift.json": {**CUSTOM, "analysis": {"times": [0], "shifts": ["1/3"]}},
     "narrow_window.json": _custom(window=[-2, 2]),
     "unknown_key.json": _custom(tolerance=1e-9),
+    "huge_k.json": {"preset": "example41", "system": {**EXAMPLE41_SYSTEM, "k": 1e300}},
+    "tiny_omega.json": {"preset": "example41", "system": {**EXAMPLE41_SYSTEM, "omega": 1e-300}},
 }
 
 

@@ -49,7 +49,6 @@ __all__ = [
     "JumpConfig",
     "LevyConfig",
     "SystemConfig",
-    "GalerkinConfig",
     "TermConfig",
     "CustomCoefficients",
     "CoefficientConfig",
@@ -73,7 +72,6 @@ __all__ = [
     "ConditionReport",
     "check_conditions",
     "validate_config",
-    "galerkin_system",
 ]
 
 Number = Union[int, float, Fraction]
@@ -287,16 +285,11 @@ _ROWS = _list_of(_NUMBERS, nonempty=True)
 _MATRIX = Codec(_parse_matrix, _ROWS.write)
 _WINDOW = Codec(_parse_window, _NUMBERS.write)
 
-# the spectral system: generator diag(a0 - k^2), k = 0..n_modes-1
-_GALERKIN_FIELDS = (Field("n_modes", _INT), Field("a0", _NUMBER))
-GalerkinConfig = _record("GalerkinConfig", _GALERKIN_FIELDS)
-# either explicit (a, p, k, omega) or a galerkin block
 _SYSTEM_FIELDS = (
-    Field("a", _MATRIX, None),
-    Field("p", _MATRIX, None),
-    Field("k", _NUMBER, None),
-    Field("omega", _NUMBER, None),
-    Field("galerkin", _section(GalerkinConfig, _GALERKIN_FIELDS), None),
+    Field("a", _MATRIX),
+    Field("p", _MATRIX),
+    Field("k", _NUMBER),
+    Field("omega", _NUMBER),
 )
 SystemConfig = _record("SystemConfig", _SYSTEM_FIELDS)
 _MARK_KIND = Field("kind", _STR)
@@ -334,10 +327,10 @@ _TERM_LISTS = _list_of(_list_of(_section(TermConfig, _TERM_FIELDS)))
 # dimension from levy.dim
 _CUSTOM_FIELDS = (
     Field("freqs", _NUMBERS),
-    Field("drift", _TERM_LISTS, (), echo_default=True),
-    Field("diffusion", _list_of(_TERM_LISTS), (), echo_default=True),
-    Field("jump_small", _TERM_LISTS, (), echo_default=True),
-    Field("jump_large", _TERM_LISTS, (), echo_default=True),
+    Field("drift", _TERM_LISTS),
+    Field("diffusion", _list_of(_TERM_LISTS)),
+    Field("jump_small", _TERM_LISTS),
+    Field("jump_large", _TERM_LISTS),
     Field("lipschitz", _NUMBER),
 )
 CustomCoefficients = _record("CustomCoefficients", _CUSTOM_FIELDS)
@@ -379,7 +372,6 @@ _RUN = _section(RunConfig, _RUN_FIELDS)
 FIELD_TABLES: dict[str, tuple[Field, ...]] = {
     "": _RUN_FIELDS,
     "system": _SYSTEM_FIELDS,
-    "system.galerkin": _GALERKIN_FIELDS,
     "levy": _LEVY_FIELDS,
     "levy.jumps[]": _JUMP_FIELDS,
     **{f"levy.jumps[].marks (kind {k})": t for k, t in _MARK_FIELDS.items()},
@@ -418,24 +410,6 @@ def load_config(path) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def galerkin_system(n_modes: int, a0: Number) -> DichotomousSystem:
-    """Diagonal spectral system with eigenvalues a0 - k^2, k = 0..m-1.
-
-    The projection separates negative from positive eigenvalues.  The
-    dichotomy constants are exact: K = 1 and omega the smallest |a0 -
-    k^2| (``diagonal_constants``), which raises ``NoDichotomyError``
-    when the shifted spectrum touches 0.  They are the system's
-    ``constants``, as Fractions.
-    """
-    if n_modes < 1:
-        raise ConfigError("galerkin system needs at least one mode")
-    a0 = _as_fraction(a0, "system.galerkin.a0")
-    eigs = [a0 - j * j for j in range(n_modes)]
-    a = [[e if i == j else 0 for j in range(n_modes)] for i, e in enumerate(eigs)]
-    p = [[int(e < 0) if i == j else 0 for j in range(n_modes)] for i, e in enumerate(eigs)]
-    return DichotomousSystem(a, p, *diagonal_constants(a, p))
-
-
 def build_system(cfg: SystemConfig) -> DichotomousSystem:
     """The configured system.
 
@@ -447,22 +421,8 @@ def build_system(cfg: SystemConfig) -> DichotomousSystem:
     check of ``DichotomousSystem.create``, so the system is built
     unchecked and builds its arrays on first use.  Any other explicit
     system gets the float checks and the sampled
-    ``spot_check_dichotomy`` of ``DichotomousSystem.create``.  A galerkin
-    block sets the whole system, so an explicit field beside it is a
-    ConfigError naming that field.
+    ``spot_check_dichotomy`` of ``DichotomousSystem.create``.
     """
-    if cfg.galerkin is not None:
-        beside = [
-            f"system.{k}" for k, v in cfg._asdict().items() if k != "galerkin" and v is not None
-        ]
-        if beside:
-            raise ConfigError(
-                f"{', '.join(beside)}: not allowed beside system.galerkin, "
-                "which sets the whole system"
-            )
-        return galerkin_system(cfg.galerkin.n_modes, cfg.galerkin.a0)
-    if cfg.a is None or cfg.p is None or cfg.k is None or cfg.omega is None:
-        raise ConfigError("system needs a, p, k and omega (or a galerkin block)")
     if not (float(cfg.omega) > 0):
         raise ConfigError("system.omega must be positive")
     if not (float(cfg.k) > 0):
@@ -729,9 +689,10 @@ def validate_config(cfg: RunConfig) -> Run:
     Picard solve and the scan take its integers as they are.
 
     The condition inputs are exact: K and omega come from the system
-    config (or the exact galerkin constants), L from the coefficient
-    set's declared constant, b from the summed large-jump rates.
-    Rational inputs stay exact; floats convert exactly.
+    config, L from the coefficient set's declared constant, b from the
+    summed large-jump rates.  Rational inputs stay exact; floats convert
+    exactly.  Inputs whose contraction rate eta overflows a float are a
+    ConfigError naming ``system.k``, ``system.omega`` and L.
     """
     num = cfg.numerics
     h = _finite(num.h, "numerics.h")
@@ -761,12 +722,7 @@ def validate_config(cfg: RunConfig) -> Run:
     # bound is its largest index, sys.maxsize; checked on the declared
     # dimensions, before the builders make lists of that length
     n = k_hi - k_lo
-    galerkin = cfg.system.galerkin
-    if galerkin is not None:
-        state = ("system.galerkin.n_modes", galerkin.n_modes)
-    else:
-        state = ("system.a", len(cfg.system.a or ()))
-    for what, dim in (("levy.dim", cfg.levy.dim), state):
+    for what, dim in (("levy.dim", cfg.levy.dim), ("system.a", len(cfg.system.a))):
         if num.n_paths * n * dim > sys.maxsize:
             raise ConfigError(
                 f"numerics.h = {h} gives {float(n):.3g} steps; numerics.n_paths x steps "
@@ -786,6 +742,26 @@ def validate_config(cfg: RunConfig) -> Run:
         raise ConfigError(
             f"coefficient noise dimension {cs.dim_noise} != levy dimension {spec.dim}"
         )
+    b = sum(
+        (_as_fraction(j.rate, "jump rate") for j in cfg.levy.jumps if j.region == "large"),
+        Fraction(0),
+    )
+    conditions = (
+        _as_fraction(cfg.system.k, "system.k"),
+        _as_fraction(cfg.system.omega, "system.omega"),
+        _as_fraction(cs.lipschitz, "lipschitz"),
+        b,
+    )
+    # the condition report writes eta as a float as well, which must not
+    # overflow; checked before the default truncation, 12/omega in steps
+    try:
+        float(check_conditions(*conditions).eta)
+    except OverflowError:
+        raise ConfigError(
+            f"system.k = {cfg.system.k}, system.omega = {cfg.system.omega}, coefficient "
+            f"L = {float(cs.lipschitz):g}: the contraction rate "
+            "eta = 16 K^2 L (1+2b)/omega^2 + 32 K^2 L/omega overflows a float"
+        ) from None
 
     if num.truncation is not None:
         t_c = _finite(num.truncation, "numerics.truncation")
@@ -821,16 +797,6 @@ def validate_config(cfg: RunConfig) -> Run:
                 f"[{t_lo + t_c}, {t_hi - t_c}] (window shrunk by the truncation)"
             )
 
-    if cfg.system.galerkin is not None:
-        k, omega = sysd.constants
-    else:
-        k = _as_fraction(cfg.system.k, "system.k")
-        omega = _as_fraction(cfg.system.omega, "system.omega")
-    b = sum(
-        (_as_fraction(j.rate, "jump rate") for j in cfg.levy.jumps if j.region == "large"),
-        Fraction(0),
-    )
-    conditions = (k, omega, _as_fraction(cs.lipschitz, "lipschitz"), b)
     return Run(
         cfg,
         sysd,
@@ -923,13 +889,20 @@ def _ou_forced_config() -> RunConfig:
 
 
 def _galerkin_heat_config() -> RunConfig:
+    def diag(entries):
+        return tuple(tuple(e if i == j else 0 for j in range(8)) for i, e in enumerate(entries))
+
+    # the spectral truncation diag(5/2 - k^2), k = 0..7, of a heat-type
+    # equation: P projects on the decaying modes k >= 2, and K = 1 and
+    # omega = 3/2, the slowest rate |5/2 - 1|, are its exact constants
+    eigs = [Fraction(5, 2) - k * k for k in range(8)]
     return RunConfig(
-        system=SystemConfig(galerkin=GalerkinConfig(n_modes=8, a0=Fraction(5, 2))),
+        system=SystemConfig(
+            a=diag(eigs), p=diag([int(e < 0) for e in eigs]), k=1, omega=Fraction(3, 2)
+        ),
         levy=LevyConfig(
             dim=8,
-            covariance=tuple(
-                tuple(1 if i == j else 0 for j in range(8)) for i in range(8)
-            ),
+            covariance=diag([1] * 8),
             jumps=(
                 JumpConfig(
                     rate=2,

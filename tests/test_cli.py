@@ -28,13 +28,17 @@ import levyap.config
 from levyap import LevyapError
 from levyap.apdist import EmpiricalLawError
 from levyap.cli import _write_ensemble_csv, cmd_apscan, cmd_picard, main
-from levyap.coefficients import CoefficientError, SignalParseError, UnboundedSignalError
+from levyap.coefficients import (
+    CoefficientError,
+    SignalParseError,
+    UnboundedSignalError,
+    galerkin_heat_coefficients,
+)
 from levyap.config import (
     FIELD_TABLES,
     ConfigError,
     config_from_dict,
     config_to_dict,
-    galerkin_system,
     load_config,
     number_to_json,
     parse_number,
@@ -42,7 +46,7 @@ from levyap.config import (
     preset_names,
     validate_config,
 )
-from levyap.dichotomy import DichotomyError, MatrixExpOverflowError, NoDichotomyError
+from levyap.dichotomy import DichotomyError, MatrixExpOverflowError, diagonal_constants
 from levyap.noise import NoiseSpecError
 from levyap.solver import PathEnsemble, SolverError
 
@@ -81,9 +85,15 @@ def tiny_benchmark_dict():
 
 
 def tiny_galerkin_dict():
-    """Three-mode spectral truncation small enough for fast CLI tests."""
+    """Three-mode spectral truncation diag(5/2 - k^2), k = 0..2, small
+    enough for fast CLI tests."""
     return {
-        "system": {"galerkin": {"n_modes": 3, "a0": "5/2"}},
+        "system": {
+            "a": [["5/2", 0, 0], [0, "3/2", 0], [0, 0, "-3/2"]],
+            "p": [[0, 0, 0], [0, 0, 0], [0, 0, 1]],
+            "k": 1,
+            "omega": "3/2",
+        },
         "levy": {
             "dim": 3,
             "covariance": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
@@ -274,7 +284,14 @@ PRESET_ECHOES = {
         '"kind": "uniform_annulus", "r0": "1/10", "r1": "1/2"}, "rate": 2, '
         '"region": "small"}]}, "numerics": {"h": "1/32", "max_iter": 40, "n_paths": 128, '
         '"tol": 1e-10, "truncation": 8, "window": [-8, 16]}, "seed": 2, '
-        '"system": {"galerkin": {"a0": "5/2", "n_modes": 8}}, "threads": 1}'
+        '"system": {"a": [["5/2", 0, 0, 0, 0, 0, 0, 0], [0, "3/2", 0, 0, 0, 0, 0, 0], '
+        '[0, 0, "-3/2", 0, 0, 0, 0, 0], [0, 0, 0, "-13/2", 0, 0, 0, 0], '
+        '[0, 0, 0, 0, "-27/2", 0, 0, 0], [0, 0, 0, 0, 0, "-45/2", 0, 0], '
+        '[0, 0, 0, 0, 0, 0, "-67/2", 0], [0, 0, 0, 0, 0, 0, 0, "-93/2"]], "k": 1, '
+        '"omega": "3/2", "p": [[0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0], '
+        "[0, 0, 1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0, 0, 0], "
+        "[0, 0, 0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 0, 0, 1]]}, "
+        '"threads": 1}'
     ),
     "ou_forced": (
         '{"analysis": {"epsilon": 0.2, "law_support": 96, "shifts": ["71/16", "569/64", '
@@ -662,39 +679,23 @@ class TestConditionInputs:
         _, _, _, b = validate_config(config_from_dict(d)).conditions
         assert b == Fraction(3, 2)
 
-    def test_galerkin_constants_derived_once(self, monkeypatch):
-        """A galerkin run certifies its exact (K, omega) once, in the
-        system build, and the condition inputs read them from the system."""
-        calls = []
-
-        def counted(a, p, _fn=levyap.config.diagonal_constants):
-            calls.append(len(a))
-            return _fn(a, p)
-
-        monkeypatch.setattr(levyap.config, "diagonal_constants", counted)
-        run = validate_config(preset_config("galerkin_heat"))
-        assert calls == [8]
-        assert run.conditions[:2] == (Fraction(1), Fraction(3, 2)) == run.system.constants
-
-
-class TestGalerkinSystem:
-    def test_three_mode_system(self):
-        sysd = galerkin_system(3, Fraction(1, 2))
-        assert sysd.dim == 3
-        assert sysd.rank_unstable == 1 and sysd.rank_stable == 2
-        assert abs(sysd.omega - 0.5) < 0.05
-        assert 1.0 <= sysd.k < 1.1
-
-    def test_eight_mode_system(self):
-        sysd = galerkin_system(8, Fraction(5, 2))
-        assert sysd.dim == 8
-        assert sysd.rank_unstable == 2 and sysd.rank_stable == 6
-        assert abs(sysd.omega - 1.5) < 0.1
-
-    def test_eigenvalue_on_axis_rejected(self):
-        # a0 = 1 puts the k = 1 mode exactly on the imaginary axis
-        with pytest.raises(NoDichotomyError):
-            galerkin_system(3, 1)
+    def test_galerkin_heat_declares_its_certified_constants(self):
+        """galerkin_heat states the spectral truncation diag(5/2 - k^2),
+        k = 0..7, with P on the decaying modes k >= 2, and declares the
+        exact (K, omega) that ``diagonal_constants`` certifies for it."""
+        cfg = preset_config("galerkin_heat")
+        eigs = [Fraction(5, 2) - k * k for k in range(8)]
+        assert cfg.system.a == tuple(
+            tuple(e if i == j else 0 for j in range(8)) for i, e in enumerate(eigs)
+        )
+        assert cfg.system.p == tuple(
+            tuple(1 if i == j >= 2 else 0 for j in range(8)) for i in range(8)
+        )
+        declared = (cfg.system.k, cfg.system.omega)
+        assert declared == (1, Fraction(3, 2)) == diagonal_constants(cfg.system.a, cfg.system.p)
+        run = validate_config(cfg)
+        assert run.conditions[:2] == declared
+        assert (run.system.rank_unstable, run.system.rank_stable) == (2, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -855,34 +856,24 @@ class TestCliExitCodes:
     def test_huge_mode_count_rejected_before_any_list_is_built(
         self, tmp_path, capsys, monkeypatch, section, key
     ):
-        """A mode count of 2^63 would make the galerkin builders loop over
-        range(n_modes) without bound.  As ``system.galerkin.n_modes`` it
-        is rejected from the declared integers; ``coefficients.params``
-        is an unknown key.  No builder ever sees it."""
+        """A mode count of 2^63 would make the galerkin_heat builder loop
+        over range(n_modes) without bound.  No config key sets one: the
+        system states its matrices and the coefficient presets take no
+        parameters, so ``system.galerkin`` and ``coefficients.params``
+        are unknown keys.  No builder ever sees it."""
 
-        def guarded(fn):
-            def call(*args, **kwargs):
-                assert kwargs.get("n_modes", args[0] if args else None) != 2**63
-                return fn(*args, **kwargs)
+        def guarded(n_modes):
+            assert n_modes != 2**63
+            return galerkin_heat_coefficients(n_modes)
 
-            return call
-
-        monkeypatch.setattr(
-            levyap.config, "galerkin_system", guarded(levyap.config.galerkin_system)
-        )
-        presets = levyap.config._COEFF_PRESETS
-        monkeypatch.setitem(presets, "galerkin_heat", guarded(presets["galerkin_heat"]))
+        monkeypatch.setitem(levyap.config._COEFF_PRESETS, "galerkin_heat", guarded)
         d = tiny_galerkin_dict()
         d[section].setdefault(key, {})["n_modes"] = 2**63
         cfg = write_cfg(tmp_path, d)
         assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        named = {
-            "system": "system.galerkin.n_modes",
-            "coefficients": "coefficients.params: unknown key",
-        }
-        assert named[section] in err
+        assert f"{section}.{key}: unknown key" in err
 
     def test_sine_of_a_huge_literal_is_certified(self, tmp_path):
         """sin(1e25) is bounded, and its certificate takes as little work
@@ -1062,12 +1053,23 @@ class TestCliExitCodes:
                 "levy.jumps[0].marks.rr",
             ),
             (
-                {"preset": "galerkin_heat", "system": {"galerkin": {"n_modes": 8}}},
-                "system.galerkin.a0",
+                {
+                    "preset": "galerkin_heat",
+                    "system": {"a": [["5/2", 0], [0, "3/2"]], "p": [[0, 0], [0, 0]], "k": 1},
+                },
+                "system.omega: required key is missing",
             ),
             (
-                {"preset": "galerkin_heat", "system": {"galerkin": {"n_mode": 8, "a0": 2}}},
-                "system.galerkin.n_mode",
+                {
+                    "preset": "galerkin_heat",
+                    "system": {
+                        "a": [["5/2", 0], [0, "3/2"]],
+                        "p": [[0, 0], [0, 0]],
+                        "k": 1,
+                        "omgea": "3/2",
+                    },
+                },
+                "system.omgea",
             ),
             (
                 {
@@ -1124,17 +1126,26 @@ class TestCliExitCodes:
                 "numerics.window",
             ),
             ({"preset": "example41", "analysis": {"epsilon": "1e400"}}, "analysis.epsilon"),
-            ({"preset": "example41", "system": {"galerkin": {"n_modes": 2, "a0": "-1e400"}}},
-             "system.galerkin.a0"),
+            (
+                {
+                    "preset": "example41",
+                    "system": {
+                        "a": [["-1e400", 0], [0, -6]],
+                        "p": [[0, 0], [0, 1]],
+                        "k": 1,
+                        "omega": 6,
+                    },
+                },
+                "system.a[0][0]",
+            ),
             (
                 {
                     "preset": "galerkin_heat",
                     "system": {
-                        "galerkin": {"n_modes": 8, "a0": "5/2"},
-                        "k": 7,
-                        "omega": "1/1000",
-                        "a": [[1]],
-                        "p": [[1]],
+                        "a": [["5/2", 0], [0, "3/2"]],
+                        "p": [[0, 0], [0, 0]],
+                        "k": 1,
+                        "omega": "8/5",
                     },
                 },
                 "system.omega",
@@ -1166,7 +1177,12 @@ class TestCliExitCodes:
             (
                 {
                     "preset": "galerkin_heat",
-                    "system": {"galerkin": {"n_modes": 2, "a0": "5/2"}},
+                    "system": {
+                        "a": [["5/2", 0], [0, "3/2"]],
+                        "p": [[0, 0], [0, 0]],
+                        "k": 1,
+                        "omega": "3/2",
+                    },
                     "levy": {"dim": 2, "covariance": [[1, 0], [0]]},
                     "coefficients": {"preset": "galerkin_heat"},
                 },
@@ -1253,12 +1269,60 @@ class TestCliExitCodes:
         assert not out.exists()
 
     def test_galerkin_without_spectral_gap(self, tmp_path, capsys):
+        """diag(1 - k^2), k = 0..2, has its k = 1 mode on the imaginary
+        axis: no rate is certified."""
         d = tiny_galerkin_dict()
-        d["system"]["galerkin"]["a0"] = 1
+        d["system"]["a"] = [[1, 0, 0], [0, 0, 0], [0, 0, -3]]
         cfg = write_cfg(tmp_path, d)
         code = main(["picard", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no dichotomy" in err
+
+    def test_galerkin_block_is_an_unknown_key(self, tmp_path, capsys):
+        """The system is stated by its matrices and constants alone; the
+        spectral block of earlier versions is rejected by name before
+        anything is written."""
+        d = tiny_galerkin_dict()
+        d["system"] = {"galerkin": {"n_modes": 3, "a0": "5/2"}}
+        cfg = write_cfg(tmp_path, d)
+        out = tmp_path / "o"
+        assert main(["picard", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: system.galerkin: unknown key") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["drift", "diffusion", "jump_small", "jump_large"])
+    def test_custom_term_lists_are_required(self, tmp_path, capsys, key):
+        """An empty term list fits no state dimension, so each of the four
+        lists of a custom block must be given."""
+        d = signal_dict("s1")
+        del d["coefficients"]["custom"][key]
+        cfg = write_cfg(tmp_path, d)
+        out = tmp_path / "o"
+        assert main(["picard", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: coefficients.custom.{key}: required key is missing\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value, truncation",
+        [("k", 1e300, 2), ("omega", 1e-300, 2), ("omega", 1e-310, None)],
+        ids=["k-1e300", "omega-1e-300", "omega-1e-310-default-truncation"],
+    )
+    def test_condition_rate_overflow_rejected(self, tmp_path, key, value, truncation):
+        """A declared K or omega whose contraction rate eta overflows a
+        float is a config error naming the key.  The condition report's
+        float of eta raised OverflowError, and so did the default
+        truncation, 12/omega in steps, at an omega below 1e-308."""
+        d = config_to_dict(preset_config("example41"))
+        d["system"][key] = value
+        d["numerics"]["truncation"] = truncation
+        proc = check_process(tmp_path, d)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: system.k = ") and proc.stderr.count("\n") == 1
+        assert f"system.{key} = {value}" in proc.stderr and "overflows a float" in proc.stderr
+        assert not (tmp_path / "o").exists()
 
     def test_picard_not_converged(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, tiny_benchmark_dict())
@@ -1535,7 +1599,7 @@ class TestCliArtifacts:
         spec = importlib.util.spec_from_file_location("compare_artifacts", script)
         compare = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(compare)
-        assert len(compare.runs()) == 3 * 3 * 2 * 2 + 2 + 2 + 6
+        assert len(compare.runs()) == 3 * 3 * 2 * 2 + 2 + 2 + 8
         for name, data in compare.REJECTED.items():
             cfg = write_cfg(tmp_path, data, name)
             assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "rejected")]) == 2

@@ -430,9 +430,8 @@ def test_diagonal_constants_of_example():
 def test_spot_check_holds_under_certified_constants_on_presets(name):
     cfg = preset_config(name).system
     sysd = build_system(cfg)
-    if cfg.galerkin is None:
-        k, omega = diagonal_constants(cfg.a, cfg.p)
-        assert (sysd.k, sysd.omega) == (float(k), float(omega))  # declared = certified
+    k, omega = diagonal_constants(cfg.a, cfg.p)
+    assert (sysd.k, sysd.omega) == (float(k), float(omega))  # declared = certified
     assert spot_check_dichotomy(sysd) <= 1.0 + 1e-9
     # the sampled probes may miss the slowest mode; the basis vectors do not
     grid = np.linspace(0.0, 4.0 / sysd.omega, 9)
