@@ -19,9 +19,10 @@ runs ``python -m levyap.cli`` on
 - ``check --config`` on each config of ``REJECTED``, configs that
   validation rejects: copies of ``CUSTOM`` (threads 0, one path, a
   window that misses 0, an off-grid shift, a window narrower than twice
-  the truncation, an unknown key) and example41 with a K or an omega
-  whose contraction rate overflows a float, whose exit code and stderr
-  must not change,
+  the truncation, an unknown key), example41 with a K or an omega
+  whose contraction rate overflows a float, and example41 naming its
+  coefficients by the removed ``coefficients.preset`` key, whose exit
+  code and stderr must not change,
 
 each into its own directory under a temporary one, and compares the two
 trees' runs (the configs are written next to each tree's output
@@ -60,23 +61,21 @@ CUSTOM = {
         ],
     },
     "coefficients": {
-        "custom": {
-            "freqs": [1.4142135623730951, 1.7320508075688772],
-            "drift": [
-                [{"scale": "1/16", "kernel": "bounded_ratio", "coord": 1, "outer": "c1"}],
-                [{"scale": "1/16", "kernel": "sin_shift", "coord": 0, "inner": "s2"}],
-            ],
-            "diffusion": [
-                [[{"scale": "1/10", "kernel": "const", "outer": "c2"}], []],
-                [[], [{"scale": "1/10", "kernel": "linear", "coord": 1}]],
-            ],
-            "jump_small": [
-                [{"scale": "1/8", "kernel": "linear", "coord": 0, "mark_weights": [1, "1/2"]}],
-                [],
-            ],
-            "jump_large": [[], [{"scale": "1/8", "kernel": "const", "outer": "s1"}]],
-            "lipschitz": "1/64",
-        }
+        "freqs": [1.4142135623730951, 1.7320508075688772],
+        "drift": [
+            [{"scale": "1/16", "kernel": "bounded_ratio", "coord": 1, "outer": "c1"}],
+            [{"scale": "1/16", "kernel": "sin_shift", "coord": 0, "inner": "s2"}],
+        ],
+        "diffusion": [
+            [[{"scale": "1/10", "kernel": "const", "outer": "c2"}], []],
+            [[], [{"scale": "1/10", "kernel": "linear", "coord": 1}]],
+        ],
+        "jump_small": [
+            [{"scale": "1/8", "kernel": "linear", "coord": 0, "mark_weights": [1, "1/2"]}],
+            [],
+        ],
+        "jump_large": [[], [{"scale": "1/8", "kernel": "const", "outer": "s1"}]],
+        "lipschitz": "1/64",
     },
     "numerics": {
         "h": "1/32", "window": [-4, 8], "n_paths": 64, "truncation": 4, "tol": 1e-9, "max_iter": 30,
@@ -102,6 +101,7 @@ REJECTED = {
     "unknown_key.json": _custom(tolerance=1e-9),
     "huge_k.json": {"preset": "example41", "system": {**EXAMPLE41_SYSTEM, "k": 1e300}},
     "tiny_omega.json": {"preset": "example41", "system": {**EXAMPLE41_SYSTEM, "omega": 1e-300}},
+    "coefficient_preset.json": {"preset": "example41", "coefficients": {"preset": "example41"}},
 }
 
 

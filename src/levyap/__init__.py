@@ -18,6 +18,10 @@ import sys
 
 __version__ = "0.1.0"
 
+# the largest merged support ``apdist.bl_distance`` takes; here so that
+# validation holds a scan to it without loading ``apdist``
+SUPPORT_CAP = 4096
+
 
 class LevyapError(Exception):
     """Base of every error that bad input or a failed solve raises; the

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import LevyapError
+from . import SUPPORT_CAP, LevyapError
 
 __all__ = [
     "EmpiricalLawError",
@@ -39,7 +39,6 @@ __all__ = [
     "ap_distribution_scan",
 ]
 
-SUPPORT_CAP = 4096  # largest merged support bl_distance takes
 _CERT_GAP = 1e-9  # largest accepted gap between the bounds on beta
 _LINE_ROUNDS = 100  # cutting-plane rounds before beta on the line gives up
 
@@ -387,7 +386,6 @@ def ap_distribution_scan(
     ensemble,
     times: Sequence[int],
     offsets: Sequence[int],
-    shifts: Sequence[float],
     eps: float,
     n_support: Optional[int] = None,
     seed: int = 0,
@@ -395,23 +393,25 @@ def ap_distribution_scan(
     """Scan the shifts of a solved ensemble for almost periodicity in
     distribution.
 
-    ``ensemble`` needs ``values`` (paths, n+1, d) on a uniform grid.
-    The scan works in whole grid steps: ``times`` are the base times as
-    grid indices and ``offsets`` the shifts' steps; ``shifts`` are the
-    same shifts as the report states them.  The scan times T are the
-    base times and every t + s.  The law at a time is the empirical law
-    of the states of the paths drawn by ``_law_paths(paths, n_support,
-    seed)``, one draw for every time.  Shift s is compared on every pair
-    (t, t + s) with both ends in T, not only at the base times, and is
-    accepted when the largest distance stays within ``eps``.
+    ``ensemble`` needs ``values`` (paths, n+1, d) on a uniform grid of
+    step ``h``.  The scan works in whole grid steps: ``times`` are the
+    base times as grid indices and ``offsets`` the shifts' steps.  The
+    report states each shift as its steps times ``h``, the expression of
+    the grid's times, so it states the shift that was scanned.  The scan
+    times T are the base times and every t + s.  The law at a time is
+    the empirical law of the states of the paths drawn by
+    ``_law_paths(paths, n_support, seed)``, one draw for every time.
+    Shift s is compared on every pair (t, t + s) with both ends in T,
+    not only at the base times, and is accepted when the largest
+    distance stays within ``eps``.
 
     The arguments are those of a validated ``Run`` (``validate_config``),
     which ``cmd_apscan`` holds to at least one base time: ``eps > 0``,
-    every shift at least one step, one offset per shift, and every scan
-    time on the ensemble's grid.
+    every shift at least one step and every scan time on the
+    ensemble's grid.
     """
     values = np.asarray(ensemble.values)
-    shifts = np.asarray(list(shifts), dtype=float)
+    shifts = np.asarray(offsets) * ensemble.h
     base = set(times)
     scan = sorted(base.union(*({i + k for i in base} for k in offsets)))
     paths = _law_paths(len(values), n_support, seed)

@@ -276,26 +276,17 @@ def cmd_picard(run: Run, out: Path) -> int:
 
 
 def cmd_apscan(run: Run, out: Path) -> int:
-    from .apdist import SUPPORT_CAP, ap_distribution_scan
+    from .apdist import ap_distribution_scan
 
     cfg = run.config
     ana = cfg.analysis
-    if not ana.times or not ana.shifts:
+    if not ana.shifts:
         raise ConfigError("apscan needs analysis.times and analysis.shifts")
-    n = cfg.numerics.n_paths
-    size = n if ana.law_support is None else min(ana.law_support, n)
-    if 2 * size > SUPPORT_CAP:
-        raise ConfigError(
-            f"apscan compares laws of {size} points, so their merged support "
-            f"can reach {2 * size}, above the cap {SUPPORT_CAP}; set "
-            f"analysis.law_support to at most {SUPPORT_CAP // 2}"
-        )
     res, code = _run_picard(run, out)
     scan = ap_distribution_scan(
         res.ensemble,
         [i - run.k_lo for i in run.times],
         run.shifts,
-        [float(s) for s in ana.shifts],
         float(ana.epsilon),
         n_support=ana.law_support,
         seed=cfg.seed,

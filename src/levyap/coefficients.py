@@ -47,9 +47,6 @@ __all__ = [
     "jump_terms",
     "verify_lipschitz",
     "LipschitzReport",
-    "example41_coefficients",
-    "ou_forced_coefficients",
-    "galerkin_heat_coefficients",
 ]
 
 Number = Union[int, float, Fraction]
@@ -657,99 +654,3 @@ def verify_lipschitz(
         n_samples=int(np.sum(keep)),
     )
 
-
-# ---------------------------------------------------------------------------
-# presets
-# ---------------------------------------------------------------------------
-
-
-def example41_coefficients() -> CoefficientSet:
-    """Two-dimensional benchmark set over the frequency basis
-    (sqrt 2, sqrt 3, sqrt 5), acting on the second state coordinate only.
-
-    Drift: (cos(w1 t) + sin(w2 t)) / (17 + cos(w3 t)) * y2/(1 + y2^2).
-    Diffusion: sin(y2 + cos(w2 t) + cos(w1 t)) / 12.
-    Small jumps: y2 / 10.  Large jumps:
-    y2/9 * sin(w2 t)^2 / (3 + cos(w1 t) + cos(w3 t)).
-    Squared Lipschitz bound 1/64, kept exact as a Fraction.
-    """
-    freqs = (math.sqrt(2.0), math.sqrt(3.0), math.sqrt(5.0))
-    none: tuple[CoefficientTerm, ...] = ()
-    f_sig = QuasiPeriodicSignal.parse("(c1 + s2) / (17 + c3)", freqs)
-    g_inner = QuasiPeriodicSignal.parse("c2 + c1", freqs)
-    big_sig = QuasiPeriodicSignal.parse("s2 * s2 / (3 + c1 + c3)", freqs)
-    return CoefficientSet(
-        dim_state=2,
-        dim_noise=1,
-        drift=(
-            none,
-            (CoefficientTerm(1.0, "bounded_ratio", coord=1, outer=f_sig),),
-        ),
-        diffusion=(
-            (none,),
-            ((CoefficientTerm(1.0 / 12.0, "sin_shift", coord=1, inner=g_inner),),),
-        ),
-        jump_small=(none, (CoefficientTerm(0.1, "linear", coord=1),)),
-        jump_large=(none, (CoefficientTerm(1.0 / 9.0, "linear", coord=1, outer=big_sig),)),
-        lipschitz=Fraction(1, 64),
-    )
-
-
-def ou_forced_coefficients() -> CoefficientSet:
-    """Scalar Ornstein-Uhlenbeck benchmark: constant-in-state drift
-    sin(sqrt(2) t), constant diffusion 0.3, no jumps.
-
-    All maps are constant in the state, so any positive constant bounds
-    their Lipschitz ratios; a tiny rational is declared to keep condition
-    checks well posed.
-    """
-    forcing = QuasiPeriodicSignal.parse("s1", (math.sqrt(2.0),))
-    return CoefficientSet(
-        dim_state=1,
-        dim_noise=1,
-        drift=((CoefficientTerm(1.0, "const", outer=forcing),),),
-        diffusion=(((CoefficientTerm(0.3, "const"),),),),
-        jump_small=((),),
-        jump_large=((),),
-        lipschitz=Fraction(1, 10**6),
-    )
-
-
-def galerkin_heat_coefficients(n_modes: int) -> CoefficientSet:
-    """Spectral truncation of a forced heat-type equation.
-
-    Mode k gets a quasi-periodic forcing of size 1/(8 (k+1)^2), a
-    diagonal constant diffusion of size 1/(20 (k+1)^2) and a linear
-    small-jump map of size 1/(8 (k+1)^2) on the first mode block.  The
-    decay in k mimics a smooth right-hand side.  Declared squared
-    Lipschitz bound: 1/64, stated rather than derived from the terms;
-    ROADMAP item 1 derives L from them and finds the small-jump map
-    above it.
-    """
-    if n_modes < 2:
-        raise CoefficientError(f"need at least two modes, one per state coordinate, got {n_modes}")
-    freqs = (math.sqrt(2.0), math.sqrt(3.0))
-    sig_f = QuasiPeriodicSignal.parse("s1", freqs)
-    sig_f2 = QuasiPeriodicSignal.parse("c2", freqs)
-    drift = []
-    diffusion = []
-    jump_small = []
-    for k in range(n_modes):
-        decay = 1.0 / (k + 1) ** 2
-        outer = sig_f if k % 2 == 0 else sig_f2
-        drift.append(
-            (CoefficientTerm(0.125 * decay, "bounded_ratio", coord=k, outer=outer),)
-        )
-        row = [() for _ in range(n_modes)]
-        row[k] = (CoefficientTerm(0.05 * decay, "const"),)
-        diffusion.append(tuple(row))
-        jump_small.append((CoefficientTerm(0.125 * decay, "linear", coord=k),))
-    return CoefficientSet(
-        dim_state=n_modes,
-        dim_noise=n_modes,
-        drift=tuple(drift),
-        diffusion=tuple(diffusion),
-        jump_small=tuple(jump_small),
-        jump_large=tuple(() for _ in range(n_modes)),
-        lipschitz=Fraction(1, 64),
-    )

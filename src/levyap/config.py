@@ -22,16 +22,8 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Optional, Union
 
-from . import LevyapError
-from .coefficients import (
-    CoefficientError,
-    CoefficientSet,
-    CoefficientTerm,
-    QuasiPeriodicSignal,
-    example41_coefficients,
-    galerkin_heat_coefficients,
-    ou_forced_coefficients,
-)
+from . import SUPPORT_CAP, LevyapError
+from .coefficients import CoefficientError, CoefficientSet, CoefficientTerm, QuasiPeriodicSignal
 from .dichotomy import DichotomousSystem, diagonal_constants
 from .noise import (
     JumpComponent,
@@ -50,7 +42,6 @@ __all__ = [
     "LevyConfig",
     "SystemConfig",
     "TermConfig",
-    "CustomCoefficients",
     "CoefficientConfig",
     "NumericsConfig",
     "AnalysisConfig",
@@ -325,18 +316,13 @@ TermConfig = _record("TermConfig", _TERM_FIELDS)
 _TERM_LISTS = _list_of(_list_of(_section(TermConfig, _TERM_FIELDS)))
 # the maps take their state dimension from the system and their noise
 # dimension from levy.dim
-_CUSTOM_FIELDS = (
+_COEFFICIENT_FIELDS = (
     Field("freqs", _NUMBERS),
     Field("drift", _TERM_LISTS),
     Field("diffusion", _list_of(_TERM_LISTS)),
     Field("jump_small", _TERM_LISTS),
     Field("jump_large", _TERM_LISTS),
     Field("lipschitz", _NUMBER),
-)
-CustomCoefficients = _record("CustomCoefficients", _CUSTOM_FIELDS)
-_COEFFICIENT_FIELDS = (
-    Field("preset", _STR, None),
-    Field("custom", _section(CustomCoefficients, _CUSTOM_FIELDS), None),
 )
 CoefficientConfig = _record("CoefficientConfig", _COEFFICIENT_FIELDS)
 _NUMERICS_FIELDS = (
@@ -376,8 +362,7 @@ FIELD_TABLES: dict[str, tuple[Field, ...]] = {
     "levy.jumps[]": _JUMP_FIELDS,
     **{f"levy.jumps[].marks (kind {k})": t for k, t in _MARK_FIELDS.items()},
     "coefficients": _COEFFICIENT_FIELDS,
-    "coefficients.custom": _CUSTOM_FIELDS,
-    "coefficients.custom terms": _TERM_FIELDS,
+    "coefficients terms": _TERM_FIELDS,
     "numerics": _NUMERICS_FIELDS,
     "analysis": _ANALYSIS_FIELDS,
 }
@@ -463,37 +448,12 @@ def build_spec(cfg: LevyConfig) -> LevyProcessSpec:
     return LevyProcessSpec(dim=cfg.dim, covariance=cfg.covariance, jumps=jumps)
 
 
-# each preset's builder, called with the state dimension; galerkin_heat
-# makes one mode per state coordinate
-_COEFF_PRESETS = {
-    "example41": lambda dim_state: example41_coefficients(),
-    "ou_forced": lambda dim_state: ou_forced_coefficients(),
-    "galerkin_heat": galerkin_heat_coefficients,
-}
-
-
 def build_coefficients(cfg: CoefficientConfig, dim_state: int, dim_noise: int) -> CoefficientSet:
     """The configured coefficient set for a state in R^dim_state and a
     noise in R^dim_noise, the dimensions of the built system and of
-    ``levy.dim``: custom maps are held to both, and galerkin_heat takes
-    its mode count from the state dimension.  The set's own errors are
-    raised as ConfigErrors that name ``coefficients.custom`` or the
-    preset."""
-    if (cfg.preset is None) == (cfg.custom is None):
-        raise ConfigError("coefficients need exactly one of 'preset' or 'custom'")
-    if cfg.preset is not None:
-        if cfg.preset not in _COEFF_PRESETS:
-            raise ConfigError(
-                f"unknown coefficient preset {cfg.preset!r}; "
-                f"known: {sorted(_COEFF_PRESETS)}"
-            )
-        try:
-            return _COEFF_PRESETS[cfg.preset](dim_state)
-        except CoefficientError as exc:
-            raise ConfigError(f"coefficients.preset {cfg.preset!r}: {exc}") from None
-
-    c = cfg.custom
-    freqs = tuple(float(v) for v in c.freqs)
+    ``levy.dim``, to which the term lists are held.  The set's own errors
+    are raised as ConfigErrors that name ``coefficients``."""
+    freqs = tuple(float(v) for v in cfg.freqs)
 
     def _sig(expr: Optional[str]):
         return None if expr is None else QuasiPeriodicSignal.parse(expr, freqs)
@@ -519,16 +479,14 @@ def build_coefficients(cfg: CoefficientConfig, dim_state: int, dim_noise: int) -
         return CoefficientSet(
             dim_state=dim_state,
             dim_noise=dim_noise,
-            drift=_vec(c.drift),
-            diffusion=tuple(
-                tuple(tuple(_term(t) for t in cell) for cell in row) for row in c.diffusion
-            ),
-            jump_small=_vec(c.jump_small),
-            jump_large=_vec(c.jump_large),
-            lipschitz=c.lipschitz,
+            drift=_vec(cfg.drift),
+            diffusion=tuple(_vec(row) for row in cfg.diffusion),
+            jump_small=_vec(cfg.jump_small),
+            jump_large=_vec(cfg.jump_large),
+            lipschitz=cfg.lipschitz,
         )
     except CoefficientError as exc:
-        raise ConfigError(f"coefficients.custom: {exc}") from None
+        raise ConfigError(f"coefficients: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -679,14 +637,17 @@ def validate_config(cfg: RunConfig) -> Run:
 
     Checks the declared dimensions against numpy's array bound, then
     builds the system, the noise spec and, at their dimensions, the
-    coefficient set once (their own validators run), then checks numerics and reads the window, the
-    truncation horizon, every analysis time and every shift as whole
-    steps h (``_on_grid``); the truncation and every shift must be at
-    least one step, and every analysis time and shifted time must stay
-    at least one truncation horizon away from the window edges, compared
-    in steps.  Returns the ``Run`` every command runs on, which carries
-    those steps: the one place a run is checked, so the sampler, the
-    Picard solve and the scan take its integers as they are.
+    coefficient set once (their own validators run), then checks
+    numerics and reads the window, the truncation horizon, every
+    analysis time and every shift as whole steps h (``_on_grid``); the
+    truncation and every shift must be at least one step, and every
+    analysis time and shifted time must stay at least one truncation
+    horizon away from the window edges, compared in steps.  Analysis
+    times and shifts come together or not at all, and a scan's laws must
+    fit ``bl_distance``'s support cap.  Returns the ``Run`` every command
+    runs on, which carries those steps: the one place a run is checked,
+    so the sampler, the Picard solve and the scan take its integers as
+    they are.
 
     The condition inputs are exact: K and omega come from the system
     config, L from the coefficient set's declared constant, b from the
@@ -734,14 +695,6 @@ def validate_config(cfg: RunConfig) -> Run:
     spec = build_spec(cfg.levy)
     validate_spec(spec)
     cs = build_coefficients(cfg.coefficients, sysd.dim, spec.dim)
-    if cs.dim_state != sysd.dim:
-        raise ConfigError(
-            f"coefficient state dimension {cs.dim_state} != system dimension {sysd.dim}"
-        )
-    if cs.dim_noise != spec.dim:
-        raise ConfigError(
-            f"coefficient noise dimension {cs.dim_noise} != levy dimension {spec.dim}"
-        )
     b = sum(
         (_as_fraction(j.rate, "jump rate") for j in cfg.levy.jumps if j.region == "large"),
         Fraction(0),
@@ -781,6 +734,20 @@ def validate_config(cfg: RunConfig) -> Run:
         raise ConfigError("analysis.epsilon must be positive")
     if ana.law_support is not None and ana.law_support < 1:
         raise ConfigError("analysis.law_support must be positive")
+    # a scan needs both; a run without one, neither
+    if bool(ana.times) != bool(ana.shifts):
+        empty, given = ("times", "shifts") if ana.shifts else ("shifts", "times")
+        raise ConfigError(
+            f"analysis.{empty} is empty but analysis.{given} is not; give both or neither"
+        )
+    if ana.shifts:
+        size = num.n_paths if ana.law_support is None else min(ana.law_support, num.n_paths)
+        if 2 * size > SUPPORT_CAP:
+            raise ConfigError(
+                f"apscan compares laws of {size} points, so their merged support "
+                f"can reach {2 * size}, above the cap {SUPPORT_CAP}; set "
+                f"analysis.law_support to at most {SUPPORT_CAP // 2}"
+            )
     times = [(float(t), _on_grid(float(t), h, "analysis time")) for t in ana.times]
     shifts = [(float(s), _on_grid(float(s), h, "analysis shift")) for s in ana.shifts]
     # the scan counts 0 as an accepted shift, so the gaps need s > 0
@@ -842,7 +809,29 @@ def _example41_config() -> RunConfig:
                 ),
             ),
         ),
-        coefficients=CoefficientConfig(preset="example41"),
+        # the frequency basis (sqrt 2, sqrt 3, sqrt 5), acting on the
+        # second state coordinate only.  Drift (cos(w1 t) + sin(w2 t)) /
+        # (17 + cos(w3 t)) y2/(1 + y2^2), diffusion sin(y2 + cos(w2 t) +
+        # cos(w1 t))/12, small jumps y2/10, large jumps y2/9 sin(w2 t)^2 /
+        # (3 + cos(w1 t) + cos(w3 t)); squared Lipschitz bound 1/64
+        coefficients=CoefficientConfig(
+            freqs=(math.sqrt(2.0), math.sqrt(3.0), math.sqrt(5.0)),
+            drift=((), (TermConfig(1, "bounded_ratio", coord=1, outer="(c1 + s2) / (17 + c3)"),)),
+            diffusion=(
+                ((),),
+                ((TermConfig(Fraction(1, 12), "sin_shift", coord=1, inner="c2 + c1"),),),
+            ),
+            jump_small=((), (TermConfig(Fraction(1, 10), "linear", coord=1),)),
+            jump_large=(
+                (),
+                (
+                    TermConfig(
+                        Fraction(1, 9), "linear", coord=1, outer="s2 * s2 / (3 + c1 + c3)"
+                    ),
+                ),
+            ),
+            lipschitz=Fraction(1, 64),
+        ),
         numerics=NumericsConfig(
             h=Fraction(1, 256),
             window=(-2, 4),
@@ -872,7 +861,17 @@ def _ou_forced_config() -> RunConfig:
     return RunConfig(
         system=SystemConfig(a=((-1,),), p=((1,),), k=1, omega=1),
         levy=LevyConfig(dim=1, covariance=((1,),)),
-        coefficients=CoefficientConfig(preset="ou_forced"),
+        # drift sin(sqrt(2) t) and diffusion 3/10, both constant in the
+        # state, so any positive L bounds their Lipschitz ratios; a tiny
+        # one keeps the condition check well posed
+        coefficients=CoefficientConfig(
+            freqs=(math.sqrt(2.0),),
+            drift=((TermConfig(1, "const", outer="s1"),),),
+            diffusion=(((TermConfig(Fraction(3, 10), "const"),),),),
+            jump_small=((),),
+            jump_large=((),),
+            lipschitz=Fraction(1, 10**6),
+        ),
         numerics=NumericsConfig(
             h=Fraction(1, 64),
             window=(-6, 36),
@@ -889,13 +888,23 @@ def _ou_forced_config() -> RunConfig:
 
 
 def _galerkin_heat_config() -> RunConfig:
-    def diag(entries):
-        return tuple(tuple(e if i == j else 0 for j in range(8)) for i, e in enumerate(entries))
+    def diag(entries, zero=0):
+        return tuple(tuple(e if i == j else zero for j in range(8)) for i, e in enumerate(entries))
 
     # the spectral truncation diag(5/2 - k^2), k = 0..7, of a heat-type
     # equation: P projects on the decaying modes k >= 2, and K = 1 and
     # omega = 3/2, the slowest rate |5/2 - 1|, are its exact constants
     eigs = [Fraction(5, 2) - k * k for k in range(8)]
+    # mode k is forced by sin(sqrt(2) t) (k even) or cos(sqrt(3) t) (k
+    # odd) through a bounded ratio of size 1/(8 (k+1)^2), with a diagonal
+    # constant diffusion of size 1/(20 (k+1)^2) and a linear small-jump
+    # map of size 1/(8 (k+1)^2): the decay in k mimics a smooth
+    # right-hand side.  The scales stay float products: as rationals
+    # some round to other doubles (1/980 for mode 6's diffusion).  The
+    # squared Lipschitz bound 1/64 is declared, not derived from the
+    # terms; ROADMAP item 1 derives L from them and finds the small-jump
+    # map above it
+    decay = [1.0 / (k + 1) ** 2 for k in range(8)]
     return RunConfig(
         system=SystemConfig(
             a=diag(eigs), p=diag([int(e < 0) for e in eigs]), k=1, omega=Fraction(3, 2)
@@ -913,7 +922,19 @@ def _galerkin_heat_config() -> RunConfig:
                 ),
             ),
         ),
-        coefficients=CoefficientConfig(preset="galerkin_heat"),
+        coefficients=CoefficientConfig(
+            freqs=(math.sqrt(2.0), math.sqrt(3.0)),
+            drift=tuple(
+                (TermConfig(0.125 * d, "bounded_ratio", coord=k, outer=("s1", "c2")[k % 2]),)
+                for k, d in enumerate(decay)
+            ),
+            diffusion=diag([(TermConfig(0.05 * d, "const"),) for d in decay], ()),
+            jump_small=tuple(
+                (TermConfig(0.125 * d, "linear", coord=k),) for k, d in enumerate(decay)
+            ),
+            jump_large=((),) * 8,
+            lipschitz=Fraction(1, 64),
+        ),
         numerics=NumericsConfig(
             h=Fraction(1, 32),
             window=(-8, 16),

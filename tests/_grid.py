@@ -1,9 +1,26 @@
-"""Float times of the tests as whole grid steps, the form the sampler,
-the Picard solve and the shift scan take from a validated run."""
+"""What the tests take from a validated run: float times as whole grid
+steps, the form the sampler, the Picard solve and the shift scan take,
+and the coefficient sets of the shipped presets."""
 
 import numpy as np
 
-from levyap.config import grid_steps
+from levyap.config import grid_steps, preset_config, validate_config
+
+
+def preset_coefficients(name: str):
+    """The coefficient set that a run of the preset ``name`` builds."""
+    return validate_config(preset_config(name)).coefficients
+
+
+def galerkin_modes(n: int):
+    """galerkin_heat's coefficient section cut to its first ``n`` modes."""
+    c = preset_config("galerkin_heat").coefficients
+    return c._replace(
+        drift=c.drift[:n],
+        diffusion=tuple(row[:n] for row in c.diffusion[:n]),
+        jump_small=c.jump_small[:n],
+        jump_large=c.jump_large[:n],
+    )
 
 
 def steps(x: float, h: float) -> int:

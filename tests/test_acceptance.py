@@ -20,7 +20,7 @@ import pytest
 
 from _dichotomy_oracles import estimate_constants
 from _ensemble_oracles import l2_increment
-from _grid import ensemble_grid, steps, window_steps
+from _grid import ensemble_grid, preset_coefficients, steps, window_steps
 from _lp_oracles import rational_bl_value
 from levyap.apdist import (
     EmpiricalLaw,
@@ -29,11 +29,7 @@ from levyap.apdist import (
     ap_distribution_scan,
     bl_distance,
 )
-from levyap.coefficients import (
-    CoefficientSet,
-    CoefficientTerm,
-    example41_coefficients,
-)
+from levyap.coefficients import CoefficientSet, CoefficientTerm
 from levyap.config import build_spec, check_conditions, preset_config, validate_config
 from levyap.dichotomy import DichotomousSystem
 from levyap.noise import (
@@ -114,7 +110,6 @@ def scan_preset(run, res, eps, n_support):
         res.ensemble,
         [i - run.k_lo for i in run.times],
         run.shifts,
-        [float(s) for s in run.config.analysis.shifts],
         eps,
         n_support,
         seed=run.config.seed,
@@ -423,7 +418,7 @@ def test_noise_statistics_and_thread_determinism():
     sysd = benchmark_system()
     cfg = preset_config("example41")
     spec41 = build_spec(cfg.levy)
-    cs = example41_coefficients()
+    cs = preset_coefficients("example41")
     small = sample_noise(spec41, *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 32, seed=9)
     results = [
         picard_solve(

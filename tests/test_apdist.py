@@ -24,14 +24,13 @@ from levyap.apdist import (
 
 class _FakeEnsemble:
     def __init__(self, grid, values):
-        self.grid = grid
+        self.h = float(grid[1] - grid[0])
         self.values = values
 
 
 def _on_grid(ens, times):
     """Float times as whole steps of the ensemble's grid, which starts at 0."""
-    h = float(ens.grid[1] - ens.grid[0])
-    return [steps(t, h) for t in times]
+    return [steps(t, ens.h) for t in times]
 
 
 def _random_pair(gen, max_pts=12, dim=None):
@@ -428,7 +427,7 @@ def _recording_scan(monkeypatch, ens, times, shifts, **kw):
 
     monkeypatch.setattr(levyap.apdist, "bl_distance", record)
     ap_distribution_scan(
-        ens, _on_grid(ens, times), _on_grid(ens, shifts), shifts, eps=0.1, **kw
+        ens, _on_grid(ens, times), _on_grid(ens, shifts), eps=0.1, **kw
     )
     return pairs
 
@@ -474,7 +473,7 @@ _CIRCLE_TIMES = [0.0, 0.5, 1.0, 1.5, 2.0]
 def test_scan_accepts_exact_periods():
     ens, shifts = _circle_ensemble(), [1.0, 2.0, 4.0]
     report = ap_distribution_scan(
-        ens, _on_grid(ens, _CIRCLE_TIMES), _on_grid(ens, shifts), shifts, eps=1e-6
+        ens, _on_grid(ens, _CIRCLE_TIMES), _on_grid(ens, shifts), eps=1e-6
     )
     np.testing.assert_array_equal(report.accepted, [False, True, True])
     # a half period moves the mass to the antipode, distance 2 on the
@@ -493,7 +492,7 @@ def test_scan_accepts_exact_periods():
 def test_scan_with_no_accepted_shift_reports_infinite_gap():
     ens, shifts = _circle_ensemble(), [1.0, 3.0]
     report = ap_distribution_scan(
-        ens, _on_grid(ens, _CIRCLE_TIMES), _on_grid(ens, shifts), shifts, eps=1e-6
+        ens, _on_grid(ens, _CIRCLE_TIMES), _on_grid(ens, shifts), eps=1e-6
     )
     assert not report.accepted.any()
     assert report.max_gap == float("inf")
@@ -507,7 +506,7 @@ def test_scan_is_deterministic():
     values = gen.normal(size=(40, 31, 1)).cumsum(axis=1) * 0.1
     ens = _FakeEnsemble(grid, values)
     times, offsets = _on_grid(ens, grid[:16:5]), _on_grid(ens, [0.5, 1.0])
-    r1 = ap_distribution_scan(ens, times, offsets, [0.5, 1.0], eps=0.5, n_support=20)
-    r2 = ap_distribution_scan(ens, times, offsets, [0.5, 1.0], eps=0.5, n_support=20)
+    r1 = ap_distribution_scan(ens, times, offsets, eps=0.5, n_support=20)
+    r2 = ap_distribution_scan(ens, times, offsets, eps=0.5, n_support=20)
     assert r1.sup_beta.tobytes() == r2.sup_beta.tobytes()
     np.testing.assert_array_equal(r1.accepted, r2.accepted)

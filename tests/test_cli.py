@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from _grid import ensemble_grid
+from _grid import ensemble_grid, galerkin_modes
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -28,12 +28,7 @@ import levyap.config
 from levyap import LevyapError
 from levyap.apdist import EmpiricalLawError
 from levyap.cli import _write_ensemble_csv, cmd_apscan, cmd_picard, main
-from levyap.coefficients import (
-    CoefficientError,
-    SignalParseError,
-    UnboundedSignalError,
-    galerkin_heat_coefficients,
-)
+from levyap.coefficients import CoefficientError, SignalParseError, UnboundedSignalError
 from levyap.config import (
     FIELD_TABLES,
     ConfigError,
@@ -85,8 +80,10 @@ def tiny_benchmark_dict():
 
 
 def tiny_galerkin_dict():
-    """Three-mode spectral truncation diag(5/2 - k^2), k = 0..2, small
-    enough for fast CLI tests."""
+    """Three-mode spectral truncation diag(5/2 - k^2), k = 0..2, with the
+    galerkin_heat preset's first three coefficient modes, small enough
+    for fast CLI tests."""
+    cfg = preset_config("galerkin_heat")
     return {
         "system": {
             "a": [["5/2", 0, 0], [0, "3/2", 0], [0, 0, "-3/2"]],
@@ -98,7 +95,9 @@ def tiny_galerkin_dict():
             "dim": 3,
             "covariance": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
         },
-        "coefficients": {"preset": "galerkin_heat"},
+        "coefficients": config_to_dict(cfg._replace(coefficients=galerkin_modes(3)))[
+            "coefficients"
+        ],
         "numerics": {
             "h": "1/8",
             "window": [-6, 10],
@@ -119,19 +118,17 @@ def huge_drift_dict():
         "system": {"a": [[-2]], "p": [[1]], "k": 1, "omega": 2},
         "levy": {"dim": 1, "covariance": [[1]]},
         "coefficients": {
-            "custom": {
-                "freqs": [],
-                "drift": [
-                    [
-                        {"scale": 1, "kernel": "const"},
-                        {"scale": "1e150", "kernel": "linear", "coord": 0},
-                    ]
-                ],
-                "diffusion": [[[]]],
-                "jump_small": [[]],
-                "jump_large": [[]],
-                "lipschitz": "1e300",
-            }
+            "freqs": [],
+            "drift": [
+                [
+                    {"scale": 1, "kernel": "const"},
+                    {"scale": "1e150", "kernel": "linear", "coord": 0},
+                ]
+            ],
+            "diffusion": [[[]]],
+            "jump_small": [[]],
+            "jump_large": [[]],
+            "lipschitz": "1e300",
         },
         "numerics": {
             "h": "1/32",
@@ -161,18 +158,17 @@ def tiny_ou_dict():
 
 
 def signal_dict(outer):
-    """``tiny_ou_dict`` with its forcing as a custom constant drift term
-    whose outer signal is ``outer``."""
+    """``tiny_ou_dict`` with its forcing as a constant drift term whose
+    outer signal is ``outer``, written out as docs/configuration.md
+    writes it."""
     d = tiny_ou_dict()
     d["coefficients"] = {
-        "custom": {
-            "freqs": [1.4142135623730951],
-            "drift": [[{"scale": 1, "kernel": "const", "outer": outer}]],
-            "diffusion": [[[{"scale": "3/10", "kernel": "const"}]]],
-            "jump_small": [[]],
-            "jump_large": [[]],
-            "lipschitz": "1/1000000",
-        }
+        "freqs": [1.4142135623730951],
+        "drift": [[{"scale": 1, "kernel": "const", "outer": outer}]],
+        "diffusion": [[[{"scale": "3/10", "kernel": "const"}]]],
+        "jump_small": [[]],
+        "jump_large": [[]],
+        "lipschitz": "1/1000000",
     }
     return d
 
@@ -260,49 +256,82 @@ def stripped_trace(path):
 
 # ``json.dumps(config_to_dict(preset_config(name)), sort_keys=True)`` of each
 # preset: rationals echo as "p/q" strings, so a change of format shows here
-# even where the round trip compares equal (Fraction(1, 256) == 0.00390625)
+# even where the round trip compares equal (Fraction(1, 256) == 0.00390625).
+# galerkin_heat's scales echo the doubles of their float products: mode 6's
+# diffusion 0.05 * (1/49) is 0.001020408163265306, where 1/980 rounds to
+# 0.0010204081632653062
 PRESET_ECHOES = {
     "example41": (
-        '{"analysis": {"epsilon": 0.25, "law_support": 64, "shifts": ["1/4", "1/2", '
-        '"3/4", 1], "times": [0, "1/4", "1/2", "3/4", 1]}, '
-        '"coefficients": {"preset": "example41"}, "levy": {"covariance": [[1]], '
-        '"dim": 1, "jumps": [{"marks": {"a": "-9/10", "b": "9/10", '
-        '"kind": "uniform_interval"}, "rate": "3/2", "region": "small"}, '
-        '{"marks": {"a": 1, "b": "3/2", "kind": "uniform_interval"}, "rate": 1, '
-        '"region": "large"}]}, "numerics": {"h": "1/256", "max_iter": 40, '
-        '"n_paths": 256, "tol": 1e-12, "truncation": 2, "window": [-2, 4]}, "seed": 41, '
-        '"system": {"a": [[8, 0], [0, -6]], "k": 1, "omega": 6, "p": [[0, 0], [0, 1]]}, '
-        '"threads": 1}'
+        '{"analysis": {"epsilon": 0.25, "law_support": 64, "shifts": ["1/4", "1/2", "3/4", '
+        '1], "times": [0, "1/4", "1/2", "3/4", 1]}, "coefficients": {"diffusion": [[[]], '
+        '[[{"coord": 1, "inner": "c2 + c1", "kernel": "sin_shift", "scale": "1/12"}]]], '
+        '"drift": [[], [{"coord": 1, "kernel": "bounded_ratio", '
+        '"outer": "(c1 + s2) / (17 + c3)", "scale": 1}]], "freqs": [1.4142135623730951, '
+        '1.7320508075688772, 2.23606797749979], "jump_large": [[], [{"coord": 1, '
+        '"kernel": "linear", "outer": "s2 * s2 / (3 + c1 + c3)", "scale": "1/9"}]], '
+        '"jump_small": [[], [{"coord": 1, "kernel": "linear", "scale": "1/10"}]], '
+        '"lipschitz": "1/64"}, "levy": {"covariance": [[1]], "dim": 1, '
+        '"jumps": [{"marks": {"a": "-9/10", "b": "9/10", "kind": "uniform_interval"}, '
+        '"rate": "3/2", "region": "small"}, {"marks": {"a": 1, "b": "3/2", '
+        '"kind": "uniform_interval"}, "rate": 1, "region": "large"}]}, '
+        '"numerics": {"h": "1/256", "max_iter": 40, "n_paths": 256, "tol": 1e-12, '
+        '"truncation": 2, "window": [-2, 4]}, "seed": 41, "system": {"a": [[8, 0], [0, -6]], '
+        '"k": 1, "omega": 6, "p": [[0, 0], [0, 1]]}, "threads": 1}'
     ),
     "galerkin_heat": (
-        '{"analysis": {"epsilon": 0.3, "law_support": 64, "shifts": [1, 2], "times": [0, '
-        '1, 2, 3]}, "coefficients": {"preset": "galerkin_heat"}, '
-        '"levy": {"covariance": [[1, 0, 0, 0, 0, 0, 0, 0], '
-        "[0, 1, 0, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0, 0, 0], "
-        "[0, 0, 0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 0, 1, 0], "
-        '[0, 0, 0, 0, 0, 0, 0, 1]], "dim": 8, "jumps": [{"marks": {'
-        '"kind": "uniform_annulus", "r0": "1/10", "r1": "1/2"}, "rate": 2, '
-        '"region": "small"}]}, "numerics": {"h": "1/32", "max_iter": 40, "n_paths": 128, '
-        '"tol": 1e-10, "truncation": 8, "window": [-8, 16]}, "seed": 2, '
-        '"system": {"a": [["5/2", 0, 0, 0, 0, 0, 0, 0], [0, "3/2", 0, 0, 0, 0, 0, 0], '
-        '[0, 0, "-3/2", 0, 0, 0, 0, 0], [0, 0, 0, "-13/2", 0, 0, 0, 0], '
-        '[0, 0, 0, 0, "-27/2", 0, 0, 0], [0, 0, 0, 0, 0, "-45/2", 0, 0], '
-        '[0, 0, 0, 0, 0, 0, "-67/2", 0], [0, 0, 0, 0, 0, 0, 0, "-93/2"]], "k": 1, '
-        '"omega": "3/2", "p": [[0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0], '
-        "[0, 0, 1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0, 0, 0], "
-        "[0, 0, 0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 0, 0, 1]]}, "
-        '"threads": 1}'
+        '{"analysis": {"epsilon": 0.3, "law_support": 64, "shifts": [1, 2], "times": [0, 1, '
+        '2, 3]}, "coefficients": {"diffusion": [[[{"kernel": "const", "scale": 0.05}], [], '
+        '[], [], [], [], [], []], [[], [{"kernel": "const", "scale": 0.0125}], [], [], [], '
+        '[], [], []], [[], [], [{"kernel": "const", "scale": 0.005555555555555556}], [], [], '
+        '[], [], []], [[], [], [], [{"kernel": "const", "scale": 0.003125}], [], [], [], '
+        '[]], [[], [], [], [], [{"kernel": "const", "scale": 0.002}], [], [], []], [[], [], '
+        '[], [], [], [{"kernel": "const", "scale": 0.001388888888888889}], [], []], [[], [], '
+        '[], [], [], [], [{"kernel": "const", "scale": 0.001020408163265306}], []], [[], [], '
+        '[], [], [], [], [], [{"kernel": "const", "scale": 0.00078125}]]], '
+        '"drift": [[{"kernel": "bounded_ratio", "outer": "s1", "scale": 0.125}], '
+        '[{"coord": 1, "kernel": "bounded_ratio", "outer": "c2", "scale": 0.03125}], '
+        '[{"coord": 2, "kernel": "bounded_ratio", "outer": "s1", '
+        '"scale": 0.013888888888888888}], [{"coord": 3, "kernel": "bounded_ratio", '
+        '"outer": "c2", "scale": 0.0078125}], [{"coord": 4, "kernel": "bounded_ratio", '
+        '"outer": "s1", "scale": 0.005}], [{"coord": 5, "kernel": "bounded_ratio", '
+        '"outer": "c2", "scale": 0.003472222222222222}], [{"coord": 6, '
+        '"kernel": "bounded_ratio", "outer": "s1", "scale": 0.002551020408163265}], '
+        '[{"coord": 7, "kernel": "bounded_ratio", "outer": "c2", "scale": 0.001953125}]], '
+        '"freqs": [1.4142135623730951, 1.7320508075688772], "jump_large": [[], [], [], [], '
+        '[], [], [], []], "jump_small": [[{"kernel": "linear", "scale": 0.125}], '
+        '[{"coord": 1, "kernel": "linear", "scale": 0.03125}], [{"coord": 2, '
+        '"kernel": "linear", "scale": 0.013888888888888888}], [{"coord": 3, '
+        '"kernel": "linear", "scale": 0.0078125}], [{"coord": 4, "kernel": "linear", '
+        '"scale": 0.005}], [{"coord": 5, "kernel": "linear", '
+        '"scale": 0.003472222222222222}], [{"coord": 6, "kernel": "linear", '
+        '"scale": 0.002551020408163265}], [{"coord": 7, "kernel": "linear", '
+        '"scale": 0.001953125}]], "lipschitz": "1/64"}, "levy": {"covariance": [[1, 0, 0, 0, '
+        "0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0, "
+        "0, 0], [0, 0, 0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 0, 1, "
+        '0], [0, 0, 0, 0, 0, 0, 0, 1]], "dim": 8, '
+        '"jumps": [{"marks": {"kind": "uniform_annulus", "r0": "1/10", "r1": "1/2"}, '
+        '"rate": 2, "region": "small"}]}, "numerics": {"h": "1/32", "max_iter": 40, '
+        '"n_paths": 128, "tol": 1e-10, "truncation": 8, "window": [-8, 16]}, "seed": 2, '
+        '"system": {"a": [["5/2", 0, 0, 0, 0, 0, 0, 0], [0, "3/2", 0, 0, 0, 0, 0, 0], [0, 0, '
+        '"-3/2", 0, 0, 0, 0, 0], [0, 0, 0, "-13/2", 0, 0, 0, 0], [0, 0, 0, 0, "-27/2", 0, 0, '
+        '0], [0, 0, 0, 0, 0, "-45/2", 0, 0], [0, 0, 0, 0, 0, 0, "-67/2", 0], [0, 0, 0, 0, 0, '
+        '0, 0, "-93/2"]], "k": 1, "omega": "3/2", "p": [[0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, '
+        "0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, "
+        "0, 0, 0], [0, 0, 0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 0, 0, "
+        '1]]}, "threads": 1}'
     ),
     "ou_forced": (
         '{"analysis": {"epsilon": 0.2, "law_support": 96, "shifts": ["71/16", "569/64", '
-        '"853/64", "1137/64", "711/32"], "times": ["6/1", "97/16", "49/8", "99/16", '
-        '"25/4", "101/16", "51/8", "103/16", "13/2", "105/16", "53/8", "107/16", "27/4", '
-        '"109/16", "55/8", "111/16", "7/1", "113/16", "57/8", "115/16", "29/4", '
-        '"117/16", "59/8", "119/16", "15/2"]}, '
-        '"coefficients": {"preset": "ou_forced"}, "levy": {"covariance": [[1]], "dim": 1}, '
+        '"853/64", "1137/64", "711/32"], "times": ["6/1", "97/16", "49/8", "99/16", "25/4", '
+        '"101/16", "51/8", "103/16", "13/2", "105/16", "53/8", "107/16", "27/4", "109/16", '
+        '"55/8", "111/16", "7/1", "113/16", "57/8", "115/16", "29/4", "117/16", "59/8", '
+        '"119/16", "15/2"]}, "coefficients": {"diffusion": [[[{"kernel": "const", '
+        '"scale": "3/10"}]]], "drift": [[{"kernel": "const", "outer": "s1", "scale": 1}]], '
+        '"freqs": [1.4142135623730951], "jump_large": [[]], "jump_small": [[]], '
+        '"lipschitz": "1/1000000"}, "levy": {"covariance": [[1]], "dim": 1}, '
         '"numerics": {"h": "1/64", "max_iter": 40, "n_paths": 512, "tol": 1e-12, '
-        '"truncation": 6, "window": [-6, 36]}, "seed": 7, "system": {"a": [[-1]], '
-        '"k": 1, "omega": 1, "p": [[1]]}, "threads": 1}'
+        '"truncation": 6, "window": [-6, 36]}, "seed": 7, "system": {"a": [[-1]], "k": 1, '
+        '"omega": 1, "p": [[1]]}, "threads": 1}'
     ),
 }
 
@@ -425,8 +454,8 @@ class TestConfigSchema:
         signals = self.doc_sections("signals.md")
         missing = []
         for table, fields in FIELD_TABLES.items():
-            if table.startswith("coefficients.custom"):
-                text = signals["Custom coefficient JSON"]
+            if table.startswith("coefficients"):
+                text = signals["Coefficient JSON"]
             else:
                 text = configuration[table.split(".")[0]]
             missing += [
@@ -629,8 +658,10 @@ class TestValidation:
         self.check_rejects(lambda d: d["system"].update(k=0))
 
     def test_unknown_coefficient_preset(self):
+        """The section states its maps; it names no preset."""
         self.check_rejects(
-            lambda d: d["coefficients"].update(preset="mystery"), match="preset"
+            lambda d: d["coefficients"].update(preset="mystery"),
+            match="coefficients.preset: unknown key",
         )
 
     def test_unknown_coefficient_param(self):
@@ -640,14 +671,49 @@ class TestValidation:
         )
 
     def test_coefficients_need_preset_or_custom(self):
-        self.check_rejects(lambda d: d.update(coefficients={}))
+        """The section's keys are required, so an empty section names the
+        first of them."""
+        self.check_rejects(
+            lambda d: d.update(coefficients={}),
+            match="coefficients.freqs: required key is missing",
+        )
 
     def test_coefficient_dimension_mismatch(self):
-        # ou_forced coefficients are one-dimensional; the system is 2-d
+        # ou_forced's maps are one-dimensional; the system is 2-d
+        ou = config_to_dict(preset_config("ou_forced"))["coefficients"]
         self.check_rejects(
-            lambda d: d.update(coefficients={"preset": "ou_forced"}),
-            match="coefficient state dimension 1 != system dimension 2",
+            lambda d: d.update(coefficients=ou),
+            match=re.escape("coefficients: drift has 1 entries, not one per state coordinate (2)"),
         )
+
+    @pytest.mark.parametrize("empty", ["times", "shifts"])
+    def test_times_and_shifts_come_together(self, tmp_path, capsys, empty):
+        """Analysis times without shifts, or shifts without times, are
+        rejected by ``check`` as by ``apscan``: one error line, exit 2 and
+        no output directory."""
+        d = config_to_dict(preset_config("example41"))
+        d["analysis"][empty] = []
+        out = tmp_path / "o"
+        assert main(["check", "--config", str(write_cfg(tmp_path, d)), "--out", str(out)]) == 2
+        given = "shifts" if empty == "times" else "times"
+        assert capsys.readouterr().err == (
+            f"error: analysis.{empty} is empty but analysis.{given} is not; "
+            "give both or neither\n"
+        )
+        assert not out.exists()
+
+    def test_support_cap_applies_to_every_command(self, tmp_path, capsys):
+        """Laws past ``bl_distance``'s support cap are rejected by
+        ``check`` too whenever shifts are given, and not without them."""
+        d = tiny_benchmark_dict()
+        del d["analysis"]["law_support"]
+        d["numerics"]["n_paths"] = 2100
+        out = tmp_path / "o"
+        assert main(["check", "--config", str(write_cfg(tmp_path, d)), "--out", str(out)]) == 2
+        assert "above the cap 4096" in capsys.readouterr().err
+        assert not out.exists()
+        d["analysis"] = {"epsilon": 0.5}
+        assert main(["check", "--config", str(write_cfg(tmp_path, d)), "--out", str(out)]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -817,8 +883,8 @@ class TestCliExitCodes:
     @pytest.mark.parametrize(
         "key, value",
         [
-            ("coefficients.custom.dim_state", 1),
-            ("coefficients.custom.dim_noise", 1),
+            ("coefficients.dim_state", 8),
+            ("coefficients.dim_noise", 8),
             ("coefficients.params.n_modes", 8),
             ("levy.jumps[0].marks.dim", 8),
         ],
@@ -827,15 +893,10 @@ class TestCliExitCodes:
         """The state dimension comes from the system and the noise
         dimension from levy.dim; a key that repeats one is rejected even
         at the value it would have to hold, and nothing is written.  The
-        custom keys go into the custom coefficients of ``signal_dict``,
-        the others into the galerkin_heat preset.  Coefficient presets
-        take no parameters, so ``coefficients.params`` itself is the
-        unknown key named."""
-        d = (
-            signal_dict("s1")
-            if key.startswith("coefficients.custom")
-            else config_to_dict(preset_config("galerkin_heat"))
-        )
+        keys go into the galerkin_heat preset.  The coefficients take no
+        parameters, so ``coefficients.params`` itself is the unknown key
+        named."""
+        d = config_to_dict(preset_config("galerkin_heat"))
         *path, last = key.replace("[0]", ".0").split(".")
         node = d
         for part in path:
@@ -849,31 +910,6 @@ class TestCliExitCodes:
         named = "coefficients.params" if key.startswith("coefficients.params") else key
         assert f"{named}: unknown key" in err
         assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "section, key", [("system", "galerkin"), ("coefficients", "params")]
-    )
-    def test_huge_mode_count_rejected_before_any_list_is_built(
-        self, tmp_path, capsys, monkeypatch, section, key
-    ):
-        """A mode count of 2^63 would make the galerkin_heat builder loop
-        over range(n_modes) without bound.  No config key sets one: the
-        system states its matrices and the coefficient presets take no
-        parameters, so ``system.galerkin`` and ``coefficients.params``
-        are unknown keys.  No builder ever sees it."""
-
-        def guarded(n_modes):
-            assert n_modes != 2**63
-            return galerkin_heat_coefficients(n_modes)
-
-        monkeypatch.setitem(levyap.config._COEFF_PRESETS, "galerkin_heat", guarded)
-        d = tiny_galerkin_dict()
-        d[section].setdefault(key, {})["n_modes"] = 2**63
-        cfg = write_cfg(tmp_path, d)
-        assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert f"{section}.{key}: unknown key" in err
 
     def test_sine_of_a_huge_literal_is_certified(self, tmp_path):
         """sin(1e25) is bounded, and its certificate takes as little work
@@ -1088,33 +1124,31 @@ class TestCliExitCodes:
                 {
                     "preset": "example41",
                     "coefficients": {
-                        "custom": {
-                            "freqs": [],
-                            "drift": [[{"scale": 1, "kernal": "linear"}], []],
-                            "lipschitz": 1,
-                        }
+                        "freqs": [],
+                        "drift": [[{"scale": 1, "kernal": "linear"}], []],
+                        "lipschitz": 1,
                     },
                 },
-                "coefficients.custom.drift[0][0].kernal",
+                "coefficients.drift[0][0].kernal",
             ),
             (
                 {
                     "preset": "galerkin_heat",
-                    "coefficients": {"preset": "galerkin_heat", "params": {"n_modes": 8.7}},
+                    "coefficients": {"params": {"n_modes": 8.7}},
                 },
                 "coefficients.params: unknown key",
             ),
             (
                 {
                     "preset": "galerkin_heat",
-                    "coefficients": {"preset": "galerkin_heat", "params": {"n_modes": True}},
+                    "coefficients": {"params": {"n_modes": True}},
                 },
                 "coefficients.params: unknown key",
             ),
             (
                 {
                     "preset": "galerkin_heat",
-                    "coefficients": {"preset": "galerkin_heat", "params": {"jump_scale": "1e400"}},
+                    "coefficients": {"params": {"jump_scale": "1e400"}},
                 },
                 "coefficients.params: unknown key",
             ),
@@ -1155,14 +1189,12 @@ class TestCliExitCodes:
                     "preset": "example41",
                     "coefficients": {
                         "params": {"amplitude": 1},
-                        "custom": {
-                            "freqs": [],
-                            "drift": [[], []],
-                            "diffusion": [[[]], [[]]],
-                            "jump_small": [[], []],
-                            "jump_large": [[], []],
-                            "lipschitz": "1/64",
-                        },
+                        "freqs": [],
+                        "drift": [[], []],
+                        "diffusion": [[[]], [[]]],
+                        "jump_small": [[], []],
+                        "jump_large": [[], []],
+                        "lipschitz": "1/64",
                     },
                 },
                 "coefficients.params",
@@ -1184,7 +1216,6 @@ class TestCliExitCodes:
                         "omega": "3/2",
                     },
                     "levy": {"dim": 2, "covariance": [[1, 0], [0]]},
-                    "coefficients": {"preset": "galerkin_heat"},
                 },
                 "levy.covariance",
             ),
@@ -1192,22 +1223,30 @@ class TestCliExitCodes:
                 {
                     "preset": "ou_forced",
                     "coefficients": {
-                        "custom": {
-                            "freqs": [],
-                            "drift": [[], []],
-                            "diffusion": [[[]]],
-                            "jump_small": [[]],
-                            "jump_large": [[]],
-                            "lipschitz": "1/64",
-                        }
+                        "freqs": [],
+                        "drift": [[], []],
+                        "diffusion": [[[]]],
+                        "jump_small": [[]],
+                        "jump_large": [[]],
+                        "lipschitz": "1/64",
                     },
                 },
-                "coefficients.custom: drift has 2 entries, not one per state coordinate (1)",
+                "coefficients: drift has 2 entries, not one per state coordinate (1)",
             ),
             (
                 {"preset": "ou_forced", "coefficients": {"preset": "galerkin_heat"}},
-                "coefficients.preset 'galerkin_heat': need at least two modes, "
-                "one per state coordinate, got 1",
+                "coefficients.preset: unknown key; known keys: freqs, drift, diffusion, "
+                "jump_small, jump_large, lipschitz",
+            ),
+            (
+                {
+                    "preset": "ou_forced",
+                    "coefficients": {
+                        "custom": config_to_dict(preset_config("ou_forced"))["coefficients"]
+                    },
+                },
+                "coefficients.custom: unknown key; known keys: freqs, drift, diffusion, "
+                "jump_small, jump_large, lipschitz",
             ),
         ],
     )
@@ -1295,14 +1334,14 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("key", ["drift", "diffusion", "jump_small", "jump_large"])
     def test_custom_term_lists_are_required(self, tmp_path, capsys, key):
         """An empty term list fits no state dimension, so each of the four
-        lists of a custom block must be given."""
+        lists of the coefficients must be given."""
         d = signal_dict("s1")
-        del d["coefficients"]["custom"][key]
+        del d["coefficients"][key]
         cfg = write_cfg(tmp_path, d)
         out = tmp_path / "o"
         assert main(["picard", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err == f"error: coefficients.custom.{key}: required key is missing\n"
+        assert err == f"error: coefficients.{key}: required key is missing\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -1552,13 +1591,31 @@ class TestCliArtifacts:
         assert [entry["s"] for entry in report["shifts"]] == [0.25]
 
     def test_apscan_requires_analysis(self, tmp_path, capsys):
+        """A config with no scan passes ``check`` and ``picard``;
+        ``apscan`` rejects it before it writes anything.  Times without
+        shifts are rejected by every command
+        (``test_times_and_shifts_come_together``)."""
         d = tiny_benchmark_dict()
-        d["analysis"]["times"] = []
+        d["analysis"] = {"epsilon": 0.5}
         cfg = write_cfg(tmp_path, d)
         code = main(["apscan", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
-        assert "apscan needs" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: apscan needs analysis.times and analysis.shifts\n"
+        )
         assert not (tmp_path / "o").exists()
+
+    def test_apscan_reports_the_shift_it_scanned(self, tmp_path, capsys):
+        """A shift within the grid tolerance of 64 steps of h = 1/256 is
+        scanned at 64 steps, and the report states that shift, 0.25, not
+        the value written."""
+        d = tiny_benchmark_dict()
+        d["numerics"]["h"] = "1/256"
+        d["analysis"]["shifts"] = ["25000000001/100000000000"]
+        out = tmp_path / "o"
+        assert main(["apscan", "--config", str(write_cfg(tmp_path, d)), "--out", str(out)]) == 0
+        report = json.loads((out / "apscan_report.json").read_text(encoding="utf-8"))
+        assert [entry["s"] for entry in report["shifts"]] == [0.25]
 
     def test_stage_times_script_times_every_stage(self, tmp_path):
         """``scripts/stage_times.py`` finds each stage where the commands
@@ -1599,7 +1656,7 @@ class TestCliArtifacts:
         spec = importlib.util.spec_from_file_location("compare_artifacts", script)
         compare = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(compare)
-        assert len(compare.runs()) == 3 * 3 * 2 * 2 + 2 + 2 + 8
+        assert len(compare.runs()) == 3 * 3 * 2 * 2 + 2 + 2 + 9
         for name, data in compare.REJECTED.items():
             cfg = write_cfg(tmp_path, data, name)
             assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "rejected")]) == 2
@@ -1653,11 +1710,10 @@ class TestCliArtifacts:
         ]
 
     def test_custom_block_restates_the_ou_preset(self, tmp_path, capsys):
-        """Coefficient presets take no parameters; other coefficients are
-        stated as ``coefficients.custom``.  The ou_forced set written that
-        way (``signal_dict("s1")``, the block docs/configuration.md
-        shows) gives the preset's ensemble and condition report byte for
-        byte."""
+        """A preset states its coefficients in the term lists any config
+        writes.  The ou_forced set written out by hand
+        (``signal_dict("s1")``, the block docs/configuration.md shows)
+        gives the preset's ensemble and condition report byte for byte."""
         outs = []
         for name, data in (("preset", tiny_ou_dict()), ("custom", signal_dict("s1"))):
             cfg = write_cfg(tmp_path, data, f"{name}.json")

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _grid import preset_coefficients
 from levyap.coefficients import (
     KERNELS,
     CoefficientError,
@@ -33,10 +34,7 @@ from levyap.coefficients import (
     compensator_terms,
     diffusion_terms,
     drift_terms,
-    example41_coefficients,
-    galerkin_heat_coefficients,
     jump_terms,
-    ou_forced_coefficients,
     point_values,
     verify_lipschitz,
 )
@@ -220,7 +218,7 @@ def test_kernel_lipschitz_constants(y, z, aux):
 
 
 def test_benchmark_drift_point_value():
-    cs = example41_coefficients()
+    cs = preset_coefficients("example41")
     y = np.array([[0.0, 1.0]])
     f = point_values(drift_terms(cs, np.array([0.0])), y)
     assert f[0, 0] == 0.0
@@ -228,7 +226,7 @@ def test_benchmark_drift_point_value():
 
 
 def test_benchmark_diffusion_point_value():
-    cs = example41_coefficients()
+    cs = preset_coefficients("example41")
     column = [row[0] for row in diffusion_terms(cs, np.array([0.0]))]
     g = point_values(column, np.array([[0.0, 1.0]]))
     assert g.shape == (1, 2)
@@ -237,7 +235,7 @@ def test_benchmark_diffusion_point_value():
 
 
 def test_benchmark_jump_point_values():
-    cs = example41_coefficients()
+    cs = preset_coefficients("example41")
     y = np.array([[0.0, 1.0]])
     x = np.array([[1.5]])
     small = point_values(jump_terms(cs.jump_small, np.array([0.0]), x), y)
@@ -255,7 +253,7 @@ def test_benchmark_jump_point_values():
 
 
 def test_compensator_x_independent_map():
-    cs = example41_coefficients()
+    cs = preset_coefficients("example41")
     spec = benchmark_noise()
     y = np.array([[0.0, 2.0]])
     comp = point_values(compensator_terms(cs, spec, np.array([0.0])), y)
@@ -326,7 +324,7 @@ def test_coefficient_set_shape_validation():
 
 
 def test_verify_lipschitz_benchmark_passes():
-    rep = verify_lipschitz(example41_coefficients(), benchmark_noise(), n_samples=1500)
+    rep = verify_lipschitz(preset_coefficients("example41"), benchmark_noise(), n_samples=1500)
     assert rep.passed
     assert rep.declared == pytest.approx(1.0 / 64.0)
     assert all(v <= rep.declared * rep.slack for v in rep.observed.values())
@@ -335,7 +333,7 @@ def test_verify_lipschitz_benchmark_passes():
 
 
 def test_verify_lipschitz_detects_violation():
-    cs = example41_coefficients()
+    cs = preset_coefficients("example41")
     bad = CoefficientSet(
         dim_state=cs.dim_state,
         dim_noise=cs.dim_noise,
@@ -406,7 +404,7 @@ def test_verify_lipschitz_on_mark_weighted_annulus_jumps(dim):
 
 def test_verify_lipschitz_needs_samples():
     with pytest.raises(CoefficientError, match="100"):
-        verify_lipschitz(example41_coefficients(), benchmark_noise(), n_samples=10)
+        verify_lipschitz(preset_coefficients("example41"), benchmark_noise(), n_samples=10)
 
 
 # ---------------------------------------------------------------------------
@@ -415,17 +413,17 @@ def test_verify_lipschitz_needs_samples():
 
 
 def test_preset_dimensions():
-    cs = example41_coefficients()
-    assert (cs.dim_state, cs.dim_noise) == (2, 1)
-    ou = ou_forced_coefficients()
-    assert (ou.dim_state, ou.dim_noise) == (1, 1)
-    gal = galerkin_heat_coefficients(n_modes=6)
-    assert (gal.dim_state, gal.dim_noise) == (6, 6)
+    """Each preset's maps take the state dimension of its system and the
+    noise dimension of its levy.dim."""
+    dims = {"example41": (2, 1), "ou_forced": (1, 1), "galerkin_heat": (8, 8)}
+    for name in preset_names():
+        cs = preset_coefficients(name)
+        assert (cs.dim_state, cs.dim_noise) == dims[name]
 
 
 def test_ou_preset_values():
     """Drift sin(sqrt(2) t) and diffusion 0.3, whatever the state."""
-    ou = ou_forced_coefficients()
+    ou = preset_coefficients("ou_forced")
     t = 0.81
     y = np.array([[7.0]])  # state must not matter
     f = point_values(drift_terms(ou, np.array([t])), y)
@@ -434,19 +432,15 @@ def test_ou_preset_values():
     assert g[0, 0] == pytest.approx(0.3)
 
 
-def test_galerkin_preset_guards():
-    with pytest.raises(CoefficientError, match="modes"):
-        galerkin_heat_coefficients(n_modes=1)
-
-
 def test_galerkin_preset_scales():
     """Mode k gets diffusion 0.05/(k+1)^2 on its own noise coordinate
     and small jumps 0.125/(k+1)^2 * y_k."""
-    gal = galerkin_heat_coefficients(n_modes=3)
-    y = np.array([[1.0, 2.0, 3.0]])
+    gal = preset_coefficients("galerkin_heat")
+    decay = 1.0 / np.arange(1.0, 9.0) ** 2
+    y = np.arange(1.0, 9.0)[None, :]
     g = np.column_stack(
         [point_values(col, y)[0] for col in zip(*diffusion_terms(gal, np.array([0.5])))]
     )
-    assert g == pytest.approx(np.diag([0.05, 0.05 / 4, 0.05 / 9]))
-    jumps = point_values(jump_terms(gal.jump_small, np.array([0.5]), np.zeros((1, 3))), y)
-    assert jumps[0] == pytest.approx([0.125, 0.125 / 4 * 2, 0.125 / 9 * 3])
+    assert g == pytest.approx(np.diag(0.05 * decay))
+    jumps = point_values(jump_terms(gal.jump_small, np.array([0.5]), np.zeros((1, 8))), y)
+    assert jumps[0] == pytest.approx(0.125 * decay * y[0])

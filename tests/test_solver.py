@@ -15,19 +15,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _ensemble_oracles import apply_S, grid_index, l2_increment, simulate_mild
-from _grid import ensemble_grid, steps, window_steps
-from _noise_oracles import shifted
-from levyap.coefficients import (
-    CoefficientSet,
-    CoefficientTerm,
-    QuasiPeriodicSignal,
-    example41_coefficients,
-    galerkin_heat_coefficients,
-    ou_forced_coefficients,
+from _grid import (
+    ensemble_grid,
+    galerkin_modes,
+    preset_coefficients,
+    steps,
+    window_steps,
 )
+from _noise_oracles import shifted
+from levyap.coefficients import CoefficientSet, CoefficientTerm, QuasiPeriodicSignal
 from levyap.config import (
     ConditionReport,
     ConfigError,
+    build_coefficients,
     build_system,
     check_conditions,
     preset_config,
@@ -306,7 +306,8 @@ class TestSimulateMild:
         noise = sample_noise(
             benchmark_spec(), *window_steps(-2.0, 2.0, 1.0 / 32), 1.0 / 32, 24, seed=41
         )
-        ens = simulate_mild(benchmark_system(), example41_coefficients(), noise, np.zeros(2))
+        cs = preset_coefficients("example41")
+        ens = simulate_mild(benchmark_system(), cs, noise, np.zeros(2))
         assert hashlib.sha256(ens.values.tobytes()).hexdigest() == (
             "4af3b28443f14c9996d34050d5ff3ac3c4b40cfb22cc12daef61d9b18e1afa00"
         )
@@ -363,7 +364,7 @@ class TestSimulateMild:
         a, sigma, m_paths = 1.0, 0.3, 2000
         h = 1.0 / 64
         sysd = scalar_system(a)
-        cs = ou_forced_coefficients()
+        cs = preset_coefficients("ou_forced")
         noise = sample_noise(wiener_only_spec(), *window_steps(0.0, 16.0, h), h, m_paths, seed=21)
         ens = simulate_mild(sysd, cs, noise, np.zeros(1))
 
@@ -477,11 +478,12 @@ class TestApplyS:
             benchmark_spec(), *window_steps(-2.0, 2.0, 1.0 / 128), 1.0 / 128, 32, seed=8
         )
         eta = float(check_conditions(1, 6, Fraction(1, 64), 1).eta)
+        cs = preset_coefficients("example41")
         for seed in (1, 2):
             y1 = _random_ensemble(noise, 2, seed=10 + seed)
             y2 = _random_ensemble(noise, 2, seed=20 + seed, scale=0.5)
-            s1, _ = apply_S(sysd, example41_coefficients(), noise, y1, w=steps(1.0, noise.h))
-            s2, _ = apply_S(sysd, example41_coefficients(), noise, y2, w=steps(1.0, noise.h))
+            s1, _ = apply_S(sysd, cs, noise, y1, w=steps(1.0, noise.h))
+            s2, _ = apply_S(sysd, cs, noise, y2, w=steps(1.0, noise.h))
             num = np.mean(np.sum((s1.values - s2.values) ** 2, axis=2), axis=0).max()
             den = np.mean(np.sum((y1.values - y2.values) ** 2, axis=2), axis=0).max()
             assert num <= eta * den
@@ -520,7 +522,7 @@ class TestApplyS:
         s = 0.5
         root2 = math.sqrt(2.0)
         sysd = scalar_system(1.0)
-        base = ou_forced_coefficients()
+        base = preset_coefficients("ou_forced")
         cos_s, sin_s = math.cos(root2 * s), math.sin(root2 * s)
         shifted_sig = QuasiPeriodicSignal.parse(
             f"{cos_s!r} * s1 + {sin_s!r} * c1", (root2,)
@@ -553,7 +555,7 @@ class TestApplyS:
             benchmark_spec(), *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 7, seed=11
         )
         ens = _random_ensemble(noise, 2, seed=1)
-        cs = example41_coefficients()
+        cs = preset_coefficients("example41")
         full, _ = apply_S(sysd, cs, noise, ens, w=steps(0.5, noise.h))
         for chunk in (1, 2, 3, 7):
             part, _ = apply_S(sysd, cs, noise, ens, w=steps(0.5, noise.h), chunk_paths=chunk)
@@ -565,7 +567,7 @@ class TestApplyS:
             benchmark_spec(), *window_steps(-1.0, 1.0, 1.0 / 32), 1.0 / 32, 2, seed=0
         )
         ens = _random_ensemble(noise, 2, seed=0)
-        cs = example41_coefficients()
+        cs = preset_coefficients("example41")
         other = sample_noise(
             benchmark_spec(), *window_steps(-1.0, 2.0, 1.0 / 32), 1.0 / 32, 2, seed=0
         )
@@ -765,7 +767,7 @@ class TestApplyS:
         sysd = DichotomousSystem.create(
             np.diag(-np.arange(1.0, n_modes + 1)), np.eye(n_modes), k=1.0, omega=1.0
         )
-        cs = galerkin_heat_coefficients(n_modes=n_modes)
+        cs = build_coefficients(galerkin_modes(n_modes), n_modes, n_modes)
 
         spec = LevyProcessSpec(
             dim=n_modes,
@@ -805,7 +807,7 @@ class TestPicard:
             benchmark_spec(), *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 8, seed=3
         )
         res = picard_solve(
-            sysd, example41_coefficients(), noise, tol=1e-20, w=steps(1.0, noise.h)
+            sysd, preset_coefficients("example41"), noise, tol=1e-20, w=steps(1.0, noise.h)
         )
         assert res.converged
         assert res.iterations == len(res.gap_trace)
@@ -821,7 +823,7 @@ class TestPicard:
             benchmark_spec(), *window_steps(-2.0, 3.0, 1.0 / 128), 1.0 / 128, 48, seed=7
         )
         res = picard_solve(
-            sysd, example41_coefficients(), noise, tol=1e-24, w=steps(1.5, noise.h)
+            sysd, preset_coefficients("example41"), noise, tol=1e-24, w=steps(1.5, noise.h)
         )
         gaps = [rec["gap"] for rec in res.gap_trace]
         eta = 5.0 / 48.0
@@ -834,7 +836,7 @@ class TestPicard:
         """At max_iter the last iterate is returned: S applied twice to
         the zero ensemble."""
         sysd = benchmark_system()
-        cs = example41_coefficients()
+        cs = preset_coefficients("example41")
         noise = sample_noise(
             benchmark_spec(), *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 4, seed=3
         )
@@ -883,8 +885,8 @@ class TestPicard:
             benchmark_spec(), *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 5, seed=3
         )
         res = picard_solve(
-            sysd, example41_coefficients(), noise, tol=1e-30, max_iter=4, w=steps(1.0, noise.h),
-            chunk_paths=2, threads=2,
+            sysd, preset_coefficients("example41"), noise, tol=1e-30, max_iter=4,
+            w=steps(1.0, noise.h), chunk_paths=2, threads=2,
         )
         assert res.iterations == 4
         assert calls == {"plan": 1, "half": 2, "schur": 0}
@@ -909,10 +911,10 @@ class TestPicard:
             benchmark_spec(), *window_steps(-2.0, 2.0, 1.0 / 64), 1.0 / 64, 16, seed=9
         )
         res = picard_solve(
-            sysd, example41_coefficients(), noise, tol=1e-24, w=steps(1.0, noise.h)
+            sysd, preset_coefficients("example41"), noise, tol=1e-24, w=steps(1.0, noise.h)
         )
         again, _ = apply_S(
-            sysd, example41_coefficients(), noise, res.ensemble, w=steps(1.0, noise.h)
+            sysd, preset_coefficients("example41"), noise, res.ensemble, w=steps(1.0, noise.h)
         )
         gap = np.mean(np.sum((again.values - res.ensemble.values) ** 2, axis=2), axis=0).max()
         assert gap <= 1e-23
@@ -926,7 +928,7 @@ class TestPicard:
         such iterates differ by at most four times that: 0.91 tol at eta
         = 5/48, below tol / (1 - eta)."""
         sysd = benchmark_system()
-        cs = example41_coefficients()
+        cs = preset_coefficients("example41")
         noise = sample_noise(
             benchmark_spec(), *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 32, seed=41
         )
@@ -962,7 +964,7 @@ class TestPicard:
 
     def test_noise_determinism_and_sensitivity(self):
         sysd = benchmark_system()
-        cs = example41_coefficients()
+        cs = preset_coefficients("example41")
         a = sample_noise(benchmark_spec(), *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 6, seed=5)
         b = sample_noise(benchmark_spec(), *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 6, seed=5)
         c = sample_noise(benchmark_spec(), *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 6, seed=6)
@@ -977,7 +979,7 @@ class TestPicard:
         noise = sample_noise(
             benchmark_spec(), *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 5, seed=13
         )
-        cs = example41_coefficients()
+        cs = preset_coefficients("example41")
         full = picard_solve(sysd, cs, noise, tol=1e-18, w=steps(1.0, noise.h))
         part = picard_solve(sysd, cs, noise, tol=1e-18, w=steps(1.0, noise.h), chunk_paths=2)
         np.testing.assert_array_equal(full.ensemble.values, part.ensemble.values)
@@ -991,7 +993,7 @@ class TestPicard:
         noise = sample_noise(
             benchmark_spec(), *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 11, seed=19
         )
-        cs = example41_coefficients()
+        cs = preset_coefficients("example41")
         full = picard_solve(sysd, cs, noise, tol=1e-18, w=steps(1.0, noise.h))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -1018,7 +1020,7 @@ class TestPicard:
         on the benchmark system, and the signal and jump set on
         two-dimensional noise.  Planning them once changes no bit."""
         cases = (
-            (benchmark_spec(), (-2.0, 2.0), 1.0 / 64, 41, example41_coefficients(), 1.0,
+            (benchmark_spec(), (-2.0, 2.0), 1.0 / 64, 41, preset_coefficients("example41"), 1.0,
              "2c3eff8a0481d1595253e018c5506bd0db1665eceeb2d5063c4644ada238315c"),
             (_two_dim_spec(), (-1.0, 2.0), 1.0 / 32, 1041, _signal_jump_coefficients(), 0.5,
              "62cc13e3625681aee4fd32fca066e510379e4412438cfb0f466598b46c70214d"),
@@ -1126,7 +1128,7 @@ class TestPicard:
         noise = sample_noise(
             benchmark_spec(), *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 150, seed=29
         )
-        cs = example41_coefficients()
+        cs = preset_coefficients("example41")
         ref_values, ref_trace = _out_of_place_picard(
             sysd, cs, noise, tol=1e-18, w=steps(1.0, noise.h)
         )
@@ -1247,8 +1249,8 @@ class TestPicard:
             tracemalloc.start()
             try:
                 res = picard_solve(
-                    sysd, example41_coefficients(), noise, w=steps(2.0, noise.h), tol=1e-12,
-                    max_iter=3, chunk_paths=chunk, threads=threads,
+                    sysd, preset_coefficients("example41"), noise, w=steps(2.0, noise.h),
+                    tol=1e-12, max_iter=3, chunk_paths=chunk, threads=threads,
                 )
                 _, peak = tracemalloc.get_traced_memory()
             finally:
@@ -1265,7 +1267,7 @@ class TestPicard:
         )
         for threads in (1, 2):
             res = picard_solve(
-                benchmark_system(), example41_coefficients(), noise, w=steps(2.0, noise.h),
+                benchmark_system(), preset_coefficients("example41"), noise, w=steps(2.0, noise.h),
                 tol=1e-18, threads=threads,
             )
             assert res.converged and res.iterations == 7
@@ -1284,7 +1286,8 @@ class TestPicard:
         for chunk in (0, -1):
             with pytest.raises(SolverError, match="chunk_paths must be at least 1"):
                 picard_solve(
-                    sysd, example41_coefficients(), noise, w=steps(0.5, noise.h), chunk_paths=chunk
+                    sysd, preset_coefficients("example41"), noise, w=steps(0.5, noise.h),
+                    chunk_paths=chunk,
                 )
 
     def test_l2_increments_shrink_linearly_near_zero_lag(self):
@@ -1295,7 +1298,7 @@ class TestPicard:
             benchmark_spec(), *window_steps(-2.0, 2.0, 1.0 / 128), 1.0 / 128, 64, seed=15
         )
         res = picard_solve(
-            sysd, example41_coefficients(), noise, tol=1e-20, w=steps(1.0, noise.h)
+            sysd, preset_coefficients("example41"), noise, tol=1e-20, w=steps(1.0, noise.h)
         )
         ens = res.ensemble
         h = ens.h
