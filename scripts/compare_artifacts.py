@@ -15,14 +15,17 @@ runs ``python -m levyap.cli`` on
   config ``CUSTOM``: it takes paths no preset reaches (point marks, a
   jump term with mark weights, a correlated 2-d covariance, small and
   large jumps, and a non-diagonal generator with an unstable
-  direction), and
+  direction), and ``check`` of it at ``--threads`` 0, which is rejected,
+  and
 - ``check --config`` on each config of ``REJECTED``, configs that
-  validation rejects: copies of ``CUSTOM`` (threads 0, one path, a
-  window that misses 0, an off-grid shift, a window narrower than twice
-  the truncation, an unknown key), example41 with a K or an omega
-  whose contraction rate overflows a float, and example41 naming its
-  coefficients by the removed ``coefficients.preset`` key, whose exit
-  code and stderr must not change,
+  validation rejects: copies of ``CUSTOM`` (one path, a window that
+  misses 0, an off-grid shift, a window narrower than twice the
+  truncation, an unknown key, a drift term with mark weights), example41
+  with a K or an omega whose contraction rate overflows a float, with a
+  shift 1e-11 off the grid, and example41 naming its coefficients by the
+  removed ``coefficients.preset`` key, stating jump regions by the
+  removed ``levy.jumps[].region`` key or a thread count by the removed
+  ``threads`` key, whose exit code and stderr must not change,
 
 each into its own directory under a temporary one, and compares the two
 trees' runs (the configs are written next to each tree's output
@@ -31,7 +34,7 @@ replaced by ``OUT``, and every artifact byte for byte, except that the
 records of ``gap_trace.jsonl`` are compared without their ``wall_ms``
 timing field.  It prints one line per run, which names every
 difference of a run that differs, down to the key paths of a JSON
-artifact (``run_meta.json: config.threads``), and exits 1 when any run
+artifact (``run_meta.json: config.seed``), and exits 1 when any run
 differs, 0 when every run matches.
 """
 
@@ -52,12 +55,8 @@ CUSTOM = {
         "dim": 2,
         "covariance": [[1, "1/2"], ["1/2", 1]],
         "jumps": [
-            {"rate": 2, "region": "small", "marks": {"kind": "point", "x": ["3/10", "-1/5"]}},
-            {
-                "rate": "1/2",
-                "region": "large",
-                "marks": {"kind": "uniform_annulus", "r0": 1, "r1": "3/2"},
-            },
+            {"rate": 2, "marks": {"kind": "point", "x": ["3/10", "-1/5"]}},
+            {"rate": "1/2", "marks": {"kind": "uniform_annulus", "r0": 1, "r1": "3/2"}},
         ],
     },
     "coefficients": {
@@ -92,8 +91,14 @@ def _custom(**numerics) -> dict:
     return {**CUSTOM, "numerics": {**CUSTOM["numerics"], **numerics}}
 
 
+def _with_drift_term(**fields) -> dict:
+    """``CUSTOM`` with ``fields`` added to its first drift term."""
+    drift = CUSTOM["coefficients"]["drift"]
+    drift = [[{**drift[0][0], **fields}], drift[1]]
+    return {**CUSTOM, "coefficients": {**CUSTOM["coefficients"], "drift": drift}}
+
+
 REJECTED = {
-    "threads_0.json": {**CUSTOM, "threads": 0},
     "one_path.json": _custom(n_paths=1),
     "window_misses_0.json": _custom(window=[1, 8]),
     "off_grid_shift.json": {**CUSTOM, "analysis": {"times": [0], "shifts": ["1/3"]}},
@@ -102,6 +107,25 @@ REJECTED = {
     "huge_k.json": {"preset": "example41", "system": {**EXAMPLE41_SYSTEM, "k": 1e300}},
     "tiny_omega.json": {"preset": "example41", "system": {**EXAMPLE41_SYSTEM, "omega": 1e-300}},
     "coefficient_preset.json": {"preset": "example41", "coefficients": {"preset": "example41"}},
+    "drift_mark_weights.json": _with_drift_term(mark_weights=[1, 0]),
+    "region_key.json": {
+        "preset": "example41",
+        "levy": {
+            "dim": 1,
+            "covariance": [[1]],
+            "jumps": [
+                {"rate": "3/2", "region": "small",
+                 "marks": {"kind": "uniform_interval", "a": "-9/10", "b": "9/10"}},
+                {"rate": 1, "region": "large",
+                 "marks": {"kind": "uniform_interval", "a": 1, "b": "3/2"}},
+            ],
+        },
+    },
+    "threads_key.json": {"preset": "example41", "threads": 2},
+    "near_grid_shift.json": {
+        "preset": "example41",
+        "analysis": {"epsilon": 0.25, "shifts": [0.25000000001], "times": [0], "law_support": 64},
+    },
 }
 
 
@@ -115,6 +139,7 @@ def runs() -> list[list[str]]:
                     out.append([command, "--preset", preset, "--seed", seed, "--threads", threads])
     out += [FINE + ["--threads", threads] for threads in ("1", "2")]
     out += [["picard", "--config", "custom.json", "--threads", threads] for threads in ("1", "2")]
+    out.append(["check", "--config", "custom.json", "--threads", "0"])
     out += [["check", "--config", name] for name in REJECTED]
     return out
 

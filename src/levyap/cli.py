@@ -31,7 +31,7 @@ from .config import (
     preset_names,
     validate_config,
 )
-from .noise import NoiseSample, sample_noise
+from .noise import sample_noise
 
 np = _lazy_import("numpy")
 
@@ -168,20 +168,6 @@ def _strip_wall(records):
 # ---------------------------------------------------------------------------
 
 
-def _sample(run: Run) -> NoiseSample:
-    cfg = run.config
-    num = cfg.numerics
-    return sample_noise(
-        run.spec,
-        run.k_lo,
-        run.n,
-        float(num.h),
-        num.n_paths,
-        cfg.seed,
-        threads=cfg.threads,
-    )
-
-
 def _condition_report(run: Run, out: Path):
     """Check the run's conditions exactly, write condition_report.json
     and print the report; return it.  The report is every command's
@@ -205,9 +191,9 @@ def _condition_report(run: Run, out: Path):
     return rep
 
 
-def _run_picard(run: Run, out: Path):
-    """Condition check + solve; writes the shared picard artifacts and
-    returns (result, exit_code)."""
+def _run_picard(run: Run, out: Path, threads: int):
+    """Condition check + solve on ``threads`` workers; writes the shared
+    picard artifacts and returns (result, exit_code)."""
     from .solver import picard_solve
 
     rep = _condition_report(run, out)
@@ -225,11 +211,13 @@ def _run_picard(run: Run, out: Path):
     res = picard_solve(
         run.system,
         run.coefficients,
-        _sample(run),
+        sample_noise(
+            run.spec, run.k_lo, run.n, float(num.h), num.n_paths, cfg.seed, threads=threads
+        ),
         tol=float(num.tol),
         max_iter=num.max_iter,
         w=run.w,
-        threads=cfg.threads,
+        threads=threads,
     )
     _write_jsonl(out / "gap_trace.jsonl", res.gap_trace)
     ens = res.ensemble
@@ -238,9 +226,7 @@ def _run_picard(run: Run, out: Path):
     meta = {
         "schema_version": SCHEMA_VERSION,
         "package_version": __version__,
-        # threads changes no result, so the echo leaves it out and the
-        # file is the same for every thread count
-        "config": {k: v for k, v in config_to_dict(cfg).items() if k != "threads"},
+        "config": config_to_dict(cfg),
         "converged": res.converged,
         "iterations": res.iterations,
         "final_gap": _json_scalar(res.gap_trace[-1]["gap"]),
@@ -266,23 +252,23 @@ def _run_picard(run: Run, out: Path):
 # ---------------------------------------------------------------------------
 
 
-def cmd_check(run: Run, out: Path) -> int:
+def cmd_check(run: Run, out: Path, threads: int) -> int:
     return 0 if _condition_report(run, out).verdict_existence else 1
 
 
-def cmd_picard(run: Run, out: Path) -> int:
-    _, code = _run_picard(run, out)
+def cmd_picard(run: Run, out: Path, threads: int) -> int:
+    _, code = _run_picard(run, out, threads)
     return code
 
 
-def cmd_apscan(run: Run, out: Path) -> int:
+def cmd_apscan(run: Run, out: Path, threads: int) -> int:
     from .apdist import ap_distribution_scan
 
     cfg = run.config
     ana = cfg.analysis
     if not ana.shifts:
         raise ConfigError("apscan needs analysis.times and analysis.shifts")
-    res, code = _run_picard(run, out)
+    res, code = _run_picard(run, out, threads)
     scan = ap_distribution_scan(
         res.ensemble,
         [i - run.k_lo for i in run.times],
@@ -351,10 +337,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="artifact directory (default: levyap_out)")
         p.add_argument("--dt", type=_num_arg, help="override the step h")
         p.add_argument("--max-iter", type=int, help="override the iteration cap")
-        p.add_argument("--threads", type=int,
+        p.add_argument("--threads", type=int, default=1,
                        help="worker threads over path chunks in noise sampling "
-                            "and the Picard solve; results are identical for "
-                            "any value")
+                            "and the Picard solve (default: 1); results are "
+                            "identical for any value")
     return parser
 
 
@@ -380,8 +366,6 @@ def _resolve_config(args) -> RunConfig:
         cfg = cfg._replace(numerics=num._replace(**num_updates))
     if args.seed is not None:
         cfg = cfg._replace(seed=args.seed)
-    if args.threads is not None:
-        cfg = cfg._replace(threads=args.threads)
     return cfg
 
 
@@ -389,8 +373,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ConfigError("--threads must be at least 1")
         run = validate_config(_resolve_config(args))
-        return _COMMANDS[args.command](run, args.out)
+        return _COMMANDS[args.command](run, args.out, args.threads)
     except (LevyapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

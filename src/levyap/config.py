@@ -18,16 +18,18 @@ import json
 import math
 import sys
 from collections import namedtuple
+from decimal import Decimal
 from fractions import Fraction
 from numbers import Rational
 from typing import Optional, Union
 
 from . import SUPPORT_CAP, LevyapError
-from .coefficients import CoefficientError, CoefficientSet, CoefficientTerm, QuasiPeriodicSignal
+from .coefficients import KERNELS, CoefficientError, CoefficientSet, CoefficientTerm, QuasiPeriodicSignal
 from .dichotomy import DichotomousSystem, diagonal_constants
 from .noise import (
     JumpComponent,
     LevyProcessSpec,
+    NoiseSpecError,
     PointMark,
     UniformAnnulusMark,
     UniformIntervalMark,
@@ -295,7 +297,7 @@ _MARK_FIELDS = {
 _MARK_KEYS = tuple(dict.fromkeys(f.key for t in _MARK_FIELDS.values() for f in t))
 MarkConfig = namedtuple("MarkConfig", _MARK_KEYS, defaults=(None,) * (len(_MARK_KEYS) - 1))
 _MARKS = Codec(_parse_marks, lambda m: _write_fields(m, _MARK_FIELDS[m.kind]))
-_JUMP_FIELDS = (Field("rate", _NUMBER), Field("region", _STR), Field("marks", _MARKS))
+_JUMP_FIELDS = (Field("rate", _NUMBER), Field("marks", _MARKS))
 JumpConfig = _record("JumpConfig", _JUMP_FIELDS)
 _LEVY_FIELDS = (
     Field("dim", _INT),
@@ -349,7 +351,6 @@ _RUN_FIELDS = (
     Field("numerics", _section(NumericsConfig, _NUMERICS_FIELDS)),
     Field("analysis", _section(AnalysisConfig, _ANALYSIS_FIELDS), AnalysisConfig(), echo_default=True),
     Field("seed", _INT, 0, echo_default=True),
-    Field("threads", _INT, 1, echo_default=True),
 )
 RunConfig = _record("RunConfig", _RUN_FIELDS)
 _RUN = _section(RunConfig, _RUN_FIELDS)
@@ -440,9 +441,7 @@ def _build_marks(
 
 def build_spec(cfg: LevyConfig) -> LevyProcessSpec:
     jumps = tuple(
-        JumpComponent(
-            rate=float(j.rate), region=j.region, marks=_build_marks(j.marks, cfg.dim)
-        )
+        JumpComponent(rate=float(j.rate), marks=_build_marks(j.marks, cfg.dim))
         for j in cfg.jumps
     )
     return LevyProcessSpec(dim=cfg.dim, covariance=cfg.covariance, jumps=jumps)
@@ -451,20 +450,34 @@ def build_spec(cfg: LevyConfig) -> LevyProcessSpec:
 def build_coefficients(cfg: CoefficientConfig, dim_state: int, dim_noise: int) -> CoefficientSet:
     """The configured coefficient set for a state in R^dim_state and a
     noise in R^dim_noise, the dimensions of the built system and of
-    ``levy.dim``, to which the term lists are held.  The set's own errors
-    are raised as ConfigErrors that name ``coefficients``."""
+    ``levy.dim``, to which the term lists are held.  A bad signal, or a
+    term field that the term's value does not read, is a ConfigError
+    naming its key path; the set's own errors are raised as ConfigErrors
+    that name ``coefficients``."""
     freqs = tuple(float(v) for v in cfg.freqs)
 
-    def _sig(expr: Optional[str]):
-        return None if expr is None else QuasiPeriodicSignal.parse(expr, freqs)
+    def _sig(expr: Optional[str], key: str):
+        if expr is None:
+            return None
+        try:
+            return QuasiPeriodicSignal.parse(expr, freqs)
+        except LevyapError as exc:  # a signal that does not parse or is unbounded
+            raise ConfigError(f"{key}: {exc}") from None
 
-    def _term(t: TermConfig) -> CoefficientTerm:
+    def _term(t: TermConfig, key: str, jump: bool) -> CoefficientTerm:
+        kernel = KERNELS.get(t.kernel)
+        if t.inner is not None and kernel is not None and not kernel.needs_inner:
+            raise ConfigError(f"{key}.inner: kernel {t.kernel!r} reads no inner signal")
+        if t.coord != 0 and t.kernel == "const":
+            raise ConfigError(f"{key}.coord: kernel 'const' reads no state coordinate")
+        if t.mark_weights is not None and not jump:
+            raise ConfigError(f"{key}.mark_weights: only jump terms take mark weights")
         return CoefficientTerm(
             scale=float(t.scale),
             kernel=t.kernel,
             coord=t.coord,
-            outer=_sig(t.outer),
-            inner=_sig(t.inner),
+            outer=_sig(t.outer, f"{key}.outer"),
+            inner=_sig(t.inner, f"{key}.inner"),
             mark_weights=(
                 tuple(float(v) for v in t.mark_weights)
                 if t.mark_weights is not None
@@ -472,17 +485,22 @@ def build_coefficients(cfg: CoefficientConfig, dim_state: int, dim_noise: int) -
             ),
         )
 
-    def _vec(rows):
-        return tuple(tuple(_term(t) for t in row) for row in rows)
+    def _vec(rows, key: str, jump: bool = False):
+        return tuple(
+            tuple(_term(t, f"{key}[{i}][{k}]", jump) for k, t in enumerate(row))
+            for i, row in enumerate(rows)
+        )
 
     try:
         return CoefficientSet(
             dim_state=dim_state,
             dim_noise=dim_noise,
-            drift=_vec(cfg.drift),
-            diffusion=tuple(_vec(row) for row in cfg.diffusion),
-            jump_small=_vec(cfg.jump_small),
-            jump_large=_vec(cfg.jump_large),
+            drift=_vec(cfg.drift, "coefficients.drift"),
+            diffusion=tuple(
+                _vec(row, f"coefficients.diffusion[{i}]") for i, row in enumerate(cfg.diffusion)
+            ),
+            jump_small=_vec(cfg.jump_small, "coefficients.jump_small", jump=True),
+            jump_large=_vec(cfg.jump_large, "coefficients.jump_large", jump=True),
             lipschitz=cfg.lipschitz,
         )
     except CoefficientError as exc:
@@ -581,33 +599,18 @@ def check_conditions(k, omega, lipschitz, jump_bound) -> ConditionReport:
 # ---------------------------------------------------------------------------
 
 
-_GRID_TOL = 1e-9
-
-
-def grid_steps(x: float, h: float) -> Optional[int]:
-    """The whole number of steps ``h`` from 0 to ``x``: ``round(x / h)``
-    when ``x`` lies within 1e-9 max(1, |x|) of that many steps, else None.
-
-    The engine's one on-grid rule.  ``validate_config`` reads every time
-    of a run with it once (``_on_grid``); the noise sampler, the solver
-    and the shift scan take the steps it gives.
-    """
-    steps = x / h
-    if not math.isfinite(steps):
-        return None
-    k = round(steps)
-    return None if abs(x - k * h) > _GRID_TOL * max(1.0, abs(x)) else k
-
-
-def _on_grid(value: float, h: float, what: str) -> int:
-    """The whole number of steps h from 0 to ``value`` (``grid_steps``);
-    a ConfigError naming ``what`` if ``value`` is off the grid."""
-    if not math.isfinite(value / h):
-        raise ConfigError(f"{what} = {value} is too far from 0 in steps of h = {h}")
-    steps = grid_steps(value, h)
-    if steps is None:
-        raise ConfigError(f"{what} = {value} is not a multiple of the step h = {h}")
-    return steps
+def grid_steps(x: Number, h: Number, key: str) -> int:
+    """The whole number of steps ``h`` from 0 to ``x``; a ConfigError
+    naming ``key`` when ``x`` is off that grid.  Decided exactly: ints and
+    Fractions as they are, a float by its shortest repr, so 0.1 means
+    1/10.  The engine's one on-grid rule: ``validate_config`` reads every
+    time of a run with it once, and the noise sampler, the solver and the
+    shift scan take the steps it gives."""
+    exact_x, exact_h = (Fraction(str(v)) if isinstance(v, float) else Fraction(v) for v in (x, h))
+    steps = exact_x / exact_h
+    if steps.denominator != 1:
+        raise ConfigError(f"{key} = {float(x)} is not a multiple of the step h = {float(h)}")
+    return steps.numerator
 
 
 def _finite(x: Number, name: str) -> float:
@@ -639,7 +642,7 @@ def validate_config(cfg: RunConfig) -> Run:
     builds the system, the noise spec and, at their dimensions, the
     coefficient set once (their own validators run), then checks
     numerics and reads the window, the truncation horizon, every
-    analysis time and every shift as whole steps h (``_on_grid``); the
+    analysis time and every shift as whole steps h (``grid_steps``); the
     truncation and every shift must be at least one step, and every
     analysis time and shifted time must stay at least one truncation
     horizon away from the window edges, compared in steps.  Analysis
@@ -659,13 +662,13 @@ def validate_config(cfg: RunConfig) -> Run:
     h = _finite(num.h, "numerics.h")
     if not h > 0:
         raise ConfigError("numerics.h must be positive")
-    t_lo, t_hi = float(num.window[0]), float(num.window[1])
+    t_lo, t_hi = (_finite(t, f"numerics.window[{i}]") for i, t in enumerate(num.window))
     if not (t_lo < t_hi):
         raise ConfigError("numerics.window must have t_lo < t_hi")
     if not (t_lo <= 0.0 <= t_hi):
         raise ConfigError("numerics.window must contain 0 (two-sided noise)")
-    k_lo = _on_grid(t_lo, h, "window start")
-    k_hi = _on_grid(t_hi, h, "window end")
+    k_lo = grid_steps(num.window[0], num.h, "numerics.window[0]")
+    k_hi = grid_steps(num.window[1], num.h, "numerics.window[1]")
     if num.n_paths < 2:
         raise ConfigError("numerics.n_paths must be at least 2")
     if not _finite(num.tol, "numerics.tol") > 0:
@@ -676,29 +679,31 @@ def validate_config(cfg: RunConfig) -> Run:
         raise ConfigError("numerics.csv_stride must be at least 1")
     if cfg.seed < 0:
         raise ConfigError("seed must be nonnegative")
-    if cfg.threads < 1:
-        raise ConfigError("threads must be at least 1")
 
     # the noise sample and the ensemble must fit numpy's array size, whose
     # bound is its largest index, sys.maxsize; checked on the declared
-    # dimensions, before the builders make lists of that length
+    # dimensions, before the builders make lists of that length.  The
+    # step count can be too large for a float, so Decimal formats it
     n = k_hi - k_lo
     for what, dim in (("levy.dim", cfg.levy.dim), ("system.a", len(cfg.system.a))):
         if num.n_paths * n * dim > sys.maxsize:
+            steps = f"{Decimal(n):.3g}"
             raise ConfigError(
-                f"numerics.h = {h} gives {float(n):.3g} steps; numerics.n_paths x steps "
-                f"x {what} ({num.n_paths} x {n} x {dim}) exceeds the largest array "
-                "numpy can allocate"
+                f"numerics.h = {h} splits the window [{t_lo}, {t_hi}] into {steps} steps; "
+                f"numerics.n_paths x steps x {what} ({num.n_paths} x {steps} x {dim}) "
+                "exceeds the largest array numpy can allocate"
             )
 
     sysd = build_system(cfg.system)
     spec = build_spec(cfg.levy)
-    validate_spec(spec)
+    try:
+        validate_spec(spec)
+    except NoiseSpecError as exc:
+        # the spec's fields are the keys of the levy section
+        raise ConfigError(f"levy.{exc}") from None
     cs = build_coefficients(cfg.coefficients, sysd.dim, spec.dim)
-    b = sum(
-        (_as_fraction(j.rate, "jump rate") for j in cfg.levy.jumps if j.region == "large"),
-        Fraction(0),
-    )
+    large = (j for j, c in zip(cfg.levy.jumps, spec.jumps) if c.region == "large")
+    b = sum((_as_fraction(j.rate, "jump rate") for j in large), Fraction(0))
     conditions = (
         _as_fraction(cfg.system.k, "system.k"),
         _as_fraction(cfg.system.omega, "system.omega"),
@@ -718,7 +723,7 @@ def validate_config(cfg: RunConfig) -> Run:
 
     if num.truncation is not None:
         t_c = _finite(num.truncation, "numerics.truncation")
-        w = _on_grid(t_c, h, "truncation")
+        w = grid_steps(num.truncation, num.h, "numerics.truncation")
         if w < 1:
             raise ConfigError(f"numerics.truncation must be at least one step h = {h}, got {t_c}")
     else:
@@ -748,8 +753,10 @@ def validate_config(cfg: RunConfig) -> Run:
                 f"can reach {2 * size}, above the cap {SUPPORT_CAP}; set "
                 f"analysis.law_support to at most {SUPPORT_CAP // 2}"
             )
-    times = [(float(t), _on_grid(float(t), h, "analysis time")) for t in ana.times]
-    shifts = [(float(s), _on_grid(float(s), h, "analysis shift")) for s in ana.shifts]
+    times, shifts = (
+        [(_finite(v, f"{key}[{i}]"), grid_steps(v, num.h, f"{key}[{i}]")) for i, v in enumerate(vs)]
+        for key, vs in (("analysis.times", ana.times), ("analysis.shifts", ana.shifts))
+    )
     # the scan counts 0 as an accepted shift, so the gaps need s > 0
     for s, j in shifts:
         if j < 1:
@@ -797,14 +804,12 @@ def _example41_config() -> RunConfig:
             jumps=(
                 JumpConfig(
                     rate=Fraction(3, 2),
-                    region="small",
                     marks=MarkConfig(
                         kind="uniform_interval", a=Fraction(-9, 10), b=Fraction(9, 10)
                     ),
                 ),
                 JumpConfig(
                     rate=1,
-                    region="large",
                     marks=MarkConfig(kind="uniform_interval", a=1, b=Fraction(3, 2)),
                 ),
             ),
@@ -915,7 +920,6 @@ def _galerkin_heat_config() -> RunConfig:
             jumps=(
                 JumpConfig(
                     rate=2,
-                    region="small",
                     marks=MarkConfig(
                         kind="uniform_annulus", r0=Fraction(1, 10), r1=Fraction(1, 2)
                     ),

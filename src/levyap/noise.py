@@ -287,15 +287,25 @@ class UniformAnnulusMark(namedtuple("UniformAnnulusMark", "r0 r1 d")):
 # ---------------------------------------------------------------------------
 
 
-JumpComponent = namedtuple("JumpComponent", "rate region marks")
-JumpComponent.__doc__ = """One finite-activity jump stream: its rate, its region and its
-mark law (a ``PointMark``, ``UniformIntervalMark`` or
-``UniformAnnulusMark``).
+class JumpComponent(namedtuple("JumpComponent", "rate marks")):
+    """One finite-activity jump stream: its rate and its mark law (a
+    ``PointMark``, ``UniformIntervalMark`` or ``UniformAnnulusMark``).
 
-``region`` declares where the marks live relative to the unit ball:
-``"small"`` streams are compensated (martingale part), ``"large"``
-streams are not.
-"""
+    ``region`` follows from the marks by the Levy-Ito split at |x| = 1:
+    ``"small"`` (compensated) when every mark norm is below 1, ``"large"``
+    (not compensated) when every one is at least 1, else None, which
+    ``validate_spec`` rejects.
+    """
+
+    __slots__ = ()
+
+    @property
+    def region(self) -> Optional[str]:
+        rmin, rmax = self.marks.norm_bounds()
+        if rmax < 1.0:
+            return "small"
+        return "large" if rmin >= 1.0 else None
+
 
 LevyProcessSpec = namedtuple("LevyProcessSpec", "dim covariance jumps", defaults=(None, ()))
 LevyProcessSpec.__doc__ = """Full two-sided Levy noise specification: the dimension, the
@@ -309,8 +319,8 @@ def validate_spec(spec: LevyProcessSpec) -> None:
     Raises NoiseSpecError on: non-symmetric or indefinite Wiener
     covariance, a covariance whose symmetrisation (Q + Q^T)/2, which the
     sampler factors, overflows, dimension mismatches, nonpositive or
-    infinite rates, and mark supports that contradict the declared
-    small/large region.
+    infinite rates, invalid mark laws and mark norms on both sides of 1,
+    each message starting with its spec field's path (``jumps[0].marks``).
 
     A covariance given as rows of numbers with only zeros off the
     diagonal is symmetric, and its diagonal holds its eigenvalues, so it
@@ -319,46 +329,44 @@ def validate_spec(spec: LevyProcessSpec) -> None:
     ``eigvalsh``.
     """
     if spec.dim < 1:
-        raise NoiseSpecError("noise dimension must be >= 1")
+        raise NoiseSpecError("dim: noise dimension must be >= 1")
     if spec.covariance is not None:
         eigs = _diagonal(spec.covariance)
         if eigs is None:
             q = np.asarray(spec.covariance, dtype=float)
             if q.shape != (spec.dim, spec.dim):
-                raise NoiseSpecError("wiener covariance must be dim x dim")
+                raise NoiseSpecError("covariance: wiener covariance must be dim x dim")
             if not np.all(np.isfinite(q)):
-                raise NoiseSpecError("wiener covariance must be finite")
+                raise NoiseSpecError("covariance: wiener covariance must be finite")
             if not np.allclose(q, q.T, atol=1e-12 * max(1.0, float(np.abs(q).max()))):
-                raise NoiseSpecError("wiener covariance must be symmetric")
+                raise NoiseSpecError("covariance: wiener covariance must be symmetric")
             with np.errstate(over="ignore"):
                 q = (q + q.T) / 2.0
             if not np.all(np.isfinite(q)):
-                raise NoiseSpecError("wiener covariance overflows when symmetrised")
+                raise NoiseSpecError("covariance: wiener covariance overflows when symmetrised")
             eigs = np.linalg.eigvalsh(q)
         elif len(eigs) != spec.dim:
-            raise NoiseSpecError("wiener covariance must be dim x dim")
+            raise NoiseSpecError("covariance: wiener covariance must be dim x dim")
         elif not all(map(math.isfinite, eigs)):
-            raise NoiseSpecError("wiener covariance must be finite")
+            raise NoiseSpecError("covariance: wiener covariance must be finite")
         elif not all(math.isfinite(v + v) for v in eigs):
-            raise NoiseSpecError("wiener covariance overflows when symmetrised")
+            raise NoiseSpecError("covariance: wiener covariance overflows when symmetrised")
         if min(eigs) < -1e-12 * max(1.0, max(eigs)):
-            raise NoiseSpecError("wiener covariance must be positive semidefinite")
+            raise NoiseSpecError("covariance: wiener covariance must be positive semidefinite")
     for i, comp in enumerate(spec.jumps):
         if not (math.isfinite(comp.rate) and comp.rate > 0):
-            raise NoiseSpecError(f"jump component {i}: rate must be finite and > 0")
-        if comp.region not in ("small", "large"):
-            raise NoiseSpecError(f"jump component {i}: region must be 'small' or 'large'")
-        comp.marks.validate()
+            raise NoiseSpecError(f"jumps[{i}].rate: rate must be finite and > 0")
+        try:
+            comp.marks.validate()
+        except NoiseSpecError as exc:
+            raise NoiseSpecError(f"jumps[{i}].marks: {exc}") from None
         if comp.marks.dim() != spec.dim:
-            raise NoiseSpecError(f"jump component {i}: mark dimension mismatch")
-        rmin, rmax = comp.marks.norm_bounds()
-        if comp.region == "small" and rmax >= 1.0:
+            raise NoiseSpecError(f"jumps[{i}].marks: mark dimension mismatch")
+        if comp.region is None:
+            rmin, rmax = comp.marks.norm_bounds()
             raise NoiseSpecError(
-                f"jump component {i}: declared small but marks reach norm {rmax}"
-            )
-        if comp.region == "large" and rmin < 1.0:
-            raise NoiseSpecError(
-                f"jump component {i}: declared large but marks reach norm {rmin}"
+                f"jumps[{i}].marks: mark norms {rmin} to {rmax} are neither all below 1 "
+                "(small jumps) nor all at least 1 (large jumps)"
             )
 
 

@@ -27,10 +27,7 @@ def steps(x: float, h: float) -> int:
     """The whole number of steps ``h`` in the time ``x``, by the config's
     grid rule (``grid_steps``); a test time off the grid raises, as
     ``validate_config`` would reject it."""
-    k = grid_steps(float(x), h)
-    if k is None:
-        raise ValueError(f"{x} is off the grid of step {h}")
-    return k
+    return grid_steps(float(x), h, "test time")
 
 
 def window_steps(t_lo: float, t_hi: float, h: float) -> tuple:

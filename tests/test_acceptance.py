@@ -400,7 +400,7 @@ def test_noise_statistics_and_thread_determinism():
         dim=1,
         jumps=(
             JumpComponent(
-                rate=2.0, region="small", marks=UniformIntervalMark(0.1, 0.9)
+                rate=2.0, marks=UniformIntervalMark(0.1, 0.9)
             ),
         ),
     )

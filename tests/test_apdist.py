@@ -451,14 +451,6 @@ def test_scan_reads_laws_at_grid_times(monkeypatch):
         np.testing.assert_array_equal(mu.weights, np.full(12, 1 / 12))
 
 
-def test_scan_time_index_tolerance(monkeypatch):
-    values = np.arange(6.0).reshape(1, 3, 2)
-    ens = _FakeEnsemble(np.array([0.0, 0.5, 1.0]), values)
-    pairs = _recording_scan(monkeypatch, ens, [0.5 + 1e-12], [0.5 - 1e-12])
-    np.testing.assert_array_equal(pairs[0][0].points, values[:, 2, :])
-    np.testing.assert_array_equal(pairs[0][1].points, values[:, 1, :])
-
-
 def _circle_ensemble():
     # deterministic point mass moving on a circle with period 2
     grid = np.arange(0.0, 6.01, 0.5)

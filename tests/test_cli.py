@@ -272,11 +272,11 @@ PRESET_ECHOES = {
         '"jump_small": [[], [{"coord": 1, "kernel": "linear", "scale": "1/10"}]], '
         '"lipschitz": "1/64"}, "levy": {"covariance": [[1]], "dim": 1, '
         '"jumps": [{"marks": {"a": "-9/10", "b": "9/10", "kind": "uniform_interval"}, '
-        '"rate": "3/2", "region": "small"}, {"marks": {"a": 1, "b": "3/2", '
-        '"kind": "uniform_interval"}, "rate": 1, "region": "large"}]}, '
+        '"rate": "3/2"}, {"marks": {"a": 1, "b": "3/2", '
+        '"kind": "uniform_interval"}, "rate": 1}]}, '
         '"numerics": {"h": "1/256", "max_iter": 40, "n_paths": 256, "tol": 1e-12, '
         '"truncation": 2, "window": [-2, 4]}, "seed": 41, "system": {"a": [[8, 0], [0, -6]], '
-        '"k": 1, "omega": 6, "p": [[0, 0], [0, 1]]}, "threads": 1}'
+        '"k": 1, "omega": 6, "p": [[0, 0], [0, 1]]}}'
     ),
     "galerkin_heat": (
         '{"analysis": {"epsilon": 0.3, "law_support": 64, "shifts": [1, 2], "times": [0, 1, '
@@ -310,7 +310,7 @@ PRESET_ECHOES = {
         "0, 0], [0, 0, 0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 0, 1, "
         '0], [0, 0, 0, 0, 0, 0, 0, 1]], "dim": 8, '
         '"jumps": [{"marks": {"kind": "uniform_annulus", "r0": "1/10", "r1": "1/2"}, '
-        '"rate": 2, "region": "small"}]}, "numerics": {"h": "1/32", "max_iter": 40, '
+        '"rate": 2}]}, "numerics": {"h": "1/32", "max_iter": 40, '
         '"n_paths": 128, "tol": 1e-10, "truncation": 8, "window": [-8, 16]}, "seed": 2, '
         '"system": {"a": [["5/2", 0, 0, 0, 0, 0, 0, 0], [0, "3/2", 0, 0, 0, 0, 0, 0], [0, 0, '
         '"-3/2", 0, 0, 0, 0, 0], [0, 0, 0, "-13/2", 0, 0, 0, 0], [0, 0, 0, 0, "-27/2", 0, 0, '
@@ -318,7 +318,7 @@ PRESET_ECHOES = {
         '0, 0, "-93/2"]], "k": 1, "omega": "3/2", "p": [[0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, '
         "0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, "
         "0, 0, 0], [0, 0, 0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 0, 0, "
-        '1]]}, "threads": 1}'
+        '1]]}}'
     ),
     "ou_forced": (
         '{"analysis": {"epsilon": 0.2, "law_support": 96, "shifts": ["71/16", "569/64", '
@@ -331,7 +331,7 @@ PRESET_ECHOES = {
         '"lipschitz": "1/1000000"}, "levy": {"covariance": [[1]], "dim": 1}, '
         '"numerics": {"h": "1/64", "max_iter": 40, "n_paths": 512, "tol": 1e-12, '
         '"truncation": 6, "window": [-6, 36]}, "seed": 7, "system": {"a": [[-1]], "k": 1, '
-        '"omega": 1, "p": [[1]]}, "threads": 1}'
+        '"omega": 1, "p": [[1]]}}'
     ),
 }
 
@@ -505,8 +505,14 @@ class TestValidation:
     def test_negative_seed(self):
         self.check_rejects(lambda d: d.update(seed=-1))
 
-    def test_bad_threads(self):
-        self.check_rejects(lambda d: d.update(threads=0))
+    def test_bad_threads(self, tmp_path, capsys):
+        """The thread count is the ``--threads`` option, not a config key
+        (``threads`` is rejected as an unknown key): 0 exits 2 with one
+        error line before anything is written."""
+        out = tmp_path / "o"
+        assert main(["check", "--preset", "example41", "--threads", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --threads must be at least 1\n"
+        assert not out.exists()
 
     def test_nonpositive_epsilon(self):
         self.check_rejects(lambda d: d["analysis"].update(epsilon=0))
@@ -531,8 +537,7 @@ class TestValidation:
     def test_apscan_rejects_a_nonpositive_shift_before_running(self, tmp_path, capsys, shift):
         """A shift s <= 0 would enter the accepted set beside 0 and give a
         wrong (even negative) max_gap, so the run stops before it samples
-        or writes anything; so does a shift that the grid rule reads as 0
-        steps."""
+        or writes anything; so does a shift off the grid."""
         d = config_to_dict(preset_config("example41"))
         d["analysis"]["shifts"] = [shift]
         out = tmp_path / "out"
@@ -542,24 +547,6 @@ class TestValidation:
         assert err.startswith("error: ") and "analysis.shifts" in err
         assert not out.exists()
 
-    def test_times_within_grid_tolerance_of_the_interior_edge(self, tmp_path, capsys):
-        """The window-interior check counts whole steps, so a time that the
-        grid rule places on the interior's edge passes although it lies a
-        few 1e-9 past it: 7.000000006 is step 224 of h = 1/32 and, shifted
-        by 1, step 256, the edge of galerkin_heat's interior [0, 8].  The
-        scan reads the same steps and runs to its report."""
-        data = {
-            "preset": "galerkin_heat",
-            "analysis": {"epsilon": 0.3, "shifts": [1], "times": [0, 7.000000006]},
-        }
-        cfg = write_cfg(tmp_path, data)
-        assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
-        out = tmp_path / "a"
-        assert main(["apscan", "--config", str(cfg), "--out", str(out), "--paths", "4"]) in (0, 1)
-        report = json.loads((out / "apscan_report.json").read_text(encoding="utf-8"))
-        assert [entry["s"] for entry in report["shifts"]] == [1.0]
-        assert "leaves the window interior" not in capsys.readouterr().err
-
     @given(data=st.data(), as_string=st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_run_steps_equal_fraction_arithmetic(self, data, as_string):
@@ -567,9 +554,12 @@ class TestValidation:
         of a run are rationals on the grid of a rational h.  Written as
         floats or as "p/q" strings, the ``Run`` carries them as the steps
         that exact arithmetic gives, and the same value half a step off
-        the grid is rejected with the message naming it.  A truncation or
-        a shift of 0 steps is rejected with its key."""
-        h = Fraction(data.draw(st.integers(1, 3)), data.draw(st.integers(1, 64)))
+        the grid is rejected with the message naming its key.  A
+        truncation or a shift of 0 steps is rejected with its key."""
+        # a float is read by its shortest repr, so written as floats the
+        # times are exact on a grid whose steps have short decimals
+        q = st.integers(1, 64) if as_string else st.sampled_from((1, 2, 4, 5, 8, 16, 25, 32, 64))
+        h = Fraction(data.draw(st.integers(1, 3)), data.draw(q))
         w = data.draw(st.integers(1, 4))
         k_lo = data.draw(st.integers(-2 * w - 12, 0))
         k_hi = data.draw(st.integers(max(0, k_lo + 2 * w + 1), k_lo + 2 * w + 24))
@@ -615,6 +605,13 @@ class TestValidation:
         assert run.shifts == tuple(map(exact, values["analysis shift"]))
         assert all(type(k) is int for k in (run.k_lo, run.n, run.w, *run.times, *run.shifts))
 
+        keys = {
+            "window start": "numerics.window[0]",
+            "window end": "numerics.window[1]",
+            "truncation": "numerics.truncation",
+            "analysis time": "analysis.times[0]",
+            "analysis shift": "analysis.shifts[0]",
+        }
         for what, value in values.items():
             off = dict(values)
             # half a step outwards, so the window still contains 0
@@ -624,15 +621,13 @@ class TestValidation:
                 off[what] = [bad, *value[1:]]
             else:
                 bad = off[what] = value + nudge
-            message = f"{what} = {float(bad)} is not a multiple of the step h = {float(h)}"
+            message = f"{keys[what]} = {float(bad)} is not a multiple of the step h = {float(h)}"
             with pytest.raises(ConfigError, match=re.escape(message)):
                 validate_config(configured(off))
 
-        # a truncation or a shift within the grid tolerance of 0 is 0 steps
-        tiny = h / 10**12
         for what, key, value in (
-            ("truncation", "numerics.truncation", tiny),
-            ("analysis shift", "analysis.shifts", [tiny]),
+            ("truncation", "numerics.truncation", 0),
+            ("analysis shift", "analysis.shifts", [0]),
         ):
             with pytest.raises(ConfigError, match=re.escape(f"{key} must be at least one step")):
                 validate_config(configured(dict(values, **{what: value})))
@@ -738,7 +733,6 @@ class TestConditionInputs:
         d["levy"]["jumps"] = list(d["levy"]["jumps"]) + [
             {
                 "rate": "1/2",
-                "region": "large",
                 "marks": {"kind": "uniform_interval", "a": 2, "b": 3},
             }
         ]
@@ -1072,7 +1066,7 @@ class TestCliExitCodes:
             ),
             ({"preset": "example41", "levy": {"covariance": [[1]]}}, "levy.dim"),
             (
-                {"preset": "example41", "levy": {"dim": 1, "jumps": [{"rate": 1, "region": "large"}]}},
+                {"preset": "example41", "levy": {"dim": 1, "jumps": [{"rate": 1}]}},
                 "levy.jumps[0].marks",
             ),
             (
@@ -1081,7 +1075,7 @@ class TestCliExitCodes:
                     "levy": {
                         "dim": 1,
                         "jumps": [
-                            {"rate": 1, "region": "large",
+                            {"rate": 1,
                              "marks": {"kind": "uniform_annulus", "r0": 1, "rr": 2}}
                         ],
                     },
@@ -1248,6 +1242,107 @@ class TestCliExitCodes:
                 "coefficients.custom: unknown key; known keys: freqs, drift, diffusion, "
                 "jump_small, jump_large, lipschitz",
             ),
+            (
+                {
+                    "preset": "example41",
+                    "levy": {
+                        "dim": 1,
+                        "jumps": [
+                            {"rate": 1, "region": "large",
+                             "marks": {"kind": "uniform_interval", "a": 1, "b": 2}}
+                        ],
+                    },
+                },
+                "levy.jumps[0].region: unknown key; known keys: rate, marks",
+            ),
+            ({"preset": "example41", "threads": 2}, "threads: unknown key"),
+            (
+                {
+                    "preset": "example41",
+                    "levy": {
+                        "dim": 1,
+                        "jumps": [
+                            {"rate": 1, "marks": {"kind": "uniform_interval", "a": "1/2", "b": 2}}
+                        ],
+                    },
+                },
+                "levy.jumps[0].marks: mark norms 0.5 to 2.0 are neither all below 1",
+            ),
+            (
+                {
+                    "preset": "example41",
+                    "analysis": {"epsilon": 0.25, "shifts": [0.25000000001], "times": [0]},
+                },
+                "analysis.shifts[0] = 0.25000000001 is not a multiple of the step",
+            ),
+            # 7.000000006 + 1 lies 6e-9 past the edge of galerkin_heat's
+            # window interior [0, 8], and off the grid
+            (
+                {
+                    "preset": "galerkin_heat",
+                    "analysis": {"epsilon": 0.3, "shifts": [1], "times": [0, 7.000000006]},
+                },
+                "analysis.times[1] = 7.000000006 is not a multiple of the step",
+            ),
+            (
+                {
+                    "preset": "example41",
+                    "coefficients": {
+                        **config_to_dict(preset_config("example41"))["coefficients"],
+                        "drift": [
+                            [],
+                            [{"scale": 1, "kernel": "bounded_ratio", "coord": 1,
+                              "outer": "c9 + s1"}],
+                        ],
+                    },
+                },
+                "coefficients.drift[1][0].outer: oscillator 'c9' has no frequency (have 3)",
+            ),
+            (
+                {
+                    "preset": "ou_forced",
+                    "coefficients": {
+                        **config_to_dict(preset_config("ou_forced"))["coefficients"],
+                        "drift": [[{"scale": 1, "kernel": "const", "outer": "s1", "inner": "c1"}]],
+                    },
+                },
+                "coefficients.drift[0][0].inner: kernel 'const' reads no inner signal",
+            ),
+            (
+                {
+                    "preset": "example41",
+                    "coefficients": {
+                        **config_to_dict(preset_config("example41"))["coefficients"],
+                        "drift": [[{"scale": 1, "kernel": "const", "coord": 1}], []],
+                    },
+                },
+                "coefficients.drift[0][0].coord: kernel 'const' reads no state coordinate",
+            ),
+            (
+                {
+                    "preset": "ou_forced",
+                    "coefficients": {
+                        **config_to_dict(preset_config("ou_forced"))["coefficients"],
+                        "drift": [[{"scale": 1, "kernel": "const", "mark_weights": [1]}]],
+                    },
+                },
+                "coefficients.drift[0][0].mark_weights: only jump terms take mark weights",
+            ),
+            # JSON integers of 400 digits parse, and overflow a float
+            (
+                {
+                    "preset": "example41",
+                    "analysis": {"epsilon": 0.25, "shifts": [1], "times": [10**400]},
+                },
+                "analysis.times[0] must be a finite number",
+            ),
+            (
+                {
+                    "preset": "example41",
+                    "numerics": {"h": "1/32", "window": [-1, 10**400], "n_paths": 8},
+                },
+                "numerics.window[1] must be a finite number",
+            ),
         ],
     )
     def test_malformed_config_names_key_path(self, tmp_path, capsys, data, key_path):
@@ -1285,8 +1380,9 @@ class TestCliExitCodes:
             # parses, and overflows a float
             ("truncation", 10**400, "numerics.truncation must be a finite number"),
             ("tol", 10**400, "numerics.tol must be a finite number"),
-            ("truncation", "1/10000000000", "numerics.truncation must be at least one step"),
-            ("--dt", "1e-310", "window start = -1.0 is too far from 0 in steps"),
+            ("truncation", "1/10000000000", "numerics.truncation = 1e-10 is not a multiple"),
+            # 3 * 10**310 steps, a count formatted without a float
+            ("--dt", "1e-310", "window [-1.0, 2.0] into 3.00e+310 steps"),
         ],
         ids=lambda v: "10**400" if v == 10**400 else None,
     )
@@ -1415,7 +1511,7 @@ class TestCliErrorMapping:
         path = write_cfg(tmp_path, huge_drift_dict())
         (tmp_path / "direct").mkdir()
         with pytest.raises(SolverError, match="non-finite states") as exc:
-            cmd_picard(validate_config(load_config(path)), tmp_path / "direct")
+            cmd_picard(validate_config(load_config(path)), tmp_path / "direct", 1)
         capsys.readouterr()
         assert main(["picard", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         warning, error = capsys.readouterr().err.splitlines()
@@ -1429,7 +1525,7 @@ class TestCliErrorMapping:
         path = write_cfg(tmp_path, tiny_benchmark_dict())
         (tmp_path / "direct").mkdir()
         with pytest.raises(EmpiricalLawError, match="did not converge") as exc:
-            cmd_apscan(validate_config(load_config(path)), tmp_path / "direct")
+            cmd_apscan(validate_config(load_config(path)), tmp_path / "direct", 1)
         assert main(["apscan", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"error: {exc.value}\n"
 
@@ -1575,10 +1671,8 @@ class TestCliArtifacts:
         assert ("ACCEPT" in text) or ("reject" in text)
 
     def test_apscan_time_near_a_grid_point(self, tmp_path, capsys):
-        """A time 1.2e-9 off step -48 is on the grid for validation
-        (within 1e-9 max(1, |t|)), so the scan takes it as that step too,
-        although it is more than 1e-9 off the step 16 from the window
-        start."""
+        """Grid membership is exact: a time 1.2e-9 off step -48 is off the
+        grid, so ``apscan`` exits 2 naming it before it writes anything."""
         d = {
             "preset": "example41",
             "numerics": {"h": "1/32", "window": [-2, 2], "n_paths": 4, "truncation": "1/2"},
@@ -1586,9 +1680,11 @@ class TestCliArtifacts:
         }
         out = tmp_path / "o"
         code = main(["apscan", "--config", str(write_cfg(tmp_path, d)), "--out", str(out)])
-        assert code == 0, capsys.readouterr().err
-        report = json.loads((out / "apscan_report.json").read_text(encoding="utf-8"))
-        assert [entry["s"] for entry in report["shifts"]] == [0.25]
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: analysis.times[0] = -1.4999999988 is not a multiple of the step h = 0.03125\n"
+        )
+        assert not out.exists()
 
     def test_apscan_requires_analysis(self, tmp_path, capsys):
         """A config with no scan passes ``check`` and ``picard``;
@@ -1604,18 +1700,6 @@ class TestCliArtifacts:
             "error: apscan needs analysis.times and analysis.shifts\n"
         )
         assert not (tmp_path / "o").exists()
-
-    def test_apscan_reports_the_shift_it_scanned(self, tmp_path, capsys):
-        """A shift within the grid tolerance of 64 steps of h = 1/256 is
-        scanned at 64 steps, and the report states that shift, 0.25, not
-        the value written."""
-        d = tiny_benchmark_dict()
-        d["numerics"]["h"] = "1/256"
-        d["analysis"]["shifts"] = ["25000000001/100000000000"]
-        out = tmp_path / "o"
-        assert main(["apscan", "--config", str(write_cfg(tmp_path, d)), "--out", str(out)]) == 0
-        report = json.loads((out / "apscan_report.json").read_text(encoding="utf-8"))
-        assert [entry["s"] for entry in report["shifts"]] == [0.25]
 
     def test_stage_times_script_times_every_stage(self, tmp_path):
         """``scripts/stage_times.py`` finds each stage where the commands
@@ -1656,7 +1740,7 @@ class TestCliArtifacts:
         spec = importlib.util.spec_from_file_location("compare_artifacts", script)
         compare = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(compare)
-        assert len(compare.runs()) == 3 * 3 * 2 * 2 + 2 + 2 + 9
+        assert len(compare.runs()) == 3 * 3 * 2 * 2 + 2 + 2 + 1 + 12
         for name, data in compare.REJECTED.items():
             cfg = write_cfg(tmp_path, data, name)
             assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "rejected")]) == 2

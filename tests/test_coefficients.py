@@ -55,8 +55,8 @@ def benchmark_noise():
         dim=1,
         covariance=np.eye(1),
         jumps=(
-            JumpComponent(1.0, "small", UniformAnnulusMark(0.2, 0.8, 1)),
-            JumpComponent(1.0, "large", PointMark((1.5,))),
+            JumpComponent(1.0, UniformAnnulusMark(0.2, 0.8, 1)),
+            JumpComponent(1.0, PointMark((1.5,))),
         ),
     )
 
@@ -276,7 +276,7 @@ def test_compensator_mark_linear_matches_quadrature():
     )
     spec = LevyProcessSpec(
         dim=1,
-        jumps=(JumpComponent(2.0, "small", UniformIntervalMark(0.2, 0.8)),),
+        jumps=(JumpComponent(2.0, UniformIntervalMark(0.2, 0.8)),),
     )
     y = np.array([[3.0]])
     comp = point_values(compensator_terms(cs, spec, np.array([0.0])), y)
@@ -365,11 +365,11 @@ def test_verify_lipschitz_reports_on_every_preset():
 def test_verify_lipschitz_on_mark_weighted_annulus_jumps(dim):
     """Maps y -> y (d + c w.x) on one state coordinate, small jumps at
     rate 2 with annulus marks (0.5, 0.9) and large jumps at rate 1/2 on a
-    point mark p.  Every sampled ratio is then exact:
+    point mark p of norm at least 1.  Every sampled ratio is then exact:
     small 2 (d^2 + c^2 |w|^2 E|x|^2 / dim) with E|x|^2 = 0.604/1.2 (the
     mark mean is 0), large 1/2 (d + c w.p)^2 (the cross term counts)."""
     w = tuple(0.1 * (i + 1) for i in range(dim))
-    p = tuple(0.3 if i % 2 else -0.2 for i in range(dim))
+    p = tuple(1.3 if i % 2 else -1.2 for i in range(dim))
     d, c = 0.05, 0.2
     jump = (
         (
@@ -389,8 +389,8 @@ def test_verify_lipschitz_on_mark_weighted_annulus_jumps(dim):
     spec = LevyProcessSpec(
         dim=dim,
         jumps=(
-            JumpComponent(2.0, "small", UniformAnnulusMark(0.5, 0.9, dim)),
-            JumpComponent(0.5, "large", PointMark(tuple(p))),
+            JumpComponent(2.0, UniformAnnulusMark(0.5, 0.9, dim)),
+            JumpComponent(0.5, PointMark(tuple(p))),
         ),
     )
     rep = verify_lipschitz(cs, spec, n_samples=200)

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from _grid import steps, window_steps
 from _noise_oracles import NoiseShiftError, shifted
 import levyap.noise as noise_module
-from levyap.config import JumpConfig, LevyConfig, MarkConfig, build_spec, grid_steps
+from levyap.config import ConfigError, JumpConfig, LevyConfig, MarkConfig, build_spec, grid_steps
 from levyap.noise import (
     JumpComponent,
     LevyProcessSpec,
@@ -47,13 +47,13 @@ def make_spec(dim=1, with_jumps=True):
     jumps = ()
     if with_jumps:
         jumps = (
-            JumpComponent(2.0, "small", UniformIntervalMark(0.2, 0.8)),
-            JumpComponent(0.5, "large", PointMark((1.5,) + (0.0,) * (dim - 1))),
+            JumpComponent(2.0, UniformIntervalMark(0.2, 0.8)),
+            JumpComponent(0.5, PointMark((1.5,) + (0.0,) * (dim - 1))),
         )
         if dim > 1:
             jumps = (
-                JumpComponent(2.0, "small", UniformAnnulusMark(0.2, 0.8, dim)),
-                JumpComponent(0.5, "large", PointMark((1.5,) + (0.0,) * (dim - 1))),
+                JumpComponent(2.0, UniformAnnulusMark(0.2, 0.8, dim)),
+                JumpComponent(0.5, PointMark((1.5,) + (0.0,) * (dim - 1))),
             )
     return LevyProcessSpec(dim=dim, covariance=np.eye(dim), jumps=jumps)
 
@@ -118,24 +118,33 @@ def test_diagonal_covariance_rows_checked_like_arrays(diagonal, monkeypatch):
 
 
 def test_validate_rejects_region_mismatch():
-    spec = LevyProcessSpec(
-        dim=1, jumps=(JumpComponent(1.0, "small", UniformIntervalMark(0.5, 1.5)),)
-    )
-    with pytest.raises(NoiseSpecError, match="small"):
-        validate_spec(spec)
-    spec = LevyProcessSpec(dim=1, jumps=(JumpComponent(1.0, "large", PointMark((0.5,))),))
-    with pytest.raises(NoiseSpecError, match="large"):
-        validate_spec(spec)
+    """A component's region follows from its marks, split at norm 1: all
+    below is small, all at 1 or above is large, and marks whose norms
+    reach both sides of 1 fit neither region, which names the marks."""
+    for marks, region in (
+        (UniformIntervalMark(-0.5, 0.99), "small"),
+        (PointMark((0.0, -1.0)), "large"),
+        (UniformAnnulusMark(1.0, 2.0, 2), "large"),
+    ):
+        assert JumpComponent(1.0, marks).region == region
+    for marks in (
+        UniformIntervalMark(0.5, 1.5),
+        UniformIntervalMark(-1.0, 0.5),
+        UniformAnnulusMark(0.5, 1.0, 1),
+    ):
+        spec = LevyProcessSpec(dim=1, jumps=(JumpComponent(1.0, marks),))
+        with pytest.raises(NoiseSpecError, match=r"^jumps\[0\]\.marks: mark norms .* neither"):
+            validate_spec(spec)
 
 
 def test_validate_rejects_bad_rate_and_dim():
     with pytest.raises(NoiseSpecError, match="rate"):
         validate_spec(
-            LevyProcessSpec(dim=1, jumps=(JumpComponent(0.0, "small", PointMark((0.1,))),))
+            LevyProcessSpec(dim=1, jumps=(JumpComponent(0.0, PointMark((0.1,))),))
         )
     with pytest.raises(NoiseSpecError, match="dimension"):
         validate_spec(
-            LevyProcessSpec(dim=2, jumps=(JumpComponent(1.0, "small", PointMark((0.1,))),))
+            LevyProcessSpec(dim=2, jumps=(JumpComponent(1.0, PointMark((0.1,))),))
         )
 
 
@@ -145,16 +154,22 @@ def test_validate_rejects_bad_rate_and_dim():
         (0.5, 1 / 32, 16),
         (-2.0, 1 / 32, -64),
         (0.0, 0.1, 0),
-        (0.3, 0.1, 3),  # 0.3 / 0.1 is 2.9999999999999996
-        # 1.2e-9 off: within 1e-9 |x| of step -48, beyond 1e-9 of step 16
-        (-1.4999999988, 1 / 32, -48),
+        # floats are read by their shortest repr, 3/10 and 1/10, although
+        # 0.3 / 0.1 is 2.9999999999999996
+        (0.3, 0.1, 3),
+        (-1.4999999988, 1 / 32, None),  # 1.2e-9 off step -48
         (0.5000000012, 1 / 32, None),
         (1 / 3, 1 / 32, None),
-        (1.0, 1e-310, None),  # x / h overflows
+        pytest.param(Fraction(1, 3), Fraction(1, 96), 32, id="1/3-1/96-32"),
+        pytest.param(1.0, 1e-310, 10**310, id="1.0-1e-310-10**310"),  # x / h overflows a float
     ],
 )
 def test_grid_steps(x, h, steps):
-    assert grid_steps(x, h) == steps
+    if steps is None:
+        with pytest.raises(ConfigError, match=r"^x = .* is not a multiple of the step h = "):
+            grid_steps(x, h, "x")
+    else:
+        assert grid_steps(x, h, "x") == steps
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +207,8 @@ def test_stream_layout_is_pinned():
         dim=2,
         covariance=np.array([[1.0, 0.3], [0.3, 0.5]]),
         jumps=(
-            JumpComponent(4.0, "small", UniformAnnulusMark(0.1, 0.6, 2)),
-            JumpComponent(1.5, "large", PointMark((1.2, -0.9))),
+            JumpComponent(4.0, UniformAnnulusMark(0.1, 0.6, 2)),
+            JumpComponent(1.5, PointMark((1.2, -0.9))),
         ),
     )
     sample = sample_noise(
@@ -348,8 +363,8 @@ def correlated_3d_spec():
         dim=3,
         covariance=q,
         jumps=(
-            JumpComponent(4.0, "small", UniformAnnulusMark(0.1, 0.6, 3)),
-            JumpComponent(1.5, "large", PointMark((1.2, -0.9, 0.3))),
+            JumpComponent(4.0, UniformAnnulusMark(0.1, 0.6, 3)),
+            JumpComponent(1.5, PointMark((1.2, -0.9, 0.3))),
         ),
     )
 
@@ -359,8 +374,8 @@ def annulus_1d_spec():
         dim=1,
         covariance=np.array([[0.7]]),
         jumps=(
-            JumpComponent(5.0, "small", UniformAnnulusMark(0.1, 0.6, 1)),
-            JumpComponent(2.0, "large", UniformAnnulusMark(1.0, 1.5, 1)),
+            JumpComponent(5.0, UniformAnnulusMark(0.1, 0.6, 1)),
+            JumpComponent(2.0, UniformAnnulusMark(1.0, 1.5, 1)),
         ),
     )
 
@@ -425,8 +440,8 @@ def test_sampler_temporaries_are_bounded(threads):
         dim=1,
         covariance=np.eye(1),
         jumps=(
-            JumpComponent(1.5, "small", UniformIntervalMark(-0.9, 0.9)),
-            JumpComponent(1.0, "large", UniformIntervalMark(1.0, 1.5)),
+            JumpComponent(1.5, UniformIntervalMark(-0.9, 0.9)),
+            JumpComponent(1.0, UniformIntervalMark(1.0, 1.5)),
         ),
     )
     tracemalloc.start()
@@ -544,7 +559,7 @@ def test_two_sided_halves_independent():
 
 def test_poisson_counts_both_halves():
     spec = LevyProcessSpec(
-        dim=1, jumps=(JumpComponent(3.0, "small", UniformIntervalMark(0.1, 0.6)),)
+        dim=1, jumps=(JumpComponent(3.0, UniformIntervalMark(0.1, 0.6)),)
     )
     rs = sample_noise(spec, *window_steps(-2.0, 4.0, 0.01), 0.01, 2000, seed=31)
     neg = rs.event_times < 0
@@ -558,7 +573,7 @@ def test_poisson_counts_both_halves():
 
 def test_jump_times_uniform_given_count():
     spec = LevyProcessSpec(
-        dim=1, jumps=(JumpComponent(5.0, "small", PointMark((0.3,))),)
+        dim=1, jumps=(JumpComponent(5.0, PointMark((0.3,))),)
     )
     rs = sample_noise(spec, *window_steps(0.0, 2.0, 0.01), 0.01, 500, seed=41)
     times = rs.event_times
@@ -591,7 +606,7 @@ def test_mark_moments_are_python_floats():
         (3, MarkConfig(kind="uniform_annulus", r0=Fraction(1, 2), r1=1)),
     ]
     for dim, mark in marks:
-        jump = JumpConfig(rate=1, region="small", marks=mark)
+        jump = JumpConfig(rate=1, marks=mark)
         (comp,) = build_spec(LevyConfig(dim=dim, jumps=(jump,))).jumps
         law = comp.marks
         values = [*law.mean(), *law.norm_bounds(), *(v for row in law.second_moment() for v in row)]

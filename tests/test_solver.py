@@ -70,8 +70,8 @@ def benchmark_spec() -> LevyProcessSpec:
         dim=1,
         covariance=np.eye(1),
         jumps=(
-            JumpComponent(rate=1.5, region="small", marks=UniformIntervalMark(-0.9, 0.9)),
-            JumpComponent(rate=1.0, region="large", marks=UniformIntervalMark(1.0, 1.5)),
+            JumpComponent(rate=1.5, marks=UniformIntervalMark(-0.9, 0.9)),
+            JumpComponent(rate=1.0, marks=UniformIntervalMark(1.0, 1.5)),
         ),
     )
 
@@ -258,8 +258,8 @@ class TestSimulateMild:
             dim=1,
             covariance=np.eye(1),
             jumps=(
-                JumpComponent(rate=30.0, region="small", marks=UniformIntervalMark(-0.5, 0.5)),
-                JumpComponent(rate=20.0, region="large", marks=UniformIntervalMark(1.0, 2.0)),
+                JumpComponent(rate=30.0, marks=UniformIntervalMark(-0.5, 0.5)),
+                JumpComponent(rate=20.0, marks=UniformIntervalMark(1.0, 2.0)),
             ),
         )
         cs = CoefficientSet(
@@ -774,7 +774,7 @@ class TestApplyS:
             covariance=np.eye(n_modes),
             jumps=(
                 JumpComponent(
-                    rate=2.0, region="small", marks=UniformAnnulusMark(0.1, 0.5, n_modes)
+                    rate=2.0, marks=UniformAnnulusMark(0.1, 0.5, n_modes)
                 ),
             ),
         )
@@ -1094,8 +1094,8 @@ class TestPicard:
             dim=d,
             covariance=np.eye(d),
             jumps=(
-                JumpComponent(6.0, "small", UniformAnnulusMark(0.1, 0.6, d)),
-                JumpComponent(3.0, "large", UniformAnnulusMark(1.0, 1.5, d)),
+                JumpComponent(6.0, UniformAnnulusMark(0.1, 0.6, d)),
+                JumpComponent(3.0, UniformAnnulusMark(1.0, 1.5, d)),
             ),
         )
         weights = tuple(np.linspace(-1.0, 1.0, d))
@@ -1369,8 +1369,8 @@ def _jump_diffusion_spec() -> LevyProcessSpec:
         dim=1,
         covariance=np.eye(1),
         jumps=(
-            JumpComponent(rate=6.0, region="small", marks=UniformIntervalMark(-0.5, 0.5)),
-            JumpComponent(rate=3.0, region="large", marks=UniformIntervalMark(1.0, 2.0)),
+            JumpComponent(rate=6.0, marks=UniformIntervalMark(-0.5, 0.5)),
+            JumpComponent(rate=3.0, marks=UniformIntervalMark(1.0, 2.0)),
         ),
     )
 
@@ -1436,9 +1436,9 @@ def _two_dim_spec() -> LevyProcessSpec:
         dim=2,
         covariance=np.array([[1.0, 0.3], [0.3, 0.5]]),
         jumps=(
-            JumpComponent(rate=5.0, region="small", marks=UniformAnnulusMark(0.1, 0.6, 2)),
-            JumpComponent(rate=2.0, region="small", marks=PointMark((0.4, -0.2))),
-            JumpComponent(rate=3.0, region="large", marks=UniformAnnulusMark(1.0, 1.5, 2)),
+            JumpComponent(rate=5.0, marks=UniformAnnulusMark(0.1, 0.6, 2)),
+            JumpComponent(rate=2.0, marks=PointMark((0.4, -0.2))),
+            JumpComponent(rate=3.0, marks=UniformAnnulusMark(1.0, 1.5, 2)),
         ),
     )
 
@@ -1729,8 +1729,8 @@ def _rare_jump_spec() -> LevyProcessSpec:
         dim=1,
         covariance=np.eye(1),
         jumps=(
-            JumpComponent(rate=0.1, region="small", marks=UniformIntervalMark(-0.5, 0.5)),
-            JumpComponent(rate=0.1, region="large", marks=UniformIntervalMark(1.0, 2.0)),
+            JumpComponent(rate=0.1, marks=UniformIntervalMark(-0.5, 0.5)),
+            JumpComponent(rate=0.1, marks=UniformIntervalMark(1.0, 2.0)),
         ),
     )
 
