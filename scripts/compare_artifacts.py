@@ -20,7 +20,8 @@ runs ``python -m levyap.cli`` on
 - ``check --config`` on each config of ``REJECTED``, configs that
   validation rejects: copies of ``CUSTOM`` (one path, a window that
   misses 0, an off-grid shift, a window narrower than twice the
-  truncation, an unknown key, a drift term with mark weights), example41
+  truncation, an unknown key, a drift term with mark weights, a zero
+  frequency, a step so fine that the run is over the size budget), example41
   with a K or an omega whose contraction rate overflows a float, with a
   shift 1e-11 off the grid, and example41 naming its coefficients by the
   removed ``coefficients.preset`` key, stating jump regions by the
@@ -122,6 +123,10 @@ REJECTED = {
         },
     },
     "threads_key.json": {"preset": "example41", "threads": 2},
+    "zero_frequency.json": {
+        **CUSTOM, "coefficients": {**CUSTOM["coefficients"], "freqs": [1.4142135623730951, 0]}
+    },
+    "over_budget.json": _custom(h="1/100000000"),
     "near_grid_shift.json": {
         "preset": "example41",
         "analysis": {"epsilon": 0.25, "shifts": [0.25000000001], "times": [0], "law_support": 64},

@@ -9,12 +9,16 @@ is overridden), and times four stages by wrapping them where the CLI
 and its commands look them up: ``sample_noise`` in ``levyap.cli``,
 ``picard_solve`` in ``levyap.solver``, ``_write_ensemble_csv`` in
 ``levyap.cli`` and ``ap_distribution_scan`` in ``levyap.apdist``.  The
-library code is not changed.
+library code is not changed.  Before numpy loads, the script applies
+the CLI's BLAS default (one OpenBLAS thread unless
+``OPENBLAS_NUM_THREADS`` is set), so its runs spend CPU as CLI runs do.
 
-Prints one JSON object: per stage the median over the runs of its
-seconds in a run (0 for a stage the command never reaches) and its
-calls per run, the median of ``main``'s own seconds, the exit codes,
-and per Picard iteration the median ``wall_ms`` of ``gap_trace.jsonl``.
+Prints one JSON object: per stage the median over the runs of its wall
+seconds in a run (0 for a stage the command never reaches), of its
+process CPU seconds (``time.process_time``: every thread of the
+process, the ``--threads`` workers included) and its calls per run;
+the medians of ``main``'s own wall and CPU seconds, the exit codes, and
+per Picard iteration the median ``wall_ms`` of ``gap_trace.jsonl``.
 The first run also imports and compiles what the command loads; the
 medians leave it out once N is 3 or more.
 """
@@ -35,8 +39,11 @@ except ImportError:  # running from a source checkout without installation
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     import levyap.cli
 
-import levyap.apdist
-import levyap.solver
+# levyap.cli loads numpy only when a command first uses it; the solver
+# and the scan load it on import
+levyap.cli._single_threaded_blas()
+import levyap.apdist  # noqa: E402
+import levyap.solver  # noqa: E402
 
 # (stage, module that the call looks the name up in, name)
 STAGES = (
@@ -48,14 +55,15 @@ STAGES = (
 
 
 def timed(fn, record: list):
-    """``fn``, appending the seconds of each call to ``record``."""
+    """``fn``, appending the wall and process CPU seconds of each call to
+    ``record``."""
 
     def wrapper(*args, **kwargs):
-        t0 = time.perf_counter()
+        t0, c0 = time.perf_counter(), time.process_time()
         try:
             return fn(*args, **kwargs)
         finally:
-            record.append(time.perf_counter() - t0)
+            record.append((time.perf_counter() - t0, time.process_time() - c0))
 
     return wrapper
 
@@ -70,10 +78,10 @@ def run_once(argv: list, out: Path) -> dict:
         setattr(module, name, timed(fn, spans[stage]))
     try:
         sink = io.StringIO()
-        t0 = time.perf_counter()
+        t0, c0 = time.perf_counter(), time.process_time()
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
             code = levyap.cli.main([*argv, "--out", str(out)])
-        main_s = time.perf_counter() - t0
+        main_s, main_cpu_s = time.perf_counter() - t0, time.process_time() - c0
     finally:
         for module, name, fn in originals:
             setattr(module, name, fn)
@@ -83,7 +91,8 @@ def run_once(argv: list, out: Path) -> dict:
         if trace.exists()
         else []
     )
-    return {"code": code, "main_s": main_s, "spans": spans, "wall_ms": wall_ms}
+    return {"code": code, "main_s": main_s, "main_cpu_s": main_cpu_s, "spans": spans,
+            "wall_ms": wall_ms}
 
 
 def main() -> int:
@@ -102,9 +111,13 @@ def main() -> int:
         "runs": args.runs,
         "exit_codes": [r["code"] for r in runs],
         "main_s": statistics.median(r["main_s"] for r in runs),
+        "main_cpu_s": statistics.median(r["main_cpu_s"] for r in runs),
         "stages": {
             stage: {
-                "median_s": statistics.median(sum(r["spans"][stage]) for r in runs),
+                "median_s": statistics.median(sum(w for w, _ in r["spans"][stage]) for r in runs),
+                "median_cpu_s": statistics.median(
+                    sum(c for _, c in r["spans"][stage]) for r in runs
+                ),
                 "calls": statistics.median(len(r["spans"][stage]) for r in runs),
             }
             for stage, _, _ in STAGES

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
@@ -625,6 +624,13 @@ def _finite(x: Number, name: str) -> float:
     return value
 
 
+# the most doubles a run's noise (n_paths x steps x levy.dim) and
+# ensemble (n_paths x (steps + 1) x state dimension) may hold, 2 GiB: a
+# fixed number, so a config is accepted or rejected alike on every
+# machine.  1024 paths of example41 over the window [-2, 562] at
+# h = 1/64, a scan at its coefficients' almost periods, hold 1.1e8
+RUN_DOUBLES = 2**28
+
 Run = namedtuple("Run", "config system spec coefficients k_lo n w times shifts conditions")
 Run.__doc__ = """A validated run: its config and what ``validate_config`` built from
 it, the system, the noise spec and the coefficient set; the run's times
@@ -638,11 +644,12 @@ the shifts (tuples in config order); and the exact condition inputs
 def validate_config(cfg: RunConfig) -> Run:
     """Full static validation; raises ConfigError on the first problem.
 
-    Checks the declared dimensions against numpy's array bound, then
-    builds the system, the noise spec and, at their dimensions, the
-    coefficient set once (their own validators run), then checks
-    numerics and reads the window, the truncation horizon, every
-    analysis time and every shift as whole steps h (``grid_steps``); the
+    Checks the declared dimensions against the run budget
+    (``RUN_DOUBLES``) and every frequency, then builds the system, the
+    noise spec and, at their dimensions, the coefficient set once (their
+    own validators run), then checks numerics and reads the window, the
+    truncation horizon, every analysis time and every shift as whole
+    steps h (``grid_steps``); the
     truncation and every shift must be at least one step, and every
     analysis time and shifted time must stay at least one truncation
     horizon away from the window edges, compared in steps.  Analysis
@@ -680,19 +687,24 @@ def validate_config(cfg: RunConfig) -> Run:
     if cfg.seed < 0:
         raise ConfigError("seed must be nonnegative")
 
-    # the noise sample and the ensemble must fit numpy's array size, whose
-    # bound is its largest index, sys.maxsize; checked on the declared
-    # dimensions, before the builders make lists of that length.  The
-    # step count can be too large for a float, so Decimal formats it
+    # the noise sample and the ensemble must fit the run budget; checked
+    # on the declared dimensions, before the builders make lists of that
+    # length.  The step count can be too large for a float, so Decimal
+    # formats it
     n = k_hi - k_lo
-    for what, dim in (("levy.dim", cfg.levy.dim), ("system.a", len(cfg.system.a))):
-        if num.n_paths * n * dim > sys.maxsize:
-            steps = f"{Decimal(n):.3g}"
-            raise ConfigError(
-                f"numerics.h = {h} splits the window [{t_lo}, {t_hi}] into {steps} steps; "
-                f"numerics.n_paths x steps x {what} ({num.n_paths} x {steps} x {dim}) "
-                "exceeds the largest array numpy can allocate"
-            )
+    doubles = num.n_paths * (n * cfg.levy.dim + (n + 1) * len(cfg.system.a))
+    if doubles > RUN_DOUBLES:
+        raise ConfigError(
+            f"numerics.h = {h} splits the window [{t_lo}, {t_hi}] into {Decimal(n):.3g} "
+            f"steps, and with numerics.n_paths = {num.n_paths} the noise and the ensemble "
+            f"hold {Decimal(doubles):.3g} doubles, above the budget of {RUN_DOUBLES} (2 GiB)"
+        )
+
+    # checked here, not only as a signal parses, so that a frequency no
+    # signal reads is rejected too, under its own key
+    for i, w in enumerate(cfg.coefficients.freqs):
+        if not _finite(w, f"coefficients.freqs[{i}]") > 0:
+            raise ConfigError(f"coefficients.freqs[{i}] must be positive, got {w}")
 
     sysd = build_system(cfg.system)
     spec = build_spec(cfg.levy)

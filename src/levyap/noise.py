@@ -472,9 +472,11 @@ def sample_noise(
     ``_GROUP`` paths in turn and draw their Wiener normals straight into
     ``dW``, then scale the group in a group-sized buffer of their own;
     numpy releases the interpreter lock for both.  The calling thread
-    first draws every path's jump events, in path order: a Poisson count
-    and a few uniforms per stream, Python-bound work that more threads
-    would only serialise on the interpreter lock.  Every stream is a
+    first draws every path's jump events, in path order, before any
+    worker starts: a Poisson count and a few uniforms per stream,
+    Python-bound work that more threads would only serialise on the
+    interpreter lock, and that beside the workers would keep each of them
+    waiting for that lock between its draws.  Every stream is a
     function of its address alone, so the sample is bitwise the same for
     any thread count.
 
@@ -539,33 +541,30 @@ def sample_noise(
     times, marks = [np.zeros(0)], [np.zeros((0, spec.dim))]
     batches = []  # (path, component, count) of each drawn batch of events
 
-    def draw_jumps() -> None:
-        """Draw the jump events of every path, in path order."""
-        keyed = _KeyedStream()
-        for j in range(n_paths):
-            for ci, comp in enumerate(spec.jumps):
-                for half, (steps, length) in enumerate(half_lines):
-                    if not steps:
-                        continue
-                    gen = keyed.open(j_keys[j, half, ci])
-                    count = int(gen.poisson(comp.rate * length))
-                    if count:
-                        u = np.sort(gen.uniform(0.0, length, size=count))
-                        times.append(-u[::-1] if half else u)
-                        marks.append(comp.marks.draw(gen, count))
-                        batches.append((j, ci, count))
+    # every path's jump events, in path order, before any worker starts
+    keyed = _KeyedStream()
+    for j in range(n_paths):
+        for ci, comp in enumerate(spec.jumps):
+            for half, (steps, length) in enumerate(half_lines):
+                if not steps:
+                    continue
+                gen = keyed.open(j_keys[j, half, ci])
+                count = int(gen.poisson(comp.rate * length))
+                if count:
+                    u = np.sort(gen.uniform(0.0, length, size=count))
+                    times.append(-u[::-1] if half else u)
+                    marks.append(comp.marks.draw(gen, count))
+                    batches.append((j, ci, count))
 
     workers = 1 if chol is None else min(threads, -(-n_paths // _GROUP))
     if workers == 1:
         if chol is not None:
             draw_wiener()
-        draw_jumps()
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(workers - 1) as pool:
             futures = [pool.submit(draw_wiener) for _ in range(workers - 1)]
-            draw_jumps()
             draw_wiener()
             for fut in futures:
                 fut.result()

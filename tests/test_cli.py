@@ -1004,6 +1004,35 @@ class TestCliExitCodes:
         assert "numerics.h" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    def test_run_over_the_budget_rejected_before_any_artifact(self, tmp_path, capsys):
+        """A run whose noise and ensemble would not fit in memory exits 2
+        with one line naming the step and the path count, before the
+        condition report or anything else is written."""
+        out = tmp_path / "o"
+        code = main(["picard", "--preset", "example41", "--dt", "1/100000000", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: numerics.h = 1e-08 ")
+        assert captured.err.count("\n") == 1
+        assert "numerics.n_paths = 256" in captured.err
+        assert "4.61e+11 doubles, above the budget of 268435456" in captured.err
+        assert not out.exists()
+
+    def test_budget_admits_the_largest_runs(self):
+        """The budget holds every shipped preset, example41 at h = 1/1024
+        with 1024 paths, and 1024 paths of example41 over the window
+        [-2, 562] at h = 1/64, but not 4096 paths over that window."""
+        for name in preset_names():
+            validate_config(preset_config(name))
+        cfg = preset_config("example41")
+        fine = cfg.numerics._replace(h=Fraction(1, 1024), n_paths=1024)
+        long = cfg.numerics._replace(h=Fraction(1, 64), window=(-2, 562), n_paths=1024)
+        for numerics in (fine, long):
+            validate_config(cfg._replace(numerics=numerics))
+        with pytest.raises(ConfigError, match="numerics.n_paths = 4096 .* above the budget"):
+            validate_config(cfg._replace(numerics=long._replace(n_paths=4096)))
+
     @pytest.mark.parametrize(
         "message, shown",
         [
@@ -1342,6 +1371,39 @@ class TestCliExitCodes:
                     "numerics": {"h": "1/32", "window": [-1, 10**400], "n_paths": 8},
                 },
                 "numerics.window[1] must be a finite number",
+            ),
+            # a frequency is checked under its own key, whether a signal
+            # reads it (ou_forced's drift reads s1) or none does
+            (
+                {
+                    "preset": "ou_forced",
+                    "coefficients": {
+                        **config_to_dict(preset_config("ou_forced"))["coefficients"],
+                        "freqs": [0],
+                    },
+                },
+                "coefficients.freqs[0] must be positive, got 0",
+            ),
+            (
+                {
+                    "preset": "ou_forced",
+                    "coefficients": {
+                        **config_to_dict(preset_config("ou_forced"))["coefficients"],
+                        "freqs": [0],
+                        "drift": [[{"scale": 1, "kernel": "const"}]],
+                    },
+                },
+                "coefficients.freqs[0] must be positive, got 0",
+            ),
+            (
+                {
+                    "preset": "ou_forced",
+                    "coefficients": {
+                        **config_to_dict(preset_config("ou_forced"))["coefficients"],
+                        "freqs": [1, 10**400],
+                    },
+                },
+                "coefficients.freqs[1] must be a finite number",
             ),
         ],
     )
@@ -1703,8 +1765,9 @@ class TestCliArtifacts:
 
     def test_stage_times_script_times_every_stage(self, tmp_path):
         """``scripts/stage_times.py`` finds each stage where the commands
-        look it up: an ``apscan`` calls each once per run, and the
-        iteration times are those of the run's gap trace."""
+        look it up: an ``apscan`` calls each once per run, each stage's
+        wall and CPU seconds are within ``main``'s, and the iteration
+        times are those of the run's gap trace."""
         script = Path(__file__).resolve().parents[1] / "scripts" / "stage_times.py"
         cfg = write_cfg(tmp_path, tiny_benchmark_dict())
         env = dict(os.environ, PYTHONPATH=str(Path(levyap.__file__).parents[1]))
@@ -1720,6 +1783,7 @@ class TestCliArtifacts:
         }
         for stage in report["stages"].values():
             assert stage["calls"] == 1 and 0 < stage["median_s"] < report["main_s"]
+            assert 0 <= stage["median_cpu_s"] < report["main_cpu_s"]
         assert report["iteration_wall_ms"] and min(report["iteration_wall_ms"]) >= 0
         assert not any(tmp_path.glob("levyap_out*"))
 
@@ -1740,7 +1804,7 @@ class TestCliArtifacts:
         spec = importlib.util.spec_from_file_location("compare_artifacts", script)
         compare = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(compare)
-        assert len(compare.runs()) == 3 * 3 * 2 * 2 + 2 + 2 + 1 + 12
+        assert len(compare.runs()) == 3 * 3 * 2 * 2 + 2 + 2 + 1 + 14
         for name, data in compare.REJECTED.items():
             cfg = write_cfg(tmp_path, data, name)
             assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "rejected")]) == 2
@@ -2136,6 +2200,49 @@ class TestCliDeterminism:
         lines = [line.split() for line in proc.stdout.strip().splitlines()]
         assert [loaded for _, loaded in lines] == ["False", "False", "True"]
         assert all(0.0 < float(value) <= 2.0 for value, _ in lines)
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/task").is_dir(), reason="counts threads in Linux's /proc/self/task"
+    )
+    @pytest.mark.parametrize("given", [None, "2"])
+    def test_workers_are_the_only_threads(self, tmp_path, given):
+        """``main`` starts OpenBLAS with no thread pool, numpy's in an
+        example41 ``picard`` and scipy's in a galerkin_heat scan: once
+        their ``--threads 2`` workers have ended, the process is down to
+        its one thread.  An ``OPENBLAS_NUM_THREADS`` the caller gives is
+        kept, and then the pools start as OpenBLAS decides."""
+        galerkin = tiny_galerkin_dict()
+        galerkin["analysis"] = {"epsilon": 0.5, "shifts": [1], "times": [0, 1]}
+        runs = [
+            ["picard", "--config", str(write_cfg(tmp_path, tiny_benchmark_dict(), "ex41.json")),
+             "--paths", "40", "--threads", "2", "--out", str(tmp_path / "ex41")],
+            ["apscan", "--config", str(write_cfg(tmp_path, galerkin, "gal.json")),
+             "--threads", "2", "--out", str(tmp_path / "gal")],
+        ]
+        code = (
+            "import io, os\n"
+            "from contextlib import redirect_stdout\n"
+            "from levyap.cli import main\n"
+            f"for argv in {runs!r}:\n"
+            "    with redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0\n"
+            "    print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(Path(levyap.__file__).parents[1])
+        if given is not None:
+            env["OPENBLAS_NUM_THREADS"] = given
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        steps = [line.split() for line in proc.stdout.splitlines()]
+        if given is None:
+            assert steps == [["1", "1"], ["1", "1"]]
+        else:
+            assert [value for _, value in steps] == [given, given]
+            if len(os.sched_getaffinity(0)) >= 2:  # a pool of two: the count sees it
+                assert int(steps[-1][0]) > 1
 
     def test_seed_changes_results(self, tmp_path, capsys):
         base = self.run_picard(tmp_path, "s0")
