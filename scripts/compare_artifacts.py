@@ -21,12 +21,13 @@ runs ``python -m levyap.cli`` on
   validation rejects: copies of ``CUSTOM`` (one path, a window that
   misses 0, an off-grid shift, a window narrower than twice the
   truncation, an unknown key, a drift term with mark weights, a zero
-  frequency, a step so fine that the run is over the size budget), example41
-  with a K or an omega whose contraction rate overflows a float, with a
-  shift 1e-11 off the grid, and example41 naming its coefficients by the
-  removed ``coefficients.preset`` key, stating jump regions by the
-  removed ``levy.jumps[].region`` key or a thread count by the removed
-  ``threads`` key, whose exit code and stderr must not change,
+  frequency, a step so fine that the run is over the size budget),
+  example41 with a K or an omega whose contraction rate overflows a
+  float, with a shift 1e-11 off the grid, and example41 naming its
+  coefficients by the removed ``coefficients.preset`` key, stating jump
+  regions by the removed ``levy.jumps[].region`` key or a thread count
+  by the removed ``threads`` key, whose exit code and stderr must not
+  change,
 
 each into its own directory under a temporary one, and compares the two
 trees' runs (the configs are written next to each tree's output

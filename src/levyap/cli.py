@@ -373,8 +373,8 @@ def _resolve_config(args) -> RunConfig:
 def _single_threaded_blas() -> None:
     """Start OpenBLAS, numpy's and scipy's, with no thread pool unless
     the caller set ``OPENBLAS_NUM_THREADS``.  The engine's matrices are
-    at most 8 x 8 and its parallelism is its ``--threads`` workers; a
-    BLAS pool only spins idle, about 0.15 s of CPU a run on two cores.
+    at most 8 x 8 and its parallelism is its ``--threads`` workers; an
+    idle BLAS pool only spins, about 0.15 s of CPU a run on two cores.
     Must run before numpy loads, which ``_lazy_import`` puts off until a
     command first uses it."""
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")

@@ -628,7 +628,8 @@ def _finite(x: Number, name: str) -> float:
 # ensemble (n_paths x (steps + 1) x state dimension) may hold, 2 GiB: a
 # fixed number, so a config is accepted or rejected alike on every
 # machine.  1024 paths of example41 over the window [-2, 562] at
-# h = 1/64, a scan at its coefficients' almost periods, hold 1.1e8
+# h = 1/64, a scan at its coefficients' almost periods, hold 1.1e8 of
+# them
 RUN_DOUBLES = 2**28
 
 Run = namedtuple("Run", "config system spec coefficients k_lo n w times shifts conditions")
@@ -649,10 +650,10 @@ def validate_config(cfg: RunConfig) -> Run:
     noise spec and, at their dimensions, the coefficient set once (their
     own validators run), then checks numerics and reads the window, the
     truncation horizon, every analysis time and every shift as whole
-    steps h (``grid_steps``); the
-    truncation and every shift must be at least one step, and every
-    analysis time and shifted time must stay at least one truncation
-    horizon away from the window edges, compared in steps.  Analysis
+    steps h (``grid_steps``); the truncation and every shift must be at
+    least one step, and every analysis time and shifted time must stay
+    at least one truncation horizon away from the window edges, compared
+    in steps.  Analysis
     times and shifts come together or not at all, and a scan's laws must
     fit ``bl_distance``'s support cap.  Returns the ``Run`` every command
     runs on, which carries those steps: the one place a run is checked,
