@@ -12,22 +12,15 @@ runs ``python -m levyap.cli`` on
 - ``picard --preset example41 --dt 1/1024 --paths 1024`` (the
   ``picard-ex41-fine`` benchmark point) at ``--threads`` 1 and 2,
 - ``picard --config custom.json`` at ``--threads`` 1 and 2, on the
-  config ``CUSTOM``: it takes paths no preset reaches (point marks, a
-  jump term with mark weights, a correlated 2-d covariance, small and
-  large jumps, and a non-diagonal generator with an unstable
-  direction), and ``check`` of it at ``--threads`` 0, which is rejected,
-  and
-- ``check --config`` on each config of ``REJECTED``, configs that
-  validation rejects: copies of ``CUSTOM`` (one path, a window that
-  misses 0, an off-grid shift, a window narrower than twice the
-  truncation, an unknown key, a drift term with mark weights, a zero
-  frequency, a step so fine that the run is over the size budget),
-  example41 with a K or an omega whose contraction rate overflows a
-  float, with a shift 1e-11 off the grid, and example41 naming its
-  coefficients by the removed ``coefficients.preset`` key, stating jump
-  regions by the removed ``levy.jumps[].region`` key or a thread count
-  by the removed ``threads`` key, whose exit code and stderr must not
-  change,
+  config ``tests/data/custom.json``: it takes paths no preset reaches
+  (point marks, a jump term with mark weights, a correlated 2-d
+  covariance, small and large jumps, and a non-diagonal generator with
+  an unstable direction), and ``check`` of it at ``--threads`` 0, which
+  is rejected, and
+- ``check --config NAME.json`` on each record of the rejected-config
+  corpus ``tests/data/rejected.jsonl``, configs that validation
+  rejects, whose exit code and stderr must not change (the tests hold
+  each to its recorded exit code and error line),
 
 each into its own directory under a temporary one, and compares the two
 trees' runs (the configs are written next to each tree's output
@@ -51,88 +44,25 @@ from pathlib import Path
 
 PRESETS = ("example41", "ou_forced", "galerkin_heat")
 FINE = ["picard", "--preset", "example41", "--dt", "1/1024", "--paths", "1024", "--seed", "41"]
-CUSTOM = {
-    "system": {"a": [[-2, 1], [0, 3]], "p": [[1, "-1/5"], [0, 0]], "k": "11/10", "omega": 2},
-    "levy": {
-        "dim": 2,
-        "covariance": [[1, "1/2"], ["1/2", 1]],
-        "jumps": [
-            {"rate": 2, "marks": {"kind": "point", "x": ["3/10", "-1/5"]}},
-            {"rate": "1/2", "marks": {"kind": "uniform_annulus", "r0": 1, "r1": "3/2"}},
-        ],
-    },
-    "coefficients": {
-        "freqs": [1.4142135623730951, 1.7320508075688772],
-        "drift": [
-            [{"scale": "1/16", "kernel": "bounded_ratio", "coord": 1, "outer": "c1"}],
-            [{"scale": "1/16", "kernel": "sin_shift", "coord": 0, "inner": "s2"}],
-        ],
-        "diffusion": [
-            [[{"scale": "1/10", "kernel": "const", "outer": "c2"}], []],
-            [[], [{"scale": "1/10", "kernel": "linear", "coord": 1}]],
-        ],
-        "jump_small": [
-            [{"scale": "1/8", "kernel": "linear", "coord": 0, "mark_weights": [1, "1/2"]}],
-            [],
-        ],
-        "jump_large": [[], [{"scale": "1/8", "kernel": "const", "outer": "s1"}]],
-        "lipschitz": "1/64",
-    },
-    "numerics": {
-        "h": "1/32", "window": [-4, 8], "n_paths": 64, "truncation": 4, "tol": 1e-9, "max_iter": 30,
-    },
-    "seed": 7,
-}
+DATA = Path(__file__).resolve().parents[1] / "tests" / "data"
 
 
-EXAMPLE41_SYSTEM = {"a": [[8, 0], [0, -6]], "p": [[0, 0], [0, 1]], "k": 1, "omega": 6}
+def custom() -> dict:
+    """The config ``tests/data/custom.json``."""
+    return json.loads((DATA / "custom.json").read_text())
 
 
-def _custom(**numerics) -> dict:
-    """``CUSTOM`` with its numerics updated."""
-    return {**CUSTOM, "numerics": {**CUSTOM["numerics"], **numerics}}
-
-
-def _with_drift_term(**fields) -> dict:
-    """``CUSTOM`` with ``fields`` added to its first drift term."""
-    drift = CUSTOM["coefficients"]["drift"]
-    drift = [[{**drift[0][0], **fields}], drift[1]]
-    return {**CUSTOM, "coefficients": {**CUSTOM["coefficients"], "drift": drift}}
-
-
-REJECTED = {
-    "one_path.json": _custom(n_paths=1),
-    "window_misses_0.json": _custom(window=[1, 8]),
-    "off_grid_shift.json": {**CUSTOM, "analysis": {"times": [0], "shifts": ["1/3"]}},
-    "narrow_window.json": _custom(window=[-2, 2]),
-    "unknown_key.json": _custom(tolerance=1e-9),
-    "huge_k.json": {"preset": "example41", "system": {**EXAMPLE41_SYSTEM, "k": 1e300}},
-    "tiny_omega.json": {"preset": "example41", "system": {**EXAMPLE41_SYSTEM, "omega": 1e-300}},
-    "coefficient_preset.json": {"preset": "example41", "coefficients": {"preset": "example41"}},
-    "drift_mark_weights.json": _with_drift_term(mark_weights=[1, 0]),
-    "region_key.json": {
-        "preset": "example41",
-        "levy": {
-            "dim": 1,
-            "covariance": [[1]],
-            "jumps": [
-                {"rate": "3/2", "region": "small",
-                 "marks": {"kind": "uniform_interval", "a": "-9/10", "b": "9/10"}},
-                {"rate": 1, "region": "large",
-                 "marks": {"kind": "uniform_interval", "a": 1, "b": "3/2"}},
-            ],
-        },
-    },
-    "threads_key.json": {"preset": "example41", "threads": 2},
-    "zero_frequency.json": {
-        **CUSTOM, "coefficients": {**CUSTOM["coefficients"], "freqs": [1.4142135623730951, 0]}
-    },
-    "over_budget.json": _custom(h="1/100000000"),
-    "near_grid_shift.json": {
-        "preset": "example41",
-        "analysis": {"epsilon": 0.25, "shifts": [0.25000000001], "times": [0], "law_support": 64},
-    },
-}
+def rejected() -> list[dict]:
+    """The records of the rejected-config corpus
+    ``tests/data/rejected.jsonl``, each with the config it describes as
+    ``config``: its base, a preset or ``custom.json``, with the top-level
+    sections of its patch in place of the base's."""
+    records = [json.loads(line) for line in (DATA / "rejected.jsonl").read_text().splitlines()]
+    base_custom = custom()
+    for rec in records:
+        base = base_custom if rec["base"] == "custom" else {"preset": rec["base"]}
+        rec["config"] = {**base, **rec["patch"]}
+    return records
 
 
 def runs() -> list[list[str]]:
@@ -146,7 +76,7 @@ def runs() -> list[list[str]]:
     out += [FINE + ["--threads", threads] for threads in ("1", "2")]
     out += [["picard", "--config", "custom.json", "--threads", threads] for threads in ("1", "2")]
     out.append(["check", "--config", "custom.json", "--threads", "0"])
-    out += [["check", "--config", name] for name in REJECTED]
+    out += [["check", "--config", f"{rec['name']}.json"] for rec in rejected()]
     return out
 
 
@@ -227,8 +157,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="levyap_compare_") as tmp:
         for side in ("old", "new"):
             (Path(tmp) / side).mkdir()
-            for name, config in {"custom.json": CUSTOM, **REJECTED}.items():
-                (Path(tmp) / side / name).write_text(json.dumps(config))
+            configs = {"custom": custom(), **{rec["name"]: rec["config"] for rec in rejected()}}
+            for name, config in configs.items():
+                (Path(tmp) / side / f"{name}.json").write_text(json.dumps(config))
         differing = 0
         for k, argv_k in enumerate(runs()):
             label = " ".join(argv_k)

@@ -329,8 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, help="JSON run configuration")
         p.add_argument(
             "--preset",
-            choices=preset_names(),
-            help="named built-in configuration",
+            help=f"named built-in configuration: {', '.join(preset_names())}",
         )
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--paths", type=int, help="override the path count")

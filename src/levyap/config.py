@@ -1,9 +1,10 @@
 """Run configuration: one field table per config section, which states
 each key, codec and default once and from which the section's record
 type (a namedtuple over its keys) is generated; the tables drive the
-JSON parse, the JSON echo and the rejection of unknown keys.  Also named
-presets, the builders that turn a config into the systems, noise specs
-and coefficient sets the solver consumes, the validation that builds
+JSON parse, the JSON echo and the rejection of unknown keys.  Also the
+named presets, config files ``presets/NAME.json`` read like any other,
+the builders that turn a config into the systems, noise specs and
+coefficient sets the solver consumes, the validation that builds
 them once for a run (``validate_config``), and the exact contraction
 conditions of the paper that ``levyap check`` evaluates.
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
@@ -624,11 +626,12 @@ def _finite(x: Number, name: str) -> float:
     return value
 
 
-# the most doubles a run's noise (n_paths x steps x levy.dim) and
-# ensemble (n_paths x (steps + 1) x state dimension) may hold, 2 GiB: a
+# the most doubles a run's noise (n_paths x steps x levy.dim, and
+# levy.dim + 4 for each expected jump event) and ensemble (n_paths x
+# (steps + 1) x state dimension) may hold, 2 GiB: a
 # fixed number, so a config is accepted or rejected alike on every
 # machine.  1024 paths of example41 over the window [-2, 562] at
-# h = 1/64, a scan at its coefficients' almost periods, hold 1.1e8 of
+# h = 1/64, a scan at its coefficients' almost periods, hold 1.2e8 of
 # them
 RUN_DOUBLES = 2**28
 
@@ -645,17 +648,17 @@ the shifts (tuples in config order); and the exact condition inputs
 def validate_config(cfg: RunConfig) -> Run:
     """Full static validation; raises ConfigError on the first problem.
 
-    Checks the declared dimensions against the run budget
-    (``RUN_DOUBLES``) and every frequency, then builds the system, the
-    noise spec and, at their dimensions, the coefficient set once (their
-    own validators run), then checks numerics and reads the window, the
-    truncation horizon, every analysis time and every shift as whole
-    steps h (``grid_steps``); the truncation and every shift must be at
-    least one step, and every analysis time and shifted time must stay
-    at least one truncation horizon away from the window edges, compared
-    in steps.  Analysis
-    times and shifts come together or not at all, and a scan's laws must
-    fit ``bl_distance``'s support cap.  Returns the ``Run`` every command
+    Checks the declared dimensions and the expected jump events against
+    the run budget (``RUN_DOUBLES``) and every frequency, then builds the
+    system, the noise spec and, at their dimensions, the coefficient set
+    once (their own validators run), then checks numerics and reads the
+    window, the truncation horizon, every analysis time and every shift
+    as whole steps h (``grid_steps``); the truncation and every shift
+    must be at least one step, and every analysis time and shifted time
+    must stay at least one truncation horizon away from the window
+    edges, compared in steps.  Analysis times and shifts come together
+    or not at all, and a scan's laws must fit ``bl_distance``'s support
+    cap.  Returns the ``Run`` every command
     runs on, which carries those steps: the one place a run is checked,
     so the sampler, the Picard solve and the scan take its integers as
     they are.
@@ -699,6 +702,20 @@ def validate_config(cfg: RunConfig) -> Run:
             f"numerics.h = {h} splits the window [{t_lo}, {t_hi}] into {Decimal(n):.3g} "
             f"steps, and with numerics.n_paths = {num.n_paths} the noise and the ensemble "
             f"hold {Decimal(doubles):.3g} doubles, above the budget of {RUN_DOUBLES} (2 GiB)"
+        )
+    # and so must the jump events, each a time, levy.dim marks, a path, a
+    # step and a region.  Their expected number is summed in Fractions, so
+    # that a rate near the largest double cannot overflow
+    jumps = enumerate(cfg.levy.jumps)
+    rates = sum((_as_fraction(j.rate, f"levy.jumps[{i}].rate") for i, j in jumps), Fraction(0))
+    events = num.n_paths * rates * (Fraction(t_hi) - Fraction(t_lo))
+    doubles += events * (cfg.levy.dim + 4)
+    if doubles > RUN_DOUBLES:
+        raise ConfigError(
+            f"levy.jumps: the rates expect {Decimal(math.ceil(events)):.3g} jump events on "
+            f"numerics.n_paths = {num.n_paths} paths over the window [{t_lo}, {t_hi}], and "
+            f"with the noise and the ensemble the run holds {Decimal(math.ceil(doubles)):.3g} "
+            f"doubles, above the budget of {RUN_DOUBLES} (2 GiB)"
         )
 
     # checked here, not only as a signal parses, so that a frequency no
@@ -802,183 +819,19 @@ def validate_config(cfg: RunConfig) -> Run:
 # presets
 # ---------------------------------------------------------------------------
 
-
-def _example41_config() -> RunConfig:
-    return RunConfig(
-        system=SystemConfig(
-            a=((8, 0), (0, -6)),
-            p=((0, 0), (0, 1)),
-            k=1,
-            omega=6,
-        ),
-        levy=LevyConfig(
-            dim=1,
-            covariance=((1,),),
-            jumps=(
-                JumpConfig(
-                    rate=Fraction(3, 2),
-                    marks=MarkConfig(
-                        kind="uniform_interval", a=Fraction(-9, 10), b=Fraction(9, 10)
-                    ),
-                ),
-                JumpConfig(
-                    rate=1,
-                    marks=MarkConfig(kind="uniform_interval", a=1, b=Fraction(3, 2)),
-                ),
-            ),
-        ),
-        # the frequency basis (sqrt 2, sqrt 3, sqrt 5), acting on the
-        # second state coordinate only.  Drift (cos(w1 t) + sin(w2 t)) /
-        # (17 + cos(w3 t)) y2/(1 + y2^2), diffusion sin(y2 + cos(w2 t) +
-        # cos(w1 t))/12, small jumps y2/10, large jumps y2/9 sin(w2 t)^2 /
-        # (3 + cos(w1 t) + cos(w3 t)); squared Lipschitz bound 1/64
-        coefficients=CoefficientConfig(
-            freqs=(math.sqrt(2.0), math.sqrt(3.0), math.sqrt(5.0)),
-            drift=((), (TermConfig(1, "bounded_ratio", coord=1, outer="(c1 + s2) / (17 + c3)"),)),
-            diffusion=(
-                ((),),
-                ((TermConfig(Fraction(1, 12), "sin_shift", coord=1, inner="c2 + c1"),),),
-            ),
-            jump_small=((), (TermConfig(Fraction(1, 10), "linear", coord=1),)),
-            jump_large=(
-                (),
-                (
-                    TermConfig(
-                        Fraction(1, 9), "linear", coord=1, outer="s2 * s2 / (3 + c1 + c3)"
-                    ),
-                ),
-            ),
-            lipschitz=Fraction(1, 64),
-        ),
-        numerics=NumericsConfig(
-            h=Fraction(1, 256),
-            window=(-2, 4),
-            n_paths=256,
-            truncation=2,
-            tol=1e-12,
-            max_iter=40,
-        ),
-        analysis=AnalysisConfig(
-            epsilon=0.25,
-            shifts=(Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1),
-            times=(0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1),
-            # cap the law supports.  example41's laws vary in one
-            # coordinate, so every distance is a 1-d line solve; the
-            # shipped apscan report depends on this cap
-            law_support=64,
-        ),
-        seed=41,
-    )
-
-
-def _ou_forced_config() -> RunConfig:
-    # near-periods of the sqrt(2) forcing, snapped to the h = 1/64 grid
-    base = 2.0 * math.pi / math.sqrt(2.0)
-    shifts = tuple(Fraction(round(k * base * 64), 64) for k in range(1, 6))
-    times = tuple(6 + Fraction(i, 16) for i in range(25))
-    return RunConfig(
-        system=SystemConfig(a=((-1,),), p=((1,),), k=1, omega=1),
-        levy=LevyConfig(dim=1, covariance=((1,),)),
-        # drift sin(sqrt(2) t) and diffusion 3/10, both constant in the
-        # state, so any positive L bounds their Lipschitz ratios; a tiny
-        # one keeps the condition check well posed
-        coefficients=CoefficientConfig(
-            freqs=(math.sqrt(2.0),),
-            drift=((TermConfig(1, "const", outer="s1"),),),
-            diffusion=(((TermConfig(Fraction(3, 10), "const"),),),),
-            jump_small=((),),
-            jump_large=((),),
-            lipschitz=Fraction(1, 10**6),
-        ),
-        numerics=NumericsConfig(
-            h=Fraction(1, 64),
-            window=(-6, 36),
-            n_paths=512,
-            truncation=6,
-            tol=1e-12,
-            max_iter=40,
-        ),
-        analysis=AnalysisConfig(
-            epsilon=0.2, shifts=shifts, times=times, law_support=96
-        ),
-        seed=7,
-    )
-
-
-def _galerkin_heat_config() -> RunConfig:
-    def diag(entries, zero=0):
-        return tuple(tuple(e if i == j else zero for j in range(8)) for i, e in enumerate(entries))
-
-    # the spectral truncation diag(5/2 - k^2), k = 0..7, of a heat-type
-    # equation: P projects on the decaying modes k >= 2, and K = 1 and
-    # omega = 3/2, the slowest rate |5/2 - 1|, are its exact constants
-    eigs = [Fraction(5, 2) - k * k for k in range(8)]
-    # mode k is forced by sin(sqrt(2) t) (k even) or cos(sqrt(3) t) (k
-    # odd) through a bounded ratio of size 1/(8 (k+1)^2), with a diagonal
-    # constant diffusion of size 1/(20 (k+1)^2) and a linear small-jump
-    # map of size 1/(8 (k+1)^2): the decay in k mimics a smooth
-    # right-hand side.  The scales stay float products: as rationals
-    # some round to other doubles (1/980 for mode 6's diffusion).  The
-    # squared Lipschitz bound 1/64 is declared, not derived from the
-    # terms; ROADMAP item 1 derives L from them and finds the small-jump
-    # map above it
-    decay = [1.0 / (k + 1) ** 2 for k in range(8)]
-    return RunConfig(
-        system=SystemConfig(
-            a=diag(eigs), p=diag([int(e < 0) for e in eigs]), k=1, omega=Fraction(3, 2)
-        ),
-        levy=LevyConfig(
-            dim=8,
-            covariance=diag([1] * 8),
-            jumps=(
-                JumpConfig(
-                    rate=2,
-                    marks=MarkConfig(
-                        kind="uniform_annulus", r0=Fraction(1, 10), r1=Fraction(1, 2)
-                    ),
-                ),
-            ),
-        ),
-        coefficients=CoefficientConfig(
-            freqs=(math.sqrt(2.0), math.sqrt(3.0)),
-            drift=tuple(
-                (TermConfig(0.125 * d, "bounded_ratio", coord=k, outer=("s1", "c2")[k % 2]),)
-                for k, d in enumerate(decay)
-            ),
-            diffusion=diag([(TermConfig(0.05 * d, "const"),) for d in decay], ()),
-            jump_small=tuple(
-                (TermConfig(0.125 * d, "linear", coord=k),) for k, d in enumerate(decay)
-            ),
-            jump_large=((),) * 8,
-            lipschitz=Fraction(1, 64),
-        ),
-        numerics=NumericsConfig(
-            h=Fraction(1, 32),
-            window=(-8, 16),
-            n_paths=128,
-            truncation=8,
-            tol=1e-10,
-            max_iter=40,
-        ),
-        analysis=AnalysisConfig(
-            epsilon=0.3, shifts=(1, 2), times=(0, 1, 2, 3), law_support=64
-        ),
-        seed=2,
-    )
-
-
-_PRESETS = {
-    "example41": _example41_config,
-    "ou_forced": _ou_forced_config,
-    "galerkin_heat": _galerkin_heat_config,
-}
+# each preset is the JSON config presets/NAME.json; docs/configuration.md
+# says why each is as it is
+_PRESET_DIR = os.path.join(os.path.dirname(__file__), "presets")
 
 
 def preset_names() -> tuple[str, ...]:
-    return tuple(sorted(_PRESETS))
+    stems = (os.path.splitext(f) for f in os.listdir(_PRESET_DIR))
+    return tuple(sorted(stem for stem, ext in stems if ext == ".json"))
 
 
 def preset_config(name: str) -> RunConfig:
-    if name not in _PRESETS:
-        raise ConfigError(f"unknown preset {name!r}; known: {sorted(_PRESETS)}")
-    return _PRESETS[name]()
+    """The preset ``name``, read from its file.  Only a listed name is
+    read, so a name cannot reach a file outside the presets."""
+    if name not in preset_names():
+        raise ConfigError(f"unknown preset {name!r}; known: {list(preset_names())}")
+    return load_config(os.path.join(_PRESET_DIR, f"{name}.json"))

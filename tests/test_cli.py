@@ -7,6 +7,7 @@ artifact schemas, and byte-level determinism of the written outputs.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import re
@@ -254,86 +255,13 @@ def stripped_trace(path):
     return [{k: v for k, v in rec.items() if k != "wall_ms"} for rec in records]
 
 
-# ``json.dumps(config_to_dict(preset_config(name)), sort_keys=True)`` of each
-# preset: rationals echo as "p/q" strings, so a change of format shows here
-# even where the round trip compares equal (Fraction(1, 256) == 0.00390625).
-# galerkin_heat's scales echo the doubles of their float products: mode 6's
-# diffusion 0.05 * (1/49) is 0.001020408163265306, where 1/980 rounds to
-# 0.0010204081632653062
-PRESET_ECHOES = {
-    "example41": (
-        '{"analysis": {"epsilon": 0.25, "law_support": 64, "shifts": ["1/4", "1/2", "3/4", '
-        '1], "times": [0, "1/4", "1/2", "3/4", 1]}, "coefficients": {"diffusion": [[[]], '
-        '[[{"coord": 1, "inner": "c2 + c1", "kernel": "sin_shift", "scale": "1/12"}]]], '
-        '"drift": [[], [{"coord": 1, "kernel": "bounded_ratio", '
-        '"outer": "(c1 + s2) / (17 + c3)", "scale": 1}]], "freqs": [1.4142135623730951, '
-        '1.7320508075688772, 2.23606797749979], "jump_large": [[], [{"coord": 1, '
-        '"kernel": "linear", "outer": "s2 * s2 / (3 + c1 + c3)", "scale": "1/9"}]], '
-        '"jump_small": [[], [{"coord": 1, "kernel": "linear", "scale": "1/10"}]], '
-        '"lipschitz": "1/64"}, "levy": {"covariance": [[1]], "dim": 1, '
-        '"jumps": [{"marks": {"a": "-9/10", "b": "9/10", "kind": "uniform_interval"}, '
-        '"rate": "3/2"}, {"marks": {"a": 1, "b": "3/2", '
-        '"kind": "uniform_interval"}, "rate": 1}]}, '
-        '"numerics": {"h": "1/256", "max_iter": 40, "n_paths": 256, "tol": 1e-12, '
-        '"truncation": 2, "window": [-2, 4]}, "seed": 41, "system": {"a": [[8, 0], [0, -6]], '
-        '"k": 1, "omega": 6, "p": [[0, 0], [0, 1]]}}'
-    ),
-    "galerkin_heat": (
-        '{"analysis": {"epsilon": 0.3, "law_support": 64, "shifts": [1, 2], "times": [0, 1, '
-        '2, 3]}, "coefficients": {"diffusion": [[[{"kernel": "const", "scale": 0.05}], [], '
-        '[], [], [], [], [], []], [[], [{"kernel": "const", "scale": 0.0125}], [], [], [], '
-        '[], [], []], [[], [], [{"kernel": "const", "scale": 0.005555555555555556}], [], [], '
-        '[], [], []], [[], [], [], [{"kernel": "const", "scale": 0.003125}], [], [], [], '
-        '[]], [[], [], [], [], [{"kernel": "const", "scale": 0.002}], [], [], []], [[], [], '
-        '[], [], [], [{"kernel": "const", "scale": 0.001388888888888889}], [], []], [[], [], '
-        '[], [], [], [], [{"kernel": "const", "scale": 0.001020408163265306}], []], [[], [], '
-        '[], [], [], [], [], [{"kernel": "const", "scale": 0.00078125}]]], '
-        '"drift": [[{"kernel": "bounded_ratio", "outer": "s1", "scale": 0.125}], '
-        '[{"coord": 1, "kernel": "bounded_ratio", "outer": "c2", "scale": 0.03125}], '
-        '[{"coord": 2, "kernel": "bounded_ratio", "outer": "s1", '
-        '"scale": 0.013888888888888888}], [{"coord": 3, "kernel": "bounded_ratio", '
-        '"outer": "c2", "scale": 0.0078125}], [{"coord": 4, "kernel": "bounded_ratio", '
-        '"outer": "s1", "scale": 0.005}], [{"coord": 5, "kernel": "bounded_ratio", '
-        '"outer": "c2", "scale": 0.003472222222222222}], [{"coord": 6, '
-        '"kernel": "bounded_ratio", "outer": "s1", "scale": 0.002551020408163265}], '
-        '[{"coord": 7, "kernel": "bounded_ratio", "outer": "c2", "scale": 0.001953125}]], '
-        '"freqs": [1.4142135623730951, 1.7320508075688772], "jump_large": [[], [], [], [], '
-        '[], [], [], []], "jump_small": [[{"kernel": "linear", "scale": 0.125}], '
-        '[{"coord": 1, "kernel": "linear", "scale": 0.03125}], [{"coord": 2, '
-        '"kernel": "linear", "scale": 0.013888888888888888}], [{"coord": 3, '
-        '"kernel": "linear", "scale": 0.0078125}], [{"coord": 4, "kernel": "linear", '
-        '"scale": 0.005}], [{"coord": 5, "kernel": "linear", '
-        '"scale": 0.003472222222222222}], [{"coord": 6, "kernel": "linear", '
-        '"scale": 0.002551020408163265}], [{"coord": 7, "kernel": "linear", '
-        '"scale": 0.001953125}]], "lipschitz": "1/64"}, "levy": {"covariance": [[1, 0, 0, 0, '
-        "0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0, "
-        "0, 0], [0, 0, 0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 0, 1, "
-        '0], [0, 0, 0, 0, 0, 0, 0, 1]], "dim": 8, '
-        '"jumps": [{"marks": {"kind": "uniform_annulus", "r0": "1/10", "r1": "1/2"}, '
-        '"rate": 2}]}, "numerics": {"h": "1/32", "max_iter": 40, '
-        '"n_paths": 128, "tol": 1e-10, "truncation": 8, "window": [-8, 16]}, "seed": 2, '
-        '"system": {"a": [["5/2", 0, 0, 0, 0, 0, 0, 0], [0, "3/2", 0, 0, 0, 0, 0, 0], [0, 0, '
-        '"-3/2", 0, 0, 0, 0, 0], [0, 0, 0, "-13/2", 0, 0, 0, 0], [0, 0, 0, 0, "-27/2", 0, 0, '
-        '0], [0, 0, 0, 0, 0, "-45/2", 0, 0], [0, 0, 0, 0, 0, 0, "-67/2", 0], [0, 0, 0, 0, 0, '
-        '0, 0, "-93/2"]], "k": 1, "omega": "3/2", "p": [[0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, '
-        "0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, "
-        "0, 0, 0], [0, 0, 0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 0, 0, "
-        '1]]}}'
-    ),
-    "ou_forced": (
-        '{"analysis": {"epsilon": 0.2, "law_support": 96, "shifts": ["71/16", "569/64", '
-        '"853/64", "1137/64", "711/32"], "times": ["6/1", "97/16", "49/8", "99/16", "25/4", '
-        '"101/16", "51/8", "103/16", "13/2", "105/16", "53/8", "107/16", "27/4", "109/16", '
-        '"55/8", "111/16", "7/1", "113/16", "57/8", "115/16", "29/4", "117/16", "59/8", '
-        '"119/16", "15/2"]}, "coefficients": {"diffusion": [[[{"kernel": "const", '
-        '"scale": "3/10"}]]], "drift": [[{"kernel": "const", "outer": "s1", "scale": 1}]], '
-        '"freqs": [1.4142135623730951], "jump_large": [[]], "jump_small": [[]], '
-        '"lipschitz": "1/1000000"}, "levy": {"covariance": [[1]], "dim": 1}, '
-        '"numerics": {"h": "1/64", "max_iter": 40, "n_paths": 512, "tol": 1e-12, '
-        '"truncation": 6, "window": [-6, 36]}, "seed": 7, "system": {"a": [[-1]], "k": 1, '
-        '"omega": 1, "p": [[1]]}}'
-    ),
-}
+# scripts/compare_artifacts.py, whose reader of the rejected-config corpus
+# the corpus test shares
+_spec = importlib.util.spec_from_file_location(
+    "compare_artifacts", Path(__file__).resolve().parents[1] / "scripts" / "compare_artifacts.py"
+)
+compare_artifacts = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_artifacts)
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +324,13 @@ class TestConfigRoundTrip:
 
     @pytest.mark.parametrize("name", preset_names())
     def test_preset_echo_is_pinned(self, name):
-        echo = json.dumps(config_to_dict(preset_config(name)), sort_keys=True)
-        assert echo == PRESET_ECHOES[name]
+        """A preset echoes as its file: rationals as the file's "p/q"
+        strings, so a change of format shows here even where the round
+        trip compares equal (Fraction(1, 256) == 0.00390625)."""
+        path = Path(levyap.config.__file__).parent / "presets" / f"{name}.json"
+        shipped = json.loads(path.read_text(encoding="utf-8"))
+        echo = config_to_dict(preset_config(name))
+        assert json.dumps(echo, sort_keys=True) == json.dumps(shipped, sort_keys=True)
 
     def test_file_round_trip_identity(self, tmp_path):
         cfg = preset_config("example41")
@@ -917,6 +850,42 @@ class TestCliExitCodes:
         assert main(["check"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("via", ["--preset", "config"])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "../presets/example41",
+            "example41.json",
+            pytest.param(
+                str(Path(levyap.config.__file__).parent / "presets" / "example41.json"),
+                id="absolute",
+            ),
+            "",
+        ],
+    )
+    def test_preset_name_is_not_a_path(self, tmp_path, capsys, monkeypatch, via, name):
+        """A preset is found by its name only: a path to a shipped file,
+        relative or absolute, or an empty name exits 2 as an unknown
+        preset, from ``--preset`` and from a config's "preset" key, and
+        no file but the config itself is opened."""
+        opened = []
+
+        def spy(path, *args, **kwargs):
+            opened.append(Path(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(levyap.config, "open", spy, raising=False)
+        if via == "config":
+            cfg = write_cfg(tmp_path, {"preset": name})
+            argv, reads = ["--config", str(cfg)], [cfg]
+        else:
+            argv, reads = ["--preset", name], []
+        out = tmp_path / "o"
+        assert main(["check", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: unknown preset {name!r}; known: ")
+        assert opened == reads
+        assert not out.exists()
+
     def test_config_and_preset_conflict(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, tiny_benchmark_dict())
         code = main(
@@ -1072,348 +1041,21 @@ class TestCliExitCodes:
             assert "levy.drift: unknown key" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "data, key_path",
-        [
-            (
-                {
-                    "preset": "example41",
-                    "analysis": {"epsilon": 0.25, "law_suport": 8, "epsilom": 9},
-                    "sed": 5,
-                },
-                "sed",
-            ),
-            (
-                {"preset": "example41", "analysis": {"epsilon": 0.25, "law_suport": 8}},
-                "analysis.law_suport",
-            ),
-            (
-                {
-                    "preset": "example41",
-                    "numerics": {"h": "1/32", "window": [-1, 2], "n_paths": 8, "trunction": 1},
-                },
-                "numerics.trunction",
-            ),
-            ({"preset": "example41", "levy": {"covariance": [[1]]}}, "levy.dim"),
-            (
-                {"preset": "example41", "levy": {"dim": 1, "jumps": [{"rate": 1}]}},
-                "levy.jumps[0].marks",
-            ),
-            (
-                {
-                    "preset": "example41",
-                    "levy": {
-                        "dim": 1,
-                        "jumps": [
-                            {"rate": 1,
-                             "marks": {"kind": "uniform_annulus", "r0": 1, "rr": 2}}
-                        ],
-                    },
-                },
-                "levy.jumps[0].marks.rr",
-            ),
-            (
-                {
-                    "preset": "galerkin_heat",
-                    "system": {"a": [["5/2", 0], [0, "3/2"]], "p": [[0, 0], [0, 0]], "k": 1},
-                },
-                "system.omega: required key is missing",
-            ),
-            (
-                {
-                    "preset": "galerkin_heat",
-                    "system": {
-                        "a": [["5/2", 0], [0, "3/2"]],
-                        "p": [[0, 0], [0, 0]],
-                        "k": 1,
-                        "omgea": "3/2",
-                    },
-                },
-                "system.omgea",
-            ),
-            (
-                {
-                    "preset": "example41",
-                    "numerics": {"h": "1/32", "window": [-1, 2], "n_paths": "abc"},
-                },
-                "numerics.n_paths",
-            ),
-            ({"preset": "example41", "seed": "x"}, "seed"),
-            ({"preset": "example41", "seed": 1.7}, "seed"),
-            ({"preset": "example41", "threads": True}, "threads"),
-            ({"preset": "example41", "coefficients": {"params": []}}, "coefficients.params"),
-            ({"preset": "example41", "numerics": 5}, "numerics"),
-            ({"preset": "example41", "levy": {"dim": 1, "jumps": 5}}, "levy.jumps"),
-            (
-                {
-                    "preset": "example41",
-                    "coefficients": {
-                        "freqs": [],
-                        "drift": [[{"scale": 1, "kernal": "linear"}], []],
-                        "lipschitz": 1,
-                    },
-                },
-                "coefficients.drift[0][0].kernal",
-            ),
-            (
-                {
-                    "preset": "galerkin_heat",
-                    "coefficients": {"params": {"n_modes": 8.7}},
-                },
-                "coefficients.params: unknown key",
-            ),
-            (
-                {
-                    "preset": "galerkin_heat",
-                    "coefficients": {"params": {"n_modes": True}},
-                },
-                "coefficients.params: unknown key",
-            ),
-            (
-                {
-                    "preset": "galerkin_heat",
-                    "coefficients": {"params": {"jump_scale": "1e400"}},
-                },
-                "coefficients.params: unknown key",
-            ),
-            (
-                {
-                    "preset": "example41",
-                    "numerics": {"h": "1/32", "window": ["-1e400", 2], "n_paths": 8},
-                },
-                "numerics.window",
-            ),
-            ({"preset": "example41", "analysis": {"epsilon": "1e400"}}, "analysis.epsilon"),
-            (
-                {
-                    "preset": "example41",
-                    "system": {
-                        "a": [["-1e400", 0], [0, -6]],
-                        "p": [[0, 0], [0, 1]],
-                        "k": 1,
-                        "omega": 6,
-                    },
-                },
-                "system.a[0][0]",
-            ),
-            (
-                {
-                    "preset": "galerkin_heat",
-                    "system": {
-                        "a": [["5/2", 0], [0, "3/2"]],
-                        "p": [[0, 0], [0, 0]],
-                        "k": 1,
-                        "omega": "8/5",
-                    },
-                },
-                "system.omega",
-            ),
-            (
-                {
-                    "preset": "example41",
-                    "coefficients": {
-                        "params": {"amplitude": 1},
-                        "freqs": [],
-                        "drift": [[], []],
-                        "diffusion": [[[]], [[]]],
-                        "jump_small": [[], []],
-                        "jump_large": [[], []],
-                        "lipschitz": "1/64",
-                    },
-                },
-                "coefficients.params",
-            ),
-            (
-                {
-                    "preset": "example41",
-                    "system": {"a": [[8, 0], [0]], "p": [[0, 0], [0, 1]], "k": 1, "omega": 6},
-                },
-                "system.a",
-            ),
-            (
-                {
-                    "preset": "galerkin_heat",
-                    "system": {
-                        "a": [["5/2", 0], [0, "3/2"]],
-                        "p": [[0, 0], [0, 0]],
-                        "k": 1,
-                        "omega": "3/2",
-                    },
-                    "levy": {"dim": 2, "covariance": [[1, 0], [0]]},
-                },
-                "levy.covariance",
-            ),
-            (
-                {
-                    "preset": "ou_forced",
-                    "coefficients": {
-                        "freqs": [],
-                        "drift": [[], []],
-                        "diffusion": [[[]]],
-                        "jump_small": [[]],
-                        "jump_large": [[]],
-                        "lipschitz": "1/64",
-                    },
-                },
-                "coefficients: drift has 2 entries, not one per state coordinate (1)",
-            ),
-            (
-                {"preset": "ou_forced", "coefficients": {"preset": "galerkin_heat"}},
-                "coefficients.preset: unknown key; known keys: freqs, drift, diffusion, "
-                "jump_small, jump_large, lipschitz",
-            ),
-            (
-                {
-                    "preset": "ou_forced",
-                    "coefficients": {
-                        "custom": config_to_dict(preset_config("ou_forced"))["coefficients"]
-                    },
-                },
-                "coefficients.custom: unknown key; known keys: freqs, drift, diffusion, "
-                "jump_small, jump_large, lipschitz",
-            ),
-            (
-                {
-                    "preset": "example41",
-                    "levy": {
-                        "dim": 1,
-                        "jumps": [
-                            {"rate": 1, "region": "large",
-                             "marks": {"kind": "uniform_interval", "a": 1, "b": 2}}
-                        ],
-                    },
-                },
-                "levy.jumps[0].region: unknown key; known keys: rate, marks",
-            ),
-            ({"preset": "example41", "threads": 2}, "threads: unknown key"),
-            (
-                {
-                    "preset": "example41",
-                    "levy": {
-                        "dim": 1,
-                        "jumps": [
-                            {"rate": 1, "marks": {"kind": "uniform_interval", "a": "1/2", "b": 2}}
-                        ],
-                    },
-                },
-                "levy.jumps[0].marks: mark norms 0.5 to 2.0 are neither all below 1",
-            ),
-            (
-                {
-                    "preset": "example41",
-                    "analysis": {"epsilon": 0.25, "shifts": [0.25000000001], "times": [0]},
-                },
-                "analysis.shifts[0] = 0.25000000001 is not a multiple of the step",
-            ),
-            # 7.000000006 + 1 lies 6e-9 past the edge of galerkin_heat's
-            # window interior [0, 8], and off the grid
-            (
-                {
-                    "preset": "galerkin_heat",
-                    "analysis": {"epsilon": 0.3, "shifts": [1], "times": [0, 7.000000006]},
-                },
-                "analysis.times[1] = 7.000000006 is not a multiple of the step",
-            ),
-            (
-                {
-                    "preset": "example41",
-                    "coefficients": {
-                        **config_to_dict(preset_config("example41"))["coefficients"],
-                        "drift": [
-                            [],
-                            [{"scale": 1, "kernel": "bounded_ratio", "coord": 1,
-                              "outer": "c9 + s1"}],
-                        ],
-                    },
-                },
-                "coefficients.drift[1][0].outer: oscillator 'c9' has no frequency (have 3)",
-            ),
-            (
-                {
-                    "preset": "ou_forced",
-                    "coefficients": {
-                        **config_to_dict(preset_config("ou_forced"))["coefficients"],
-                        "drift": [[{"scale": 1, "kernel": "const", "outer": "s1", "inner": "c1"}]],
-                    },
-                },
-                "coefficients.drift[0][0].inner: kernel 'const' reads no inner signal",
-            ),
-            (
-                {
-                    "preset": "example41",
-                    "coefficients": {
-                        **config_to_dict(preset_config("example41"))["coefficients"],
-                        "drift": [[{"scale": 1, "kernel": "const", "coord": 1}], []],
-                    },
-                },
-                "coefficients.drift[0][0].coord: kernel 'const' reads no state coordinate",
-            ),
-            (
-                {
-                    "preset": "ou_forced",
-                    "coefficients": {
-                        **config_to_dict(preset_config("ou_forced"))["coefficients"],
-                        "drift": [[{"scale": 1, "kernel": "const", "mark_weights": [1]}]],
-                    },
-                },
-                "coefficients.drift[0][0].mark_weights: only jump terms take mark weights",
-            ),
-            # JSON integers of 400 digits parse, and overflow a float
-            (
-                {
-                    "preset": "example41",
-                    "analysis": {"epsilon": 0.25, "shifts": [1], "times": [10**400]},
-                },
-                "analysis.times[0] must be a finite number",
-            ),
-            (
-                {
-                    "preset": "example41",
-                    "numerics": {"h": "1/32", "window": [-1, 10**400], "n_paths": 8},
-                },
-                "numerics.window[1] must be a finite number",
-            ),
-            # a frequency is checked under its own key, whether a signal
-            # reads it (ou_forced's drift reads s1) or none does
-            (
-                {
-                    "preset": "ou_forced",
-                    "coefficients": {
-                        **config_to_dict(preset_config("ou_forced"))["coefficients"],
-                        "freqs": [0],
-                    },
-                },
-                "coefficients.freqs[0] must be positive, got 0",
-            ),
-            (
-                {
-                    "preset": "ou_forced",
-                    "coefficients": {
-                        **config_to_dict(preset_config("ou_forced"))["coefficients"],
-                        "freqs": [0],
-                        "drift": [[{"scale": 1, "kernel": "const"}]],
-                    },
-                },
-                "coefficients.freqs[0] must be positive, got 0",
-            ),
-            (
-                {
-                    "preset": "ou_forced",
-                    "coefficients": {
-                        **config_to_dict(preset_config("ou_forced"))["coefficients"],
-                        "freqs": [1, 10**400],
-                    },
-                },
-                "coefficients.freqs[1] must be a finite number",
-            ),
-        ],
+        "record", compare_artifacts.rejected(), ids=lambda record: record["name"]
     )
-    def test_malformed_config_names_key_path(self, tmp_path, capsys, data, key_path):
-        cfg = write_cfg(tmp_path, data)
-        code = main(["check", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    def test_malformed_config_names_key_path(self, tmp_path, capsys, record):
+        """Each config of the rejected-config corpus, tests/data/rejected.jsonl,
+        exits from ``check`` with its recorded code and its one recorded
+        error line, which names the key path at fault, and writes
+        nothing."""
+        cfg = write_cfg(tmp_path, record["config"])
+        out = tmp_path / "o"
+        code = main(["check", "--config", str(cfg), "--out", str(out)])
         err = capsys.readouterr().err
-        assert code == 2
-        assert key_path in err
+        assert code == record["exit"]
+        assert err.splitlines() == [record["error"]]
         assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flag, value, message",
@@ -1795,21 +1437,11 @@ class TestCliArtifacts:
         exits 1.  Between output directories it ignores ``wall_ms`` in the
         gap trace only, and names every changed artifact, with the key
         paths at which a JSON artifact differs, and every one that a
-        single tree writes.  Each of its rejected configs exits 2
-        from ``check`` with one error line."""
-        import importlib.util
+        single tree writes."""
         import shutil
 
-        script = Path(__file__).resolve().parents[1] / "scripts" / "compare_artifacts.py"
-        spec = importlib.util.spec_from_file_location("compare_artifacts", script)
-        compare = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(compare)
-        assert len(compare.runs()) == 3 * 3 * 2 * 2 + 2 + 2 + 1 + 14
-        for name, data in compare.REJECTED.items():
-            cfg = write_cfg(tmp_path, data, name)
-            assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "rejected")]) == 2
-            assert capsys.readouterr().err.count("error: ") == 1, name
-        assert not (tmp_path / "rejected").exists()
+        corpus = len(compare_artifacts.rejected())
+        assert len(compare_artifacts.runs()) == 3 * 3 * 2 * 2 + 2 + 2 + 1 + corpus
 
         src = Path(levyap.__file__).parents[1]
         changed = tmp_path / "changed"
@@ -1817,10 +1449,10 @@ class TestCliArtifacts:
         cli = changed / "levyap" / "cli.py"
         cli.write_text(cli.read_text().replace("existence verdict:", "existence  verdict:"))
         argvs = [["check", "--preset", name] for name in ("example41", "ou_forced")]
-        monkeypatch.setattr(compare, "runs", lambda: argvs)
-        assert compare.main([str(src), str(src)]) == 0
+        monkeypatch.setattr(compare_artifacts, "runs", lambda: argvs)
+        assert compare_artifacts.main([str(src), str(src)]) == 0
         capsys.readouterr()
-        assert compare.main([str(src), str(changed)]) == 1
+        assert compare_artifacts.main([str(src), str(changed)]) == 1
         out = capsys.readouterr().out
         for argv in argvs:
             assert f"DIFFER  {' '.join(argv)}: stdout\n" in out
@@ -1831,12 +1463,12 @@ class TestCliArtifacts:
             out.mkdir()
             (out / "gap_trace.jsonl").write_text(json.dumps({"k": 1, "wall_ms": wall}) + "\n")
             (out / "ensemble.csv").write_text("t,path,y0\n0.0,0,1.0\n")
-        assert compare.artifact_differences(old, new) == []
+        assert compare_artifacts.artifact_differences(old, new) == []
         (new / "ensemble.csv").write_text("t,path,y0\n0.0,0,1.5\n")
-        assert compare.artifact_differences(old, new) == ["ensemble.csv differs"]
+        assert compare_artifacts.artifact_differences(old, new) == ["ensemble.csv differs"]
         (old / "run_meta.json").write_text("{}")
         (new / "gap_trace.jsonl").write_text(json.dumps({"k": 2, "wall_ms": 1.5}) + "\n")
-        assert compare.artifact_differences(old, new) == [
+        assert compare_artifacts.artifact_differences(old, new) == [
             "ensemble.csv differs",
             "gap_trace.jsonl differs outside wall_ms",
             "run_meta.json is written by one tree only",
@@ -1850,7 +1482,7 @@ class TestCliArtifacts:
         (new / "run_meta.json").write_text(json.dumps(meta))
         (old / "condition_report.json").write_text('{"k": "1"}')
         (new / "condition_report.json").write_text('{"k":"1"}')
-        assert compare.artifact_differences(old, new) == [
+        assert compare_artifacts.artifact_differences(old, new) == [
             "condition_report.json differs",
             "ensemble.csv differs",
             "gap_trace.jsonl differs outside wall_ms",
