@@ -28,6 +28,7 @@ from .config import (
     check_conditions,
     config_to_dict,
     load_config,
+    parse_number,
     preset_config,
     preset_names,
     validate_config,
@@ -359,7 +360,7 @@ def _resolve_config(args) -> RunConfig:
     if args.paths is not None:
         num_updates["n_paths"] = args.paths
     if args.dt is not None:
-        num_updates["h"] = args.dt
+        num_updates["h"] = parse_number(args.dt, "numerics.h")
     if args.max_iter is not None:
         num_updates["max_iter"] = args.max_iter
     if num_updates:

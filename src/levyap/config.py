@@ -9,8 +9,9 @@ them once for a run (``validate_config``), and the exact contraction
 conditions of the paper that ``levyap check`` evaluates.
 
 Numbers anywhere in a config may be written as JSON numbers or as exact
-rational strings "p/q"; rationals survive serialize/parse round trips
-unchanged, so condition checks stay exact end to end.
+rational strings "p/q", each with a finite double value; rationals
+survive serialize/parse round trips unchanged, so condition checks stay
+exact end to end.
 """
 
 from __future__ import annotations
@@ -81,17 +82,10 @@ class ConfigError(ValueError, LevyapError):
 
 
 def parse_number(obj, name: str) -> Number:
-    """Accept ints, floats and exact rational strings "p/q"."""
+    """Accept ints, floats, Fractions and exact rational strings "p/q"
+    that have a finite double value, which the solve and the scan need."""
     if isinstance(obj, bool):
         raise ConfigError(f"{name}: expected a number, got a boolean")
-    if isinstance(obj, int):
-        return obj
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ConfigError(f"{name}: number must be finite")
-        return obj
-    if isinstance(obj, Fraction):
-        return obj
     if isinstance(obj, str):
         try:
             value = Fraction(obj)
@@ -102,7 +96,15 @@ def parse_number(obj, name: str) -> Number:
         except OverflowError:
             raise ConfigError(f"{name}: {obj!r} is too large for a float") from None
         return value
-    raise ConfigError(f"{name}: expected a number or 'p/q' string, got {obj!r}")
+    if not isinstance(obj, (int, float, Fraction)):
+        raise ConfigError(f"{name}: expected a number or 'p/q' string, got {obj!r}")
+    try:
+        finite = math.isfinite(obj)
+    except OverflowError:  # an int or Fraction past the largest double
+        finite = False
+    if not finite:
+        raise ConfigError(f"{name} must be a finite number")
+    return obj
 
 
 def number_to_json(x: Number):
@@ -388,7 +390,8 @@ def load_config(path) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        # bad syntax, bytes not UTF-8, too many digits or too deep nesting
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"config {path}: invalid JSON ({exc})") from exc
     return config_from_dict(data)
 
@@ -614,18 +617,6 @@ def grid_steps(x: Number, h: Number, key: str) -> int:
     return steps.numerator
 
 
-def _finite(x: Number, name: str) -> float:
-    """``float(x)``; a ConfigError naming ``name`` if that is an infinity
-    or a NaN, or if ``x`` is a rational too large for a float."""
-    try:
-        value = float(x)
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise ConfigError(f"{name} must be a finite number")
-    return value
-
-
 # the most doubles a run's noise (n_paths x steps x levy.dim, and
 # levy.dim + 4 for each expected jump event) and ensemble (n_paths x
 # (steps + 1) x state dimension) may hold, 2 GiB: a
@@ -670,10 +661,10 @@ def validate_config(cfg: RunConfig) -> Run:
     ConfigError naming ``system.k``, ``system.omega`` and L.
     """
     num = cfg.numerics
-    h = _finite(num.h, "numerics.h")
+    h = float(num.h)
     if not h > 0:
         raise ConfigError("numerics.h must be positive")
-    t_lo, t_hi = (_finite(t, f"numerics.window[{i}]") for i, t in enumerate(num.window))
+    t_lo, t_hi = (float(t) for t in num.window)
     if not (t_lo < t_hi):
         raise ConfigError("numerics.window must have t_lo < t_hi")
     if not (t_lo <= 0.0 <= t_hi):
@@ -682,7 +673,7 @@ def validate_config(cfg: RunConfig) -> Run:
     k_hi = grid_steps(num.window[1], num.h, "numerics.window[1]")
     if num.n_paths < 2:
         raise ConfigError("numerics.n_paths must be at least 2")
-    if not _finite(num.tol, "numerics.tol") > 0:
+    if not float(num.tol) > 0:
         raise ConfigError("numerics.tol must be positive")
     if num.max_iter < 1:
         raise ConfigError("numerics.max_iter must be at least 1")
@@ -721,7 +712,7 @@ def validate_config(cfg: RunConfig) -> Run:
     # checked here, not only as a signal parses, so that a frequency no
     # signal reads is rejected too, under its own key
     for i, w in enumerate(cfg.coefficients.freqs):
-        if not _finite(w, f"coefficients.freqs[{i}]") > 0:
+        if not float(w) > 0:
             raise ConfigError(f"coefficients.freqs[{i}] must be positive, got {w}")
 
     sysd = build_system(cfg.system)
@@ -752,7 +743,7 @@ def validate_config(cfg: RunConfig) -> Run:
         ) from None
 
     if num.truncation is not None:
-        t_c = _finite(num.truncation, "numerics.truncation")
+        t_c = float(num.truncation)
         w = grid_steps(num.truncation, num.h, "numerics.truncation")
         if w < 1:
             raise ConfigError(f"numerics.truncation must be at least one step h = {h}, got {t_c}")
@@ -784,7 +775,7 @@ def validate_config(cfg: RunConfig) -> Run:
                 f"analysis.law_support to at most {SUPPORT_CAP // 2}"
             )
     times, shifts = (
-        [(_finite(v, f"{key}[{i}]"), grid_steps(v, num.h, f"{key}[{i}]")) for i, v in enumerate(vs)]
+        [(float(v), grid_steps(v, num.h, f"{key}[{i}]")) for i, v in enumerate(vs)]
         for key, vs in (("analysis.times", ana.times), ("analysis.shifts", ana.shifts))
     )
     # the scan counts 0 as an accepted shift, so the gaps need s > 0

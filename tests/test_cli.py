@@ -7,12 +7,15 @@ artifact schemas, and byte-level determinism of the written outputs.
 
 from __future__ import annotations
 
+import copy
 import importlib.util
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -288,8 +291,11 @@ class TestNumberParsing:
             parse_number(True, "x")
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_number(float("nan"), "x")
+        """Every number of a config has a finite double value, whatever
+        its type; an int or Fraction past the largest double has none."""
+        for value in (float("nan"), float("inf"), 10**400, -(10**400), Fraction(10**400)):
+            with pytest.raises(ConfigError, match="^x must be a finite number$"):
+                parse_number(value, "x")
 
     @pytest.mark.parametrize("text", ["1e400", "-1e400", "10" * 200 + "/3"])
     def test_rational_too_large_for_float_rejected(self, text):
@@ -645,6 +651,71 @@ class TestValidation:
 
 
 # ---------------------------------------------------------------------------
+# property search: hostile leaves in the presets and the custom config
+# ---------------------------------------------------------------------------
+
+# ints and rationals past the largest double, the float edge cases,
+# wrong JSON types and a ragged matrix
+HOSTILE = (
+    10**400, -(10**400), "1e400", float("inf"), float("nan"), 5e-324, 2**63, True, "x",
+    "1/0", [], [[1, 2], [3]], {}, None, -0.0, 1e308,
+)
+# the config keys read as integers; every other number a config holds is
+# read by parse_number
+INT_KEYS = {f.key for t in FIELD_TABLES.values() for f in t if f.codec is levyap.config._INT}
+BASES = {
+    **{name: config_to_dict(preset_config(name)) for name in preset_names()},
+    "custom": compare_artifacts.custom(),
+}
+
+
+def leaf_paths(obj, path=()):
+    """The path of every leaf of a JSON value; an empty list or object
+    is a leaf."""
+    if isinstance(obj, (dict, list)) and obj:
+        items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+        return [p for k, v in items for p in leaf_paths(v, (*path, k))]
+    return [path]
+
+
+def config_numbers(value, key=""):
+    """(key, value) of every number of a config record that is not an
+    integer key's."""
+    if isinstance(value, tuple):
+        keys = value._fields if hasattr(value, "_fields") else (key,) * len(value)
+        return [n for k, v in zip(keys, value) for n in config_numbers(v, k)]
+    if isinstance(value, (int, float, Fraction)) and key not in INT_KEYS:
+        return [(key, value)]
+    return []
+
+
+@given(data=st.data(), base=st.sampled_from(sorted(BASES)))
+@settings(max_examples=400, derandomize=True, deadline=None)
+def test_hostile_leaves_are_rejected_or_finite(data, base):
+    """One or two leaves of a preset or of the custom config replaced by
+    hostile values: ``validate_config`` returns a ``Run`` or raises a
+    ``LevyapError``, emits no ``RuntimeWarning``, and every number of an
+    accepted config has a finite double value."""
+    d = copy.deepcopy(BASES[base])
+    # a leaf is on no other leaf's path, so each replacement leaves the
+    # other's path in place
+    leaves = st.lists(st.sampled_from(leaf_paths(d)), min_size=1, max_size=2)
+    for *parents, last in data.draw(leaves):
+        parent = d
+        for k in parents:
+            parent = parent[k]
+        parent[last] = data.draw(st.sampled_from(HOSTILE))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            run = validate_config(config_from_dict(d))
+        except LevyapError:
+            return
+    for key, value in config_numbers(run.config):
+        assert math.isfinite(float(value)), (key, value)
+
+
+# ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
 
@@ -903,11 +974,23 @@ class TestCliExitCodes:
         assert "error:" in capsys.readouterr().err
 
     def test_invalid_json_config(self, tmp_path, capsys):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json", encoding="utf-8")
-        code = main(["check", "--config", str(path), "--out", str(tmp_path / "o")])
-        assert code == 2
-        assert "invalid JSON" in capsys.readouterr().err
+        """A config file that is not UTF-8 JSON is one error line naming
+        the file, whatever the JSON reader trips on."""
+        for name, content in (
+            ("syntax", b"{not json"),
+            ("not-utf8", b"\xff\xfe{}"),
+            ("deep", b"[" * 100_000),  # nested past the recursion limit
+            ("5000-digits", b'{"seed": ' + b"1" * 5000 + b"}"),  # past Python's digit limit
+        ):
+            path = tmp_path / f"{name}.json"
+            path.write_bytes(content)
+            out = tmp_path / "o"
+            code = main(["check", "--config", str(path), "--out", str(out)])
+            err = capsys.readouterr().err
+            assert code == 2, name
+            assert len(err.splitlines()) == 1, name
+            assert err.startswith(f"error: config {path}: invalid JSON ("), name
+            assert not out.exists(), name
 
     def test_invalid_system_rejected(self, tmp_path, capsys):
         d = tiny_benchmark_dict()
@@ -1043,6 +1126,9 @@ class TestCliExitCodes:
     @pytest.mark.parametrize(
         "record", compare_artifacts.rejected(), ids=lambda record: record["name"]
     )
+    # pytest records warnings apart from stderr; a command line run prints
+    # them before the error line
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_malformed_config_names_key_path(self, tmp_path, capsys, record):
         """Each config of the rejected-config corpus, tests/data/rejected.jsonl,
         exits from ``check`` with its recorded code and its one recorded
