@@ -21,6 +21,13 @@ the medians of ``main``'s own wall and CPU seconds, the exit codes, and
 per Picard iteration the median ``wall_ms`` of ``gap_trace.jsonl``.
 The first run also imports and compiles what the command loads; the
 medians leave it out once N is 3 or more.
+
+Per stage it also reports ``vm_hwm_mb``: the process's ``VmHWM`` from
+``/proc/self/status`` in MB (1024 kB) right after the stage's last call
+in the first run, null where there is no ``/proc`` or the command never
+reaches the stage.  VmHWM is the peak resident set so far, so the value
+only rises from stage to stage; a stage that raises it held more at its
+peak than anything before it.
 """
 
 import argparse
@@ -54,16 +61,31 @@ STAGES = (
 )
 
 
+def vm_hwm_mb():
+    """The process's peak resident set so far (``VmHWM``) in MB, or None
+    where there is no ``/proc``."""
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    return None
+
+
 def timed(fn, record: list):
-    """``fn``, appending the wall and process CPU seconds of each call to
-    ``record``."""
+    """``fn``, appending the wall and process CPU seconds of each call,
+    and the ``vm_hwm_mb`` after it, to ``record``."""
 
     def wrapper(*args, **kwargs):
         t0, c0 = time.perf_counter(), time.process_time()
         try:
             return fn(*args, **kwargs)
         finally:
-            record.append((time.perf_counter() - t0, time.process_time() - c0))
+            record.append(
+                (time.perf_counter() - t0, time.process_time() - c0, vm_hwm_mb())
+            )
 
     return wrapper
 
@@ -114,11 +136,14 @@ def main() -> int:
         "main_cpu_s": statistics.median(r["main_cpu_s"] for r in runs),
         "stages": {
             stage: {
-                "median_s": statistics.median(sum(w for w, _ in r["spans"][stage]) for r in runs),
+                "median_s": statistics.median(
+                    sum(w for w, _, _ in r["spans"][stage]) for r in runs
+                ),
                 "median_cpu_s": statistics.median(
-                    sum(c for _, c in r["spans"][stage]) for r in runs
+                    sum(c for _, c, _ in r["spans"][stage]) for r in runs
                 ),
                 "calls": statistics.median(len(r["spans"][stage]) for r in runs),
+                "vm_hwm_mb": runs[0]["spans"][stage][-1][2] if runs[0]["spans"][stage] else None,
             }
             for stage, _, _ in STAGES
         },

@@ -27,7 +27,7 @@ from typing import Optional, Union
 
 from . import SUPPORT_CAP, LevyapError
 from .coefficients import KERNELS, CoefficientError, CoefficientSet, CoefficientTerm, QuasiPeriodicSignal
-from .dichotomy import DichotomousSystem, diagonal_constants
+from .dichotomy import DichotomousSystem, DichotomyError, diagonal_constants
 from .noise import (
     JumpComponent,
     LevyProcessSpec,
@@ -411,7 +411,8 @@ def build_system(cfg: SystemConfig) -> DichotomousSystem:
     check of ``DichotomousSystem.create``, so the system is built
     unchecked and builds its arrays on first use.  Any other explicit
     system gets the float checks and the sampled
-    ``spot_check_dichotomy`` of ``DichotomousSystem.create``.
+    ``spot_check_dichotomy`` of ``DichotomousSystem.create``, whose
+    failures are ConfigErrors prefixed ``system:``.
     """
     if not (float(cfg.omega) > 0):
         raise ConfigError("system.omega must be positive")
@@ -419,7 +420,10 @@ def build_system(cfg: SystemConfig) -> DichotomousSystem:
         raise ConfigError("system.k must be positive")
     exact = diagonal_constants(_exact_matrix(cfg.a, "system.a"), _exact_matrix(cfg.p, "system.p"))
     if exact is None:
-        return DichotomousSystem.create(cfg.a, cfg.p, k=float(cfg.k), omega=float(cfg.omega))
+        try:
+            return DichotomousSystem.create(cfg.a, cfg.p, k=float(cfg.k), omega=float(cfg.omega))
+        except DichotomyError as exc:
+            raise ConfigError(f"system: {exc}") from None
     k, omega = exact
     if _as_fraction(cfg.k, "system.k") < k:
         raise ConfigError(
@@ -707,6 +711,11 @@ def validate_config(cfg: RunConfig) -> Run:
             f"numerics.n_paths = {num.n_paths} paths over the window [{t_lo}, {t_hi}], and "
             f"with the noise and the ensemble the run holds {Decimal(math.ceil(doubles)):.3g} "
             f"doubles, above the budget of {RUN_DOUBLES} (2 GiB)"
+        )
+    # a stride past the last step writes the first grid time alone
+    if num.csv_stride is not None and num.csv_stride > n:
+        raise ConfigError(
+            f"numerics.csv_stride must be at most the window's {n} steps of h = {h}"
         )
 
     # checked here, not only as a signal parses, so that a frequency no

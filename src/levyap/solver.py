@@ -42,7 +42,9 @@ contiguous, forcing added straight into the modal accumulations.  S
 maps each path to itself, so the Picard solve overwrites one ensemble
 in place, block by block of paths on worker threads, and takes the
 moment and gap sums in the same sweep, one reduce per chunk and
-coordinate; results are bitwise identical for any chunking and thread
+coordinate; a block's sums join the sweep's in block order as soon as
+every earlier block's have, so a sweep holds those of a few blocks
+only, and results are bitwise identical for any chunking and thread
 count.  A block's jump values are computed once, before its first
 chunk.  The first sweep starts from the zero ensemble, where every grid
 term's value depends on the time alone: each chunk reads its state
@@ -59,6 +61,7 @@ those, so a coordinate S cannot reach is never touched.
 from __future__ import annotations
 
 import math
+import threading
 import time
 from collections import namedtuple
 from contextlib import contextmanager
@@ -338,14 +341,15 @@ class _Jumps:
     prepared terms of each state coordinate (``jump_terms`` at the
     events' times on ``grid`` and their marks), ``path`` and
     ``step`` the events' paths and steps, all in sample order, so by
-    path: the events of paths [lo, hi) are ``starts[lo]:starts[hi]``."""
+    path: the events of paths [lo, hi) are ``starts[lo]:starts[hi]``, a
+    list of Python ints, which index faster than numpy scalars."""
 
     def __init__(self, tmap, region: int, noise: NoiseSample, grid: np.ndarray):
         mask = noise.event_region == region
         self.path, self.step = noise.event_path[mask], noise.event_step[mask]
         self.rows = tuple(i for i, terms in enumerate(tmap) if terms)
         self.terms = jump_terms(tmap, grid[self.step], noise.event_marks[mask])
-        self.starts = np.searchsorted(self.path, np.arange(noise.n_paths + 1))
+        self.starts = np.searchsorted(self.path, np.arange(noise.n_paths + 1)).tolist()
 
     def terms_of(self, a: int, b: int) -> tuple[tuple[PreparedTerm, ...], ...]:
         """The prepared terms of region events [a, b)."""
@@ -687,14 +691,15 @@ def _sweep_block(plan: _Plan, values: np.ndarray, chunks, scratch: _Scratch, zer
     the states before the sweep.
 
     Returns the block's sums over its paths of new^2 and of (new - old)^2,
-    shape (dim, times).  Every sum is accumulated one path at a time in
-    path order, which is the order in which numpy sums a C-contiguous
+    shape (len(plan.reach), times), a row per coordinate of
+    ``plan.reach``.  Every sum is accumulated one path at a time in path
+    order, which is the order in which numpy sums a C-contiguous
     (paths, times * dim) block over its first axis.  Each coordinate of
     a chunk is summed in the scratch before it is written back.  Only
     the coordinates S can reach are read back, summed and written: the
-    others are left as they are, and their sums as zero.
+    others are left as they are.
     """
-    shape = (values.shape[0], values.shape[2])
+    shape = (len(plan.assembly), values.shape[2])
     moment, gap = np.zeros(shape), np.zeros(shape)
     block_jumps = _block_jumps(plan, values, chunks[0][0], chunks[-1][1])
     # squares of overflowing or non-finite states are left to the
@@ -702,13 +707,14 @@ def _sweep_block(plan: _Plan, values: np.ndarray, chunks, scratch: _Scratch, zer
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi in chunks:
             sq = scratch.buf[: hi - lo]
-            for i, new in _apply_chunk(plan, values, lo, hi, scratch, block_jumps, zero):
+            chunk = _apply_chunk(plan, values, lo, hi, scratch, block_jumps, zero)
+            for k, (i, new) in enumerate(chunk):
                 np.multiply(new, new, out=sq)
-                _add_rows(moment[i], sq)
+                _add_rows(moment[k], sq)
                 if not zero:
                     np.subtract(new, values[i, lo:hi], out=sq)
                     sq *= sq
-                    _add_rows(gap[i], sq)
+                    _add_rows(gap[k], sq)
                 values[i, lo:hi] = new
     # from the zero ensemble new - 0 is new, which is never -0.0: the gap
     # sums are the moment sums
@@ -739,15 +745,20 @@ def _in_place_sweeps(plan: _Plan, chunk_paths: Optional[int], threads: int):
     """Yield ``sweep(values, zero=False)``, which applies S in place to
     a coordinate-major (dim, paths, n + 1) array and returns its sums
     over all paths of new^2 and of (new - old)^2, one per (coordinate,
-    time).  ``zero`` says that ``values`` holds +0.0 throughout: each
-    chunk then evaluates the grid terms on one row of states and
-    broadcasts them over its paths (``_apply_chunk``).
+    time), +0.0 in the coordinates S cannot reach.  ``zero`` says that
+    ``values`` holds +0.0 throughout: each chunk then evaluates the grid
+    terms on one row of states and broadcasts them over its paths
+    (``_apply_chunk``), and the gap sums are the moment sums.
 
     Worker i takes blocks i, i + workers, ...; the calling thread is
     worker 0.  The other workers' threads are started once and serve
-    every sweep; each worker has one scratch.  Block sums are added in
-    block order, so the sums are bitwise the same for any chunking and
-    worker count.
+    every sweep; each worker has one scratch.  A block's sums are added
+    into the sweep's sums, in block order, as soon as it and every
+    earlier block are done, and then dropped, so the sums are bitwise
+    the same for any chunking and worker count.  A worker pauses before
+    a block that lies 2 * workers or more past the first block not yet
+    added, a round of its own blocks ahead of the slowest worker, so a
+    sweep holds the sums of fewer than 2 * workers blocks at a time.
     """
     noise = plan.noise
     blocks = _blocks(noise.n_paths, noise.n_steps, chunk_paths)
@@ -755,21 +766,51 @@ def _in_place_sweeps(plan: _Plan, chunk_paths: Optional[int], threads: int):
     largest = max(hi - lo for chunks in blocks for lo, hi in chunks)
     scratch = [_Scratch(plan, largest) for _ in range(workers)]
 
-    def run(worker, values, zero):
-        return [
-            _sweep_block(plan, values, chunks, scratch[worker], zero)
-            for chunks in blocks[worker::workers]
-        ]
-
     def sweep(values, zero=False):
-        futures = [pool.submit(run, i, values, zero) for i in range(1, workers)]
-        done = [run(0, values, zero)] + [fut.result() for fut in futures]
         shape = (values.shape[0], values.shape[2])
-        moment, gap = np.zeros(shape), np.zeros(shape)
-        for b in range(len(blocks)):
-            block_moment, block_gap = done[b % workers][b // workers]
-            moment += block_moment
-            gap += block_gap
+        moment = np.zeros(shape)
+        gap = moment if zero else np.zeros(shape)
+        done = {}  # finished blocks whose sums wait for an earlier block
+        turn = threading.Condition()
+        first, failed = 0, False  # the first block not yet added
+
+        def finish(b, sums):
+            """Keep block b's sums until every earlier block's are added."""
+            nonlocal first
+            with turn:
+                done[b] = sums
+                while first in done:
+                    for i, block_moment, block_gap in zip(plan.reach, *done.pop(first)):
+                        moment[i] += block_moment
+                        if gap is not moment:
+                            gap[i] += block_gap
+                    first += 1
+                turn.notify_all()
+
+        def run(worker):
+            nonlocal failed
+            try:
+                for b in range(worker, len(blocks), workers):
+                    with turn:
+                        turn.wait_for(lambda: b < first + 2 * workers or failed)
+                        if failed:
+                            return
+                    finish(b, _sweep_block(plan, values, blocks[b], scratch[worker], zero))
+            except BaseException:
+                with turn:
+                    failed = True
+                    turn.notify_all()
+                raise
+
+        futures = [pool.submit(run, i) for i in range(1, workers)]
+        try:
+            run(0)
+        finally:
+            # every worker has stopped before the sweep returns or raises
+            for fut in futures:
+                fut.exception()
+        for fut in futures:
+            fut.result()
         return moment, gap
 
     if workers == 1:

@@ -1495,7 +1495,8 @@ class TestCliArtifacts:
         """``scripts/stage_times.py`` finds each stage where the commands
         look it up: an ``apscan`` calls each once per run, each stage's
         wall and CPU seconds are within ``main``'s, and the iteration
-        times are those of the run's gap trace."""
+        times are those of the run's gap trace.  The peak resident set
+        after each stage of the first run only rises, stage by stage."""
         script = Path(__file__).resolve().parents[1] / "scripts" / "stage_times.py"
         cfg = write_cfg(tmp_path, tiny_benchmark_dict())
         env = dict(os.environ, PYTHONPATH=str(Path(levyap.__file__).parents[1]))
@@ -1512,6 +1513,11 @@ class TestCliArtifacts:
         for stage in report["stages"].values():
             assert stage["calls"] == 1 and 0 < stage["median_s"] < report["main_s"]
             assert 0 <= stage["median_cpu_s"] < report["main_cpu_s"]
+        hwm = [stage["vm_hwm_mb"] for stage in report["stages"].values()]
+        if os.path.exists("/proc/self/status"):
+            assert 0 < hwm[0] and hwm == sorted(hwm)
+        else:
+            assert hwm == [None] * len(hwm)
         assert report["iteration_wall_ms"] and min(report["iteration_wall_ms"]) >= 0
         assert not any(tmp_path.glob("levyap_out*"))
 

@@ -6,7 +6,10 @@ contraction / equivariance oracles."""
 import hashlib
 import math
 import sys
+import threading
+import time
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -1147,6 +1150,51 @@ class TestPicard:
         finally:
             sys.setswitchinterval(interval)
 
+    def test_slow_worker_bounds_the_blocks_held(self, monkeypatch):
+        """With worker 0 slow on every block, the other workers run ahead
+        and then pause: fewer than 2 * workers blocks' sums are alive at
+        once, and the result is bit for bit the one-worker result.  A
+        block that raises ends the solve with its error, and the paused
+        workers stop."""
+        import levyap.solver as solver_module
+
+        sysd = benchmark_system()
+        noise = sample_noise(
+            benchmark_spec(), *window_steps(-1.0, 2.0, 1.0 / 16), 1.0 / 16, 10 * _MOMENT_BLOCK,
+            seed=37,
+        )
+        cs = preset_coefficients("example41")
+        ref = picard_solve(sysd, cs, noise, tol=1e-18, max_iter=3, w=steps(1.0, noise.h))
+        sweep_block = solver_module._sweep_block
+        lock, alive, most = threading.Lock(), [0], [0]
+
+        def released():
+            with lock:
+                alive[0] -= 1
+
+        def slow_first_worker(plan, values, chunks, scratch, zero):
+            block = chunks[0][0] // _MOMENT_BLOCK
+            if block == raising:
+                raise RuntimeError("block failed")
+            if block % 3 == 0:
+                time.sleep(0.02)
+            sums = sweep_block(plan, values, chunks, scratch, zero)
+            with lock:
+                alive[0] += 1
+                most[0] = max(most[0], alive[0])
+            weakref.finalize(sums[0], released)
+            return sums
+
+        monkeypatch.setattr(solver_module, "_sweep_block", slow_first_worker)
+        raising = None
+        res = picard_solve(sysd, cs, noise, tol=1e-18, max_iter=3, w=steps(1.0, noise.h), threads=3)
+        np.testing.assert_array_equal(res.ensemble.values, ref.ensemble.values)
+        assert _strip_wall(res.gap_trace) == _strip_wall(ref.gap_trace)
+        assert 3 <= most[0] < 2 * 3, most
+        raising = 4
+        with pytest.raises(RuntimeError, match="block failed"):
+            picard_solve(sysd, cs, noise, tol=1e-18, max_iter=3, w=steps(1.0, noise.h), threads=3)
+
     def test_chunks_split_blocks_evenly(self):
         """By default the grid length alone sets the chunk: the path-step
         budget from 4096 steps on, half a block below."""
@@ -1256,6 +1304,40 @@ class TestPicard:
             finally:
                 tracemalloc.stop()
             assert peak <= 1.4 * res.ensemble.values.nbytes, chunk
+
+    def test_sweep_memory_does_not_grow_with_paths(self):
+        """Beside the ensemble, a sweep holds the moment and gap sums of a
+        few blocks, for the reached coordinates only: from 128 to 1024
+        paths the traced peak less the ensemble grows by less than
+        (workers + 1) blocks' reached sums.  Wiener noise only, so the
+        plan holds no events; a truncation of 1/4 keeps every strided
+        row of the kernel longer than numpy's ufunc buffer, whose
+        per-thread temporaries would otherwise blur the peak.  Measured
+        (10 runs each): 0.39-0.52 blocks at 1 worker, 0.41-1.91 at 2.
+        Holding every block's sums of all dim coordinates to the end of
+        the sweep, the peak grew by 28-29 blocks' reached sums."""
+        h = 1.0 / 512
+        noises = [
+            sample_noise(wiener_only_spec(), *window_steps(-2.0, 4.0, h), h, m, seed=3)
+            for m in (128, 1024)
+        ]
+        cs = preset_coefficients("example41")
+        plan = _Plan.build(benchmark_system(), cs, noises[0], steps(0.25, h))
+        block = 2 * len(plan.reach) * (noises[0].n_steps + 1) * 8
+        for threads in (1, 2):
+            held = []
+            for noise in noises:
+                tracemalloc.start()
+                try:
+                    res = picard_solve(
+                        benchmark_system(), cs, noise, w=steps(0.25, h), tol=1e-30,
+                        max_iter=3, threads=threads,
+                    )
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                held.append(peak - res.ensemble.values.nbytes)
+            assert held[1] - held[0] < (threads + 1) * block, (threads, held)
 
     def test_example41_result_is_pinned(self):
         """A sha256 of the values and of the gaps and moments of a small
