@@ -6,10 +6,12 @@
 Runs ``levyap.cli.main(argv)`` N times in this process, each run writing
 its artifacts to a fresh temporary directory (an ``--out`` in the argv
 is overridden), and times four stages by wrapping them where the CLI
-and its commands look them up: ``sample_noise`` in ``levyap.cli``,
-``picard_solve`` in ``levyap.solver``, ``_write_ensemble_csv`` in
-``levyap.cli`` and ``ap_distribution_scan`` in ``levyap.apdist``.  The
-library code is not changed.  Before numpy loads, the script applies
+and its commands look them up: ``sample_noise`` in ``levyap.noise``,
+which ``NoiseDraw.wiener`` calls for each block of paths that the Picard
+workers draw, redraws of parked blocks included, ``picard_solve`` in
+``levyap.solver``, ``_write_ensemble_csv`` in ``levyap.cli`` and
+``ap_distribution_scan`` in ``levyap.apdist``.  The library code is not
+changed.  Before numpy loads, the script applies
 the CLI's BLAS default (one OpenBLAS thread unless
 ``OPENBLAS_NUM_THREADS`` is set), so its runs spend CPU as CLI runs do.
 
@@ -19,6 +21,9 @@ process CPU seconds (``time.process_time``: every thread of the
 process, the ``--threads`` workers included) and its calls per run;
 the medians of ``main``'s own wall and CPU seconds, the exit codes, and
 per Picard iteration the median ``wall_ms`` of ``gap_trace.jsonl``.
+The block draws run inside ``picard_solve``, whose seconds include
+them, on its worker threads: with more than one thread their calls
+overlap, and their summed seconds can exceed the time they took.
 The first run also imports and compiles what the command loads; the
 medians leave it out once N is 3 or more.
 
@@ -50,11 +55,12 @@ except ImportError:  # running from a source checkout without installation
 # and the scan load it on import
 levyap.cli._single_threaded_blas()
 import levyap.apdist  # noqa: E402
+import levyap.noise  # noqa: E402
 import levyap.solver  # noqa: E402
 
 # (stage, module that the call looks the name up in, name)
 STAGES = (
-    ("sample_noise", levyap.cli, "sample_noise"),
+    ("sample_noise", levyap.noise, "sample_noise"),
     ("picard_solve", levyap.solver, "picard_solve"),
     ("_write_ensemble_csv", levyap.cli, "_write_ensemble_csv"),
     ("ap_distribution_scan", levyap.apdist, "ap_distribution_scan"),

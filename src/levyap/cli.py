@@ -33,7 +33,7 @@ from .config import (
     preset_names,
     validate_config,
 )
-from .noise import sample_noise
+from .noise import NoiseDraw
 
 np = _lazy_import("numpy")
 
@@ -208,14 +208,13 @@ def _run_picard(run: Run, out: Path, threads: int):
 
     cfg = run.config
     num = cfg.numerics
-    # the noise sample is held by the solve alone, so it is freed when
-    # the solve returns, before the ensemble is written
+    # the jump events are drawn here and held by the solve alone, so they
+    # are freed when it returns; each block of paths draws its Wiener
+    # increments on the worker that sweeps it
     res = picard_solve(
         run.system,
         run.coefficients,
-        sample_noise(
-            run.spec, run.k_lo, run.n, float(num.h), num.n_paths, cfg.seed, threads=threads
-        ),
+        NoiseDraw(run.spec, run.k_lo, run.n, float(num.h), num.n_paths, cfg.seed),
         tol=float(num.tol),
         max_iter=num.max_iter,
         w=run.w,
@@ -339,9 +338,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dt", type=_num_arg, help="override the step h")
         p.add_argument("--max-iter", type=int, help="override the iteration cap")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads over path chunks in noise sampling "
-                            "and the Picard solve (default: 1); results are "
-                            "identical for any value")
+                       help="worker threads over the blocks of paths of the Picard "
+                            "solve, each drawing its blocks' noise (default: 1); "
+                            "results are identical for any value")
     return parser
 
 

@@ -17,10 +17,11 @@ opened from a ``(seed, path_index, tag)`` key, so any path of any batch
 can be regenerated bit-for-bit without storing it.  ``stream`` opens one
 address through numpy's SeedSequence; ``sample_noise`` derives the
 Philox keys of all its streams in one vectorised pass of the same hash
-(``_stream_keys``) and opens each stream by re-keying one generator per
-worker thread (``_KeyedStream``), so the draws are those of ``stream``
-for any number of workers.  ``sample_noise`` accepts a ``path_offset``
-so chunked pipelines produce the same paths as a single monolithic call.
+(``_stream_keys``) and opens each stream by re-keying one generator of
+its own (``_KeyedStream``), so the draws are those of ``stream`` and
+calls on several threads at once do not share state.  ``sample_noise``
+accepts a ``path_offset`` so chunked pipelines produce the same paths as
+a single monolithic call.
 
 The spec is plain records: ``LevyProcessSpec`` holds the dimension, the
 covariance Q as given (rows of numbers or an array, or None) and the
@@ -31,13 +32,16 @@ whose covariance is diagonal runs no numpy code.
 
 A sample is columnar: one ``NoiseSample`` holds the Wiener increments of
 all paths in one array and the jump events of all paths as flat columns,
-which is the form the solver reads.
+which is the form the solver reads.  A ``NoiseDraw`` is the same sample
+with its Wiener increments not drawn: it holds the jump events of every
+path, and draws the increments of a range of paths when asked
+(``wiener``), so a solver that reads them a block of paths at a time
+never holds them all.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from collections import namedtuple
 from numbers import Real
 from typing import Optional
@@ -54,6 +58,7 @@ __all__ = [
     "JumpComponent",
     "LevyProcessSpec",
     "NoiseSample",
+    "NoiseDraw",
     "validate_spec",
     "sample_noise",
     "stream",
@@ -71,7 +76,8 @@ _TAG_W_NEG = 1
 _TAG_J_POS = 2
 _TAG_J_NEG = 3
 
-# paths a sampling worker draws and scales as one unit
+# paths whose Wiener increments are scaled as one unit: the rounding of
+# a correlated ``_mix`` product may depend on it
 _GROUP = 16
 
 
@@ -434,6 +440,37 @@ class NoiseSample:
     def grid(self) -> np.ndarray:
         return (self.k_lo + np.arange(self.n_steps + 1)) * self.h
 
+    def wiener(self, lo: int, hi: int) -> np.ndarray:
+        """The Wiener increments of paths [lo, hi): a view of ``dW``."""
+        return self.dW[lo:hi]
+
+
+class NoiseDraw(NoiseSample):
+    """The sample ``sample_noise(spec, k_lo, n, h, n_paths, seed)`` draws,
+    with its Wiener increments left to be drawn: ``dW`` is None.
+
+    The jump events of every path are drawn when the draw is made, as
+    ``sample_noise`` draws them; they are small beside the increments.
+    ``wiener(lo, hi)`` draws the increments of paths [lo, hi) anew at
+    each call, through ``sample_noise`` on the spec without its jumps,
+    and they are bitwise those rows of the full sample.  A call holds
+    only its own arrays, so calls on several threads may overlap.
+    """
+
+    def __init__(self, spec: LevyProcessSpec, k_lo: int, n: int, h: float, n_paths: int, seed: int):
+        super().__init__(spec, h, k_lo, n, None, *_jump_events(spec, k_lo, n, h, n_paths, seed))
+        self._paths = n_paths
+        self.seed = seed
+
+    @property
+    def n_paths(self) -> int:
+        return self._paths
+
+    def wiener(self, lo: int, hi: int) -> np.ndarray:
+        """The Wiener increments of paths [lo, hi), drawn now."""
+        spec = self.spec._replace(jumps=())
+        return sample_noise(spec, self.k_lo, self.n_steps, self.h, hi - lo, self.seed, lo).dW
+
 
 def _mix(x, chol, out):
     """x @ chol.T into ``out``.  For one noise dimension that is one
@@ -454,7 +491,6 @@ def sample_noise(
     n_paths: int,
     seed: int,
     path_offset: int = 0,
-    threads: int = 1,
 ) -> NoiseSample:
     """Sample two-sided noise paths on the ``n`` steps h from step
     ``k_lo``, a window of whole steps that contains 0.
@@ -467,60 +503,31 @@ def sample_noise(
     ``n_paths`` across several calls gets bit-identical paths.
 
     The keys of every stream are derived in one pass (``_stream_keys``),
-    and each worker opens its streams by re-keying one generator.  Up to
-    ``threads`` workers, the calling thread among them, take groups of
-    ``_GROUP`` paths in turn and draw their Wiener normals straight into
-    ``dW``, then scale the group in a group-sized buffer of their own;
-    numpy releases the interpreter lock for both.  The calling thread
-    first draws every path's jump events, in path order, before any
-    worker starts: a Poisson count and a few uniforms per stream,
-    Python-bound work that more threads would only serialise on the
-    interpreter lock, and that beside the workers would keep each of them
-    waiting for that lock between its draws.  Every stream is a
-    function of its address alone, so the sample is bitwise the same for
-    any thread count.
+    and the streams are opened by re-keying one generator.  The Wiener
+    normals of each group of ``_GROUP`` paths are drawn straight into
+    ``dW`` and scaled in one group-sized buffer; the jump events are
+    drawn path by path (``_jump_events``).  Every stream is a function
+    of its address alone, so any split of the paths gives the same bits.
 
     The spec and the integers are those of a validated ``Run``
     (``validate_config``): a checked spec, a window of at least one step
-    that contains 0, a finite h > 0, and at least one path and thread.
+    that contains 0, a finite h > 0, and at least one path.
     """
     n_neg, n_pos = -k_lo, k_lo + n
-
-    chol = None
+    dW = np.zeros((n_paths, n, spec.dim))
     if spec.covariance is not None:
         q = np.asarray(spec.covariance, dtype=float)
         q = (q + q.T) / 2.0
         eigs, vecs = np.linalg.eigh(q)
-        eigs = np.clip(eigs, 0.0, None)
-        chol = vecs * np.sqrt(eigs)  # q = chol @ chol.T
-
-    paths = path_offset + np.arange(n_paths)
-    # keys of the (path, half line) Wiener streams and the (path, half
-    # line, component) jump streams, the positive half line first
-    w_keys = _stream_keys(seed, paths[:, None], [_TAG_W_POS, _TAG_W_NEG])
-    j_keys = _stream_keys(
-        seed, paths[:, None, None], [[_TAG_J_POS], [_TAG_J_NEG]], np.arange(len(spec.jumps))
-    )
-    dW = np.zeros((n_paths, n, spec.dim))
-    sqrt_h = np.sqrt(h)
-    # step count and length of each half line
-    half_lines = ((n_pos, n_pos * h), (n_neg, n_neg * h))
-    # groups of paths whose Wiener increments are still to be drawn,
-    # handed out one at a time to whichever worker asks first
-    groups = iter([(lo, min(lo + _GROUP, n_paths)) for lo in range(0, n_paths, _GROUP)])
-    groups_lock = threading.Lock()
-
-    def draw_wiener() -> None:
-        """Draw and scale the Wiener increments of groups of paths until
-        none is left."""
+        chol = vecs * np.sqrt(np.clip(eigs, 0.0, None))  # q = chol @ chol.T
+        paths = path_offset + np.arange(n_paths)
+        # keys of the (path, half line) streams, the positive half line first
+        w_keys = _stream_keys(seed, paths[:, None], [_TAG_W_POS, _TAG_W_NEG])
+        sqrt_h = np.sqrt(h)
         keyed = _KeyedStream()
         scaled = np.empty((_GROUP, max(n_pos, n_neg), spec.dim))
-        while True:
-            with groups_lock:
-                group = next(groups, None)
-            if group is None:
-                return
-            lo, hi = group
+        for lo in range(0, n_paths, _GROUP):
+            hi = min(lo + _GROUP, n_paths)
             for j in range(lo, hi):
                 if n_pos:
                     keyed.open(w_keys[j, 0]).standard_normal(out=dW[j, n_neg:])
@@ -536,12 +543,30 @@ def sample_noise(
                 neg = dW[lo:hi, :n_neg]
                 z = _mix(neg, chol, tmp[:, :n_neg])
                 np.multiply(z[:, ::-1], sqrt_h, out=neg)
+    events = _jump_events(spec, k_lo, n, h, n_paths, seed, path_offset)
+    return NoiseSample(spec, h, k_lo, n, dW, *events)
 
+
+def _jump_events(
+    spec: LevyProcessSpec, k_lo: int, n: int, h: float, n_paths: int, seed: int,
+    path_offset: int = 0,
+) -> tuple:
+    """The jump events of ``sample_noise``'s paths, as the columns
+    ``event_path``, ``event_step``, ``event_region``, ``event_marks`` and
+    ``event_times`` of a ``NoiseSample``: a Poisson count and a few
+    uniforms per (path, component, half line) stream, drawn in path
+    order."""
+    n_neg, n_pos = -k_lo, k_lo + n
+    paths = path_offset + np.arange(n_paths)
+    # keys of the (path, half line, component) streams, the positive half line first
+    j_keys = _stream_keys(
+        seed, paths[:, None, None], [[_TAG_J_POS], [_TAG_J_NEG]], np.arange(len(spec.jumps))
+    )
+    # step count and length of each half line
+    half_lines = ((n_pos, n_pos * h), (n_neg, n_neg * h))
     # empty first entries, so a sample without events still concatenates
     times, marks = [np.zeros(0)], [np.zeros((0, spec.dim))]
     batches = []  # (path, component, count) of each drawn batch of events
-
-    # every path's jump events, in path order, before any worker starts
     keyed = _KeyedStream()
     for j in range(n_paths):
         for ci, comp in enumerate(spec.jumps):
@@ -556,19 +581,6 @@ def sample_noise(
                     marks.append(comp.marks.draw(gen, count))
                     batches.append((j, ci, count))
 
-    workers = 1 if chol is None else min(threads, -(-n_paths // _GROUP))
-    if workers == 1:
-        if chol is not None:
-            draw_wiener()
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(workers - 1) as pool:
-            futures = [pool.submit(draw_wiener) for _ in range(workers - 1)]
-            draw_wiener()
-            for fut in futures:
-                fut.result()
-
     batch = np.array(batches, dtype=np.int64).reshape(-1, 3)
     ev_path = np.repeat(batch[:, 0], batch[:, 2])
     ev_comp = np.repeat(batch[:, 1], batch[:, 2])
@@ -576,16 +588,11 @@ def sample_noise(
     order = np.lexsort((ev_comp, ev_times, ev_path))
     ev_times = ev_times[order]
     region = np.array([0 if c.region == "small" else 1 for c in spec.jumps], dtype=np.int64)
-    return NoiseSample(
-        spec=spec,
-        h=h,
-        k_lo=-n_neg,
-        n_steps=n,
-        dW=dW,
-        event_path=ev_path[order],
+    return (
+        ev_path[order],
         # the clip keeps an event whose time rounds onto a window edge
-        event_step=np.clip(np.floor(ev_times / h).astype(np.int64) + n_neg, 0, n - 1),
-        event_region=region[ev_comp[order]],
-        event_marks=np.concatenate(marks, axis=0)[order],
-        event_times=ev_times,
+        np.clip(np.floor(ev_times / h).astype(np.int64) + n_neg, 0, n - 1),
+        region[ev_comp[order]],
+        np.concatenate(marks, axis=0)[order],
+        ev_times,
     )

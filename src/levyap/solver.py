@@ -28,27 +28,32 @@ is triangular, and every mode is a scalar scan z_{k+1} = lam z_k + b_k
 computed by block-scaled cumulative sums (Blelloch, "Prefix sums and
 their applications", 1990).
 
-The noise is read as sampled: a chunk of paths takes slices of the
-Wiener increments and of the path-ordered jump event columns of the one
-``NoiseSample``.  Everything that does not depend on the iterate is
-decided once per Picard solve in a plan (``_Plan``): the non-empty
-coefficient entries with their time-only signals on the grid, each
-stochastic entry with its noise factor (the small-jump compensator's is
--h), the jump terms prepared at every event, each live mode's forcing,
-couplings and scan powers, and each reached coordinate's nonzero
-assembly terms.  Each chunk of paths then runs those lists in a
-path-major kernel that decides nothing: (paths, time) rows with time
-contiguous, forcing added straight into the modal accumulations.  S
-maps each path to itself, so the Picard solve overwrites one ensemble
-in place, block by block of paths on worker threads, and takes the
-moment and gap sums in the same sweep, one reduce per chunk and
-coordinate; a block's sums join the sweep's in block order as soon as
-every earlier block's have, so a sweep holds those of a few blocks
-only, and results are bitwise identical for any chunking and thread
-count.  A block's jump values are computed once, before its first
-chunk.  The first sweep starts from the zero ensemble, where every grid
-term's value depends on the time alone: each chunk reads its state
-columns as one row of paths and broadcasts the values over its paths.
+The noise is read a block of paths at a time: the Wiener increments of a
+block are drawn (``NoiseDraw.wiener``) or sliced from a drawn
+``NoiseSample`` by the worker that sweeps the block, and its jump events
+are a slice of the path-ordered event columns.  Everything that depends
+neither on the iterate nor on the Wiener increments is decided once per
+Picard solve in a plan (``_Plan``): the non-empty coefficient entries
+with their time-only signals on the grid, each stochastic entry with its
+noise column (the small-jump compensator's factor is -h), the jump terms
+prepared at every event, each live mode's forcing, couplings and scan
+powers, and each reached coordinate's nonzero assembly terms.  Each
+chunk of paths then runs those lists in a path-major kernel that decides
+nothing: (paths, time) rows with time contiguous, forcing added straight
+into the modal accumulations.  S maps each path to itself, so the Picard
+solve overwrites one ensemble in place and runs it block-major
+(``_iterate``): a worker takes a block of 64 paths, draws its
+increments, and runs its iterations back to back for as long as the
+solve provably reaches them, taking the moment and gap sums in the same
+sweep, one reduce per chunk and coordinate.  Each iteration's block sums
+join in block order as soon as every earlier block's have, so results
+are bitwise identical for any chunking, thread count and schedule, and
+the solve holds one ensemble plus, per worker, one block's increments
+and scratch.  A block's jump values are computed once per sweep, before
+its first chunk.  The first sweep starts from the zero ensemble, where
+every grid term's value depends on the time alone: each chunk reads its
+state columns as one row of paths and broadcasts the values over its
+paths.
 
 The ensemble is stored coordinate-major, one contiguous (paths, n + 1)
 slab per state coordinate; ``PathEnsemble.values`` is then a (paths,
@@ -64,7 +69,6 @@ import math
 import threading
 import time
 from collections import namedtuple
-from contextlib import contextmanager
 from typing import Optional
 
 import numpy as np
@@ -369,9 +373,12 @@ class _Jumps:
 class _Plan(
     namedtuple("_Plan", "noise w halves modes jumps coords drift stoch zeroed assembly")
 ):
-    """What one application of S needs that does not depend on the
-    iterate, built once per Picard solve: every decision about the
-    structure of the chunk kernel, so the kernel runs flat lists.
+    """What one application of S needs that depends neither on the
+    iterate nor on the Wiener increments, built once per Picard solve:
+    every decision about the structure of the chunk kernel, so the
+    kernel runs flat lists.  ``noise`` is the ``NoiseSample`` or
+    ``NoiseDraw`` that each block of paths takes its Wiener increments
+    from (``wiener``).
 
     ``w`` is the truncation horizon in steps, with the preconditions of
     ``picard_solve``.  ``halves`` are the modal halves of S
@@ -381,15 +388,18 @@ class _Plan(
     ``jumps`` holds the small and then the large jump events, ordered by
     path, with the region's terms prepared at them (``_Jumps``), for each
     region that acts on some coordinate; a chunk of paths takes a slice
-    of them.
+    of them.  They are prepared at every event of the sample at once: a
+    mark factor w . x is a BLAS product whose rounding can depend on the
+    events it is taken over.
 
     ``drift`` holds the (coordinate, terms) of each non-empty drift
     entry and ``stoch`` the (coordinate, entries) of each coordinate with
-    a diffusion or a compensator entry, each entry (terms, factor): a
-    diffusion entry's factor is its (paths, n) column of Wiener
-    increments, the small-jump compensator's (weights folded into its
-    terms) is -h, a (paths, 1) broadcast.  The terms' time-only signals
-    are evaluated on the grid.  ``zeroed`` are the coordinates whose
+    a diffusion or a compensator entry, each entry (terms, column): a
+    diffusion entry's factor is column ``column`` of the Wiener
+    increments, which each block of paths draws for itself, the
+    small-jump compensator's (weights folded into its terms, column
+    None) is -h.  The terms' time-only signals are evaluated on the
+    grid.  ``zeroed`` are the coordinates whose
     stochastic row only jumps fill, and ``coords`` the state coordinates
     some grid term reads.
 
@@ -414,13 +424,12 @@ class _Plan(
         grid = noise.grid
         ts = grid[:-1]
         drift, stoch = [], []
-        minus_h = np.broadcast_to(-h, (noise.n_paths, 1))
         for i, (f, g, comp) in enumerate(
             zip(drift_terms(cs, ts), diffusion_terms(cs, ts), compensator_terms(cs, noise.spec, ts))
         ):
-            entries = [(t, noise.dW[:, :, j]) for j, t in enumerate(g) if t]
+            entries = [(t, j) for j, t in enumerate(g) if t]
             if comp:
-                entries.append((comp, minus_h))
+                entries.append((comp, None))
             if f:
                 drift.append((i, f))
             if entries:
@@ -617,15 +626,23 @@ def _add_jumps(plan: _Plan, block_jumps: list, stoch: dict, lo: int, hi: int):
 
 
 def _apply_chunk(
-    plan: _Plan, values: np.ndarray, lo: int, hi: int, scratch: _Scratch, block_jumps, zero: bool
+    plan: _Plan,
+    values: np.ndarray,
+    lo: int,
+    hi: int,
+    scratch: _Scratch,
+    dw: np.ndarray,
+    block_jumps,
+    zero: bool,
 ):
     """S applied to paths [lo, hi) of the coordinate-major (dim, paths,
     n + 1) array ``values``.  Yields each output coordinate i of
     ``plan.reach`` in turn with its (paths, n + 1) row of values, a view
     of ``scratch.res``; S is zero in the other coordinates.  ``values``
     is only read, in paths [lo, hi) and before the first yield, so the
-    caller may write each coordinate back as it comes.  ``block_jumps``
-    are the jump values of the block that holds the chunk
+    caller may write each coordinate back as it comes.  ``dw`` holds the
+    Wiener increments of these paths, (paths, n, noise dim), and
+    ``block_jumps`` the jump values of the block that holds the chunk
     (``_block_jumps``).  ``zero`` says that ``values`` holds +0.0 in
     these paths: every grid term's value then depends on the time alone,
     so the terms read the first path's states and their (1, n) values
@@ -654,10 +671,10 @@ def _apply_chunk(
         # ``later``; a one-row value is formed apart from them, in
         # ``shared``, as a product that overlaps its operand is slow
         s = None
-        for terms, factor in entries:
+        for terms, j in entries:
             out = scratch.stoch[i][:p] if s is None else later
             g = _term_sum(terms, columns, scratch.shared if zero else out, sum_buf)
-            g = np.multiply(g, factor[lo:hi], out=out)
+            g = np.multiply(g, -plan.noise.h if j is None else dw[:, :, j], out=out)
             s = g if s is None else np.add(s, g, out=s)
         stoch[i] = s
     _add_jumps(plan, block_jumps, stoch, lo, hi)
@@ -684,9 +701,12 @@ def _add_rows(acc: np.ndarray, rows: np.ndarray) -> None:
     np.add.reduce(rows, axis=0, out=acc)
 
 
-def _sweep_block(plan: _Plan, values: np.ndarray, chunks, scratch: _Scratch, zero: bool):
+def _sweep_block(
+    plan: _Plan, values: np.ndarray, chunks, scratch: _Scratch, dw: np.ndarray, zero: bool
+):
     """Apply S in place to the paths of one block of the coordinate-major
-    (dim, paths, n + 1) array ``values``, chunk by chunk; ``zero`` as in
+    (dim, paths, n + 1) array ``values``, chunk by chunk, with ``dw`` the
+    block's Wiener increments (``NoiseSample.wiener``); ``zero`` as in
     ``_apply_chunk``.  The block's jump values are computed first, from
     the states before the sweep.
 
@@ -701,13 +721,20 @@ def _sweep_block(plan: _Plan, values: np.ndarray, chunks, scratch: _Scratch, zer
     """
     shape = (len(plan.assembly), values.shape[2])
     moment, gap = np.zeros(shape), np.zeros(shape)
-    block_jumps = _block_jumps(plan, values, chunks[0][0], chunks[-1][1])
+    first = chunks[0][0]
+    block_jumps = _block_jumps(plan, values, first, chunks[-1][1])
     # squares of overflowing or non-finite states are left to the
     # finiteness check of the caller
     with np.errstate(over="ignore", invalid="ignore"):
+        # the in-place ufuncs on (paths, n) views of (paths, n + 1) rows run
+        # unbuffered, which numpy's default buffer of 8192 elements denies
+        # them below n of about 2730; the size belongs to this errstate
+        # context and thread, and is restored on exit
+        np.setbufsize(16)
         for lo, hi in chunks:
             sq = scratch.buf[: hi - lo]
-            chunk = _apply_chunk(plan, values, lo, hi, scratch, block_jumps, zero)
+            dw_chunk = dw[lo - first : hi - first]
+            chunk = _apply_chunk(plan, values, lo, hi, scratch, dw_chunk, block_jumps, zero)
             for k, (i, new) in enumerate(chunk):
                 np.multiply(new, new, out=sq)
                 _add_rows(moment[k], sq)
@@ -740,87 +767,222 @@ def _blocks(m: int, n: int, chunk_paths: Optional[int]) -> list[list[tuple[int, 
     return blocks
 
 
-@contextmanager
-def _in_place_sweeps(plan: _Plan, chunk_paths: Optional[int], threads: int):
-    """Yield ``sweep(values, zero=False)``, which applies S in place to
-    a coordinate-major (dim, paths, n + 1) array and returns its sums
-    over all paths of new^2 and of (new - old)^2, one per (coordinate,
-    time), +0.0 in the coordinates S cannot reach.  ``zero`` says that
-    ``values`` holds +0.0 throughout: each chunk then evaluates the grid
-    terms on one row of states and broadcasts them over its paths
-    (``_apply_chunk``), and the gap sums are the moment sums.
+class _Iteration:
+    """The sums of one Picard iteration while its blocks finish: the
+    (dim, n + 1) ``moment`` and ``gap`` sums of the blocks added so far,
+    in block order, whose count is ``added``; the sums of blocks that
+    finished before an earlier block, by block (``waiting``); and the
+    workers' summed ``seconds`` on the iteration's blocks."""
 
-    Worker i takes blocks i, i + workers, ...; the calling thread is
-    worker 0.  The other workers' threads are started once and serve
-    every sweep; each worker has one scratch.  A block's sums are added
-    into the sweep's sums, in block order, as soon as it and every
-    earlier block are done, and then dropped, so the sums are bitwise
-    the same for any chunking and worker count.  A worker pauses before
-    a block that lies 2 * workers or more past the first block not yet
-    added, a round of its own blocks ahead of the slowest worker, so a
-    sweep holds the sums of fewer than 2 * workers blocks at a time.
+    __slots__ = ("moment", "gap", "added", "waiting", "seconds")
+
+    def __init__(self, shape: tuple, zero: bool):
+        self.moment = np.zeros(shape)
+        # from the zero ensemble new - 0 is new: the gap sums are the moment sums
+        self.gap = self.moment if zero else np.zeros(shape)
+        self.added, self.waiting, self.seconds = 0, {}, 0.0
+
+
+def _iterate(
+    plan: _Plan,
+    values: np.ndarray,
+    tol: float,
+    max_iter: int,
+    chunk_paths: Optional[int],
+    threads: int,
+    zero: bool = True,
+) -> tuple[list, int]:
+    """Picard iterations of S, in place on the coordinate-major (dim,
+    paths, n + 1) array ``values``, until the gap is at most ``tol`` or
+    ``max_iter`` iterations are done; ``zero`` says that ``values``
+    holds +0.0 throughout, so the first iteration evaluates the grid
+    terms on one row of states (``_apply_chunk``).  Returns the gap
+    trace, one record per iteration, and the number of redraws.
+
+    Block-major: a worker takes a block of paths, draws its Wiener
+    increments (``plan.noise.wiener``) and runs its iterations back to
+    back, each a ``_sweep_block``, for as long as the solve provably
+    reaches them; then it drops the increments and takes another block.
+    K*, the iteration at which the solve stops, is the first whose gap
+    is at most ``tol``, or ``max_iter``.  Iteration k + 1 is proven
+    reached once k < ``max_iter`` and the gap of some subset of
+    iteration k's block sums is above ``tol``: the block's own sums, or
+    those of the blocks added so far.  The sums are nonnegative and
+    floating addition is monotone in each term, so a subset never gives
+    a larger gap than all blocks do, and no block runs past K*.  A block
+    that cannot go on parks with its iterate in ``values``; once an
+    iteration is proven reached, a parked block is taken again and draws
+    its increments anew, bitwise the same (a redraw).
+
+    Each iteration's block sums are added in block order as soon as every
+    earlier block's are (``_Iteration``), so the trace is bitwise the
+    same for any chunking, worker count and schedule.  A record's
+    ``wall_ms`` is the workers' summed time on the iteration's blocks:
+    their sweeps, and a block's draw for the iteration it was drawn for.
+    A block whose moment sums are not all finite is checked exactly: a
+    non-finite state raises, at an iteration the solve reaches.
+
+    Worker i of ``threads`` is the calling thread for i = 0, and a free
+    worker takes the lowest block that may run its next iteration k.  A
+    block may run k only while it lies fewer than 2 * workers blocks past
+    the lowest block that has not done k, and, unless it is that block,
+    while fewer than ``workers`` blocks' sums wait to be added: at most
+    2 * workers blocks' sums of one iteration are alive at a time, and
+    fewer than 2 * workers wait in all beside the workers' own.  A
+    worker whose block may not run k yet waits, unless a
+    lower block is free, which it then takes; the lowest held block can
+    always run, so some worker always can.  Every worker has one
+    scratch, and holds one block's increments.
     """
     noise = plan.noise
-    blocks = _blocks(noise.n_paths, noise.n_steps, chunk_paths)
+    m, n_times = noise.n_paths, noise.n_steps + 1
+    blocks = _blocks(m, noise.n_steps, chunk_paths)
     workers = min(threads, len(blocks))
     largest = max(hi - lo for chunks in blocks for lo, hi in chunks)
     scratch = [_Scratch(plan, largest) for _ in range(workers)]
+    shape = (values.shape[0], n_times)
+    reach = plan.reach
+    done = [0] * len(blocks)  # the iterations each block has done
+    busy = [False] * len(blocks)
+    sums = {}  # the _Iteration of each iteration not yet complete
+    trace = []
+    turn = threading.Condition()
+    proven, last, failed, redraws = 1, None, False, 0
+    waiting = 0  # the blocks' sums that wait for an earlier block's
 
-    def sweep(values, zero=False):
-        shape = (values.shape[0], values.shape[2])
-        moment = np.zeros(shape)
-        gap = moment if zero else np.zeros(shape)
-        done = {}  # finished blocks whose sums wait for an earlier block
-        turn = threading.Condition()
-        first, failed = 0, False  # the first block not yet added
+    def frontier(k: int) -> int:
+        """The lowest block that has not done iteration k: blocks finish
+        k in any order, but their sums are added in block order."""
+        if k in sums:
+            return sums[k].added
+        return len(blocks) if k <= len(trace) else 0
 
-        def finish(b, sums):
-            """Keep block b's sums until every earlier block's are added."""
-            nonlocal first
-            with turn:
-                done[b] = sums
-                while first in done:
-                    for i, block_moment, block_gap in zip(plan.reach, *done.pop(first)):
-                        moment[i] += block_moment
-                        if gap is not moment:
-                            gap[i] += block_gap
-                    first += 1
-                turn.notify_all()
+    def may_run(b: int) -> bool:
+        """Whether block b may run its next iteration k now: the solve
+        reaches k, b lies fewer than 2 * workers blocks past the lowest
+        block that has not done k, and b's sums of k will be added at
+        once or fewer than ``workers`` blocks' sums wait."""
+        k = done[b] + 1
+        first = frontier(k)
+        return k <= proven and b < first + 2 * workers and (b == first or waiting < workers)
 
-        def run(worker):
-            nonlocal failed
-            try:
-                for b in range(worker, len(blocks), workers):
+    def next_block() -> Optional[int]:
+        """The lowest block that no worker holds and that may run now.
+        One that has not done k is not below ``frontier(k)``, and
+        ``frontier`` falls as k rises, so it lies in this range."""
+        end = min(frontier(1) + 2 * workers, len(blocks))
+        return next((b for b in range(frontier(proven), end) if not busy[b] and may_run(b)), None)
+
+    def below(b: int) -> bool:
+        """Whether a block below b is free to run."""
+        free = next_block()
+        return free is not None and free < b
+
+    def add(b: int, k: int, block_sums: tuple, seconds: float) -> None:
+        """Add block b's sums of iteration k; record the iteration once
+        every block's are added, and prove what they prove."""
+        nonlocal proven, last, waiting
+        it = sums.get(k)
+        if it is None:
+            it = sums[k] = _Iteration(shape, zero and k == 1)
+        waited = len(it.waiting)
+        it.seconds += seconds
+        it.waiting[b] = block_sums
+        first = it.added
+        while it.added in it.waiting:
+            for i, block_moment, block_gap in zip(reach, *it.waiting.pop(it.added)):
+                it.moment[i] += block_moment
+                if it.gap is not it.moment:
+                    it.gap[i] += block_gap
+            it.added += 1
+        waiting += len(it.waiting) - waited
+        if it.added == len(blocks):
+            del sums[k]
+            gap = _sup_mean(it.gap.T, n_times, m)
+            moment = _sup_mean(it.moment.T, n_times, m)
+            trace.append({"k": k, "gap": gap, "sup_second_moment": moment,
+                          "wall_ms": it.seconds * 1000.0})
+            if gap <= tol or k == max_iter:
+                last = k
+            else:
+                proven = max(proven, k + 1)
+        elif proven == k < max_iter:
+            # block b's sums joined those added so far, which bound them,
+            # or wait alone
+            if it.added > first:
+                gap_sums = it.gap
+            else:
+                gap_sums = np.zeros(shape)
+                gap_sums[list(reach)] = block_sums[1]
+            if not _sup_mean(gap_sums.T, n_times, m) <= tol:
+                proven = k + 1
+
+    def run(worker: int) -> None:
+        nonlocal failed, redraws
+        try:
+            while True:
+                with turn:
+                    turn.wait_for(lambda: failed or last is not None or next_block() is not None)
+                    if failed or last is not None:
+                        return
+                    b = next_block()
+                    busy[b] = True
+                    redraws += done[b] > 0
+                chunks = blocks[b]
+                lo, hi = chunks[0][0], chunks[-1][1]
+                t0 = time.perf_counter()
+                dw = noise.wiener(lo, hi)
+                more = True
+                while more:
+                    k = done[b] + 1
+                    block_sums = _sweep_block(
+                        plan, values, chunks, scratch[worker], dw, zero and k == 1
+                    )
+                    # finite moment sums prove the block's states finite
+                    finite = np.isfinite(block_sums[0]).all() or np.isfinite(values[:, lo:hi]).all()
+                    if not finite:
+                        raise SolverError("ensemble contains non-finite states")
+                    seconds = time.perf_counter() - t0
                     with turn:
-                        turn.wait_for(lambda: b < first + 2 * workers or failed)
                         if failed:
                             return
-                    finish(b, _sweep_block(plan, values, blocks[b], scratch[worker], zero))
-            except BaseException:
-                with turn:
-                    failed = True
-                    turn.notify_all()
-                raise
-
-        futures = [pool.submit(run, i) for i in range(1, workers)]
-        try:
-            run(0)
-        finally:
-            # every worker has stopped before the sweep returns or raises
-            for fut in futures:
-                fut.exception()
-        for fut in futures:
-            fut.result()
-        return moment, gap
+                        done[b] = k
+                        add(b, k, block_sums, seconds)
+                        turn.notify_all()
+                        # a block that lies too far past a block behind it
+                        # waits, with its increments, unless a lower block is free
+                        turn.wait_for(lambda: failed or done[b] >= proven or may_run(b) or below(b))
+                        if failed:
+                            return
+                        more = may_run(b)
+                        if not more:
+                            busy[b] = False
+                            turn.notify_all()
+                    del block_sums
+                    t0 = time.perf_counter()
+                del dw
+        except BaseException:
+            with turn:
+                failed = True
+                turn.notify_all()
+            raise
 
     if workers == 1:
-        pool = None
-        yield sweep
+        run(0)
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(workers - 1) as pool:
-            yield sweep
+            futures = [pool.submit(run, i) for i in range(1, workers)]
+            try:
+                run(0)
+            finally:
+                # every worker has stopped before the solve returns or raises
+                for fut in futures:
+                    fut.exception()
+            for fut in futures:
+                fut.result()
+    return trace, redraws
 
 
 def _tail_report(sys: DichotomousSystem, plan: _Plan) -> dict:
@@ -841,12 +1003,13 @@ def _tail_report(sys: DichotomousSystem, plan: _Plan) -> dict:
 
 
 class PicardResult(
-    namedtuple("PicardResult", "ensemble gap_trace converged iterations tail_report")
+    namedtuple("PicardResult", "ensemble gap_trace converged iterations tail_report redraws")
 ):
     """Fixed-point iteration outcome: final ensemble, per-iteration gap
     trace (a tuple of dicts: mean-square sup-over-grid distance between
-    iterates), a convergence flag, the iteration count and the truncation
-    tail report (a dict)."""
+    iterates), a convergence flag, the iteration count, the truncation
+    tail report (a dict) and the number of times a parked block of paths
+    drew its Wiener increments again."""
 
     __slots__ = ()
 
@@ -862,8 +1025,9 @@ def picard_solve(
     threads: int = 1,
 ) -> PicardResult:
     """Iterate the integral operator from the zero ensemble on a frozen
-    noise sample until the sup-over-grid mean-square gap between
-    consecutive iterates drops below ``tol``.
+    noise sample (a ``NoiseSample``, or a ``NoiseDraw`` whose Wiener
+    increments are drawn block by block) until the sup-over-grid
+    mean-square gap between consecutive iterates drops below ``tol``.
 
     Common random numbers: every iterate reuses the same noise, so the
     geometric contraction is visible directly in the gap trace.  When
@@ -897,19 +1061,20 @@ def picard_solve(
     worker's scratch.  It takes every decision about the kernel's
     structure: the window steps; the non-empty coefficient entries with
     their time-only signals on the grid, each stochastic one with its
-    noise factor (the small-jump compensator's, weights folded in, is
-    -h); the jump terms of each region prepared at all its events; the
-    live modes of each half with their forcing, couplings and scan
-    powers; and the nonzero assembly terms of each output coordinate S
-    reaches.  The kernel (``_apply_chunk``) runs those lists path-major
-    on one chunk of paths: it fills the forcing rows, scans them into
-    the modal accumulations and assembles each output coordinate in one
-    contiguous row.  A block's jump values are evaluated once, at the
-    states before its sweep, and each chunk adds its slice of them.  The
-    first iteration sweeps the zero ensemble: there every drift,
-    diffusion and compensator term's value depends on the time alone, so
-    each chunk evaluates it on one row of states and broadcasts it over
-    its paths, with the bits of a per-path evaluation.
+    noise column (the small-jump compensator's factor, weights folded
+    in, is -h); the jump terms of each region prepared at all its
+    events; the live modes of each half with their forcing, couplings
+    and scan powers; and the nonzero assembly terms of each output
+    coordinate S reaches.  The kernel (``_apply_chunk``) runs those lists
+    path-major on one chunk of paths: it fills the forcing rows, scans
+    them into the modal accumulations and assembles each output
+    coordinate in one contiguous row.  A block's jump values are
+    evaluated once per sweep, at the states before it, and each chunk
+    adds its slice of them.  The first iteration sweeps the zero
+    ensemble: there every drift, diffusion and compensator term's value
+    depends on the time alone, so each chunk evaluates it on one row of
+    states and broadcasts it over its paths, with the bits of a per-path
+    evaluation.
 
     The solve holds one ensemble and overwrites it in place: S maps each
     path to itself, so each chunk of paths is computed in scratch, its
@@ -918,46 +1083,32 @@ def picard_solve(
     further pass over the ensemble.  The ensemble is stored
     coordinate-major and starts at zero; a coordinate S cannot reach
     (``_Plan.reach``) is never touched, so it stays zero without taking
-    memory or time.  A non-finite moment triggers the exact check that
-    every state is finite.  Paths are processed in blocks of
-    ``_MOMENT_BLOCK``, each split into chunks of at most ``chunk_paths``
-    paths, on ``threads`` worker threads; every path is computed by the
-    same operations in any chunk, so ``chunk_paths`` and ``threads`` do
-    not change the result.
+    memory or time.  Paths are processed in blocks of ``_MOMENT_BLOCK``,
+    each split into chunks of at most ``chunk_paths`` paths, on
+    ``threads`` worker threads, block-major (``_iterate``): a worker
+    draws a block's Wiener increments from ``noise`` (a ``NoiseDraw``
+    draws them then, a ``NoiseSample`` gives views) and runs the block's
+    iterations back to back while the solve provably reaches them, so
+    the solve never holds the run's increments, only one block's per
+    worker.  A block parks where that is not yet proven and draws its
+    increments again when it is (``PicardResult.redraws`` counts those
+    draws).  A block whose moment sums are not all finite triggers the
+    exact check that its states are finite.  Every path is computed by
+    the same operations in any chunk, and every sum is added in block
+    order, so ``chunk_paths`` and ``threads`` do not change the result.
+    A gap trace record's ``wall_ms`` is the workers' summed time on the
+    iteration's blocks.
     """
-    h = noise.h
     plan = _Plan.build(sys, cs, noise, w)
-    m, n_times = noise.n_paths, noise.n_steps + 1
     # coordinate-major: a coordinate S cannot reach is never touched and
     # stays untouched zero pages
-    values = np.zeros((sys.dim, m, n_times))
-    trace = []
-    converged = False
-    with _in_place_sweeps(plan, chunk_paths, threads) as sweep:
-        for it in range(1, max_iter + 1):
-            t0 = time.perf_counter()
-            moment_sums, gap_sums = sweep(values, zero=it == 1)
-            moment = _sup_mean(moment_sums.T, n_times, m)
-            # a finite moment proves every state finite
-            if not math.isfinite(moment) and not np.all(np.isfinite(values)):
-                raise SolverError("ensemble contains non-finite states")
-            gap = _sup_mean(gap_sums.T, n_times, m)
-            wall_ms = (time.perf_counter() - t0) * 1000.0
-            trace.append(
-                {
-                    "k": it,
-                    "gap": gap,
-                    "sup_second_moment": moment,
-                    "wall_ms": wall_ms,
-                }
-            )
-            if gap <= tol:
-                converged = True
-                break
+    values = np.zeros((sys.dim, noise.n_paths, noise.n_steps + 1))
+    trace, redraws = _iterate(plan, values, tol, max_iter, chunk_paths, threads)
     return PicardResult(
-        ensemble=PathEnsemble(h=h, k_lo=noise.k_lo, values=np.moveaxis(values, 0, -1)),
+        ensemble=PathEnsemble(h=noise.h, k_lo=noise.k_lo, values=np.moveaxis(values, 0, -1)),
         gap_trace=tuple(trace),
-        converged=converged,
+        converged=trace[-1]["gap"] <= tol,
         iterations=len(trace),
         tail_report=_tail_report(sys, plan),
+        redraws=redraws,
     )

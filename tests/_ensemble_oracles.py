@@ -16,7 +16,7 @@ from levyap.coefficients import (
     point_values,
 )
 from levyap.dichotomy import matrix_exp
-from levyap.solver import PathEnsemble, SolverError, _in_place_sweeps, _Plan, _tail_report
+from levyap.solver import PathEnsemble, SolverError, _iterate, _Plan, _tail_report
 
 # a forward state this large has blown up
 _BLOWUP_GUARD = 1e8
@@ -47,8 +47,9 @@ def apply_S(
     threads: int = 1,
 ) -> tuple[PathEnsemble, dict]:
     """One application of the integral operator S of ``picard_solve`` to
-    an ensemble, by the same plan and in-place sweep: the input is copied
-    once, coordinate-major, and swept; the coordinates S cannot reach
+    an ensemble, by the same plan and block sweeps, as one Picard
+    iteration from the ensemble: the input is copied once,
+    coordinate-major, and swept; the coordinates S cannot reach
     (``_Plan.reach``) are then set to zero.  The truncation horizon is
     ``w`` whole steps.  Returns the new ensemble and the tail report."""
     h, k_lo, n = noise.h, noise.k_lo, noise.n_steps
@@ -61,8 +62,7 @@ def apply_S(
         raise SolverError("system, coefficients and ensemble dimensions differ")
     plan = _Plan.build(sys, cs, noise, w)
     values = np.moveaxis(ens.values, -1, 0).copy()
-    with _in_place_sweeps(plan, chunk_paths, threads) as sweep:
-        sweep(values)
+    _iterate(plan, values, 0.0, 1, chunk_paths, threads, zero=False)
     values[[i for i in range(d) if i not in plan.reach]] = 0.0
     out = PathEnsemble(h=h, k_lo=k_lo, values=np.moveaxis(values, 0, -1))
     return out, _tail_report(sys, plan)

@@ -1099,13 +1099,14 @@ class TestCliExitCodes:
     )
     def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch, message, shown):
         """An allocation that fails ends the run with exit 2 and one line
-        naming it, not a traceback.  The sampler is patched to fail, so no
-        huge array is allocated (an overcommitting host could grant it)."""
+        naming it, not a traceback.  The sampler is patched to fail where
+        the solve's first block draws its Wiener increments, so no huge
+        array is allocated (an overcommitting host could grant it)."""
 
         def exhausted(*args, **kwargs):
             raise MemoryError(message) if message else MemoryError()
 
-        monkeypatch.setattr("levyap.cli.sample_noise", exhausted)
+        monkeypatch.setattr("levyap.noise.sample_noise", exhausted)
         code = main(["picard", "--preset", "example41", "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert code == 2
@@ -1861,13 +1862,13 @@ class TestCliDeterminism:
         )
 
     def test_check_does_not_load_the_thread_pool(self, tmp_path):
-        """Noise sampling and the Picard solve import ``concurrent.futures``
-        only when they start worker threads: importing the CLI and checking
-        every shipped preset leave it unloaded, so the start-up time does
-        not pay for it, and a ``picard`` at ``--threads 2`` loads it (its
-        40 paths are three sampling groups)."""
+        """The Picard solve imports ``concurrent.futures`` only when it
+        starts worker threads: importing the CLI and checking every
+        shipped preset leave it unloaded, so the start-up time does not
+        pay for it, and a ``picard`` at ``--threads 2`` loads it (its 70
+        paths are two blocks)."""
         cfg = str(write_cfg(tmp_path, tiny_benchmark_dict(), name="ex41.json"))
-        picard = ["picard", "--config", cfg, "--out", cfg[:-5], "--threads", "2", "--paths", "40"]
+        picard = ["picard", "--config", cfg, "--out", cfg[:-5], "--threads", "2", "--paths", "70"]
         checks = check_every_preset(tmp_path, extra=("--threads", "2"))
         steps = modules_after(checks + [picard], ["concurrent.futures"])
         assert steps == (

@@ -16,6 +16,7 @@ All randomized checks run on fixed seeds.
 import hashlib
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +31,7 @@ from levyap.config import ConfigError, JumpConfig, LevyConfig, MarkConfig, build
 from levyap.noise import (
     JumpComponent,
     LevyProcessSpec,
+    NoiseDraw,
     NoiseSpecError,
     PointMark,
     UniformAnnulusMark,
@@ -391,51 +393,53 @@ def annulus_1d_spec():
 )
 def test_sampler_matches_per_path_reference_for_any_threads(spec, window):
     """70 paths are three groups of ``_GROUP``, the last one partial.
-    The sample is bitwise the per-path reference's for 1, 2 and 3
-    workers and for more workers than paths, and under ``path_offset``
-    chunking, with frequent thread switches."""
+    The sample is bitwise the per-path reference's, and so are the path
+    ranges that 1, 2 or 3 threads draw at once, as the solver's workers
+    draw their blocks, with frequent thread switches.  A ``NoiseDraw``
+    holds the events of the sample and draws the same increments."""
     ref = reference_sample(spec, window, 1.0 / 16, 70, seed=2**40 + 9, path_offset=5)
     assert len(ref["event_path"]) > 70
+    args = (spec, *window_steps(*window, 1.0 / 16), 1.0 / 16)
+    sample = sample_noise(*args, 70, 2**40 + 9, 5)
+    for name, want in ref.items():
+        np.testing.assert_array_equal(getattr(sample, name), want)
+
+    def draw(bounds):
+        lo, hi = bounds
+        return sample_noise(*args, hi - lo, 2**40 + 9, 5 + lo)
+
+    ranges = ((0, 33), (33, 34), (34, 70))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for threads in (1, 2, 3, 71):
-            sample = sample_noise(
-                spec, *window_steps(*window, 1.0 / 16), 1.0 / 16, 70, 2**40 + 9, 5, threads=threads
+        for threads in (1, 2, 3):
+            with ThreadPoolExecutor(threads) as pool:
+                parts = list(pool.map(draw, ranges))
+            np.testing.assert_array_equal(np.concatenate([p.dW for p in parts]), ref["dW"])
+            offsets = np.repeat([lo for lo, _ in ranges], [len(p.event_path) for p in parts])
+            np.testing.assert_array_equal(
+                np.concatenate([p.event_path for p in parts]) + offsets, ref["event_path"]
             )
-            for name, want in ref.items():
-                np.testing.assert_array_equal(getattr(sample, name), want)
-        parts = [
-            sample_noise(
-                spec,
-                *window_steps(*window, 1.0 / 16),
-                1.0 / 16,
-                hi - lo,
-                2**40 + 9,
-                5 + lo,
-                threads=2,
-            )
-            for lo, hi in ((0, 33), (33, 34), (34, 70))
-        ]
+            for name in ("event_times", "event_marks"):
+                np.testing.assert_array_equal(
+                    np.concatenate([getattr(p, name) for p in parts]), ref[name]
+                )
     finally:
         sys.setswitchinterval(interval)
-    np.testing.assert_array_equal(np.concatenate([p.dW for p in parts]), ref["dW"])
-    offsets = np.repeat([0, 33, 34], [len(p.event_path) for p in parts])
-    np.testing.assert_array_equal(
-        np.concatenate([p.event_path for p in parts]) + offsets, ref["event_path"]
-    )
-    for name in ("event_times", "event_marks"):
-        np.testing.assert_array_equal(
-            np.concatenate([getattr(p, name) for p in parts]), ref[name]
-        )
+    lazy = NoiseDraw(*args, 75, 2**40 + 9)
+    assert lazy.dW is None and lazy.n_paths == 75
+    np.testing.assert_array_equal(lazy.wiener(5, 75), ref["dW"])
+    np.testing.assert_array_equal(lazy.wiener(38, 40), ref["dW"][33:35])
+    mine = lazy.event_path >= 5
+    np.testing.assert_array_equal(lazy.event_path[mine] - 5, ref["event_path"])
+    for name in ("event_step", "event_region", "event_marks", "event_times"):
+        np.testing.assert_array_equal(getattr(lazy, name)[mine], getattr(sample, name))
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_sampler_temporaries_are_bounded(threads):
+def test_sampler_temporaries_are_bounded():
     """At 256 paths x 6144 steps the sampler holds, on top of ``dW``, at
-    most 2 MB: one group-sized scaling buffer per worker, the keys and
-    the events.  Scaling a worker's whole share at once would take
-    several times that."""
+    most 2 MB: one group-sized scaling buffer, the keys and the events.
+    Scaling all paths at once would take several times that."""
     spec = LevyProcessSpec(
         dim=1,
         covariance=np.eye(1),
@@ -447,7 +451,7 @@ def test_sampler_temporaries_are_bounded(threads):
     tracemalloc.start()
     try:
         sample = sample_noise(
-            spec, *window_steps(-2.0, 4.0, 1.0 / 1024), 1.0 / 1024, 256, seed=41, threads=threads
+            spec, *window_steps(-2.0, 4.0, 1.0 / 1024), 1.0 / 1024, 256, seed=41
         )
         _, peak = tracemalloc.get_traced_memory()
     finally:

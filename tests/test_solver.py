@@ -3,7 +3,9 @@ the forward oracle (``simulate_mild``) against closed forms and against
 the Picard solve, and the integral operator against telescoping /
 contraction / equivariance oracles."""
 
+import contextlib
 import hashlib
+import io
 import math
 import sys
 import threading
@@ -11,6 +13,7 @@ import time
 import tracemalloc
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +36,7 @@ from levyap.config import (
     build_coefficients,
     build_system,
     check_conditions,
+    load_config,
     preset_config,
     validate_config,
 )
@@ -40,6 +44,7 @@ from levyap.dichotomy import DichotomousSystem
 from levyap.noise import (
     JumpComponent,
     LevyProcessSpec,
+    NoiseDraw,
     PointMark,
     UniformAnnulusMark,
     UniformIntervalMark,
@@ -52,8 +57,8 @@ from levyap.solver import (
     _Plan,
     _Scratch,
     _blocks,
-    _in_place_sweeps,
     _scan_block,
+    _sweep_block,
     picard_solve,
 )
 
@@ -1151,11 +1156,12 @@ class TestPicard:
             sys.setswitchinterval(interval)
 
     def test_slow_worker_bounds_the_blocks_held(self, monkeypatch):
-        """With worker 0 slow on every block, the other workers run ahead
-        and then pause: fewer than 2 * workers blocks' sums are alive at
-        once, and the result is bit for bit the one-worker result.  A
-        block that raises ends the solve with its error, and the paused
-        workers stop."""
+        """With worker 0 slow on every third block, the other workers run
+        ahead and then pause: at most 2 * workers blocks' sums of any one
+        iteration are alive at once, fewer than 3 * workers in all (fewer
+        than 2 * workers waiting, and the workers' own), and the result is
+        bit for bit the one-worker result.  A block that raises ends the
+        solve with its error, and the paused workers stop."""
         import levyap.solver as solver_module
 
         sysd = benchmark_system()
@@ -1166,23 +1172,28 @@ class TestPicard:
         cs = preset_coefficients("example41")
         ref = picard_solve(sysd, cs, noise, tol=1e-18, max_iter=3, w=steps(1.0, noise.h))
         sweep_block = solver_module._sweep_block
-        lock, alive, most = threading.Lock(), [0], [0]
+        lock = threading.Lock()
+        # by block: sweeps; by iteration, and in all (None): sums alive, most alive
+        swept, alive, most = {}, {None: 0}, {None: 0}
 
-        def released():
+        def released(k):
             with lock:
-                alive[0] -= 1
+                alive[k] -= 1
+                alive[None] -= 1
 
-        def slow_first_worker(plan, values, chunks, scratch, zero):
+        def slow_first_worker(plan, values, chunks, scratch, dw, zero):
             block = chunks[0][0] // _MOMENT_BLOCK
             if block == raising:
                 raise RuntimeError("block failed")
             if block % 3 == 0:
                 time.sleep(0.02)
-            sums = sweep_block(plan, values, chunks, scratch, zero)
+            sums = sweep_block(plan, values, chunks, scratch, dw, zero)
             with lock:
-                alive[0] += 1
-                most[0] = max(most[0], alive[0])
-            weakref.finalize(sums[0], released)
+                k = swept[block] = swept.get(block, 0) + 1
+                for key in (k, None):
+                    alive[key] = alive.get(key, 0) + 1
+                    most[key] = max(most.get(key, 0), alive[key])
+            weakref.finalize(sums[0], released, k)
             return sums
 
         monkeypatch.setattr(solver_module, "_sweep_block", slow_first_worker)
@@ -1190,7 +1201,9 @@ class TestPicard:
         res = picard_solve(sysd, cs, noise, tol=1e-18, max_iter=3, w=steps(1.0, noise.h), threads=3)
         np.testing.assert_array_equal(res.ensemble.values, ref.ensemble.values)
         assert _strip_wall(res.gap_trace) == _strip_wall(ref.gap_trace)
-        assert 3 <= most[0] < 2 * 3, most
+        assert swept == {block: 3 for block in range(10)}
+        in_all = most.pop(None)
+        assert 3 <= max(most.values()) <= 2 * 3 and in_all < 3 * 3, (most, in_all)
         raising = 4
         with pytest.raises(RuntimeError, match="block failed"):
             picard_solve(sysd, cs, noise, tol=1e-18, max_iter=3, w=steps(1.0, noise.h), threads=3)
@@ -1215,13 +1228,18 @@ class TestPicard:
     def test_overflowing_iterate_raises(self, monkeypatch):
         """A huge linear drift makes the second iterate finite but too
         large to square, and the third one non-finite: the solve stops
-        there, not at ``max_iter``."""
+        there, not at ``max_iter``.  The first block's own gap at the
+        second iterate is infinite, which proves the third reached, so
+        the one worker runs that block's three iterations back to back
+        and raises at the third, before the second block starts."""
         import levyap.solver as solver_module
 
         blocks = []
         sweep_block = solver_module._sweep_block
         monkeypatch.setattr(
-            solver_module, "_sweep_block", lambda *a: blocks.append(1) or sweep_block(*a)
+            solver_module,
+            "_sweep_block",
+            lambda *a: blocks.append(a[2][0][0] // _MOMENT_BLOCK) or sweep_block(*a),
         )
         sysd = scalar_system(2.0)
         cs = CoefficientSet(
@@ -1243,7 +1261,7 @@ class TestPicard:
             blocks.clear()
             with pytest.raises(SolverError, match="non-finite states"):
                 picard_solve(sysd, cs, noise, tol=1e-12, max_iter=60, w=steps(0.5, noise.h))
-        assert len(blocks) == 3 * 2  # 70 paths are two blocks
+        assert blocks == [0, 0, 0]  # 70 paths are two blocks
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_any_non_finite_state_raises(self, monkeypatch, bad):
@@ -1360,6 +1378,108 @@ class TestPicard:
                 "8de7f866a39f1b4ce6ae5ad02dd9bf9e5653ef8a8a41ffbf1e4cf793d2ee44a9"
             )
 
+    @pytest.mark.parametrize("source", ["example41", "custom"])
+    def test_lazy_draw_solves_as_the_drawn_sample(self, source):
+        """A ``NoiseDraw``, whose blocks draw their Wiener increments on
+        the worker that sweeps them, gives the solve of the drawn sample
+        bit for bit, values and gap trace, for 1, 2 and 3 workers and
+        chunks of 7 and 64 paths and the default: on example41's
+        coefficients, and on those of ``tests/data/custom.json``, with a
+        correlated 2-d covariance, point marks and mark weights.  150
+        paths are three blocks, the last one partial."""
+        if source == "custom":
+            cfg = load_config(Path(__file__).parent / "data" / "custom.json")
+        else:
+            cfg = preset_config("example41")
+            cfg = cfg._replace(numerics=cfg.numerics._replace(h=Fraction(1, 64)))
+        cfg = cfg._replace(numerics=cfg.numerics._replace(n_paths=150))
+        run = validate_config(cfg)
+        args = (run.spec, run.k_lo, run.n, float(cfg.numerics.h), 150, cfg.seed)
+        drawn, lazy = sample_noise(*args), NoiseDraw(*args)
+        solve = dict(tol=float(cfg.numerics.tol), max_iter=cfg.numerics.max_iter, w=run.w)
+        ref = picard_solve(run.system, run.coefficients, drawn, **solve)
+        assert ref.converged and ref.iterations > 3
+        for threads in (1, 2, 3):
+            for chunk in (None, 7, 64):
+                res = picard_solve(
+                    run.system, run.coefficients, lazy, chunk_paths=chunk, threads=threads,
+                    **solve,
+                )
+                np.testing.assert_array_equal(res.ensemble.values, ref.ensemble.values)
+                assert _strip_wall(res.gap_trace) == _strip_wall(ref.gap_trace)
+
+    def test_parked_blocks_resume_with_redrawn_noise(self):
+        """A tol between the largest gap of one block of paths alone and
+        the gap of all of them at the second iteration, and above the
+        third gap: no block proves the third iteration reached on its own
+        sums, so a block parks after its second, drops its increments and
+        draws them anew once the sums of the blocks added in order prove
+        it.  The solve is the breadth-first oracle's, values, trace and
+        iteration count, with at least one redraw, for any worker count
+        and chunking.  With ``max_iter`` 2 it stops there, unconverged,
+        and no block goes on.  256 paths are four blocks."""
+        sysd, cs = benchmark_system(), preset_coefficients("example41")
+        noise = sample_noise(
+            benchmark_spec(), *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 256, seed=43
+        )
+        w = steps(1.0, noise.h)
+        iterates = [np.zeros((256, noise.n_steps + 1, 2))]
+        for _ in range(2):
+            ens = PathEnsemble(h=noise.h, k_lo=noise.k_lo, values=iterates[-1])
+            iterates.append(apply_S(sysd, cs, noise, ens, w)[0].values)
+        sq = np.sum((iterates[2] - iterates[1]) ** 2, axis=2)
+        gap = float(sq.sum(axis=0).max()) / 256
+        share = max(float(sq[lo : lo + 64].sum(axis=0).max()) / 256 for lo in range(0, 256, 64))
+        tol = math.sqrt(share * gap)
+        assert share < 0.9 * tol and tol < 0.9 * gap
+        for max_iter in (60, 2):
+            ref_values, ref_trace = _out_of_place_picard(sysd, cs, noise, tol, w, max_iter=max_iter)
+            assert len(ref_trace) == (3 if max_iter == 60 else 2)
+            assert (ref_trace[-1]["gap"] <= tol) == (max_iter == 60)
+            for threads in (1, 2, 3):
+                for chunk in (None, 7):
+                    res = picard_solve(
+                        sysd, cs, noise, tol=tol, max_iter=max_iter, w=w, chunk_paths=chunk,
+                        threads=threads,
+                    )
+                    np.testing.assert_array_equal(res.ensemble.values, ref_values)
+                    assert _strip_wall(res.gap_trace) == ref_trace
+                    assert res.iterations == len(ref_trace)
+                    assert res.converged == (max_iter == 60)
+                    if max_iter == 60:
+                        assert res.redraws >= 1, (threads, chunk)
+                    else:
+                        assert res.redraws == 0, (threads, chunk)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_cli_solve_memory_does_not_grow_with_noise(self, tmp_path, threads):
+        """An in-process ``picard`` run holds one ensemble and, per
+        worker, one block's Wiener increments and scratch, not the run's
+        noise sample: from 128 to 1024 paths of example41 at h = 1/512
+        its traced peak less the ensemble grows by less than two blocks'
+        increments (1.5 MiB each).  Measured: -0.1 MiB at 1 worker, 1.0
+        MiB at 2; drawing the whole sample before the solve, it grew by
+        the 896 more paths' increments, 20.9 and 21.5 MiB."""
+        from levyap.cli import main
+
+        n = 3072
+        held = []
+        for m in (128, 1024):
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = main(
+                        ["picard", "--preset", "example41", "--dt", "1/512", "--paths", str(m),
+                         "--threads", threads, "--out", str(tmp_path / str(m))]
+                    )
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            held.append(peak - 2 * m * (n + 1) * 8)
+        block_noise = _MOMENT_BLOCK * n * 8
+        assert held[1] - held[0] < 2 * block_noise, held
+
     def test_invalid_arguments(self):
         sysd = benchmark_system()
         noise = sample_noise(
@@ -1427,16 +1547,17 @@ def _sup_mean_squares(values: np.ndarray, prev: np.ndarray):
     return tuple(float(s.reshape(n, d).sum(axis=1).max()) / m for s in sums)
 
 
-def _out_of_place_picard(sysd, cs, noise, tol, w, initial=None):
+def _out_of_place_picard(sysd, cs, noise, tol, w, initial=None, max_iter=60):
     """Picard iteration by repeated ``apply_S`` with both iterates kept,
-    from the ensemble ``initial`` (zero by default): the final values and
-    the gap trace without wall times."""
+    breadth-first, from the ensemble ``initial`` (zero by default), until
+    the gap is at most ``tol`` or ``max_iter`` iterations are done: the
+    final values and the gap trace without wall times."""
     current = initial
     if current is None:
         zero = np.zeros((noise.n_paths, noise.n_steps + 1, sysd.dim))
         current = PathEnsemble(h=noise.h, k_lo=noise.k_lo, values=zero)
     trace = []
-    for it in range(1, 61):
+    for it in range(1, max_iter + 1):
         nxt, _ = apply_S(sysd, cs, noise, current, w)
         moment, gap = _sup_mean_squares(nxt.values, current.values)
         trace.append({"k": it, "gap": gap, "sup_second_moment": moment})
@@ -1747,12 +1868,25 @@ def test_zero_start_sweep_is_the_general_sweep(system, first_row, data):
     chunk = data.draw(st.sampled_from([None, 1, 2, 5]))
     shape = (sysd.dim, noise.n_paths, noise.n_steps + 1)
     zero, general = np.zeros(shape), np.zeros(shape)
-    with _in_place_sweeps(plan, chunk, 1) as sweep:
-        sums = sweep(zero, zero=True)
-        ref = sweep(general)
+    sums = _sweep_blocks(plan, zero, chunk, zero=True)
+    ref = _sweep_blocks(plan, general, chunk, zero=False)
     assert zero.tobytes() == general.tobytes()
     for a, b in zip(sums, ref):
         assert a.tobytes() == b.tobytes()
+
+
+def _sweep_blocks(plan, values, chunk_paths, zero):
+    """S applied in place to the coordinate-major ``values`` by the
+    solver's block sweep, block by block on one worker: the moment and
+    gap sums of every block, in block order."""
+    noise = plan.noise
+    blocks = _blocks(noise.n_paths, noise.n_steps, chunk_paths)
+    scratch = _Scratch(plan, max(hi - lo for chunks in blocks for lo, hi in chunks))
+    sums = []
+    for chunks in blocks:
+        dw = noise.wiener(chunks[0][0], chunks[-1][1])
+        sums += _sweep_block(plan, values, chunks, scratch, dw, zero)
+    return sums
 
 
 def test_zero_sweep_evaluates_one_row(monkeypatch):
@@ -1777,11 +1911,10 @@ def test_zero_sweep_evaluates_one_row(monkeypatch):
     noise = sample_noise(spec(), *window_steps(*window, h), h, 6, seed=23)
     plan = _Plan.build(sysd, coefficients(sysd.dim), noise, steps(1.0, h))
     values = np.zeros((sysd.dim, noise.n_paths, noise.n_steps + 1))
-    with _in_place_sweeps(plan, 3, 1) as sweep:
-        sweep(values, zero=True)
-        zero_rows = rows[:]
-        rows.clear()
-        sweep(values)
+    _sweep_blocks(plan, values, 3, zero=True)
+    zero_rows = rows[:]
+    rows.clear()
+    _sweep_blocks(plan, values, 3, zero=False)
     assert zero_rows == [1] * 12 and rows == [3] * 12
 
 
