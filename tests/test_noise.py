@@ -436,10 +436,13 @@ def test_sampler_matches_per_path_reference_for_any_threads(spec, window):
         np.testing.assert_array_equal(getattr(lazy, name)[mine], getattr(sample, name))
 
 
-def test_sampler_temporaries_are_bounded():
-    """At 256 paths x 6144 steps the sampler holds, on top of ``dW``, at
-    most 2 MB: one group-sized scaling buffer, the keys and the events.
-    Scaling all paths at once would take several times that."""
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sampler_temporaries_are_bounded(threads):
+    """At 256 paths x 6144 steps, split among ``threads`` workers that
+    draw their path ranges at once as the solver's workers draw their
+    blocks, the sampler holds, on top of ``dW``, at most 2 MB: one
+    group-sized scaling buffer per worker, the keys and the events.
+    Scaling a worker's whole share at once would take several times that."""
     spec = LevyProcessSpec(
         dim=1,
         covariance=np.eye(1),
@@ -448,16 +451,21 @@ def test_sampler_temporaries_are_bounded():
             JumpComponent(1.0, UniformIntervalMark(1.0, 1.5)),
         ),
     )
+    args = (spec, *window_steps(-2.0, 4.0, 1.0 / 1024), 1.0 / 1024)
+    share = 256 // threads
+
+    def draw(lo):
+        return sample_noise(*args, share, 41, lo)
+
     tracemalloc.start()
     try:
-        sample = sample_noise(
-            spec, *window_steps(-2.0, 4.0, 1.0 / 1024), 1.0 / 1024, 256, seed=41
-        )
+        with ThreadPoolExecutor(threads) as pool:
+            parts = list(pool.map(draw, range(0, 256, share)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert sample.dW.shape == (256, 6144, 1)
-    assert peak <= sample.dW.nbytes + 2 * 2**20
+    assert [p.dW.shape for p in parts] == [(share, 6144, 1)] * threads
+    assert peak <= sum(p.dW.nbytes for p in parts) + 2 * 2**20
 
 
 def test_different_paths_and_seeds_differ():
