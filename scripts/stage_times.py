@@ -5,13 +5,15 @@
 
 Runs ``levyap.cli.main(argv)`` N times in this process, each run writing
 its artifacts to a fresh temporary directory (an ``--out`` in the argv
-is overridden), and times four stages by wrapping them where the CLI
-and its commands look them up: ``sample_noise`` in ``levyap.noise``,
-which ``NoiseDraw.wiener`` calls for each block of paths that the Picard
-workers draw, redraws of parked blocks included, ``picard_solve`` in
-``levyap.solver``, ``_write_ensemble_csv`` in ``levyap.cli`` and
-``ap_distribution_scan`` in ``levyap.apdist``.  The library code is not
-changed.  Before numpy loads, the script applies
+is overridden), and times five stages by wrapping them where the CLI
+and its commands look them up: ``NoiseDraw`` in ``levyap.cli``, whose
+construction draws every path's jump events on the calling thread;
+``sample_noise`` in ``levyap.noise``, which ``NoiseDraw.wiener`` calls
+for each block of paths that the Picard workers draw, a block that is
+taken again drawing again; ``picard_solve`` in ``levyap.solver``,
+``_write_ensemble_csv`` in ``levyap.cli`` and ``ap_distribution_scan``
+in ``levyap.apdist``.  The library code is not changed.  Before numpy
+loads, the script applies
 the CLI's BLAS default (one OpenBLAS thread unless
 ``OPENBLAS_NUM_THREADS`` is set), so its runs spend CPU as CLI runs do.
 
@@ -60,6 +62,7 @@ import levyap.solver  # noqa: E402
 
 # (stage, module that the call looks the name up in, name)
 STAGES = (
+    ("NoiseDraw", levyap.cli, "NoiseDraw"),
     ("sample_noise", levyap.noise, "sample_noise"),
     ("picard_solve", levyap.solver, "picard_solve"),
     ("_write_ensemble_csv", levyap.cli, "_write_ensemble_csv"),

@@ -728,21 +728,23 @@ def _sweep_block(
     with np.errstate(over="ignore", invalid="ignore"):
         # the in-place ufuncs on (paths, n) views of (paths, n + 1) rows run
         # unbuffered, which numpy's default buffer of 8192 elements denies
-        # them below n of about 2730; the size belongs to this errstate
-        # context and thread, and is restored on exit
-        np.setbufsize(16)
-        for lo, hi in chunks:
-            sq = scratch.buf[: hi - lo]
-            dw_chunk = dw[lo - first : hi - first]
-            chunk = _apply_chunk(plan, values, lo, hi, scratch, dw_chunk, block_jumps, zero)
-            for k, (i, new) in enumerate(chunk):
-                np.multiply(new, new, out=sq)
-                _add_rows(moment[k], sq)
-                if not zero:
-                    np.subtract(new, values[i, lo:hi], out=sq)
-                    sq *= sq
-                    _add_rows(gap[k], sq)
-                values[i, lo:hi] = new
+        # them below n of about 2730; the caller's size is restored
+        bufsize = np.setbufsize(16)
+        try:
+            for lo, hi in chunks:
+                sq = scratch.buf[: hi - lo]
+                dw_chunk = dw[lo - first : hi - first]
+                chunk = _apply_chunk(plan, values, lo, hi, scratch, dw_chunk, block_jumps, zero)
+                for k, (i, new) in enumerate(chunk):
+                    np.multiply(new, new, out=sq)
+                    _add_rows(moment[k], sq)
+                    if not zero:
+                        np.subtract(new, values[i, lo:hi], out=sq)
+                        sq *= sq
+                        _add_rows(gap[k], sq)
+                    values[i, lo:hi] = new
+        finally:
+            np.setbufsize(bufsize)
     # from the zero ensemble new - 0 is new, which is never -0.0: the gap
     # sums are the moment sums
     return moment, moment if zero else gap
@@ -769,10 +771,11 @@ def _blocks(m: int, n: int, chunk_paths: Optional[int]) -> list[list[tuple[int, 
 
 class _Iteration:
     """The sums of one Picard iteration while its blocks finish: the
-    (dim, n + 1) ``moment`` and ``gap`` sums of the blocks added so far,
-    in block order, whose count is ``added``; the sums of blocks that
-    finished before an earlier block, by block (``waiting``); and the
-    workers' summed ``seconds`` on the iteration's blocks."""
+    ``moment`` and ``gap`` sums of the blocks added so far, in block
+    order, with a row per coordinate of ``_Plan.reach`` as a block's,
+    whose count is ``added``; the sums of blocks that finished before an
+    earlier block, by block (``waiting``); and the workers' summed
+    ``seconds`` on the iteration's blocks."""
 
     __slots__ = ("moment", "gap", "added", "waiting", "seconds")
 
@@ -791,13 +794,13 @@ def _iterate(
     chunk_paths: Optional[int],
     threads: int,
     zero: bool = True,
-) -> tuple[list, int]:
+) -> list:
     """Picard iterations of S, in place on the coordinate-major (dim,
     paths, n + 1) array ``values``, until the gap is at most ``tol`` or
     ``max_iter`` iterations are done; ``zero`` says that ``values``
     holds +0.0 throughout, so the first iteration evaluates the grid
     terms on one row of states (``_apply_chunk``).  Returns the gap
-    trace, one record per iteration, and the number of redraws.
+    trace, one record per iteration.
 
     Block-major: a worker takes a block of paths, draws its Wiener
     increments (``plan.noise.wiener``) and runs its iterations back to
@@ -811,8 +814,9 @@ def _iterate(
     floating addition is monotone in each term, so a subset never gives
     a larger gap than all blocks do, and no block runs past K*.  A block
     that cannot go on parks with its iterate in ``values``; once an
-    iteration is proven reached, a parked block is taken again and draws
-    its increments anew, bitwise the same (a redraw).
+    iteration is proven reached, a parked block is taken again.  A block
+    taken again, after it parked or after its worker left it for a lower
+    block, draws its increments anew, bitwise the same.
 
     Each iteration's block sums are added in block order as soon as every
     earlier block's are (``_Iteration``), so the trace is bitwise the
@@ -825,14 +829,15 @@ def _iterate(
     Worker i of ``threads`` is the calling thread for i = 0, and a free
     worker takes the lowest block that may run its next iteration k.  A
     block may run k only while it lies fewer than 2 * workers blocks past
-    the lowest block that has not done k, and, unless it is that block,
-    while fewer than ``workers`` blocks' sums wait to be added: at most
-    2 * workers blocks' sums of one iteration are alive at a time, and
-    fewer than 2 * workers wait in all beside the workers' own.  A
-    worker whose block may not run k yet waits, unless a
-    lower block is free, which it then takes; the lowest held block can
-    always run, so some worker always can.  Every worker has one
-    scratch, and holds one block's increments.
+    the lowest block that has not done k (the frontier of k), and, unless
+    it is that block, while fewer than workers - 1 blocks' sums wait to
+    be added or are being computed past their frontier.  A frontier
+    block's sums are added as it finishes, so fewer than 2 * workers
+    blocks' sums are alive at a time, the workers' own included.  A
+    worker whose block may not run k yet waits, unless a lower block is
+    free, which it then takes; the lowest held block can always run, so
+    some worker always can.  Every worker has one scratch, and holds one
+    block's increments.
     """
     noise = plan.noise
     m, n_times = noise.n_paths, noise.n_steps + 1
@@ -840,15 +845,16 @@ def _iterate(
     workers = min(threads, len(blocks))
     largest = max(hi - lo for chunks in blocks for lo, hi in chunks)
     scratch = [_Scratch(plan, largest) for _ in range(workers)]
-    shape = (values.shape[0], n_times)
     reach = plan.reach
+    shape = (len(reach), n_times)
     done = [0] * len(blocks)  # the iterations each block has done
     busy = [False] * len(blocks)
     sums = {}  # the _Iteration of each iteration not yet complete
     trace = []
     turn = threading.Condition()
-    proven, last, failed, redraws = 1, None, False, 0
+    proven, last, failed = 1, None, False
     waiting = 0  # the blocks' sums that wait for an earlier block's
+    ahead = 0  # the blocks that run an iteration past its frontier
 
     def frontier(k: int) -> int:
         """The lowest block that has not done iteration k: blocks finish
@@ -861,10 +867,20 @@ def _iterate(
         """Whether block b may run its next iteration k now: the solve
         reaches k, b lies fewer than 2 * workers blocks past the lowest
         block that has not done k, and b's sums of k will be added at
-        once or fewer than ``workers`` blocks' sums wait."""
+        once or fewer than workers - 1 blocks' sums wait or run ahead."""
         k = done[b] + 1
         first = frontier(k)
-        return k <= proven and b < first + 2 * workers and (b == first or waiting < workers)
+        return k <= proven and b < first + 2 * workers and (
+            b == first or waiting + ahead < workers - 1
+        )
+
+    def start(b: int) -> bool:
+        """Take block b's next iteration; whether it runs ahead of its
+        frontier, so that its sums may wait."""
+        nonlocal ahead
+        past = b != frontier(done[b] + 1)
+        ahead += past
+        return past
 
     def next_block() -> Optional[int]:
         """The lowest block that no worker holds and that may run now.
@@ -878,10 +894,20 @@ def _iterate(
         free = next_block()
         return free is not None and free < b
 
-    def add(b: int, k: int, block_sums: tuple, seconds: float) -> None:
-        """Add block b's sums of iteration k; record the iteration once
-        every block's are added, and prove what they prove."""
-        nonlocal proven, last, waiting
+    def sup_mean(reached: np.ndarray) -> float:
+        """``_sup_mean`` of sums with a row per coordinate of ``reach``,
+        the other coordinates' +0.0 included, so that it rounds as the sums
+        of every coordinate do."""
+        rows = np.zeros((n_times, values.shape[0]))
+        rows[:, list(reach)] = reached.T
+        return _sup_mean(rows, n_times, m)
+
+    def add(b: int, k: int, block_sums: tuple, seconds: float, past: bool) -> None:
+        """Add block b's sums of iteration k, which ran ahead of its
+        frontier if ``past``; record the iteration once every block's are
+        added, and prove what they prove."""
+        nonlocal proven, last, waiting, ahead
+        ahead -= past
         it = sums.get(k)
         if it is None:
             it = sums[k] = _Iteration(shape, zero and k == 1)
@@ -890,16 +916,15 @@ def _iterate(
         it.waiting[b] = block_sums
         first = it.added
         while it.added in it.waiting:
-            for i, block_moment, block_gap in zip(reach, *it.waiting.pop(it.added)):
-                it.moment[i] += block_moment
-                if it.gap is not it.moment:
-                    it.gap[i] += block_gap
+            block_moment, block_gap = it.waiting.pop(it.added)
+            it.moment += block_moment
+            if it.gap is not it.moment:
+                it.gap += block_gap
             it.added += 1
         waiting += len(it.waiting) - waited
         if it.added == len(blocks):
             del sums[k]
-            gap = _sup_mean(it.gap.T, n_times, m)
-            moment = _sup_mean(it.moment.T, n_times, m)
+            gap, moment = sup_mean(it.gap), sup_mean(it.moment)
             trace.append({"k": k, "gap": gap, "sup_second_moment": moment,
                           "wall_ms": it.seconds * 1000.0})
             if gap <= tol or k == max_iter:
@@ -909,16 +934,11 @@ def _iterate(
         elif proven == k < max_iter:
             # block b's sums joined those added so far, which bound them,
             # or wait alone
-            if it.added > first:
-                gap_sums = it.gap
-            else:
-                gap_sums = np.zeros(shape)
-                gap_sums[list(reach)] = block_sums[1]
-            if not _sup_mean(gap_sums.T, n_times, m) <= tol:
+            if not sup_mean(it.gap if it.added > first else block_sums[1]) <= tol:
                 proven = k + 1
 
     def run(worker: int) -> None:
-        nonlocal failed, redraws
+        nonlocal failed
         try:
             while True:
                 with turn:
@@ -927,7 +947,7 @@ def _iterate(
                         return
                     b = next_block()
                     busy[b] = True
-                    redraws += done[b] > 0
+                    past = start(b)
                 chunks = blocks[b]
                 lo, hi = chunks[0][0], chunks[-1][1]
                 t0 = time.perf_counter()
@@ -947,18 +967,21 @@ def _iterate(
                         if failed:
                             return
                         done[b] = k
-                        add(b, k, block_sums, seconds)
+                        add(b, k, block_sums, seconds, past)
+                        # the sums live on only where they wait
+                        del block_sums
                         turn.notify_all()
-                        # a block that lies too far past a block behind it
+                        # a block that may not run its next iteration yet
                         # waits, with its increments, unless a lower block is free
                         turn.wait_for(lambda: failed or done[b] >= proven or may_run(b) or below(b))
                         if failed:
                             return
                         more = may_run(b)
-                        if not more:
+                        if more:
+                            past = start(b)
+                        else:
                             busy[b] = False
                             turn.notify_all()
-                    del block_sums
                     t0 = time.perf_counter()
                 del dw
         except BaseException:
@@ -982,7 +1005,7 @@ def _iterate(
                     fut.exception()
             for fut in futures:
                 fut.result()
-    return trace, redraws
+    return trace
 
 
 def _tail_report(sys: DichotomousSystem, plan: _Plan) -> dict:
@@ -1003,13 +1026,12 @@ def _tail_report(sys: DichotomousSystem, plan: _Plan) -> dict:
 
 
 class PicardResult(
-    namedtuple("PicardResult", "ensemble gap_trace converged iterations tail_report redraws")
+    namedtuple("PicardResult", "ensemble gap_trace converged iterations tail_report")
 ):
     """Fixed-point iteration outcome: final ensemble, per-iteration gap
     trace (a tuple of dicts: mean-square sup-over-grid distance between
-    iterates), a convergence flag, the iteration count, the truncation
-    tail report (a dict) and the number of times a parked block of paths
-    drew its Wiener increments again."""
+    iterates), a convergence flag, the iteration count and the truncation
+    tail report (a dict)."""
 
     __slots__ = ()
 
@@ -1091,11 +1113,11 @@ def picard_solve(
     iterations back to back while the solve provably reaches them, so
     the solve never holds the run's increments, only one block's per
     worker.  A block parks where that is not yet proven and draws its
-    increments again when it is (``PicardResult.redraws`` counts those
-    draws).  A block whose moment sums are not all finite triggers the
-    exact check that its states are finite.  Every path is computed by
-    the same operations in any chunk, and every sum is added in block
-    order, so ``chunk_paths`` and ``threads`` do not change the result.
+    increments again when it is taken again.  A block whose moment sums
+    are not all finite triggers the exact check that its states are
+    finite.  Every path is computed by the same operations in any chunk,
+    and every sum is added in block order, so ``chunk_paths`` and
+    ``threads`` do not change the result.
     A gap trace record's ``wall_ms`` is the workers' summed time on the
     iteration's blocks.
     """
@@ -1103,12 +1125,11 @@ def picard_solve(
     # coordinate-major: a coordinate S cannot reach is never touched and
     # stays untouched zero pages
     values = np.zeros((sys.dim, noise.n_paths, noise.n_steps + 1))
-    trace, redraws = _iterate(plan, values, tol, max_iter, chunk_paths, threads)
+    trace = _iterate(plan, values, tol, max_iter, chunk_paths, threads)
     return PicardResult(
         ensemble=PathEnsemble(h=noise.h, k_lo=noise.k_lo, values=np.moveaxis(values, 0, -1)),
         gap_trace=tuple(trace),
         converged=trace[-1]["gap"] <= tol,
         iterations=len(trace),
         tail_report=_tail_report(sys, plan),
-        redraws=redraws,
     )

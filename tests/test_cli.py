@@ -1509,7 +1509,8 @@ class TestCliArtifacts:
         report = json.loads(proc.stdout)
         assert report["exit_codes"] == [0, 0]
         assert set(report["stages"]) == {
-            "sample_noise", "picard_solve", "_write_ensemble_csv", "ap_distribution_scan"
+            "NoiseDraw", "sample_noise", "picard_solve", "_write_ensemble_csv",
+            "ap_distribution_scan",
         }
         for stage in report["stages"].values():
             assert stage["calls"] == 1 and 0 < stage["median_s"] < report["main_s"]

@@ -1156,12 +1156,11 @@ class TestPicard:
             sys.setswitchinterval(interval)
 
     def test_slow_worker_bounds_the_blocks_held(self, monkeypatch):
-        """With worker 0 slow on every third block, the other workers run
-        ahead and then pause: at most 2 * workers blocks' sums of any one
-        iteration are alive at once, fewer than 3 * workers in all (fewer
-        than 2 * workers waiting, and the workers' own), and the result is
-        bit for bit the one-worker result.  A block that raises ends the
-        solve with its error, and the paused workers stop."""
+        """With every third block slow, the other workers run ahead and
+        then pause: fewer than 2 * workers blocks' sums are alive at once,
+        and the result is bit for bit the one-worker result.  A block that
+        raises ends the solve with its error, and the paused workers
+        stop."""
         import levyap.solver as solver_module
 
         sysd = benchmark_system()
@@ -1172,14 +1171,11 @@ class TestPicard:
         cs = preset_coefficients("example41")
         ref = picard_solve(sysd, cs, noise, tol=1e-18, max_iter=3, w=steps(1.0, noise.h))
         sweep_block = solver_module._sweep_block
-        lock = threading.Lock()
-        # by block: sweeps; by iteration, and in all (None): sums alive, most alive
-        swept, alive, most = {}, {None: 0}, {None: 0}
+        lock, swept, alive, most = threading.Lock(), {}, [0], [0]
 
-        def released(k):
+        def released():
             with lock:
-                alive[k] -= 1
-                alive[None] -= 1
+                alive[0] -= 1
 
         def slow_first_worker(plan, values, chunks, scratch, dw, zero):
             block = chunks[0][0] // _MOMENT_BLOCK
@@ -1189,11 +1185,10 @@ class TestPicard:
                 time.sleep(0.02)
             sums = sweep_block(plan, values, chunks, scratch, dw, zero)
             with lock:
-                k = swept[block] = swept.get(block, 0) + 1
-                for key in (k, None):
-                    alive[key] = alive.get(key, 0) + 1
-                    most[key] = max(most.get(key, 0), alive[key])
-            weakref.finalize(sums[0], released, k)
+                swept[block] = swept.get(block, 0) + 1
+                alive[0] += 1
+                most[0] = max(most[0], alive[0])
+            weakref.finalize(sums[0], released)
             return sums
 
         monkeypatch.setattr(solver_module, "_sweep_block", slow_first_worker)
@@ -1202,8 +1197,7 @@ class TestPicard:
         np.testing.assert_array_equal(res.ensemble.values, ref.ensemble.values)
         assert _strip_wall(res.gap_trace) == _strip_wall(ref.gap_trace)
         assert swept == {block: 3 for block in range(10)}
-        in_all = most.pop(None)
-        assert 3 <= max(most.values()) <= 2 * 3 and in_all < 3 * 3, (most, in_all)
+        assert 3 <= most[0] < 2 * 3, most
         raising = 4
         with pytest.raises(RuntimeError, match="block failed"):
             picard_solve(sysd, cs, noise, tol=1e-18, max_iter=3, w=steps(1.0, noise.h), threads=3)
@@ -1408,20 +1402,38 @@ class TestPicard:
                 np.testing.assert_array_equal(res.ensemble.values, ref.ensemble.values)
                 assert _strip_wall(res.gap_trace) == _strip_wall(ref.gap_trace)
 
-    def test_parked_blocks_resume_with_redrawn_noise(self):
+    def test_parked_blocks_resume_with_redrawn_noise(self, monkeypatch):
         """A tol between the largest gap of one block of paths alone and
         the gap of all of them at the second iteration, and above the
         third gap: no block proves the third iteration reached on its own
         sums, so a block parks after its second, drops its increments and
         draws them anew once the sums of the blocks added in order prove
         it.  The solve is the breadth-first oracle's, values, trace and
-        iteration count, with at least one redraw, for any worker count
-        and chunking.  With ``max_iter`` 2 it stops there, unconverged,
-        and no block goes on.  256 paths are four blocks."""
+        iteration count, with at least one block drawn twice, for any
+        worker count and chunking, and each block is swept once per
+        iteration.  With ``max_iter`` 2 it stops there, unconverged, and
+        no block goes on.  256 paths are four blocks."""
+        import levyap.solver as solver_module
+
         sysd, cs = benchmark_system(), preset_coefficients("example41")
         noise = sample_noise(
             benchmark_spec(), *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 256, seed=43
         )
+        # by block of paths: the draws of its increments, and its sweeps
+        draws, sweeps = {}, {}
+        wiener, sweep_block = noise.wiener, solver_module._sweep_block
+
+        def counted_wiener(lo, hi):
+            draws[lo] = draws.get(lo, 0) + 1
+            return wiener(lo, hi)
+
+        def counted_sweep(plan, values, chunks, scratch, dw, zero):
+            lo = chunks[0][0]
+            sweeps[lo] = sweeps.get(lo, 0) + 1
+            return sweep_block(plan, values, chunks, scratch, dw, zero)
+
+        monkeypatch.setattr(noise, "wiener", counted_wiener)
+        monkeypatch.setattr(solver_module, "_sweep_block", counted_sweep)
         w = steps(1.0, noise.h)
         iterates = [np.zeros((256, noise.n_steps + 1, 2))]
         for _ in range(2):
@@ -1438,6 +1450,8 @@ class TestPicard:
             assert (ref_trace[-1]["gap"] <= tol) == (max_iter == 60)
             for threads in (1, 2, 3):
                 for chunk in (None, 7):
+                    draws.clear()
+                    sweeps.clear()
                     res = picard_solve(
                         sysd, cs, noise, tol=tol, max_iter=max_iter, w=w, chunk_paths=chunk,
                         threads=threads,
@@ -1446,10 +1460,10 @@ class TestPicard:
                     assert _strip_wall(res.gap_trace) == ref_trace
                     assert res.iterations == len(ref_trace)
                     assert res.converged == (max_iter == 60)
+                    assert sweeps == {lo: len(ref_trace) for lo in range(0, 256, 64)}
+                    assert set(draws) == set(sweeps), (threads, chunk)
                     if max_iter == 60:
-                        assert res.redraws >= 1, (threads, chunk)
-                    else:
-                        assert res.redraws == 0, (threads, chunk)
+                        assert max(draws.values()) >= 2, (threads, chunk, draws)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_cli_solve_memory_does_not_grow_with_noise(self, tmp_path, threads):
