@@ -11,12 +11,14 @@ runs ``python -m levyap.cli`` on
   1 and 2 and ``--seed`` 41 and 1041, and
 - ``picard --preset example41 --dt 1/1024 --paths 1024`` (the
   ``picard-ex41-fine`` benchmark point) at ``--threads`` 1 and 2,
-- ``picard --config custom.json`` at ``--threads`` 1 and 2, on the
-  config ``tests/data/custom.json``: it takes paths no preset reaches
-  (point marks, a jump term with mark weights, a correlated 2-d
-  covariance, small and large jumps, and a non-diagonal generator with
-  an unstable direction), and ``check`` of it at ``--threads`` 0, which
-  is rejected, and
+- ``picard --config custom.json`` at ``--threads`` 1 and 2, with its
+  own 64 paths and with ``--paths 150``, on the config
+  ``tests/data/custom.json``: it takes paths no preset reaches (point
+  marks, a jump term with mark weights, a correlated 2-d covariance,
+  small and large jumps, and a non-diagonal generator with an unstable
+  direction), and 150 paths spread its mark-weighted jumps over three
+  blocks of 64 paths; and ``check`` of it at ``--threads`` 0, which is
+  rejected, and
 - ``check --config NAME.json`` on each record of the rejected-config
   corpus ``tests/data/rejected.jsonl``, configs that validation
   rejects, whose exit code and stderr must not change (the tests hold
@@ -74,7 +76,11 @@ def runs() -> list[list[str]]:
                 for threads in ("1", "2"):
                     out.append([command, "--preset", preset, "--seed", seed, "--threads", threads])
     out += [FINE + ["--threads", threads] for threads in ("1", "2")]
-    out += [["picard", "--config", "custom.json", "--threads", threads] for threads in ("1", "2")]
+    for paths in ([], ["--paths", "150"]):
+        out += [
+            ["picard", "--config", "custom.json", *paths, "--threads", threads]
+            for threads in ("1", "2")
+        ]
     out.append(["check", "--config", "custom.json", "--threads", "0"])
     out += [["check", "--config", f"{rec['name']}.json"] for rec in rejected()]
     return out

@@ -208,9 +208,8 @@ def _run_picard(run: Run, out: Path, threads: int):
 
     cfg = run.config
     num = cfg.numerics
-    # the jump events are drawn here and held by the solve alone, so they
-    # are freed when it returns; each block of paths draws its Wiener
-    # increments on the worker that sweeps it
+    # nothing is drawn here: each block of paths draws its increments
+    # and jump events on the worker that sweeps it
     res = picard_solve(
         run.system,
         run.coefficients,

@@ -663,7 +663,12 @@ def validate_config(cfg: RunConfig) -> Run:
     summed large-jump rates.  Rational inputs stay exact; floats convert
     exactly.  Inputs whose contraction rate eta overflows a float are a
     ConfigError naming ``system.k``, ``system.omega`` and L.
+
+    A config built in Python (``_replace``) has not been parsed: its echo
+    is, so that every number is held to ``parse_number``'s rules, finite
+    included, under its key.  The ``Run`` keeps the config as given.
     """
+    _RUN.parse(config_to_dict(cfg), "")
     num = cfg.numerics
     h = float(num.h)
     if not h > 0:

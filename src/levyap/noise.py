@@ -32,11 +32,11 @@ whose covariance is diagonal runs no numpy code.
 
 A sample is columnar: one ``NoiseSample`` holds the Wiener increments of
 all paths in one array and the jump events of all paths as flat columns,
-which is the form the solver reads.  A ``NoiseDraw`` is the same sample
-with its Wiener increments not drawn: it holds the jump events of every
-path, and draws the increments of a range of paths when asked
-(``wiener``), so a solver that reads them a block of paths at a time
-never holds them all.
+which is the form the solver reads.  The solver reads a sample a range
+of paths at a time (``paths``).  A ``NoiseDraw`` is a sample not drawn,
+the record of ``sample_noise``'s arguments: it draws the increments and
+the events of a range of paths when asked, so a solver that reads them
+a block of paths at a time never holds them all.
 """
 
 from __future__ import annotations
@@ -440,36 +440,34 @@ class NoiseSample:
     def grid(self) -> np.ndarray:
         return (self.k_lo + np.arange(self.n_steps + 1)) * self.h
 
-    def wiener(self, lo: int, hi: int) -> np.ndarray:
-        """The Wiener increments of paths [lo, hi): a view of ``dW``."""
-        return self.dW[lo:hi]
+    def paths(self, lo: int, hi: int) -> NoiseSample:
+        """Paths [lo, hi) as a sample of their own, numbered from 0: views
+        of ``dW`` and of the event columns, ``event_path`` shifted."""
+        a, b = np.searchsorted(self.event_path, (lo, hi)).tolist()
+        return NoiseSample(
+            self.spec, self.h, self.k_lo, self.n_steps, self.dW[lo:hi],
+            self.event_path[a:b] - lo, self.event_step[a:b], self.event_region[a:b],
+            self.event_marks[a:b], self.event_times[a:b],
+        )
 
 
-class NoiseDraw(NoiseSample):
-    """The sample ``sample_noise(spec, k_lo, n, h, n_paths, seed)`` draws,
-    with its Wiener increments left to be drawn: ``dW`` is None.
+class NoiseDraw(namedtuple("NoiseDraw", "spec k_lo n_steps h n_paths seed")):
+    """The sample ``sample_noise(spec, k_lo, n_steps, h, n_paths, seed)``
+    draws, not drawn: a record of its arguments.  ``paths(lo, hi)`` draws
+    the sample of paths [lo, hi) anew at each call, increments and jump
+    events, through ``sample_noise``, bitwise those paths of the full
+    sample.  A call holds only its own arrays, so calls on several
+    threads may overlap."""
 
-    The jump events of every path are drawn when the draw is made, as
-    ``sample_noise`` draws them; they are small beside the increments.
-    ``wiener(lo, hi)`` draws the increments of paths [lo, hi) anew at
-    each call, through ``sample_noise`` on the spec without its jumps,
-    and they are bitwise those rows of the full sample.  A call holds
-    only its own arrays, so calls on several threads may overlap.
-    """
-
-    def __init__(self, spec: LevyProcessSpec, k_lo: int, n: int, h: float, n_paths: int, seed: int):
-        super().__init__(spec, h, k_lo, n, None, *_jump_events(spec, k_lo, n, h, n_paths, seed))
-        self._paths = n_paths
-        self.seed = seed
+    __slots__ = ()
 
     @property
-    def n_paths(self) -> int:
-        return self._paths
+    def grid(self) -> np.ndarray:
+        return (self.k_lo + np.arange(self.n_steps + 1)) * self.h
 
-    def wiener(self, lo: int, hi: int) -> np.ndarray:
-        """The Wiener increments of paths [lo, hi), drawn now."""
-        spec = self.spec._replace(jumps=())
-        return sample_noise(spec, self.k_lo, self.n_steps, self.h, hi - lo, self.seed, lo).dW
+    def paths(self, lo: int, hi: int) -> NoiseSample:
+        """The sample of paths [lo, hi), numbered from 0, drawn now."""
+        return sample_noise(self.spec, self.k_lo, self.n_steps, self.h, hi - lo, self.seed, lo)
 
 
 def _mix(x, chol, out):
@@ -505,26 +503,27 @@ def sample_noise(
     The keys of every stream are derived in one pass (``_stream_keys``),
     and the streams are opened by re-keying one generator.  The Wiener
     normals of each group of ``_GROUP`` paths are drawn straight into
-    ``dW`` and scaled in one group-sized buffer; the jump events are
-    drawn path by path (``_jump_events``).  Every stream is a function
-    of its address alone, so any split of the paths gives the same bits.
+    ``dW`` and scaled in one group-sized buffer.  The jump events are
+    drawn path by path, a Poisson count and a few uniforms per (path,
+    component, half line) stream.  Every stream is a function of its
+    address alone, so any split of the paths gives the same bits.
 
     The spec and the integers are those of a validated ``Run``
     (``validate_config``): a checked spec, a window of at least one step
     that contains 0, a finite h > 0, and at least one path.
     """
     n_neg, n_pos = -k_lo, k_lo + n
+    paths = path_offset + np.arange(n_paths)
+    keyed = _KeyedStream()
     dW = np.zeros((n_paths, n, spec.dim))
     if spec.covariance is not None:
         q = np.asarray(spec.covariance, dtype=float)
         q = (q + q.T) / 2.0
         eigs, vecs = np.linalg.eigh(q)
         chol = vecs * np.sqrt(np.clip(eigs, 0.0, None))  # q = chol @ chol.T
-        paths = path_offset + np.arange(n_paths)
         # keys of the (path, half line) streams, the positive half line first
         w_keys = _stream_keys(seed, paths[:, None], [_TAG_W_POS, _TAG_W_NEG])
         sqrt_h = np.sqrt(h)
-        keyed = _KeyedStream()
         scaled = np.empty((_GROUP, max(n_pos, n_neg), spec.dim))
         for lo in range(0, n_paths, _GROUP):
             hi = min(lo + _GROUP, n_paths)
@@ -543,21 +542,6 @@ def sample_noise(
                 neg = dW[lo:hi, :n_neg]
                 z = _mix(neg, chol, tmp[:, :n_neg])
                 np.multiply(z[:, ::-1], sqrt_h, out=neg)
-    events = _jump_events(spec, k_lo, n, h, n_paths, seed, path_offset)
-    return NoiseSample(spec, h, k_lo, n, dW, *events)
-
-
-def _jump_events(
-    spec: LevyProcessSpec, k_lo: int, n: int, h: float, n_paths: int, seed: int,
-    path_offset: int = 0,
-) -> tuple:
-    """The jump events of ``sample_noise``'s paths, as the columns
-    ``event_path``, ``event_step``, ``event_region``, ``event_marks`` and
-    ``event_times`` of a ``NoiseSample``: a Poisson count and a few
-    uniforms per (path, component, half line) stream, drawn in path
-    order."""
-    n_neg, n_pos = -k_lo, k_lo + n
-    paths = path_offset + np.arange(n_paths)
     # keys of the (path, half line, component) streams, the positive half line first
     j_keys = _stream_keys(
         seed, paths[:, None, None], [[_TAG_J_POS], [_TAG_J_NEG]], np.arange(len(spec.jumps))
@@ -567,7 +551,6 @@ def _jump_events(
     # empty first entries, so a sample without events still concatenates
     times, marks = [np.zeros(0)], [np.zeros((0, spec.dim))]
     batches = []  # (path, component, count) of each drawn batch of events
-    keyed = _KeyedStream()
     for j in range(n_paths):
         for ci, comp in enumerate(spec.jumps):
             for half, (steps, length) in enumerate(half_lines):
@@ -588,7 +571,8 @@ def _jump_events(
     order = np.lexsort((ev_comp, ev_times, ev_path))
     ev_times = ev_times[order]
     region = np.array([0 if c.region == "small" else 1 for c in spec.jumps], dtype=np.int64)
-    return (
+    return NoiseSample(
+        spec, h, k_lo, n, dW,
         ev_path[order],
         # the clip keeps an event whose time rounds onto a window edge
         np.clip(np.floor(ev_times / h).astype(np.int64) + n_neg, 0, n - 1),

@@ -28,32 +28,31 @@ is triangular, and every mode is a scalar scan z_{k+1} = lam z_k + b_k
 computed by block-scaled cumulative sums (Blelloch, "Prefix sums and
 their applications", 1990).
 
-The noise is read a block of paths at a time: the Wiener increments of a
-block are drawn (``NoiseDraw.wiener``) or sliced from a drawn
-``NoiseSample`` by the worker that sweeps the block, and its jump events
-are a slice of the path-ordered event columns.  Everything that depends
-neither on the iterate nor on the Wiener increments is decided once per
-Picard solve in a plan (``_Plan``): the non-empty coefficient entries
-with their time-only signals on the grid, each stochastic entry with its
-noise column (the small-jump compensator's factor is -h), the jump terms
-prepared at every event, each live mode's forcing, couplings and scan
-powers, and each reached coordinate's nonzero assembly terms.  Each
-chunk of paths then runs those lists in a path-major kernel that decides
-nothing: (paths, time) rows with time contiguous, forcing added straight
-into the modal accumulations.  S maps each path to itself, so the Picard
-solve overwrites one ensemble in place and runs it block-major
-(``_iterate``): a worker takes a block of 64 paths, draws its
-increments, and runs its iterations back to back for as long as the
-solve provably reaches them, taking the moment and gap sums in the same
-sweep, one reduce per chunk and coordinate.  Each iteration's block sums
-join in block order as soon as every earlier block's have, so results
-are bitwise identical for any chunking, thread count and schedule, and
-the solve holds one ensemble plus, per worker, one block's increments
-and scratch.  A block's jump values are computed once per sweep, before
-its first chunk.  The first sweep starts from the zero ensemble, where
-every grid term's value depends on the time alone: each chunk reads its
-state columns as one row of paths and broadcasts the values over its
-paths.
+The noise is read a block of 64 paths at a time: the worker that sweeps
+a block draws its Wiener increments and jump events (``NoiseDraw``) or
+takes views of them from a drawn ``NoiseSample`` (``paths``), and
+prepares the jump terms at the block's events.  Everything that depends
+neither on the iterate nor on the noise is decided once per Picard solve
+in a plan (``_Plan``): the non-empty coefficient entries with their
+time-only signals on the grid, each stochastic entry with its noise
+column (the small-jump compensator's factor is -h), the jump maps, each
+live mode's forcing, couplings and scan powers, and each reached
+coordinate's nonzero assembly terms.  Each chunk of paths then runs
+those lists in a path-major kernel that decides nothing: (paths, time)
+rows with time contiguous, forcing added straight into the modal
+accumulations.  S maps each path to itself, so the Picard solve
+overwrites one ensemble in place and runs it block-major (``_iterate``):
+a worker takes a block, draws its noise, and runs its iterations back to
+back for as long as the solve provably reaches them, taking the moment
+and gap sums in the same sweep, one reduce per chunk and coordinate.
+Each iteration's block sums join in block order as soon as every earlier
+block's have, so results are bitwise identical for any chunking, thread
+count and schedule, and the solve holds one ensemble plus, per worker,
+one block's noise and scratch.  A block's jump values are computed once
+per sweep, before its first chunk.  The first sweep starts from the zero
+ensemble, where every grid term's value depends on the time alone: each
+chunk reads its state columns as one row of paths and broadcasts the
+values over its paths.
 
 The ensemble is stored coordinate-major, one contiguous (paths, n + 1)
 slab per state coordinate; ``PathEnsemble.values`` is then a (paths,
@@ -76,7 +75,6 @@ import numpy as np
 from . import LevyapError
 from .coefficients import (
     CoefficientSet,
-    PreparedTerm,
     add_terms,
     compensator_terms,
     diffusion_terms,
@@ -339,64 +337,48 @@ mode with no forcing of its own."""
 
 
 class _Jumps:
-    """The jump events of one region (``region`` 0 small, 1 large) of
-    ``noise`` with the terms of the region's map ``tmap`` prepared at
-    them: ``rows`` are the state coordinates it acts on, ``terms`` the
-    prepared terms of each state coordinate (``jump_terms`` at the
-    events' times on ``grid`` and their marks), ``path`` and
-    ``step`` the events' paths and steps, all in sample order, so by
-    path: the events of paths [lo, hi) are ``starts[lo]:starts[hi]``, a
-    list of Python ints, which index faster than numpy scalars."""
+    """The jump events of one region (``region`` 0 small, 1 large) of a
+    block's sample ``noise`` with the terms of the region's map ``tmap``
+    prepared at them: ``rows`` are the state coordinates it acts on,
+    ``terms`` the prepared terms of each state coordinate (``jump_terms``
+    at the events' times on the grid and their marks), ``path`` and
+    ``step`` the events' paths, counted from the block's first, and
+    steps, all in sample order, so by path: the events of the block's
+    paths [lo, hi) are ``starts[lo]:starts[hi]``, a list of Python ints,
+    which index faster than numpy scalars."""
 
-    def __init__(self, tmap, region: int, noise: NoiseSample, grid: np.ndarray):
+    def __init__(self, tmap, region: int, noise: NoiseSample):
         mask = noise.event_region == region
         self.path, self.step = noise.event_path[mask], noise.event_step[mask]
         self.rows = tuple(i for i, terms in enumerate(tmap) if terms)
-        self.terms = jump_terms(tmap, grid[self.step], noise.event_marks[mask])
+        self.terms = jump_terms(tmap, noise.grid[self.step], noise.event_marks[mask])
         self.starts = np.searchsorted(self.path, np.arange(noise.n_paths + 1)).tolist()
-
-    def terms_of(self, a: int, b: int) -> tuple[tuple[PreparedTerm, ...], ...]:
-        """The prepared terms of region events [a, b)."""
-
-        def cut(factor):
-            return None if factor is None else factor[a:b]
-
-        return tuple(
-            tuple(
-                t._replace(inner=cut(t.inner), outer=cut(t.outer), mark=cut(t.mark))
-                for t in terms
-            )
-            for terms in self.terms
-        )
 
 
 class _Plan(
     namedtuple("_Plan", "noise w halves modes jumps coords drift stoch zeroed assembly")
 ):
     """What one application of S needs that depends neither on the
-    iterate nor on the Wiener increments, built once per Picard solve:
-    every decision about the structure of the chunk kernel, so the
-    kernel runs flat lists.  ``noise`` is the ``NoiseSample`` or
-    ``NoiseDraw`` that each block of paths takes its Wiener increments
-    from (``wiener``).
+    iterate nor on the noise, built once per Picard solve: every
+    decision about the structure of the chunk kernel, so the kernel runs
+    flat lists.  ``noise`` is the ``NoiseSample`` or ``NoiseDraw`` that
+    each block of paths takes its noise from (``paths``).
 
     ``w`` is the truncation horizon in steps, with the preconditions of
     ``picard_solve``.  ``halves`` are the modal halves of S
     that have a live mode, ``modes`` the live modes of each (``_Mode``):
     a mode is live if a nonzero entry of a forcing row that can exist
     drives it, or a nonzero coupling ties it to a later live mode.
-    ``jumps`` holds the small and then the large jump events, ordered by
-    path, with the region's terms prepared at them (``_Jumps``), for each
-    region that acts on some coordinate; a chunk of paths takes a slice
-    of them.  They are prepared at every event of the sample at once: a
-    mark factor w . x is a BLAS product whose rounding can depend on the
-    events it is taken over.
+    ``jumps`` holds the (region, map) of the small and then the large
+    jumps, for each region whose map acts on some coordinate; a block
+    prepares the map's terms at its own events when it draws them
+    (``_draw_block``).
 
     ``drift`` holds the (coordinate, terms) of each non-empty drift
     entry and ``stoch`` the (coordinate, entries) of each coordinate with
     a diffusion or a compensator entry, each entry (terms, column): a
     diffusion entry's factor is column ``column`` of the Wiener
-    increments, which each block of paths draws for itself, the
+    increments, which each block of paths draws for itself, and the
     small-jump compensator's (weights folded into its terms, column
     None) is -h.  The terms' time-only signals are evaluated on the
     grid.  ``zeroed`` are the coordinates whose
@@ -421,8 +403,7 @@ class _Plan(
     @classmethod
     def build(cls, sys, cs, noise, w) -> "_Plan":
         h, n = noise.h, noise.n_steps
-        grid = noise.grid
-        ts = grid[:-1]
+        ts = noise.grid[:-1]
         drift, stoch = [], []
         for i, (f, g, comp) in enumerate(
             zip(drift_terms(cs, ts), diffusion_terms(cs, ts), compensator_terms(cs, noise.spec, ts))
@@ -437,12 +418,12 @@ class _Plan(
         grid_terms = [t for _, f in drift for t in f]
         grid_terms += [t for _, entries in stoch for terms, _ in entries for t in terms]
         jumps = tuple(
-            _Jumps(tmap, region, noise, grid)
+            (region, tmap)
             for region, tmap in enumerate((cs.jump_small, cs.jump_large))
             if any(tmap)
         )
         noise_rows = {i for i, _ in stoch}
-        jump_rows = set().union(*(j.rows for j in jumps))
+        jump_rows = {i for _, tmap in jumps for i, terms in enumerate(tmap) if terms}
         forced = ({i for i, _ in drift}, noise_rows | jump_rows)
 
         halves, modes = [], []
@@ -593,36 +574,39 @@ def _term_sum(terms, columns, out: np.ndarray, buf: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block_jumps(plan: _Plan, values: np.ndarray, lo: int, hi: int) -> list:
-    """The jump values of the events of paths [lo, hi), per region of
-    ``plan.jumps``: the index of the first event and the (events, dim)
-    values of the region's map at the events' states in ``values``, or
-    None for a region with no event there.  Each event reads only its
-    own path, so the values of a block are those of its chunks."""
-    out = []
-    for jumps in plan.jumps:
-        a, b = jumps.starts[lo], jumps.starts[hi]
-        if a == b:
-            out.append(None)
-            continue
-        state = np.ascontiguousarray(values[:, jumps.path[a:b], jumps.step[a:b]].T)
-        out.append((a, point_values(jumps.terms_of(a, b), state)))
-    return out
+def _draw_block(plan: _Plan, lo: int, hi: int) -> tuple:
+    """The noise of paths [lo, hi), a block, drawn now (``plan.noise.paths``):
+    its Wiener increments, (paths, n, noise dim), and, per region of
+    ``plan.jumps``, its jump events with the region's terms prepared at
+    them (``_Jumps``)."""
+    sample = plan.noise.paths(lo, hi)
+    return sample.dW, tuple(_Jumps(tmap, region, sample) for region, tmap in plan.jumps)
 
 
-def _add_jumps(plan: _Plan, block_jumps: list, stoch: dict, lo: int, hi: int):
-    """Add the jumps of paths [lo, hi) to the stochastic rows, small
-    jumps first, each event in sample order, from the values that
+def _block_jumps(jumps, values: np.ndarray) -> list:
+    """The jump values of a block's events, for each region of ``jumps``
+    (the block's ``_Jumps``) that has events in it: the region's events
+    and the (events, dim) values of its map at the events' states in
+    ``values``, the block's (dim, paths, n + 1) states.  Each event reads
+    only its own path, so the values of a block are those of its chunks."""
+    return [
+        (j, point_values(j.terms, np.ascontiguousarray(values[:, j.path, j.step].T)))
+        for j in jumps
+        if j.path.size
+    ]
+
+
+def _add_jumps(block_jumps: list, stoch: dict, lo: int, hi: int):
+    """Add the jumps of the block's paths [lo, hi) to the stochastic rows,
+    small jumps first, each event in sample order, from the values that
     ``_block_jumps`` gave for the block that holds the chunk."""
-    for jumps, block in zip(plan.jumps, block_jumps):
+    for jumps, vals in block_jumps:
         a, b = jumps.starts[lo], jumps.starts[hi]
         if a == b:
             continue
-        first, vals = block
-        vals = vals[a - first : b - first]
         at = (jumps.path[a:b] - lo, jumps.step[a:b])
         for i in jumps.rows:
-            np.add.at(stoch[i], at, vals[:, i])
+            np.add.at(stoch[i], at, vals[a:b, i])
 
 
 def _apply_chunk(
@@ -636,17 +620,18 @@ def _apply_chunk(
     zero: bool,
 ):
     """S applied to paths [lo, hi) of the coordinate-major (dim, paths,
-    n + 1) array ``values``.  Yields each output coordinate i of
-    ``plan.reach`` in turn with its (paths, n + 1) row of values, a view
-    of ``scratch.res``; S is zero in the other coordinates.  ``values``
-    is only read, in paths [lo, hi) and before the first yield, so the
-    caller may write each coordinate back as it comes.  ``dw`` holds the
-    Wiener increments of these paths, (paths, n, noise dim), and
-    ``block_jumps`` the jump values of the block that holds the chunk
-    (``_block_jumps``).  ``zero`` says that ``values`` holds +0.0 in
-    these paths: every grid term's value then depends on the time alone,
-    so the terms read the first path's states and their (1, n) values
-    broadcast over the paths, bit for bit what each path's row would be.
+    n + 1) array ``values``, the states of the block that holds them.
+    Yields each output coordinate i of ``plan.reach`` in turn with its
+    (paths, n + 1) row of values, a view of ``scratch.res``; S is zero
+    in the other coordinates.  ``values`` is only read, in paths [lo,
+    hi) and before the first yield, so the caller may write each
+    coordinate back as it comes.  ``dw`` holds the Wiener increments of
+    these paths, (paths, n, noise dim), and ``block_jumps`` the jump
+    values of the block (``_block_jumps``).  ``zero`` says that
+    ``values`` holds +0.0 in these paths: every grid term's value then
+    depends on the time alone, so the terms read the first path's states
+    and their (1, n) values broadcast over the paths, bit for bit what
+    each path's row would be.
 
     Path-major: every array is (paths, time) with time contiguous.  The
     kernel runs the lists of the plan and decides nothing: the terms read
@@ -677,7 +662,7 @@ def _apply_chunk(
             g = np.multiply(g, -plan.noise.h if j is None else dw[:, :, j], out=out)
             s = g if s is None else np.add(s, g, out=s)
         stoch[i] = s
-    _add_jumps(plan, block_jumps, stoch, lo, hi)
+    _add_jumps(block_jumps, stoch, lo, hi)
 
     buf = scratch.buf[:p]
     cbuf = None if scratch.cbuf is None else scratch.cbuf[:p]
@@ -702,13 +687,13 @@ def _add_rows(acc: np.ndarray, rows: np.ndarray) -> None:
 
 
 def _sweep_block(
-    plan: _Plan, values: np.ndarray, chunks, scratch: _Scratch, dw: np.ndarray, zero: bool
+    plan: _Plan, values: np.ndarray, chunks, scratch: _Scratch, drawn: tuple, zero: bool
 ):
     """Apply S in place to the paths of one block of the coordinate-major
-    (dim, paths, n + 1) array ``values``, chunk by chunk, with ``dw`` the
-    block's Wiener increments (``NoiseSample.wiener``); ``zero`` as in
-    ``_apply_chunk``.  The block's jump values are computed first, from
-    the states before the sweep.
+    (dim, paths, n + 1) array ``values``, chunk by chunk, with ``drawn``
+    the block's noise (``_draw_block``); ``zero`` as in ``_apply_chunk``.
+    The block's jump values are computed first, from the states before
+    the sweep.
 
     Returns the block's sums over its paths of new^2 and of (new - old)^2,
     shape (len(plan.reach), times), a row per coordinate of
@@ -719,10 +704,12 @@ def _sweep_block(
     the coordinates S can reach are read back, summed and written: the
     others are left as they are.
     """
+    dw, jumps = drawn
+    first = chunks[0][0]
+    block = values[:, first : chunks[-1][1]]
     shape = (len(plan.assembly), values.shape[2])
     moment, gap = np.zeros(shape), np.zeros(shape)
-    first = chunks[0][0]
-    block_jumps = _block_jumps(plan, values, first, chunks[-1][1])
+    block_jumps = _block_jumps(jumps, block)
     # squares of overflowing or non-finite states are left to the
     # finiteness check of the caller
     with np.errstate(over="ignore", invalid="ignore"):
@@ -732,17 +719,18 @@ def _sweep_block(
         bufsize = np.setbufsize(16)
         try:
             for lo, hi in chunks:
+                # counted from the block's first path
+                lo, hi = lo - first, hi - first
                 sq = scratch.buf[: hi - lo]
-                dw_chunk = dw[lo - first : hi - first]
-                chunk = _apply_chunk(plan, values, lo, hi, scratch, dw_chunk, block_jumps, zero)
+                chunk = _apply_chunk(plan, block, lo, hi, scratch, dw[lo:hi], block_jumps, zero)
                 for k, (i, new) in enumerate(chunk):
                     np.multiply(new, new, out=sq)
                     _add_rows(moment[k], sq)
                     if not zero:
-                        np.subtract(new, values[i, lo:hi], out=sq)
+                        np.subtract(new, block[i, lo:hi], out=sq)
                         sq *= sq
                         _add_rows(gap[k], sq)
-                    values[i, lo:hi] = new
+                    block[i, lo:hi] = new
         finally:
             np.setbufsize(bufsize)
     # from the zero ensemble new - 0 is new, which is never -0.0: the gap
@@ -802,10 +790,10 @@ def _iterate(
     terms on one row of states (``_apply_chunk``).  Returns the gap
     trace, one record per iteration.
 
-    Block-major: a worker takes a block of paths, draws its Wiener
-    increments (``plan.noise.wiener``) and runs its iterations back to
-    back, each a ``_sweep_block``, for as long as the solve provably
-    reaches them; then it drops the increments and takes another block.
+    Block-major: a worker takes a block of paths, draws its noise
+    (``_draw_block``) and runs its iterations back to back, each a
+    ``_sweep_block``, for as long as the solve provably reaches them;
+    then it drops the noise and takes another block.
     K*, the iteration at which the solve stops, is the first whose gap
     is at most ``tol``, or ``max_iter``.  Iteration k + 1 is proven
     reached once k < ``max_iter`` and the gap of some subset of
@@ -816,7 +804,7 @@ def _iterate(
     that cannot go on parks with its iterate in ``values``; once an
     iteration is proven reached, a parked block is taken again.  A block
     taken again, after it parked or after its worker left it for a lower
-    block, draws its increments anew, bitwise the same.
+    block, draws its noise anew, bitwise the same.
 
     Each iteration's block sums are added in block order as soon as every
     earlier block's are (``_Iteration``), so the trace is bitwise the
@@ -837,7 +825,7 @@ def _iterate(
     worker whose block may not run k yet waits, unless a lower block is
     free, which it then takes; the lowest held block can always run, so
     some worker always can.  Every worker has one scratch, and holds one
-    block's increments.
+    block's noise.
     """
     noise = plan.noise
     m, n_times = noise.n_paths, noise.n_steps + 1
@@ -951,12 +939,12 @@ def _iterate(
                 chunks = blocks[b]
                 lo, hi = chunks[0][0], chunks[-1][1]
                 t0 = time.perf_counter()
-                dw = noise.wiener(lo, hi)
+                drawn = _draw_block(plan, lo, hi)
                 more = True
                 while more:
                     k = done[b] + 1
                     block_sums = _sweep_block(
-                        plan, values, chunks, scratch[worker], dw, zero and k == 1
+                        plan, values, chunks, scratch[worker], drawn, zero and k == 1
                     )
                     # finite moment sums prove the block's states finite
                     finite = np.isfinite(block_sums[0]).all() or np.isfinite(values[:, lo:hi]).all()
@@ -972,7 +960,7 @@ def _iterate(
                         del block_sums
                         turn.notify_all()
                         # a block that may not run its next iteration yet
-                        # waits, with its increments, unless a lower block is free
+                        # waits, with its noise, unless a lower block is free
                         turn.wait_for(lambda: failed or done[b] >= proven or may_run(b) or below(b))
                         if failed:
                             return
@@ -983,7 +971,7 @@ def _iterate(
                             busy[b] = False
                             turn.notify_all()
                     t0 = time.perf_counter()
-                del dw
+                del drawn
         except BaseException:
             with turn:
                 failed = True
@@ -1047,9 +1035,9 @@ def picard_solve(
     threads: int = 1,
 ) -> PicardResult:
     """Iterate the integral operator from the zero ensemble on a frozen
-    noise sample (a ``NoiseSample``, or a ``NoiseDraw`` whose Wiener
-    increments are drawn block by block) until the sup-over-grid
-    mean-square gap between consecutive iterates drops below ``tol``.
+    noise sample (a ``NoiseSample``, or a ``NoiseDraw`` whose paths are
+    drawn block by block) until the sup-over-grid mean-square gap
+    between consecutive iterates drops below ``tol``.
 
     Common random numbers: every iterate reuses the same noise, so the
     geometric contraction is visible directly in the gap trace.  When
@@ -1084,19 +1072,19 @@ def picard_solve(
     structure: the window steps; the non-empty coefficient entries with
     their time-only signals on the grid, each stochastic one with its
     noise column (the small-jump compensator's factor, weights folded
-    in, is -h); the jump terms of each region prepared at all its
-    events; the live modes of each half with their forcing, couplings
-    and scan powers; and the nonzero assembly terms of each output
-    coordinate S reaches.  The kernel (``_apply_chunk``) runs those lists
-    path-major on one chunk of paths: it fills the forcing rows, scans
-    them into the modal accumulations and assembles each output
-    coordinate in one contiguous row.  A block's jump values are
-    evaluated once per sweep, at the states before it, and each chunk
-    adds its slice of them.  The first iteration sweeps the zero
-    ensemble: there every drift, diffusion and compensator term's value
-    depends on the time alone, so each chunk evaluates it on one row of
-    states and broadcasts it over its paths, with the bits of a per-path
-    evaluation.
+    in, is -h); the jump map of each region; the live modes of each half
+    with their forcing, couplings and scan powers; and the nonzero
+    assembly terms of each output coordinate S reaches.  The kernel
+    (``_apply_chunk``) runs those lists path-major on one chunk of
+    paths: it fills the forcing rows, scans them into the modal
+    accumulations and assembles each output coordinate in one contiguous
+    row.  A block's jump terms are prepared at its events when it draws
+    them, its jump values evaluated once per sweep, at the states before
+    it, and each chunk adds its slice of them.  The first iteration
+    sweeps the zero ensemble: there every drift, diffusion and
+    compensator term's value depends on the time alone, so each chunk
+    evaluates it on one row of states and broadcasts it over its paths,
+    with the bits of a per-path evaluation.
 
     The solve holds one ensemble and overwrites it in place: S maps each
     path to itself, so each chunk of paths is computed in scratch, its
@@ -1108,12 +1096,12 @@ def picard_solve(
     memory or time.  Paths are processed in blocks of ``_MOMENT_BLOCK``,
     each split into chunks of at most ``chunk_paths`` paths, on
     ``threads`` worker threads, block-major (``_iterate``): a worker
-    draws a block's Wiener increments from ``noise`` (a ``NoiseDraw``
-    draws them then, a ``NoiseSample`` gives views) and runs the block's
-    iterations back to back while the solve provably reaches them, so
-    the solve never holds the run's increments, only one block's per
-    worker.  A block parks where that is not yet proven and draws its
-    increments again when it is taken again.  A block whose moment sums
+    takes a block's paths from ``noise`` (a ``NoiseDraw`` draws their
+    increments and jump events then, a ``NoiseSample`` gives views) and
+    runs the block's iterations back to back while the solve provably
+    reaches them, so the solve never holds the run's noise, only one
+    block's per worker.  A block parks where that is not yet proven and
+    draws its noise again when it is taken again.  A block whose moment sums
     are not all finite triggers the exact check that its states are
     finite.  Every path is computed by the same operations in any chunk,
     and every sum is added in block order, so ``chunk_paths`` and

@@ -375,6 +375,26 @@ class TestConfigRoundTrip:
     def test_presets_validate(self, name):
         validate_config(preset_config(name))
 
+    @pytest.mark.parametrize(
+        "key, section, value",
+        [
+            ("numerics.h", "numerics", {"h": math.inf}),
+            ("numerics.window[1]", "numerics", {"window": (-2, math.inf)}),
+            ("numerics.tol", "numerics", {"tol": math.inf}),
+            ("analysis.shifts[0]", "analysis", {"shifts": (math.inf, 1)}),
+            ("system.k", "system", {"k": 10**400}),
+        ],
+    )
+    def test_built_config_numbers_must_be_finite(self, key, section, value):
+        """A config built with ``_replace``, not parsed, is held to
+        ``parse_number``'s rule: a number without a finite double value
+        is a ConfigError naming its key, not a bare ValueError or
+        OverflowError, nor, for ``numerics.tol``, a run."""
+        cfg = preset_config("example41")
+        cfg = cfg._replace(**{section: getattr(cfg, section)._replace(**value)})
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be a finite number$"):
+            validate_config(cfg)
+
 
 class TestConfigSchema:
     @staticmethod
@@ -1509,8 +1529,7 @@ class TestCliArtifacts:
         report = json.loads(proc.stdout)
         assert report["exit_codes"] == [0, 0]
         assert set(report["stages"]) == {
-            "NoiseDraw", "sample_noise", "picard_solve", "_write_ensemble_csv",
-            "ap_distribution_scan",
+            "sample_noise", "picard_solve", "_write_ensemble_csv", "ap_distribution_scan",
         }
         for stage in report["stages"].values():
             assert stage["calls"] == 1 and 0 < stage["median_s"] < report["main_s"]
@@ -1535,7 +1554,7 @@ class TestCliArtifacts:
         import shutil
 
         corpus = len(compare_artifacts.rejected())
-        assert len(compare_artifacts.runs()) == 3 * 3 * 2 * 2 + 2 + 2 + 1 + corpus
+        assert len(compare_artifacts.runs()) == 3 * 3 * 2 * 2 + 2 + 2 + 2 + 1 + corpus
 
         src = Path(levyap.__file__).parents[1]
         changed = tmp_path / "changed"

@@ -391,12 +391,14 @@ def annulus_1d_spec():
         (make_spec(dim=2), (-2.0, 0.0)),  # no positive half line
     ],
 )
-def test_sampler_matches_per_path_reference_for_any_threads(spec, window):
+def test_sampler_matches_per_path_reference_for_any_threads(spec, window, monkeypatch):
     """70 paths are three groups of ``_GROUP``, the last one partial.
     The sample is bitwise the per-path reference's, and so are the path
     ranges that 1, 2 or 3 threads draw at once, as the solver's workers
     draw their blocks, with frequent thread switches.  A ``NoiseDraw``
-    holds the events of the sample and draws the same increments."""
+    draws nothing when it is made; each of its path ranges is one
+    ``sample_noise`` call, bitwise the range the drawn sample gives as
+    views, paths numbered from 0."""
     ref = reference_sample(spec, window, 1.0 / 16, 70, seed=2**40 + 9, path_offset=5)
     assert len(ref["event_path"]) > 70
     args = (spec, *window_steps(*window, 1.0 / 16), 1.0 / 16)
@@ -426,14 +428,19 @@ def test_sampler_matches_per_path_reference_for_any_threads(spec, window):
                 )
     finally:
         sys.setswitchinterval(interval)
+    calls = []
+    draw_noise = noise_module.sample_noise
+    monkeypatch.setattr(
+        noise_module, "sample_noise", lambda *a: calls.append(a) or draw_noise(*a)
+    )
     lazy = NoiseDraw(*args, 75, 2**40 + 9)
-    assert lazy.dW is None and lazy.n_paths == 75
-    np.testing.assert_array_equal(lazy.wiener(5, 75), ref["dW"])
-    np.testing.assert_array_equal(lazy.wiener(38, 40), ref["dW"][33:35])
-    mine = lazy.event_path >= 5
-    np.testing.assert_array_equal(lazy.event_path[mine] - 5, ref["event_path"])
-    for name in ("event_step", "event_region", "event_marks", "event_times"):
-        np.testing.assert_array_equal(getattr(lazy, name)[mine], getattr(sample, name))
+    assert calls == [] and lazy.n_paths == 75
+    for lo, hi in ((5, 75), (38, 40)):
+        part, view = lazy.paths(lo, hi), sample.paths(lo - 5, hi - 5)
+        assert same_sample(part, view)
+        assert np.shares_memory(view.dW, sample.dW)
+    assert len(calls) == 2
+    assert same_sample(sample.paths(0, 70), sample)
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -57,6 +57,7 @@ from levyap.solver import (
     _Plan,
     _Scratch,
     _blocks,
+    _draw_block,
     _scan_block,
     _sweep_block,
     picard_solve,
@@ -1044,13 +1045,14 @@ class TestPicard:
             assert digest.hexdigest() == expected
 
     def test_planned_jump_terms_follow_the_chunks(self):
-        """The jump terms are prepared once per solve for all events of a
-        region, and a chunk of paths takes the slice that holds its
-        events.  On a set with small and large jumps, outer signals and
-        mark weights, every chunk's slice equals the terms prepared from
-        that chunk's own events, and the solve is bitwise the same for
-        threads 1 and 2 and chunk_paths 1, 7 and the default (70 paths
-        are two blocks)."""
+        """The plan holds the jump maps; a block prepares their terms at
+        its own events when it draws them, and a chunk of paths takes the
+        slice that holds its events.  On a set with small and large jumps,
+        outer signals and mark weights, each block's terms equal those
+        prepared from the block's events, every chunk's slice holds the
+        chunk's events, numbered from the block's first path, and the
+        solve is bitwise the same for threads 1 and 2 and chunk_paths 1,
+        7 and the default (70 paths are two blocks)."""
         from levyap.coefficients import jump_terms
 
         sysd = benchmark_system()
@@ -1059,18 +1061,18 @@ class TestPicard:
             _two_dim_spec(), *window_steps(-1.0, 2.0, 1.0 / 32), 1.0 / 32, 70, seed=1041
         )
         plan = _Plan.build(sysd, cs, noise, steps(0.5, noise.h))
-        assert len(plan.jumps) == 2
-        for jumps, region, tmap in zip(plan.jumps, (0, 1), (cs.jump_small, cs.jump_large)):
-            for lo, hi in [chunk for block in _blocks(70, noise.n_steps, 7) for chunk in block]:
-                own = (noise.event_region == region) & (noise.event_path >= lo)
-                own &= noise.event_path < hi
-                assert own.any()
-                a, b = jumps.starts[lo], jumps.starts[hi]
-                np.testing.assert_array_equal(jumps.path[a:b], noise.event_path[own])
-                np.testing.assert_array_equal(jumps.step[a:b], noise.event_step[own])
-                times = noise.grid[noise.event_step[own]]
-                expected = jump_terms(tmap, times, noise.event_marks[own])
-                for got_row, want_row in zip(jumps.terms_of(a, b), expected):
+        assert plan.jumps == ((0, cs.jump_small), (1, cs.jump_large))
+        for chunks in _blocks(70, noise.n_steps, 7):
+            first, last = chunks[0][0], chunks[-1][1]
+            dw, block_jumps = _draw_block(plan, first, last)
+            np.testing.assert_array_equal(dw, noise.dW[first:last])
+            for jumps, (region, tmap) in zip(block_jumps, plan.jumps):
+                mine = (noise.event_region == region) & (noise.event_path >= first)
+                mine &= noise.event_path < last
+                times = noise.grid[noise.event_step[mine]]
+                expected = jump_terms(tmap, times, noise.event_marks[mine])
+                assert len(jumps.terms) == len(expected)
+                for got_row, want_row in zip(jumps.terms, expected):
                     assert len(got_row) == len(want_row)
                     for got, want in zip(got_row, want_row):
                         assert (got.scale, got.kernel, got.coord) == (
@@ -1081,6 +1083,12 @@ class TestPicard:
                             assert (got_f is None) == (want_f is None)
                             if got_f is not None:
                                 np.testing.assert_array_equal(got_f, want_f)
+                for lo, hi in chunks:
+                    own = mine & (noise.event_path >= lo) & (noise.event_path < hi)
+                    assert own.any()
+                    a, b = jumps.starts[lo - first], jumps.starts[hi - first]
+                    np.testing.assert_array_equal(jumps.path[a:b] + first, noise.event_path[own])
+                    np.testing.assert_array_equal(jumps.step[a:b], noise.event_step[own])
         ref = picard_solve(sysd, cs, noise, tol=1e-30, max_iter=6, w=steps(0.5, noise.h))
         for chunk in (1, 7, None):
             for threads in (1, 2):
@@ -1094,9 +1102,13 @@ class TestPicard:
     def test_wide_mark_weights_are_chunk_invariant(self):
         """Mark weights on 8-d noise: the mark factor w . x of a jump term
         is a BLAS product whose rounding can depend on how many events it
-        is taken over.  Taken once over all events of a region, it gives a
-        solve that is bitwise the same for any chunking; taken per chunk,
-        the solves differed in the last bits."""
+        is taken over.  A block prepares it at its own events, so it
+        depends on the block's paths alone.  The solve is then bitwise the
+        same for any chunking, and the first two blocks' paths are bitwise
+        the same at 128, 129, 192 and 256 paths: adding paths leaves the
+        paths there are alone.  Taken over all events of the run at once,
+        the product moved the first 128 paths' bits when paths were
+        added."""
         d = 8
         spec = LevyProcessSpec(
             dim=d,
@@ -1126,6 +1138,15 @@ class TestPicard:
         ]
         for res in runs[1:]:
             np.testing.assert_array_equal(res.ensemble.values, runs[0].ensemble.values)
+        grown = []
+        for m in (128, 129, 192, 256):
+            noise = sample_noise(spec, *window_steps(-1.0, 2.0, 1.0 / 32), 1.0 / 32, m, seed=5)
+            res = picard_solve(
+                scalar_system(), cs, noise, tol=1e-30, max_iter=5, w=steps(0.5, noise.h)
+            )
+            grown.append(res.ensemble.values[:128])
+        for values in grown[1:]:
+            np.testing.assert_array_equal(values, grown[0])
 
     def test_bitwise_across_moment_blocks(self):
         """150 paths are three moment blocks, the last one partial.  The
@@ -1177,13 +1198,13 @@ class TestPicard:
             with lock:
                 alive[0] -= 1
 
-        def slow_first_worker(plan, values, chunks, scratch, dw, zero):
+        def slow_first_worker(plan, values, chunks, scratch, drawn, zero):
             block = chunks[0][0] // _MOMENT_BLOCK
             if block == raising:
                 raise RuntimeError("block failed")
             if block % 3 == 0:
                 time.sleep(0.02)
-            sums = sweep_block(plan, values, chunks, scratch, dw, zero)
+            sums = sweep_block(plan, values, chunks, scratch, drawn, zero)
             with lock:
                 swept[block] = swept.get(block, 0) + 1
                 alive[0] += 1
@@ -1374,13 +1395,14 @@ class TestPicard:
 
     @pytest.mark.parametrize("source", ["example41", "custom"])
     def test_lazy_draw_solves_as_the_drawn_sample(self, source):
-        """A ``NoiseDraw``, whose blocks draw their Wiener increments on
-        the worker that sweeps them, gives the solve of the drawn sample
-        bit for bit, values and gap trace, for 1, 2 and 3 workers and
-        chunks of 7 and 64 paths and the default: on example41's
-        coefficients, and on those of ``tests/data/custom.json``, with a
-        correlated 2-d covariance, point marks and mark weights.  150
-        paths are three blocks, the last one partial."""
+        """A ``NoiseDraw``, whose blocks draw their Wiener increments and
+        jump events on the worker that sweeps them, gives the solve of the
+        drawn sample bit for bit, values and gap trace, for 1, 2 and 3
+        workers and chunks of 7 and 64 paths and the default: on
+        example41's coefficients, and on those of
+        ``tests/data/custom.json``, with a correlated 2-d covariance, point
+        marks and mark weights.  150 paths are three blocks, the last one
+        partial."""
         if source == "custom":
             cfg = load_config(Path(__file__).parent / "data" / "custom.json")
         else:
@@ -1406,8 +1428,8 @@ class TestPicard:
         """A tol between the largest gap of one block of paths alone and
         the gap of all of them at the second iteration, and above the
         third gap: no block proves the third iteration reached on its own
-        sums, so a block parks after its second, drops its increments and
-        draws them anew once the sums of the blocks added in order prove
+        sums, so a block parks after its second, drops its noise and
+        draws it anew once the sums of the blocks added in order prove
         it.  The solve is the breadth-first oracle's, values, trace and
         iteration count, with at least one block drawn twice, for any
         worker count and chunking, and each block is swept once per
@@ -1419,20 +1441,20 @@ class TestPicard:
         noise = sample_noise(
             benchmark_spec(), *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 256, seed=43
         )
-        # by block of paths: the draws of its increments, and its sweeps
+        # by block of paths: the draws of its noise, and its sweeps
         draws, sweeps = {}, {}
-        wiener, sweep_block = noise.wiener, solver_module._sweep_block
+        paths, sweep_block = noise.paths, solver_module._sweep_block
 
-        def counted_wiener(lo, hi):
+        def counted_paths(lo, hi):
             draws[lo] = draws.get(lo, 0) + 1
-            return wiener(lo, hi)
+            return paths(lo, hi)
 
-        def counted_sweep(plan, values, chunks, scratch, dw, zero):
+        def counted_sweep(plan, values, chunks, scratch, drawn, zero):
             lo = chunks[0][0]
             sweeps[lo] = sweeps.get(lo, 0) + 1
-            return sweep_block(plan, values, chunks, scratch, dw, zero)
+            return sweep_block(plan, values, chunks, scratch, drawn, zero)
 
-        monkeypatch.setattr(noise, "wiener", counted_wiener)
+        monkeypatch.setattr(noise, "paths", counted_paths)
         monkeypatch.setattr(solver_module, "_sweep_block", counted_sweep)
         w = steps(1.0, noise.h)
         iterates = [np.zeros((256, noise.n_steps + 1, 2))]
@@ -1898,8 +1920,8 @@ def _sweep_blocks(plan, values, chunk_paths, zero):
     scratch = _Scratch(plan, max(hi - lo for chunks in blocks for lo, hi in chunks))
     sums = []
     for chunks in blocks:
-        dw = noise.wiener(chunks[0][0], chunks[-1][1])
-        sums += _sweep_block(plan, values, chunks, scratch, dw, zero)
+        drawn = _draw_block(plan, chunks[0][0], chunks[-1][1])
+        sums += _sweep_block(plan, values, chunks, scratch, drawn, zero)
     return sums
 
 
