@@ -31,12 +31,16 @@ replaced by ``OUT``, and every artifact byte for byte, except that the
 records of ``gap_trace.jsonl`` are compared without their ``wall_ms``
 timing field.  It prints one line per run, which names every
 difference of a run that differs, down to the key paths of a JSON
-artifact (``run_meta.json: config.seed``), and exits 1 when any run
-differs, 0 when every run matches.
+artifact (``run_meta.json: config.seed``), with the largest absolute
+change of a state value in ``ensemble.csv`` and of each shift's
+``sup_beta`` in ``apscan_report.json`` when both trees wrote them with
+the same rows and shifts, and exits 1 when any run differs, 0 when every
+run matches.
 """
 
 import argparse
 import filecmp
+import itertools
 import json
 import os
 import subprocess
@@ -154,6 +158,36 @@ def artifact_differences(old: Path, new: Path) -> list[str]:
     return out
 
 
+def value_changes(old: Path, new: Path) -> list[str]:
+    """The largest absolute change of the state values of ``ensemble.csv``
+    and of each shift's ``sup_beta`` between two output directories, for
+    each of the two files that both wrote alike but for the values."""
+    out = []
+    a, b = old / "ensemble.csv", new / "ensemble.csv"
+    if a.is_file() and b.is_file():
+        with open(a) as fa, open(b) as fb:
+            rows = itertools.zip_longest(fa, fb)
+            line_a, line_b = next(rows)
+            same, most = line_a == line_b, 0.0
+            for line_a, line_b in rows:
+                if line_a is None or line_b is None:
+                    same = False
+                    break
+                x, y = line_a.split(","), line_b.split(",")
+                same = same and x[:2] == y[:2] and len(x) == len(y)
+                most = max(most, *(abs(float(u) - float(v)) for u, v in zip(x[2:], y[2:])))
+        if same:
+            out.append(f"ensemble.csv values move by up to {most:.3g}")
+    a, b = old / "apscan_report.json", new / "apscan_report.json"
+    if a.is_file() and b.is_file():
+        shifts = [[(e["s"], e["sup_beta"]) for e in json.loads(p.read_text())["shifts"]]
+                  for p in (a, b)]
+        if [s for s, _ in shifts[0]] == [s for s, _ in shifts[1]]:
+            moves = [f"{abs(x - y):.3g}" for (_, x), (_, y) in zip(*shifts)]
+            out.append(f"sup_beta moves by {', '.join(moves)}")
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_src")
@@ -177,6 +211,7 @@ def main(argv=None) -> int:
             diffs = [key for key in results[0] if results[0][key] != results[1][key]]
             diffs += artifact_differences(*outs)
             if diffs:
+                diffs += value_changes(*outs)
                 differing += 1
                 print(f"DIFFER  {label}: {'; '.join(diffs)}")
                 continue

@@ -7,9 +7,9 @@ Runs ``levyap.cli.main(argv)`` N times in this process, each run writing
 its artifacts to a fresh temporary directory (an ``--out`` in the argv
 is overridden), and times four stages by wrapping them where the CLI
 and its commands look them up: ``sample_noise`` in ``levyap.noise``,
-which ``NoiseDraw.paths`` calls for each block of paths that the Picard
-workers draw, increments and jump events, a block that is taken again
-drawing again; ``picard_solve`` in ``levyap.solver``,
+which ``NoiseDraw.paths`` calls once for each block of paths that the
+Picard workers draw, increments and jump events; ``picard_solve`` in
+``levyap.solver``,
 ``_write_ensemble_csv`` in ``levyap.cli`` and ``ap_distribution_scan``
 in ``levyap.apdist``.  The library code is not changed.  Before numpy
 loads, the script applies

@@ -382,6 +382,14 @@ class APScanReport(
         }
 
 
+def scan_points(times: Sequence[int], offsets: Sequence[int]) -> list[int]:
+    """The scan times of ``ap_distribution_scan``, as grid indices in
+    increasing order: the base ``times`` and each shifted by each of the
+    ``offsets``."""
+    base = set(times)
+    return sorted(base.union(*({i + k for i in base} for k in offsets)))
+
+
 def ap_distribution_scan(
     ensemble,
     times: Sequence[int],
@@ -393,8 +401,8 @@ def ap_distribution_scan(
     """Scan the shifts of a solved ensemble for almost periodicity in
     distribution.
 
-    ``ensemble`` needs ``values`` (paths, n+1, d) on a uniform grid of
-    step ``h``.  The scan works in whole grid steps: ``times`` are the
+    ``ensemble`` is a ``PathEnsemble`` on a uniform grid of step ``h``
+    that holds every scan time (``rows``).  The scan works in whole grid steps: ``times`` are the
     base times as grid indices and ``offsets`` the shifts' steps.  The
     report states each shift as its steps times ``h``, the expression of
     the grid's times, so it states the shift that was scanned.  The scan
@@ -412,10 +420,12 @@ def ap_distribution_scan(
     """
     values = np.asarray(ensemble.values)
     shifts = np.asarray(offsets) * ensemble.h
-    base = set(times)
-    scan = sorted(base.union(*({i + k for i in base} for k in offsets)))
+    scan = scan_points(times, offsets)
     paths = _law_paths(len(values), n_support, seed)
-    laws = {i: EmpiricalLaw.from_samples(values[paths, i, :]) for i in scan}
+    laws = {
+        i: EmpiricalLaw.from_samples(values[paths, row, :])
+        for i, row in zip(scan, ensemble.rows(scan).tolist())
+    }
     sups = np.zeros(len(shifts))
     counts = np.zeros(len(shifts), dtype=int)
     for si, k in enumerate(offsets):

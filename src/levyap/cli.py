@@ -27,6 +27,7 @@ from .config import (
     RunConfig,
     check_conditions,
     config_to_dict,
+    csv_stride,
     load_config,
     parse_number,
     preset_config,
@@ -44,8 +45,7 @@ if TYPE_CHECKING:
 
 __all__ = ["main"]
 
-SCHEMA_VERSION = 1
-_CSV_ROW_TARGET = 500_000
+SCHEMA_VERSION = 2
 # fields (time, path and state values) per block of ensemble.csv rows.
 # While a block is written a field takes 46-75 bytes: its share of the
 # row matrix, of the NUL mask and of the text (tracemalloc, 1, 2 and 8
@@ -87,16 +87,10 @@ def _write_jsonl(path: Path, records) -> None:
             fh.write("\n")
 
 
-def _csv_stride(n_steps: int, n_paths: int, configured: Optional[int]) -> int:
-    if configured is not None:
-        return configured
-    rows = (n_steps + 1) * n_paths
-    return max(1, int(math.ceil(rows / _CSV_ROW_TARGET)))
-
-
 def _write_ensemble_csv(path: Path, ens: PathEnsemble, stride: int) -> None:
     """Rows (t, path, y0..y{d-1}) in time-major order, every ``stride``-th
-    grid point; every float is written as its ``repr``.
+    grid point, each of which the ensemble holds (``PathEnsemble.points``);
+    every float is written as its ``repr``.
 
     Works on blocks of grid points of at most ``_CSV_BLOCK_FIELDS``
     fields (one grid point at least) in one matrix of 64-bit words, a row
@@ -107,18 +101,17 @@ def _write_ensemble_csv(path: Path, ens: PathEnsemble, stride: int) -> None:
     separator, formatting a whole column with numpy integer arithmetic
     and no Python code per value.  Every byte that is not text is NUL, so
     a block is written as its matrix with the NUL bytes removed.  A
-    coordinate that is +0.0 throughout (bit pattern all zero) takes one
-    word, ``0.0`` and its separator, written once; example41's first
-    coordinate is one.
+    coordinate that is +0.0 at every point the ensemble holds (bit
+    pattern all zero) takes one word, ``0.0`` and its separator, written
+    once; example41's first coordinate is one.
     """
     from ._floatfmt import ReprFormatter
 
     m, d = ens.n_paths, ens.dim
-    written = ens.values[:, ::stride, :]
-    n_points = written.shape[1]
+    n_points = ens.n_steps // stride + 1
     per_block = min(max(1, _CSV_BLOCK_FIELDS // (m * (d + 2))), n_points)
     ends = b"," * (d - 1) + b"\n"
-    zero = [not written[:, :, i].view(np.uint64).any() for i in range(d)]
+    zero = [not ens.values[:, :, i].view(np.uint64).any() for i in range(d)]
     runs = []  # [first, stop) of each run of adjacent formatted coordinates
     for i in range(d):
         if zero[i]:
@@ -143,11 +136,12 @@ def _write_ensemble_csv(path: Path, ens: PathEnsemble, stride: int) -> None:
     with open(path, "wb") as fh:
         fh.write(("t,path," + ",".join(f"y{i}" for i in range(d)) + "\n").encode())
         for lo in range(0, n_points, per_block):
-            block = written[:, lo : lo + per_block]
-            k = block.shape[1]
+            points = stride * np.arange(lo, min(lo + per_block, n_points))
+            block = ens.values[:, ens.rows(points)]
+            k = len(points)
             n = k * m
             # the grid's own expression, so each time rounds as in ``grid``
-            times = (ens.k_lo + stride * np.arange(lo, lo + k)) * ens.h
+            times = (ens.k_lo + points) * ens.h
             t_text = [f"{t!r},".rjust(_TIME_BYTES + 1, "\0") for t in times.tolist()]
             t_bytes = np.array(t_text, dtype=f"S{_TIME_BYTES + 1}").view(np.uint8)
             text[:k, :, : _TIME_BYTES + 1] = t_bytes.reshape(k, 1, _TIME_BYTES + 1)
@@ -193,9 +187,11 @@ def _condition_report(run: Run, out: Path):
     return rep
 
 
-def _run_picard(run: Run, out: Path, threads: int):
+def _run_picard(run: Run, out: Path, threads: int, scan=()):
     """Condition check + solve on ``threads`` workers; writes the shared
-    picard artifacts and returns (result, exit_code)."""
+    picard artifacts and returns (result, exit_code).  The result keeps
+    the states at the grid points that ensemble.csv writes and at the
+    grid points ``scan`` (steps from the window start), no others."""
     from .solver import picard_solve
 
     rep = _condition_report(run, out)
@@ -208,6 +204,10 @@ def _run_picard(run: Run, out: Path, threads: int):
 
     cfg = run.config
     num = cfg.numerics
+    stride = csv_stride(run.n, num.n_paths, num.csv_stride)
+    kept = np.zeros(run.n + 1, dtype=bool)
+    kept[::stride] = True
+    kept[list(scan)] = True
     # nothing is drawn here: each block of paths draws its increments
     # and jump events on the worker that sweeps it
     res = picard_solve(
@@ -218,19 +218,19 @@ def _run_picard(run: Run, out: Path, threads: int):
         max_iter=num.max_iter,
         w=run.w,
         threads=threads,
+        keep=np.flatnonzero(kept),
     )
     _write_jsonl(out / "gap_trace.jsonl", res.gap_trace)
-    ens = res.ensemble
-    stride = _csv_stride(ens.n_steps, ens.n_paths, num.csv_stride)
-    _write_ensemble_csv(out / "ensemble.csv", ens, stride)
+    _write_ensemble_csv(out / "ensemble.csv", res.ensemble, stride)
     meta = {
         "schema_version": SCHEMA_VERSION,
         "package_version": __version__,
         "config": config_to_dict(cfg),
         "converged": res.converged,
         "iterations": res.iterations,
-        "final_gap": _json_scalar(res.gap_trace[-1]["gap"]),
-        "sup_second_moment": _json_scalar(res.gap_trace[-1]["sup_second_moment"]),
+        "block_iterations": list(res.block_iterations),
+        "final_gap": _json_scalar(res.final_gap),
+        "sup_second_moment": _json_scalar(res.sup_second_moment),
         "tail_report": {k: _json_scalar(v) for k, v in res.tail_report.items()},
         "csv_stride": stride,
         "gap_trace": _strip_wall(res.gap_trace),
@@ -239,8 +239,7 @@ def _run_picard(run: Run, out: Path, threads: int):
     print(
         f"picard: {'converged' if res.converged else 'NOT converged'} "
         f"after {res.iterations} iterations, final gap "
-        f"{res.gap_trace[-1]['gap']:.3e}, sup second moment "
-        f"{res.gap_trace[-1]['sup_second_moment']:.6g}"
+        f"{res.final_gap:.3e}, sup second moment {res.sup_second_moment:.6g}"
     )
     print(f"artifacts written to {out}")
     code = 0 if (res.converged and rep.verdict_existence) else 1
@@ -262,16 +261,17 @@ def cmd_picard(run: Run, out: Path, threads: int) -> int:
 
 
 def cmd_apscan(run: Run, out: Path, threads: int) -> int:
-    from .apdist import ap_distribution_scan
+    from .apdist import ap_distribution_scan, scan_points
 
     cfg = run.config
     ana = cfg.analysis
     if not ana.shifts:
         raise ConfigError("apscan needs analysis.times and analysis.shifts")
-    res, code = _run_picard(run, out, threads)
+    times = [i - run.k_lo for i in run.times]
+    res, code = _run_picard(run, out, threads, scan_points(times, run.shifts))
     scan = ap_distribution_scan(
         res.ensemble,
-        [i - run.k_lo for i in run.times],
+        times,
         run.shifts,
         float(ana.epsilon),
         n_support=ana.law_support,

@@ -66,6 +66,7 @@ __all__ = [
     "Run",
     "ConditionReport",
     "check_conditions",
+    "csv_stride",
     "validate_config",
 ]
 
@@ -621,14 +622,29 @@ def grid_steps(x: Number, h: Number, key: str) -> int:
     return steps.numerator
 
 
-# the most doubles a run's noise (n_paths x steps x levy.dim, and
-# levy.dim + 4 for each expected jump event) and ensemble (n_paths x
-# (steps + 1) x state dimension) may hold, 2 GiB: a
-# fixed number, so a config is accepted or rejected alike on every
-# machine.  1024 paths of example41 over the window [-2, 562] at
-# h = 1/64, a scan at its coefficients' almost periods, hold 1.2e8 of
-# them
+# the most doubles a run may hold, 2 GiB: the states it keeps (n_paths x
+# kept grid points x state dimension, the kept points every csv_stride-th
+# one and a scan's times) and one block's noise (BLOCK_PATHS x steps x
+# levy.dim, and levy.dim + 4 for each expected jump event of the block)
+# and states (BLOCK_PATHS x (steps + 1) x state dimension).  Each worker
+# of the solve holds a block, and the count takes one.  A fixed number,
+# so a config is accepted or rejected alike on every machine.  1024
+# paths of example41 over the window [-2, 562] at h = 1/64, a scan at
+# its coefficients' almost periods, hold 8.4e6 of them
 RUN_DOUBLES = 2**28
+# paths per block of the Picard solve, its unit of work
+BLOCK_PATHS = 64
+# ensemble.csv writes at most about this many rows by default
+_CSV_ROW_TARGET = 500_000
+
+
+def csv_stride(n: int, n_paths: int, configured: Optional[int]) -> int:
+    """Every how many grid points ensemble.csv writes on a window of ``n``
+    steps: ``configured``, or by default the least stride that writes at
+    most about ``_CSV_ROW_TARGET`` rows of ``n_paths`` paths."""
+    if configured is not None:
+        return configured
+    return max(1, -(-(n + 1) * n_paths // _CSV_ROW_TARGET))
 
 Run = namedtuple("Run", "config system spec coefficients k_lo n w times shifts conditions")
 Run.__doc__ = """A validated run: its config and what ``validate_config`` built from
@@ -691,31 +707,37 @@ def validate_config(cfg: RunConfig) -> Run:
     if cfg.seed < 0:
         raise ConfigError("seed must be nonnegative")
 
-    # the noise sample and the ensemble must fit the run budget; checked
-    # on the declared dimensions, before the builders make lists of that
-    # length.  The step count can be too large for a float, so Decimal
-    # formats it
+    # the kept states and one block's noise and states must fit the run
+    # budget; checked on the declared dimensions, before the builders make
+    # lists of that length.  The step count can be too large for a float,
+    # so Decimal formats it
     n = k_hi - k_lo
-    doubles = num.n_paths * (n * cfg.levy.dim + (n + 1) * len(cfg.system.a))
+    d = len(cfg.system.a)
+    block = min(num.n_paths, BLOCK_PATHS)
+    scan = len(cfg.analysis.times) * (1 + len(cfg.analysis.shifts))
+    kept = min(n + 1, n // csv_stride(n, num.n_paths, num.csv_stride) + 1 + scan)
+    doubles = num.n_paths * kept * d + block * (n * cfg.levy.dim + (n + 1) * d)
     if doubles > RUN_DOUBLES:
         raise ConfigError(
             f"numerics.h = {h} splits the window [{t_lo}, {t_hi}] into {Decimal(n):.3g} "
-            f"steps, and with numerics.n_paths = {num.n_paths} the noise and the ensemble "
-            f"hold {Decimal(doubles):.3g} doubles, above the budget of {RUN_DOUBLES} (2 GiB)"
+            f"steps, and with numerics.n_paths = {num.n_paths} the kept states and one "
+            f"block's noise and states hold {Decimal(doubles):.3g} doubles, above the "
+            f"budget of {RUN_DOUBLES} (2 GiB)"
         )
-    # and so must the jump events, each a time, levy.dim marks, a path, a
-    # step and a region.  Their expected number is summed in Fractions, so
-    # that a rate near the largest double cannot overflow
+    # and so must the block's jump events, each a time, levy.dim marks, a
+    # path, a step and a region.  Their expected number is summed in
+    # Fractions, so that a rate near the largest double cannot overflow
     jumps = enumerate(cfg.levy.jumps)
     rates = sum((_as_fraction(j.rate, f"levy.jumps[{i}].rate") for i, j in jumps), Fraction(0))
-    events = num.n_paths * rates * (Fraction(t_hi) - Fraction(t_lo))
+    events = block * rates * (Fraction(t_hi) - Fraction(t_lo))
     doubles += events * (cfg.levy.dim + 4)
     if doubles > RUN_DOUBLES:
         raise ConfigError(
             f"levy.jumps: the rates expect {Decimal(math.ceil(events)):.3g} jump events on "
-            f"numerics.n_paths = {num.n_paths} paths over the window [{t_lo}, {t_hi}], and "
-            f"with the noise and the ensemble the run holds {Decimal(math.ceil(doubles)):.3g} "
-            f"doubles, above the budget of {RUN_DOUBLES} (2 GiB)"
+            f"a block of {block} paths over the window [{t_lo}, {t_hi}], and with the kept "
+            f"states and the block's noise and states the run holds "
+            f"{Decimal(math.ceil(doubles)):.3g} doubles, above the budget of {RUN_DOUBLES} "
+            "(2 GiB)"
         )
     # a stride past the last step writes the first grid time alone
     if num.csv_stride is not None and num.csv_stride > n:

@@ -40,23 +40,27 @@ live mode's forcing, couplings and scan powers, and each reached
 coordinate's nonzero assembly terms.  Each chunk of paths then runs
 those lists in a path-major kernel that decides nothing: (paths, time)
 rows with time contiguous, forcing added straight into the modal
-accumulations.  S maps each path to itself, so the Picard solve
-overwrites one ensemble in place and runs it block-major (``_iterate``):
-a worker takes a block, draws its noise, and runs its iterations back to
-back for as long as the solve provably reaches them, taking the moment
-and gap sums in the same sweep, one reduce per chunk and coordinate.
-Each iteration's block sums join in block order as soon as every earlier
-block's have, so results are bitwise identical for any chunking, thread
-count and schedule, and the solve holds one ensemble plus, per worker,
-one block's noise and scratch.  A block's jump values are computed once
-per sweep, before its first chunk.  The first sweep starts from the zero
-ensemble, where every grid term's value depends on the time alone: each
-chunk reads its state columns as one row of paths and broadcasts the
-values over its paths.
+accumulations.
 
-The ensemble is stored coordinate-major, one contiguous (paths, n + 1)
+S maps each path to itself, so each block of paths is a Monte-Carlo
+sample of the fixed point on its own, and the Picard solve is a work
+queue of blocks (``_iterate``): a worker takes the next block, draws its
+noise, overwrites the block's states in place, sweep after sweep, until
+the block's own gap is at most the tolerance, keeps the states at the
+grid points the caller asks for, and drops the noise.  A sweep takes the
+moment and gap sums as it goes, one reduce per chunk and coordinate, and
+the blocks' sums are added in block order, so results are bitwise
+identical for any chunking, thread count and schedule.  The solve holds
+the kept points of every path plus, per worker, one block's states,
+noise and scratch.  A block's jump values are computed once per sweep,
+before its first chunk.  The first sweep starts from zero states, where
+every grid term's value depends on the time alone: each chunk reads its
+state columns as one row of paths and broadcasts the values over its
+paths.
+
+The states are stored coordinate-major, one contiguous (paths, n + 1)
 slab per state coordinate; ``PathEnsemble.values`` is then a (paths,
-n + 1, dim) view of that storage.  The plan finds the output
+points, dim) view of that storage.  The plan finds the output
 coordinates S can reach at all (some forcing row that can exist drives
 a mode that maps back to them); the sweep reads, sums and writes only
 those, so a coordinate S cannot reach is never touched.
@@ -83,6 +87,7 @@ from .coefficients import (
     point_values,
     term_value,
 )
+from .config import BLOCK_PATHS
 from .dichotomy import DichotomousSystem
 from .noise import NoiseSample
 
@@ -105,9 +110,9 @@ __all__ = [
 # default), 0.71-0.76 s with 8 and 0.85-0.97 s with 4; smaller chunks pay
 # only if the per-chunk cost falls much further.
 _CHUNK_BUDGET = 131_072
-# paths per block: a worker's unit of work, and the unit of the
-# second-moment sums, whose rounding depends on it
-_MOMENT_BLOCK = 64
+# paths per block: a worker's unit of work, solved to its own stop, and
+# the unit of the second-moment sums, whose rounding depends on it
+_MOMENT_BLOCK = BLOCK_PATHS
 # largest |log|lam|| * block of one scan block: lam^{-i} stays below e^600
 _SCAN_NATS = 600.0
 
@@ -126,37 +131,51 @@ class PathEnsemble:
 
     The grid is integer-indexed (``k_lo`` .. ``k_lo + n_steps`` times
     ``h``) like the noise grid, so ensembles and noise windows align
-    exactly.  ``values`` has shape (paths, n_steps + 1, dim); it may be
-    a view of coordinate-major (dim, paths, n_steps + 1) storage, as the
-    result of ``picard_solve`` is, whose moment sums prove every state
-    finite.
+    exactly.  ``values`` has shape (paths, rows, dim), a row per grid
+    point of ``points`` (increasing steps from ``k_lo``), or a row per
+    grid point when ``points`` is None, and then ``n_steps`` is the rows
+    less one.  It may be a view of coordinate-major (dim, paths, rows)
+    storage, as the result of ``picard_solve`` is, whose moment sums
+    prove every state finite.
     """
 
-    def __init__(self, h: float, k_lo: int, values: np.ndarray):
+    def __init__(self, h: float, k_lo: int, values: np.ndarray, points=None, n_steps=None):
         self.h = h
         self.k_lo = k_lo
         self.values = values
+        self.points = points
+        self.n_steps = values.shape[1] - 1 if n_steps is None else n_steps
 
     @property
     def n_paths(self) -> int:
         return self.values.shape[0]
 
     @property
-    def n_steps(self) -> int:
-        return self.values.shape[1] - 1
-
-    @property
     def dim(self) -> int:
         return self.values.shape[2]
 
+    def rows(self, points) -> np.ndarray:
+        """The rows of ``values`` at the grid points ``points``, each one
+        the ensemble holds."""
+        points = np.asarray(points, dtype=np.intp)
+        if self.points is None:
+            return points
+        at = np.searchsorted(self.points, points)
+        if not np.array_equal(np.take(self.points, at, mode="clip"), points):
+            raise SolverError("the ensemble does not hold every grid point asked for")
+        return at
 
-def _sup_mean(sums: np.ndarray, n_times: int, m: int) -> float:
+
+def _sup_mean(sums: np.ndarray, m: int, reach: list, dim: int) -> float:
     """Largest value over the grid of the path-average whose sums over
-    the m paths are ``sums``, one per (time, coordinate), added up over
-    the coordinates.  The coordinates are added as one C-contiguous row
-    per time, so a transposed view rounds as its copy does.  A NaN or an
-    infinite sum makes it non-finite."""
-    rows = np.ascontiguousarray(sums).reshape(n_times, -1)
+    the m paths are ``sums``, a row per coordinate of ``reach``, added
+    up over the ``dim`` coordinates.  The sums go to the columns
+    ``reach`` of a (times, dim) array whose other columns hold +0.0, so
+    the coordinates are added as one C-contiguous row per time and round
+    as the sums of every coordinate do.  A NaN or an infinite sum makes
+    it non-finite."""
+    rows = np.zeros((sums.shape[1], dim))
+    rows[:, reach] = sums.T
     return float(rows.sum(axis=1).max()) / m
 
 
@@ -402,6 +421,11 @@ class _Plan(
 
     @classmethod
     def build(cls, sys, cs, noise, w) -> "_Plan":
+        # the blocks draw with numpy.random; loaded here, before a worker
+        # holds a block, its import took 1.2 MB off a cold example41
+        # run's peak RSS
+        import numpy.random  # noqa: F401
+
         h, n = noise.h, noise.n_steps
         ts = noise.grid[:-1]
         drift, stoch = [], []
@@ -490,7 +514,7 @@ class _Plan(
 
 class _Scratch:
     """One worker's (paths, time) arrays for chunks of up to ``paths``
-    paths, allocated once per solve as the rows of one array.  The kernel
+    paths, allocated once per solve and worker as the rows of one array.  The kernel
     works in views of them, so a chunk allocates no array of its size.
 
     ``_apply_chunk`` runs in three phases, and arrays whose phases do not
@@ -498,7 +522,7 @@ class _Scratch:
 
     - forcing: ``later`` for the stochastic terms after a row's first
       and ``sum_buf`` for ``add_terms`` build the drift and stochastic
-      rows from the state columns, which are views of the ensemble; the
+      rows from the state columns, which are views of the block's states; the
       zero sweep evaluates a stochastic entry into the (1, n) row
       ``shared``, apart from the rows its noise product fills.
       ``later`` exists only when some coordinate has two or more
@@ -687,13 +711,15 @@ def _add_rows(acc: np.ndarray, rows: np.ndarray) -> None:
 
 
 def _sweep_block(
-    plan: _Plan, values: np.ndarray, chunks, scratch: _Scratch, drawn: tuple, zero: bool
+    plan: _Plan, block: np.ndarray, chunks, scratch: _Scratch, drawn: tuple, zero: bool
 ):
-    """Apply S in place to the paths of one block of the coordinate-major
-    (dim, paths, n + 1) array ``values``, chunk by chunk, with ``drawn``
-    the block's noise (``_draw_block``); ``zero`` as in ``_apply_chunk``.
-    The block's jump values are computed first, from the states before
-    the sweep.
+    """Apply S in place to one block of paths, chunk by chunk: ``block``
+    holds the block's states, coordinate-major (dim, paths, n + 1), and
+    ``chunks`` are the path ranges of its chunks (``_blocks``), counted
+    in the run, so the first starts at the block's first path.  ``drawn``
+    is the block's noise (``_draw_block``); ``zero`` as in
+    ``_apply_chunk``.  The block's jump values are computed first, from
+    the states before the sweep.
 
     Returns the block's sums over its paths of new^2 and of (new - old)^2,
     shape (len(plan.reach), times), a row per coordinate of
@@ -706,8 +732,7 @@ def _sweep_block(
     """
     dw, jumps = drawn
     first = chunks[0][0]
-    block = values[:, first : chunks[-1][1]]
-    shape = (len(plan.assembly), values.shape[2])
+    shape = (len(plan.assembly), block.shape[2])
     moment, gap = np.zeros(shape), np.zeros(shape)
     block_jumps = _block_jumps(jumps, block)
     # squares of overflowing or non-finite states are left to the
@@ -757,221 +782,134 @@ def _blocks(m: int, n: int, chunk_paths: Optional[int]) -> list[list[tuple[int, 
     return blocks
 
 
-class _Iteration:
-    """The sums of one Picard iteration while its blocks finish: the
-    ``moment`` and ``gap`` sums of the blocks added so far, in block
-    order, with a row per coordinate of ``_Plan.reach`` as a block's,
-    whose count is ``added``; the sums of blocks that finished before an
-    earlier block, by block (``waiting``); and the workers' summed
-    ``seconds`` on the iteration's blocks."""
-
-    __slots__ = ("moment", "gap", "added", "waiting", "seconds")
-
-    def __init__(self, shape: tuple, zero: bool):
-        self.moment = np.zeros(shape)
-        # from the zero ensemble new - 0 is new: the gap sums are the moment sums
-        self.gap = self.moment if zero else np.zeros(shape)
-        self.added, self.waiting, self.seconds = 0, {}, 0.0
-
-
 def _iterate(
     plan: _Plan,
-    values: np.ndarray,
+    out: np.ndarray,
+    keep: Optional[np.ndarray],
     tol: float,
     max_iter: int,
     chunk_paths: Optional[int],
     threads: int,
-    zero: bool = True,
-) -> list:
-    """Picard iterations of S, in place on the coordinate-major (dim,
-    paths, n + 1) array ``values``, until the gap is at most ``tol`` or
-    ``max_iter`` iterations are done; ``zero`` says that ``values``
-    holds +0.0 throughout, so the first iteration evaluates the grid
-    terms on one row of states (``_apply_chunk``).  Returns the gap
-    trace, one record per iteration.
+) -> tuple[list, list, tuple]:
+    """Picard iterations of S from the zero ensemble, one block of paths
+    at a time, writing each block's final states at the grid points
+    ``keep`` (increasing, or None for every point) into the
+    coordinate-major (dim, paths, points) array ``out``.  Returns the
+    gap trace, one record per iteration, each block's (iterations,
+    converged), and the gap and the moment over every path, each block
+    at its last iteration: the last record's when every block stops at
+    the same count.
 
-    Block-major: a worker takes a block of paths, draws its noise
-    (``_draw_block``) and runs its iterations back to back, each a
-    ``_sweep_block``, for as long as the solve provably reaches them;
-    then it drops the noise and takes another block.
-    K*, the iteration at which the solve stops, is the first whose gap
-    is at most ``tol``, or ``max_iter``.  Iteration k + 1 is proven
-    reached once k < ``max_iter`` and the gap of some subset of
-    iteration k's block sums is above ``tol``: the block's own sums, or
-    those of the blocks added so far.  The sums are nonnegative and
-    floating addition is monotone in each term, so a subset never gives
-    a larger gap than all blocks do, and no block runs past K*.  A block
-    that cannot go on parks with its iterate in ``values``; once an
-    iteration is proven reached, a parked block is taken again.  A block
-    taken again, after it parked or after its worker left it for a lower
-    block, draws its noise anew, bitwise the same.
+    A work queue: a worker takes the next block, draws its noise
+    (``_draw_block``) and sweeps it (``_sweep_block``) until the block's
+    own gap, sup_t of the mean over its paths of |X_k - X_{k-1}|^2, is
+    at most ``tol`` or ``max_iter`` sweeps are done.  S maps each path to
+    itself, so the block needs nothing from the others.  The worker then
+    writes the block's kept states, drops its noise, adds its sums of
+    each iteration to that iteration's totals and takes the next block.
+    If every block ends with its gap at most ``tol``, so does the gap of
+    every path that ran the last iteration: sup_t of a weighted mean of
+    the blocks' means is at most the largest block's sup.
 
-    Each iteration's block sums are added in block order as soon as every
-    earlier block's are (``_Iteration``), so the trace is bitwise the
-    same for any chunking, worker count and schedule.  A record's
-    ``wall_ms`` is the workers' summed time on the iteration's blocks:
-    their sweeps, and a block's draw for the iteration it was drawn for.
-    A block whose moment sums are not all finite is checked exactly: a
-    non-finite state raises, at an iteration the solve reaches.
+    The totals are added in block order, so the trace is bitwise the
+    same for any chunking, worker count and schedule: a block adds each
+    sweep's sums as it ends once every earlier block's are added, and
+    holds them until then; a worker whose block stops first waits for
+    its turn.  So at most one block's sums per worker are alive.  Record
+    k holds the gap and the moment over the paths of the blocks that ran
+    k, all paths when every block stops at the same count.  Its
+    ``wall_ms`` is the workers' summed time on those blocks' sweeps of
+    k, a block's noise draw counted with its first.  A block whose
+    moment sums are not all finite is checked exactly: a non-finite
+    state raises.
 
-    Worker i of ``threads`` is the calling thread for i = 0, and a free
-    worker takes the lowest block that may run its next iteration k.  A
-    block may run k only while it lies fewer than 2 * workers blocks past
-    the lowest block that has not done k (the frontier of k), and, unless
-    it is that block, while fewer than workers - 1 blocks' sums wait to
-    be added or are being computed past their frontier.  A frontier
-    block's sums are added as it finishes, so fewer than 2 * workers
-    blocks' sums are alive at a time, the workers' own included.  A
-    worker whose block may not run k yet waits, unless a lower block is
-    free, which it then takes; the lowest held block can always run, so
-    some worker always can.  Every worker has one scratch, and holds one
-    block's noise.
+    Worker i of ``threads`` is the calling thread for i = 0.  A worker
+    allocates its scratch and, when ``keep`` is given, one block's
+    states once, and reuses them from block to block; with every point
+    kept, a block is swept in place in ``out``.
     """
     noise = plan.noise
-    m, n_times = noise.n_paths, noise.n_steps + 1
-    blocks = _blocks(m, noise.n_steps, chunk_paths)
+    n_times = noise.n_steps + 1
+    blocks = _blocks(noise.n_paths, noise.n_steps, chunk_paths)
     workers = min(threads, len(blocks))
     largest = max(hi - lo for chunks in blocks for lo, hi in chunks)
-    scratch = [_Scratch(plan, largest) for _ in range(workers)]
-    reach = plan.reach
+    dim, reach = out.shape[0], list(plan.reach)
     shape = (len(reach), n_times)
-    done = [0] * len(blocks)  # the iterations each block has done
-    busy = [False] * len(blocks)
-    sums = {}  # the _Iteration of each iteration not yet complete
-    trace = []
+    totals = []  # per iteration: moment and gap sums, paths and seconds
+    final = [np.zeros(shape), np.zeros(shape)]  # each block's last gap and moment sums
+    outcome = [None] * len(blocks)
     turn = threading.Condition()
-    proven, last, failed = 1, None, False
-    waiting = 0  # the blocks' sums that wait for an earlier block's
-    ahead = 0  # the blocks that run an iteration past its frontier
+    queue = iter(range(len(blocks)))
+    added, failed = 0, False
 
-    def frontier(k: int) -> int:
-        """The lowest block that has not done iteration k: blocks finish
-        k in any order, but their sums are added in block order."""
-        if k in sums:
-            return sums[k].added
-        return len(blocks) if k <= len(trace) else 0
+    def add(sums: list, first: int, paths: int) -> None:
+        """Add a block's sums of its iterations from ``first`` on to their
+        totals and drop them; the caller holds ``turn``, and every earlier
+        block's sums are added."""
+        for k, (moment, gap, seconds) in enumerate(sums, first):
+            if k == len(totals):
+                totals.append([np.zeros(shape), np.zeros(shape), 0, 0.0])
+            it = totals[k]
+            it[0] += moment
+            it[1] += gap
+            it[2] += paths
+            it[3] += seconds
+        sums.clear()
 
-    def may_run(b: int) -> bool:
-        """Whether block b may run its next iteration k now: the solve
-        reaches k, b lies fewer than 2 * workers blocks past the lowest
-        block that has not done k, and b's sums of k will be added at
-        once or fewer than workers - 1 blocks' sums wait or run ahead."""
-        k = done[b] + 1
-        first = frontier(k)
-        return k <= proven and b < first + 2 * workers and (
-            b == first or waiting + ahead < workers - 1
-        )
+    def solve(b: int, scratch: _Scratch, states: Optional[np.ndarray]) -> None:
+        """Sweep block b from zero states to its stop, in ``out`` or, when
+        points are kept, in the worker's ``states``; keep its states and
+        add its sums and outcome in turn."""
+        nonlocal added
+        chunks = blocks[b]
+        lo, hi = chunks[0][0], chunks[-1][1]
+        if states is None:
+            block = out[:, lo:hi]
+        else:
+            block = states[:, : hi - lo]
+            block[reach] = 0.0
+        t0 = time.perf_counter()
+        drawn = _draw_block(plan, lo, hi)
+        held, count, converged = [], 0, False
+        while not converged and count < max_iter:
+            moment, gap = _sweep_block(plan, block, chunks, scratch, drawn, not count)
+            # finite moment sums prove the block's states finite
+            if not (np.isfinite(moment).all() or np.isfinite(block).all()):
+                raise SolverError("ensemble contains non-finite states")
+            t1 = time.perf_counter()
+            held.append((moment, gap, t1 - t0))
+            count, t0 = count + 1, t1
+            converged = _sup_mean(gap, hi - lo, reach, dim) <= tol
+            with turn:
+                if added == b:
+                    add(held, count - len(held), hi - lo)
+        del drawn
+        if keep is not None:
+            for i in reach:
+                # "clip" writes straight into out; keep is in range
+                np.take(block[i], keep, axis=1, out=out[i, lo:hi], mode="clip")
+        with turn:
+            turn.wait_for(lambda: failed or added == b)
+            if failed:
+                return
+            add(held, count - len(held), hi - lo)
+            final[0] += gap
+            final[1] += moment
+            outcome[b] = (count, converged)
+            added += 1
+            turn.notify_all()
 
-    def start(b: int) -> bool:
-        """Take block b's next iteration; whether it runs ahead of its
-        frontier, so that its sums may wait."""
-        nonlocal ahead
-        past = b != frontier(done[b] + 1)
-        ahead += past
-        return past
-
-    def next_block() -> Optional[int]:
-        """The lowest block that no worker holds and that may run now.
-        One that has not done k is not below ``frontier(k)``, and
-        ``frontier`` falls as k rises, so it lies in this range."""
-        end = min(frontier(1) + 2 * workers, len(blocks))
-        return next((b for b in range(frontier(proven), end) if not busy[b] and may_run(b)), None)
-
-    def below(b: int) -> bool:
-        """Whether a block below b is free to run."""
-        free = next_block()
-        return free is not None and free < b
-
-    def sup_mean(reached: np.ndarray) -> float:
-        """``_sup_mean`` of sums with a row per coordinate of ``reach``,
-        the other coordinates' +0.0 included, so that it rounds as the sums
-        of every coordinate do."""
-        rows = np.zeros((n_times, values.shape[0]))
-        rows[:, list(reach)] = reached.T
-        return _sup_mean(rows, n_times, m)
-
-    def add(b: int, k: int, block_sums: tuple, seconds: float, past: bool) -> None:
-        """Add block b's sums of iteration k, which ran ahead of its
-        frontier if ``past``; record the iteration once every block's are
-        added, and prove what they prove."""
-        nonlocal proven, last, waiting, ahead
-        ahead -= past
-        it = sums.get(k)
-        if it is None:
-            it = sums[k] = _Iteration(shape, zero and k == 1)
-        waited = len(it.waiting)
-        it.seconds += seconds
-        it.waiting[b] = block_sums
-        first = it.added
-        while it.added in it.waiting:
-            block_moment, block_gap = it.waiting.pop(it.added)
-            it.moment += block_moment
-            if it.gap is not it.moment:
-                it.gap += block_gap
-            it.added += 1
-        waiting += len(it.waiting) - waited
-        if it.added == len(blocks):
-            del sums[k]
-            gap, moment = sup_mean(it.gap), sup_mean(it.moment)
-            trace.append({"k": k, "gap": gap, "sup_second_moment": moment,
-                          "wall_ms": it.seconds * 1000.0})
-            if gap <= tol or k == max_iter:
-                last = k
-            else:
-                proven = max(proven, k + 1)
-        elif proven == k < max_iter:
-            # block b's sums joined those added so far, which bound them,
-            # or wait alone
-            if not sup_mean(it.gap if it.added > first else block_sums[1]) <= tol:
-                proven = k + 1
-
-    def run(worker: int) -> None:
+    def run() -> None:
         nonlocal failed
         try:
+            scratch = _Scratch(plan, largest)
+            states = None if keep is None else np.zeros((dim, blocks[0][-1][1], n_times))
             while True:
                 with turn:
-                    turn.wait_for(lambda: failed or last is not None or next_block() is not None)
-                    if failed or last is not None:
-                        return
-                    b = next_block()
-                    busy[b] = True
-                    past = start(b)
-                chunks = blocks[b]
-                lo, hi = chunks[0][0], chunks[-1][1]
-                t0 = time.perf_counter()
-                drawn = _draw_block(plan, lo, hi)
-                more = True
-                while more:
-                    k = done[b] + 1
-                    block_sums = _sweep_block(
-                        plan, values, chunks, scratch[worker], drawn, zero and k == 1
-                    )
-                    # finite moment sums prove the block's states finite
-                    finite = np.isfinite(block_sums[0]).all() or np.isfinite(values[:, lo:hi]).all()
-                    if not finite:
-                        raise SolverError("ensemble contains non-finite states")
-                    seconds = time.perf_counter() - t0
-                    with turn:
-                        if failed:
-                            return
-                        done[b] = k
-                        add(b, k, block_sums, seconds, past)
-                        # the sums live on only where they wait
-                        del block_sums
-                        turn.notify_all()
-                        # a block that may not run its next iteration yet
-                        # waits, with its noise, unless a lower block is free
-                        turn.wait_for(lambda: failed or done[b] >= proven or may_run(b) or below(b))
-                        if failed:
-                            return
-                        more = may_run(b)
-                        if more:
-                            past = start(b)
-                        else:
-                            busy[b] = False
-                            turn.notify_all()
-                    t0 = time.perf_counter()
-                del drawn
+                    b = None if failed else next(queue, None)
+                if b is None:
+                    return
+                solve(b, scratch, states)
         except BaseException:
             with turn:
                 failed = True
@@ -979,21 +917,26 @@ def _iterate(
             raise
 
     if workers == 1:
-        run(0)
+        run()
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(workers - 1) as pool:
-            futures = [pool.submit(run, i) for i in range(1, workers)]
+            futures = [pool.submit(run) for _ in range(1, workers)]
             try:
-                run(0)
+                run()
             finally:
                 # every worker has stopped before the solve returns or raises
                 for fut in futures:
                     fut.exception()
             for fut in futures:
                 fut.result()
-    return trace
+    trace = [
+        {"k": k + 1, "gap": _sup_mean(gap, paths, reach, dim),
+         "sup_second_moment": _sup_mean(moment, paths, reach, dim), "wall_ms": seconds * 1000.0}
+        for k, (moment, gap, paths, seconds) in enumerate(totals)
+    ]
+    return trace, outcome, [_sup_mean(sums, noise.n_paths, reach, dim) for sums in final]
 
 
 def _tail_report(sys: DichotomousSystem, plan: _Plan) -> dict:
@@ -1014,12 +957,18 @@ def _tail_report(sys: DichotomousSystem, plan: _Plan) -> dict:
 
 
 class PicardResult(
-    namedtuple("PicardResult", "ensemble gap_trace converged iterations tail_report")
+    namedtuple(
+        "PicardResult",
+        "ensemble gap_trace converged iterations block_iterations final_gap sup_second_moment "
+        "tail_report",
+    )
 ):
-    """Fixed-point iteration outcome: final ensemble, per-iteration gap
-    trace (a tuple of dicts: mean-square sup-over-grid distance between
-    iterates), a convergence flag, the iteration count and the truncation
-    tail report (a dict)."""
+    """Fixed-point iteration outcome: the final ensemble, the per-iteration
+    gap trace (a tuple of dicts: mean-square sup-over-grid distance
+    between iterates), whether every block of paths converged, the
+    largest and each block's iteration count (a tuple), the gap and the
+    sup second moment of the final ensemble over every path (each
+    block's last gap) and the truncation tail report (a dict)."""
 
     __slots__ = ()
 
@@ -1033,20 +982,24 @@ def picard_solve(
     max_iter: int = 60,
     chunk_paths: Optional[int] = None,
     threads: int = 1,
+    keep=None,
 ) -> PicardResult:
     """Iterate the integral operator from the zero ensemble on a frozen
     noise sample (a ``NoiseSample``, or a ``NoiseDraw`` whose paths are
-    drawn block by block) until the sup-over-grid mean-square gap
-    between consecutive iterates drops below ``tol``.
+    drawn block by block), each block of ``_MOMENT_BLOCK`` paths until
+    the sup-over-grid mean-square gap between its consecutive iterates
+    drops below ``tol``.
 
     Common random numbers: every iterate reuses the same noise, so the
-    geometric contraction is visible directly in the gap trace.  When
-    ``max_iter`` is hit the last iterate is returned with
-    ``converged=False``.  The truncation horizon is ``w`` whole steps
+    geometric contraction is visible directly in the gap trace.  A block
+    that hits ``max_iter`` keeps its last iterate, and the result then
+    has ``converged=False``.  The truncation horizon is ``w`` whole steps
     (a run's default, 12/omega rounded to the grid, has tail factor
     about 6e-6 of the integrand magnitude): the truncation error of the
     full two-sided window is bounded by ``tail_factor`` times the sup of
-    the integrand's mean-square magnitudes.
+    the integrand's mean-square magnitudes.  The result's ensemble holds
+    the grid points ``keep``, steps from the window start in increasing
+    order, or every point when ``keep`` is None.
 
     The arguments are those of a validated ``Run`` (``validate_config``):
     the system, the coefficients and the noise share their dimensions,
@@ -1086,38 +1039,44 @@ def picard_solve(
     evaluates it on one row of states and broadcasts it over its paths,
     with the bits of a per-path evaluation.
 
-    The solve holds one ensemble and overwrites it in place: S maps each
-    path to itself, so each chunk of paths is computed in scratch, its
-    sums of new^2 and (new - old)^2 are taken there, and only then is it
-    written back.  The gap and the moment come from those sums, with no
-    further pass over the ensemble.  The ensemble is stored
-    coordinate-major and starts at zero; a coordinate S cannot reach
+    S maps each path to itself, so each block of paths is a sample of
+    the fixed point on its own, solved to its own stop on one of
+    ``threads`` workers (``_iterate``), a chunk of at most
+    ``chunk_paths`` paths at a time; a ``NoiseDraw`` draws a block's
+    increments and jump events then, a ``NoiseSample`` gives views.  The
+    solve holds the kept points of every path and, per worker, one
+    block's states, noise and scratch, never the run's noise or, unless
+    every point is kept, its ensemble.  A coordinate S cannot reach
     (``_Plan.reach``) is never touched, so it stays zero without taking
-    memory or time.  Paths are processed in blocks of ``_MOMENT_BLOCK``,
-    each split into chunks of at most ``chunk_paths`` paths, on
-    ``threads`` worker threads, block-major (``_iterate``): a worker
-    takes a block's paths from ``noise`` (a ``NoiseDraw`` draws their
-    increments and jump events then, a ``NoiseSample`` gives views) and
-    runs the block's iterations back to back while the solve provably
-    reaches them, so the solve never holds the run's noise, only one
-    block's per worker.  A block parks where that is not yet proven and
-    draws its noise again when it is taken again.  A block whose moment sums
-    are not all finite triggers the exact check that its states are
-    finite.  Every path is computed by the same operations in any chunk,
-    and every sum is added in block order, so ``chunk_paths`` and
-    ``threads`` do not change the result.
-    A gap trace record's ``wall_ms`` is the workers' summed time on the
-    iteration's blocks.
+    memory or time.  Every path is computed by the same operations in
+    any chunk, and every sum is added in block order, so ``chunk_paths``
+    and ``threads`` do not change the result.  A gap trace record's
+    ``wall_ms`` is the workers' summed time on the iteration's blocks.
     """
     plan = _Plan.build(sys, cs, noise, w)
+    n_times = noise.n_steps + 1
+    if keep is not None:
+        keep = np.asarray(keep, dtype=np.intp)
+        if keep.ndim != 1 or not keep.size or keep[0] < 0 or keep[-1] >= n_times or (
+            np.diff(keep) <= 0
+        ).any():
+            raise SolverError("keep must be increasing grid points of the noise window")
+        if keep.size == n_times:
+            keep = None  # every point: the blocks are swept in the result
     # coordinate-major: a coordinate S cannot reach is never touched and
     # stays untouched zero pages
-    values = np.zeros((sys.dim, noise.n_paths, noise.n_steps + 1))
-    trace = _iterate(plan, values, tol, max_iter, chunk_paths, threads)
+    values = np.zeros((sys.dim, noise.n_paths, n_times if keep is None else keep.size))
+    trace, blocks, final = _iterate(plan, values, keep, tol, max_iter, chunk_paths, threads)
     return PicardResult(
-        ensemble=PathEnsemble(h=noise.h, k_lo=noise.k_lo, values=np.moveaxis(values, 0, -1)),
+        ensemble=PathEnsemble(
+            h=noise.h, k_lo=noise.k_lo, values=np.moveaxis(values, 0, -1), points=keep,
+            n_steps=noise.n_steps,
+        ),
         gap_trace=tuple(trace),
-        converged=trace[-1]["gap"] <= tol,
+        converged=all(converged for _, converged in blocks),
         iterations=len(trace),
+        block_iterations=tuple(count for count, _ in blocks),
+        final_gap=final[0],
+        sup_second_moment=final[1],
         tail_report=_tail_report(sys, plan),
     )

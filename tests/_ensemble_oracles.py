@@ -16,7 +16,16 @@ from levyap.coefficients import (
     point_values,
 )
 from levyap.dichotomy import matrix_exp
-from levyap.solver import PathEnsemble, SolverError, _iterate, _Plan, _tail_report
+from levyap.solver import (
+    PathEnsemble,
+    SolverError,
+    _blocks,
+    _draw_block,
+    _Plan,
+    _Scratch,
+    _sweep_block,
+    _tail_report,
+)
 
 # a forward state this large has blown up
 _BLOWUP_GUARD = 1e8
@@ -44,12 +53,11 @@ def apply_S(
     ens: PathEnsemble,
     w: int,
     chunk_paths: Optional[int] = None,
-    threads: int = 1,
 ) -> tuple[PathEnsemble, dict]:
     """One application of the integral operator S of ``picard_solve`` to
     an ensemble, by the same plan and block sweeps, as one Picard
     iteration from the ensemble: the input is copied once,
-    coordinate-major, and swept; the coordinates S cannot reach
+    coordinate-major, and swept block by block; the coordinates S cannot reach
     (``_Plan.reach``) are then set to zero.  The truncation horizon is
     ``w`` whole steps.  Returns the new ensemble and the tail report."""
     h, k_lo, n = noise.h, noise.k_lo, noise.n_steps
@@ -62,7 +70,12 @@ def apply_S(
         raise SolverError("system, coefficients and ensemble dimensions differ")
     plan = _Plan.build(sys, cs, noise, w)
     values = np.moveaxis(ens.values, -1, 0).copy()
-    _iterate(plan, values, 0.0, 1, chunk_paths, threads, zero=False)
+    blocks = _blocks(noise.n_paths, n, chunk_paths)
+    scratch = _Scratch(plan, max(hi - lo for chunks in blocks for lo, hi in chunks))
+    for chunks in blocks:
+        lo, hi = chunks[0][0], chunks[-1][1]
+        drawn = _draw_block(plan, lo, hi)
+        _sweep_block(plan, values[:, lo:hi], chunks, scratch, drawn, zero=False)
     values[[i for i in range(d) if i not in plan.reach]] = 0.0
     out = PathEnsemble(h=h, k_lo=k_lo, values=np.moveaxis(values, 0, -1))
     return out, _tail_report(sys, plan)

@@ -10,6 +10,7 @@ from scipy.optimize import linprog
 from _grid import steps
 from _lp_oracles import enumerate_bl_value, rational_bl_value
 import levyap.apdist
+from levyap.solver import PathEnsemble
 from levyap.apdist import (
     APScanReport,
     EmpiricalLaw,
@@ -22,10 +23,9 @@ from levyap.apdist import (
 )
 
 
-class _FakeEnsemble:
-    def __init__(self, grid, values):
-        self.h = float(grid[1] - grid[0])
-        self.values = values
+def _FakeEnsemble(grid, values):
+    """An ensemble of ``values`` on ``grid``, which starts at 0."""
+    return PathEnsemble(h=float(grid[1] - grid[0]), k_lo=0, values=values)
 
 
 def _on_grid(ens, times):

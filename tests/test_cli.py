@@ -1077,9 +1077,9 @@ class TestCliExitCodes:
         assert not (tmp_path / "o").exists()
 
     def test_run_over_the_budget_rejected_before_any_artifact(self, tmp_path, capsys):
-        """A run whose noise and ensemble would not fit in memory exits 2
-        with one line naming the step and the path count, before the
-        condition report or anything else is written."""
+        """A run whose kept states and block of noise would not fit in
+        memory exits 2 with one line naming the step and the path count,
+        before the condition report or anything else is written."""
         out = tmp_path / "o"
         code = main(["picard", "--preset", "example41", "--dt", "1/100000000", "--out", str(out)])
         captured = capsys.readouterr()
@@ -1088,22 +1088,36 @@ class TestCliExitCodes:
         assert captured.err.startswith("error: numerics.h = 1e-08 ")
         assert captured.err.count("\n") == 1
         assert "numerics.n_paths = 256" in captured.err
-        assert "4.61e+11 doubles, above the budget of 268435456" in captured.err
+        assert "1.15e+11 doubles, above the budget of 268435456" in captured.err
         assert not out.exists()
 
     def test_budget_admits_the_largest_runs(self):
         """The budget holds every shipped preset, example41 at h = 1/1024
-        with 1024 paths, and 1024 paths of example41 over the window
-        [-2, 562] at h = 1/64, but not 4096 paths over that window."""
+        with 1024 paths, 1024 paths of example41 over the window [-2, 562]
+        at h = 1/64 with every grid point written, and 4096 at the default
+        stride, but not 4096 with every point written.  It counts one
+        block's noise: 64 paths over [-2, 4] fit at h = 2^-17, not
+        2^-18.  And one block's jump events: rate 10^5 fits, 2 * 10^5
+        does not (the corpus holds the three rejected configs)."""
         for name in preset_names():
             validate_config(preset_config(name))
         cfg = preset_config("example41")
         fine = cfg.numerics._replace(h=Fraction(1, 1024), n_paths=1024)
         long = cfg.numerics._replace(h=Fraction(1, 64), window=(-2, 562), n_paths=1024)
-        for numerics in (fine, long):
+        dense = cfg.numerics._replace(h=Fraction(1, 2**17), n_paths=64)
+        for numerics in (fine, long._replace(csv_stride=1), long._replace(n_paths=4096), dense):
             validate_config(cfg._replace(numerics=numerics))
         with pytest.raises(ConfigError, match="numerics.n_paths = 4096 .* above the budget"):
-            validate_config(cfg._replace(numerics=long._replace(n_paths=4096)))
+            validate_config(cfg._replace(numerics=long._replace(n_paths=4096, csv_stride=1)))
+        with pytest.raises(ConfigError, match="numerics.n_paths = 64 .* above the budget"):
+            validate_config(cfg._replace(numerics=dense._replace(h=Fraction(1, 2**18))))
+        def with_rate(rate):
+            jumps = (cfg.levy.jumps[0]._replace(rate=rate), *cfg.levy.jumps[1:])
+            return cfg._replace(levy=cfg.levy._replace(jumps=jumps))
+
+        validate_config(with_rate(10**5))
+        with pytest.raises(ConfigError, match="a block of 64 paths .* above the budget"):
+            validate_config(with_rate(2 * 10**5))
 
     @pytest.mark.parametrize(
         "message, shown",
@@ -1390,7 +1404,7 @@ class TestCliArtifacts:
         assert rep["eta_float"] == pytest.approx(5 / 48, abs=1e-15)
         assert rep["verdict_existence"] is True
         assert rep["verdict_distribution"] is True
-        assert rep["schema_version"] == 1
+        assert rep["schema_version"] == 2
 
     def test_csv_stride_respected(self, tmp_path, capsys):
         d = tiny_benchmark_dict()
@@ -1440,7 +1454,7 @@ class TestCliArtifacts:
         first = lines[1].split(",")
         assert first[0] == "-1.0" and first[1] == "0"
         meta = json.loads((out / "run_meta.json").read_text(encoding="utf-8"))
-        assert meta["schema_version"] == 1
+        assert meta["schema_version"] == 2
         assert meta["csv_stride"] == 1
         assert meta["config"]["numerics"]["h"] == "1/32"
         moment = meta["sup_second_moment"]
