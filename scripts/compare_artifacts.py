@@ -8,7 +8,10 @@ package, or a checkout whose ``src`` holds it.  For each tree the script
 runs ``python -m levyap.cli`` on
 
 - ``check``, ``picard`` and ``apscan`` of every preset at ``--threads``
-  1 and 2 and ``--seed`` 41 and 1041, and
+  1 and 2 and ``--seed`` 41 and 1041,
+- ``apscan`` of ou_forced and galerkin_heat at their own seeds (no
+  ``--seed``: 7 and 2), the runs a user gets from the presets as
+  shipped, at ``--threads`` 1 and 2,
 - ``picard --preset example41 --dt 1/1024 --paths 1024`` (the
   ``picard-ex41-fine`` benchmark point) at ``--threads`` 1 and 2,
 - ``picard --config custom.json`` at ``--threads`` 1 and 2, with its
@@ -79,6 +82,8 @@ def runs() -> list[list[str]]:
             for seed in ("41", "1041"):
                 for threads in ("1", "2"):
                     out.append([command, "--preset", preset, "--seed", seed, "--threads", threads])
+    for preset in ("ou_forced", "galerkin_heat"):  # their own seeds are neither 41 nor 1041
+        out += [["apscan", "--preset", preset, "--threads", threads] for threads in ("1", "2")]
     out += [FINE + ["--threads", threads] for threads in ("1", "2")]
     for paths in ([], ["--paths", "150"]):
         out += [

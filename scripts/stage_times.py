@@ -12,9 +12,12 @@ Picard workers draw, increments and jump events; ``picard_solve`` in
 ``levyap.solver``,
 ``_write_ensemble_csv`` in ``levyap.cli`` and ``ap_distribution_scan``
 in ``levyap.apdist``.  The library code is not changed.  Before numpy
-loads, the script applies
-the CLI's BLAS default (one OpenBLAS thread unless
-``OPENBLAS_NUM_THREADS`` is set), so its runs spend CPU as CLI runs do.
+loads, the script applies the CLI's process defaults
+(``levyap.cli._process_defaults``: one OpenBLAS thread unless
+``OPENBLAS_NUM_THREADS`` is set, and no huge-page advice from numpy
+unless ``NUMPY_MADVISE_HUGEPAGE`` is set), so its runs spend CPU and
+hold memory as CLI runs do, and its ``vm_hwm_mb`` per stage is what a
+CLI run holds.
 
 Prints one JSON object: per stage the median over the runs of its wall
 seconds in a run (0 for a stage the command never reaches), of its
@@ -54,7 +57,7 @@ except ImportError:  # running from a source checkout without installation
 
 # levyap.cli loads numpy only when a command first uses it; the solver
 # and the scan load it on import
-levyap.cli._single_threaded_blas()
+levyap.cli._process_defaults()
 import levyap.apdist  # noqa: E402
 import levyap.noise  # noqa: E402
 import levyap.solver  # noqa: E402

@@ -145,26 +145,33 @@ def _layout_tables():
     Over a field: rows 6-9 hold the constant bytes ("0." and its zeros,
     the point of fixed notation, the exponent), row 10 the point of
     exponent notation, written only when a second digit follows, and row
-    11 the minus sign, written only for a negative value."""
-    table = np.zeros((12, _DECPT_SIZE), dtype=np.uint64)
-    for decpt in range(-_DECPT_OFF, _DECPT_SIZE - _DECPT_OFF):
-        col = table[:, decpt + _DECPT_OFF]
-        lead = b""
-        if -4 < decpt <= 0:  # 0.000ddd
-            lead = b"0." + b"0" * -decpt
-            col[0:3] = _place(b"\xff" * 17)[:3]
-            col[6:10] = _place(lead, _DIGITS_AT - len(lead))
-        elif 0 < decpt <= 16:  # ddd.ddd, a digit after the point at least
-            col[0:3] = _place(b"\xff" * decpt)[:3]
-            col[3:6] = _place(b"\x80" * (decpt + 1))[:3]
-            col[6:10] = _place(b".", _DIGITS_AT + decpt)
-        else:  # d.ddde±XX
-            col[0:3] = _place(b"\xff")[:3]
-            exp = b"%03d" % abs(decpt - 1)
-            sign = b"-" if decpt < 1 else b"+"
-            col[6:10] = _place(b"e" + sign + (b"\0" + exp[1:] if exp[0] == ord("0") else exp), _EXP_AT)
-            col[10] = ord(".")
-        col[11] = _place(b"-", _DIGITS_AT - 1 - len(lead))[0]
+    11 the minus sign, written only for a negative value.  Rows 0-9 are
+    built as bytes and viewed as words."""
+    decpt = np.arange(-_DECPT_OFF, _DECPT_SIZE - _DECPT_OFF)
+    small = (-4 < decpt) & (decpt <= 0)  # 0.000ddd
+    fixed = (0 < decpt) & (decpt <= 16)  # ddd.ddd, a digit after the point at least
+    sci = ~(small | fixed)  # d.ddde±XX
+    lead = np.where(small, 2 - decpt, 0)  # "0." and its zeros, ending at byte 6
+    rows = np.zeros((_DECPT_SIZE, 10, 8), dtype=np.uint8)  # rows 0-9 as bytes
+    digits = rows[:, :3].reshape(_DECPT_SIZE, 24)
+    shown = rows[:, 3:6].reshape(_DECPT_SIZE, 24)
+    field = rows[:, 6:].reshape(_DECPT_SIZE, 8 * _FIELD_WORDS)
+    at = np.arange(8 * _FIELD_WORDS)
+    digits[at[:24] < np.where(small, 17, np.where(fixed, decpt, 1))[:, None]] = 0xFF
+    shown[fixed[:, None] & (at[:24] <= decpt[:, None])] = 0x80
+    field[small[:, None] & (_DIGITS_AT - lead[:, None] <= at) & (at < _DIGITS_AT)] = ord("0")
+    field[small, _DIGITS_AT + 1 - lead[small]] = ord(".")
+    field[fixed, _DIGITS_AT + decpt[fixed]] = ord(".")
+    exp = np.abs(decpt[sci] - 1)
+    field[sci, _EXP_AT] = ord("e")
+    field[sci, _EXP_AT + 1] = np.where(decpt[sci] < 1, ord("-"), ord("+"))
+    field[sci, _EXP_AT + 2] = np.where(exp < 100, 0, ord("0") + exp // 100)  # NUL if two digits
+    field[sci, _EXP_AT + 3] = ord("0") + exp // 10 % 10
+    field[sci, _EXP_AT + 4] = ord("0") + exp % 10
+    table = np.empty((12, _DECPT_SIZE), dtype=np.uint64)
+    table[:10] = rows.view("<u8")[..., 0].T
+    table[10] = np.where(sci, ord("."), 0)
+    table[11] = np.left_shift(_U(ord("-")), (8 * (_DIGITS_AT - 1 - lead)).astype(np.uint64))
     table.flags.writeable = False
     return table
 

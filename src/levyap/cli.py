@@ -368,18 +368,28 @@ def _resolve_config(args) -> RunConfig:
     return cfg
 
 
-def _single_threaded_blas() -> None:
-    """Start OpenBLAS, numpy's and scipy's, with no thread pool unless
-    the caller set ``OPENBLAS_NUM_THREADS``.  The engine's matrices are
-    at most 8 x 8 and its parallelism is its ``--threads`` workers; an
-    idle BLAS pool only spins, about 0.15 s of CPU a run on two cores.
-    Must run before numpy loads, which ``_lazy_import`` puts off until a
-    command first uses it."""
+def _process_defaults() -> None:
+    """Set numpy's process-wide defaults before numpy loads, which
+    ``_lazy_import`` puts off until a command first uses it; a value the
+    caller set is kept.
+
+    ``OPENBLAS_NUM_THREADS=1`` starts OpenBLAS, numpy's and scipy's, with
+    no thread pool.  The engine's matrices are at most 8 x 8 and its
+    parallelism is its ``--threads`` workers; an idle BLAS pool only
+    spins, about 0.15 s of CPU a run on two cores.
+
+    ``NUMPY_MADVISE_HUGEPAGE=0`` stops numpy advising huge pages for
+    arrays of 4 MiB or more.  With the advice, writing one coordinate of
+    a coordinate-major state array faults in 2 MiB pages over part of a
+    coordinate the solve never writes, such as example41's unstable
+    first one: about 3 MB more peak on example41 at h = 1/1024, for
+    about 2% less CPU time (docs/configuration.md)."""
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    os.environ.setdefault("NUMPY_MADVISE_HUGEPAGE", "0")
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    _single_threaded_blas()
+    _process_defaults()
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -471,9 +471,11 @@ class NoiseDraw(namedtuple("NoiseDraw", "spec k_lo n_steps h n_paths seed")):
 
 
 def _mix(x, chol, out):
-    """x @ chol.T into ``out``.  For one noise dimension that is one
-    product: matmul sums it from +0.0, which ``+= 0.0`` does, so the bits
-    are the same, a -0.0 product included, at a fraction of the cost."""
+    """x @ chol.T into ``out``, which may be ``x``.  For one noise
+    dimension that is one product, taken in place: matmul sums it from
+    +0.0, which ``+= 0.0`` does, so the bits are the same, a -0.0 product
+    included, at a fraction of the cost.  An in-place matmul copies ``x``
+    first, as numpy does for overlapping operands."""
     if len(chol) > 1:
         return np.matmul(x, chol.T, out=out)
     np.multiply(x, chol[0, 0], out=out)
@@ -503,9 +505,12 @@ def sample_noise(
     The keys of every stream are derived in one pass (``_stream_keys``),
     and the streams are opened by re-keying one generator.  The Wiener
     normals of each group of ``_GROUP`` paths are drawn straight into
-    ``dW`` and scaled in one group-sized buffer.  The jump events are
-    drawn path by path, a Poisson count and a few uniforms per (path,
-    component, half line) stream.  Every stream is a function of its
+    ``dW`` and scaled there in place, the negative half line reversed
+    path by path.  So beside ``dW`` the increments take one path's half
+    line, and for a covariance of two or more dimensions the copy of a
+    group's half line that numpy's in-place matmul makes.  The jump
+    events are drawn path by path, a Poisson count and a few uniforms per
+    (path, component, half line) stream.  Every stream is a function of its
     address alone, so any split of the paths gives the same bits.
 
     The spec and the integers are those of a validated ``Run``
@@ -524,7 +529,6 @@ def sample_noise(
         # keys of the (path, half line) streams, the positive half line first
         w_keys = _stream_keys(seed, paths[:, None], [_TAG_W_POS, _TAG_W_NEG])
         sqrt_h = np.sqrt(h)
-        scaled = np.empty((_GROUP, max(n_pos, n_neg), spec.dim))
         for lo in range(0, n_paths, _GROUP):
             hi = min(lo + _GROUP, n_paths)
             for j in range(lo, hi):
@@ -532,16 +536,17 @@ def sample_noise(
                     keyed.open(w_keys[j, 0]).standard_normal(out=dW[j, n_neg:])
                 if n_neg:
                     keyed.open(w_keys[j, 1]).standard_normal(out=dW[j, :n_neg])
-            tmp = scaled[: hi - lo]
             if n_pos:
                 pos = dW[lo:hi, n_neg:]
-                _mix(np.multiply(pos, sqrt_h, out=tmp[:, :n_pos]), chol, pos)
+                pos *= sqrt_h
+                _mix(pos, chol, pos)
             if n_neg:
                 # mirrored order: increment over [t_k, t_k + h] for t_k < 0
                 # is the (|t_k|/h - 1)-th increment of the mirrored copy
                 neg = dW[lo:hi, :n_neg]
-                z = _mix(neg, chol, tmp[:, :n_neg])
-                np.multiply(z[:, ::-1], sqrt_h, out=neg)
+                _mix(neg, chol, neg)
+                for row in neg:  # numpy buffers the overlap, one path's half line
+                    np.multiply(row[::-1], sqrt_h, out=row)
     # keys of the (path, half line, component) streams, the positive half line first
     j_keys = _stream_keys(
         seed, paths[:, None, None], [[_TAG_J_POS], [_TAG_J_NEG]], np.arange(len(spec.jumps))

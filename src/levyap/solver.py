@@ -63,7 +63,10 @@ slab per state coordinate; ``PathEnsemble.values`` is then a (paths,
 points, dim) view of that storage.  The plan finds the output
 coordinates S can reach at all (some forcing row that can exist drives
 a mode that maps back to them); the sweep reads, sums and writes only
-those, so a coordinate S cannot reach is never touched.
+those, so a coordinate S cannot reach is never written and stays zero.
+Its slab takes no memory only while no page of it is faulted in: numpy's
+huge-page advice, which the command line turns off, would back part of
+it with the 2 MiB pages of the coordinate beside it.
 """
 
 from __future__ import annotations
@@ -1047,10 +1050,11 @@ def picard_solve(
     solve holds the kept points of every path and, per worker, one
     block's states, noise and scratch, never the run's noise or, unless
     every point is kept, its ensemble.  A coordinate S cannot reach
-    (``_Plan.reach``) is never touched, so it stays zero without taking
-    memory or time.  Every path is computed by the same operations in
-    any chunk, and every sum is added in block order, so ``chunk_paths``
-    and ``threads`` do not change the result.  A gap trace record's
+    (``_Plan.reach``) is never written, so it stays zero without taking
+    time, and without taking memory unless numpy advises huge pages for
+    the state arrays (see the module docstring).  Every path is computed
+    by the same operations in any chunk, and every sum is added in block
+    order, so ``chunk_paths`` and ``threads`` do not change the result.  A gap trace record's
     ``wall_ms`` is the workers' summed time on the iteration's blocks.
     """
     plan = _Plan.build(sys, cs, noise, w)
@@ -1063,8 +1067,9 @@ def picard_solve(
             raise SolverError("keep must be increasing grid points of the noise window")
         if keep.size == n_times:
             keep = None  # every point: the blocks are swept in the result
-    # coordinate-major: a coordinate S cannot reach is never touched and
-    # stays untouched zero pages
+    # coordinate-major: a coordinate S cannot reach is never written and
+    # stays zero pages, which are not resident while numpy's huge-page
+    # advice is off
     values = np.zeros((sys.dim, noise.n_paths, n_times if keep is None else keep.size))
     trace, blocks, final = _iterate(plan, values, keep, tol, max_iter, chunk_paths, threads)
     return PicardResult(

@@ -1568,7 +1568,7 @@ class TestCliArtifacts:
         import shutil
 
         corpus = len(compare_artifacts.rejected())
-        assert len(compare_artifacts.runs()) == 3 * 3 * 2 * 2 + 2 + 2 + 2 + 1 + corpus
+        assert len(compare_artifacts.runs()) == 3 * 3 * 2 * 2 + 2 * 2 + 2 + 2 + 2 + 1 + corpus
 
         src = Path(levyap.__file__).parents[1]
         changed = tmp_path / "changed"
@@ -2002,6 +2002,33 @@ class TestCliDeterminism:
             assert [value for _, value in steps] == [given, given]
             if len(os.sched_getaffinity(0)) >= 2:  # a pool of two: the count sees it
                 assert int(steps[-1][0]) > 1
+
+    @pytest.mark.parametrize("given", [None, "1"])
+    def test_numpy_advises_no_huge_pages(self, tmp_path, given):
+        """A ``levyap`` command sets ``NUMPY_MADVISE_HUGEPAGE=0`` before
+        numpy loads, so numpy advises no huge pages for its large arrays
+        (which would fault in 2 MiB pages over a state coordinate the
+        solve never writes).  A value the caller gives is kept."""
+        out = tmp_path / "ex41"
+        argv = ["picard", "--config", str(write_cfg(tmp_path, tiny_benchmark_dict(), "ex41.json")),
+                "--paths", "8", "--out", str(out)]
+        code = (
+            "import os, sys\n"
+            "from levyap.cli import main\n"
+            f"code = main({argv!r})\n"
+            "advice = sys.modules['numpy']._core.multiarray._get_madvise_hugepage()\n"
+            "print(code, os.environ['NUMPY_MADVISE_HUGEPAGE'], advice)\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "NUMPY_MADVISE_HUGEPAGE"}
+        env["PYTHONPATH"] = str(Path(levyap.__file__).parents[1])
+        if given is not None:
+            env["NUMPY_MADVISE_HUGEPAGE"] = given
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        expected = ["0", "0", "False"] if given is None else ["0", "1", "True"]
+        assert proc.stdout.split()[-3:] == expected
 
     def test_seed_changes_results(self, tmp_path, capsys):
         base = self.run_picard(tmp_path, "s0")

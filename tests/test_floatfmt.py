@@ -15,10 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levyap._floatfmt import (
+    _DECPT_OFF,
+    _DECPT_SIZE,
+    _DIGITS_AT,
+    _EXP_AT,
     ReprFormatter,
     _flog2_pow10,
     _flog10_pow2,
     _flog10_three_quarters_pow2,
+    _layout_tables,
+    _place,
 )
 
 
@@ -64,6 +70,39 @@ def test_exponent_formulas_match_python_ints():
     for e in range(-400, 400):
         exact = (10**e).bit_length() - 1 if e >= 0 else -((10**-e).bit_length())
         assert _flog2_pow10(e) == exact
+
+
+def layout_tables_by_loop():
+    """``_layout_tables`` built one decpt at a time, each byte string
+    placed where the layout puts it: the reference for the array build."""
+    table = np.zeros((12, _DECPT_SIZE), dtype=np.uint64)
+    for decpt in range(-_DECPT_OFF, _DECPT_SIZE - _DECPT_OFF):
+        col = table[:, decpt + _DECPT_OFF]
+        lead = b""
+        if -4 < decpt <= 0:  # 0.000ddd
+            lead = b"0." + b"0" * -decpt
+            col[0:3] = _place(b"\xff" * 17)[:3]
+            col[6:10] = _place(lead, _DIGITS_AT - len(lead))
+        elif 0 < decpt <= 16:  # ddd.ddd, a digit after the point at least
+            col[0:3] = _place(b"\xff" * decpt)[:3]
+            col[3:6] = _place(b"\x80" * (decpt + 1))[:3]
+            col[6:10] = _place(b".", _DIGITS_AT + decpt)
+        else:  # d.ddde±XX
+            col[0:3] = _place(b"\xff")[:3]
+            exp = b"%03d" % abs(decpt - 1)
+            sign = b"-" if decpt < 1 else b"+"
+            col[6:10] = _place(b"e" + sign + (b"\0" + exp[1:] if exp[0] == ord("0") else exp), _EXP_AT)
+            col[10] = ord(".")
+        col[11] = _place(b"-", _DIGITS_AT - 1 - len(lead))[0]
+    return table
+
+
+def test_layout_tables_match_the_loop():
+    """The layout tables, built with array operations over every decpt,
+    equal the per-decpt loop word for word."""
+    table = _layout_tables()
+    assert table.dtype == np.uint64 and table.shape == (12, _DECPT_SIZE)
+    assert np.array_equal(table, layout_tables_by_loop())
 
 
 @settings(max_examples=200, deadline=None)

@@ -27,7 +27,16 @@ from hypothesis import strategies as st
 from _grid import steps, window_steps
 from _noise_oracles import NoiseShiftError, shifted
 import levyap.noise as noise_module
-from levyap.config import ConfigError, JumpConfig, LevyConfig, MarkConfig, build_spec, grid_steps
+from levyap.config import (
+    ConfigError,
+    JumpConfig,
+    LevyConfig,
+    MarkConfig,
+    build_spec,
+    grid_steps,
+    preset_config,
+    validate_config,
+)
 from levyap.noise import (
     JumpComponent,
     LevyProcessSpec,
@@ -447,9 +456,10 @@ def test_sampler_matches_per_path_reference_for_any_threads(spec, window, monkey
 def test_sampler_temporaries_are_bounded(threads):
     """At 256 paths x 6144 steps, split among ``threads`` workers that
     draw their path ranges at once as the solver's workers draw their
-    blocks, the sampler holds, on top of ``dW``, at most 2 MB: one
-    group-sized scaling buffer per worker, the keys and the events.
-    Scaling a worker's whole share at once would take several times that."""
+    blocks, the sampler holds, on top of ``dW``, at most 2 MB: the keys,
+    the events and, per worker, the reversal of one path's half line.
+    Scaling a worker's whole share through a buffer would take several
+    times that."""
     spec = LevyProcessSpec(
         dim=1,
         covariance=np.eye(1),
@@ -473,6 +483,28 @@ def test_sampler_temporaries_are_bounded(threads):
         tracemalloc.stop()
     assert [p.dW.shape for p in parts] == [(share, 6144, 1)] * threads
     assert peak <= sum(p.dW.nbytes for p in parts) + 2 * 2**20
+
+
+def test_block_draw_holds_its_increments_and_little_more():
+    """A 64-path block of example41 at h = 1/1024, the Picard workers'
+    draw, scales its Wiener increments in place in ``dW``: its traced
+    peak stays below ``dW`` plus one group-sized scaling buffer
+    (``_GROUP`` paths of the longer half line), which scaling through
+    such a buffer alone would reach."""
+    cfg = preset_config("example41")
+    cfg = cfg._replace(numerics=cfg.numerics._replace(h=Fraction(1, 1024), n_paths=1024))
+    run = validate_config(cfg)
+    draw = NoiseDraw(run.spec, run.k_lo, run.n, 1.0 / 1024, 1024, cfg.seed)
+    draw.paths(0, 64)  # numpy's first calls set up caches of their own
+    tracemalloc.start()
+    try:
+        block = draw.paths(64, 128)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    longer = max(-run.k_lo, run.k_lo + run.n)
+    assert block.dW.shape == (64, 6144, 1) and longer == 4096
+    assert peak < block.dW.nbytes + noise_module._GROUP * longer * block.dW.itemsize
 
 
 def test_different_paths_and_seeds_differ():
