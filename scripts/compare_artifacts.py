@@ -14,6 +14,10 @@ runs ``python -m levyap.cli`` on
   shipped, at ``--threads`` 1 and 2,
 - ``picard --preset example41 --dt 1/1024 --paths 1024`` (the
   ``picard-ex41-fine`` benchmark point) at ``--threads`` 1 and 2,
+- ``picard`` of example41 as shipped and of the fine point at
+  ``--threads`` 3, whose rounds of one block per worker do not divide
+  the blocks: 4 blocks are a round of 3 and a round of 1, 16 blocks
+  five rounds of 3 and a round of 1,
 - ``picard --config custom.json`` at ``--threads`` 1 and 2, with its
   own 64 paths and with ``--paths 150``, on the config
   ``tests/data/custom.json``: it takes paths no preset reaches (point
@@ -85,6 +89,7 @@ def runs() -> list[list[str]]:
     for preset in ("ou_forced", "galerkin_heat"):  # their own seeds are neither 41 nor 1041
         out += [["apscan", "--preset", preset, "--threads", threads] for threads in ("1", "2")]
     out += [FINE + ["--threads", threads] for threads in ("1", "2")]
+    out += [["picard", "--preset", "example41", "--threads", "3"], FINE + ["--threads", "3"]]
     for paths in ([], ["--paths", "150"]):
         out += [
             ["picard", "--config", "custom.json", *paths, "--threads", threads]

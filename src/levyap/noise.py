@@ -190,10 +190,10 @@ class _KeyedStream:
 class PointMark(namedtuple("PointMark", "x")):
     """The mark law concentrated at the point ``x``, a tuple of floats.
 
-    Each mark law is a record with the same six methods: its dimension,
-    ``draw``, its exact mean and second moment as Python floats (which
-    make expectations of the mark-affine coefficient maps exact), and the
-    bounds of the mark norm (which check the small/large region split).
+    Each mark law is a record with the same five methods: its dimension,
+    ``draw``, its exact mean as Python floats (which makes the compensator
+    of a mark-affine coefficient map exact), the bounds of the mark norm
+    (which check the small/large region split) and ``validate``.
     """
 
     __slots__ = ()
@@ -211,10 +211,6 @@ class PointMark(namedtuple("PointMark", "x")):
         """Return (min, max) of the mark norm over the support."""
         r = math.hypot(*self.x)
         return r, r
-
-    def second_moment(self) -> tuple[tuple[float, ...], ...]:
-        """Return E[X X^T] in closed form, as rows of floats."""
-        return tuple(tuple(a * b for b in self.x) for a in self.x)
 
     def validate(self) -> None:
         vector = isinstance(self.x, (list, tuple)) and all(isinstance(v, Real) for v in self.x)
@@ -240,10 +236,6 @@ class UniformIntervalMark(namedtuple("UniformIntervalMark", "a b")):
         a, b = self
         lo = 0.0 if a <= 0.0 <= b else min(abs(a), abs(b))
         return lo, max(abs(a), abs(b))
-
-    def second_moment(self) -> tuple[tuple[float]]:
-        a, b = self
-        return (((a * a + a * b + b * b) / 3.0,),)
 
     def validate(self) -> None:
         a, b = self
@@ -274,12 +266,6 @@ class UniformAnnulusMark(namedtuple("UniformAnnulusMark", "r0 r1 d")):
 
     def norm_bounds(self) -> tuple[float, float]:
         return self.r0, self.r1
-
-    def second_moment(self) -> tuple[tuple[float, ...], ...]:
-        r0, r1, d = self
-        # |X| is uniform on [r0, r1] and its direction isotropic
-        diag = (r0 * r0 + r0 * r1 + r1 * r1) / (3.0 * d)
-        return tuple(tuple(diag if i == j else 0.0 for j in range(d)) for i in range(d))
 
     def validate(self) -> None:
         if not (0.0 < self.r0 <= self.r1 and math.isfinite(self.r1)):

@@ -43,20 +43,20 @@ rows with time contiguous, forcing added straight into the modal
 accumulations.
 
 S maps each path to itself, so each block of paths is a Monte-Carlo
-sample of the fixed point on its own, and the Picard solve is a work
-queue of blocks (``_iterate``): a worker takes the next block, draws its
-noise, overwrites the block's states in place, sweep after sweep, until
-the block's own gap is at most the tolerance, keeps the states at the
-grid points the caller asks for, and drops the noise.  A sweep takes the
-moment and gap sums as it goes, one reduce per chunk and coordinate, and
-the blocks' sums are added in block order, so results are bitwise
-identical for any chunking, thread count and schedule.  The solve holds
-the kept points of every path plus, per worker, one block's states,
-noise and scratch.  A block's jump values are computed once per sweep,
-before its first chunk.  The first sweep starts from zero states, where
-every grid term's value depends on the time alone: each chunk reads its
-state columns as one row of paths and broadcasts the values over its
-paths.
+sample of the fixed point on its own, solved to its own stop: a block
+draws its noise, overwrites its states in place, sweep after sweep,
+until its own gap is at most the tolerance, keeps the states at the grid
+points the caller asks for, and drops the noise.  The blocks run in
+rounds of one block per worker (the schedule is stated in
+``_iterate``).  A sweep takes the moment and gap sums as it goes, one
+reduce per chunk and coordinate, and the blocks' sums are added in block
+order, so results are bitwise identical for any chunking and thread
+count.  The solve holds the kept points of every path plus, per worker,
+one block's states, noise and scratch.  A block's jump values are
+computed once per sweep, before its first chunk.  The first sweep starts
+from zero states, where every grid term's value depends on the time
+alone: each chunk reads its state columns as one row of paths and
+broadcasts the values over its paths.
 
 The states are stored coordinate-major, one contiguous (paths, n + 1)
 slab per state coordinate; ``PathEnsemble.values`` is then a (paths,
@@ -72,9 +72,9 @@ it with the 2 MiB pages of the coordinate beside it.
 from __future__ import annotations
 
 import math
-import threading
 import time
 from collections import namedtuple
+from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 import numpy as np
@@ -803,33 +803,39 @@ def _iterate(
     at its last iteration: the last record's when every block stops at
     the same count.
 
-    A work queue: a worker takes the next block, draws its noise
-    (``_draw_block``) and sweeps it (``_sweep_block``) until the block's
-    own gap, sup_t of the mean over its paths of |X_k - X_{k-1}|^2, is
-    at most ``tol`` or ``max_iter`` sweeps are done.  S maps each path to
-    itself, so the block needs nothing from the others.  The worker then
-    writes the block's kept states, drops its noise, adds its sums of
-    each iteration to that iteration's totals and takes the next block.
+    A block draws its noise (``_draw_block``) and is swept
+    (``_sweep_block``) until its own gap, sup_t of the mean over its
+    paths of |X_k - X_{k-1}|^2, is at most ``tol`` or ``max_iter`` sweeps
+    are done; it then writes its kept states and drops its noise.  S
+    maps each path to itself, so a block needs nothing from the others.
     If every block ends with its gap at most ``tol``, so does the gap of
     every path that ran the last iteration: sup_t of a weighted mean of
     the blocks' means is at most the largest block's sup.
 
-    The totals are added in block order, so the trace is bitwise the
-    same for any chunking, worker count and schedule: a block adds each
-    sweep's sums as it ends once every earlier block's are added, and
-    holds them until then; a worker whose block stops first waits for
-    its turn.  So at most one block's sums per worker are alive.  Record
-    k holds the gap and the moment over the paths of the blocks that ran
-    k, all paths when every block stops at the same count.  Its
+    The schedule: the blocks run in rounds of one block per worker, of
+    ``threads`` workers (fewer if there are fewer blocks), the calling
+    thread the first.  It sweeps the round's first block and adds that
+    block's sums of each sweep to the iteration's totals as the sweep
+    ends, while a pool of the other workers sweeps the round's other
+    blocks, each to its end, holding its sums.  Once its own block ends,
+    the calling thread adds the other blocks' sums in block order, and
+    the next round starts when every block of this one has ended.  So
+    the totals are added in block order, the trace is bitwise the same
+    for any chunking and worker count, and one round's sums at most are
+    alive.  A worker whose block ends early waits for the round.  A
+    block that raises ends the solve with its error once its round has
+    ended; no later round starts.
+
+    Record k holds the gap and the moment over the paths of the blocks
+    that ran k, all paths when every block stops at the same count.  Its
     ``wall_ms`` is the workers' summed time on those blocks' sweeps of
     k, a block's noise draw counted with its first.  A block whose
     moment sums are not all finite is checked exactly: a non-finite
     state raises.
 
-    Worker i of ``threads`` is the calling thread for i = 0.  A worker
-    allocates its scratch and, when ``keep`` is given, one block's
-    states once, and reuses them from block to block; with every point
-    kept, a block is swept in place in ``out``.
+    Block b sweeps in the scratch and, when ``keep`` is given, the block
+    states of worker b mod the worker count, allocated once per solve;
+    with every point kept, a block is swept in place in ``out``.
     """
     noise = plan.noise
     n_times = noise.n_steps + 1
@@ -838,18 +844,53 @@ def _iterate(
     largest = max(hi - lo for chunks in blocks for lo, hi in chunks)
     dim, reach = out.shape[0], list(plan.reach)
     shape = (len(reach), n_times)
+    scratch = [_Scratch(plan, largest) for _ in range(workers)]
+    states = [
+        None if keep is None else np.zeros((dim, blocks[0][-1][1], n_times))
+        for _ in range(workers)
+    ]
     totals = []  # per iteration: moment and gap sums, paths and seconds
     final = [np.zeros(shape), np.zeros(shape)]  # each block's last gap and moment sums
-    outcome = [None] * len(blocks)
-    turn = threading.Condition()
-    queue = iter(range(len(blocks)))
-    added, failed = 0, False
+    outcome = []
 
-    def add(sums: list, first: int, paths: int) -> None:
-        """Add a block's sums of its iterations from ``first`` on to their
-        totals and drop them; the caller holds ``turn``, and every earlier
-        block's sums are added."""
-        for k, (moment, gap, seconds) in enumerate(sums, first):
+    def sweeps(b: int):
+        """Sweep block b from zero states to its stop, in ``out`` or, when
+        points are kept, in its worker's states, yielding each sweep's
+        (moment sums, gap sums, seconds, converged); write its kept
+        states after the last."""
+        chunks, worker = blocks[b], b % workers
+        lo, hi = chunks[0][0], chunks[-1][1]
+        if keep is None:
+            block = out[:, lo:hi]
+        else:
+            block = states[worker][:, : hi - lo]
+            block[reach] = 0.0
+        t0 = time.perf_counter()
+        drawn = _draw_block(plan, lo, hi)
+        count, converged = 0, False
+        while not converged and count < max_iter:
+            moment, gap = _sweep_block(plan, block, chunks, scratch[worker], drawn, not count)
+            # finite moment sums prove the block's states finite
+            if not (np.isfinite(moment).all() or np.isfinite(block).all()):
+                raise SolverError("ensemble contains non-finite states")
+            t1 = time.perf_counter()
+            count += 1
+            converged = _sup_mean(gap, hi - lo, reach, dim) <= tol
+            yield moment, gap, t1 - t0, converged
+            t0 = t1
+        del drawn
+        if keep is not None:
+            for i in reach:
+                # "clip" writes straight into out; keep is in range
+                np.take(block[i], keep, axis=1, out=out[i, lo:hi], mode="clip")
+
+    def add(b: int, sums) -> None:
+        """Add block b's sums of each sweep, in order, to that iteration's
+        totals, and its last to ``final``; every earlier block's are
+        added.  Adding in a function drops its last sums on return."""
+        chunks = blocks[b]
+        paths = chunks[-1][1] - chunks[0][0]
+        for k, (moment, gap, seconds, converged) in enumerate(sums):
             if k == len(totals):
                 totals.append([np.zeros(shape), np.zeros(shape), 0, 0.0])
             it = totals[k]
@@ -857,83 +898,19 @@ def _iterate(
             it[1] += gap
             it[2] += paths
             it[3] += seconds
-        sums.clear()
+        final[0] += gap
+        final[1] += moment
+        outcome.append((k + 1, converged))
 
-    def solve(b: int, scratch: _Scratch, states: Optional[np.ndarray]) -> None:
-        """Sweep block b from zero states to its stop, in ``out`` or, when
-        points are kept, in the worker's ``states``; keep its states and
-        add its sums and outcome in turn."""
-        nonlocal added
-        chunks = blocks[b]
-        lo, hi = chunks[0][0], chunks[-1][1]
-        if states is None:
-            block = out[:, lo:hi]
-        else:
-            block = states[:, : hi - lo]
-            block[reach] = 0.0
-        t0 = time.perf_counter()
-        drawn = _draw_block(plan, lo, hi)
-        held, count, converged = [], 0, False
-        while not converged and count < max_iter:
-            moment, gap = _sweep_block(plan, block, chunks, scratch, drawn, not count)
-            # finite moment sums prove the block's states finite
-            if not (np.isfinite(moment).all() or np.isfinite(block).all()):
-                raise SolverError("ensemble contains non-finite states")
-            t1 = time.perf_counter()
-            held.append((moment, gap, t1 - t0))
-            count, t0 = count + 1, t1
-            converged = _sup_mean(gap, hi - lo, reach, dim) <= tol
-            with turn:
-                if added == b:
-                    add(held, count - len(held), hi - lo)
-        del drawn
-        if keep is not None:
-            for i in reach:
-                # "clip" writes straight into out; keep is in range
-                np.take(block[i], keep, axis=1, out=out[i, lo:hi], mode="clip")
-        with turn:
-            turn.wait_for(lambda: failed or added == b)
-            if failed:
-                return
-            add(held, count - len(held), hi - lo)
-            final[0] += gap
-            final[1] += moment
-            outcome[b] = (count, converged)
-            added += 1
-            turn.notify_all()
-
-    def run() -> None:
-        nonlocal failed
-        try:
-            scratch = _Scratch(plan, largest)
-            states = None if keep is None else np.zeros((dim, blocks[0][-1][1], n_times))
-            while True:
-                with turn:
-                    b = None if failed else next(queue, None)
-                if b is None:
-                    return
-                solve(b, scratch, states)
-        except BaseException:
-            with turn:
-                failed = True
-                turn.notify_all()
-            raise
-
-    if workers == 1:
-        run()
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(workers - 1) as pool:
-            futures = [pool.submit(run) for _ in range(1, workers)]
-            try:
-                run()
-            finally:
-                # every worker has stopped before the solve returns or raises
-                for fut in futures:
-                    fut.exception()
-            for fut in futures:
-                fut.result()
+    # a pool starts no thread before a block is submitted
+    with ThreadPoolExecutor(max(workers - 1, 1)) as pool:
+        for first in range(0, len(blocks), workers):
+            others = range(first + 1, min(first + workers, len(blocks)))
+            futures = [pool.submit(lambda b: list(sweeps(b)), b) for b in others]
+            add(first, sweeps(first))
+            for b in others:
+                # popped, a round's sums are dropped once they are added
+                add(b, futures.pop(0).result())
     trace = [
         {"k": k + 1, "gap": _sup_mean(gap, paths, reach, dim),
          "sup_second_moment": _sup_mean(moment, paths, reach, dim), "wall_ms": seconds * 1000.0}
@@ -1043,18 +1020,19 @@ def picard_solve(
     with the bits of a per-path evaluation.
 
     S maps each path to itself, so each block of paths is a sample of
-    the fixed point on its own, solved to its own stop on one of
-    ``threads`` workers (``_iterate``), a chunk of at most
-    ``chunk_paths`` paths at a time; a ``NoiseDraw`` draws a block's
-    increments and jump events then, a ``NoiseSample`` gives views.  The
-    solve holds the kept points of every path and, per worker, one
-    block's states, noise and scratch, never the run's noise or, unless
-    every point is kept, its ensemble.  A coordinate S cannot reach
-    (``_Plan.reach``) is never written, so it stays zero without taking
-    time, and without taking memory unless numpy advises huge pages for
-    the state arrays (see the module docstring).  Every path is computed
-    by the same operations in any chunk, and every sum is added in block
-    order, so ``chunk_paths`` and ``threads`` do not change the result.  A gap trace record's
+    the fixed point on its own, solved to its own stop, a chunk of at
+    most ``chunk_paths`` paths at a time, in rounds of one block on each
+    of ``threads`` workers (``_iterate`` states the schedule); a
+    ``NoiseDraw`` draws a block's increments and jump events then, a
+    ``NoiseSample`` gives views.  The solve holds the kept points of
+    every path and, per worker, one block's states, noise and scratch,
+    never the run's noise or, unless every point is kept, its ensemble.
+    A coordinate S cannot reach (``_Plan.reach``) is never written, so
+    it stays zero without taking time, and without taking memory unless
+    numpy advises huge pages for the state arrays (see the module
+    docstring).  Every path is computed by the same operations in any
+    chunk, and every sum is added in block order, so ``chunk_paths`` and
+    ``threads`` do not change the result.  A gap trace record's
     ``wall_ms`` is the workers' summed time on the iteration's blocks.
     """
     plan = _Plan.build(sys, cs, noise, w)

@@ -1568,7 +1568,7 @@ class TestCliArtifacts:
         import shutil
 
         corpus = len(compare_artifacts.rejected())
-        assert len(compare_artifacts.runs()) == 3 * 3 * 2 * 2 + 2 * 2 + 2 + 2 + 2 + 1 + corpus
+        assert len(compare_artifacts.runs()) == 3 * 3 * 2 * 2 + 2 * 2 + 2 + 2 + 2 + 2 + 1 + corpus
 
         src = Path(levyap.__file__).parents[1]
         changed = tmp_path / "changed"

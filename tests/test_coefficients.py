@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _grid import preset_coefficients
+from _lipschitz_oracles import verify_lipschitz
 from levyap.coefficients import (
     KERNELS,
     CoefficientError,
@@ -36,7 +37,6 @@ from levyap.coefficients import (
     drift_terms,
     jump_terms,
     point_values,
-    verify_lipschitz,
 )
 from levyap.config import preset_config, preset_names, validate_config
 from levyap.noise import (

@@ -91,9 +91,6 @@ def test_only_config_reads_times_as_grid_steps():
 # definition names, and methods of exported classes that none accesses
 # (as "Class.method"), each with the reason it is exported
 UNUSED_EXPORTS = {
-    # the sampled oracle of the declared Lipschitz constant, to move into
-    # the tests once the constant is derived from the coefficients
-    ("coefficients", "verify_lipschitz"),
     # the reference layout of the per-path streams, which the vectorised
     # key derivation (``_stream_keys``) is tested against
     ("noise", "stream"),

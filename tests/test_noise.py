@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _grid import steps, window_steps
+from _lipschitz_oracles import second_moment
 from _noise_oracles import NoiseShiftError, shifted
 import levyap.noise as noise_module
 from levyap.config import (
@@ -648,9 +649,10 @@ def test_mark_sampler_moments_match_oracles():
 
 def test_mark_moments_are_python_floats():
     """``levyap check`` runs no numpy code, so the exact condition check
-    can read a mark law's mean, second moment and norm bounds only as
-    Python floats.  The laws are built from config numbers (ints and
-    Fractions), as a run builds them."""
+    can read a mark law's mean and norm bounds only as Python floats; the
+    Lipschitz oracle's closed-form second moment is one too.  The laws
+    are built from config numbers (ints and Fractions), as a run builds
+    them."""
     marks = [
         (2, MarkConfig(kind="point", x=(Fraction(3, 10), -1))),
         (1, MarkConfig(kind="uniform_interval", a=Fraction(-3, 10), b=1)),
@@ -660,17 +662,17 @@ def test_mark_moments_are_python_floats():
         jump = JumpConfig(rate=1, marks=mark)
         (comp,) = build_spec(LevyConfig(dim=dim, jumps=(jump,))).jumps
         law = comp.marks
-        values = [*law.mean(), *law.norm_bounds(), *(v for row in law.second_moment() for v in row)]
+        values = [*law.mean(), *law.norm_bounds(), *(v for row in second_moment(law) for v in row)]
         assert len(values) == dim + 2 + dim * dim
         assert all(type(v) is float for v in values), (mark.kind, values)
 
 
 def test_second_moment_closed_forms():
-    ((m,),) = UniformIntervalMark(0.2, 0.8).second_moment()
+    ((m,),) = second_moment(UniformIntervalMark(0.2, 0.8))
     assert m == pytest.approx(0.28)
-    assert PointMark((1.5, -2.0)).second_moment() == ((2.25, -3.0), (-3.0, 4.0))
+    assert second_moment(PointMark((1.5, -2.0))) == ((2.25, -3.0), (-3.0, 4.0))
     for dim in (1, 2, 3, 8):
-        m = np.array(UniformAnnulusMark(0.5, 0.9, dim).second_moment())
+        m = np.array(second_moment(UniformAnnulusMark(0.5, 0.9, dim)))
         assert m.shape == (dim, dim)
         assert np.trace(m) == pytest.approx(0.604 / 1.2)
         assert np.array_equal(m, np.diag(np.diag(m)))
@@ -697,7 +699,7 @@ def test_second_moment_matches_monte_carlo(marks):
     0.81 / sqrt(200000) = 0.0018; point marks are exact."""
     x = marks.draw(np.random.default_rng(11), 200_000)
     empirical = x.T @ x / len(x)
-    assert np.abs(empirical - np.array(marks.second_moment())).max() < 0.01
+    assert np.abs(empirical - np.array(second_moment(marks))).max() < 0.01
 
 
 @given(

@@ -1438,23 +1438,30 @@ class TestPicard:
     def test_a_failing_block_stops_every_worker(self, monkeypatch):
         """A block that raises ends the solve with its error at any worker
         count, both when later blocks wait to add their sums and when
-        earlier ones are still running: no worker is left waiting."""
+        earlier ones are still running: no worker is left waiting, and no
+        block after the failing block's round is drawn."""
         import levyap.solver as solver_module
 
-        sweep_block = solver_module._sweep_block
+        sweep_block, draw_block = solver_module._sweep_block, solver_module._draw_block
 
         def failing(plan, block, chunks, *rest):
             if chunks[0][0] // _MOMENT_BLOCK == raising:
                 raise RuntimeError("block failed")
             return sweep_block(plan, block, chunks, *rest)
 
+        def drawing(plan, lo, hi):
+            drawn[-1].append(lo // _MOMENT_BLOCK)
+            return draw_block(plan, lo, hi)
+
         monkeypatch.setattr(solver_module, "_sweep_block", failing)
+        monkeypatch.setattr(solver_module, "_draw_block", drawing)
         h = 1.0 / 16
         noise = NoiseDraw(benchmark_spec(), *window_steps(-1.0, 2.0, h), h, 10 * _MOMENT_BLOCK, 37)
-        errors = []
+        errors, drawn = [], []
 
         def solves():
             for threads in (1, 2, 3):
+                drawn.append([])
                 try:
                     picard_solve(
                         benchmark_system(), preset_coefficients("example41"), noise, tol=1e-18,
@@ -1465,11 +1472,14 @@ class TestPicard:
 
         for raising in (0, 4, 9):
             errors.clear()
+            drawn.clear()
             thread = threading.Thread(target=solves, daemon=True)
             thread.start()
             thread.join(timeout=60)
             assert not thread.is_alive(), raising
             assert errors == ["block failed"] * 3, raising
+            for threads, blocks in zip((1, 2, 3), drawn):
+                assert max(blocks) < (raising // threads + 1) * threads, (raising, threads, blocks)
 
     @given(
         m=st.integers(2, 260),
