@@ -1,4 +1,4 @@
-"""``repr(float)`` for whole float64 arrays, with no Python code per value.
+"""``repr(float)`` for float64 vectors, with no Python code per value.
 
 A ``ReprFormatter`` formats each finite double as CPython's ``repr`` does:
 the shortest string that reads back to the same double (the closer one
@@ -59,7 +59,8 @@ _DECPT_SIZE = 634
 _FIELD_WORDS = 4
 # values formatted at a time: the work arrays take 212 bytes a value, 1.7
 # MB, small enough for a core's cache and large enough to spread numpy's
-# cost per call
+# cost per call.  The ensemble.csv writer's blocks hold at most this many
+# rows (one grid point at least)
 _CHUNK = 8192
 _DIGITS_AT = 7
 _EXP_AT = 25
@@ -177,7 +178,7 @@ def _layout_tables():
 
 
 class ReprFormatter:
-    """Formats float64 arrays into repr fields (see the module docstring),
+    """Formats float64 vectors into repr fields (see the module docstring),
     ``_CHUNK`` values at a time."""
 
     def __init__(self):
@@ -187,28 +188,19 @@ class ReprFormatter:
         self._b = np.empty((4, _CHUNK), dtype=bool)
         self._i = np.empty((2, _CHUNK), dtype=np.intp)
 
-    def __call__(self, x: np.ndarray, out: np.ndarray | None = None, ends: bytes = b"") -> np.ndarray:
-        """The fields of the float64 values ``x`` (all finite), a vector or
-        a matrix of up to ``_CHUNK`` columns, as an array of shape
-        x.shape + (4,) and dtype ``'<u8'``: ``out`` when given, whatever its
-        strides.  Without its NUL bytes, a value's field is its ``repr``,
-        followed by ``ends[j]`` in column j (byte 31) when ``ends`` is given
-        (one byte a column, a vector being one column)."""
+    def __call__(self, x: np.ndarray, out: np.ndarray | None = None, end: bytes = b"\0") -> np.ndarray:
+        """The fields of the float64 vector ``x`` (all finite), as an array
+        of shape (len(x), 4) and dtype ``'<u8'``: ``out`` when given,
+        whatever its strides.  Without its NUL bytes, a value's field is
+        its ``repr`` followed by the byte ``end`` (byte 31)."""
         x = np.ascontiguousarray(x, dtype=np.float64)
         if out is None:
-            out = np.empty(x.shape + (_FIELD_WORDS,), dtype="<u8")
-        values = x if x.ndim == 2 else x.reshape(-1, 1)
-        fields = out.reshape(values.shape + (_FIELD_WORDS,))
-        width = values.shape[1]
-        if width > _CHUNK or len(ends) not in (0, width):
-            raise ValueError(f"need at most {_CHUNK} columns and one end byte a column")
-        end_words = np.frombuffer(ends.rjust(width, b"\0"), dtype=np.uint8).astype(np.uint64)
-        end_words <<= _U(56)
-        step = _CHUNK // width
-        for lo in range(0, len(values), step):
-            bits = values[lo : lo + step].reshape(-1).view(np.uint64)
+            out = np.empty((len(x), _FIELD_WORDS), dtype="<u8")
+        end_word = _U(ord(end)) << _U(56)
+        for lo in range(0, len(x), _CHUNK):
+            bits = x[lo : lo + _CHUNK].view(np.uint64)
             sub = self._shortest(bits)
-            self._lay_out(bits, sub, fields[lo : lo + step], end_words)
+            self._lay_out(bits, sub, out[lo : lo + _CHUNK], end_word)
         return out
 
     def _shortest(self, bits):
@@ -327,8 +319,8 @@ class ReprFormatter:
             decpt[sub] = kp_sub + n_digits
         return sub
 
-    def _lay_out(self, bits, sub, out, end_words):
-        """Write the fields (``out``, rows by columns by words) of the
+    def _lay_out(self, bits, sub, out, end_word):
+        """Write the fields (``out``, a row of words per value) of the
         digits ``_shortest`` left."""
         n = len(bits)
         u = self._u[:, :n]
@@ -406,25 +398,23 @@ class ReprFormatter:
         lay[6].take(decpt, out=t3, mode="clip")
         t2 |= t3
         np.left_shift(pre[0], _U(56), out=t3)
-        shape = out.shape[:2]
-        np.bitwise_or(t2.reshape(shape), t3.reshape(shape), out=out[..., 0])
+        np.bitwise_or(t2, t3, out=out[:, 0])
         for w in (1, 2):
             pre[w - 1] >>= _U(8)
             np.left_shift(pre[w], _U(56), out=t3)
             pre[w - 1] |= t3
             pre[w - 1] |= post[w - 1]
             lay[6 + w].take(decpt, out=t3, mode="clip")
-            np.bitwise_or(pre[w - 1].reshape(shape), t3.reshape(shape), out=out[..., w])
-        out[..., 1] |= point.reshape(shape)
+            np.bitwise_or(pre[w - 1], t3, out=out[:, w])
+        out[:, 1] |= point
         lay[9].take(decpt, out=t3, mode="clip")
-        t3.reshape(shape)[...] |= end_words
-        np.bitwise_or(post[2].reshape(shape), t3.reshape(shape), out=out[..., 3])
+        t3 |= end_word
+        np.bitwise_or(post[2], t3, out=out[:, 3])
         if len(sub):
             zeros = sub[(bits[sub] << _U(1)) == _U(0)]
-            row, col = np.divmod(zeros, shape[1])
-            out[row, col] = _ZERO
-            out[row, col, 0] |= (bits[zeros] >> _U(63)) * _U(ord("-"))
-            out[row, col, 3] |= end_words[col]
+            out[zeros] = _ZERO
+            out[zeros, 0] |= (bits[zeros] >> _U(63)) * _U(ord("-"))
+            out[zeros, 3] |= end_word
 
 
 def _split_lanes(grp, quo, rem, base, bits):

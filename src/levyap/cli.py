@@ -46,12 +46,6 @@ if TYPE_CHECKING:
 __all__ = ["main"]
 
 SCHEMA_VERSION = 2
-# fields (time, path and state values) per block of ensemble.csv rows.
-# While a block is written a field takes 46-75 bytes: its share of the
-# row matrix, of the NUL mask and of the text (tracemalloc, 1, 2 and 8
-# coordinates).  So a block takes 1.5-2.5 MB, 8192 rows of example41,
-# beside the formatter's 1.7 MB of work arrays.
-_CSV_BLOCK_FIELDS = 32_768
 _TIME_BYTES = 24  # the longest repr of a double
 
 
@@ -92,34 +86,27 @@ def _write_ensemble_csv(path: Path, ens: PathEnsemble, stride: int) -> None:
     grid point, each of which the ensemble holds (``PathEnsemble.points``);
     every float is written as its ``repr``.
 
-    Works on blocks of grid points of at most ``_CSV_BLOCK_FIELDS``
-    fields (one grid point at least) in one matrix of 64-bit words, a row
-    per (grid point, path), reused from block to block.  A row holds the
-    time's repr (one ``repr`` per grid point), the path index (built
-    once) and, per state coordinate, the 32-byte field that
-    ``_floatfmt.ReprFormatter`` fills with the value's repr and its
-    separator, formatting a whole column with numpy integer arithmetic
-    and no Python code per value.  Every byte that is not text is NUL, so
-    a block is written as its matrix with the NUL bytes removed.  A
-    coordinate that is +0.0 at every point the ensemble holds (bit
-    pattern all zero) takes one word, ``0.0`` and its separator, written
-    once; example41's first coordinate is one.
+    Works on blocks of grid points of at most one formatter chunk
+    (``_floatfmt._CHUNK``) of rows, one grid point at least, in one
+    matrix of 64-bit words, a row per (grid point, path), reused from
+    block to block.  A row holds the time's repr (one ``repr`` per grid
+    point), the path index (built once) and, per state coordinate, the
+    32-byte field that ``_floatfmt.ReprFormatter`` fills with the value's
+    repr and its separator, formatting the block's values of one
+    coordinate with numpy integer arithmetic and no Python code per
+    value.  Every byte that is not text is NUL, so a block is written as
+    its matrix with the NUL bytes removed.  A coordinate that is +0.0 at
+    every point the ensemble holds (bit pattern all zero) takes one word,
+    ``0.0`` and its separator, written once; example41's first
+    coordinate is one.
     """
-    from ._floatfmt import ReprFormatter
+    from ._floatfmt import _CHUNK, ReprFormatter
 
     m, d = ens.n_paths, ens.dim
     n_points = ens.n_steps // stride + 1
-    per_block = min(max(1, _CSV_BLOCK_FIELDS // (m * (d + 2))), n_points)
+    per_block = min(max(1, _CHUNK // m), n_points)
     ends = b"," * (d - 1) + b"\n"
     zero = [not ens.values[:, :, i].view(np.uint64).any() for i in range(d)]
-    runs = []  # [first, stop) of each run of adjacent formatted coordinates
-    for i in range(d):
-        if zero[i]:
-            continue
-        if runs and runs[-1][1] == i:
-            runs[-1][1] = i + 1
-        else:
-            runs.append([i, i + 1])
     # a row starts with the time and a comma, ending at byte 24, then the
     # path and a comma, with no NUL between: the mask removes a run of NUL
     # bytes at a time, so the fewer runs the faster
@@ -137,7 +124,7 @@ def _write_ensemble_csv(path: Path, ens: PathEnsemble, stride: int) -> None:
         fh.write(("t,path," + ",".join(f"y{i}" for i in range(d)) + "\n").encode())
         for lo in range(0, n_points, per_block):
             points = stride * np.arange(lo, min(lo + per_block, n_points))
-            block = ens.values[:, ens.rows(points)]
+            at = ens.rows(points)
             k = len(points)
             n = k * m
             # the grid's own expression, so each time rounds as in ``grid``
@@ -145,12 +132,10 @@ def _write_ensemble_csv(path: Path, ens: PathEnsemble, stride: int) -> None:
             t_text = [f"{t!r},".rjust(_TIME_BYTES + 1, "\0") for t in times.tolist()]
             t_bytes = np.array(t_text, dtype=f"S{_TIME_BYTES + 1}").view(np.uint8)
             text[:k, :, : _TIME_BYTES + 1] = t_bytes.reshape(k, 1, _TIME_BYTES + 1)
-            for a, b in runs:
-                fmt(
-                    block[:, :, a:b].transpose(1, 0, 2).reshape(n, b - a),
-                    out=rows[:n, offsets[a] : offsets[b]].reshape(n, b - a, 4),
-                    ends=ends[a:b],
-                )
+            for i in range(d):
+                if not zero[i]:
+                    fields = rows[:n, offsets[i] : offsets[i + 1]]
+                    fmt(ens.values[:, at, i].T.reshape(n), out=fields, end=ends[i : i + 1])
             flat = rows[:n].view(np.uint8).reshape(-1)
             fh.write(flat[flat != 0])
 

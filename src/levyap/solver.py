@@ -169,17 +169,16 @@ class PathEnsemble:
         return at
 
 
-def _sup_mean(sums: np.ndarray, m: int, reach: list, dim: int) -> float:
+def _sup_mean(sums: np.ndarray, m: int, reach: list, pad: np.ndarray, row: np.ndarray) -> float:
     """Largest value over the grid of the path-average whose sums over
     the m paths are ``sums``, a row per coordinate of ``reach``, added
-    up over the ``dim`` coordinates.  The sums go to the columns
-    ``reach`` of a (times, dim) array whose other columns hold +0.0, so
-    the coordinates are added as one C-contiguous row per time and round
-    as the sums of every coordinate do.  A NaN or an infinite sum makes
-    it non-finite."""
-    rows = np.zeros((sums.shape[1], dim))
-    rows[:, reach] = sums.T
-    return float(rows.sum(axis=1).max()) / m
+    up over the coordinates.  The sums go to the columns ``reach`` of
+    ``pad``, a (times, dim) array whose other columns hold +0.0, so the
+    coordinates are added as one C-contiguous row per time, into
+    ``row``, and round as the sums of every coordinate do.  A NaN or an
+    infinite sum makes it non-finite."""
+    pad[:, reach] = sums.T
+    return float(np.add.reduce(pad, axis=1, out=row).max()) / m
 
 
 # ---------------------------------------------------------------------------
@@ -833,9 +832,10 @@ def _iterate(
     moment sums are not all finite is checked exactly: a non-finite
     state raises.
 
-    Block b sweeps in the scratch and, when ``keep`` is given, the block
-    states of worker b mod the worker count, allocated once per solve;
-    with every point kept, a block is swept in place in ``out``.
+    Block b sweeps in the scratch, the ``_sup_mean`` buffers and, when
+    ``keep`` is given, the block states of worker b mod the worker count,
+    allocated once per solve; with every point kept, a block is swept in
+    place in ``out``.
     """
     noise = plan.noise
     n_times = noise.n_steps + 1
@@ -845,6 +845,7 @@ def _iterate(
     dim, reach = out.shape[0], list(plan.reach)
     shape = (len(reach), n_times)
     scratch = [_Scratch(plan, largest) for _ in range(workers)]
+    pads = [(np.zeros((n_times, dim)), np.empty(n_times)) for _ in range(workers)]
     states = [
         None if keep is None else np.zeros((dim, blocks[0][-1][1], n_times))
         for _ in range(workers)
@@ -875,7 +876,7 @@ def _iterate(
                 raise SolverError("ensemble contains non-finite states")
             t1 = time.perf_counter()
             count += 1
-            converged = _sup_mean(gap, hi - lo, reach, dim) <= tol
+            converged = _sup_mean(gap, hi - lo, reach, *pads[worker]) <= tol
             yield moment, gap, t1 - t0, converged
             t0 = t1
         del drawn
@@ -911,12 +912,13 @@ def _iterate(
             for b in others:
                 # popped, a round's sums are dropped once they are added
                 add(b, futures.pop(0).result())
+    pad = pads[0]
     trace = [
-        {"k": k + 1, "gap": _sup_mean(gap, paths, reach, dim),
-         "sup_second_moment": _sup_mean(moment, paths, reach, dim), "wall_ms": seconds * 1000.0}
+        {"k": k + 1, "gap": _sup_mean(gap, paths, reach, *pad),
+         "sup_second_moment": _sup_mean(moment, paths, reach, *pad), "wall_ms": seconds * 1000.0}
         for k, (moment, gap, paths, seconds) in enumerate(totals)
     ]
-    return trace, outcome, [_sup_mean(sums, noise.n_paths, reach, dim) for sums in final]
+    return trace, outcome, [_sup_mean(sums, noise.n_paths, reach, *pad) for sums in final]
 
 
 def _tail_report(sys: DichotomousSystem, plan: _Plan) -> dict:

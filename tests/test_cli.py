@@ -196,6 +196,37 @@ CSV_SPECIAL_FLOATS = [1e-5, 1e16, 5e-324, -0.0, 0.0, -2.5e-310, 1.79769313486231
 CSV_SPECIAL_REPRS = ("1e-05", "1e+16", "5e-324", "-0.0", "-2.5e-310", "1.7976931348623157e+308")
 
 
+def count_formatted(monkeypatch, chunk):
+    """Set the formatter's chunk (``_floatfmt._CHUNK``, which also sizes
+    the CSV writer's blocks) when given, and return the list to which
+    each ``ReprFormatter`` call then appends its number of values."""
+    import levyap._floatfmt
+
+    if chunk is not None:
+        monkeypatch.setattr(levyap._floatfmt, "_CHUNK", chunk)
+    sizes = []
+    call = levyap._floatfmt.ReprFormatter.__call__
+
+    def counted(self, x, *args, **kwargs):
+        sizes.append(len(x))
+        return call(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(levyap._floatfmt.ReprFormatter, "__call__", counted)
+    return sizes
+
+
+def assert_formatted_blocks(sizes, ens, n_rows, blocks):
+    """The writer formatted each coordinate that is not +0.0 throughout
+    once a block, in ``blocks`` blocks, each of at most one chunk of
+    rows or one grid point."""
+    import levyap._floatfmt
+
+    formatted = sum(bool(ens.values[:, :, i].view(np.uint64).any()) for i in range(ens.dim))
+    assert len(sizes) == blocks * formatted, (len(sizes), blocks, formatted)
+    assert sum(sizes) == n_rows * formatted
+    assert max(sizes) <= max(levyap._floatfmt._CHUNK, ens.n_paths)
+
+
 def per_row_ensemble_csv(ens, stride):
     """The byte oracle for ``ensemble.csv``: a writer that formats every
     row with its own f-string."""
@@ -1732,47 +1763,55 @@ class TestCliDeterminism:
             )
 
     def test_ensemble_csv_rows_are_float_reprs(self, tmp_path, monkeypatch):
-        default_block = levyap.cli._CSV_BLOCK_FIELDS
-        for m, n_steps, d, stride, block_fields, zero_last in [
-            (3, 6, 2, 2, default_block, False),
-            # 90000 rows of 3 fields: blocks of 7281 grid points (21843
-            # rows), the last one 2628 rows, ending mid-grid
-            (3, 29_999, 1, 1, default_block, False),
+        for m, n_steps, d, stride, chunk, zero, blocks in [
+            (3, 6, 2, 2, None, None, 1),
+            # 30000 rows of 3 paths: blocks of 2730 grid points (8190
+            # rows), the last one 2700 grid points, ending mid-grid
+            (3, 29_999, 1, 1, None, None, 11),
             # stride 3 does not divide n_steps = 10; two grid points a block
-            (3, 10, 3, 3, 35, False),
+            (3, 10, 3, 3, 6, None, 2),
             # the last coordinate is +0.0 throughout the first block and
             # holds one -0.0 in the second
-            (3, 10, 3, 3, 35, True),
-            (1, 12, 3, 5, 20, False),
-            # fewer block fields than one grid point has: one grid point a
-            # block
-            (5, 9, 1, 2, 6, False),
+            (3, 10, 3, 3, 6, (2, -0.0), 2),
+            (1, 12, 3, 5, 2, None, 2),
+            # more paths than a chunk: one grid point a block, formatted
+            # in two chunks
+            (5, 9, 1, 2, 4, None, 5),
+            # galerkin_heat's row shape: 8 coordinates, the fifth +0.0
+            # throughout, written as one word between formatted ones
+            (4, 7, 8, 1, 12, (4, 0.0), 3),
         ]:
-            monkeypatch.setattr("levyap.cli._CSV_BLOCK_FIELDS", block_fields)
             gen = np.random.default_rng(3)
             shape = (m, n_steps + 1, d)
             values = gen.normal(size=shape) * 10.0 ** gen.integers(-20, 20, size=shape)
             written = values[:, ::stride, :]
             written.flat[: len(CSV_SPECIAL_FLOATS)] = CSV_SPECIAL_FLOATS
-            if zero_last:
-                values[:, :, -1] = 0.0
-                written[-1, -1, -1] = -0.0
+            if zero is not None:
+                i, last = zero
+                values[:, :, i] = 0.0
+                written[-1, -1, i] = last
             ens = PathEnsemble(h=0.25, k_lo=-3, values=values)
             path = tmp_path / "ens.csv"
-            _write_ensemble_csv(path, ens, stride)
+            n_rows = m * len(range(0, n_steps + 1, stride))
+            with monkeypatch.context() as patch:
+                sizes = count_formatted(patch, chunk)
+                _write_ensemble_csv(path, ens, stride)
+                assert_formatted_blocks(sizes, ens, n_rows, blocks)
             text = path.read_text(encoding="utf-8")
             assert text == per_row_ensemble_csv(ens, stride)
-            assert text.count("\n") == 1 + m * len(range(0, n_steps + 1, stride))
-            for v in ("1e-05", "1e+16", "-0.0") if zero_last else CSV_SPECIAL_REPRS:
+            assert text.count("\n") == 1 + n_rows
+            for v in CSV_SPECIAL_REPRS if zero is None else ("1e-05", "1e+16", "-0.0"):
                 assert f",{v}," in text or f",{v}\n" in text
 
-    @pytest.mark.parametrize("stride, block_fields", [(1, 4096), (3, 4096), (2, 600), (1, 10**9)])
-    def test_ensemble_csv_signed_zero_columns(self, tmp_path, monkeypatch, stride, block_fields):
+    @pytest.mark.parametrize(
+        "stride, chunk, blocks", [(1, 700, 5), (3, 700, 2), (2, 98, 15), (1, None, 1)]
+    )
+    def test_ensemble_csv_signed_zero_columns(self, tmp_path, monkeypatch, stride, chunk, blocks):
         """Columns of +0.0 and of -0.0 throughout, next to columns whose
         values repr in exponent form, byte for byte against the per-row
         oracle: in one block, and in blocks that end mid-grid, every
         grid point or every stride-th."""
-        monkeypatch.setattr("levyap.cli._CSV_BLOCK_FIELDS", block_fields)
+        sizes = count_formatted(monkeypatch, chunk)
         m, n_steps = 7, 401
         gen = np.random.default_rng(11)
         values = np.empty((m, n_steps + 1, 4))
@@ -1787,6 +1826,7 @@ class TestCliDeterminism:
         assert text == per_row_ensemble_csv(ens, stride)
         rows = text.splitlines()[1:]
         assert len(rows) == m * len(range(0, n_steps + 1, stride))
+        assert_formatted_blocks(sizes, ens, len(rows), blocks)
         assert all(row.split(",")[3:5] == ["0.0", "-0.0"] for row in rows)
         assert {"1e-05", "1e+16", "1e+22"} <= {row.split(",")[5] for row in rows}
 
@@ -1796,10 +1836,11 @@ class TestCliDeterminism:
         traced peak by less than a fixed 32 KiB."""
         import tracemalloc
 
-        monkeypatch.setattr("levyap.cli._CSV_BLOCK_FIELDS", 8192)
+        sizes = count_formatted(monkeypatch, 2048)
         gen = np.random.default_rng(5)
         peaks = []
-        for n_points in (2_000, 8_000):
+        for n_points, blocks in ((2_000, 16), (8_000, 63)):
+            sizes.clear()
             ens = PathEnsemble(h=1 / 256, k_lo=0, values=gen.normal(size=(16, n_points, 2)))
             tracemalloc.start()
             try:
@@ -1807,6 +1848,7 @@ class TestCliDeterminism:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
+            assert_formatted_blocks(sizes, ens, 16 * n_points, blocks)
         assert peaks[1] - peaks[0] < 32 * 1024, peaks
 
     def test_check_loads_no_heavy_scipy_modules(self, tmp_path):

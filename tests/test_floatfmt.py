@@ -10,11 +10,11 @@ seeded sweep of random bit patterns.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levyap._floatfmt import (
+    _CHUNK,
     _DECPT_OFF,
     _DECPT_SIZE,
     _DIGITS_AT,
@@ -30,7 +30,7 @@ from levyap._floatfmt import (
 
 def formatted_text(x):
     """The formatter's text of the values, each ended by a newline."""
-    fields = ReprFormatter()(np.asarray(x, dtype=np.float64), ends=b"\n")
+    fields = ReprFormatter()(np.asarray(x, dtype=np.float64), end=b"\n")
     assert np.all(fields[:, 3] >> np.uint64(48) == ord("\n") << 8)
     flat = fields.view(np.uint8).reshape(-1)
     return flat[flat != 0].tobytes().decode("ascii")
@@ -165,24 +165,27 @@ def test_signed_zeros_and_extremes():
     assert ReprFormatter()(np.array([1.5])).tobytes().replace(b"\0", b"") == b"1.5"
 
 
-def test_matrices_in_chunks_and_strided_output():
-    """A matrix gets one end byte a column and goes through in chunks of
-    whole rows; ``out`` may be a strided view, as the CSV writer passes
-    one."""
+def test_chunks_and_strided_output():
+    """A vector goes through in chunks of ``_CHUNK`` values, the zeros'
+    fix-ups on both sides of each chunk edge; ``out`` may be a strided
+    view, as the CSV writer passes one, and the end byte is byte 31."""
     gen = np.random.default_rng(7)
-    x = gen.normal(size=(5000, 4)) * 10.0 ** gen.integers(-30, 30, size=(5000, 4))
-    x.flat[::7] = 0.0
-    x.flat[::11] = -0.0
+    n = 2 * _CHUNK + 5000
+    x = gen.normal(size=n) * 10.0 ** gen.integers(-30, 30, size=n)
+    x[::7] = 0.0
+    x[::11] = -0.0
+    for edge in (_CHUNK, 2 * _CHUNK):
+        x[edge - 2 : edge + 2] = [0.0, -0.0, -0.0, 0.0]
     fmt = ReprFormatter()
-    rows = np.zeros((5000, 14), dtype="<u8")
-    fmt(x[:, 1:], out=rows[:, 1:13].reshape(5000, 3, 4), ends=b",;\n")
-    assert not rows[:, [0, 13]].any()
+    rows = np.zeros((n, 6), dtype="<u8")
+    fmt(x, out=rows[:, 1:5], end=b";")
+    assert not rows[:, [0, 5]].any()
+    assert np.all(rows[:, 4] >> np.uint64(56) == ord(";"))
     text = rows.view(np.uint8).reshape(-1)
-    want = "".join(f"{a!r},{b!r};{c!r}\n" for a, b, c in x[:, 1:].tolist())
-    assert text[text != 0].tobytes().decode() == want
-    assert np.array_equal(rows[:, 1:13].reshape(5000, 3, 4)[:, 2], fmt(x[:, 3], ends=b"\n"))
-    with pytest.raises(ValueError):
-        fmt(x, ends=b",")
+    assert text[text != 0].tobytes().decode() == "".join(f"{v!r};" for v in x.tolist())
+    plain = fmt(x)
+    assert not (plain[:, 3] >> np.uint64(56)).any()
+    assert np.array_equal(rows[:, 1:4], plain[:, :3])
 
 
 def test_seeded_sweep_of_random_bit_patterns():

@@ -1295,7 +1295,9 @@ class TestPicard:
         plan holds no events; a truncation of 1/4 keeps every strided
         row of the kernel longer than numpy's ufunc buffer, whose
         per-thread temporaries would otherwise blur the peak.  Measured
-        (10 runs each): 0.39-0.52 blocks at 1 worker, 0.41-1.91 at 2.
+        with rounds of one block per worker and each worker's
+        ``_sup_mean`` buffers allocated once per solve: 0.20-0.29 blocks
+        at 1 worker (10 runs), 1.21-1.28 at 2 (20 runs).
         Holding every block's sums of all dim coordinates to the end of
         the sweep, the peak grew by 28-29 blocks' reached sums."""
         h = 1.0 / 512
