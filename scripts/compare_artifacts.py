@@ -25,7 +25,13 @@ runs ``python -m levyap.cli`` on
   small and large jumps, and a non-diagonal generator with an unstable
   direction), and 150 paths spread its mark-weighted jumps over three
   blocks of 64 paths; and ``check`` of it at ``--threads`` 0, which is
-  rejected, and
+  rejected,
+- ``apscan`` at ``--threads`` 1 and 2 of two small configs whose state
+  layouts no preset has (``LAYOUTS``): ``between.json``, whose one
+  unreached state coordinate lies between two reached ones and is read
+  by drift, diffusion and small-jump terms, and ``unreached.json``,
+  whose coefficient lists are all empty, so that the operator reaches
+  no coordinate, and
 - ``check --config NAME.json`` on each record of the rejected-config
   corpus ``tests/data/rejected.jsonl``, configs that validation
   rejects, whose exit code and stderr must not change (the tests hold
@@ -58,6 +64,47 @@ from pathlib import Path
 PRESETS = ("example41", "ou_forced", "galerkin_heat")
 FINE = ["picard", "--preset", "example41", "--dt", "1/1024", "--paths", "1024", "--seed", "41"]
 DATA = Path(__file__).resolve().parents[1] / "tests" / "data"
+# example41 at h = 1/64 with 64 paths, in the state layouts of ``runs``
+_SMALL = {"h": "1/64", "window": [-2, 4], "n_paths": 64, "truncation": 2, "tol": 1e-12,
+          "max_iter": 40}
+LAYOUTS = {
+    "between": {
+        "preset": "example41",
+        "system": {"a": [[-6, 0, 0], [0, 8, 0], [0, 0, -7]],
+                   "p": [[1, 0, 0], [0, 0, 0], [0, 0, 1]], "k": 1, "omega": 6},
+        "coefficients": {
+            "freqs": [1.4142135623730951, 1.7320508075688772, 2.23606797749979],
+            "drift": [
+                [{"scale": 1, "kernel": "bounded_ratio", "coord": 1,
+                  "outer": "(c1 + s2) / (17 + c3)"}],
+                [],
+                [{"scale": "1/8", "kernel": "linear", "coord": 0}],
+            ],
+            "diffusion": [
+                [[{"scale": "1/12", "kernel": "sin_shift", "coord": 2, "inner": "c2 + c1"}]],
+                [[]],
+                [[{"scale": "1/12", "kernel": "linear", "coord": 1}]],
+            ],
+            "jump_small": [
+                [{"scale": "1/10", "kernel": "linear", "coord": 1}],
+                [],
+                [{"scale": "1/10", "kernel": "linear", "coord": 2}],
+            ],
+            "jump_large": [[], [], [{"scale": "1/9", "kernel": "linear", "coord": 0}]],
+            "lipschitz": "1/64",
+        },
+        "numerics": _SMALL,
+        "analysis": {"epsilon": 0.25, "shifts": ["1/4", "1/2", "3/4", 1],
+                     "times": [0, "1/4", "1/2", "3/4", 1], "law_support": 16},
+    },
+    "unreached": {
+        "preset": "example41",
+        "coefficients": {"freqs": [1.4142135623730951], "drift": [[], []],
+                         "diffusion": [[[]], [[]]], "jump_small": [[], []],
+                         "jump_large": [[], []], "lipschitz": "1/64"},
+        "numerics": _SMALL,
+    },
+}
 
 
 def custom() -> dict:
@@ -96,6 +143,11 @@ def runs() -> list[list[str]]:
             for threads in ("1", "2")
         ]
     out.append(["check", "--config", "custom.json", "--threads", "0"])
+    out += [
+        ["apscan", "--config", f"{name}.json", "--threads", threads]
+        for name in LAYOUTS
+        for threads in ("1", "2")
+    ]
     out += [["check", "--config", f"{rec['name']}.json"] for rec in rejected()]
     return out
 
@@ -207,7 +259,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="levyap_compare_") as tmp:
         for side in ("old", "new"):
             (Path(tmp) / side).mkdir()
-            configs = {"custom": custom(), **{rec["name"]: rec["config"] for rec in rejected()}}
+            configs = {
+                "custom": custom(), **LAYOUTS, **{rec["name"]: rec["config"] for rec in rejected()}
+            }
             for name, config in configs.items():
                 (Path(tmp) / side / f"{name}.json").write_text(json.dumps(config))
         differing = 0

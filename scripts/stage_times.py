@@ -14,10 +14,9 @@ Picard workers draw, increments and jump events; ``picard_solve`` in
 in ``levyap.apdist``.  The library code is not changed.  Before numpy
 loads, the script applies the CLI's process defaults
 (``levyap.cli._process_defaults``: one OpenBLAS thread unless
-``OPENBLAS_NUM_THREADS`` is set, and no huge-page advice from numpy
-unless ``NUMPY_MADVISE_HUGEPAGE`` is set), so its runs spend CPU and
-hold memory as CLI runs do, and its ``vm_hwm_mb`` per stage is what a
-CLI run holds.
+``OPENBLAS_NUM_THREADS`` is set), so its runs spend CPU and hold memory
+as CLI runs do, and its ``vm_hwm_mb`` per stage is what a CLI run
+holds.
 
 Prints one JSON object: per stage the median over the runs of its wall
 seconds in a run (0 for a stage the command never reaches), of its

@@ -408,7 +408,10 @@ def ap_distribution_scan(
     the grid's times, so it states the shift that was scanned.  The scan
     times T are the base times and every t + s.  The law at a time is
     the empirical law of the states of the paths drawn by
-    ``_law_paths(paths, n_support, seed)``, one draw for every time.
+    ``_law_paths(paths, n_support, seed)``, one draw for every time, in
+    the coordinates the ensemble holds (``PathEnsemble.coords``): the
+    others are +0.0 on every path, and ``bl_distance`` drops constant
+    coordinates, so every distance is that of the full states.
     Shift s is compared on every pair (t, t + s) with both ends in T,
     not only at the base times, and is accepted when the largest
     distance stays within ``eps``.

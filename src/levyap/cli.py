@@ -95,10 +95,10 @@ def _write_ensemble_csv(path: Path, ens: PathEnsemble, stride: int) -> None:
     repr and its separator, formatting the block's values of one
     coordinate with numpy integer arithmetic and no Python code per
     value.  Every byte that is not text is NUL, so a block is written as
-    its matrix with the NUL bytes removed.  A coordinate that is +0.0 at
-    every point the ensemble holds (bit pattern all zero) takes one word,
-    ``0.0`` and its separator, written once; example41's first
-    coordinate is one.
+    its matrix with the NUL bytes removed.  A coordinate that the
+    ensemble does not hold (``PathEnsemble.coords``), such as example41's
+    first, or that is +0.0 at every point it holds (bit pattern all
+    zero), takes one word, ``0.0`` and its separator, written once.
     """
     from ._floatfmt import _CHUNK, ReprFormatter
 
@@ -106,7 +106,8 @@ def _write_ensemble_csv(path: Path, ens: PathEnsemble, stride: int) -> None:
     n_points = ens.n_steps // stride + 1
     per_block = min(max(1, _CHUNK // m), n_points)
     ends = b"," * (d - 1) + b"\n"
-    zero = [not ens.values[:, :, i].view(np.uint64).any() for i in range(d)]
+    col = dict(zip(ens.coords, range(len(ens.coords))))  # the column of each held coordinate
+    zero = [i not in col or not ens.values[:, :, col[i]].view(np.uint64).any() for i in range(d)]
     # a row starts with the time and a comma, ending at byte 24, then the
     # path and a comma, with no NUL between: the mask removes a run of NUL
     # bytes at a time, so the fewer runs the faster
@@ -135,7 +136,7 @@ def _write_ensemble_csv(path: Path, ens: PathEnsemble, stride: int) -> None:
             for i in range(d):
                 if not zero[i]:
                     fields = rows[:n, offsets[i] : offsets[i + 1]]
-                    fmt(ens.values[:, at, i].T.reshape(n), out=fields, end=ends[i : i + 1])
+                    fmt(ens.values[:, at, col[i]].T.reshape(n), out=fields, end=ends[i : i + 1])
             flat = rows[:n].view(np.uint8).reshape(-1)
             fh.write(flat[flat != 0])
 
@@ -354,23 +355,13 @@ def _resolve_config(args) -> RunConfig:
 
 
 def _process_defaults() -> None:
-    """Set numpy's process-wide defaults before numpy loads, which
-    ``_lazy_import`` puts off until a command first uses it; a value the
-    caller set is kept.
-
-    ``OPENBLAS_NUM_THREADS=1`` starts OpenBLAS, numpy's and scipy's, with
+    """Set ``OPENBLAS_NUM_THREADS=1`` before numpy loads, which
+    ``_lazy_import`` puts off until a command first uses it, unless the
+    caller set a value: OpenBLAS, numpy's and scipy's, then starts with
     no thread pool.  The engine's matrices are at most 8 x 8 and its
     parallelism is its ``--threads`` workers; an idle BLAS pool only
-    spins, about 0.15 s of CPU a run on two cores.
-
-    ``NUMPY_MADVISE_HUGEPAGE=0`` stops numpy advising huge pages for
-    arrays of 4 MiB or more.  With the advice, writing one coordinate of
-    a coordinate-major state array faults in 2 MiB pages over part of a
-    coordinate the solve never writes, such as example41's unstable
-    first one: about 3 MB more peak on example41 at h = 1/1024, for
-    about 2% less CPU time (docs/configuration.md)."""
+    spins, about 0.15 s of CPU a run on two cores."""
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    os.environ.setdefault("NUMPY_MADVISE_HUGEPAGE", "0")
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -58,15 +58,13 @@ from zero states, where every grid term's value depends on the time
 alone: each chunk reads its state columns as one row of paths and
 broadcasts the values over its paths.
 
-The states are stored coordinate-major, one contiguous (paths, n + 1)
-slab per state coordinate; ``PathEnsemble.values`` is then a (paths,
-points, dim) view of that storage.  The plan finds the output
-coordinates S can reach at all (some forcing row that can exist drives
-a mode that maps back to them); the sweep reads, sums and writes only
-those, so a coordinate S cannot reach is never written and stays zero.
-Its slab takes no memory only while no page of it is faulted in: numpy's
-huge-page advice, which the command line turns off, would back part of
-it with the 2 MiB pages of the coordinate beside it.
+The plan finds the output coordinates S can reach at all (some forcing
+row that can exist drives a mode that maps back to them), and only those
+are stored: S is zero in every other coordinate, whatever the iterate,
+so a term that reads one reads a (1, n) row of +0.0 that broadcasts
+over the paths.  The states are stored coordinate-major, one contiguous
+(paths, n + 1) slab per reached coordinate; ``PathEnsemble.values`` is
+then a (paths, points, reached coordinates) view of that storage.
 """
 
 from __future__ import annotations
@@ -134,28 +132,30 @@ class PathEnsemble:
 
     The grid is integer-indexed (``k_lo`` .. ``k_lo + n_steps`` times
     ``h``) like the noise grid, so ensembles and noise windows align
-    exactly.  ``values`` has shape (paths, rows, dim), a row per grid
-    point of ``points`` (increasing steps from ``k_lo``), or a row per
-    grid point when ``points`` is None, and then ``n_steps`` is the rows
-    less one.  It may be a view of coordinate-major (dim, paths, rows)
-    storage, as the result of ``picard_solve`` is, whose moment sums
-    prove every state finite.
+    exactly.  The states have ``dim`` coordinates, of which ``values``
+    holds those in ``coords`` (increasing): it has shape (paths, rows,
+    len(coords)), and every other coordinate is +0.0 throughout.  A row
+    is a grid point of ``points`` (increasing steps from ``k_lo``), or
+    every grid point when ``points`` is None, and then ``n_steps`` is
+    the rows less one.  ``values`` may be a view of coordinate-major
+    (coordinates, paths, rows) storage, as the result of
+    ``picard_solve`` is, whose moment sums prove every state finite.
     """
 
-    def __init__(self, h: float, k_lo: int, values: np.ndarray, points=None, n_steps=None):
+    def __init__(
+        self, h: float, k_lo: int, values: np.ndarray, dim: int, coords, points=None, n_steps=None
+    ):
         self.h = h
         self.k_lo = k_lo
         self.values = values
+        self.dim = dim
+        self.coords = tuple(coords)
         self.points = points
         self.n_steps = values.shape[1] - 1 if n_steps is None else n_steps
 
     @property
     def n_paths(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[2]
 
     def rows(self, points) -> np.ndarray:
         """The rows of ``values`` at the grid points ``points``, each one
@@ -377,7 +377,7 @@ class _Jumps:
 
 
 class _Plan(
-    namedtuple("_Plan", "noise w halves modes jumps coords drift stoch zeroed assembly")
+    namedtuple("_Plan", "noise w dim halves modes jumps coords zeros drift stoch zeroed assembly")
 ):
     """What one application of S needs that depends neither on the
     iterate nor on the noise, built once per Picard solve: every
@@ -386,10 +386,11 @@ class _Plan(
     each block of paths takes its noise from (``paths``).
 
     ``w`` is the truncation horizon in steps, with the preconditions of
-    ``picard_solve``.  ``halves`` are the modal halves of S
-    that have a live mode, ``modes`` the live modes of each (``_Mode``):
-    a mode is live if a nonzero entry of a forcing row that can exist
-    drives it, or a nonzero coupling ties it to a later live mode.
+    ``picard_solve``, and ``dim`` the state dimension.  ``halves`` are
+    the modal halves of S that have a live mode, ``modes`` the live
+    modes of each (``_Mode``): a mode is live if a nonzero entry of a
+    forcing row that can exist drives it, or a nonzero coupling ties it
+    to a later live mode.
     ``jumps`` holds the (region, map) of the small and then the large
     jumps, for each region whose map acts on some coordinate; a block
     prepares the map's terms at its own events when it draws them
@@ -402,9 +403,12 @@ class _Plan(
     increments, which each block of paths draws for itself, and the
     small-jump compensator's (weights folded into its terms, column
     None) is -h.  The terms' time-only signals are evaluated on the
-    grid.  ``zeroed`` are the coordinates whose
-    stochastic row only jumps fill, and ``coords`` the state coordinates
-    some grid term reads.
+    grid.  ``zeroed`` are the coordinates whose stochastic row only jumps
+    fill.  ``coords`` pairs each state coordinate that some grid term
+    reads with its row in the states, which hold the coordinates of
+    ``reach`` in order, or with None for a coordinate outside ``reach``:
+    the terms read ``zeros`` for it, one (1, n) row of +0.0 (None when
+    no term reads such a coordinate).
 
     ``assembly`` holds, for each output coordinate S reaches, the columns
     ``blank`` that its first term does not cover and its nonzero terms
@@ -500,13 +504,18 @@ class _Plan(
                             terms.append((k, at, out_cols, sign * coefs[i, mode.index]))
             if terms:
                 assembly.append((i, blanks[0], tuple(terms)))
+        reach = [i for i, _, _ in assembly]
+        read = sorted({t.coord for t in grid_terms if t.kernel != "const"})
+        coords = tuple((c, reach.index(c) if c in reach else None) for c in read)
         return cls(
             noise=noise,
             w=w,
+            dim=sys.dim,
             halves=tuple(halves),
             modes=tuple(modes),
             jumps=jumps,
-            coords=tuple(sorted({t.coord for t in grid_terms if t.kernel != "const"})),
+            coords=coords,
+            zeros=np.zeros((1, n)) if any(k is None for _, k in coords) else None,
             drift=tuple(drift),
             stoch=tuple(stoch),
             zeroed=tuple(sorted(jump_rows - noise_rows)),
@@ -609,17 +618,21 @@ def _draw_block(plan: _Plan, lo: int, hi: int) -> tuple:
     return sample.dW, tuple(_Jumps(tmap, region, sample) for region, tmap in plan.jumps)
 
 
-def _block_jumps(jumps, values: np.ndarray) -> list:
+def _block_jumps(plan: _Plan, jumps, values: np.ndarray) -> list:
     """The jump values of a block's events, for each region of ``jumps``
     (the block's ``_Jumps``) that has events in it: the region's events
-    and the (events, dim) values of its map at the events' states in
-    ``values``, the block's (dim, paths, n + 1) states.  Each event reads
-    only its own path, so the values of a block are those of its chunks."""
-    return [
-        (j, point_values(j.terms, np.ascontiguousarray(values[:, j.path, j.step].T)))
-        for j in jumps
-        if j.path.size
-    ]
+    and the (events, dim) values of its map at the events' states, read
+    from ``values``, the block's (len(plan.reach), paths, n + 1) states,
+    into (events, dim) states that are +0.0 outside ``plan.reach``.  Each
+    event reads only its own path, so the values of a block are those of
+    its chunks."""
+    out = []
+    for j in jumps:
+        if j.path.size:
+            states = np.zeros((j.path.size, plan.dim))
+            states[:, list(plan.reach)] = values[:, j.path, j.step].T
+            out.append((j, point_values(j.terms, states)))
+    return out
 
 
 def _add_jumps(block_jumps: list, stoch: dict, lo: int, hi: int):
@@ -645,13 +658,13 @@ def _apply_chunk(
     block_jumps,
     zero: bool,
 ):
-    """S applied to paths [lo, hi) of the coordinate-major (dim, paths,
-    n + 1) array ``values``, the states of the block that holds them.
-    Yields each output coordinate i of ``plan.reach`` in turn with its
-    (paths, n + 1) row of values, a view of ``scratch.res``; S is zero
-    in the other coordinates.  ``values`` is only read, in paths [lo,
-    hi) and before the first yield, so the caller may write each
-    coordinate back as it comes.  ``dw`` holds the Wiener increments of
+    """S applied to paths [lo, hi) of the coordinate-major
+    (len(plan.reach), paths, n + 1) array ``values``, the states of the
+    block that holds them.  Yields the (paths, n + 1) row of values of
+    each output coordinate of ``plan.reach`` in turn, a view of
+    ``scratch.res``; S is zero in the other coordinates.  ``values`` is
+    only read, in paths [lo, hi) and before the first yield, so the
+    caller may write each coordinate back as it comes.  ``dw`` holds the Wiener increments of
     these paths, (paths, n, noise dim), and ``block_jumps`` the jump
     values of the block (``_block_jumps``).  ``zero`` says that
     ``values`` holds +0.0 in these paths: every grid term's value then
@@ -661,7 +674,8 @@ def _apply_chunk(
 
     Path-major: every array is (paths, time) with time contiguous.  The
     kernel runs the lists of the plan and decides nothing: the terms read
-    the state coordinates as views of ``values`` and fill one drift row
+    the state coordinates as views of ``values``, or as ``plan.zeros``
+    outside ``plan.reach``, and fill one drift row
     and one stochastic row per planned coordinate, each stochastic entry
     its value times its factor; the live modes of each half scan their
     planned forcing (``_modal_scan``); and each reached coordinate is
@@ -669,7 +683,9 @@ def _apply_chunk(
     """
     p = hi - lo
     rows = 1 if zero else p  # the rows of the grid terms' values
-    columns = {c: values[c, lo : lo + rows, :-1] for c in plan.coords}
+    columns = {
+        c: plan.zeros if k is None else values[k, lo : lo + rows, :-1] for c, k in plan.coords
+    }
     later = None if scratch.later is None else scratch.later[:p]
     sum_buf = None if scratch.sum_buf is None else scratch.sum_buf[:rows]
     drift = {i: _term_sum(f, columns, scratch.drift[i][:rows], sum_buf) for i, f in plan.drift}
@@ -696,11 +712,11 @@ def _apply_chunk(
     for half, modes, z in zip(plan.halves, plan.modes, zs):
         _modal_scan(half, modes, (drift, stoch), z, buf, cbuf)
     res = scratch.res[:p]
-    for i, blank, terms in plan.assembly:
+    for _, blank, terms in plan.assembly:
         res[:, blank] = 0.0
         for k, (half, at, cols, coef) in enumerate(terms):
             _add_real(res[:, cols], coef, zs[half][at], buf, cbuf, fresh=not k)
-        yield i, res
+        yield res
 
 
 def _add_rows(acc: np.ndarray, rows: np.ndarray) -> None:
@@ -716,7 +732,8 @@ def _sweep_block(
     plan: _Plan, block: np.ndarray, chunks, scratch: _Scratch, drawn: tuple, zero: bool
 ):
     """Apply S in place to one block of paths, chunk by chunk: ``block``
-    holds the block's states, coordinate-major (dim, paths, n + 1), and
+    holds the block's states, coordinate-major (len(plan.reach), paths,
+    n + 1), and
     ``chunks`` are the path ranges of its chunks (``_blocks``), counted
     in the run, so the first starts at the block's first path.  ``drawn``
     is the block's noise (``_draw_block``); ``zero`` as in
@@ -728,15 +745,13 @@ def _sweep_block(
     ``plan.reach``.  Every sum is accumulated one path at a time in path
     order, which is the order in which numpy sums a C-contiguous
     (paths, times * dim) block over its first axis.  Each coordinate of
-    a chunk is summed in the scratch before it is written back.  Only
-    the coordinates S can reach are read back, summed and written: the
-    others are left as they are.
+    a chunk is summed in the scratch before it is written back.
     """
     dw, jumps = drawn
     first = chunks[0][0]
     shape = (len(plan.assembly), block.shape[2])
     moment, gap = np.zeros(shape), np.zeros(shape)
-    block_jumps = _block_jumps(jumps, block)
+    block_jumps = _block_jumps(plan, jumps, block)
     # squares of overflowing or non-finite states are left to the
     # finiteness check of the caller
     with np.errstate(over="ignore", invalid="ignore"):
@@ -750,14 +765,14 @@ def _sweep_block(
                 lo, hi = lo - first, hi - first
                 sq = scratch.buf[: hi - lo]
                 chunk = _apply_chunk(plan, block, lo, hi, scratch, dw[lo:hi], block_jumps, zero)
-                for k, (i, new) in enumerate(chunk):
+                for k, new in enumerate(chunk):
                     np.multiply(new, new, out=sq)
                     _add_rows(moment[k], sq)
                     if not zero:
-                        np.subtract(new, block[i, lo:hi], out=sq)
+                        np.subtract(new, block[k, lo:hi], out=sq)
                         sq *= sq
                         _add_rows(gap[k], sq)
-                    block[i, lo:hi] = new
+                    block[k, lo:hi] = new
         finally:
             np.setbufsize(bufsize)
     # from the zero ensemble new - 0 is new, which is never -0.0: the gap
@@ -796,11 +811,11 @@ def _iterate(
     """Picard iterations of S from the zero ensemble, one block of paths
     at a time, writing each block's final states at the grid points
     ``keep`` (increasing, or None for every point) into the
-    coordinate-major (dim, paths, points) array ``out``.  Returns the
-    gap trace, one record per iteration, each block's (iterations,
-    converged), and the gap and the moment over every path, each block
-    at its last iteration: the last record's when every block stops at
-    the same count.
+    coordinate-major (len(plan.reach), paths, points) array ``out``.
+    Returns the gap trace, one record per iteration, each block's
+    (iterations, converged), and the gap and the moment over every path,
+    each block at its last iteration: the last record's when every block
+    stops at the same count.
 
     A block draws its noise (``_draw_block``) and is swept
     (``_sweep_block``) until its own gap, sup_t of the mean over its
@@ -842,12 +857,12 @@ def _iterate(
     blocks = _blocks(noise.n_paths, noise.n_steps, chunk_paths)
     workers = min(threads, len(blocks))
     largest = max(hi - lo for chunks in blocks for lo, hi in chunks)
-    dim, reach = out.shape[0], list(plan.reach)
+    reach = list(plan.reach)
     shape = (len(reach), n_times)
     scratch = [_Scratch(plan, largest) for _ in range(workers)]
-    pads = [(np.zeros((n_times, dim)), np.empty(n_times)) for _ in range(workers)]
+    pads = [(np.zeros((n_times, plan.dim)), np.empty(n_times)) for _ in range(workers)]
     states = [
-        None if keep is None else np.zeros((dim, blocks[0][-1][1], n_times))
+        None if keep is None else np.empty((len(reach), blocks[0][-1][1], n_times))
         for _ in range(workers)
     ]
     totals = []  # per iteration: moment and gap sums, paths and seconds
@@ -865,7 +880,7 @@ def _iterate(
             block = out[:, lo:hi]
         else:
             block = states[worker][:, : hi - lo]
-            block[reach] = 0.0
+            block[...] = 0.0
         t0 = time.perf_counter()
         drawn = _draw_block(plan, lo, hi)
         count, converged = 0, False
@@ -881,9 +896,11 @@ def _iterate(
             t0 = t1
         del drawn
         if keep is not None:
-            for i in reach:
-                # "clip" writes straight into out; keep is in range
-                np.take(block[i], keep, axis=1, out=out[i, lo:hi], mode="clip")
+            for rows, kept in zip(block, out[:, lo:hi]):
+                # "clip" writes straight into the C-contiguous rows of out
+                # (one take over every coordinate would copy through a
+                # temporary); keep is in range
+                np.take(rows, keep, axis=1, out=kept, mode="clip")
 
     def add(b: int, sums) -> None:
         """Add block b's sums of each sweep, in order, to that iteration's
@@ -1029,10 +1046,9 @@ def picard_solve(
     ``NoiseSample`` gives views.  The solve holds the kept points of
     every path and, per worker, one block's states, noise and scratch,
     never the run's noise or, unless every point is kept, its ensemble.
-    A coordinate S cannot reach (``_Plan.reach``) is never written, so
-    it stays zero without taking time, and without taking memory unless
-    numpy advises huge pages for the state arrays (see the module
-    docstring).  Every path is computed by the same operations in any
+    Only the coordinates S can reach (``_Plan.reach``) are stored: S is
+    zero in the others, and the result's ensemble holds the reached ones
+    (``PathEnsemble.coords``).  Every path is computed by the same operations in any
     chunk, and every sum is added in block order, so ``chunk_paths`` and
     ``threads`` do not change the result.  A gap trace record's
     ``wall_ms`` is the workers' summed time on the iteration's blocks.
@@ -1047,15 +1063,12 @@ def picard_solve(
             raise SolverError("keep must be increasing grid points of the noise window")
         if keep.size == n_times:
             keep = None  # every point: the blocks are swept in the result
-    # coordinate-major: a coordinate S cannot reach is never written and
-    # stays zero pages, which are not resident while numpy's huge-page
-    # advice is off
-    values = np.zeros((sys.dim, noise.n_paths, n_times if keep is None else keep.size))
+    values = np.zeros((len(plan.reach), noise.n_paths, n_times if keep is None else keep.size))
     trace, blocks, final = _iterate(plan, values, keep, tol, max_iter, chunk_paths, threads)
     return PicardResult(
         ensemble=PathEnsemble(
-            h=noise.h, k_lo=noise.k_lo, values=np.moveaxis(values, 0, -1), points=keep,
-            n_steps=noise.n_steps,
+            h=noise.h, k_lo=noise.k_lo, values=np.moveaxis(values, 0, -1), dim=sys.dim,
+            coords=plan.reach, points=keep, n_steps=noise.n_steps,
         ),
         gap_trace=tuple(trace),
         converged=all(converged for _, converged in blocks),

@@ -31,6 +31,14 @@ from levyap.solver import (
 _BLOWUP_GUARD = 1e8
 
 
+def dense(ens: PathEnsemble) -> np.ndarray:
+    """The states of the ensemble as (paths, rows, dim), +0.0 in the
+    coordinates that it does not hold."""
+    out = np.zeros((ens.n_paths, ens.values.shape[1], ens.dim))
+    out[:, :, list(ens.coords)] = ens.values
+    return out
+
+
 def grid_index(ens: PathEnsemble, t: float) -> int:
     """Index of the grid time ``t`` in the ensemble; ``t`` must be within
     1e-9 (relative) of a grid time inside the ensemble's window."""
@@ -42,7 +50,8 @@ def grid_index(ens: PathEnsemble, t: float) -> int:
 
 def l2_increment(ens: PathEnsemble, t: float, r: float) -> float:
     """Path-average of ||Y(t) - Y(r)||^2 for two grid times."""
-    diff = ens.values[:, grid_index(ens, t), :] - ens.values[:, grid_index(ens, r), :]
+    values = dense(ens)
+    diff = values[:, grid_index(ens, t), :] - values[:, grid_index(ens, r), :]
     return float(np.mean(np.sum(diff**2, axis=1)))
 
 
@@ -56,10 +65,14 @@ def apply_S(
 ) -> tuple[PathEnsemble, dict]:
     """One application of the integral operator S of ``picard_solve`` to
     an ensemble, by the same plan and block sweeps, as one Picard
-    iteration from the ensemble: the input is copied once,
-    coordinate-major, and swept block by block; the coordinates S cannot reach
-    (``_Plan.reach``) are then set to zero.  The truncation horizon is
-    ``w`` whole steps.  Returns the new ensemble and the tail report."""
+    iteration from the ensemble: the input's coordinates that S reaches
+    (``_Plan.reach``) are copied once, coordinate-major, and swept block
+    by block.  As in the solve, a term reads +0.0 for any other
+    coordinate, so this is S of the ensemble when the input is zero in
+    every coordinate outside the reach that a term reads, as every
+    Picard iterate is.  The truncation horizon is ``w`` whole steps.
+    Returns the new ensemble, which holds the reached coordinates, and
+    the tail report."""
     h, k_lo, n = noise.h, noise.k_lo, noise.n_steps
     if (ens.h, ens.k_lo, ens.n_steps) != (h, k_lo, n):
         raise SolverError("noise and ensemble grids do not match")
@@ -69,15 +82,16 @@ def apply_S(
     if sys.dim != d or ens.dim != d:
         raise SolverError("system, coefficients and ensemble dimensions differ")
     plan = _Plan.build(sys, cs, noise, w)
-    values = np.moveaxis(ens.values, -1, 0).copy()
+    values = np.moveaxis(dense(ens)[:, :, list(plan.reach)], -1, 0).copy()
     blocks = _blocks(noise.n_paths, n, chunk_paths)
     scratch = _Scratch(plan, max(hi - lo for chunks in blocks for lo, hi in chunks))
     for chunks in blocks:
         lo, hi = chunks[0][0], chunks[-1][1]
         drawn = _draw_block(plan, lo, hi)
         _sweep_block(plan, values[:, lo:hi], chunks, scratch, drawn, zero=False)
-    values[[i for i in range(d) if i not in plan.reach]] = 0.0
-    out = PathEnsemble(h=h, k_lo=k_lo, values=np.moveaxis(values, 0, -1))
+    out = PathEnsemble(
+        h=h, k_lo=k_lo, values=np.moveaxis(values, 0, -1), dim=d, coords=plan.reach
+    )
     return out, _tail_report(sys, plan)
 
 
@@ -139,4 +153,4 @@ def simulate_mild(sys, cs, noise, y0: np.ndarray) -> PathEnsemble:
             p = int(np.nonzero(np.any(bad, axis=1))[0][0])
             raise SolverError(f"state blew up at t = {grid[k + 1]:.6g} on path {p}")
         out[:, k + 1, :] = y
-    return PathEnsemble(h=h, k_lo=k_lo, values=out)
+    return PathEnsemble(h=h, k_lo=k_lo, values=out, dim=d, coords=range(d))

@@ -25,7 +25,8 @@ from levyap.apdist import (
 
 def _FakeEnsemble(grid, values):
     """An ensemble of ``values`` on ``grid``, which starts at 0."""
-    return PathEnsemble(h=float(grid[1] - grid[0]), k_lo=0, values=values)
+    d = values.shape[2]
+    return PathEnsemble(h=float(grid[1] - grid[0]), k_lo=0, values=values, dim=d, coords=range(d))
 
 
 def _on_grid(ens, times):

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from _ensemble_oracles import dense
 from _grid import ensemble_grid, galerkin_modes
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -216,12 +217,14 @@ def count_formatted(monkeypatch, chunk):
 
 
 def assert_formatted_blocks(sizes, ens, n_rows, blocks):
-    """The writer formatted each coordinate that is not +0.0 throughout
-    once a block, in ``blocks`` blocks, each of at most one chunk of
-    rows or one grid point."""
+    """The writer formatted each held coordinate that is not +0.0
+    throughout once a block, in ``blocks`` blocks, each of at most one
+    chunk of rows or one grid point."""
     import levyap._floatfmt
 
-    formatted = sum(bool(ens.values[:, :, i].view(np.uint64).any()) for i in range(ens.dim))
+    formatted = sum(
+        bool(ens.values[:, :, k].view(np.uint64).any()) for k in range(len(ens.coords))
+    )
     assert len(sizes) == blocks * formatted, (len(sizes), blocks, formatted)
     assert sum(sizes) == n_rows * formatted
     assert max(sizes) <= max(levyap._floatfmt._CHUNK, ens.n_paths)
@@ -237,7 +240,7 @@ def per_row_ensemble_csv(ens, stride):
         t_repr = repr(float(grid[k]))
         lines.extend(
             f"{t_repr},{p},{','.join(map(repr, row))}\n"
-            for p, row in enumerate(ens.values[:, k, :].tolist())
+            for p, row in enumerate(dense(ens)[:, k, :].tolist())
         )
     return "".join(lines)
 
@@ -1599,7 +1602,9 @@ class TestCliArtifacts:
         import shutil
 
         corpus = len(compare_artifacts.rejected())
-        assert len(compare_artifacts.runs()) == 3 * 3 * 2 * 2 + 2 * 2 + 2 + 2 + 2 + 2 + 1 + corpus
+        assert len(compare_artifacts.runs()) == (
+            3 * 3 * 2 * 2 + 2 * 2 + 2 + 2 + 2 + 2 + 1 + 2 * 2 + corpus
+        )
 
         src = Path(levyap.__file__).parents[1]
         changed = tmp_path / "changed"
@@ -1659,27 +1664,6 @@ class TestCliArtifacts:
             assert main(["picard", "--config", str(cfg), "--out", str(outs[-1])]) == 0
         for name in ("ensemble.csv", "condition_report.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
-
-    def test_ou_benchmark_script_reads_ensemble_csv(self, tmp_path):
-        """``scripts/run_ou_benchmark.py`` reshapes ``ensemble.csv`` by
-        position (time-major rows), so it checks the row order end to end."""
-        script = Path(__file__).resolve().parents[1] / "scripts" / "run_ou_benchmark.py"
-        out = tmp_path / "ou"
-        env = dict(os.environ, PYTHONPATH=str(Path(levyap.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, str(script), "--paths", "16", "--out", str(out)],
-            capture_output=True, text=True, env=env, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert read_lines(out / "mean_curve.csv")[0] == "t,empirical_mean,closed_form"
-        curve = np.loadtxt(out / "mean_curve.csv", delimiter=",", skiprows=1)
-        data = np.loadtxt(out / "ensemble.csv", delimiter=",", skiprows=1)
-        times, which = np.unique(data[:, 0], return_inverse=True)
-        assert curve.shape[0] == len(times)
-        # the per-time means agree with a grouping that ignores row order
-        means = np.bincount(which, weights=data[:, 2]) / np.bincount(which)
-        np.testing.assert_allclose(curve[:, 0], times, rtol=0, atol=0)
-        np.testing.assert_allclose(curve[:, 1], means, rtol=1e-12, atol=1e-15)
 
     def test_galerkin_artifacts(self, tmp_path, capsys):
         """``picard`` on a spectral truncation writes the four picard
@@ -1790,7 +1774,7 @@ class TestCliDeterminism:
                 i, last = zero
                 values[:, :, i] = 0.0
                 written[-1, -1, i] = last
-            ens = PathEnsemble(h=0.25, k_lo=-3, values=values)
+            ens = PathEnsemble(h=0.25, k_lo=-3, values=values, dim=d, coords=range(d))
             path = tmp_path / "ens.csv"
             n_rows = m * len(range(0, n_steps + 1, stride))
             with monkeypatch.context() as patch:
@@ -1819,7 +1803,7 @@ class TestCliDeterminism:
         values[:, :, 1] = 0.0
         values[:, :, 2] = -0.0
         values[:, :, 3] = gen.choice([1e-05, 1e16, -2.5e-310, 1e22], size=(m, n_steps + 1))
-        ens = PathEnsemble(h=1 / 64, k_lo=-128, values=values)
+        ens = PathEnsemble(h=1 / 64, k_lo=-128, values=values, dim=4, coords=range(4))
         path = tmp_path / "ens.csv"
         _write_ensemble_csv(path, ens, stride)
         text = path.read_text(encoding="utf-8")
@@ -1829,6 +1813,24 @@ class TestCliDeterminism:
         assert_formatted_blocks(sizes, ens, len(rows), blocks)
         assert all(row.split(",")[3:5] == ["0.0", "-0.0"] for row in rows)
         assert {"1e-05", "1e+16", "1e+22"} <= {row.split(",")[5] for row in rows}
+
+    def test_ensemble_csv_writes_unheld_coordinates_as_zero(self, tmp_path, monkeypatch):
+        """An ensemble that holds coordinates 1 and 3 of 5, as a solve
+        holds the coordinates S reaches: each coordinate it does not hold
+        is written as the one ``0.0`` word of a +0.0 column, byte for byte
+        against the per-row oracle on the dense states, and only the held
+        ones are formatted."""
+        sizes = count_formatted(monkeypatch, None)
+        gen = np.random.default_rng(7)
+        values = gen.normal(size=(5, 41, 2))
+        ens = PathEnsemble(h=1 / 8, k_lo=-16, values=values, dim=5, coords=(1, 3))
+        path = tmp_path / "ens.csv"
+        _write_ensemble_csv(path, ens, 2)
+        text = path.read_text(encoding="utf-8")
+        assert text == per_row_ensemble_csv(ens, 2)
+        rows = text.splitlines()[1:]
+        assert_formatted_blocks(sizes, ens, len(rows), 1)
+        assert all([row.split(",")[i] for i in (2, 4, 6)] == ["0.0"] * 3 for row in rows)
 
     def test_ensemble_csv_working_set_is_bounded(self, tmp_path, monkeypatch):
         """The writer holds one block's strings at a time: four times the
@@ -1841,7 +1843,9 @@ class TestCliDeterminism:
         peaks = []
         for n_points, blocks in ((2_000, 16), (8_000, 63)):
             sizes.clear()
-            ens = PathEnsemble(h=1 / 256, k_lo=0, values=gen.normal(size=(16, n_points, 2)))
+            ens = PathEnsemble(
+                h=1 / 256, k_lo=0, values=gen.normal(size=(16, n_points, 2)), dim=2, coords=(0, 1)
+            )
             tracemalloc.start()
             try:
                 _write_ensemble_csv(tmp_path / "ens.csv", ens, 1)
@@ -2044,33 +2048,6 @@ class TestCliDeterminism:
             assert [value for _, value in steps] == [given, given]
             if len(os.sched_getaffinity(0)) >= 2:  # a pool of two: the count sees it
                 assert int(steps[-1][0]) > 1
-
-    @pytest.mark.parametrize("given", [None, "1"])
-    def test_numpy_advises_no_huge_pages(self, tmp_path, given):
-        """A ``levyap`` command sets ``NUMPY_MADVISE_HUGEPAGE=0`` before
-        numpy loads, so numpy advises no huge pages for its large arrays
-        (which would fault in 2 MiB pages over a state coordinate the
-        solve never writes).  A value the caller gives is kept."""
-        out = tmp_path / "ex41"
-        argv = ["picard", "--config", str(write_cfg(tmp_path, tiny_benchmark_dict(), "ex41.json")),
-                "--paths", "8", "--out", str(out)]
-        code = (
-            "import os, sys\n"
-            "from levyap.cli import main\n"
-            f"code = main({argv!r})\n"
-            "advice = sys.modules['numpy']._core.multiarray._get_madvise_hugepage()\n"
-            "print(code, os.environ['NUMPY_MADVISE_HUGEPAGE'], advice)\n"
-        )
-        env = {k: v for k, v in os.environ.items() if k != "NUMPY_MADVISE_HUGEPAGE"}
-        env["PYTHONPATH"] = str(Path(levyap.__file__).parents[1])
-        if given is not None:
-            env["NUMPY_MADVISE_HUGEPAGE"] = given
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
-        )
-        assert proc.returncode == 0, proc.stderr
-        expected = ["0", "0", "False"] if given is None else ["0", "1", "True"]
-        assert proc.stdout.split()[-3:] == expected
 
     def test_seed_changes_results(self, tmp_path, capsys):
         base = self.run_picard(tmp_path, "s0")

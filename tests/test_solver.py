@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _ensemble_oracles import apply_S, grid_index, l2_increment, simulate_mild
+from _ensemble_oracles import apply_S, dense, grid_index, l2_increment, simulate_mild
 from _grid import (
     ensemble_grid,
     galerkin_modes,
@@ -208,7 +208,7 @@ class TestCheckConditions:
 
 class TestPathEnsemble:
     def test_grid_and_index(self):
-        ens = PathEnsemble(h=0.25, k_lo=-2, values=np.zeros((3, 5, 2)))
+        ens = PathEnsemble(h=0.25, k_lo=-2, values=np.zeros((3, 5, 2)), dim=2, coords=(0, 1))
         assert ens.n_paths == 3 and ens.n_steps == 4 and ens.dim == 2
         np.testing.assert_allclose(ensemble_grid(ens), [-0.5, -0.25, 0.0, 0.25, 0.5])
         assert grid_index(ens, 0.25) == 3
@@ -219,7 +219,7 @@ class TestPathEnsemble:
         v[0, 1] = [3.0, 4.0]  # |.|^2 = 25
         v[1, 1] = [0.0, 1.0]  # |.|^2 = 1
         v[0, 2] = [1.0, 0.0]
-        ens = PathEnsemble(h=1.0, k_lo=0, values=v)
+        ens = PathEnsemble(h=1.0, k_lo=0, values=v, dim=2, coords=(0, 1))
         moment, _ = _sup_mean_squares(ens.values, np.zeros_like(v))
         assert moment == pytest.approx(13.0)  # (25 + 1) / 2
         assert l2_increment(ens, 1.0, 1.0) == 0.0
@@ -422,7 +422,7 @@ class TestSimulateMild:
 def _random_ensemble(noise, dim: int, seed: int, scale=1.0) -> PathEnsemble:
     gen = np.random.default_rng(seed)
     vals = scale * gen.normal(size=(noise.n_paths, noise.n_steps + 1, dim))
-    return PathEnsemble(h=noise.h, k_lo=noise.k_lo, values=vals)
+    return PathEnsemble(h=noise.h, k_lo=noise.k_lo, values=vals, dim=dim, coords=range(dim))
 
 
 class TestApplyS:
@@ -433,7 +433,7 @@ class TestApplyS:
         )
         ens = _random_ensemble(noise, 2, seed=0)
         out, report = apply_S(sysd, zero_coefficients(2, 1), noise, ens, w=steps(1.0, noise.h))
-        assert np.abs(out.values).max() == 0.0
+        assert out.coords == () and np.abs(dense(out)).max() == 0.0
         assert report["truncation"] == 1.0
         assert report["tail_factor"] == pytest.approx(np.exp(-6.0) / 6.0)
 
@@ -518,7 +518,7 @@ class TestApplyS:
 
         shifted_noise = shifted(noise, steps(1.0, noise.h))
         shifted_ens = PathEnsemble(
-            h=ens.h, k_lo=ens.k_lo - 32, values=ens.values
+            h=ens.h, k_lo=ens.k_lo - 32, values=ens.values, dim=2, coords=ens.coords
         )
         out_shift, _ = apply_S(sysd, cs, shifted_noise, shifted_ens, w=steps(1.0, shifted_noise.h))
         np.testing.assert_array_equal(out_shift.values, out.values)
@@ -551,7 +551,9 @@ class TestApplyS:
         out, _ = apply_S(sysd, base, noise, ens, w=steps(2.0, noise.h))
 
         shifted_noise = shifted(noise, steps(s, noise.h))
-        shifted_ens = PathEnsemble(h=ens.h, k_lo=ens.k_lo - 16, values=ens.values)
+        shifted_ens = PathEnsemble(
+            h=ens.h, k_lo=ens.k_lo - 16, values=ens.values, dim=1, coords=ens.coords
+        )
         out_shift, _ = apply_S(
             sysd, shifted_cs, shifted_noise, shifted_ens, w=steps(2.0, shifted_noise.h)
         )
@@ -599,7 +601,9 @@ class TestApplyS:
         coefficients on two-dimensional noise, with terms that read a
         coordinate S cannot reach, and with a mode that only its
         triangular coupling forces.  S is exactly zero in the
-        coordinates outside the plan's ``reach``.  The worker scratch is
+        coordinates outside the plan's ``reach``, which the solve does not
+        store: its terms read them as +0.0, so the input is zero there
+        too.  The worker scratch is
         shared by phase at every chunking: "sparse" has an entry of two
         terms (``sum_buf``), "rotation", "sparse" and "unreachable" a
         complex half (``cbuf`` and complex ``z``).  70 paths are two
@@ -610,14 +614,16 @@ class TestApplyS:
         noise = sample_noise(spec(), *window_steps(*window, h), h, 70, seed=23)
         ens = _random_ensemble(noise, d, seed=4)
         cs = coefficients(d)
-        ref = _recursion_oracle(sysd, cs, noise, ens, truncation=1.0)
-        for chunk in (1, 7, None):
-            out, _ = apply_S(sysd, cs, noise, ens, w=steps(1.0, noise.h), chunk_paths=chunk)
-            assert np.abs(out.values - ref).max() <= 1e-12 * np.abs(ref).max()
         reach = _Plan.build(sysd, cs, noise, steps(1.0, noise.h)).reach
         assert reach == ((0, 1) if case in ("unreachable", "coupled") else (0, 1, 2))
         unreachable = [i for i in range(d) if i not in reach]
-        assert np.all(out.values[:, :, unreachable] == 0.0)
+        ens.values[:, :, unreachable] = 0.0
+        ref = _recursion_oracle(sysd, cs, noise, ens, truncation=1.0)
+        for chunk in (1, 7, None):
+            out, _ = apply_S(sysd, cs, noise, ens, w=steps(1.0, noise.h), chunk_paths=chunk)
+            assert out.coords == reach
+            assert np.abs(dense(out) - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.all(ref[:, :, unreachable] == 0.0)
 
     @staticmethod
     def check_scratch_phases(scratch, paths, n):
@@ -804,7 +810,7 @@ class TestPicard:
         res = picard_solve(sysd, zero_coefficients(2, 1), noise, w=steps(0.5, noise.h))
         assert res.converged and res.iterations == 1
         assert res.gap_trace[0]["gap"] == 0.0
-        assert np.abs(res.ensemble.values).max() == 0.0
+        assert res.ensemble.coords == () and res.ensemble.values.shape == (3, noise.n_steps + 1, 0)
 
     def test_trace_record_shape(self):
         sysd = benchmark_system()
@@ -849,7 +855,7 @@ class TestPicard:
         assert not res.converged
         assert res.iterations == 2
         zero = np.zeros((4, noise.n_steps + 1, 2))
-        ens = PathEnsemble(h=noise.h, k_lo=noise.k_lo, values=zero)
+        ens = PathEnsemble(h=noise.h, k_lo=noise.k_lo, values=zero, dim=2, coords=(0, 1))
         for _ in range(2):
             ens, _ = apply_S(sysd, cs, noise, ens, w=steps(1.0, noise.h))
         np.testing.assert_array_equal(res.ensemble.values, ens.values)
@@ -947,7 +953,7 @@ class TestPicard:
         assert trace[0]["gap"] > 1.0 and trace[-1]["gap"] <= tol
         eta = check_conditions(sysd.k, sysd.omega, cs.lipschitz, 1).eta
         assert eta == Fraction(5, 48)
-        dist = np.mean(np.sum((values - ref.ensemble.values) ** 2, axis=2), axis=0).max()
+        dist = np.mean(np.sum((values - dense(ref.ensemble)) ** 2, axis=2), axis=0).max()
         assert dist <= tol / (1 - eta)
 
     def test_default_truncation_is_twelve_over_omega(self):
@@ -1035,7 +1041,7 @@ class TestPicard:
             res = picard_solve(
                 benchmark_system(), cs, noise, tol=1e-30, max_iter=6, w=steps(truncation, noise.h)
             )
-            digest = hashlib.sha256(np.ascontiguousarray(res.ensemble.values).tobytes())
+            digest = hashlib.sha256(dense(res.ensemble).tobytes())
             for rec in res.gap_trace:
                 digest.update(np.array([rec["gap"], rec["sup_second_moment"]]).tobytes())
             assert digest.hexdigest() == expected
@@ -1167,7 +1173,7 @@ class TestPicard:
                         sysd, cs, noise, tol=1e-18, w=steps(1.0, noise.h),
                         chunk_paths=chunk, threads=threads,
                     )
-                    np.testing.assert_array_equal(res.ensemble.values, ref_values)
+                    np.testing.assert_array_equal(dense(res.ensemble), ref_values)
                     assert _strip_wall(res.gap_trace) == ref_trace
         finally:
             sys.setswitchinterval(interval)
@@ -1239,10 +1245,10 @@ class TestPicard:
         at = {}
 
         def planting(plan, values, lo, hi, *rest):
-            for i, new in apply_chunk(plan, values, lo, hi, *rest):
+            for new in apply_chunk(plan, values, lo, hi, *rest):
                 if lo <= at["path"] < hi:
                     new[at["path"] - lo, at["step"]] = bad
-                yield i, new
+                yield new
 
         monkeypatch.setattr(solver_module, "_apply_chunk", planting)
         cs = CoefficientSet(
@@ -1267,10 +1273,12 @@ class TestPicard:
     def test_solve_holds_one_ensemble(self, threads):
         """The solve overwrites one ensemble in place, with one scratch per
         worker shared by phase: its traced peak stays well below the two
-        ensembles an out-of-place iteration holds.  Measured: 1.09-1.15
-        times the ensemble with 8-path chunks, 1.18 (1 worker) and
-        1.32-1.33 (2 workers) with the default half-block chunks; the
-        bound leaves 0.07 (0.9 MB) above the largest."""
+        ensembles an out-of-place iteration holds.  The ensemble holds the
+        one coordinate of example41 that S reaches.  Measured: 1.12 (1
+        worker) and 1.20 (2 workers) times the ensemble with 8-path
+        chunks, 1.30 and 1.57-1.58 with the default half-block chunks; the
+        bound leaves 0.14 (0.9 MB) above the largest.  Holding both
+        coordinates, the solve peaked 6.3 MB higher, above the bound."""
         sysd = benchmark_system()
         noise = sample_noise(
             benchmark_spec(), *window_steps(-2.0, 4.0, 1.0 / 256), 1.0 / 256, 512, seed=31
@@ -1285,7 +1293,7 @@ class TestPicard:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak <= 1.4 * res.ensemble.values.nbytes, chunk
+            assert peak <= 1.72 * res.ensemble.values.nbytes, chunk
 
     def test_sweep_memory_does_not_grow_with_paths(self):
         """Beside the ensemble, a sweep holds the moment and gap sums of a
@@ -1323,6 +1331,49 @@ class TestPicard:
                 held.append(peak - res.ensemble.values.nbytes)
             assert held[1] - held[0] < (threads + 1) * block, (threads, held)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_solve_stores_only_the_reached_coordinates(self, threads):
+        """On a diagonal 8-d system a constant drift on one coordinate
+        reaches that coordinate alone, and one on every coordinate reaches
+        all 8.  Above the traced peak of a solve that reaches none, the
+        first solve allocates about 1/8 of the second's states: the kept
+        rows and each worker's block states of the reached coordinates
+        alone.  One-path chunks keep the scratch, which also grows with
+        the forced coordinates, small beside them.  Measured: 1.11-1.14
+        and 1.07-1.08 times the states of 1 and of 8 coordinates.  With
+        every coordinate stored, the two solves allocated 0.12-0.13 and
+        0.075-0.076 times them above the one that reaches none."""
+        d, h = 8, 1.0 / 128
+        sysd = DichotomousSystem.create(
+            np.diag(-np.arange(1.0, d + 1)), np.eye(d), k=1.0, omega=1.0
+        )
+        noise = sample_noise(wiener_only_spec(), *window_steps(-2.0, 2.0, h), h, 256, seed=3)
+        keep = range(0, noise.n_steps + 1, 2)
+
+        def peak(forced) -> int:
+            drift = tuple((CoefficientTerm(0.5, "const"),) if i in forced else () for i in range(d))
+            cs = CoefficientSet(
+                dim_state=d, dim_noise=1, drift=drift, diffusion=(((),),) * d,
+                jump_small=((),) * d, jump_large=((),) * d, lipschitz=Fraction(1, 64),
+            )
+            tracemalloc.start()
+            try:
+                res = picard_solve(
+                    sysd, cs, noise, w=steps(0.5, h), max_iter=2, chunk_paths=1,
+                    threads=threads, keep=keep,
+                )
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert res.ensemble.coords == tuple(forced)
+            return peak
+
+        base = peak(())
+        one, every = peak((3,)) - base, peak(tuple(range(d))) - base
+        states = 8 * (noise.n_paths * len(keep) + threads * _MOMENT_BLOCK * (noise.n_steps + 1))
+        assert states <= one <= 1.2 * states, (one, states)
+        assert d * states <= every <= 1.1 * d * states, (every, d * states)
+
     def test_example41_result_is_pinned(self):
         """A sha256 of the values and of the gaps and moments of a small
         example41 solve, taken before the ensemble was stored coordinate
@@ -1337,7 +1388,7 @@ class TestPicard:
                 tol=1e-18, threads=threads,
             )
             assert res.converged and res.iterations == 7
-            digest = hashlib.sha256(np.ascontiguousarray(res.ensemble.values).tobytes())
+            digest = hashlib.sha256(dense(res.ensemble).tobytes())
             trace = [[rec["gap"], rec["sup_second_moment"]] for rec in res.gap_trace]
             digest.update(np.array(trace).tobytes())
             assert digest.hexdigest() == (
@@ -1562,7 +1613,7 @@ class TestPicard:
             finally:
                 tracemalloc.stop()
             assert code == 0
-            held.append(peak - 2 * m * (n + 1) * 8)
+            held.append(peak - m * (n + 1) * 8)  # the one coordinate S reaches
         block_noise = _MOMENT_BLOCK * n * 8
         assert held[1] - held[0] < 2 * block_noise, held
 
@@ -1572,11 +1623,11 @@ class TestPicard:
         that ensemble.csv writes, not the ensemble: from 128 to 1024 paths
         of example41 at h = 1/512 (every point, then every 7th, written)
         its traced peak grows by at most the kept states' growth plus two
-        blocks' increments and states (4.5 MiB each).  Measured: -5.5 to
-        3.0 MiB at 1 worker, where the first run also imports, and 5.6-6.3
-        MiB at 2, two workers' block states; holding the whole ensemble, as
-        the solve did before its blocks stopped on their own, it grew by
-        33.6-41.4 MiB."""
+        blocks' increments and states of the one coordinate S reaches (3
+        MiB each).  Measured: -6.5 to 1.5 MiB at 1 worker, where the first
+        run also imports, and 3.1 MiB at 2, two workers' block states;
+        holding the whole ensemble, as the solve did before its blocks
+        stopped on their own, it grew by 33.6-41.4 MiB."""
         from levyap.cli import main
 
         n = 3072
@@ -1595,8 +1646,8 @@ class TestPicard:
                 tracemalloc.stop()
             assert code == 0
             stride = json.loads((out / "run_meta.json").read_text())["csv_stride"]
-            held.append(peak - 2 * m * len(range(0, n + 1, stride)) * 8)
-        block = _MOMENT_BLOCK * (n + 2 * (n + 1)) * 8
+            held.append(peak - m * len(range(0, n + 1, stride)) * 8)
+        block = _MOMENT_BLOCK * (n + (n + 1)) * 8
         assert held[1] - held[0] <= 2 * block, held
 
     def test_invalid_arguments(self):
@@ -1674,16 +1725,18 @@ def _out_of_place_picard(sysd, cs, noise, tol, w, initial=None, max_iter=60):
     current = initial
     if current is None:
         zero = np.zeros((noise.n_paths, noise.n_steps + 1, sysd.dim))
-        current = PathEnsemble(h=noise.h, k_lo=noise.k_lo, values=zero)
+        current = PathEnsemble(
+            h=noise.h, k_lo=noise.k_lo, values=zero, dim=sysd.dim, coords=range(sysd.dim)
+        )
     trace = []
     for it in range(1, max_iter + 1):
         nxt, _ = apply_S(sysd, cs, noise, current, w)
-        moment, gap = _sup_mean_squares(nxt.values, current.values)
+        moment, gap = _sup_mean_squares(dense(nxt), dense(current))
         trace.append({"k": it, "gap": gap, "sup_second_moment": moment})
         current = nxt
         if gap <= tol:
             break
-    return current.values, trace
+    return dense(current), trace
 
 
 def _jump_diffusion_spec() -> LevyProcessSpec:
@@ -1985,7 +2038,7 @@ def test_zero_start_sweep_is_the_general_sweep(system, first_row, data):
     noise = sample_noise(spec, *window_steps(*window, h), h, 5, seed=data.draw(st.integers(0, 99)))
     plan = _Plan.build(sysd, cs, noise, steps(0.5, h))
     chunk = data.draw(st.sampled_from([None, 1, 2, 5]))
-    shape = (sysd.dim, noise.n_paths, noise.n_steps + 1)
+    shape = (len(plan.reach), noise.n_paths, noise.n_steps + 1)
     zero, general = np.zeros(shape), np.zeros(shape)
     sums = _sweep_blocks(plan, zero, chunk, zero=True)
     ref = _sweep_blocks(plan, general, chunk, zero=False)
@@ -1995,9 +2048,10 @@ def test_zero_start_sweep_is_the_general_sweep(system, first_row, data):
 
 
 def _sweep_blocks(plan, values, chunk_paths, zero):
-    """S applied in place to the coordinate-major ``values`` by the
-    solver's block sweep, block by block on one worker: the moment and
-    gap sums of every block, in block order."""
+    """S applied in place to the coordinate-major ``values``, the
+    coordinates of ``plan.reach``, by the solver's block sweep, block by
+    block on one worker: the moment and gap sums of every block, in
+    block order."""
     noise = plan.noise
     blocks = _blocks(noise.n_paths, noise.n_steps, chunk_paths)
     scratch = _Scratch(plan, max(hi - lo for chunks in blocks for lo, hi in chunks))
@@ -2030,7 +2084,7 @@ def test_zero_sweep_evaluates_one_row(monkeypatch):
     sysd, h, window = system()
     noise = sample_noise(spec(), *window_steps(*window, h), h, 6, seed=23)
     plan = _Plan.build(sysd, coefficients(sysd.dim), noise, steps(1.0, h))
-    values = np.zeros((sysd.dim, noise.n_paths, noise.n_steps + 1))
+    values = np.zeros((len(plan.reach), noise.n_paths, noise.n_steps + 1))
     _sweep_blocks(plan, values, 3, zero=True)
     zero_rows = rows[:]
     rows.clear()
@@ -2107,7 +2161,7 @@ def test_nondiagonal_solves_are_pinned(case):
             sysd, coefficients(sysd.dim), noise, tol=1e-30, max_iter=4, w=steps(0.5, h),
             chunk_paths=chunk, threads=threads,
         )
-        digest = hashlib.sha256(np.ascontiguousarray(res.ensemble.values).tobytes())
+        digest = hashlib.sha256(dense(res.ensemble).tobytes())
         trace = [[rec["gap"], rec["sup_second_moment"]] for rec in res.gap_trace]
         digest.update(np.array(trace).tobytes())
         assert digest.hexdigest() == _NONDIAGONAL_PINS[case]
@@ -2120,7 +2174,8 @@ def test_preset_solutions_hold_no_negative_zero(preset):
     ensemble ``picard`` writes and ``apscan`` scans) is -0.0.  Every
     preset has exact zeros: a reached coordinate is zero where its
     accumulations start (the first time of a stable mode, the last of an
-    unstable one), and example41's first coordinate is never reached."""
+    unstable one).  example41's first coordinate, never reached, is not
+    stored."""
     cfg = preset_config(preset)
     num = cfg.numerics._replace(n_paths=8)
     run = validate_config(cfg._replace(numerics=num))
