@@ -31,7 +31,11 @@ runs ``python -m levyap.cli`` on
   unreached state coordinate lies between two reached ones and is read
   by drift, diffusion and small-jump terms, and ``unreached.json``,
   whose coefficient lists are all empty, so that the operator reaches
-  no coordinate, and
+  no coordinate.  ``between``'s laws vary in two coordinates, so its
+  scan runs the HiGHS transport LP, on laws of 64 points, a realistic
+  support.  With HiGHS at its default feasibility tolerances that scan
+  failed its beta certificate (exit 2); 16 points, the support this
+  config had before, was the one value at which it passed, and
 - ``check --config NAME.json`` on each record of the rejected-config
   corpus ``tests/data/rejected.jsonl``, configs that validation
   rejects, whose exit code and stderr must not change (the tests hold
@@ -95,7 +99,7 @@ LAYOUTS = {
         },
         "numerics": _SMALL,
         "analysis": {"epsilon": 0.25, "shifts": ["1/4", "1/2", "3/4", 1],
-                     "times": [0, "1/4", "1/2", "3/4", 1], "law_support": 16},
+                     "times": [0, "1/4", "1/2", "3/4", 1], "law_support": 64},
     },
     "unreached": {
         "preset": "example41",

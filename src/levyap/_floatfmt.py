@@ -5,7 +5,7 @@ the shortest string that reads back to the same double (the closer one
 to it when two are that short, the even one on a tie); fixed notation
 when the decimal point's position decpt (value = 0.d1d2... * 10**decpt)
 has -4 < decpt <= 16, else ``d[.ddd]e±XX`` with at least two exponent
-digits; ``.0`` on integral values; ``-0.0``.  It returns one 32-byte
+digits; ``.0`` on integral values; ``-0.0``.  It writes one 32-byte
 field per value, and removing the NUL bytes of a field leaves exactly
 the repr's ASCII characters.  The NULs sit where a field's layout has
 room the value does not use, mostly after the text, so fields laid out
@@ -188,20 +188,17 @@ class ReprFormatter:
         self._b = np.empty((4, _CHUNK), dtype=bool)
         self._i = np.empty((2, _CHUNK), dtype=np.intp)
 
-    def __call__(self, x: np.ndarray, out: np.ndarray | None = None, end: bytes = b"\0") -> np.ndarray:
-        """The fields of the float64 vector ``x`` (all finite), as an array
-        of shape (len(x), 4) and dtype ``'<u8'``: ``out`` when given,
+    def __call__(self, x: np.ndarray, out: np.ndarray, end: bytes):
+        """Write the fields of the float64 vector ``x`` (all finite) into
+        ``out``, an array of shape (len(x), 4) and dtype ``'<u8'``,
         whatever its strides.  Without its NUL bytes, a value's field is
         its ``repr`` followed by the byte ``end`` (byte 31)."""
         x = np.ascontiguousarray(x, dtype=np.float64)
-        if out is None:
-            out = np.empty((len(x), _FIELD_WORDS), dtype="<u8")
         end_word = _U(ord(end)) << _U(56)
         for lo in range(0, len(x), _CHUNK):
             bits = x[lo : lo + _CHUNK].view(np.uint64)
             sub = self._shortest(bits)
             self._lay_out(bits, sub, out[lo : lo + _CHUNK], end_word)
-        return out
 
     def _shortest(self, bits):
         """Leave in row 18 the shortest digits of each double, scaled to 17

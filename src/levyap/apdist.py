@@ -40,6 +40,10 @@ __all__ = [
 ]
 
 _CERT_GAP = 1e-9  # largest accepted gap between the bounds on beta
+# HiGHS's default feasibility tolerances (1e-7) leave duals whose test
+# function misses the LP's optimum by more than _CERT_GAP on 2-d laws of
+# 16-64 points; at 1e-10 the certificate closes
+_HIGHS_TOLERANCES = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 _LINE_ROUNDS = 100  # cutting-plane rounds before beta on the line gives up
 
 
@@ -188,7 +192,8 @@ def _transport_bl(pts: np.ndarray, delta: np.ndarray):
     cost = np.zeros(n_flow + n + 1)
     cost[-1] = 1.0
     res = linprog(
-        cost, A_ub=a_ub, b_ub=np.zeros(2), A_eq=a_eq, b_eq=np.abs(delta), method="highs"
+        cost, A_ub=a_ub, b_ub=np.zeros(2), A_eq=a_eq, b_eq=np.abs(delta), method="highs",
+        options=_HIGHS_TOLERANCES,
     )
     if res.status != 0:
         raise EmpiricalLawError(f"beta LP failed (HiGHS status {res.status}): {res.message}")

@@ -97,8 +97,8 @@ def _write_ensemble_csv(path: Path, ens: PathEnsemble, stride: int) -> None:
     value.  Every byte that is not text is NUL, so a block is written as
     its matrix with the NUL bytes removed.  A coordinate that the
     ensemble does not hold (``PathEnsemble.coords``), such as example41's
-    first, or that is +0.0 at every point it holds (bit pattern all
-    zero), takes one word, ``0.0`` and its separator, written once.
+    first, is +0.0 throughout: it takes one word, ``0.0`` and its
+    separator, written once.
     """
     from ._floatfmt import _CHUNK, ReprFormatter
 
@@ -107,18 +107,17 @@ def _write_ensemble_csv(path: Path, ens: PathEnsemble, stride: int) -> None:
     per_block = min(max(1, _CHUNK // m), n_points)
     ends = b"," * (d - 1) + b"\n"
     col = dict(zip(ens.coords, range(len(ens.coords))))  # the column of each held coordinate
-    zero = [i not in col or not ens.values[:, :, col[i]].view(np.uint64).any() for i in range(d)]
     # a row starts with the time and a comma, ending at byte 24, then the
     # path and a comma, with no NUL between: the mask removes a run of NUL
     # bytes at a time, so the fewer runs the faster
     width = len(str(m - 1)) + 1
     lead = -(-(_TIME_BYTES + 1 + width) // 8)  # words of time, path and commas
-    offsets = np.cumsum([lead] + [1 if z else 4 for z in zero]).tolist()
+    offsets = np.cumsum([lead] + [4 if i in col else 1 for i in range(d)]).tolist()
     rows = np.zeros((per_block * m, offsets[-1]), dtype="<u8")
     text = rows.view(np.uint8).reshape(per_block, m, -1)
     paths = np.array([f"{p}," for p in range(m)], dtype=f"S{width}")
     text[:, :, _TIME_BYTES + 1 : _TIME_BYTES + 1 + width] = paths.view(np.uint8).reshape(m, width)
-    for i in np.flatnonzero(zero).tolist():
+    for i in set(range(d)) - col.keys():
         rows[:, offsets[i]] = np.frombuffer((b"0.0" + ends[i : i + 1]).ljust(8, b"\0"), dtype="<u8")
     fmt = ReprFormatter()
     with open(path, "wb") as fh:
@@ -133,10 +132,9 @@ def _write_ensemble_csv(path: Path, ens: PathEnsemble, stride: int) -> None:
             t_text = [f"{t!r},".rjust(_TIME_BYTES + 1, "\0") for t in times.tolist()]
             t_bytes = np.array(t_text, dtype=f"S{_TIME_BYTES + 1}").view(np.uint8)
             text[:k, :, : _TIME_BYTES + 1] = t_bytes.reshape(k, 1, _TIME_BYTES + 1)
-            for i in range(d):
-                if not zero[i]:
-                    fields = rows[:n, offsets[i] : offsets[i + 1]]
-                    fmt(ens.values[:, at, col[i]].T.reshape(n), out=fields, end=ends[i : i + 1])
+            for i, c in col.items():
+                fields = rows[:n, offsets[i] : offsets[i + 1]]
+                fmt(ens.values[:, at, c].T.reshape(n), out=fields, end=ends[i : i + 1])
             flat = rows[:n].view(np.uint8).reshape(-1)
             fh.write(flat[flat != 0])
 

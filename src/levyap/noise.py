@@ -14,12 +14,14 @@ of streams.
 
 Sampling is counter-based: every path and every stream within a path is
 opened from a ``(seed, path_index, tag)`` key, so any path of any batch
-can be regenerated bit-for-bit without storing it.  ``stream`` opens one
-address through numpy's SeedSequence; ``sample_noise`` derives the
-Philox keys of all its streams in one vectorised pass of the same hash
-(``_stream_keys``) and opens each stream by re-keying one generator of
-its own (``_KeyedStream``), so the draws are those of ``stream`` and
-calls on several threads at once do not share state.  ``sample_noise``
+can be regenerated bit-for-bit without storing it.  An address's stream
+is ``Generator(Philox(SeedSequence(seed, spawn_key=key)))``;
+``sample_noise`` derives the Philox keys of all its streams in one
+vectorised pass of SeedSequence's hash (``_stream_keys``) and opens each
+stream by re-keying one Philox generator of its own (``_KeyedStream``),
+so calls on several threads at once do not share state.  The draws are
+tested against that generator built afresh for each address, the test
+oracle ``stream`` of ``tests/_noise_oracles.py``.  ``sample_noise``
 accepts a ``path_offset`` so chunked pipelines produce the same paths as
 a single monolithic call.
 
@@ -61,7 +63,6 @@ __all__ = [
     "NoiseDraw",
     "validate_spec",
     "sample_noise",
-    "stream",
 ]
 
 
@@ -81,12 +82,6 @@ _TAG_J_NEG = 3
 _GROUP = 16
 
 
-def stream(seed: int, *key: int) -> np.random.Generator:
-    """Open the counter-based generator for a (seed, key...) address."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
-    return np.random.Generator(np.random.Philox(ss))
-
-
 # the hash constants of numpy's SeedSequence
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -98,9 +93,10 @@ def _stream_keys(seed: int, *key) -> np.ndarray:
     """The Philox keys of many (seed, key...) addresses in one pass.
 
     ``key`` holds ints or integer arrays, broadcast together; entry
-    ``[i...]`` of the (..., 2) uint64 result is the key ``stream(seed,
-    *(k[i...] for k in key))`` opens with, which is
-    ``SeedSequence(seed, spawn_key=...).generate_state(2, np.uint64)``.
+    ``[i...]`` of the (..., 2) uint64 result is the Philox key of the
+    address (seed, *(k[i...] for k in key)), which is
+    ``SeedSequence(seed, spawn_key=...).generate_state(2, np.uint64)``,
+    the key ``Philox(SeedSequence(seed, spawn_key=...))`` runs with.
     This is SeedSequence's mixing on uint32 arrays, one lane per address.
     The seed's words are shared by every lane, so a seed of any size
     works; each key element must be one 32-bit word.
@@ -160,8 +156,9 @@ class _KeyedStream:
     ``open(key)`` sets the whole Philox state (counter, key, output
     buffer, buffered 32-bit half) to that of a fresh generator with the
     Philox key ``key`` and returns the one ``Generator`` over it, so its
-    draws are those of ``stream(...)`` at that address.  That costs a
-    state assignment instead of a SeedSequence, a Philox and a Generator.
+    draws are those of ``Generator(Philox(SeedSequence(...)))`` at the
+    address whose key that is (``_stream_keys``).  That costs a state
+    assignment instead of a SeedSequence, a Philox and a Generator.
     """
 
     def __init__(self):

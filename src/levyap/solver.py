@@ -780,20 +780,18 @@ def _sweep_block(
     return moment, moment if zero else gap
 
 
-def _blocks(m: int, n: int, chunk_paths: Optional[int]) -> list[list[tuple[int, int]]]:
-    """Path ranges of the chunks of each block of ``_MOMENT_BLOCK`` paths.
-    A block of b paths is split into ceil(b / chunk_paths) chunks of
-    near-equal size, so no chunk straddles a block.  By default a chunk
-    holds at most about ``_CHUNK_BUDGET`` path steps and at most half a
-    block, so on a short grid a worker's scratch is half a block's size."""
-    if chunk_paths is None:
-        chunk_paths = max(1, min(_MOMENT_BLOCK // 2, _CHUNK_BUDGET // max(n, 1)))
-    elif chunk_paths < 1:
-        raise SolverError("chunk_paths must be at least 1")
+def _blocks(m: int, n: int) -> list[list[tuple[int, int]]]:
+    """Path ranges of the chunks of each block of ``_MOMENT_BLOCK`` paths
+    on a grid of ``n`` steps.  A block of b paths is split into
+    ceil(b / per_chunk) chunks of near-equal size, so no chunk straddles
+    a block.  A chunk holds at most about ``_CHUNK_BUDGET`` path steps
+    and at most half a block, so on a short grid a worker's scratch is
+    half a block's size."""
+    per_chunk = max(1, min(_MOMENT_BLOCK // 2, _CHUNK_BUDGET // max(n, 1)))
     blocks = []
     for lo in range(0, m, _MOMENT_BLOCK):
         size = min(_MOMENT_BLOCK, m - lo)
-        count = -(-size // chunk_paths)
+        count = -(-size // per_chunk)
         edges = [lo + size * k // count for k in range(count + 1)]
         blocks.append(list(zip(edges[:-1], edges[1:])))
     return blocks
@@ -805,7 +803,6 @@ def _iterate(
     keep: Optional[np.ndarray],
     tol: float,
     max_iter: int,
-    chunk_paths: Optional[int],
     threads: int,
 ) -> tuple[list, list, tuple]:
     """Picard iterations of S from the zero ensemble, one block of paths
@@ -854,7 +851,7 @@ def _iterate(
     """
     noise = plan.noise
     n_times = noise.n_steps + 1
-    blocks = _blocks(noise.n_paths, noise.n_steps, chunk_paths)
+    blocks = _blocks(noise.n_paths, noise.n_steps)
     workers = min(threads, len(blocks))
     largest = max(hi - lo for chunks in blocks for lo, hi in chunks)
     reach = list(plan.reach)
@@ -979,7 +976,6 @@ def picard_solve(
     w: int,
     tol: float = 1e-10,
     max_iter: int = 60,
-    chunk_paths: Optional[int] = None,
     threads: int = 1,
     keep=None,
 ) -> PicardResult:
@@ -1039,18 +1035,18 @@ def picard_solve(
     with the bits of a per-path evaluation.
 
     S maps each path to itself, so each block of paths is a sample of
-    the fixed point on its own, solved to its own stop, a chunk of at
-    most ``chunk_paths`` paths at a time, in rounds of one block on each
-    of ``threads`` workers (``_iterate`` states the schedule); a
-    ``NoiseDraw`` draws a block's increments and jump events then, a
-    ``NoiseSample`` gives views.  The solve holds the kept points of
-    every path and, per worker, one block's states, noise and scratch,
-    never the run's noise or, unless every point is kept, its ensemble.
-    Only the coordinates S can reach (``_Plan.reach``) are stored: S is
-    zero in the others, and the result's ensemble holds the reached ones
-    (``PathEnsemble.coords``).  Every path is computed by the same operations in any
-    chunk, and every sum is added in block order, so ``chunk_paths`` and
-    ``threads`` do not change the result.  A gap trace record's
+    the fixed point on its own, solved to its own stop, a chunk of paths
+    at a time (``_blocks`` sizes the chunks from the grid), in rounds of
+    one block on each of ``threads`` workers (``_iterate`` states the
+    schedule); a ``NoiseDraw`` draws a block's increments and jump
+    events then, a ``NoiseSample`` gives views.  The solve holds the
+    kept points of every path and, per worker, one block's states, noise
+    and scratch, never the run's noise or, unless every point is kept,
+    its ensemble.  Only the coordinates S can reach (``_Plan.reach``) are
+    stored: S is zero in the others, and the result's ensemble holds the
+    reached ones (``PathEnsemble.coords``).  Every path is computed by
+    the same operations in any chunk, and every sum is added in block
+    order, so neither the chunk size nor ``threads`` changes the result.  A gap trace record's
     ``wall_ms`` is the workers' summed time on the iteration's blocks.
     """
     plan = _Plan.build(sys, cs, noise, w)
@@ -1064,7 +1060,7 @@ def picard_solve(
         if keep.size == n_times:
             keep = None  # every point: the blocks are swept in the result
     values = np.zeros((len(plan.reach), noise.n_paths, n_times if keep is None else keep.size))
-    trace, blocks, final = _iterate(plan, values, keep, tol, max_iter, chunk_paths, threads)
+    trace, blocks, final = _iterate(plan, values, keep, tol, max_iter, threads)
     return PicardResult(
         ensemble=PathEnsemble(
             h=noise.h, k_lo=noise.k_lo, values=np.moveaxis(values, 0, -1), dim=sys.dim,

@@ -4,8 +4,6 @@ iterates, and the forward integrator (``simulate_mild``), whose run from
 zero on a fully stable system forgets its start and meets the bounded
 solution."""
 
-from typing import Optional
-
 import numpy as np
 
 from levyap.coefficients import (
@@ -61,7 +59,6 @@ def apply_S(
     noise,
     ens: PathEnsemble,
     w: int,
-    chunk_paths: Optional[int] = None,
 ) -> tuple[PathEnsemble, dict]:
     """One application of the integral operator S of ``picard_solve`` to
     an ensemble, by the same plan and block sweeps, as one Picard
@@ -83,7 +80,7 @@ def apply_S(
         raise SolverError("system, coefficients and ensemble dimensions differ")
     plan = _Plan.build(sys, cs, noise, w)
     values = np.moveaxis(dense(ens)[:, :, list(plan.reach)], -1, 0).copy()
-    blocks = _blocks(noise.n_paths, n, chunk_paths)
+    blocks = _blocks(noise.n_paths, n)
     scratch = _Scratch(plan, max(hi - lo for chunks in blocks for lo, hi in chunks))
     for chunks in blocks:
         lo, hi = chunks[0][0], chunks[-1][1]

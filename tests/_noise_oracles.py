@@ -1,9 +1,20 @@
-"""A noise sample re-based by a time shift of whole steps, which only the
-tests compute: the solver's shift equivariance is checked against it."""
+"""Noise that only the tests compute: a sample re-based by a time shift
+of whole steps, which the solver's shift equivariance is checked
+against, and the reference layout of the per-path streams (``stream``),
+which the sampler's vectorised key derivation and re-keyed generator are
+checked against."""
 
 from numbers import Integral
 
+import numpy as np
+
 from levyap.noise import NoiseSample
+
+
+def stream(seed: int, *key: int) -> np.random.Generator:
+    """Open the counter-based generator for a (seed, key...) address."""
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
+    return np.random.Generator(np.random.Philox(ss))
 
 
 class NoiseShiftError(ValueError):

@@ -17,6 +17,25 @@ sys.path.insert(0, str(Path(__file__).parent))
 _acceptance_results: dict[str, bool] = {}
 
 
+@pytest.fixture
+def set_chunk(monkeypatch):
+    """A function ``set_chunk(paths, n_steps)`` that makes the solver's
+    chunks ``paths`` paths wide on a grid of ``n_steps`` steps, through
+    the chunk budget ``solver._CHUNK_BUDGET``, as the CSV tests set
+    ``_floatfmt._CHUNK``; None restores the default budget.  A chunk is
+    at most half a block, so ``paths`` is too."""
+    import levyap.solver as solver
+
+    default = solver._CHUNK_BUDGET
+
+    def set_chunk(paths, n_steps):
+        assert paths is None or 1 <= paths <= solver._MOMENT_BLOCK // 2, paths
+        budget = default if paths is None else paths * n_steps
+        monkeypatch.setattr(solver, "_CHUNK_BUDGET", budget)
+
+    return set_chunk
+
+
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_makereport(item, call):
     outcome = yield

@@ -383,7 +383,7 @@ def test_l2_increments_grow_at_most_linearly(benchmark_pair):
 
 
 @pytest.mark.acceptance("10 noise statistics and bitwise determinism")
-def test_noise_statistics_and_thread_determinism():
+def test_noise_statistics_and_thread_determinism(set_chunk):
     # Ito isometry for a deterministic integrand at 1e4 paths
     spec = LevyProcessSpec(dim=1, covariance=np.eye(1))
     h = 1.0 / 32
@@ -420,13 +420,12 @@ def test_noise_statistics_and_thread_determinism():
     spec41 = build_spec(cfg.levy)
     cs = preset_coefficients("example41")
     small = sample_noise(spec41, *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 32, seed=9)
-    results = [
-        picard_solve(
-            sysd, cs, small, tol=1e-10, max_iter=30, w=steps(0.5, small.h),
-            chunk_paths=chunk,
+    results = []
+    for chunk in (None, 8, 4):
+        set_chunk(chunk, small.n_steps)
+        results.append(
+            picard_solve(sysd, cs, small, tol=1e-10, max_iter=30, w=steps(0.5, small.h))
         )
-        for chunk in (None, 8, 4)
-    ]
     baseline = results[0]
     for other in results[1:]:
         assert (

@@ -217,14 +217,12 @@ def count_formatted(monkeypatch, chunk):
 
 
 def assert_formatted_blocks(sizes, ens, n_rows, blocks):
-    """The writer formatted each held coordinate that is not +0.0
-    throughout once a block, in ``blocks`` blocks, each of at most one
-    chunk of rows or one grid point."""
+    """The writer formatted each held coordinate once a block, in
+    ``blocks`` blocks, each of at most one chunk of rows or one grid
+    point."""
     import levyap._floatfmt
 
-    formatted = sum(
-        bool(ens.values[:, :, k].view(np.uint64).any()) for k in range(len(ens.coords))
-    )
+    formatted = len(ens.coords)
     assert len(sizes) == blocks * formatted, (len(sizes), blocks, formatted)
     assert sum(sizes) == n_rows * formatted
     assert max(sizes) <= max(levyap._floatfmt._CHUNK, ens.n_paths)
@@ -1388,6 +1386,21 @@ class TestCliErrorMapping:
         assert main(["apscan", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"error: {exc.value}\n"
 
+    @pytest.mark.parametrize("seed", ["1", "2", "3"])
+    def test_two_dim_scan_passes_its_certificate(self, tmp_path, capsys, seed):
+        """The scan of ``scripts/compare_artifacts.py``'s ``between`` config,
+        whose laws of 64 points vary in two coordinates, solves every
+        distance by the HiGHS transport LP within the 1e-9 certificate
+        gap.  At HiGHS's default feasibility tolerances these seeds failed
+        it (gaps 1.0e-9 to 2.6e-9) and exited 2."""
+        between = compare_artifacts.LAYOUTS["between"]
+        assert between["analysis"]["law_support"] == 64
+        cfg = write_cfg(tmp_path, between)
+        out = tmp_path / "o"
+        code = main(["apscan", "--config", str(cfg), "--seed", seed, "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        assert len(json.loads((out / "apscan_report.json").read_text())["shifts"]) == 4
+
     @pytest.mark.parametrize(
         "law_support, paths, size",
         [(None, 2100, 2100), (2049, 2100, 2049), (5000, 4000, 4000)],
@@ -1762,7 +1775,7 @@ class TestCliDeterminism:
             # in two chunks
             (5, 9, 1, 2, 4, None, 5),
             # galerkin_heat's row shape: 8 coordinates, the fifth +0.0
-            # throughout, written as one word between formatted ones
+            # throughout, formatted as any held coordinate is
             (4, 7, 8, 1, 12, (4, 0.0), 3),
         ]:
             gen = np.random.default_rng(3)
@@ -1817,7 +1830,7 @@ class TestCliDeterminism:
     def test_ensemble_csv_writes_unheld_coordinates_as_zero(self, tmp_path, monkeypatch):
         """An ensemble that holds coordinates 1 and 3 of 5, as a solve
         holds the coordinates S reaches: each coordinate it does not hold
-        is written as the one ``0.0`` word of a +0.0 column, byte for byte
+        is written as one ``0.0`` word, byte for byte
         against the per-row oracle on the dense states, and only the held
         ones are formatted."""
         sizes = count_formatted(monkeypatch, None)

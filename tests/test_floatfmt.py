@@ -28,9 +28,17 @@ from levyap._floatfmt import (
 )
 
 
+def fields_of(x, end, fmt=None):
+    """The formatter's fields of the values, each ended by ``end``."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty((len(x), 4), dtype="<u8")
+    (fmt or ReprFormatter())(x, out, end)
+    return out
+
+
 def formatted_text(x):
     """The formatter's text of the values, each ended by a newline."""
-    fields = ReprFormatter()(np.asarray(x, dtype=np.float64), end=b"\n")
+    fields = fields_of(x, b"\n")
     assert np.all(fields[:, 3] >> np.uint64(48) == ord("\n") << 8)
     flat = fields.view(np.uint8).reshape(-1)
     return flat[flat != 0].tobytes().decode("ascii")
@@ -162,7 +170,7 @@ def test_signed_zeros_and_extremes():
     x = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
     assert formatted(x) == list(map(repr, x))
     assert formatted(x)[:3] == ["0.0", "-0.0", "5e-324"]
-    assert ReprFormatter()(np.array([1.5])).tobytes().replace(b"\0", b"") == b"1.5"
+    assert fields_of([1.5], b"\0").tobytes().replace(b"\0", b"") == b"1.5"
 
 
 def test_chunks_and_strided_output():
@@ -183,7 +191,7 @@ def test_chunks_and_strided_output():
     assert np.all(rows[:, 4] >> np.uint64(56) == ord(";"))
     text = rows.view(np.uint8).reshape(-1)
     assert text[text != 0].tobytes().decode() == "".join(f"{v!r};" for v in x.tolist())
-    plain = fmt(x)
+    plain = fields_of(x, b"\0", fmt)
     assert not (plain[:, 3] >> np.uint64(56)).any()
     assert np.array_equal(rows[:, 1:4], plain[:, :3])
 

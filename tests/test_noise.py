@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from _grid import steps, window_steps
 from _lipschitz_oracles import second_moment
-from _noise_oracles import NoiseShiftError, shifted
+from _noise_oracles import NoiseShiftError, shifted, stream
 import levyap.noise as noise_module
 from levyap.config import (
     ConfigError,
@@ -50,7 +50,6 @@ from levyap.noise import (
     _mix,
     _stream_keys,
     sample_noise,
-    stream,
     validate_spec,
 )
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from _ensemble_oracles import apply_S, dense, grid_index, l2_increment, simulate_mild
@@ -559,7 +559,7 @@ class TestApplyS:
         )
         assert np.abs(out_shift.values - out.values).max() < 1e-12
 
-    def test_chunking_is_bit_identical(self):
+    def test_chunking_is_bit_identical(self, set_chunk):
         sysd = benchmark_system()
         noise = sample_noise(
             benchmark_spec(), *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 7, seed=11
@@ -568,7 +568,8 @@ class TestApplyS:
         cs = preset_coefficients("example41")
         full, _ = apply_S(sysd, cs, noise, ens, w=steps(0.5, noise.h))
         for chunk in (1, 2, 3, 7):
-            part, _ = apply_S(sysd, cs, noise, ens, w=steps(0.5, noise.h), chunk_paths=chunk)
+            set_chunk(chunk, noise.n_steps)
+            part, _ = apply_S(sysd, cs, noise, ens, w=steps(0.5, noise.h))
             np.testing.assert_array_equal(part.values, full.values)
 
     def test_validation_errors(self):
@@ -588,14 +589,11 @@ class TestApplyS:
         )
         with pytest.raises(SolverError, match="path counts"):
             apply_S(sysd, cs, three, ens, w=steps(0.5, three.h))
-        for chunk in (0, -1):
-            with pytest.raises(SolverError, match="chunk_paths must be at least 1"):
-                apply_S(sysd, cs, noise, ens, w=steps(0.5, noise.h), chunk_paths=chunk)
 
     @pytest.mark.parametrize(
         "case", ["rotation", "jordan", "stiff", "sparse", "unreachable", "coupled"]
     )
-    def test_matches_recursion_oracle(self, case):
+    def test_matches_recursion_oracle(self, case, set_chunk):
         """The modal block scans against the per-step recursions on a
         rotating, a defective and a stiff generator, with sparse
         coefficients on two-dimensional noise, with terms that read a
@@ -620,7 +618,8 @@ class TestApplyS:
         ens.values[:, :, unreachable] = 0.0
         ref = _recursion_oracle(sysd, cs, noise, ens, truncation=1.0)
         for chunk in (1, 7, None):
-            out, _ = apply_S(sysd, cs, noise, ens, w=steps(1.0, noise.h), chunk_paths=chunk)
+            set_chunk(chunk, noise.n_steps)
+            out, _ = apply_S(sysd, cs, noise, ens, w=steps(1.0, noise.h))
             assert out.coords == reach
             assert np.abs(dense(out) - ref).max() <= 1e-12 * np.abs(ref).max()
         assert np.all(ref[:, :, unreachable] == 0.0)
@@ -886,7 +885,7 @@ class TestPicard:
         )
         return calls
 
-    def test_plan_is_built_once_per_solve(self, monkeypatch):
+    def test_plan_is_built_once_per_solve(self, monkeypatch, set_chunk):
         """The plan and its two modal halves are built once per solve, not
         once per iteration.  The halves of a diagonal system are already
         triangular, so no Schur form is computed."""
@@ -895,23 +894,25 @@ class TestPicard:
         noise = sample_noise(
             benchmark_spec(), *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 5, seed=3
         )
+        set_chunk(2, noise.n_steps)
         res = picard_solve(
             sysd, preset_coefficients("example41"), noise, tol=1e-30, max_iter=4,
-            w=steps(1.0, noise.h), chunk_paths=2, threads=2,
+            w=steps(1.0, noise.h), threads=2,
         )
         assert res.iterations == 4
         assert calls == {"plan": 1, "half": 2, "schur": 0}
 
-    def test_rotation_half_takes_one_schur_form_per_solve(self, monkeypatch):
+    def test_rotation_half_takes_one_schur_form_per_solve(self, monkeypatch, set_chunk):
         """The 2x2 rotation half of ``_rotation_system`` is not triangular:
         it takes exactly one Schur form per solve; its 1x1 unstable half
         takes none."""
         calls = self.count_builds(monkeypatch)
         sysd, h, window = _rotation_system()
         noise = sample_noise(_jump_diffusion_spec(), *window_steps(*window, h), h, 5, seed=3)
+        set_chunk(2, noise.n_steps)
         res = picard_solve(
             sysd, _mixed_coefficients(3), noise, tol=1e-30, max_iter=3, w=steps(1.0, noise.h),
-            chunk_paths=2, threads=2,
+            threads=2,
         )
         assert res.iterations == 3
         assert calls == {"plan": 1, "half": 2, "schur": 1}
@@ -985,18 +986,19 @@ class TestPicard:
         np.testing.assert_array_equal(ra.ensemble.values, rb.ensemble.values)
         assert not np.array_equal(ra.ensemble.values, rc.ensemble.values)
 
-    def test_chunked_solve_is_bit_identical(self):
+    def test_chunked_solve_is_bit_identical(self, set_chunk):
         sysd = benchmark_system()
         noise = sample_noise(
             benchmark_spec(), *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 5, seed=13
         )
         cs = preset_coefficients("example41")
         full = picard_solve(sysd, cs, noise, tol=1e-18, w=steps(1.0, noise.h))
-        part = picard_solve(sysd, cs, noise, tol=1e-18, w=steps(1.0, noise.h), chunk_paths=2)
+        set_chunk(2, noise.n_steps)
+        part = picard_solve(sysd, cs, noise, tol=1e-18, w=steps(1.0, noise.h))
         np.testing.assert_array_equal(full.ensemble.values, part.ensemble.values)
         assert [r["gap"] for r in full.gap_trace] == [r["gap"] for r in part.gap_trace]
 
-    def test_threads_and_chunks_are_bit_identical(self):
+    def test_threads_and_chunks_are_bit_identical(self, set_chunk):
         """Workers write disjoint path chunks of one output array; more
         workers than cores and frequent thread switches must not change
         a bit."""
@@ -1010,14 +1012,9 @@ class TestPicard:
         sys.setswitchinterval(1e-6)
         try:
             for chunk, threads in ((None, 2), (None, 3), (4, 2), (3, 3), (5, 1), (1, 8)):
+                set_chunk(chunk, noise.n_steps)
                 part = picard_solve(
-                    sysd,
-                    cs,
-                    noise,
-                    tol=1e-18,
-                    w=steps(1.0, noise.h),
-                    chunk_paths=chunk,
-                    threads=threads,
+                    sysd, cs, noise, tol=1e-18, w=steps(1.0, noise.h), threads=threads
                 )
                 np.testing.assert_array_equal(full.ensemble.values, part.ensemble.values)
                 assert _strip_wall(full.gap_trace) == _strip_wall(part.gap_trace)
@@ -1046,15 +1043,15 @@ class TestPicard:
                 digest.update(np.array([rec["gap"], rec["sup_second_moment"]]).tobytes())
             assert digest.hexdigest() == expected
 
-    def test_planned_jump_terms_follow_the_chunks(self):
+    def test_planned_jump_terms_follow_the_chunks(self, set_chunk):
         """The plan holds the jump maps; a block prepares their terms at
         its own events when it draws them, and a chunk of paths takes the
         slice that holds its events.  On a set with small and large jumps,
         outer signals and mark weights, each block's terms equal those
         prepared from the block's events, every chunk's slice holds the
         chunk's events, numbered from the block's first path, and the
-        solve is bitwise the same for threads 1 and 2 and chunk_paths 1,
-        7 and the default (70 paths are two blocks)."""
+        solve is bitwise the same for threads 1 and 2 and chunks of 1 and
+        7 paths and the default (70 paths are two blocks)."""
         from levyap.coefficients import jump_terms
 
         sysd = benchmark_system()
@@ -1064,7 +1061,8 @@ class TestPicard:
         )
         plan = _Plan.build(sysd, cs, noise, steps(0.5, noise.h))
         assert plan.jumps == ((0, cs.jump_small), (1, cs.jump_large))
-        for chunks in _blocks(70, noise.n_steps, 7):
+        set_chunk(7, noise.n_steps)
+        for chunks in _blocks(70, noise.n_steps):
             first, last = chunks[0][0], chunks[-1][1]
             dw, block_jumps = _draw_block(plan, first, last)
             np.testing.assert_array_equal(dw, noise.dW[first:last])
@@ -1091,17 +1089,19 @@ class TestPicard:
                     a, b = jumps.starts[lo - first], jumps.starts[hi - first]
                     np.testing.assert_array_equal(jumps.path[a:b] + first, noise.event_path[own])
                     np.testing.assert_array_equal(jumps.step[a:b], noise.event_step[own])
+        set_chunk(None, noise.n_steps)
         ref = picard_solve(sysd, cs, noise, tol=1e-30, max_iter=6, w=steps(0.5, noise.h))
         for chunk in (1, 7, None):
+            set_chunk(chunk, noise.n_steps)
             for threads in (1, 2):
                 res = picard_solve(
                     sysd, cs, noise, tol=1e-30, max_iter=6, w=steps(0.5, noise.h),
-                    chunk_paths=chunk, threads=threads,
+                    threads=threads,
                 )
                 np.testing.assert_array_equal(res.ensemble.values, ref.ensemble.values)
                 assert _strip_wall(res.gap_trace) == _strip_wall(ref.gap_trace)
 
-    def test_wide_mark_weights_are_chunk_invariant(self):
+    def test_wide_mark_weights_are_chunk_invariant(self, set_chunk):
         """Mark weights on 8-d noise: the mark factor w . x of a jump term
         is a BLAS product whose rounding can depend on how many events it
         is taken over.  A block prepares it at its own events, so it
@@ -1131,15 +1131,16 @@ class TestPicard:
             lipschitz=Fraction(1, 2),
         )
         noise = sample_noise(spec, *window_steps(-1.0, 2.0, 1.0 / 32), 1.0 / 32, 70, seed=5)
-        runs = [
-            picard_solve(
-                scalar_system(), cs, noise, tol=1e-30, max_iter=5, w=steps(0.5, noise.h),
-                chunk_paths=chunk,
+        runs = []
+        for chunk in (1, 7, None):
+            set_chunk(chunk, noise.n_steps)
+            runs.append(
+                picard_solve(
+                    scalar_system(), cs, noise, tol=1e-30, max_iter=5, w=steps(0.5, noise.h)
+                )
             )
-            for chunk in (None, 1, 7)
-        ]
-        for res in runs[1:]:
-            np.testing.assert_array_equal(res.ensemble.values, runs[0].ensemble.values)
+        for res in runs[:-1]:
+            np.testing.assert_array_equal(res.ensemble.values, runs[-1].ensemble.values)
         grown = []
         for m in (128, 129, 192, 256):
             noise = sample_noise(spec, *window_steps(-1.0, 2.0, 1.0 / 32), 1.0 / 32, m, seed=5)
@@ -1150,7 +1151,7 @@ class TestPicard:
         for values in grown[1:]:
             np.testing.assert_array_equal(values, grown[0])
 
-    def test_bitwise_across_moment_blocks(self):
+    def test_bitwise_across_moment_blocks(self, set_chunk):
         """150 paths are three moment blocks, the last one partial.  The
         in-place sweep must give the values and the gap trace of the
         out-of-place oracle bit for bit, for any chunking and worker
@@ -1167,27 +1168,28 @@ class TestPicard:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for chunk in (None, 7, 64, 100):
+            for chunk in (None, 7):
+                set_chunk(chunk, noise.n_steps)
                 for threads in (1, 2, 3):
                     res = picard_solve(
-                        sysd, cs, noise, tol=1e-18, w=steps(1.0, noise.h),
-                        chunk_paths=chunk, threads=threads,
+                        sysd, cs, noise, tol=1e-18, w=steps(1.0, noise.h), threads=threads
                     )
                     np.testing.assert_array_equal(dense(res.ensemble), ref_values)
                     assert _strip_wall(res.gap_trace) == ref_trace
         finally:
             sys.setswitchinterval(interval)
 
-    def test_chunks_split_blocks_evenly(self):
-        """By default the grid length alone sets the chunk: the path-step
-        budget from 4096 steps on, half a block below."""
-        assert _blocks(64, 6144, None) == [[(0, 16), (16, 32), (32, 48), (48, 64)]]
-        assert _blocks(64, 4097, None) == [[(0, 21), (21, 42), (42, 64)]]
+    def test_chunks_split_blocks_evenly(self, set_chunk):
+        """The grid length alone sets the chunk: the path-step budget from
+        4096 steps on, half a block below."""
+        assert _blocks(64, 6144) == [[(0, 16), (16, 32), (32, 48), (48, 64)]]
+        assert _blocks(64, 4097) == [[(0, 21), (21, 42), (42, 64)]]
         for n in (1, 768, 1536, 2688, 4096):
-            assert _blocks(150, n, None) == [
+            assert _blocks(150, n) == [
                 [(0, 32), (32, 64)], [(64, 96), (96, 128)], [(128, 150)]
             ]
-        blocks = _blocks(150, 192, 7)
+        set_chunk(7, 192)
+        blocks = _blocks(150, 192)
         assert [b[0][0] for b in blocks] == [0, 64, 128]
         for block in blocks:
             sizes = [hi - lo for lo, hi in block]
@@ -1234,7 +1236,7 @@ class TestPicard:
         assert blocks == [0, 0, 0]  # 70 paths are two blocks
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_any_non_finite_state_raises(self, monkeypatch, bad):
+    def test_any_non_finite_state_raises(self, monkeypatch, set_chunk, bad):
         """A NaN or an infinity at any one state of an iterate stops the
         solve: its square makes that time's moment sum non-finite, and the
         exact ``isfinite`` check then finds it.  The state is planted in
@@ -1261,16 +1263,15 @@ class TestPicard:
             lipschitz=Fraction(1, 64),
         )
         noise = sample_noise(wiener_only_spec(), *window_steps(-1.0, 1.0, 0.25), 0.25, 3, seed=5)
+        set_chunk(2, noise.n_steps)
         for path in range(noise.n_paths):
             for step in range(noise.n_steps + 1):
                 at.update(path=path, step=step)
                 with pytest.raises(SolverError, match="non-finite states"):
-                    picard_solve(
-                        scalar_system(), cs, noise, w=steps(0.5, noise.h), chunk_paths=2
-                    )
+                    picard_solve(scalar_system(), cs, noise, w=steps(0.5, noise.h))
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_solve_holds_one_ensemble(self, threads):
+    def test_solve_holds_one_ensemble(self, set_chunk, threads):
         """The solve overwrites one ensemble in place, with one scratch per
         worker shared by phase: its traced peak stays well below the two
         ensembles an out-of-place iteration holds.  The ensemble holds the
@@ -1284,11 +1285,12 @@ class TestPicard:
             benchmark_spec(), *window_steps(-2.0, 4.0, 1.0 / 256), 1.0 / 256, 512, seed=31
         )
         for chunk in (8, None):
+            set_chunk(chunk, noise.n_steps)
             tracemalloc.start()
             try:
                 res = picard_solve(
                     sysd, preset_coefficients("example41"), noise, w=steps(2.0, noise.h),
-                    tol=1e-12, max_iter=3, chunk_paths=chunk, threads=threads,
+                    tol=1e-12, max_iter=3, threads=threads,
                 )
                 _, peak = tracemalloc.get_traced_memory()
             finally:
@@ -1332,7 +1334,7 @@ class TestPicard:
             assert held[1] - held[0] < (threads + 1) * block, (threads, held)
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_solve_stores_only_the_reached_coordinates(self, threads):
+    def test_solve_stores_only_the_reached_coordinates(self, set_chunk, threads):
         """On a diagonal 8-d system a constant drift on one coordinate
         reaches that coordinate alone, and one on every coordinate reaches
         all 8.  Above the traced peak of a solve that reaches none, the
@@ -1349,6 +1351,7 @@ class TestPicard:
         )
         noise = sample_noise(wiener_only_spec(), *window_steps(-2.0, 2.0, h), h, 256, seed=3)
         keep = range(0, noise.n_steps + 1, 2)
+        set_chunk(1, noise.n_steps)
 
         def peak(forced) -> int:
             drift = tuple((CoefficientTerm(0.5, "const"),) if i in forced else () for i in range(d))
@@ -1359,8 +1362,7 @@ class TestPicard:
             tracemalloc.start()
             try:
                 res = picard_solve(
-                    sysd, cs, noise, w=steps(0.5, h), max_iter=2, chunk_paths=1,
-                    threads=threads, keep=keep,
+                    sysd, cs, noise, w=steps(0.5, h), max_iter=2, threads=threads, keep=keep,
                 )
                 _, peak = tracemalloc.get_traced_memory()
             finally:
@@ -1396,11 +1398,11 @@ class TestPicard:
             )
 
     @pytest.mark.parametrize("source", ["example41", "custom"])
-    def test_lazy_draw_solves_as_the_drawn_sample(self, source):
+    def test_lazy_draw_solves_as_the_drawn_sample(self, set_chunk, source):
         """A ``NoiseDraw``, whose blocks draw their Wiener increments and
         jump events on the worker that sweeps them, gives the solve of the
         drawn sample bit for bit, values and gap trace, for 1, 2 and 3
-        workers and chunks of 7 and 64 paths and the default: on
+        workers and chunks of 7 paths and the default: on
         example41's coefficients, and on those of
         ``tests/data/custom.json``, with a correlated 2-d covariance, point
         marks and mark weights.  150 paths are three blocks, the last one
@@ -1418,19 +1420,17 @@ class TestPicard:
         ref = picard_solve(run.system, run.coefficients, drawn, **solve)
         assert ref.converged and ref.iterations > 3
         for threads in (1, 2, 3):
-            for chunk in (None, 7, 64):
-                res = picard_solve(
-                    run.system, run.coefficients, lazy, chunk_paths=chunk, threads=threads,
-                    **solve,
-                )
+            for chunk in (None, 7):
+                set_chunk(chunk, run.n)
+                res = picard_solve(run.system, run.coefficients, lazy, threads=threads, **solve)
                 np.testing.assert_array_equal(res.ensemble.values, ref.ensemble.values)
                 assert _strip_wall(res.gap_trace) == _strip_wall(ref.gap_trace)
 
-    def test_each_block_is_a_solve_of_its_own_paths(self):
+    def test_each_block_is_a_solve_of_its_own_paths(self, set_chunk):
         """Each block of 64 paths is solved to its own stop: its values and
         its iteration count are those of a solve of its paths alone,
-        ``NoiseDraw.paths(lo, hi)``, for 1 and 2 workers and chunks of 7
-        and 64 paths and the default, at 40, 130 and 200 paths.  In three
+        ``NoiseDraw.paths(lo, hi)``, for 1, 2 and 3 workers and chunks of
+        7 paths and the default, at 40, 130 and 200 paths.  In three
         of the cases the blocks stop at different counts, and in one
         ``max_iter`` stops some blocks unconverged.  The trace has a
         record per iteration up to the largest count, bitwise the same
@@ -1444,12 +1444,12 @@ class TestPicard:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            self.check_blocks_alone(sysd, cs, h, w)
+            self.check_blocks_alone(sysd, cs, h, w, set_chunk)
         finally:
             sys.setswitchinterval(interval)
 
     @staticmethod
-    def check_blocks_alone(sysd, cs, h, w):
+    def check_blocks_alone(sysd, cs, h, w, set_chunk):
         uneven = 0
         for m, seed, tol, max_iter in (
             (200, 1, 1e-12, 60), (200, 5, 1e-14, 60), (200, 0, 1e-8, 60), (130, 1, 1e-14, 5),
@@ -1466,10 +1466,10 @@ class TestPicard:
             uneven += len(set(counts)) > 1
             traces = []
             for threads in (1, 2, 3):
-                for chunk in (None, 7, 64):
+                for chunk in (7, None):
+                    set_chunk(chunk, noise.n_steps)
                     res = picard_solve(
-                        sysd, cs, noise, tol=tol, max_iter=max_iter, w=w, chunk_paths=chunk,
-                        threads=threads,
+                        sysd, cs, noise, tol=tol, max_iter=max_iter, w=w, threads=threads
                     )
                     assert res.block_iterations == counts, (m, seed, threads, chunk)
                     assert res.iterations == len(res.gap_trace) == max(counts)
@@ -1589,45 +1589,19 @@ class TestPicard:
                 picard_solve(sysd, cs, noise, keep=bad, **solve)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_cli_solve_memory_does_not_grow_with_noise(self, tmp_path, threads):
-        """An in-process ``picard`` run holds one ensemble and, per
-        worker, one block's Wiener increments and scratch, not the run's
-        noise sample: from 128 to 1024 paths of example41 at h = 1/512
-        its traced peak less the ensemble grows by less than two blocks'
-        increments (1.5 MiB each).  Measured: -0.1 MiB at 1 worker, 1.0
-        MiB at 2; drawing the whole sample before the solve, it grew by
-        the 896 more paths' increments, 20.9 and 21.5 MiB."""
-        from levyap.cli import main
-
-        n = 3072
-        held = []
-        for m in (128, 1024):
-            tracemalloc.start()
-            try:
-                with contextlib.redirect_stdout(io.StringIO()):
-                    code = main(
-                        ["picard", "--preset", "example41", "--dt", "1/512", "--paths", str(m),
-                         "--threads", threads, "--out", str(tmp_path / str(m))]
-                    )
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert code == 0
-            held.append(peak - m * (n + 1) * 8)  # the one coordinate S reaches
-        block_noise = _MOMENT_BLOCK * n * 8
-        assert held[1] - held[0] < 2 * block_noise, held
-
-    @pytest.mark.parametrize("threads", ["1", "2"])
     def test_cli_solve_memory_grows_by_the_kept_states(self, tmp_path, threads):
         """An in-process ``picard`` run keeps the states at the grid points
-        that ensemble.csv writes, not the ensemble: from 128 to 1024 paths
-        of example41 at h = 1/512 (every point, then every 7th, written)
-        its traced peak grows by at most the kept states' growth plus two
-        blocks' increments and states of the one coordinate S reaches (3
-        MiB each).  Measured: -6.5 to 1.5 MiB at 1 worker, where the first
-        run also imports, and 3.1 MiB at 2, two workers' block states;
-        holding the whole ensemble, as the solve did before its blocks
-        stopped on their own, it grew by 33.6-41.4 MiB."""
+        that ensemble.csv writes, not the ensemble, and holds one block's
+        noise per worker, not the run's noise sample: from 128 to 1024
+        paths of example41 at h = 1/512 (every point, then every 7th,
+        written) its traced peak grows by at most the kept states' growth
+        plus two blocks' increments and states of the one coordinate S
+        reaches (3 MiB each).  Measured: -6.5 to 1.5 MiB at 1 worker,
+        where the first run also imports, and 3.1 MiB at 2, two workers'
+        block states; holding the whole ensemble, as the solve did before
+        its blocks stopped on their own, it grew by 33.6-41.4 MiB, and
+        drawing the whole noise sample before the solve, by 23.1 MiB at 1
+        worker and 24.7 MiB at 2."""
         from levyap.cli import main
 
         n = 3072
@@ -1649,18 +1623,6 @@ class TestPicard:
             held.append(peak - m * len(range(0, n + 1, stride)) * 8)
         block = _MOMENT_BLOCK * (n + (n + 1)) * 8
         assert held[1] - held[0] <= 2 * block, held
-
-    def test_invalid_arguments(self):
-        sysd = benchmark_system()
-        noise = sample_noise(
-            benchmark_spec(), *window_steps(-1.0, 1.0, 1.0 / 32), 1.0 / 32, 2, seed=1
-        )
-        for chunk in (0, -1):
-            with pytest.raises(SolverError, match="chunk_paths must be at least 1"):
-                picard_solve(
-                    sysd, preset_coefficients("example41"), noise, w=steps(0.5, noise.h),
-                    chunk_paths=chunk,
-                )
 
     def test_l2_increments_shrink_linearly_near_zero_lag(self):
         """Mean-square continuity of the fixed point: increments over lag
@@ -2026,34 +1988,37 @@ def _zero_start_case(draw, d: int, q: int, first_row: str):
 @pytest.mark.parametrize("first_row", ["compensator", "jumps"])
 @pytest.mark.parametrize("system", sorted(_ZERO_START_SYSTEMS))
 @given(data=st.data())
-@settings(max_examples=20, deadline=None)
-def test_zero_start_sweep_is_the_general_sweep(system, first_row, data):
+@settings(
+    max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_zero_start_sweep_is_the_general_sweep(system, first_row, set_chunk, data):
     """The first Picard sweep evaluates each grid term on one (1, n) row
     of states per chunk and broadcasts it over the chunk's paths; on the
     zero ensemble that is bit for bit the general sweep, which evaluates
-    every path: the new states, their moment sums and their gap sums."""
+    every path: the new states, their moment sums and their gap sums.
+    Each example sets its own chunk, so the fixture is shared safely."""
     sysd, h, window = _ZERO_START_SYSTEMS[system]()
     spec = data.draw(st.sampled_from([_jump_diffusion_spec, _two_dim_spec]))()
     cs = data.draw(_zero_start_case(sysd.dim, spec.dim, first_row))
     noise = sample_noise(spec, *window_steps(*window, h), h, 5, seed=data.draw(st.integers(0, 99)))
     plan = _Plan.build(sysd, cs, noise, steps(0.5, h))
-    chunk = data.draw(st.sampled_from([None, 1, 2, 5]))
+    set_chunk(data.draw(st.sampled_from([None, 1, 2, 5])), noise.n_steps)
     shape = (len(plan.reach), noise.n_paths, noise.n_steps + 1)
     zero, general = np.zeros(shape), np.zeros(shape)
-    sums = _sweep_blocks(plan, zero, chunk, zero=True)
-    ref = _sweep_blocks(plan, general, chunk, zero=False)
+    sums = _sweep_blocks(plan, zero, zero=True)
+    ref = _sweep_blocks(plan, general, zero=False)
     assert zero.tobytes() == general.tobytes()
     for a, b in zip(sums, ref):
         assert a.tobytes() == b.tobytes()
 
 
-def _sweep_blocks(plan, values, chunk_paths, zero):
+def _sweep_blocks(plan, values, zero):
     """S applied in place to the coordinate-major ``values``, the
     coordinates of ``plan.reach``, by the solver's block sweep, block by
     block on one worker: the moment and gap sums of every block, in
     block order."""
     noise = plan.noise
-    blocks = _blocks(noise.n_paths, noise.n_steps, chunk_paths)
+    blocks = _blocks(noise.n_paths, noise.n_steps)
     scratch = _Scratch(plan, max(hi - lo for chunks in blocks for lo, hi in chunks))
     sums = []
     for chunks in blocks:
@@ -2063,7 +2028,7 @@ def _sweep_blocks(plan, values, chunk_paths, zero):
     return sums
 
 
-def test_zero_sweep_evaluates_one_row(monkeypatch):
+def test_zero_sweep_evaluates_one_row(monkeypatch, set_chunk):
     """Each chunk of the zero sweep evaluates the grid terms on one row of
     states, a general sweep on every path of the chunk: the rows of each
     value that ``term_value`` writes, as the solver looks it up (the
@@ -2085,10 +2050,11 @@ def test_zero_sweep_evaluates_one_row(monkeypatch):
     noise = sample_noise(spec(), *window_steps(*window, h), h, 6, seed=23)
     plan = _Plan.build(sysd, coefficients(sysd.dim), noise, steps(1.0, h))
     values = np.zeros((len(plan.reach), noise.n_paths, noise.n_steps + 1))
-    _sweep_blocks(plan, values, 3, zero=True)
+    set_chunk(3, noise.n_steps)
+    _sweep_blocks(plan, values, zero=True)
     zero_rows = rows[:]
     rows.clear()
-    _sweep_blocks(plan, values, 3, zero=False)
+    _sweep_blocks(plan, values, zero=False)
     assert zero_rows == [1] * 12 and rows == [3] * 12
 
 
@@ -2138,7 +2104,7 @@ _NONDIAGONAL_PINS = {
 
 
 @pytest.mark.parametrize("case", sorted(_NONDIAGONAL_PINS))
-def test_nondiagonal_solves_are_pinned(case):
+def test_nondiagonal_solves_are_pinned(case, set_chunk):
     """A sha256 of the values and of the gaps and moments of a 4-iteration
     solve of each recursion-oracle case and of the oblique system with
     mixed coefficients, taken before the chunk kernel's structure was
@@ -2157,9 +2123,10 @@ def test_nondiagonal_solves_are_pinned(case):
     sysd, h, window = system()
     noise = sample_noise(spec(), *window_steps(*window, h), h, 9, seed=7)
     for threads, chunk in ((1, None), (2, 2)):
+        set_chunk(chunk, noise.n_steps)
         res = picard_solve(
             sysd, coefficients(sysd.dim), noise, tol=1e-30, max_iter=4, w=steps(0.5, h),
-            chunk_paths=chunk, threads=threads,
+            threads=threads,
         )
         digest = hashlib.sha256(dense(res.ensemble).tobytes())
         trace = [[rec["gap"], rec["sup_second_moment"]] for rec in res.gap_trace]
