@@ -50,9 +50,9 @@ timing field.  It prints one line per run, which names every
 difference of a run that differs, down to the key paths of a JSON
 artifact (``run_meta.json: config.seed``), with the largest absolute
 change of a state value in ``ensemble.csv`` and of each shift's
-``sup_beta`` in ``apscan_report.json`` when both trees wrote them with
-the same rows and shifts, and exits 1 when any run differs, 0 when every
-run matches.
+``sup_beta`` in ``apscan_report.json`` when that file differs and both
+trees wrote it with the same rows and shifts, and exits 1 when any run
+differs, 0 when every run matches.
 """
 
 import argparse
@@ -206,7 +206,9 @@ def key_paths(a, b, path: str = "") -> list[str]:
 
 def artifact_differences(old: Path, new: Path) -> list[str]:
     """Every artifact that differs between two output directories, in
-    name order; a JSON artifact names the key paths that differ."""
+    name order; a JSON artifact names the key paths that differ, and a
+    differing ``ensemble.csv`` or ``apscan_report.json`` is followed by
+    its value change (``value_change``) when there is one."""
     out = []
     names = sorted({p.name for d in (old, new) if d.is_dir() for p in d.iterdir()})
     for name in names:
@@ -221,16 +223,17 @@ def artifact_differences(old: Path, new: Path) -> list[str]:
             if name.endswith(".json"):
                 paths = key_paths(json.loads(a.read_text()), json.loads(b.read_text()))
             out.append(f"{name}: {', '.join(paths)}" if paths and all(paths) else f"{name} differs")
+            out += value_change(a, b)
     return out
 
 
-def value_changes(old: Path, new: Path) -> list[str]:
-    """The largest absolute change of the state values of ``ensemble.csv``
-    and of each shift's ``sup_beta`` between two output directories, for
-    each of the two files that both wrote alike but for the values."""
+def value_change(a: Path, b: Path) -> list[str]:
+    """The largest absolute change of the state values between two
+    ``ensemble.csv`` files, or of each shift's ``sup_beta`` between two
+    ``apscan_report.json`` files, when both are alike but for the values:
+    a list of one line, else an empty one."""
     out = []
-    a, b = old / "ensemble.csv", new / "ensemble.csv"
-    if a.is_file() and b.is_file():
+    if a.name == "ensemble.csv":
         with open(a) as fa, open(b) as fb:
             rows = itertools.zip_longest(fa, fb)
             line_a, line_b = next(rows)
@@ -244,8 +247,7 @@ def value_changes(old: Path, new: Path) -> list[str]:
                 most = max(most, *(abs(float(u) - float(v)) for u, v in zip(x[2:], y[2:])))
         if same:
             out.append(f"ensemble.csv values move by up to {most:.3g}")
-    a, b = old / "apscan_report.json", new / "apscan_report.json"
-    if a.is_file() and b.is_file():
+    elif a.name == "apscan_report.json":
         shifts = [[(e["s"], e["sup_beta"]) for e in json.loads(p.read_text())["shifts"]]
                   for p in (a, b)]
         if [s for s, _ in shifts[0]] == [s for s, _ in shifts[1]]:
@@ -279,7 +281,6 @@ def main(argv=None) -> int:
             diffs = [key for key in results[0] if results[0][key] != results[1][key]]
             diffs += artifact_differences(*outs)
             if diffs:
-                diffs += value_changes(*outs)
                 differing += 1
                 print(f"DIFFER  {label}: {'; '.join(diffs)}")
                 continue

@@ -289,7 +289,7 @@ class _Parser:
             raise SignalParseError(f"unexpected token {tok!r}") from None
 
 
-class QuasiPeriodicSignal(namedtuple("QuasiPeriodicSignal", "frequencies expr source")):
+class QuasiPeriodicSignal(namedtuple("QuasiPeriodicSignal", "frequencies expr")):
     """A bounded quasi-periodic scalar signal of time.
 
     ``frequencies`` lists the base frequencies; the expression refers to
@@ -307,7 +307,7 @@ class QuasiPeriodicSignal(namedtuple("QuasiPeriodicSignal", "frequencies expr so
             if not (math.isfinite(w) and w > 0):
                 raise SignalParseError("frequencies must be finite and positive")
         node = _Parser(_tokenize(text), len(freqs)).parse()
-        sig = cls(frequencies=freqs, expr=node, source=text)
+        sig = cls(frequencies=freqs, expr=node)
         sig.bounds()  # certify now; raises UnboundedSignalError if not
         return sig
 

@@ -632,7 +632,9 @@ def grid_steps(x: Number, h: Number, key: str) -> int:
 # paths of example41 over the window [-2, 562] at h = 1/64, a scan at
 # its coefficients' almost periods, hold 8.4e6 of them
 RUN_DOUBLES = 2**28
-# paths per block of the Picard solve, its unit of work
+# paths per block of the Picard solve: a worker's unit of work, solved
+# to its own stop, and the unit of the second-moment sums, whose
+# rounding depends on it
 BLOCK_PATHS = 64
 # ensemble.csv writes at most about this many rows by default
 _CSV_ROW_TARGET = 500_000

@@ -147,14 +147,12 @@ class DichotomousSystem:
     ``a`` and ``p`` are arrays or rows of numbers; their float arrays,
     ``j = I - P``, the orthonormal bases of range(P) and range(I - P) and
     the compressions of A to them are built on first use and kept, so a
-    system that only reports its constants builds no array.
-    ``constants`` holds K and omega as given (exact rationals from a
-    config), ``k`` and ``omega`` their float values.
+    system that only reports its constants builds no array.  ``k`` and
+    ``omega`` are the float values of K and omega.
     """
 
     def __init__(self, a, p, k, omega):
         self.dim = len(a)
-        self.constants = (k, omega)
         self.k = float(k)
         self.omega = float(omega)
         self._given = (a, p)

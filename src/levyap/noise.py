@@ -444,9 +444,7 @@ class NoiseDraw(namedtuple("NoiseDraw", "spec k_lo n_steps h n_paths seed")):
 
     __slots__ = ()
 
-    @property
-    def grid(self) -> np.ndarray:
-        return (self.k_lo + np.arange(self.n_steps + 1)) * self.h
+    grid = NoiseSample.grid
 
     def paths(self, lo: int, hi: int) -> NoiseSample:
         """The sample of paths [lo, hi), numbered from 0, drawn now."""

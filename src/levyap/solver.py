@@ -111,9 +111,6 @@ __all__ = [
 # default), 0.71-0.76 s with 8 and 0.85-0.97 s with 4; smaller chunks pay
 # only if the per-chunk cost falls much further.
 _CHUNK_BUDGET = 131_072
-# paths per block: a worker's unit of work, solved to its own stop, and
-# the unit of the second-moment sums, whose rounding depends on it
-_MOMENT_BLOCK = BLOCK_PATHS
 # largest |log|lam|| * block of one scan block: lam^{-i} stays below e^600
 _SCAN_NATS = 600.0
 
@@ -781,16 +778,16 @@ def _sweep_block(
 
 
 def _blocks(m: int, n: int) -> list[list[tuple[int, int]]]:
-    """Path ranges of the chunks of each block of ``_MOMENT_BLOCK`` paths
+    """Path ranges of the chunks of each block of ``BLOCK_PATHS`` paths
     on a grid of ``n`` steps.  A block of b paths is split into
     ceil(b / per_chunk) chunks of near-equal size, so no chunk straddles
     a block.  A chunk holds at most about ``_CHUNK_BUDGET`` path steps
     and at most half a block, so on a short grid a worker's scratch is
     half a block's size."""
-    per_chunk = max(1, min(_MOMENT_BLOCK // 2, _CHUNK_BUDGET // max(n, 1)))
+    per_chunk = max(1, min(BLOCK_PATHS // 2, _CHUNK_BUDGET // max(n, 1)))
     blocks = []
-    for lo in range(0, m, _MOMENT_BLOCK):
-        size = min(_MOMENT_BLOCK, m - lo)
+    for lo in range(0, m, BLOCK_PATHS):
+        size = min(BLOCK_PATHS, m - lo)
         count = -(-size // per_chunk)
         edges = [lo + size * k // count for k in range(count + 1)]
         blocks.append(list(zip(edges[:-1], edges[1:])))
@@ -981,7 +978,7 @@ def picard_solve(
 ) -> PicardResult:
     """Iterate the integral operator from the zero ensemble on a frozen
     noise sample (a ``NoiseSample``, or a ``NoiseDraw`` whose paths are
-    drawn block by block), each block of ``_MOMENT_BLOCK`` paths until
+    drawn block by block), each block of ``BLOCK_PATHS`` paths until
     the sup-over-grid mean-square gap between its consecutive iterates
     drops below ``tol``.
 

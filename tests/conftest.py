@@ -23,13 +23,14 @@ def set_chunk(monkeypatch):
     chunks ``paths`` paths wide on a grid of ``n_steps`` steps, through
     the chunk budget ``solver._CHUNK_BUDGET``, as the CSV tests set
     ``_floatfmt._CHUNK``; None restores the default budget.  A chunk is
-    at most half a block, so ``paths`` is too."""
+    at most half a block of ``BLOCK_PATHS`` paths, so ``paths`` is too."""
     import levyap.solver as solver
+    from levyap.config import BLOCK_PATHS
 
     default = solver._CHUNK_BUDGET
 
     def set_chunk(paths, n_steps):
-        assert paths is None or 1 <= paths <= solver._MOMENT_BLOCK // 2, paths
+        assert paths is None or 1 <= paths <= BLOCK_PATHS // 2, paths
         budget = default if paths is None else paths * n_steps
         monkeypatch.setattr(solver, "_CHUNK_BUDGET", budget)
 

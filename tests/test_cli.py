@@ -1641,11 +1641,15 @@ class TestCliArtifacts:
             (out / "ensemble.csv").write_text("t,path,y0\n0.0,0,1.0\n")
         assert compare_artifacts.artifact_differences(old, new) == []
         (new / "ensemble.csv").write_text("t,path,y0\n0.0,0,1.5\n")
-        assert compare_artifacts.artifact_differences(old, new) == ["ensemble.csv differs"]
+        assert compare_artifacts.artifact_differences(old, new) == [
+            "ensemble.csv differs",
+            "ensemble.csv values move by up to 0.5",
+        ]
         (old / "run_meta.json").write_text("{}")
         (new / "gap_trace.jsonl").write_text(json.dumps({"k": 2, "wall_ms": 1.5}) + "\n")
         assert compare_artifacts.artifact_differences(old, new) == [
             "ensemble.csv differs",
+            "ensemble.csv values move by up to 0.5",
             "gap_trace.jsonl differs outside wall_ms",
             "run_meta.json is written by one tree only",
         ]
@@ -1661,9 +1665,39 @@ class TestCliArtifacts:
         assert compare_artifacts.artifact_differences(old, new) == [
             "condition_report.json differs",
             "ensemble.csv differs",
+            "ensemble.csv values move by up to 0.5",
             "gap_trace.jsonl differs outside wall_ms",
             "run_meta.json: config.threads, gap_trace[1].gap",
         ]
+
+    def test_compare_artifacts_reports_values_of_changed_files_only(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A run whose ``ensemble.csv`` is byte-identical in both trees and
+        whose ``apscan_report.json`` differs in one ``sup_beta`` is
+        reported with that key path and the shifts' moves alone: an
+        unchanged file gets no value change line."""
+        trees = []
+        for side in ("old", "new"):
+            (tmp_path / side / "levyap").mkdir(parents=True)
+            (tmp_path / side / "levyap" / "__init__.py").write_text("")
+            trees.append(str(tmp_path / side))
+        betas = {"old": (0.5, 0.25), "new": (0.5, 0.125)}
+
+        def run(src, argv, out):
+            out.mkdir()
+            (out / "ensemble.csv").write_text("t,path,y0\n0.0,0,1.0\n")
+            shifts = [{"s": s, "sup_beta": b} for s, b in zip((0.5, 1.0), betas[src.name])]
+            (out / "apscan_report.json").write_text(json.dumps({"shifts": shifts}))
+            return {"exit code": 0, "stdout": "", "stderr": ""}
+
+        monkeypatch.setattr(compare_artifacts, "runs", lambda: [["apscan"]])
+        monkeypatch.setattr(compare_artifacts, "run", run)
+        assert compare_artifacts.main(trees) == 1
+        assert capsys.readouterr().out == (
+            "DIFFER  apscan: apscan_report.json: shifts[1].sup_beta; sup_beta moves by 0, 0.125\n"
+            "1 of 1 runs differ\n"
+        )
 
     def test_custom_block_restates_the_ou_preset(self, tmp_path, capsys):
         """A preset states its coefficients in the term lists any config

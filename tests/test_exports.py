@@ -2,7 +2,8 @@
 exported function or class, and every public method, property and
 classmethod of an exported class, is used by levyap code, every
 defaulted parameter of those functions and methods but one is passed by
-some call in levyap or the scripts, no levyap module imports
+some call in levyap or the scripts, every record field and every
+module-level name of levyap is read somewhere, no levyap module imports
 ``dataclasses``, and only ``levyap.config`` names the grid rule
 ``grid_steps``."""
 
@@ -132,7 +133,9 @@ def test_every_export_is_used():
             if not members:
                 continue
             body = next(n for n in trees[name].body if getattr(n, "name", None) == attr).body
+            # a def, or an assignment such as ``grid = NoiseSample.grid``
             defs = {n.name: n for n in body if isinstance(n, ast.FunctionDef)}
+            defs.update((t.id, n) for n in body if isinstance(n, ast.Assign) for t in n.targets)
             for member in members:
                 if access[member] == accessed(defs[member])[member]:
                     unused.add((name, f"{attr}.{member}"))
@@ -216,3 +219,101 @@ def test_every_defaulted_parameter_is_passed():
             ):
                 unpassed.append(f"{label}: {param}")
     assert set(unpassed) == TEST_ONLY_PARAMETERS
+
+
+def project_trees() -> dict[Path, ast.Module]:
+    """The syntax tree of each module of levyap, the scripts and the tests."""
+    root = Path(__file__).parents[1]
+    dirs = (Path(levyap.__file__).parent, root / "scripts", root / "tests")
+    paths = [path for d in dirs for path in sorted(d.glob("*.py"))]
+    return {path: ast.parse(path.read_text("utf-8")) for path in paths}
+
+
+def test_every_record_field_is_read():
+    """Each attribute that levyap code stores on ``self``, and each field
+    of a ``namedtuple("Name", "a b ...")`` whose fields are a string
+    literal, is read as an attribute (``x.field``) somewhere in levyap,
+    the scripts or the tests: a field that nothing reads is state kept
+    for no one.  The config section records are out of scope: their
+    fields come from the key tables, not a literal, and the echo reads
+    them field by field (``config._write_fields``)."""
+    trees = project_trees()
+    package = Path(levyap.__file__).parent
+    fields = set()
+    for path, tree in trees.items():
+        if path.parent != package:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                fields.update(
+                    (f"{path.stem}.{node.name}", n.attr)
+                    for n in ast.walk(node)
+                    if isinstance(n, ast.Attribute)
+                    and isinstance(n.ctx, ast.Store)
+                    and isinstance(n.value, ast.Name)
+                    and n.value.id == "self"
+                )
+            elif (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "namedtuple"
+                and isinstance(node.args[1], ast.Constant)
+            ):
+                record = f"{path.stem}.{node.args[0].value}"
+                fields.update((record, field) for field in node.args[1].value.split())
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    assert len(fields) > 100
+    assert sorted(f"{record}.{field}" for record, field in fields if field not in read) == []
+
+
+def bound_names(stmt) -> list[str]:
+    """The names a module's top-level statement binds: a def, a class,
+    the targets of an assignment, an import (``from __future__`` aside),
+    and those of the statements of an ``if``."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    if isinstance(stmt, ast.Import):
+        return [(alias.asname or alias.name).split(".")[0] for alias in stmt.names]
+    if isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__":
+        return [alias.asname or alias.name for alias in stmt.names]
+    if isinstance(stmt, ast.If):
+        return [name for s in stmt.body + stmt.orelse for name in bound_names(s)]
+    return []
+
+
+def test_every_module_name_is_read():
+    """Each name that a levyap module binds at its top level, a dunder
+    name aside, is read (``name`` or ``x.name``) by a top-level
+    statement of levyap, the scripts or the tests other than the one
+    that binds it: a helper, a constant or an import that nothing reads
+    is dead code."""
+    trees = project_trees()
+    package = Path(levyap.__file__).parent
+    readers = defaultdict(list)
+    for tree in trees.values():
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    readers[node.id].append(stmt)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    readers[node.attr].append(stmt)
+    bound, unread = 0, []
+    for path, tree in trees.items():
+        if path.parent != package:
+            continue
+        for stmt in tree.body:
+            for name in bound_names(stmt):
+                if name.startswith("__") and name.endswith("__"):
+                    continue
+                bound += 1
+                if all(reader is stmt for reader in readers[name]):
+                    unread.append(f"{path.stem}.{name}")
+    assert bound > 300
+    assert unread == []

@@ -30,6 +30,7 @@ from _grid import (
 from _noise_oracles import shifted
 from levyap.coefficients import CoefficientSet, CoefficientTerm, QuasiPeriodicSignal
 from levyap.config import (
+    BLOCK_PATHS,
     ConditionReport,
     ConfigError,
     build_coefficients,
@@ -52,7 +53,6 @@ from levyap.noise import (
 from levyap.solver import (
     PathEnsemble,
     SolverError,
-    _MOMENT_BLOCK,
     _Plan,
     _Scratch,
     _blocks,
@@ -1211,7 +1211,7 @@ class TestPicard:
         monkeypatch.setattr(
             solver_module,
             "_sweep_block",
-            lambda *a: blocks.append(a[2][0][0] // _MOMENT_BLOCK) or sweep_block(*a),
+            lambda *a: blocks.append(a[2][0][0] // BLOCK_PATHS) or sweep_block(*a),
         )
         sysd = scalar_system(2.0)
         cs = CoefficientSet(
@@ -1372,7 +1372,7 @@ class TestPicard:
 
         base = peak(())
         one, every = peak((3,)) - base, peak(tuple(range(d))) - base
-        states = 8 * (noise.n_paths * len(keep) + threads * _MOMENT_BLOCK * (noise.n_steps + 1))
+        states = 8 * (noise.n_paths * len(keep) + threads * BLOCK_PATHS * (noise.n_steps + 1))
         assert states <= one <= 1.2 * states, (one, states)
         assert d * states <= every <= 1.1 * d * states, (every, d * states)
 
@@ -1456,9 +1456,9 @@ class TestPicard:
             (40, 3, 1e-12, 60),
         ):
             noise = NoiseDraw(benchmark_spec(), *window_steps(-1.0, 2.0, h), h, m, seed)
-            starts = range(0, m, _MOMENT_BLOCK)
+            starts = range(0, m, BLOCK_PATHS)
             alone = [
-                picard_solve(sysd, cs, noise.paths(lo, min(lo + _MOMENT_BLOCK, m)), tol=tol,
+                picard_solve(sysd, cs, noise.paths(lo, min(lo + BLOCK_PATHS, m)), tol=tol,
                              max_iter=max_iter, w=w)
                 for lo in starts
             ]
@@ -1476,7 +1476,7 @@ class TestPicard:
                     assert res.converged == all(block.converged for block in alone)
                     for lo, block in zip(starts, alone):
                         np.testing.assert_array_equal(
-                            res.ensemble.values[lo : lo + _MOMENT_BLOCK], block.ensemble.values
+                            res.ensemble.values[lo : lo + BLOCK_PATHS], block.ensemble.values
                         )
                     moment = (res.ensemble.values**2).sum(axis=2).mean(axis=0).max()
                     assert res.sup_second_moment == pytest.approx(moment, rel=1e-12)
@@ -1498,18 +1498,18 @@ class TestPicard:
         sweep_block, draw_block = solver_module._sweep_block, solver_module._draw_block
 
         def failing(plan, block, chunks, *rest):
-            if chunks[0][0] // _MOMENT_BLOCK == raising:
+            if chunks[0][0] // BLOCK_PATHS == raising:
                 raise RuntimeError("block failed")
             return sweep_block(plan, block, chunks, *rest)
 
         def drawing(plan, lo, hi):
-            drawn[-1].append(lo // _MOMENT_BLOCK)
+            drawn[-1].append(lo // BLOCK_PATHS)
             return draw_block(plan, lo, hi)
 
         monkeypatch.setattr(solver_module, "_sweep_block", failing)
         monkeypatch.setattr(solver_module, "_draw_block", drawing)
         h = 1.0 / 16
-        noise = NoiseDraw(benchmark_spec(), *window_steps(-1.0, 2.0, h), h, 10 * _MOMENT_BLOCK, 37)
+        noise = NoiseDraw(benchmark_spec(), *window_steps(-1.0, 2.0, h), h, 10 * BLOCK_PATHS, 37)
         errors, drawn = [], []
 
         def solves():
@@ -1621,7 +1621,7 @@ class TestPicard:
             assert code == 0
             stride = json.loads((out / "run_meta.json").read_text())["csv_stride"]
             held.append(peak - m * len(range(0, n + 1, stride)) * 8)
-        block = _MOMENT_BLOCK * (n + (n + 1)) * 8
+        block = BLOCK_PATHS * (n + (n + 1)) * 8
         assert held[1] - held[0] <= 2 * block, held
 
     def test_l2_increments_shrink_linearly_near_zero_lag(self):
@@ -1667,13 +1667,13 @@ def _sup_mean_squares(values: np.ndarray, prev: np.ndarray):
     in block order."""
     m, n, d = values.shape
     sums = [np.zeros(n * d), np.zeros(n * d)]
-    buf = np.empty((min(m, _MOMENT_BLOCK), n, d))
-    for lo in range(0, m, _MOMENT_BLOCK):
-        v = values[lo : lo + _MOMENT_BLOCK]
+    buf = np.empty((min(m, BLOCK_PATHS), n, d))
+    for lo in range(0, m, BLOCK_PATHS):
+        v = values[lo : lo + BLOCK_PATHS]
         b = buf[: len(v)]
         np.multiply(v, v, out=b)
         sums[0] += b.reshape(len(v), -1).sum(axis=0)
-        np.subtract(v, prev[lo : lo + _MOMENT_BLOCK], out=b)
+        np.subtract(v, prev[lo : lo + BLOCK_PATHS], out=b)
         b *= b
         sums[1] += b.reshape(len(v), -1).sum(axis=0)
     return tuple(float(s.reshape(n, d).sum(axis=1).max()) / m for s in sums)
