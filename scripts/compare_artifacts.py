@@ -26,16 +26,21 @@ runs ``python -m levyap.cli`` on
   direction), and 150 paths spread its mark-weighted jumps over three
   blocks of 64 paths; and ``check`` of it at ``--threads`` 0, which is
   rejected,
-- ``apscan`` at ``--threads`` 1 and 2 of two small configs whose state
+- ``apscan`` at ``--threads`` 1 and 2 of three small configs whose state
   layouts no preset has (``LAYOUTS``): ``between.json``, whose one
   unreached state coordinate lies between two reached ones and is read
-  by drift, diffusion and small-jump terms, and ``unreached.json``,
-  whose coefficient lists are all empty, so that the operator reaches
-  no coordinate.  ``between``'s laws vary in two coordinates, so its
-  scan runs the HiGHS transport LP, on laws of 64 points, a realistic
-  support.  With HiGHS at its default feasibility tolerances that scan
-  failed its beta certificate (exit 2); 16 points, the support this
-  config had before, was the one value at which it passed, and
+  by drift, diffusion and small-jump terms; ``nonnormal.json``, whose
+  generator [[-6, 3], [-1, -6]] has complex eigenvalues, so that its
+  exponentials go through ``expm`` and its one modal half through the
+  complex Schur form, with a mode coupled to another, and whose first
+  coordinate's stochastic row only large jumps fill; and
+  ``unreached.json``, whose coefficient lists are all empty, so that the
+  operator reaches no coordinate.  ``between``'s laws vary in two
+  coordinates, so its scan runs the HiGHS transport LP, on laws of 64
+  points, a realistic support.  With HiGHS at its default feasibility
+  tolerances that scan failed its beta certificate (exit 2); 16 points,
+  the support this config had before, was the one value at which it
+  passed, and
 - ``check --config NAME.json`` on each record of the rejected-config
   corpus ``tests/data/rejected.jsonl``, configs that validation
   rejects, whose exit code and stderr must not change (the tests hold
@@ -100,6 +105,34 @@ LAYOUTS = {
         "numerics": _SMALL,
         "analysis": {"epsilon": 0.25, "shifts": ["1/4", "1/2", "3/4", 1],
                      "times": [0, "1/4", "1/2", "3/4", 1], "law_support": 64},
+    },
+    "nonnormal": {
+        "preset": "example41",
+        "system": {"a": [[-6, 3], [-1, -6]], "p": [[1, 0], [0, 1]], "k": 2, "omega": 6},
+        "coefficients": {
+            "freqs": [1.4142135623730951, 1.7320508075688772, 2.23606797749979],
+            "drift": [
+                [{"scale": "1/8", "kernel": "bounded_ratio", "coord": 1, "outer": "c1"}],
+                [{"scale": 1, "kernel": "bounded_ratio", "coord": 1,
+                  "outer": "(c1 + s2) / (17 + c3)"}],
+            ],
+            "diffusion": [
+                [[]],
+                [[{"scale": "1/12", "kernel": "sin_shift", "coord": 1, "inner": "c2 + c1"}]],
+            ],
+            "jump_small": [
+                [], [{"scale": "1/10", "kernel": "linear", "coord": 1, "mark_weights": [1]}],
+            ],
+            "jump_large": [
+                [{"scale": "1/9", "kernel": "linear", "coord": 0}],
+                [{"scale": "1/9", "kernel": "linear", "coord": 1,
+                  "outer": "s2 * s2 / (3 + c1 + c3)"}],
+            ],
+            "lipschitz": "1/64",
+        },
+        "numerics": _SMALL,
+        "analysis": {"epsilon": 0.25, "shifts": ["1/4", "1/2"], "times": [0, "1/2"],
+                     "law_support": 32},
     },
     "unreached": {
         "preset": "example41",

@@ -52,32 +52,20 @@ class EmpiricalLawError(ValueError, LevyapError):
 
 
 class EmpiricalLaw:
-    """A finitely supported probability measure: points and weights."""
+    """The uniform law on the rows of a nonempty, finite (n, d) array:
+    a row that appears k times is an atom of mass k/n."""
 
-    def __init__(self, points: np.ndarray, weights: np.ndarray):
+    def __init__(self, points: np.ndarray):
         pts = np.asarray(points, dtype=float)
-        w = np.asarray(weights, dtype=float)
         if pts.ndim != 2 or len(pts) == 0:
             raise EmpiricalLawError("points must be a nonempty (n, d) array")
-        if w.shape != (len(pts),):
-            raise EmpiricalLawError("weights must match the number of points")
-        if not np.all(np.isfinite(pts)) or not np.all(np.isfinite(w)):
-            raise EmpiricalLawError("points and weights must be finite")
-        if w.min() < -1e-12:
-            raise EmpiricalLawError("weights must be nonnegative")
-        if abs(w.sum() - 1.0) > 1e-9:
-            raise EmpiricalLawError(f"weights sum to {w.sum()}, expected 1")
+        if not np.all(np.isfinite(pts)):
+            raise EmpiricalLawError("points must be finite")
         self.points = pts
-        # weights down to -1e-12 are accepted as rounding; store them as 0
-        # so that the weights are a probability vector
-        self.weights = np.maximum(w, 0.0)
 
     @classmethod
     def from_samples(cls, points: np.ndarray) -> "EmpiricalLaw":
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        return cls(pts, np.full(len(pts), 1.0 / len(pts)))
+        return cls(points)
 
     @property
     def dim(self) -> int:
@@ -86,9 +74,10 @@ class EmpiricalLaw:
 
 def _signed_support(mu: EmpiricalLaw, nu: EmpiricalLaw):
     """Merge the two supports; return unique points with the signed
-    weight difference, zero-difference points dropped.  The masses of mu
-    and nu are accumulated separately and then subtracted, so swapping
-    the arguments negates the difference bit for bit."""
+    mass difference, zero-difference points dropped.  Each row of a law
+    of n rows adds 1/n to its point.  The masses of mu and nu are
+    accumulated separately and then subtracted, so swapping the
+    arguments negates the difference bit for bit."""
     if mu.dim != nu.dim:
         raise EmpiricalLawError("laws must share a dimension")
     pts = np.concatenate([mu.points, nu.points], axis=0)
@@ -96,8 +85,8 @@ def _signed_support(mu: EmpiricalLaw, nu: EmpiricalLaw):
     m = len(mu.points)
     mass_mu = np.zeros(len(uniq))
     mass_nu = np.zeros(len(uniq))
-    np.add.at(mass_mu, inverse[:m], mu.weights)
-    np.add.at(mass_nu, inverse[m:], nu.weights)
+    np.add.at(mass_mu, inverse[:m], 1.0 / m)
+    np.add.at(mass_nu, inverse[m:], 1.0 / len(nu.points))
     delta = mass_mu - mass_nu
     keep = delta != 0.0
     return uniq[keep], delta[keep]
@@ -111,6 +100,8 @@ def bl_distance(
     """Bounded-Lipschitz distance between two empirical laws, exact up to
     round-off, with a checked certificate.
 
+    Each law is uniform over its rows, so its total mass may miss 1 by
+    rounding (ten rows carry 0.9999999999999999); both solvers allow it.
     Coordinates that are constant across the merged support are dropped
     first; this leaves every pairwise distance unchanged.  When at most
     one coordinate varies, beta is solved exactly on the line

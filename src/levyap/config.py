@@ -667,7 +667,8 @@ def validate_config(cfg: RunConfig) -> Run:
     once (their own validators run), then checks numerics and reads the
     window, the truncation horizon, every analysis time and every shift
     as whole steps h (``grid_steps``); the truncation and every shift
-    must be at least one step, and every analysis time and shifted time
+    must be at least one step, no analysis time or shift may repeat
+    another, and every analysis time and shifted time
     must stay at least one truncation horizon away from the window
     edges, compared in steps.  Analysis times and shifts come together
     or not at all, and a scan's laws must fit ``bl_distance``'s support
@@ -820,6 +821,12 @@ def validate_config(cfg: RunConfig) -> Run:
     for s, j in shifts:
         if j < 1:
             raise ConfigError(f"analysis.shifts must be at least one step h = {h}, got {s}")
+    # in steps, so 0.25 repeats "1/4"; a repeated shift would be counted twice
+    for key, values in (("analysis.times", times), ("analysis.shifts", shifts)):
+        first = {}
+        for i, (value, step) in enumerate(values):
+            if first.setdefault(step, i) != i:
+                raise ConfigError(f"{key}[{i}] = {value} repeats {key}[{first[step]}]")
     # every analysis time and shifted time, with its grid step, must lie in
     # the window shrunk by the truncation: compared in whole steps
     probe = times + [(t + s, i + j) for t, i in times for s, j in shifts]

@@ -270,8 +270,8 @@ def test_metric_formula_axioms_and_oracle():
         for _ in range(3):
             n = int(gen.integers(2, 6))
             pts = gen.normal(size=(n, dim)) * gen.uniform(0.2, 2.0)
-            w = gen.uniform(0.1, 1.0, size=n)
-            laws.append(EmpiricalLaw(pts, w / w.sum()))
+            # each point repeated 1-4 times: atoms of unequal mass
+            laws.append(EmpiricalLaw(np.repeat(pts, gen.integers(1, 5, size=n), axis=0)))
         a, b, c = laws
         d_ab = bl_distance(a, b)
         d_ba = bl_distance(b, a)
@@ -288,10 +288,10 @@ def test_metric_formula_axioms_and_oracle():
         dim = int(gen_t.integers(1, 3))
         n_a = int(gen_t.integers(1, 4))
         n_b = int(gen_t.integers(1, 4))
-        w_a = gen_t.uniform(0.1, 1.0, size=n_a)
-        w_b = gen_t.uniform(0.1, 1.0, size=n_b)
-        mu = EmpiricalLaw(gen_t.normal(size=(n_a, dim)), w_a / w_a.sum())
-        nu = EmpiricalLaw(gen_t.normal(size=(n_b, dim)), w_b / w_b.sum())
+        k_a = gen_t.integers(1, 5, size=n_a)
+        k_b = gen_t.integers(1, 5, size=n_b)
+        mu = EmpiricalLaw(np.repeat(gen_t.normal(size=(n_a, dim)), k_a, axis=0))
+        nu = EmpiricalLaw(np.repeat(gen_t.normal(size=(n_b, dim)), k_b, axis=0))
         pts, delta = _signed_support(mu, nu)
         exact = float(rational_bl_value(pts, delta))
         assert abs(bl_distance(mu, nu) - exact) <= 1e-6

@@ -1,6 +1,9 @@
 """Tests for empirical laws, the bounded-Lipschitz distance and the
 almost-periodicity scan."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,23 +50,12 @@ def _random_pair(gen, max_pts=12, dim=None):
 
 
 def test_law_validation_rejects_bad_inputs():
-    with pytest.raises(EmpiricalLawError):
-        EmpiricalLaw(np.zeros((0, 1)), np.zeros(0))
-    with pytest.raises(EmpiricalLawError):
-        EmpiricalLaw(np.zeros((2, 1)), np.array([0.5, 0.5, 0.0]))
-    with pytest.raises(EmpiricalLawError):
-        EmpiricalLaw(np.array([[np.nan]]), np.array([1.0]))
-    with pytest.raises(EmpiricalLawError):
-        EmpiricalLaw(np.zeros((2, 1)), np.array([1.5, -0.5]))
-    with pytest.raises(EmpiricalLawError):
-        EmpiricalLaw(np.zeros((2, 1)), np.array([0.3, 0.3]))
-
-
-def test_from_samples_reshapes_vectors():
-    law = EmpiricalLaw.from_samples(np.array([1.0, 2.0, 3.0]))
-    assert law.points.shape == (3, 1)
-    assert law.dim == 1
-    np.testing.assert_allclose(law.weights, [1 / 3] * 3)
+    with pytest.raises(EmpiricalLawError, match="nonempty"):
+        EmpiricalLaw(np.zeros((0, 1)))
+    with pytest.raises(EmpiricalLawError, match="nonempty"):
+        EmpiricalLaw(np.array([1.0, 2.0, 3.0]))  # rows are points: (n, d)
+    with pytest.raises(EmpiricalLawError, match="finite"):
+        EmpiricalLaw(np.array([[np.nan]]))
 
 
 def test_subsample_identity_below_cap():
@@ -83,13 +75,6 @@ def test_subsample_size_and_determinism():
     np.testing.assert_array_equal(paths, expected)
 
 
-def test_tiny_negative_weights_are_stored_as_zero():
-    # accepted as rounding, and stored as a probability vector
-    law = EmpiricalLaw(np.array([[0.0], [1.0], [2.0]]), np.array([0.5, 0.5 + 1e-13, -1e-13]))
-    assert law.weights[2] == 0.0
-    assert law.weights.min() >= 0.0
-
-
 def test_signed_support_cancels_shared_atoms():
     mu = EmpiricalLaw.from_samples(np.array([[0.0], [1.0]]))
     nu = EmpiricalLaw.from_samples(np.array([[0.0], [2.0]]))
@@ -97,6 +82,15 @@ def test_signed_support_cancels_shared_atoms():
     assert pts.shape == (2, 1)
     np.testing.assert_allclose(sorted(pts[:, 0]), [1.0, 2.0])
     assert abs(delta.sum()) < 1e-15
+
+
+def test_signed_support_counts_repeated_rows():
+    # a row that a law of n rows repeats k times is an atom of mass k/n
+    mu = EmpiricalLaw(np.array([[0.0]] * 3 + [[1.5]] * 7))
+    nu = EmpiricalLaw(np.array([[1.5], [2.5]]))
+    pts, delta = _signed_support(mu, nu)
+    np.testing.assert_array_equal(pts[:, 0], [0.0, 1.5, 2.5])
+    np.testing.assert_allclose(delta, [0.3, 0.2, -0.5], rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +152,8 @@ def test_triangle_inequality(seed):
 
 def test_merging_coincident_atoms_is_invariant():
     nu = EmpiricalLaw.from_samples(np.array([[2.0], [3.0]]))
-    split = EmpiricalLaw(
-        np.array([[0.0], [0.0], [1.0]]), np.array([0.25, 0.25, 0.5])
-    )
-    merged = EmpiricalLaw(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
+    split = EmpiricalLaw(np.array([[0.0], [0.0], [1.0], [1.0]]))
+    merged = EmpiricalLaw(np.array([[0.0], [1.0]]))
     assert abs(bl_distance(split, nu) - bl_distance(merged, nu)) < 1e-10
 
 
@@ -196,26 +188,23 @@ def test_matches_brute_force_enumeration():
 
 def _line_oracle_cases():
     """1-d laws for the exact oracles: ties within a law, atoms shared
-    between the laws, weighted coincident atoms, one and two points, and
+    between the laws, repeated coincident atoms, one and two points, and
     total masses that differ by rounding."""
     col = lambda *v: np.array(v, dtype=float)[:, None]
     yield EmpiricalLaw.from_samples(col(0.0, 0.0, 1.0)), EmpiricalLaw.from_samples(col(0.5, 2.0))
     yield EmpiricalLaw.from_samples(col(0.0, 1.0, 3.0)), EmpiricalLaw.from_samples(
         col(1.0, 3.0, 4.0)
     )
+    # masses (0.3, 0.7) at (0, 1.5) against (0.25, 0.5, 0.25) at (0, 1.5, 2.5)
     yield (
-        EmpiricalLaw(col(0.0, 0.0, 1.5, 1.5), np.array([0.1, 0.2, 0.3, 0.4])),
-        EmpiricalLaw(col(1.5, 0.0, 2.5), np.array([0.5, 0.25, 0.25])),
+        EmpiricalLaw(col(*[0.0] * 3, *[1.5] * 7)),
+        EmpiricalLaw(col(1.5, 0.0, 1.5, 2.5)),
     )
-    # one point: the masses differ by rounding only
-    yield EmpiricalLaw(col(0.7), np.array([1.0])), EmpiricalLaw(
-        col(0.7, 0.7), np.array([0.5, 0.5 - 4e-10])
-    )
-    # two points, and the same with a mass imbalance
+    # one point: ten rows of it carry 0.9999999999999999, one row 1
+    yield EmpiricalLaw(col(0.7)), EmpiricalLaw(col(*[0.7] * 10))
+    # two points, and the same with a rounded total mass
     yield EmpiricalLaw.from_samples(col(-0.3)), EmpiricalLaw.from_samples(col(0.9))
-    yield EmpiricalLaw(col(0.0, 1.0), np.array([0.6, 0.4 + 5e-10])), EmpiricalLaw(
-        col(2.0), np.array([1.0])
-    )
+    yield EmpiricalLaw(col(*[0.0] * 9, 1.0)), EmpiricalLaw(col(2.0))
     gen = np.random.default_rng(6)
     for _ in range(4):
         mu = EmpiricalLaw.from_samples(np.round(gen.normal(size=(3, 1)), 1))
@@ -237,11 +226,12 @@ def test_line_matches_exact_oracles():
 
 def test_line_single_point_gives_the_mass_difference():
     # two points are test_two_point_closed_form, which is on the line too
-    mu = EmpiricalLaw(np.array([[2.0], [2.0]]), np.array([0.5, 0.5 + 3e-10]))
+    # ten rows of one point carry 0.9999999999999999, one row 1
+    mu = EmpiricalLaw(np.full((10, 1), 2.0))
     nu = EmpiricalLaw.from_samples(np.array([[2.0]]))
     value, wit = bl_distance(mu, nu, return_witness=True)
     pts, delta = _signed_support(mu, nu)
-    assert len(pts) == 1
+    assert len(pts) == 1 and delta[0] != 0.0
     assert value == abs(delta[0])
     assert float(delta @ wit["f"]) == value
 
@@ -273,7 +263,7 @@ def test_constant_coordinates_are_dropped_exactly():
     for n in (8, 40):
         for mu, nu in _cloud_pairs(gen, n, 1):
             lift = [
-                EmpiricalLaw(np.insert(law.points, 0, -1.25, axis=1), law.weights)
+                EmpiricalLaw(np.insert(law.points, 0, -1.25, axis=1))
                 for law in (mu, nu)
             ]
             value = bl_distance(*lift)
@@ -323,23 +313,22 @@ def test_matches_reference_solver_on_moderate_instances():
         assert abs(bl_distance(mu, nu) - _reference_full_lp(mu, nu)) < 1e-7
 
 
-def _weighted_coincident_pair(gen, dim=2):
-    """Weighted laws whose atoms repeat within each law and are shared
-    between the two laws."""
+def _coincident_pair(gen, dim=2):
+    """Laws whose atoms repeat within each law, each row 1-4 times, and
+    are shared between the two laws."""
     shared = gen.normal(size=(3, dim))
     laws = []
     for _ in range(2):
         own = gen.normal(size=(int(gen.integers(1, 6)), dim))
         pts = np.concatenate([shared, shared[:2], own])
-        w = gen.uniform(0.1, 1.0, size=len(pts))
-        laws.append(EmpiricalLaw(pts, w / w.sum()))
+        laws.append(EmpiricalLaw(np.repeat(pts, gen.integers(1, 5, size=len(pts)), axis=0)))
     return laws
 
 
 def test_witness_certifies_the_value():
     gen = np.random.default_rng(21)
     pairs = [_random_pair(gen, max_pts=20, dim=dim) for dim in (1, 2) for _ in range(5)]
-    pairs += [_weighted_coincident_pair(gen, dim) for dim in (1, 2) for _ in range(5)]
+    pairs += [_coincident_pair(gen, dim) for dim in (1, 2) for _ in range(5)]
     pairs += list(_cloud_pairs(gen, 128, 1))
     for mu, nu in pairs:
         value, wit = bl_distance(mu, nu, return_witness=True)
@@ -405,6 +394,23 @@ def test_support_cap_enforced(monkeypatch):
         bl_distance(mu, nu)
 
 
+def test_benchmark_probe_times_every_smallest_cell():
+    """``perfbench/probe.py`` builds its laws with ``EmpiricalLaw.from_samples``
+    and times ``bl_distance`` on them; a cell of its smallest support
+    size is never skipped, so each must read a measured time."""
+    spec = importlib.util.spec_from_file_location(
+        "probe", Path(__file__).resolve().parents[1] / "perfbench" / "probe.py"
+    )
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    result = probe.run_probe(41, budget=2.0)
+    smallest = [probe.metric_name(*c) for c in probe.cells() if c[1] == 16]
+    assert len(smallest) == 6
+    for name in smallest:
+        assert name not in result["skipped"]
+        assert result["ms"][name] > 0.0
+
+
 def test_dimension_mismatch_rejected():
     mu = EmpiricalLaw.from_samples(np.zeros((2, 1)))
     nu = EmpiricalLaw.from_samples(np.zeros((2, 2)))
@@ -449,7 +455,6 @@ def test_scan_reads_laws_at_grid_times(monkeypatch):
     for (mu, nu), (i, j) in zip(pairs, [(5, 0), (10, 5)]):
         np.testing.assert_array_equal(mu.points, values[paths, i, :])
         np.testing.assert_array_equal(nu.points, values[paths, j, :])
-        np.testing.assert_array_equal(mu.weights, np.full(12, 1 / 12))
 
 
 def _circle_ensemble():

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from _ensemble_oracles import dense
-from _grid import ensemble_grid, galerkin_modes
+from _grid import ensemble_grid, galerkin_modes, steps, window_steps
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -47,8 +47,8 @@ from levyap.config import (
     validate_config,
 )
 from levyap.dichotomy import DichotomyError, MatrixExpOverflowError, diagonal_constants
-from levyap.noise import NoiseSpecError
-from levyap.solver import PathEnsemble, SolverError
+from levyap.noise import NoiseSpecError, sample_noise
+from levyap.solver import PathEnsemble, SolverError, _Plan
 
 
 # ---------------------------------------------------------------------------
@@ -555,11 +555,12 @@ class TestValidation:
         k_lo = data.draw(st.integers(-2 * w - 12, 0))
         k_hi = data.draw(st.integers(max(0, k_lo + 2 * w + 1), k_lo + 2 * w + 24))
         span = k_hi - k_lo - 2 * w
-        # shifts are positive (``test_nonpositive_shift``)
-        shifts = data.draw(st.lists(st.integers(1, span), min_size=1, max_size=3))
+        # shifts are positive (``test_nonpositive_shift``), and neither
+        # times nor shifts repeat (``repeated_analysis.*`` in the corpus)
+        shifts = data.draw(st.lists(st.integers(1, span), min_size=1, max_size=3, unique=True))
         lo, hi = k_lo + w, k_hi - w - max(shifts)
         assume(lo <= hi)
-        times = data.draw(st.lists(st.integers(lo, hi), min_size=1, max_size=3))
+        times = data.draw(st.lists(st.integers(lo, hi), min_size=1, max_size=3, unique=True))
 
         def write(x: Fraction):
             return f"{x.numerator}/{x.denominator}" if as_string else float(x)
@@ -1401,6 +1402,19 @@ class TestCliErrorMapping:
         assert code == 0, capsys.readouterr().err
         assert len(json.loads((out / "apscan_report.json").read_text())["shifts"]) == 4
 
+    def test_nonnormal_layout_reaches_the_non_diagonal_solver_path(self):
+        """``scripts/compare_artifacts.py``'s ``nonnormal`` config is the one
+        compared run whose plan has a complex modal half (the generator's
+        eigenvalues are -6 +- i sqrt(3)), a mode coupled to another and a
+        stochastic row that only jumps fill (``zeroed``), so the artifact
+        comparison covers the Schur path of the solver."""
+        run = validate_config(config_from_dict(compare_artifacts.LAYOUTS["nonnormal"]))
+        noise = sample_noise(run.spec, *window_steps(-1.0, 1.0, 1.0 / 16), 1.0 / 16, 2, seed=0)
+        plan = _Plan.build(run.system, run.coefficients, noise, steps(0.5, noise.h))
+        assert any(np.iscomplexobj(half.tri) for half in plan.halves)
+        assert any(c != 0 for live in plan.modes for mode in live for _, c in mode.couplings)
+        assert plan.zeroed == (0,)
+
     @pytest.mark.parametrize(
         "law_support, paths, size",
         [(None, 2100, 2100), (2049, 2100, 2049), (5000, 4000, 4000)],
@@ -1616,7 +1630,7 @@ class TestCliArtifacts:
 
         corpus = len(compare_artifacts.rejected())
         assert len(compare_artifacts.runs()) == (
-            3 * 3 * 2 * 2 + 2 * 2 + 2 + 2 + 2 + 2 + 1 + 2 * 2 + corpus
+            3 * 3 * 2 * 2 + 2 * 2 + 2 + 2 + 2 + 2 + 1 + 3 * 2 + corpus
         )
 
         src = Path(levyap.__file__).parents[1]
