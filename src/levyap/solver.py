@@ -33,14 +33,16 @@ a block draws its Wiener increments and jump events (``NoiseDraw``) or
 takes views of them from a drawn ``NoiseSample`` (``paths``), and
 prepares the jump terms at the block's events.  Everything that depends
 neither on the iterate nor on the noise is decided once per Picard solve
-in a plan (``_Plan``): the non-empty coefficient entries with their
-time-only signals on the grid, each stochastic entry with its noise
-column (the small-jump compensator's factor is -h), the jump maps, each
-live mode's forcing, couplings and scan powers, and each reached
-coordinate's nonzero assembly terms.  Each chunk of paths then runs
-those lists in a path-major kernel that decides nothing: (paths, time)
-rows with time contiguous, forcing added straight into the modal
-accumulations.
+in a plan (``_Plan``): the forcing rows, each with its non-empty
+coefficient entries, their time-only signals on the grid, each
+stochastic entry with its noise column (the small-jump compensator's
+factor is -h), and the modes it drives; the jump maps; each live mode's
+couplings and scan powers; and each reached coordinate's nonzero
+assembly terms.  Each chunk of paths then runs those lists in a
+path-major kernel that decides nothing: (paths, time) rows with time
+contiguous, each forcing row built and added into the modal
+accumulations it drives before the next is built, so a worker holds one
+forcing row beside the accumulations.
 
 S maps each path to itself, so each block of paths is a Monte-Carlo
 sample of the fixed point on its own, solved to its own stop: a block
@@ -267,19 +269,27 @@ def _scan(powers: tuple, x: np.ndarray, buf: np.ndarray) -> None:
     x_k <- sum_{i <= k} lam^{k-i} x_i, with ``powers`` from
     ``_scan_powers(lam, n)``.
 
-    Each block of L steps is scaled by lam^{-i}, summed by ``cumsum`` and
-    rescaled by lam^i; the value entering the block is carried in with
-    lam^{i+1}, formed in ``buf``, which has x's dtype and at least its
-    width.  L keeps |log|lam|| L within ``_SCAN_NATS`` so neither scale
-    factor leaves double range, whatever the stiffness.
+    Each block of L steps is scaled by lam^{-i} into ``buf``, which has
+    x's dtype and at least its width, summed back into x and rescaled by
+    lam^i; the value entering the block is carried in with lam^{i+1},
+    formed in ``buf``.  L keeps |log|lam|| L within ``_SCAN_NATS`` so
+    neither scale factor leaves double range, whatever the stiffness.
+    The sums run one path at a time, from ``buf`` into x: numpy holds the
+    interpreter lock through a 2-d or an in-place ``cumsum`` and releases
+    it for a 1-d one into another array, so another worker's numpy calls
+    run meanwhile.  ``np.add.accumulate`` is the loop ``cumsum`` runs,
+    without its Python wrapper: 0.9 us a path against 2.6 us (2-core
+    Xeon), which on a 48-step grid is 0.1 ms of a 64-path block's 0.9 ms
+    sweep.  The bits are those of an in-place 2-d ``cumsum``.
     """
     n = x.shape[-1]
     block, down, up, carry = powers
     for s in range(0, n, block):
         seg = x[..., s : s + block]
         size = seg.shape[-1]
-        seg *= down[:size]
-        np.cumsum(seg, axis=-1, out=seg)
+        scaled = np.multiply(seg, down[:size], out=buf[:, :size])
+        for row, out in zip(scaled, seg):
+            np.add.accumulate(row, out=out)
         seg *= up[:size]
         if s:
             seg += np.multiply(carry[:size], x[..., s - 1 : s], out=buf[:, :size])
@@ -297,26 +307,15 @@ def _axpy(y: np.ndarray, a, x: np.ndarray, buf: np.ndarray, cbuf, fresh: bool = 
         y += prod
 
 
-def _modal_scan(half: _ModalHalf, modes, rows: tuple, z: np.ndarray, buf, cbuf):
-    """Write into ``z``, shape (r, q, n + 1), the accumulations of the
-    live ``modes`` of ``half`` (``_Mode`` records, in index order) driven
-    by the drift and stochastic forcing ``rows``, two dicts of (q, n)
-    rows, or (1, n) rows that broadcast, by state coordinate, with
-    z[:, :, 0] zero.  Other modes are neither written nor read.
-
-    A mode's first forcing term is written into it, not added to zeros,
-    and a mode with no forcing of its own is zeroed.  The products then
-    differ from a sum from zero at most in the sign of a zero, which the
-    assembly's ``+ 0.0`` (``_add_real``) erases.  A reverse half runs
-    from the window end and stores z time-reversed: its forcing is
-    written through a reversed view."""
-    cols = slice(None, 0, -1) if half.reverse else slice(1, None)
-    for mode in modes:
-        zm = z[mode.index]
-        zm[:, mode.blank] = 0.0
-        for k, (kind, i, coef) in enumerate(mode.forcing):
-            _axpy(zm[:, cols], coef, rows[kind][i], buf, cbuf, fresh=not k)
-    # back-substitution: mode m is driven by the live modes after it
+def _modal_scan(modes, z: np.ndarray, buf, cbuf) -> None:
+    """Run the scans of the live ``modes`` (``_Mode`` records, in index
+    order) of one modal half in place in ``z``, shape (r, q, n + 1), whose
+    columns 1.. hold each mode's forcing (z[:, :, 0] zero): each mode,
+    from the last, first adds its couplings to the later live modes' z
+    one step back, then is scanned (``_scan``).  Other modes are neither
+    written nor read.  Products are formed in ``buf``, or in the complex
+    ``cbuf`` for a complex coefficient, and a complex z scans through
+    ``cbuf``."""
     scan_buf = cbuf if z.dtype.kind == "c" else buf
     for mode in reversed(modes):
         zm = z[mode.index, :, 1:]
@@ -343,38 +342,46 @@ def _add_real(out: np.ndarray, coef, z: np.ndarray, buf, cbuf, fresh: bool) -> N
         out += val
 
 
-_Mode = namedtuple("_Mode", "index forcing couplings powers blank")
+_Mode = namedtuple("_Mode", "index couplings powers blank")
 _Mode.__doc__ = """One live mode of a modal half, as the chunk kernel runs it: its
-``index`` in the half, its ``forcing`` as (kind, coordinate,
-coefficient) triples in the order they are added (kind 0 a drift row, 1
-a stochastic row), its ``couplings`` as (mode, coefficient) pairs to
+``index`` in the half, its ``couplings`` as (mode, coefficient) pairs to
 the later live modes, the scan ``powers`` of its multiplier
 (``_scan_powers``), and the columns ``blank`` of its accumulation that
 the forcing does not write, zeroed first: the start, or all of it for a
 mode with no forcing of its own."""
 
+_Row = namedtuple("_Row", "kind coord parts jumps targets")
+_Row.__doc__ = """One forcing row of the chunk kernel: ``kind`` 0, the drift of
+state coordinate ``coord`` with its terms ``parts``, or 1, its
+stochastic row with its entries ``parts`` (``_Plan``; none when only
+jumps fill it) and the positions in ``_Plan.jumps`` of the regions whose
+map acts on it, small before large (``jumps``, empty for a drift row).
+``targets`` are the modal accumulations the row drives, each (half, z
+index of the mode's forced columns, coefficient, fresh): the product is
+written into the accumulation when ``fresh``, it being the mode's first,
+and added otherwise: it then differs from a sum from zero at most in the
+sign of a zero, which the assembly's ``+ 0.0`` (``_add_real``) erases."""
+
 
 class _Jumps:
     """The jump events of one region (``region`` 0 small, 1 large) of a
     block's sample ``noise`` with the terms of the region's map ``tmap``
-    prepared at them: ``rows`` are the state coordinates it acts on,
-    ``terms`` the prepared terms of each state coordinate (``jump_terms``
-    at the events' times on the grid and their marks), ``path`` and
-    ``step`` the events' paths, counted from the block's first, and
-    steps, all in sample order, so by path: the events of the block's
-    paths [lo, hi) are ``starts[lo]:starts[hi]``, a list of Python ints,
-    which index faster than numpy scalars."""
+    prepared at them: ``terms`` the prepared terms of each state
+    coordinate (``jump_terms`` at the events' times on the grid and their
+    marks), ``path`` and ``step`` the events' paths, counted from the
+    block's first, and steps, all in sample order, so by path: the events
+    of the block's paths [lo, hi) are ``starts[lo]:starts[hi]``, a list of
+    Python ints, which index faster than numpy scalars."""
 
     def __init__(self, tmap, region: int, noise: NoiseSample):
         mask = noise.event_region == region
         self.path, self.step = noise.event_path[mask], noise.event_step[mask]
-        self.rows = tuple(i for i, terms in enumerate(tmap) if terms)
         self.terms = jump_terms(tmap, noise.grid[self.step], noise.event_marks[mask])
         self.starts = np.searchsorted(self.path, np.arange(noise.n_paths + 1)).tolist()
 
 
 class _Plan(
-    namedtuple("_Plan", "noise w dim halves modes jumps coords zeros drift stoch zeroed assembly")
+    namedtuple("_Plan", "noise w dim halves modes jumps coords zeros rows assembly")
 ):
     """What one application of S needs that depends neither on the
     iterate nor on the noise, built once per Picard solve: every
@@ -393,19 +400,21 @@ class _Plan(
     prepares the map's terms at its own events when it draws them
     (``_draw_block``).
 
-    ``drift`` holds the (coordinate, terms) of each non-empty drift
-    entry and ``stoch`` the (coordinate, entries) of each coordinate with
-    a diffusion or a compensator entry, each entry (terms, column): a
+    ``rows`` are the forcing rows (``_Row``) that drive a live mode, in
+    the order the kernel builds them: by state coordinate, the drift row
+    before the stochastic row.  A drift row sums the coordinate's drift
+    terms.  A stochastic row sums its entries, each (terms, column): a
     diffusion entry's factor is column ``column`` of the Wiener
     increments, which each block of paths draws for itself, and the
-    small-jump compensator's (weights folded into its terms, column
-    None) is -h.  The terms' time-only signals are evaluated on the
-    grid.  ``zeroed`` are the coordinates whose stochastic row only jumps
-    fill.  ``coords`` pairs each state coordinate that some grid term
-    reads with its row in the states, which hold the coordinates of
-    ``reach`` in order, or with None for a coordinate outside ``reach``:
-    the terms read ``zeros`` for it, one (1, n) row of +0.0 (None when
-    no term reads such a coordinate).
+    small-jump compensator's (weights folded into its terms, column None)
+    is -h; jumps then add to it.  Each mode takes its forcing terms in
+    row order, the first written into its accumulation.  The terms'
+    time-only signals are evaluated on the grid.  ``coords`` pairs each
+    state coordinate that some grid term reads with its row in the
+    states, which hold the coordinates of ``reach`` in order, or with
+    None for a coordinate outside ``reach``: the terms read ``zeros`` for
+    it, one (1, n) row of +0.0 (None when no term reads such a
+    coordinate).
 
     ``assembly`` holds, for each output coordinate S reaches, the columns
     ``blank`` that its first term does not cover and its nonzero terms
@@ -431,7 +440,7 @@ class _Plan(
 
         h, n = noise.h, noise.n_steps
         ts = noise.grid[:-1]
-        drift, stoch = [], []
+        drift, stoch = {}, {}
         for i, (f, g, comp) in enumerate(
             zip(drift_terms(cs, ts), diffusion_terms(cs, ts), compensator_terms(cs, noise.spec, ts))
         ):
@@ -439,40 +448,55 @@ class _Plan(
             if comp:
                 entries.append((comp, None))
             if f:
-                drift.append((i, f))
+                drift[i] = f
             if entries:
-                stoch.append((i, tuple(entries)))
-        grid_terms = [t for _, f in drift for t in f]
-        grid_terms += [t for _, entries in stoch for terms, _ in entries for t in terms]
+                stoch[i] = tuple(entries)
         jumps = tuple(
             (region, tmap)
             for region, tmap in enumerate((cs.jump_small, cs.jump_large))
             if any(tmap)
         )
-        noise_rows = {i for i, _ in stoch}
-        jump_rows = {i for _, tmap in jumps for i, terms in enumerate(tmap) if terms}
-        forced = ({i for i, _ in drift}, noise_rows | jump_rows)
+        for _, tmap in jumps:
+            for i, terms in enumerate(tmap):
+                if terms:
+                    stoch.setdefault(i, ())  # a row that only jumps fill
 
         halves, modes = [], []
         for half in _modal_halves(sys, h, w):
             maps = (half.drift_map, half.stoch_map)
             live = {}
             for m in range(len(half.tri) - 1, -1, -1):
-                forcing = tuple(
-                    (kind, i, maps[kind][m, i])
-                    for i in range(sys.dim)
-                    for kind in (0, 1)
-                    if i in forced[kind] and maps[kind][m, i] != 0
+                forced = any(maps[0][m, i] != 0 for i in drift) or any(
+                    maps[1][m, i] != 0 for i in stoch
                 )
                 couplings = tuple(
                     (j, half.tri[m, j]) for j in sorted(live) if half.tri[m, j] != 0
                 )
-                if forcing or couplings:
-                    blank = slice(0, 1) if forcing else slice(None)
-                    live[m] = _Mode(m, forcing, couplings, _scan_powers(half.tri[m, m], n), blank)
+                if forced or couplings:
+                    blank = slice(0, 1) if forced else slice(None)
+                    live[m] = _Mode(m, couplings, _scan_powers(half.tri[m, m], n), blank)
             if live:
                 halves.append(half)
                 modes.append(tuple(live[m] for m in sorted(live)))
+
+        rows, started = [], set()
+        for i in range(sys.dim):
+            for kind, parts in enumerate((drift.get(i), stoch.get(i))):
+                if parts is None:
+                    continue
+                targets = []
+                for k, (half, live) in enumerate(zip(halves, modes)):
+                    # a reverse half stores z time-reversed
+                    cols = slice(None, 0, -1) if half.reverse else slice(1, None)
+                    for mode in live:
+                        coef = (half.drift_map, half.stoch_map)[kind][mode.index, i]
+                        if coef != 0:
+                            fresh = (k, mode.index) not in started
+                            started.add((k, mode.index))
+                            targets.append((k, (mode.index, slice(None), cols), coef, fresh))
+                if targets:
+                    regions = tuple(r for r, (_, tmap) in enumerate(jumps) if kind and tmap[i])
+                    rows.append(_Row(kind, i, parts, regions, tuple(targets)))
 
         def parts(half):
             """(sign, coefficients, output columns, columns left blank,
@@ -502,6 +526,8 @@ class _Plan(
             if terms:
                 assembly.append((i, blanks[0], tuple(terms)))
         reach = [i for i, _, _ in assembly]
+        grid_terms = [t for r in rows if not r.kind for t in r.parts]
+        grid_terms += [t for r in rows if r.kind for terms, _ in r.parts for t in terms]
         read = sorted({t.coord for t in grid_terms if t.kernel != "const"})
         coords = tuple((c, reach.index(c) if c in reach else None) for c in read)
         return cls(
@@ -513,37 +539,40 @@ class _Plan(
             jumps=jumps,
             coords=coords,
             zeros=np.zeros((1, n)) if any(k is None for _, k in coords) else None,
-            drift=tuple(drift),
-            stoch=tuple(stoch),
-            zeroed=tuple(sorted(jump_rows - noise_rows)),
+            rows=tuple(rows),
             assembly=tuple(assembly),
         )
 
 
 class _Scratch:
     """One worker's (paths, time) arrays for chunks of up to ``paths``
-    paths, allocated once per solve and worker as the rows of one array.  The kernel
-    works in views of them, so a chunk allocates no array of its size.
+    paths, allocated once per solve and worker as the rows of one array.
+    The kernel works in views of them, so a chunk allocates no array of
+    its size.
 
-    ``_apply_chunk`` runs in three phases, and arrays whose phases do not
-    overlap share rows:
+    ``_apply_chunk`` builds one forcing row at a time and folds it into
+    the modal accumulations ``z`` of each planned half before it builds
+    the next; it then scans z and assembles the output.  z holds a row
+    per mode, two per complex mode, and the other rows are shared by
+    arrays whose phases do not overlap:
 
-    - forcing: ``later`` for the stochastic terms after a row's first
-      and ``sum_buf`` for ``add_terms`` build the drift and stochastic
-      rows from the state columns, which are views of the block's states; the
-      zero sweep evaluates a stochastic entry into the (1, n) row
-      ``shared``, apart from the rows its noise product fills.
-      ``later`` exists only when some coordinate has two or more
-      stochastic entries, ``sum_buf`` only when some entry has two or
-      more terms, ``shared`` only when some coordinate has a diffusion
-      or a compensator entry (None otherwise);
-    - scan: the modal accumulations ``z`` of each planned half are
-      driven by those rows, the products formed in ``buf`` or, when a
-      half is complex, in the complex ``cbuf`` (None otherwise).  These take the rows of ``later``, ``sum_buf`` and
-      ``shared``, which are dead once the forcing rows are built;
-    - assembly: each output coordinate is summed from ``z`` into ``res``,
-      which takes the first drift row (the first stochastic row if there
-      is none): the scans have read them by then.
+    - building a row: the forcing row ``row`` takes a stochastic row's
+      first entry, ``later`` each entry after it, and ``sum_buf`` the
+      terms after an entry's first (``add_terms``); the zero sweep
+      evaluates a stochastic entry into ``shared``, a (1, n) array of its
+      own, apart from the rows its noise product fills.  ``later`` exists
+      only when some stochastic row has two or more entries, ``sum_buf``
+      only when some entry has two or more terms, ``shared`` only when
+      some stochastic row has an entry (None otherwise);
+    - folding a row into z, scanning z and assembling the output: the
+      products are formed in ``buf`` or, when a half is complex, in the
+      complex ``cbuf`` (None otherwise).  ``buf`` takes ``later``'s row,
+      dead once its stochastic row is complete, and ``cbuf`` the two
+      rows after it; ``sum_buf``, dead once its row is built, takes the
+      row after ``later``'s, or ``later``'s own when there is no
+      ``later``;
+    - assembling: each output coordinate is summed from z into ``res``,
+      which takes ``row``'s row: the last row has been folded by then.
 
     The squares of the moment and gap sums go to ``buf``: they are taken
     once a coordinate's ``res`` is complete, when ``buf`` is free.  A row
@@ -555,24 +584,20 @@ class _Scratch:
         n = plan.noise.n_steps
         size = paths * (n + 1)
         row = size + size % 2
-        has_later = any(len(entries) > 1 for _, entries in plan.stoch)
+        stoch = [r.parts for r in plan.rows if r.kind]
+        has_later = any(len(entries) > 1 for entries in stoch)
         has_sum_buf = any(
             len(terms) > 1
             for terms in (
-                *(f for _, f in plan.drift),
-                *(t for _, entries in plan.stoch for t, _ in entries),
+                *(r.parts for r in plan.rows if not r.kind),
+                *(t for entries in stoch for t, _ in entries),
             )
         )
-        has_shared = bool(plan.stoch)
         # a half's z takes a row per mode, two per complex mode
         z_rows = [half.tri.shape[0] * half.tri.itemsize // 8 for half in plan.halves]
         complex_z = any(np.iscomplexobj(half.tri) for half in plan.halves)
-        stoch_rows = sorted({i for i, _ in plan.stoch}.union(plan.zeroed))
-        n_forcing = len(plan.drift) + len(stoch_rows)
-        forcing_only = has_later + has_sum_buf + has_shared
-        scan = sum(z_rows) + 1 + 2 * complex_z
-        base = max(n_forcing, 1)
-        self.n_rows = base + max(forcing_only, scan)
+        base = sum(z_rows) + 1  # z, then row and res
+        self.n_rows = base + max(has_later + has_sum_buf, 1 + 2 * complex_z)
         arena = np.empty(self.n_rows * row)
 
         def rows(first: int, shape: tuple, dtype=np.float64) -> np.ndarray:
@@ -582,20 +607,17 @@ class _Scratch:
             strides = (row * item, shape[-1] * item, item)[-len(shape) :]
             return np.ndarray(shape, dtype, arena, first * row * 8, strides)
 
-        forcing = iter(range(n_forcing))
-        self.drift = {i: rows(next(forcing), (paths, n)) for i, _ in plan.drift}
-        self.stoch = {i: rows(next(forcing), (paths, n)) for i in stoch_rows}
-        built = iter(range(base, self.n_rows))
-        self.later = rows(next(built), (paths, n)) if has_later else None
-        self.sum_buf = rows(next(built), (paths, n)) if has_sum_buf else None
-        self.shared = rows(next(built), (1, n)) if has_shared else None
-        self.z, first = [], base
+        self.z, first = [], 0
         for half, count in zip(plan.halves, z_rows):
             self.z.append(rows(first, (half.tri.shape[0], paths, n + 1), half.tri.dtype))
             first += count
-        self.buf = rows(first, (paths, n + 1))
-        self.cbuf = rows(first + 1, (paths, n + 1), complex) if complex_z else None
-        self.res = rows(0, (paths, n + 1))
+        self.row = rows(first, (paths, n))
+        self.res = rows(first, (paths, n + 1))
+        self.later = rows(base, (paths, n)) if has_later else None
+        self.sum_buf = rows(base + has_later, (paths, n)) if has_sum_buf else None
+        self.shared = np.empty((1, n)) if any(stoch) else None
+        self.buf = rows(base, (paths, n + 1))
+        self.cbuf = rows(base + 1, (paths, n + 1), complex) if complex_z else None
 
 
 def _term_sum(terms, columns, out: np.ndarray, buf: np.ndarray) -> np.ndarray:
@@ -617,32 +639,35 @@ def _draw_block(plan: _Plan, lo: int, hi: int) -> tuple:
 
 def _block_jumps(plan: _Plan, jumps, values: np.ndarray) -> list:
     """The jump values of a block's events, for each region of ``jumps``
-    (the block's ``_Jumps``) that has events in it: the region's events
-    and the (events, dim) values of its map at the events' states, read
-    from ``values``, the block's (len(plan.reach), paths, n + 1) states,
-    into (events, dim) states that are +0.0 outside ``plan.reach``.  Each
-    event reads only its own path, so the values of a block are those of
-    its chunks."""
+    (the block's ``_Jumps``, one per region of ``plan.jumps``): the
+    region's events and the (events, dim) values of its map at the
+    events' states, read from ``values``, the block's (len(plan.reach),
+    paths, n + 1) states, into (events, dim) states that are +0.0 outside
+    ``plan.reach``, or None when the region has no event in the block.
+    Each event reads only its own path, so the values of a block are
+    those of its chunks."""
     out = []
     for j in jumps:
+        vals = None
         if j.path.size:
             states = np.zeros((j.path.size, plan.dim))
             states[:, list(plan.reach)] = values[:, j.path, j.step].T
-            out.append((j, point_values(j.terms, states)))
+            vals = point_values(j.terms, states)
+        out.append((j, vals))
     return out
 
 
-def _add_jumps(block_jumps: list, stoch: dict, lo: int, hi: int):
-    """Add the jumps of the block's paths [lo, hi) to the stochastic rows,
-    small jumps first, each event in sample order, from the values that
-    ``_block_jumps`` gave for the block that holds the chunk."""
-    for jumps, vals in block_jumps:
+def _add_jumps(block_jumps: list, regions: tuple, i: int, row: np.ndarray, lo: int, hi: int):
+    """Add the jumps of the block's paths [lo, hi) to ``row``, the
+    stochastic row of coordinate ``i``, region by region of ``regions``
+    (positions in ``block_jumps``), each event in sample order, from the
+    values that ``_block_jumps`` gave for the block that holds the
+    chunk."""
+    for r in regions:
+        jumps, vals = block_jumps[r]
         a, b = jumps.starts[lo], jumps.starts[hi]
-        if a == b:
-            continue
-        at = (jumps.path[a:b] - lo, jumps.step[a:b])
-        for i in jumps.rows:
-            np.add.at(stoch[i], at, vals[a:b, i])
+        if a != b:
+            np.add.at(row, (jumps.path[a:b] - lo, jumps.step[a:b]), vals[a:b, i])
 
 
 def _apply_chunk(
@@ -661,53 +686,62 @@ def _apply_chunk(
     each output coordinate of ``plan.reach`` in turn, a view of
     ``scratch.res``; S is zero in the other coordinates.  ``values`` is
     only read, in paths [lo, hi) and before the first yield, so the
-    caller may write each coordinate back as it comes.  ``dw`` holds the Wiener increments of
-    these paths, (paths, n, noise dim), and ``block_jumps`` the jump
-    values of the block (``_block_jumps``).  ``zero`` says that
-    ``values`` holds +0.0 in these paths: every grid term's value then
-    depends on the time alone, so the terms read the first path's states
-    and their (1, n) values broadcast over the paths, bit for bit what
-    each path's row would be.
+    caller may write each coordinate back as it comes.  ``dw`` holds the
+    Wiener increments of these paths, (paths, n, noise dim), and
+    ``block_jumps`` the jump values of the block (``_block_jumps``).
+    ``zero`` says that ``values`` holds +0.0 in these paths: every grid
+    term's value then depends on the time alone, so the terms read the
+    first path's states and their (1, n) values broadcast over the paths,
+    bit for bit what each path's row would be.
 
     Path-major: every array is (paths, time) with time contiguous.  The
-    kernel runs the lists of the plan and decides nothing: the terms read
-    the state coordinates as views of ``values``, or as ``plan.zeros``
-    outside ``plan.reach``, and fill one drift row
-    and one stochastic row per planned coordinate, each stochastic entry
-    its value times its factor; the live modes of each half scan their
-    planned forcing (``_modal_scan``); and each reached coordinate is
-    summed from its planned assembly terms in one contiguous row.
+    kernel runs the lists of the plan and decides nothing.  It zeroes
+    each live mode's blank columns, then builds the forcing rows one at a
+    time, in ``plan.rows`` order, in ``scratch.row``: the terms read the
+    state coordinates as views of ``values``, or as ``plan.zeros``
+    outside ``plan.reach``, a stochastic row sums each entry's value times
+    its factor and then adds its jumps, small before large.  Each row is
+    folded into every modal accumulation it targets before the next is
+    built, so every accumulation takes its forcing terms in the order of
+    the rows.  The live modes of each half are then scanned
+    (``_modal_scan``), and each reached coordinate is summed from its
+    planned assembly terms in one contiguous row.
     """
     p = hi - lo
     rows = 1 if zero else p  # the rows of the grid terms' values
     columns = {
         c: plan.zeros if k is None else values[k, lo : lo + rows, :-1] for c, k in plan.coords
     }
+    row = scratch.row[:p]
     later = None if scratch.later is None else scratch.later[:p]
     sum_buf = None if scratch.sum_buf is None else scratch.sum_buf[:rows]
-    drift = {i: _term_sum(f, columns, scratch.drift[i][:rows], sum_buf) for i, f in plan.drift}
-    stoch = {}
-    for i in plan.zeroed:
-        stoch[i] = scratch.stoch[i][:p]
-        stoch[i].fill(0.0)
-    for i, entries in plan.stoch:
-        # the first entry goes to the row itself, later ones through
-        # ``later``; a one-row value is formed apart from them, in
-        # ``shared``, as a product that overlaps its operand is slow
-        s = None
-        for terms, j in entries:
-            out = scratch.stoch[i][:p] if s is None else later
-            g = _term_sum(terms, columns, scratch.shared if zero else out, sum_buf)
-            g = np.multiply(g, -plan.noise.h if j is None else dw[:, :, j], out=out)
-            s = g if s is None else np.add(s, g, out=s)
-        stoch[i] = s
-    _add_jumps(block_jumps, stoch, lo, hi)
-
     buf = scratch.buf[:p]
     cbuf = None if scratch.cbuf is None else scratch.cbuf[:p]
     zs = [z[:, :p] for z in scratch.z]
-    for half, modes, z in zip(plan.halves, plan.modes, zs):
-        _modal_scan(half, modes, (drift, stoch), z, buf, cbuf)
+    for modes, z in zip(plan.modes, zs):
+        for mode in modes:
+            z[mode.index, :, mode.blank] = 0.0
+    for kind, i, parts, regions, targets in plan.rows:
+        if kind:
+            if not parts:  # only jumps fill it
+                row.fill(0.0)
+            # the first entry goes to the row itself, later ones through
+            # ``later``; a one-row value is formed apart from them, in
+            # ``shared``, as a product that overlaps its operand is slow
+            for k, (terms, j) in enumerate(parts):
+                out = later if k else row
+                g = _term_sum(terms, columns, scratch.shared if zero else out, sum_buf)
+                np.multiply(g, -plan.noise.h if j is None else dw[:, :, j], out=out)
+                if k:
+                    row += later
+            _add_jumps(block_jumps, regions, i, row, lo, hi)
+            forcing = row
+        else:
+            forcing = _term_sum(parts, columns, row[:rows], sum_buf)
+        for half, at, coef, fresh in targets:
+            _axpy(zs[half][at], coef, forcing, buf, cbuf, fresh)
+    for modes, z in zip(plan.modes, zs):
+        _modal_scan(modes, z, buf, cbuf)
     res = scratch.res[:p]
     for _, blank, terms in plan.assembly:
         res[:, blank] = 0.0
@@ -1017,13 +1051,14 @@ def picard_solve(
     structure: the window steps; the non-empty coefficient entries with
     their time-only signals on the grid, each stochastic one with its
     noise column (the small-jump compensator's factor, weights folded
-    in, is -h); the jump map of each region; the live modes of each half
-    with their forcing, couplings and scan powers; and the nonzero
-    assembly terms of each output coordinate S reaches.  The kernel
-    (``_apply_chunk``) runs those lists path-major on one chunk of
-    paths: it fills the forcing rows, scans them into the modal
-    accumulations and assembles each output coordinate in one contiguous
-    row.  A block's jump terms are prepared at its events when it draws
+    in, is -h), and the modes each forcing row drives; the jump map of
+    each region; the live modes of each half with their couplings and
+    scan powers; and the nonzero assembly terms of each output
+    coordinate S reaches.  The kernel (``_apply_chunk``) runs those
+    lists path-major on one chunk of paths: it builds the forcing rows
+    one at a time, adding each into the modal accumulations it drives,
+    scans the accumulations and assembles each output coordinate in one
+    contiguous row.  A block's jump terms are prepared at its events when it draws
     them, its jump values evaluated once per sweep, at the states before
     it, and each chunk adds its slice of them.  The first iteration
     sweeps the zero ensemble: there every drift, diffusion and

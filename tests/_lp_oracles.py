@@ -19,6 +19,21 @@ from itertools import combinations
 import numpy as np
 
 
+def signed_masses(a, b):
+    """The signed mass difference of the uniform laws on the rows of the
+    (n, d) arrays a and b, built from the rows alone: a row that a law of
+    n rows repeats k times is an atom of exact mass Fraction(k, n).
+    Returns the (k, d) points whose difference is nonzero, in
+    lexicographic order, and their differences as Fractions."""
+    mass = {}
+    for rows, sign in ((a, 1), (b, -1)):
+        for row in np.asarray(rows, dtype=float).tolist():
+            mass[tuple(row)] = mass.get(tuple(row), Fraction(0)) + Fraction(sign, len(rows))
+    atoms = sorted((p, m) for p, m in mass.items() if m)
+    pts = np.array([p for p, _ in atoms], dtype=float).reshape(len(atoms), np.shape(a)[1])
+    return pts, [m for _, m in atoms]
+
+
 def _exact_gauss(rows, rhs):
     """Solve a square Fraction system; None when singular."""
     n = len(rows)

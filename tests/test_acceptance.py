@@ -21,11 +21,10 @@ import pytest
 from _dichotomy_oracles import estimate_constants
 from _ensemble_oracles import l2_increment
 from _grid import ensemble_grid, preset_coefficients, steps, window_steps
-from _lp_oracles import rational_bl_value
+from _lp_oracles import rational_bl_value, signed_masses
 from levyap.apdist import (
     EmpiricalLaw,
     _law_paths,
-    _signed_support,
     ap_distribution_scan,
     bl_distance,
 )
@@ -290,9 +289,11 @@ def test_metric_formula_axioms_and_oracle():
         n_b = int(gen_t.integers(1, 4))
         k_a = gen_t.integers(1, 5, size=n_a)
         k_b = gen_t.integers(1, 5, size=n_b)
-        mu = EmpiricalLaw(np.repeat(gen_t.normal(size=(n_a, dim)), k_a, axis=0))
-        nu = EmpiricalLaw(np.repeat(gen_t.normal(size=(n_b, dim)), k_b, axis=0))
-        pts, delta = _signed_support(mu, nu)
+        rows_a = np.repeat(gen_t.normal(size=(n_a, dim)), k_a, axis=0)
+        rows_b = np.repeat(gen_t.normal(size=(n_b, dim)), k_b, axis=0)
+        mu, nu = EmpiricalLaw(rows_a), EmpiricalLaw(rows_b)
+        # exact masses k / n from the rows, not the solver's merged support
+        pts, delta = signed_masses(rows_a, rows_b)
         exact = float(rational_bl_value(pts, delta))
         assert abs(bl_distance(mu, nu) - exact) <= 1e-6
 

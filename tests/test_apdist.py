@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from _grid import steps
-from _lp_oracles import enumerate_bl_value, rational_bl_value
+from _lp_oracles import enumerate_bl_value, rational_bl_value, signed_masses
 import levyap.apdist
 from levyap.solver import PathEnsemble
 from levyap.apdist import (
@@ -164,7 +164,7 @@ def test_matches_exact_rational_simplex():
         d = int(gen.integers(1, 3))
         mu = EmpiricalLaw.from_samples(gen.normal(size=(3, d)))
         nu = EmpiricalLaw.from_samples(gen.normal(size=(3, d)) + 0.5)
-        pts, delta = _signed_support(mu, nu)
+        pts, delta = signed_masses(mu.points, nu.points)
         assert len(pts) <= 6
         ours = bl_distance(mu, nu)
         exact = float(rational_bl_value(pts, delta))
@@ -178,7 +178,7 @@ def test_matches_brute_force_enumeration():
     for _ in range(3):
         mu = EmpiricalLaw.from_samples(gen.normal(size=(2, 2)))
         nu = EmpiricalLaw.from_samples(gen.normal(size=(1, 2)) + 0.4)
-        pts, delta = _signed_support(mu, nu)
+        pts, delta = signed_masses(mu.points, nu.points)
         assert len(pts) <= 3
         ours = bl_distance(mu, nu)
         exact = float(enumerate_bl_value(pts, delta))
@@ -214,7 +214,7 @@ def _line_oracle_cases():
 
 def test_line_matches_exact_oracles():
     for mu, nu in _line_oracle_cases():
-        pts, delta = _signed_support(mu, nu)
+        pts, delta = signed_masses(mu.points, nu.points)
         assert pts.shape[1] == 1 and len(pts) <= 6
         ours = bl_distance(mu, nu)
         exact = float(rational_bl_value(pts, delta))

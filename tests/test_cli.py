@@ -1406,14 +1406,14 @@ class TestCliErrorMapping:
         """``scripts/compare_artifacts.py``'s ``nonnormal`` config is the one
         compared run whose plan has a complex modal half (the generator's
         eigenvalues are -6 +- i sqrt(3)), a mode coupled to another and a
-        stochastic row that only jumps fill (``zeroed``), so the artifact
+        stochastic row that only jumps fill (no entries), so the artifact
         comparison covers the Schur path of the solver."""
         run = validate_config(config_from_dict(compare_artifacts.LAYOUTS["nonnormal"]))
         noise = sample_noise(run.spec, *window_steps(-1.0, 1.0, 1.0 / 16), 1.0 / 16, 2, seed=0)
         plan = _Plan.build(run.system, run.coefficients, noise, steps(0.5, noise.h))
         assert any(np.iscomplexobj(half.tri) for half in plan.halves)
         assert any(c != 0 for live in plan.modes for mode in live for _, c in mode.couplings)
-        assert plan.zeroed == (0,)
+        assert [r.coord for r in plan.rows if r.kind and not r.parts] == [0]
 
     @pytest.mark.parametrize(
         "law_support, paths, size",

@@ -57,7 +57,9 @@ from levyap.solver import (
     _Scratch,
     _blocks,
     _draw_block,
+    _scan,
     _scan_block,
+    _scan_powers,
     _sweep_block,
     picard_solve,
 )
@@ -627,37 +629,43 @@ class TestApplyS:
     @staticmethod
     def check_scratch_phases(scratch, paths, n):
         """The arrays of a worker scratch that the chunk kernel uses at
-        once (building the forcing rows, scanning them into the modal
-        accumulations, assembling the output) never overlap, and the
-        scratch holds no more rows than the busiest phase uses."""
+        once never overlap: building a forcing row uses the row,
+        ``later``, ``sum_buf``, ``shared`` and the modal accumulations z;
+        folding it into z uses the row, ``buf``, ``cbuf`` and z; scanning
+        uses z, ``buf`` and ``cbuf``; assembling uses ``res``, ``buf``,
+        ``cbuf`` and z.  The scratch holds no more rows than the busiest
+        phase uses; ``shared`` is a (1, n) array of its own, not a row."""
         size = paths * (n + 1)
         row_bytes = 8 * (size + size % 2)
-        forcing_rows = [*scratch.drift.values(), *scratch.stoch.values()]
-        work = [scratch.buf, scratch.cbuf, *scratch.z]
+        arena = scratch.buf.base
+        z = list(scratch.z)
+        work = [scratch.buf, scratch.cbuf]
         phases = [
-            [scratch.later, scratch.sum_buf, scratch.shared, *forcing_rows],
-            forcing_rows + work,
-            [scratch.res] + work,
+            [scratch.row, scratch.later, scratch.sum_buf, scratch.shared, *z],
+            [scratch.row, *work, *z],
+            [*work, *z],
+            [scratch.res, *work, *z],
         ]
         used = []
         for arrays in phases:
             arrays = [a for a in arrays if a is not None]
             for k, a in enumerate(arrays):
                 assert not any(np.may_share_memory(a, b) for b in arrays[k + 1 :])
-            used.append(sum(-(-a.nbytes // row_bytes) for a in arrays))
+            used.append(sum(-(-a.nbytes // row_bytes) for a in arrays if a.base is arena))
         assert scratch.n_rows == max(used)
+        assert scratch.shared is None or (scratch.shared.shape, scratch.shared.base) == ((1, n), None)
 
     @pytest.mark.parametrize(
-        "preset, rows", [("example41", 4), ("ou_forced", 4), ("galerkin_heat", 25)]
+        "preset, rows", [("example41", 3), ("ou_forced", 3), ("galerkin_heat", 10)]
     )
     def test_scratch_rows_of_presets(self, preset, rows):
         """A worker's scratch holds as many rows as one phase of the chunk
-        kernel uses: example41 z then ``buf`` (``later`` before them), the
-        drift row then ``res``, and the stochastic row; ou_forced its drift
-        and stochastic rows, z and ``buf``; galerkin_heat its 8 drift and
-        8 stochastic rows, next to ``later`` that gives way to 6 + 2 modes
-        and ``buf``.  The state columns are views of the ensemble and take
-        no rows.  No preset has an entry of two terms, so none has
+        kernel uses: the modal accumulations z (one mode for example41 and
+        ou_forced, 6 + 2 for galerkin_heat), one forcing row that ``res``
+        then takes, and one row that ``later`` and then ``buf`` take.  The
+        state columns are views of the ensemble and take no rows.
+        ou_forced has one stochastic entry per coordinate, so no
+        ``later``, and no preset has an entry of two terms, so none has
         ``sum_buf``."""
         run = validate_config(preset_config(preset))
         sysd = run.system
@@ -672,16 +680,95 @@ class TestApplyS:
         "case", ["rotation", "jordan", "stiff", "sparse", "unreachable", "coupled"]
     )
     def test_scratch_of_oracle_cases_is_shared_by_phase(self, case):
+        """Rows: z, a row per mode and two per complex mode, the forcing
+        row, and ``buf``; "rotation", "sparse" and "unreachable" have a
+        complex half, whose ``cbuf`` takes two rows more.  ``sum_buf``
+        takes ``later``'s or ``cbuf``'s row while a row is built."""
+        rows = {"rotation": 9, "jordan": 5, "stiff": 5, "sparse": 9, "unreachable": 8, "coupled": 4}
         system, coefficients, spec = _ORACLE_CASES[case]
         sysd, h, window = system()
         noise = sample_noise(spec(), *window_steps(*window, h), h, 3, seed=23)
         plan = _Plan.build(sysd, coefficients(sysd.dim), noise, steps(1.0, noise.h))
         scratch = _Scratch(plan, 3)
+        assert scratch.n_rows == rows[case]
         self.check_scratch_phases(scratch, 3, noise.n_steps)
-        # res takes the first drift row, the first stochastic row if none
-        first = [*scratch.drift.values(), *scratch.stoch.values()][0]
-        assert np.may_share_memory(scratch.res, first)
+        # res takes the forcing row, buf the row of later
+        assert np.may_share_memory(scratch.res, scratch.row)
+        assert scratch.later is None or np.may_share_memory(scratch.buf, scratch.later)
         assert (scratch.cbuf is not None) == (case in ("rotation", "sparse", "unreachable"))
+
+    @pytest.mark.parametrize(
+        "lam, n, segments",
+        [(0.97, 50, 1), (0.5, 2000, 3), (0.9 * complex(math.cos(0.3), math.sin(0.3)), 7000, 2)],
+    )
+    def test_scan_matches_an_in_place_cumsum(self, lam, n, segments):
+        """``_scan`` sums each path from ``buf`` into x with a 1-d
+        ``cumsum``, bit for bit what scaling each segment in place and
+        summing it by one in-place 2-d ``cumsum`` gives: on one segment,
+        on three (|log lam| n = 1386 > ``_SCAN_NATS``, so carries run)
+        and on two of a complex lam.  x is a (paths, n) view of (paths,
+        n + 1) rows, as a mode's accumulation is."""
+        powers = _scan_powers(lam, n)
+        assert -(-n // powers[0]) == segments
+        gen = np.random.default_rng(8)
+        dtype = complex if isinstance(lam, complex) else float
+        rows = gen.normal(size=(5, n + 1)).astype(dtype)
+        if dtype is complex:
+            rows += 1j * gen.normal(size=(5, n + 1))
+        ours, ref = rows.copy(), rows.copy()
+        _scan(powers, ours[:, 1:], np.empty((5, n + 1), dtype))
+        block, down, up, carry = powers
+        x, buf = ref[:, 1:], np.empty((5, n + 1), dtype)
+        for s in range(0, n, block):
+            seg = x[:, s : s + block]
+            size = seg.shape[-1]
+            seg *= down[:size]
+            np.cumsum(seg, axis=-1, out=seg)
+            seg *= up[:size]
+            if s:
+                seg += np.multiply(carry[:size], x[:, s - 1 : s], out=buf[:, :size])
+        assert ours.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_solve_sums_one_path_into_another_array(self, monkeypatch, threads):
+        """numpy holds the interpreter lock through a 2-d or an in-place
+        ``cumsum`` and releases it for a 1-d one into another array, so
+        every cumulative sum of a solve, ``np.cumsum`` or the loop it
+        runs, ``np.add.accumulate``, takes a 1-d input and an output that
+        shares no memory with it.  The "rotation" case scans real and
+        complex modes, from both ends of the window."""
+        calls = []
+
+        def record(sum_):
+            def wrapped(a, *args, out=None, **kwargs):
+                calls.append(np.ndim(a) == 1 and out is not None and not np.may_share_memory(a, out))
+                return sum_(a, *args, out=out, **kwargs)
+
+            return wrapped
+
+        class Add:
+            """``np.add`` with its ``accumulate`` recorded."""
+
+            accumulate = staticmethod(record(np.add.accumulate))
+
+            def __call__(self, *args, **kwargs):
+                return add(*args, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(add, name)
+
+        add = np.add
+        system, coefficients, spec = _ORACLE_CASES["rotation"]
+        sysd, h, window = system()
+        noise = sample_noise(spec(), *window_steps(*window, h), h, 9, seed=7)
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "add", Add())
+            patch.setattr(np, "cumsum", record(np.cumsum))
+            picard_solve(
+                sysd, coefficients(sysd.dim), noise, tol=1e-30, max_iter=2, w=steps(0.5, h),
+                threads=threads,
+            )
+        assert calls and all(calls)
 
     @pytest.mark.parametrize("preset, reach", [("example41", (1,)), ("galerkin_heat", None)])
     def test_reach_of_presets(self, preset, reach):
