@@ -34,7 +34,7 @@ from .config import (
     preset_names,
     validate_config,
 )
-from .noise import NoiseDraw
+from .noise import grid_times
 
 np = _lazy_import("numpy")
 
@@ -46,7 +46,6 @@ if TYPE_CHECKING:
 __all__ = ["main"]
 
 SCHEMA_VERSION = 2
-_TIME_BYTES = 24  # the longest repr of a double
 
 
 # ---------------------------------------------------------------------------
@@ -89,49 +88,59 @@ def _write_ensemble_csv(path: Path, ens: PathEnsemble, stride: int) -> None:
     Works on blocks of grid points of at most one formatter chunk
     (``_floatfmt._CHUNK``) of rows, one grid point at least, in one
     matrix of 64-bit words, a row per (grid point, path), reused from
-    block to block.  A row holds the time's repr (one ``repr`` per grid
-    point), the path index (built once) and, per state coordinate, the
-    32-byte field that ``_floatfmt.ReprFormatter`` fills with the value's
-    repr and its separator, formatting the block's values of one
-    coordinate with numpy integer arithmetic and no Python code per
-    value.  Every byte that is not text is NUL, so a block is written as
-    its matrix with the NUL bytes removed.  A coordinate that the
-    ensemble does not hold (``PathEnsemble.coords``), such as example41's
-    first, is +0.0 throughout: it takes one word, ``0.0`` and its
-    separator, written once.
+    block to block.  A row holds the time's repr (of ``noise.grid_times``,
+    in a field as wide as the longest of the times written, which a first
+    pass over the blocks finds), the path index (built once) and, per
+    state coordinate, the field of
+    ``_floatfmt._FIELD_WORDS`` words that ``_floatfmt.ReprFormatter``
+    fills with the value's repr and its separator, formatting the
+    block's values of one coordinate with numpy integer arithmetic and
+    no Python code per value.  Every byte that is not text is NUL, so a
+    block is written as its matrix with the NUL bytes removed.  A
+    coordinate that the ensemble does not hold (``PathEnsemble.coords``),
+    such as example41's first, is +0.0 throughout: it takes one word,
+    ``0.0`` and its separator, written once.
     """
-    from ._floatfmt import _CHUNK, ReprFormatter
+    from ._floatfmt import _CHUNK, _FIELD_WORDS, ReprFormatter
 
     m, d = ens.n_paths, ens.dim
     n_points = ens.n_steps // stride + 1
     per_block = min(max(1, _CHUNK // m), n_points)
+    starts = range(0, n_points, per_block)
+
+    def block(lo: int) -> tuple:
+        """The grid points of the block from the lo-th written one, and
+        the reprs of their times, each with its comma."""
+        points = stride * np.arange(lo, min(lo + per_block, n_points))
+        return points, [f"{t!r}," for t in grid_times(ens.k_lo, ens.h, points).tolist()]
+
+    # a row starts with the time and a comma, right-aligned in a field as
+    # wide as the longest, then the path and a comma, with no NUL between:
+    # the mask removes a run of NUL bytes at a time, so the fewer runs the
+    # faster.  The field is sized block by block, so only one block's
+    # strings exist at a time
+    t_width = max(len(t) for lo in starts for t in block(lo)[1])
     ends = b"," * (d - 1) + b"\n"
     col = dict(zip(ens.coords, range(len(ens.coords))))  # the column of each held coordinate
-    # a row starts with the time and a comma, ending at byte 24, then the
-    # path and a comma, with no NUL between: the mask removes a run of NUL
-    # bytes at a time, so the fewer runs the faster
     width = len(str(m - 1)) + 1
-    lead = -(-(_TIME_BYTES + 1 + width) // 8)  # words of time, path and commas
-    offsets = np.cumsum([lead] + [4 if i in col else 1 for i in range(d)]).tolist()
+    lead = -(-(t_width + width) // 8)  # words of time, path and commas
+    offsets = np.cumsum([lead] + [_FIELD_WORDS if i in col else 1 for i in range(d)]).tolist()
     rows = np.zeros((per_block * m, offsets[-1]), dtype="<u8")
     text = rows.view(np.uint8).reshape(per_block, m, -1)
     paths = np.array([f"{p}," for p in range(m)], dtype=f"S{width}")
-    text[:, :, _TIME_BYTES + 1 : _TIME_BYTES + 1 + width] = paths.view(np.uint8).reshape(m, width)
+    text[:, :, t_width : t_width + width] = paths.view(np.uint8).reshape(m, width)
     for i in set(range(d)) - col.keys():
         rows[:, offsets[i]] = np.frombuffer((b"0.0" + ends[i : i + 1]).ljust(8, b"\0"), dtype="<u8")
     fmt = ReprFormatter()
     with open(path, "wb") as fh:
         fh.write(("t,path," + ",".join(f"y{i}" for i in range(d)) + "\n").encode())
-        for lo in range(0, n_points, per_block):
-            points = stride * np.arange(lo, min(lo + per_block, n_points))
+        for lo in starts:
+            points, t_text = block(lo)
             at = ens.rows(points)
             k = len(points)
             n = k * m
-            # the grid's own expression, so each time rounds as in ``grid``
-            times = (ens.k_lo + points) * ens.h
-            t_text = [f"{t!r},".rjust(_TIME_BYTES + 1, "\0") for t in times.tolist()]
-            t_bytes = np.array(t_text, dtype=f"S{_TIME_BYTES + 1}").view(np.uint8)
-            text[:k, :, : _TIME_BYTES + 1] = t_bytes.reshape(k, 1, _TIME_BYTES + 1)
+            t_bytes = np.array([t.rjust(t_width, "\0") for t in t_text], dtype=f"S{t_width}")
+            text[:k, :, :t_width] = t_bytes.view(np.uint8).reshape(k, 1, t_width)
             for i, c in col.items():
                 fields = rows[:n, offsets[i] : offsets[i + 1]]
                 fmt(ens.values[:, at, c].T.reshape(n), out=fields, end=ends[i : i + 1])
@@ -176,7 +185,7 @@ def _run_picard(run: Run, out: Path, threads: int, scan=()):
     picard artifacts and returns (result, exit_code).  The result keeps
     the states at the grid points that ensemble.csv writes and at the
     grid points ``scan`` (steps from the window start), no others."""
-    from .solver import picard_solve
+    from .solver import solve_run
 
     rep = _condition_report(run, out)
     if not rep.verdict_existence:
@@ -192,18 +201,7 @@ def _run_picard(run: Run, out: Path, threads: int, scan=()):
     kept = np.zeros(run.n + 1, dtype=bool)
     kept[::stride] = True
     kept[list(scan)] = True
-    # nothing is drawn here: each block of paths draws its increments
-    # and jump events on the worker that sweeps it
-    res = picard_solve(
-        run.system,
-        run.coefficients,
-        NoiseDraw(run.spec, run.k_lo, run.n, float(num.h), num.n_paths, cfg.seed),
-        tol=float(num.tol),
-        max_iter=num.max_iter,
-        w=run.w,
-        threads=threads,
-        keep=np.flatnonzero(kept),
-    )
+    res = solve_run(run, threads, np.flatnonzero(kept))
     _write_jsonl(out / "gap_trace.jsonl", res.gap_trace)
     _write_ensemble_csv(out / "ensemble.csv", res.ensemble, stride)
     meta = {

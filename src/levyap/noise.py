@@ -61,6 +61,7 @@ __all__ = [
     "LevyProcessSpec",
     "NoiseSample",
     "NoiseDraw",
+    "grid_times",
     "validate_spec",
     "sample_noise",
 ]
@@ -377,6 +378,13 @@ def _diagonal(rows) -> Optional[list[float]]:
 # ---------------------------------------------------------------------------
 
 
+def grid_times(k_lo: int, h: float, steps) -> np.ndarray:
+    """The times (k_lo + k) h of the grid points k of ``steps``, counted
+    from the grid start ``k_lo``: the one expression of every grid's
+    times (``NoiseSample.grid``)."""
+    return (k_lo + np.asarray(steps)) * h
+
+
 class NoiseSample:
     """A frozen multi-path noise sample on one uniform grid, as arrays.
 
@@ -421,7 +429,7 @@ class NoiseSample:
 
     @property
     def grid(self) -> np.ndarray:
-        return (self.k_lo + np.arange(self.n_steps + 1)) * self.h
+        return grid_times(self.k_lo, self.h, np.arange(self.n_steps + 1))
 
     def paths(self, lo: int, hi: int) -> NoiseSample:
         """Paths [lo, hi) as a sample of their own, numbered from 0: views

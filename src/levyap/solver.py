@@ -90,15 +90,16 @@ from .coefficients import (
     point_values,
     term_value,
 )
-from .config import BLOCK_PATHS
+from .config import BLOCK_PATHS, Run
 from .dichotomy import DichotomousSystem
-from .noise import NoiseSample
+from .noise import NoiseDraw, NoiseSample
 
 __all__ = [
     "SolverError",
     "PathEnsemble",
     "PicardResult",
     "picard_solve",
+    "solve_run",
 ]
 
 # path steps per chunk by default: each (paths, time) scratch row of a
@@ -131,7 +132,8 @@ class PathEnsemble:
 
     The grid is integer-indexed (``k_lo`` .. ``k_lo + n_steps`` times
     ``h``) like the noise grid, so ensembles and noise windows align
-    exactly.  The states have ``dim`` coordinates, of which ``values``
+    exactly, and ``grid`` is its times, as the noise grid's.  The states
+    have ``dim`` coordinates, of which ``values``
     holds those in ``coords`` (increasing): it has shape (paths, rows,
     len(coords)), and every other coordinate is +0.0 throughout.  A row
     is a grid point of ``points`` (increasing steps from ``k_lo``), or
@@ -151,6 +153,8 @@ class PathEnsemble:
         self.coords = tuple(coords)
         self.points = points
         self.n_steps = values.shape[1] - 1 if n_steps is None else n_steps
+
+    grid = NoiseSample.grid
 
     @property
     def n_paths(self) -> int:
@@ -1105,4 +1109,18 @@ def picard_solve(
         final_gap=final[0],
         sup_second_moment=final[1],
         tail_report=_tail_report(sys, plan),
+    )
+
+
+def solve_run(run: Run, threads: int, keep) -> PicardResult:
+    """``picard_solve`` of a validated run (``validate_config``) at its
+    numerics and seed, on ``threads`` workers, keeping the grid points
+    ``keep`` (None for every point).  Nothing is drawn here: each block
+    of paths draws its increments and jump events on the worker that
+    sweeps it (``NoiseDraw``)."""
+    num = run.config.numerics
+    noise = NoiseDraw(run.spec, run.k_lo, run.n, float(num.h), num.n_paths, run.config.seed)
+    return picard_solve(
+        run.system, run.coefficients, noise, run.w, tol=float(num.tol), max_iter=num.max_iter,
+        threads=threads, keep=keep,
     )

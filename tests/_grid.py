@@ -1,15 +1,37 @@
 """What the tests take from a validated run: float times as whole grid
 steps, the form the sampler, the Picard solve and the shift scan take,
-and the coefficient sets of the shipped presets."""
+and the runs of the shipped presets, whose system, noise spec and
+coefficient set the tests share."""
 
-import numpy as np
+import functools
 
+from levyap.coefficients import CoefficientSet, CoefficientTerm
 from levyap.config import grid_steps, preset_config, validate_config
+
+
+@functools.cache
+def preset_run(name: str):
+    """The validated run of the preset ``name``, built once."""
+    return validate_config(preset_config(name))
 
 
 def preset_coefficients(name: str):
     """The coefficient set that a run of the preset ``name`` builds."""
-    return validate_config(preset_config(name)).coefficients
+    return preset_run(name).coefficients
+
+
+def constant_drift_coefficients(c1: float, c2: float) -> CoefficientSet:
+    """The constant drift (c1, c2) on example41's dimensions and declared
+    Lipschitz constant, with no other term."""
+    return CoefficientSet(
+        dim_state=2,
+        dim_noise=1,
+        drift=((CoefficientTerm(c1, "const"),), (CoefficientTerm(c2, "const"),)),
+        diffusion=(((),), ((),)),
+        jump_small=((), ()),
+        jump_large=((), ()),
+        lipschitz=preset_coefficients("example41").lipschitz,
+    )
 
 
 def galerkin_modes(n: int):
@@ -35,8 +57,3 @@ def window_steps(t_lo: float, t_hi: float, h: float) -> tuple:
     k_lo = steps(t_lo, h)
     return k_lo, steps(t_hi, h) - k_lo
 
-
-def ensemble_grid(ens) -> np.ndarray:
-    """The times of an ensemble's grid, (k_lo + k) h for k = 0 ..
-    n_steps, by the expression the CSV writer uses."""
-    return (ens.k_lo + np.arange(ens.n_steps + 1)) * ens.h

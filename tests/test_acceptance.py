@@ -20,7 +20,7 @@ import pytest
 
 from _dichotomy_oracles import estimate_constants
 from _ensemble_oracles import l2_increment
-from _grid import ensemble_grid, preset_coefficients, steps, window_steps
+from _grid import constant_drift_coefficients, preset_run, steps, window_steps
 from _lp_oracles import rational_bl_value, signed_masses
 from levyap.apdist import (
     EmpiricalLaw,
@@ -28,60 +28,28 @@ from levyap.apdist import (
     ap_distribution_scan,
     bl_distance,
 )
-from levyap.coefficients import CoefficientSet, CoefficientTerm
-from levyap.config import build_spec, check_conditions, preset_config, validate_config
-from levyap.dichotomy import DichotomousSystem
+from levyap.config import check_conditions, preset_config, validate_config
 from levyap.noise import (
     JumpComponent,
     LevyProcessSpec,
     UniformIntervalMark,
     sample_noise,
 )
-from levyap.solver import picard_solve
+from levyap.solver import picard_solve, solve_run
 
 BENCH_OMEGA = 6.0
 ETA_BENCH = Fraction(5, 48)
 RATE_SLACK = float(ETA_BENCH) + 0.1
 
 
-def benchmark_system() -> DichotomousSystem:
-    return DichotomousSystem.create(
-        np.diag([8.0, -6.0]), np.diag([0.0, 1.0]), k=1.0, omega=BENCH_OMEGA
-    )
-
-
-def constant_drift_coefficients(c1: float, c2: float) -> CoefficientSet:
-    return CoefficientSet(
-        dim_state=2,
-        dim_noise=1,
-        drift=(
-            (CoefficientTerm(c1, "const"),),
-            (CoefficientTerm(c2, "const"),),
-        ),
-        diffusion=(((),), ((),)),
-        jump_small=((), ()),
-        jump_large=((), ()),
-        lipschitz=Fraction(1, 64),
-    )
-
-
 def solve_preset(name: str, seed=None):
     """The validated run of a preset, at its own seed or at ``seed``, and
-    its Picard solution at the run's numerics."""
+    its Picard solution at the run's numerics, every grid point kept."""
     cfg = preset_config(name)
     if seed is not None:
         cfg = cfg._replace(seed=seed)
     run = validate_config(cfg)
-    num = cfg.numerics
-    noise = sample_noise(run.spec, run.k_lo, run.n, float(num.h), num.n_paths, cfg.seed)
-    res = picard_solve(
-        run.system,
-        run.coefficients,
-        noise,
-        tol=float(num.tol),
-        max_iter=num.max_iter,
-        w=run.w,
-    )
+    res = solve_run(run, 1, None)
     assert res.converged
     return run, res
 
@@ -169,7 +137,7 @@ def test_contraction_rate_exact_and_float():
 @pytest.mark.acceptance("03 dichotomy constant recovery")
 def test_dichotomy_constants_recovered_on_coarse_grid():
     start = time.perf_counter()
-    sysd = benchmark_system()
+    sysd = preset_run("example41").system
     est = estimate_constants(sysd, np.linspace(0.0, 1.0, 50))
     assert abs(est.k_hat - 1.0) <= 0.01
     assert abs(est.omega_hat - 6.0) <= 0.05
@@ -179,7 +147,7 @@ def test_dichotomy_constants_recovered_on_coarse_grid():
 @pytest.mark.acceptance("04 integral operator constant-drift closed form")
 def test_constant_drift_fixed_point_within_reported_tail():
     c1, c2 = 0.7, -1.3
-    sysd = benchmark_system()
+    sysd = preset_run("example41").system
     spec = LevyProcessSpec(dim=1, covariance=np.eye(1))
     noise = sample_noise(spec, *window_steps(-2.0, 4.0, 1.0 / 64), 1.0 / 64, 3, seed=4)
     t_c = 1.5
@@ -187,7 +155,7 @@ def test_constant_drift_fixed_point_within_reported_tail():
         sysd, constant_drift_coefficients(c1, c2), noise, tol=1e-26, w=steps(t_c, noise.h)
     )
     assert res.converged
-    grid = ensemble_grid(res.ensemble)
+    grid = res.ensemble.grid
     interior = (grid >= grid[0] + t_c) & (grid <= grid[-1] - t_c)
     target = np.array([-c1 / 8.0, c2 / 6.0])
     err = np.abs(res.ensemble.values[:, interior, :] - target).max()
@@ -201,7 +169,7 @@ def test_constant_drift_fixed_point_within_reported_tail():
 @pytest.mark.acceptance("05 picard contraction at Monte-Carlo scale")
 def test_picard_gap_ratios_at_full_scale():
     start = time.perf_counter()
-    run = validate_config(preset_config("example41"))
+    run = preset_run("example41")
     noise = sample_noise(
         run.spec, *window_steps(-2.0, 4.0, 1.0e-3), 1.0e-3, 2000, seed=run.config.seed
     )
@@ -222,7 +190,7 @@ def test_picard_gap_ratios_at_full_scale():
 
 @pytest.mark.acceptance("06 forced-OU mean curve and stationary variance")
 def test_forced_ou_matches_closed_form():
-    run = validate_config(preset_config("ou_forced"))
+    run = preset_run("ou_forced")
     sysd, spec, cs = run.system, run.spec, run.coefficients
     sigma, a = 0.3, 1.0
 
@@ -234,7 +202,7 @@ def test_forced_ou_matches_closed_form():
     )
     res = picard_solve(sysd, cs, noise, tol=1e-10, max_iter=20, w=steps(6.0, noise.h))
     assert res.converged
-    grid = ensemble_grid(res.ensemble)
+    grid = res.ensemble.grid
     core = (grid >= -2.0) & (grid <= 2.0)
     s2 = math.sqrt(2.0)
     m_exact = (np.sin(s2 * grid) - s2 * np.cos(s2 * grid)) / 3.0
@@ -247,7 +215,7 @@ def test_forced_ou_matches_closed_form():
         spec, *window_steps(-8.0, 8.0, 1.0 / 64), 1.0 / 64, 10_000, seed=run.config.seed + 1
     )
     res_v = picard_solve(sysd, cs, noise_v, tol=1e-10, max_iter=20, w=steps(6.0, noise_v.h))
-    grid_v = ensemble_grid(res_v.ensemble)
+    grid_v = res_v.ensemble.grid
     core_v = (grid_v >= -2.0) & (grid_v <= 2.0)
     var_hat = res_v.ensemble.values[:, core_v, 0].var(axis=0).mean()
     assert var_hat == pytest.approx(sigma**2 / (2.0 * a), rel=0.05)
@@ -364,7 +332,7 @@ def test_shipped_scans_are_pinned(benchmark_pair):
 def test_l2_increments_grow_at_most_linearly(benchmark_pair):
     _, res, _ = benchmark_pair
     ens = res.ensemble
-    grid = ensemble_grid(ens)
+    grid = ens.grid
     h = float(grid[1] - grid[0])
     anchors = [0.0, 0.5, 1.0, 1.5]
     steps = [1, 2, 4, 8, 13, 19, 25]
@@ -416,11 +384,9 @@ def test_noise_statistics_and_thread_determinism(set_chunk):
     assert abs(sums.mean()) <= 4.0 * se
 
     # identical results for 1, 4 and 8 work partitions
-    sysd = benchmark_system()
-    cfg = preset_config("example41")
-    spec41 = build_spec(cfg.levy)
-    cs = preset_coefficients("example41")
-    small = sample_noise(spec41, *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 32, seed=9)
+    ex41 = preset_run("example41")
+    sysd, cs = ex41.system, ex41.coefficients
+    small = sample_noise(ex41.spec, *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 32, seed=9)
     results = []
     for chunk in (None, 8, 4):
         set_chunk(chunk, small.n_steps)

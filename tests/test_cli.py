@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from _ensemble_oracles import dense
-from _grid import ensemble_grid, galerkin_modes, steps, window_steps
+from _grid import galerkin_modes, steps, window_steps
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -32,7 +32,7 @@ import levyap.cli
 import levyap.config
 from levyap import LevyapError
 from levyap.apdist import EmpiricalLawError
-from levyap.cli import _write_ensemble_csv, cmd_apscan, cmd_picard, main
+from levyap.cli import _strip_wall, _write_ensemble_csv, cmd_apscan, cmd_picard, main
 from levyap.coefficients import CoefficientError, SignalParseError, UnboundedSignalError
 from levyap.config import (
     FIELD_TABLES,
@@ -231,7 +231,7 @@ def assert_formatted_blocks(sizes, ens, n_rows, blocks):
 def per_row_ensemble_csv(ens, stride):
     """The byte oracle for ``ensemble.csv``: a writer that formats every
     row with its own f-string."""
-    grid = ensemble_grid(ens)
+    grid = ens.grid
     d = ens.dim
     lines = ["t,path," + ",".join(f"y{i}" for i in range(d)) + "\n"]
     for k in range(0, ens.n_steps + 1, stride):
@@ -285,9 +285,8 @@ def check_every_preset(tmp_path, extra=()):
     ]
 
 
-def stripped_trace(path):
-    records = [json.loads(line) for line in read_lines(path)]
-    return [{k: v for k, v in rec.items() if k != "wall_ms"} for rec in records]
+def read_jsonl(path):
+    return [json.loads(line) for line in read_lines(path)]
 
 
 # scripts/compare_artifacts.py, whose reader of the rejected-config corpus
@@ -1488,7 +1487,7 @@ class TestCliArtifacts:
             "run_meta.json",
         ):
             assert (out / name).exists()
-        trace = [json.loads(line) for line in read_lines(out / "gap_trace.jsonl")]
+        trace = read_jsonl(out / "gap_trace.jsonl")
         assert trace, "gap trace must not be empty"
         for i, rec in enumerate(trace):
             assert set(rec) == {"k", "gap", "sup_second_moment", "wall_ms"}
@@ -1500,7 +1499,7 @@ class TestCliArtifacts:
         assert meta["tail_report"]["truncation"] == 0.5
         for rec in meta["gap_trace"]:
             assert "wall_ms" not in rec
-        assert meta["gap_trace"] == stripped_trace(out / "gap_trace.jsonl")
+        assert meta["gap_trace"] == _strip_wall(trace)
 
     def test_simulate_artifacts(self, tmp_path, capsys):
         """The simulated path ensemble: ``picard`` writes every path at
@@ -1793,8 +1792,8 @@ class TestCliDeterminism:
         out2 = self.run_picard(tmp_path, "run2")
         for name in ("ensemble.csv", "condition_report.json", "run_meta.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-        assert stripped_trace(out1 / "gap_trace.jsonl") == stripped_trace(
-            out2 / "gap_trace.jsonl"
+        assert _strip_wall(read_jsonl(out1 / "gap_trace.jsonl")) == _strip_wall(
+            read_jsonl(out2 / "gap_trace.jsonl")
         )
 
     def test_thread_count_does_not_change_results(self, tmp_path, capsys):
@@ -1803,8 +1802,8 @@ class TestCliDeterminism:
             out = self.run_picard(tmp_path, f"t{threads}", ("--threads", threads))
             for name in ("ensemble.csv", "condition_report.json", "run_meta.json"):
                 assert (base / name).read_bytes() == (out / name).read_bytes(), name
-            assert stripped_trace(base / "gap_trace.jsonl") == stripped_trace(
-                out / "gap_trace.jsonl"
+            assert _strip_wall(read_jsonl(base / "gap_trace.jsonl")) == _strip_wall(
+                read_jsonl(out / "gap_trace.jsonl")
             )
 
     def test_ensemble_csv_rows_are_float_reprs(self, tmp_path, monkeypatch):

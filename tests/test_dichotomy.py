@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _dichotomy_oracles import estimate_constants
+from _grid import preset_run
 from levyap.config import build_system, preset_config, preset_names
 from levyap.dichotomy import (
     DichotomousSystem,
@@ -35,12 +36,6 @@ from levyap.dichotomy import (
     matrix_exp,
     spot_check_dichotomy,
 )
-
-
-def example_system():
-    return DichotomousSystem.create(
-        np.diag([8.0, -6.0]), np.diag([0.0, 1.0]), 1.0, 6.0
-    )
 
 
 def oblique_system():
@@ -223,7 +218,7 @@ def test_create_rejects_too_tight_constants():
 
 
 def test_spot_check_within_declared_bounds():
-    assert spot_check_dichotomy(example_system()) <= 1.0 + 1e-9
+    assert spot_check_dichotomy(preset_run("example41").system) <= 1.0 + 1e-9
     assert spot_check_dichotomy(oblique_system()) <= 1.0 + 1e-9
 
 
@@ -233,7 +228,7 @@ def test_spot_check_within_declared_bounds():
 
 
 def test_projected_propagators_match_direct_formula():
-    sys = example_system()
+    sys = preset_run("example41").system
     t = 0.5
     assert np.allclose(
         sys.stable_matrix(t), matrix_exp(sys.a, t) @ sys.p, atol=1e-12
@@ -255,7 +250,7 @@ def test_unstable_propagator_avoids_overflow():
 
 
 def test_propagator_time_domain_checks():
-    sys = example_system()
+    sys = preset_run("example41").system
     with pytest.raises(DichotomyError):
         sys.stable_matrix(-0.1)
     with pytest.raises(DichotomyError):
@@ -289,7 +284,7 @@ def test_propagators_commute_with_projection():
 
 
 def test_decay_bounds_on_random_vectors():
-    sys = example_system()
+    sys = preset_run("example41").system
     gen = np.random.default_rng(4)
     for t in np.linspace(0.0, 1.5, 7):
         for _ in range(5):
@@ -303,7 +298,7 @@ def test_decay_bounds_on_random_vectors():
 
 
 def test_kernel_matrices_match_closed_forms():
-    sys = example_system()
+    sys = preset_run("example41").system
     h = 0.01
     km = sys.stable_kernel_matrix(h)
     assert km[1, 1] == pytest.approx((1 - np.exp(-6 * h)) / 6, rel=1e-12)
@@ -352,7 +347,7 @@ def test_degenerate_projections():
 
 
 def test_estimate_constants_recovers_example_values():
-    est = estimate_constants(example_system(), np.linspace(0.0, 2.0, 50))
+    est = estimate_constants(preset_run("example41").system, np.linspace(0.0, 2.0, 50))
     assert abs(est.k_hat - 1.0) <= 0.01
     assert abs(est.omega_hat - 6.0) <= 0.05
     assert est.max_residual < 1e-9
@@ -390,7 +385,7 @@ def test_estimate_detects_missing_dichotomy():
 
 
 def test_estimate_with_trial_vectors():
-    sys = example_system()
+    sys = preset_run("example41").system
     probes = np.eye(2)
     est = estimate_constants(sys, np.linspace(0.0, 1.0, 20), trial_vectors=probes)
     assert est.omega_hat == pytest.approx(6.0, abs=1e-9)

@@ -21,13 +21,15 @@ from hypothesis import strategies as st
 
 from _ensemble_oracles import apply_S, dense, grid_index, l2_increment, simulate_mild
 from _grid import (
-    ensemble_grid,
+    constant_drift_coefficients,
     galerkin_modes,
     preset_coefficients,
+    preset_run,
     steps,
     window_steps,
 )
 from _noise_oracles import shifted
+from levyap.cli import _strip_wall
 from levyap.coefficients import CoefficientSet, CoefficientTerm, QuasiPeriodicSignal
 from levyap.config import (
     BLOCK_PATHS,
@@ -62,6 +64,7 @@ from levyap.solver import (
     _scan_powers,
     _sweep_block,
     picard_solve,
+    solve_run,
 )
 
 # ---------------------------------------------------------------------------
@@ -69,21 +72,9 @@ from levyap.solver import (
 # ---------------------------------------------------------------------------
 
 
-def benchmark_system() -> DichotomousSystem:
-    return DichotomousSystem.create(
-        np.diag([8.0, -6.0]), np.diag([0.0, 1.0]), k=1.0, omega=6.0
-    )
-
-
-def benchmark_spec() -> LevyProcessSpec:
-    return LevyProcessSpec(
-        dim=1,
-        covariance=np.eye(1),
-        jumps=(
-            JumpComponent(rate=1.5, marks=UniformIntervalMark(-0.9, 0.9)),
-            JumpComponent(rate=1.0, marks=UniformIntervalMark(1.0, 1.5)),
-        ),
-    )
+# example41's run: its system (one stable and one unstable coordinate)
+# and its noise spec (Wiener, small and large jumps)
+EX41 = preset_run("example41")
 
 
 def zero_coefficients(d: int, q: int) -> CoefficientSet:
@@ -95,21 +86,6 @@ def zero_coefficients(d: int, q: int) -> CoefficientSet:
         diffusion=tuple(tuple(() for _ in range(q)) for _ in range(d)),
         jump_small=empty,
         jump_large=empty,
-        lipschitz=Fraction(1, 64),
-    )
-
-
-def constant_drift_coefficients(c1: float, c2: float) -> CoefficientSet:
-    return CoefficientSet(
-        dim_state=2,
-        dim_noise=1,
-        drift=(
-            (CoefficientTerm(c1, "const"),),
-            (CoefficientTerm(c2, "const"),),
-        ),
-        diffusion=(((),), ((),)),
-        jump_small=((), ()),
-        jump_large=((), ()),
         lipschitz=Fraction(1, 64),
     )
 
@@ -212,7 +188,7 @@ class TestPathEnsemble:
     def test_grid_and_index(self):
         ens = PathEnsemble(h=0.25, k_lo=-2, values=np.zeros((3, 5, 2)), dim=2, coords=(0, 1))
         assert ens.n_paths == 3 and ens.n_steps == 4 and ens.dim == 2
-        np.testing.assert_allclose(ensemble_grid(ens), [-0.5, -0.25, 0.0, 0.25, 0.5])
+        np.testing.assert_allclose(ens.grid, [-0.5, -0.25, 0.0, 0.25, 0.5])
         assert grid_index(ens, 0.25) == 3
         assert grid_index(ens, -0.5) == 0
 
@@ -231,7 +207,7 @@ class TestPathEnsemble:
 
 class TestNoiseSample:
     def test_shifted_all_paths(self):
-        spec = benchmark_spec()
+        spec = EX41.spec
         sample = sample_noise(spec, *window_steps(-1.0, 2.0, 0.25), 0.25, 3, seed=9)
         moved = shifted(sample, steps(1.0, sample.h))
         assert moved.n_paths == 3
@@ -314,10 +290,10 @@ class TestSimulateMild:
         noise columns, with both jump regions and mark-weighted jump
         terms.  Any change to the rounding of the step changes them."""
         noise = sample_noise(
-            benchmark_spec(), *window_steps(-2.0, 2.0, 1.0 / 32), 1.0 / 32, 24, seed=41
+            EX41.spec, *window_steps(-2.0, 2.0, 1.0 / 32), 1.0 / 32, 24, seed=41
         )
         cs = preset_coefficients("example41")
-        ens = simulate_mild(benchmark_system(), cs, noise, np.zeros(2))
+        ens = simulate_mild(EX41.system, cs, noise, np.zeros(2))
         assert hashlib.sha256(ens.values.tobytes()).hexdigest() == (
             "4af3b28443f14c9996d34050d5ff3ac3c4b40cfb22cc12daef61d9b18e1afa00"
         )
@@ -356,7 +332,7 @@ class TestSimulateMild:
         )
         with pytest.raises(SolverError, match="blew up at t = .* on path 0"):
             simulate_mild(
-                benchmark_system(), constant_drift_coefficients(1.0, 0.0), noise, np.zeros(2)
+                EX41.system, constant_drift_coefficients(1.0, 0.0), noise, np.zeros(2)
             )
 
     def test_shape_validation(self):
@@ -365,7 +341,7 @@ class TestSimulateMild:
         with pytest.raises(SolverError):
             simulate_mild(sysd, zero_coefficients(1, 1), noise, np.zeros(3))
         with pytest.raises(SolverError):
-            simulate_mild(benchmark_system(), zero_coefficients(1, 1), noise, np.zeros(1))
+            simulate_mild(EX41.system, zero_coefficients(1, 1), noise, np.zeros(1))
 
     def test_ou_mean_against_exact_recursion_and_closed_form(self):
         """Two-layer oracle: the Monte-Carlo mean must match the exact
@@ -378,7 +354,7 @@ class TestSimulateMild:
         noise = sample_noise(wiener_only_spec(), *window_steps(0.0, 16.0, h), h, m_paths, seed=21)
         ens = simulate_mild(sysd, cs, noise, np.zeros(1))
 
-        grid = ensemble_grid(ens)
+        grid = ens.grid
         m_rec = np.zeros(len(grid))
         decay = math.exp(-a * h)
         for k in range(len(grid) - 1):
@@ -429,9 +405,9 @@ def _random_ensemble(noise, dim: int, seed: int, scale=1.0) -> PathEnsemble:
 
 class TestApplyS:
     def test_zero_coefficients_map_to_zero(self):
-        sysd = benchmark_system()
+        sysd = EX41.system
         noise = sample_noise(
-            benchmark_spec(), *window_steps(-2.0, 2.0, 1.0 / 64), 1.0 / 64, 4, seed=2
+            EX41.spec, *window_steps(-2.0, 2.0, 1.0 / 64), 1.0 / 64, 4, seed=2
         )
         ens = _random_ensemble(noise, 2, seed=0)
         out, report = apply_S(sysd, zero_coefficients(2, 1), noise, ens, w=steps(1.0, noise.h))
@@ -445,16 +421,16 @@ class TestApplyS:
         kernel telescopes exactly, so the only interior error is the
         truncation tail."""
         c1, c2 = 0.7, -1.3
-        sysd = benchmark_system()
+        sysd = EX41.system
         t_c = 1.5
         noise = sample_noise(
-            benchmark_spec(), *window_steps(-2.0, 4.0, 1.0 / 64), 1.0 / 64, 3, seed=4
+            EX41.spec, *window_steps(-2.0, 4.0, 1.0 / 64), 1.0 / 64, 3, seed=4
         )
         res = picard_solve(
             sysd, constant_drift_coefficients(c1, c2), noise, tol=1e-26, w=steps(t_c, noise.h)
         )
         assert res.converged
-        grid = ensemble_grid(res.ensemble)
+        grid = res.ensemble.grid
         interior = (grid >= grid[0] + t_c) & (grid <= grid[-1] - t_c)
         target = np.array([-c1 / 8.0, c2 / 6.0])
         err = np.abs(res.ensemble.values[:, interior, :] - target).max()
@@ -463,16 +439,16 @@ class TestApplyS:
 
     def test_larger_truncation_tightens_constant_drift_error(self):
         c1, c2 = 1.0, 1.0
-        sysd = benchmark_system()
+        sysd = EX41.system
         noise = sample_noise(
-            benchmark_spec(), *window_steps(-4.0, 4.0, 1.0 / 32), 1.0 / 32, 2, seed=4
+            EX41.spec, *window_steps(-4.0, 4.0, 1.0 / 32), 1.0 / 32, 2, seed=4
         )
         errs = []
         for t_c in (0.5, 1.0, 2.0):
             res = picard_solve(
                 sysd, constant_drift_coefficients(c1, c2), noise, tol=1e-26, w=steps(t_c, noise.h)
             )
-            grid = ensemble_grid(res.ensemble)
+            grid = res.ensemble.grid
             interior = (grid >= grid[0] + 2.0) & (grid <= grid[-1] - 2.0)
             target = np.array([-c1 / 8.0, c2 / 6.0])
             errs.append(np.abs(res.ensemble.values[:, interior, :] - target).max())
@@ -483,9 +459,9 @@ class TestApplyS:
     def test_contraction_on_random_ensemble_pairs(self):
         """The mean-square contraction factor of the benchmark preset is
         eta = 5/48; the discrete operator must respect it."""
-        sysd = benchmark_system()
+        sysd = EX41.system
         noise = sample_noise(
-            benchmark_spec(), *window_steps(-2.0, 2.0, 1.0 / 128), 1.0 / 128, 32, seed=8
+            EX41.spec, *window_steps(-2.0, 2.0, 1.0 / 128), 1.0 / 128, 32, seed=8
         )
         eta = float(check_conditions(1, 6, Fraction(1, 64), 1).eta)
         cs = preset_coefficients("example41")
@@ -502,7 +478,7 @@ class TestApplyS:
         """Shifting the noise window and the ensemble together re-indexes
         the same increments, so time-constant coefficients give
         bit-identical output values."""
-        sysd = benchmark_system()
+        sysd = EX41.system
         cs = CoefficientSet(
             dim_state=2,
             dim_noise=1,
@@ -513,7 +489,7 @@ class TestApplyS:
             lipschitz=Fraction(1, 2),
         )
         noise = sample_noise(
-            benchmark_spec(), *window_steps(-2.0, 4.0, 1.0 / 32), 1.0 / 32, 5, seed=14
+            EX41.spec, *window_steps(-2.0, 4.0, 1.0 / 32), 1.0 / 32, 5, seed=14
         )
         ens = _random_ensemble(noise, 2, seed=3)
         out, _ = apply_S(sysd, cs, noise, ens, w=steps(1.0, noise.h))
@@ -524,7 +500,7 @@ class TestApplyS:
         )
         out_shift, _ = apply_S(sysd, cs, shifted_noise, shifted_ens, w=steps(1.0, shifted_noise.h))
         np.testing.assert_array_equal(out_shift.values, out.values)
-        assert ensemble_grid(out_shift)[0] == ensemble_grid(out)[0] - 1.0
+        assert out_shift.grid[0] == out.grid[0] - 1.0
 
     def test_shift_equivariance_with_time_dependent_drift(self):
         """Shifting quasi-periodic coefficients by s in time must commute
@@ -562,9 +538,9 @@ class TestApplyS:
         assert np.abs(out_shift.values - out.values).max() < 1e-12
 
     def test_chunking_is_bit_identical(self, set_chunk):
-        sysd = benchmark_system()
+        sysd = EX41.system
         noise = sample_noise(
-            benchmark_spec(), *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 7, seed=11
+            EX41.spec, *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 7, seed=11
         )
         ens = _random_ensemble(noise, 2, seed=1)
         cs = preset_coefficients("example41")
@@ -575,19 +551,19 @@ class TestApplyS:
             np.testing.assert_array_equal(part.values, full.values)
 
     def test_validation_errors(self):
-        sysd = benchmark_system()
+        sysd = EX41.system
         noise = sample_noise(
-            benchmark_spec(), *window_steps(-1.0, 1.0, 1.0 / 32), 1.0 / 32, 2, seed=0
+            EX41.spec, *window_steps(-1.0, 1.0, 1.0 / 32), 1.0 / 32, 2, seed=0
         )
         ens = _random_ensemble(noise, 2, seed=0)
         cs = preset_coefficients("example41")
         other = sample_noise(
-            benchmark_spec(), *window_steps(-1.0, 2.0, 1.0 / 32), 1.0 / 32, 2, seed=0
+            EX41.spec, *window_steps(-1.0, 2.0, 1.0 / 32), 1.0 / 32, 2, seed=0
         )
         with pytest.raises(SolverError, match="grids do not match"):
             apply_S(sysd, cs, other, ens, w=steps(0.5, other.h))
         three = sample_noise(
-            benchmark_spec(), *window_steps(-1.0, 1.0, 1.0 / 32), 1.0 / 32, 3, seed=0
+            EX41.spec, *window_steps(-1.0, 1.0, 1.0 / 32), 1.0 / 32, 3, seed=0
         )
         with pytest.raises(SolverError, match="path counts"):
             apply_S(sysd, cs, three, ens, w=steps(0.5, three.h))
@@ -889,9 +865,9 @@ class TestApplyS:
 
 class TestPicard:
     def test_zero_coefficients_converge_immediately(self):
-        sysd = benchmark_system()
+        sysd = EX41.system
         noise = sample_noise(
-            benchmark_spec(), *window_steps(-1.0, 1.0, 1.0 / 32), 1.0 / 32, 3, seed=1
+            EX41.spec, *window_steps(-1.0, 1.0, 1.0 / 32), 1.0 / 32, 3, seed=1
         )
         res = picard_solve(sysd, zero_coefficients(2, 1), noise, w=steps(0.5, noise.h))
         assert res.converged and res.iterations == 1
@@ -899,9 +875,9 @@ class TestPicard:
         assert res.ensemble.coords == () and res.ensemble.values.shape == (3, noise.n_steps + 1, 0)
 
     def test_trace_record_shape(self):
-        sysd = benchmark_system()
+        sysd = EX41.system
         noise = sample_noise(
-            benchmark_spec(), *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 8, seed=3
+            EX41.spec, *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 8, seed=3
         )
         res = picard_solve(
             sysd, preset_coefficients("example41"), noise, tol=1e-20, w=steps(1.0, noise.h)
@@ -915,9 +891,9 @@ class TestPicard:
         assert res.gap_trace[-1]["gap"] <= 1e-20
 
     def test_gap_ratios_below_contraction_factor(self):
-        sysd = benchmark_system()
+        sysd = EX41.system
         noise = sample_noise(
-            benchmark_spec(), *window_steps(-2.0, 3.0, 1.0 / 128), 1.0 / 128, 48, seed=7
+            EX41.spec, *window_steps(-2.0, 3.0, 1.0 / 128), 1.0 / 128, 48, seed=7
         )
         res = picard_solve(
             sysd, preset_coefficients("example41"), noise, tol=1e-24, w=steps(1.5, noise.h)
@@ -932,10 +908,10 @@ class TestPicard:
     def test_max_iter_returns_unconverged(self):
         """At max_iter the last iterate is returned: S applied twice to
         the zero ensemble."""
-        sysd = benchmark_system()
+        sysd = EX41.system
         cs = preset_coefficients("example41")
         noise = sample_noise(
-            benchmark_spec(), *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 4, seed=3
+            EX41.spec, *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 4, seed=3
         )
         res = picard_solve(sysd, cs, noise, tol=1e-30, max_iter=2, w=steps(1.0, noise.h))
         assert not res.converged
@@ -977,9 +953,9 @@ class TestPicard:
         once per iteration.  The halves of a diagonal system are already
         triangular, so no Schur form is computed."""
         calls = self.count_builds(monkeypatch)
-        sysd = benchmark_system()  # one stable and one unstable half
+        sysd = EX41.system  # one stable and one unstable half
         noise = sample_noise(
-            benchmark_spec(), *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 5, seed=3
+            EX41.spec, *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 5, seed=3
         )
         set_chunk(2, noise.n_steps)
         res = picard_solve(
@@ -1005,9 +981,9 @@ class TestPicard:
         assert calls == {"plan": 1, "half": 2, "schur": 1}
 
     def test_fixed_point_self_consistency(self):
-        sysd = benchmark_system()
+        sysd = EX41.system
         noise = sample_noise(
-            benchmark_spec(), *window_steps(-2.0, 2.0, 1.0 / 64), 1.0 / 64, 16, seed=9
+            EX41.spec, *window_steps(-2.0, 2.0, 1.0 / 64), 1.0 / 64, 16, seed=9
         )
         res = picard_solve(
             sysd, preset_coefficients("example41"), noise, tol=1e-24, w=steps(1.0, noise.h)
@@ -1026,10 +1002,10 @@ class TestPicard:
         within tol eta / (1 - sqrt(eta))^2 of the fixed point, and two
         such iterates differ by at most four times that: 0.91 tol at eta
         = 5/48, below tol / (1 - eta)."""
-        sysd = benchmark_system()
+        sysd = EX41.system
         cs = preset_coefficients("example41")
         noise = sample_noise(
-            benchmark_spec(), *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 32, seed=41
+            EX41.spec, *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 32, seed=41
         )
         tol = 1e-14
         ref = picard_solve(sysd, cs, noise, tol=tol, w=steps(1.0, noise.h))
@@ -1062,11 +1038,11 @@ class TestPicard:
             validate_config(narrow)
 
     def test_noise_determinism_and_sensitivity(self):
-        sysd = benchmark_system()
+        sysd = EX41.system
         cs = preset_coefficients("example41")
-        a = sample_noise(benchmark_spec(), *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 6, seed=5)
-        b = sample_noise(benchmark_spec(), *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 6, seed=5)
-        c = sample_noise(benchmark_spec(), *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 6, seed=6)
+        a = sample_noise(EX41.spec, *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 6, seed=5)
+        b = sample_noise(EX41.spec, *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 6, seed=5)
+        c = sample_noise(EX41.spec, *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 6, seed=6)
         ra = picard_solve(sysd, cs, a, tol=1e-18, w=steps(1.0, a.h))
         rb = picard_solve(sysd, cs, b, tol=1e-18, w=steps(1.0, b.h))
         rc = picard_solve(sysd, cs, c, tol=1e-18, w=steps(1.0, c.h))
@@ -1074,9 +1050,9 @@ class TestPicard:
         assert not np.array_equal(ra.ensemble.values, rc.ensemble.values)
 
     def test_chunked_solve_is_bit_identical(self, set_chunk):
-        sysd = benchmark_system()
+        sysd = EX41.system
         noise = sample_noise(
-            benchmark_spec(), *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 5, seed=13
+            EX41.spec, *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 5, seed=13
         )
         cs = preset_coefficients("example41")
         full = picard_solve(sysd, cs, noise, tol=1e-18, w=steps(1.0, noise.h))
@@ -1089,9 +1065,9 @@ class TestPicard:
         """Workers write disjoint path chunks of one output array; more
         workers than cores and frequent thread switches must not change
         a bit."""
-        sysd = benchmark_system()
+        sysd = EX41.system
         noise = sample_noise(
-            benchmark_spec(), *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 11, seed=19
+            EX41.spec, *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 11, seed=19
         )
         cs = preset_coefficients("example41")
         full = picard_solve(sysd, cs, noise, tol=1e-18, w=steps(1.0, noise.h))
@@ -1115,7 +1091,7 @@ class TestPicard:
         on the benchmark system, and the signal and jump set on
         two-dimensional noise.  Planning them once changes no bit."""
         cases = (
-            (benchmark_spec(), (-2.0, 2.0), 1.0 / 64, 41, preset_coefficients("example41"), 1.0,
+            (EX41.spec, (-2.0, 2.0), 1.0 / 64, 41, preset_coefficients("example41"), 1.0,
              "2c3eff8a0481d1595253e018c5506bd0db1665eceeb2d5063c4644ada238315c"),
             (_two_dim_spec(), (-1.0, 2.0), 1.0 / 32, 1041, _signal_jump_coefficients(), 0.5,
              "62cc13e3625681aee4fd32fca066e510379e4412438cfb0f466598b46c70214d"),
@@ -1123,7 +1099,7 @@ class TestPicard:
         for spec, window, h, seed, cs, truncation, expected in cases:
             noise = sample_noise(spec, *window_steps(*window, h), h, 70, seed=seed)
             res = picard_solve(
-                benchmark_system(), cs, noise, tol=1e-30, max_iter=6, w=steps(truncation, noise.h)
+                EX41.system, cs, noise, tol=1e-30, max_iter=6, w=steps(truncation, noise.h)
             )
             digest = hashlib.sha256(dense(res.ensemble).tobytes())
             for rec in res.gap_trace:
@@ -1141,7 +1117,7 @@ class TestPicard:
         7 paths and the default (70 paths are two blocks)."""
         from levyap.coefficients import jump_terms
 
-        sysd = benchmark_system()
+        sysd = EX41.system
         cs = _signal_jump_coefficients()
         noise = sample_noise(
             _two_dim_spec(), *window_steps(-1.0, 2.0, 1.0 / 32), 1.0 / 32, 70, seed=1041
@@ -1243,9 +1219,9 @@ class TestPicard:
         in-place sweep must give the values and the gap trace of the
         out-of-place oracle bit for bit, for any chunking and worker
         count."""
-        sysd = benchmark_system()
+        sysd = EX41.system
         noise = sample_noise(
-            benchmark_spec(), *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 150, seed=29
+            EX41.spec, *window_steps(-1.0, 2.0, 1.0 / 64), 1.0 / 64, 150, seed=29
         )
         cs = preset_coefficients("example41")
         ref_values, ref_trace = _out_of_place_picard(
@@ -1367,9 +1343,9 @@ class TestPicard:
         chunks, 1.30 and 1.57-1.58 with the default half-block chunks; the
         bound leaves 0.14 (0.9 MB) above the largest.  Holding both
         coordinates, the solve peaked 6.3 MB higher, above the bound."""
-        sysd = benchmark_system()
+        sysd = EX41.system
         noise = sample_noise(
-            benchmark_spec(), *window_steps(-2.0, 4.0, 1.0 / 256), 1.0 / 256, 512, seed=31
+            EX41.spec, *window_steps(-2.0, 4.0, 1.0 / 256), 1.0 / 256, 512, seed=31
         )
         for chunk in (8, None):
             set_chunk(chunk, noise.n_steps)
@@ -1403,7 +1379,7 @@ class TestPicard:
             for m in (128, 1024)
         ]
         cs = preset_coefficients("example41")
-        plan = _Plan.build(benchmark_system(), cs, noises[0], steps(0.25, h))
+        plan = _Plan.build(EX41.system, cs, noises[0], steps(0.25, h))
         block = 2 * len(plan.reach) * (noises[0].n_steps + 1) * 8
         for threads in (1, 2):
             held = []
@@ -1411,7 +1387,7 @@ class TestPicard:
                 tracemalloc.start()
                 try:
                     res = picard_solve(
-                        benchmark_system(), cs, noise, w=steps(0.25, h), tol=1e-30,
+                        EX41.system, cs, noise, w=steps(0.25, h), tol=1e-30,
                         max_iter=3, threads=threads,
                     )
                     _, peak = tracemalloc.get_traced_memory()
@@ -1469,11 +1445,11 @@ class TestPicard:
         by coordinate; any change to the rounding of the sweep or of the
         moment sums changes it, at any thread count."""
         noise = sample_noise(
-            benchmark_spec(), *window_steps(-2.0, 2.0, 1.0 / 32), 1.0 / 32, 96, seed=41
+            EX41.spec, *window_steps(-2.0, 2.0, 1.0 / 32), 1.0 / 32, 96, seed=41
         )
         for threads in (1, 2):
             res = picard_solve(
-                benchmark_system(), preset_coefficients("example41"), noise, w=steps(2.0, noise.h),
+                EX41.system, preset_coefficients("example41"), noise, w=steps(2.0, noise.h),
                 tol=1e-18, threads=threads,
             )
             assert res.converged and res.iterations == 7
@@ -1526,7 +1502,7 @@ class TestPicard:
         ``sup_second_moment`` is that of its ensemble, over every path, and
         with ``final_gap`` the last record's when every block stops at the
         same count."""
-        sysd, cs, h = benchmark_system(), preset_coefficients("example41"), 1.0 / 32
+        sysd, cs, h = EX41.system, preset_coefficients("example41"), 1.0 / 32
         w = steps(1.0, h)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -1542,7 +1518,7 @@ class TestPicard:
             (200, 1, 1e-12, 60), (200, 5, 1e-14, 60), (200, 0, 1e-8, 60), (130, 1, 1e-14, 5),
             (40, 3, 1e-12, 60),
         ):
-            noise = NoiseDraw(benchmark_spec(), *window_steps(-1.0, 2.0, h), h, m, seed)
+            noise = NoiseDraw(EX41.spec, *window_steps(-1.0, 2.0, h), h, m, seed)
             starts = range(0, m, BLOCK_PATHS)
             alone = [
                 picard_solve(sysd, cs, noise.paths(lo, min(lo + BLOCK_PATHS, m)), tol=tol,
@@ -1596,7 +1572,7 @@ class TestPicard:
         monkeypatch.setattr(solver_module, "_sweep_block", failing)
         monkeypatch.setattr(solver_module, "_draw_block", drawing)
         h = 1.0 / 16
-        noise = NoiseDraw(benchmark_spec(), *window_steps(-1.0, 2.0, h), h, 10 * BLOCK_PATHS, 37)
+        noise = NoiseDraw(EX41.spec, *window_steps(-1.0, 2.0, h), h, 10 * BLOCK_PATHS, 37)
         errors, drawn = [], []
 
         def solves():
@@ -1604,7 +1580,7 @@ class TestPicard:
                 drawn.append([])
                 try:
                     picard_solve(
-                        benchmark_system(), preset_coefficients("example41"), noise, tol=1e-18,
+                        EX41.system, preset_coefficients("example41"), noise, tol=1e-18,
                         max_iter=3, w=steps(1.0, h), threads=threads,
                     )
                 except RuntimeError as exc:
@@ -1637,9 +1613,9 @@ class TestPicard:
         at most the largest block's sup.  An unconverged
         solve has a block that ran ``max_iter`` times."""
         h = 1.0 / 32
-        noise = NoiseDraw(benchmark_spec(), *window_steps(-1.0, 2.0, h), h, m, seed)
+        noise = NoiseDraw(EX41.spec, *window_steps(-1.0, 2.0, h), h, m, seed)
         res = picard_solve(
-            benchmark_system(), preset_coefficients("example41"), noise, tol=tol,
+            EX41.system, preset_coefficients("example41"), noise, tol=tol,
             max_iter=max_iter, w=steps(1.0, h), threads=threads,
         )
         if res.converged:
@@ -1654,8 +1630,8 @@ class TestPicard:
         and counts, for 1 and 2 workers; ``rows`` finds them, and refuses a
         point the solve did not keep.  Keep lists that are not increasing
         grid points of the window are refused."""
-        sysd, cs, h = benchmark_system(), preset_coefficients("example41"), 1.0 / 32
-        noise = NoiseDraw(benchmark_spec(), *window_steps(-1.0, 2.0, h), h, 150, 5)
+        sysd, cs, h = EX41.system, preset_coefficients("example41"), 1.0 / 32
+        noise = NoiseDraw(EX41.spec, *window_steps(-1.0, 2.0, h), h, 150, 5)
         solve = dict(tol=1e-14, w=steps(1.0, h))
         full = picard_solve(sysd, cs, noise, **solve)
         keep = [0, 5, 6, 40, 96]
@@ -1714,9 +1690,9 @@ class TestPicard:
     def test_l2_increments_shrink_linearly_near_zero_lag(self):
         """Mean-square continuity of the fixed point: increments over lag
         delta are bounded by C * delta and trend monotonically."""
-        sysd = benchmark_system()
+        sysd = EX41.system
         noise = sample_noise(
-            benchmark_spec(), *window_steps(-2.0, 2.0, 1.0 / 128), 1.0 / 128, 64, seed=15
+            EX41.spec, *window_steps(-2.0, 2.0, 1.0 / 128), 1.0 / 128, 64, seed=15
         )
         res = picard_solve(
             sysd, preset_coefficients("example41"), noise, tol=1e-20, w=steps(1.0, noise.h)
@@ -1740,10 +1716,6 @@ class TestPicard:
 # ---------------------------------------------------------------------------
 # recursion oracle for the integral operator
 # ---------------------------------------------------------------------------
-
-
-def _strip_wall(trace):
-    return [{k: v for k, v in rec.items() if k != "wall_ms"} for rec in trace]
 
 
 def _sup_mean_squares(values: np.ndarray, prev: np.ndarray):
@@ -2005,7 +1977,7 @@ def _oblique_system():
 # systems of the zero-start pins: real diagonal halves, a complex Schur
 # half (rotation), a reversed Jordan block, an oblique projection
 _ZERO_START_SYSTEMS = {
-    "diagonal": lambda: (benchmark_system(), 1 / 32, (-1.0, 2.0)),
+    "diagonal": lambda: (EX41.system, 1 / 32, (-1.0, 2.0)),
     "rotation": _rotation_system,
     "unstable_jordan": _unstable_jordan_system,
     "oblique": _oblique_system,
@@ -2231,13 +2203,8 @@ def test_preset_solutions_hold_no_negative_zero(preset):
     unstable one).  example41's first coordinate, never reached, is not
     stored."""
     cfg = preset_config(preset)
-    num = cfg.numerics._replace(n_paths=8)
-    run = validate_config(cfg._replace(numerics=num))
-    noise = sample_noise(run.spec, run.k_lo, run.n, float(num.h), num.n_paths, cfg.seed)
-    res = picard_solve(
-        run.system, run.coefficients, noise, tol=float(num.tol), max_iter=num.max_iter, w=run.w
-    )
-    values = res.ensemble.values
+    run = validate_config(cfg._replace(numerics=cfg.numerics._replace(n_paths=8)))
+    values = solve_run(run, 1, None).ensemble.values
     zeros = values[values == 0.0]
     assert zeros.size and not np.signbit(zeros).any()
 
