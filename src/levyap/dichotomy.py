@@ -17,8 +17,10 @@ in Fractions).  Other systems are only spot-checked at sampled times and
 probe vectors (``spot_check_dichotomy``).
 
 The exponential and its integral of a diagonal generator are taken
-entrywise in closed form (``matrix_exp``, ``integrated_exp``), so a
-diagonal system loads no scipy module; scipy is imported on the first
+entrywise in closed form (``matrix_exp``, ``integrated_exp``) by the C
+library's ``exp`` and ``expm1``, so their bits do not depend on which
+SIMD kernels numpy picks for the CPU, and a diagonal system loads no
+scipy module; scipy is imported on the first
 exponential of a matrix that is not diagonal.  numpy itself is loaded on
 the first array a system builds, so a system certified by
 ``diagonal_constants`` that only reports its constants loads neither.
@@ -26,6 +28,7 @@ the first array a system builds, so a system certified by
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
@@ -81,10 +84,10 @@ def matrix_exp(a: np.ndarray, t: float) -> np.ndarray:
     """e^{A t}, guarded against overflow by a bound on its growth, so a
     decaying exponential never raises.
 
-    A diagonal At is exponentiated entrywise, the float operation
-    ``scipy.linalg.expm`` applies to diagonal input, with no scipy
-    import, and its growth max_i a_ii t is exact.  Any other At goes to
-    ``expm``.
+    A diagonal At is exponentiated entrywise by ``math.exp``, with no
+    scipy import, and its growth max_i a_ii t is exact: the C library's
+    exp, not numpy's, whose SIMD kernels round differently on CPUs with
+    and without AVX-512.  Any other At goes to ``expm``.
     """
     a = np.asarray(a, dtype=float)
     _check_finite(a, t)
@@ -92,8 +95,9 @@ def matrix_exp(a: np.ndarray, t: float) -> np.ndarray:
         return np.zeros_like(a)
     at = a * t
     if _is_diagonal(at):
-        _guard_growth(float(np.max(np.diagonal(at))))
-        return np.diag(np.exp(np.diagonal(at)))
+        diag = np.diagonal(at).tolist()
+        _guard_growth(max(diag))
+        return np.diag([math.exp(x) for x in diag])
     # the logarithmic norm mu_2(At) = lambda_max((At + (At)^T) / 2)
     # bounds the growth: ||e^{At}||_2 <= e^{mu_2(At)}
     _guard_growth(float(np.linalg.eigvalsh((at + at.T) / 2)[-1]))
@@ -106,7 +110,8 @@ def integrated_exp(a: np.ndarray, t: float) -> np.ndarray:
     """The integral of e^{A s} ds over [0, t].
 
     For a diagonal A it is diag(expm1(a_ii t) / a_ii), and t where
-    a_ii = 0.  Otherwise it comes from one exponential of the augmented
+    a_ii = 0, by ``math.expm1`` as ``matrix_exp`` takes ``math.exp``.
+    Otherwise it comes from one exponential of the augmented
     block matrix [[A, I], [0, 0]]; exact also when A is singular.  Both
     ways carry the overflow guard of ``matrix_exp``.
     """
@@ -116,12 +121,10 @@ def integrated_exp(a: np.ndarray, t: float) -> np.ndarray:
         return np.zeros((0, 0))
     if _is_diagonal(a):
         _check_finite(a, t)
-        rates = np.diagonal(a)
-        at = rates * t
-        _guard_growth(float(np.max(at)))
-        out = np.full(d, float(t))
-        np.divide(np.expm1(at), rates, out=out, where=rates != 0)
-        return np.diag(out)
+        t = float(t)
+        rates = np.diagonal(a).tolist()
+        _guard_growth(max(r * t for r in rates))
+        return np.diag([math.expm1(r * t) / r if r else t for r in rates])
     aug = np.zeros((2 * d, 2 * d))
     aug[:d, :d] = a
     aug[:d, d:] = np.eye(d)

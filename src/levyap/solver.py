@@ -262,10 +262,18 @@ def _scan_block(lam, n: int) -> int:
 def _scan_powers(lam, n: int) -> tuple:
     """The block length L of a length-n scan with multiplier lam, and the
     powers lam^{-i}, lam^i and lam^{i+1}, i < L, that ``_scan`` scales
-    by."""
+    by: Python's powers of a float or a complex lam (the C library's
+    ``pow`` and repeated products), written into arrays one at a time,
+    so that no numpy SIMD kernel, whose rounding depends on the CPU,
+    decides a bit and no list of L values is built."""
     block = _scan_block(lam, n)
-    i = np.arange(block)
-    return block, lam ** -i, lam**i, lam ** (i + 1)
+    lam = complex(lam) if isinstance(lam, complex) else float(lam)  # Python's **, not numpy's
+    down, up = np.empty(block, type(lam)), np.empty(block + 1, type(lam))
+    for i in range(block):
+        down[i] = lam**-i
+    for i in range(block + 1):
+        up[i] = lam**i
+    return block, down, up[:-1], up[1:]
 
 
 def _scan(powers: tuple, x: np.ndarray, buf: np.ndarray) -> None:
@@ -978,7 +986,7 @@ def _tail_report(sys: DichotomousSystem, plan: _Plan) -> dict:
         "truncation_steps": w,
         "omega": float(sys.omega),
         "k": float(sys.k),
-        "tail_factor": float(sys.k * np.exp(-sys.omega * w * h) / sys.omega),
+        "tail_factor": float(sys.k * math.exp(-sys.omega * w * h) / sys.omega),
     }
 
 

@@ -4,6 +4,8 @@ iterates, and the forward integrator (``simulate_mild``), whose run from
 zero on a fully stable system forgets its start and meets the bounded
 solution."""
 
+import hashlib
+
 import numpy as np
 
 from levyap.coefficients import (
@@ -35,6 +37,16 @@ def dense(ens: PathEnsemble) -> np.ndarray:
     out = np.zeros((ens.n_paths, ens.values.shape[1], ens.dim))
     out[:, :, list(ens.coords)] = ens.values
     return out
+
+
+def solve_digest(res) -> str:
+    """The sha256 of a Picard result's states (``dense``) and of the gap
+    and the moment of each record of its gap trace, the form every pinned
+    solve is held in."""
+    digest = hashlib.sha256(dense(res.ensemble).tobytes())
+    trace = [[rec["gap"], rec["sup_second_moment"]] for rec in res.gap_trace]
+    digest.update(np.array(trace).tobytes())
+    return digest.hexdigest()
 
 
 def grid_index(ens: PathEnsemble, t: float) -> int:

@@ -7,6 +7,7 @@ import functools
 
 from levyap.coefficients import CoefficientSet, CoefficientTerm
 from levyap.config import grid_steps, preset_config, validate_config
+from levyap.solver import solve_run
 
 
 @functools.cache
@@ -18,6 +19,13 @@ def preset_run(name: str):
 def preset_coefficients(name: str):
     """The coefficient set that a run of the preset ``name`` builds."""
     return preset_run(name).coefficients
+
+
+def small_solve(name: str):
+    """The solve (``solve_run``) of the preset ``name`` on 8 paths, every
+    grid point kept."""
+    cfg = preset_config(name)
+    return solve_run(validate_config(cfg._replace(numerics=cfg.numerics._replace(n_paths=8))), 1, None)
 
 
 def constant_drift_coefficients(c1: float, c2: float) -> CoefficientSet:

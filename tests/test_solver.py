@@ -8,6 +8,8 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -19,12 +21,20 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from _ensemble_oracles import apply_S, dense, grid_index, l2_increment, simulate_mild
+from _ensemble_oracles import (
+    apply_S,
+    dense,
+    grid_index,
+    l2_increment,
+    simulate_mild,
+    solve_digest,
+)
 from _grid import (
     constant_drift_coefficients,
     galerkin_modes,
     preset_coefficients,
     preset_run,
+    small_solve,
     steps,
     window_steps,
 )
@@ -64,7 +74,6 @@ from levyap.solver import (
     _scan_powers,
     _sweep_block,
     picard_solve,
-    solve_run,
 )
 
 # ---------------------------------------------------------------------------
@@ -1085,26 +1094,24 @@ class TestPicard:
             sys.setswitchinterval(interval)
 
     def test_solve_is_pinned(self):
-        """A sha256 of the values and the gap trace of two short solves,
-        taken while the chunk kernel evaluated the jump terms and the scan
-        powers anew in every chunk and copied the state columns: example41
-        on the benchmark system, and the signal and jump set on
-        two-dimensional noise.  Planning them once changes no bit."""
+        """A sha256 of the values and the gap trace of two short solves:
+        example41 on its own system, and the signal and jump set on
+        two-dimensional noise.  Taken when the plan's exponentials and
+        scan powers left numpy's SIMD kernels (``math.exp``,
+        ``math.expm1`` and Python powers), which gives the bits numpy's
+        kernels give on a CPU without AVX-512."""
         cases = (
             (EX41.spec, (-2.0, 2.0), 1.0 / 64, 41, preset_coefficients("example41"), 1.0,
-             "2c3eff8a0481d1595253e018c5506bd0db1665eceeb2d5063c4644ada238315c"),
+             "42c3c33c071ea5689ed21fee0a5ca80a13fefdfd5dd0f9e848e443cf5c648cc7"),
             (_two_dim_spec(), (-1.0, 2.0), 1.0 / 32, 1041, _signal_jump_coefficients(), 0.5,
-             "62cc13e3625681aee4fd32fca066e510379e4412438cfb0f466598b46c70214d"),
+             "7aba032ac5b0ad23ff50db4a5fe9b9294409b842948564336e31b47f969a6445"),
         )
         for spec, window, h, seed, cs, truncation, expected in cases:
             noise = sample_noise(spec, *window_steps(*window, h), h, 70, seed=seed)
             res = picard_solve(
                 EX41.system, cs, noise, tol=1e-30, max_iter=6, w=steps(truncation, noise.h)
             )
-            digest = hashlib.sha256(dense(res.ensemble).tobytes())
-            for rec in res.gap_trace:
-                digest.update(np.array([rec["gap"], rec["sup_second_moment"]]).tobytes())
-            assert digest.hexdigest() == expected
+            assert solve_digest(res) == expected
 
     def test_planned_jump_terms_follow_the_chunks(self, set_chunk):
         """The plan holds the jump maps; a block prepares their terms at
@@ -1441,9 +1448,9 @@ class TestPicard:
 
     def test_example41_result_is_pinned(self):
         """A sha256 of the values and of the gaps and moments of a small
-        example41 solve, taken before the ensemble was stored coordinate
-        by coordinate; any change to the rounding of the sweep or of the
-        moment sums changes it, at any thread count."""
+        example41 solve, taken when the plan's exponentials and scan
+        powers left numpy's SIMD kernels; any change to the rounding of
+        the sweep or of the moment sums changes it, at any thread count."""
         noise = sample_noise(
             EX41.spec, *window_steps(-2.0, 2.0, 1.0 / 32), 1.0 / 32, 96, seed=41
         )
@@ -1453,11 +1460,8 @@ class TestPicard:
                 tol=1e-18, threads=threads,
             )
             assert res.converged and res.iterations == 7
-            digest = hashlib.sha256(dense(res.ensemble).tobytes())
-            trace = [[rec["gap"], rec["sup_second_moment"]] for rec in res.gap_trace]
-            digest.update(np.array(trace).tobytes())
-            assert digest.hexdigest() == (
-                "8de7f866a39f1b4ce6ae5ad02dd9bf9e5653ef8a8a41ffbf1e4cf793d2ee44a9"
+            assert solve_digest(res) == (
+                "b6c119b6ed88e5ed289f30203732a5372de77dd14ca80c80bb317561c243ea8d"
             )
 
     @pytest.mark.parametrize("source", ["example41", "custom"])
@@ -2151,14 +2155,14 @@ def _rare_jump_spec() -> LevyProcessSpec:
 
 # sha256 of the values and the (gap, moment) trace of each pinned solve
 _NONDIAGONAL_PINS = {
-    "rotation": "1e2e2faa58a8e3487031804b5bbc99d3c2c8ebbd0e34682a137af1047db70aff",
-    "jordan": "60c2cc7301091ae78fddb058dcef31ff363c871538e101c12b6c800578f89dea",
-    "stiff": "29c068f1a0e426a30cec96b271702f998af8b94a4100f31f97adcf3c5d1c4447",
-    "sparse": "a5782d8634a5997561565485329d31be470f51f0088d98e2d722c2d8e7606211",
-    "unreachable": "5796233e0205b2f89756e7279c332b13fc04bb11b5cabbf8901a774b390f23a7",
+    "rotation": "d15027c1763af0fe9c5f0c031fbed1fb48427fe35eff46934bb2af8b178f3ee0",
+    "jordan": "a93a7e2e35bf33710fc55915c709241ad2b9ee98ad954f0f5090a5a008a3a09a",
+    "stiff": "09b48c6468acf6129b67cee0d0255843bfdf8ededbeb3649e25ef01ecdbddf07",
+    "sparse": "99b10ceea36ddfdf978876b4aea2714dbe3162764a3b043dc8884f4fc6e53e1c",
+    "unreachable": "b560c39fe2c47b0613617dd870391c714105db6b65c739f96b49858e6d510eb6",
     "coupled": "c8292e4f92961a600a98a14cf8633e0f0486178f38a685b559e372ccc1e2cb21",
-    "oblique": "83d94915fe2b02d02c27b16f23a733fff47cb616b8aab5477a3d3d8292257b93",
-    "rare_jumps": "b6ca1d5ab7389a06137696b131cdb2534c192a4c33c99e812476a9649fe9b16d",
+    "oblique": "1bfe67a6935a55207c0d28f2fe6d124cc2404e98998c54432b2b27bb21957e04",
+    "rare_jumps": "3e4dcd0c37d728e2dea07e8f0664f4212cc417486b0bb862613b7415c50a21c9",
 }
 
 
@@ -2166,8 +2170,10 @@ _NONDIAGONAL_PINS = {
 def test_nondiagonal_solves_are_pinned(case, set_chunk):
     """A sha256 of the values and of the gaps and moments of a 4-iteration
     solve of each recursion-oracle case and of the oblique system with
-    mixed coefficients, taken before the chunk kernel's structure was
-    planned once per solve: a reordered sum on a rotating, defective,
+    mixed coefficients, taken when the plan's exponentials and scan
+    powers left numpy's SIMD kernels (Python's complex powers for the
+    complex modes of rotation, rare_jumps, sparse and unreachable): a
+    reordered sum on a rotating, defective,
     stiff or oblique system changes it, at any chunking and thread
     count.  "unreachable" converges in 2 iterations and "coupled",
     whose only term reads a coordinate nothing forces, in 1.
@@ -2187,10 +2193,7 @@ def test_nondiagonal_solves_are_pinned(case, set_chunk):
             sysd, coefficients(sysd.dim), noise, tol=1e-30, max_iter=4, w=steps(0.5, h),
             threads=threads,
         )
-        digest = hashlib.sha256(dense(res.ensemble).tobytes())
-        trace = [[rec["gap"], rec["sup_second_moment"]] for rec in res.gap_trace]
-        digest.update(np.array(trace).tobytes())
-        assert digest.hexdigest() == _NONDIAGONAL_PINS[case]
+        assert solve_digest(res) == _NONDIAGONAL_PINS[case]
 
 
 @pytest.mark.parametrize("preset", ["example41", "ou_forced", "galerkin_heat"])
@@ -2202,11 +2205,43 @@ def test_preset_solutions_hold_no_negative_zero(preset):
     accumulations start (the first time of a stable mode, the last of an
     unstable one).  example41's first coordinate, never reached, is not
     stored."""
-    cfg = preset_config(preset)
-    run = validate_config(cfg._replace(numerics=cfg.numerics._replace(n_paths=8)))
-    values = solve_run(run, 1, None).ensemble.values
+    values = small_solve(preset).ensemble.values
     zeros = values[values == 0.0]
     assert zeros.size and not np.signbit(zeros).any()
+
+
+# numpy's AVX-512 kernels off, so that it runs the kernels of a CPU
+# without them, and OpenBLAS's Haswell kernels in place of its own pick
+_KERNEL_SETS = {
+    "no_avx512": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR AVX512_SKX"},
+    "haswell_blas": {"OPENBLAS_CORETYPE": "Haswell"},
+}
+
+
+@pytest.mark.parametrize("kernels", sorted(_KERNEL_SETS))
+def test_preset_solves_do_not_depend_on_the_cpu_kernels(kernels):
+    """Each preset's small solve (``small_solve``) has the same digest in
+    a process whose numpy runs without its AVX-512 kernels, or whose
+    OpenBLAS runs its Haswell kernels, as in this one: the presets are
+    diagonal, and their plans take ``math.exp``, ``math.expm1`` and
+    Python powers, not numpy's SIMD kernels, whose rounding differs
+    between kernel sets.  On a CPU without these features both sides
+    run the same kernels, and the test cannot fail there."""
+    names = ("example41", "ou_forced", "galerkin_heat")
+    tests = Path(__file__).parent
+    env = dict(os.environ, **_KERNEL_SETS[kernels])
+    env["PYTHONPATH"] = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    code = (
+        "from _ensemble_oracles import solve_digest\n"
+        "from _grid import small_solve\n"
+        f"for name in {names!r}:\n"
+        "    print(solve_digest(small_solve(name)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [solve_digest(small_solve(name)) for name in names]
 
 
 def _recursion_oracle(sysd, cs, noise, ens, truncation):
@@ -2263,3 +2298,53 @@ def _recursion_oracle(sysd, cs, noise, ens, truncation):
     bwd = u_acc.copy()
     bwd[: n + 1 - w] -= u_acc[w:] @ win_j.T
     return np.swapaxes(fwd - bwd, 0, 1)
+
+
+def test_law_of_levy_driven_ou_solves_is_the_exact_law():
+    """The solve of dX = -sign X dt + dL, on both halves (sign +1 stable,
+    -1 unstable), against the exact law of its truncated window
+    (``_levy_oracles``): L = 0.3 W + 0.5 (compensated small jumps) + 0.25
+    (large jumps) on example41's noise (small marks U(-0.9, 0.9) at rate
+    3/2, large marks U(1, 3/2) at rate 1), at h = 1/256 and horizon 4.
+
+    The forcing does not depend on the state, so S maps every path
+    process to the same one and its first iterate is the fixed point.  A
+    value at t reads only the noise of [t - 4, t] (stable half) or
+    [t, t + 4] (unstable half), so the values at times 4 apart, on
+    independent paths, are independent: K = 8 times on each of 1024
+    paths, N = 8192 draws of the law.  The tolerance on |phi_hat - phi|
+    at each xi is Hoeffding's: for values in [-1, 1], the mean of N
+    misses by t or more with probability at most 2 exp(-N t^2 / 2), so
+    over the real and imaginary parts of 5 values of xi on 2 halves
+    every miss is below t, and |phi_hat - phi| below sqrt(2) t, with
+    probability at least 1 - 1e-6."""
+    from _levy_oracles import ou_characteristic_function
+
+    a, h, horizon, times, paths = 1.0, 1.0 / 256, 4.0, 8, 1024
+    sigma, small, large = 0.3, 0.5, 0.25
+    xis = (0.5, 1.0, 2.0, 4.0, 8.0)
+    w = steps(horizon, h)
+    cs = CoefficientSet(
+        dim_state=1,
+        dim_noise=1,
+        drift=((),),
+        diffusion=(((CoefficientTerm(sigma, "const"),),),),
+        jump_small=((CoefficientTerm(small, "const", mark_weights=(1.0,)),),),
+        jump_large=((CoefficientTerm(large, "const", mark_weights=(1.0,)),),),
+        lipschitz=Fraction(1, 64),  # unread: the forcing is additive
+    )
+    n_values = times * paths
+    tol = math.sqrt(2.0) * math.sqrt(2.0 * math.log(2 * 2 * len(xis) * 2 / 1e-6) / n_values)
+    for sign, seed in ((1, 61), (-1, 62)):
+        sysd = DichotomousSystem.create(
+            np.array([[-sign * a]]), np.eye(1) * (sign > 0), k=1.0, omega=a
+        )
+        noise = NoiseDraw(EX41.spec, 0, (times + 1) * w, h, paths, seed)
+        res = picard_solve(
+            sysd, cs, noise, w, max_iter=1, keep=w * np.arange(1, times + 1)
+        )
+        assert res.iterations == 1
+        x = res.ensemble.values.reshape(-1)
+        for xi in xis:
+            phi = ou_characteristic_function(xi, a, sign, horizon, EX41.spec, sigma, small, large)
+            assert abs(np.mean(np.exp(1j * xi * x)) - phi) <= tol, (sign, xi)
