@@ -91,15 +91,15 @@ def _write_ensemble_csv(path: Path, ens: PathEnsemble, stride: int) -> None:
     block to block.  A row holds the time's repr (of ``noise.grid_times``,
     in a field as wide as the longest of the times written, which a first
     pass over the blocks finds), the path index (built once) and, per
-    state coordinate, the field of
-    ``_floatfmt._FIELD_WORDS`` words that ``_floatfmt.ReprFormatter``
-    fills with the value's repr and its separator, formatting the
-    block's values of one coordinate with numpy integer arithmetic and
-    no Python code per value.  Every byte that is not text is NUL, so a
-    block is written as its matrix with the NUL bytes removed.  A
-    coordinate that the ensemble does not hold (``PathEnsemble.coords``),
-    such as example41's first, is +0.0 throughout: it takes one word,
-    ``0.0`` and its separator, written once.
+    state coordinate, the field of ``_floatfmt._FIELD_WORDS`` words that
+    ``_floatfmt.ReprFormatter`` fills with the value's repr and its
+    separator, formatting the block's values of one coordinate with numpy
+    integer arithmetic and no Python code per value.  Every byte that is
+    not text is NUL, so a block is written as its matrix with the NUL
+    bytes removed.  A coordinate that the ensemble does not hold
+    (``PathEnsemble.coords``), such as example41's first, is +0.0
+    throughout: it takes one word, ``0.0`` and its separator, written
+    once.
     """
     from ._floatfmt import _CHUNK, _FIELD_WORDS, ReprFormatter
 
@@ -117,8 +117,8 @@ def _write_ensemble_csv(path: Path, ens: PathEnsemble, stride: int) -> None:
     # a row starts with the time and a comma, right-aligned in a field as
     # wide as the longest, then the path and a comma, with no NUL between:
     # the mask removes a run of NUL bytes at a time, so the fewer runs the
-    # faster.  The field is sized block by block, so only one block's
-    # strings exist at a time
+    # faster.  Its width is found block by block, so that only one
+    # block's strings exist at a time
     t_width = max(len(t) for lo in starts for t in block(lo)[1])
     ends = b"," * (d - 1) + b"\n"
     col = dict(zip(ens.coords, range(len(ens.coords))))  # the column of each held coordinate

@@ -20,8 +20,8 @@ The exponential and its integral of a diagonal generator are taken
 entrywise in closed form (``matrix_exp``, ``integrated_exp``) by the C
 library's ``exp`` and ``expm1``, so their bits do not depend on which
 SIMD kernels numpy picks for the CPU, and a diagonal system loads no
-scipy module; scipy is imported on the first
-exponential of a matrix that is not diagonal.  numpy itself is loaded on
+scipy module; scipy is imported on the first exponential of a matrix
+that is not diagonal.  numpy itself is loaded on
 the first array a system builds, so a system certified by
 ``diagonal_constants`` that only reports its constants loads neither.
 """
@@ -111,9 +111,9 @@ def integrated_exp(a: np.ndarray, t: float) -> np.ndarray:
 
     For a diagonal A it is diag(expm1(a_ii t) / a_ii), and t where
     a_ii = 0, by ``math.expm1`` as ``matrix_exp`` takes ``math.exp``.
-    Otherwise it comes from one exponential of the augmented
-    block matrix [[A, I], [0, 0]]; exact also when A is singular.  Both
-    ways carry the overflow guard of ``matrix_exp``.
+    Otherwise it comes from one exponential of the augmented block matrix
+    [[A, I], [0, 0]]; exact also when A is singular.  Both ways carry the
+    overflow guard of ``matrix_exp``.
     """
     a = np.asarray(a, dtype=float)
     d = a.shape[0]

@@ -133,9 +133,9 @@ class PathEnsemble:
     The grid is integer-indexed (``k_lo`` .. ``k_lo + n_steps`` times
     ``h``) like the noise grid, so ensembles and noise windows align
     exactly, and ``grid`` is its times, as the noise grid's.  The states
-    have ``dim`` coordinates, of which ``values``
-    holds those in ``coords`` (increasing): it has shape (paths, rows,
-    len(coords)), and every other coordinate is +0.0 throughout.  A row
+    have ``dim`` coordinates, of which ``values`` holds those in
+    ``coords`` (increasing): it has shape (paths, rows, len(coords)), and
+    every other coordinate is +0.0 throughout.  A row
     is a grid point of ``points`` (increasing steps from ``k_lo``), or
     every grid point when ``points`` is None, and then ``n_steps`` is
     the rows less one.  ``values`` may be a view of coordinate-major

@@ -1,7 +1,7 @@
 """What the tests take from a validated run: float times as whole grid
 steps, the form the sampler, the Picard solve and the shift scan take,
 and the runs of the shipped presets, whose system, noise spec and
-coefficient set the tests share."""
+coefficient set the tests share, and their solves on a few paths."""
 
 import functools
 
@@ -25,7 +25,8 @@ def small_solve(name: str):
     """The solve (``solve_run``) of the preset ``name`` on 8 paths, every
     grid point kept."""
     cfg = preset_config(name)
-    return solve_run(validate_config(cfg._replace(numerics=cfg.numerics._replace(n_paths=8))), 1, None)
+    run = validate_config(cfg._replace(numerics=cfg.numerics._replace(n_paths=8)))
+    return solve_run(run, 1, None)
 
 
 def constant_drift_coefficients(c1: float, c2: float) -> CoefficientSet:

@@ -2228,9 +2228,9 @@ def test_preset_solves_do_not_depend_on_the_cpu_kernels(kernels):
     between kernel sets.  On a CPU without these features both sides
     run the same kernels, and the test cannot fail there."""
     names = ("example41", "ou_forced", "galerkin_heat")
-    tests = Path(__file__).parent
+    src = Path(sys.modules["levyap"].__file__).parents[1]
     env = dict(os.environ, **_KERNEL_SETS[kernels])
-    env["PYTHONPATH"] = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    env["PYTHONPATH"] = os.pathsep.join([str(src), str(Path(__file__).parent)])
     code = (
         "from _ensemble_oracles import solve_digest\n"
         "from _grid import small_solve\n"
